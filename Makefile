@@ -7,17 +7,20 @@
 # recover, compare against the serial oracle; plus crash-at-every-write
 # snapshot atomicity), a seeded whole-stack simulation smoke under the
 # race detector, a short fuzz run over the corpus text format, and a
-# one-iteration benchmark smoke run. The race pass runs -short so the
-# heavyweight load comparison stays affordable under the detector and
-# the fault-injection latency schedules stay under ~2s.
+# one-iteration benchmark smoke run, and a vet + test pass over bench/
+# (its own module, which `go test ./...` never compiles, so an API
+# rename here could otherwise break the benchmark unnoticed). The race
+# pass runs -short so the heavyweight load comparison stays affordable
+# under the detector and the fault-injection latency schedules stay
+# under ~2s.
 
 GO ?= go
 
 .PHONY: check vet build test race recovery-smoke simsmoke migratesmoke \
-	overloadsmoke adaptsmoke soak cover fuzzsmoke benchsmoke bench \
+	overloadsmoke adaptsmoke soak cover fuzzsmoke benchsmoke benchmod bench \
 	bench-reshard bench-overload bench-adapt clean
 
-check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke adaptsmoke fuzzsmoke benchsmoke
+check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke adaptsmoke fuzzsmoke benchsmoke benchmod
 
 vet:
 	$(GO) vet ./...
@@ -67,7 +70,7 @@ overloadsmoke:
 	$(GO) test -race -run 'TestSimOverloadBudget' -v ./internal/sim
 	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBudgetBackendFlagsOverWire' \
 		./internal/multiserver
-	$(GO) test -race -run 'TestSearchBudgetTruncation|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood' \
+	$(GO) test -race -run 'TestSearchBudget|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood' \
 		-v ./internal/server
 
 # Continuous-adaptation regression gate: the pinned adapt sim seeds
@@ -130,10 +133,15 @@ benchsmoke:
 	$(GO) run ./cmd/benchgate -old BENCH_PR9_BASE.json -new BENCH_PR9.json -max-qps-drop 0.03
 	$(GO) run ./cmd/benchgate -old BENCH_PR10_BASE.json -new BENCH_PR10.json $(BENCHGATE_ADAPT)
 
-# Reproducible before/after numbers for the broad-match read path;
-# writes BENCH_PR8.json (quoted in README "Performance"), then gates the
-# fresh recording against the prior report so a regression cannot be
-# committed silently.
+# The end-to-end benchmark harness is a separate module linking this
+# one's packages: vet it and run its own tests (~20 s) against the
+# working tree.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Reproducible numbers for the broad-match read path; writes
+# BENCH_PR8.json, then gates the fresh recording against the prior report
+# so a regression cannot be committed silently.
 bench:
 	$(GO) run ./cmd/adbench -experiment perf -ads 20000 -queries 5000 \
 		-stream 50000 -out BENCH_PR8.json

@@ -60,6 +60,11 @@ func (ix *Index) adaptController() *adapt.Controller {
 	return ix.adaptCtl
 }
 
+// AdaptEnabled reports whether the index was built with Options.Adapt:
+// the owner intends to run the adaptation loop, so serving layers collect
+// per-query cost attribution for it.
+func (ix *Index) AdaptEnabled() bool { return ix.opts.Adapt != nil }
+
 // AdaptRound runs one synchronous adaptation round: pull the workload
 // delta observed since the last round, recalibrate the cost model (if
 // enabled), re-solve placement for the most misplaced word sets, and

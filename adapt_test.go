@@ -325,7 +325,7 @@ func TestStartStopAdapt(t *testing.T) {
 func TestRecordQueryCostAttribution(t *testing.T) {
 	ix := Build(sampleAds(), Options{})
 	var c Counters
-	ix.BroadMatchCounted("cheap used books today", &c)
+	ix.Match(nil, Query{Text: "cheap used books today", Counters: &c})
 	ix.RecordQueryCost(&c, 1234)
 	s := ix.AttributionStats()
 	if s.Queries != 1 || s.Nanos != 1234 || s.BytesScanned != c.BytesScanned {

@@ -27,8 +27,8 @@ type Meta = corpus.Meta
 type CostModel = costmodel.Model
 
 // Counters accumulates per-query memory-access accounting (random
-// accesses, bytes scanned, hash probes); pass to the *Counted query
-// variants when instrumenting.
+// accesses, bytes scanned, hash probes); set Query.Counters when
+// instrumenting.
 type Counters = costmodel.Counters
 
 // NewAd builds an Ad from a raw bid phrase, normalizing it into the
@@ -65,7 +65,7 @@ type Options struct {
 	// many mutations). Default DefaultMaxDeltaAds; negative folds on every
 	// mutation (no overlay, maximal per-mutation cost).
 	MaxDeltaAds int
-	// Rewrite enables approximate broad match (BroadMatchRewrite): fuzzy
+	// Rewrite enables approximate broad match (Query.Rewrite): fuzzy
 	// spelling correction against the index vocabulary plus optional
 	// synonym-class expansion, under a per-query budget. Nil disables
 	// rewriting; exact matching is unaffected either way.

@@ -242,7 +242,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 func TestCountersExposed(t *testing.T) {
 	ix := Build(sampleAds(), Options{})
 	var c Counters
-	ix.BroadMatchCounted("cheap used books", &c)
+	ix.Match(nil, Query{Text: "cheap used books", Counters: &c})
 	if c.Queries != 1 || c.HashProbes == 0 {
 		t.Errorf("counters: %+v", c)
 	}

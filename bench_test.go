@@ -8,6 +8,7 @@ package adindex
 //	go test -bench=. -benchmem
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -204,9 +205,21 @@ func BenchmarkFig9_TwoServer_HashStructure(b *testing.B) {
 	benchTwoServer(b, multiserver.CoreBackend{Index: bCoreFor(b)})
 }
 
+// invertedBackend serves the two-server benchmark from the unmodified
+// inverted-index baseline.
+type invertedBackend struct{ index *invindex.Unmodified }
+
+func (b invertedBackend) MatchIDs(query string) []uint64 {
+	var ids []uint64
+	for _, m := range b.index.BroadMatchText(query, nil) {
+		ids = append(ids, m.ID)
+	}
+	return ids
+}
+
 func BenchmarkFig9_TwoServer_Inverted(b *testing.B) {
 	benchSetup(b)
-	benchTwoServer(b, multiserver.InvertedBackend{Index: bUnmod})
+	benchTwoServer(b, invertedBackend{bUnmod})
 }
 
 func bCoreFor(b *testing.B) *core.Index {
@@ -250,24 +263,58 @@ func BenchmarkSectionVI_HashTableBroadMatch(b *testing.B) {
 	}
 }
 
-// --- Other match types (Section III-B) ---
+// --- Other match types (Section III-B), through the public query path ---
 
 func BenchmarkExactMatch(b *testing.B) {
-	benchSetup(b)
+	pr3Setup(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ad := &bCorpus.Ads[i%len(bCorpus.Ads)]
-		bCore.ExactMatch(ad.Phrase, nil)
+		pr3Index.ExactMatch(bCorpus.Ads[i%len(bCorpus.Ads)].Phrase)
 	}
 }
 
 func BenchmarkPhraseMatch(b *testing.B) {
-	benchSetup(b)
+	pr3Setup(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ad := &bCorpus.Ads[i%len(bCorpus.Ads)]
-		bCore.PhraseMatch("find "+ad.Phrase+" online", nil)
+		pr3Index.PhraseMatch("find " + bCorpus.Ads[i%len(bCorpus.Ads)].Phrase + " online")
 	}
+}
+
+// eightWordQuery pads ad i's bid phrase with the phrases of the ads after
+// it, so the query contains at least one bid phrase contiguously and its
+// subset enumeration is the 2^8 kind.
+func eightWordQuery(i int) string {
+	var toks []string
+	for j := i; len(toks) < 8; j++ {
+		toks = append(toks, strings.Fields(bCorpus.Ads[j%len(bCorpus.Ads)].Phrase)...)
+	}
+	return strings.Join(toks[:8], " ")
+}
+
+func benchEightWords(b *testing.B, match func(string) []Ad) {
+	pr3Setup(b)
+	queries := make([]string, 4096)
+	for i := range queries {
+		queries[i] = eightWordQuery(7 * i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		match(queries[i%len(queries)])
+	}
+}
+
+// BenchmarkExactMatch8Words pins that exact match stays one lookup however
+// long the query: it must not pay the broad subset enumeration.
+func BenchmarkExactMatch8Words(b *testing.B) {
+	benchEightWords(b, func(q string) []Ad { return pr3Index.ExactMatch(q) })
+}
+
+func BenchmarkPhraseMatch8Words(b *testing.B) {
+	benchEightWords(b, func(q string) []Ad { return pr3Index.PhraseMatch(q) })
 }
 
 // --- Maintenance (Section VI): inserts and deletes ---
@@ -427,7 +474,7 @@ func BenchmarkPublicBroadMatchAppendReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = pr3Index.BroadMatchAppend(dst[:0], pr3Queries[i%len(pr3Queries)])
+		dst = pr3Index.View().BroadMatchAppend(dst[:0], pr3Queries[i%len(pr3Queries)])
 	}
 }
 
@@ -441,7 +488,7 @@ func BenchmarkPublicBroadMatchParallel(b *testing.B) {
 		var dst []Ad
 		i := 0
 		for pb.Next() {
-			dst = pr3Index.BroadMatchAppend(dst[:0], pr3Queries[i%len(pr3Queries)])
+			dst = pr3Index.View().BroadMatchAppend(dst[:0], pr3Queries[i%len(pr3Queries)])
 			i++
 		}
 	})

@@ -17,7 +17,7 @@ func TestBroadMatchBudgetUnlimited(t *testing.T) {
 	for _, q := range wl.Queries {
 		query := strings.Join(q.Words, " ")
 		want := ix.BroadMatch(query)
-		res := ix.BroadMatchBudget(query, QueryBudget{})
+		res := ix.Match(nil, Query{Text: query, Budget: QueryBudget{}})
 		if res.Truncated {
 			t.Fatalf("query %q: unlimited budget truncated", query)
 		}
@@ -44,7 +44,7 @@ func TestBroadMatchBudgetTruncationSubset(t *testing.T) {
 		query := strings.Join(q.Words, " ")
 		full := ix.BroadMatch(query)
 		for _, max := range []int64{1, 8, 64} {
-			res := ix.BroadMatchBudget(query, QueryBudget{MaxCost: max})
+			res := ix.Match(nil, Query{Text: query, Budget: QueryBudget{MaxCost: max}})
 			j := 0
 			for _, ad := range res.Ads {
 				for j < len(full) && full[j].ID != ad.ID {
@@ -77,7 +77,7 @@ func TestBroadMatchBudgetOverlay(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 800, Seed: 25})
 	ix := Build(c.Ads, Options{MaxDeltaAds: 64})
 	ix.Insert(NewAd(900001, "fresh overlay phrase", Meta{}))
-	res := ix.BroadMatchBudget("some fresh overlay phrase here", QueryBudget{MaxCost: 1})
+	res := ix.Match(nil, Query{Text: "some fresh overlay phrase here", Budget: QueryBudget{MaxCost: 1}})
 	found := false
 	for _, ad := range res.Ads {
 		if ad.ID == 900001 {
@@ -90,7 +90,7 @@ func TestBroadMatchBudgetOverlay(t *testing.T) {
 	if !ix.Delete(900001, "fresh overlay phrase") {
 		t.Fatal("delete failed")
 	}
-	res = ix.BroadMatchBudget("some fresh overlay phrase here", QueryBudget{MaxCost: 1})
+	res = ix.Match(nil, Query{Text: "some fresh overlay phrase here", Budget: QueryBudget{MaxCost: 1}})
 	for _, ad := range res.Ads {
 		if ad.ID == 900001 {
 			t.Fatal("deleted ad resurfaced in budgeted result")
@@ -107,11 +107,11 @@ func TestBroadMatchBudgetCutoffSurfaced(t *testing.T) {
 	ix2 := Build([]Ad{
 		NewAd(1, "w1 w2", Meta{}), NewAd(2, "w3 w4", Meta{}), NewAd(3, "w5 w6", Meta{}),
 	}, Options{MaxQueryWords: 4, MaxWords: 2})
-	res := ix2.BroadMatchBudget("w1 w2 w3 w4 w5 w6", QueryBudget{})
+	res := ix2.Match(nil, Query{Text: "w1 w2 w3 w4 w5 w6", Budget: QueryBudget{}})
 	if !res.CutoffApplied {
 		t.Fatal("6 indexed words over MaxQueryWords=4: cutoff not surfaced")
 	}
-	res = ix.BroadMatchBudget("alpha beta", QueryBudget{})
+	res = ix.Match(nil, Query{Text: "alpha beta", Budget: QueryBudget{}})
 	if res.CutoffApplied || res.Truncated {
 		t.Fatalf("short query flagged: %+v", res)
 	}

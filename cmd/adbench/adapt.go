@@ -9,8 +9,8 @@ package main
 // index re-merges the newly hot hubs' word sets; the frozen control
 // keeps serving them one node per word set.
 //
-// Latency is reported in modeled-cost units (the per-query CostHistogram
-// the serving layer feeds from Config.TrackCost), not wall-clock: the
+// Latency is reported in modeled-cost units (the per-query cost histogram
+// the serving layer feeds when the index adapts), not wall-clock: the
 // layout signal is tens of microseconds per query, well under scheduler
 // noise, while modeled cost is deterministic for a fixed corpus and
 // layout. Two reports are written with matching variant names —
@@ -75,23 +75,23 @@ type adaptReport struct {
 
 // adaptIndex couples an index with its phase-scoped cost histogram; every
 // query feeds the observe sampler and the recalibration counters, exactly
-// like the serving layer's TrackCost path.
+// like the serving layer does for an adapting index.
 type adaptIndex struct {
 	ix   *adindex.Index
-	hist server.CostHistogram
+	hist *server.Histogram
 }
 
 func newAdaptIndex(ads []adindex.Ad) *adaptIndex {
 	return &adaptIndex{ix: adindex.Build(ads, adindex.Options{
 		CostModel: adindex.CostModel{Random: adRandomCost, ScanByte: 1},
 		Adapt:     &adindex.AdaptOptions{TopK: 64},
-	})}
+	}), hist: server.NewCostHistogram()}
 }
 
 func (a *adaptIndex) query(q string) {
 	var c adindex.Counters
 	t0 := time.Now()
-	res := a.ix.View().BroadMatchBudgetCounted(q, adindex.QueryBudget{}, &c)
+	res := a.ix.Match(nil, adindex.Query{Text: q, Counters: &c})
 	a.ix.RecordQueryCost(&c, time.Since(t0).Nanoseconds())
 	a.ix.Observe(q)
 	a.hist.Observe(c.Cost(a.ix.Model()))

@@ -4,7 +4,7 @@ package main
 //
 // Two parts. The serial part measures what the budget machinery costs
 // when nothing is wrong: the same steady and adversarial query streams
-// run through BroadMatch (budget off) and BroadMatchBudget (budget on),
+// run through Match without and with a Query.Budget,
 // written as two reports with matching variant names — BENCH_PR9_BASE
 // (off) and BENCH_PR9 (on) — so `cmd/benchgate -max-qps-drop 0.03`
 // enforces the ≤3% steady-state bar, while the adversarial pair shows
@@ -98,7 +98,7 @@ func runOverload(cfg config) {
 	budget := *overloadBudget
 	plain := func(q string) bool { ix.BroadMatch(q); return false }
 	budgeted := func(q string) bool {
-		return ix.BroadMatchBudget(q, adindex.QueryBudget{MaxCost: budget}).Truncated
+		return ix.Match(nil, adindex.Query{Text: q, Budget: adindex.QueryBudget{MaxCost: budget}}).Truncated
 	}
 
 	// Interleave each off/on pair so machine drift cannot fake (or mask)

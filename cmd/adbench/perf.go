@@ -1,19 +1,13 @@
 package main
 
-// perf: before/after comparison for the columnar scan + snapshot read
-// path.
-//
-// The "before" variant reproduces the PR3 baseline path faithfully: an
-// RWMutex around the core index, per-query tokenization and enumeration
-// scratch allocations, a fresh result copy per call, and — via
-// core.ReferenceBroadMatch — the pre-columnar AoS node scan (per-record
-// IsSubset string comparison, no signature prefilter). The "after"
-// variants are the shipped public API (pooled scratch, atomic snapshot
-// load, columnar signature sweep, arena result copies), plus the batch
-// entry point that sorts probes by bucket. All run in the same process on
-// the same corpus and query stream, so the comparison isolates the
-// read-path design. Results are printed as a table and written as JSON
-// (default BENCH_PR8.json, see -out) for README/DESIGN to quote.
+// perf: the broad-match read path through the public API — pooled
+// scratch, atomic snapshot load, columnar signature sweep, arena result
+// copies — as a fresh copy per call, as an append into a reused buffer,
+// and through the batch entry point that sorts probes by bucket. All run
+// in the same process on the same corpus and query stream. Results are
+// printed as a table and written as JSON (default BENCH_PR8.json, see
+// -out); cmd/benchgate matches variants by name, so a recording gates
+// against any earlier one that has the same variants.
 
 import (
 	"encoding/json"
@@ -29,49 +23,10 @@ import (
 	"time"
 
 	"adindex"
-	"adindex/internal/core"
 	"adindex/internal/corpus"
-	"adindex/internal/textnorm"
 )
 
 var perfOut = flag.String("out", "BENCH_PR8.json", "JSON output path for the perf experiment")
-
-// lockedIndex is the historical read path: exclusive-with-readers locking
-// plus allocate-per-query matching over the pre-columnar AoS record scan
-// (core.ReferenceBroadMatch). Kept here (not in the library) purely as
-// the benchmark baseline.
-type lockedIndex struct {
-	mu   sync.RWMutex
-	core *core.Index
-}
-
-func (l *lockedIndex) BroadMatch(query string) []adindex.Ad {
-	words := textnorm.WordSet(query)
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	m := l.core.ReferenceBroadMatch(words, nil)
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]adindex.Ad, len(m))
-	for i, ad := range m {
-		out[i] = *ad
-	}
-	return out
-}
-
-func (l *lockedIndex) Insert(ad corpus.Ad) {
-	l.mu.Lock()
-	l.core.Insert(ad)
-	l.mu.Unlock()
-}
-
-func (l *lockedIndex) Delete(id uint64, phrase string) bool {
-	l.mu.Lock()
-	ok := l.core.Delete(id, phrase)
-	l.mu.Unlock()
-	return ok
-}
 
 type perfVariant struct {
 	Name        string  `json:"name"`
@@ -84,30 +39,19 @@ type perfVariant struct {
 }
 
 type perfReport struct {
-	Ads               int         `json:"ads"`
-	Queries           int         `json:"distinct_queries"`
-	Stream            int         `json:"stream_length"`
-	GOMAXPROCS        int         `json:"gomaxprocs"`
-	Before            perfVariant `json:"before"`
-	After             perfVariant `json:"after"`
-	AfterAppend       perfVariant `json:"after_append"`
-	AfterBatch        perfVariant `json:"after_batch"`
-	AllocReductionPct float64     `json:"alloc_reduction_pct"`
-	SerialSpeedup     float64     `json:"serial_speedup"`
-	AppendSpeedup     float64     `json:"append_speedup"`
-	ParallelSpeedup   float64     `json:"parallel_speedup"`
-	BatchSpeedup      float64     `json:"batch_speedup"`
-}
-
-// perfMutator churns ID/phrase pairs disjoint from the corpus while the
-// parallel-churn measurement runs.
-type perfMutator interface {
-	Insert(ad corpus.Ad)
-	Delete(id uint64, phrase string) bool
+	Ads           int         `json:"ads"`
+	Queries       int         `json:"distinct_queries"`
+	Stream        int         `json:"stream_length"`
+	GOMAXPROCS    int         `json:"gomaxprocs"`
+	After         perfVariant `json:"after"`
+	AfterAppend   perfVariant `json:"after_append"`
+	AfterBatch    perfVariant `json:"after_batch"`
+	AppendSpeedup float64     `json:"append_speedup"`
+	BatchSpeedup  float64     `json:"batch_speedup"`
 }
 
 func runPerf(cfg config) {
-	header("perf: locked AoS-reference baseline vs columnar snapshot read path (BENCH_PR8)")
+	header("perf: snapshot read path — copy, append, batch")
 	c := mkCorpus(cfg.ads, cfg.seed)
 	wl := mkWorkload(c, cfg.queries, cfg.seed+1)
 	stream := wl.Stream(cfg.stream, cfg.seed+2)
@@ -116,18 +60,14 @@ func runPerf(cfg config) {
 		queries[i] = strings.Join(q.Words, " ")
 	}
 
-	locked := &lockedIndex{core: core.New(c.Ads, core.Options{})}
 	snap := adindex.Build(c.Ads, adindex.Options{})
 
-	mkBefore := func() func(string) {
-		return func(q string) { locked.BroadMatch(q) }
-	}
 	mkAfter := func() func(string) {
 		return func(q string) { snap.BroadMatch(q) }
 	}
 	mkAppend := func() func(string) {
 		var dst []adindex.Ad
-		return func(q string) { dst = snap.BroadMatchAppend(dst[:0], q) }
+		return func(q string) { dst = snap.Match(dst[:0], adindex.Query{Text: q}).Ads }
 	}
 	sweep := func(call func(string)) func() {
 		return func() {
@@ -137,7 +77,6 @@ func runPerf(cfg config) {
 		}
 	}
 	serial := interleavedSerialQPS([]func(){
-		sweep(mkBefore()),
 		sweep(mkAfter()),
 		sweep(mkAppend()),
 		func() {
@@ -151,45 +90,30 @@ func runPerf(cfg config) {
 		},
 	}, len(queries))
 
-	before := measurePerf("locked-reference", queries, serial[0], mkBefore, locked)
-	after := measurePerf("snapshot", queries, serial[1], mkAfter, snap)
-	afterAppend := measurePerf("snapshot-append", queries, serial[2], mkAppend, snap)
-	afterBatch := measureBatch("snapshot-batch", queries, serial[3], snap, locked)
+	after := measurePerf("snapshot", queries, serial[0], mkAfter, snap)
+	afterAppend := measurePerf("snapshot-append", queries, serial[1], mkAppend, snap)
+	afterBatch := measureBatch("snapshot-batch", queries, serial[2], snap)
 
 	rep := perfReport{
-		Ads:         cfg.ads,
-		Queries:     cfg.queries,
-		Stream:      len(queries),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Before:      before,
-		After:       after,
-		AfterAppend: afterAppend,
-		AfterBatch:  afterBatch,
-	}
-	if before.AllocsPerOp > 0 {
-		rep.AllocReductionPct = 100 * (before.AllocsPerOp - after.AllocsPerOp) / before.AllocsPerOp
-	}
-	if after.SerialQPS > 0 {
-		rep.SerialSpeedup = after.SerialQPS / before.SerialQPS
-	}
-	if afterAppend.SerialQPS > 0 {
-		rep.AppendSpeedup = afterAppend.SerialQPS / before.SerialQPS
-	}
-	if after.ParallelQPS > 0 {
-		rep.ParallelSpeedup = after.ParallelQPS / before.ParallelQPS
-	}
-	if afterBatch.SerialQPS > 0 {
-		rep.BatchSpeedup = afterBatch.SerialQPS / before.SerialQPS
+		Ads:           cfg.ads,
+		Queries:       cfg.queries,
+		Stream:        len(queries),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		After:         after,
+		AfterAppend:   afterAppend,
+		AfterBatch:    afterBatch,
+		AppendSpeedup: afterAppend.SerialQPS / after.SerialQPS,
+		BatchSpeedup:  afterBatch.SerialQPS / after.SerialQPS,
 	}
 
 	fmt.Printf("%-18s %12s %9s %9s %12s %12s %10s\n",
 		"variant", "serial qps", "p50 us", "p99 us", "par qps", "churn qps", "allocs/op")
-	for _, v := range []perfVariant{before, after, afterAppend, afterBatch} {
+	for _, v := range []perfVariant{after, afterAppend, afterBatch} {
 		fmt.Printf("%-18s %12.0f %9.2f %9.2f %12.0f %12.0f %10.1f\n",
 			v.Name, v.SerialQPS, v.P50US, v.P99US, v.ParallelQPS, v.ChurnQPS, v.AllocsPerOp)
 	}
-	fmt.Printf("alloc reduction: %.1f%%  serial speedup: %.2fx  append speedup: %.2fx  parallel speedup: %.2fx  batch speedup: %.2fx\n",
-		rep.AllocReductionPct, rep.SerialSpeedup, rep.AppendSpeedup, rep.ParallelSpeedup, rep.BatchSpeedup)
+	fmt.Printf("append speedup: %.2fx  batch speedup: %.2fx (vs snapshot)\n",
+		rep.AppendSpeedup, rep.BatchSpeedup)
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	must(err)
@@ -201,7 +125,7 @@ func runPerf(cfg config) {
 // shared interleaved measurement. makeCall returns a fresh, independently
 // buffered query closure; parallel measurements give each worker its own
 // so buffer-reusing variants stay race-free.
-func measurePerf(name string, queries []string, serialQPS float64, makeCall func() func(string), mut perfMutator) perfVariant {
+func measurePerf(name string, queries []string, serialQPS float64, makeCall func() func(string), mut *adindex.Index) perfVariant {
 	call := makeCall()
 	v := perfVariant{Name: name, SerialQPS: serialQPS}
 
@@ -261,7 +185,7 @@ const perfBatchSize = 64
 // measureBatch times the batch entry point over fixed-size query blocks.
 // QPS and latency are per query (block latency divided across its
 // queries), so the numbers compare directly with the per-call variants.
-func measureBatch(name string, queries []string, serialQPS float64, snap *adindex.Index, mut perfMutator) perfVariant {
+func measureBatch(name string, queries []string, serialQPS float64, snap *adindex.Index) perfVariant {
 	v := perfVariant{Name: name, SerialQPS: serialQPS}
 	blocks := func(qs []string, fn func([]string) time.Duration) (time.Duration, []time.Duration) {
 		var total time.Duration
@@ -302,7 +226,7 @@ func measureBatch(name string, queries []string, serialQPS float64, snap *adinde
 		}
 	}
 	v.ParallelQPS = parallelQPS(queries, batchCall, nil)
-	v.ChurnQPS = parallelQPS(queries, batchCall, mut)
+	v.ChurnQPS = parallelQPS(queries, batchCall, snap)
 
 	block := queries[:perfBatchSize]
 	allocs := testing.AllocsPerRun(200, func() { snap.BroadMatchBatch(block) })
@@ -313,7 +237,7 @@ func measureBatch(name string, queries []string, serialQPS float64, snap *adinde
 
 // parallelQPS drives the full stream across GOMAXPROCS workers; when mut
 // is non-nil a mutator goroutine churns inserts and deletes throughout.
-func parallelQPS(queries []string, makeCall func() func(string), mut perfMutator) float64 {
+func parallelQPS(queries []string, makeCall func() func(string), mut *adindex.Index) float64 {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 1 {
 		workers-- // leave a core for the mutator / runtime

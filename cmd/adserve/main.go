@@ -178,10 +178,6 @@ func main() {
 			TopK:      *adaptTopK,
 			Calibrate: true,
 		}
-		// The loop feeds on per-query attribution, so cost tracking and
-		// the adapt /metrics section come with it.
-		cfg.TrackCost = true
-		cfg.Adapt = true
 	}
 
 	var rewriteOpts *adindex.RewriteOptions
@@ -532,11 +528,7 @@ type indexBackend struct {
 }
 
 func (b indexBackend) MatchIDs(query string) []uint64 {
-	matches := b.ix.BroadMatch(query)
-	ids := make([]uint64, len(matches))
-	for i := range matches {
-		ids[i] = matches[i].ID
-	}
+	ids, _ := b.MatchIDsBudget(query, time.Time{}, false)
 	return ids
 }
 
@@ -548,7 +540,7 @@ func (b indexBackend) MatchIDsBudget(query string, deadline time.Time, has bool)
 	if has {
 		qb.Deadline = deadline
 	}
-	res := b.ix.BroadMatchBudget(query, qb)
+	res := b.ix.Match(nil, adindex.Query{Text: query, Budget: qb})
 	ids := make([]uint64, len(res.Ads))
 	for i := range res.Ads {
 		ids[i] = res.Ads[i].ID

@@ -100,7 +100,7 @@ func TestConcurrentStress(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				q := queries[(i*7+seed)%len(queries)]
 				ix.Observe(q)
-				dst = ix.BroadMatchAppend(dst[:0], q)
+				dst = ix.View().BroadMatchAppend(dst[:0], q)
 				// Safety invariant that holds at every instant, churn or
 				// not: each returned ad's word set is a subset of the
 				// query's.

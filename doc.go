@@ -20,9 +20,11 @@
 //	}, adindex.Options{})
 //	matches := ix.BroadMatch("cheap used books") // -> ad 1
 //
-// Exact-match and phrase-match retrieval are available through ExactMatch
-// and PhraseMatch; SelectAds applies the secondary auction filters
-// (exclusion keywords, bid floors, ranking).
+// BroadMatch, ExactMatch and PhraseMatch are shorthands for the one query
+// method, Match, which takes a Query — text, match type, an optional work
+// budget, approximate (rewritten) matching, access accounting — and
+// returns a Result that says what a budget left out. SelectAds applies the
+// secondary auction filters (exclusion keywords, bid floors, ranking).
 //
 // # Workload adaptation
 //

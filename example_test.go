@@ -67,6 +67,31 @@ func ExampleIndex_ExactMatch() {
 	// Output: 1 2
 }
 
+func ExampleIndex_Match() {
+	ix := adindex.Build([]adindex.Ad{
+		adindex.NewAd(1, "running shoes", adindex.Meta{}),
+		adindex.NewAd(2, "shoes", adindex.Meta{}),
+	}, adindex.Options{Rewrite: &adindex.RewriteOptions{}})
+
+	// One method, options side by side: a phrase query under a work budget…
+	res := ix.Match(nil, adindex.Query{
+		Text:   "buy running shoes",
+		Type:   adindex.Phrase,
+		Budget: adindex.QueryBudget{MaxCost: 1000},
+	})
+	fmt.Println(len(res.Ads), "phrase matches, truncated:", res.Truncated)
+
+	// …and a misspelled broad query answered through a spelling rewrite.
+	res = ix.Match(nil, adindex.Query{Text: "runing shoes", Rewrite: true})
+	for _, m := range res.Matches() {
+		fmt.Println(m.ID, m.Info.Type)
+	}
+	// Output:
+	// 2 phrase matches, truncated: false
+	// 1 fuzzy
+	// 2 exact
+}
+
 func ExampleNewSharded() {
 	ads := adindex.GenerateAds(10000, 1)
 	cluster, err := adindex.NewSharded(ads, 4, adindex.Options{})

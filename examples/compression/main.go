@@ -52,7 +52,7 @@ func main() {
 		var ch, cc adindex.Counters
 		queries := sampleQueries(ads, 500)
 		for _, q := range queries {
-			a := ix.BroadMatchCounted(q, &ch)
+			a := ix.Match(nil, adindex.Query{Text: q, Counters: &ch}).Ads
 			b, err := snap.BroadMatchCounted(q, &cc)
 			if err != nil {
 				log.Fatal(err)

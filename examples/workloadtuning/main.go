@@ -90,7 +90,7 @@ func main() {
 func measure(ix *adindex.Index, queries []string) float64 {
 	var c adindex.Counters
 	for _, q := range queries {
-		ix.BroadMatchCounted(q, &c)
+		ix.Match(nil, adindex.Query{Text: q, Counters: &c})
 	}
 	return float64(c.RandomAccesses) / float64(len(queries))
 }

@@ -93,14 +93,14 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 		"w6",
 	)
 	ix := New(ads, Options{MaxWords: 3, MaxQueryWords: 3})
-	q := ix.prepareQuery([]string{"w1", "w2", "w3", "w4", "w5", "w6"})
+	q, _ := ix.prepareQueryCut(nil, []string{"w1", "w2", "w3", "w4", "w5", "w6"})
 	if len(q) != 3 {
 		t.Fatalf("q = %v", q)
 	}
 	// w4, w5, w6 are the rarest (df 1 each).
 	want := []string{"w4", "w5", "w6"}
 	if !reflect.DeepEqual(q, want) {
-		t.Errorf("prepareQuery kept %v, want %v", q, want)
+		t.Errorf("prepareQueryCut kept %v, want %v", q, want)
 	}
 }
 

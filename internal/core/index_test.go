@@ -340,6 +340,17 @@ func TestInsertDeleteQuick(t *testing.T) {
 	}
 }
 
+// ExactMatch and PhraseMatch are the raw-text forms of AppendExactMatch
+// and AppendPhraseMatch the tests of this package call.
+func (ix *Index) ExactMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
+	tokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
+	return ix.AppendExactMatch(nil, tokens, textnorm.CanonicalSet(tokens), counters)
+}
+
+func (ix *Index) PhraseMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
+	return ix.AppendPhraseMatch(nil, textnorm.Tokenize(query), textnorm.WordSet(query), counters, nil, nil)
+}
+
 func TestExactMatch(t *testing.T) {
 	ads := mustAds("cheap books", "books cheap", "cheap used books", "cheap books")
 	ix := New(ads, Options{})

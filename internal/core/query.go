@@ -126,6 +126,24 @@ func (ix *Index) AppendBroadMatch(dst []*corpus.Ad, queryWords []string, counter
 // verified) subset of the complete match set, and the budget's
 // Exhausted/Spent/CutoffApplied report what happened.
 func (ix *Index) AppendBroadMatchBudget(dst []*corpus.Ad, queryWords []string, counters *costmodel.Counters, sc *Scratch, b *Budget) []*corpus.Ad {
+	return ix.appendSubsetMatch(dst, nil, queryWords, counters, sc, b)
+}
+
+// AppendPhraseMatch appends the ads whose bid phrase occurs in tokens (the
+// query's normalized token sequence, whose canonical word set is
+// queryWords) as a contiguous, ordered subsequence. Retrieval is the
+// broad-match walk — a contiguously occurring phrase's word set is a
+// subset of the query's — under the same scratch, budget and counters;
+// only the node-side test differs, as Section III-B describes.
+func (ix *Index) AppendPhraseMatch(dst []*corpus.Ad, tokens, queryWords []string, counters *costmodel.Counters, sc *Scratch, b *Budget) []*corpus.Ad {
+	return ix.appendSubsetMatch(dst, tokens, queryWords, counters, sc, b)
+}
+
+// appendSubsetMatch is the subset walk behind broad and phrase match:
+// enumerate the candidate nodes of queryWords, scan each for records whose
+// word set is a subset, and — when phraseTokens is non-nil — keep of each
+// node's matches only those whose phrase occurs contiguously in it.
+func (ix *Index) appendSubsetMatch(dst []*corpus.Ad, phraseTokens, queryWords []string, counters *costmodel.Counters, sc *Scratch, b *Budget) []*corpus.Ad {
 	var local Scratch
 	if sc == nil {
 		sc = &local
@@ -149,7 +167,11 @@ func (ix *Index) AppendBroadMatchBudget(dst []*corpus.Ad, queryWords []string, c
 			if b != nil && b.exhausted {
 				break
 			}
+			at := len(dst)
 			dst = ix.scanNode(n, q, counters, sc, dst, b)
+			if phraseTokens != nil {
+				dst = keepContiguous(dst, at, phraseTokens)
+			}
 		}
 	}
 	sortMatchesByID(dst[mark:])
@@ -160,82 +182,18 @@ func (ix *Index) AppendBroadMatchBudget(dst []*corpus.Ad, queryWords []string, c
 	return dst
 }
 
-// ReferenceBroadMatch is the pre-columnar broad-match path, retained
-// verbatim: subset enumeration deduping visited nodes by linear scan, and
-// an array-of-structs walk over each candidate node's records with a
-// per-record string subset check, charging every examined record its full
-// size per Equation (2). It is the differential baseline the columnar
-// scan is validated against (tests, fuzzing) and the benchmark's
-// before-variant; production callers use BroadMatch.
-func (ix *Index) ReferenceBroadMatch(queryWords []string, counters *costmodel.Counters) []*corpus.Ad {
-	q := ix.prepareQueryInto(nil, queryWords)
-	if len(q) == 0 {
-		if counters != nil {
-			counters.Queries++
-		}
-		return nil
-	}
-	k := ix.opts.MaxWords
-	if k > len(q) {
-		k = len(q)
-	}
-	var dst []*corpus.Ad
-	for _, n := range ix.refEnumSubsets(q, 0, fnvOffset64, 0, k, counters, nil) {
-		for i := range n.records {
-			rec := &n.records[i]
-			if len(rec.Words) > len(q) {
-				break
-			}
-			if counters != nil {
-				counters.PhrasesChecked++
-				counters.BytesScanned += int64(rec.Size())
-			}
-			if textnorm.IsSubset(rec.Words, q) {
-				dst = append(dst, rec)
-			}
+// keepContiguous drops from dst[at:] the records whose phrase does not
+// occur contiguously in tokens.
+func keepContiguous(dst []*corpus.Ad, at int, tokens []string) []*corpus.Ad {
+	w := at
+	for _, rec := range dst[at:] {
+		if textnorm.ContainsContiguous(tokens, textnorm.Tokenize(rec.Phrase)) {
+			dst[w] = rec
+			w++
 		}
 	}
-	slices.SortFunc(dst, byID)
-	if counters != nil {
-		counters.Queries++
-		counters.Matches += int64(len(dst))
-	}
-	return dst
-}
-
-// refEnumSubsets is the pre-change subset enumeration kept for
-// ReferenceBroadMatch: visited-node dedup by linear scan, O(probes ×
-// nodes visited) on long queries — exactly the satellite bug the
-// nodeSet-based enumSubsets fixes.
-func (ix *Index) refEnumSubsets(q []string, start int, h uint64, size, k int, counters *costmodel.Counters, visited []*node) []*node {
-	for i := start; i < len(q); i++ {
-		nh := hashExtend(h, size == 0, q[i])
-		if counters != nil {
-			counters.HashProbes++
-			counters.RandomAccesses++
-			counters.BytesScanned += int64(ix.opts.MemHash)
-		}
-		if n := ix.table.get(nh); n != nil {
-			dup := false
-			for _, vn := range visited {
-				if vn == n {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				if counters != nil {
-					counters.RandomAccesses++
-					counters.NodesVisited++
-				}
-				visited = append(visited, n)
-			}
-		}
-		if size+1 < k {
-			visited = ix.refEnumSubsets(q, i+1, nh, size+1, k, counters, visited)
-		}
-	}
-	return visited
+	clear(dst[w:])
+	return dst[:w]
 }
 
 // BroadMatchText is BroadMatch on raw query text.
@@ -243,95 +201,65 @@ func (ix *Index) BroadMatchText(query string, counters *costmodel.Counters) []*c
 	return ix.BroadMatch(textnorm.WordSet(query), counters)
 }
 
-// ExactMatch returns ads whose bid phrase equals the query as a token
-// sequence (after normalization and duplicate folding). It requires a
-// single hash lookup: the node of the query's own word set.
-func (ix *Index) ExactMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	qTokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
-	qset := textnorm.CanonicalSet(qTokens)
+// AppendExactMatch appends the ads whose bid phrase equals tokens — the
+// query's normalized, duplicate-folded token sequence, whose canonical
+// word set is queryWords. It is a single hash lookup, the node of the
+// query's own word set, so there is no enumeration to cut off or to
+// budget. The appended segment is ordered by ad ID.
+func (ix *Index) AppendExactMatch(dst []*corpus.Ad, tokens, queryWords []string, counters *costmodel.Counters) []*corpus.Ad {
 	if counters != nil {
 		counters.Queries++
 	}
-	if len(qset) == 0 {
-		return nil
+	if len(queryWords) == 0 {
+		return dst
 	}
-	key := setKey(qset)
+	key := setKey(queryWords)
 	locKey, ok := ix.lookupLocator(key, counters)
 	if !ok {
-		return nil
+		return dst
 	}
 	n := ix.table.get(WordHash(ix.locWords[locKey]))
 	if n == nil {
-		return nil
+		return dst
 	}
-	var matches []*corpus.Ad
 	if counters != nil {
 		counters.RandomAccesses++
 		counters.NodesVisited++
 	}
+	mark := len(dst)
+	// An equal word set has an equal signature, so the signature column
+	// rejects the node's other sets (accounted like the scanNode sweep).
+	qsig := SetSignature(queryWords)
 	for i := range n.records {
 		rec := &n.records[i]
-		if len(rec.Words) > len(qset) {
+		if len(rec.Words) > len(queryWords) {
 			break
 		}
+		if n.sigs[i] != qsig {
+			if counters != nil {
+				counters.SignatureChecks++
+				counters.SignatureRejects++
+				counters.BytesScanned += sigColumnBytes
+			}
+			continue
+		}
 		if counters != nil {
+			counters.SignatureChecks++
 			counters.PhrasesChecked++
 			counters.BytesScanned += int64(rec.Size())
 		}
 		if rec.SetKey() != key {
 			continue
 		}
-		pTokens := textnorm.FoldDuplicates(textnorm.Tokenize(rec.Phrase))
-		if slices.Equal(pTokens, qTokens) {
-			matches = append(matches, rec)
+		if slices.Equal(textnorm.FoldDuplicates(textnorm.Tokenize(rec.Phrase)), tokens) {
+			dst = append(dst, rec)
 		}
 	}
-	slices.SortFunc(matches, byID)
+	sortMatchesByID(dst[mark:])
 	if counters != nil {
-		counters.Matches += int64(len(matches))
+		counters.Matches += int64(len(dst) - mark)
 	}
-	return matches
-}
-
-// PhraseMatch returns ads whose bid phrase occurs in the query as a
-// contiguous, ordered token subsequence. Candidate retrieval reuses the
-// broad-match lookups (a contiguously occurring phrase's word set is a
-// subset of the query's); only the node-side matching logic differs, as
-// Section III-B describes.
-func (ix *Index) PhraseMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	qTokens := textnorm.Tokenize(query)
-	var sc Scratch
-	q := ix.prepareQuery(textnorm.CanonicalSet(textnorm.FoldDuplicates(qTokens)))
-	if counters != nil {
-		counters.Queries++
-	}
-	if len(q) == 0 {
-		return nil
-	}
-	var matches []*corpus.Ad
-	for _, n := range ix.appendCandidateNodes(q, counters, &sc, nil) {
-		for i := range n.records {
-			rec := &n.records[i]
-			if len(rec.Words) > len(q) {
-				break
-			}
-			if counters != nil {
-				counters.PhrasesChecked++
-				counters.BytesScanned += int64(rec.Size())
-			}
-			if !textnorm.IsSubset(rec.Words, q) {
-				continue
-			}
-			if textnorm.ContainsContiguous(qTokens, textnorm.Tokenize(rec.Phrase)) {
-				matches = append(matches, rec)
-			}
-		}
-	}
-	slices.SortFunc(matches, byID)
-	if counters != nil {
-		counters.Matches += int64(len(matches))
-	}
-	return matches
+	return dst
 }
 
 // lookupLocator resolves a set key to its locator key, charging one hash
@@ -346,25 +274,13 @@ func (ix *Index) lookupLocator(key string, counters *costmodel.Counters) (string
 	return locKey, ok
 }
 
-// prepareQuery canonicalizes the query for subset enumeration; see
-// prepareQueryInto.
-func (ix *Index) prepareQuery(queryWords []string) []string {
-	return ix.prepareQueryInto(make([]string, 0, len(queryWords)), queryWords)
-}
-
-// prepareQueryInto appends the prepared form of queryWords to buf: words
+// prepareQueryCut appends the prepared form of queryWords to buf: words
 // not present in any indexed bid are dropped (this cannot change the
 // result, since every match's words are indexed), and over-long queries
 // are cut to their MaxQueryWords rarest indexed words (the Section IV-B
-// heuristic cutoff, which may lose matches on extreme queries).
-func (ix *Index) prepareQueryInto(buf []string, queryWords []string) []string {
-	buf, _ = ix.prepareQueryCut(buf, queryWords)
-	return buf
-}
-
-// prepareQueryCut is prepareQueryInto's underlying form; the second
-// return reports whether the MaxQueryWords cutoff dropped words, so
-// budgeted callers can surface the loss instead of hiding it.
+// heuristic cutoff, which may lose matches on extreme queries). The second
+// return reports whether the cutoff dropped words, so budgeted callers
+// can surface the loss instead of hiding it.
 func (ix *Index) prepareQueryCut(buf []string, queryWords []string) ([]string, bool) {
 	for _, w := range queryWords {
 		if ix.df[w] > 0 {

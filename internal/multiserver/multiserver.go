@@ -24,12 +24,12 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
-	"adindex/internal/invindex"
 	"adindex/internal/workload"
 )
 
-// Backend answers broad-match queries with matching ad IDs. Implementations
-// wrap the hash-based index and the inverted-index baseline.
+// Backend answers broad-match queries with matching ad IDs. CoreBackend
+// wraps the hash-based index; the benchmarks and tests wrap the
+// inverted-index baseline the same way.
 type Backend interface {
 	// MatchIDs returns the IDs of ads broad-matching the query text.
 	MatchIDs(query string) []uint64
@@ -40,20 +40,6 @@ type CoreBackend struct{ Index *core.Index }
 
 // MatchIDs implements Backend.
 func (b CoreBackend) MatchIDs(query string) []uint64 {
-	matches := b.Index.BroadMatchText(query, nil)
-	ids := make([]uint64, len(matches))
-	for i, m := range matches {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
-// InvertedBackend serves from the unmodified (non-redundant) inverted
-// index — the faster of the two baselines, as in the paper's experiment.
-type InvertedBackend struct{ Index *invindex.Unmodified }
-
-// MatchIDs implements Backend.
-func (b InvertedBackend) MatchIDs(query string) []uint64 {
 	matches := b.Index.BroadMatchText(query, nil)
 	ids := make([]uint64, len(matches))
 	for i, m := range matches {

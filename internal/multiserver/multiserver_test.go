@@ -19,6 +19,17 @@ func testSetup(t testing.TB, nAds int) (*corpus.Corpus, *core.Index, *invindex.U
 	return c, core.New(c.Ads, core.Options{}), invindex.NewUnmodified(c.Ads)
 }
 
+// InvertedBackend serves from the unmodified inverted-index baseline.
+type InvertedBackend struct{ Index *invindex.Unmodified }
+
+func (b InvertedBackend) MatchIDs(query string) []uint64 {
+	var ids []uint64
+	for _, m := range b.Index.BroadMatchText(query, nil) {
+		ids = append(ids, m.ID)
+	}
+	return ids
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	ids := []uint64{1, 99, 1 << 40}
 	back, err := decodeIDs(encodeIDs(ids))

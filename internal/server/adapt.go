@@ -11,96 +11,7 @@
 // tests and cmd/adbench's adapt experiment.
 package server
 
-import (
-	"math"
-	"sync/atomic"
-
-	"adindex"
-)
-
-// costHistBuckets is the bucket count of the modeled-cost histogram:
-// bucket i covers [2^i, 2^(i+1)) cost units (bucket 0 covers [0, 2)),
-// so 48 buckets span any realistic per-query cost.
-const costHistBuckets = 48
-
-// CostHistogram is a fixed-bucket concurrent histogram of per-query
-// modeled cost (cost-model units, i.e. scan-byte equivalents). Observe
-// is two atomic adds; buckets are powers of two.
-type CostHistogram struct {
-	buckets [costHistBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // total cost units, rounded per sample
-}
-
-func costBucketIndex(cost float64) int {
-	if cost < 2 {
-		return 0
-	}
-	i := int(math.Log2(cost))
-	if i >= costHistBuckets {
-		return costHistBuckets - 1
-	}
-	return i
-}
-
-// costBucketUpper returns the exclusive upper bound of bucket i.
-func costBucketUpper(i int) float64 {
-	return math.Ldexp(1, i+1) // 2^(i+1)
-}
-
-// Observe records one query's modeled cost.
-func (h *CostHistogram) Observe(cost float64) {
-	if cost < 0 {
-		cost = 0
-	}
-	h.buckets[costBucketIndex(cost)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(uint64(cost + 0.5))
-}
-
-// Count returns the number of observed queries.
-func (h *CostHistogram) Count() uint64 { return h.count.Load() }
-
-// Quantile returns an upper bound for the q-quantile of observed costs
-// (the upper edge of the bucket holding that rank); 0 when empty.
-func (h *CostHistogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i := 0; i < costHistBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			return costBucketUpper(i)
-		}
-	}
-	return costBucketUpper(costHistBuckets - 1)
-}
-
-// Mean returns the mean observed cost (0 when empty).
-func (h *CostHistogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Reset zeroes the histogram. Not atomic with respect to concurrent
-// Observe calls; callers (phase-structured tests and benchmarks) reset
-// between quiescent phases.
-func (h *CostHistogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
+import "adindex"
 
 // CostHistogramSnapshot is the JSON form of the modeled-cost histogram.
 type CostHistogramSnapshot struct {
@@ -111,10 +22,10 @@ type CostHistogramSnapshot struct {
 	P99Units  float64 `json:"p99_units"`
 }
 
-// Snapshot captures the histogram state (approximate under load).
-func (h *CostHistogram) Snapshot() CostHistogramSnapshot {
-	return CostHistogramSnapshot{
-		Count:     h.count.Load(),
+// costSnapshot captures a cost histogram (approximate under load).
+func costSnapshot(h *Histogram) *CostHistogramSnapshot {
+	return &CostHistogramSnapshot{
+		Count:     h.Count(),
 		MeanUnits: h.Mean(),
 		P50Units:  h.Quantile(0.50),
 		P95Units:  h.Quantile(0.95),
@@ -124,7 +35,7 @@ func (h *CostHistogram) Snapshot() CostHistogramSnapshot {
 
 // AdaptMetricsSnapshot is the continuous-adaptation section of /metrics:
 // control-loop progress plus the modeled-cost distribution of served
-// queries (present when Config.TrackCost is on).
+// queries.
 type AdaptMetricsSnapshot struct {
 	Rounds        int64 `json:"rounds"`
 	Applied       int64 `json:"applied"`
@@ -146,7 +57,7 @@ type AdaptMetricsSnapshot struct {
 // adaptSnapshot assembles the adapt /metrics section for a local index.
 func (s *Server) adaptSnapshot(ix *adindex.Index) *AdaptMetricsSnapshot {
 	st := ix.AdaptStatus()
-	snap := &AdaptMetricsSnapshot{
+	return &AdaptMetricsSnapshot{
 		Rounds:        st.Rounds,
 		Applied:       st.Applied,
 		Moves:         st.Moves,
@@ -156,10 +67,6 @@ func (s *Server) adaptSnapshot(ix *adindex.Index) *AdaptMetricsSnapshot {
 		CostBefore:    st.LastCostBefore,
 		CostAfter:     st.LastCostAfter,
 		ModelRandom:   st.ModelRandom,
+		QueryCost:     costSnapshot(s.metrics.Cost),
 	}
-	if s.cfg.TrackCost {
-		qc := s.metrics.Cost.Snapshot()
-		snap.QueryCost = &qc
-	}
-	return snap
 }

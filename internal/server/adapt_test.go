@@ -2,8 +2,8 @@
 // adaptation: live HTTP traffic whose topic focus shifts mid-run, served
 // by an index that adapts and by a frozen control that does not.
 //
-// Latency is measured in modeled-cost units (the per-query CostHistogram
-// fed by Config.TrackCost), not wall-clock: loopback HTTP overhead is
+// Latency is measured in modeled-cost units (the per-query cost histogram
+// fed for an adapting index), not wall-clock: loopback HTTP overhead is
 // 10-100× the microseconds a layout regression costs, so wall-clock p99
 // would measure the kernel, not the index. Modeled cost is exactly the
 // quantity the control loop manages, and its histogram is deterministic
@@ -93,7 +93,7 @@ func startHubServer(t *testing.T) (*Server, *adindex.Index, string) {
 		CostModel: adindex.CostModel{Random: driftRandomCost, ScanByte: 1},
 		Adapt:     &adindex.AdaptOptions{TopK: 64},
 	})
-	s := New(ix, Config{TrackCost: true, Adapt: true, CacheEntries: -1})
+	s := New(ix, Config{CacheEntries: -1})
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
-// Metrics: a stdlib-only registry of atomic counters and fixed-bucket
-// latency histograms for the serving layer. The histogram uses the 5 ms
-// buckets of the paper's Figure 9 so /metrics output is directly comparable
-// to the latency distributions reported there, with a sub-millisecond
-// microsecond-resolution first region so cache hits (tens of microseconds)
-// are not all crushed into bucket zero.
+// Metrics: a stdlib-only registry of atomic counters and one fixed-bucket
+// histogram type (latency and modeled cost differ only in their bucket
+// table) for the serving layer.
 package server
 
 import (
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -15,69 +14,93 @@ import (
 	"adindex/internal/shard"
 )
 
-// HistogramBucketMillis is the coarse bucket width, matching Figure 9 of
-// the paper (and internal/multiserver.LatencyBucketMillis).
-const HistogramBucketMillis = 5
-
-const (
-	// fineBuckets cover [0, 5ms) in 100µs steps so sub-millisecond serving
-	// latencies remain distinguishable.
-	fineBuckets     = 50
-	fineWidth       = 100 * time.Microsecond
-	coarseBuckets   = 60 // [5ms, 305ms) in 5ms steps
-	coarseWidth     = HistogramBucketMillis * time.Millisecond
-	overflowBuckets = 1
-	numBuckets      = fineBuckets + coarseBuckets + overflowBuckets
-)
-
-// Histogram is a fixed-bucket concurrent latency histogram. All methods are
-// safe for concurrent use; Observe is a single atomic add on the hot path.
+// Histogram is a fixed-bucket concurrent histogram over a static table of
+// bucket upper bounds. All methods are safe for concurrent use; Observe
+// is a binary search over the table plus three atomic adds. Create one
+// with NewLatencyHistogram or NewCostHistogram.
 type Histogram struct {
-	buckets [numBuckets]atomic.Uint64
+	// bounds[i] is the exclusive upper bound of bucket i; samples at or
+	// past the last bound land in one overflow bucket, which reports the
+	// last bound. The table is shared by every histogram of its kind and
+	// never written.
+	bounds  []float64
+	buckets []atomic.Uint64
 	count   atomic.Uint64
-	sum     atomic.Int64 // total nanoseconds
+	sum     atomic.Uint64 // samples rounded to integers
 }
 
-func bucketIndex(d time.Duration) int {
-	if d < 0 {
-		d = 0
+// latencyBounds is the latency bucket table, in nanoseconds: [0, 5ms) in
+// 100µs steps so sub-millisecond serving latencies (cache hits are tens
+// of microseconds) stay distinguishable, then [5ms, 305ms) in the 5 ms
+// buckets of the paper's Figure 9, so /metrics output is directly
+// comparable to the latency distributions reported there.
+var latencyBounds = func() []float64 {
+	const fine, coarse = 50, 60
+	b := make([]float64, 0, fine+coarse)
+	for i := 1; i <= fine; i++ {
+		b = append(b, float64(i)*float64(100*time.Microsecond))
 	}
-	if d < fineBuckets*fineWidth {
-		return int(d / fineWidth)
+	for i := 1; i <= coarse; i++ {
+		b = append(b, float64(5*time.Millisecond)*float64(i+1))
 	}
-	i := fineBuckets + int((d-fineBuckets*fineWidth)/coarseWidth)
-	if i >= numBuckets {
-		return numBuckets - 1
+	return b
+}()
+
+// costBounds is the modeled-cost bucket table, in cost-model units
+// (scan-byte equivalents): 48 power-of-two edges, bucket i covering
+// [2^i, 2^(i+1)) with bucket 0 covering [0, 2), which spans any realistic
+// per-query cost.
+var costBounds = func() []float64 {
+	b := make([]float64, 48)
+	for i := range b {
+		b[i] = math.Ldexp(1, i+1)
 	}
-	return i
+	return b
+}()
+
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-// bucketUpper returns the exclusive upper bound of bucket i (the overflow
-// bucket reports the largest finite bound).
-func bucketUpper(i int) time.Duration {
-	if i < fineBuckets {
-		return time.Duration(i+1) * fineWidth
-	}
-	if i >= numBuckets-1 {
-		i = numBuckets - 2
-	}
-	return fineBuckets*fineWidth + time.Duration(i-fineBuckets+1)*coarseWidth
-}
+// NewLatencyHistogram returns an empty histogram of nanosecond samples
+// over the latency table.
+func NewLatencyHistogram() *Histogram { return newHistogram(latencyBounds) }
 
-// Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.buckets[bucketIndex(d)].Add(1)
+// NewCostHistogram returns an empty histogram of modeled-cost samples
+// over the power-of-two table.
+func NewCostHistogram() *Histogram { return newHistogram(costBounds) }
+
+// Observe records one sample (negative samples count as zero).
+func (h *Histogram) Observe(v float64) {
+	if v < 0 {
+		v = 0
+	}
+	// The first bound above v: a sample equal to a bound belongs to the
+	// next bucket.
+	i, onEdge := slices.BinarySearch(h.bounds, v)
+	if onEdge {
+		i++
+	}
+	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(int64(d))
+	h.sum.Add(uint64(v + 0.5))
 }
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
+// upper returns the bound bucket i reports.
+func (h *Histogram) upper(i int) float64 {
+	if i >= len(h.bounds) {
+		i = len(h.bounds) - 1
+	}
+	return h.bounds[i]
+}
+
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
 // observed samples: the upper edge of the bucket containing that rank.
 // Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
+func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
@@ -87,26 +110,37 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		rank = 1
 	}
 	var seen uint64
-	for i := 0; i < numBuckets; i++ {
+	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			return bucketUpper(i)
+			return h.upper(i)
 		}
 	}
-	return bucketUpper(numBuckets - 1)
+	return h.upper(len(h.buckets) - 1)
 }
 
-// Mean returns the mean observed latency (0 when empty).
-func (h *Histogram) Mean() time.Duration {
+// Mean returns the mean observed sample (0 when empty).
+func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(h.sum.Load() / int64(n))
+	return float64(h.sum.Load()) / float64(n)
 }
 
-// HistogramSnapshot is the JSON form of a histogram: only non-empty buckets
-// are emitted, keyed by their upper bound.
+// Reset zeroes the histogram. Not atomic with respect to concurrent
+// Observe calls; callers (phase-structured tests and benchmarks) reset
+// between quiescent phases.
+func (h *Histogram) Reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
+}
+
+// HistogramSnapshot is the JSON form of the latency histogram: only
+// non-empty buckets are emitted, keyed by their upper bound.
 type HistogramSnapshot struct {
 	Count    uint64           `json:"count"`
 	MeanUS   int64            `json:"mean_us"`
@@ -122,30 +156,28 @@ type BucketSnapshot struct {
 	Count   uint64 `json:"count"`
 }
 
-// Snapshot captures the histogram state. Concurrent Observe calls may land
-// between bucket reads; the snapshot is approximate under load, exact when
-// quiescent.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+// latencySnapshot captures a nanosecond histogram in microseconds.
+// Concurrent Observe calls may land between bucket reads; the snapshot is
+// approximate under load, exact when quiescent.
+func latencySnapshot(h *Histogram) HistogramSnapshot {
+	us := func(ns float64) int64 { return time.Duration(ns).Microseconds() }
 	s := HistogramSnapshot{
-		Count:  h.count.Load(),
-		MeanUS: h.Mean().Microseconds(),
-		P50US:  h.Quantile(0.50).Microseconds(),
-		P95US:  h.Quantile(0.95).Microseconds(),
-		P99US:  h.Quantile(0.99).Microseconds(),
+		Count:  h.Count(),
+		MeanUS: us(h.Mean()),
+		P50US:  us(h.Quantile(0.50)),
+		P95US:  us(h.Quantile(0.95)),
+		P99US:  us(h.Quantile(0.99)),
 	}
-	for i := 0; i < numBuckets; i++ {
+	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
-			s.BucketUS = append(s.BucketUS, BucketSnapshot{
-				UpperUS: bucketUpper(i).Microseconds(),
-				Count:   n,
-			})
+			s.BucketUS = append(s.BucketUS, BucketSnapshot{UpperUS: us(h.upper(i)), Count: n})
 		}
 	}
 	return s
 }
 
 // Registry aggregates the serving-layer metrics. All fields are updated
-// with atomic operations; the zero value is ready to use.
+// with atomic operations. Create with NewRegistry.
 type Registry struct {
 	// Per-match-type request counts (accepted requests only).
 	ReqBroad, ReqExact, ReqPhrase atomic.Uint64
@@ -184,14 +216,18 @@ type Registry struct {
 	RewriteQueries, RewriteVariants, RewriteProbes atomic.Uint64
 	RewriteClipped                                 atomic.Uint64
 	RewriteFuzzyHits, RewriteSynonymHits           atomic.Uint64
-	// Latency is the end-to-end /search latency (queue wait + match +
-	// encode) for admitted requests.
-	Latency Histogram
+	// Latency is the end-to-end /search latency in nanoseconds (queue
+	// wait + match + encode) for admitted requests.
+	Latency *Histogram
 	// Cost is the per-query modeled-cost histogram (cost-model units of
-	// the index walk), populated on the broad path when Config.TrackCost
-	// is on. Layout drift shows up here long before it is visible in
-	// wall-clock Latency.
-	Cost CostHistogram
+	// the index walk), populated when the index adapts. Layout drift
+	// shows up here long before it is visible in wall-clock Latency.
+	Cost *Histogram
+}
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{Latency: NewLatencyHistogram(), Cost: NewCostHistogram()}
 }
 
 // noteRewrite folds one rewritten query's stats into the registry.
@@ -258,9 +294,9 @@ type MetricsSnapshot struct {
 	// in-flight migration phase, completed/aborted handoffs, and
 	// per-shard placement signals (slots, ads, matches served).
 	Elastic *shard.RebalanceStatus `json:"elastic,omitempty"`
-	// Adapt is present when Config.Adapt or Config.TrackCost is on:
+	// Adapt is present when the index adapts (Index.AdaptEnabled):
 	// continuous-adaptation rounds/moves/modeled-cost trend, plus the
-	// per-query modeled-cost distribution under TrackCost.
+	// per-query modeled-cost distribution.
 	Adapt *AdaptMetricsSnapshot `json:"adapt,omitempty"`
 }
 
@@ -357,6 +393,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.Overload.Cutoffs = r.Cutoffs.Load()
 	s.Overload.Panics = r.Panics.Load()
 	s.Overload.QuarantineRejects = r.QuarantineRejects.Load()
-	s.Latency = r.Latency.Snapshot()
+	s.Latency = latencySnapshot(r.Latency)
 	return s
 }

@@ -6,7 +6,23 @@ import (
 	"time"
 )
 
+// bucketOf reports which bucket of a fresh histogram over bounds a sample
+// lands in.
+func bucketOf(bounds []float64, v float64) int {
+	h := newHistogram(bounds)
+	h.Observe(v)
+	for i := range h.buckets {
+		if h.buckets[i].Load() == 1 {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestHistogramBuckets(t *testing.T) {
+	numBuckets := len(latencyBounds) + 1
+	bucketIndex := func(d time.Duration) int { return bucketOf(latencyBounds, float64(d)) }
+	bucketUpper := func(i int) time.Duration { return time.Duration(latencyBounds[i]) }
 	cases := []struct {
 		d    time.Duration
 		want int
@@ -36,42 +52,66 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestCostBoundsPowerOfTwoEdges: bucket i of the cost table covers
+// [2^i, 2^(i+1)), bucket 0 also takes [0, 2), and quantiles report the
+// power-of-two upper edge (TestAdaptUnderDrift compares those edges).
+func TestCostBoundsPowerOfTwoEdges(t *testing.T) {
+	for _, c := range []struct {
+		cost float64
+		want int
+	}{{-3, 0}, {0, 0}, {1.9, 0}, {2, 1}, {3.99, 1}, {4, 2}, {1023, 9}, {1024, 10}, {1e30, 48}} {
+		if got := bucketOf(costBounds, c.cost); got != c.want {
+			t.Errorf("cost %v in bucket %d, want %d", c.cost, got, c.want)
+		}
+	}
+	h := NewCostHistogram()
+	h.Observe(1500)
+	h.Observe(1e30) // overflow reports the largest bound
+	if p50, max := h.Quantile(0.5), h.Quantile(1); p50 != 2048 || max != costBounds[len(costBounds)-1] {
+		t.Errorf("p50 = %v, max = %v", p50, max)
+	}
+	h.Reset()
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+		t.Error("Reset left samples behind")
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
+	h := NewLatencyHistogram()
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	// 90 fast samples at ~1ms, 10 slow at ~50ms.
 	for i := 0; i < 90; i++ {
-		h.Observe(time.Millisecond)
+		h.Observe(float64(time.Millisecond))
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(50 * time.Millisecond)
+		h.Observe(float64(50 * time.Millisecond))
 	}
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if p50 := h.Quantile(0.5); p50 > 2*time.Millisecond {
+	if p50 := time.Duration(h.Quantile(0.5)); p50 > 2*time.Millisecond {
 		t.Errorf("p50 = %v, want ~1ms bucket bound", p50)
 	}
 	// p95 and p99 land in the slow mode.
-	if p95 := h.Quantile(0.95); p95 < 45*time.Millisecond {
+	if p95 := time.Duration(h.Quantile(0.95)); p95 < 45*time.Millisecond {
 		t.Errorf("p95 = %v, want ≥ 45ms", p95)
 	}
-	if p99 := h.Quantile(0.99); p99 < 45*time.Millisecond {
+	if p99 := time.Duration(h.Quantile(0.99)); p99 < 45*time.Millisecond {
 		t.Errorf("p99 = %v, want ≥ 45ms", p99)
 	}
-	mean := h.Mean()
+	mean := time.Duration(h.Mean())
 	if mean < 5*time.Millisecond || mean > 7*time.Millisecond {
 		t.Errorf("mean = %v, want ~5.9ms", mean)
 	}
 }
 
 func TestMetricsSnapshotJSON(t *testing.T) {
-	var r Registry
+	r := NewRegistry()
 	r.ReqBroad.Add(3)
 	r.Shed.Add(1)
-	r.Latency.Observe(2 * time.Millisecond)
+	r.Latency.Observe(float64(2 * time.Millisecond))
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)

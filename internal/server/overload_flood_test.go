@@ -47,7 +47,7 @@ func (b floodBackend) MatchIDsBudget(query string, deadline time.Time, has bool)
 	if has {
 		qb.Deadline = deadline
 	}
-	res := b.ix.BroadMatchBudget(query, qb)
+	res := b.ix.Match(nil, adindex.Query{Text: query, Budget: qb})
 	ids := make([]uint64, len(res.Ads))
 	for i := range res.Ads {
 		ids[i] = res.Ads[i].ID
@@ -206,7 +206,7 @@ func TestOverloadFlood(t *testing.T) {
 	for i := range wl.Queries {
 		q := strings.Join(wl.Queries[i].Words, " ")
 		for _, ix := range shardIx {
-			if spent := ix.BroadMatchBudget(q, adindex.QueryBudget{}).CostSpent; spent > maxSteady {
+			if spent := ix.Match(nil, adindex.Query{Text: q}).CostSpent; spent > maxSteady {
 				maxSteady = spent
 			}
 		}
@@ -219,7 +219,7 @@ func TestOverloadFlood(t *testing.T) {
 	for i := range adv.Queries {
 		q := strings.Join(adv.Queries[i].Words, " ")
 		for _, ix := range shardIx {
-			if spent := ix.BroadMatchBudget(q, adindex.QueryBudget{}).CostSpent; minAdv < 0 || spent < minAdv {
+			if spent := ix.Match(nil, adindex.Query{Text: q}).CostSpent; minAdv < 0 || spent < minAdv {
 				minAdv = spent
 			}
 		}

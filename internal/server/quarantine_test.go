@@ -121,7 +121,7 @@ func TestSearchBudgetTruncation(t *testing.T) {
 	var res searchResponse
 	var truncatedQuery string
 	for i := 0; i < len(c.Ads) && truncatedQuery == ""; i++ {
-		probe := ix.BroadMatchBudget(c.Ads[i].Phrase, adindex.QueryBudget{MaxCost: 1})
+		probe := ix.Match(nil, adindex.Query{Text: c.Ads[i].Phrase, Budget: adindex.QueryBudget{MaxCost: 1}})
 		if probe.Truncated {
 			truncatedQuery = c.Ads[i].Phrase
 		}

@@ -67,8 +67,9 @@ type Config struct {
 	// 0 selects 1s.
 	RetryAfter time.Duration
 	// QueryBudget bounds the index work (cost-model units: subset probes
-	// plus records scanned) one broad-match query may perform; exhausted
-	// queries return their verified partial results flagged truncated.
+	// plus records scanned) one /search query of any type may perform;
+	// exhausted queries return their verified partial results flagged
+	// truncated.
 	// 0 disables the cost bound (the request deadline still applies).
 	QueryBudget int64
 	// ShedTargetDelay enables CoDel-style admission shedding: when the
@@ -81,16 +82,6 @@ type Config struct {
 	// (DefaultQuarantineStrikes within one TTL) are fast-rejected at
 	// admission for this long. 0 disables quarantine.
 	QuarantineTTL time.Duration
-	// TrackCost enables per-query modeled-cost accounting on the broad
-	// match path: access counters are attributed to the index
-	// (Index.RecordQueryCost, feeding adaptation's recalibration) and the
-	// modeled cost lands in the /metrics adapt.query_cost histogram.
-	TrackCost bool
-	// Adapt surfaces the continuous-adaptation control loop in /metrics
-	// (rounds, moves, modeled-cost trend). The loop itself is started by
-	// the owner of the index (cmd/adserve's -adapt-interval flag or
-	// Index.StartAdapt); this flag only controls reporting.
-	Adapt bool
 	// Selection, when non-nil, applies the auction-side filters
 	// (exclusion keywords, bid floor, ranking, result cap) to matches
 	// before they are returned. Raw matches are what is cached, so the
@@ -249,7 +240,7 @@ func newServer(ix *adindex.Index, nc *shard.NetClient, cfg Config) *Server {
 		cache:      NewCache(cfg.CacheEntries, cfg.CacheShards),
 		limiter:    NewLimiterShed(cfg.MaxInflight, cfg.MaxQueue, cfg.ShedTargetDelay),
 		quarantine: NewQuarantine(cfg.QuarantineTTL),
-		metrics:    &Registry{},
+		metrics:    NewRegistry(),
 		serveErr:   make(chan error, 1),
 	}
 	if ix != nil {
@@ -501,8 +492,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	rewrite := rewriteMode == "on"
 	if s.remote != nil {
-		if rewriteMode == "on" {
+		if rewrite {
 			s.metrics.BadRequests.Add(1)
 			http.Error(w, "rewrite is not supported in remote (distributed) mode",
 				http.StatusNotImplemented)
@@ -516,118 +508,119 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.notReady(w)
 		return
 	}
-	if rewriteMode == "on" {
-		s.searchRewrite(w, ix, q, start)
+	if rewrite && !ix.RewriteEnabled() {
+		s.rewriteDisabled(w)
 		return
 	}
-
 	if s.panicOn != "" && q == s.panicOn {
 		panic("injected test panic")
 	}
-	ix.Observe(q)
-	// A View pins the epoch and the match results to the same snapshot:
-	// a cache entry can never pair an epoch with results computed against
-	// a different index state, so a stale result is never served.
-	view := ix.View()
-	epoch := view.Epoch()
-	matches, hit := s.cache.Get(key, epoch)
-	var truncated, cutoff bool
-	var costSpent int64
-	if !hit {
-		switch matchType {
-		case "exact":
-			matches = view.ExactMatch(q)
-		case "phrase":
-			matches = view.PhraseMatch(q)
-		default:
-			// Broad match runs under the cost budget and the request
-			// deadline; a truncated answer is a verified subset, flagged.
-			deadline, _ := ctx.Deadline()
-			qb := adindex.QueryBudget{
-				MaxCost:  s.cfg.QueryBudget,
-				Deadline: deadline,
-			}
-			var res adindex.MatchResult
-			if s.cfg.TrackCost {
-				// Counted variant: the same match, with its access counters
-				// attributed to the index (feeding adaptation's cost-model
-				// recalibration) and its modeled cost recorded in the
-				// per-query cost histogram.
-				var c adindex.Counters
-				matchStart := time.Now()
-				res = view.BroadMatchBudgetCounted(q, qb, &c)
-				ix.RecordQueryCost(&c, time.Since(matchStart).Nanoseconds())
-				s.metrics.Cost.Observe(c.Cost(ix.Model()))
-			} else {
-				res = view.BroadMatchBudget(q, qb)
-			}
-			matches, truncated, cutoff, costSpent = res.Ads, res.Truncated, res.CutoffApplied, res.CostSpent
-		}
-		if truncated {
-			// Never cache a partial answer, and strike the fingerprint:
-			// enough blowouts inside the TTL window quarantine it.
-			s.metrics.BudgetTruncated.Add(1)
-			s.quarantine.NoteBudgetBlown(key)
-		} else {
-			s.cache.Put(key, epoch, matches)
-		}
-		if cutoff {
-			s.metrics.Cutoffs.Add(1)
-		}
-	}
+
+	// Every query carries the cost budget and the request deadline; the
+	// subset walk of broad, phrase and rewritten queries charges them (an
+	// exact query is one lookup), and a truncated answer is a verified
+	// subset, flagged.
+	deadline, _ := ctx.Deadline()
+	res, hit := s.match(ix, ix.View(), key, adindex.Query{
+		Text:    q,
+		Type:    queryTypes[matchType],
+		Rewrite: rewrite,
+		Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: deadline},
+	})
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
 
-	result := matches
-	if s.cfg.Selection != nil {
-		result = adindex.SelectAds(q, matches, *s.cfg.Selection)
-	}
-	took := time.Since(start)
-	s.writeJSON(w, searchResponse{
+	resp := searchResponse{
 		Query:         q,
 		Type:          matchType,
-		Matched:       len(matches),
+		Matched:       len(res.Ads),
 		Cached:        hit,
-		Ads:           result,
-		TookUS:        took.Microseconds(),
-		Truncated:     truncated,
-		CutoffApplied: cutoff,
-		CostSpent:     costSpent,
-	})
-	s.metrics.Latency.Observe(time.Since(start))
+		Truncated:     res.Truncated,
+		CutoffApplied: res.CutoffApplied,
+		CostSpent:     res.CostSpent,
+	}
+	if rewrite {
+		// Approximate answers carry each ad with how it was reached and go
+		// through the discount-aware auction.
+		resp.Matches = s.selectMatches(q, res)
+		resp.Rewrite = newRewriteStatsJSON(res.Rewrite)
+	} else {
+		resp.Ads = res.Ads
+		if s.cfg.Selection != nil {
+			resp.Ads = adindex.SelectAds(q, res.Ads, *s.cfg.Selection)
+		}
+	}
+	resp.TookUS = time.Since(start).Microseconds()
+	s.writeJSON(w, resp)
+	s.metrics.Latency.Observe(float64(time.Since(start)))
 }
 
-// searchRewrite answers /search?rewrite=on with approximate broad match:
-// the exact probe plus the planner's typo/synonym variants, each result
-// tagged with how it was reached. Rewrite results bypass the result
-// cache (it stores bare ads keyed by the canonical word set; rewrite
-// answers depend on the vocabulary too) and apply SelectMatches — the
-// discount-aware auction — when the server is configured with Selection.
-func (s *Server) searchRewrite(w http.ResponseWriter, ix *adindex.Index, q string, start time.Time) {
-	if !ix.RewriteEnabled() {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
-			http.StatusBadRequest)
-		return
+var queryTypes = map[string]adindex.QueryType{
+	"broad": adindex.Broad, "exact": adindex.Exact, "phrase": adindex.Phrase,
+}
+
+// match is the one place a single query is evaluated: result cache first,
+// then one View.Match whose outcome feeds the cache, the overload metrics,
+// the quarantine, and — when the index adapts — per-query cost
+// attribution. key is the query's cache and quarantine fingerprint. A View
+// pins the epoch and the results to the same snapshot, so a cache entry
+// can never pair an epoch with results computed against a different index
+// state. Rewrite answers bypass the cache: it stores bare ads keyed by the
+// canonical word set, and rewrite answers depend on the vocabulary too.
+func (s *Server) match(ix *adindex.Index, view adindex.View, key string, q adindex.Query) (res adindex.Result, hit bool) {
+	ix.Observe(q.Text)
+	epoch := view.Epoch()
+	if !q.Rewrite {
+		if ads, ok := s.cache.Get(key, epoch); ok {
+			return adindex.Result{Ads: ads}, true
+		}
 	}
-	ix.Observe(q)
-	matches, rstats := ix.BroadMatchRewrite(q)
-	s.metrics.noteRewrite(rstats)
-	matched := len(matches)
+	var matchStart time.Time
+	if ix.AdaptEnabled() {
+		q.Counters = new(adindex.Counters)
+		matchStart = time.Now()
+	}
+	res = view.Match(nil, q)
+	if q.Counters != nil {
+		// The match's access counters are attributed to the index (feeding
+		// adaptation's cost-model recalibration) and its modeled cost
+		// recorded in the per-query cost histogram.
+		ix.RecordQueryCost(q.Counters, time.Since(matchStart).Nanoseconds())
+		s.metrics.Cost.Observe(q.Counters.Cost(ix.Model()))
+	}
+	if q.Rewrite {
+		s.metrics.noteRewrite(res.Rewrite)
+	}
+	if res.CutoffApplied {
+		s.metrics.Cutoffs.Add(1)
+	}
+	switch {
+	case res.Truncated:
+		// Never cache a partial answer, and strike the fingerprint:
+		// enough blowouts inside the TTL window quarantine it.
+		s.metrics.BudgetTruncated.Add(1)
+		s.quarantine.NoteBudgetBlown(key)
+	case !q.Rewrite:
+		s.cache.Put(key, epoch, res.Ads)
+	}
+	return res, false
+}
+
+// selectMatches pairs a rewritten result's ads with their match infos and
+// applies the configured auction.
+func (s *Server) selectMatches(q string, res adindex.Result) []adindex.Match {
+	matches := res.Matches()
 	if s.cfg.Selection != nil {
 		matches = adindex.SelectMatches(q, matches, *s.cfg.Selection)
 	}
-	took := time.Since(start)
-	s.writeJSON(w, searchResponse{
-		Query:   q,
-		Type:    "broad",
-		Matched: matched,
-		Matches: matches,
-		Rewrite: newRewriteStatsJSON(rstats),
-		TookUS:  took.Microseconds(),
-	})
-	s.metrics.Latency.Observe(time.Since(start))
+	return matches
+}
+
+func (s *Server) rewriteDisabled(w http.ResponseWriter) {
+	s.metrics.BadRequests.Add(1)
+	http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
+		http.StatusBadRequest)
 }
 
 // MaxBatchQueries bounds a single /search/batch request.
@@ -659,7 +652,9 @@ type batchResponse struct {
 // MaxBatchQueries queries evaluated against one consistent index snapshot
 // (adindex.View), so every result in the response reflects the same epoch.
 // Cache hits are served per query; misses go through the batched
-// zero-allocation match path and are cached under the view's epoch.
+// zero-allocation match path and are cached under the view's epoch. A
+// rewrite batch runs each query through the single-query path, unbudgeted
+// like the rest of the batch.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -733,53 +728,38 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	view := ix.View()
 	epoch := view.Epoch()
+	results := make([]batchResult, len(req.Queries))
 	if req.Rewrite == "on" {
 		if !ix.RewriteEnabled() {
-			s.metrics.BadRequests.Add(1)
-			http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
-				http.StatusBadRequest)
+			s.rewriteDisabled(w)
 			return
 		}
-		results := make([]batchResult, len(req.Queries))
+		for i, q := range req.Queries {
+			res, _ := s.match(ix, view, "", adindex.Query{Text: q, Rewrite: true})
+			results[i] = batchResult{Query: q, Matched: len(res.Ads), Matches: s.selectMatches(q, res)}
+		}
+	} else {
+		var missIdx []int
+		var missQueries []string
 		for i, q := range req.Queries {
 			ix.Observe(q)
-			matches, rstats := view.BroadMatchRewrite(q)
-			s.metrics.noteRewrite(rstats)
-			matched := len(matches)
-			if s.cfg.Selection != nil {
-				matches = adindex.SelectMatches(q, matches, *s.cfg.Selection)
+			if matches, hit := s.cache.Get(cacheKey("broad", q), epoch); hit {
+				results[i] = batchResult{Query: q, Matched: len(matches), Cached: true, Ads: matches}
+				continue
 			}
-			results[i] = batchResult{Query: q, Matched: matched, Matches: matches}
+			missIdx = append(missIdx, i)
+			missQueries = append(missQueries, q)
 		}
-		s.writeJSON(w, batchResponse{
-			Epoch:   epoch,
-			Results: results,
-			TookUS:  time.Since(start).Microseconds(),
-		})
-		s.metrics.Latency.Observe(time.Since(start))
-		return
-	}
-	results := make([]batchResult, len(req.Queries))
-	var missIdx []int
-	var missQueries []string
-	for i, q := range req.Queries {
-		ix.Observe(q)
-		if matches, hit := s.cache.Get(cacheKey("broad", q), epoch); hit {
-			results[i] = batchResult{Query: q, Matched: len(matches), Cached: true, Ads: matches}
-			continue
+		for j, matches := range view.BroadMatchBatch(missQueries) {
+			i := missIdx[j]
+			q := req.Queries[i]
+			s.cache.Put(cacheKey("broad", q), epoch, matches)
+			results[i] = batchResult{Query: q, Matched: len(matches), Ads: matches}
 		}
-		missIdx = append(missIdx, i)
-		missQueries = append(missQueries, q)
-	}
-	for j, matches := range view.BroadMatchBatch(missQueries) {
-		i := missIdx[j]
-		q := req.Queries[i]
-		s.cache.Put(cacheKey("broad", q), epoch, matches)
-		results[i] = batchResult{Query: q, Matched: len(matches), Ads: matches}
-	}
-	if s.cfg.Selection != nil {
-		for i := range results {
-			results[i].Ads = adindex.SelectAds(results[i].Query, results[i].Ads, *s.cfg.Selection)
+		if s.cfg.Selection != nil {
+			for i := range results {
+				results[i].Ads = adindex.SelectAds(results[i].Query, results[i].Ads, *s.cfg.Selection)
+			}
 		}
 	}
 	s.writeJSON(w, batchResponse{
@@ -787,7 +767,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		Results: results,
 		TookUS:  time.Since(start).Microseconds(),
 	})
-	s.metrics.Latency.Observe(time.Since(start))
+	s.metrics.Latency.Observe(float64(time.Since(start)))
 }
 
 // searchRemote answers a /search through the distributed shard client.
@@ -840,7 +820,7 @@ func (s *Server) searchRemote(w http.ResponseWriter, ctx context.Context, q, mat
 		CutoffApplied: res.CutoffApplied,
 		TookUS:        time.Since(start).Microseconds(),
 	})
-	s.metrics.Latency.Observe(time.Since(start))
+	s.metrics.Latency.Observe(float64(time.Since(start)))
 }
 
 // localIndex guards endpoints that need a local index, writing the
@@ -970,7 +950,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 			snap.Durability = d
 		}
-		if s.cfg.Adapt || s.cfg.TrackCost {
+		if ix.AdaptEnabled() {
 			snap.Adapt = s.adaptSnapshot(ix)
 		}
 	} else if s.localMode {

@@ -56,11 +56,12 @@ type Config struct {
 	CheckEvery int `json:"check_every"`
 
 	// Budget, when > 0, is the overload scenario: every OpQuery is
-	// additionally run through BroadMatchBudget with MaxCost=Budget on
-	// the plain target and held to the truncation contract — a truncated
-	// answer must be an ID-ordered subset of the full oracle answer with
-	// every element a true, field-identical match; a non-truncated
-	// answer must be exact. Zero disables the budgeted check.
+	// additionally run through Match with Budget.MaxCost=Budget on the
+	// plain target (rewrite queries with Rewrite set as well) and held to
+	// the truncation contract — a truncated answer must be an ID-ordered
+	// subset of the full oracle answer with every element a true,
+	// field-identical match; a non-truncated answer must be exact. Zero
+	// disables the budgeted check.
 	Budget int64 `json:"budget,omitempty"`
 
 	// mutateResults, when set, perturbs the plain target's OpQuery

@@ -92,7 +92,7 @@ func (m *model) distinctWords() rewrite.WordList {
 	return rewrite.WordList(words)
 }
 
-// rewriteMatch mirrors View.BroadMatchRewrite against the flat model:
+// rewriteMatch mirrors a Query.Rewrite Match against the flat model:
 // exact probe first, then the planner's variants in plan order under the
 // probe budget, each probe a linear subset scan; first probe to reach a
 // record assigns its match info. Results come back ID-ordered.
@@ -187,16 +187,20 @@ func (m *model) rewriteAuction(query string, ads []corpus.Ad, infos []rewrite.Ma
 	return selAds, selInfos
 }
 
-// checkRewrite runs one rewrite query through BroadMatchRewrite on the
-// single-node targets and SelectMatches on the plain results, comparing
-// ads and match infos against the oracle's independent rewrite model.
+// checkRewrite runs one rewrite query through Match on the single-node
+// targets and SelectMatches on the plain results, comparing ads and match
+// infos against the oracle's independent rewrite model. Under
+// Config.Budget the query runs once more with every probe charged to that
+// budget: a truncated answer must be an ID-ordered sub-multiset of the
+// model's full rewrite answer, a non-truncated one must equal it.
 func (r *runner) checkRewrite(i int, q string) *Failure {
 	fail := func(target, format string, args ...interface{}) *Failure {
 		return &Failure{OpIndex: i, Target: target, Detail: fmt.Sprintf(format, args...)}
 	}
 	wantAds, wantInfos := r.oracle.rewriteMatch(q, r.rw)
 
-	got, _ := r.plain.BroadMatchRewrite(q)
+	query := adindex.Query{Text: q, Rewrite: true}
+	got := r.plain.Match(nil, query).Matches()
 	if d := diffMatches(got, wantAds, wantInfos); d != "" {
 		return fail("plain", "rewrite query %q: %s", q, d)
 	}
@@ -211,8 +215,22 @@ func (r *runner) checkRewrite(i int, q string) *Failure {
 	}
 	r.checks++
 
+	if r.cfg.Budget > 0 {
+		query.Budget.MaxCost = r.cfg.Budget
+		res := r.plain.Match(nil, query)
+		if res.Truncated {
+			r.truncated++
+			if d := subsetDiffAds(res.Ads, wantAds); d != "" {
+				return fail("budget", "truncated rewrite query %q (budget %d, spent %d): %s", q, r.cfg.Budget, res.CostSpent, d)
+			}
+		} else if d := diffMatches(res.Matches(), wantAds, wantInfos); d != "" {
+			return fail("budget", "rewrite query %q (budget %d, spent %d): %s", q, r.cfg.Budget, res.CostSpent, d)
+		}
+		r.checks++
+	}
+
 	if r.dur != nil {
-		dgot, _ := r.dur.ix.BroadMatchRewrite(q)
+		dgot := r.dur.ix.Match(nil, adindex.Query{Text: q, Rewrite: true}).Matches()
 		if d := diffMatches(dgot, wantAds, wantInfos); d != "" {
 			return fail("durable", "rewrite query %q: %s", q, d)
 		}

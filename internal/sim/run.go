@@ -307,7 +307,7 @@ func (r *runner) checkQuery(i int, q string) *Failure {
 	}
 	want := r.oracle.broadMatch(q)
 
-	got := r.plain.BroadMatch(q)
+	got := r.plain.Match(nil, adindex.Query{Text: q}).Ads
 	sortAdsByID(got)
 	if r.cfg.mutateResults != nil {
 		got = r.cfg.mutateResults(got)
@@ -356,7 +356,7 @@ func (r *runner) checkBudgetQuery(i int, q string, want []corpus.Ad) *Failure {
 	fail := func(format string, args ...interface{}) *Failure {
 		return &Failure{OpIndex: i, Target: "budget", Detail: fmt.Sprintf(format, args...)}
 	}
-	res := r.plain.BroadMatchBudget(q, adindex.QueryBudget{MaxCost: r.cfg.Budget})
+	res := r.plain.Match(nil, adindex.Query{Text: q, Budget: adindex.QueryBudget{MaxCost: r.cfg.Budget}})
 	if res.Truncated {
 		r.truncated++
 		if d := subsetDiffAds(res.Ads, want); d != "" {

@@ -132,7 +132,7 @@ type Op struct {
 	// to To, OpMigrate moves half of Shard's slots to To.
 	Shard int `json:"shard,omitempty"`
 	To    int `json:"to,omitempty"`
-	// Rewrite additionally checks OpQuery through BroadMatchRewrite (and
+	// Rewrite additionally checks OpQuery through a rewritten Match (and
 	// the discounted auction) against the oracle's rewrite model.
 	Rewrite bool `json:"rewrite,omitempty"` // OpQuery
 }

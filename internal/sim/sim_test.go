@@ -234,6 +234,29 @@ func TestSimOverloadBudget(t *testing.T) {
 	}
 }
 
+// TestSimRewriteUnderBudget composes the two scenarios: rewrite queries
+// also run with every variant probe charged to a tight cost budget, and
+// the (often truncated) answer is held to the truncation contract
+// against the oracle's full rewrite answer.
+func TestSimRewriteUnderBudget(t *testing.T) {
+	truncated := 0
+	for _, seed := range rewriteRegressionSeeds {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := fullConfig(t, seed)
+			cfg.Gen.Ops = 100
+			cfg.Rewrite = true
+			cfg.Budget = 8
+			if res := runSeed(t, cfg); res != nil {
+				truncated += res.Truncated
+			}
+		})
+	}
+	if truncated == 0 {
+		t.Fatal("no query ever truncated: the composed scenario exercised nothing")
+	}
+}
+
 // adaptSeeds pin the continuous-adaptation scenario: synchronous
 // adaptation rounds (pull delta, re-solve the most misplaced word sets,
 // RCU apply) interleaved with inserts, deletes, batch Optimize calls,
@@ -272,7 +295,7 @@ func TestSimAdaptRegressionSeeds(t *testing.T) {
 }
 
 // rewriteRegressionSeeds pin rewrite-enabled schedules: ~40% of queries
-// are typo- or synonym-perturbed and checked through BroadMatchRewrite
+// are typo- or synonym-perturbed and checked through a rewritten Match
 // plus the discounted auction (on the plain and crash-restarted durable
 // targets) against the oracle's independent rewrite model.
 var rewriteRegressionSeeds = []int64{3, 7, 13}

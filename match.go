@@ -3,6 +3,7 @@ package adindex
 import (
 	"slices"
 	"sync"
+	"time"
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
@@ -117,18 +118,42 @@ func adByID(a, b *corpus.Ad) int {
 	return 0
 }
 
-// appendBroadMatch appends pointers to every broad-matching record to dst:
-// base matches (minus tombstones) plus a linear scan of the delta. The
-// appended segment is ordered by ID. queryWords must be a canonical word
-// set. The returned pointers reference snapshot-internal storage; public
-// entry points copy them out before returning.
-func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, counters *costmodel.Counters, sc *core.Scratch) []*corpus.Ad {
+// appendMatch is the one match routine every query runs: it appends
+// pointers to every record that matches the query under typ to dst — the
+// base retrieval, minus tombstoned base records, plus a linear scan of the
+// delta — ordered by ID within the appended segment. queryWords is the
+// query's canonical word set; tokens is its ordered token sequence for the
+// order-sensitive types (duplicate-folded for Exact, as tokenized for
+// Phrase) and unused for Broad. Section III-B: the types share the
+// lookups and differ in the node-side test, so Broad and Phrase run the
+// same subset walk and Exact is the single lookup of the query's own
+// word set, which has nothing to cut off or to budget.
+//
+// counters and b are both optional: a non-nil budget is charged per probe
+// and per scanned record by the base walk, which stops at node
+// granularity once it is exhausted; the delta (bounded by MaxDeltaAds) is
+// charged as one unit of its length and always scanned whole, so freshly
+// inserted ads stay visible even in truncated answers. The returned
+// pointers reference snapshot-internal storage; public entry points copy
+// them out before returning.
+func (s *snapshot) appendMatch(dst []*corpus.Ad, typ QueryType, tokens, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []*corpus.Ad {
 	mark := len(dst)
-	dst = s.base.AppendBroadMatch(dst, queryWords, counters, sc)
+	switch typ {
+	case Exact:
+		dst = s.base.AppendExactMatch(dst, tokens, queryWords, counters)
+		b = nil
+	case Phrase:
+		dst = s.base.AppendPhraseMatch(dst, tokens, queryWords, counters, sc, b)
+	default:
+		dst = s.base.AppendBroadMatchBudget(dst, queryWords, counters, sc, b)
+	}
 	if len(s.tombs) > 0 {
 		dst = s.filterTombs(dst, mark, counters)
 	}
 	if len(s.delta) > 0 {
+		if b != nil {
+			b.Charge(int64(len(s.delta)))
+		}
 		n := len(dst)
 		// The delta is scanned with the raw canonical query words: the
 		// base prepares queries against its own vocabulary, which may lack
@@ -151,7 +176,7 @@ func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, count
 				counters.PhrasesChecked++
 				counters.BytesScanned += int64(rec.Size())
 			}
-			if len(rec.Words) <= len(queryWords) && textnorm.IsSubset(rec.Words, queryWords) {
+			if len(rec.Words) <= len(queryWords) && textnorm.IsSubset(rec.Words, queryWords) && orderedMatch(typ, tokens, rec.Phrase) {
 				dst = append(dst, rec)
 			}
 		}
@@ -163,6 +188,21 @@ func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, count
 		}
 	}
 	return dst
+}
+
+// orderedMatch is the order-sensitive part of the match test, applied to a
+// record whose word set is already known to be a subset of the query's:
+// Exact wants the bid phrase to equal the query as a folded token
+// sequence, Phrase wants it to occur in the query contiguously, Broad
+// wants nothing more.
+func orderedMatch(typ QueryType, tokens []string, phrase string) bool {
+	switch typ {
+	case Exact:
+		return slices.Equal(textnorm.FoldDuplicates(textnorm.Tokenize(phrase)), tokens)
+	case Phrase:
+		return textnorm.ContainsContiguous(tokens, textnorm.Tokenize(phrase))
+	}
+	return true
 }
 
 // filterTombs removes tombstoned base records from dst[mark:] in place,
@@ -192,58 +232,6 @@ func (s *snapshot) filterTombs(dst []*corpus.Ad, mark int, counters *costmodel.C
 	return dst[:w]
 }
 
-// exactMatch returns pointers to records whose phrase equals the query as
-// a folded token sequence, across base and delta.
-func (s *snapshot) exactMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	matches := s.base.ExactMatch(query, counters)
-	if len(s.tombs) > 0 {
-		matches = s.filterTombs(matches, 0, counters)
-	}
-	if len(s.delta) > 0 {
-		qTokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
-		if len(qTokens) > 0 {
-			n := len(matches)
-			for i := range s.delta {
-				rec := &s.delta[i]
-				if slices.Equal(textnorm.FoldDuplicates(textnorm.Tokenize(rec.Phrase)), qTokens) {
-					matches = append(matches, rec)
-				}
-			}
-			if len(matches) > n {
-				slices.SortFunc(matches, adByID)
-			}
-		}
-	}
-	return matches
-}
-
-// phraseMatch returns pointers to records whose phrase occurs contiguously
-// in the query, across base and delta.
-func (s *snapshot) phraseMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	matches := s.base.PhraseMatch(query, counters)
-	if len(s.tombs) > 0 {
-		matches = s.filterTombs(matches, 0, counters)
-	}
-	if len(s.delta) > 0 {
-		qTokens := textnorm.Tokenize(query)
-		qset := textnorm.CanonicalSet(textnorm.FoldDuplicates(qTokens))
-		if len(qset) > 0 {
-			n := len(matches)
-			for i := range s.delta {
-				rec := &s.delta[i]
-				if textnorm.IsSubset(rec.Words, qset) &&
-					textnorm.ContainsContiguous(qTokens, textnorm.Tokenize(rec.Phrase)) {
-					matches = append(matches, rec)
-				}
-			}
-			if len(matches) > n {
-				slices.SortFunc(matches, adByID)
-			}
-		}
-	}
-	return matches
-}
-
 // queryScratch bundles the per-query buffers of the hot path: the
 // canonical query word set, the core enumeration scratch, and the match
 // pointer accumulator. Instances are pooled so a steady-state query
@@ -252,8 +240,8 @@ type queryScratch struct {
 	words   []string
 	core    core.Scratch
 	matches []*corpus.Ad
-	// budget is the per-query cost budget of the budgeted entry points,
-	// kept here so a budgeted query allocates nothing extra.
+	// budget is the per-query cost budget, kept here so charging a query
+	// allocates nothing.
 	budget core.Budget
 
 	// Batch-only buffers: one shared token arena for every query in a
@@ -275,13 +263,14 @@ func getScratch() *queryScratch {
 
 // putScratch returns sc to the pool with every reference into snapshot (or
 // caller) storage cleared, so a pooled scratch never pins a retired
-// snapshot's memory.
+// snapshot's memory or a caller's closure.
 func putScratch(sc *queryScratch) {
 	clear(sc.words[:cap(sc.words)])
 	sc.words = sc.words[:0]
 	sc.core.Reset()
 	clear(sc.matches[:cap(sc.matches)])
 	sc.matches = sc.matches[:0]
+	sc.budget = core.Budget{} // drops the caller's clock func
 	clear(sc.batchWords[:cap(sc.batchWords)])
 	sc.batchWords = sc.batchWords[:0]
 	sc.batchOff = sc.batchOff[:0]
@@ -294,7 +283,8 @@ func putScratch(sc *queryScratch) {
 // appendAdCopies appends deep copies of matches to dst. All Words and
 // Exclusions slices of the appended ads share a single string arena, so
 // the whole copy costs two allocations (arena + dst growth) regardless of
-// match count, and no returned slice aliases index-internal storage.
+// match count, and no returned slice aliases index-internal storage. With
+// no matches dst is returned untouched (nil stays nil).
 func appendAdCopies(dst []Ad, matches []*corpus.Ad) []Ad {
 	if len(matches) == 0 {
 		return dst
@@ -306,16 +296,23 @@ func appendAdCopies(dst []Ad, matches []*corpus.Ad) []Ad {
 	arena := make([]string, 0, need)
 	dst = slices.Grow(dst, len(matches))
 	for _, m := range matches {
-		ad := *m
-		arena, ad.Words = appendArena(arena, m.Words)
-		arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
-		// Copy-out is where matches become auction input: cache the
-		// exclusion word sets once here so selection never re-tokenizes
-		// them per query-word check.
-		ad.Meta.RefreshExclusionSets()
-		dst = append(dst, ad)
+		dst, arena = appendAdCopy(dst, arena, m)
 	}
 	return dst
+}
+
+// appendAdCopy appends a copy of m whose Words and Exclusions live in
+// arena, and returns both extended.
+func appendAdCopy(dst []Ad, arena []string, m *corpus.Ad) ([]Ad, []string) {
+	dst = append(dst, *m)
+	ad := &dst[len(dst)-1]
+	arena, ad.Words = appendArena(arena, m.Words)
+	arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
+	// Copy-out is where matches become auction input: cache the
+	// exclusion word sets once here so selection never re-tokenizes
+	// them per query-word check.
+	ad.Meta.RefreshExclusionSets()
+	return dst, arena
 }
 
 // appendArena copies src into the arena and returns the arena plus a
@@ -328,15 +325,6 @@ func appendArena(arena, src []string) ([]string, []string) {
 	mark := len(arena)
 	arena = append(arena, src...)
 	return arena, arena[mark:len(arena):len(arena)]
-}
-
-// copyMatches converts internal match pointers to caller-owned Ad values
-// (nil for no matches, preserving the historical API).
-func copyMatches(matches []*corpus.Ad) []Ad {
-	if len(matches) == 0 {
-		return nil
-	}
-	return appendAdCopies(make([]Ad, 0, len(matches)), matches)
 }
 
 // deepCopyAdStrings rebinds every Words/Exclusions slice in ads to a fresh
@@ -364,7 +352,7 @@ func deepCopyAdStrings(ads []Ad) {
 type View struct {
 	s *snapshot
 	// rw is the index's rewrite planner (nil when rewriting is disabled);
-	// carried on the View so BroadMatchRewrite needs no Index reference.
+	// carried on the View so a rewritten Match needs no Index reference.
 	rw *rewrite.Planner
 }
 
@@ -377,63 +365,162 @@ func (ix *Index) View() View {
 // Epoch returns the mutation epoch of the viewed snapshot.
 func (v View) Epoch() uint64 { return v.s.epoch }
 
-// BroadMatch returns copies of all ads whose bid phrases broad-match the
-// query (every bid word occurs in the query), ordered by ID.
-func (v View) BroadMatch(query string) []Ad {
-	return v.BroadMatchCounted(query, nil)
+// QueryType selects which ads a Query retrieves. Every type runs the same
+// retrieval; they differ only in the test a candidate must pass.
+type QueryType uint8
+
+const (
+	// Broad matches every ad whose bid words all occur in the query.
+	Broad QueryType = iota
+	// Exact matches ads whose bid phrase equals the query as a normalized
+	// token sequence.
+	Exact
+	// Phrase matches ads whose bid phrase occurs in the query as a
+	// contiguous, ordered token subsequence.
+	Phrase
+)
+
+// QueryBudget bounds the work one query may perform: MaxCost in index
+// cost units (subset probes plus records scanned; zero means unlimited)
+// and an optional wall-clock Deadline. Now is the clock used for deadline
+// checks (nil = time.Now); tests inject a fake clock.
+//
+// The budget check is cooperative and cheap — a counter compare at node
+// granularity, no context.Context anywhere near the inner loop — so a
+// budgeted query costs the same as an unbudgeted one until it trips.
+type QueryBudget struct {
+	MaxCost  int64
+	Deadline time.Time
+	Now      func() time.Time
 }
 
-// BroadMatchCounted is BroadMatch with memory-access accounting.
-func (v View) BroadMatchCounted(query string, counters *Counters) []Ad {
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatch(sc.matches[:0], sc.words, counters, &sc.core)
-	out := copyMatches(sc.matches)
-	putScratch(sc)
+// Query is one retrieval request. The zero value of every field but Text
+// selects the plain behaviour: broad match, no bound, no rewriting, no
+// accounting.
+type Query struct {
+	Text string
+	Type QueryType
+	// Budget bounds the index work; the zero budget is unlimited. It
+	// applies to the subset walk of Broad and Phrase queries; an Exact
+	// query is a single lookup, which is never truncated or cut off.
+	Budget QueryBudget
+	// Rewrite adds approximate broad match: after the query's own word
+	// set, the planner's rewrite variants (synonym substitutions, then
+	// spelling corrections by edit distance) are probed in plan order
+	// under the same Budget. It applies to Type Broad on an index built
+	// with Options.Rewrite; otherwise only the query itself is probed.
+	Rewrite bool
+	// Counters, when non-nil, accumulates the query's memory-access
+	// accounting.
+	Counters *Counters
+}
+
+// Result is the outcome of a Match. A truncated result is never wrong,
+// only incomplete: every returned ad is a fully verified match and the
+// appended segment is ID-ordered, so it is a sub-multiset of the full
+// answer.
+type Result struct {
+	// Ads is dst extended by copies of the matching ads, ordered by ID
+	// within the appended segment.
+	Ads []Ad
+	// Infos is set by rewritten queries only: Infos[i] tells how the i-th
+	// appended ad was reached. An ad reachable through several variants
+	// is reported once, under the first (lowest-penalty) one.
+	Infos []MatchInfo
+	// Truncated reports that the budget (cost or deadline) ran out before
+	// the retrieval completed.
+	Truncated bool
+	// CutoffApplied reports that the query had more than MaxQueryWords
+	// indexed words and was reduced to its rarest ones.
+	CutoffApplied bool
+	// CostSpent is the cost units the query charged.
+	CostSpent int64
+	// Rewrite reports the expansion work of a rewritten query.
+	Rewrite RewriteStats
+}
+
+// Matches pairs the ads a rewritten query appended with their infos.
+func (r Result) Matches() []Match {
+	ads := r.Ads[len(r.Ads)-len(r.Infos):]
+	out := make([]Match, len(ads))
+	for i := range ads {
+		out[i] = Match{Ad: ads[i], Info: r.Infos[i]}
+	}
 	return out
 }
 
-// BroadMatchAppend appends copies of all broad-matching ads to dst,
-// ordered by ID within the appended segment, and returns the extended
-// slice. Reusing dst across calls keeps the hot path at a single
-// allocation per query (the string arena backing the copies).
-func (v View) BroadMatchAppend(dst []Ad, query string) []Ad {
+// Match answers q against the viewed snapshot, appending copies of the
+// matching ads to dst. Reusing dst across calls keeps a broad query at a
+// single allocation (the string arena backing the copies).
+func (v View) Match(dst []Ad, q Query) Result {
 	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatch(sc.matches[:0], sc.words, nil, &sc.core)
-	dst = appendAdCopies(dst, sc.matches)
+	sc.budget = core.Budget{MaxCost: q.Budget.MaxCost, Deadline: q.Budget.Deadline, Now: q.Budget.Now}
+	sc.words = textnorm.AppendWordSet(sc.words[:0], q.Text)
+	var res Result
+	if q.Rewrite && q.Type == Broad {
+		res.Infos, res.Rewrite = v.matchRewrite(sc, q.Counters)
+	} else {
+		var tokens []string
+		switch q.Type {
+		case Exact:
+			tokens = textnorm.FoldDuplicates(textnorm.Tokenize(q.Text))
+		case Phrase:
+			tokens = textnorm.Tokenize(q.Text)
+		}
+		sc.matches = v.s.appendMatch(sc.matches[:0], q.Type, tokens, sc.words, q.Counters, &sc.core, &sc.budget)
+	}
+	res.Ads = appendAdCopies(dst, sc.matches)
+	res.Truncated = sc.budget.Exhausted()
+	res.CutoffApplied = sc.budget.CutoffApplied()
+	res.CostSpent = sc.budget.Spent()
 	putScratch(sc)
-	return dst
+	return res
+}
+
+// BroadMatch returns copies of all ads whose bid phrases broad-match the
+// query (every bid word occurs in the query), ordered by ID; nil when
+// nothing matches.
+func (v View) BroadMatch(query string) []Ad {
+	return v.Match(nil, Query{Text: query}).Ads
+}
+
+// BroadMatchAppend is BroadMatch appending into dst.
+func (v View) BroadMatchAppend(dst []Ad, query string) []Ad {
+	return v.Match(dst, Query{Text: query}).Ads
 }
 
 // ExactMatch returns ads whose bid phrase equals the query as a normalized
 // token sequence.
 func (v View) ExactMatch(query string) []Ad {
-	return copyMatches(v.s.exactMatch(query, nil))
+	return v.Match(nil, Query{Text: query, Type: Exact}).Ads
 }
 
 // PhraseMatch returns ads whose bid phrase occurs in the query as a
 // contiguous, ordered token subsequence.
 func (v View) PhraseMatch(query string) []Ad {
-	return copyMatches(v.s.phraseMatch(query, nil))
+	return v.Match(nil, Query{Text: query, Type: Phrase}).Ads
 }
 
-// BroadMatch returns copies of all ads whose bid phrases broad-match the
-// query (every bid word occurs in the query), ordered by ID. The read is
-// lock-free: one atomic snapshot load, no mutex, no reader-side
+// Match answers q against the current snapshot; see View.Match. The read
+// is lock-free: one atomic snapshot load, no mutex, no reader-side
 // contention.
+func (ix *Index) Match(dst []Ad, q Query) Result {
+	return ix.View().Match(dst, q)
+}
+
+// BroadMatch is View.BroadMatch on the current snapshot.
 func (ix *Index) BroadMatch(query string) []Ad {
 	return ix.View().BroadMatch(query)
 }
 
-// BroadMatchCounted is BroadMatch with memory-access accounting.
-func (ix *Index) BroadMatchCounted(query string, counters *Counters) []Ad {
-	return ix.View().BroadMatchCounted(query, counters)
+// ExactMatch is View.ExactMatch on the current snapshot.
+func (ix *Index) ExactMatch(query string) []Ad {
+	return ix.View().ExactMatch(query)
 }
 
-// BroadMatchAppend is BroadMatch appending into dst; see View.BroadMatchAppend.
-func (ix *Index) BroadMatchAppend(dst []Ad, query string) []Ad {
-	return ix.View().BroadMatchAppend(dst, query)
+// PhraseMatch is View.PhraseMatch on the current snapshot.
+func (ix *Index) PhraseMatch(query string) []Ad {
+	return ix.View().PhraseMatch(query)
 }
 
 // BroadMatchBatch evaluates all queries against this view's snapshot and
@@ -497,7 +584,7 @@ func (v View) BroadMatchBatch(queries []string) [][]Ad {
 			}
 		}
 		start := int32(len(sc.matches))
-		sc.matches = v.s.appendBroadMatch(sc.matches, set(idx), nil, &sc.core)
+		sc.matches = v.s.appendMatch(sc.matches, Broad, nil, set(idx), nil, &sc.core, nil)
 		span[2*idx], span[2*idx+1] = start, int32(len(sc.matches))
 	}
 
@@ -534,11 +621,7 @@ func (v View) BroadMatchBatch(queries []string) [][]Ad {
 		}
 		mark := len(backing)
 		for _, m := range sc.matches[lo:hi] {
-			ad := *m
-			arena, ad.Words = appendArena(arena, m.Words)
-			arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
-			ad.Meta.RefreshExclusionSets()
-			backing = append(backing, ad)
+			backing, arena = appendAdCopy(backing, arena, m)
 		}
 		out[idx] = backing[mark:len(backing):len(backing)]
 	}
@@ -550,16 +633,4 @@ func (v View) BroadMatchBatch(queries []string) [][]Ad {
 // and returns per-query results in order; see View.BroadMatchBatch.
 func (ix *Index) BroadMatchBatch(queries []string) [][]Ad {
 	return ix.View().BroadMatchBatch(queries)
-}
-
-// ExactMatch returns ads whose bid phrase equals the query as a normalized
-// token sequence. Lock-free.
-func (ix *Index) ExactMatch(query string) []Ad {
-	return ix.View().ExactMatch(query)
-}
-
-// PhraseMatch returns ads whose bid phrase occurs in the query as a
-// contiguous, ordered token subsequence. Lock-free.
-func (ix *Index) PhraseMatch(query string) []Ad {
-	return ix.View().PhraseMatch(query)
 }

@@ -43,7 +43,10 @@ func TestResultWordsDoNotAliasIndex(t *testing.T) {
 		ix.BroadMatch("fresh delta phrase now"),
 		ix.ExactMatch("fresh delta phrase"),
 		ix.PhraseMatch("a fresh delta phrase query"),
-		ix.BroadMatchAppend(nil, "fresh delta phrase now"),
+		ix.View().BroadMatchAppend(nil, "fresh delta phrase now"),
+		ix.BroadMatchBatch([]string{"fresh delta phrase now"})[0],
+		ix.Match(nil, Query{Text: "fresh delta phrase now", Budget: QueryBudget{MaxCost: 1}, Counters: new(Counters)}).Ads,
+		ix.Match(nil, Query{Text: "fresh delta phrase now", Rewrite: true}).Ads,
 	} {
 		if len(res) != 1 {
 			t.Fatalf("expected one match for delta ad, got %v", res)

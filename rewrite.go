@@ -27,8 +27,8 @@ const (
 type MatchInfo = rewrite.MatchInfo
 
 // Match is one approximate broad-match result: the ad plus how it was
-// reached. Ads reachable through several variants carry the first
-// (best-penalty) one.
+// reached (see Result.Matches). Ads reachable through several variants
+// carry the first (best-penalty) one.
 type Match struct {
 	Ad
 	Info MatchInfo
@@ -138,20 +138,17 @@ func (s *snapshot) vocabulary() *rewrite.Vocabulary {
 	return s.vocab
 }
 
-// BroadMatchRewrite answers the query with approximate broad match: the
-// exact canonical word set is probed first, then the planner's rewrite
-// variants (synonym substitutions, then spelling corrections by edit
-// distance) in deterministic plan order until the probe budget runs out.
-// Results are ordered by ID; an ad reachable through several variants is
-// reported once, tagged with the first variant that found it (plan order
-// is penalty order, so that is its best rewrite). On an index built
-// without Options.Rewrite only the exact probe runs and every result is
-// MatchExact.
-func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
+// matchRewrite answers sc.words with approximate broad match: the exact
+// canonical word set is probed first, then the planner's rewrite variants
+// in deterministic plan order until the probe limit or sc.budget (which
+// every probe charges) runs out. It leaves the distinct matching records
+// in sc.matches, ordered by ID, and returns their infos in the same
+// order; a record reachable through several variants is tagged with the
+// first variant that found it (plan order is penalty order, so that is
+// its best rewrite). Without a planner only the exact probe runs and
+// every result is MatchExact.
+func (v View) matchRewrite(sc *queryScratch, counters *Counters) ([]MatchInfo, RewriteStats) {
 	var stats RewriteStats
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-
 	var variants []rewrite.Variant
 	probeLimit := rewrite.Budget{}.ProbeLimit()
 	if v.rw != nil && len(sc.words) > 0 {
@@ -170,7 +167,7 @@ func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
 	var seen map[*corpus.Ad]bool
 	probe := func(words []string, info MatchInfo) {
 		stats.Probes++
-		sc.matches = v.s.appendBroadMatch(sc.matches[:0], words, nil, &sc.core)
+		sc.matches = v.s.appendMatch(sc.matches[:0], Broad, nil, words, counters, &sc.core, &sc.budget)
 		for _, m := range sc.matches {
 			if seen[m] {
 				continue
@@ -190,38 +187,24 @@ func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
 	}
 	probe(sc.words, MatchInfo{Type: MatchExact})
 	for _, vr := range variants {
+		if sc.budget.Exhausted() {
+			break
+		}
 		if stats.Probes >= probeLimit {
 			stats.Clipped = true
 			break
 		}
 		probe(vr.Words, vr.Info)
 	}
-	putScratch(sc)
 
 	// Restore the global ID order broad match guarantees; insertion order
 	// breaks ties so equal-ID duplicates keep their plan-order infos.
 	sort.SliceStable(hits, func(i, j int) bool { return hits[i].rec.ID < hits[j].rec.ID })
-	if len(hits) == 0 {
-		return nil, stats
-	}
-	need := 0
+	sc.matches = sc.matches[:0]
+	infos := make([]MatchInfo, 0, len(hits))
 	for _, h := range hits {
-		need += len(h.rec.Words) + len(h.rec.Meta.Exclusions)
+		sc.matches = append(sc.matches, h.rec)
+		infos = append(infos, h.info)
 	}
-	arena := make([]string, 0, need)
-	out := make([]Match, 0, len(hits))
-	for _, h := range hits {
-		m := Match{Ad: *h.rec, Info: h.info}
-		arena, m.Words = appendArena(arena, h.rec.Words)
-		arena, m.Meta.Exclusions = appendArena(arena, h.rec.Meta.Exclusions)
-		m.Meta.RefreshExclusionSets()
-		out = append(out, m)
-	}
-	return out, stats
-}
-
-// BroadMatchRewrite is View.BroadMatchRewrite against the current
-// snapshot. Lock-free like every read.
-func (ix *Index) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
-	return ix.View().BroadMatchRewrite(query)
+	return infos, stats
 }

@@ -30,6 +30,12 @@ func mustSynonyms(t *testing.T, raw [][]string) *rewrite.Classes {
 	return c
 }
 
+// rewriteMatch runs one rewritten broad match and pairs ads with infos.
+func rewriteMatch(ix *Index, query string) ([]Match, RewriteStats) {
+	res := ix.Match(nil, Query{Text: query, Rewrite: true})
+	return res.Matches(), res.Rewrite
+}
+
 func matchIDs(ms []Match) []uint64 {
 	out := make([]uint64, len(ms))
 	for i := range ms {
@@ -38,13 +44,13 @@ func matchIDs(ms []Match) []uint64 {
 	return out
 }
 
-func TestBroadMatchRewriteFuzzy(t *testing.T) {
+func TestMatchRewriteFuzzy(t *testing.T) {
 	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{}})
 
 	// One-letter typo in "running": the rewrite restores it and returns
 	// exactly the ads the clean query matches, flagged fuzzy distance 1.
 	clean := ix.BroadMatch("running shoes")
-	got, stats := ix.BroadMatchRewrite("runing shoes")
+	got, stats := rewriteMatch(ix, "runing shoes")
 	if want := idsOf(clean); !reflect.DeepEqual(matchIDs(got), want) {
 		t.Fatalf("typo query IDs = %v, clean query IDs = %v", matchIDs(got), want)
 	}
@@ -58,9 +64,9 @@ func TestBroadMatchRewriteFuzzy(t *testing.T) {
 	}
 }
 
-func TestBroadMatchRewriteExactKeepsFlag(t *testing.T) {
+func TestMatchRewriteExactKeepsFlag(t *testing.T) {
 	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{}})
-	got, _ := ix.BroadMatchRewrite("running shoes socks")
+	got, _ := rewriteMatch(ix, "running shoes socks")
 	if len(got) == 0 {
 		t.Fatal("no matches")
 	}
@@ -71,10 +77,10 @@ func TestBroadMatchRewriteExactKeepsFlag(t *testing.T) {
 	}
 }
 
-func TestBroadMatchRewriteSynonym(t *testing.T) {
+func TestMatchRewriteSynonym(t *testing.T) {
 	syn := mustSynonyms(t, [][]string{{"sneakers", "shoes"}})
 	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{Synonyms: syn}})
-	got, stats := ix.BroadMatchRewrite("cheap shoes")
+	got, stats := rewriteMatch(ix, "cheap shoes")
 	if !reflect.DeepEqual(matchIDs(got), []uint64{2}) {
 		t.Fatalf("IDs = %v, want [2]", matchIDs(got))
 	}
@@ -86,19 +92,19 @@ func TestBroadMatchRewriteSynonym(t *testing.T) {
 	}
 }
 
-func TestBroadMatchRewriteDisabled(t *testing.T) {
+func TestMatchRewriteDisabled(t *testing.T) {
 	ix := Build(rewriteTestAds(), Options{})
 	if ix.RewriteEnabled() {
 		t.Fatal("RewriteEnabled on plain index")
 	}
-	got, stats := ix.BroadMatchRewrite("runing shoes")
+	got, stats := rewriteMatch(ix, "runing shoes")
 	if len(got) != 0 {
 		t.Fatalf("disabled rewrite matched typo query: %v", matchIDs(got))
 	}
 	if stats.Probes != 1 || stats.Variants != 0 {
 		t.Errorf("stats = %+v, want exact probe only", stats)
 	}
-	exact, _ := ix.BroadMatchRewrite("running shoes")
+	exact, _ := rewriteMatch(ix, "running shoes")
 	if want := idsOf(ix.BroadMatch("running shoes")); !reflect.DeepEqual(matchIDs(exact), want) {
 		t.Fatalf("disabled rewrite = %v, broad match = %v", matchIDs(exact), want)
 	}
@@ -130,11 +136,11 @@ func TestRewriteVocabularyLockstep(t *testing.T) {
 	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{}})
 
 	// "quantum" is not in the vocabulary yet: its typo finds nothing.
-	if got, _ := ix.BroadMatchRewrite("quantun widgets"); len(got) != 0 {
+	if got, _ := rewriteMatch(ix, "quantun widgets"); len(got) != 0 {
 		t.Fatalf("unexpected matches before insert: %v", matchIDs(got))
 	}
 	ix.Insert(NewAd(50, "quantum widgets", Meta{BidMicros: 100}))
-	got, _ := ix.BroadMatchRewrite("quantun widgets")
+	got, _ := rewriteMatch(ix, "quantun widgets")
 	if !reflect.DeepEqual(matchIDs(got), []uint64{50}) {
 		t.Fatalf("after insert: IDs = %v, want [50]", matchIDs(got))
 	}
@@ -144,19 +150,19 @@ func TestRewriteVocabularyLockstep(t *testing.T) {
 	if !ix.Delete(50, "quantum widgets") {
 		t.Fatal("delete failed")
 	}
-	if got, _ := ix.BroadMatchRewrite("quantun widgets"); len(got) != 0 {
+	if got, _ := rewriteMatch(ix, "quantun widgets"); len(got) != 0 {
 		t.Fatalf("matches after delete: %v", matchIDs(got))
 	}
 
 	// Same dance against the base (tombstone side): delete a seed ad and
 	// its words must stop attracting fuzzy traffic.
-	if got, _ := ix.BroadMatchRewrite("leather bools"); len(got) == 0 {
+	if got, _ := rewriteMatch(ix, "leather bools"); len(got) == 0 {
 		t.Fatal("base word not fuzzy-reachable")
 	}
 	if !ix.Delete(4, "leather boots") {
 		t.Fatal("delete of base ad failed")
 	}
-	if got, _ := ix.BroadMatchRewrite("leather bools"); len(got) != 0 {
+	if got, _ := rewriteMatch(ix, "leather bools"); len(got) != 0 {
 		t.Fatalf("matches after base delete: %v", matchIDs(got))
 	}
 }
@@ -166,19 +172,19 @@ func TestRewriteVocabularyLockstep(t *testing.T) {
 func TestRewriteVocabularyAcrossFolds(t *testing.T) {
 	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{}, MaxDeltaAds: -1})
 	ix.Insert(NewAd(50, "quantum widgets", Meta{BidMicros: 100}))
-	got, _ := ix.BroadMatchRewrite("quantun widgets")
+	got, _ := rewriteMatch(ix, "quantun widgets")
 	if !reflect.DeepEqual(matchIDs(got), []uint64{50}) {
 		t.Fatalf("after folded insert: IDs = %v, want [50]", matchIDs(got))
 	}
 	ix.Delete(50, "quantum widgets")
-	if got, _ := ix.BroadMatchRewrite("quantun widgets"); len(got) != 0 {
+	if got, _ := rewriteMatch(ix, "quantun widgets"); len(got) != 0 {
 		t.Fatalf("matches after folded delete: %v", matchIDs(got))
 	}
 }
 
-func TestBroadMatchRewriteProbeBudget(t *testing.T) {
+func TestMatchRewriteProbeBudget(t *testing.T) {
 	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{MaxProbes: 1}})
-	got, stats := ix.BroadMatchRewrite("runing shoes")
+	got, stats := rewriteMatch(ix, "runing shoes")
 	if len(got) != 0 {
 		t.Fatalf("probe budget 1 should stop at the exact probe, got %v", matchIDs(got))
 	}
@@ -242,7 +248,7 @@ func TestRewriteMetamorphicTypo(t *testing.T) {
 		dirty := strings.Join(replaceWord(ad.Words, wi, typo), " ")
 
 		want := idsOf(ix.BroadMatch(clean))
-		got, _ := ix.BroadMatchRewrite(dirty)
+		got, _ := rewriteMatch(ix, dirty)
 		gotSet := make(map[uint64]bool, len(got))
 		for _, m := range got {
 			gotSet[m.ID] = true
@@ -275,7 +281,7 @@ func TestSelectMatchesExactTierAgreesWithSelectAds(t *testing.T) {
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 50, Seed: 100})
 	for _, q := range wl.Queries {
 		query := strings.Join(q.Words, " ")
-		got, _ := ix.BroadMatchRewrite(query)
+		got, _ := rewriteMatch(ix, query)
 		var exactOnly []Match
 		for _, m := range got {
 			if m.Info.Type == MatchExact {

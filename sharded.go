@@ -43,7 +43,7 @@ func (s *ShardedIndex) BroadMatch(query string) []Ad {
 
 // BroadMatchCounted is BroadMatch with summed per-shard access accounting.
 func (s *ShardedIndex) BroadMatchCounted(query string, counters *Counters) []Ad {
-	return copyMatches(s.cluster.BroadMatchText(query, counters))
+	return appendAdCopies(nil, s.cluster.BroadMatchText(query, counters))
 }
 
 // Insert routes the ad to its shard.
