@@ -6,10 +6,11 @@
 # failover client), a crash-recovery smoke (kill -9 a churning child,
 # recover, compare against the serial oracle; plus crash-at-every-write
 # snapshot atomicity), a seeded whole-stack simulation smoke under the
-# race detector, a short fuzz run over the corpus text format, and a
-# one-iteration benchmark smoke run, and a vet + test pass over bench/
-# (its own module, which `go test ./...` never compiles, so an API
-# rename here could otherwise break the benchmark unnoticed). The race
+# race detector, short fuzz runs over the corpus text format and the
+# other decoders of foreign bytes, a one-iteration benchmark smoke
+# run, and a vet + test pass over bench/ (its own module, which
+# `go test ./...` never compiles, so an API rename here could otherwise
+# break the benchmark unnoticed). The race
 # pass runs -short so the heavyweight load comparison stays affordable
 # under the detector and the fault-injection latency schedules stay
 # under ~2s.
@@ -106,12 +107,16 @@ cover:
 # Ten seconds of coverage-guided fuzzing each over the corpus text
 # format round-trip property (Read ∘ Write = id on accepted inputs), the
 # bounded-Levenshtein trie walk (walk ≡ naive DP over every stored
-# word), and the columnar signature prefilter (prefiltered scan ≡ naive
-# per-record subset scan under random insert/remove churn).
+# word), the columnar signature prefilter (prefiltered scan ≡ naive
+# per-record subset scan under random insert/remove churn), and the
+# multiserver wire decoders (frame and response readers, ID, metadata,
+# epoch-tag and deadline-tag bodies: no panic, allocation bounded by the
+# input, Decode ∘ Append = id on accepted inputs).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 
 # One iteration of every root benchmark (keeps them compiling and
 # running without timing anything), then the benchmark regression gate

@@ -101,13 +101,17 @@ type ConnStats struct {
 // per-backend circuit breaker makes a dead server cost one timeout
 // rather than one per request. Conn serializes exchanges; it is safe for
 // concurrent use.
+//
+// The socket's reader and buffers are only touched under mu, and a
+// response is decoded — or copied out, for Exchange — before mu is
+// released, so nothing a caller receives aliases them.
 type Conn struct {
 	addr    string
 	opts    ConnOpts
 	breaker *Breaker
 
 	mu     sync.Mutex
-	c      net.Conn
+	sock   *socket // nil when disconnected
 	rng    *rand.Rand
 	dialed bool // the initial eager dial happened
 
@@ -123,7 +127,7 @@ func DialConn(addr string, opts ConnOpts) (*Conn, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.c = conn
+	c.sock = newSocket(conn)
 	c.dialed = true
 	c.mu.Unlock()
 	return c, nil
@@ -162,10 +166,7 @@ func (c *Conn) Stats() ConnStats {
 // Close closes the underlying connection, if any.
 func (c *Conn) Close() {
 	c.mu.Lock()
-	if c.c != nil {
-		c.c.Close()
-		c.c = nil
-	}
+	c.dropLocked()
 	c.mu.Unlock()
 }
 
@@ -173,7 +174,7 @@ func (c *Conn) Close() {
 // retrying on a fresh connection (with backoff) after transport
 // failures. Error frames from the backend return a *ServerError without
 // retrying and without tripping the breaker: the backend is alive, the
-// request is bad.
+// request is bad. The returned slice is the caller's.
 func (c *Conn) Exchange(req []byte) ([]byte, error) {
 	return c.ExchangeDeadline(req, time.Time{})
 }
@@ -185,48 +186,47 @@ func (c *Conn) Exchange(req []byte) ([]byte, error) {
 // whose budget is already gone fails fast with ErrDeadlineExpired
 // without touching the wire. A zero deadline sends the request untagged.
 func (c *Conn) ExchangeDeadline(req []byte, deadline time.Time) ([]byte, error) {
-	if !c.breaker.Allow() {
-		c.fastFails.Add(1)
-		return nil, fmt.Errorf("%w (%s)", ErrBreakerOpen, c.addr)
+	return c.exchangeBytes(req, deadline, false)
+}
+
+// ExchangeIDs is ExchangeDeadline for a request answered by an ID frame
+// (flagged or not): the IDs are decoded straight out of the socket's
+// read buffer and appended to dst, so the reply is never copied as
+// bytes. dst may be nil; it must not be shared with an exchange that
+// can run at the same time.
+func (c *Conn) ExchangeIDs(dst []uint64, req []byte, deadline time.Time) (ids []uint64, flags byte, err error) {
+	var derr error
+	err = c.exchange(deadline, false,
+		func(frame []byte) []byte { return append(frame, req...) },
+		func(body []byte) { ids, flags, derr = appendDecodedIDs(dst, body, true) })
+	if err == nil {
+		err = derr
 	}
-	c.exchanges.Add(1)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		wire := req
-		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return nil, ErrDeadlineExpired
-			}
-			wire = EncodeDeadlineRequest(remaining, req)
-		}
-		resp, err := c.exchangeOnce(wire, deadline)
-		if err == nil {
-			c.breaker.Success()
-			return resp, nil
-		}
-		if isAppLevel(err) {
-			// The backend answered (an error frame, a typed stale-epoch
-			// rejection, or a deadline-expired answer): it is alive, so no
-			// retry and no breaker failure.
-			c.breaker.Success()
-			return nil, err
-		}
-		lastErr = err
-		c.breaker.Failure()
-		if attempt >= c.opts.MaxRetries {
-			break
-		}
-		if !c.breaker.Allow() {
-			// The breaker opened mid-retry (e.g. other goroutines failed
-			// too); stop burning attempts on a dead backend.
-			break
-		}
-		c.retries.Add(1)
-		time.Sleep(c.backoff(attempt))
+	if err != nil {
+		return nil, 0, err
 	}
-	c.failures.Add(1)
-	return nil, fmt.Errorf("multiserver: exchange with %s: %w", c.addr, lastErr)
+	return ids, flags, nil
+}
+
+// ExchangeMeta runs the metadata hop for ids under deadline (zero for
+// none) and returns one record per ID. The ID list is encoded into the
+// socket's write buffer and the records decoded out of its read buffer.
+func (c *Conn) ExchangeMeta(ids []uint64, deadline time.Time) ([]AdMeta, error) {
+	var meta []AdMeta
+	var derr error
+	err := c.exchange(deadline, false,
+		func(frame []byte) []byte { return AppendIDs(frame, ids, 0) },
+		func(body []byte) { meta, derr = appendDecodedMeta([]AdMeta{}, body) })
+	if err == nil {
+		err = derr
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(meta) != len(ids) {
+		return nil, fmt.Errorf("multiserver: %d metadata records for %d ids", len(meta), len(ids))
+	}
+	return meta, nil
 }
 
 // Probe is a single forced attempt against a possibly-open breaker: no
@@ -242,26 +242,63 @@ func (c *Conn) Probe(req []byte) ([]byte, error) {
 // ProbeDeadline is Probe carrying a request deadline on the wire; a
 // zero deadline probes untagged.
 func (c *Conn) ProbeDeadline(req []byte, deadline time.Time) ([]byte, error) {
+	return c.exchangeBytes(req, deadline, true)
+}
+
+// exchangeBytes exchanges raw request bytes for a copy of the response
+// body.
+func (c *Conn) exchangeBytes(req []byte, deadline time.Time, probe bool) ([]byte, error) {
+	var resp []byte
+	err := c.exchange(deadline, probe,
+		func(frame []byte) []byte { return append(frame, req...) },
+		func(body []byte) { resp = append(make([]byte, 0, len(body)), body...) })
+	return resp, err
+}
+
+// exchange is the retry loop behind every exchange and probe: breaker
+// admission (skipped for a probe), then attempts on a fresh connection
+// after each transport failure until one succeeds, the backend answers
+// an application-level error, or the retries (none for a probe) run
+// out. enc appends the request body to the frame under construction and
+// dec consumes the response body; both run under the connection lock,
+// once per attempt and once on success, and see the socket's buffers.
+func (c *Conn) exchange(deadline time.Time, probe bool, enc func(frame []byte) []byte, dec func(body []byte)) error {
+	if !probe && !c.breaker.Allow() {
+		c.fastFails.Add(1)
+		return fmt.Errorf("%w (%s)", ErrBreakerOpen, c.addr)
+	}
 	c.exchanges.Add(1)
-	if !deadline.IsZero() {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, ErrDeadlineExpired
+	var lastErr error
+	for attempt := 0; ; attempt++ {
+		var remaining time.Duration
+		if !deadline.IsZero() {
+			if remaining = time.Until(deadline); remaining <= 0 {
+				return ErrDeadlineExpired
+			}
 		}
-		req = EncodeDeadlineRequest(remaining, req)
+		err := c.exchangeOnce(deadline, remaining, enc, dec)
+		if err == nil || isAppLevel(err) {
+			// The backend answered (a result, an error frame, a typed
+			// stale-epoch rejection, or a deadline-expired answer): it is
+			// alive, so no retry and no breaker failure.
+			c.breaker.Success()
+			return err
+		}
+		lastErr = err
+		c.breaker.Failure()
+		// A breaker that opened mid-retry (other goroutines failed too)
+		// ends the loop: stop burning attempts on a dead backend.
+		if probe || attempt >= c.opts.MaxRetries || !c.breaker.Allow() {
+			break
+		}
+		c.retries.Add(1)
+		time.Sleep(c.backoff(attempt))
 	}
-	resp, err := c.exchangeOnce(req, deadline)
-	if err == nil {
-		c.breaker.Success()
-		return resp, nil
-	}
-	if isAppLevel(err) {
-		c.breaker.Success()
-		return nil, err
-	}
-	c.breaker.Failure()
 	c.failures.Add(1)
-	return nil, fmt.Errorf("multiserver: probe of %s: %w", c.addr, err)
+	if probe {
+		return fmt.Errorf("multiserver: probe of %s: %w", c.addr, lastErr)
+	}
+	return fmt.Errorf("multiserver: exchange with %s: %w", c.addr, lastErr)
 }
 
 // backoff returns the delay before retry attempt+1: RetryBase doubled
@@ -279,51 +316,55 @@ func (c *Conn) backoff(attempt int) time.Duration {
 
 // exchangeOnce runs a single framed round trip under the per-exchange
 // timeout (clamped to the request deadline when one is set), dialing
-// first if there is no live connection.
-func (c *Conn) exchangeOnce(req []byte, reqDeadline time.Time) ([]byte, error) {
+// first if there is no live connection. The socket deadline is set once,
+// before the write; the next exchange overwrites it before it can fire.
+func (c *Conn) exchangeOnce(reqDeadline time.Time, remaining time.Duration, enc func([]byte) []byte, dec func([]byte)) error {
 	deadline := time.Now().Add(c.opts.Timeout)
 	if !reqDeadline.IsZero() && reqDeadline.Before(deadline) {
 		deadline = reqDeadline
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.c == nil {
+	if c.sock == nil {
 		conn, err := net.DialTimeout("tcp", c.addr, time.Until(deadline))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if c.dialed {
 			c.reconnects.Add(1)
 		}
 		c.dialed = true
-		c.c = conn
+		c.sock = newSocket(conn)
 	}
-	c.c.SetDeadline(deadline)
-	if err := writeFrame(c.c, req); err != nil {
+	s := c.sock
+	s.conn.SetDeadline(deadline)
+	frame := s.beginFrame()
+	if !reqDeadline.IsZero() {
+		frame = AppendDeadlineRequest(frame, remaining, nil)
+	}
+	if err := s.writeFrame(enc(frame)); err != nil {
 		c.dropLocked()
-		return nil, err
+		return err
 	}
-	resp, err := readResponse(c.c)
+	body, err := s.fr.readResponse()
 	if err != nil {
-		if isAppLevel(err) {
-			// Application-level error: the stream is still in sync; keep
-			// the connection.
-			c.c.SetDeadline(time.Time{})
-			return nil, err
+		// An application-level error leaves the stream in sync; anything
+		// else may have left half a frame behind.
+		if !isAppLevel(err) {
+			c.dropLocked()
 		}
-		c.dropLocked()
-		return nil, err
+		return err
 	}
-	c.c.SetDeadline(time.Time{})
-	return resp, nil
+	dec(body)
+	return nil
 }
 
-// dropLocked discards the connection after a transport error so the next
-// exchange starts from a clean dial (a half-read frame would desync the
-// stream). Callers hold c.mu.
+// dropLocked discards the connection — and with it the reader and
+// buffers, which may hold half a frame — after a transport error, so the
+// next exchange starts from a clean dial. Callers hold c.mu.
 func (c *Conn) dropLocked() {
-	if c.c != nil {
-		c.c.Close()
-		c.c = nil
+	if c.sock != nil {
+		c.sock.conn.Close()
+		c.sock = nil
 	}
 }

@@ -1,6 +1,7 @@
 package multiserver
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -89,8 +90,8 @@ func TestMalformedFrameFromServer(t *testing.T) {
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	if _, err := readFrame(iotaReader{}); err == nil {
-		t.Error("oversize frame accepted")
+	if _, err := newFrameReader(iotaReader{}).readFrame(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversize frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 

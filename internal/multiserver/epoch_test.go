@@ -14,13 +14,13 @@ type epochBackend struct {
 	ids   []uint64
 }
 
-func (b *epochBackend) MatchIDsAtEpoch(epoch uint64, tagged bool, query string) ([]uint64, error) {
+func (b *epochBackend) AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged bool, query string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if tagged && epoch != b.epoch {
 		return nil, &StaleEpochError{ClientEpoch: epoch, ServerEpoch: b.epoch}
 	}
-	return b.ids, nil
+	return AppendIDs(dst, b.ids, 0), nil
 }
 
 func (b *epochBackend) bump() {

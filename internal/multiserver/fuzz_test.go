@@ -1,0 +1,141 @@
+package multiserver
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"testing"
+	"testing/iotest"
+)
+
+// overflowIDFrame is an ID frame body whose count, 2^29, times 8 wraps
+// to zero in 32-bit arithmetic: four bytes that once passed the length
+// check, reserved 4 GiB and then indexed past the end of the body.
+var overflowIDFrame = []byte{0x20, 0, 0, 0}
+
+func TestIDCountOverflowRejected(t *testing.T) {
+	for _, body := range [][]byte{
+		overflowIDFrame,
+		append(bytes.Clone(overflowIDFrame), IDFlagTruncated), // the flagged arm: n*8+1
+		{0x40, 0, 0, 0}, // 2^30 * 8 wraps as well
+	} {
+		if ids, err := DecodeIDs(body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("DecodeIDs(%x) = %d ids, err %v; want ErrMalformed", body, len(ids), err)
+		}
+		if ids, _, err := DecodeIDsFlags(body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("DecodeIDsFlags(%x) = %d ids, err %v; want ErrMalformed", body, len(ids), err)
+		}
+	}
+}
+
+// drainFrames reads a byte stream to its end as frames and, separately,
+// as responses, returning the payloads of the one and the ok bodies of
+// the other.
+func drainFrames(open func() io.Reader) (frames, bodies [][]byte) {
+	fr := newFrameReader(open())
+	for {
+		p, err := fr.readFrame()
+		if err != nil {
+			break
+		}
+		frames = append(frames, bytes.Clone(p))
+	}
+	fr = newFrameReader(open())
+	for {
+		p, err := fr.readResponse()
+		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrFrameTooLarge) {
+			break // the stream ended or lost sync, as a connection would
+		}
+		// Anything else — a typed answer, an unknown status — arrived as
+		// a whole frame, and the stream continues behind it.
+		if err == nil {
+			bodies = append(bodies, bytes.Clone(p))
+		}
+	}
+	return frames, bodies
+}
+
+// FuzzFrameDecoders feeds arbitrary bytes to everything that parses what
+// a peer sent: the frame and response readers (whole and a byte at a
+// time), and the ID, metadata, epoch-tag and deadline-tag decoders. None
+// may panic, none may allocate more than a constant times the input
+// (plus the reader's fixed buffers), and whatever a decoder accepts must
+// survive Append and a second Decode unchanged.
+func FuzzFrameDecoders(f *testing.F) {
+	frame := func(payload []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	f.Add(overflowIDFrame)
+	f.Add(frame(append([]byte{statusOK}, overflowIDFrame...)))
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))   // largest legal header, nothing behind it
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1)) // one past the cap
+	f.Add(frame(append([]byte{statusOK}, EncodeIDsFlags([]uint64{1, 99, 1 << 40}, IDFlagCutoff)...)))
+	f.Add(frame(appendErrorResponse(nil, &StaleEpochError{ClientEpoch: 3, ServerEpoch: 4})))
+	f.Add(append(frame(appendErrorResponse(nil, errors.New("boom"))), frame([]byte{statusExpired})...))
+	f.Add(EncodeIDs([]uint64{7}))
+	f.Add(AppendMeta(nil, []AdMeta{{BidMicros: -5, ClickRate: 9}}))
+	f.Add(EncodeEpochRequest(42, []byte("cheap flights")))
+	f.Add(EncodeDeadlineRequest(1500, EncodeEpochRequest(7, []byte("q"))))
+	f.Add([]byte{deadlineReqMagic, 1, 2})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+
+		whole, wholeBodies := drainFrames(func() io.Reader { return bytes.NewReader(data) })
+		slow, slowBodies := drainFrames(func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) })
+		if !reflect.DeepEqual(whole, slow) || !reflect.DeepEqual(wholeBodies, slowBodies) {
+			t.Fatalf("segmentation changed the frames: %d/%d whole, %d/%d a byte at a time",
+				len(whole), len(wholeBodies), len(slow), len(slowBodies))
+		}
+
+		if ids, flags, err := DecodeIDsFlags(data); err == nil {
+			again, flags2, err := DecodeIDsFlags(AppendIDs(nil, ids, flags))
+			if err != nil || flags2 != flags || !reflect.DeepEqual(again, ids) {
+				t.Fatalf("ID frame round trip: %v/%#x -> %v/%#x, err %v", ids, flags, again, flags2, err)
+			}
+			if len(ids) > len(data)/8 {
+				t.Fatalf("%d ids out of %d bytes", len(ids), len(data))
+			}
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("DecodeIDsFlags: untyped error %v", err)
+		}
+		if ids, err := DecodeIDs(data); err == nil {
+			if !bytes.Equal(EncodeIDs(ids), data) {
+				t.Fatalf("unflagged ID frame is not canonical: %x", data)
+			}
+		}
+		if meta, err := DecodeMeta(data); err == nil {
+			if !bytes.Equal(AppendMeta(nil, meta), data) {
+				t.Fatalf("metadata frame is not canonical: %x", data)
+			}
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("DecodeMeta: untyped error %v", err)
+		}
+		if epoch, body, tagged, err := DecodeEpochRequest(data); err == nil && tagged {
+			if !bytes.Equal(EncodeEpochRequest(epoch, body), data) {
+				t.Fatalf("epoch request is not canonical: %x", data)
+			}
+		} else if err == nil && !bytes.Equal(body, data) {
+			t.Fatalf("untagged request lost bytes")
+		}
+		if remaining, body, tagged, err := DecodeDeadlineRequest(data); err == nil && tagged {
+			r2, b2, _, err := DecodeDeadlineRequest(EncodeDeadlineRequest(remaining, body))
+			if err != nil || r2 != remaining || !bytes.Equal(b2, body) {
+				t.Fatalf("deadline request round trip: %v %x -> %v %x, err %v", remaining, body, r2, b2, err)
+			}
+		}
+
+		runtime.ReadMemStats(&after)
+		// Four readers with their fixed buffers and at most one growth
+		// chunk each, the clones and re-encodings above, and the fuzz
+		// worker's own bookkeeping.
+		const fixed = 4*(readBufSize+2*growChunk) + 1<<20
+		if spent, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+fixed); spent > limit {
+			t.Fatalf("%d input bytes cost %d allocated bytes, limit %d", len(data), spent, limit)
+		}
+	})
+}

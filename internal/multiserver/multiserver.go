@@ -10,13 +10,18 @@
 // latency standing in for wire delay; the load driver is closed-loop with
 // a fixed worker pool, measuring end-to-end latency per request in the
 // 5 ms buckets of Figure 9.
+//
+// The transport (frame.go) is built so that it does not itself become the
+// network cost the experiment is about: a frame is assembled whole in its
+// socket's write buffer and sent in one Write, and read through the
+// socket's bufio.Reader and decoded in place; see the framing rule there
+// for who owns those buffers and what a caller may keep.
 package multiserver
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,6 +29,7 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
+	"adindex/internal/textnorm"
 	"adindex/internal/workload"
 )
 
@@ -40,7 +46,9 @@ type CoreBackend struct{ Index *core.Index }
 
 // MatchIDs implements Backend.
 func (b CoreBackend) MatchIDs(query string) []uint64 {
-	matches := b.Index.BroadMatchText(query, nil)
+	sc := GetMatchScratch()
+	defer sc.Release()
+	matches := sc.BroadMatch(b.Index, query)
 	ids := make([]uint64, len(matches))
 	for i, m := range matches {
 		ids[i] = m.ID
@@ -48,20 +56,47 @@ func (b CoreBackend) MatchIDs(query string) []uint64 {
 	return ids
 }
 
-// Frame protocol: 4-byte big-endian length, then payload. Request frames
-// carry the raw request body. Response frames carry a status byte first:
-// statusOK followed by the response body, or statusError followed by a
-// UTF-8 error message. The status byte is what lets a client distinguish
-// a legitimately empty response from a server-side failure — without it,
-// an error encoded as a zero-length frame is indistinguishable from a
-// valid empty metadata response.
+// appendMatchIDs is MatchIDs appending an ID frame body to dst.
+func (b CoreBackend) appendMatchIDs(dst []byte, query string) []byte {
+	sc := GetMatchScratch()
+	defer sc.Release()
+	return AppendAdIDs(dst, sc.BroadMatch(b.Index, query), 0)
+}
 
-const (
-	statusOK         = 0x00
-	statusError      = 0x01
-	statusStaleEpoch = 0x02
-	statusExpired    = 0x03
-)
+// MatchScratch holds the reusable buffers of one broad-match request
+// against a core.Index — the query's word set, the enumeration scratch
+// and the match list — so a backend serving from an index allocates
+// nothing per request once its scratches are warm. Get one per request
+// and Release it when the matches have been encoded.
+type MatchScratch struct {
+	words   []string
+	core    core.Scratch
+	matches []*corpus.Ad
+}
+
+var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
+
+// GetMatchScratch takes a scratch from the pool.
+func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScratch) }
+
+// BroadMatch returns the ads of ix broad-matching the raw query text,
+// ID-ordered. The slice belongs to the scratch (the caller may reorder or
+// shorten it) and the records to the index: both are valid until Release
+// or the index's next mutation, whichever comes first.
+func (sc *MatchScratch) BroadMatch(ix *core.Index, query string) []*corpus.Ad {
+	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
+	sc.matches = ix.AppendBroadMatch(sc.matches[:0], sc.words, nil, &sc.core)
+	return sc.matches
+}
+
+// Release returns the scratch to the pool with every reference into the
+// query text and the index cleared, so a pooled scratch pins neither.
+func (sc *MatchScratch) Release() {
+	clear(sc.words[:cap(sc.words)])
+	sc.core.Reset()
+	clear(sc.matches[:cap(sc.matches)])
+	matchScratchPool.Put(sc)
+}
 
 // ErrDeadlineExpired is the typed response for a request whose wire
 // deadline had already passed when the server picked it up (or that a
@@ -107,154 +142,6 @@ func (e *StaleEpochError) Error() string {
 // Is matches ErrStaleEpoch so callers can test with errors.Is.
 func (e *StaleEpochError) Is(target error) bool { return target == ErrStaleEpoch }
 
-// epochReqMagic prefixes epoch-tagged requests. Plain query texts are
-// normalized words and never start with this byte, so an epoch-checking
-// server can also serve untagged legacy requests unchecked.
-const epochReqMagic = 0xEB
-
-// EncodeEpochRequest tags a request body with the client's routing
-// epoch: magic byte, 8-byte big-endian epoch, body.
-func EncodeEpochRequest(epoch uint64, body []byte) []byte {
-	buf := make([]byte, 9+len(body))
-	buf[0] = epochReqMagic
-	binary.BigEndian.PutUint64(buf[1:9], epoch)
-	copy(buf[9:], body)
-	return buf
-}
-
-// DecodeEpochRequest splits an epoch-tagged request into epoch and body,
-// reporting tagged=false for legacy untagged requests.
-func DecodeEpochRequest(req []byte) (epoch uint64, body []byte, tagged bool, err error) {
-	if len(req) == 0 || req[0] != epochReqMagic {
-		return 0, req, false, nil
-	}
-	if len(req) < 9 {
-		return 0, nil, true, fmt.Errorf("multiserver: epoch request of %d bytes shorter than its 9-byte header", len(req))
-	}
-	return binary.BigEndian.Uint64(req[1:9]), req[9:], true, nil
-}
-
-// deadlineReqMagic prefixes deadline-tagged requests: magic byte,
-// 8-byte big-endian remaining budget in microseconds, body. The budget
-// is relative (time remaining), not an absolute timestamp, so it
-// survives clock skew between front end and backend. Deadline tagging
-// composes outermost: the body may itself be an epoch-tagged request.
-// Plain query texts are normalized words and never start with this
-// byte, so servers serve untagged legacy requests unchanged.
-const deadlineReqMagic = 0xDB
-
-// EncodeDeadlineRequest tags a request body with the remaining time
-// budget. Non-positive remaining still encodes (as zero), letting a
-// server answer statusExpired rather than guess.
-func EncodeDeadlineRequest(remaining time.Duration, body []byte) []byte {
-	us := remaining.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	buf := make([]byte, 9+len(body))
-	buf[0] = deadlineReqMagic
-	binary.BigEndian.PutUint64(buf[1:9], uint64(us))
-	copy(buf[9:], body)
-	return buf
-}
-
-// DecodeDeadlineRequest splits a deadline-tagged request into the
-// remaining budget and body, reporting tagged=false for untagged
-// requests.
-func DecodeDeadlineRequest(req []byte) (remaining time.Duration, body []byte, tagged bool, err error) {
-	if len(req) == 0 || req[0] != deadlineReqMagic {
-		return 0, req, false, nil
-	}
-	if len(req) < 9 {
-		return 0, nil, true, fmt.Errorf("multiserver: deadline request of %d bytes shorter than its 9-byte header", len(req))
-	}
-	return time.Duration(binary.BigEndian.Uint64(req[1:9])) * time.Microsecond, req[9:], true, nil
-}
-
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > 1<<24 {
-		return nil, fmt.Errorf("multiserver: frame of %d bytes too large", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// writeResponse frames a handler result with its status byte. A
-// *StaleEpochError becomes a typed stale-epoch frame carrying both
-// epochs; any other handler error becomes a generic error frame.
-func writeResponse(w io.Writer, body []byte, herr error) error {
-	var stale *StaleEpochError
-	if errors.As(herr, &stale) {
-		buf := make([]byte, 17)
-		buf[0] = statusStaleEpoch
-		binary.BigEndian.PutUint64(buf[1:9], stale.ClientEpoch)
-		binary.BigEndian.PutUint64(buf[9:17], stale.ServerEpoch)
-		return writeFrame(w, buf)
-	}
-	if errors.Is(herr, ErrDeadlineExpired) {
-		return writeFrame(w, []byte{statusExpired})
-	}
-	if herr != nil {
-		msg := herr.Error()
-		buf := make([]byte, 1+len(msg))
-		buf[0] = statusError
-		copy(buf[1:], msg)
-		return writeFrame(w, buf)
-	}
-	buf := make([]byte, 1+len(body))
-	buf[0] = statusOK
-	copy(buf[1:], body)
-	return writeFrame(w, buf)
-}
-
-// readResponse reads a response frame and decodes its status byte,
-// returning the body for ok frames and a *ServerError for error frames.
-func readResponse(r io.Reader) ([]byte, error) {
-	payload, err := readFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) == 0 {
-		return nil, errors.New("multiserver: response frame missing status byte")
-	}
-	switch payload[0] {
-	case statusOK:
-		return payload[1:], nil
-	case statusError:
-		return nil, &ServerError{Msg: string(payload[1:])}
-	case statusStaleEpoch:
-		if len(payload) != 17 {
-			return nil, fmt.Errorf("multiserver: stale-epoch frame of %d bytes, want 17", len(payload))
-		}
-		return nil, &StaleEpochError{
-			ClientEpoch: binary.BigEndian.Uint64(payload[1:9]),
-			ServerEpoch: binary.BigEndian.Uint64(payload[9:17]),
-		}
-	case statusExpired:
-		return nil, ErrDeadlineExpired
-	default:
-		return nil, fmt.Errorf("multiserver: unknown response status 0x%02x", payload[0])
-	}
-}
-
 // ServeOpts configures a Server.
 type ServeOpts struct {
 	// Latency is the injected per-request wire delay.
@@ -270,7 +157,7 @@ type ServeOpts struct {
 // latency and service-time accounting.
 type Server struct {
 	ln      net.Listener
-	handler DeadlineHandler
+	handler appendHandler
 	latency time.Duration
 	cpu     chan struct{} // nil = unlimited
 
@@ -287,8 +174,16 @@ type Server struct {
 
 // DeadlineHandler answers one request under an optional wire deadline:
 // has reports whether the request carried a deadline tag, and deadline
-// is the absolute local time the remaining budget translates to.
+// is the absolute local time the remaining budget translates to. req
+// aliases the connection's read buffer and must not be retained past
+// the call.
 type DeadlineHandler func(req []byte, deadline time.Time, has bool) ([]byte, error)
+
+// appendHandler is the form every handler runs in: it appends the
+// response body to dst — the connection's frame under construction — and
+// returns the extended slice, so the body is written where it is sent
+// from. On error whatever it appended is discarded.
+type appendHandler func(dst, req []byte, deadline time.Time, has bool) ([]byte, error)
 
 // Serve starts a server on addr (use "127.0.0.1:0" for an ephemeral port).
 // Each request frame is answered by handler(payload) after sleeping the
@@ -297,7 +192,8 @@ type DeadlineHandler func(req []byte, deadline time.Time, has bool) ([]byte, err
 // on incoming requests are honored at the transport layer (an expired
 // request is answered statusExpired without running the handler) but
 // not passed through; handlers that want to stop work early use
-// ServeDeadline.
+// ServeDeadline. The payload aliases the connection's read buffer and
+// must not be retained past the call.
 func Serve(addr string, opts ServeOpts, handler func([]byte) ([]byte, error)) (*Server, error) {
 	return ServeDeadline(addr, opts, func(req []byte, _ time.Time, _ bool) ([]byte, error) {
 		return handler(req)
@@ -308,17 +204,29 @@ func Serve(addr string, opts ServeOpts, handler func([]byte) ([]byte, error)) (*
 // deadline, when the request carries one, is decoded and handed to the
 // handler so backends can budget their enumeration against it.
 func ServeDeadline(addr string, opts ServeOpts, handler DeadlineHandler) (*Server, error) {
+	return serve(addr, opts, func(dst, req []byte, deadline time.Time, has bool) ([]byte, error) {
+		resp, err := handler(req, deadline, has)
+		return append(dst, resp...), err
+	})
+}
+
+func serve(addr string, opts ServeOpts, handler appendHandler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return serveOn(ln, opts, handler), nil
+}
+
+// serveOn starts a server on a listener it takes ownership of.
+func serveOn(ln net.Listener, opts ServeOpts, handler appendHandler) *Server {
 	s := &Server{ln: ln, handler: handler, latency: opts.Latency, conns: make(map[net.Conn]struct{})}
 	if opts.MaxConcurrent > 0 {
 		s.cpu = make(chan struct{}, opts.MaxConcurrent)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listening address.
@@ -389,6 +297,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// handleConn serves one connection: read a frame, build the response in
+// the socket's write buffer, send it in one Write.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -397,47 +307,45 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	sock := newSocket(conn)
 	for {
-		req, err := readFrame(conn)
+		req, err := sock.fr.readFrame()
 		if err != nil {
 			return
 		}
 		if s.latency > 0 {
 			time.Sleep(s.latency)
 		}
-		remaining, body, tagged, derr := DecodeDeadlineRequest(req)
-		if derr != nil {
-			atomic.AddInt64(&s.requests, 1)
-			if err := writeResponse(conn, nil, derr); err != nil {
-				return
-			}
-			continue
-		}
-		if tagged && remaining <= 0 {
+		frame := sock.beginFrame()
+		var resp []byte
+		remaining, body, tagged, herr := DecodeDeadlineRequest(req)
+		switch {
+		case herr != nil:
+		case tagged && remaining <= 0:
 			// The front end's budget is gone: don't burn a CPU slot
 			// enumerating for an abandoned query.
 			atomic.AddInt64(&s.expired, 1)
-			atomic.AddInt64(&s.requests, 1)
-			if err := writeResponse(conn, nil, ErrDeadlineExpired); err != nil {
-				return
+			herr = ErrDeadlineExpired
+		default:
+			var deadline time.Time
+			if tagged {
+				deadline = time.Now().Add(remaining)
 			}
-			continue
-		}
-		var deadline time.Time
-		if tagged {
-			deadline = time.Now().Add(remaining)
-		}
-		if s.cpu != nil {
-			s.cpu <- struct{}{}
-		}
-		start := time.Now()
-		resp, herr := s.callHandler(body, deadline, tagged)
-		atomic.AddInt64(&s.busyNanos, time.Since(start).Nanoseconds())
-		if s.cpu != nil {
-			<-s.cpu
+			if s.cpu != nil {
+				s.cpu <- struct{}{}
+			}
+			start := time.Now()
+			resp, herr = s.callHandler(append(frame, statusOK), body, deadline, tagged)
+			atomic.AddInt64(&s.busyNanos, time.Since(start).Nanoseconds())
+			if s.cpu != nil {
+				<-s.cpu
+			}
 		}
 		atomic.AddInt64(&s.requests, 1)
-		if err := writeResponse(conn, resp, herr); err != nil {
+		if herr != nil {
+			resp = appendErrorResponse(frame, herr)
+		}
+		if err := sock.writeFrame(resp); err != nil {
 			return
 		}
 	}
@@ -447,14 +355,14 @@ func (s *Server) handleConn(conn net.Conn) {
 // handler — a poison query, a corrupt index path — becomes a typed
 // *ServerError frame on this connection instead of killing the whole
 // process and every other query in flight.
-func (s *Server) callHandler(body []byte, deadline time.Time, tagged bool) (resp []byte, herr error) {
+func (s *Server) callHandler(dst, body []byte, deadline time.Time, tagged bool) (resp []byte, herr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			atomic.AddInt64(&s.panics, 1)
 			resp, herr = nil, &ServerError{Msg: fmt.Sprintf("handler panic: %v", r)}
 		}
 	}()
-	return s.handler(body, deadline, tagged)
+	return s.handler(dst, body, deadline, tagged)
 }
 
 // Panics returns the number of handler panics contained into error
@@ -464,100 +372,6 @@ func (s *Server) Panics() int64 { return atomic.LoadInt64(&s.panics) }
 // Expired returns the number of requests answered statusExpired without
 // running the handler (their wire deadline had already passed).
 func (s *Server) Expired() int64 { return atomic.LoadInt64(&s.expired) }
-
-// encodeIDs/decodeIDs serialize ID lists for the index-server response and
-// the ad-server request.
-func encodeIDs(ids []uint64) []byte {
-	buf := make([]byte, 4+8*len(ids))
-	binary.BigEndian.PutUint32(buf, uint32(len(ids)))
-	for i, id := range ids {
-		binary.BigEndian.PutUint64(buf[4+8*i:], id)
-	}
-	return buf
-}
-
-func decodeIDs(data []byte) ([]uint64, error) {
-	if len(data) < 4 {
-		return nil, errors.New("multiserver: short ID frame")
-	}
-	n := binary.BigEndian.Uint32(data)
-	if uint32(len(data)-4) != n*8 {
-		return nil, fmt.Errorf("multiserver: ID frame length mismatch: %d ids, %d bytes", n, len(data)-4)
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = binary.BigEndian.Uint64(data[4+8*i:])
-	}
-	return ids, nil
-}
-
-// Result flags carried in the optional trailing byte of an ID frame.
-const (
-	// IDFlagTruncated marks a partial result: the backend's cost budget
-	// or deadline exhausted mid-enumeration, and the IDs are a correct
-	// subset of the full match set.
-	IDFlagTruncated = 1 << 0
-	// IDFlagCutoff marks the static MaxQueryWords cutoff: query words
-	// were dropped before enumeration, which may lose matches.
-	IDFlagCutoff = 1 << 1
-)
-
-// encodeIDsFlags appends a trailing flags byte to the ID frame only
-// when flags is non-zero, so the unflagged encoding stays byte-for-byte
-// identical to the legacy format (and legacy decodeIDs keeps accepting
-// it).
-func encodeIDsFlags(ids []uint64, flags byte) []byte {
-	if flags == 0 {
-		return encodeIDs(ids)
-	}
-	buf := make([]byte, 4+8*len(ids)+1)
-	binary.BigEndian.PutUint32(buf, uint32(len(ids)))
-	for i, id := range ids {
-		binary.BigEndian.PutUint64(buf[4+8*i:], id)
-	}
-	buf[len(buf)-1] = flags
-	return buf
-}
-
-// decodeIDsFlags parses an ID frame with or without the trailing flags
-// byte.
-func decodeIDsFlags(data []byte) ([]uint64, byte, error) {
-	if len(data) < 4 {
-		return nil, 0, errors.New("multiserver: short ID frame")
-	}
-	n := binary.BigEndian.Uint32(data)
-	var flags byte
-	switch uint32(len(data) - 4) {
-	case n * 8:
-	case n*8 + 1:
-		flags = data[len(data)-1]
-	default:
-		return nil, 0, fmt.Errorf("multiserver: ID frame length mismatch: %d ids, %d bytes", n, len(data)-4)
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = binary.BigEndian.Uint64(data[4+8*i:])
-	}
-	return ids, flags, nil
-}
-
-// EncodeIDs, DecodeIDs, and DecodeMeta expose the wire encodings for
-// clients that speak the protocol directly (e.g. internal/shard).
-func EncodeIDs(ids []uint64) []byte { return encodeIDs(ids) }
-
-// EncodeIDsFlags is EncodeIDs with result flags; zero flags produce the
-// legacy unflagged encoding.
-func EncodeIDsFlags(ids []uint64, flags byte) []byte { return encodeIDsFlags(ids, flags) }
-
-// DecodeIDs parses an ID-list frame body.
-func DecodeIDs(data []byte) ([]uint64, error) { return decodeIDs(data) }
-
-// DecodeIDsFlags parses an ID-list frame body, tolerating (and
-// returning) the optional trailing flags byte.
-func DecodeIDsFlags(data []byte) ([]uint64, byte, error) { return decodeIDsFlags(data) }
-
-// DecodeMeta parses a metadata frame body.
-func DecodeMeta(data []byte) ([]AdMeta, error) { return decodeMeta(data) }
 
 // BudgetBackend is the deadline-aware extension of Backend: the wire
 // deadline (when the request carries one) bounds the enumeration, and
@@ -573,15 +387,20 @@ type BudgetBackend interface {
 // NewIndexServer starts the index server: requests are query texts,
 // responses are matching ad ID lists. A backend that also implements
 // BudgetBackend receives the wire deadline and its result flags ride
-// back in the ID frame.
+// back in the ID frame; a CoreBackend writes its IDs straight into the
+// response frame.
 func NewIndexServer(addr string, opts ServeOpts, backend Backend) (*Server, error) {
 	bb, budgeted := backend.(BudgetBackend)
-	return ServeDeadline(addr, opts, func(req []byte, deadline time.Time, has bool) ([]byte, error) {
-		if budgeted {
+	cb, direct := backend.(CoreBackend)
+	return serve(addr, opts, func(dst, req []byte, deadline time.Time, has bool) ([]byte, error) {
+		switch {
+		case budgeted:
 			ids, flags := bb.MatchIDsBudget(string(req), deadline, has)
-			return encodeIDsFlags(ids, flags), nil
+			return AppendIDs(dst, ids, flags), nil
+		case direct:
+			return cb.appendMatchIDs(dst, string(req)), nil
 		}
-		return encodeIDs(backend.MatchIDs(string(req))), nil
+		return AppendIDs(dst, backend.MatchIDs(string(req)), 0), nil
 	})
 }
 
@@ -590,76 +409,30 @@ func NewIndexServer(addr string, opts ServeOpts, backend Backend) (*Server, erro
 // (under whatever lock protects its routing state) and return a
 // *StaleEpochError when a tagged epoch is out of date.
 type EpochBackend interface {
-	// MatchIDsAtEpoch returns the matching ad IDs for query. With tagged
-	// set, the request carried epoch and must be rejected with a
-	// *StaleEpochError if it differs from the backend's current routing
-	// epoch; untagged requests are served unchecked.
-	MatchIDsAtEpoch(epoch uint64, tagged bool, query string) ([]uint64, error)
+	// AppendMatchIDsAtEpoch appends the matching ad IDs for query to dst
+	// as an ID frame body (AppendIDs, AppendAdIDs); dst is the response
+	// frame under construction. With tagged set, the request carried
+	// epoch and must be rejected with a *StaleEpochError if it differs
+	// from the backend's current routing epoch; untagged requests are
+	// served unchecked.
+	AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged bool, query string) ([]byte, error)
 }
 
 // NewEpochIndexServer starts an index server that participates in
-// versioned routing: epoch-tagged requests (EncodeEpochRequest) are
+// versioned routing: epoch-tagged requests (AppendEpochRequest) are
 // answered only under a matching routing epoch — otherwise the client
 // gets a typed *StaleEpochError frame telling it to refresh its routing
 // table and retry. Untagged requests are served unchecked, so legacy
 // clients keep working against an elastic deployment (at the cost of
 // missing post-cutover rebalances).
 func NewEpochIndexServer(addr string, opts ServeOpts, backend EpochBackend) (*Server, error) {
-	eb, budgeted := backend.(EpochBudgetBackend)
-	return ServeDeadline(addr, opts, func(req []byte, deadline time.Time, has bool) ([]byte, error) {
+	return serve(addr, opts, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
 		reqEpoch, body, tagged, err := DecodeEpochRequest(req)
 		if err != nil {
 			return nil, err
 		}
-		if budgeted {
-			ids, flags, err := eb.MatchIDsAtEpochBudget(reqEpoch, tagged, string(body), deadline, has)
-			if err != nil {
-				return nil, err
-			}
-			return encodeIDsFlags(ids, flags), nil
-		}
-		ids, err := backend.MatchIDsAtEpoch(reqEpoch, tagged, string(body))
-		if err != nil {
-			return nil, err
-		}
-		return encodeIDs(ids), nil
+		return backend.AppendMatchIDsAtEpoch(dst, reqEpoch, tagged, string(body))
 	})
-}
-
-// EpochBudgetBackend is the deadline-aware extension of EpochBackend,
-// mirroring BudgetBackend for epoch-checked deployments.
-type EpochBudgetBackend interface {
-	MatchIDsAtEpochBudget(epoch uint64, tagged bool, query string, deadline time.Time, has bool) ([]uint64, byte, error)
-}
-
-// AdMeta is the fixed-width per-ad metadata record served by the ad
-// server (zeroes for unknown IDs).
-type AdMeta struct {
-	BidMicros int64
-	ClickRate uint16
-}
-
-const adMetaBytes = 10
-
-func encodeMeta(meta []AdMeta) []byte {
-	buf := make([]byte, adMetaBytes*len(meta))
-	for i, m := range meta {
-		binary.BigEndian.PutUint64(buf[adMetaBytes*i:], uint64(m.BidMicros))
-		binary.BigEndian.PutUint16(buf[adMetaBytes*i+8:], m.ClickRate)
-	}
-	return buf
-}
-
-func decodeMeta(data []byte) ([]AdMeta, error) {
-	if len(data)%adMetaBytes != 0 {
-		return nil, fmt.Errorf("multiserver: metadata frame of %d bytes not a record multiple", len(data))
-	}
-	meta := make([]AdMeta, len(data)/adMetaBytes)
-	for i := range meta {
-		meta[i].BidMicros = int64(binary.BigEndian.Uint64(data[adMetaBytes*i:]))
-		meta[i].ClickRate = binary.BigEndian.Uint16(data[adMetaBytes*i+8:])
-	}
-	return meta, nil
 }
 
 // NewAdServer starts the metadata server: requests are ad ID lists,
@@ -672,18 +445,19 @@ func NewAdServer(addr string, opts ServeOpts, ads []corpus.Ad) (*Server, error) 
 	for i := range ads {
 		byID[ads[i].ID] = &ads[i]
 	}
-	return Serve(addr, opts, func(req []byte) ([]byte, error) {
-		ids, err := decodeIDs(req)
+	return serve(addr, opts, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
+		n, _, err := idFrameCount(req, false)
 		if err != nil {
 			return nil, err
 		}
-		meta := make([]AdMeta, len(ids))
-		for i, id := range ids {
-			if ad, ok := byID[id]; ok {
-				meta[i] = AdMeta{BidMicros: ad.Meta.BidMicros, ClickRate: ad.Meta.ClickRate}
+		for ids := req[4:]; n > 0; n, ids = n-1, ids[8:] {
+			var m AdMeta
+			if ad, ok := byID[binary.BigEndian.Uint64(ids)]; ok {
+				m = AdMeta{BidMicros: ad.Meta.BidMicros, ClickRate: ad.Meta.ClickRate}
 			}
+			dst = appendMetaRecord(dst, m)
 		}
-		return encodeMeta(meta), nil
+		return dst, nil
 	})
 }
 
@@ -734,23 +508,12 @@ func (c *Client) QueryIDs(query string) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeIDs(resp)
+	return DecodeIDs(resp)
 }
 
 // FetchMeta runs the metadata hop for ids, returning one record per ID.
 func (c *Client) FetchMeta(ids []uint64) ([]AdMeta, error) {
-	resp, err := c.ad.Exchange(encodeIDs(ids))
-	if err != nil {
-		return nil, err
-	}
-	meta, err := decodeMeta(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) != len(ids) {
-		return nil, fmt.Errorf("multiserver: %d metadata records for %d ids", len(meta), len(ids))
-	}
-	return meta, nil
+	return c.ad.ExchangeMeta(ids, time.Time{})
 }
 
 // Query runs one end-to-end retrieval and returns the matching ad IDs.

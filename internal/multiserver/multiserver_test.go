@@ -32,21 +32,21 @@ func (b InvertedBackend) MatchIDs(query string) []uint64 {
 
 func TestFrameRoundTrip(t *testing.T) {
 	ids := []uint64{1, 99, 1 << 40}
-	back, err := decodeIDs(encodeIDs(ids))
+	back, err := DecodeIDs(EncodeIDs(ids))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, ids) {
 		t.Fatalf("round trip: %v", back)
 	}
-	empty, err := decodeIDs(encodeIDs(nil))
+	empty, err := DecodeIDs(EncodeIDs(nil))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty round trip: %v %v", empty, err)
 	}
-	if _, err := decodeIDs([]byte{1, 2}); err == nil {
+	if _, err := DecodeIDs([]byte{1, 2}); err == nil {
 		t.Error("short frame accepted")
 	}
-	if _, err := decodeIDs([]byte{0, 0, 0, 2, 1}); err == nil {
+	if _, err := DecodeIDs([]byte{0, 0, 0, 2, 1}); err == nil {
 		t.Error("mismatched frame accepted")
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -257,25 +258,27 @@ func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 	return found
 }
 
-// matchShardLocked runs one query against shard position id with the
-// ownership filter applied, under the caller's read lock.
-func (ec *ElasticCluster) matchShardLocked(id int, query string) []uint64 {
+// ownedMatchesLocked runs one query against shard position id with the
+// ownership filter applied, under the caller's read lock. The matches
+// live in sc and reference the shard's records: the caller consumes
+// them before it releases either the scratch or the lock.
+func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id int, query string) []*corpus.Ad {
 	if id < 0 || id >= len(ec.shards) {
 		return nil
 	}
-	matches := ec.shards[id].BroadMatchText(query, nil)
-	ids := make([]uint64, 0, len(matches))
+	matches := sc.BroadMatch(ec.shards[id], query)
+	owned := matches[:0]
 	for _, m := range matches {
 		// Ownership filter: a physical copy answers only from the shard
 		// that owns its slot under the table this query runs against.
 		if ec.table.OwnerOf(m.Words) == id {
-			ids = append(ids, m.ID)
+			owned = append(owned, m)
 		}
 	}
-	if len(ids) > 0 {
-		ec.loads[id].Add(uint64(len(ids)))
+	if len(owned) > 0 {
+		ec.loads[id].Add(uint64(len(owned)))
 	}
-	return ids
+	return owned
 }
 
 // MatchIDs fans the query out to every active shard and returns the
@@ -283,11 +286,15 @@ func (ec *ElasticCluster) matchShardLocked(id int, query string) []uint64 {
 func (ec *ElasticCluster) MatchIDs(query string) []uint64 {
 	ec.mu.RLock()
 	defer ec.mu.RUnlock()
+	sc := multiserver.GetMatchScratch()
+	defer sc.Release()
 	var out []uint64
 	for _, id := range ec.table.ActiveShards() {
-		out = append(out, ec.matchShardLocked(id, query)...)
+		for _, m := range ec.ownedMatchesLocked(sc, id, query) {
+			out = append(out, m.ID)
+		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -316,14 +323,17 @@ type shardBackend struct {
 	id int
 }
 
-// MatchIDsAtEpoch implements multiserver.EpochBackend.
-func (b shardBackend) MatchIDsAtEpoch(epoch uint64, tagged bool, query string) ([]uint64, error) {
+// AppendMatchIDsAtEpoch implements multiserver.EpochBackend: the owned
+// matches' IDs go from the shard's records into the response frame.
+func (b shardBackend) AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged bool, query string) ([]byte, error) {
 	b.ec.mu.RLock()
 	defer b.ec.mu.RUnlock()
 	if tagged && epoch != b.ec.table.Epoch {
 		return nil, &multiserver.StaleEpochError{ClientEpoch: epoch, ServerEpoch: b.ec.table.Epoch}
 	}
-	return b.ec.matchShardLocked(b.id, query), nil
+	sc := multiserver.GetMatchScratch()
+	defer sc.Release()
+	return multiserver.AppendAdIDs(dst, b.ec.ownedMatchesLocked(sc, b.id, query), 0), nil
 }
 
 // ElasticServing is a set of TCP index servers fronting an
@@ -817,14 +827,6 @@ func (ec *ElasticCluster) SuggestSplit() int {
 		}
 	}
 	return best
-}
-
-func sortIDs(ids []uint64) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 func sortAdsByID(ads []corpus.Ad) {

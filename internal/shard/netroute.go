@@ -23,6 +23,7 @@ import (
 type routeState struct {
 	route  *Route
 	shards []*replicaSet
+	active []int // route.Table.ActiveShards(), computed once per route
 }
 
 // maxEpochRefreshes bounds refresh-and-retry rounds per query, so a
@@ -73,11 +74,11 @@ func (nc *NetClient) Epoch() uint64 {
 
 // runRouted fans the query out under the current routing table,
 // refreshing and retrying on stale-epoch rejections.
-func (nc *NetClient) runRouted(query string, deadline time.Time, partial bool) (*Result, error) {
+func (nc *NetClient) runRouted(sc *fanScratch, query string, deadline time.Time, partial bool) (*Result, error) {
 	for refresh := 0; ; refresh++ {
 		st := nc.route.Load()
-		req := multiserver.EncodeEpochRequest(st.route.Table.Epoch, []byte(query))
-		res, err := nc.fanOut(st.shards, st.route.Table.ActiveShards(), req, deadline, partial)
+		sc.req = append(multiserver.AppendEpochRequest(sc.req[:0], st.route.Table.Epoch, nil), query...)
+		res, err := nc.fanOut(sc, st.shards, st.active, deadline, partial)
 		if err == nil || !errors.Is(err, multiserver.ErrStaleEpoch) {
 			return res, err
 		}
@@ -112,7 +113,7 @@ func (nc *NetClient) refreshRoute() error {
 		}
 		sets[id] = rs
 	}
-	nc.route.Store(&routeState{route: route, shards: sets})
+	nc.route.Store(&routeState{route: route, shards: sets, active: route.Table.ActiveShards()})
 	nc.refreshes.Add(1)
 	return nil
 }

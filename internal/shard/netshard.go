@@ -1,9 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,16 +72,9 @@ type replicaSet struct {
 	lastProbe atomic.Int64 // unix-nanos of the last forced breaker probe round; 0 = never
 }
 
-// order returns replica indexes starting at the preferred replica.
-func (rs *replicaSet) order() []int {
-	p := int(rs.preferred.Load())
-	n := len(rs.conns)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = (p + i) % n
-	}
-	return out
-}
+// at returns the index of the k-th replica to try when the preference
+// order starts at replica first (a snapshot of rs.preferred).
+func (rs *replicaSet) at(first, k int) int { return (first + k) % len(rs.conns) }
 
 func (rs *replicaSet) markLive() { rs.deadSince.Store(0) }
 func (rs *replicaSet) markDead() {
@@ -122,10 +116,12 @@ func (rs *replicaSet) probeThrough(req []byte, deadline time.Time) (ids []uint64
 		return nil, 0, nil, false
 	}
 	var lastErr error
-	for _, ci := range rs.order() {
+	first := int(rs.preferred.Load())
+	for k := range rs.conns {
+		ci := rs.at(first, k)
 		resp, perr := rs.conns[ci].ProbeDeadline(req, deadline)
 		if perr == nil {
-			got, fl, derr := decodeShardIDs(resp)
+			got, fl, derr := multiserver.DecodeIDsFlags(resp)
 			if derr != nil {
 				lastErr = derr
 				continue
@@ -149,10 +145,11 @@ func (rs *replicaSet) probeThrough(req []byte, deadline time.Time) (ids []uint64
 // retries, and a circuit breaker, and (with Options.AllowPartial) the
 // client degrades gracefully instead of failing the whole query.
 type NetClient struct {
-	shards []*replicaSet
-	ad     *multiserver.Conn
-	adDead atomic.Int64 // unix-nanos since the ad server stopped answering
-	opts   Options
+	shards    []*replicaSet
+	positions []int // 0..len(shards)-1: what a non-routed query fans out over
+	ad        *multiserver.Conn
+	adDead    atomic.Int64 // unix-nanos since the ad server stopped answering
+	opts      Options
 
 	// Routed (elastic) mode: the shard topology comes from a versioned
 	// routing table refreshed through fetch, instead of the fixed shards
@@ -216,6 +213,7 @@ func DialReplicaShards(replicaAddrs [][]string, adAddr string, opts Options) (*N
 			return nil, fmt.Errorf("shard: no reachable replica for shard %d: %w", si, dialErr)
 		}
 		nc.shards = append(nc.shards, rs)
+		nc.positions = append(nc.positions, si)
 	}
 	ad, err := multiserver.DialConn(adAddr, opts.Conn)
 	if err != nil {
@@ -314,39 +312,77 @@ func (nc *NetClient) QueryResultDeadline(query string, deadline time.Time) (*Res
 }
 
 func (nc *NetClient) run(query string, deadline time.Time, partial bool) (*Result, error) {
+	sc := fanPool.Get().(*fanScratch)
+	defer sc.release()
 	if nc.routed {
-		return nc.runRouted(query, deadline, partial)
+		return nc.runRouted(sc, query, deadline, partial)
 	}
-	shardIDs := make([]int, len(nc.shards))
-	for i := range shardIDs {
-		shardIDs[i] = i
-	}
-	return nc.fanOut(nc.shards, shardIDs, []byte(query), deadline, partial)
+	sc.req = append(sc.req[:0], query...)
+	return nc.fanOut(sc, nc.shards, nc.positions, deadline, partial)
 }
 
-// fanOut queries sets[id] for every id in shardIDs concurrently and
-// merges the answers. A stale-epoch rejection from any shard is
-// returned as-is (highest priority) so routed callers can refresh and
-// retry the whole query.
-func (nc *NetClient) fanOut(sets []*replicaSet, shardIDs []int, req []byte, deadline time.Time, partial bool) (*Result, error) {
-	ids := make([][]uint64, len(shardIDs))
-	flags := make([]byte, len(shardIDs))
-	errs := make([]error, len(shardIDs))
-	var wg sync.WaitGroup
-	for i, id := range shardIDs {
-		wg.Add(1)
-		go func(i int, rs *replicaSet) {
-			defer wg.Done()
-			ids[i], flags[i], errs[i] = nc.queryShard(rs, req, deadline)
-		}(i, sets[id])
+// fanScratch is the working set of one fanned-out query: the request
+// bytes every shard receives, one reply slot per shard, and the group
+// the shard goroutines are waited on. It is pooled, so a steady stream
+// of queries allocates only what their Results keep.
+type fanScratch struct {
+	req   []byte
+	slots []shardReply
+	wg    sync.WaitGroup
+}
+
+// shardReply is one shard's answer. ids keeps its backing array from
+// query to query: each query decodes into it from the start.
+type shardReply struct {
+	ids   []uint64
+	flags byte
+	err   error
+}
+
+var fanPool = sync.Pool{New: func() any { return new(fanScratch) }}
+
+// maxKeptIDs is the largest per-shard ID buffer a pooled scratch
+// holds on to.
+const maxKeptIDs = 1 << 16
+
+func (sc *fanScratch) release() {
+	for i := range sc.slots {
+		slot := &sc.slots[i]
+		if cap(slot.ids) > maxKeptIDs {
+			slot.ids = nil
+		}
+		slot.err = nil
 	}
-	wg.Wait()
+	fanPool.Put(sc)
+}
+
+// fanOut sends sc.req to sets[id] for every id in shardIDs — the last on
+// the calling goroutine, the others on one goroutine each — and merges
+// the answers. A stale-epoch rejection from any shard is returned as-is
+// (highest priority) so routed callers can refresh and retry the whole
+// query.
+func (nc *NetClient) fanOut(sc *fanScratch, sets []*replicaSet, shardIDs []int, deadline time.Time, partial bool) (*Result, error) {
+	sc.slots = slices.Grow(sc.slots[:0], len(shardIDs))[:len(shardIDs)]
+	slots := sc.slots
+	for i, id := range shardIDs {
+		if i == len(shardIDs)-1 {
+			nc.askShard(&slots[i], sets[id], sc.req, deadline)
+			break
+		}
+		sc.wg.Add(1)
+		go func(slot *shardReply, rs *replicaSet) {
+			defer sc.wg.Done()
+			nc.askShard(slot, rs, sc.req, deadline)
+		}(&slots[i], sets[id])
+	}
+	sc.wg.Wait()
 
 	res := &Result{}
-	live := 0
+	live, matched := 0, 0
 	var firstErr error
-	for i, err := range errs {
-		if err != nil {
+	for i := range slots {
+		slot := &slots[i]
+		if err := slot.err; err != nil {
 			if errors.Is(err, multiserver.ErrStaleEpoch) {
 				return nil, err
 			}
@@ -362,11 +398,11 @@ func (nc *NetClient) fanOut(sets []*replicaSet, shardIDs []int, req []byte, dead
 			continue
 		}
 		live++
-		res.IDs = append(res.IDs, ids[i]...)
-		if flags[i]&multiserver.IDFlagTruncated != 0 {
+		matched += len(slot.ids)
+		if slot.flags&multiserver.IDFlagTruncated != 0 {
 			res.Truncated = true
 		}
-		if flags[i]&multiserver.IDFlagCutoff != 0 {
+		if slot.flags&multiserver.IDFlagCutoff != 0 {
 			res.CutoffApplied = true
 		}
 	}
@@ -378,7 +414,13 @@ func (nc *NetClient) fanOut(sets []*replicaSet, shardIDs []int, req []byte, dead
 			live, len(shardIDs), nc.opts.MinLiveShards, firstErr)
 	}
 	res.Degraded = len(res.FailedShards) > 0
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
+	if matched > 0 {
+		res.IDs = make([]uint64, 0, matched)
+		for i := range slots {
+			res.IDs = append(res.IDs, slots[i].ids...)
+		}
+		slices.Sort(res.IDs)
+	}
 
 	meta, err := nc.fetchMeta(res.IDs, deadline)
 	if err != nil {
@@ -398,19 +440,29 @@ func (nc *NetClient) fanOut(sets []*replicaSet, shardIDs []int, req []byte, dead
 	return res, nil
 }
 
+// askShard fills slot with rs's answer to req, decoded into the slot's
+// own buffer.
+func (nc *NetClient) askShard(slot *shardReply, rs *replicaSet, req []byte, deadline time.Time) {
+	slot.ids, slot.flags, slot.err = nc.queryShard(rs, req, slot.ids[:0], deadline)
+}
+
 // queryShard tries the shard's replicas in preference order, failing
 // over on error; with hedging enabled, a duplicate request goes to the
 // next replica after Options.HedgeAfter and the first success wins.
 // A stale-epoch rejection short-circuits: the shard is alive, its
 // replicas move epochs in lockstep, so failing over would only repeat
 // the rejection — the caller must refresh its routing table instead.
-func (nc *NetClient) queryShard(rs *replicaSet, req []byte, deadline time.Time) ([]uint64, byte, error) {
-	order := rs.order()
-	if nc.opts.HedgeAfter <= 0 || len(order) == 1 {
+// The IDs are appended to dst when one attempt at a time runs; hedged
+// attempts overlap and outlive the query, so they get buffers (and a
+// copy of req) of their own.
+func (nc *NetClient) queryShard(rs *replicaSet, req []byte, dst []uint64, deadline time.Time) ([]uint64, byte, error) {
+	first, n := int(rs.preferred.Load()), len(rs.conns)
+	if nc.opts.HedgeAfter <= 0 || n == 1 {
 		var lastErr error
 		sawFastFail := false
-		for _, ci := range order {
-			ids, flags, err := queryConn(rs.conns[ci], req, deadline)
+		for k := 0; k < n; k++ {
+			ci := rs.at(first, k)
+			ids, flags, err := rs.conns[ci].ExchangeIDs(dst, req, deadline)
 			if err == nil {
 				rs.preferred.Store(int32(ci))
 				rs.markLive()
@@ -434,14 +486,15 @@ func (nc *NetClient) queryShard(rs *replicaSet, req []byte, deadline time.Time) 
 		flags byte
 		err   error
 	}
-	ch := make(chan attempt, len(order))
+	req = bytes.Clone(req)
+	ch := make(chan attempt, n)
 	launch := func(ci int) {
 		go func() {
-			ids, flags, err := queryConn(rs.conns[ci], req, deadline)
+			ids, flags, err := rs.conns[ci].ExchangeIDs(nil, req, deadline)
 			ch <- attempt{ci, ids, flags, err}
 		}()
 	}
-	launch(order[0])
+	launch(first)
 	launched, outstanding := 1, 1
 	timer := time.NewTimer(nc.opts.HedgeAfter)
 	defer timer.Stop()
@@ -464,15 +517,15 @@ func (nc *NetClient) queryShard(rs *replicaSet, req []byte, deadline time.Time) 
 				sawFastFail = true
 			}
 			lastErr = a.err
-			if launched < len(order) {
-				launch(order[launched])
+			if launched < n {
+				launch(rs.at(first, launched))
 				launched++
 				outstanding++
 			}
 		case <-timer.C:
-			if launched < len(order) {
+			if launched < n {
 				nc.hedges.Add(1)
-				launch(order[launched])
+				launch(rs.at(first, launched))
 				launched++
 				outstanding++
 			}
@@ -506,28 +559,13 @@ func (nc *NetClient) failShard(rs *replicaSet, req []byte, deadline time.Time, l
 	return nil, 0, lastErr
 }
 
-func queryConn(c *multiserver.Conn, req []byte, deadline time.Time) ([]uint64, byte, error) {
-	resp, err := c.ExchangeDeadline(req, deadline)
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeShardIDs(resp)
-}
-
 func (nc *NetClient) fetchMeta(ids []uint64, deadline time.Time) ([]multiserver.AdMeta, error) {
-	resp, err := nc.ad.ExchangeDeadline(encodeShardIDs(ids), deadline)
+	meta, err := nc.ad.ExchangeMeta(ids, deadline)
 	if err != nil {
 		nc.adDead.CompareAndSwap(0, time.Now().UnixNano())
 		return nil, fmt.Errorf("shard: ad metadata fetch: %w", err)
 	}
 	nc.adDead.Store(0)
-	meta, err := multiserver.DecodeMeta(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) != len(ids) {
-		return nil, fmt.Errorf("shard: %d metadata records for %d ids", len(meta), len(ids))
-	}
 	return meta, nil
 }
 
@@ -635,12 +673,4 @@ func (nc *NetClient) Stats() Stats {
 	s.StaleRetries = nc.staleRetries.Load()
 	s.BreakerProbes = nc.probes.Load()
 	return s
-}
-
-// encodeShardIDs/decodeShardIDs delegate to the multiserver wire
-// format; the tolerant decoder accepts both legacy and flag-carrying
-// ID frames.
-func encodeShardIDs(ids []uint64) []byte { return multiserver.EncodeIDs(ids) }
-func decodeShardIDs(b []byte) ([]uint64, byte, error) {
-	return multiserver.DecodeIDsFlags(b)
 }

@@ -14,7 +14,7 @@ import (
 // migration — produces a NEW table with the epoch incremented. Tables
 // are immutable once published (RCU-style, like the index's snapshots):
 // readers load a pointer, writers publish a successor. The epoch rides
-// on every frame-protocol request (multiserver.EncodeEpochRequest), so a
+// on every frame-protocol request (multiserver.AppendEpochRequest), so a
 // client holding a retired table gets a typed stale-epoch rejection and
 // refreshes instead of silently missing a shard that data moved to.
 
