@@ -2,10 +2,11 @@
 # must pass: vet, build, the full test suite, a race-detector pass over
 # the concurrency-heavy packages (the root index with its lock-free
 # snapshot stress test, the serving layer, the durable store, the
-# multi-server harness, the fault-injection proxy, and the shard
-# failover client), a crash-recovery smoke (kill -9 a churning child,
-# recover, compare against the serial oracle; plus crash-at-every-write
-# snapshot atomicity), a seeded whole-stack simulation smoke under the
+# multi-server harness, the fault-injection proxy, the shard cluster
+# with its fan-out client, and the adserve flag-matrix smoke, which runs
+# the real binary in every deployment mode), a crash-recovery smoke
+# (kill -9 a churning child, recover, compare against the serial oracle;
+# plus crash-at-every-write snapshot atomicity), a seeded whole-stack simulation smoke under the
 # race detector, short fuzz runs over the corpus text format and the
 # other decoders of foreign bytes, a one-iteration benchmark smoke
 # run, and a vet + test pass over bench/ (its own module, which
@@ -36,7 +37,7 @@ race:
 	$(GO) test -race -short . ./internal/core ./internal/server ./internal/multiserver \
 		./internal/faultnet ./internal/shard ./internal/durable ./internal/diskfault \
 		./internal/rewrite ./internal/sim ./internal/simclock ./internal/setcover \
-		./internal/optimize
+		./internal/optimize ./cmd/adserve
 
 # The crash-recovery stress skips under -short (it forks and SIGKILLs a
 # child), so the smoke target runs it explicitly, under the race
@@ -47,7 +48,8 @@ recovery-smoke:
 
 # Seeded deterministic simulation smoke: a few fixed seeds through the
 # whole stack (in-memory, durable with torn-crash restarts, compressed
-# snapshots, sharded+replicated serving behind fault proxies) against
+# snapshots, the sharded+replicated cluster behind fault proxies on its
+# frozen route) against
 # the brute-force oracle, under the race detector. Fully deterministic,
 # so it doubles as a regression gate for the seeds in
 # internal/sim/sim_test.go (see TESTING.md for the replay workflow).

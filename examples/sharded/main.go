@@ -1,6 +1,10 @@
-// Sharded: partition a large catalog across several shard indexes and fan
-// queries out in parallel — the paper's Section VII-B deployment for
-// corpora too large for one machine, here demonstrated in-process.
+// Sharded: partition a large catalog across several shard indexes and
+// send every query to all of them — the paper's Section VII-B deployment
+// for corpora too large for one machine. The cluster is queried first
+// in-process, then the way a deployment reaches it: each shard behind a
+// TCP index server, one fan-out client dialed on the static address list
+// (a frozen route: the shard set never changes, so the client never
+// refreshes it).
 //
 // Run with:
 //
@@ -14,6 +18,8 @@ import (
 	"time"
 
 	"adindex"
+	"adindex/internal/multiserver"
+	"adindex/internal/shard"
 )
 
 func main() {
@@ -57,4 +63,37 @@ func main() {
 		}
 	}
 	fmt.Println("sharded results verified identical to the single index")
+
+	// The same cluster over the wire: one replica per shard, plus the
+	// ad-metadata server every §VII-B front end needs.
+	addrs, closeShards, err := cluster.ServeShards()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer closeShards()
+	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, ads)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer adSrv.Close()
+	replicas := make([][]string, len(addrs))
+	for i, a := range addrs {
+		replicas[i] = []string{a}
+	}
+	client, err := shard.DialReplicaShards(replicas, adSrv.Addr(), shard.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer client.Close()
+	for _, q := range queries[:200] {
+		ids, err := client.Query(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if want := single.BroadMatch(q); len(ids) != len(want) {
+			log.Fatalf("wire divergence on %q: %d vs %d", q, len(ids), len(want))
+		}
+	}
+	fmt.Printf("and over TCP: %d shard servers behind one client on a frozen route (epoch %d)\n",
+		client.NumShards(), client.Epoch())
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sort"
 
 	"adindex/internal/corpus"
 	"adindex/internal/textnorm"
@@ -209,7 +210,15 @@ func decodeAds(payload []byte) ([]corpus.Ad, error) {
 // persisted so the Section-V placement survives restarts.
 func encodeMapping(mapping map[string][]string) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(mapping)))
-	for key, loc := range mapping {
+	// In key order, so one mapping has one encoding: the snapshot file and
+	// the handoff stream of the same state are the same bytes.
+	keys := make([]string, 0, len(mapping))
+	for key := range mapping {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		loc := mapping[key]
 		words := textnorm.SplitKey(key)
 		b = binary.AppendUvarint(b, uint64(len(words)))
 		for _, w := range words {

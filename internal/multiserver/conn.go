@@ -122,15 +122,28 @@ type Conn struct {
 // startup; later failures reconnect lazily.
 func DialConn(addr string, opts ConnOpts) (*Conn, error) {
 	c := NewConn(addr, opts)
-	conn, err := net.DialTimeout("tcp", addr, c.opts.Timeout)
-	if err != nil {
+	if err := c.Dial(); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Dial connects now, under the exchange timeout, unless the connection
+// is already up. A failure leaves the Conn usable: the next exchange
+// dials again.
+func (c *Conn) Dial() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sock != nil {
+		return nil
+	}
+	conn, err := net.DialTimeout("tcp", c.addr, c.opts.Timeout)
+	if err != nil {
+		return err
+	}
 	c.sock = newSocket(conn)
 	c.dialed = true
-	c.mu.Unlock()
-	return c, nil
+	return nil
 }
 
 // NewConn returns a Conn that dials lazily on first use — useful for

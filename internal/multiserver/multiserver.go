@@ -29,6 +29,7 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
+	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
 	"adindex/internal/workload"
 )
@@ -48,7 +49,7 @@ type CoreBackend struct{ Index *core.Index }
 func (b CoreBackend) MatchIDs(query string) []uint64 {
 	sc := GetMatchScratch()
 	defer sc.Release()
-	matches := sc.BroadMatch(b.Index, query)
+	matches := sc.BroadMatch(b.Index, query, nil)
 	ids := make([]uint64, len(matches))
 	for i, m := range matches {
 		ids[i] = m.ID
@@ -60,7 +61,7 @@ func (b CoreBackend) MatchIDs(query string) []uint64 {
 func (b CoreBackend) appendMatchIDs(dst []byte, query string) []byte {
 	sc := GetMatchScratch()
 	defer sc.Release()
-	return AppendAdIDs(dst, sc.BroadMatch(b.Index, query), 0)
+	return AppendAdIDs(dst, sc.BroadMatch(b.Index, query, nil), 0)
 }
 
 // MatchScratch holds the reusable buffers of one broad-match request
@@ -80,12 +81,13 @@ var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
 func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScratch) }
 
 // BroadMatch returns the ads of ix broad-matching the raw query text,
-// ID-ordered. The slice belongs to the scratch (the caller may reorder or
-// shorten it) and the records to the index: both are valid until Release
-// or the index's next mutation, whichever comes first.
-func (sc *MatchScratch) BroadMatch(ix *core.Index, query string) []*corpus.Ad {
+// ID-ordered, charging the access accounting to counters when non-nil.
+// The slice belongs to the scratch (the caller may reorder or shorten
+// it) and the records to the index: both are valid until Release or the
+// index's next mutation, whichever comes first.
+func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, counters *costmodel.Counters) []*corpus.Ad {
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = ix.AppendBroadMatch(sc.matches[:0], sc.words, nil, &sc.core)
+	sc.matches = ix.AppendBroadMatch(sc.matches[:0], sc.words, counters, &sc.core)
 	return sc.matches
 }
 

@@ -151,6 +151,35 @@ func TestAdminRebalance(t *testing.T) {
 	}
 }
 
+// TestHealthAfterMerge: a merged-away shard owns no slots and is never
+// queried again, so it can never be marked dead; /metrics must stop
+// counting it as a live backend once the client is on the new route.
+func TestHealthAfterMerge(t *testing.T) {
+	_, base, _ := startElasticServer(t, Config{})
+	var resp struct {
+		Status shard.RebalanceStatus `json:"status"`
+	}
+	postJSON(t, base+"/admin/rebalance?op=merge&from=1&to=0", &resp)
+	if resp.Status.ActiveShards != 1 {
+		t.Fatalf("merge response = %+v", resp)
+	}
+	// The next search hits the stale-epoch rejection and moves the client
+	// onto the post-merge route.
+	var sr struct {
+		Matched int `json:"matched"`
+	}
+	getJSON(t, base+"/search?q=cheap+used+books", &sr)
+	if sr.Matched != 4 {
+		t.Fatalf("post-merge search matched %d, want 4", sr.Matched)
+	}
+	var snap MetricsSnapshot
+	getJSON(t, base+"/metrics", &snap)
+	h := snap.Backends.Health
+	if h.LiveShards != 1 || len(h.Shards) != 1 || h.Shards[0].Shard != 0 || !h.Shards[0].Live {
+		t.Fatalf("backends.health after merging 1 into 0 = %+v, want shard 0 alone", h)
+	}
+}
+
 func TestAdminRebalanceNotElastic(t *testing.T) {
 	_, _, base := startTestServer(t, Config{})
 	if got := status(t, http.MethodGet, base+"/admin/rebalance"); got != http.StatusNotImplemented {

@@ -30,7 +30,7 @@ func getStatus(t *testing.T, url string) (int, string) {
 // publishes the recovered index — and the shutdown drain flushes the WAL
 // so acknowledged mutations survive even under SyncNone.
 func TestRecoveringLifecycle(t *testing.T) {
-	s := NewRecovering(Config{})
+	s := New(nil, Config{})
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -154,18 +154,16 @@ func (c Config) withDefaults() Config {
 // start with Start (or Run for signal-managed lifetime), stop with
 // Shutdown.
 type Server struct {
-	// localMode distinguishes a local-index server (even one still
-	// recovering, with no index installed yet) from a remote fan-out
-	// server. Immutable after construction.
-	localMode bool
-	// localIx is the local index; nil in remote mode and while a
-	// recovering server (NewRecovering) has not had InstallIndex called.
-	// Atomic because handlers race with InstallIndex.
+	// localIx is the local index; nil in remote mode and while a local
+	// server built without one has not had InstallIndex called. Atomic
+	// because handlers race with InstallIndex.
 	localIx atomic.Pointer[adindex.Index]
 	// recovery is the durable recovery report installed alongside the
 	// index, surfaced in /metrics.
 	recovery atomic.Pointer[durable.RecoveryReport]
-	remote   *shard.NetClient // nil in local mode
+	// remote is the fan-out client of a remote-mode server; nil means
+	// local mode, even before the index is installed. Immutable.
+	remote *shard.NetClient
 	// elastic, when attached, surfaces live-resharding status in
 	// /metrics and /readyz and enables /admin/rebalance.
 	elastic    atomic.Pointer[rebalHolder]
@@ -189,24 +187,19 @@ type Server struct {
 	panicOn string
 }
 
-// New builds a serving layer over ix. The server owns no goroutines until
-// Start.
+// New builds a local-mode serving layer over ix. The server owns no
+// goroutines until Start. ix may be nil: the server then starts with no
+// index — /healthz answers 200 and /readyz answers 503 "recovering", so
+// orchestrators see a live-but-not-ready process instead of a connection
+// refusal during a long build or WAL replay — and index-backed endpoints
+// answer 503 until InstallIndex.
 func New(ix *adindex.Index, cfg Config) *Server {
 	return newServer(ix, nil, cfg)
 }
 
-// NewRecovering builds a local-mode serving layer with no index yet:
-// /healthz answers 200 and /readyz answers 503 "recovering" while the
-// durable state loads, so orchestrators see a live-but-not-ready process
-// instead of a connection refusal during a long WAL replay. Index-backed
-// endpoints answer 503 until InstallIndex.
-func NewRecovering(cfg Config) *Server {
-	return newServer(nil, nil, cfg)
-}
-
-// InstallIndex publishes a recovered index (and its recovery report) on
-// a server built with NewRecovering; /readyz flips to 200. Safe to call
-// while the server is already accepting requests.
+// InstallIndex publishes the index (and, for a durable one, its recovery
+// report) on a server built with New(nil, cfg); /readyz flips to 200.
+// Safe to call while the server is already accepting requests.
 func (s *Server) InstallIndex(ix *adindex.Index, report *durable.RecoveryReport) {
 	if report != nil {
 		s.recovery.Store(report)
@@ -234,7 +227,6 @@ func NewRemote(nc *shard.NetClient, cfg Config) *Server {
 func newServer(ix *adindex.Index, nc *shard.NetClient, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		localMode:  nc == nil,
 		remote:     nc,
 		cfg:        cfg,
 		cache:      NewCache(cfg.CacheEntries, cfg.CacheShards),
@@ -350,8 +342,8 @@ func (s *Server) Run(addr string) error {
 
 // AwaitShutdown blocks until SIGINT/SIGTERM or a serve-loop failure,
 // then drains gracefully. It is Run for callers that Start the server
-// themselves — the durable cmd/adserve flow binds the port first (so
-// /healthz answers during a long recovery), installs the recovered
+// themselves — the local cmd/adserve flow binds the port first (so
+// /healthz answers during a long build or recovery), installs the
 // index, then parks here.
 func (s *Server) AwaitShutdown() error {
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -825,9 +817,9 @@ func (s *Server) searchRemote(w http.ResponseWriter, ctx context.Context, q, mat
 
 // localIndex guards endpoints that need a local index, writing the
 // appropriate failure when there is none: 501 in remote mode, 503 while
-// a recovering server has not installed its index yet.
+// a local server has not installed its index yet.
 func (s *Server) localIndex(w http.ResponseWriter) *adindex.Index {
-	if !s.localMode {
+	if s.remote != nil {
 		http.Error(w, "not supported in remote (distributed) mode", http.StatusNotImplemented)
 		return nil
 	}
@@ -953,7 +945,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		if ix.AdaptEnabled() {
 			snap.Adapt = s.adaptSnapshot(ix)
 		}
-	} else if s.localMode {
+	} else if s.remote == nil {
 		// Recovering: no index yet, but surface that state explicitly.
 		snap.Durability = &DurabilitySnapshot{Recovering: true}
 	}
@@ -982,7 +974,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	// Local mode: a recovering server is live but not ready until durable
 	// recovery installs the index.
-	if s.localMode && s.local() == nil {
+	if s.remote == nil && s.local() == nil {
 		http.Error(w, "recovering", http.StatusServiceUnavailable)
 		return
 	}

@@ -1,6 +1,24 @@
+// Package shard partitions an advertisement corpus across several
+// broad-match indexes and fans queries out to all of them. Section VII-B
+// motivates this deployment: "In scenarios where the size of the ad corpus
+// or the index itself is too large to fit into the main memory of a single
+// machine, it becomes necessary to split the data across servers."
+//
+// Because broad match gives no way to route a query to a subset of shards
+// (any shard may hold matching ads), every query visits every shard; the
+// win is capacity and parallelism, not per-query work. Ads are routed to
+// shards by word-set hash so that all ads sharing a word set — and
+// therefore any future re-mapping groups — stay co-located (mapping
+// condition IV holds per shard).
+//
+// There is one cluster type, ElasticCluster, and one fan-out client,
+// NetClient. A static deployment is the same pair standing still: a
+// cluster that is never rebalanced, reached through a frozen (epoch 0)
+// route.
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,6 +27,7 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
+	"adindex/internal/costmodel"
 	"adindex/internal/durable"
 	"adindex/internal/multiserver"
 	"adindex/internal/textnorm"
@@ -262,11 +281,11 @@ func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 // ownership filter applied, under the caller's read lock. The matches
 // live in sc and reference the shard's records: the caller consumes
 // them before it releases either the scratch or the lock.
-func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id int, query string) []*corpus.Ad {
+func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id int, query string, counters *costmodel.Counters) []*corpus.Ad {
 	if id < 0 || id >= len(ec.shards) {
 		return nil
 	}
-	matches := sc.BroadMatch(ec.shards[id], query)
+	matches := sc.BroadMatch(ec.shards[id], query, counters)
 	owned := matches[:0]
 	for _, m := range matches {
 		// Ownership filter: a physical copy answers only from the shard
@@ -281,20 +300,39 @@ func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id in
 	return owned
 }
 
-// MatchIDs fans the query out to every active shard and returns the
-// merged ID list, ascending (duplicates preserved).
-func (ec *ElasticCluster) MatchIDs(query string) []uint64 {
+// Match runs the query on every active shard in turn and hands the owned
+// matches, ID-ordered (duplicates preserved), to visit. The matches
+// reference shard records, so visit runs under the cluster's read lock
+// and must copy out what it keeps. counters, when non-nil, accumulates
+// every shard's access accounting, the query counted once.
+func (ec *ElasticCluster) Match(query string, counters *costmodel.Counters, visit func(matches []*corpus.Ad)) {
 	ec.mu.RLock()
 	defer ec.mu.RUnlock()
 	sc := multiserver.GetMatchScratch()
 	defer sc.Release()
-	var out []uint64
+	var queries int64
+	if counters != nil {
+		queries = counters.Queries + 1
+	}
+	var all []*corpus.Ad
 	for _, id := range ec.table.ActiveShards() {
-		for _, m := range ec.ownedMatchesLocked(sc, id, query) {
+		all = append(all, ec.ownedMatchesLocked(sc, id, query, counters)...)
+	}
+	if counters != nil {
+		counters.Queries = queries
+	}
+	slices.SortStableFunc(all, func(a, b *corpus.Ad) int { return cmp.Compare(a.ID, b.ID) })
+	visit(all)
+}
+
+// MatchIDs is Match keeping the IDs only.
+func (ec *ElasticCluster) MatchIDs(query string) []uint64 {
+	var out []uint64
+	ec.Match(query, nil, func(matches []*corpus.Ad) {
+		for _, m := range matches {
 			out = append(out, m.ID)
 		}
-	}
-	slices.Sort(out)
+	})
 	return out
 }
 
@@ -311,7 +349,7 @@ func (ec *ElasticCluster) LogicalAds() []corpus.Ad {
 			}
 		}
 	}
-	sortAdsByID(out)
+	slices.SortStableFunc(out, func(a, b corpus.Ad) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -333,7 +371,7 @@ func (b shardBackend) AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged boo
 	}
 	sc := multiserver.GetMatchScratch()
 	defer sc.Release()
-	return multiserver.AppendAdIDs(dst, b.ec.ownedMatchesLocked(sc, b.id, query), 0), nil
+	return multiserver.AppendAdIDs(dst, b.ec.ownedMatchesLocked(sc, b.id, query, nil), 0), nil
 }
 
 // ElasticServing is a set of TCP index servers fronting an
@@ -827,12 +865,4 @@ func (ec *ElasticCluster) SuggestSplit() int {
 		}
 	}
 	return best
-}
-
-func sortAdsByID(ads []corpus.Ad) {
-	for i := 1; i < len(ads); i++ {
-		for j := i; j > 0 && ads[j].ID < ads[j-1].ID; j-- {
-			ads[j], ads[j-1] = ads[j-1], ads[j]
-		}
-	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/faultnet"
 	"adindex/internal/multiserver"
@@ -33,7 +32,7 @@ func fastConn() multiserver.ConnOpts {
 // a shared ad server, for fault tests to rearrange.
 type deployment struct {
 	c       *corpus.Corpus
-	cluster *Cluster
+	cluster *ElasticCluster
 	shards  []*multiserver.Server
 	ad      *multiserver.Server
 }
@@ -42,10 +41,7 @@ func deploy(t *testing.T, nAds, nShards int) *deployment {
 	t.Helper()
 	d := &deployment{c: corpus.Generate(corpus.GenOptions{NumAds: nAds, Seed: 138})}
 	var err error
-	d.cluster, err = New(d.c.Ads, nShards, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d.cluster = newStatic(t, d.c.Ads, nShards)
 	for i := 0; i < nShards; i++ {
 		srv := d.shardServer(t, i)
 		t.Cleanup(func() { srv.Close() })
@@ -62,17 +58,12 @@ func deploy(t *testing.T, nAds, nShards int) *deployment {
 // shardServer starts an additional index server over shard i (a replica).
 func (d *deployment) shardServer(t *testing.T, i int) *multiserver.Server {
 	t.Helper()
-	srv, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{},
-		multiserver.CoreBackend{Index: d.cluster.Shard(i)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	return plainServer(t, d.cluster, i)
 }
 
 // shardIDs returns the IDs shard i alone matches for the query.
 func (d *deployment) shardIDs(q string, i int) []uint64 {
-	return ids(d.cluster.Shard(i).BroadMatchText(q, nil))
+	return ids(d.cluster.shards[i].BroadMatchText(q, nil))
 }
 
 // pickQuery finds a query whose matches span both shards of a two-shard
@@ -330,10 +321,10 @@ func TestReplicaKillMidLoadAcceptance(t *testing.T) {
 	}
 	defer nc.Close()
 
-	fullIDs := ids(d.cluster.BroadMatchText(q, nil))
+	fullIDs := d.cluster.MatchIDs(q)
 	partialIDs := d.shardIDs(q, 1)
 	shard0Breaker := func() *multiserver.Breaker {
-		return nc.shards[0].conns[0].Breaker()
+		return nc.route.Load().shards[0].conns[0].Breaker()
 	}
 
 	const (
@@ -457,12 +448,12 @@ func TestBreakerProbeAfterRollingKill(t *testing.T) {
 	// preference 0 — so the dead replica keeps accruing failures.
 	proxyA.Partition()
 	for i := 0; i < opts.BreakerThreshold; i++ {
-		nc.shards[0].preferred.Store(0)
+		nc.route.Load().shards[0].preferred.Store(0)
 		if _, err := nc.Query(q); err != nil {
 			t.Fatalf("failover query %d: %v", i, err)
 		}
 	}
-	breakerA := nc.shards[0].conns[0].Breaker()
+	breakerA := nc.route.Load().shards[0].conns[0].Breaker()
 	if st := breakerA.State(); st != multiserver.BreakerOpen {
 		t.Fatalf("breaker on replica A = %v after kill, want open", st)
 	}

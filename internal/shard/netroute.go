@@ -1,22 +1,15 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"adindex/internal/multiserver"
 )
 
-// Routed (elastic) NetClient mode: the shard topology is a versioned
-// Route fetched through a callback rather than a fixed address list.
-// Every query is tagged with the client's routing epoch; when a
-// rebalance retires that epoch the serving shard answers with a typed
-// stale-epoch rejection and the client refreshes the route and retries
-// the whole query — transparently, without burning retry or breaker
-// budget (the backend was alive and correct to refuse). A client that
-// lags a clean cutover therefore never hard-fails; it pays one extra
-// round trip plus one route fetch.
+// A NetClient's shard topology is a Route fetched through a callback.
+// A versioned route (epoch >= 1, an elastic deployment's) is re-fetched
+// whenever a rebalance retires its epoch; a frozen route (epoch 0, a
+// static address list's) is fetched once, at dial.
 
 // routeState is one immutable routed topology: the table plus the
 // replica sets (indexed by shard position) built from it.
@@ -32,12 +25,15 @@ type routeState struct {
 // error instead of a livelock.
 const maxEpochRefreshes = 3
 
-// DialRoute connects to an elastic deployment through a route source:
+// DialRoute connects to a sharded deployment through a route source:
 // fetch returns the current routing table and per-shard replica
 // addresses (e.g. from an admin endpoint). The route is fetched once
 // eagerly; afterwards the client refreshes whenever a query hits a
-// stale-epoch rejection. Shard connections dial lazily and are cached
-// by address across refreshes, so a rebalance does not drop warm
+// stale-epoch rejection. Every replica of the fetched route's active
+// shards is dialed now and at least one per shard must be reachable
+// (the rest, and shards a later route adds, connect lazily); the
+// ad-metadata server must be reachable. Connections are cached by
+// address across refreshes, so a rebalance does not drop warm
 // connections to shards that did not move.
 func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetClient, error) {
 	if fetch == nil {
@@ -46,13 +42,27 @@ func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetC
 	opts = opts.withDefaults()
 	nc := &NetClient{
 		opts:      opts,
-		routed:    true,
 		fetch:     fetch,
 		connCache: make(map[string]*multiserver.Conn),
 	}
 	if err := nc.refreshRoute(); err != nil {
-		nc.Close()
 		return nil, fmt.Errorf("shard: initial route fetch: %w", err)
+	}
+	st := nc.route.Load()
+	for _, id := range st.active {
+		reachable := false
+		var dialErr error
+		for _, c := range st.shards[id].conns {
+			if err := c.Dial(); err != nil {
+				dialErr = err
+			} else {
+				reachable = true
+			}
+		}
+		if !reachable {
+			nc.Close()
+			return nil, fmt.Errorf("shard: no reachable replica for shard %d: %w", id, dialErr)
+		}
 	}
 	ad, err := multiserver.DialConn(adAddr, opts.Conn)
 	if err != nil {
@@ -63,34 +73,18 @@ func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetC
 	return nc, nil
 }
 
-// Epoch returns the routing epoch the client is operating at (0 for a
-// non-routed client).
-func (nc *NetClient) Epoch() uint64 {
-	if !nc.routed {
-		return 0
-	}
-	return nc.route.Load().route.Table.Epoch
+// DialReplicaShards connects to a static replicated deployment —
+// replicaAddrs[i] lists the interchangeable replica addresses of shard
+// i — by dialing its frozen route. All shards share one ad-metadata
+// server (adAddr); pass an index address if metadata is co-located.
+func DialReplicaShards(replicaAddrs [][]string, adAddr string, opts Options) (*NetClient, error) {
+	route := frozenRoute(replicaAddrs)
+	return DialRoute(func() (*Route, error) { return route, nil }, adAddr, opts)
 }
 
-// runRouted fans the query out under the current routing table,
-// refreshing and retrying on stale-epoch rejections.
-func (nc *NetClient) runRouted(sc *fanScratch, query string, deadline time.Time, partial bool) (*Result, error) {
-	for refresh := 0; ; refresh++ {
-		st := nc.route.Load()
-		sc.req = append(multiserver.AppendEpochRequest(sc.req[:0], st.route.Table.Epoch, nil), query...)
-		res, err := nc.fanOut(sc, st.shards, st.active, deadline, partial)
-		if err == nil || !errors.Is(err, multiserver.ErrStaleEpoch) {
-			return res, err
-		}
-		if refresh >= maxEpochRefreshes {
-			return nil, fmt.Errorf("shard: route still stale after %d refreshes: %w", refresh, err)
-		}
-		nc.staleRetries.Add(1)
-		if rerr := nc.refreshRoute(); rerr != nil {
-			return nil, fmt.Errorf("shard: route refresh after stale epoch: %w", rerr)
-		}
-	}
-}
+// Epoch returns the routing epoch the client is operating at (0 on a
+// frozen route).
+func (nc *NetClient) Epoch() uint64 { return nc.route.Load().route.Table.Epoch }
 
 // refreshRoute fetches, validates, and publishes a new route state.
 // Concurrent refreshes are harmless: each publishes a validated state

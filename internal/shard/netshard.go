@@ -145,16 +145,12 @@ func (rs *replicaSet) probeThrough(req []byte, deadline time.Time) (ids []uint64
 // retries, and a circuit breaker, and (with Options.AllowPartial) the
 // client degrades gracefully instead of failing the whole query.
 type NetClient struct {
-	shards    []*replicaSet
-	positions []int // 0..len(shards)-1: what a non-routed query fans out over
-	ad        *multiserver.Conn
-	adDead    atomic.Int64 // unix-nanos since the ad server stopped answering
-	opts      Options
+	ad     *multiserver.Conn
+	adDead atomic.Int64 // unix-nanos since the ad server stopped answering
+	opts   Options
 
-	// Routed (elastic) mode: the shard topology comes from a versioned
-	// routing table refreshed through fetch, instead of the fixed shards
-	// slice. See DialRoute.
-	routed    bool
+	// The shard topology is a Route published through fetch (see
+	// DialRoute); connections are cached by address across routes.
 	fetch     func() (*Route, error)
 	route     atomic.Pointer[routeState]
 	connMu    sync.Mutex
@@ -167,116 +163,27 @@ type NetClient struct {
 	probes       atomic.Uint64
 }
 
-// DialShards connects to every index-server address (one replica per
-// shard, strict query semantics — the compatibility constructor). All
-// shards share one ad-metadata server (adAddr); pass the index address
-// itself if metadata is co-located.
-func DialShards(indexAddrs []string, adAddr string) (*NetClient, error) {
-	replicas := make([][]string, len(indexAddrs))
-	for i, a := range indexAddrs {
-		replicas[i] = []string{a}
-	}
-	return DialReplicaShards(replicas, adAddr, Options{})
-}
-
-// DialReplicaShards connects to a replicated shard deployment:
-// replicaAddrs[i] lists the interchangeable replica addresses of shard i.
-// At least one replica per shard must be reachable at dial time (the
-// rest connect lazily on failover); the ad-metadata server must be
-// reachable.
-func DialReplicaShards(replicaAddrs [][]string, adAddr string, opts Options) (*NetClient, error) {
-	if len(replicaAddrs) == 0 {
-		return nil, fmt.Errorf("shard: no index servers given")
-	}
-	opts = opts.withDefaults()
-	nc := &NetClient{opts: opts}
-	for si, addrs := range replicaAddrs {
-		if len(addrs) == 0 {
-			nc.Close()
-			return nil, fmt.Errorf("shard: shard %d has no replica addresses", si)
-		}
-		rs := &replicaSet{}
-		reachable := false
-		var dialErr error
-		for _, addr := range addrs {
-			if c, err := multiserver.DialConn(addr, opts.Conn); err == nil {
-				rs.conns = append(rs.conns, c)
-				reachable = true
-			} else {
-				dialErr = err
-				// Keep the replica for lazy failover dialing.
-				rs.conns = append(rs.conns, multiserver.NewConn(addr, opts.Conn))
-			}
-		}
-		if !reachable {
-			nc.Close()
-			return nil, fmt.Errorf("shard: no reachable replica for shard %d: %w", si, dialErr)
-		}
-		nc.shards = append(nc.shards, rs)
-		nc.positions = append(nc.positions, si)
-	}
-	ad, err := multiserver.DialConn(adAddr, opts.Conn)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("shard: dialing ad server %s: %w", adAddr, err)
-	}
-	nc.ad = ad
-	return nc, nil
-}
-
 // Close closes all shard and ad-server connections.
 func (nc *NetClient) Close() {
-	for _, rs := range nc.shards {
-		for _, c := range rs.conns {
-			c.Close()
-		}
-	}
-	nc.connMu.Lock()
-	for _, c := range nc.connCache {
+	for _, c := range nc.allConns() {
 		c.Close()
 	}
-	nc.connMu.Unlock()
 	if nc.ad != nil {
 		nc.ad.Close()
 	}
 }
 
-// NumShards returns the number of shard positions (in routed mode, the
-// current routing table's).
-func (nc *NetClient) NumShards() int {
-	if nc.routed {
-		return nc.route.Load().route.Table.NumShards
-	}
-	return len(nc.shards)
-}
+// NumShards returns the number of shard positions in the current route.
+func (nc *NetClient) NumShards() int { return nc.route.Load().route.Table.NumShards }
 
-// currentSets returns the replica sets the next query would fan out
-// over (indexed by shard position).
-func (nc *NetClient) currentSets() []*replicaSet {
-	if nc.routed {
-		if st := nc.route.Load(); st != nil {
-			return st.shards
-		}
-		return nil
-	}
-	return nc.shards
-}
-
-// allConns returns every connection the client has ever opened (routed
-// mode keeps retired shards' connections cached for stats and reuse).
+// allConns returns every connection the client has ever opened (retired
+// shards' connections stay cached for stats and reuse).
 func (nc *NetClient) allConns() []*multiserver.Conn {
-	if nc.routed {
-		nc.connMu.Lock()
-		defer nc.connMu.Unlock()
-		out := make([]*multiserver.Conn, 0, len(nc.connCache))
-		for _, c := range nc.connCache {
-			out = append(out, c)
-		}
-		return out
-	}
-	var out []*multiserver.Conn
-	for _, rs := range nc.shards {
-		out = append(out, rs.conns...)
+	nc.connMu.Lock()
+	defer nc.connMu.Unlock()
+	out := make([]*multiserver.Conn, 0, len(nc.connCache))
+	for _, c := range nc.connCache {
+		out = append(out, c)
 	}
 	return out
 }
@@ -311,14 +218,37 @@ func (nc *NetClient) QueryResultDeadline(query string, deadline time.Time) (*Res
 	return nc.run(query, deadline, nc.opts.AllowPartial)
 }
 
+// run fans the query out under the current route. A versioned route
+// tags the query with its epoch, and a stale-epoch rejection — the
+// deployment rebalanced past it — is absorbed by refreshing the route
+// and retrying the whole query, without burning retry or breaker budget
+// (the backend was alive and correct to refuse): a client that lags a
+// clean cutover pays one extra round trip plus one route fetch, never a
+// failure. A frozen route (epoch 0) sends the bare query text and is
+// never stale.
 func (nc *NetClient) run(query string, deadline time.Time, partial bool) (*Result, error) {
 	sc := fanPool.Get().(*fanScratch)
 	defer sc.release()
-	if nc.routed {
-		return nc.runRouted(sc, query, deadline, partial)
+	for refresh := 0; ; refresh++ {
+		st := nc.route.Load()
+		epoch := st.route.Table.Epoch
+		sc.req = sc.req[:0]
+		if epoch != 0 {
+			sc.req = multiserver.AppendEpochRequest(sc.req, epoch, nil)
+		}
+		sc.req = append(sc.req, query...)
+		res, err := nc.fanOut(sc, st.shards, st.active, deadline, partial)
+		if err == nil || epoch == 0 || !errors.Is(err, multiserver.ErrStaleEpoch) {
+			return res, err
+		}
+		if refresh >= maxEpochRefreshes {
+			return nil, fmt.Errorf("shard: route still stale after %d refreshes: %w", refresh, err)
+		}
+		nc.staleRetries.Add(1)
+		if rerr := nc.refreshRoute(); rerr != nil {
+			return nil, fmt.Errorf("shard: route refresh after stale epoch: %w", rerr)
+		}
 	}
-	sc.req = append(sc.req[:0], query...)
-	return nc.fanOut(sc, nc.shards, nc.positions, deadline, partial)
 }
 
 // fanScratch is the working set of one fanned-out query: the request
@@ -359,8 +289,7 @@ func (sc *fanScratch) release() {
 // fanOut sends sc.req to sets[id] for every id in shardIDs — the last on
 // the calling goroutine, the others on one goroutine each — and merges
 // the answers. A stale-epoch rejection from any shard is returned as-is
-// (highest priority) so routed callers can refresh and retry the whole
-// query.
+// (highest priority) so run can refresh and retry the whole query.
 func (nc *NetClient) fanOut(sc *fanScratch, sets []*replicaSet, shardIDs []int, deadline time.Time, partial bool) (*Result, error) {
 	sc.slots = slices.Grow(sc.slots[:0], len(shardIDs))[:len(shardIDs)]
 	slots := sc.slots
@@ -577,6 +506,7 @@ type ReplicaHealth struct {
 
 // ShardHealth is one shard's liveness view.
 type ShardHealth struct {
+	Shard     int             `json:"shard"`
 	Replicas  []ReplicaHealth `json:"replicas"`
 	Live      bool            `json:"live"`
 	DeadForMS int64           `json:"dead_for_ms,omitempty"`
@@ -596,12 +526,15 @@ type Health struct {
 	DeadFor time.Duration `json:"-"`
 }
 
-// Health reports current backend liveness (in routed mode, of the
-// replica sets the current routing table targets).
+// Health reports current backend liveness over the shards the current
+// route queries: a retired shard is never asked again, so it is neither
+// live nor dead.
 func (nc *NetClient) Health() Health {
 	var h Health
-	for _, rs := range nc.currentSets() {
-		sh := ShardHealth{Live: rs.deadSince.Load() == 0}
+	st := nc.route.Load()
+	for _, id := range st.active {
+		rs := st.shards[id]
+		sh := ShardHealth{Shard: id, Live: rs.deadSince.Load() == 0}
 		for _, c := range rs.conns {
 			sh.Replicas = append(sh.Replicas, ReplicaHealth{
 				Addr:    c.Addr(),
@@ -639,9 +572,9 @@ type Stats struct {
 	FastFails    uint64 `json:"breaker_fast_fails"`
 	Degraded     uint64 `json:"degraded"`
 	Hedges       uint64 `json:"hedged_requests"`
-	// RouteRefreshes counts routing-table fetches (routed mode only,
-	// including the initial fetch); StaleRetries counts queries that hit
-	// a stale-epoch rejection and were retried after a refresh.
+	// RouteRefreshes counts route fetches, the one at dial included (a
+	// frozen route stays at 1); StaleRetries counts queries that hit a
+	// stale-epoch rejection and were retried after a refresh.
 	RouteRefreshes uint64 `json:"route_refreshes,omitempty"`
 	StaleRetries   uint64 `json:"stale_retries,omitempty"`
 	// BreakerProbes counts forced probe rounds: queries whose every

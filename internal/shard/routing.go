@@ -28,6 +28,8 @@ const DefaultSlots = 64
 // MoveSlots.
 type RoutingTable struct {
 	// Epoch versions the table; every ownership change increments it.
+	// Versioned tables start at 1 (NewRoutingTable); 0 marks a frozen,
+	// unversioned table (frozenRoute).
 	Epoch uint64 `json:"epoch"`
 	// Owners maps slot -> owning shard id. len(Owners) is the slot
 	// universe size and never changes across epochs of one deployment.
@@ -150,10 +152,10 @@ func (t *RoutingTable) Validate() error {
 	return nil
 }
 
-// Route is what an elastic client needs to reach a deployment: the
-// current routing table plus the replica addresses of every shard
-// position. Published as JSON by the admin endpoint and returned by the
-// RouteFetch callback a routed NetClient refreshes through.
+// Route is what a NetClient needs to reach a deployment: the current
+// routing table plus the replica addresses of every shard position.
+// Published as JSON by the admin endpoint and returned by the fetch
+// callback a NetClient refreshes through.
 type Route struct {
 	Table RoutingTable `json:"table"`
 	// Replicas lists, per shard id, the interchangeable replica addresses
@@ -176,4 +178,17 @@ func (r *Route) Validate() error {
 		}
 	}
 	return nil
+}
+
+// frozenRoute is the route of a static deployment: every listed shard
+// active on one slot of its own, at epoch 0 — below any epoch a
+// rebalance can publish, so it reads "unversioned". A client holding it
+// sends queries untagged (plain index servers parse them as bare query
+// text), is never stale and never refreshes.
+func frozenRoute(replicaAddrs [][]string) *Route {
+	owners := make([]int, len(replicaAddrs))
+	for i := range owners {
+		owners[i] = i
+	}
+	return &Route{Table: RoutingTable{Owners: owners, NumShards: len(owners)}, Replicas: replicaAddrs}
 }

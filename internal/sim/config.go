@@ -19,11 +19,11 @@ type Config struct {
 	Rewrite bool `json:"rewrite"`
 	// Net adds the sharded/replicated TCP target behind fault proxies.
 	Net bool `json:"net"`
-	// Elastic (requires Net) replaces the static sharded deployment with
-	// the elastic one: replicated shard.ElasticClusters served through
-	// epoch-checking servers and queried through a routed NetClient, with
-	// the generator emitting live split/merge/migrate handoffs that carry
-	// mid-handoff inserts and queries.
+	// Elastic (requires Net) makes the networked deployment move: the
+	// client follows the clusters' live route instead of holding the
+	// frozen route of the initial shards, and the generator emits live
+	// split/merge/migrate handoffs that carry mid-handoff inserts and
+	// queries.
 	Elastic bool `json:"elastic,omitempty"`
 	// Adapt makes the generator emit OpAdapt ops: synchronous continuous-
 	// adaptation rounds (AdaptRound) on the plain and durable targets,

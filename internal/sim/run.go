@@ -63,21 +63,12 @@ func RunSchedule(cfg Config, sched Schedule) (*Result, error) {
 		defer d.close()
 	}
 	if cfg.Net {
-		if cfg.Elastic {
-			e, err := newElasticTarget(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.net, r.enet = e, e
-			defer e.close()
-		} else {
-			n, err := newNetTarget(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.net = n
-			defer n.close()
+		e, err := newElasticTarget(cfg)
+		if err != nil {
+			return nil, err
 		}
+		r.net = e
+		defer e.close()
 	}
 
 	res := &Result{Schedule: sched}
@@ -107,8 +98,7 @@ type runner struct {
 	rw        *rewrite.Planner // oracle-side planner, nil unless cfg.Rewrite
 	plain     *adindex.Index
 	dur       *durTarget
-	net       netDeployment
-	enet      *elasticTarget // non-nil iff cfg.Elastic (same object as net)
+	net       *elasticTarget
 	checks    int
 	truncated int
 	// adaptDrift is plain's applied adapt rounds minus durable's. An
@@ -233,7 +223,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			r.net.heal(op.Replica)
 		}
 	case OpSplit, OpMerge, OpMigrate:
-		if r.enet == nil {
+		// Only an elastic config's client follows a rebalance; the static
+		// one holds a frozen route.
+		if r.net == nil || !r.cfg.Elastic {
 			return nil
 		}
 		// The mid-handoff callback interleaves real traffic with the live
@@ -257,7 +249,7 @@ func (r *runner) apply(i int, op *Op) *Failure {
 				}
 			}
 		}
-		applied, divergence := r.enet.rebalance(op, mid)
+		applied, divergence := r.net.rebalance(op, mid)
 		if divergence != "" {
 			return fail("net", "%s %s", op.Kind, divergence)
 		}

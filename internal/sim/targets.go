@@ -82,87 +82,9 @@ func indexOptions(cfg Config) adindex.Options {
 	return opts
 }
 
-// netDeployment is the networked target seen by the runner: the static
-// sharded deployment (netTarget) or the elastic one (elasticTarget).
-type netDeployment interface {
-	insert(ad corpus.Ad)
-	delete(id uint64, phrase string) (found bool, diverged bool)
-	query(q string) ([]uint64, error)
-	kill(r int)
-	heal(r int)
-	numAds() int
-	// stateCheck returns a non-empty divergence description when the
-	// deployment's own cross-replica invariants fail (epoch lockstep,
-	// route validity); "" when healthy.
-	stateCheck() string
-	close()
-}
-
-// netTarget is the sharded, replicated TCP deployment: Replicas copies
-// of a Shards-way ShardedIndex, each shard server fronted by a faultnet
-// proxy, queried through one shard.NetClient with strict semantics.
-// Mutations are applied to every replica directly (modeling an
-// out-of-band replication channel); kill/heal partition and heal all of
-// one replica's proxies.
-type netTarget struct {
-	replicas []*adindex.ShardedIndex
-	closers  []func()
-	proxies  [][]*faultnet.Proxy // [replica][shard]
-	adSrv    *multiserver.Server
-	client   *shard.NetClient
-	dead     int // replica currently partitioned, -1 = none
-}
-
-func newNetTarget(cfg Config) (*netTarget, error) {
-	nt := &netTarget{dead: -1}
-	// replicaAddrs[shard][replica] — the transpose of our proxy matrix.
-	replicaAddrs := make([][]string, cfg.Shards)
-	for r := 0; r < cfg.Replicas; r++ {
-		sx, err := adindex.NewSharded(nil, cfg.Shards, indexOptions(cfg))
-		if err != nil {
-			nt.close()
-			return nil, err
-		}
-		addrs, closer, err := sx.ServeShards()
-		if err != nil {
-			nt.close()
-			return nil, err
-		}
-		nt.replicas = append(nt.replicas, sx)
-		nt.closers = append(nt.closers, closer)
-		var row []*faultnet.Proxy
-		for s, addr := range addrs {
-			p, err := faultnet.New(addr, nil)
-			if err != nil {
-				nt.close()
-				return nil, err
-			}
-			row = append(row, p)
-			replicaAddrs[s] = append(replicaAddrs[s], p.Addr())
-		}
-		nt.proxies = append(nt.proxies, row)
-	}
-	// The ad-metadata server runs with no ads: it answers any ID with
-	// zero metadata, which the harness never inspects (the networked
-	// comparison is on ID multisets).
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, nil)
-	if err != nil {
-		nt.close()
-		return nil, err
-	}
-	nt.adSrv = adSrv
-	client, err := shard.DialReplicaShards(replicaAddrs, adSrv.Addr(), shard.Options{Conn: simConnOpts(cfg)})
-	if err != nil {
-		nt.close()
-		return nil, err
-	}
-	nt.client = client
-	return nt, nil
-}
-
-// simConnOpts is the strict, fast-failing connection tuning shared by
-// both networked targets: tight retry/backoff so fault schedules run in
-// test time, deterministic jitter seeded by the run seed.
+// simConnOpts is the strict, fast-failing connection tuning of the
+// networked target: tight retry/backoff so fault schedules run in test
+// time, deterministic jitter seeded by the run seed.
 func simConnOpts(cfg Config) multiserver.ConnOpts {
 	return multiserver.ConnOpts{
 		Timeout:          2 * time.Second,
@@ -175,84 +97,11 @@ func simConnOpts(cfg Config) multiserver.ConnOpts {
 	}
 }
 
-// coreOptions is indexOptions for targets built directly on core.Index
-// (the elastic clusters); it must agree with the single-node targets on
-// everything that affects match results.
+// coreOptions is indexOptions for the cluster shards, built directly on
+// core.Index; it must agree with the single-node targets on everything
+// that affects match results.
 func coreOptions(cfg Config) core.Options {
 	return core.Options{MaxWords: cfg.MaxWords}
-}
-
-func (n *netTarget) insert(ad corpus.Ad) {
-	for _, sx := range n.replicas {
-		sx.Insert(ad)
-	}
-}
-
-// delete applies the delete to every replica and reports the (agreeing)
-// found verdicts; replicas built from identical mutation streams must
-// never disagree, so a split verdict is itself a divergence.
-func (n *netTarget) delete(id uint64, phrase string) (found bool, diverged bool) {
-	for i, sx := range n.replicas {
-		f := sx.Delete(id, phrase)
-		if i == 0 {
-			found = f
-		} else if f != found {
-			return found, true
-		}
-	}
-	return found, false
-}
-
-// kill partitions replica r. Kills are gated on the fault budget (at
-// most one replica down) so that a schedule mangled by the shrinker can
-// never take the whole deployment down and fail for the wrong reason.
-func (n *netTarget) kill(r int) {
-	if n.dead >= 0 || r < 0 || r >= len(n.proxies) {
-		return
-	}
-	n.dead = r
-	for _, p := range n.proxies[r] {
-		p.Partition()
-	}
-}
-
-// heal heals replica r (no-op when it is not the partitioned one).
-func (n *netTarget) heal(r int) {
-	if r != n.dead || r < 0 || r >= len(n.proxies) {
-		return
-	}
-	n.dead = -1
-	for _, p := range n.proxies[r] {
-		p.Heal()
-	}
-}
-
-func (n *netTarget) query(q string) ([]uint64, error) { return n.client.Query(q) }
-
-func (n *netTarget) stateCheck() string { return "" }
-
-func (n *netTarget) numAds() int {
-	if len(n.replicas) == 0 {
-		return 0
-	}
-	return n.replicas[0].NumAds()
-}
-
-func (n *netTarget) close() {
-	if n.client != nil {
-		n.client.Close()
-	}
-	for _, row := range n.proxies {
-		for _, p := range row {
-			p.Close()
-		}
-	}
-	if n.adSrv != nil {
-		n.adSrv.Close()
-	}
-	for _, c := range n.closers {
-		c()
-	}
 }
 
 // The elastic deployment's fixed topology knobs: a small slot universe
@@ -264,14 +113,18 @@ const (
 	simElasticMaxShards = 4
 )
 
-// elasticTarget is the elastic networked deployment: Replicas copies of
-// a shard.ElasticCluster, every shard position of every replica served
-// by an epoch-checking TCP server behind a faultnet proxy, queried
-// through one routed shard.NetClient. Rebalance ops run the live
-// handoff on every replica in lockstep (so epochs agree), with the
-// runner's mid-handoff callback interleaving an insert (through the
-// dual-write journal) and an oracle-checked query on replica 0's
-// pre-cutover phases.
+// elasticTarget is the networked deployment: Replicas copies of a
+// shard.ElasticCluster, every shard position of every replica served by
+// an epoch-checking TCP server behind a faultnet proxy, queried through
+// one strict shard.NetClient — on the cluster's live route under
+// cfg.Elastic, on the frozen route of the initial shards otherwise (the
+// static deployment: the same target with no rebalance in its
+// schedule). Mutations are applied to every replica directly (modeling
+// an out-of-band replication channel); kill/heal partition and heal all
+// of one replica's proxies. Rebalance ops run the live handoff on every
+// replica in lockstep (so epochs agree), with the runner's mid-handoff
+// callback interleaving an insert (through the dual-write journal) and
+// an oracle-checked query on replica 0's pre-cutover phases.
 type elasticTarget struct {
 	cfg        Config
 	replicas   []*shard.ElasticCluster
@@ -317,18 +170,27 @@ func newElasticTarget(cfg Config) (*elasticTarget, error) {
 		e.proxies = append(e.proxies, row)
 		e.proxyAddrs = append(e.proxyAddrs, addrs)
 	}
+	// The ad-metadata server runs with no ads: it answers any ID with
+	// zero metadata, which the harness never inspects (the networked
+	// comparison is on ID multisets).
 	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, nil)
 	if err != nil {
 		e.close()
 		return nil, err
 	}
 	e.adSrv = adSrv
-	client, err := shard.DialRoute(func() (*shard.Route, error) {
-		// Replica 0's table is authoritative; epochs are in lockstep
-		// outside rebalance calls, and the proxy addresses are static
-		// (positions are pre-provisioned up to the shard cap).
-		return e.replicas[0].RouteOver(e.proxyAddrs...), nil
-	}, adSrv.Addr(), shard.Options{Conn: simConnOpts(cfg)})
+	// Replica 0's table is authoritative; epochs are in lockstep outside
+	// rebalance calls, and the proxy addresses are static (positions are
+	// pre-provisioned up to the shard cap).
+	route := func() (*shard.Route, error) { return e.replicas[0].RouteOver(e.proxyAddrs...), nil }
+	opts := shard.Options{Conn: simConnOpts(cfg)}
+	var client *shard.NetClient
+	if cfg.Elastic {
+		client, err = shard.DialRoute(route, adSrv.Addr(), opts)
+	} else {
+		r, _ := route()
+		client, err = shard.DialReplicaShards(r.Replicas, adSrv.Addr(), opts)
+	}
 	if err != nil {
 		e.close()
 		return nil, err
@@ -343,6 +205,9 @@ func (e *elasticTarget) insert(ad corpus.Ad) {
 	}
 }
 
+// delete applies the delete to every replica and reports the (agreeing)
+// found verdicts; replicas built from identical mutation streams must
+// never disagree, so a split verdict is itself a divergence.
 func (e *elasticTarget) delete(id uint64, phrase string) (found bool, diverged bool) {
 	for i, ec := range e.replicas {
 		f := ec.Delete(id, phrase)
@@ -357,6 +222,9 @@ func (e *elasticTarget) delete(id uint64, phrase string) (found bool, diverged b
 
 func (e *elasticTarget) query(q string) ([]uint64, error) { return e.client.Query(q) }
 
+// kill partitions replica r. Kills are gated on the fault budget (at
+// most one replica down) so that a schedule mangled by the shrinker can
+// never take the whole deployment down and fail for the wrong reason.
 func (e *elasticTarget) kill(r int) {
 	if e.dead >= 0 || r < 0 || r >= len(e.proxies) {
 		return
@@ -367,6 +235,7 @@ func (e *elasticTarget) kill(r int) {
 	}
 }
 
+// heal heals replica r (no-op when it is not the partitioned one).
 func (e *elasticTarget) heal(r int) {
 	if r != e.dead || r < 0 || r >= len(e.proxies) {
 		return
@@ -384,8 +253,9 @@ func (e *elasticTarget) numAds() int {
 	return e.replicas[0].NumAds()
 }
 
-// stateCheck enforces the elastic deployment's own invariants: every
-// replica at the same routing epoch and a structurally valid route.
+// stateCheck returns a non-empty divergence description when the
+// deployment's own cross-replica invariants fail — every replica at the
+// same routing epoch, a structurally valid route — and "" when healthy.
 func (e *elasticTarget) stateCheck() string {
 	e0 := e.replicas[0]
 	for ri, ec := range e.replicas {

@@ -2,7 +2,7 @@ package adindex
 
 import (
 	"adindex/internal/core"
-	"adindex/internal/multiserver"
+	"adindex/internal/corpus"
 	"adindex/internal/shard"
 )
 
@@ -11,9 +11,9 @@ import (
 // deployment of the paper's Section VII-B). Ads sharing a word set stay
 // co-located, so per-shard re-mapping remains valid.
 //
-// ShardedIndex is safe for concurrent use with the same caveats as Index.
+// ShardedIndex is safe for concurrent use.
 type ShardedIndex struct {
-	cluster *shard.Cluster
+	cluster *shard.ElasticCluster
 }
 
 // NewSharded partitions ads across numShards shard indexes. Only the
@@ -25,9 +25,12 @@ type ShardedIndex struct {
 // per shard (re-mapping stays shard-local because ads sharing a word
 // set are co-located).
 func NewSharded(ads []Ad, numShards int, opts Options) (*ShardedIndex, error) {
-	cluster, err := shard.New(ads, numShards, core.Options{
-		MaxWords:      opts.MaxWords,
-		MaxQueryWords: opts.MaxQueryWords,
+	// A static cluster is an elastic one that is never rebalanced: one
+	// slot per shard, no room to grow.
+	cluster, err := shard.NewElastic(ads, numShards, shard.ElasticOptions{
+		Slots:     numShards,
+		MaxShards: numShards,
+		Index:     core.Options{MaxWords: opts.MaxWords, MaxQueryWords: opts.MaxQueryWords},
 	})
 	if err != nil {
 		return nil, err
@@ -43,7 +46,9 @@ func (s *ShardedIndex) BroadMatch(query string) []Ad {
 
 // BroadMatchCounted is BroadMatch with summed per-shard access accounting.
 func (s *ShardedIndex) BroadMatchCounted(query string, counters *Counters) []Ad {
-	return appendAdCopies(nil, s.cluster.BroadMatchText(query, counters))
+	var out []Ad
+	s.cluster.Match(query, counters, func(matches []*corpus.Ad) { out = appendAdCopies(nil, matches) })
+	return out
 }
 
 // Insert routes the ad to its shard.
@@ -63,29 +68,15 @@ func (s *ShardedIndex) NumAds() int { return s.cluster.NumAds() }
 // ServeShards exposes every shard as a TCP index server speaking the
 // multiserver frame protocol on an ephemeral loopback port, turning the
 // in-process cluster into the networked Section VII-B deployment that
-// shard.DialShards / shard.DialReplicaShards (and a remote-mode
-// internal/server front-end) can query. It returns the per-shard listen
-// addresses and a close function that stops all servers. To stand up a
-// replicated deployment, call ServeShards on several ShardedIndex
-// instances built from the same corpus and zip the address lists into
-// replica groups.
+// shard.DialReplicaShards (and a remote-mode internal/server front-end)
+// can query. It returns the per-shard listen addresses and a close
+// function that stops all servers. To stand up a replicated deployment,
+// call ServeShards on several ShardedIndex instances built from the
+// same corpus and zip the address lists into replica groups.
 func (s *ShardedIndex) ServeShards() ([]string, func(), error) {
-	var servers []*multiserver.Server
-	closeAll := func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
+	es, err := s.cluster.Serve()
+	if err != nil {
+		return nil, nil, err
 	}
-	addrs := make([]string, 0, s.cluster.NumShards())
-	for i := 0; i < s.cluster.NumShards(); i++ {
-		srv, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{},
-			multiserver.CoreBackend{Index: s.cluster.Shard(i)})
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		servers = append(servers, srv)
-		addrs = append(addrs, srv.Addr())
-	}
-	return addrs, closeAll, nil
+	return es.Addrs(), es.Close, nil
 }
