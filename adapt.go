@@ -128,9 +128,9 @@ func (ix *Index) RemapEpoch() uint64 {
 }
 
 // ExportDelta drains and returns the workload observed since the last
-// drain, with the drain epoch. The adaptation loop uses it instead of
-// the full sample merge; it is exported for tests and external control
-// loops.
+// drain, with the drain epoch. The adaptation loop pulls the same delta
+// instead of the full sample merge; the method is exported for tests
+// that must discard a warm-up phase before the loop's first round.
 func (ix *Index) ExportDelta() (*Workload, uint64) {
 	return ix.observed.ExportDelta()
 }

@@ -9,25 +9,22 @@
 //
 // Experiments (see DESIGN.md §4 for the paper mapping):
 //
-//	fig1      bid-length distribution
-//	fig2      ads-per-word-set long tail
-//	fig3      MT rule lengths vs bid lengths
-//	fig7      keyword vs word-set frequency skew
-//	tput      §VII-A throughput: ours vs both inverted baselines
-//	keysize   §VII-A elements-per-key for popular terms
-//	fig8      data volume ratio vs corpus size
-//	fig9      §VII-B two-server latency distribution and throughput
-//	fig10     re-mapping variants: none / long-only / full
-//	counters  §VII-C simulated hardware counters
-//	compress  §VI compressed lookup structure sizes
-//	ablation  design-choice sweeps (max_words, withdrawal, front coding)
-//	perf      locked AoS baseline vs columnar snapshot read path (writes BENCH_PR8.json)
-//	reshard   QPS/p99 before/during/after a live shard split (writes BENCH_PR7.json)
-//	overload  budget overhead + adversarial flood through the armored
-//	          server (writes BENCH_PR9.json + BENCH_PR9_BASE.json)
-//	adapt     continuous adaptation under workload drift: adapting vs
-//	          frozen p99 modeled cost (writes BENCH_PR10.json +
-//	          BENCH_PR10_BASE.json)
+//	fig1         bid-length distribution
+//	fig2         ads-per-word-set long tail
+//	fig3         MT rule lengths vs bid lengths
+//	fig7         keyword vs word-set frequency skew
+//	tput         §VII-A throughput: ours vs both inverted baselines
+//	keysize      §VII-A elements-per-key for popular terms
+//	fig8         data volume ratio vs corpus size
+//	fig9         §VII-B two-server latency distribution and throughput
+//	fig10        re-mapping variants: none / long-only / full
+//	counters     §VII-C simulated hardware counters
+//	compress     §VI compressed lookup structure sizes
+//	ablation     design-choice sweeps (max_words, withdrawal, front coding)
+//	maintenance  §VI insert/delete drift and re-optimization
+//
+// End-to-end serving performance is not measured here: that is bench/
+// (see BENCHMARK.json), which drives the real adserve.
 package main
 
 import (
@@ -36,7 +33,6 @@ import (
 	"log"
 	"os"
 	"runtime/debug"
-	"strings"
 
 	"adindex/internal/corpus"
 	"adindex/internal/workload"
@@ -55,6 +51,7 @@ func main() {
 	queries := flag.Int("queries", 20000, "distinct workload queries")
 	stream := flag.Int("stream", 100000, "query stream length for timed runs")
 	seed := flag.Int64("seed", 1, "generation seed")
+	flag.Usage = usage
 	flag.Parse()
 
 	// The harness keeps several corpora and indexes alive at once; a
@@ -62,42 +59,50 @@ func main() {
 	debug.SetGCPercent(400)
 
 	cfg := config{ads: *ads, queries: *queries, seed: *seed, stream: *stream}
-	experiments := map[string]func(config){
-		"fig1":        runFig1,
-		"fig2":        runFig2,
-		"fig3":        runFig3,
-		"fig7":        runFig7,
-		"tput":        runThroughput,
-		"keysize":     runKeySize,
-		"fig8":        runFig8,
-		"fig9":        runFig9,
-		"fig10":       runFig10,
-		"counters":    runCounters,
-		"compress":    runCompress,
-		"ablation":    runAblation,
-		"maintenance": runMaintenance,
-		"perf":        runPerf,
-		"reshard":     runReshard,
-		"overload":    runOverload,
-		"adapt":       runAdapt,
+	ran := false
+	for _, e := range experiments {
+		if *experiment == "all" || *experiment == e.id {
+			e.run(cfg)
+			ran = true
+		}
 	}
-	order := []string{"fig1", "fig2", "fig3", "fig7", "tput", "keysize",
-		"fig8", "fig9", "fig10", "counters", "compress", "ablation",
-		"maintenance", "perf", "reshard", "overload", "adapt"}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+		flag.Usage()
+		os.Exit(2)
+	}
+}
 
-	switch {
-	case *experiment == "all":
-		for _, id := range order {
-			experiments[id](cfg)
-		}
-	default:
-		fn, ok := experiments[*experiment]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s all\n",
-				*experiment, strings.Join(order, " "))
-			os.Exit(2)
-		}
-		fn(cfg)
+// experiments is the one registry: `-experiment all` runs it in order,
+// the usage text lists it, and TestDocListsExperiments holds the package
+// comment to it.
+var experiments = []struct {
+	id, what string
+	run      func(config)
+}{
+	{"fig1", "bid-length distribution", runFig1},
+	{"fig2", "ads-per-word-set long tail", runFig2},
+	{"fig3", "MT rule lengths vs bid lengths", runFig3},
+	{"fig7", "keyword vs word-set frequency skew", runFig7},
+	{"tput", "§VII-A throughput: ours vs both inverted baselines", runThroughput},
+	{"keysize", "§VII-A elements-per-key for popular terms", runKeySize},
+	{"fig8", "data volume ratio vs corpus size", runFig8},
+	{"fig9", "§VII-B two-server latency distribution and throughput", runFig9},
+	{"fig10", "re-mapping variants: none / long-only / full", runFig10},
+	{"counters", "§VII-C simulated hardware counters", runCounters},
+	{"compress", "§VI compressed lookup structure sizes", runCompress},
+	{"ablation", "design-choice sweeps (max_words, withdrawal, front coding)", runAblation},
+	{"maintenance", "§VI insert/delete drift and re-optimization", runMaintenance},
+}
+
+// usage prints the flags and the experiment table.
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintln(w, "usage: adbench [flags]")
+	flag.PrintDefaults()
+	fmt.Fprintln(w, "experiments (-experiment all runs them in this order):")
+	for _, e := range experiments {
+		fmt.Fprintf(w, "  %-12s %s\n", e.id, e.what)
 	}
 }
 

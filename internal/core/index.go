@@ -352,29 +352,6 @@ func (ix *Index) AppendAds(dst []corpus.Ad) []corpus.Ad {
 	return dst
 }
 
-// AppendAdsChunks passes a copy of every indexed advertisement to fn in
-// chunks of at most n, in no particular order. Unlike Ads it never
-// sorts, and a caller that pauses inside fn bounds how long the copy
-// monopolizes a CPU; the chunk slice is reused across calls, so fn must
-// copy out anything it keeps. The caller must prevent concurrent
-// mutation for the whole call (fn interleaves with a live iteration).
-func (ix *Index) AppendAdsChunks(n int, fn func([]corpus.Ad)) {
-	chunk := make([]corpus.Ad, 0, n)
-	ix.table.each(func(_ uint64, node *node) bool {
-		for _, r := range node.records {
-			chunk = append(chunk, r)
-			if len(chunk) == n {
-				fn(chunk)
-				chunk = chunk[:0]
-			}
-		}
-		return true
-	})
-	if len(chunk) > 0 {
-		fn(chunk)
-	}
-}
-
 // Ads returns a copy of all indexed advertisements (in node order). It is
 // primarily used to rebuild an index under a new mapping.
 func (ix *Index) Ads() []corpus.Ad {

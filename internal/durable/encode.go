@@ -130,6 +130,10 @@ func appendAd(b []byte, a *corpus.Ad) []byte {
 	return appendString(b, a.Phrase)
 }
 
+// minAdBytes is the shortest encoded ad: five one-byte varints and an
+// empty phrase's length byte.
+const minAdBytes = 6
+
 func decodeAd(r *byteReader) (corpus.Ad, error) {
 	id, err := r.uvarint()
 	if err != nil {
@@ -188,7 +192,9 @@ func decodeAds(payload []byte) ([]corpus.Ad, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(payload)) {
+	// An encoded ad is at least minAdBytes long, so a count the remaining
+	// bytes cannot hold is rejected before it sizes an allocation.
+	if n > uint64(r.remaining())/minAdBytes {
 		return nil, fmt.Errorf("ad count %d overruns payload", n)
 	}
 	ads := make([]corpus.Ad, 0, n)
@@ -232,13 +238,17 @@ func encodeMapping(mapping map[string][]string) []byte {
 	return b
 }
 
+// minMappingEntryBytes is the shortest encoded mapping entry: an empty
+// word set and an empty locator, one count byte each.
+const minMappingEntryBytes = 2
+
 func decodeMapping(payload []byte) (map[string][]string, error) {
 	r := &byteReader{b: payload}
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(payload)) {
+	if n > uint64(r.remaining())/minMappingEntryBytes {
 		return nil, fmt.Errorf("mapping count %d overruns payload", n)
 	}
 	mapping := make(map[string][]string, n)

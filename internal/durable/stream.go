@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"adindex/internal/corpus"
 )
@@ -66,11 +65,11 @@ func AppendRecordFrame(buf []byte, rec *Record) []byte {
 // DecodeRecordFrames parses a concatenation of WAL frames. Unlike crash
 // recovery — where a torn tail is an expected artifact — a handoff
 // stream was fully acknowledged by the sender, so any torn or corrupt
-// frame is an error.
+// frame is an error: a *CorruptError carrying the WAL class.
 func DecodeRecordFrames(data []byte) ([]Record, error) {
 	s := scanWAL(data)
 	if s.class != CorruptNone {
-		return nil, fmt.Errorf("durable: delta stream: %s (%s)", s.class, s.detail)
+		return nil, &CorruptError{File: "delta stream", Class: s.class, Detail: s.detail}
 	}
 	return s.records, nil
 }

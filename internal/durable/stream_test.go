@@ -2,9 +2,12 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adindex/internal/corpus"
@@ -70,14 +73,37 @@ func TestRecordFramesRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged: got %+v want %+v", got, recs)
 	}
 
-	// A torn tail is an error on the handoff path, not a silent truncation.
-	if _, err := DecodeRecordFrames(buf[:len(buf)-2]); err == nil {
-		t.Fatalf("torn delta stream decoded cleanly")
+	// A torn tail is an error on the handoff path, not a silent
+	// truncation, and carries its class like every other decoder's.
+	var ce *CorruptError
+	if _, err := DecodeRecordFrames(buf[:len(buf)-2]); !errors.As(err, &ce) || ce.Class != CorruptWALTorn {
+		t.Fatalf("torn delta stream: %v, want a CorruptWALTorn error", err)
 	}
 	// So is a corrupt record body.
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-1] ^= 0xff
-	if _, err := DecodeRecordFrames(bad); err == nil {
-		t.Fatalf("corrupt delta stream decoded cleanly")
+	if _, err := DecodeRecordFrames(bad); !errors.As(err, &ce) || ce.Class != CorruptWALRecord {
+		t.Fatalf("corrupt delta stream: %v, want a CorruptWALRecord error", err)
+	}
+}
+
+// TestSectionCountsBoundedByElementSize pins what FuzzDurableDecoders
+// found: a section whose count fit its byte length, but not that many
+// encoded elements, sized a slice of 96-byte ads (a map of 52-byte
+// slots) per payload byte before the first element failed to decode.
+func TestSectionCountsBoundedByElementSize(t *testing.T) {
+	payload := append(binary.AppendUvarint(nil, 4096), make([]byte, 4096)...)
+	if _, err := decodeAds(payload); err == nil || !strings.Contains(err.Error(), "ad count 4096 overruns") {
+		t.Fatalf("decodeAds: %v, want the count rejected up front", err)
+	}
+	if _, err := decodeMapping(payload); err == nil || !strings.Contains(err.Error(), "mapping count 4096 overruns") {
+		t.Fatalf("decodeMapping: %v, want the count rejected up front", err)
+	}
+	// The densest legal payloads still decode: empty ads, empty entries.
+	if ads, err := decodeAds(append(binary.AppendUvarint(nil, 4096/minAdBytes), make([]byte, 4096/minAdBytes*minAdBytes)...)); err != nil || len(ads) != 4096/minAdBytes {
+		t.Fatalf("decodeAds of %d empty ads: %d, %v", 4096/minAdBytes, len(ads), err)
+	}
+	if _, err := decodeMapping(append(binary.AppendUvarint(nil, 2048), make([]byte, 4096)...)); err != nil {
+		t.Fatalf("decodeMapping of 2048 empty entries: %v", err)
 	}
 }

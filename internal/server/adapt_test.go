@@ -12,11 +12,9 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"adindex"
 )
@@ -125,8 +123,8 @@ func driftAttempt(t *testing.T) (adaptPre, adaptPost, frozenPre, frozenPost floa
 	adaptIx.ExportDelta()
 
 	// Measure pre-drift steady state on the optimized layout.
-	adaptSrv.metrics.Cost.Reset()
-	frozenSrv.metrics.Cost.Reset()
+	resetHistogram(adaptSrv.metrics.Cost)
+	resetHistogram(frozenSrv.metrics.Cost)
 	driveHubTraffic(t, adaptBase, phaseA, phaseB, 400)
 	driveHubTraffic(t, frozenBase, phaseA, phaseB, 400)
 	adaptPre = costP99(t, adaptBase)
@@ -145,8 +143,8 @@ func driftAttempt(t *testing.T) (adaptPre, adaptPost, frozenPre, frozenPost floa
 	driveHubTraffic(t, frozenBase, phaseB, driftHubs, 3000)
 
 	// Measure post-drift steady state (no rounds during measurement).
-	adaptSrv.metrics.Cost.Reset()
-	frozenSrv.metrics.Cost.Reset()
+	resetHistogram(adaptSrv.metrics.Cost)
+	resetHistogram(frozenSrv.metrics.Cost)
 	driveHubTraffic(t, adaptBase, phaseB, driftHubs, 400)
 	driveHubTraffic(t, frozenBase, phaseB, driftHubs, 400)
 	adaptPost = costP99(t, adaptBase)
@@ -156,9 +154,7 @@ func driftAttempt(t *testing.T) (adaptPre, adaptPost, frozenPre, frozenPost floa
 
 func shutdownServer(t *testing.T, s *Server) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := drain(s); err != nil {
 		t.Errorf("shutdown: %v", err)
 	}
 }

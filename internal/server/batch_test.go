@@ -15,7 +15,7 @@ func postBatch(t *testing.T, base string, body any) (*http.Response, batchRespon
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/search/batch", "application/json", bytes.NewReader(buf))
+	resp, err := testClient.Post(base+"/search/batch", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSearchBatchValidation(t *testing.T) {
 	if resp, _ := postBatch(t, base, big); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch status = %d, want 400", resp.StatusCode)
 	}
-	resp, err := http.Get(base + "/search/batch")
+	resp, err := testClient.Get(base + "/search/batch")
 	if err != nil {
 		t.Fatal(err)
 	}

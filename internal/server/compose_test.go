@@ -86,7 +86,7 @@ func TestSearchBudgetEveryQueryKind(t *testing.T) {
 			}
 
 			// Three blowouts strike out the fingerprint.
-			resp, err := http.Get(url)
+			resp, err := testClient.Get(url)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -19,7 +18,7 @@ import (
 // failing on any non-200 status.
 func postJSON(t *testing.T, url string, out any) {
 	t.Helper()
-	resp, err := http.Post(url, "", nil)
+	resp, err := testClient.Post(url, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +73,7 @@ func startElasticServer(t *testing.T, cfg Config) (*Server, string, *shard.Elast
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { drain(s) })
 	return s, "http://" + s.Addr(), ec
 }
 
@@ -194,7 +189,7 @@ func TestReadyzDuringRebalance(t *testing.T) {
 	_, base, ec := startElasticServer(t, Config{})
 
 	readyz := func() (int, string) {
-		resp, err := http.Get(base + "/readyz")
+		resp, err := testClient.Get(base + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}

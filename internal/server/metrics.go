@@ -128,17 +128,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Reset zeroes the histogram. Not atomic with respect to concurrent
-// Observe calls; callers (phase-structured tests and benchmarks) reset
-// between quiescent phases.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // HistogramSnapshot is the JSON form of the latency histogram: only
 // non-empty buckets are emitted, keyed by their upper bound.
 type HistogramSnapshot struct {

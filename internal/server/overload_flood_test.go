@@ -9,7 +9,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -282,11 +281,7 @@ func TestOverloadFlood(t *testing.T) {
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { drain(s) })
 	base := "http://" + s.Addr()
 
 	// Streams: a steady phase, then a flood interleaving flash crowds of

@@ -160,7 +160,7 @@ func TestSearchBudgetTruncation(t *testing.T) {
 	// Third blowout strikes out the fingerprint: the next request is
 	// fast-rejected 503 before admission.
 	search(t, base, truncatedQuery, "")
-	resp, err := http.Get(base + "/search?q=" + strings.ReplaceAll(truncatedQuery, " ", "+"))
+	resp, err := testClient.Get(base + "/search?q=" + strings.ReplaceAll(truncatedQuery, " ", "+"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSearchPanicContainment(t *testing.T) {
 	s, _, base := startTestServer(t, Config{QuarantineTTL: time.Minute})
 	s.panicOn = "poison query"
 
-	resp, err := http.Get(base + "/search?q=poison+query")
+	resp, err := testClient.Get(base + "/search?q=poison+query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSearchPanicContainment(t *testing.T) {
 	}
 	// The fingerprint is quarantined: the repeat is fast-rejected 503
 	// without reaching the match path again.
-	resp, err = http.Get(base + "/search?q=poison+query")
+	resp, err = testClient.Get(base + "/search?q=poison+query")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,10 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"adindex"
 	"adindex/internal/durable"
@@ -15,7 +13,7 @@ import (
 
 func getStatus(t *testing.T, url string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := testClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,7 @@ func TestRecoveringLifecycle(t *testing.T) {
 		t.Fatalf("matched = %d, want 4", res.Matched)
 	}
 	body, _ := json.Marshal(insertRequest{ID: 99, Phrase: "durable flush check", Meta: adindex.Meta{BidMicros: 7}})
-	resp, err := http.Post(base+"/insert", "application/json", bytes.NewReader(body))
+	resp, err := testClient.Post(base+"/insert", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +98,7 @@ func TestRecoveringLifecycle(t *testing.T) {
 	// Graceful shutdown drains and flushes the WAL; a new process must
 	// see the acknowledged insert even though SyncNone never fsync'd it
 	// on the mutation path.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if err := ix.Close(); err != nil {

@@ -3,7 +3,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"reflect"
 	"testing"
@@ -62,11 +61,7 @@ func startRemoteServer(t *testing.T, cfg Config, sopts shard.Options) (*Server, 
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { drain(s) })
 	return s, "http://" + s.Addr(), proxy
 }
 
@@ -76,7 +71,7 @@ func status(t *testing.T, method, url string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"testing"
-	"time"
 
 	"adindex"
 	"adindex/internal/rewrite"
@@ -23,17 +21,13 @@ func startRewriteServer(t *testing.T, cfg Config) (*Server, *adindex.Index, stri
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { drain(s) })
 	return s, ix, "http://" + s.Addr()
 }
 
 func searchStatus(t *testing.T, base, rawQuery string) int {
 	t.Helper()
-	resp, err := http.Get(base + "/search?" + rawQuery)
+	resp, err := testClient.Get(base + "/search?" + rawQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

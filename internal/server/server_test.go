@@ -34,17 +34,29 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *adindex.Index, string)
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { drain(s) })
 	return s, ix, "http://" + s.Addr()
+}
+
+// testClient is the one HTTP client of this package's tests. They own it
+// so that drain can close its idle connections first: a connection the
+// transport dialed but never sent a request on sits in StateNew on the
+// server side, and http.Server.Shutdown waits out a 5 s grace before it
+// treats such a connection as idle.
+var testClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
+
+// drain shuts s down gracefully, with a budget above net/http's 5 s
+// grace for connections that never sent a request.
+func drain(s *Server) error {
+	testClient.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return s.Shutdown(ctx)
 }
 
 func getJSON(t *testing.T, url string, out any) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := testClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +124,7 @@ func TestEndToEnd(t *testing.T) {
 				Phrase: fmt.Sprintf("gadget model%d", i),
 				Meta:   adindex.Meta{BidMicros: 50},
 			})
-			resp, err := http.Post(base+"/insert", "application/json", bytes.NewReader(body))
+			resp, err := testClient.Post(base+"/insert", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
@@ -134,7 +146,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("unexpected pre-insert match: %+v", pre)
 	}
 	body, _ := json.Marshal(insertRequest{ID: 999, Phrase: "widget deluxe", Meta: adindex.Meta{BidMicros: 77}})
-	resp, err := http.Post(base+"/insert", "application/json", bytes.NewReader(body))
+	resp, err := testClient.Post(base+"/insert", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +160,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	// Same via HTTP delete.
 	body, _ = json.Marshal(deleteRequest{ID: 999, Phrase: "widget deluxe"})
-	resp, err = http.Post(base+"/delete", "application/json", bytes.NewReader(body))
+	resp, err = testClient.Post(base+"/delete", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +190,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Probes.
 	for _, probe := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(base + probe)
+		resp, err := testClient.Get(base + probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,9 +201,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Graceful shutdown drains cleanly.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if m := s.Metrics().InFlight.Load(); m != 0 {
@@ -207,7 +217,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(base + "/search?q=used+books")
+		resp, err := testClient.Get(base + "/search?q=used+books")
 		if err != nil {
 			done <- err
 			return
@@ -227,10 +237,8 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	start := time.Now()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if err := <-done; err != nil {
@@ -261,7 +269,7 @@ func TestSheddingUnderSaturation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(base + "/search?q=used+books")
+			resp, err := testClient.Get(base + "/search?q=used+books")
 			if err != nil {
 				t.Error(err)
 				return
@@ -300,7 +308,7 @@ func TestSheddingUnderSaturation(t *testing.T) {
 // goroutine, SIGTERM to the process, Run returns nil after draining.
 func TestRunHandlesSigterm(t *testing.T) {
 	ix := adindex.Build(testCatalog(), adindex.Options{})
-	s := New(ix, Config{ShutdownTimeout: 5 * time.Second})
+	s := New(ix, Config{ShutdownTimeout: 10 * time.Second}) // above net/http's 5 s StateNew grace, as drain is
 	done := make(chan error, 1)
 	go func() { done <- s.Run("127.0.0.1:0") }()
 
@@ -314,7 +322,7 @@ func TestRunHandlesSigterm(t *testing.T) {
 	}
 	base := "http://" + s.Addr()
 	for {
-		resp, err := http.Get(base + "/readyz")
+		resp, err := testClient.Get(base + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -329,6 +337,7 @@ func TestRunHandlesSigterm(t *testing.T) {
 	// Run registers its signal handler before binding, so once the port
 	// answers, SIGTERM is guaranteed to be caught (and not kill the test
 	// binary).
+	testClient.CloseIdleConnections()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +346,7 @@ func TestRunHandlesSigterm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run returned %v after SIGTERM", err)
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(15 * time.Second):
 		t.Fatal("Run did not return after SIGTERM")
 	}
 }
@@ -345,7 +354,7 @@ func TestRunHandlesSigterm(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	s, _, base := startTestServer(t, Config{})
 	for _, url := range []string{"/search", "/search?q=%20", "/search?q=x&type=fuzzy"} {
-		resp, err := http.Get(base + url)
+		resp, err := testClient.Get(base + url)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,22 +119,9 @@ type ElasticOptions struct {
 	// Serving layers provision one server per position up front, so
 	// growth never races a client against a listener that isn't up yet.
 	MaxShards int
-	// MaxCatchUpRounds bounds journal replay rounds before the final
-	// locked round (default 3).
-	MaxCatchUpRounds int
 	// MaxDeltaRecords aborts a handoff whose dual-write window exceeds
 	// this many journaled mutations (default 4096).
 	MaxDeltaRecords int
-	// HandoffBatch is how many ads a handoff copies, stages, or drains
-	// per uninterrupted work chunk (default 64). Smaller batches bound
-	// how long a handoff can stall a concurrently-served query on a
-	// small-GOMAXPROCS host; larger batches finish the handoff sooner.
-	HandoffBatch int
-	// HandoffPace is how long the handoff goroutine parks between work
-	// chunks (default 50µs; the effective floor is the host's timer
-	// granularity, often ~1ms). Longer parks give serving traffic
-	// cleaner windows at the cost of handoff duration.
-	HandoffPace time.Duration
 	// Index configures each shard index.
 	Index core.Options
 }
@@ -146,25 +133,35 @@ func (o ElasticOptions) withDefaults() ElasticOptions {
 	if o.MaxShards == 0 {
 		o.MaxShards = 8
 	}
-	if o.MaxCatchUpRounds == 0 {
-		o.MaxCatchUpRounds = 3
-	}
 	if o.MaxDeltaRecords == 0 {
 		o.MaxDeltaRecords = 4096
-	}
-	if o.HandoffBatch == 0 {
-		o.HandoffBatch = 64
-	}
-	if o.HandoffPace == 0 {
-		o.HandoffPace = 50 * time.Microsecond
 	}
 	return o
 }
 
-// streamSegment is how many captured ads each checksummed snapshot
-// segment carries during handoff. Segmenting bounds the encode/decode
-// CPU chunks the same way HandoffBatch bounds the insert chunks.
-const streamSegment = 128
+// Handoff pacing. A live handoff trades its own duration for query tail
+// latency, and TestReshardTailLatency holds the trade to p99(during) <=
+// 2x p99(before) through a split, a migration and a merge of a 20k-ad
+// cluster under closed-loop load. Tiny work chunks with long parks keep
+// the handoff near 2 % of one core: the test sees ~1.3x with these
+// values (seconds per handoff) and 5-7x with 64-ad chunks parked 50µs
+// (a tenth of a second per handoff).
+const (
+	// handoffBatch is how many ads a handoff copies, stages, or drains
+	// per uninterrupted work chunk: the longest it can hold a core that
+	// a query is waiting for.
+	handoffBatch = 8
+	// handoffPace is how long the handoff goroutine parks between work
+	// chunks (the effective floor is the host's timer granularity).
+	handoffPace = 700 * time.Microsecond
+	// streamSegment is how many captured ads each checksummed snapshot
+	// segment carries: it bounds the encode/decode CPU chunks the same
+	// way handoffBatch bounds the insert chunks.
+	streamSegment = 128
+	// maxCatchUpRounds bounds journal replay rounds before the final
+	// locked round.
+	maxCatchUpRounds = 3
+)
 
 // pace parks the handoff goroutine between work chunks so serving
 // traffic is never starved; live migration trades its own duration for
@@ -175,7 +172,7 @@ const streamSegment = 128
 // in-flight network exchange until sysmon's fallback poll (~10ms).
 // Parking on a timer empties the run queue, so the scheduler delivers
 // network readiness to the serving goroutines every pause.
-func (ec *ElasticCluster) pace() { time.Sleep(ec.opts.HandoffPace) }
+func pace() { time.Sleep(handoffPace) }
 
 // NewElastic partitions ads across numShards shards under a fresh
 // epoch-1 routing table.
@@ -548,15 +545,16 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	ec.phase = "stream"
 	ec.mu.Unlock()
 
-	batch := ec.opts.HandoffBatch
-	chunk := 16 * batch
+	// Index work parks every batch ads; the slot filters, an order of
+	// magnitude cheaper per ad, every chunk. Both run outside the lock.
+	const batch, chunk = handoffBatch, 16 * handoffBatch
 	keep := capture[:0]
 	for i, ad := range capture {
 		if moving[srcTable.SlotOfWords(ad.Words)] {
 			keep = append(keep, ad)
 		}
 		if (i+1)%chunk == 0 {
-			ec.pace()
+			pace()
 		}
 	}
 	capture = keep
@@ -583,7 +581,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 			end = len(capture)
 		}
 		segs = append(segs, durable.EncodeSnapshotStream(srcEpoch, capture[i:end], nil, srcEpoch))
-		ec.pace()
+		pace()
 	}
 	if err := ec.faultAt("stream", segs[0]); err != nil {
 		return err
@@ -595,7 +593,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	// readers for the whole handoff under sustained fan-out traffic).
 	// The staging index starts from the existing target's captured base
 	// and replaces it wholesale at cutover. Inserts pause every
-	// HandoffBatch: on small GOMAXPROCS an unbroken bulk build
+	// handoffBatch: on small GOMAXPROCS an unbroken bulk build
 	// monopolizes CPU and stalls every in-flight query for its full
 	// length.
 	ec.setPhase("load")
@@ -605,7 +603,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		for _, ad := range ads {
 			staging.Insert(ad)
 			if loaded++; loaded%batch == 0 {
-				ec.pace()
+				pace()
 			}
 		}
 	}
@@ -625,7 +623,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	// snapshot in bounded rounds; a window that keeps growing past
 	// MaxDeltaRecords aborts rather than chasing forever.
 	ec.setPhase("catchup")
-	for round := 0; round < ec.opts.MaxCatchUpRounds; round++ {
+	for round := 0; round < maxCatchUpRounds; round++ {
 		ec.mu.Lock()
 		delta := ec.mig.delta
 		ec.mig.delta = nil
@@ -675,14 +673,12 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 
 	// Phase: drain. The moved slots now route to the target, so the
 	// source's leftover copies are frozen; delete them in short batches.
-	// Capture unsorted in paced chunks under the read lock, filter
-	// outside it.
-	var residue []corpus.Ad
+	// Capture unsorted in one copy under the read lock, as begin does
+	// under the write lock (a park in here would hold the lock through
+	// it, and a writer queued behind a held read lock stalls every new
+	// reader); filter outside it.
 	ec.mu.RLock()
-	ec.shards[from].AppendAdsChunks(chunk, func(ads []corpus.Ad) {
-		residue = append(residue, ads...)
-		ec.pace()
-	})
+	residue := ec.shards[from].AppendAds(nil)
 	ec.mu.RUnlock()
 	var leftovers []corpus.Ad
 	for i, ad := range residue {
@@ -690,7 +686,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 			leftovers = append(leftovers, ad)
 		}
 		if (i+1)%chunk == 0 {
-			ec.pace()
+			pace()
 		}
 	}
 	for i := 0; i < len(leftovers); i += batch {
@@ -706,7 +702,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		// Park between batches so queued readers drain; back-to-back
 		// write acquisitions can otherwise starve them for the whole
 		// sweep.
-		ec.pace()
+		pace()
 	}
 	ec.setPhase("")
 	ec.completed.Add(1)
