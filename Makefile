@@ -12,7 +12,8 @@
 #                      bar across a live split/migrate/merge
 #   overloadsmoke      budget/quarantine/shedding and the 4x flood bar
 #   adaptsmoke         adapt control loop and the drift bar
-#   fuzzsmoke          ten seconds on each decoder of foreign bytes
+#   fuzzsmoke          ten seconds on each decoder of foreign bytes and on
+#                      the reply encoders held to encoding/json
 #   benchsmoke         one iteration of every root `go test` benchmark
 #   benchmod           vet + test of bench/, the end-to-end benchmark
 #                      (its own module: `go test ./...` never compiles it)
@@ -117,6 +118,8 @@ cover:
 
 # Ten seconds of coverage-guided fuzzing each over the corpus text
 # format round-trip property (Read ∘ Write = id on accepted inputs), the
+# append-form JSON encoders of the HTTP reply (AppendJSON ≡ encoding/json,
+# byte for byte, on arbitrary strings), the
 # bounded-Levenshtein trie walk (walk ≡ naive DP over every stored
 # word), the columnar signature prefilter (prefiltered scan ≡ naive
 # per-record subset scan under random insert/remove churn), and the
@@ -127,6 +130,7 @@ cover:
 # Encode = id on accepted inputs).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
+	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver

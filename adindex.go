@@ -350,6 +350,13 @@ func (ix *Index) Observe(query string) {
 	ix.observed.Observe(query)
 }
 
+// ObserveWords is Observe for a caller that already holds the query's
+// canonical word set (textnorm.AppendWordSet): it records the same sample
+// without tokenizing again. words is only read.
+func (ix *Index) ObserveWords(words []string) {
+	ix.observed.ObserveWords(words)
+}
+
 // ObservedQueries returns the number of distinct observed queries.
 func (ix *Index) ObservedQueries() int {
 	return ix.observed.Distinct()

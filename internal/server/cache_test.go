@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,14 +13,27 @@ func ad(id uint64) []adindex.Ad {
 	return []adindex.Ad{adindex.NewAd(id, fmt.Sprintf("phrase %d", id), adindex.Meta{})}
 }
 
+// cachedAds decodes a cached reply's body back into the ads it encodes.
+func cachedAds(t *testing.T, reply Cached) []adindex.Ad {
+	t.Helper()
+	var ads []adindex.Ad
+	if err := json.Unmarshal(reply.Body, &ads); err != nil {
+		t.Errorf("cached body %q: %v", reply.Body, err)
+	}
+	if reply.Matched != len(ads) {
+		t.Errorf("cached reply says %d matched, body holds %d ads", reply.Matched, len(ads))
+	}
+	return ads
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(8, 2)
 	if _, ok := c.Get("k", 0); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put("k", 0, ad(1))
-	got, ok := c.Get("k", 0)
-	if !ok || len(got) != 1 || got[0].ID != 1 {
+	reply, ok := c.Get("k", 0)
+	if got := cachedAds(t, reply); !ok || len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	hits, misses, inv := c.Stats()
@@ -71,6 +85,39 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheBytes: the byte total follows the live entries through every
+// way one can leave — replacement, eviction, invalidation.
+func TestCacheBytes(t *testing.T) {
+	c := NewCache(2, 1)
+	size := func(key string, ads []adindex.Ad) int64 {
+		b, err := json.Marshal(ads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(key) + len(b))
+	}
+	check := func(step string, want int64) {
+		t.Helper()
+		if got := c.Bytes(); got != want {
+			t.Errorf("%s: Bytes = %d, want %d", step, got, want)
+		}
+	}
+	check("empty", 0)
+	c.Put("a", 0, ad(1))
+	c.Put("bb", 0, nil)
+	check("two entries", size("a", ad(1))+size("bb", nil))
+	c.Put("a", 0, ad(1000000)) // replaced by a longer body
+	check("replace", size("a", ad(1000000))+size("bb", nil))
+	c.Put("ccc", 0, ad(3)) // evicts bb, the least recently used
+	check("evict", size("a", ad(1000000))+size("ccc", ad(3)))
+	c.Get("a", 1) // stale: dropped
+	check("invalidate", size("ccc", ad(3)))
+	var off *Cache
+	if off.Bytes() != 0 {
+		t.Error("nil cache holds bytes")
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	var c *Cache // NewCache(<=0, …) returns nil; all methods are no-ops
 	if c := NewCache(0, 4); c != nil {
@@ -110,9 +157,11 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", i%32)
 				epoch := uint64(i % 3)
-				if got, ok := c.Get(key, epoch); ok && len(got) != 1 {
-					t.Errorf("bad cached value for %s: %v", key, got)
-					return
+				if reply, ok := c.Get(key, epoch); ok {
+					if got := cachedAds(t, reply); len(got) != 1 {
+						t.Errorf("bad cached value for %s: %v", key, got)
+						return
+					}
 				}
 				c.Put(key, epoch, ad(uint64(i)))
 			}

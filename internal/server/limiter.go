@@ -107,19 +107,28 @@ func NewLimiterShedAt(maxInflight, maxQueue int, target, window time.Duration, n
 	}
 }
 
+// TryAcquire takes a free slot if there is one, without queueing: the
+// fast path of Acquire, for callers that build their context only when
+// they have to wait. A zero-delay sample is the signal that the standing
+// queue has drained, so shedding exits even if no request ever waits
+// again. On success the caller must Release exactly once.
+func (l *Limiter) TryAcquire() bool {
+	select {
+	case l.slots <- struct{}{}:
+		l.note(0)
+		return true
+	default:
+		return false
+	}
+}
+
 // Acquire obtains a slot, waiting in the bounded queue if none is free.
 // It returns ErrOverload when delay shedding is active, ErrQueueFull
 // when the queue is at capacity, and ctx.Err() when the context is done
 // before a slot frees. On success the caller must Release exactly once.
 func (l *Limiter) Acquire(ctx context.Context) error {
-	// Fast path: free slot, no queueing. A zero-delay sample is the
-	// signal that the standing queue has drained, so shedding exits even
-	// if no request ever waits again.
-	select {
-	case l.slots <- struct{}{}:
-		l.note(0)
+	if l.TryAcquire() {
 		return nil
-	default:
 	}
 	if l.sheddingNow() {
 		l.shedOverload.Add(1)

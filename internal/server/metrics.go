@@ -255,6 +255,8 @@ type MetricsSnapshot struct {
 		Misses        uint64 `json:"misses"`
 		Invalidations uint64 `json:"invalidations"`
 		Entries       int    `json:"entries"`
+		// Bytes is the key and body bytes the live entries hold.
+		Bytes int64 `json:"bytes"`
 	} `json:"cache"`
 	Shed     uint64 `json:"shed"`
 	Timeouts uint64 `json:"timeouts"`

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
+
+	"adindex"
 )
 
 // bucketOf reports which bucket of a fresh histogram over bounds a sample
@@ -130,6 +133,19 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	lat := back["latency"].(map[string]any)
 	if lat["count"].(float64) != 1 {
 		t.Errorf("latency.count = %v", lat["count"])
+	}
+
+	// The cache section is the server's: cache.bytes is the key and body
+	// bytes of the live entries, here the one reply a search just stored.
+	s := New(adindex.Build(testCatalog(), adindex.Options{}), Config{})
+	reply := serve(t, s, "GET", searchTarget("used books", "broad"), "")
+	body := reply[bytes.Index(reply, []byte(`"ads":`))+len(`"ads":`) : bytes.Index(reply, []byte(`,"took_us"`))]
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
+		t.Fatal(err)
+	}
+	cache := back["cache"].(map[string]any)
+	if want := len("b\x00books\x1fused") + len(body); cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(want) {
+		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, want)
 	}
 }
 

@@ -408,6 +408,36 @@ func TestOverloadFlood(t *testing.T) {
 			acceptedP99, limit, steadyP99)
 	}
 
+	// Whether the flood itself promoted anyone depends on how arrivals
+	// interleaved with the shedder: an offender shed at admission earns no
+	// strike. So the promotion check does not rest on that. The flood has
+	// drained (drivePhase returned), a request sent alone always finds a
+	// free slot, which shedding never refuses, and DefaultQuarantineStrikes
+	// blowouts by one offender inside the TTL must promote it — unless the
+	// flood already did, in which case it is refused at admission.
+	offender := ""
+	for i, o := range outcomes {
+		if o.status == http.StatusOK && o.truncated {
+			offender = strings.Join(mixed[i].Words, " ")
+			break
+		}
+	}
+	if offender == "" {
+		t.Fatal("no truncated flood query to replay as the repeat offender")
+	}
+	for i := 0; i < DefaultQuarantineStrikes; i++ {
+		o := floodGet(client, base, offender)
+		switch {
+		case o.err != nil:
+			t.Fatalf("offender %q, strike %d: %v", offender, i+1, o.err)
+		case o.status == http.StatusOK && o.truncated:
+		case o.status == http.StatusServiceUnavailable: // already quarantined
+		default:
+			t.Fatalf("offender %q, strike %d: status %d truncated=%v, want a truncated 200 or a quarantine 503",
+				offender, i+1, o.status, o.truncated)
+		}
+	}
+
 	// The armor's counters saw what the client saw: contained zero panics,
 	// counted truncations, and promoted repeat offenders into quarantine.
 	var snap MetricsSnapshot

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,22 +72,29 @@ func NewQuarantineAt(ttl time.Duration, strikes int, now func() time.Time) *Quar
 	}
 }
 
-// fingerprint hashes the canonical query key (FNV-1a: fast, stdlib, no
-// allocation).
-func fingerprint(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
+// fingerprint hashes the canonical query key (FNV-1a, 64-bit; no
+// allocation for either key form). The handler computes it once per
+// request from the key in its scratch and hands it to every call below.
+func fingerprint[K cacheKeyBytes](key K) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
 }
 
-// Check reports whether key is currently quarantined; the caller should
-// fast-reject the request without admitting it. Expired entries are
-// dropped lazily on probe.
-func (q *Quarantine) Check(key string) bool {
+// Check reports whether the fingerprint is currently quarantined; the
+// caller should fast-reject the request without admitting it. Expired
+// entries are dropped lazily on probe.
+func (q *Quarantine) Check(fp uint64) bool {
 	if q == nil {
 		return false
 	}
-	fp := fingerprint(key)
 	now := q.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -111,13 +117,13 @@ func (q *Quarantine) Check(key string) bool {
 	return true
 }
 
-// NoteBudgetBlown records one budget-exhaustion strike against key;
-// reaching the strike threshold within one TTL window quarantines it.
-func (q *Quarantine) NoteBudgetBlown(key string) {
+// NoteBudgetBlown records one budget-exhaustion strike against the
+// fingerprint; reaching the strike threshold within one TTL window
+// quarantines it.
+func (q *Quarantine) NoteBudgetBlown(fp uint64) {
 	if q == nil {
 		return
 	}
-	fp := fingerprint(key)
 	now := q.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -138,13 +144,12 @@ func (q *Quarantine) NoteBudgetBlown(key string) {
 	}
 }
 
-// NotePanic quarantines key immediately: a query that panicked the
-// match path must not reach it again until the TTL lapses.
-func (q *Quarantine) NotePanic(key string) {
+// NotePanic quarantines the fingerprint immediately: a query that
+// panicked the match path must not reach it again until the TTL lapses.
+func (q *Quarantine) NotePanic(fp uint64) {
 	if q == nil {
 		return
 	}
-	fp := fingerprint(key)
 	now := q.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()

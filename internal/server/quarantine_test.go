@@ -16,26 +16,26 @@ func TestQuarantineStrikesAndExpiry(t *testing.T) {
 	q := NewQuarantineAt(time.Minute, 3, clk.Now)
 
 	// Two strikes do not quarantine.
-	q.NoteBudgetBlown("heavy query")
-	q.NoteBudgetBlown("heavy query")
-	if q.Check("heavy query") {
+	q.NoteBudgetBlown(fingerprint("heavy query"))
+	q.NoteBudgetBlown(fingerprint("heavy query"))
+	if q.Check(fingerprint("heavy query")) {
 		t.Fatal("quarantined below the strike threshold")
 	}
 	// The third strike inside the window does.
-	q.NoteBudgetBlown("heavy query")
-	if !q.Check("heavy query") {
+	q.NoteBudgetBlown(fingerprint("heavy query"))
+	if !q.Check(fingerprint("heavy query")) {
 		t.Fatal("three strikes did not quarantine")
 	}
 	if q.Quarantined() != 1 || q.Rejected() != 1 {
 		t.Fatalf("counters: quarantined=%d rejected=%d", q.Quarantined(), q.Rejected())
 	}
 	// Other fingerprints are unaffected.
-	if q.Check("different query") {
+	if q.Check(fingerprint("different query")) {
 		t.Fatal("unrelated fingerprint quarantined")
 	}
 	// Expiry: past the TTL the fingerprint serves again.
 	clk.Advance(61 * time.Second)
-	if q.Check("heavy query") {
+	if q.Check(fingerprint("heavy query")) {
 		t.Fatal("quarantine survived its TTL")
 	}
 	if q.Len() != 0 {
@@ -51,10 +51,10 @@ func TestQuarantineStrikeDecay(t *testing.T) {
 	// heavy-but-legitimate query that occasionally truncates is not
 	// poisoned.
 	for i := 0; i < 6; i++ {
-		q.NoteBudgetBlown("occasionally heavy")
+		q.NoteBudgetBlown(fingerprint("occasionally heavy"))
 		clk.Advance(2 * time.Minute)
 	}
-	if q.Check("occasionally heavy") {
+	if q.Check(fingerprint("occasionally heavy")) {
 		t.Fatal("decayed strikes quarantined the query")
 	}
 	if q.Quarantined() != 0 {
@@ -65,21 +65,21 @@ func TestQuarantineStrikeDecay(t *testing.T) {
 func TestQuarantinePanicIsInstant(t *testing.T) {
 	clk := simclock.NewFake()
 	q := NewQuarantineAt(time.Minute, 3, clk.Now)
-	q.NotePanic("poison")
-	if !q.Check("poison") {
+	q.NotePanic(fingerprint("poison"))
+	if !q.Check(fingerprint("poison")) {
 		t.Fatal("panic did not quarantine instantly")
 	}
 	clk.Advance(61 * time.Second)
-	if q.Check("poison") {
+	if q.Check(fingerprint("poison")) {
 		t.Fatal("panic quarantine survived its TTL")
 	}
 }
 
 func TestQuarantineNilIsNoop(t *testing.T) {
 	var q *Quarantine // disabled (Config.QuarantineTTL == 0)
-	q.NoteBudgetBlown("x")
-	q.NotePanic("x")
-	if q.Check("x") || q.Len() != 0 || q.Rejected() != 0 {
+	q.NoteBudgetBlown(fingerprint("x"))
+	q.NotePanic(fingerprint("x"))
+	if q.Check(fingerprint("x")) || q.Len() != 0 || q.Rejected() != 0 {
 		t.Fatal("nil quarantine misbehaved")
 	}
 	if NewQuarantine(0) != nil {
@@ -91,7 +91,7 @@ func TestQuarantineEvictionCap(t *testing.T) {
 	clk := simclock.NewFake()
 	q := NewQuarantineAt(time.Minute, 1, clk.Now)
 	for i := 0; i < maxQuarantineEntries+100; i++ {
-		q.NoteBudgetBlown(strings.Repeat("q", 1+i%50) + string(rune('a'+i%26)) + time.Duration(i).String())
+		q.NoteBudgetBlown(fingerprint(strings.Repeat("q", 1+i%50) + string(rune('a'+i%26)) + time.Duration(i).String()))
 	}
 	if q.Len() > maxQuarantineEntries {
 		t.Fatalf("table grew past cap: %d", q.Len())

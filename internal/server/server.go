@@ -31,6 +31,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,10 +39,10 @@ import (
 	"time"
 
 	"adindex"
+	"adindex/internal/corpus"
 	"adindex/internal/durable"
 	"adindex/internal/multiserver"
 	"adindex/internal/shard"
-	"adindex/internal/textnorm"
 )
 
 // Config tunes the serving layer. The zero value selects production-safe
@@ -84,8 +85,9 @@ type Config struct {
 	QuarantineTTL time.Duration
 	// Selection, when non-nil, applies the auction-side filters
 	// (exclusion keywords, bid floor, ranking, result cap) to matches
-	// before they are returned. Raw matches are what is cached, so the
-	// cache stays valid across selection-parameter changes.
+	// before they are returned. The cache holds replies after selection:
+	// the selection is fixed for the server's lifetime and must not be
+	// mutated (ExcludeShown included) once the server is built.
 	Selection *adindex.Selection
 	// ReadTimeout, WriteTimeout, and IdleTimeout configure the
 	// http.Server; zero values select 10s, 30s, and 120s.
@@ -367,19 +369,6 @@ func (s *Server) awaitShutdown(sigCtx context.Context) error {
 	return nil
 }
 
-// cacheKey maps a query to its result-cache key. Broad match is order- and
-// duplicate-insensitive, so all orderings of the same word set share one
-// entry (keyed by the canonical set). Exact and phrase match depend on
-// token order, so they key by the normalized token sequence.
-func cacheKey(matchType, q string) string {
-	switch matchType {
-	case "exact", "phrase":
-		return matchType[:1] + "\x00" + strings.Join(textnorm.Tokenize(q), "\x1f")
-	default:
-		return "b\x00" + textnorm.SetKey(textnorm.WordSet(q))
-	}
-}
-
 type searchResponse struct {
 	Query   string       `json:"query"`
 	Type    string       `json:"type"`
@@ -412,13 +401,12 @@ type searchResponse struct {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	q := r.URL.Query().Get("q")
+	q, matchType, rewriteMode := searchParams(r.URL.RawQuery)
 	if strings.TrimSpace(q) == "" {
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	matchType := r.URL.Query().Get("type")
 	switch matchType {
 	case "":
 		matchType = "broad"
@@ -428,7 +416,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "type must be broad, exact, or phrase", http.StatusBadRequest)
 		return
 	}
-	rewriteMode := r.URL.Query().Get("rewrite")
 	switch rewriteMode {
 	case "", "off", "on":
 	default:
@@ -436,35 +423,32 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "rewrite must be on or off", http.StatusBadRequest)
 		return
 	}
-	if rewriteMode == "on" && matchType != "broad" {
+	rewrite := rewriteMode == "on"
+	if rewrite && matchType != "broad" {
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "rewrite=on requires type=broad", http.StatusBadRequest)
 		return
 	}
 
+	// The request's one tokenization: the cache key, the quarantine
+	// fingerprint and the workload sample all come from it.
+	sc := getSearchScratch()
+	defer putSearchScratch(sc)
+	sc.tokenize(matchType, q)
+
 	// Poison-query quarantine: a fingerprint that recently panicked the
 	// match path or repeatedly blew its budget is rejected before it can
 	// occupy an admission slot.
-	key := cacheKey(matchType, q)
-	if s.quarantine.Check(key) {
+	fp := fingerprint(sc.key)
+	if s.quarantine.Check(fp) {
 		s.metrics.QuarantineRejects.Add(1)
 		s.shed(w)
 		return
 	}
 
 	// Admission: the deadline covers queue wait and execution.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	if err := s.limiter.Acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			s.metrics.Shed.Add(1)
-		case errors.Is(err, ErrOverload):
-			s.metrics.Shed.Add(1)
-		default:
-			s.metrics.Timeouts.Add(1)
-		}
-		s.shed(w)
+	deadline := start.Add(s.cfg.RequestTimeout)
+	if !s.admit(w, r, deadline) {
 		return
 	}
 	defer s.limiter.Release()
@@ -478,13 +462,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.Panics.Add(1)
-			s.quarantine.NotePanic(key)
+			s.quarantine.NotePanic(fp)
 			s.cfg.Logger.Printf("search panic on %q (fingerprint quarantined): %v", q, rec)
 			http.Error(w, "internal error", http.StatusInternalServerError)
 		}
 	}()
 
-	rewrite := rewriteMode == "on"
 	if s.remote != nil {
 		if rewrite {
 			s.metrics.BadRequests.Add(1)
@@ -492,7 +475,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				http.StatusNotImplemented)
 			return
 		}
-		s.searchRemote(w, ctx, q, matchType, start)
+		s.searchRemote(w, deadline, fp, q, matchType, start)
 		return
 	}
 	ix := s.local()
@@ -508,43 +491,71 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		panic("injected test panic")
 	}
 
-	// Every query carries the cost budget and the request deadline; the
-	// subset walk of broad, phrase and rewritten queries charges them (an
-	// exact query is one lookup), and a truncated answer is a verified
-	// subset, flagged.
-	deadline, _ := ctx.Deadline()
-	res, hit := s.match(ix, ix.View(), key, adindex.Query{
-		Text:    q,
-		Type:    queryTypes[matchType],
-		Rewrite: rewrite,
-		Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: deadline},
-	})
+	// A View pins the epoch and the results to the same snapshot, so a
+	// cache entry can never pair an epoch with results computed against a
+	// different index state. Rewrite answers bypass the cache: it is keyed
+	// by the canonical word set, and rewrite answers depend on the
+	// vocabulary too.
+	view := ix.View()
+	epoch := view.Epoch()
+	ix.ObserveWords(sc.words)
+	var reply Cached
+	hit := false
+	if !rewrite {
+		reply, hit = cacheGet(s.cache, sc.key, epoch)
+	}
+	var res adindex.Result
+	if !hit {
+		// Every query carries the cost budget and the request deadline; the
+		// subset walk of broad, phrase and rewritten queries charges them
+		// (an exact query is one lookup), and a truncated answer is a
+		// verified subset, flagged.
+		res = s.match(ix, view, fp, sc.ads[:0], adindex.Query{
+			Text:    q,
+			Type:    queryTypes[matchType],
+			Rewrite: rewrite,
+			Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: deadline},
+		})
+		sc.ads = res.Ads
+		reply = Cached{Matched: len(res.Ads), Cutoff: res.CutoffApplied}
+	}
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
-	}
-
-	resp := searchResponse{
-		Query:         q,
-		Type:          matchType,
-		Matched:       len(res.Ads),
-		Cached:        hit,
-		Truncated:     res.Truncated,
-		CutoffApplied: res.CutoffApplied,
-		CostSpent:     res.CostSpent,
 	}
 	if rewrite {
 		// Approximate answers carry each ad with how it was reached and go
 		// through the discount-aware auction.
-		resp.Matches = s.selectMatches(q, res)
-		resp.Rewrite = newRewriteStatsJSON(res.Rewrite)
+		s.writeJSON(w, searchResponse{
+			Query:         q,
+			Type:          matchType,
+			Matched:       len(res.Ads),
+			Matches:       s.selectMatches(q, res),
+			Rewrite:       newRewriteStatsJSON(res.Rewrite),
+			Truncated:     res.Truncated,
+			CutoffApplied: res.CutoffApplied,
+			CostSpent:     res.CostSpent,
+			TookUS:        time.Since(start).Microseconds(),
+		})
+		s.metrics.Latency.Observe(float64(time.Since(start)))
+		return
+	}
+
+	// The reply is the envelope spliced around the encoded ads array: a hit
+	// copies the cached body in, a miss encodes it in place and hands the
+	// cache its own copy.
+	sc.buf = appendSearchHead(sc.buf[:0], q, matchType, reply.Matched, hit)
+	if hit {
+		sc.buf = append(sc.buf, reply.Body...)
 	} else {
-		resp.Ads = res.Ads
-		if s.cfg.Selection != nil {
-			resp.Ads = adindex.SelectAds(q, res.Ads, *s.cfg.Selection)
+		mark := len(sc.buf)
+		sc.buf = s.appendAds(sc.buf, q, res.Ads)
+		if !res.Truncated { // never cache a partial answer
+			reply.Body = sc.buf[mark:]
+			cachePut(s.cache, sc.key, epoch, reply)
 		}
 	}
-	resp.TookUS = time.Since(start).Microseconds()
-	s.writeJSON(w, resp)
+	sc.buf = appendSearchTail(sc.buf, time.Since(start).Microseconds(), res.Truncated, reply.Cutoff, res.CostSpent)
+	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
 }
 
@@ -552,28 +563,40 @@ var queryTypes = map[string]adindex.QueryType{
 	"broad": adindex.Broad, "exact": adindex.Exact, "phrase": adindex.Phrase,
 }
 
-// match is the one place a single query is evaluated: result cache first,
-// then one View.Match whose outcome feeds the cache, the overload metrics,
-// the quarantine, and — when the index adapts — per-query cost
-// attribution. key is the query's cache and quarantine fingerprint. A View
-// pins the epoch and the results to the same snapshot, so a cache entry
-// can never pair an epoch with results computed against a different index
-// state. Rewrite answers bypass the cache: it stores bare ads keyed by the
-// canonical word set, and rewrite answers depend on the vocabulary too.
-func (s *Server) match(ix *adindex.Index, view adindex.View, key string, q adindex.Query) (res adindex.Result, hit bool) {
-	ix.Observe(q.Text)
-	epoch := view.Epoch()
-	if !q.Rewrite {
-		if ads, ok := s.cache.Get(key, epoch); ok {
-			return adindex.Result{Ads: ads}, true
-		}
+// admit takes an admission slot for the request, waiting in the bounded
+// queue until deadline if none is free; a context exists only for a
+// request that has to wait. It reports whether the slot was obtained (the
+// caller must then Release); otherwise it has answered 503.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadline time.Time) bool {
+	if s.limiter.TryAcquire() {
+		return true
 	}
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
+	defer cancel()
+	err := s.limiter.Acquire(ctx)
+	if err == nil {
+		return true
+	}
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverload) {
+		s.metrics.Shed.Add(1)
+	} else {
+		s.metrics.Timeouts.Add(1)
+	}
+	s.shed(w)
+	return false
+}
+
+// match is the one place a single query is evaluated against the index:
+// one View.Match into dst, whose outcome feeds the overload metrics, the
+// quarantine (fp is the query's fingerprint), and — when the index adapts —
+// per-query cost attribution.
+func (s *Server) match(ix *adindex.Index, view adindex.View, fp uint64, dst []adindex.Ad, q adindex.Query) adindex.Result {
 	var matchStart time.Time
 	if ix.AdaptEnabled() {
 		q.Counters = new(adindex.Counters)
 		matchStart = time.Now()
 	}
-	res = view.Match(nil, q)
+	res := view.Match(dst, q)
 	if q.Counters != nil {
 		// The match's access counters are attributed to the index (feeding
 		// adaptation's cost-model recalibration) and its modeled cost
@@ -587,16 +610,27 @@ func (s *Server) match(ix *adindex.Index, view adindex.View, key string, q adind
 	if res.CutoffApplied {
 		s.metrics.Cutoffs.Add(1)
 	}
-	switch {
-	case res.Truncated:
-		// Never cache a partial answer, and strike the fingerprint:
-		// enough blowouts inside the TTL window quarantine it.
+	if res.Truncated {
+		// Strike the fingerprint: enough blowouts inside the TTL window
+		// quarantine it.
 		s.metrics.BudgetTruncated.Add(1)
-		s.quarantine.NoteBudgetBlown(key)
-	case !q.Rewrite:
-		s.cache.Put(key, epoch, res.Ads)
+		s.quarantine.NoteBudgetBlown(fp)
 	}
-	return res, false
+	return res
+}
+
+// appendAds appends the "ads" array of a reply to dst: the query's raw
+// matches after the configured selection, encoded. Without a selection no
+// match is null (the nil slice the index returns); with one it is [] (the
+// empty list SelectAds returns).
+func (s *Server) appendAds(dst []byte, q string, matches []adindex.Ad) []byte {
+	switch {
+	case s.cfg.Selection != nil:
+		matches = adindex.SelectAds(q, matches, *s.cfg.Selection)
+	case len(matches) == 0:
+		matches = nil
+	}
+	return corpus.AppendAdsJSON(dst, matches)
 }
 
 // selectMatches pairs a rewritten result's ads with their match infos and
@@ -687,15 +721,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One admission slot covers the whole batch (a batch is one request's
 	// worth of work from the limiter's perspective).
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	if err := s.limiter.Acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverload) {
-			s.metrics.Shed.Add(1)
-		} else {
-			s.metrics.Timeouts.Add(1)
-		}
-		s.shed(w)
+	if !s.admit(w, r, start.Add(s.cfg.RequestTimeout)) {
 		return
 	}
 	defer s.limiter.Release()
@@ -720,45 +746,72 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	view := ix.View()
 	epoch := view.Epoch()
-	results := make([]batchResult, len(req.Queries))
 	if req.Rewrite == "on" {
 		if !ix.RewriteEnabled() {
 			s.rewriteDisabled(w)
 			return
 		}
-		for i, q := range req.Queries {
-			res, _ := s.match(ix, view, "", adindex.Query{Text: q, Rewrite: true})
-			results[i] = batchResult{Query: q, Matched: len(res.Ads), Matches: s.selectMatches(q, res)}
-		}
-	} else {
-		var missIdx []int
-		var missQueries []string
+		results := make([]batchResult, len(req.Queries))
 		for i, q := range req.Queries {
 			ix.Observe(q)
-			if matches, hit := s.cache.Get(cacheKey("broad", q), epoch); hit {
-				results[i] = batchResult{Query: q, Matched: len(matches), Cached: true, Ads: matches}
-				continue
-			}
-			missIdx = append(missIdx, i)
+			res := s.match(ix, view, 0, nil, adindex.Query{Text: q, Rewrite: true})
+			results[i] = batchResult{Query: q, Matched: len(res.Ads), Matches: s.selectMatches(q, res)}
+		}
+		s.writeJSON(w, batchResponse{
+			Epoch:   epoch,
+			Results: results,
+			TookUS:  time.Since(start).Microseconds(),
+		})
+		s.metrics.Latency.Observe(float64(time.Since(start)))
+		return
+	}
+
+	// Pass 1: every query is tokenized once, sampled and looked up; a miss
+	// keeps its key for the store in pass 2.
+	sc := getSearchScratch()
+	defer putSearchScratch(sc)
+	replies := make([]Cached, len(req.Queries))
+	missKeys := make([]string, len(req.Queries)) // "" marks a hit
+	var missQueries []string
+	for i, q := range req.Queries {
+		sc.tokenize("broad", q)
+		ix.ObserveWords(sc.words)
+		var hit bool
+		if replies[i], hit = cacheGet(s.cache, sc.key, epoch); !hit {
+			missKeys[i] = string(sc.key)
 			missQueries = append(missQueries, q)
 		}
-		for j, matches := range view.BroadMatchBatch(missQueries) {
-			i := missIdx[j]
-			q := req.Queries[i]
-			s.cache.Put(cacheKey("broad", q), epoch, matches)
-			results[i] = batchResult{Query: q, Matched: len(matches), Ads: matches}
-		}
-		if s.cfg.Selection != nil {
-			for i := range results {
-				results[i].Ads = adindex.SelectAds(results[i].Query, results[i].Ads, *s.cfg.Selection)
-			}
-		}
 	}
-	s.writeJSON(w, batchResponse{
-		Epoch:   epoch,
-		Results: results,
-		TookUS:  time.Since(start).Microseconds(),
-	})
+	// Pass 2: the misses' matches, in query order, are encoded in place and
+	// copied into the cache; the hits' bodies are spliced in between them.
+	missAds := view.BroadMatchBatch(missQueries)
+	sc.buf = append(sc.buf[:0], `{"epoch":`...)
+	sc.buf = strconv.AppendUint(sc.buf, epoch, 10)
+	sc.buf = append(sc.buf, `,"results":[`...)
+	for i, q := range req.Queries {
+		if i > 0 {
+			sc.buf = append(sc.buf, ',')
+		}
+		hit := missKeys[i] == ""
+		if !hit {
+			replies[i].Matched = len(missAds[0])
+		}
+		sc.buf = appendBatchResultHead(sc.buf, q, replies[i].Matched, hit)
+		if hit {
+			sc.buf = append(sc.buf, replies[i].Body...)
+		} else {
+			mark := len(sc.buf)
+			sc.buf = s.appendAds(sc.buf, q, missAds[0])
+			replies[i].Body = sc.buf[mark:]
+			cachePut(s.cache, missKeys[i], epoch, replies[i])
+			missAds = missAds[1:]
+		}
+		sc.buf = append(sc.buf, '}')
+	}
+	sc.buf = append(sc.buf, `],"took_us":`...)
+	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)
+	sc.buf = append(sc.buf, "}\n"...)
+	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
 }
 
@@ -768,13 +821,12 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // failing, and total backend failure maps to 502. The request deadline
 // rides the wire to every backend attempt; a query whose budget runs
 // out mid-fan-out answers 504.
-func (s *Server) searchRemote(w http.ResponseWriter, ctx context.Context, q, matchType string, start time.Time) {
+func (s *Server) searchRemote(w http.ResponseWriter, deadline time.Time, fp uint64, q, matchType string, start time.Time) {
 	if matchType != "broad" {
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "remote serving supports type=broad only", http.StatusNotImplemented)
 		return
 	}
-	deadline, _ := ctx.Deadline()
 	res, err := s.remote.QueryResultDeadline(q, deadline)
 	if err != nil {
 		if errors.Is(err, multiserver.ErrDeadlineExpired) {
@@ -794,7 +846,7 @@ func (s *Server) searchRemote(w http.ResponseWriter, ctx context.Context, q, mat
 		// this fingerprint; strike it so a retry loop gets quarantined the
 		// same way it would against a local index.
 		s.metrics.BudgetTruncated.Add(1)
-		s.quarantine.NoteBudgetBlown(cacheKey(matchType, q))
+		s.quarantine.NoteBudgetBlown(fp)
 	}
 	if res.CutoffApplied {
 		s.metrics.Cutoffs.Add(1)
@@ -925,6 +977,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.metrics.Snapshot()
 	snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Invalidations = s.cache.Stats()
 	snap.Cache.Entries = s.cache.Len()
+	snap.Cache.Bytes = s.cache.Bytes()
 	snap.Overload.Shedding = s.limiter.Shedding()
 	snap.Overload.ShedOverload = s.limiter.ShedOverload()
 	snap.Overload.ShedQueueFull = s.limiter.ShedQueueFull()

@@ -131,7 +131,14 @@ func WordSet(s string) []string {
 // exception).
 func AppendWordSet(buf []string, s string) []string {
 	mark := len(buf)
-	buf = AppendTokens(buf, s)
+	return FoldTokens(AppendTokens(buf, s), mark)
+}
+
+// FoldTokens turns the tokens buf[mark:] into their canonical word set in
+// place (sorted, duplicate-folded, deduplicated) and returns buf cut to
+// it: the second half of AppendWordSet, for callers that already hold the
+// token sequence.
+func FoldTokens(buf []string, mark int) []string {
 	toks := buf[mark:]
 	if len(toks) == 0 {
 		return buf[:mark]
@@ -248,6 +255,18 @@ outer:
 // map key. The unit separator (0x1f) cannot occur inside tokens.
 func SetKey(words []string) string {
 	return strings.Join(words, "\x1f")
+}
+
+// AppendSetKey appends SetKey(words) to dst, for callers that build keys in
+// a reused buffer.
+func AppendSetKey(dst []byte, words []string) []byte {
+	for i, w := range words {
+		if i > 0 {
+			dst = append(dst, '\x1f')
+		}
+		dst = append(dst, w...)
+	}
+	return dst
 }
 
 // SplitKey is the inverse of SetKey.

@@ -3,6 +3,7 @@ package textnorm
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -328,5 +329,24 @@ func TestContainsContiguousExported(t *testing.T) {
 	}
 	if !ContainsContiguous([]string{"a"}, nil) {
 		t.Fatal("empty needle must match")
+	}
+}
+
+// TestFoldTokensAndAppendSetKey: the two halves callers use to tokenize
+// once — folding a token sequence they already hold, and building the set
+// key in their own buffer — agree with WordSet and SetKey.
+func TestFoldTokensAndAppendSetKey(t *testing.T) {
+	for _, s := range []string{"", "!!!", "cheap used books", "Talk talk show", "b a b a c", "a a_a a"} {
+		tokens := Tokenize(s)
+		set := FoldTokens(append([]string{"prefix"}, tokens...), 1)
+		if set[0] != "prefix" || !slices.Equal(set[1:], WordSet(s)) {
+			t.Errorf("FoldTokens(tokens of %q) = %v, WordSet gives %v", s, set, WordSet(s))
+		}
+		if !slices.Equal(tokens, Tokenize(s)) {
+			t.Errorf("FoldTokens on a copy disturbed the token sequence of %q", s)
+		}
+		if got := string(AppendSetKey([]byte("b\x00"), set[1:])); got != "b\x00"+SetKey(WordSet(s)) {
+			t.Errorf("AppendSetKey(%q) = %q, SetKey gives %q", s, got, SetKey(WordSet(s)))
+		}
 	}
 }

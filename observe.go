@@ -55,7 +55,7 @@ func newObserveSampler(maxObserved int) *observeSampler {
 // shardIndex picks the shard for a canonical set key (FNV-1a; a set key
 // always lands on the same shard, so per-key frequency counts never
 // split).
-func shardIndex(key string) int {
+func shardIndex[K string | []byte](key K) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -68,33 +68,43 @@ func shardIndex(key string) int {
 	return int(h % observeShards)
 }
 
-// Observe records one occurrence of query. The frequent case (a query set
-// already sampled) costs one short critical section on one shard and, with
-// lowercase ASCII input, a single allocation (the set-key string).
+// Observe records one occurrence of query.
 func (os *observeSampler) Observe(query string) {
 	sc := getScratch()
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	if len(sc.words) == 0 {
-		putScratch(sc)
+	os.ObserveWords(sc.words)
+	putScratch(sc)
+}
+
+// ObserveWords records one occurrence of the query whose canonical word
+// set is words, for callers that have already tokenized it. words is only
+// read: the sample keeps its own copy on first admit. The frequent case (a
+// set already sampled) costs one short critical section on one shard and
+// no allocation: the set key is built on the stack and only becomes a
+// string when a map has to keep it.
+func (os *observeSampler) ObserveWords(words []string) {
+	if len(words) == 0 {
 		return
 	}
-	key := textnorm.SetKey(sc.words)
+	var buf [128]byte
+	key := textnorm.AppendSetKey(buf[:0], words)
 	sh := &os.shards[shardIndex(key)]
 	sh.mu.Lock()
-	var words []string
-	if q, ok := sh.m[key]; ok {
+	var kept []string
+	var owned string // key as a string, made once if a map has to keep it
+	if q, ok := sh.m[string(key)]; ok {
 		q.Freq++
-		words = q.Words
+		kept = q.Words
 	} else {
 		if len(sh.m) >= os.shardCap {
 			sh.evictLocked()
 		}
-		// The scratch words buffer is pooled; copy it on first admit.
-		words = make([]string, len(sc.words))
-		copy(words, sc.words)
-		sh.m[key] = &workload.Query{Words: words, Freq: 1}
+		kept = make([]string, len(words))
+		copy(kept, words)
+		owned = string(key)
+		sh.m[owned] = &workload.Query{Words: kept, Freq: 1}
 	}
-	if p, ok := sh.pending[key]; ok {
+	if p, ok := sh.pending[string(key)]; ok {
 		p.Freq++
 	} else {
 		if len(sh.pending) >= 2*os.shardCap {
@@ -104,10 +114,12 @@ func (os *observeSampler) Observe(query string) {
 			// unbounded one is not.
 			sh.pendingEvictLocked()
 		}
-		sh.pending[key] = &workload.Query{Words: words, Freq: 1}
+		if owned == "" {
+			owned = string(key)
+		}
+		sh.pending[owned] = &workload.Query{Words: kept, Freq: 1}
 	}
 	sh.mu.Unlock()
-	putScratch(sc)
 }
 
 // pendingEvictLocked mirrors evictLocked for the delta buffer.

@@ -2,9 +2,11 @@ package adindex
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"adindex/internal/textnorm"
+	"adindex/internal/workload"
 )
 
 // sameShardWords returns n distinct single-word queries whose canonical
@@ -120,5 +122,43 @@ func TestObserveCapAcrossShards(t *testing.T) {
 	}
 	if hotFreq != 1000 {
 		t.Fatalf("hot query freq = %d, want 1000 (evicted despite being hottest?)", hotFreq)
+	}
+}
+
+// TestObserveWordsIsObserve: the word-set entry point records exactly what
+// Observe records for the same query — same key, same frequency, its own
+// copy of the words — including through a delta drain, and the frequent
+// case (a set already sampled) allocates nothing.
+func TestObserveWordsIsObserve(t *testing.T) {
+	s := newObserveSampler(1024)
+	long := "alpha beta gamma delta epsilon " + strings.Repeat("zeta", 40) // a set key beyond the stack buffer
+	for _, q := range []string{"used cheap books", "Talk Talk", long} {
+		words := textnorm.WordSet(q)
+		s.Observe(q)
+		s.ObserveWords(words)
+		clear(words) // the sample must not alias the caller's buffer
+	}
+	s.ObserveWords(nil) // an empty query is not a sample
+	check := func(name string, got []workload.Query) {
+		t.Helper()
+		if len(got) != 3 {
+			t.Fatalf("%s holds %d sets, want 3", name, len(got))
+		}
+		for _, q := range got {
+			if q.Freq != 2 || len(q.Words) == 0 || q.Words[0] == "" {
+				t.Errorf("%s entry %v has freq %d, want 2 with its words intact", name, q.Words, q.Freq)
+			}
+		}
+	}
+	check("sample", s.Workload().Queries)
+	delta, _ := s.ExportDelta()
+	check("delta", delta.Queries)
+
+	if raceEnabled {
+		return
+	}
+	words := textnorm.WordSet("used cheap books")
+	if allocs := testing.AllocsPerRun(200, func() { s.ObserveWords(words) }); allocs != 0 {
+		t.Errorf("ObserveWords of a sampled set allocates %.1f times, want 0", allocs)
 	}
 }
