@@ -12,8 +12,9 @@
 #                      bar across a live split/migrate/merge
 #   overloadsmoke      budget/quarantine/shedding and the 4x flood bar
 #   adaptsmoke         adapt control loop and the drift bar
-#   fuzzsmoke          ten seconds on each decoder of foreign bytes and on
-#                      the reply encoders held to encoding/json
+#   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
+#                      record frame among them) and on the reply encoders
+#                      held to encoding/json
 #   benchsmoke         one iteration of every root `go test` benchmark
 #   benchmod           vet + test of bench/, the end-to-end benchmark
 #                      (its own module: `go test ./...` never compiles it)
@@ -68,9 +69,14 @@ simsmoke:
 # bar is wall-clock), the tail-latency acceptance test: closed-loop load
 # across a live split, migration and merge of a 20k-ad cluster, zero
 # failed queries and p99(during) <= 2x p99(before), and a writer
-# inserting through a live split never stalled on the cluster lock.
+# inserting through a live split never stalled on the cluster lock. The
+# sim seeds compare (ID, bid, click rate) on the wire, and the record-path
+# tests carry the records request through failover, hedging, the breaker
+# probe, a dead shard and a live split, again under the race detector.
 migratesmoke:
 	$(GO) test -race -run 'TestSimElastic' -v ./internal/sim
+	$(GO) test -race -run 'TestRecordsOneExchangePerShard|TestRecordsFollowTheCluster|TestRecordsThroughEveryAttemptPath|TestMergeKeepsRecordsWithTheirIDs' \
+		-v ./internal/shard
 	$(GO) test -run 'TestReshardTailLatency|TestInsertNotStalledByHandoff' -v ./internal/shard
 
 # Overload-armor regression gate: the sim overload scenario (every
@@ -78,11 +84,15 @@ migratesmoke:
 # contract against the oracle), panic containment (a poisoned backend
 # answers a typed error frame and keeps serving), the budget/quarantine
 # HTTP path, and the adversarial-flood acceptance test, under the race
-# detector.
+# detector; with them the fail-closed rules of the wire: a wrong or corrupt
+# answer to an ID or a records request is a typed error, pooled reply
+# buffers never cross queries, and query text led by a tag byte is text.
 overloadsmoke:
 	$(GO) test -race -run 'TestSimOverloadBudget' -v ./internal/sim
-	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBudgetBackendFlagsOverWire' \
+	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBudgetBackendFlagsOverWire|TestRecordsOverWire|TestRecordCountOverflowRejected' \
 		./internal/multiserver
+	$(GO) test -race -run 'TestCorruptShardReplyIsAnError|TestFanOutScratchIsolation|TestTagByteLedQueryText|TestTwoHopSkipsMetadataForNoMatch' \
+		./internal/shard
 	$(GO) test -race -run 'TestSearchBudget|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood' \
 		-v ./internal/server
 
@@ -123,8 +133,9 @@ cover:
 # bounded-Levenshtein trie walk (walk ≡ naive DP over every stored
 # word), the columnar signature prefilter (prefiltered scan ≡ naive
 # per-record subset scan under random insert/remove churn), and the
-# multiserver wire decoders (frame and response readers, ID, metadata,
-# epoch-tag and deadline-tag bodies) and the durable snapshot-stream and
+# multiserver wire decoders (frame and response readers, ID, record,
+# metadata, epoch-/records-tag and deadline-tag bodies, after the pinned
+# record-frame overflow cases) and the durable snapshot-stream and
 # record-frame decoders that handoff and recovery feed (for both: no
 # panic, typed rejections, allocation bounded by the input, Decode ∘
 # Encode = id on accepted inputs).
@@ -133,7 +144,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
+	$(GO) test -run='TestRecordCountOverflowRejected' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
 
 # One iteration of every root benchmark: keeps them compiling and

@@ -28,7 +28,9 @@
 // Elastic (live-reshardable) usage:
 //
 //	# one process: N-shard cluster over TCP positions + routed front-end;
-//	# split/merge/migrate run live with epoch-routed atomic cutover
+//	# the shards answer with ad records (one round trip per shard, no ad
+//	# server unless -tcp-ad asks for one); split/merge/migrate run live
+//	# with epoch-routed atomic cutover
 //	adserve -corpus corpus.tsv -elastic 2 -addr :8077
 //	curl -X POST 'http://localhost:8077/admin/rebalance?op=split'        # hottest shard
 //	curl -X POST 'http://localhost:8077/admin/rebalance?op=migrate&from=0&to=2'

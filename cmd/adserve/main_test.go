@@ -273,6 +273,21 @@ func TestElasticMode(t *testing.T) {
 		t.Errorf("start-up line reports %s slots, want 64", slots)
 	}
 	searchMatches(t, base, c.Ads[0].Phrase, c.Ads[0].ID)
+	// The shards answer with the ad's own record in the one round trip, so
+	// the node runs and dials no ad server unless -tcp-ad asks for one.
+	_, body0 := get(t, base+"/search?q="+url.QueryEscape(c.Ads[0].Phrase))
+	if want := fmt.Sprintf(`{"BidMicros":%d,"ClickRate":%d}`, c.Ads[0].Meta.BidMicros, c.Ads[0].Meta.ClickRate); !strings.Contains(body0, want) {
+		t.Errorf("/search %q carries no %s: %s", c.Ads[0].Phrase, want, body0)
+	}
+	if _, metrics := get(t, base+"/metrics"); strings.Contains(metrics, "ad_breaker") || !strings.Contains(metrics, `"live_shards":2`) {
+		t.Errorf("/metrics of an elastic node shows an ad-server connection (or no shards): %s", metrics)
+	}
+	if strings.Contains(p.logText(), "ad-metadata") {
+		t.Errorf("elastic node started an ad server unasked:\n%s", p.logText())
+	}
+	withAd := start(t, "-corpus", path, "-addr", "127.0.0.1:0", "-elastic", "2", "-tcp-ad", "127.0.0.1:0")
+	withAd.logged(t, `serving TCP ad-metadata protocol on (\S+)`)
+
 	resp, err := http.Post(base+"/admin/rebalance?op=split", "", nil)
 	if err != nil {
 		t.Fatal(err)

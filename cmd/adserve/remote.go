@@ -47,11 +47,13 @@ func runShards(f *flags, cfg server.Config) {
 // runElastic is the -elastic main loop. The deployment is a loopback
 // version of the distributed topology: an ElasticCluster serving the
 // multiserver frame protocol on one port per shard position (up to the
-// shard cap, so split targets are pre-provisioned), an ad-metadata TCP
-// server, and a NetClient on the cluster's live route feeding the HTTP
-// front-end. Topology changes run live through POST /admin/rebalance;
-// /metrics carries the migration status and /readyz annotates an
-// in-flight handoff.
+// shard cap, so split targets are pre-provisioned) and a NetClient on the
+// cluster's live route feeding the HTTP front-end. The shards hold the
+// ads and answer with records, so a query is one round trip per shard and
+// the front end uses no ad server; -tcp-ad starts one for outside clients
+// of the two-hop protocol. Topology changes run live through POST
+// /admin/rebalance; /metrics carries the migration status and /readyz
+// annotates an in-flight handoff.
 func runElastic(f *flags, cfg server.Config) {
 	ads := loadCorpus(f.corpus)
 	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{
@@ -70,20 +72,18 @@ func runElastic(f *flags, cfg server.Config) {
 	log.Printf("elastic cluster: %d/%d shards, %d slots, TCP positions %v",
 		ec.NumShards(), ec.MaxShards(), len(ec.Table().Owners), es.Addrs())
 
-	adAddr := f.tcpAd
-	if adAddr == "" {
-		adAddr = "127.0.0.1:0"
+	if f.tcpAd != "" {
+		adSrv, err := multiserver.NewAdServer(f.tcpAd, multiserver.ServeOpts{}, ads)
+		if err != nil {
+			log.Fatalf("tcp ad server: %v", err)
+		}
+		defer adSrv.Close()
+		log.Printf("serving TCP ad-metadata protocol on %s", adSrv.Addr())
 	}
-	adSrv, err := multiserver.NewAdServer(adAddr, multiserver.ServeOpts{}, ads)
-	if err != nil {
-		log.Fatalf("tcp ad server: %v", err)
-	}
-	defer adSrv.Close()
-	log.Printf("serving TCP ad-metadata protocol on %s", adSrv.Addr())
 
 	nc, err := shard.DialRoute(func() (*shard.Route, error) {
 		return ec.RouteOver(es.Addrs()), nil
-	}, adSrv.Addr(), shardOptions(f))
+	}, "", shardOptions(f))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -221,6 +221,24 @@ func (c *Conn) ExchangeIDs(dst []uint64, req []byte, deadline time.Time) (ids []
 	return ids, flags, nil
 }
 
+// ExchangeRecords is ExchangeIDs for a request that asks for ad records
+// (AppendRecordsRequest): the record frame is decoded out of the read
+// buffer into ids and meta, index for index. Any other answer — an ID
+// frame from a backend that ignored the tag included — is ErrMalformed.
+func (c *Conn) ExchangeRecords(ids []uint64, meta []AdMeta, req []byte, deadline time.Time) (gotIDs []uint64, gotMeta []AdMeta, flags byte, err error) {
+	var derr error
+	err = c.exchange(deadline, false,
+		func(frame []byte) []byte { return append(frame, req...) },
+		func(body []byte) { gotIDs, gotMeta, flags, derr = appendDecodedRecords(ids, meta, body) })
+	if err == nil {
+		err = derr
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return gotIDs, gotMeta, flags, nil
+}
+
 // ExchangeMeta runs the metadata hop for ids under deadline (zero for
 // none) and returns one record per ID. The ID list is encoded into the
 // socket's write buffer and the records decoded out of its read buffer.

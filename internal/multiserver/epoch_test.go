@@ -2,26 +2,53 @@ package multiserver
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
+	"time"
+
+	"adindex/internal/corpus"
 )
 
 // epochBackend is a test EpochBackend: a fixed ID answer guarded by a
-// settable routing epoch.
+// settable routing epoch. Asked for records, it answers testAd of each ID.
 type epochBackend struct {
 	mu    sync.Mutex
 	epoch uint64
 	ids   []uint64
 }
 
-func (b *epochBackend) AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged bool, query string) ([]byte, error) {
+func (b *epochBackend) AppendMatchAtEpoch(dst []byte, epoch uint64, tagged, records bool, query string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if tagged && epoch != b.epoch {
 		return nil, &StaleEpochError{ClientEpoch: epoch, ServerEpoch: b.epoch}
 	}
+	if records {
+		return AppendAdRecords(dst, testAds(b.ids), 0), nil
+	}
 	return AppendIDs(dst, b.ids, 0), nil
 }
+
+// recordAds returns the ads a record frame of ids and meta encodes.
+func recordAds(ids []uint64, meta []AdMeta) []*corpus.Ad {
+	ads := make([]*corpus.Ad, len(ids))
+	for i, id := range ids {
+		ads[i] = &corpus.Ad{ID: id, Meta: corpus.Meta{BidMicros: meta[i].BidMicros, ClickRate: meta[i].ClickRate}}
+	}
+	return ads
+}
+
+// testAds returns one ad per ID with metadata that is a function of it.
+func testAds(ids []uint64) []*corpus.Ad {
+	meta := make([]AdMeta, len(ids))
+	for i, id := range ids {
+		meta[i] = testMeta(id)
+	}
+	return recordAds(ids, meta)
+}
+
+func testMeta(id uint64) AdMeta { return AdMeta{BidMicros: -int64(id) * 1000, ClickRate: uint16(id)} }
 
 func (b *epochBackend) bump() {
 	b.mu.Lock()
@@ -32,18 +59,67 @@ func (b *epochBackend) bump() {
 func TestEpochRequestRoundTrip(t *testing.T) {
 	body := []byte("cheap flights")
 	req := EncodeEpochRequest(42, body)
-	epoch, got, tagged, err := DecodeEpochRequest(req)
-	if err != nil || !tagged || epoch != 42 || string(got) != string(body) {
-		t.Fatalf("DecodeEpochRequest = %d %q tagged=%v err=%v", epoch, got, tagged, err)
+	epoch, got, tagged, records, err := DecodeEpochRequest(req)
+	if err != nil || !tagged || records || epoch != 42 || string(got) != string(body) {
+		t.Fatalf("DecodeEpochRequest = %d %q tagged=%v records=%v err=%v", epoch, got, tagged, records, err)
+	}
+	// The records tag is the same header under its own magic.
+	recReq := AppendRecordsRequest(nil, 42, body)
+	epoch, got, tagged, records, err = DecodeEpochRequest(recReq)
+	if err != nil || !tagged || !records || epoch != 42 || string(got) != string(body) {
+		t.Fatalf("records DecodeEpochRequest = %d %q tagged=%v records=%v err=%v", epoch, got, tagged, records, err)
 	}
 	// Untagged requests pass through unchanged.
-	epoch, got, tagged, err = DecodeEpochRequest(body)
-	if err != nil || tagged || epoch != 0 || string(got) != string(body) {
-		t.Fatalf("untagged DecodeEpochRequest = %d %q tagged=%v err=%v", epoch, got, tagged, err)
+	epoch, got, tagged, records, err = DecodeEpochRequest(body)
+	if err != nil || tagged || records || epoch != 0 || string(got) != string(body) {
+		t.Fatalf("untagged DecodeEpochRequest = %d %q tagged=%v records=%v err=%v", epoch, got, tagged, records, err)
 	}
 	// A tagged header torn below 9 bytes is an error, not a silent query.
-	if _, _, _, err := DecodeEpochRequest(req[:5]); err == nil {
-		t.Fatalf("short epoch request decoded cleanly")
+	for _, torn := range [][]byte{req[:5], recReq[:8]} {
+		if _, _, _, _, err := DecodeEpochRequest(torn); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("short tagged request %x: err = %v, want ErrMalformed", torn, err)
+		}
+	}
+}
+
+// TestRecordsOverWire: an epoch server answers a records request with a
+// record frame under the same epoch check, and each kind of answer to the
+// other kind of request is a typed error, not a short result.
+func TestRecordsOverWire(t *testing.T) {
+	be := &epochBackend{epoch: 1, ids: []uint64{3, 9}}
+	srv, err := NewEpochIndexServer("127.0.0.1:0", ServeOpts{}, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := DialConn(srv.Addr(), ConnOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	ids, meta, flags, err := conn.ExchangeRecords(nil, nil, AppendRecordsRequest(nil, 1, []byte("q")), time.Time{})
+	if err != nil || flags != 0 || !slices.Equal(ids, be.ids) || !slices.Equal(meta, []AdMeta{testMeta(3), testMeta(9)}) {
+		t.Fatalf("records exchange = %v %+v %#x, err %v", ids, meta, flags, err)
+	}
+	// The buffers handed in are the ones filled.
+	ids, meta, _, err = conn.ExchangeRecords(ids[:0], meta[:0], AppendRecordsRequest(nil, 1, []byte("q")), time.Now().Add(time.Minute))
+	if err != nil || len(ids) != 2 || len(meta) != 2 {
+		t.Fatalf("records exchange into kept buffers = %v %+v, err %v", ids, meta, err)
+	}
+	if _, _, _, err := conn.ExchangeRecords(nil, nil, AppendRecordsRequest(nil, 7, []byte("q")), time.Time{}); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("records request at a retired epoch: err = %v, want stale epoch", err)
+	}
+	// An ID frame where records were asked for, and the reverse.
+	if _, _, _, err := conn.ExchangeRecords(nil, nil, EncodeEpochRequest(1, []byte("q")), time.Time{}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("ID frame decoded as records: err = %v, want ErrMalformed", err)
+	}
+	if _, _, err := conn.ExchangeIDs(nil, AppendRecordsRequest(nil, 1, []byte("q")), time.Time{}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("record frame decoded as IDs: err = %v, want ErrMalformed", err)
+	}
+	// Neither confusion cost the connection or the breaker anything.
+	if st := conn.Stats(); st.Retries != 0 || st.Reconnects != 0 || st.Failures != 0 {
+		t.Fatalf("stats after typed errors: %+v", st)
 	}
 }
 

@@ -205,16 +205,52 @@ func appendErrorResponse(dst []byte, herr error) []byte {
 	}
 }
 
-// epochReqMagic prefixes epoch-tagged requests. Plain query texts are
-// normalized words and never start with this byte, so an epoch-checking
-// server can also serve untagged legacy requests unchecked.
-const epochReqMagic = 0xEB
+// Request tags. A tagged request starts with a magic byte and eight
+// big-endian bytes of tag value; anything else is a legacy request whose
+// whole payload is the body. A tag magic is >= 0x80, and so is the lead
+// byte of any non-ASCII letter (0xEB opens every Hangul syllable of
+// U+B000-U+BFFF, 0xDB the Arabic letters of U+06C0-U+06FF), so query text
+// alone does not keep clear of them: a client that sends raw query text
+// passes it through AppendQueryText, which does.
+const (
+	// epochReqMagic tags a request with the client's routing epoch. An
+	// epoch-checking server serves untagged legacy requests unchecked.
+	epochReqMagic = 0xEB
+	// recordsReqMagic is the epoch tag of a request that asks for ad
+	// records: same layout, and the answer is a record frame
+	// (AppendAdRecords) in place of an ID frame. 0xF8-0xFF occur in no
+	// UTF-8 text.
+	recordsReqMagic = epochReqMagic | 0x10
+	// deadlineReqMagic tags a request with its remaining time budget.
+	deadlineReqMagic = 0xDB
+)
+
+// AppendQueryText appends raw query text as a request body no tag decoder
+// can take for a tag: text whose first byte is >= 0x80 goes behind one
+// space, which every tokenizer drops. ASCII-led text — every legacy
+// request — is appended unchanged.
+func AppendQueryText(dst []byte, query string) []byte {
+	if query != "" && query[0] >= 0x80 {
+		dst = append(dst, ' ')
+	}
+	return append(dst, query...)
+}
 
 // AppendEpochRequest appends a request body tagged with the client's
 // routing epoch: magic byte, 8-byte big-endian epoch, body. The body may
 // also be appended by the caller afterwards.
 func AppendEpochRequest(dst []byte, epoch uint64, body []byte) []byte {
-	dst = append(dst, epochReqMagic)
+	return appendEpochTag(dst, epochReqMagic, epoch, body)
+}
+
+// AppendRecordsRequest is AppendEpochRequest for a request that asks for
+// ad records.
+func AppendRecordsRequest(dst []byte, epoch uint64, body []byte) []byte {
+	return appendEpochTag(dst, recordsReqMagic, epoch, body)
+}
+
+func appendEpochTag(dst []byte, magic byte, epoch uint64, body []byte) []byte {
+	dst = append(dst, magic)
 	dst = binary.BigEndian.AppendUint64(dst, epoch)
 	return append(dst, body...)
 }
@@ -225,25 +261,25 @@ func EncodeEpochRequest(epoch uint64, body []byte) []byte {
 }
 
 // DecodeEpochRequest splits an epoch-tagged request into epoch and body,
-// reporting tagged=false for legacy untagged requests.
-func DecodeEpochRequest(req []byte) (epoch uint64, body []byte, tagged bool, err error) {
-	if len(req) == 0 || req[0] != epochReqMagic {
-		return 0, req, false, nil
+// reporting tagged=false for legacy untagged requests and records=true
+// for a tagged request that asks for ad records.
+func DecodeEpochRequest(req []byte) (epoch uint64, body []byte, tagged, records bool, err error) {
+	if len(req) == 0 || (req[0] != epochReqMagic && req[0] != recordsReqMagic) {
+		return 0, req, false, false, nil
 	}
+	records = req[0] == recordsReqMagic
 	if len(req) < 9 {
-		return 0, nil, true, fmt.Errorf("%w: epoch request of %d bytes shorter than its 9-byte header", ErrMalformed, len(req))
+		return 0, nil, true, records, fmt.Errorf("%w: epoch request of %d bytes shorter than its 9-byte header", ErrMalformed, len(req))
 	}
-	return binary.BigEndian.Uint64(req[1:9]), req[9:], true, nil
+	return binary.BigEndian.Uint64(req[1:9]), req[9:], true, records, nil
 }
 
-// deadlineReqMagic prefixes deadline-tagged requests: magic byte,
-// 8-byte big-endian remaining budget in microseconds, body. The budget
-// is relative (time remaining), not an absolute timestamp, so it
-// survives clock skew between front end and backend. Deadline tagging
-// composes outermost: the body may itself be an epoch-tagged request.
-// Plain query texts are normalized words and never start with this
-// byte, so servers serve untagged legacy requests unchanged.
-const deadlineReqMagic = 0xDB
+// A deadline-tagged request is magic byte, 8-byte big-endian remaining
+// budget in microseconds, body. The budget is relative (time remaining),
+// not an absolute timestamp, so it survives clock skew between front end
+// and backend. Deadline tagging composes outermost: the body may itself be
+// an epoch-tagged request. Servers serve untagged legacy requests
+// unchanged.
 
 // AppendDeadlineRequest appends a request body tagged with the remaining
 // time budget. Non-positive remaining still encodes (as zero), letting a
@@ -408,15 +444,78 @@ func appendDecodedMeta(dst []AdMeta, data []byte) ([]AdMeta, error) {
 	}
 	dst = slices.Grow(dst, len(data)/adMetaBytes)
 	for ; len(data) > 0; data = data[adMetaBytes:] {
-		dst = append(dst, AdMeta{
-			BidMicros: int64(binary.BigEndian.Uint64(data)),
-			ClickRate: binary.BigEndian.Uint16(data[8:]),
-		})
+		dst = append(dst, decodeMetaRecord(data))
 	}
 	return dst, nil
+}
+
+func decodeMetaRecord(rec []byte) AdMeta {
+	return AdMeta{BidMicros: int64(binary.BigEndian.Uint64(rec)), ClickRate: binary.BigEndian.Uint16(rec[8:])}
 }
 
 // DecodeMeta parses a metadata frame body into a fresh slice.
 func DecodeMeta(data []byte) ([]AdMeta, error) {
 	return appendDecodedMeta([]AdMeta{}, data)
+}
+
+// recordFrameMagic opens a record frame body. The first byte of an ID
+// frame body is the top byte of a count that maxFrame keeps below 1<<24,
+// always zero, so neither frame decodes as the other: a client that asked
+// for records and got IDs (or the reverse) sees ErrMalformed, never a
+// shorter or empty result.
+const recordFrameMagic = 0xAD
+
+// adRecordBytes is one match of a record frame: ID, then its AdMeta.
+const adRecordBytes = 8 + adMetaBytes
+
+// AppendAdRecords appends a record frame body — the answer of a backend
+// that holds the ads to a request tagged AppendRecordsRequest: magic byte,
+// 4-byte big-endian count, 18 bytes per match (ID, BidMicros, ClickRate),
+// and the ID frame's trailing flags byte, present only when non-zero.
+func AppendAdRecords(dst []byte, ads []*corpus.Ad, flags byte) []byte {
+	size := 5 + adRecordBytes*len(ads)
+	if flags != 0 {
+		size++
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, recordFrameMagic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ads)))
+	for _, ad := range ads {
+		dst = binary.BigEndian.AppendUint64(dst, ad.ID)
+		dst = appendMetaRecord(dst, AdMeta{BidMicros: ad.Meta.BidMicros, ClickRate: ad.Meta.ClickRate})
+	}
+	if flags != 0 {
+		dst = append(dst, flags)
+	}
+	return dst
+}
+
+// appendDecodedRecords appends the matches of a record frame body to ids
+// and meta, index for index. Like idFrameCount it compares the lengths in
+// 64 bits before reserving anything.
+func appendDecodedRecords(ids []uint64, meta []AdMeta, data []byte) ([]uint64, []AdMeta, byte, error) {
+	if len(data) < 5 || data[0] != recordFrameMagic {
+		return nil, nil, 0, fmt.Errorf("%w: not a record frame (%d bytes)", ErrMalformed, len(data))
+	}
+	count := binary.BigEndian.Uint32(data[1:])
+	var flags byte
+	switch rest, want := uint64(len(data)-5), uint64(count)*adRecordBytes; {
+	case rest == want:
+	case rest == want+1:
+		flags = data[len(data)-1]
+	default:
+		return nil, nil, 0, fmt.Errorf("%w: record frame length mismatch: %d records, %d bytes", ErrMalformed, count, rest)
+	}
+	n := int(count)
+	ids, meta = slices.Grow(ids, n), slices.Grow(meta, n)
+	for rec := data[5:]; n > 0; n, rec = n-1, rec[adRecordBytes:] {
+		ids = append(ids, binary.BigEndian.Uint64(rec))
+		meta = append(meta, decodeMetaRecord(rec[8:]))
+	}
+	return ids, meta, flags, nil
+}
+
+// DecodeRecords parses a record frame body into fresh slices.
+func DecodeRecords(data []byte) (ids []uint64, meta []AdMeta, flags byte, err error) {
+	return appendDecodedRecords(nil, nil, data)
 }

@@ -16,6 +16,33 @@ import (
 // check, reserved 4 GiB and then indexed past the end of the body.
 var overflowIDFrame = []byte{0x20, 0, 0, 0}
 
+// overflowRecordFrame is the record frame's version: a count of 2^31
+// times the 18-byte record wraps to zero.
+var overflowRecordFrame = []byte{recordFrameMagic, 0x80, 0, 0, 0}
+
+func TestRecordCountOverflowRejected(t *testing.T) {
+	for _, body := range [][]byte{
+		overflowRecordFrame,
+		append(bytes.Clone(overflowRecordFrame), IDFlagTruncated),
+		{recordFrameMagic, 0, 0, 0},                                         // cut inside the count
+		{0, 0, 0, 0, 0},                                                     // no magic
+		AppendAdRecords(nil, testAds([]uint64{1}), 0)[:22],                  // cut inside a record
+		append(AppendAdRecords(nil, testAds([]uint64{1}), IDFlagCutoff), 0), // a byte past the flags
+		EncodeIDs(nil), EncodeIDs([]uint64{1, 2}), // ID frames
+	} {
+		if ids, meta, _, err := DecodeRecords(body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("DecodeRecords(%x) = %d ids, %d meta, err %v; want ErrMalformed", body, len(ids), len(meta), err)
+		}
+	}
+	// And a record frame is never an ID frame.
+	for _, n := range []int{0, 1, 4, 9} {
+		body := AppendAdRecords(nil, testAds(make([]uint64, n)), 0)
+		if ids, _, err := DecodeIDsFlags(body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("DecodeIDsFlags(record frame of %d) = %d ids, err %v; want ErrMalformed", n, len(ids), err)
+		}
+	}
+}
+
 func TestIDCountOverflowRejected(t *testing.T) {
 	for _, body := range [][]byte{
 		overflowIDFrame,
@@ -80,6 +107,9 @@ func FuzzFrameDecoders(f *testing.F) {
 	f.Add(EncodeEpochRequest(42, []byte("cheap flights")))
 	f.Add(EncodeDeadlineRequest(1500, EncodeEpochRequest(7, []byte("q"))))
 	f.Add([]byte{deadlineReqMagic, 1, 2})
+	f.Add(overflowRecordFrame)
+	f.Add(AppendAdRecords(nil, testAds([]uint64{1, 99, 1 << 40}), IDFlagTruncated))
+	f.Add(AppendRecordsRequest(nil, 42, []byte("cheap flights")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -115,8 +145,26 @@ func FuzzFrameDecoders(f *testing.F) {
 		} else if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("DecodeMeta: untyped error %v", err)
 		}
-		if epoch, body, tagged, err := DecodeEpochRequest(data); err == nil && tagged {
-			if !bytes.Equal(EncodeEpochRequest(epoch, body), data) {
+		if ids, meta, flags, err := DecodeRecords(data); err == nil {
+			if len(ids) != len(meta) || len(ids) > len(data)/adRecordBytes {
+				t.Fatalf("%d ids and %d records out of %d bytes", len(ids), len(meta), len(data))
+			}
+			ids2, meta2, flags2, err := DecodeRecords(AppendAdRecords(nil, recordAds(ids, meta), flags))
+			if err != nil || flags2 != flags || !reflect.DeepEqual(ids2, ids) || !reflect.DeepEqual(meta2, meta) {
+				t.Fatalf("record frame round trip: %v %v/%#x -> %v %v/%#x, err %v", ids, meta, flags, ids2, meta2, flags2, err)
+			}
+			if _, _, err := DecodeIDsFlags(data); err == nil {
+				t.Fatalf("%x decodes as a record frame and as an ID frame", data)
+			}
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("DecodeRecords: untyped error %v", err)
+		}
+		if epoch, body, tagged, records, err := DecodeEpochRequest(data); err == nil && tagged {
+			again := EncodeEpochRequest(epoch, body)
+			if records {
+				again = AppendRecordsRequest(nil, epoch, body)
+			}
+			if !bytes.Equal(again, data) {
 				t.Fatalf("epoch request is not canonical: %x", data)
 			}
 		} else if err == nil && !bytes.Equal(body, data) {

@@ -411,29 +411,31 @@ func NewIndexServer(addr string, opts ServeOpts, backend Backend) (*Server, erro
 // (under whatever lock protects its routing state) and return a
 // *StaleEpochError when a tagged epoch is out of date.
 type EpochBackend interface {
-	// AppendMatchIDsAtEpoch appends the matching ad IDs for query to dst
-	// as an ID frame body (AppendIDs, AppendAdIDs); dst is the response
-	// frame under construction. With tagged set, the request carried
-	// epoch and must be rejected with a *StaleEpochError if it differs
-	// from the backend's current routing epoch; untagged requests are
-	// served unchecked.
-	AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged bool, query string) ([]byte, error)
+	// AppendMatchAtEpoch appends the answer to query to dst, the response
+	// frame under construction: a record frame body (AppendAdRecords) when
+	// records is set — the matches' metadata read under the same lock as
+	// the match — and an ID frame body (AppendIDs, AppendAdIDs) otherwise.
+	// A backend that holds no ad records answers a records request with an
+	// error. With tagged set, the request carried epoch and must be
+	// rejected with a *StaleEpochError if it differs from the backend's
+	// current routing epoch; untagged requests are served unchecked.
+	AppendMatchAtEpoch(dst []byte, epoch uint64, tagged, records bool, query string) ([]byte, error)
 }
 
 // NewEpochIndexServer starts an index server that participates in
-// versioned routing: epoch-tagged requests (AppendEpochRequest) are
-// answered only under a matching routing epoch — otherwise the client
-// gets a typed *StaleEpochError frame telling it to refresh its routing
-// table and retry. Untagged requests are served unchecked, so legacy
-// clients keep working against an elastic deployment (at the cost of
-// missing post-cutover rebalances).
+// versioned routing: epoch-tagged requests (AppendEpochRequest,
+// AppendRecordsRequest) are answered only under a matching routing epoch
+// — otherwise the client gets a typed *StaleEpochError frame telling it
+// to refresh its routing table and retry. Untagged requests are served
+// unchecked, so legacy clients keep working against an elastic deployment
+// (at the cost of missing post-cutover rebalances).
 func NewEpochIndexServer(addr string, opts ServeOpts, backend EpochBackend) (*Server, error) {
 	return serve(addr, opts, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
-		reqEpoch, body, tagged, err := DecodeEpochRequest(req)
+		reqEpoch, body, tagged, records, err := DecodeEpochRequest(req)
 		if err != nil {
 			return nil, err
 		}
-		return backend.AppendMatchIDsAtEpoch(dst, reqEpoch, tagged, string(body))
+		return backend.AppendMatchAtEpoch(dst, reqEpoch, tagged, records, string(body))
 	})
 }
 
@@ -506,7 +508,7 @@ func (c *Client) AdConn() *Conn { return c.ad }
 
 // QueryIDs runs the index hop only, returning matching ad IDs.
 func (c *Client) QueryIDs(query string) ([]uint64, error) {
-	resp, err := c.index.Exchange([]byte(query))
+	resp, err := c.index.Exchange(AppendQueryText(nil, query))
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func TestDeadlineRequestRoundTrip(t *testing.T) {
 	if err != nil || !tagged {
 		t.Fatal("composed decode failed")
 	}
-	epoch, innerBody, etagged, err := DecodeEpochRequest(inner)
+	epoch, innerBody, etagged, _, err := DecodeEpochRequest(inner)
 	if err != nil || !etagged || epoch != 42 || !bytes.Equal(innerBody, body) {
 		t.Fatalf("inner epoch decode: epoch=%d tagged=%v err=%v", epoch, etagged, err)
 	}

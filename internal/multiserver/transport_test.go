@@ -194,6 +194,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		return f
 	}
 	ok := []byte{statusOK}
+	recAds := recordAds(ids, meta)
 	cases := []struct {
 		name string
 		got  []byte
@@ -217,6 +218,19 @@ func TestGoldenWireBytes(t *testing.T) {
 		{"resp stale", frame(appendErrorResponse(nil, &StaleEpochError{ClientEpoch: 3, ServerEpoch: 1<<33 + 4})),
 			"000000110200000000000000030000000200000004"},
 		{"resp expired", frame(appendErrorResponse(nil, fmt.Errorf("late: %w", ErrDeadlineExpired))), "0000000103"},
+
+		// The records tag and the record frame; the cases above are the
+		// §VII-B split's and predate them.
+		{"req records", frame(AppendRecordsRequest(nil, 42, q)), "00000016fb000000000000002a636865617020666c6967687473"},
+		{"req deadline+records", frame(AppendDeadlineRequest(nil, 1500*time.Microsecond, nil), AppendRecordsRequest(nil, 1<<40+7, nil), q),
+			"0000001fdb00000000000005dcfb0000010000000007636865617020666c6967687473"},
+		{"req text led by a tag byte", frame(AppendQueryText(nil, "\xeb\x80\x80 shoes")), "0000000a20eb80802073686f6573"},
+		{"resp records", frame(ok, AppendAdRecords(nil, recAds, 0)),
+			"0000003c00ad00000003" + "0000000000000001000000000001e240004d" + "000000000000006300000000000000000000" + "0000010000000000ffffffffffffffffffff"},
+		{"resp records empty", frame(ok, AppendAdRecords(nil, nil, 0)), "0000000600ad00000000"},
+		{"resp records flagged", frame(ok, AppendAdRecords(nil, recAds[:1], IDFlagTruncated|IDFlagCutoff)),
+			"0000001900ad000000010000000000000001000000000001e240004d03"},
+		{"resp records empty flagged", frame(ok, AppendAdRecords(nil, nil, IDFlagTruncated)), "0000000700ad0000000001"},
 	}
 	for _, tc := range cases {
 		if got := hex.EncodeToString(tc.got); got != tc.want {
@@ -228,7 +242,7 @@ func TestGoldenWireBytes(t *testing.T) {
 	// tagged exchange and its flagged answer, an error and a rejection.
 	var client, server tap
 	c := tappedPair(t, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
-		if _, body, _, _ := DecodeEpochRequest(req); string(body) == "s" {
+		if _, body, _, _, _ := DecodeEpochRequest(req); string(body) == "s" {
 			return nil, &StaleEpochError{ClientEpoch: 3, ServerEpoch: 1<<33 + 4}
 		}
 		return AppendIDs(dst, ids, IDFlagTruncated|IDFlagCutoff), nil

@@ -3,12 +3,15 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
 	"adindex"
+	"adindex/internal/corpus"
 	"adindex/internal/faultnet"
 	"adindex/internal/multiserver"
 	"adindex/internal/shard"
@@ -188,4 +191,103 @@ func TestRemoteStrictBackendFailure(t *testing.T) {
 	if s.metrics.BackendErrors.Load() == 0 {
 		t.Error("BackendErrors not counted")
 	}
+}
+
+// TestRemoteReplyMatchesEncodingJSON holds the append-form remote reply to
+// encoding/json of the searchResponse it replaced, over every flag
+// combination a fan-out can produce and a query text that needs escaping.
+func TestRemoteReplyMatchesEncodingJSON(t *testing.T) {
+	ids := []uint64{1, 99, 1 << 63}
+	meta := []multiserver.AdMeta{{BidMicros: 123456, ClickRate: 77}, {}, {BidMicros: -1, ClickRate: 65535}}
+	cases := map[string]shard.Result{
+		"no match":        {},
+		"no match, empty": {IDs: []uint64{}, Meta: []multiserver.AdMeta{}, FailedShards: []int{}},
+		"match":           {IDs: ids, Meta: meta},
+		"one match":       {IDs: ids[:1], Meta: meta[:1]},
+		"degraded":        {IDs: ids, Meta: meta, Degraded: true, FailedShards: []int{0, 3}},
+		"degraded, none":  {Degraded: true, FailedShards: []int{2}},
+		"meta missing":    {IDs: ids, Degraded: true, MetaMissing: true},
+		"truncated":       {IDs: ids, Meta: meta, Truncated: true},
+		"cutoff":          {IDs: ids, Meta: meta, CutoffApplied: true},
+		"everything": {IDs: ids, Degraded: true, FailedShards: []int{1}, MetaMissing: true,
+			Truncated: true, CutoffApplied: true},
+	}
+	for name, res := range cases {
+		for _, q := range []string{"cheap used books", "caf\u00e9 <b>\"5\u2028\" \x00\xff"} {
+			want, err := json.Marshal(searchResponse{
+				Query: q, Type: "broad", Matched: len(res.IDs), TookUS: 1234,
+				IDs: res.IDs, Meta: res.Meta, Degraded: res.Degraded, FailedShards: res.FailedShards,
+				MetaMissing: res.MetaMissing, Truncated: res.Truncated, CutoffApplied: res.CutoffApplied,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The encoder appends: what is in front of the reply stays.
+			got := appendRemoteReply([]byte("kept"), q, "broad", &res, 1234)
+			if string(got) != "kept"+string(want)+"\n" {
+				t.Errorf("%s, %q:\n got %s\nwant %s", name, q, got[4:], want)
+			}
+		}
+	}
+}
+
+// startElasticFrontEnd is a remote-mode server over a two-shard elastic
+// cluster on its records route, with no ad server.
+func startElasticFrontEnd(t *testing.T, ads []adindex.Ad) *Server {
+	t.Helper()
+	ec, err := shard.NewElastic(ads, 2, shard.ElasticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := ec.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(es.Close)
+	nc, err := shard.DialRoute(func() (*shard.Route, error) { return ec.RouteOver(es.Addrs()), nil }, "", shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nc.Close)
+	return NewRemote(nc, Config{})
+}
+
+// TestRemoteSearchOverRecords: the front end of a records route serves
+// the same body as the two-hop deployment over the same catalog.
+func TestRemoteSearchOverRecords(t *testing.T) {
+	twoHop, _, _ := startRemoteServer(t, Config{}, shard.Options{})
+	records := startElasticFrontEnd(t, testCatalog())
+	for _, q := range []string{"cheap used books", "running shoes today", "nothing matches this", "books"} {
+		want := withoutVolatile(serve(t, twoHop, "GET", searchTarget(q, "broad"), ""))
+		got := withoutVolatile(serve(t, records, "GET", searchTarget(q, "broad"), ""))
+		if got != want {
+			t.Errorf("%q over records:\n got %s\nwant %s", q, got, want)
+		}
+	}
+}
+
+// TestRemoteSearchAllocs pins what a fanned-out /search costs the front
+// end once its scratches are warm: the Result with its ids and meta, the
+// second shard's goroutine, the unescaped query and the Content-Length
+// header — nothing per match, and nothing for encoding the reply.
+func TestRemoteSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	c := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 1801})
+	s := startElasticFrontEnd(t, c.Ads)
+	req := httptest.NewRequest("GET", searchTarget(c.Ads[0].Phrase+" "+c.Ads[1].Phrase, "broad"), nil)
+	w := &reusedWriter{h: http.Header{}}
+	s.handleSearch(w, req)
+	if w.code != 0 || w.n == 0 {
+		t.Fatalf("warm-up request: status %d, %d bytes", w.code, w.n)
+	}
+	allocs := testing.AllocsPerRun(300, func() { s.handleSearch(w, req) })
+	if w.code != 0 {
+		t.Fatalf("measured requests: status %d", w.code)
+	}
+	if allocs > 11 {
+		t.Errorf("a fanned-out /search costs %.1f allocations, want <= 11", allocs)
+	}
+	t.Logf("%.1f allocations per fanned-out reply", allocs)
 }

@@ -384,7 +384,9 @@ type searchResponse struct {
 	Rewrite *rewriteStatsJSON `json:"rewrite,omitempty"`
 
 	// Remote-mode fields: the distributed deployment serves IDs (+ per-ID
-	// metadata) rather than full ad records, and flags degradation.
+	// metadata) rather than full ad records, and flags degradation. The
+	// reply itself is built by appendRemoteReply; these fields are the
+	// reference its golden test encodes.
 	IDs          []uint64             `json:"ids,omitempty"`
 	Meta         []multiserver.AdMeta `json:"meta,omitempty"`
 	Degraded     bool                 `json:"degraded,omitempty"`
@@ -475,7 +477,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				http.StatusNotImplemented)
 			return
 		}
-		s.searchRemote(w, deadline, fp, q, matchType, start)
+		s.searchRemote(w, sc, deadline, fp, q, matchType, start)
 		return
 	}
 	ix := s.local()
@@ -821,7 +823,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // failing, and total backend failure maps to 502. The request deadline
 // rides the wire to every backend attempt; a query whose budget runs
 // out mid-fan-out answers 504.
-func (s *Server) searchRemote(w http.ResponseWriter, deadline time.Time, fp uint64, q, matchType string, start time.Time) {
+func (s *Server) searchRemote(w http.ResponseWriter, sc *searchScratch, deadline time.Time, fp uint64, q, matchType string, start time.Time) {
 	if matchType != "broad" {
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "remote serving supports type=broad only", http.StatusNotImplemented)
@@ -851,20 +853,59 @@ func (s *Server) searchRemote(w http.ResponseWriter, deadline time.Time, fp uint
 	if res.CutoffApplied {
 		s.metrics.Cutoffs.Add(1)
 	}
-	s.writeJSON(w, searchResponse{
-		Query:         q,
-		Type:          matchType,
-		Matched:       len(res.IDs),
-		IDs:           res.IDs,
-		Meta:          res.Meta,
-		Degraded:      res.Degraded,
-		FailedShards:  res.FailedShards,
-		MetaMissing:   res.MetaMissing,
-		Truncated:     res.Truncated,
-		CutoffApplied: res.CutoffApplied,
-		TookUS:        time.Since(start).Microseconds(),
-	})
+	sc.buf = appendRemoteReply(sc.buf[:0], q, matchType, res, time.Since(start).Microseconds())
+	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
+}
+
+// appendRemoteReply appends the /search reply of a distributed deployment:
+// byte for byte what encoding/json emits for the searchResponse that
+// carries res — the local envelope around a null ads array, then the
+// merged IDs, their metadata, and whichever degradation and budget flags
+// are set.
+func appendRemoteReply(dst []byte, q, typ string, res *shard.Result, tookUS int64) []byte {
+	dst = appendSearchHead(dst, q, typ, len(res.IDs), false)
+	dst = append(dst, `null,"took_us":`...)
+	dst = strconv.AppendInt(dst, tookUS, 10)
+	// Each array is non-empty, so its last separator becomes the bracket.
+	if len(res.IDs) > 0 {
+		dst = append(dst, `,"ids":[`...)
+		for _, id := range res.IDs {
+			dst = append(strconv.AppendUint(dst, id, 10), ',')
+		}
+		dst[len(dst)-1] = ']'
+	}
+	if len(res.Meta) > 0 {
+		dst = append(dst, `,"meta":[`...)
+		for _, m := range res.Meta {
+			dst = append(dst, `{"BidMicros":`...)
+			dst = strconv.AppendInt(dst, m.BidMicros, 10)
+			dst = append(dst, `,"ClickRate":`...)
+			dst = strconv.AppendUint(dst, uint64(m.ClickRate), 10)
+			dst = append(dst, "},"...)
+		}
+		dst[len(dst)-1] = ']'
+	}
+	if res.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if len(res.FailedShards) > 0 {
+		dst = append(dst, `,"failed_shards":[`...)
+		for _, id := range res.FailedShards {
+			dst = append(strconv.AppendInt(dst, int64(id), 10), ',')
+		}
+		dst[len(dst)-1] = ']'
+	}
+	if res.MetaMissing {
+		dst = append(dst, `,"meta_missing":true`...)
+	}
+	if res.Truncated {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	if res.CutoffApplied {
+		dst = append(dst, `,"cutoff_applied":true`...)
+	}
+	return append(dst, "}\n"...)
 }
 
 // localIndex guards endpoints that need a local index, writing the

@@ -358,9 +358,11 @@ type shardBackend struct {
 	id int
 }
 
-// AppendMatchIDsAtEpoch implements multiserver.EpochBackend: the owned
-// matches' IDs go from the shard's records into the response frame.
-func (b shardBackend) AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged bool, query string) ([]byte, error) {
+// AppendMatchAtEpoch implements multiserver.EpochBackend: the owned
+// matches go from the shard's records into the response frame — their IDs,
+// or for a records request IDs and metadata, read under the lock the match
+// ran under.
+func (b shardBackend) AppendMatchAtEpoch(dst []byte, epoch uint64, tagged, records bool, query string) ([]byte, error) {
 	b.ec.mu.RLock()
 	defer b.ec.mu.RUnlock()
 	if tagged && epoch != b.ec.table.Epoch {
@@ -368,7 +370,11 @@ func (b shardBackend) AppendMatchIDsAtEpoch(dst []byte, epoch uint64, tagged boo
 	}
 	sc := multiserver.GetMatchScratch()
 	defer sc.Release()
-	return multiserver.AppendAdIDs(dst, b.ec.ownedMatchesLocked(sc, b.id, query, nil), 0), nil
+	matches := b.ec.ownedMatchesLocked(sc, b.id, query, nil)
+	if records {
+		return multiserver.AppendAdRecords(dst, matches, 0), nil
+	}
+	return multiserver.AppendAdIDs(dst, matches, 0), nil
 }
 
 // ElasticServing is a set of TCP index servers fronting an
@@ -405,6 +411,7 @@ func (es *ElasticServing) Addrs() []string { return append([]string(nil), es.add
 // list (ElasticServing.Addrs() of one replica of this deployment).
 // Because positions are provisioned up to MaxShards eagerly, the
 // address lists are static across rebalances — only the table moves.
+// The shards hold the ads, so the route declares Records.
 func (ec *ElasticCluster) RouteOver(replicaAddrs ...[]string) *Route {
 	t := ec.Table()
 	reps := make([][]string, t.NumShards)
@@ -415,7 +422,7 @@ func (ec *ElasticCluster) RouteOver(replicaAddrs ...[]string) *Route {
 			}
 		}
 	}
-	return &Route{Table: *t, Replicas: reps}
+	return &Route{Table: *t, Replicas: reps, Records: true}
 }
 
 // Close stops all shard servers.

@@ -31,10 +31,11 @@ const maxEpochRefreshes = 3
 // eagerly; afterwards the client refreshes whenever a query hits a
 // stale-epoch rejection. Every replica of the fetched route's active
 // shards is dialed now and at least one per shard must be reachable
-// (the rest, and shards a later route adds, connect lazily); the
-// ad-metadata server must be reachable. Connections are cached by
-// address across refreshes, so a rebalance does not drop warm
-// connections to shards that did not move.
+// (the rest, and shards a later route adds, connect lazily). adAddr is
+// the ad-metadata server, which must be reachable; it may be empty when
+// the route's shards serve records, since the client then never asks
+// one. Connections are cached by address across refreshes, so a
+// rebalance does not drop warm connections to shards that did not move.
 func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetClient, error) {
 	if fetch == nil {
 		return nil, fmt.Errorf("shard: DialRoute needs a route source")
@@ -63,6 +64,13 @@ func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetC
 			nc.Close()
 			return nil, fmt.Errorf("shard: no reachable replica for shard %d: %w", id, dialErr)
 		}
+	}
+	if adAddr == "" {
+		if !st.route.Records {
+			nc.Close()
+			return nil, fmt.Errorf("shard: the route's shards serve no records, so it needs an ad server")
+		}
+		return nc, nil
 	}
 	ad, err := multiserver.DialConn(adAddr, opts.Conn)
 	if err != nil {

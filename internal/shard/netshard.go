@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +45,10 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	// IDs is the merged, ID-ordered match list from all answering shards.
 	IDs []uint64
-	// Meta holds one metadata record per ID (aligned with IDs); nil when
-	// MetaMissing.
+	// Meta holds one metadata record per ID (aligned with IDs): the
+	// record the answering shard holds for that match on a route whose
+	// shards serve records, the ad server's otherwise. Nil when nothing
+	// matched or MetaMissing.
 	Meta []multiserver.AdMeta
 	// Degraded is set when anything was missing from the full answer:
 	// a shard was skipped or metadata could not be fetched.
@@ -91,6 +94,49 @@ func (rs *replicaSet) deadFor() time.Duration {
 	return time.Duration(time.Now().UnixNano() - t)
 }
 
+// shardReq is what every attempt of one fanned-out query sends and
+// expects back: the request body (tags, then query text), whether it asks
+// for records — the answer is then a record frame, anything else an error
+// — and the query's deadline (zero for none).
+type shardReq struct {
+	body     []byte
+	records  bool
+	deadline time.Time
+}
+
+// answer is one shard's decoded reply: the matching IDs and, to a records
+// request, their metadata, index for index.
+type answer struct {
+	ids   []uint64
+	meta  []multiserver.AdMeta
+	flags byte
+}
+
+// ask runs one exchange with c, decoding the reply into the buffers of
+// into from their start.
+func (req shardReq) ask(c *multiserver.Conn, into answer) (answer, error) {
+	var err error
+	if req.records {
+		into.ids, into.meta, into.flags, err = c.ExchangeRecords(into.ids[:0], into.meta[:0], req.body, req.deadline)
+	} else {
+		into.ids, into.flags, err = c.ExchangeIDs(into.ids[:0], req.body, req.deadline)
+	}
+	if err != nil {
+		return answer{}, err
+	}
+	return into, nil
+}
+
+// decode parses the reply bytes of a forced probe.
+func (req shardReq) decode(resp []byte) (a answer, err error) {
+	if req.records {
+		a.ids, a.meta, a.flags, err = multiserver.DecodeRecords(resp)
+	} else {
+		a.ids, a.flags, err = multiserver.DecodeIDsFlags(resp)
+	}
+	return a, err
+}
+
 // probeThrough forces one attempt per replica past their open breakers,
 // in preference order. It exists for the case where every replica
 // fast-failed breaker-open, so the query is about to fail without a
@@ -102,39 +148,40 @@ func (rs *replicaSet) deadFor() time.Duration {
 // failing fast and costs at most one extra timeout per cooldown.
 //
 // probed is false when the round was skipped by the rate limit (the
-// caller keeps its fast-fail error); otherwise ids/err carry the round's
-// outcome, with the same stale-epoch semantics as a normal attempt.
-func (rs *replicaSet) probeThrough(req []byte, deadline time.Time) (ids []uint64, flags byte, err error, probed bool) {
+// caller keeps its fast-fail error); otherwise the answer and err carry
+// the round's outcome, with the same stale-epoch semantics as a normal
+// attempt.
+func (rs *replicaSet) probeThrough(req shardReq) (got answer, err error, probed bool) {
 	cd := rs.conns[0].Breaker().Cooldown()
 	now := time.Now().UnixNano()
 	last := rs.lastProbe.Load()
 	if last != 0 && now-last < int64(cd) {
-		return nil, 0, nil, false
+		return answer{}, nil, false
 	}
 	if !rs.lastProbe.CompareAndSwap(last, now) {
 		// Another goroutine owns this round; let it probe.
-		return nil, 0, nil, false
+		return answer{}, nil, false
 	}
 	var lastErr error
 	first := int(rs.preferred.Load())
 	for k := range rs.conns {
 		ci := rs.at(first, k)
-		resp, perr := rs.conns[ci].ProbeDeadline(req, deadline)
+		resp, perr := rs.conns[ci].ProbeDeadline(req.body, req.deadline)
 		if perr == nil {
-			got, fl, derr := multiserver.DecodeIDsFlags(resp)
+			got, derr := req.decode(resp)
 			if derr != nil {
 				lastErr = derr
 				continue
 			}
 			rs.preferred.Store(int32(ci))
-			return got, fl, nil, true
+			return got, nil, true
 		}
 		if errors.Is(perr, multiserver.ErrStaleEpoch) || errors.Is(perr, multiserver.ErrDeadlineExpired) {
-			return nil, 0, perr, true
+			return answer{}, perr, true
 		}
 		lastErr = perr
 	}
-	return nil, 0, lastErr, true
+	return answer{}, lastErr, true
 }
 
 // NetClient fans broad-match queries out to several remote index shards
@@ -144,9 +191,15 @@ func (rs *replicaSet) probeThrough(req []byte, deadline time.Time) (ids []uint64
 // optional request hedging, every connection carries deadlines, bounded
 // retries, and a circuit breaker, and (with Options.AllowPartial) the
 // client degrades gracefully instead of failing the whole query.
+//
+// Where the metadata comes from is the route's to say. On a route whose
+// shards serve records every attempt asks for them, the matches arrive
+// with their metadata, and the ad server is never contacted: one round
+// trip per shard. Otherwise the shards are index servers answering IDs,
+// and a second hop fetches the merged list's metadata from the ad server.
 type NetClient struct {
-	ad     *multiserver.Conn
-	adDead atomic.Int64 // unix-nanos since the ad server stopped answering
+	ad     *multiserver.Conn // nil when dialed without an ad server
+	adDead atomic.Int64      // unix-nanos since the ad server stopped answering
 	opts   Options
 
 	// The shard topology is a Route published through fetch (see
@@ -189,9 +242,9 @@ func (nc *NetClient) allConns() []*multiserver.Conn {
 }
 
 // Query runs the query on every shard concurrently and returns the
-// merged, ID-ordered match list, fetching (and discarding) metadata for
-// parity with the two-hop deployment. Strict semantics: any shard
-// failure fails the query. Use QueryResult for graceful degradation.
+// merged, ID-ordered match list; the metadata is obtained as QueryResult
+// obtains it and dropped. Strict semantics: any shard failure fails the
+// query. Use QueryResult for graceful degradation.
 func (nc *NetClient) Query(query string) ([]uint64, error) {
 	res, err := nc.run(query, time.Time{}, false)
 	if err != nil {
@@ -231,13 +284,16 @@ func (nc *NetClient) run(query string, deadline time.Time, partial bool) (*Resul
 	defer sc.release()
 	for refresh := 0; ; refresh++ {
 		st := nc.route.Load()
-		epoch := st.route.Table.Epoch
+		epoch, records := st.route.Table.Epoch, st.route.Records
 		sc.req = sc.req[:0]
-		if epoch != 0 {
+		switch {
+		case records:
+			sc.req = multiserver.AppendRecordsRequest(sc.req, epoch, nil)
+		case epoch != 0:
 			sc.req = multiserver.AppendEpochRequest(sc.req, epoch, nil)
 		}
-		sc.req = append(sc.req, query...)
-		res, err := nc.fanOut(sc, st.shards, st.active, deadline, partial)
+		sc.req = multiserver.AppendQueryText(sc.req, query)
+		res, err := nc.fanOut(sc, st, shardReq{body: sc.req, records: records, deadline: deadline}, partial)
 		if err == nil || epoch == 0 || !errors.Is(err, multiserver.ErrStaleEpoch) {
 			return res, err
 		}
@@ -252,26 +308,28 @@ func (nc *NetClient) run(query string, deadline time.Time, partial bool) (*Resul
 }
 
 // fanScratch is the working set of one fanned-out query: the request
-// bytes every shard receives, one reply slot per shard, and the group
-// the shard goroutines are waited on. It is pooled, so a steady stream
-// of queries allocates only what their Results keep.
+// bytes every shard receives, one reply slot per shard, the merge's
+// cursors, and the group the shard goroutines are waited on. It is
+// pooled, so a steady stream of queries allocates only what their Results
+// keep.
 type fanScratch struct {
 	req   []byte
 	slots []shardReply
+	heads []int
 	wg    sync.WaitGroup
 }
 
-// shardReply is one shard's answer. ids keeps its backing array from
-// query to query: each query decodes into it from the start.
+// shardReply is one shard's answer or failure. The answer's buffers keep
+// their backing arrays from query to query: each query decodes into them
+// from the start.
 type shardReply struct {
-	ids   []uint64
-	flags byte
-	err   error
+	answer
+	err error
 }
 
 var fanPool = sync.Pool{New: func() any { return new(fanScratch) }}
 
-// maxKeptIDs is the largest per-shard ID buffer a pooled scratch
+// maxKeptIDs is the largest per-shard reply buffer a pooled scratch
 // holds on to.
 const maxKeptIDs = 1 << 16
 
@@ -279,30 +337,31 @@ func (sc *fanScratch) release() {
 	for i := range sc.slots {
 		slot := &sc.slots[i]
 		if cap(slot.ids) > maxKeptIDs {
-			slot.ids = nil
+			slot.ids, slot.meta = nil, nil
 		}
 		slot.err = nil
 	}
 	fanPool.Put(sc)
 }
 
-// fanOut sends sc.req to sets[id] for every id in shardIDs — the last on
-// the calling goroutine, the others on one goroutine each — and merges
-// the answers. A stale-epoch rejection from any shard is returned as-is
-// (highest priority) so run can refresh and retry the whole query.
-func (nc *NetClient) fanOut(sc *fanScratch, sets []*replicaSet, shardIDs []int, deadline time.Time, partial bool) (*Result, error) {
+// fanOut sends req to every active shard of st — the last on the calling
+// goroutine, the others on one goroutine each — and merges the answers. A
+// stale-epoch rejection from any shard is returned as-is (highest
+// priority) so run can refresh and retry the whole query.
+func (nc *NetClient) fanOut(sc *fanScratch, st *routeState, req shardReq, partial bool) (*Result, error) {
+	shardIDs := st.active
 	sc.slots = slices.Grow(sc.slots[:0], len(shardIDs))[:len(shardIDs)]
 	slots := sc.slots
 	for i, id := range shardIDs {
 		if i == len(shardIDs)-1 {
-			nc.askShard(&slots[i], sets[id], sc.req, deadline)
+			nc.askShard(&slots[i], st.shards[id], req)
 			break
 		}
 		sc.wg.Add(1)
 		go func(slot *shardReply, rs *replicaSet) {
 			defer sc.wg.Done()
-			nc.askShard(slot, rs, sc.req, deadline)
-		}(&slots[i], sets[id])
+			nc.askShard(slot, rs, req)
+		}(&slots[i], st.shards[id])
 	}
 	sc.wg.Wait()
 
@@ -344,24 +403,24 @@ func (nc *NetClient) fanOut(sc *fanScratch, sets []*replicaSet, shardIDs []int, 
 	}
 	res.Degraded = len(res.FailedShards) > 0
 	if matched > 0 {
-		res.IDs = make([]uint64, 0, matched)
-		for i := range slots {
-			res.IDs = append(res.IDs, slots[i].ids...)
-		}
-		slices.Sort(res.IDs)
+		sc.merge(res, matched, req.records)
 	}
 
-	meta, err := nc.fetchMeta(res.IDs, deadline)
-	if err != nil {
-		if !partial {
-			return nil, err
+	// Index servers answered IDs: the metadata is the ad server's, one
+	// more hop — which an empty match list does not need.
+	if !req.records && matched > 0 {
+		meta, err := nc.fetchMeta(res.IDs, req.deadline)
+		if err != nil {
+			if !partial {
+				return nil, err
+			}
+			// Graceful degradation: the ad server is down, serve IDs with
+			// zero metadata rather than failing the query.
+			res.MetaMissing = true
+			res.Degraded = true
+		} else {
+			res.Meta = meta
 		}
-		// Graceful degradation: the ad server is down, serve IDs with
-		// zero metadata rather than failing the query.
-		res.MetaMissing = true
-		res.Degraded = true
-	} else {
-		res.Meta = meta
 	}
 	if res.Degraded {
 		nc.degraded.Add(1)
@@ -369,10 +428,57 @@ func (nc *NetClient) fanOut(sc *fanScratch, sets []*replicaSet, shardIDs []int, 
 	return res, nil
 }
 
+// merge fills res with the slots' matched answers in ID order, metadata
+// attached when the shards served records. Equal IDs come out in shard
+// order and, within a shard, in the shard's order — the order
+// ElasticCluster.Match gives them — so an ID held twice keeps both
+// records. A reply that is not ID-ordered is sorted first, not trusted.
+func (sc *fanScratch) merge(res *Result, matched int, records bool) {
+	slots := sc.slots
+	sc.heads = slices.Grow(sc.heads[:0], len(slots))[:len(slots)]
+	heads := sc.heads
+	for i := range slots {
+		heads[i] = 0
+		if !slices.IsSorted(slots[i].ids) {
+			sort.Stable(byID(slots[i].answer))
+		}
+	}
+	res.IDs = make([]uint64, 0, matched)
+	if records {
+		res.Meta = make([]multiserver.AdMeta, 0, matched)
+	}
+	for len(res.IDs) < matched {
+		next := -1
+		for i := range slots {
+			if heads[i] < len(slots[i].ids) && (next < 0 || slots[i].ids[heads[i]] < slots[next].ids[heads[next]]) {
+				next = i
+			}
+		}
+		slot, h := &slots[next], heads[next]
+		res.IDs = append(res.IDs, slot.ids[h])
+		if records {
+			res.Meta = append(res.Meta, slot.meta[h])
+		}
+		heads[next]++
+	}
+}
+
+// byID sorts an answer by ID, carrying the metadata along when it has any.
+type byID answer
+
+func (a byID) Len() int           { return len(a.ids) }
+func (a byID) Less(i, j int) bool { return a.ids[i] < a.ids[j] }
+func (a byID) Swap(i, j int) {
+	a.ids[i], a.ids[j] = a.ids[j], a.ids[i]
+	if a.meta != nil {
+		a.meta[i], a.meta[j] = a.meta[j], a.meta[i]
+	}
+}
+
 // askShard fills slot with rs's answer to req, decoded into the slot's
-// own buffer.
-func (nc *NetClient) askShard(slot *shardReply, rs *replicaSet, req []byte, deadline time.Time) {
-	slot.ids, slot.flags, slot.err = nc.queryShard(rs, req, slot.ids[:0], deadline)
+// own buffers.
+func (nc *NetClient) askShard(slot *shardReply, rs *replicaSet, req shardReq) {
+	slot.answer, slot.err = nc.queryShard(rs, req, slot.answer)
 }
 
 // queryShard tries the shard's replicas in preference order, failing
@@ -381,46 +487,45 @@ func (nc *NetClient) askShard(slot *shardReply, rs *replicaSet, req []byte, dead
 // A stale-epoch rejection short-circuits: the shard is alive, its
 // replicas move epochs in lockstep, so failing over would only repeat
 // the rejection — the caller must refresh its routing table instead.
-// The IDs are appended to dst when one attempt at a time runs; hedged
-// attempts overlap and outlive the query, so they get buffers (and a
-// copy of req) of their own.
-func (nc *NetClient) queryShard(rs *replicaSet, req []byte, dst []uint64, deadline time.Time) ([]uint64, byte, error) {
+// The answer is decoded into the buffers of into when one attempt at a
+// time runs; hedged attempts overlap and outlive the query, so they get
+// buffers (and a copy of the request body) of their own.
+func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answer, error) {
 	first, n := int(rs.preferred.Load()), len(rs.conns)
 	if nc.opts.HedgeAfter <= 0 || n == 1 {
 		var lastErr error
 		sawFastFail := false
 		for k := 0; k < n; k++ {
 			ci := rs.at(first, k)
-			ids, flags, err := rs.conns[ci].ExchangeIDs(dst, req, deadline)
+			got, err := req.ask(rs.conns[ci], into)
 			if err == nil {
 				rs.preferred.Store(int32(ci))
 				rs.markLive()
-				return ids, flags, nil
+				return got, nil
 			}
 			if errors.Is(err, multiserver.ErrStaleEpoch) || errors.Is(err, multiserver.ErrDeadlineExpired) {
 				rs.markLive()
-				return nil, 0, err
+				return answer{}, err
 			}
 			if errors.Is(err, multiserver.ErrBreakerOpen) {
 				sawFastFail = true
 			}
 			lastErr = err
 		}
-		return nc.failShard(rs, req, deadline, lastErr, sawFastFail)
+		return nc.failShard(rs, req, lastErr, sawFastFail)
 	}
 
 	type attempt struct {
-		ci    int
-		ids   []uint64
-		flags byte
-		err   error
+		ci  int
+		got answer
+		err error
 	}
-	req = bytes.Clone(req)
+	req.body = bytes.Clone(req.body)
 	ch := make(chan attempt, n)
 	launch := func(ci int) {
 		go func() {
-			ids, flags, err := rs.conns[ci].ExchangeIDs(nil, req, deadline)
-			ch <- attempt{ci, ids, flags, err}
+			got, err := req.ask(rs.conns[ci], answer{})
+			ch <- attempt{ci, got, err}
 		}()
 	}
 	launch(first)
@@ -436,11 +541,11 @@ func (nc *NetClient) queryShard(rs *replicaSet, req []byte, dst []uint64, deadli
 			if a.err == nil {
 				rs.preferred.Store(int32(a.ci))
 				rs.markLive()
-				return a.ids, a.flags, nil
+				return a.got, nil
 			}
 			if errors.Is(a.err, multiserver.ErrStaleEpoch) || errors.Is(a.err, multiserver.ErrDeadlineExpired) {
 				rs.markLive()
-				return nil, 0, a.err
+				return answer{}, a.err
 			}
 			if errors.Is(a.err, multiserver.ErrBreakerOpen) {
 				sawFastFail = true
@@ -460,7 +565,7 @@ func (nc *NetClient) queryShard(rs *replicaSet, req []byte, dst []uint64, deadli
 			}
 		}
 	}
-	return nc.failShard(rs, req, deadline, lastErr, sawFastFail)
+	return nc.failShard(rs, req, lastErr, sawFastFail)
 }
 
 // failShard finishes a shard query whose every replica attempt failed.
@@ -469,26 +574,30 @@ func (nc *NetClient) queryShard(rs *replicaSet, req []byte, dst []uint64, deadli
 // state, not the shard's current health — so one rate-limited forced
 // probe round runs before the failure is allowed to stand (see
 // replicaSet.probeThrough).
-func (nc *NetClient) failShard(rs *replicaSet, req []byte, deadline time.Time, lastErr error, sawFastFail bool) ([]uint64, byte, error) {
+func (nc *NetClient) failShard(rs *replicaSet, req shardReq, lastErr error, sawFastFail bool) (answer, error) {
 	if sawFastFail {
-		if ids, flags, err, probed := rs.probeThrough(req, deadline); probed {
+		if got, err, probed := rs.probeThrough(req); probed {
 			nc.probes.Add(1)
 			if err == nil {
 				rs.markLive()
-				return ids, flags, nil
+				return got, nil
 			}
 			if errors.Is(err, multiserver.ErrStaleEpoch) || errors.Is(err, multiserver.ErrDeadlineExpired) {
 				rs.markLive()
-				return nil, 0, err
+				return answer{}, err
 			}
 			lastErr = err
 		}
 	}
 	rs.markDead()
-	return nil, 0, lastErr
+	return answer{}, lastErr
 }
 
+// fetchMeta is the second hop of a route whose shards answer IDs only.
 func (nc *NetClient) fetchMeta(ids []uint64, deadline time.Time) ([]multiserver.AdMeta, error) {
+	if nc.ad == nil {
+		return nil, errors.New("shard: ad metadata fetch: the route's shards serve no records and the client has no ad server")
+	}
 	meta, err := nc.ad.ExchangeMeta(ids, deadline)
 	if err != nil {
 		nc.adDead.CompareAndSwap(0, time.Now().UnixNano())
@@ -517,8 +626,11 @@ type ShardHealth struct {
 type Health struct {
 	Shards     []ShardHealth `json:"shards"`
 	LiveShards int           `json:"live_shards"`
-	AdBreaker  string        `json:"ad_breaker"`
-	AdLive     bool          `json:"ad_live"`
+	// AdBreaker is the ad-server connection's breaker, absent when the
+	// client has no ad server; AdLive is false while that server is not
+	// answering.
+	AdBreaker string `json:"ad_breaker,omitempty"`
+	AdLive    bool   `json:"ad_live"`
 	// DeadFor is the longest continuous outage across shards and the ad
 	// server (0 when everything is answering) — the signal a readiness
 	// probe should threshold to stop routing to a client whose backends

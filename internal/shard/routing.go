@@ -161,6 +161,11 @@ type Route struct {
 	// Replicas lists, per shard id, the interchangeable replica addresses
 	// serving that shard.
 	Replicas [][]string `json:"replicas"`
+	// Records declares that the shards hold the ads and answer a records
+	// request (multiserver.AppendRecordsRequest) with each match's
+	// metadata, so a query costs one round trip per shard and no
+	// ad-server hop. False for index servers that hold only IDs.
+	Records bool `json:"records,omitempty"`
 }
 
 // Validate checks that the route addresses every shard the table can
@@ -168,6 +173,9 @@ type Route struct {
 func (r *Route) Validate() error {
 	if err := r.Table.Validate(); err != nil {
 		return err
+	}
+	if r.Records && r.Table.Epoch == 0 {
+		return fmt.Errorf("shard: a records route must be versioned: the records request is an epoch tag")
 	}
 	if len(r.Replicas) < r.Table.NumShards {
 		return fmt.Errorf("shard: route has %d address groups for %d shards", len(r.Replicas), r.Table.NumShards)
@@ -184,7 +192,9 @@ func (r *Route) Validate() error {
 // active on one slot of its own, at epoch 0 — below any epoch a
 // rebalance can publish, so it reads "unversioned". A client holding it
 // sends queries untagged (plain index servers parse them as bare query
-// text), is never stale and never refreshes.
+// text), is never stale and never refreshes. Its shards are the paper's
+// §VII-B index servers: they answer IDs, and the metadata comes from the
+// ad server in a second hop.
 func frozenRoute(replicaAddrs [][]string) *Route {
 	owners := make([]int, len(replicaAddrs))
 	for i := range owners {

@@ -105,4 +105,15 @@ func TestRouteValidate(t *testing.T) {
 	if err := r3.Validate(); err == nil {
 		t.Fatalf("route with empty active address group accepted")
 	}
+	// The records request is an epoch tag, so only a versioned route can
+	// declare record-serving shards.
+	r4 := frozenRoute([][]string{{"a:1"}, {"b:1"}})
+	r4.Records = true
+	if err := r4.Validate(); err == nil {
+		t.Fatalf("unversioned records route accepted")
+	}
+	r.Records = true
+	if err := r.Validate(); err != nil {
+		t.Fatalf("versioned records route rejected: %v", err)
+	}
 }

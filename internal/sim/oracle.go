@@ -48,15 +48,6 @@ func (m *model) broadMatch(query string) []corpus.Ad {
 	return out
 }
 
-func (m *model) matchIDs(query string) []uint64 {
-	matches := m.broadMatch(query)
-	ids := make([]uint64, len(matches))
-	for i := range matches {
-		ids[i] = matches[i].ID
-	}
-	return ids
-}
-
 // auction independently re-implements the default SelectAds semantics:
 // drop ads with a negative keyword occurring in the query, then rank by
 // bid descending with ID as the tiebreak.

@@ -2,13 +2,16 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"adindex"
 	"adindex/internal/corpus"
+	"adindex/internal/multiserver"
 	"adindex/internal/optimize"
 	"adindex/internal/rewrite"
+	"adindex/internal/shard"
 )
 
 // Failure is one oracle divergence (or in-run harness error): the op
@@ -375,23 +378,61 @@ func (r *runner) insertEverywhere(ad corpus.Ad) {
 }
 
 // checkNetQuery runs one query over the wire and compares the ID
-// multiset against the oracle. when annotates the failure detail (e.g.
-// "mid-handoff"); "" for the ordinary query path.
+// multiset against the oracle — and, on the elastic deployment, whose
+// shards answer with records, each ID's bid and click rate as well. when
+// annotates the failure detail (e.g. "mid-handoff"); "" for the ordinary
+// query path.
 func (r *runner) checkNetQuery(i int, q, when string) *Failure {
 	prefix := ""
 	if when != "" {
 		prefix = when + " "
 	}
-	ids, err := r.net.query(q)
+	res, err := r.net.query(q)
 	if err != nil {
 		return &Failure{OpIndex: i, Target: "net", Detail: fmt.Sprintf("%squery %q failed: %v", prefix, q, err)}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	if d := diffIDs(ids, r.oracle.matchIDs(q)); d != "" {
+	want := r.oracle.broadMatch(q)
+	ids := slices.Clone(res.IDs)
+	slices.Sort(ids)
+	d := diffIDs(ids, idsOf(want))
+	if d == "" && r.cfg.Elastic {
+		d = diffRecords(res, want)
+	}
+	if d != "" {
 		return &Failure{OpIndex: i, Target: "net", Detail: fmt.Sprintf("%squery %q: %s", prefix, q, d)}
 	}
 	r.checks++
 	return nil
+}
+
+// diffRecords compares the (ID, bid, click rate) multiset of a records
+// reply with the oracle's matches.
+func diffRecords(res *shard.Result, want []corpus.Ad) string {
+	if len(res.Meta) != len(res.IDs) {
+		return fmt.Sprintf("%d metadata records for %d IDs", len(res.Meta), len(res.IDs))
+	}
+	type record struct {
+		id   uint64
+		meta multiserver.AdMeta
+	}
+	byAll := func(a, b record) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.meta.BidMicros, b.meta.BidMicros), cmp.Compare(a.meta.ClickRate, b.meta.ClickRate))
+	}
+	got, exp := make([]record, len(res.IDs)), make([]record, len(want))
+	for i, id := range res.IDs {
+		got[i] = record{id, res.Meta[i]}
+	}
+	for i := range want {
+		exp[i] = record{want[i].ID, multiserver.AdMeta{BidMicros: want[i].Meta.BidMicros, ClickRate: want[i].Meta.ClickRate}}
+	}
+	slices.SortFunc(got, byAll)
+	slices.SortFunc(exp, byAll)
+	for i := range got {
+		if got[i] != exp[i] {
+			return fmt.Sprintf("record[%d] = %d %+v, oracle says %d %+v", i, got[i].id, got[i].meta, exp[i].id, exp[i].meta)
+		}
+	}
+	return ""
 }
 
 // checkState cross-checks whole-index state: live counts, epochs in

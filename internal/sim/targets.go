@@ -117,11 +117,12 @@ const (
 // shard.ElasticCluster, every shard position of every replica served by
 // an epoch-checking TCP server behind a faultnet proxy, queried through
 // one strict shard.NetClient — on the cluster's live route under
-// cfg.Elastic, on the frozen route of the initial shards otherwise (the
-// static deployment: the same target with no rebalance in its
-// schedule). Mutations are applied to every replica directly (modeling
-// an out-of-band replication channel); kill/heal partition and heal all
-// of one replica's proxies. Rebalance ops run the live handoff on every
+// cfg.Elastic (one round trip per shard, records in the reply), on the
+// frozen route of the initial shards otherwise (the static deployment:
+// the same target with no rebalance in its schedule, IDs from the shards
+// and a second hop to an ad server). Mutations are applied to every
+// replica directly (modeling an out-of-band replication channel);
+// kill/heal partition and heal all of one replica's proxies. Rebalance ops run the live handoff on every
 // replica in lockstep (so epochs agree), with the runner's mid-handoff
 // callback interleaving an insert (through the dual-write journal) and
 // an oracle-checked query on replica 0's pre-cutover phases.
@@ -131,7 +132,7 @@ type elasticTarget struct {
 	servings   []*shard.ElasticServing
 	proxies    [][]*faultnet.Proxy // [replica][position]
 	proxyAddrs [][]string          // [replica][position]
-	adSrv      *multiserver.Server
+	adSrv      *multiserver.Server // static deployment only
 	client     *shard.NetClient
 	dead       int // replica currently partitioned, -1 = none
 }
@@ -170,26 +171,27 @@ func newElasticTarget(cfg Config) (*elasticTarget, error) {
 		e.proxies = append(e.proxies, row)
 		e.proxyAddrs = append(e.proxyAddrs, addrs)
 	}
-	// The ad-metadata server runs with no ads: it answers any ID with
-	// zero metadata, which the harness never inspects (the networked
-	// comparison is on ID multisets).
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, nil)
-	if err != nil {
-		e.close()
-		return nil, err
-	}
-	e.adSrv = adSrv
 	// Replica 0's table is authoritative; epochs are in lockstep outside
 	// rebalance calls, and the proxy addresses are static (positions are
 	// pre-provisioned up to the shard cap).
 	route := func() (*shard.Route, error) { return e.replicas[0].RouteOver(e.proxyAddrs...), nil }
 	opts := shard.Options{Conn: simConnOpts(cfg)}
 	var client *shard.NetClient
+	var err error
 	if cfg.Elastic {
-		client, err = shard.DialRoute(route, adSrv.Addr(), opts)
+		// The live route's shards answer with records, which the runner
+		// holds to the oracle; there is no ad server to ask.
+		client, err = shard.DialRoute(route, "", opts)
 	} else {
+		// The frozen route is ID-only: its second hop goes to an ad server
+		// with no ads, answering zeros the harness never inspects (the
+		// static comparison is on ID multisets).
+		if e.adSrv, err = multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, nil); err != nil {
+			e.close()
+			return nil, err
+		}
 		r, _ := route()
-		client, err = shard.DialReplicaShards(r.Replicas, adSrv.Addr(), opts)
+		client, err = shard.DialReplicaShards(r.Replicas, e.adSrv.Addr(), opts)
 	}
 	if err != nil {
 		e.close()
@@ -220,7 +222,8 @@ func (e *elasticTarget) delete(id uint64, phrase string) (found bool, diverged b
 	return found, false
 }
 
-func (e *elasticTarget) query(q string) ([]uint64, error) { return e.client.Query(q) }
+// query is a strict fan-out: any shard failure fails it.
+func (e *elasticTarget) query(q string) (*shard.Result, error) { return e.client.QueryResult(q) }
 
 // kill partitions replica r. Kills are gated on the fault budget (at
 // most one replica down) so that a schedule mangled by the shrinker can
