@@ -4,10 +4,14 @@
 #   vet, build, test   the whole module (tier 1 is build + test)
 #   race               the race detector over the concurrency-heavy
 #                      packages, -short so the load comparisons and the
-#                      fault-injection latency schedules stay affordable
+#                      fault-injection latency schedules stay affordable;
+#                      ./internal/server brings TestCacheLinearizable
+#                      (writers and readers on overlapping word sets
+#                      through the reply cache)
 #   recovery-smoke     kill -9 a churning child, recover, compare with the
 #                      serial oracle; crash-at-every-write atomicity
-#   simsmoke           pinned whole-stack simulation seeds vs the oracle
+#   simsmoke           pinned whole-stack simulation seeds vs the oracle,
+#                      the cached-server target among them
 #   migratesmoke       pinned elastic-resharding seeds, and the tail-latency
 #                      bar across a live split/migrate/merge
 #   overloadsmoke      budget/quarantine/shedding and the 4x flood bar
@@ -59,8 +63,13 @@ recovery-smoke:
 # the brute-force oracle, under the race detector. Fully deterministic,
 # so it doubles as a regression gate for the seeds in
 # internal/sim/sim_test.go (see TESTING.md for the replay workflow).
+# Then, by name and with its verdicts printed, the cached-server target:
+# the same schedules through the HTTP handler and its reply cache on a
+# crash-restarted durable index, every query asked twice and every cached
+# reply re-asked after each write.
 simsmoke:
 	$(GO) test -race -short -run 'TestSim' ./internal/sim
+	$(GO) test -race -short -run 'TestSimCachedServer' -v ./internal/sim
 
 # Elastic-resharding regression gate: the pinned migration seeds and the
 # handcrafted split/migrate/merge scenario from internal/sim, which

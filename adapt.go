@@ -150,7 +150,7 @@ func (ix *Index) ApplyPlacement(mapping map[string][]string, ifEpoch uint64) (bo
 		}
 		s := ix.snap.Load()
 		if s.overlaySize() > 0 {
-			s = &snapshot{base: s.fold(ix.opts.coreOptions()), epoch: s.epoch}
+			s = &snapshot{base: ix.fold(s), epoch: s.epoch}
 			ix.publish(s)
 		}
 		ix.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"adindex/internal/adapt"
 	"adindex/internal/core"
@@ -137,6 +138,13 @@ type Index struct {
 	// Options.Rewrite is unset. Immutable after construction.
 	rewriter *rewrite.Planner
 
+	// changed is the per-word version table behind View.ChangedAt, shared
+	// by every snapshot; see noteChanged.
+	changed wordVersions
+	// folds and foldNanos count overlay folds and the time they took.
+	folds     atomic.Uint64
+	foldNanos atomic.Int64
+
 	// remapEpoch counts placement changes (Optimize, ApplyMapping,
 	// ApplyPlacement) — the staleness guard of the adaptation loop.
 	remapEpoch atomic.Uint64
@@ -188,16 +196,75 @@ func (ix *Index) PersistErr() error {
 }
 
 // Epoch returns the index mutation epoch: a counter bumped by every
-// Insert, Delete, Optimize, and ApplyMapping. Result caches layered above
-// the index (see internal/server) tag entries with the epoch at which they
-// were computed and treat any entry from an older epoch as stale, so a
-// mutation invalidates all cached results without any cache traversal.
+// Insert, Delete (found or not), Optimize, ApplyMapping and applied
+// adaptation round; a fold republishes under the epoch it found. It names a
+// published state — WAL recovery reproduces it record by record — and says
+// nothing about which answers changed: most epochs leave most answers as
+// they were. A result cache stamps an entry with the epoch of the View
+// that computed it and asks View.ChangedAt whether that is new enough.
 //
 // Epoch is a single atomic load. For an epoch guaranteed consistent with
 // subsequent query results, use View, which pins epoch and results to the
 // same snapshot.
 func (ix *Index) Epoch() uint64 {
 	return ix.snap.Load().epoch
+}
+
+// wordSlots is the size of the word version table: 16 384 slots of eight
+// bytes, 128 KB per index. Two words that share a slot invalidate each
+// other's queries: extra misses, never a stale answer.
+const wordSlots = 1 << 14
+
+// wordVersions holds, per word-hash slot, the epoch of the last mutation
+// that changed the answers of queries containing a word of that slot.
+type wordVersions [wordSlots]atomic.Uint64
+
+func wordSlot(w string) uint32 {
+	h := core.WordSignatureHash(w)
+	return uint32(h^h>>32) & (wordSlots - 1)
+}
+
+// noteChanged records that the mutation about to be published as epoch
+// adds or removes a record with the canonical word set words. The match
+// rule is words(P) ⊆ Q, so only queries containing every one of words can
+// answer differently, and each of them contains the one word stamped here:
+// the rarest by the base's document frequency (first in string order among
+// equals), which is the word the fewest cached queries share. A record with
+// no words matches no query and stamps nothing.
+//
+// Callers hold ix.mu and call this before publishing the snapshot: a reader
+// that can see the mutation's snapshot can then see its stamp, and a
+// mutator returns only after both, so a query that starts after the
+// mutation returned finds the stamp (View.ChangedAt) whatever it finds in a
+// cache. Epochs only grow under ix.mu, so a slot never moves backwards.
+func (ix *Index) noteChanged(base *core.Index, words []string, epoch uint64) {
+	if len(words) == 0 {
+		return
+	}
+	rarest, df := words[0], base.WordDF(words[0])
+	for _, w := range words[1:] {
+		if d := base.WordDF(w); d < df {
+			rarest, df = w, d
+		}
+	}
+	ix.changed[wordSlot(rarest)].Store(epoch)
+}
+
+// fold folds s's overlay into a fresh base (snapshot.fold), counted and
+// timed for FoldStats. Callers hold ix.mu.
+func (ix *Index) fold(s *snapshot) *core.Index {
+	start := time.Now()
+	base := s.fold(ix.opts.coreOptions())
+	ix.folds.Add(1)
+	ix.foldNanos.Add(int64(time.Since(start)))
+	return base
+}
+
+// FoldStats returns how many overlay folds this index has run (WAL replay
+// included) and the seconds they took in total. A fold rebuilds the whole
+// base on the goroutine of the write that filled the overlay.
+func (ix *Index) FoldStats() (folds uint64, seconds float64) {
+	return ix.folds.Load(), time.Duration(ix.foldNanos.Load()).Seconds()
 }
 
 // New returns an empty index.
@@ -258,8 +325,9 @@ func (ix *Index) Insert(ad Ad) {
 // (including the epoch, which advances once per record).
 func (ix *Index) insertLocked(ad Ad) {
 	s := ix.snap.Load()
+	ix.noteChanged(s.base, ad.Words, s.epoch+1)
 	if s.overlaySize() >= ix.opts.maxDeltaAds() {
-		base := s.fold(ix.opts.coreOptions())
+		base := ix.fold(s)
 		base.Insert(ad)
 		ix.publish(&snapshot{base: base, epoch: s.epoch + 1})
 		return
@@ -300,9 +368,11 @@ func (ix *Index) Delete(id uint64, phrase string) bool {
 // hold ix.mu; see insertLocked for the recovery-replay contract.
 func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 	s := ix.snap.Load()
-	key := textnorm.SetKey(textnorm.WordSet(phrase))
+	words := textnorm.WordSet(phrase)
+	key := textnorm.SetKey(words)
 	for i := len(s.delta) - 1; i >= 0; i-- {
 		if s.delta[i].ID == id && s.delta[i].SetKey() == key {
+			ix.noteChanged(s.base, words, s.epoch+1)
 			nd := make([]corpus.Ad, 0, len(s.delta)-1)
 			nd = append(nd, s.delta[:i]...)
 			nd = append(nd, s.delta[i+1:]...)
@@ -318,6 +388,7 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 	}
 	k := tombKey{id: id, key: key}
 	if s.base.Lookup(id, phrase) > s.tombs[k] {
+		ix.noteChanged(s.base, words, s.epoch+1)
 		nt := make(map[tombKey]int, len(s.tombs)+1)
 		for tk, n := range s.tombs {
 			nt[tk] = n
@@ -330,12 +401,13 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 		if len(nt) >= ix.opts.maxDeltaAds() {
 			// Fold eagerly so tombstone filtering stays cheap.
 			cur := ix.snap.Load()
-			ix.publish(&snapshot{base: cur.fold(ix.opts.coreOptions()), epoch: cur.epoch})
+			ix.publish(&snapshot{base: ix.fold(cur), epoch: cur.epoch})
 		}
 		return true
 	}
-	// Not found. The epoch still advances (matching the historical
-	// contract that every mutation attempt invalidates caches).
+	// Not found: no answer changed, so no word is stamped. The epoch still
+	// advances, because the WAL logged the attempt and recovery reproduces
+	// the epoch sequence record by record.
 	ix.publish(&snapshot{
 		base: s.base, delta: s.delta, deltaSigs: s.deltaSigs, tombs: s.tombs,
 		deleted: s.deleted, epoch: s.epoch + 1,
@@ -416,7 +488,7 @@ func (ix *Index) Optimize() (OptimizeReport, error) {
 		ix.mu.Lock()
 		s := ix.snap.Load()
 		if s.overlaySize() > 0 {
-			s = &snapshot{base: s.fold(ix.opts.coreOptions()), epoch: s.epoch}
+			s = &snapshot{base: ix.fold(s), epoch: s.epoch}
 			ix.publish(s)
 		}
 		ix.mu.Unlock()
@@ -609,7 +681,7 @@ func (ix *Index) foldedBase() *core.Index {
 	defer ix.mu.Unlock()
 	s = ix.snap.Load()
 	if s.overlaySize() > 0 {
-		s = &snapshot{base: s.fold(ix.opts.coreOptions()), epoch: s.epoch}
+		s = &snapshot{base: ix.fold(s), epoch: s.epoch}
 		ix.publish(s)
 	}
 	return s.base

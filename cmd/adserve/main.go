@@ -1,8 +1,8 @@
 // adserve serves broad-match queries over HTTP, either from a local
 // corpus file produced by adgen (or any file in the same TSV format)
 // through the production serving layer in internal/server — sharded
-// result cache with epoch-based invalidation, admission control with
-// load shedding, JSON metrics, pprof, graceful shutdown — or, with
+// result cache invalidated by the words a write touches, admission control
+// with load shedding, JSON metrics, pprof, graceful shutdown — or, with
 // -shards, as a fault-tolerant front-end over a remote sharded
 // deployment (replica failover, retries with backoff, circuit breakers,
 // graceful degradation).

@@ -83,6 +83,11 @@ type Groups struct {
 func BuildGroups(ads []corpus.Ad, wl *workload.Workload) *Groups {
 	gs := &Groups{ByKey: make(map[string]int)}
 	for i := range ads {
+		if len(ads[i].Words) == 0 {
+			// A phrase of punctuation: no query retrieves it and there is
+			// no locator to choose for it (core rejects the empty one).
+			continue
+		}
 		key := ads[i].SetKey()
 		idx, ok := gs.ByKey[key]
 		if !ok {

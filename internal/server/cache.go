@@ -1,5 +1,5 @@
 // Result cache: a sharded LRU over encoded replies, keyed by the normalized
-// form of the query and tagged with the index mutation epoch.
+// form of the query and stamped with the index epoch they were computed at.
 //
 // What an entry is. A cached reply is bytes: the exact JSON of the reply's
 // "ads" array, after Config.Selection, plus the two envelope facts that are
@@ -10,7 +10,7 @@
 // post-selection body is as cacheable as the raw matches were. Bodies are
 // exact-size, pointer-free and immutable once stored: readers only copy
 // from them, so a slice handed out by Get stays valid after its entry is
-// evicted or replaced.
+// evicted or refreshed.
 //
 // Key choice. Broad match is insensitive to word order and duplicate
 // multiplicity beyond folding ("cheap used books" and "used cheap books"
@@ -22,16 +22,25 @@
 // entry only if they are the same query, so a collision can never serve
 // one advertiser's ads for another's keywords. The handler builds it in a
 // pooled buffer and looks it up as bytes; it becomes a string only when an
-// entry is stored. Under the power-law query frequencies of the paper's
-// workload model (§V) a small cache keyed this way absorbs most of the
-// head.
+// entry is first stored. Under the power-law query frequencies of the
+// paper's workload model (§V) a small cache keyed this way absorbs most of
+// the head.
 //
-// Invalidation. Entries carry the index epoch (adindex.Index.Epoch) at
-// which their result was computed. A lookup presents the current epoch; an
-// entry from an older epoch is stale — it is dropped and counts as an
-// invalidation, never served. This makes Insert/Delete/Optimize invalidate
-// the whole cache in O(1) with no traversal and no coordination beyond the
-// epoch read.
+// Invalidation. The match rule is words(P) ⊆ Q, so a write of word set W
+// can change the answer of Q only when Q ⊇ W. An entry carries the epoch of
+// the adindex.View that computed it; a lookup presents
+// View.ChangedAt(query words), the newest epoch at which a write the query
+// could see stamped one of its words, and the entry is served when its
+// epoch is at least that. A write therefore costs the cached queries that
+// contain its rarest word (plus those whose words share that word's slot)
+// and no others, in O(1) with no traversal; a not-found delete, a fold,
+// Optimize, ApplyMapping and an adaptation round cost nothing. A query long
+// enough for the MaxQueryWords cutoff is the exception (its answer depends
+// on document frequencies): ChangedAt gives it the view's own epoch, so any
+// epoch change drops it. A present entry that is too old is a miss and an
+// invalidation; it stays where it is and the put that follows the miss
+// refreshes it in place. An entry newer than the caller's view is served if
+// new enough and never replaced by an older computation.
 package server
 
 import (
@@ -127,16 +136,16 @@ func shardOf[K cacheKeyBytes](c *Cache, key K) *cacheShard {
 	return c.shards[uint32(fingerprint(key))&c.mask]
 }
 
-// Get returns the cached reply for key if present and computed at the
-// given epoch. A present-but-stale entry is removed and counted as an
-// invalidation (and a miss).
-func (c *Cache) Get(key string, epoch uint64) (Cached, bool) {
-	return cacheGet(c, key, epoch)
+// Get returns the cached reply for key if present and computed at
+// changedAt or later (adindex.View.ChangedAt of the query's words). A
+// present entry that is older counts as an invalidation and a miss.
+func (c *Cache) Get(key string, changedAt uint64) (Cached, bool) {
+	return cacheGet(c, key, changedAt)
 }
 
 // cacheGet is Get for either key form; a []byte key is looked up without
 // being converted to a string.
-func cacheGet[K cacheKeyBytes](c *Cache, key K, epoch uint64) (Cached, bool) {
+func cacheGet[K cacheKeyBytes](c *Cache, key K, changedAt uint64) (Cached, bool) {
 	if c == nil {
 		return Cached{}, false
 	}
@@ -149,32 +158,38 @@ func cacheGet[K cacheKeyBytes](c *Cache, key K, epoch uint64) (Cached, bool) {
 		return Cached{}, false
 	}
 	ent := el.Value.(*cacheEntry)
-	if ent.epoch != epoch {
-		s.remove(el)
+	if ent.epoch < changedAt {
+		// Left in place, neither promoted nor removed: the caller's put
+		// refreshes it, and if none comes (a truncated answer is not
+		// stored) it ages out of the LRU like any unused entry.
 		s.mu.Unlock()
 		c.invalidations.Add(1)
 		c.misses.Add(1)
 		return Cached{}, false
 	}
+	reply := ent.Cached // copied under the lock: a refresh rewrites the entry
 	s.lru.MoveToFront(el)
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return ent.Cached, true
+	return reply, true
 }
 
-// Put stores ads, encoded, as the reply computed for key at the given
-// epoch: the form for callers that hold ads rather than a reply body.
+// Put stores ads, encoded, as the reply computed for key on a view of the
+// given epoch: the form for callers that hold ads rather than a reply body.
 func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
 	cachePut(c, key, epoch, Cached{Matched: len(ads), Body: corpus.AppendAdsJSON(nil, ads)})
 }
 
-// cachePut stores a reply computed at the given epoch, evicting the
-// shard's least-recently-used entry if the shard is full. If the key is
-// already present the entry is replaced. The cache keeps its own exact-size
-// copies of key and body, so both may live in the caller's reused buffers.
-// A put racing a concurrent mutation is harmless in either direction: the
-// entry is tagged with the epoch the result was actually computed at, so a
-// Get at any other epoch discards it rather than serving it.
+// cachePut stores a reply computed at the given epoch (the Epoch of the
+// View that computed it), evicting the shard's least-recently-used entry if
+// the shard is full. If the key is already present its entry is refreshed
+// in place — same map slot, same list element, only a new body — unless it
+// holds a reply from a newer epoch, which a reader still on an old view must
+// not replace. The cache keeps its own exact-size copy of the body (and of
+// the key, the first time), so both may live in the caller's reused
+// buffers. A put racing a concurrent mutation is harmless: the entry says
+// which epoch its reply was actually computed at, and a Get that knows of a
+// later change to the query's words passes it over.
 func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
 	if c == nil {
 		return
@@ -182,21 +197,29 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
 	body := make([]byte, len(reply.Body))
 	copy(body, reply.Body)
 	reply.Body = body
-	ent := &cacheEntry{key: string(key), epoch: epoch, Cached: reply}
 	s := shardOf(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[ent.key]; ok {
-		s.remove(el)
-	} else if s.lru.Len() >= s.cap {
+	if el, ok := s.items[string(key)]; ok {
+		ent := el.Value.(*cacheEntry)
+		if ent.epoch > epoch {
+			return
+		}
+		s.bytes += int64(len(body) - len(ent.Body))
+		ent.epoch, ent.Cached = epoch, reply
+		s.lru.MoveToFront(el)
+		return
+	}
+	if s.lru.Len() >= s.cap {
 		s.remove(s.lru.Back())
 	}
+	ent := &cacheEntry{key: string(key), epoch: epoch, Cached: reply}
 	s.items[ent.key] = s.lru.PushFront(ent)
 	s.bytes += ent.size()
 }
 
-// Len returns the number of live entries (stale entries not yet touched by
-// a Get are included — they are invalidated lazily).
+// Len returns the number of entries held (entries a write has outdated are
+// included until a put refreshes them or the LRU evicts them).
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -210,8 +233,8 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Bytes returns the key and body bytes the live entries hold (the same
-// entries Len counts).
+// Bytes returns the key and body bytes the entries hold (the same entries
+// Len counts).
 func (c *Cache) Bytes() int64 {
 	if c == nil {
 		return 0

@@ -42,26 +42,61 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestCacheEpochInvalidation: an entry is served while its epoch is at
+// least the epoch a write last touched the query's words at, from whatever
+// view the reader holds; once older it is a miss that stays in place for
+// the put that follows; and an old view's put never replaces a newer reply.
 func TestCacheEpochInvalidation(t *testing.T) {
 	c := NewCache(8, 1)
-	c.Put("k", 0, ad(1))
-	// Same key at a newer epoch: the stale entry must never be served.
-	if _, ok := c.Get("k", 1); ok {
-		t.Fatal("served a result from an older epoch")
+	get := func(changedAt uint64) (uint64, bool) {
+		t.Helper()
+		reply, ok := c.Get("k", changedAt)
+		if !ok {
+			return 0, false
+		}
+		return cachedAds(t, reply)[0].ID, true
 	}
-	_, _, inv := c.Stats()
-	if inv != 1 {
+	c.Put("k", 3, ad(1))
+	// Writes elsewhere moved the index on, none touched this query's words
+	// after epoch 3: served, whether the words were last written before the
+	// entry or by the very state it was computed on.
+	for _, changedAt := range []uint64{0, 2, 3} {
+		if id, ok := get(changedAt); !ok || id != 1 {
+			t.Fatalf("changed at %d, entry from 3: Get = %d, %v", changedAt, id, ok)
+		}
+	}
+	// A write at epoch 4 touched one of the words: never served again.
+	if _, ok := get(4); ok {
+		t.Fatal("served a reply older than the last write to its words")
+	}
+	if _, _, inv := c.Stats(); inv != 1 {
 		t.Errorf("invalidations = %d, want 1", inv)
 	}
-	if c.Len() != 0 {
-		t.Errorf("stale entry not removed: len = %d", c.Len())
+	// The outdated entry waits where it is, and the put that follows the
+	// miss rewrites it: same map slot, same list element.
+	el := c.shards[0].items["k"]
+	if el == nil || c.Len() != 1 {
+		t.Fatalf("outdated entry dropped before its refresh: len = %d", c.Len())
 	}
-	// An entry stored at a *newer* epoch than the reader's view must not
-	// be served either (e.g. a reader that captured its epoch before a
-	// mutation landed).
-	c.Put("k", 2, ad(2))
-	if _, ok := c.Get("k", 1); ok {
-		t.Fatal("served a result from a different epoch")
+	c.Put("k", 4, ad(2))
+	if c.shards[0].items["k"] != el || c.Len() != 1 {
+		t.Error("refresh replaced the entry instead of rewriting it in place")
+	}
+	if id, ok := get(4); !ok || id != 2 {
+		t.Fatalf("after refresh: Get = %d, %v", id, ok)
+	}
+	// A reader that took its view before that write computes the old
+	// answer at epoch 2 or 3: it neither overwrites the newer reply nor
+	// evicts it, and is itself served the newer one.
+	c.Put("k", 3, ad(9))
+	if id, ok := get(4); !ok || id != 2 {
+		t.Fatalf("an older view's put replaced the newer entry: Get = %d, %v", id, ok)
+	}
+	if id, ok := get(1); !ok || id != 2 {
+		t.Fatalf("a reader on an old view: Get = %d, %v, want the newer entry", id, ok)
+	}
+	if _, _, inv := c.Stats(); inv != 1 {
+		t.Errorf("invalidations = %d, want still 1", inv)
 	}
 }
 
@@ -85,8 +120,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheBytes: the byte total follows the live entries through every
-// way one can leave — replacement, eviction, invalidation.
+// TestCacheBytes: the byte total follows the entries through every way a
+// body can leave — replacement, eviction, the refresh of an outdated entry
+// (which keeps its bytes until then).
 func TestCacheBytes(t *testing.T) {
 	c := NewCache(2, 1)
 	size := func(key string, ads []adindex.Ad) int64 {
@@ -110,8 +146,10 @@ func TestCacheBytes(t *testing.T) {
 	check("replace", size("a", ad(1000000))+size("bb", nil))
 	c.Put("ccc", 0, ad(3)) // evicts bb, the least recently used
 	check("evict", size("a", ad(1000000))+size("ccc", ad(3)))
-	c.Get("a", 1) // stale: dropped
-	check("invalidate", size("ccc", ad(3)))
+	c.Get("a", 1) // outdated: stays until refreshed
+	check("invalidate", size("a", ad(1000000))+size("ccc", ad(3)))
+	c.Put("a", 1, ad(7))
+	check("refresh", size("a", ad(7))+size("ccc", ad(3)))
 	var off *Cache
 	if off.Bytes() != 0 {
 		t.Error("nil cache holds bytes")

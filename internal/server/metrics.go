@@ -272,6 +272,9 @@ type MetricsSnapshot struct {
 	NotReady      uint64            `json:"not_ready"`
 	Epoch         uint64            `json:"epoch"`
 	Latency       HistogramSnapshot `json:"latency"`
+	// Index is present once a local index is installed: overlay folds
+	// and the time they took.
+	Index *IndexSnapshot `json:"index,omitempty"`
 	// Rewrite is present when the local index has approximate broad
 	// match enabled (even before the first rewritten query runs).
 	Rewrite *RewriteMetricsSnapshot `json:"rewrite,omitempty"`
@@ -289,6 +292,15 @@ type MetricsSnapshot struct {
 	// continuous-adaptation rounds/moves/modeled-cost trend, plus the
 	// per-query modeled-cost distribution.
 	Adapt *AdaptMetricsSnapshot `json:"adapt,omitempty"`
+}
+
+// IndexSnapshot is the write-path section of /metrics: overlay folds (each
+// a rebuild of the whole base, on the goroutine of the write that filled
+// the overlay) since the index was opened, WAL replay included, and the
+// seconds they took.
+type IndexSnapshot struct {
+	Folds            uint64  `json:"folds"`
+	FoldSecondsTotal float64 `json:"fold_seconds_total"`
 }
 
 // OverloadSnapshot is the overload-armor section of /metrics.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -146,6 +147,30 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	cache := back["cache"].(map[string]any)
 	if want := len("b\x00books\x1fused") + len(body); cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(want) {
 		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, want)
+	}
+
+	// The index section counts overlay folds where they happen: here the
+	// third insert finds a two-ad overlay full.
+	s = New(adindex.Build(testCatalog(), adindex.Options{MaxDeltaAds: 2}), Config{})
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Index == nil || snap.Index.Folds != 0 || snap.Index.FoldSecondsTotal != 0 {
+		t.Fatalf("index section before any write = %+v", snap.Index)
+	}
+	for id := 901; id <= 903; id++ {
+		serve(t, s, "POST", "/insert", fmt.Sprintf(`{"id":%d,"phrase":"fold filler %d"}`, id, id))
+	}
+	metrics := serve(t, s, "GET", "/metrics", "")
+	if err := json.Unmarshal(metrics, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Index.Folds != 1 || snap.Index.FoldSecondsTotal <= 0 {
+		t.Errorf("index section after overflowing the overlay = %+v, want one timed fold", snap.Index)
+	}
+	if !bytes.Contains(metrics, []byte(`"index":{"folds":1,"fold_seconds_total":`)) {
+		t.Errorf("/metrics does not carry index.folds / index.fold_seconds_total: %s", metrics)
 	}
 }
 

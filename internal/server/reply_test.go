@@ -200,7 +200,10 @@ func TestBatchEnvelopeGolden(t *testing.T) {
 // TestCutoffAppliedSurvivesCacheHit: a query with more than MaxQueryWords
 // indexed words is answered from its rarest words only — a possibly lossy
 // answer, flagged cutoff_applied. The flag must ride the cache entry: the
-// repeat is the same lossy answer.
+// repeat is the same lossy answer. Which words are the rarest is a matter
+// of document frequencies, which any write moves, so any write — here one
+// that shares no word with the query — drops the entry, while a short
+// query's entry beside it survives the same write.
 func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 	var ads []adindex.Ad
 	var words []string
@@ -211,6 +214,11 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 	}
 	s := New(adindex.Build(ads, adindex.Options{}), Config{})
 	target := searchTarget(strings.Join(words, " "), "broad")
+	// A batch asks first. Its reply has no cutoff flag and its match path
+	// does not learn of the cut, so it must not leave an entry behind for
+	// /search to serve as a complete answer.
+	batchBody, _ := json.Marshal(batchRequest{Queries: []string{strings.Join(words, " ")}})
+	serve(t, s, "POST", "/search/batch", string(batchBody))
 	var first, repeat searchResponse
 	for i, out := range []*searchResponse{&first, &repeat} {
 		if err := json.Unmarshal(serve(t, s, "GET", target, ""), out); err != nil {
@@ -231,6 +239,23 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 	}
 	if got := s.Metrics().Cutoffs.Load(); got != 1 {
 		t.Errorf("cutoffs counter = %d, want 1 (the one query that reached the index)", got)
+	}
+
+	short := searchTarget("a b c", "broad")
+	serve(t, s, "GET", short, "")
+	serve(t, s, "POST", "/insert", `{"id":99,"phrase":"zebra crossing"}`)
+	var after, shortAfter searchResponse
+	if err := json.Unmarshal(serve(t, s, "GET", target, ""), &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Cached || !after.CutoffApplied {
+		t.Errorf("cut-off query after an unrelated write: cached = %v, cutoff_applied = %v; want a fresh cut-off answer", after.Cached, after.CutoffApplied)
+	}
+	if err := json.Unmarshal(serve(t, s, "GET", short, ""), &shortAfter); err != nil {
+		t.Fatal(err)
+	}
+	if !shortAfter.Cached {
+		t.Error("a three-word query's entry was dropped by a write that shares no word with it")
 	}
 }
 
@@ -258,11 +283,16 @@ func bruteForce(ads []adindex.Ad, typ, q string) []adindex.Ad {
 }
 
 // TestSelectionThroughServer drives Config.Selection through /search (all
-// three types) and /search/batch. The cache holds replies after selection,
-// so for every case the miss, its cached repeat and SelectAds over a
-// brute-force scan must agree byte for byte, matched must stay the
-// pre-selection count, and an insert and a delete between rounds must
-// leave no body behind.
+// three types) and /search/batch, across writes. The cache holds replies
+// after selection, so for every case the miss, its cached repeat and
+// SelectAds over a brute-force scan must agree byte for byte and matched
+// must stay the pre-selection count. Between rounds come an insert, a
+// delete, a delete that finds nothing and an Optimize: a query is answered
+// afresh (cached:false, the new ad in it or the deleted one gone) exactly
+// when it contains the written ad's words, and every other entry is served
+// as it was, byte for byte. (A write stamps its rarest word, so a query
+// holding that word but not the whole set would be dropped as well; the
+// writes here are chosen so that none of the queries is one.)
 func TestSelectionThroughServer(t *testing.T) {
 	live := []adindex.Ad{
 		adindex.NewAd(1, "used books", adindex.Meta{BidMicros: 100, ClickRate: 900}),
@@ -288,6 +318,7 @@ func TestSelectionThroughServer(t *testing.T) {
 		{"exact", "used books", ""},
 		{"phrase", "buy cheap used books now", ""},
 	}
+	batch := []string{"cheap used books", "books used cheap", "used books today", "books"}
 	for name, sel := range selections {
 		t.Run(name, func(t *testing.T) {
 			ads := slices.Clone(live)
@@ -296,7 +327,7 @@ func TestSelectionThroughServer(t *testing.T) {
 			extra := adindex.NewAd(8, "books", adindex.Meta{BidMicros: 700, ClickRate: 700})
 
 			// want is the reply SelectAds over the brute-force scan gives.
-			want := func(q, typ string, got []byte, cached bool) (string, int) {
+			want := func(q, typ string, got []byte, cached bool) string {
 				matches := bruteForce(ads, typ, q)
 				selected := matches
 				if sel != nil {
@@ -307,16 +338,30 @@ func TestSelectionThroughServer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return string(b) + "\n", len(matches)
+				return string(b) + "\n"
 			}
-			round := func(label string) {
+			// lastHit is each query's reply as the previous round left it in
+			// the cache: what an entry no write touched must still say.
+			lastHit := map[string]string{}
+			// round asks everything twice. written is the word set of the
+			// write since the last round (nil: none that changed an answer;
+			// the first round finds an empty cache whatever it is).
+			round := func(label string, written []string) {
+				first := len(lastHit) == 0
+				dropped := func(q string) bool {
+					return first || written != nil && textnorm.IsSubset(written, textnorm.WordSet(q))
+				}
 				for _, c := range queries {
+					fresh := dropped(c.q)
 					miss := serve(t, s, "GET", searchTarget(c.q, c.typ), "")
-					if w, _ := want(c.q, c.typ, miss, false); string(miss) != w {
-						t.Errorf("%s: %s %q miss = %s\nwant %s", label, c.typ, c.q, miss, w)
+					if w := want(c.q, c.typ, miss, !fresh); string(miss) != w {
+						t.Errorf("%s: %s %q first = %s\nwant %s", label, c.typ, c.q, miss, w)
+					}
+					if prev := lastHit[c.typ+c.q]; !fresh && withoutVolatile(miss) != prev {
+						t.Errorf("%s: %s %q: the surviving entry changed:\n%s\nwas\n%s", label, c.typ, c.q, withoutVolatile(miss), prev)
 					}
 					hit := serve(t, s, "GET", searchTarget(c.q, c.typ), "")
-					if w, _ := want(c.q, c.typ, hit, true); string(hit) != w {
+					if w := want(c.q, c.typ, hit, true); string(hit) != w {
 						t.Errorf("%s: %s %q hit = %s\nwant %s", label, c.typ, c.q, hit, w)
 					}
 					if costOf(hit) != 0 {
@@ -325,21 +370,22 @@ func TestSelectionThroughServer(t *testing.T) {
 					if withoutVolatile(miss) != withoutVolatile(hit) {
 						t.Errorf("%s: %s %q: hit differs from miss beyond cached/took_us", label, c.typ, c.q)
 					}
+					lastHit[c.typ+c.q] = withoutVolatile(hit)
 					if c.reordered == "" {
 						continue
 					}
 					// Another surface ordering of the same word set is the same
 					// entry: served from the cache, same ads, its own echo.
 					other := serve(t, s, "GET", searchTarget(c.reordered, c.typ), "")
-					if w, _ := want(c.reordered, c.typ, other, true); string(other) != w {
+					if w := want(c.reordered, c.typ, other, true); string(other) != w {
 						t.Errorf("%s: reordering %q = %s\nwant %s", label, c.reordered, other, w)
 					}
 				}
 				// The batch endpoint shares the entries /search just stored
-				// (every broad query is a hit) and stores what it misses.
-				batch := []string{"cheap used books", "books used cheap", "used books today", "books"}
+				// (every broad query above is a hit) and stores what it
+				// misses: "books" alone, where the write reached it.
 				reqBody, _ := json.Marshal(batchRequest{Queries: batch})
-				for pass, wantCached := range [][]bool{{true, true, true, false}, {true, true, true, true}} {
+				for pass, wantCached := range [][]bool{{true, true, true, !dropped("books")}, {true, true, true, true}} {
 					got := serve(t, s, "POST", "/search/batch", string(reqBody))
 					wantResp := batchResponse{Epoch: ix.Epoch(), TookUS: tookOf(t, got)}
 					for i, q := range batch {
@@ -357,16 +403,38 @@ func TestSelectionThroughServer(t *testing.T) {
 					}
 				}
 			}
+			invalidations := func() uint64 {
+				_, _, inv := s.cache.Stats()
+				return inv
+			}
 
-			round("initial")
+			round("initial", nil)
 			ix.Insert(extra)
 			ads = append(ads, extra)
-			round("after insert")
+			round("after insert", extra.Words)
 			if !ix.Delete(4, "cheap used books") {
 				t.Fatal("delete of ad 4 found nothing")
 			}
 			ads = slices.DeleteFunc(ads, func(a adindex.Ad) bool { return a.ID == 4 })
-			round("after delete")
+			round("after delete", textnorm.WordSet("cheap used books"))
+
+			// Neither of these changes an answer, and neither costs an entry,
+			// though both advance the epoch.
+			before, epoch := invalidations(), ix.Epoch()
+			if ix.Delete(4, "cheap used books") {
+				t.Fatal("ad 4 deleted twice")
+			}
+			round("after not-found delete", nil)
+			if body := serve(t, s, "POST", "/optimize", ""); body == nil {
+				t.Fatal("optimize failed")
+			}
+			round("after optimize", nil)
+			if ix.Epoch() < epoch+2 {
+				t.Errorf("epoch %d -> %d: the not-found delete and Optimize should both advance it", epoch, ix.Epoch())
+			}
+			if got := invalidations(); got != before {
+				t.Errorf("a not-found delete and an Optimize invalidated %d entries", got-before)
+			}
 		})
 	}
 }

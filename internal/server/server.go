@@ -1,9 +1,9 @@
 // Package server is the production query-serving layer over an
-// adindex.Index: a sharded epoch-invalidated result cache, admission
-// control with bounded queueing and load shedding, a stdlib-only metrics
-// registry with Figure-9-style latency histograms, and managed HTTP
-// lifecycle (timeouts, health/readiness probes, signal-driven graceful
-// shutdown that drains in-flight requests).
+// adindex.Index: a sharded result cache invalidated by the words a write
+// touches, admission control with bounded queueing and load shedding, a
+// stdlib-only metrics registry with Figure-9-style latency histograms, and
+// managed HTTP lifecycle (timeouts, health/readiness probes, signal-driven
+// graceful shutdown that drains in-flight requests).
 //
 // Endpoints:
 //
@@ -494,17 +494,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A View pins the epoch and the results to the same snapshot, so a
-	// cache entry can never pair an epoch with results computed against a
-	// different index state. Rewrite answers bypass the cache: it is keyed
-	// by the canonical word set, and rewrite answers depend on the
-	// vocabulary too.
+	// cache entry is stamped with the state that computed it; the lookup
+	// asks only whether a write has since touched this query's words.
+	// Rewrite answers bypass the cache: it is keyed by the canonical word
+	// set, and rewrite answers depend on the vocabulary too.
 	view := ix.View()
-	epoch := view.Epoch()
 	ix.ObserveWords(sc.words)
 	var reply Cached
 	hit := false
 	if !rewrite {
-		reply, hit = cacheGet(s.cache, sc.key, epoch)
+		reply, hit = cacheGet(s.cache, sc.key, view.ChangedAt(sc.words))
 	}
 	var res adindex.Result
 	if !hit {
@@ -553,7 +552,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		sc.buf = s.appendAds(sc.buf, q, res.Ads)
 		if !res.Truncated { // never cache a partial answer
 			reply.Body = sc.buf[mark:]
-			cachePut(s.cache, sc.key, epoch, reply)
+			cachePut(s.cache, sc.key, view.Epoch(), reply)
 		}
 	}
 	sc.buf = appendSearchTail(sc.buf, time.Since(start).Microseconds(), res.Truncated, reply.Cutoff, res.CostSpent)
@@ -678,9 +677,10 @@ type batchResponse struct {
 
 // handleSearchBatch answers POST /search/batch: broad-match for up to
 // MaxBatchQueries queries evaluated against one consistent index snapshot
-// (adindex.View), so every result in the response reflects the same epoch.
-// Cache hits are served per query; misses go through the batched
-// zero-allocation match path and are cached under the view's epoch. A
+// (adindex.View): every miss is computed on it, and a hit is an entry no
+// write has outdated (it may have been computed on a later snapshot than
+// the batch's own). Cache hits are served per query; misses go through the
+// batched zero-allocation match path and are cached under the view's epoch. A
 // rewrite batch runs each query through the single-query path, unbudgeted
 // like the rest of the batch.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -779,9 +779,13 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		sc.tokenize("broad", q)
 		ix.ObserveWords(sc.words)
 		var hit bool
-		if replies[i], hit = cacheGet(s.cache, sc.key, epoch); !hit {
+		if replies[i], hit = cacheGet(s.cache, sc.key, view.ChangedAt(sc.words)); !hit {
 			missKeys[i] = string(sc.key)
 			missQueries = append(missQueries, q)
+			// The batched match does not say whether it cut a long query
+			// down (the batch reply has no cutoff_applied), so such an
+			// answer is not stored for /search to serve as complete.
+			replies[i].Cutoff = view.CutoffPossible(sc.words)
 		}
 	}
 	// Pass 2: the misses' matches, in query order, are encoded in place and
@@ -804,8 +808,10 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		} else {
 			mark := len(sc.buf)
 			sc.buf = s.appendAds(sc.buf, q, missAds[0])
-			replies[i].Body = sc.buf[mark:]
-			cachePut(s.cache, missKeys[i], epoch, replies[i])
+			if !replies[i].Cutoff {
+				replies[i].Body = sc.buf[mark:]
+				cachePut(s.cache, missKeys[i], epoch, replies[i])
+			}
 			missAds = missAds[1:]
 		}
 		sc.buf = append(sc.buf, '}')
@@ -963,7 +969,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "insert requires non-zero id and non-empty phrase", http.StatusBadRequest)
 		return
 	}
-	ix.Insert(adindex.NewAd(req.ID, req.Phrase, req.Meta))
+	ad := adindex.NewAd(req.ID, req.Phrase, req.Meta)
+	if len(ad.Words) == 0 {
+		// "!!!" tokenizes to nothing: no query could ever retrieve it.
+		s.metrics.BadRequests.Add(1)
+		http.Error(w, "phrase has no indexable word", http.StatusBadRequest)
+		return
+	}
+	ix.Insert(ad)
 	s.metrics.Mutations.Add(1)
 	s.writeJSON(w, map[string]any{"ok": true, "epoch": ix.Epoch()})
 }
@@ -1026,6 +1039,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Overload.QuarantinePromotion = s.quarantine.Quarantined()
 	if ix := s.local(); ix != nil {
 		snap.Epoch = ix.Epoch()
+		snap.Index = new(IndexSnapshot)
+		snap.Index.Folds, snap.Index.FoldSecondsTotal = ix.FoldStats()
 		if ix.RewriteEnabled() {
 			snap.Rewrite = s.metrics.rewriteSnapshot()
 		}

@@ -363,8 +363,22 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("GET %s = %d, want 400", url, resp.StatusCode)
 		}
 	}
-	if got := s.Metrics().BadRequests.Load(); got != 3 {
-		t.Errorf("bad request counter = %d, want 3", got)
+	// A phrase of punctuation tokenizes to no word: no query could ever
+	// retrieve the ad, so it is refused rather than stored.
+	resp, err := testClient.Post(base+"/insert", "application/json", strings.NewReader(`{"id":5,"phrase":" ?! "}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "phrase has no indexable word") {
+		t.Errorf("POST /insert of a wordless phrase = %d %q, want 400 phrase has no indexable word", resp.StatusCode, body)
+	}
+	if got := s.Metrics().BadRequests.Load(); got != 4 {
+		t.Errorf("bad request counter = %d, want 4", got)
+	}
+	if got := s.Metrics().Mutations.Load(); got != 0 {
+		t.Errorf("mutations counter = %d after a refused insert", got)
 	}
 }
 

@@ -31,6 +31,12 @@ type Config struct {
 	// after a round is still oracle-checked, so an adaptation that loses
 	// or corrupts results diverges immediately.
 	Adapt bool `json:"adapt,omitempty"`
+	// Cached adds the cached-server target: an index of its own (durable
+	// and crash-restarted with the durable target when Durable is set)
+	// behind the HTTP serving layer, so every query passes the reply cache
+	// — twice, miss then hit — and every cached reply is re-asked after
+	// each write.
+	Cached bool `json:"cached,omitempty"`
 	// Shards and Replicas shape the networked deployment. Defaults 2, 2.
 	Shards   int `json:"shards"`
 	Replicas int `json:"replicas"`

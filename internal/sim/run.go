@@ -19,7 +19,7 @@ import (
 // string. Identical seeds produce identical Failures.
 type Failure struct {
 	OpIndex int    `json:"op_index"`
-	Target  string `json:"target"` // "plain", "auction", "budget", "durable", "compressed", "net", "state"
+	Target  string `json:"target"` // "plain", "auction", "budget", "durable", "compressed", "net", "cached", "state"
 	Detail  string `json:"detail"`
 }
 
@@ -32,6 +32,7 @@ type Result struct {
 	Schedule  Schedule
 	Checks    int // oracle comparisons performed
 	Truncated int // budgeted queries that exhausted their cost budget
+	Survived  int // cached target: re-asked queries still served from the cache after a write
 	Failure   *Failure
 }
 
@@ -73,6 +74,14 @@ func RunSchedule(cfg Config, sched Schedule) (*Result, error) {
 		r.net = e
 		defer e.close()
 	}
+	if cfg.Cached {
+		c, err := newCachedTarget(cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.cached = c
+	}
+	defer r.cached.close()
 
 	res := &Result{Schedule: sched}
 	for i := range sched.Ops {
@@ -92,6 +101,10 @@ func RunSchedule(cfg Config, sched Schedule) (*Result, error) {
 	}
 	res.Checks = r.checks
 	res.Truncated = r.truncated
+	if r.cached != nil {
+		res.Checks += r.cached.checks
+		res.Survived = r.cached.survived
+	}
 	return res, nil
 }
 
@@ -102,6 +115,7 @@ type runner struct {
 	plain     *adindex.Index
 	dur       *durTarget
 	net       *elasticTarget
+	cached    *cachedTarget
 	checks    int
 	truncated int
 	// adaptDrift is plain's applied adapt rounds minus durable's. An
@@ -121,7 +135,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 		if op.Ad == nil {
 			return nil
 		}
-		r.insertEverywhere(*op.Ad)
+		if d := r.insertEverywhere(*op.Ad); d != "" {
+			return fail("cached", "%s", d)
+		}
 	case OpDelete:
 		want := r.oracle.remove(op.ID, op.Phrase)
 		if got := r.plain.Delete(op.ID, op.Phrase); got != want {
@@ -141,6 +157,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 				return fail("net", "Delete(%d, %q) = %v, oracle says %v", op.ID, op.Phrase, got, want)
 			}
 		}
+		if d := r.cached.delete(op.ID, op.Phrase, want, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
+		}
 		r.checks++
 	case OpQuery:
 		if f := r.checkQuery(i, op.Query); f != nil {
@@ -159,10 +178,16 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			}
 			r.checks++
 		}
+		if d := r.cached.batch(op.Queries, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
+		}
 	case OpObserve:
 		r.plain.Observe(op.Query)
 		if r.dur != nil {
 			r.dur.ix.Observe(op.Query)
+		}
+		if r.cached != nil {
+			r.cached.ix.Observe(op.Query)
 		}
 	case OpOptimize:
 		if _, err := r.plain.Optimize(); err != nil {
@@ -172,6 +197,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			if _, err := r.dur.ix.Optimize(); err != nil {
 				return fail("durable", "Optimize: %v", err)
 			}
+		}
+		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
 		}
 	case OpApplyMapping:
 		var buf bytes.Buffer
@@ -186,11 +214,17 @@ func (r *runner) apply(i int, op *Op) *Failure {
 				return fail("durable", "ApplyMapping: %v", err)
 			}
 		}
+		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
+		}
 	case OpPersist:
 		if r.dur != nil {
 			if err := r.dur.ix.Persist(); err != nil {
 				return fail("durable", "Persist: %v", err)
 			}
+		}
+		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
 		}
 	case OpAdapt:
 		rep, err := r.plain.AdaptRound()
@@ -209,12 +243,18 @@ func (r *runner) apply(i int, op *Op) *Failure {
 				r.adaptDrift--
 			}
 		}
+		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
+		}
 	case OpCrash:
 		if r.dur == nil {
 			return nil
 		}
 		if err := r.dur.crash(i, op.Torn); err != nil {
 			return fail("durable", "crash-restart (torn=%v): %v", op.Torn, err)
+		}
+		if d := r.cached.crash(i, op.Torn, &r.oracle); d != "" {
+			return fail("cached", "%s", d)
 		}
 		return r.checkDurableState(i, "post-recovery")
 	case OpKill:
@@ -244,7 +284,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			case "load":
 				if op.Ad != nil && !inserted {
 					inserted = true
-					r.insertEverywhere(*op.Ad)
+					if d := r.insertEverywhere(*op.Ad); d != "" && midFail == nil {
+						midFail = fail("cached", "mid-handoff %s", d)
+					}
 				}
 			case "catchup":
 				if op.Query != "" && midFail == nil {
@@ -263,7 +305,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 		// is inserted anyway so the oracle and the schedule's later
 		// deletes/queries stay aligned with generation-time bookkeeping.
 		if !applied && op.Ad != nil && !inserted {
-			r.insertEverywhere(*op.Ad)
+			if d := r.insertEverywhere(*op.Ad); d != "" {
+				return fail("cached", "%s", d)
+			}
 		}
 		// The cutover epoch bump makes the routed client's next query
 		// stale; it must absorb that with a refresh, not a failure.
@@ -340,6 +384,9 @@ func (r *runner) checkQuery(i int, q string) *Failure {
 			return f
 		}
 	}
+	if d := r.cached.query(q, &r.oracle); d != "" {
+		return fail("cached", "%s", d)
+	}
 	return nil
 }
 
@@ -365,8 +412,10 @@ func (r *runner) checkBudgetQuery(i int, q string, want []corpus.Ad) *Failure {
 }
 
 // insertEverywhere applies one insert to the oracle and every live
-// target (also reached from the mid-handoff rebalance callback).
-func (r *runner) insertEverywhere(ad corpus.Ad) {
+// target (also reached from the mid-handoff rebalance callback). Only the
+// cached target's insert can diverge — it re-asks its queries — and its
+// divergence is what is returned.
+func (r *runner) insertEverywhere(ad corpus.Ad) string {
 	r.oracle.insert(ad)
 	r.plain.Insert(ad)
 	if r.dur != nil {
@@ -375,6 +424,7 @@ func (r *runner) insertEverywhere(ad corpus.Ad) {
 	if r.net != nil {
 		r.net.insert(ad)
 	}
+	return r.cached.insert(ad, &r.oracle)
 }
 
 // checkNetQuery runs one query over the wire and compares the ID
@@ -453,6 +503,12 @@ func (r *runner) checkState(i int) *Failure {
 		if f := r.checkDurableState(i, "periodic"); f != nil {
 			return f
 		}
+	}
+	if r.cached != nil {
+		if got := r.cached.ix.NumAds(); got != want {
+			return fail("cached", "NumAds = %d, oracle says %d", got, want)
+		}
+		r.checks++
 	}
 	if r.net != nil {
 		if got := r.net.numAds(); got != want {

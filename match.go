@@ -176,7 +176,10 @@ func (s *snapshot) appendMatch(dst []*corpus.Ad, typ QueryType, tokens, queryWor
 				counters.PhrasesChecked++
 				counters.BytesScanned += int64(rec.Size())
 			}
-			if len(rec.Words) <= len(queryWords) && textnorm.IsSubset(rec.Words, queryWords) && orderedMatch(typ, tokens, rec.Phrase) {
+			// A record with no words (a phrase of punctuation) matches no
+			// query in the base, which enumerates non-empty subsets only;
+			// the overlay agrees rather than calling ∅ a subset of all.
+			if len(rec.Words) > 0 && len(rec.Words) <= len(queryWords) && textnorm.IsSubset(rec.Words, queryWords) && orderedMatch(typ, tokens, rec.Phrase) {
 				dst = append(dst, rec)
 			}
 		}
@@ -344,9 +347,9 @@ func deepCopyAdStrings(ads []Ad) {
 
 // View is a consistent, immutable read-only view of the index: every query
 // on a View runs against the same snapshot, and Epoch identifies exactly
-// that snapshot. Result caches use the pair (obtain View once per request;
-// tag the cached result with its Epoch) to guarantee an entry is never
-// newer or older than the state that produced it. A View remains valid
+// that snapshot. A result cache obtains one View per request, stamps what
+// it computes on it with its Epoch, and serves a stored entry only when the
+// stamp is at least ChangedAt of the query's words. A View remains valid
 // indefinitely; it simply pins one generation's memory. Obtain Views from
 // Index.View — the zero View is not usable.
 type View struct {
@@ -354,16 +357,58 @@ type View struct {
 	// rw is the index's rewrite planner (nil when rewriting is disabled);
 	// carried on the View so a rewritten Match needs no Index reference.
 	rw *rewrite.Planner
+	// changed is the index's word version table: the one thing a View
+	// reads that is not pinned to its snapshot.
+	changed *wordVersions
 }
 
 // View returns a consistent view of the index's current state. It is a
 // single atomic load and never blocks.
 func (ix *Index) View() View {
-	return View{s: ix.snap.Load(), rw: ix.rewriter}
+	return View{s: ix.snap.Load(), rw: ix.rewriter, changed: &ix.changed}
 }
 
 // Epoch returns the mutation epoch of the viewed snapshot.
 func (v View) Epoch() uint64 { return v.s.epoch }
+
+// CutoffPossible reports whether a query with the canonical word set words
+// is long enough for the MaxQueryWords cutoff, which keeps only the rarest
+// indexed words of a longer query and may then lose matches
+// (Result.CutoffApplied says whether it did).
+func (v View) CutoffPossible(words []string) bool {
+	return len(words) > v.s.base.Options().MaxQueryWords
+}
+
+// ChangedAt returns an epoch no older than the last mutation that could
+// have changed the answer to a query with the canonical word set words. An
+// answer computed on a View whose Epoch is at least ChangedAt(words)
+// reflects every such mutation that had returned when ChangedAt was
+// called, and may be served in place of a fresh one. It is the highest
+// version among the words' slots of the index's word version table
+// (Index.noteChanged: an insert or a found delete of word set W stamps one
+// word of W, which every query containing W contains). Not-found deletes,
+// folds, Optimize, ApplyMapping and adaptation rounds change no answer and
+// stamp nothing, whatever they do to Epoch. Slots are shared between
+// words, so the value can be newer than necessary, never older.
+//
+// The exception is a query the cutoff can reach (CutoffPossible): its
+// answer depends on document frequencies, which any mutation moves. For it
+// ChangedAt is the view's own epoch: nothing older than this View will do.
+//
+// The table is the index's, not the snapshot's: a View obtained before a
+// mutation reports that mutation once it has stamped.
+func (v View) ChangedAt(words []string) uint64 {
+	if v.CutoffPossible(words) {
+		return v.s.epoch
+	}
+	var at uint64
+	for _, w := range words {
+		if e := v.changed[wordSlot(w)].Load(); e > at {
+			at = e
+		}
+	}
+	return at
+}
 
 // QueryType selects which ads a Query retrieves. Every type runs the same
 // retrieval; they differ only in the test a candidate must pass.

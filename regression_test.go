@@ -212,3 +212,86 @@ func TestQueriesCompleteDuringOptimizeRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWordlessAdMatchesNothing is the regression test for an ad whose
+// phrase tokenizes to no word ("!!!"). The overlay scan took its empty word
+// set for a subset of every query, so the ad matched everything until the
+// next fold and nothing after it (the base enumerates non-empty subsets
+// only, as Build over the same ads does), and Optimize failed on the
+// empty locator the optimizer proposed for it. It now matches nothing
+// wherever it sits — overlay, folded base, recovered durable index — stays a
+// record that counts and can be deleted, and leaves Optimize working.
+func TestWordlessAdMatchesNothing(t *testing.T) {
+	wordless := NewAd(2, "!!!", Meta{})
+	if len(wordless.Words) != 0 {
+		t.Fatalf("precondition: %q has words %v", wordless.Phrase, wordless.Words)
+	}
+	check := func(where string, ix *Index, wantAds int) {
+		t.Helper()
+		for _, q := range []string{"cheap shoes", "shoes", "!!!", "anything at all"} {
+			res := ix.Match(nil, Query{Text: q})
+			exact := ix.ExactMatch(q)
+			phrase := ix.PhraseMatch(q)
+			batch := ix.BroadMatchBatch([]string{q})[0]
+			for _, got := range [][]Ad{res.Ads, exact, phrase, batch} {
+				for _, ad := range got {
+					if ad.ID == wordless.ID {
+						t.Errorf("%s: %q matched the wordless ad", where, q)
+					}
+				}
+			}
+		}
+		if got := ix.NumAds(); got != wantAds {
+			t.Errorf("%s: NumAds = %d, want %d", where, got, wantAds)
+		}
+	}
+
+	shoes := NewAd(1, "cheap shoes", Meta{})
+	ix := Build([]Ad{shoes}, Options{MaxDeltaAds: 2})
+	ix.Insert(wordless)
+	check("overlay", ix, 2)
+	ix.Insert(NewAd(3, "filler one", Meta{}))
+	ix.Insert(NewAd(4, "filler two", Meta{})) // overlay full: folds
+	if n, _ := ix.FoldStats(); n == 0 {
+		t.Fatal("no fold happened: the test exercises nothing")
+	}
+	check("folded", ix, 4)
+	check("built", Build([]Ad{shoes, wordless}, Options{}), 2)
+	ix.Observe("cheap shoes")
+	if _, err := ix.Optimize(); err != nil {
+		t.Errorf("Optimize over a wordless ad: %v", err)
+	}
+	check("optimized", ix, 4)
+
+	// Through the WAL and a snapshot: the record is replayed into the
+	// overlay, then written out and rebuilt into the base.
+	dir := t.TempDir()
+	dix, _, err := OpenDurable(dir, Options{}, DurableConfig{Bootstrap: []Ad{shoes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dix.Insert(wordless)
+	check("durable overlay", dix, 2)
+	if err := dix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"recovered from the WAL", "recovered from a snapshot"} {
+		dix, rep, err := OpenDurable(dir, Options{}, DurableConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Degraded() {
+			t.Fatalf("%s: degraded recovery: %+v", stage, *rep)
+		}
+		check(stage, dix, 2)
+		if err := dix.Persist(); err != nil {
+			t.Fatal(err)
+		}
+		if stage == "recovered from a snapshot" && !dix.Delete(wordless.ID, "!!!") {
+			t.Error("the wordless ad cannot be deleted")
+		}
+		if err := dix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
