@@ -24,13 +24,14 @@
 #                      (its own module: `go test ./...` never compiles it)
 #
 # Performance is measured by bench/ alone (BENCHMARK.json names its
-# workloads and metrics; `bash bench/run.sh` runs it). `make soak` and
-# `make cover` are not part of the gate.
+# workloads and metrics; `bash bench/run.sh` runs it). `make soak`,
+# `make cover` and `make size` (the two numbers a simplicity PR reports)
+# are not part of the gate.
 
 GO ?= go
 
 .PHONY: check vet build test race recovery-smoke simsmoke migratesmoke \
-	overloadsmoke adaptsmoke soak cover fuzzsmoke benchsmoke benchmod clean
+	overloadsmoke adaptsmoke soak cover size fuzzsmoke benchsmoke benchmod clean
 
 check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke adaptsmoke fuzzsmoke benchsmoke benchmod
 
@@ -95,14 +96,15 @@ migratesmoke:
 # HTTP path, and the adversarial-flood acceptance test, under the race
 # detector; with them the fail-closed rules of the wire: a wrong or corrupt
 # answer to an ID or a records request is a typed error, pooled reply
-# buffers never cross queries, and query text led by a tag byte is text.
+# buffers never cross queries, query text led by a tag byte is text, and an
+# elastic shard's deadline and cutoff flags reach the front end's reply.
 overloadsmoke:
 	$(GO) test -race -run 'TestSimOverloadBudget' -v ./internal/sim
-	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBudgetBackendFlagsOverWire|TestRecordsOverWire|TestRecordCountOverflowRejected' \
+	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBackendFlagsOverWire|TestRecordsOverWire|TestRecordCountOverflowRejected' \
 		./internal/multiserver
-	$(GO) test -race -run 'TestCorruptShardReplyIsAnError|TestFanOutScratchIsolation|TestTagByteLedQueryText|TestTwoHopSkipsMetadataForNoMatch' \
+	$(GO) test -race -run 'TestCorruptShardReplyIsAnError|TestFanOutScratchIsolation|TestTagByteLedQueryText|TestTwoHopSkipsMetadataForNoMatch|TestElasticFlagsReachTheReply' \
 		./internal/shard
-	$(GO) test -race -run 'TestSearchBudget|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood' \
+	$(GO) test -race -run 'TestSearchBudget|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood|TestElasticFlagsReachTheReply' \
 		-v ./internal/server
 
 # Continuous-adaptation regression gate: the pinned adapt sim seeds
@@ -135,6 +137,20 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# What a simplicity PR reports, parent and change: the non-test Go lines
+# outside bench/, and the independently settable values — adserve's flags
+# plus the exported fields of the option structs behind them.
+SIZE_STRUCTS = .:Options ./internal/server:Config ./internal/shard:Options \
+	./internal/shard:ElasticOptions ./internal/multiserver:ConnOpts
+size:
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@flags=$$($(GO) run ./cmd/adserve -h 2>&1 | grep -c '^  -'); fields=0; \
+	for t in $(SIZE_STRUCTS); do \
+		n=$$($(GO) doc $${t%%:*} $${t##*:} | awk '/^type .* struct \{/{s=1;next} s&&/^}/{exit} s&&/^\t[A-Z]/{n+=gsub(/,/,",")+1} END{print n}'); \
+		echo "  $$t: $$n exported fields"; fields=$$((fields+n)); \
+	done; \
+	echo "settable values: $$flags adserve flags + $$fields option fields = $$((flags+fields))"
+
 # Ten seconds of coverage-guided fuzzing each over the corpus text
 # format round-trip property (Read ∘ Write = id on accepted inputs), the
 # append-form JSON encoders of the HTTP reply (AppendJSON ≡ encoding/json,
@@ -142,9 +158,9 @@ cover:
 # bounded-Levenshtein trie walk (walk ≡ naive DP over every stored
 # word), the columnar signature prefilter (prefiltered scan ≡ naive
 # per-record subset scan under random insert/remove churn), and the
-# multiserver wire decoders (frame and response readers, ID, record,
-# metadata, epoch-/records-tag and deadline-tag bodies, after the pinned
-# record-frame overflow cases) and the durable snapshot-stream and
+# multiserver wire decoders (frame and response readers, ID, record and
+# metadata bodies, and the one request decoder over every tag combination,
+# after the pinned record-frame overflow cases) and the durable snapshot-stream and
 # record-frame decoders that handoff and recovery feed (for both: no
 # panic, typed rejections, allocation bounded by the input, Decode ∘
 # Encode = id on accepted inputs).

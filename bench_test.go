@@ -207,19 +207,15 @@ func BenchmarkFig9_TwoServer_HashStructure(b *testing.B) {
 
 // invertedBackend serves the two-server benchmark from the unmodified
 // inverted-index baseline.
-type invertedBackend struct{ index *invindex.Unmodified }
-
-func (b invertedBackend) MatchIDs(query string) []uint64 {
-	var ids []uint64
-	for _, m := range b.index.BroadMatchText(query, nil) {
-		ids = append(ids, m.ID)
-	}
-	return ids
+func invertedBackend(index *invindex.Unmodified) multiserver.Backend {
+	return multiserver.BackendFunc(func(dst []byte, req multiserver.Request) ([]byte, error) {
+		return multiserver.AppendAdIDs(dst, index.BroadMatchText(req.Query, nil), 0), nil
+	})
 }
 
 func BenchmarkFig9_TwoServer_Inverted(b *testing.B) {
 	benchSetup(b)
-	benchTwoServer(b, invertedBackend{bUnmod})
+	benchTwoServer(b, invertedBackend(bUnmod))
 }
 
 func bCoreFor(b *testing.B) *core.Index {
@@ -492,16 +488,6 @@ func BenchmarkPublicBroadMatchParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-func BenchmarkPublicBroadMatchBatch32(b *testing.B) {
-	pr3Setup(b)
-	batch := pr3Queries[:32]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr3Index.BroadMatchBatch(batch)
-	}
 }
 
 // Guard against accidental fixture skew: the three structures must agree

@@ -59,7 +59,7 @@ func runFig9(cfg config) {
 	fmt.Printf("injected wire latency %v per hop, %d closed-loop clients, %d requests\n\n",
 		latency, concurrency, len(stream))
 	coreRes := run("hash structure (ours)", multiserver.CoreBackend{Index: core.New(c.Ads, core.Options{})})
-	invRes := run("unmodified inverted", invertedBackend{invindex.NewUnmodified(c.Ads)})
+	invRes := run("unmodified inverted", invertedBackend(invindex.NewUnmodified(c.Ads)))
 
 	fmt.Printf("\nlatency distribution (5 ms buckets):\n")
 	fmt.Printf("%-12s %12s %12s\n", "bucket", "ours", "inverted")
@@ -83,15 +83,10 @@ func runFig9(cfg config) {
 
 // invertedBackend serves from the unmodified (non-redundant) inverted
 // index — the faster of the two baselines, as in the paper's experiment.
-type invertedBackend struct{ index *invindex.Unmodified }
-
-func (b invertedBackend) MatchIDs(query string) []uint64 {
-	matches := b.index.BroadMatchText(query, nil)
-	ids := make([]uint64, len(matches))
-	for i, m := range matches {
-		ids[i] = m.ID
-	}
-	return ids
+func invertedBackend(index *invindex.Unmodified) multiserver.Backend {
+	return multiserver.BackendFunc(func(dst []byte, req multiserver.Request) ([]byte, error) {
+		return multiserver.AppendAdIDs(dst, index.BroadMatchText(req.Query, nil), 0), nil
+	})
 }
 
 func capacity(r *multiserver.LoadResult) float64 {

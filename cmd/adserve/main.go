@@ -53,6 +53,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -507,26 +508,21 @@ func openDurable(f *flags, opts adindex.Options, dc adindex.DurableConfig) (*adi
 
 // indexBackend adapts the public adindex.Index to the multiserver
 // Backend interface (IDs only on the wire; metadata lives on the ad
-// server, as in the paper's Section VII-B split).
+// server, as in the paper's Section VII-B split). It has no routing table,
+// so an epoch-tagged request is served unchecked.
 type indexBackend struct {
 	ix     *adindex.Index
 	budget int64 // -query-budget; 0 = unlimited cost
 }
 
-func (b indexBackend) MatchIDs(query string) []uint64 {
-	ids, _ := b.MatchIDsBudget(query, time.Time{}, false)
-	return ids
-}
-
-// MatchIDsBudget implements multiserver.BudgetBackend: the wire
-// deadline and the local -query-budget bound the enumeration, and
-// truncation/cutoff ride back to the front-end as ID-frame flags.
-func (b indexBackend) MatchIDsBudget(query string, deadline time.Time, has bool) ([]uint64, byte) {
-	qb := adindex.QueryBudget{MaxCost: b.budget}
-	if has {
-		qb.Deadline = deadline
+// AppendMatch implements multiserver.Backend: the wire deadline and the
+// local -query-budget bound the enumeration, and truncation/cutoff ride
+// back to the front-end as ID-frame flags.
+func (b indexBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
+	if req.Records {
+		return nil, errors.New("adserve -tcp-index answers with IDs only: the ad records are on the -tcp-ad server")
 	}
-	res := b.ix.Match(nil, adindex.Query{Text: query, Budget: qb})
+	res := b.ix.Match(nil, adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
 	ids := make([]uint64, len(res.Ads))
 	for i := range res.Ads {
 		ids[i] = res.Ads[i].ID
@@ -538,7 +534,7 @@ func (b indexBackend) MatchIDsBudget(query string, deadline time.Time, has bool)
 	if res.CutoffApplied {
 		flags |= multiserver.IDFlagCutoff
 	}
-	return ids, flags
+	return multiserver.AppendIDs(dst, ids, flags), nil
 }
 
 // parseShards splits "a,b;c,d" into [[a b] [c d]]: ';' separates shards,

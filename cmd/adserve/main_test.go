@@ -25,7 +25,9 @@ import (
 	"testing"
 	"time"
 
+	"adindex"
 	"adindex/internal/corpus"
+	"adindex/internal/multiserver"
 )
 
 // childArg as the first argument turns the test binary into adserve.
@@ -357,5 +359,30 @@ func TestFlagCount(t *testing.T) {
 	fs.VisitAll(func(*flag.Flag) { n++ })
 	if n != 37 {
 		t.Errorf("adserve defines %d flags, want 37", n)
+	}
+}
+
+// TestIndexBackend: the -tcp-index backend honours the whole request it
+// can — the deadline and -query-budget bound the match and are reported in
+// the ID frame's flags, an epoch tag is served unchecked — and refuses the
+// part it cannot: it holds no records to answer a records request with.
+func TestIndexBackend(t *testing.T) {
+	c := testCorpus()
+	b := indexBackend{ix: adindex.Build(c.Ads, adindex.Options{}), budget: 1}
+	q := c.Ads[0].Phrase + " " + c.Ads[1].Phrase + " " + c.Ads[2].Phrase
+	body, err := b.AppendMatch(nil, multiserver.Request{Query: q, Epoch: 9, Tagged: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, flags, err := multiserver.DecodeIDsFlags(body); err != nil || flags&multiserver.IDFlagTruncated == 0 {
+		t.Errorf("budget 1 on %q: flags %#x, err %v; want the truncated flag", q, flags, err)
+	}
+	b.budget = 0
+	body, err = b.AppendMatch(nil, multiserver.Request{Query: q, Deadline: time.Now().Add(time.Minute)})
+	if ids, flags, derr := multiserver.DecodeIDsFlags(body); err != nil || derr != nil || flags != 0 || len(ids) < 3 {
+		t.Errorf("unbudgeted: %d ids, flags %#x, err %v / %v; want the three phrases' ads, unflagged", len(ids), flags, err, derr)
+	}
+	if _, err := b.AppendMatch(nil, multiserver.Request{Query: q, Records: true}); err == nil {
+		t.Error("a records request was answered: this backend has no records to send")
 	}
 }

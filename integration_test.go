@@ -78,7 +78,9 @@ func TestFullPipeline(t *testing.T) {
 	// 5. Serve the optimized index over the two-server deployment and
 	// check remote answers against the baseline.
 	indexSrv, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{},
-		pipelineBackend{ix})
+		multiserver.BackendFunc(func(dst []byte, req multiserver.Request) ([]byte, error) {
+			return multiserver.AppendIDs(dst, idsOf(ix.BroadMatch(req.Query)), 0), nil
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +109,6 @@ func TestFullPipeline(t *testing.T) {
 			t.Fatalf("remote answer diverged on %q: %v vs %v", q, got, want)
 		}
 	}
-}
-
-// pipelineBackend adapts the public Index to the multiserver Backend.
-type pipelineBackend struct{ ix *Index }
-
-func (b pipelineBackend) MatchIDs(query string) []uint64 {
-	return idsOf(b.ix.BroadMatch(query))
 }
 
 // Every index variant in the repository must agree on a shared workload:

@@ -260,18 +260,13 @@ func (c *Conn) ExchangeMeta(ids []uint64, deadline time.Time) ([]AdMeta, error) 
 	return meta, nil
 }
 
-// Probe is a single forced attempt against a possibly-open breaker: no
-// admission check, no retries. Callers use it when every candidate
-// backend fast-failed breaker-open, so refusing to transmit would turn
-// stale breaker state into a query failure — e.g. a backend that healed
-// within the cooldown while its peers died. Success and failure feed
-// the breaker exactly like Exchange, so a successful probe closes it.
-func (c *Conn) Probe(req []byte) ([]byte, error) {
-	return c.ProbeDeadline(req, time.Time{})
-}
-
-// ProbeDeadline is Probe carrying a request deadline on the wire; a
-// zero deadline probes untagged.
+// ProbeDeadline is a single forced attempt against a possibly-open
+// breaker: no admission check, no retries. Callers use it when every
+// candidate backend fast-failed breaker-open, so refusing to transmit would
+// turn stale breaker state into a query failure — e.g. a backend that
+// healed within the cooldown while its peers died. Success and failure feed
+// the breaker exactly like Exchange, so a successful probe closes it. The
+// request deadline rides the wire; a zero deadline probes untagged.
 func (c *Conn) ProbeDeadline(req []byte, deadline time.Time) ([]byte, error) {
 	return c.exchangeBytes(req, deadline, true)
 }

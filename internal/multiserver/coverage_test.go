@@ -70,9 +70,9 @@ func TestQueryAgainstClosedServers(t *testing.T) {
 
 func TestMalformedFrameFromServer(t *testing.T) {
 	// A server that answers with a malformed ID frame: client must error.
-	srv, err := Serve("127.0.0.1:0", ServeOpts{}, func([]byte) ([]byte, error) {
-		return []byte{0, 0, 0, 9, 1}, nil // claims 9 ids, sends 1 byte
-	})
+	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, BackendFunc(func(dst []byte, _ Request) ([]byte, error) {
+		return append(dst, 0, 0, 0, 9, 1), nil // claims 9 ids, sends 1 byte
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

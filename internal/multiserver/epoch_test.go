@@ -10,21 +10,22 @@ import (
 	"adindex/internal/corpus"
 )
 
-// epochBackend is a test EpochBackend: a fixed ID answer guarded by a
-// settable routing epoch. Asked for records, it answers testAd of each ID.
+// epochBackend is a test Backend with a routing table: a fixed ID answer
+// guarded by a settable routing epoch. Asked for records, it answers testAd
+// of each ID.
 type epochBackend struct {
 	mu    sync.Mutex
 	epoch uint64
 	ids   []uint64
 }
 
-func (b *epochBackend) AppendMatchAtEpoch(dst []byte, epoch uint64, tagged, records bool, query string) ([]byte, error) {
+func (b *epochBackend) AppendMatch(dst []byte, req Request) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if tagged && epoch != b.epoch {
-		return nil, &StaleEpochError{ClientEpoch: epoch, ServerEpoch: b.epoch}
+	if req.Tagged && req.Epoch != b.epoch {
+		return nil, &StaleEpochError{ClientEpoch: req.Epoch, ServerEpoch: b.epoch}
 	}
-	if records {
+	if req.Records {
 		return AppendAdRecords(dst, testAds(b.ids), 0), nil
 	}
 	return AppendIDs(dst, b.ids, 0), nil
@@ -58,36 +59,36 @@ func (b *epochBackend) bump() {
 
 func TestEpochRequestRoundTrip(t *testing.T) {
 	body := []byte("cheap flights")
-	req := EncodeEpochRequest(42, body)
-	epoch, got, tagged, records, err := DecodeEpochRequest(req)
-	if err != nil || !tagged || records || epoch != 42 || string(got) != string(body) {
-		t.Fatalf("DecodeEpochRequest = %d %q tagged=%v records=%v err=%v", epoch, got, tagged, records, err)
+	wire := EncodeEpochRequest(42, body)
+	req, got, err := DecodeRequest(wire, time.Time{})
+	if err != nil || req != (Request{Epoch: 42, Tagged: true}) || string(got) != string(body) {
+		t.Fatalf("DecodeRequest = %+v %q err=%v", req, got, err)
 	}
 	// The records tag is the same header under its own magic.
-	recReq := AppendRecordsRequest(nil, 42, body)
-	epoch, got, tagged, records, err = DecodeEpochRequest(recReq)
-	if err != nil || !tagged || !records || epoch != 42 || string(got) != string(body) {
-		t.Fatalf("records DecodeEpochRequest = %d %q tagged=%v records=%v err=%v", epoch, got, tagged, records, err)
+	recWire := AppendRecordsRequest(nil, 42, body)
+	req, got, err = DecodeRequest(recWire, time.Time{})
+	if err != nil || req != (Request{Epoch: 42, Tagged: true, Records: true}) || string(got) != string(body) {
+		t.Fatalf("records DecodeRequest = %+v %q err=%v", req, got, err)
 	}
 	// Untagged requests pass through unchanged.
-	epoch, got, tagged, records, err = DecodeEpochRequest(body)
-	if err != nil || tagged || records || epoch != 0 || string(got) != string(body) {
-		t.Fatalf("untagged DecodeEpochRequest = %d %q tagged=%v records=%v err=%v", epoch, got, tagged, records, err)
+	req, got, err = DecodeRequest(body, time.Time{})
+	if err != nil || req != (Request{}) || string(got) != string(body) {
+		t.Fatalf("untagged DecodeRequest = %+v %q err=%v", req, got, err)
 	}
 	// A tagged header torn below 9 bytes is an error, not a silent query.
-	for _, torn := range [][]byte{req[:5], recReq[:8]} {
-		if _, _, _, _, err := DecodeEpochRequest(torn); !errors.Is(err, ErrMalformed) {
+	for _, torn := range [][]byte{wire[:5], recWire[:8]} {
+		if _, _, err := DecodeRequest(torn, time.Time{}); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("short tagged request %x: err = %v, want ErrMalformed", torn, err)
 		}
 	}
 }
 
-// TestRecordsOverWire: an epoch server answers a records request with a
+// TestRecordsOverWire: an epoch-checking backend answers a records request with a
 // record frame under the same epoch check, and each kind of answer to the
 // other kind of request is a typed error, not a short result.
 func TestRecordsOverWire(t *testing.T) {
 	be := &epochBackend{epoch: 1, ids: []uint64{3, 9}}
-	srv, err := NewEpochIndexServer("127.0.0.1:0", ServeOpts{}, be)
+	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +128,9 @@ func TestRecordsOverWire(t *testing.T) {
 // retries or tripping the breaker — the backend is alive.
 func TestStaleEpochOverWire(t *testing.T) {
 	be := &epochBackend{epoch: 1, ids: []uint64{3, 9}}
-	srv, err := NewEpochIndexServer("127.0.0.1:0", ServeOpts{}, be)
+	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, be)
 	if err != nil {
-		t.Fatalf("NewEpochIndexServer: %v", err)
+		t.Fatalf("NewIndexServer: %v", err)
 	}
 	defer srv.Close()
 	conn, err := DialConn(srv.Addr(), ConnOpts{})

@@ -260,20 +260,6 @@ func EncodeEpochRequest(epoch uint64, body []byte) []byte {
 	return AppendEpochRequest(make([]byte, 0, 9+len(body)), epoch, body)
 }
 
-// DecodeEpochRequest splits an epoch-tagged request into epoch and body,
-// reporting tagged=false for legacy untagged requests and records=true
-// for a tagged request that asks for ad records.
-func DecodeEpochRequest(req []byte) (epoch uint64, body []byte, tagged, records bool, err error) {
-	if len(req) == 0 || (req[0] != epochReqMagic && req[0] != recordsReqMagic) {
-		return 0, req, false, false, nil
-	}
-	records = req[0] == recordsReqMagic
-	if len(req) < 9 {
-		return 0, nil, true, records, fmt.Errorf("%w: epoch request of %d bytes shorter than its 9-byte header", ErrMalformed, len(req))
-	}
-	return binary.BigEndian.Uint64(req[1:9]), req[9:], true, records, nil
-}
-
 // A deadline-tagged request is magic byte, 8-byte big-endian remaining
 // budget in microseconds, body. The budget is relative (time remaining),
 // not an absolute timestamp, so it survives clock skew between front end
@@ -296,20 +282,34 @@ func EncodeDeadlineRequest(remaining time.Duration, body []byte) []byte {
 	return AppendDeadlineRequest(make([]byte, 0, 9+len(body)), remaining, body)
 }
 
-// DecodeDeadlineRequest splits a deadline-tagged request into the
-// remaining budget and body, reporting tagged=false for untagged
-// requests.
-func DecodeDeadlineRequest(req []byte) (remaining time.Duration, body []byte, tagged bool, err error) {
-	if len(req) == 0 || req[0] != deadlineReqMagic {
-		return 0, req, false, nil
+// DecodeRequest is the one reader of request tags: it splits a request
+// payload into the tags it carried — the deadline tag outermost, then an
+// epoch or records tag — and the body behind them, which aliases payload.
+// now is the local time the remaining budget is counted from. Query is
+// left for the server to fill: the body is query text to an index server
+// and an ID frame to the ad server. A payload that opens with no tag magic
+// is a legacy request, all body; a tag cut short is ErrMalformed.
+func DecodeRequest(payload []byte, now time.Time) (req Request, body []byte, err error) {
+	body = payload
+	if len(body) > 0 && body[0] == deadlineReqMagic {
+		if len(body) < 9 {
+			return Request{}, nil, fmt.Errorf("%w: deadline request of %d bytes shorter than its 9-byte header", ErrMalformed, len(body))
+		}
+		// A budget beyond what a Duration holds saturates instead of wrapping
+		// into an arbitrary (possibly spent) one.
+		us := min(binary.BigEndian.Uint64(body[1:9]), math.MaxInt64/1000)
+		req.Deadline = now.Add(time.Duration(us) * time.Microsecond)
+		body = body[9:]
 	}
-	if len(req) < 9 {
-		return 0, nil, true, fmt.Errorf("%w: deadline request of %d bytes shorter than its 9-byte header", ErrMalformed, len(req))
+	if len(body) > 0 && (body[0] == epochReqMagic || body[0] == recordsReqMagic) {
+		if len(body) < 9 {
+			return Request{}, nil, fmt.Errorf("%w: epoch request of %d bytes shorter than its 9-byte header", ErrMalformed, len(body))
+		}
+		req.Tagged, req.Records = true, body[0] == recordsReqMagic
+		req.Epoch = binary.BigEndian.Uint64(body[1:9])
+		body = body[9:]
 	}
-	// A budget beyond what a Duration holds saturates instead of wrapping
-	// into an arbitrary (possibly spent) one.
-	us := min(binary.BigEndian.Uint64(req[1:9]), math.MaxInt64/1000)
-	return time.Duration(us) * time.Microsecond, req[9:], true, nil
+	return req, body, nil
 }
 
 // Result flags carried in the optional trailing byte of an ID frame.

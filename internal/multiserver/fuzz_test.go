@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 // overflowIDFrame is an ID frame body whose count, 2^29, times 8 wraps
@@ -110,6 +111,9 @@ func FuzzFrameDecoders(f *testing.F) {
 	f.Add(overflowRecordFrame)
 	f.Add(AppendAdRecords(nil, testAds([]uint64{1, 99, 1 << 40}), IDFlagTruncated))
 	f.Add(AppendRecordsRequest(nil, 42, []byte("cheap flights")))
+	f.Add(EncodeDeadlineRequest(1500, AppendRecordsRequest(nil, 7, []byte("q"))))
+	f.Add([]byte("\xeb\x80\x80 shoes")) // text led by the epoch magic
+	f.Add([]byte{recordsReqMagic, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -159,22 +163,37 @@ func FuzzFrameDecoders(f *testing.F) {
 		} else if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("DecodeRecords: untyped error %v", err)
 		}
-		if epoch, body, tagged, records, err := DecodeEpochRequest(data); err == nil && tagged {
-			again := EncodeEpochRequest(epoch, body)
-			if records {
-				again = AppendRecordsRequest(nil, epoch, body)
+		// The request decoder: whatever tags it reads, re-appending them
+		// in front of the body it returns decodes to the same request (and
+		// to the same bytes, up to a deadline beyond what a Duration holds);
+		// a tag cut short is typed; and query text sent through
+		// AppendQueryText is never taken for a tag.
+		now := time.Unix(1700000000, 0)
+		if req, body, err := DecodeRequest(data, now); err == nil {
+			var again []byte
+			if !req.Deadline.IsZero() {
+				again = AppendDeadlineRequest(again, req.Deadline.Sub(now), nil)
 			}
-			if !bytes.Equal(again, data) {
-				t.Fatalf("epoch request is not canonical: %x", data)
+			switch {
+			case req.Records:
+				again = AppendRecordsRequest(again, req.Epoch, nil)
+			case req.Tagged:
+				again = AppendEpochRequest(again, req.Epoch, nil)
 			}
-		} else if err == nil && !bytes.Equal(body, data) {
-			t.Fatalf("untagged request lost bytes")
+			again = append(again, body...)
+			req2, body2, err := DecodeRequest(again, now)
+			if err != nil || req2 != req || !bytes.Equal(body2, body) || len(again) != len(data) {
+				t.Fatalf("request round trip: %+v %x -> %+v %x, err %v", req, body, req2, body2, err)
+			}
+			if req == (Request{}) && !bytes.Equal(body, data) {
+				t.Fatalf("untagged request lost bytes")
+			}
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("DecodeRequest: untyped error %v", err)
 		}
-		if remaining, body, tagged, err := DecodeDeadlineRequest(data); err == nil && tagged {
-			r2, b2, _, err := DecodeDeadlineRequest(EncodeDeadlineRequest(remaining, body))
-			if err != nil || r2 != remaining || !bytes.Equal(b2, body) {
-				t.Fatalf("deadline request round trip: %v %x -> %v %x, err %v", remaining, body, r2, b2, err)
-			}
+		text := AppendQueryText(nil, string(data))
+		if req, body, err := DecodeRequest(text, now); err != nil || req != (Request{}) || !bytes.Equal(body, text) {
+			t.Fatalf("query text %x decoded as a tagged request: %+v %x, err %v", data, req, body, err)
 		}
 
 		runtime.ReadMemStats(&after)

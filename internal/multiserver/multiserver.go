@@ -34,34 +34,58 @@ import (
 	"adindex/internal/workload"
 )
 
-// Backend answers broad-match queries with matching ad IDs. CoreBackend
-// wraps the hash-based index; the benchmarks and tests wrap the
-// inverted-index baseline the same way.
-type Backend interface {
-	// MatchIDs returns the IDs of ads broad-matching the query text.
-	MatchIDs(query string) []uint64
+// Request is one decoded index-server request: the query and every tag the
+// payload carried. DecodeRequest is the only reader of the tags.
+type Request struct {
+	// Query is the raw query text.
+	Query string
+	// Epoch is the client's routing epoch; meaningful when Tagged.
+	Epoch uint64
+	// Tagged reports that the request carried a routing epoch. A backend
+	// with a routing table rejects a tagged request whose epoch differs
+	// from its own with a *StaleEpochError; an untagged request, and any
+	// request to a backend without a table, is served unchecked.
+	Tagged bool
+	// Records asks for a record frame (AppendAdRecords) — the matches'
+	// metadata with their IDs — in place of an ID frame. A backend that
+	// holds no ad records answers it with an error.
+	Records bool
+	// Deadline is the absolute local time the request's remaining budget
+	// translates to; zero when it carried none. It bounds the enumeration,
+	// and what that leaves out is reported in the frame's flags.
+	Deadline time.Time
 }
 
-// CoreBackend serves from the paper's hash-based index.
+// Backend answers broad-match requests. Every index server is a
+// NewIndexServer over one: CoreBackend serves the paper's hash-based
+// index, cmd/adserve the public adindex.Index, package shard one position
+// of an elastic cluster, and tests and the inverted-index baselines wrap
+// a function in BackendFunc.
+type Backend interface {
+	// AppendMatch appends the answer to req to dst, the response frame
+	// under construction, and returns the extended slice: an ID frame body
+	// (AppendIDs, AppendAdIDs), or a record frame body for a records
+	// request, with IDFlagTruncated/IDFlagCutoff saying what the answer
+	// leaves out. On error whatever it appended is discarded and the
+	// client gets the error's typed frame.
+	AppendMatch(dst []byte, req Request) ([]byte, error)
+}
+
+// BackendFunc adapts a function to Backend.
+type BackendFunc func(dst []byte, req Request) ([]byte, error)
+
+// AppendMatch implements Backend.
+func (f BackendFunc) AppendMatch(dst []byte, req Request) ([]byte, error) { return f(dst, req) }
+
+// CoreBackend serves from the paper's hash-based index: the matches go
+// from the index's records straight into the response frame.
 type CoreBackend struct{ Index *core.Index }
 
-// MatchIDs implements Backend.
-func (b CoreBackend) MatchIDs(query string) []uint64 {
+// AppendMatch implements Backend.
+func (b CoreBackend) AppendMatch(dst []byte, req Request) ([]byte, error) {
 	sc := GetMatchScratch()
 	defer sc.Release()
-	matches := sc.BroadMatch(b.Index, query, nil)
-	ids := make([]uint64, len(matches))
-	for i, m := range matches {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
-// appendMatchIDs is MatchIDs appending an ID frame body to dst.
-func (b CoreBackend) appendMatchIDs(dst []byte, query string) []byte {
-	sc := GetMatchScratch()
-	defer sc.Release()
-	return AppendAdIDs(dst, sc.BroadMatch(b.Index, query, nil), 0)
+	return sc.AppendReply(dst, req, sc.BroadMatch(b.Index, req.Query, nil, req.Deadline)), nil
 }
 
 // MatchScratch holds the reusable buffers of one broad-match request
@@ -72,6 +96,7 @@ func (b CoreBackend) appendMatchIDs(dst []byte, query string) []byte {
 type MatchScratch struct {
 	words   []string
 	core    core.Scratch
+	budget  core.Budget
 	matches []*corpus.Ad
 }
 
@@ -82,20 +107,43 @@ func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScra
 
 // BroadMatch returns the ads of ix broad-matching the raw query text,
 // ID-ordered, charging the access accounting to counters when non-nil.
-// The slice belongs to the scratch (the caller may reorder or shorten
-// it) and the records to the index: both are valid until Release or the
-// index's next mutation, whichever comes first.
-func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, counters *costmodel.Counters) []*corpus.Ad {
+// The enumeration stops at deadline when that is non-zero; what it then
+// left out, and whether the MaxQueryWords cutoff shortened the query, is
+// what AppendReply flags. The slice belongs to the scratch (the caller may
+// reorder or shorten it) and the records to the index: both are valid
+// until Release or the index's next mutation, whichever comes first.
+func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, counters *costmodel.Counters, deadline time.Time) []*corpus.Ad {
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = ix.AppendBroadMatch(sc.matches[:0], sc.words, counters, &sc.core)
+	sc.budget.Init(0, deadline)
+	sc.matches = ix.AppendBroadMatchBudget(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
 	return sc.matches
 }
 
+// AppendReply appends the frame body that answers req with matches — the
+// last BroadMatch's, or the part of them the caller kept: a record frame
+// for a records request and an ID frame otherwise, flagged with what that
+// match left out.
+func (sc *MatchScratch) AppendReply(dst []byte, req Request, matches []*corpus.Ad) []byte {
+	var flags byte
+	if sc.budget.Exhausted() {
+		flags |= IDFlagTruncated
+	}
+	if sc.budget.CutoffApplied() {
+		flags |= IDFlagCutoff
+	}
+	if req.Records {
+		return AppendAdRecords(dst, matches, flags)
+	}
+	return AppendAdIDs(dst, matches, flags)
+}
+
 // Release returns the scratch to the pool with every reference into the
-// query text and the index cleared, so a pooled scratch pins neither.
+// query text and the index cleared, so a pooled scratch pins neither, and
+// with no match's flags left behind.
 func (sc *MatchScratch) Release() {
 	clear(sc.words[:cap(sc.words)])
 	sc.core.Reset()
+	sc.budget = core.Budget{}
 	clear(sc.matches[:cap(sc.matches)])
 	matchScratchPool.Put(sc)
 }
@@ -174,44 +222,20 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// DeadlineHandler answers one request under an optional wire deadline:
-// has reports whether the request carried a deadline tag, and deadline
-// is the absolute local time the remaining budget translates to. req
-// aliases the connection's read buffer and must not be retained past
-// the call.
-type DeadlineHandler func(req []byte, deadline time.Time, has bool) ([]byte, error)
+// appendHandler answers one request: it appends the response body to dst
+// — the connection's frame under construction — and returns the extended
+// slice, so the body is written where it is sent from. req holds the
+// request's tags and body what followed them; body aliases the connection's
+// read buffer and must not be retained past the call. On error whatever
+// the handler appended is discarded.
+type appendHandler func(dst []byte, req Request, body []byte) ([]byte, error)
 
-// appendHandler is the form every handler runs in: it appends the
-// response body to dst — the connection's frame under construction — and
-// returns the extended slice, so the body is written where it is sent
-// from. On error whatever it appended is discarded.
-type appendHandler func(dst, req []byte, deadline time.Time, has bool) ([]byte, error)
-
-// Serve starts a server on addr (use "127.0.0.1:0" for an ephemeral port).
-// Each request frame is answered by handler(payload) after sleeping the
-// injected latency (simulated wire delay). A handler error is reported to
-// the client as an error frame (the connection stays up). Deadline tags
-// on incoming requests are honored at the transport layer (an expired
-// request is answered statusExpired without running the handler) but
-// not passed through; handlers that want to stop work early use
-// ServeDeadline. The payload aliases the connection's read buffer and
-// must not be retained past the call.
-func Serve(addr string, opts ServeOpts, handler func([]byte) ([]byte, error)) (*Server, error) {
-	return ServeDeadline(addr, opts, func(req []byte, _ time.Time, _ bool) ([]byte, error) {
-		return handler(req)
-	})
-}
-
-// ServeDeadline is Serve for deadline-aware handlers: the wire
-// deadline, when the request carries one, is decoded and handed to the
-// handler so backends can budget their enumeration against it.
-func ServeDeadline(addr string, opts ServeOpts, handler DeadlineHandler) (*Server, error) {
-	return serve(addr, opts, func(dst, req []byte, deadline time.Time, has bool) ([]byte, error) {
-		resp, err := handler(req, deadline, has)
-		return append(dst, resp...), err
-	})
-}
-
+// serve starts a server on addr (use "127.0.0.1:0" for an ephemeral port).
+// Each request frame is decoded (DecodeRequest) and answered by handler
+// after sleeping the injected latency (simulated wire delay). A handler
+// error is reported to the client as an error frame (the connection stays
+// up), and a request whose deadline has already passed is answered
+// statusExpired without running the handler.
 func serve(addr string, opts ServeOpts, handler appendHandler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -311,7 +335,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	sock := newSocket(conn)
 	for {
-		req, err := sock.fr.readFrame()
+		payload, err := sock.fr.readFrame()
 		if err != nil {
 			return
 		}
@@ -320,24 +344,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		frame := sock.beginFrame()
 		var resp []byte
-		remaining, body, tagged, herr := DecodeDeadlineRequest(req)
+		now := time.Now()
+		req, body, herr := DecodeRequest(payload, now)
 		switch {
 		case herr != nil:
-		case tagged && remaining <= 0:
+		case !req.Deadline.IsZero() && !req.Deadline.After(now):
 			// The front end's budget is gone: don't burn a CPU slot
 			// enumerating for an abandoned query.
 			atomic.AddInt64(&s.expired, 1)
 			herr = ErrDeadlineExpired
 		default:
-			var deadline time.Time
-			if tagged {
-				deadline = time.Now().Add(remaining)
-			}
 			if s.cpu != nil {
 				s.cpu <- struct{}{}
 			}
 			start := time.Now()
-			resp, herr = s.callHandler(append(frame, statusOK), body, deadline, tagged)
+			resp, herr = s.callHandler(append(frame, statusOK), req, body)
 			atomic.AddInt64(&s.busyNanos, time.Since(start).Nanoseconds())
 			if s.cpu != nil {
 				<-s.cpu
@@ -357,14 +378,14 @@ func (s *Server) handleConn(conn net.Conn) {
 // handler — a poison query, a corrupt index path — becomes a typed
 // *ServerError frame on this connection instead of killing the whole
 // process and every other query in flight.
-func (s *Server) callHandler(dst, body []byte, deadline time.Time, tagged bool) (resp []byte, herr error) {
+func (s *Server) callHandler(dst []byte, req Request, body []byte) (resp []byte, herr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			atomic.AddInt64(&s.panics, 1)
 			resp, herr = nil, &ServerError{Msg: fmt.Sprintf("handler panic: %v", r)}
 		}
 	}()
-	return s.handler(dst, body, deadline, tagged)
+	return s.handler(dst, req, body)
 }
 
 // Panics returns the number of handler panics contained into error
@@ -375,67 +396,14 @@ func (s *Server) Panics() int64 { return atomic.LoadInt64(&s.panics) }
 // running the handler (their wire deadline had already passed).
 func (s *Server) Expired() int64 { return atomic.LoadInt64(&s.expired) }
 
-// BudgetBackend is the deadline-aware extension of Backend: the wire
-// deadline (when the request carries one) bounds the enumeration, and
-// the returned flags (IDFlagTruncated/IDFlagCutoff) report what the
-// backend had to leave out.
-type BudgetBackend interface {
-	// MatchIDsBudget matches query under the request deadline (has
-	// reports whether one was carried) and returns the IDs plus result
-	// flags.
-	MatchIDsBudget(query string, deadline time.Time, has bool) ([]uint64, byte)
-}
-
-// NewIndexServer starts the index server: requests are query texts,
-// responses are matching ad ID lists. A backend that also implements
-// BudgetBackend receives the wire deadline and its result flags ride
-// back in the ID frame; a CoreBackend writes its IDs straight into the
-// response frame.
+// NewIndexServer starts an index server: a request is query text behind
+// its tags, and the response is whatever frame body backend appends for it
+// — matching ad IDs, or ad records for a records request. It is the only
+// index-server constructor: the whole request reaches every backend.
 func NewIndexServer(addr string, opts ServeOpts, backend Backend) (*Server, error) {
-	bb, budgeted := backend.(BudgetBackend)
-	cb, direct := backend.(CoreBackend)
-	return serve(addr, opts, func(dst, req []byte, deadline time.Time, has bool) ([]byte, error) {
-		switch {
-		case budgeted:
-			ids, flags := bb.MatchIDsBudget(string(req), deadline, has)
-			return AppendIDs(dst, ids, flags), nil
-		case direct:
-			return cb.appendMatchIDs(dst, string(req)), nil
-		}
-		return AppendIDs(dst, backend.MatchIDs(string(req)), 0), nil
-	})
-}
-
-// EpochBackend answers broad-match queries under a routing-epoch check.
-// The implementation must perform the check and the match atomically
-// (under whatever lock protects its routing state) and return a
-// *StaleEpochError when a tagged epoch is out of date.
-type EpochBackend interface {
-	// AppendMatchAtEpoch appends the answer to query to dst, the response
-	// frame under construction: a record frame body (AppendAdRecords) when
-	// records is set — the matches' metadata read under the same lock as
-	// the match — and an ID frame body (AppendIDs, AppendAdIDs) otherwise.
-	// A backend that holds no ad records answers a records request with an
-	// error. With tagged set, the request carried epoch and must be
-	// rejected with a *StaleEpochError if it differs from the backend's
-	// current routing epoch; untagged requests are served unchecked.
-	AppendMatchAtEpoch(dst []byte, epoch uint64, tagged, records bool, query string) ([]byte, error)
-}
-
-// NewEpochIndexServer starts an index server that participates in
-// versioned routing: epoch-tagged requests (AppendEpochRequest,
-// AppendRecordsRequest) are answered only under a matching routing epoch
-// — otherwise the client gets a typed *StaleEpochError frame telling it
-// to refresh its routing table and retry. Untagged requests are served
-// unchecked, so legacy clients keep working against an elastic deployment
-// (at the cost of missing post-cutover rebalances).
-func NewEpochIndexServer(addr string, opts ServeOpts, backend EpochBackend) (*Server, error) {
-	return serve(addr, opts, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
-		reqEpoch, body, tagged, records, err := DecodeEpochRequest(req)
-		if err != nil {
-			return nil, err
-		}
-		return backend.AppendMatchAtEpoch(dst, reqEpoch, tagged, records, string(body))
+	return serve(addr, opts, func(dst []byte, req Request, body []byte) ([]byte, error) {
+		req.Query = string(body)
+		return backend.AppendMatch(dst, req)
 	})
 }
 
@@ -449,12 +417,12 @@ func NewAdServer(addr string, opts ServeOpts, ads []corpus.Ad) (*Server, error) 
 	for i := range ads {
 		byID[ads[i].ID] = &ads[i]
 	}
-	return serve(addr, opts, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
-		n, _, err := idFrameCount(req, false)
+	return serve(addr, opts, func(dst []byte, _ Request, body []byte) ([]byte, error) {
+		n, _, err := idFrameCount(body, false)
 		if err != nil {
 			return nil, err
 		}
-		for ids := req[4:]; n > 0; n, ids = n-1, ids[8:] {
+		for ids := body[4:]; n > 0; n, ids = n-1, ids[8:] {
 			var m AdMeta
 			if ad, ok := byID[binary.BigEndian.Uint64(ids)]; ok {
 				m = AdMeta{BidMicros: ad.Meta.BidMicros, ClickRate: ad.Meta.ClickRate}
@@ -473,19 +441,15 @@ type Client struct {
 	ad    *Conn
 }
 
-// Dial connects to both servers with default ConnOpts.
+// Dial connects to both servers with default ConnOpts. The initial dials
+// are eager so a misconfigured address fails here; subsequent failures
+// reconnect lazily.
 func Dial(indexAddr, adAddr string) (*Client, error) {
-	return DialOpts(indexAddr, adAddr, ConnOpts{})
-}
-
-// DialOpts connects to both servers. The initial dials are eager so a
-// misconfigured address fails here; subsequent failures reconnect lazily.
-func DialOpts(indexAddr, adAddr string, opts ConnOpts) (*Client, error) {
-	ic, err := DialConn(indexAddr, opts)
+	ic, err := DialConn(indexAddr, ConnOpts{})
 	if err != nil {
 		return nil, err
 	}
-	ac, err := DialConn(adAddr, opts)
+	ac, err := DialConn(adAddr, ConnOpts{})
 	if err != nil {
 		ic.Close()
 		return nil, err
@@ -499,20 +463,20 @@ func (c *Client) Close() {
 	c.ad.Close()
 }
 
-// IndexConn and AdConn expose the per-backend hardened connections (for
-// stats and breaker inspection).
+// IndexConn exposes the index server's hardened connection (for stats and
+// breaker inspection).
 func (c *Client) IndexConn() *Conn { return c.index }
 
-// AdConn returns the ad-server connection.
-func (c *Client) AdConn() *Conn { return c.ad }
-
-// QueryIDs runs the index hop only, returning matching ad IDs.
+// QueryIDs runs the index hop only, returning matching ad IDs. This
+// client has nowhere to report the frame's flags (a backend's
+// MaxQueryWords cutoff); shard.NetClient does.
 func (c *Client) QueryIDs(query string) ([]uint64, error) {
 	resp, err := c.index.Exchange(AppendQueryText(nil, query))
 	if err != nil {
 		return nil, err
 	}
-	return DecodeIDs(resp)
+	ids, _, err := DecodeIDsFlags(resp)
+	return ids, err
 }
 
 // FetchMeta runs the metadata hop for ids, returning one record per ID.

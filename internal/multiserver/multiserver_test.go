@@ -19,13 +19,23 @@ func testSetup(t testing.TB, nAds int) (*corpus.Corpus, *core.Index, *invindex.U
 	return c, core.New(c.Ads, core.Options{}), invindex.NewUnmodified(c.Ads)
 }
 
-// InvertedBackend serves from the unmodified inverted-index baseline.
-type InvertedBackend struct{ Index *invindex.Unmodified }
+// invertedBackend serves from the unmodified inverted-index baseline.
+func invertedBackend(index *invindex.Unmodified) Backend {
+	return BackendFunc(func(dst []byte, req Request) ([]byte, error) {
+		return AppendAdIDs(dst, index.BroadMatchText(req.Query, nil), 0), nil
+	})
+}
 
-func (b InvertedBackend) MatchIDs(query string) []uint64 {
-	var ids []uint64
-	for _, m := range b.Index.BroadMatchText(query, nil) {
-		ids = append(ids, m.ID)
+// matchIDs is what b answers to an untagged request for query.
+func matchIDs(t *testing.T, b Backend, query string) []uint64 {
+	t.Helper()
+	body, err := b.AppendMatch(nil, Request{Query: query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, _, err := DecodeIDsFlags(body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ids
 }
@@ -103,12 +113,12 @@ func TestEndToEndQuery(t *testing.T) {
 func TestBothBackendsAgree(t *testing.T) {
 	c, ix, inv := testSetup(t, 800)
 	coreB := CoreBackend{Index: ix}
-	invB := InvertedBackend{Index: inv}
+	invB := invertedBackend(inv)
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 100, Seed: 52})
 	for i := range wl.Queries {
 		q := joinQuery(wl.Queries[i].Words)
-		a := coreB.MatchIDs(q)
-		b := invB.MatchIDs(q)
+		a := matchIDs(t, coreB, q)
+		b := matchIDs(t, invB, q)
 		sort.Slice(a, func(x, y int) bool { return a[x] < a[y] })
 		sort.Slice(b, func(x, y int) bool { return b[x] < b[y] })
 		if len(a) == 0 && len(b) == 0 {
@@ -246,7 +256,7 @@ func TestCoreBeatsInvertedUnderLoad(t *testing.T) {
 			coreBusy = res.IndexBusyFraction
 		}
 		coreRes = res
-		res, svc = run(InvertedBackend{Index: inv})
+		res, svc = run(invertedBackend(inv))
 		if invSvc == 0 || svc < invSvc {
 			invSvc = svc
 		}

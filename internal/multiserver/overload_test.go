@@ -14,12 +14,12 @@ import (
 // requests on the same and on fresh connections. Before containment the
 // goroutine panic killed the whole process.
 func TestPanicContainment(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", ServeOpts{}, func(req []byte) ([]byte, error) {
-		if string(req) == "poison" {
+	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, BackendFunc(func(dst []byte, req Request) ([]byte, error) {
+		if req.Query == "poison" {
 			panic("deliberate test panic")
 		}
-		return append([]byte("ok:"), req...), nil
-	})
+		return append(append(dst, "ok:"...), req.Query...), nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,49 +71,42 @@ func TestPanicContainment(t *testing.T) {
 // composition with epoch tagging.
 func TestDeadlineRequestRoundTrip(t *testing.T) {
 	body := []byte("used books")
+	now := time.Unix(1700000000, 0)
 	wire := EncodeDeadlineRequest(1500*time.Microsecond, body)
-	remaining, got, tagged, err := DecodeDeadlineRequest(wire)
-	if err != nil || !tagged {
-		t.Fatalf("decode: tagged=%v err=%v", tagged, err)
+	req, got, err := DecodeRequest(wire, now)
+	if err != nil || req != (Request{Deadline: now.Add(1500 * time.Microsecond)}) || !bytes.Equal(got, body) {
+		t.Fatalf("decode = %+v, %q, err %v", req, got, err)
 	}
-	if remaining != 1500*time.Microsecond || !bytes.Equal(got, body) {
-		t.Fatalf("decode = %v, %q", remaining, got)
-	}
-	// Untagged passes through unchanged.
-	if _, got, tagged, err := DecodeDeadlineRequest(body); err != nil || tagged || !bytes.Equal(got, body) {
-		t.Fatalf("untagged decode: %q tagged=%v err=%v", got, tagged, err)
+	// Untagged passes through unchanged, with no deadline.
+	if req, got, err := DecodeRequest(body, now); err != nil || req != (Request{}) || !bytes.Equal(got, body) {
+		t.Fatalf("untagged decode: %+v %q err=%v", req, got, err)
 	}
 	// Negative budgets clamp to zero rather than wrapping around.
-	if rem, _, _, _ := DecodeDeadlineRequest(EncodeDeadlineRequest(-time.Second, body)); rem != 0 {
-		t.Fatalf("negative remaining encoded as %v", rem)
+	if req, _, _ := DecodeRequest(EncodeDeadlineRequest(-time.Second, body), now); !req.Deadline.Equal(now) {
+		t.Fatalf("negative remaining decoded as %v", req.Deadline.Sub(now))
 	}
 	// Deadline wraps outermost around an epoch-tagged body.
-	epochWire := EncodeEpochRequest(42, body)
-	_, inner, tagged, err := DecodeDeadlineRequest(EncodeDeadlineRequest(time.Second, epochWire))
-	if err != nil || !tagged {
-		t.Fatal("composed decode failed")
-	}
-	epoch, innerBody, etagged, _, err := DecodeEpochRequest(inner)
-	if err != nil || !etagged || epoch != 42 || !bytes.Equal(innerBody, body) {
-		t.Fatalf("inner epoch decode: epoch=%d tagged=%v err=%v", epoch, etagged, err)
+	req, got, err = DecodeRequest(EncodeDeadlineRequest(time.Second, EncodeEpochRequest(42, body)), now)
+	if err != nil || req != (Request{Epoch: 42, Tagged: true, Deadline: now.Add(time.Second)}) || !bytes.Equal(got, body) {
+		t.Fatalf("composed decode = %+v, %q, err %v", req, got, err)
 	}
 	// Truncated header is an error, not a silent pass-through.
-	if _, _, _, err := DecodeDeadlineRequest(wire[:5]); err == nil {
-		t.Fatal("truncated deadline header accepted")
+	if _, _, err := DecodeRequest(wire[:5], now); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("truncated deadline header: err = %v, want ErrMalformed", err)
 	}
 }
 
 // TestDeadlineExpiredOverWire: a request whose budget is spent is
 // answered statusExpired without running the handler, and a live budget
-// reaches a deadline-aware handler.
+// reaches the backend as the request's deadline.
 func TestDeadlineExpiredOverWire(t *testing.T) {
 	handled := 0
 	var gotDeadline bool
-	srv, err := ServeDeadline("127.0.0.1:0", ServeOpts{}, func(req []byte, deadline time.Time, has bool) ([]byte, error) {
+	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, BackendFunc(func(dst []byte, req Request) ([]byte, error) {
 		handled++
-		gotDeadline = has && !deadline.IsZero()
-		return []byte("done"), nil
-	})
+		gotDeadline = !req.Deadline.IsZero()
+		return append(dst, "done"...), nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +191,10 @@ func TestIDsFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBudgetBackendFlagsOverWire: a BudgetBackend's flags ride the ID
-// frame end to end through NewIndexServer.
-func TestBudgetBackendFlagsOverWire(t *testing.T) {
-	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, truncatingBackend{})
+// TestBackendFlagsOverWire: a backend's flags ride the ID frame end to
+// end through NewIndexServer.
+func TestBackendFlagsOverWire(t *testing.T) {
+	srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, truncatingBackend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +231,9 @@ func TestBudgetBackendFlagsOverWire(t *testing.T) {
 
 // truncatingBackend fakes a budget-aware backend: queries containing
 // "partial" return a truncated two-ID answer.
-type truncatingBackend struct{}
-
-func (truncatingBackend) MatchIDs(query string) []uint64 { return []uint64{1, 2, 3} }
-
-func (truncatingBackend) MatchIDsBudget(query string, deadline time.Time, has bool) ([]uint64, byte) {
-	if strings.Contains(query, "partial") {
-		return []uint64{1, 2}, IDFlagTruncated
+var truncatingBackend = BackendFunc(func(dst []byte, req Request) ([]byte, error) {
+	if strings.Contains(req.Query, "partial") {
+		return AppendIDs(dst, []uint64{1, 2}, IDFlagTruncated), nil
 	}
-	return []uint64{1, 2, 3}, 0
-}
+	return AppendIDs(dst, []uint64{1, 2, 3}, 0), nil
+})

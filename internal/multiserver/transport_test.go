@@ -101,7 +101,7 @@ func tappedPair(t *testing.T, handler appendHandler, client, server *tap) *Conn 
 
 // verdictHandler answers by the request's first byte: 'e' a handler
 // error, 's' a stale-epoch rejection, anything else an echo of the body.
-func verdictHandler(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
+func verdictHandler(dst []byte, _ Request, req []byte) ([]byte, error) {
 	switch {
 	case len(req) > 0 && req[0] == 'e':
 		return nil, errors.New("boom")
@@ -241,8 +241,8 @@ func TestGoldenWireBytes(t *testing.T) {
 	// And over a live connection: what the two ends put on the wire for a
 	// tagged exchange and its flagged answer, an error and a rejection.
 	var client, server tap
-	c := tappedPair(t, func(dst, req []byte, _ time.Time, _ bool) ([]byte, error) {
-		if _, body, _, _, _ := DecodeEpochRequest(req); string(body) == "s" {
+	c := tappedPair(t, func(dst []byte, _ Request, body []byte) ([]byte, error) {
+		if string(body) == "s" {
 			return nil, &StaleEpochError{ClientEpoch: 3, ServerEpoch: 1<<33 + 4}
 		}
 		return AppendIDs(dst, ids, IDFlagTruncated|IDFlagCutoff), nil

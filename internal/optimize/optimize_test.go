@@ -3,6 +3,7 @@ package optimize
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,7 +107,7 @@ func TestIdentityMapping(t *testing.T) {
 	for key, loc := range res.Mapping {
 		words := textnorm.SplitKey(key)
 		if len(words) <= 5 {
-			if !textnorm.SetEqual(loc, words) {
+			if !slices.Equal(loc, words) {
 				t.Errorf("short set %v mapped to %v", words, loc)
 			}
 		} else if len(loc) > 5 {
@@ -132,11 +133,11 @@ func TestLongPhraseMappingPrefersFrequentAncestor(t *testing.T) {
 	res := LongPhraseMapping(gs, Options{MaxWords: 4})
 	longKey := ads[2].SetKey()
 	loc := res.Mapping[longKey]
-	if !textnorm.SetEqual(loc, []string{"alpha", "beta"}) {
+	if !slices.Equal(loc, []string{"alpha", "beta"}) {
 		t.Errorf("long phrase mapped to %v, want [alpha beta]", loc)
 	}
 	// Short groups untouched.
-	if !textnorm.SetEqual(res.Mapping[ads[0].SetKey()], ads[0].Words) {
+	if !slices.Equal(res.Mapping[ads[0].SetKey()], ads[0].Words) {
 		t.Errorf("short group remapped: %v", res.Mapping[ads[0].SetKey()])
 	}
 }

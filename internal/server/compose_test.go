@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -13,22 +14,56 @@ import (
 )
 
 // TestSearchBudgetEveryQueryKind: the overload armor reaches phrase and
-// rewrite queries, not only plain broad ones. Under a tight
-// Config.QueryBudget an adversarial query of either kind answers
-// truncated:true with a subset of its unbudgeted answer, is never
-// cached, counts in budget_truncated, and three strikes quarantine its
-// fingerprint; the static word cutoff is reported for every type.
+// rewrite queries, not only plain broad ones, and reaches them through
+// /search/batch as through /search. Under a tight Config.QueryBudget an
+// adversarial query of any kind answers truncated:true with a subset of
+// its unbudgeted answer, is never cached, counts in budget_truncated, and
+// three strikes quarantine its fingerprint; the static word cutoff is
+// reported for every kind.
 func TestSearchBudgetEveryQueryKind(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2500, Seed: 93})
 	adv := workload.GenerateAdversarial(c, workload.AdvOptions{NumQueries: 8, Seed: 94})
 	const budget = 8
 
+	// get asks through /search, batch as the one query of a /search/batch;
+	// both give the status and, on 200, the result in /search's shape.
+	get := func(params string) func(*testing.T, string, string) (int, searchResponse) {
+		return func(t *testing.T, base, q string) (int, searchResponse) {
+			resp, err := testClient.Get(base + "/search?q=" + strings.ReplaceAll(q, " ", "+") + params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var res searchResponse
+			if resp.StatusCode == http.StatusOK {
+				if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return resp.StatusCode, res
+		}
+	}
+	batch := func(rewrite string) func(*testing.T, string, string) (int, searchResponse) {
+		return func(t *testing.T, base, q string) (int, searchResponse) {
+			resp, out := postBatch(t, base, batchRequest{Queries: []string{q}, Rewrite: rewrite})
+			if resp.StatusCode != http.StatusOK {
+				return resp.StatusCode, searchResponse{}
+			}
+			r := out.Results[0]
+			return resp.StatusCode, searchResponse{Matched: r.Matched, Cached: r.Cached, Ads: r.Ads, Matches: r.Matches,
+				Truncated: r.Truncated, CutoffApplied: r.CutoffApplied, CostSpent: r.CostSpent}
+		}
+	}
+
 	for _, kind := range []struct {
-		name, params string
-		query        adindex.Query
+		name  string
+		ask   func(t *testing.T, base, q string) (int, searchResponse)
+		query adindex.Query
 	}{
-		{"phrase", "&type=phrase", adindex.Query{Type: adindex.Phrase}},
-		{"rewrite", "&rewrite=on", adindex.Query{Rewrite: true}},
+		{"phrase", get("&type=phrase"), adindex.Query{Type: adindex.Phrase}},
+		{"rewrite", get("&rewrite=on"), adindex.Query{Rewrite: true}},
+		{"batch", batch(""), adindex.Query{}},
+		{"batch rewrite", batch("on"), adindex.Query{Rewrite: true}},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			ix := adindex.Build(c.Ads, adindex.Options{Rewrite: &adindex.RewriteOptions{}})
@@ -56,11 +91,12 @@ func TestSearchBudgetEveryQueryKind(t *testing.T) {
 			if inFull == nil {
 				t.Fatal("no adversarial query has a non-empty answer")
 			}
-			url := base + "/search?q=" + strings.ReplaceAll(kind.query.Text, " ", "+") + kind.params
 
 			for attempt := 1; attempt <= 3; attempt++ {
-				var res searchResponse
-				getJSON(t, url, &res)
+				code, res := kind.ask(t, base, kind.query.Text)
+				if code != http.StatusOK {
+					t.Fatalf("attempt %d: status %d", attempt, code)
+				}
 				if !res.Truncated || res.CostSpent <= 0 {
 					t.Fatalf("attempt %d: not flagged truncated under budget %d: truncated=%v cost_spent=%d",
 						attempt, budget, res.Truncated, res.CostSpent)
@@ -86,24 +122,17 @@ func TestSearchBudgetEveryQueryKind(t *testing.T) {
 			}
 
 			// Three blowouts strike out the fingerprint.
-			resp, err := testClient.Get(url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("quarantined query answered %d, want 503", resp.StatusCode)
+			if code, _ := kind.ask(t, base, kind.query.Text); code != http.StatusServiceUnavailable {
+				t.Fatalf("quarantined query answered %d, want 503", code)
 			}
 			if got := s.metrics.QuarantineRejects.Load(); got != 1 {
 				t.Fatalf("QuarantineRejects = %d, want 1", got)
 			}
 
 			// Two adversarial queries together exceed MaxQueryWords.
-			long := strings.Join(append(adv.Queries[0].Words, adv.Queries[1].Words...), "+")
-			var res searchResponse
-			getJSON(t, base+"/search?q="+long+kind.params, &res)
-			if !res.CutoffApplied {
-				t.Fatalf("%d-word query: cutoff_applied not reported", len(strings.Split(long, "+")))
+			long := append(adv.Queries[0].Words, adv.Queries[1].Words...)
+			if code, res := kind.ask(t, base, strings.Join(long, " ")); code != http.StatusOK || !res.CutoffApplied {
+				t.Fatalf("%d-word query: status %d, cutoff_applied=%v", len(long), code, res.CutoffApplied)
 			}
 		})
 	}

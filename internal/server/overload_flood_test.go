@@ -29,24 +29,15 @@ import (
 )
 
 // floodBackend is the budgeted shard backend (the same wiring cmd/adserve
-// uses): plain MatchIDs for the legacy frame, MatchIDsBudget for the
-// deadline-carrying frame, flags riding the ID response.
+// uses): -query-budget and the wire deadline bound the match, flags riding
+// the ID response.
 type floodBackend struct {
 	ix     *adindex.Index
 	budget int64
 }
 
-func (b floodBackend) MatchIDs(query string) []uint64 {
-	ids, _ := b.MatchIDsBudget(query, time.Time{}, false)
-	return ids
-}
-
-func (b floodBackend) MatchIDsBudget(query string, deadline time.Time, has bool) ([]uint64, byte) {
-	qb := adindex.QueryBudget{MaxCost: b.budget}
-	if has {
-		qb.Deadline = deadline
-	}
-	res := b.ix.Match(nil, adindex.Query{Text: query, Budget: qb})
+func (b floodBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
+	res := b.ix.Match(nil, adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
 	ids := make([]uint64, len(res.Ads))
 	for i := range res.Ads {
 		ids[i] = res.Ads[i].ID
@@ -58,7 +49,7 @@ func (b floodBackend) MatchIDsBudget(query string, deadline time.Time, has bool)
 	if res.CutoffApplied {
 		flags |= multiserver.IDFlagCutoff
 	}
-	return ids, flags
+	return multiserver.AppendIDs(dst, ids, flags), nil
 }
 
 // floodOutcome is one request's observed result.

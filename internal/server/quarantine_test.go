@@ -9,6 +9,7 @@ import (
 	"adindex"
 	"adindex/internal/corpus"
 	"adindex/internal/simclock"
+	"adindex/internal/textnorm"
 )
 
 func TestQuarantineStrikesAndExpiry(t *testing.T) {
@@ -101,7 +102,8 @@ func TestQuarantineEvictionCap(t *testing.T) {
 // TestSearchBudgetTruncation drives the HTTP layer with a tight query
 // budget: heavy queries answer flagged verified subsets, truncated
 // answers are never cached, and repeated blowouts quarantine the
-// fingerprint into a fast 503.
+// fingerprint into a fast 503 — through /search and, with a second heavy
+// query, through /search/batch.
 func TestSearchBudgetTruncation(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2500, Seed: 91})
 	ix := adindex.Build(c.Ads, adindex.Options{})
@@ -119,15 +121,19 @@ func TestSearchBudgetTruncation(t *testing.T) {
 	// corpus's own phrases padded with frequent words.
 	full := ix.BroadMatch(c.Ads[0].Phrase)
 	var res searchResponse
-	var truncatedQuery string
-	for i := 0; i < len(c.Ads) && truncatedQuery == ""; i++ {
+	var truncatedQuery, batchQuery string // two, with different fingerprints
+	for i := 0; i < len(c.Ads) && batchQuery == ""; i++ {
 		probe := ix.Match(nil, adindex.Query{Text: c.Ads[i].Phrase, Budget: adindex.QueryBudget{MaxCost: 1}})
-		if probe.Truncated {
+		switch {
+		case !probe.Truncated:
+		case truncatedQuery == "":
 			truncatedQuery = c.Ads[i].Phrase
+		case textnorm.SetKey(textnorm.WordSet(c.Ads[i].Phrase)) != textnorm.SetKey(textnorm.WordSet(truncatedQuery)):
+			batchQuery = c.Ads[i].Phrase
 		}
 	}
-	if truncatedQuery == "" {
-		t.Skip("no corpus phrase truncates at MaxCost=1")
+	if batchQuery == "" {
+		t.Skip("no two corpus phrases truncate at MaxCost=1")
 	}
 	full = ix.BroadMatch(truncatedQuery)
 
@@ -183,6 +189,54 @@ func TestSearchBudgetTruncation(t *testing.T) {
 	if ok.Truncated {
 		t.Fatal("cheap query flagged truncated")
 	}
+
+	// The same armor around /search/batch: the heavy query's result is a
+	// flagged subset beside a whole one, never cached, and every batch that
+	// blows the budget strikes the heavy query's fingerprint.
+	batch := batchRequest{Queries: []string{"zzz nonexistent words", batchQuery}}
+	inFull = map[uint64]bool{}
+	for _, ad := range ix.BroadMatch(batchQuery) {
+		inFull[ad.ID] = true
+	}
+	for attempt := 1; attempt <= DefaultQuarantineStrikes; attempt++ {
+		resp, out := postBatch(t, base, batch)
+		if resp.StatusCode != http.StatusOK || len(out.Results) != 2 {
+			t.Fatalf("batch %d: status %d, %d results", attempt, resp.StatusCode, len(out.Results))
+		}
+		cheap, heavy := out.Results[0], out.Results[1]
+		if cheap.Truncated || cheap.CostSpent != 0 {
+			t.Fatalf("batch %d: the cheap query's result is flagged: %+v", attempt, cheap)
+		}
+		if !heavy.Truncated || heavy.CostSpent <= 0 || heavy.Cached {
+			t.Fatalf("batch %d: heavy result truncated=%v cost_spent=%d cached=%v, want a fresh flagged answer",
+				attempt, heavy.Truncated, heavy.CostSpent, heavy.Cached)
+		}
+		if len(heavy.Ads) >= len(inFull) {
+			t.Fatalf("batch %d: truncated answer not shorter: %d vs %d", attempt, len(heavy.Ads), len(inFull))
+		}
+		for _, ad := range heavy.Ads {
+			if !inFull[ad.ID] {
+				t.Fatalf("batch %d: truncated answer contains non-match %d", attempt, ad.ID)
+			}
+		}
+	}
+	if got := s.metrics.BudgetTruncated.Load(); got != 3+DefaultQuarantineStrikes {
+		t.Fatalf("BudgetTruncated = %d, want %d", got, 3+DefaultQuarantineStrikes)
+	}
+	// Struck out: /search and any batch holding the query answer 503.
+	if code := searchStatus(t, base, "q="+strings.ReplaceAll(batchQuery, " ", "+")); code != http.StatusServiceUnavailable {
+		t.Fatalf("/search of the query the batches struck out answered %d, want 503", code)
+	}
+	if resp, _ := postBatch(t, base, batch); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("batch holding a quarantined query answered %d (Retry-After %q), want 503",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if got := s.metrics.QuarantineRejects.Load(); got != 3 {
+		t.Fatalf("QuarantineRejects = %d, want 3", got)
+	}
+	if resp, out := postBatch(t, base, batchRequest{Queries: batch.Queries[:1]}); resp.StatusCode != http.StatusOK || !out.Results[0].Cached {
+		t.Fatalf("batch without the quarantined query: status %d, %+v", resp.StatusCode, out.Results)
+	}
 }
 
 // TestSearchPanicContainment: a panic in the match path answers 500,
@@ -219,6 +273,21 @@ func TestSearchPanicContainment(t *testing.T) {
 	// Other queries still serve; the process survived.
 	if res := search(t, base, "used books", ""); res.Matched == 0 {
 		t.Fatal("server degraded after contained panic")
+	}
+	// A panic inside a batch is the same: 500, and the strike lands on the
+	// query that panicked, not on its neighbours.
+	s.panicOn = "second poison"
+	if resp, _ := postBatch(t, base, batchRequest{Queries: []string{"used books", "second poison"}}); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking batch answered %d, want 500", resp.StatusCode)
+	}
+	if code := searchStatus(t, base, "q=second+poison"); code != http.StatusServiceUnavailable {
+		t.Fatalf("the batch's poison query answered %d afterwards, want 503", code)
+	}
+	if got := s.metrics.Panics.Load(); got != 2 {
+		t.Fatalf("Panics = %d, want 2", got)
+	}
+	if res := search(t, base, "used books", ""); res.Matched == 0 {
+		t.Fatal("the poison query's batch neighbour was quarantined with it")
 	}
 	// The limiter slot was released despite the panic: saturate-free.
 	if s.limiter.Waiting() != 0 || s.metrics.InFlight.Load() != 0 {

@@ -3,10 +3,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -262,6 +265,39 @@ func TestRemoteSearchOverRecords(t *testing.T) {
 		got := withoutVolatile(serve(t, records, "GET", searchTarget(q, "broad"), ""))
 		if got != want {
 			t.Errorf("%q over records:\n got %s\nwant %s", q, got, want)
+		}
+	}
+}
+
+// TestElasticFlagsReachTheReply: what an elastic shard left out is in the
+// front end's reply. Forty one-word ads and the query of all forty words:
+// every shard cuts it down to MaxQueryWords, the answer is short, and the
+// reply says cutoff_applied — as the same corpus served locally does.
+func TestElasticFlagsReachTheReply(t *testing.T) {
+	var ads []adindex.Ad
+	var words []string
+	for i := 0; i < 40; i++ {
+		words = append(words, fmt.Sprintf("w%d", i))
+		ads = append(ads, adindex.NewAd(uint64(i+1), words[i], adindex.Meta{}))
+	}
+	target := searchTarget(strings.Join(words, " "), "broad")
+	for name, s := range map[string]*Server{
+		"elastic": startElasticFrontEnd(t, ads),
+		"local":   New(adindex.Build(ads, adindex.Options{}), Config{}),
+	} {
+		body := serve(t, s, "GET", target, "")
+		var res searchResponse
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Matched == 0 || res.Matched >= len(ads) {
+			t.Fatalf("%s: the 40-word query matched %d of 40: the cutoff did not bite", name, res.Matched)
+		}
+		if !res.CutoffApplied || !bytes.Contains(body, []byte(`"cutoff_applied":true`)) {
+			t.Errorf("%s: a short answer (%d of 40) without cutoff_applied: %s", name, res.Matched, body)
+		}
+		if got := s.Metrics().Cutoffs.Load(); got != 1 {
+			t.Errorf("%s: cutoffs counter = %d, want 1", name, got)
 		}
 	}
 }

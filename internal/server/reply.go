@@ -68,7 +68,8 @@ type searchScratch struct {
 	words []string
 	// key is the cache key and the source of the quarantine fingerprint.
 	key []byte
-	// ads receives the match's copy-out on a miss.
+	// ads receives the match's copy-out on a miss; a batch's misses reuse
+	// it, each clearing the one before.
 	ads []adindex.Ad
 	// buf is the response body.
 	buf []byte
@@ -119,20 +120,18 @@ func (sc *searchScratch) tokenize(matchType, q string) {
 	sc.key = textnorm.AppendSetKey(sc.key, sc.tokens)
 }
 
-// appendSearchHead appends a /search reply up to and including `"ads":`;
-// the encoded ads array and appendSearchTail complete it. Together they
-// emit what encoding/json does for a searchResponse on the local path.
+// appendSearchHead appends a result object up to and including `"ads":`;
+// the encoded ads array and closeResult complete it. An empty typ is a
+// batch result, which has no type field. Together they emit what
+// encoding/json does for the reply as a struct (searchResponse and
+// batchResult in reply_test.go, which hold them to it).
 func appendSearchHead(dst []byte, q, typ string, matched int, cached bool) []byte {
 	dst = append(dst, `{"query":`...)
 	dst = corpus.AppendJSONString(dst, q)
-	dst = append(dst, `,"type":`...)
-	dst = corpus.AppendJSONString(dst, typ)
-	return appendMatchedCached(dst, matched, cached)
-}
-
-// appendMatchedCached appends the fields that lead up to the ads array in
-// both reply shapes.
-func appendMatchedCached(dst []byte, matched int, cached bool) []byte {
+	if typ != "" {
+		dst = append(dst, `,"type":`...)
+		dst = corpus.AppendJSONString(dst, typ)
+	}
 	dst = append(dst, `,"matched":`...)
 	dst = strconv.AppendInt(dst, int64(matched), 10)
 	dst = append(dst, `,"cached":`...)
@@ -140,9 +139,8 @@ func appendMatchedCached(dst []byte, matched int, cached bool) []byte {
 	return append(dst, `,"ads":`...)
 }
 
-func appendSearchTail(dst []byte, tookUS int64, truncated, cutoff bool, costSpent int64) []byte {
-	dst = append(dst, `,"took_us":`...)
-	dst = strconv.AppendInt(dst, tookUS, 10)
+// appendFlags appends the overload-armor fields of a result that are set.
+func appendFlags(dst []byte, truncated, cutoff bool, costSpent int64) []byte {
 	if truncated {
 		dst = append(dst, `,"truncated":true`...)
 	}
@@ -153,16 +151,7 @@ func appendSearchTail(dst []byte, tookUS int64, truncated, cutoff bool, costSpen
 		dst = append(dst, `,"cost_spent":`...)
 		dst = strconv.AppendInt(dst, costSpent, 10)
 	}
-	return append(dst, "}\n"...)
-}
-
-// appendBatchResultHead appends one element of a batch reply's results
-// array up to and including `"ads":`; the encoded ads array and a closing
-// brace complete it.
-func appendBatchResultHead(dst []byte, q string, matched int, cached bool) []byte {
-	dst = append(dst, `{"query":`...)
-	dst = corpus.AppendJSONString(dst, q)
-	return appendMatchedCached(dst, matched, cached)
+	return dst
 }
 
 // jsonContentType is the shared Content-Type header value; a header's

@@ -17,6 +17,7 @@ import (
 
 	"adindex"
 	"adindex/internal/corpus"
+	"adindex/internal/multiserver"
 	"adindex/internal/textnorm"
 )
 
@@ -48,6 +49,61 @@ func TestSearchParamsMatchURLQuery(t *testing.T) {
 				raw, q, typ, rewrite, want.Get("q"), want.Get("type"), want.Get("rewrite"))
 		}
 	}
+}
+
+// searchResponse is the /search reply as a struct: the reference the
+// append-form reply is held to byte for byte, and what the tests decode.
+type searchResponse struct {
+	Query   string       `json:"query"`
+	Type    string       `json:"type"`
+	Matched int          `json:"matched"`
+	Cached  bool         `json:"cached"`
+	Ads     []adindex.Ad `json:"ads"`
+	TookUS  int64        `json:"took_us"`
+
+	// Rewrite-mode fields: approximate broad match returns each ad with
+	// how it was reached (exact / synonym / fuzzy+distance) instead of
+	// bare ads, plus the per-query expansion stats.
+	Matches []adindex.Match   `json:"matches,omitempty"`
+	Rewrite *rewriteStatsJSON `json:"rewrite,omitempty"`
+
+	// Remote-mode fields: the distributed deployment serves IDs (+ per-ID
+	// metadata) rather than full ad records, and flags degradation. The
+	// reply itself is built by appendRemoteReply; these fields are the
+	// reference its golden test encodes.
+	IDs          []uint64             `json:"ids,omitempty"`
+	Meta         []multiserver.AdMeta `json:"meta,omitempty"`
+	Degraded     bool                 `json:"degraded,omitempty"`
+	FailedShards []int                `json:"failed_shards,omitempty"`
+	MetaMissing  bool                 `json:"meta_missing,omitempty"`
+
+	// Overload-armor fields: a budget-truncated answer is a verified
+	// ID-ordered subset of the full answer, flagged rather than silently
+	// short; CutoffApplied surfaces the MaxQueryWords word drop.
+	Truncated     bool  `json:"truncated,omitempty"`
+	CutoffApplied bool  `json:"cutoff_applied,omitempty"`
+	CostSpent     int64 `json:"cost_spent,omitempty"`
+}
+
+// batchResult is one element of a batch reply's results: the /search reply
+// for the same query without its type and took_us.
+type batchResult struct {
+	Query   string            `json:"query"`
+	Matched int               `json:"matched"`
+	Cached  bool              `json:"cached"`
+	Ads     []adindex.Ad      `json:"ads"`
+	Matches []adindex.Match   `json:"matches,omitempty"` // rewrite mode only
+	Rewrite *rewriteStatsJSON `json:"rewrite,omitempty"` // rewrite mode only
+
+	Truncated     bool  `json:"truncated,omitempty"`
+	CutoffApplied bool  `json:"cutoff_applied,omitempty"`
+	CostSpent     int64 `json:"cost_spent,omitempty"`
+}
+
+type batchResponse struct {
+	Epoch   uint64        `json:"epoch"`
+	Results []batchResult `json:"results"`
+	TookUS  int64         `json:"took_us"`
 }
 
 // hostileQueries are query texts whose echo in the reply exercises every
@@ -83,7 +139,8 @@ func TestSearchEnvelopeGolden(t *testing.T) {
 				}
 				got := appendSearchHead(nil, want.Query, want.Type, want.Matched, want.Cached)
 				got = corpus.AppendAdsJSON(got, ads)
-				got = appendSearchTail(got, want.TookUS, want.Truncated, want.CutoffApplied, want.CostSpent)
+				got = strconv.AppendInt(append(got, `,"took_us":`...), want.TookUS, 10)
+				got = append(appendFlags(got, want.Truncated, want.CutoffApplied, want.CostSpent), "}\n"...)
 				wantBytes, err := json.Marshal(want)
 				if err != nil {
 					t.Fatal(err)
@@ -214,11 +271,6 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 	}
 	s := New(adindex.Build(ads, adindex.Options{}), Config{})
 	target := searchTarget(strings.Join(words, " "), "broad")
-	// A batch asks first. Its reply has no cutoff flag and its match path
-	// does not learn of the cut, so it must not leave an entry behind for
-	// /search to serve as a complete answer.
-	batchBody, _ := json.Marshal(batchRequest{Queries: []string{strings.Join(words, " ")}})
-	serve(t, s, "POST", "/search/batch", string(batchBody))
 	var first, repeat searchResponse
 	for i, out := range []*searchResponse{&first, &repeat} {
 		if err := json.Unmarshal(serve(t, s, "GET", target, ""), out); err != nil {
@@ -236,6 +288,15 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 	}
 	if repeat.Matched != first.Matched || len(repeat.Ads) != len(first.Ads) {
 		t.Errorf("hit answers %d matched / %d ads, miss %d / %d", repeat.Matched, len(repeat.Ads), first.Matched, len(first.Ads))
+	}
+	// A batch is served the same entry, flag and all.
+	batchBody, _ := json.Marshal(batchRequest{Queries: []string{strings.Join(words, " ")}})
+	var batch batchResponse
+	if err := json.Unmarshal(serve(t, s, "POST", "/search/batch", string(batchBody)), &batch); err != nil {
+		t.Fatal(err)
+	}
+	if r := batch.Results[0]; !r.Cached || !r.CutoffApplied || r.Matched != first.Matched {
+		t.Errorf("batch result for the cut-off query: %+v; want the cached lossy answer, flagged", r)
 	}
 	if got := s.Metrics().Cutoffs.Load(); got != 1 {
 		t.Errorf("cutoffs counter = %d, want 1 (the one query that reached the index)", got)
@@ -256,6 +317,19 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 	}
 	if !shortAfter.Cached {
 		t.Error("a three-word query's entry was dropped by a write that shares no word with it")
+	}
+
+	// And when the batch is the one that computes it: flagged on its miss,
+	// stored with the flag, flagged on its hit.
+	serve(t, s, "POST", "/insert", `{"id":100,"phrase":"zebra crossing"}`)
+	for _, cached := range []bool{false, true} {
+		var fresh batchResponse // a reused one would keep the last reply's flags
+		if err := json.Unmarshal(serve(t, s, "POST", "/search/batch", string(batchBody)), &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if r := fresh.Results[0]; r.Cached != cached || !r.CutoffApplied {
+			t.Errorf("batch after a write, cached=%v wanted: %+v; want cutoff_applied either way", cached, r)
+		}
 	}
 }
 

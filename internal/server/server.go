@@ -369,44 +369,11 @@ func (s *Server) awaitShutdown(sigCtx context.Context) error {
 	return nil
 }
 
-type searchResponse struct {
-	Query   string       `json:"query"`
-	Type    string       `json:"type"`
-	Matched int          `json:"matched"`
-	Cached  bool         `json:"cached"`
-	Ads     []adindex.Ad `json:"ads"`
-	TookUS  int64        `json:"took_us"`
-
-	// Rewrite-mode fields: approximate broad match returns each ad with
-	// how it was reached (exact / synonym / fuzzy+distance) instead of
-	// bare ads, plus the per-query expansion stats.
-	Matches []adindex.Match   `json:"matches,omitempty"`
-	Rewrite *rewriteStatsJSON `json:"rewrite,omitempty"`
-
-	// Remote-mode fields: the distributed deployment serves IDs (+ per-ID
-	// metadata) rather than full ad records, and flags degradation. The
-	// reply itself is built by appendRemoteReply; these fields are the
-	// reference its golden test encodes.
-	IDs          []uint64             `json:"ids,omitempty"`
-	Meta         []multiserver.AdMeta `json:"meta,omitempty"`
-	Degraded     bool                 `json:"degraded,omitempty"`
-	FailedShards []int                `json:"failed_shards,omitempty"`
-	MetaMissing  bool                 `json:"meta_missing,omitempty"`
-
-	// Overload-armor fields: a budget-truncated answer is a verified
-	// ID-ordered subset of the full answer, flagged rather than silently
-	// short; CutoffApplied surfaces the MaxQueryWords word drop.
-	Truncated     bool  `json:"truncated,omitempty"`
-	CutoffApplied bool  `json:"cutoff_applied,omitempty"`
-	CostSpent     int64 `json:"cost_spent,omitempty"`
-}
-
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	q, matchType, rewriteMode := searchParams(r.URL.RawQuery)
 	if strings.TrimSpace(q) == "" {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
 	switch matchType {
@@ -414,36 +381,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		matchType = "broad"
 	case "broad", "exact", "phrase":
 	default:
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "type must be broad, exact, or phrase", http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "type must be broad, exact, or phrase")
 		return
 	}
-	switch rewriteMode {
-	case "", "off", "on":
-	default:
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "rewrite must be on or off", http.StatusBadRequest)
+	rewrite, ok := rewriteOn(rewriteMode)
+	if !ok {
+		s.reject(w, http.StatusBadRequest, "rewrite must be on or off")
 		return
 	}
-	rewrite := rewriteMode == "on"
 	if rewrite && matchType != "broad" {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "rewrite=on requires type=broad", http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "rewrite=on requires type=broad")
 		return
 	}
 
-	// The request's one tokenization: the cache key, the quarantine
-	// fingerprint and the workload sample all come from it.
+	// The request's one tokenization, and the quarantine check before the
+	// query can occupy an admission slot.
 	sc := getSearchScratch()
 	defer putSearchScratch(sc)
-	sc.tokenize(matchType, q)
-
-	// Poison-query quarantine: a fingerprint that recently panicked the
-	// match path or repeatedly blew its budget is rejected before it can
-	// occupy an admission slot.
-	fp := fingerprint(sc.key)
-	if s.quarantine.Check(fp) {
-		s.metrics.QuarantineRejects.Add(1)
+	fp, ok := s.begin(sc, matchType, q)
+	if !ok {
 		s.shed(w)
 		return
 	}
@@ -457,65 +413,143 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 	s.metrics.reqCounter(matchType).Add(1)
-
-	// Panic containment: a query that panics the match path answers 500
-	// and quarantines its fingerprint instead of killing the process.
-	// The deferred limiter/in-flight releases above still run.
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.metrics.Panics.Add(1)
-			s.quarantine.NotePanic(fp)
-			s.cfg.Logger.Printf("search panic on %q (fingerprint quarantined): %v", q, rec)
-			http.Error(w, "internal error", http.StatusInternalServerError)
-		}
-	}()
+	// The deferred limiter/in-flight releases above still run after a panic.
+	defer s.contain(w, &fp, &q)
 
 	if s.remote != nil {
 		if rewrite {
-			s.metrics.BadRequests.Add(1)
-			http.Error(w, "rewrite is not supported in remote (distributed) mode",
-				http.StatusNotImplemented)
+			s.reject(w, http.StatusNotImplemented, "rewrite is not supported in remote (distributed) mode")
 			return
 		}
 		s.searchRemote(w, sc, deadline, fp, q, matchType, start)
 		return
 	}
+	rd, ok := s.open(w, matchType, rewrite, deadline)
+	if !ok {
+		return
+	}
+
+	// The reply is one result — the envelope of /search is its type and
+	// took_us fields and the final newline.
+	sc.buf = sc.buf[:0]
+	out := s.answer(sc, &rd, fp, q)
+	if out.fresh.Body != nil {
+		cachePut(s.cache, sc.key, rd.view.Epoch(), out.fresh)
+	}
+	sc.buf = append(sc.buf, `,"took_us":`...)
+	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)
+	sc.buf = append(s.closeResult(sc.buf, &out), '\n')
+	s.writeBody(w, sc.buf)
+	s.metrics.Latency.Observe(float64(time.Since(start)))
+}
+
+// begin starts a query of a read request: its one tokenization into sc —
+// the cache key, the quarantine fingerprint and the workload sample all come
+// from it — and the poison-query check. A fingerprint that recently panicked
+// the match path or repeatedly blew its budget is not ok: the caller sheds
+// the request.
+func (s *Server) begin(sc *searchScratch, matchType, q string) (fp uint64, ok bool) {
+	sc.tokenize(matchType, q)
+	fp = fingerprint(sc.key)
+	if s.quarantine.Check(fp) {
+		s.metrics.QuarantineRejects.Add(1)
+		return fp, false
+	}
+	return fp, true
+}
+
+// contain is deferred by the read handlers once admitted: a query that
+// panics the match path answers 500 and quarantines its fingerprint instead
+// of killing the process. fp and q are the query in progress (fp is zero
+// before a batch's first).
+func (s *Server) contain(w http.ResponseWriter, fp *uint64, q *string) {
+	if rec := recover(); rec != nil {
+		s.metrics.Panics.Add(1)
+		if *fp != 0 {
+			s.quarantine.NotePanic(*fp)
+		}
+		s.cfg.Logger.Printf("search panic on %q (fingerprint quarantined): %v", *q, rec)
+		http.Error(w, "internal error", http.StatusInternalServerError)
+	}
+}
+
+// reading is what the queries of one read request share: /search asks one
+// query of it, /search/batch up to MaxBatchQueries.
+type reading struct {
+	ix *adindex.Index
+	// view pins every query of the request to one snapshot, so a cache
+	// entry is stamped with the state that computed it.
+	view adindex.View
+	// typ is the "type" field results echo; empty for a batch's, which have
+	// none (and are broad).
+	typ     string
+	rewrite bool
+	// deadline covered the queue wait and bounds every query's enumeration.
+	deadline time.Time
+}
+
+// open pins the local index's current snapshot for a read request, or
+// answers why it cannot: no index yet, or rewriting asked of an index built
+// without it.
+func (s *Server) open(w http.ResponseWriter, typ string, rewrite bool, deadline time.Time) (rd reading, ok bool) {
 	ix := s.local()
 	if ix == nil {
 		s.notReady(w)
-		return
+		return rd, false
 	}
 	if rewrite && !ix.RewriteEnabled() {
-		s.rewriteDisabled(w)
-		return
+		s.reject(w, http.StatusBadRequest, "rewrite is not enabled on this index (start with -rewrite)")
+		return rd, false
 	}
+	return reading{ix: ix, view: ix.View(), typ: typ, rewrite: rewrite, deadline: deadline}, true
+}
+
+// outcome is what answer leaves its caller beside the bytes it appended:
+// the fields that complete the result object, and the reply to store.
+type outcome struct {
+	// Rewrite mode: each ad with how it was reached, after the
+	// discount-aware auction, and the query's expansion stats.
+	matches []adindex.Match
+	rewrite *rewriteStatsJSON
+	// Overload armor: a budget-truncated answer is a verified ID-ordered
+	// subset of the full answer, flagged rather than silently short; cutoff
+	// surfaces the MaxQueryWords word drop, on a hit as on the miss.
+	truncated, cutoff bool
+	costSpent         int64
+	// fresh is the reply a miss computed, to be stored under sc.key at the
+	// view's epoch. Its Body (the ads array in sc.buf) is nil when there is
+	// nothing to store: a hit, a rewritten answer — those depend on the
+	// vocabulary as well as the key's word set — or a truncated one.
+	fresh Cached
+}
+
+// answer is the one path a local query takes, whichever endpoint asked it.
+// The query has been through begin. It is sampled for the workload and its
+// key looked up at the newest epoch a write touched its words; a miss is
+// matched on the request's view under Config.QueryBudget and the request
+// deadline (the subset walk of broad, phrase and rewritten queries charges
+// them; an exact query is one lookup), put through the selection and
+// encoded. The result object goes onto sc.buf up to and including the "ads"
+// array — a hit copies the cached body in, a miss encodes it in place — and
+// closeResult completes it.
+func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) outcome {
 	if s.panicOn != "" && q == s.panicOn {
 		panic("injected test panic")
 	}
-
-	// A View pins the epoch and the results to the same snapshot, so a
-	// cache entry is stamped with the state that computed it; the lookup
-	// asks only whether a write has since touched this query's words.
-	// Rewrite answers bypass the cache: it is keyed by the canonical word
-	// set, and rewrite answers depend on the vocabulary too.
-	view := ix.View()
-	ix.ObserveWords(sc.words)
+	rd.ix.ObserveWords(sc.words)
 	var reply Cached
 	hit := false
-	if !rewrite {
-		reply, hit = cacheGet(s.cache, sc.key, view.ChangedAt(sc.words))
+	if !rd.rewrite {
+		reply, hit = cacheGet(s.cache, sc.key, rd.view.ChangedAt(sc.words))
 	}
 	var res adindex.Result
 	if !hit {
-		// Every query carries the cost budget and the request deadline; the
-		// subset walk of broad, phrase and rewritten queries charges them
-		// (an exact query is one lookup), and a truncated answer is a
-		// verified subset, flagged.
-		res = s.match(ix, view, fp, sc.ads[:0], adindex.Query{
+		clear(sc.ads) // the request's previous query, already encoded
+		res = s.match(rd, fp, sc.ads[:0], adindex.Query{
 			Text:    q,
-			Type:    queryTypes[matchType],
-			Rewrite: rewrite,
-			Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: deadline},
+			Type:    queryTypes[rd.typ],
+			Rewrite: rd.rewrite,
+			Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: rd.deadline},
 		})
 		sc.ads = res.Ads
 		reply = Cached{Matched: len(res.Ads), Cutoff: res.CutoffApplied}
@@ -523,43 +557,50 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
-	if rewrite {
-		// Approximate answers carry each ad with how it was reached and go
-		// through the discount-aware auction.
-		s.writeJSON(w, searchResponse{
-			Query:         q,
-			Type:          matchType,
-			Matched:       len(res.Ads),
-			Matches:       s.selectMatches(q, res),
-			Rewrite:       newRewriteStatsJSON(res.Rewrite),
-			Truncated:     res.Truncated,
-			CutoffApplied: res.CutoffApplied,
-			CostSpent:     res.CostSpent,
-			TookUS:        time.Since(start).Microseconds(),
-		})
-		s.metrics.Latency.Observe(float64(time.Since(start)))
-		return
-	}
-
-	// The reply is the envelope spliced around the encoded ads array: a hit
-	// copies the cached body in, a miss encodes it in place and hands the
-	// cache its own copy.
-	sc.buf = appendSearchHead(sc.buf[:0], q, matchType, reply.Matched, hit)
-	if hit {
+	sc.buf = appendSearchHead(sc.buf, q, rd.typ, reply.Matched, hit)
+	out := outcome{truncated: res.Truncated, cutoff: reply.Cutoff, costSpent: res.CostSpent}
+	switch {
+	case hit:
 		sc.buf = append(sc.buf, reply.Body...)
-	} else {
+	case rd.rewrite:
+		sc.buf = append(sc.buf, "null"...)
+		out.matches, out.rewrite = s.selectMatches(q, res), newRewriteStatsJSON(res.Rewrite)
+	default:
 		mark := len(sc.buf)
 		sc.buf = s.appendAds(sc.buf, q, res.Ads)
 		if !res.Truncated { // never cache a partial answer
-			reply.Body = sc.buf[mark:]
-			cachePut(s.cache, sc.key, view.Epoch(), reply)
+			out.fresh = reply
+			out.fresh.Body = sc.buf[mark:]
 		}
 	}
-	sc.buf = appendSearchTail(sc.buf, time.Since(start).Microseconds(), res.Truncated, reply.Cutoff, res.CostSpent)
-	s.writeBody(w, sc.buf)
-	s.metrics.Latency.Observe(float64(time.Since(start)))
+	return out
 }
 
+// closeResult completes the result object answer began: the rewrite-mode
+// fields and the overload flags that are set, and the closing brace.
+func (s *Server) closeResult(dst []byte, out *outcome) []byte {
+	if len(out.matches) > 0 {
+		dst = s.appendJSON(append(dst, `,"matches":`...), out.matches)
+	}
+	if out.rewrite != nil {
+		dst = s.appendJSON(append(dst, `,"rewrite":`...), out.rewrite)
+	}
+	return append(appendFlags(dst, out.truncated, out.cutoff, out.costSpent), '}')
+}
+
+// appendJSON appends what encoding/json makes of v, for the parts of a
+// reply that have no append-form encoder.
+func (s *Server) appendJSON(dst []byte, v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		s.cfg.Logger.Printf("encode response: %v", err)
+		return append(dst, "null"...)
+	}
+	return append(dst, b...)
+}
+
+// queryTypes maps a result's "type" to the query's; a batch's empty one is
+// broad.
 var queryTypes = map[string]adindex.QueryType{
 	"broad": adindex.Broad, "exact": adindex.Exact, "phrase": adindex.Phrase,
 }
@@ -587,17 +628,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadline time.Tim
 	return false
 }
 
-// match is the one place a single query is evaluated against the index:
-// one View.Match into dst, whose outcome feeds the overload metrics, the
+// match is the one place a query is evaluated against the index: one
+// View.Match into dst, whose outcome feeds the overload metrics, the
 // quarantine (fp is the query's fingerprint), and — when the index adapts —
 // per-query cost attribution.
-func (s *Server) match(ix *adindex.Index, view adindex.View, fp uint64, dst []adindex.Ad, q adindex.Query) adindex.Result {
+func (s *Server) match(rd *reading, fp uint64, dst []adindex.Ad, q adindex.Query) adindex.Result {
+	ix := rd.ix
 	var matchStart time.Time
 	if ix.AdaptEnabled() {
 		q.Counters = new(adindex.Counters)
 		matchStart = time.Now()
 	}
-	res := view.Match(dst, q)
+	res := rd.view.Match(dst, q)
 	if q.Counters != nil {
 		// The match's access counters are attributed to the index (feeding
 		// adaptation's cost-model recalibration) and its modeled cost
@@ -608,16 +650,21 @@ func (s *Server) match(ix *adindex.Index, view adindex.View, fp uint64, dst []ad
 	if q.Rewrite {
 		s.metrics.noteRewrite(res.Rewrite)
 	}
-	if res.CutoffApplied {
+	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
+	return res
+}
+
+// noteArmor counts what an answer, local or fanned out, left out. A
+// truncated one burned a full budget on its fingerprint, so it is struck:
+// enough blowouts inside the TTL window quarantine it.
+func (s *Server) noteArmor(fp uint64, truncated, cutoff bool) {
+	if cutoff {
 		s.metrics.Cutoffs.Add(1)
 	}
-	if res.Truncated {
-		// Strike the fingerprint: enough blowouts inside the TTL window
-		// quarantine it.
+	if truncated {
 		s.metrics.BudgetTruncated.Add(1)
 		s.quarantine.NoteBudgetBlown(fp)
 	}
-	return res
 }
 
 // appendAds appends the "ads" array of a reply to dst: the query's raw
@@ -644,10 +691,16 @@ func (s *Server) selectMatches(q string, res adindex.Result) []adindex.Match {
 	return matches
 }
 
-func (s *Server) rewriteDisabled(w http.ResponseWriter) {
+// rewriteOn reads the rewrite parameter of the read endpoints: "on" selects
+// approximate broad match, "off" or nothing the plain one.
+func rewriteOn(mode string) (on, ok bool) {
+	return mode == "on", mode == "" || mode == "off" || mode == "on"
+}
+
+// reject answers a request the server will not run, and counts it.
+func (s *Server) reject(w http.ResponseWriter, code int, msg string) {
 	s.metrics.BadRequests.Add(1)
-	http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
-		http.StatusBadRequest)
+	http.Error(w, msg, code)
 }
 
 // MaxBatchQueries bounds a single /search/batch request.
@@ -661,28 +714,14 @@ type batchRequest struct {
 	Rewrite string `json:"rewrite,omitempty"`
 }
 
-type batchResult struct {
-	Query   string          `json:"query"`
-	Matched int             `json:"matched"`
-	Cached  bool            `json:"cached"`
-	Ads     []adindex.Ad    `json:"ads"`
-	Matches []adindex.Match `json:"matches,omitempty"` // rewrite mode only
-}
-
-type batchResponse struct {
-	Epoch   uint64        `json:"epoch"`
-	Results []batchResult `json:"results"`
-	TookUS  int64         `json:"took_us"`
-}
-
-// handleSearchBatch answers POST /search/batch: broad-match for up to
-// MaxBatchQueries queries evaluated against one consistent index snapshot
-// (adindex.View): every miss is computed on it, and a hit is an entry no
-// write has outdated (it may have been computed on a later snapshot than
-// the batch's own). Cache hits are served per query; misses go through the
-// batched zero-allocation match path and are cached under the view's epoch. A
-// rewrite batch runs each query through the single-query path, unbudgeted
-// like the rest of the batch.
+// handleSearchBatch answers POST /search/batch: broad match for up to
+// MaxBatchQueries queries, each through the same path as /search (begin,
+// answer), all on one consistent index snapshot (adindex.View): every miss
+// is computed on it, and a hit is an entry no write has outdated (it may
+// have been computed on a later snapshot than the batch's own). The batch
+// is one request to the limiter and runs under one deadline; a quarantined
+// query anywhere in it sheds it, and what it computes is stored when it is
+// done, so no query of a batch is served from an earlier one's miss.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -696,125 +735,75 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req batchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "bad batch body: "+err.Error(), http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
 	if len(req.Queries) == 0 || len(req.Queries) > MaxBatchQueries {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, fmt.Sprintf("batch requires 1..%d queries", MaxBatchQueries),
-			http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, fmt.Sprintf("batch requires 1..%d queries", MaxBatchQueries))
 		return
 	}
 	for _, q := range req.Queries {
 		if strings.TrimSpace(q) == "" {
-			s.metrics.BadRequests.Add(1)
-			http.Error(w, "batch contains an empty query", http.StatusBadRequest)
+			s.reject(w, http.StatusBadRequest, "batch contains an empty query")
 			return
 		}
 	}
-	switch req.Rewrite {
-	case "", "off", "on":
-	default:
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "rewrite must be on or off", http.StatusBadRequest)
+	rewrite, ok := rewriteOn(req.Rewrite)
+	if !ok {
+		s.reject(w, http.StatusBadRequest, "rewrite must be on or off")
 		return
 	}
 
 	// One admission slot covers the whole batch (a batch is one request's
 	// worth of work from the limiter's perspective).
-	if !s.admit(w, r, start.Add(s.cfg.RequestTimeout)) {
+	deadline := start.Add(s.cfg.RequestTimeout)
+	if !s.admit(w, r, deadline) {
 		return
 	}
 	defer s.limiter.Release()
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 	s.metrics.ReqBroad.Add(uint64(len(req.Queries)))
+	var fp uint64
+	var q string
+	defer s.contain(w, &fp, &q)
 
-	// Batch panic containment: same recovery as /search, minus the
-	// quarantine strike (no single fingerprint to blame).
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.metrics.Panics.Add(1)
-			s.cfg.Logger.Printf("batch search panic: %v", rec)
-			http.Error(w, "internal error", http.StatusInternalServerError)
-		}
-	}()
-
-	ix := s.local()
-	if ix == nil {
-		s.notReady(w)
+	rd, ok := s.open(w, "", rewrite, deadline)
+	if !ok {
 		return
 	}
-	view := ix.View()
-	epoch := view.Epoch()
-	if req.Rewrite == "on" {
-		if !ix.RewriteEnabled() {
-			s.rewriteDisabled(w)
-			return
-		}
-		results := make([]batchResult, len(req.Queries))
-		for i, q := range req.Queries {
-			ix.Observe(q)
-			res := s.match(ix, view, 0, nil, adindex.Query{Text: q, Rewrite: true})
-			results[i] = batchResult{Query: q, Matched: len(res.Ads), Matches: s.selectMatches(q, res)}
-		}
-		s.writeJSON(w, batchResponse{
-			Epoch:   epoch,
-			Results: results,
-			TookUS:  time.Since(start).Microseconds(),
-		})
-		s.metrics.Latency.Observe(float64(time.Since(start)))
-		return
-	}
+	epoch := rd.view.Epoch()
 
-	// Pass 1: every query is tokenized once, sampled and looked up; a miss
-	// keeps its key for the store in pass 2.
 	sc := getSearchScratch()
 	defer putSearchScratch(sc)
-	replies := make([]Cached, len(req.Queries))
-	missKeys := make([]string, len(req.Queries)) // "" marks a hit
-	var missQueries []string
-	for i, q := range req.Queries {
-		sc.tokenize("broad", q)
-		ix.ObserveWords(sc.words)
-		var hit bool
-		if replies[i], hit = cacheGet(s.cache, sc.key, view.ChangedAt(sc.words)); !hit {
-			missKeys[i] = string(sc.key)
-			missQueries = append(missQueries, q)
-			// The batched match does not say whether it cut a long query
-			// down (the batch reply has no cutoff_applied), so such an
-			// answer is not stored for /search to serve as complete.
-			replies[i].Cutoff = view.CutoffPossible(sc.words)
-		}
+	type stored struct {
+		key string
+		Cached
 	}
-	// Pass 2: the misses' matches, in query order, are encoded in place and
-	// copied into the cache; the hits' bodies are spliced in between them.
-	missAds := view.BroadMatchBatch(missQueries)
+	var fresh []stored
 	sc.buf = append(sc.buf[:0], `{"epoch":`...)
 	sc.buf = strconv.AppendUint(sc.buf, epoch, 10)
 	sc.buf = append(sc.buf, `,"results":[`...)
-	for i, q := range req.Queries {
+	for i := range req.Queries {
 		if i > 0 {
 			sc.buf = append(sc.buf, ',')
 		}
-		hit := missKeys[i] == ""
-		if !hit {
-			replies[i].Matched = len(missAds[0])
+		q = req.Queries[i]
+		if fp, ok = s.begin(sc, "broad", q); !ok {
+			s.shed(w)
+			return
 		}
-		sc.buf = appendBatchResultHead(sc.buf, q, replies[i].Matched, hit)
-		if hit {
-			sc.buf = append(sc.buf, replies[i].Body...)
-		} else {
-			mark := len(sc.buf)
-			sc.buf = s.appendAds(sc.buf, q, missAds[0])
-			if !replies[i].Cutoff {
-				replies[i].Body = sc.buf[mark:]
-				cachePut(s.cache, missKeys[i], epoch, replies[i])
-			}
-			missAds = missAds[1:]
+		out := s.answer(sc, &rd, fp, q)
+		if out.fresh.Body != nil {
+			fresh = append(fresh, stored{string(sc.key), out.fresh})
 		}
-		sc.buf = append(sc.buf, '}')
+		if !out.truncated {
+			out.costSpent = 0 // a batch result says what it cost only when that cut it short
+		}
+		sc.buf = s.closeResult(sc.buf, &out)
+	}
+	for _, f := range fresh {
+		cachePut(s.cache, f.key, epoch, f.Cached)
 	}
 	sc.buf = append(sc.buf, `],"took_us":`...)
 	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)
@@ -831,8 +820,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // out mid-fan-out answers 504.
 func (s *Server) searchRemote(w http.ResponseWriter, sc *searchScratch, deadline time.Time, fp uint64, q, matchType string, start time.Time) {
 	if matchType != "broad" {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "remote serving supports type=broad only", http.StatusNotImplemented)
+		s.reject(w, http.StatusNotImplemented, "remote serving supports type=broad only")
 		return
 	}
 	res, err := s.remote.QueryResultDeadline(q, deadline)
@@ -849,16 +837,7 @@ func (s *Server) searchRemote(w http.ResponseWriter, sc *searchScratch, deadline
 	if res.Degraded {
 		s.metrics.Degraded.Add(1)
 	}
-	if res.Truncated {
-		// A truncated remote answer means backends burned a full budget on
-		// this fingerprint; strike it so a retry loop gets quarantined the
-		// same way it would against a local index.
-		s.metrics.BudgetTruncated.Add(1)
-		s.quarantine.NoteBudgetBlown(fp)
-	}
-	if res.CutoffApplied {
-		s.metrics.Cutoffs.Add(1)
-	}
+	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
 	sc.buf = appendRemoteReply(sc.buf[:0], q, matchType, res, time.Since(start).Microseconds())
 	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
@@ -905,13 +884,7 @@ func appendRemoteReply(dst []byte, q, typ string, res *shard.Result, tookUS int6
 	if res.MetaMissing {
 		dst = append(dst, `,"meta_missing":true`...)
 	}
-	if res.Truncated {
-		dst = append(dst, `,"truncated":true`...)
-	}
-	if res.CutoffApplied {
-		dst = append(dst, `,"cutoff_applied":true`...)
-	}
-	return append(dst, "}\n"...)
+	return append(appendFlags(dst, res.Truncated, res.CutoffApplied, 0), "}\n"...)
 }
 
 // localIndex guards endpoints that need a local index, writing the
@@ -960,20 +933,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	var req insertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "bad insert body: "+err.Error(), http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "bad insert body: "+err.Error())
 		return
 	}
 	if req.ID == 0 || strings.TrimSpace(req.Phrase) == "" {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "insert requires non-zero id and non-empty phrase", http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "insert requires non-zero id and non-empty phrase")
 		return
 	}
 	ad := adindex.NewAd(req.ID, req.Phrase, req.Meta)
 	if len(ad.Words) == 0 {
 		// "!!!" tokenizes to nothing: no query could ever retrieve it.
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "phrase has no indexable word", http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "phrase has no indexable word")
 		return
 	}
 	ix.Insert(ad)
@@ -997,8 +967,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	var req deleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "bad delete body: "+err.Error(), http.StatusBadRequest)
+		s.reject(w, http.StatusBadRequest, "bad delete body: "+err.Error())
 		return
 	}
 	found := ix.Delete(req.ID, req.Phrase)

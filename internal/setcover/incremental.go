@@ -81,9 +81,6 @@ func NewPlacement(numElements int, sets [][]int, costs PlacementCosts) (*Placeme
 	return p, nil
 }
 
-// NumSets returns the number of candidate sets.
-func (p *Placement) NumSets() int { return len(p.elems) }
-
 // Holds reports whether candidate set s contains element e.
 func (p *Placement) Holds(s, e int) bool {
 	return s >= 0 && s < len(p.elems) && containsSorted(p.elems[s], e)

@@ -11,30 +11,26 @@ import (
 // flaggedBackend is a budget-aware fake: every query answers two IDs
 // with the truncated flag set, so the test can watch the flag propagate
 // through the fan-out and merge.
-type flaggedBackend struct{}
-
-func (flaggedBackend) MatchIDs(query string) []uint64 { return []uint64{10, 20} }
-
-func (flaggedBackend) MatchIDsBudget(query string, deadline time.Time, has bool) ([]uint64, byte) {
-	return []uint64{10, 20}, multiserver.IDFlagTruncated
-}
+var flaggedBackend = multiserver.BackendFunc(func(dst []byte, _ multiserver.Request) ([]byte, error) {
+	return multiserver.AppendIDs(dst, []uint64{10, 20}, multiserver.IDFlagTruncated), nil
+})
 
 // plainBackend answers without flags.
-type plainBackend struct{}
-
-func (plainBackend) MatchIDs(query string) []uint64 { return []uint64{30} }
+var plainBackend = multiserver.BackendFunc(func(dst []byte, _ multiserver.Request) ([]byte, error) {
+	return multiserver.AppendIDs(dst, []uint64{30}, 0), nil
+})
 
 // TestNetClientDeadlinePropagation: an expired deadline fails the whole
 // query with ErrDeadlineExpired (even under AllowPartial), a live
 // deadline succeeds, and a truncated flag from any one shard marks the
 // merged result.
 func TestNetClientDeadlinePropagation(t *testing.T) {
-	srv0, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, flaggedBackend{})
+	srv0, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, flaggedBackend)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv0.Close()
-	srv1, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, plainBackend{})
+	srv1, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, plainBackend)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,15 +274,16 @@ func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 	return found
 }
 
-// ownedMatchesLocked runs one query against shard position id with the
-// ownership filter applied, under the caller's read lock. The matches
-// live in sc and reference the shard's records: the caller consumes
-// them before it releases either the scratch or the lock.
-func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id int, query string, counters *costmodel.Counters) []*corpus.Ad {
+// ownedMatchesLocked runs one query against shard position id, bounded by
+// deadline when that is non-zero, with the ownership filter applied, under
+// the caller's read lock. The matches live in sc and reference the shard's
+// records: the caller consumes them before it releases either the scratch
+// or the lock.
+func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id int, query string, counters *costmodel.Counters, deadline time.Time) []*corpus.Ad {
 	if id < 0 || id >= len(ec.shards) {
 		return nil
 	}
-	matches := sc.BroadMatch(ec.shards[id], query, counters)
+	matches := sc.BroadMatch(ec.shards[id], query, counters, deadline)
 	owned := matches[:0]
 	for _, m := range matches {
 		// Ownership filter: a physical copy answers only from the shard
@@ -313,7 +314,7 @@ func (ec *ElasticCluster) Match(query string, counters *costmodel.Counters, visi
 	}
 	var all []*corpus.Ad
 	for _, id := range ec.table.ActiveShards() {
-		all = append(all, ec.ownedMatchesLocked(sc, id, query, counters)...)
+		all = append(all, ec.ownedMatchesLocked(sc, id, query, counters, time.Time{})...)
 	}
 	if counters != nil {
 		counters.Queries = queries
@@ -333,23 +334,6 @@ func (ec *ElasticCluster) MatchIDs(query string) []uint64 {
 	return out
 }
 
-// LogicalAds returns the owned (logical) ad multiset, ID-ordered —
-// staged and undrained physical copies excluded. Test and tooling aid.
-func (ec *ElasticCluster) LogicalAds() []corpus.Ad {
-	ec.mu.RLock()
-	defer ec.mu.RUnlock()
-	var out []corpus.Ad
-	for id, ix := range ec.shards {
-		for _, ad := range ix.Ads() {
-			if ec.table.OwnerOf(ad.Words) == id {
-				out = append(out, ad)
-			}
-		}
-	}
-	slices.SortStableFunc(out, func(a, b corpus.Ad) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
-
 // shardBackend serves one shard position over the frame protocol with
 // the epoch check and the match performed atomically under the cluster
 // read lock.
@@ -358,23 +342,21 @@ type shardBackend struct {
 	id int
 }
 
-// AppendMatchAtEpoch implements multiserver.EpochBackend: the owned
-// matches go from the shard's records into the response frame — their IDs,
-// or for a records request IDs and metadata, read under the lock the match
-// ran under.
-func (b shardBackend) AppendMatchAtEpoch(dst []byte, epoch uint64, tagged, records bool, query string) ([]byte, error) {
+// AppendMatch implements multiserver.Backend: a tagged request is held to
+// the cluster's routing epoch, the enumeration to the request's deadline,
+// and the owned matches go from the shard's records into the response frame
+// — their IDs, or for a records request IDs and metadata, read under the
+// lock the match ran under — flagged with what the deadline or the
+// MaxQueryWords cutoff left out.
+func (b shardBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
 	b.ec.mu.RLock()
 	defer b.ec.mu.RUnlock()
-	if tagged && epoch != b.ec.table.Epoch {
-		return nil, &multiserver.StaleEpochError{ClientEpoch: epoch, ServerEpoch: b.ec.table.Epoch}
+	if req.Tagged && req.Epoch != b.ec.table.Epoch {
+		return nil, &multiserver.StaleEpochError{ClientEpoch: req.Epoch, ServerEpoch: b.ec.table.Epoch}
 	}
 	sc := multiserver.GetMatchScratch()
 	defer sc.Release()
-	matches := b.ec.ownedMatchesLocked(sc, b.id, query, nil)
-	if records {
-		return multiserver.AppendAdRecords(dst, matches, 0), nil
-	}
-	return multiserver.AppendAdIDs(dst, matches, 0), nil
+	return sc.AppendReply(dst, req, b.ec.ownedMatchesLocked(sc, b.id, req.Query, nil, req.Deadline)), nil
 }
 
 // ElasticServing is a set of TCP index servers fronting an
@@ -387,12 +369,16 @@ type ElasticServing struct {
 	addrs   []string
 }
 
-// Serve starts one epoch-checking index server per shard position (up
-// to MaxShards) on ephemeral loopback ports.
+// Serve starts one index server per shard position (up to MaxShards) on
+// ephemeral loopback ports. Epoch-tagged requests are answered only under
+// a matching routing epoch — otherwise the client gets a typed
+// *StaleEpochError frame telling it to refresh its routing table and
+// retry; untagged requests are served unchecked, so legacy clients keep
+// working (at the cost of missing post-cutover rebalances).
 func (ec *ElasticCluster) Serve() (*ElasticServing, error) {
 	es := &ElasticServing{}
 	for id := 0; id < ec.opts.MaxShards; id++ {
-		srv, err := multiserver.NewEpochIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, shardBackend{ec: ec, id: id})
+		srv, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, shardBackend{ec: ec, id: id})
 		if err != nil {
 			es.Close()
 			return nil, err

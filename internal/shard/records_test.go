@@ -6,6 +6,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -487,4 +488,129 @@ func TestDialRouteWithoutAdServer(t *testing.T) {
 	if h := nc.Health(); h.AdBreaker != "" || !h.AdLive {
 		t.Errorf("health without an ad server: %+v", h)
 	}
+}
+
+// TestElasticFlagsReachTheReply: an elastic shard says what its answer
+// leaves out. A 40-word query over 40 one-word ads is cut down to
+// MaxQueryWords on every shard, so the merged answer is short — and says
+// so; and a shard handed a request whose deadline has passed (the
+// transport answers those itself, so this is the backend below it) stops
+// early with the truncated flag on an ID-ordered part of its full answer,
+// for the records request and the ID request alike.
+func TestElasticFlagsReachTheReply(t *testing.T) {
+	ads := elasticAds(40)
+	ec, err := NewElastic(ads, 2, ElasticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := ec.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Close()
+	nc, err := DialRoute(func() (*Route, error) { return ec.RouteOver(es.Addrs()), nil }, "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var words []string
+	for _, ad := range ads {
+		words = append(words, ad.Phrase)
+	}
+	res, err := nc.QueryResult(joinWords(words))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IDs) == 0 || len(res.IDs) >= len(ads) {
+		t.Fatalf("the 40-word query matched %d of 40 ads: the cutoff did not bite", len(res.IDs))
+	}
+	if !res.CutoffApplied || res.Truncated {
+		t.Errorf("a short answer (%d of 40) with CutoffApplied=%v Truncated=%v, want the cutoff flagged alone", len(res.IDs), res.CutoffApplied, res.Truncated)
+	}
+	if short, err := nc.QueryResult("w3 w4"); err != nil || short.CutoffApplied || len(short.IDs) != 2 {
+		t.Errorf("two-word query: %+v, err %v; want both ads and no flag", short, err)
+	}
+
+	// The deadline: a query heavy enough to reach the budget's clock check
+	// on either shard part-way through its records — eight words over six
+	// ads for each of their subsets of up to three — asked of that shard with
+	// and without time left.
+	var heavy []string
+	for i := 0; i < 8; i++ {
+		heavy = append(heavy, fmt.Sprintf("h%d", i))
+	}
+	ads = ads[:0]
+	for mask := 1; mask < 1<<len(heavy); mask++ {
+		if bits.OnesCount(uint(mask)) > 3 {
+			continue
+		}
+		var phrase []string
+		for i, w := range heavy {
+			if mask&(1<<i) != 0 {
+				phrase = append(phrase, w)
+			}
+		}
+		for copies := 0; copies < 6; copies++ {
+			ads = append(ads, corpus.NewAd(uint64(len(ads)+1), joinWords(phrase), corpus.Meta{BidMicros: int64(mask)}))
+		}
+	}
+	if ec, err = NewElastic(ads, 2, ElasticOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Second)
+	for _, records := range []bool{false, true} {
+		truncated := false
+		for id := 0; id < 2; id++ {
+			b := shardBackend{ec: ec, id: id}
+			req := multiserver.Request{Query: joinWords(heavy), Epoch: ec.Epoch(), Tagged: true, Records: records}
+			full, fullFlags := decodeReply(t, b, req)
+			req.Deadline = past
+			part, flags := decodeReply(t, b, req)
+			if fullFlags&multiserver.IDFlagTruncated != 0 {
+				t.Fatalf("shard %d: truncated with no deadline", id)
+			}
+			if flags&multiserver.IDFlagTruncated == 0 {
+				if !slices.Equal(part, full) {
+					t.Errorf("shard %d records=%v: an unflagged answer of %d differs from the full one of %d", id, records, len(part), len(full))
+				}
+				continue
+			}
+			truncated = true
+			t.Logf("shard %d records=%v: %d of %d ids before the deadline was read", id, records, len(part), len(full))
+			if len(part) >= len(full) || !slices.IsSorted(part) {
+				t.Errorf("shard %d records=%v: truncated answer has %d of %d ids, sorted=%v", id, records, len(part), len(full), slices.IsSorted(part))
+			}
+			rest := full
+			for _, adID := range part { // a sub-multiset, in order
+				at := slices.Index(rest, adID)
+				if at < 0 {
+					t.Fatalf("shard %d records=%v: truncated answer holds %d, which the full answer lacks", id, records, adID)
+				}
+				rest = rest[at+1:]
+			}
+		}
+		if !truncated {
+			t.Errorf("records=%v: no shard stopped at a deadline already past: the query is too light to test it", records)
+		}
+	}
+}
+
+// decodeReply is the IDs and flags b answers req with.
+func decodeReply(t *testing.T, b multiserver.Backend, req multiserver.Request) ([]uint64, byte) {
+	t.Helper()
+	body, err := b.AppendMatch(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	var flags byte
+	if req.Records {
+		ids, _, flags, err = multiserver.DecodeRecords(body)
+	} else {
+		ids, flags, err = multiserver.DecodeIDsFlags(body)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, flags
 }

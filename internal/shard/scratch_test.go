@@ -21,7 +21,7 @@ import (
 // frame cut short, and a well-formed ID frame — empty or not — from a
 // backend that ignored the tag, which must never read as "no matches".
 func TestCorruptShardReplyIsAnError(t *testing.T) {
-	good, err := multiserver.NewEpochIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, echoBackend{0})
+	good, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, echoBackend{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCorruptShardReplyIsAnError(t *testing.T) {
 	}
 	defer adSrv.Close()
 	const q = "any query"
-	goodIDs := echoBackend{0}.MatchIDs(q)
+	goodIDs := echoBackend{0}.matchIDs(q)
 	table, err := NewRoutingTable(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +50,9 @@ func TestCorruptShardReplyIsAnError(t *testing.T) {
 		{"ID frame for a records request", true, multiserver.EncodeIDs([]uint64{30, 31})},
 		{"empty reply for a records request", true, nil},
 	} {
-		bad, err := multiserver.Serve("127.0.0.1:0", multiserver.ServeOpts{}, func([]byte) ([]byte, error) {
-			return tc.reply, nil
-		})
+		bad, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, multiserver.BackendFunc(func(dst []byte, _ multiserver.Request) ([]byte, error) {
+			return append(dst, tc.reply...), nil
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestCorruptShardReplyIsAnError(t *testing.T) {
 // third query's records go out in descending order.
 type echoBackend struct{ shard uint64 }
 
-func (b echoBackend) MatchIDs(query string) []uint64 {
+func (b echoBackend) matchIDs(query string) []uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(query))
 	base := h.Sum64() >> 8
@@ -102,9 +102,9 @@ func (b echoBackend) MatchIDs(query string) []uint64 {
 	return ids
 }
 
-func (b echoBackend) AppendMatchAtEpoch(dst []byte, _ uint64, _, records bool, query string) ([]byte, error) {
-	ids := b.MatchIDs(query)
-	if !records {
+func (b echoBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
+	ids := b.matchIDs(req.Query)
+	if !req.Records {
 		return multiserver.AppendIDs(dst, ids, 0), nil
 	}
 	if ids[0]%3 == 0 {
@@ -128,7 +128,7 @@ func echoMeta(ids []uint64) []multiserver.AdMeta {
 func wantEcho(query string, shards int) []uint64 {
 	var want []uint64
 	for s := 0; s < shards; s++ {
-		want = append(want, echoBackend{uint64(s)}.MatchIDs(query)...)
+		want = append(want, echoBackend{uint64(s)}.matchIDs(query)...)
 	}
 	slices.Sort(want)
 	return want
@@ -151,7 +151,7 @@ func TestFanOutScratchIsolation(t *testing.T) {
 			}
 			defer srv.Close()
 			ids = append(ids, srv.Addr())
-			if srv, err = multiserver.NewEpochIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, echoBackend{uint64(s)}); err != nil {
+			if srv, err = multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, echoBackend{uint64(s)}); err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()

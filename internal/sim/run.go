@@ -169,9 +169,9 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			return r.checkRewrite(i, op.Query)
 		}
 	case OpBatch:
-		results := r.plain.BroadMatchBatch(op.Queries)
-		for qi, q := range op.Queries {
-			got := append([]corpus.Ad(nil), results[qi]...)
+		view := r.plain.View()
+		for _, q := range op.Queries {
+			got := view.Match(nil, adindex.Query{Text: q}).Ads
 			sortAdsByID(got)
 			if d := diffAds(got, r.oracle.broadMatch(q)); d != "" {
 				return fail("plain", "batch query %q: %s", q, d)

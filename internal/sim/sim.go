@@ -40,7 +40,7 @@ const (
 	// OpQuery broad-matches one query on every target and differentially
 	// checks the auction layer (SelectAds) on the plain target.
 	OpQuery
-	// OpBatch runs a batch of queries through BroadMatchBatch.
+	// OpBatch runs a batch of queries on one View.
 	OpBatch
 	// OpObserve records a query in the Optimize workload sample.
 	OpObserve

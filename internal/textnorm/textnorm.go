@@ -220,19 +220,6 @@ func IsSubset(sub, super []string) bool {
 	return true
 }
 
-// SetEqual reports whether two canonical word sets are identical.
-func SetEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsContiguous reports whether needle occurs in haystack as a
 // contiguous token subsequence (the phrase-match containment test).
 func ContainsContiguous(haystack, needle []string) bool {

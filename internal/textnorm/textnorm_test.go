@@ -62,7 +62,7 @@ func TestFoldDuplicatesDistinguishesMultiplicity(t *testing.T) {
 	// "talk" must not broad-match "talk talk": their canonical sets differ.
 	single := WordSet("talk")
 	double := WordSet("talk talk")
-	if SetEqual(single, double) {
+	if slices.Equal(single, double) {
 		t.Fatalf("multiplicity lost: %v == %v", single, double)
 	}
 	if IsSubset(double, single) {
@@ -139,7 +139,7 @@ func TestSetKeyRoundTrip(t *testing.T) {
 	for _, s := range sets {
 		key := SetKey(s)
 		back := SplitKey(key)
-		if !SetEqual(s, back) {
+		if !slices.Equal(s, back) {
 			t.Errorf("round trip failed for %v: key=%q back=%v", s, key, back)
 		}
 	}
@@ -220,7 +220,7 @@ func TestFoldDuplicatesMultisetQuick(t *testing.T) {
 		r.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		a := CanonicalSet(FoldDuplicates(toks))
 		b := CanonicalSet(FoldDuplicates(shuffled))
-		return SetEqual(a, b)
+		return slices.Equal(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

@@ -246,16 +246,6 @@ type queryScratch struct {
 	// budget is the per-query cost budget, kept here so charging a query
 	// allocates nothing.
 	budget core.Budget
-
-	// Batch-only buffers: one shared token arena for every query in a
-	// block (batchOff[i]..batchOff[i+1] delimits query i's canonical
-	// word set), the per-query set hashes, and the bucket-sorted
-	// processing order.
-	batchWords []string
-	batchOff   []int32
-	batchHash  []uint64
-	batchOrder []int32
-	batchSpan  []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -274,12 +264,6 @@ func putScratch(sc *queryScratch) {
 	clear(sc.matches[:cap(sc.matches)])
 	sc.matches = sc.matches[:0]
 	sc.budget = core.Budget{} // drops the caller's clock func
-	clear(sc.batchWords[:cap(sc.batchWords)])
-	sc.batchWords = sc.batchWords[:0]
-	sc.batchOff = sc.batchOff[:0]
-	sc.batchHash = sc.batchHash[:0]
-	sc.batchOrder = sc.batchOrder[:0]
-	sc.batchSpan = sc.batchSpan[:0]
 	scratchPool.Put(sc)
 }
 
@@ -371,14 +355,6 @@ func (ix *Index) View() View {
 // Epoch returns the mutation epoch of the viewed snapshot.
 func (v View) Epoch() uint64 { return v.s.epoch }
 
-// CutoffPossible reports whether a query with the canonical word set words
-// is long enough for the MaxQueryWords cutoff, which keeps only the rarest
-// indexed words of a longer query and may then lose matches
-// (Result.CutoffApplied says whether it did).
-func (v View) CutoffPossible(words []string) bool {
-	return len(words) > v.s.base.Options().MaxQueryWords
-}
-
 // ChangedAt returns an epoch no older than the last mutation that could
 // have changed the answer to a query with the canonical word set words. An
 // answer computed on a View whose Epoch is at least ChangedAt(words)
@@ -391,14 +367,16 @@ func (v View) CutoffPossible(words []string) bool {
 // stamp nothing, whatever they do to Epoch. Slots are shared between
 // words, so the value can be newer than necessary, never older.
 //
-// The exception is a query the cutoff can reach (CutoffPossible): its
-// answer depends on document frequencies, which any mutation moves. For it
-// ChangedAt is the view's own epoch: nothing older than this View will do.
+// The exception is a query long enough for the MaxQueryWords cutoff, which
+// keeps only the rarest indexed words of a longer query (Result.CutoffApplied
+// says whether it did): its answer depends on document frequencies, which
+// any mutation moves. For it ChangedAt is the view's own epoch: nothing
+// older than this View will do.
 //
 // The table is the index's, not the snapshot's: a View obtained before a
 // mutation reports that mutation once it has stamped.
 func (v View) ChangedAt(words []string) uint64 {
-	if v.CutoffPossible(words) {
+	if len(words) > v.s.base.Options().MaxQueryWords {
 		return v.s.epoch
 	}
 	var at uint64
@@ -566,116 +544,4 @@ func (ix *Index) ExactMatch(query string) []Ad {
 // PhraseMatch is View.PhraseMatch on the current snapshot.
 func (ix *Index) PhraseMatch(query string) []Ad {
 	return ix.View().PhraseMatch(query)
-}
-
-// BroadMatchBatch evaluates all queries against this view's snapshot and
-// returns per-query results in order. Beyond amortizing the scratch
-// acquisition, the batch sorts its probes by bucket: queries are
-// processed in canonical word-set order, so queries sharing leading words
-// re-probe the same hash-table region (subset enumeration extends the
-// same incremental hashes) while it is still cache-warm, and duplicate
-// word sets — common in production streams — are answered once and
-// copied, skipping the index walk entirely.
-func (v View) BroadMatchBatch(queries []string) [][]Ad {
-	out := make([][]Ad, len(queries))
-	sc := getScratch()
-	// Tokenize every query into one pooled arena; query i's canonical
-	// word set is batchWords[batchOff[i]:batchOff[i+1]]. One growing
-	// buffer instead of a []string per query keeps the batch entry point
-	// allocation-free up to the result copies.
-	sc.batchOff = append(sc.batchOff[:0], 0)
-	sc.batchHash = sc.batchHash[:0]
-	for _, q := range queries {
-		mark := len(sc.batchWords)
-		sc.batchWords = textnorm.AppendWordSet(sc.batchWords, q)
-		sc.batchOff = append(sc.batchOff, int32(len(sc.batchWords)))
-		sc.batchHash = append(sc.batchHash, core.WordHash(sc.batchWords[mark:]))
-	}
-	set := func(i int32) []string {
-		return sc.batchWords[sc.batchOff[i]:sc.batchOff[i+1]]
-	}
-	sc.batchOrder = sc.batchOrder[:0]
-	for i := range queries {
-		sc.batchOrder = append(sc.batchOrder, int32(i))
-	}
-	// Order queries by word-set hash — i.e. by the hash-table bucket their
-	// full-set probe lands in. One integer compare per step; equal sets
-	// sort adjacent (same hash), so duplicates are found by the run scan
-	// below, and near-identical probe sequences stay cache-warm.
-	slices.SortFunc(sc.batchOrder, func(a, b int32) int {
-		ha, hb := sc.batchHash[a], sc.batchHash[b]
-		switch {
-		case ha < hb:
-			return -1
-		case ha > hb:
-			return 1
-		}
-		return int(a) - int(b) // deterministic order among duplicate sets
-	})
-	// Pass 1: resolve each distinct word set once, accumulating all match
-	// pointers in one buffer; a duplicate set reuses the span its twin
-	// resolved (duplicates are adjacent in the order: equal sets hash
-	// equally, and index breaks ties).
-	if cap(sc.batchSpan) < 2*len(queries) {
-		sc.batchSpan = make([]int32, 2*len(queries))
-	}
-	span := sc.batchSpan[:2*len(queries)]
-	sc.matches = sc.matches[:0]
-	for k, idx := range sc.batchOrder {
-		if k > 0 {
-			if prev := sc.batchOrder[k-1]; textnorm.SetEqual(set(idx), set(prev)) {
-				span[2*idx], span[2*idx+1] = span[2*prev], span[2*prev+1]
-				continue
-			}
-		}
-		start := int32(len(sc.matches))
-		sc.matches = v.s.appendMatch(sc.matches, Broad, nil, set(idx), nil, &sc.core, nil)
-		span[2*idx], span[2*idx+1] = start, int32(len(sc.matches))
-	}
-
-	// Pass 2: copy out into one shared backing and string arena for the
-	// whole block (the caller owns the block as a unit), instead of a
-	// result slice and arena per query. Both are sized exactly up front:
-	// growth would move earlier views to a stale array. A duplicate set
-	// re-copies its twin's finished ads, so its Words share the twin's
-	// arena segments — the same aliasing a per-query clone produced.
-	totalAds, needStrings := 0, 0
-	for k, idx := range sc.batchOrder {
-		totalAds += int(span[2*idx+1] - span[2*idx])
-		if k > 0 && textnorm.SetEqual(set(idx), set(sc.batchOrder[k-1])) {
-			continue // duplicate: re-copies finished ads, no arena use
-		}
-		for _, m := range sc.matches[span[2*idx]:span[2*idx+1]] {
-			needStrings += len(m.Words) + len(m.Meta.Exclusions)
-		}
-	}
-	backing := make([]Ad, 0, totalAds)
-	arena := make([]string, 0, needStrings)
-	for k, idx := range sc.batchOrder {
-		lo, hi := span[2*idx], span[2*idx+1]
-		if lo == hi {
-			continue // historical API: no matches is nil, not empty
-		}
-		if k > 0 {
-			if prev := sc.batchOrder[k-1]; out[prev] != nil && textnorm.SetEqual(set(idx), set(prev)) {
-				mark := len(backing)
-				backing = append(backing, out[prev]...)
-				out[idx] = backing[mark:len(backing):len(backing)]
-				continue
-			}
-		}
-		mark := len(backing)
-		for _, m := range sc.matches[lo:hi] {
-			backing, arena = appendAdCopy(backing, arena, m)
-		}
-		out[idx] = backing[mark:len(backing):len(backing)]
-	}
-	putScratch(sc)
-	return out
-}
-
-// BroadMatchBatch evaluates all queries against one consistent snapshot
-// and returns per-query results in order; see View.BroadMatchBatch.
-func (ix *Index) BroadMatchBatch(queries []string) [][]Ad {
-	return ix.View().BroadMatchBatch(queries)
 }

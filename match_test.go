@@ -193,9 +193,6 @@ func TestMatchOptionsCompose(t *testing.T) {
 						if app := view.BroadMatchAppend(nil, query); !reflect.DeepEqual(app, full.Ads) {
 							t.Fatalf("%s %q: BroadMatchAppend differs from Match", ixName, query)
 						}
-						if batch := view.BroadMatchBatch([]string{query, query}); !reflect.DeepEqual(batch[0], full.Ads) || !reflect.DeepEqual(batch[1], full.Ads) {
-							t.Fatalf("%s %q: BroadMatchBatch differs from Match", ixName, query)
-						}
 					case Exact:
 						wrapped = ix.ExactMatch(query)
 					case Phrase:

@@ -214,8 +214,3 @@ func (os *observeSampler) ExportDelta() (*workload.Workload, uint64) {
 	}
 	return wl, os.deltaEpoch.Add(1)
 }
-
-// DeltaEpoch returns the number of ExportDelta drains so far.
-func (os *observeSampler) DeltaEpoch() uint64 {
-	return os.deltaEpoch.Load()
-}

@@ -126,34 +126,6 @@ func TestOverlayExactAndPhrase(t *testing.T) {
 	}
 }
 
-// TestBroadMatchBatchConsistent checks the batched entry point returns the
-// same results as the singular one and that all batch entries share one
-// snapshot.
-func TestBroadMatchBatchConsistent(t *testing.T) {
-	ix := Build(sampleAds(), Options{})
-	queries := []string{"cheap used books today", "comic books", "no such words"}
-	batch := ix.BroadMatchBatch(queries)
-	if len(batch) != len(queries) {
-		t.Fatalf("batch returned %d result sets", len(batch))
-	}
-	for i, q := range queries {
-		if got, want := idsOf(batch[i]), idsOf(ix.BroadMatch(q)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch[%d] = %v, singular = %v", i, got, want)
-		}
-	}
-	// A view-bound batch must ignore mutations after the view was taken.
-	v := ix.View()
-	ix.Insert(NewAd(500, "comic books bundle", Meta{}))
-	pinned := v.BroadMatchBatch([]string{"comic books bundle sale"})
-	if got := idsOf(pinned[0]); !reflect.DeepEqual(got, []uint64{2}) {
-		t.Fatalf("pinned batch view = %v, want [2] (no post-view insert)", got)
-	}
-	live := ix.BroadMatchBatch([]string{"comic books bundle sale"})
-	if got := idsOf(live[0]); !reflect.DeepEqual(got, []uint64{2, 500}) {
-		t.Fatalf("live batch = %v, want [2 500]", got)
-	}
-}
-
 // TestDeltaOnlyWordsMatch covers the subtle base-vocabulary trap: a query
 // word that exists only in delta ads is dropped by the base's query
 // preparation, but the delta scan must still see it.

@@ -44,7 +44,6 @@ func TestResultWordsDoNotAliasIndex(t *testing.T) {
 		ix.ExactMatch("fresh delta phrase"),
 		ix.PhraseMatch("a fresh delta phrase query"),
 		ix.View().BroadMatchAppend(nil, "fresh delta phrase now"),
-		ix.BroadMatchBatch([]string{"fresh delta phrase now"})[0],
 		ix.Match(nil, Query{Text: "fresh delta phrase now", Budget: QueryBudget{MaxCost: 1}, Counters: new(Counters)}).Ads,
 		ix.Match(nil, Query{Text: "fresh delta phrase now", Rewrite: true}).Ads,
 	} {
@@ -232,8 +231,7 @@ func TestWordlessAdMatchesNothing(t *testing.T) {
 			res := ix.Match(nil, Query{Text: q})
 			exact := ix.ExactMatch(q)
 			phrase := ix.PhraseMatch(q)
-			batch := ix.BroadMatchBatch([]string{q})[0]
-			for _, got := range [][]Ad{res.Ads, exact, phrase, batch} {
+			for _, got := range [][]Ad{res.Ads, exact, phrase} {
 				for _, ad := range got {
 					if ad.ID == wordless.ID {
 						t.Errorf("%s: %q matched the wordless ad", where, q)

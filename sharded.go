@@ -7,9 +7,11 @@ import (
 )
 
 // ShardedIndex partitions the corpus across several independent indexes
-// and fans each query out to all of them in parallel (the scale-out
-// deployment of the paper's Section VII-B). Ads sharing a word set stay
-// co-located, so per-shard re-mapping remains valid.
+// (the scale-out deployment of the paper's Section VII-B). In process a
+// query visits the shards one after another and the answers are merged;
+// the fan-out runs in parallel once the shards are servers (ServeShards)
+// behind a shard.NetClient. Ads sharing a word set stay co-located, so
+// per-shard re-mapping remains valid.
 //
 // ShardedIndex is safe for concurrent use.
 type ShardedIndex struct {
