@@ -163,7 +163,9 @@ size:
 # after the pinned record-frame overflow cases) and the durable snapshot-stream and
 # record-frame decoders that handoff and recovery feed (for both: no
 # panic, typed rejections, allocation bounded by the input, Decode ∘
-# Encode = id on accepted inputs).
+# Encode = id on accepted inputs), and the offline mapping file adserve
+# -mapping reads (no panic, typed refusals, and what is accepted either
+# builds through core.NewWithMapping or is refused there with an error).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
@@ -171,6 +173,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
 	$(GO) test -run='TestRecordCountOverflowRejected' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
+	$(GO) test -run='^$$' -fuzz=FuzzReadMapping -fuzztime=10s ./internal/optimize
 
 # One iteration of every root benchmark: keeps them compiling and
 # running without timing anything.

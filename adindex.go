@@ -141,9 +141,12 @@ type Index struct {
 	// changed is the per-word version table behind View.ChangedAt, shared
 	// by every snapshot; see noteChanged.
 	changed wordVersions
-	// folds and foldNanos count overlay folds and the time they took.
-	folds     atomic.Uint64
-	foldNanos atomic.Int64
+	// folds and foldNanos count overlay folds and the time they took;
+	// buildNanos is how long the last build of a base took, the start's
+	// or a fold's.
+	folds      atomic.Uint64
+	foldNanos  atomic.Int64
+	buildNanos atomic.Int64
 
 	// remapEpoch counts placement changes (Optimize, ApplyMapping,
 	// ApplyPlacement) — the staleness guard of the adaptation loop.
@@ -256,8 +259,22 @@ func (ix *Index) fold(s *snapshot) *core.Index {
 	start := time.Now()
 	base := s.fold(ix.opts.coreOptions())
 	ix.folds.Add(1)
-	ix.foldNanos.Add(int64(time.Since(start)))
+	ix.foldNanos.Add(int64(ix.noteBuild(start)))
 	return base
+}
+
+// noteBuild records a base build that began at start as the last one.
+func (ix *Index) noteBuild(start time.Time) time.Duration {
+	d := time.Since(start)
+	ix.buildNanos.Store(int64(d))
+	return d
+}
+
+// BuildSeconds returns how long the last build of a base took: the one
+// the index started from (Build, or OpenDurable's from the corpus or the
+// recovered snapshot), or the latest fold since.
+func (ix *Index) BuildSeconds() float64 {
+	return time.Duration(ix.buildNanos.Load()).Seconds()
 }
 
 // FoldStats returns how many overlay folds this index has run (WAL replay
@@ -280,7 +297,9 @@ func Build(ads []Ad, opts Options) *Index {
 		observed: newObserveSampler(opts.maxObserved()),
 		rewriter: opts.planner(),
 	}
+	start := time.Now()
 	ix.publish(&snapshot{base: core.New(ads, opts.coreOptions())})
+	ix.noteBuild(start)
 	return ix
 }
 
@@ -578,7 +597,7 @@ func (ix *Index) ApplyMapping(r io.Reader) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	s := ix.snap.Load()
-	rebuilt, err := core.NewWithMapping(s.materialize(), mapping, ix.opts.coreOptions())
+	rebuilt, err := core.NewWithMapping(s.live(), mapping, ix.opts.coreOptions())
 	if err != nil {
 		return err
 	}

@@ -343,6 +343,22 @@ func BenchmarkDelete(b *testing.B) {
 	}
 }
 
+// --- Construction: the bulk loader behind core.New ---
+
+// BenchmarkBuild200k builds the base over the corpus the end-to-end
+// benchmark serves (seed 1, 200k ads): what an adserve start and every
+// overlay fold at that size pay.
+func BenchmarkBuild200k(b *testing.B) {
+	ads := corpus.Generate(corpus.GenOptions{NumAds: 200_000, Seed: 1}).Ads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix := core.New(ads, core.Options{}); ix.NumAds() != len(ads) {
+			b.Fatalf("built %d ads, want %d", ix.NumAds(), len(ads))
+		}
+	}
+}
+
 // --- Ablation: max_words sweep (lookup bound vs node size) ---
 
 func benchMaxWords(b *testing.B, maxWords int) {

@@ -311,6 +311,7 @@ func main() {
 
 // loadCorpus reads the -corpus file.
 func loadCorpus(path string) []adindex.Ad {
+	start := time.Now()
 	file, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -320,7 +321,7 @@ func loadCorpus(path string) []adindex.Ad {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("loaded %d ads from %s", c.NumAds(), path)
+	log.Printf("loaded %d ads from %s in %d ms", c.NumAds(), path, time.Since(start).Milliseconds())
 	return c.Ads
 }
 
@@ -399,7 +400,8 @@ func runLocal(f *flags, cfg server.Config) {
 		log.Printf("applied offline mapping from %s", f.mapping)
 	}
 	st := ix.Stats()
-	log.Printf("index ready: %d ads, %d nodes, %d distinct sets", st.NumAds, st.NumNodes, st.DistinctSets)
+	log.Printf("index ready: %d ads, %d nodes, %d distinct sets, built in %d ms",
+		st.NumAds, st.NumNodes, st.DistinctSets, int(ix.BuildSeconds()*1000))
 	srv.InstallIndex(ix, report)
 
 	if opts.Adapt != nil {

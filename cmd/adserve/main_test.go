@@ -221,8 +221,20 @@ func TestLocalModes(t *testing.T) {
 			w.Close()
 			awaitReady(t, p, base)
 			searchMatches(t, base, c.Ads[0].Phrase, c.Ads[0].ID)
+			startupTimings(t, p)
+			if _, metrics := get(t, base+"/metrics"); !strings.Contains(metrics, `"build_seconds":`) {
+				t.Errorf("/metrics carries no index.build_seconds: %s", metrics)
+			}
 		})
 	}
+}
+
+// startupTimings requires the two lines that say where a start's time
+// went, in every mode that builds an index: the corpus load and the build.
+func startupTimings(t *testing.T, p *proc) {
+	t.Helper()
+	p.logged(t, `loaded 400 ads from \S+ in (\d+) ms`)
+	p.logged(t, `index ready: 400 ads.* built in (\d+) ms`)
 }
 
 // TestShardsFrontEnd: two adserve backends speaking the TCP frame
@@ -274,6 +286,7 @@ func TestElasticMode(t *testing.T) {
 	if slots := p.logged(t, `elastic cluster: 2/8 shards, (\d+) slots`); slots != "64" {
 		t.Errorf("start-up line reports %s slots, want 64", slots)
 	}
+	startupTimings(t, p)
 	searchMatches(t, base, c.Ads[0].Phrase, c.Ads[0].ID)
 	// The shards answer with the ad's own record in the one round trip, so
 	// the node runs and dials no ad server unless -tcp-ad asks for one.

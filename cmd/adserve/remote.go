@@ -2,6 +2,7 @@ package main
 
 import (
 	"log"
+	"time"
 
 	"adindex/internal/core"
 	"adindex/internal/multiserver"
@@ -56,6 +57,7 @@ func runShards(f *flags, cfg server.Config) {
 // annotates an in-flight handoff.
 func runElastic(f *flags, cfg server.Config) {
 	ads := loadCorpus(f.corpus)
+	buildStart := time.Now()
 	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{
 		Slots:     f.elasticSlots,
 		MaxShards: f.elasticMaxShards,
@@ -64,6 +66,7 @@ func runElastic(f *flags, cfg server.Config) {
 	if err != nil {
 		log.Fatalf("elastic cluster: %v", err)
 	}
+	log.Printf("index ready: %d ads in %d shards, built in %d ms", len(ads), ec.NumShards(), time.Since(buildStart).Milliseconds())
 	es, err := ec.Serve()
 	if err != nil {
 		log.Fatalf("serving shard positions: %v", err)

@@ -129,7 +129,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	_ = err // order corruption only exists if a node had 2 records; accept either
 	// Corrupt locOf to point at a missing locator.
 	ix3 := New(mustAds("x y"), Options{})
-	ix3.locOf[setKey([]string{"x", "y"})] = "no\x1fsuch\x1flocator"
+	ix3.locOf[setKey([]string{"x", "y"})] = []string{"no", "such", "locator"}
 	if err := ix3.CheckInvariants(); err == nil {
 		t.Error("dangling locator undetected")
 	}

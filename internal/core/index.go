@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"adindex/internal/corpus"
@@ -50,16 +52,11 @@ type Index struct {
 	// refcounted locator-prefix frontier filter that lets subset
 	// enumeration prune DFS subtrees no locator extends (see probeTable).
 	table probeTable
-	// locOf maps each distinct word-set key to the key of the locator
-	// whose node stores its ads (the mapping M, grouped per condition IV).
-	locOf map[string]string
-	// locWords maps locator keys back to their word slices.
-	locWords map[string][]string
-	// locRef counts distinct word sets mapped to each locator, so locator
-	// bookkeeping can be dropped in O(1) when the last set leaves.
-	locRef map[string]int
-	// setCount tracks the number of ads per distinct word set.
-	setCount map[string]int
+	// locOf is the mapping M: the key of each distinct indexed word set ->
+	// the locator whose node stores every ad of that set (condition IV).
+	// It is the only per-set bookkeeping: how many ads a set has is read
+	// off its node, where they are adjacent (node.lastOfSet).
+	locOf map[string][]string
 	// df is the per-word document frequency across indexed bids, used by
 	// query-word filtering and the locator heuristic.
 	df map[string]int
@@ -75,18 +72,9 @@ type Index struct {
 // stored at its own word set, except that phrases longer than MaxWords are
 // re-mapped to shorter locators by the local heuristic (long-phrase
 // re-mapping only; use NewWithMapping for workload-optimized mappings).
+// The index keeps the ads' Words slices; they must not be modified.
 func New(ads []corpus.Ad, opts Options) *Index {
-	ix := newEmpty(opts)
-	// Two passes: document frequencies first, so the locator heuristic
-	// for long phrases can pick globally rare words deterministically.
-	for i := range ads {
-		for _, w := range ads[i].Words {
-			ix.df[w]++
-		}
-	}
-	for i := range ads {
-		ix.place(ads[i], nil)
-	}
+	ix, _ := load(ads, nil, opts, loadWorkers(len(ads))) // no mapping, nothing to refuse
 	return ix
 }
 
@@ -94,47 +82,10 @@ func New(ads []corpus.Ad, opts Options) *Index {
 // keys (textnorm.SetKey of words(A)) to locator word sets. Sets absent
 // from the mapping default to the same placement as New. The mapping must
 // satisfy the validity conditions of Section V-A: each locator must be a
-// subset of the mapped word set and at most MaxWords long.
+// non-empty subset of the mapped word set and at most MaxWords long. The
+// index keeps the locator slices it uses; they must not be modified.
 func NewWithMapping(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, error) {
-	ix := newEmpty(opts)
-	for i := range ads {
-		for _, w := range ads[i].Words {
-			ix.df[w]++
-		}
-	}
-	for i := range ads {
-		key := ads[i].SetKey()
-		loc, ok := mapping[key]
-		if !ok {
-			ix.place(ads[i], nil)
-			continue
-		}
-		if len(loc) > ix.opts.MaxWords {
-			return nil, fmt.Errorf("core: locator %v for set %q exceeds MaxWords=%d",
-				loc, key, ix.opts.MaxWords)
-		}
-		if !textnorm.IsSubset(loc, ads[i].Words) {
-			return nil, fmt.Errorf("core: locator %v is not a subset of words %v",
-				loc, ads[i].Words)
-		}
-		if len(loc) == 0 {
-			return nil, fmt.Errorf("core: empty locator for set %q", key)
-		}
-		ix.place(ads[i], loc)
-	}
-	return ix, nil
-}
-
-func newEmpty(opts Options) *Index {
-	opts.fillDefaults()
-	return &Index{
-		opts:     opts,
-		locOf:    make(map[string]string),
-		locWords: make(map[string][]string),
-		locRef:   make(map[string]int),
-		setCount: make(map[string]int),
-		df:       make(map[string]int),
-	}
+	return load(ads, mapping, opts, loadWorkers(len(ads)))
 }
 
 // Options returns the index configuration.
@@ -147,7 +98,7 @@ func (ix *Index) NumAds() int { return ix.numAds }
 func (ix *Index) NumNodes() int { return ix.table.len() }
 
 // NumDistinctSets returns the number of distinct indexed word sets.
-func (ix *Index) NumDistinctSets() int { return len(ix.setCount) }
+func (ix *Index) NumDistinctSets() int { return len(ix.locOf) }
 
 // VocabWords returns the index's word universe — every word occurring in
 // at least one indexed record — sorted. It allocates a fresh slice; the
@@ -165,54 +116,14 @@ func (ix *Index) VocabWords() []string {
 // not in the vocabulary).
 func (ix *Index) WordDF(w string) int { return ix.df[w] }
 
-// place stores ad at the given locator, or at the one chosen by the
-// grouping rule / local heuristic when loc is nil.
-func (ix *Index) place(ad corpus.Ad, loc []string) {
-	key := setKey(ad.Words)
-	if existing, ok := ix.locOf[key]; ok {
-		// Condition IV: all ads sharing a word set go to the same node.
-		ix.addToLocator(ad, existing)
-		ix.setCount[key]++
-		ix.numAds++
-		return
-	}
-	if loc == nil {
-		loc = ix.chooseLocator(ad.Words)
-	}
-	locKey := setKey(loc)
-	if _, ok := ix.locWords[locKey]; !ok {
-		locCopy := make([]string, len(loc))
-		copy(locCopy, loc)
-		ix.locWords[locKey] = locCopy
-	}
-	ix.locOf[key] = locKey
-	ix.locRef[locKey]++
-	ix.addToLocator(ad, locKey)
-	ix.setCount[key] = 1
-	ix.numAds++
-}
-
-func (ix *Index) addToLocator(ad corpus.Ad, locKey string) {
-	loc := ix.locWords[locKey]
-	h := WordHash(loc)
-	n := ix.table.get(h)
-	if n == nil {
-		ix.nodeSeq++
-		n = &node{id: ix.nodeSeq}
-		ix.table.put(h, n)
-	}
-	n.insert(ad)
-	ix.addPrefixes(loc)
-}
-
-// addPrefixes registers one record's worth of references to every prefix
-// of loc (in sorted order, hashed incrementally exactly as subset
-// enumeration does).
-func (ix *Index) addPrefixes(loc []string) {
+// addPrefixes registers n records' worth of references to every prefix of
+// loc (in sorted order, hashed incrementally exactly as subset enumeration
+// does).
+func (ix *Index) addPrefixes(loc []string, n uint32) {
 	h := uint64(fnvOffset64)
 	for i, w := range loc {
 		h = hashExtend(h, i == 0, w)
-		ix.table.inc(h)
+		ix.table.add(h, n)
 	}
 }
 
@@ -246,15 +157,31 @@ func (ix *Index) chooseLocator(words []string) []string {
 	return textnorm.CanonicalSet(byRarity[:ix.opts.MaxWords])
 }
 
-// Insert adds an advertisement online. Document frequencies and, for new
-// long phrases, the locator heuristic are updated incrementally; the
-// globally optimized mapping is not recomputed (Section VI recommends
-// periodic re-optimization instead).
+// Insert adds an advertisement online: into the node of its word set's
+// locator (condition IV: all ads sharing a word set go to the same node),
+// which for a new word set is the one the local heuristic chooses. Document
+// frequencies are updated incrementally; the globally optimized mapping is
+// not recomputed (Section VI recommends periodic re-optimization instead).
 func (ix *Index) Insert(ad corpus.Ad) {
 	for _, w := range ad.Words {
 		ix.df[w]++
 	}
-	ix.place(ad, nil)
+	key := setKey(ad.Words)
+	loc, ok := ix.locOf[key]
+	if !ok {
+		loc = ix.chooseLocator(ad.Words)
+		ix.locOf[key] = loc
+	}
+	h := WordHash(loc)
+	n := ix.table.get(h)
+	if n == nil {
+		ix.nodeSeq++
+		n = &node{id: ix.nodeSeq}
+		ix.table.put(h, n)
+	}
+	n.insert(ad)
+	ix.addPrefixes(loc, 1)
+	ix.numAds++
 }
 
 // Delete removes the advertisement with the given ID and phrase. It
@@ -264,15 +191,25 @@ func (ix *Index) Insert(ad corpus.Ad) {
 func (ix *Index) Delete(id uint64, phrase string) bool {
 	words := textnorm.WordSet(phrase)
 	key := setKey(words)
-	locKey, ok := ix.locOf[key]
+	loc, ok := ix.locOf[key]
 	if !ok {
 		return false
 	}
-	loc := ix.locWords[locKey]
 	h := WordHash(loc)
 	n := ix.table.get(h)
-	if n == nil || !n.remove(id, key) {
+	if n == nil {
 		return false
+	}
+	i := n.find(id, key)
+	if i < 0 {
+		return false
+	}
+	if n.lastOfSet(i) {
+		delete(ix.locOf, key)
+	}
+	n.removeAt(i)
+	if len(n.records) == 0 {
+		ix.table.del(h)
 	}
 	ix.dropPrefixes(loc)
 	ix.numAds--
@@ -280,17 +217,6 @@ func (ix *Index) Delete(id uint64, phrase string) bool {
 		if ix.df[w]--; ix.df[w] == 0 {
 			delete(ix.df, w)
 		}
-	}
-	if ix.setCount[key]--; ix.setCount[key] == 0 {
-		delete(ix.setCount, key)
-		delete(ix.locOf, key)
-		if ix.locRef[locKey]--; ix.locRef[locKey] == 0 {
-			delete(ix.locRef, locKey)
-			delete(ix.locWords, locKey)
-		}
-	}
-	if len(n.records) == 0 {
-		ix.table.del(h)
 	}
 	return true
 }
@@ -303,11 +229,11 @@ func (ix *Index) Delete(id uint64, phrase string) bool {
 func (ix *Index) Lookup(id uint64, phrase string) int {
 	words := textnorm.WordSet(phrase)
 	key := setKey(words)
-	locKey, ok := ix.locOf[key]
+	loc, ok := ix.locOf[key]
 	if !ok {
 		return 0
 	}
-	n := ix.table.get(WordHash(ix.locWords[locKey]))
+	n := ix.table.get(WordHash(loc))
 	if n == nil {
 		return 0
 	}
@@ -324,27 +250,18 @@ func (ix *Index) Lookup(id uint64, phrase string) int {
 	return count
 }
 
-// Mapping returns a copy of the current mapping from word-set keys to
-// locator word sets (M in the paper), for inspection and re-optimization.
-func (ix *Index) Mapping() map[string][]string {
-	out := make(map[string][]string, len(ix.locOf))
-	for key, locKey := range ix.locOf {
-		out[key] = ix.locWords[locKey]
-	}
-	return out
-}
+// Mapping returns the current mapping from word-set keys to locator word
+// sets (M in the paper), for inspection, persistence and rebuilding under
+// the same placement. It is the index's own map, not a copy: read it only,
+// and not across an Insert or Delete.
+func (ix *Index) Mapping() map[string][]string { return ix.locOf }
 
 // AppendAds appends a copy of every indexed advertisement to dst and
 // returns it, in no particular order. It is the cheap capture primitive
 // for callers that must copy atomically inside a critical section and
-// can sort or filter outside it; Ads keeps the sorted contract for
-// rebuild paths.
+// can sort or filter outside it.
 func (ix *Index) AppendAds(dst []corpus.Ad) []corpus.Ad {
-	if cap(dst)-len(dst) < ix.numAds {
-		grown := make([]corpus.Ad, len(dst), len(dst)+ix.numAds)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, ix.numAds)
 	ix.table.each(func(_ uint64, n *node) bool {
 		dst = append(dst, n.records...)
 		return true
@@ -352,15 +269,11 @@ func (ix *Index) AppendAds(dst []corpus.Ad) []corpus.Ad {
 	return dst
 }
 
-// Ads returns a copy of all indexed advertisements (in node order). It is
-// primarily used to rebuild an index under a new mapping.
+// Ads returns a copy of all indexed advertisements ordered by ID, the
+// input of a rebuild under a new mapping.
 func (ix *Index) Ads() []corpus.Ad {
-	out := make([]corpus.Ad, 0, ix.numAds)
-	ix.table.each(func(_ uint64, n *node) bool {
-		out = append(out, n.records...)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := ix.AppendAds(nil)
+	slices.SortFunc(out, func(a, b corpus.Ad) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -377,7 +290,7 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (ix *Index) Stats() Stats {
-	s := Stats{NumAds: ix.numAds, NumNodes: ix.table.len(), DistinctSets: len(ix.setCount)}
+	s := Stats{NumAds: ix.numAds, NumNodes: ix.table.len(), DistinctSets: len(ix.locOf)}
 	ix.table.each(func(_ uint64, n *node) bool {
 		s.NodeBytes += n.bytes
 		if len(n.records) > s.MaxNodeAds {
@@ -428,23 +341,14 @@ func (ix *Index) CheckInvariants() error {
 	if count != ix.numAds {
 		return fmt.Errorf("core: record count %d != numAds %d", count, ix.numAds)
 	}
-	refs := make(map[string]int, len(ix.locWords))
-	for _, locKey := range ix.locOf {
-		refs[locKey]++
-	}
-	if len(refs) != len(ix.locRef) {
-		return fmt.Errorf("core: locRef tracks %d locators, locOf references %d", len(ix.locRef), len(refs))
-	}
-	for locKey, want := range refs {
-		if got := ix.locRef[locKey]; got != want {
-			return fmt.Errorf("core: locRef[%q] = %d, want %d", locKey, got, want)
-		}
-	}
-	for key, locKey := range ix.locOf {
-		loc, ok := ix.locWords[locKey]
-		if !ok {
-			return fmt.Errorf("core: locator %q missing from locWords", locKey)
-		}
+	// Every mapped set must have records, all at its locator's node, and
+	// every record's set must be mapped: the per-set counts sum to numAds.
+	// Prefix refcounts must equal the per-record contributions of every
+	// live locator: each record stored under a k-word locator references
+	// each of the locator's k prefix hashes once.
+	mapped := 0
+	want := make(map[uint64]uint32)
+	for key, loc := range ix.locOf {
 		words := textnorm.SplitKey(key)
 		if !textnorm.IsSubset(loc, words) {
 			return fmt.Errorf("core: locator %v not a subset of set %v", loc, words)
@@ -452,7 +356,6 @@ func (ix *Index) CheckInvariants() error {
 		if len(loc) > ix.opts.MaxWords {
 			return fmt.Errorf("core: locator %v longer than MaxWords=%d", loc, ix.opts.MaxWords)
 		}
-		// Every ad of this set must live in the locator's node.
 		n := ix.table.get(WordHash(loc))
 		if n == nil {
 			return fmt.Errorf("core: no node for locator %v", loc)
@@ -463,23 +366,18 @@ func (ix *Index) CheckInvariants() error {
 				found++
 			}
 		}
-		if found != ix.setCount[key] {
-			return fmt.Errorf("core: set %q has %d records at its node, setCount says %d",
-				key, found, ix.setCount[key])
+		if found == 0 {
+			return fmt.Errorf("core: set %q is mapped to locator %v but has no record at its node", key, loc)
 		}
-	}
-	// Prefix refcounts must equal the per-record contributions of every
-	// live locator: each record stored under a k-word locator references
-	// each of the locator's k prefix hashes once.
-	want := make(map[uint64]uint32)
-	for key, locKey := range ix.locOf {
-		loc := ix.locWords[locKey]
-		n := uint32(ix.setCount[key])
+		mapped += found
 		h := uint64(fnvOffset64)
 		for i, w := range loc {
 			h = hashExtend(h, i == 0, w)
-			want[h] += n
+			want[h] += uint32(found)
 		}
+	}
+	if mapped != ix.numAds {
+		return fmt.Errorf("core: %d records sit at their set's locator, numAds is %d", mapped, ix.numAds)
 	}
 	livePrefixes := 0
 	ix.table.eachPrefix(func(uint64, uint32) bool {

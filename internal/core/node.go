@@ -89,12 +89,11 @@ func (n *node) recHashes(i int) []uint64 {
 	return n.wordHashes[n.hashOff[i]:n.hashOff[i+1]]
 }
 
-// remove deletes the record with the given ID and set key; it reports
-// whether a record was removed. The (word count, set key, ID) order
-// invariant makes the record's position binary-searchable, so
-// delete-heavy churn costs O(log n) to locate plus the splice, not a full
-// node scan per tombstone.
-func (n *node) remove(id uint64, key string) bool {
+// find returns the position of a record with the given ID and set key, or
+// -1. The (word count, set key, ID) order invariant makes the position
+// binary-searchable, so delete-heavy churn costs O(log n) to locate plus
+// the splice, not a full node scan per tombstone.
+func (n *node) find(id uint64, key string) int {
 	wc := uint32(keyWordCount(key))
 	i := sort.Search(len(n.records), func(i int) bool {
 		if n.wcs[i] != wc {
@@ -107,10 +106,15 @@ func (n *node) remove(id uint64, key string) bool {
 	})
 	if i >= len(n.records) || n.wcs[i] != wc ||
 		n.records[i].ID != id || n.records[i].SetKey() != key {
-		return false
+		return -1
 	}
-	n.removeAt(i)
-	return true
+	return i
+}
+
+// lastOfSet reports whether record i is the only record of its word set:
+// the records of one set are adjacent, and sameKey marks the joints.
+func (n *node) lastOfSet(i int) bool {
+	return !n.sameKey[i] && (i+1 == len(n.records) || !n.sameKey[i+1])
 }
 
 // removeAt splices record i out of the record array and every columnar

@@ -12,6 +12,17 @@ import (
 // satellite: the binary-searched remove must delete exactly the
 // (ID, set key) record from a node holding mixed-length records, several
 // set keys per length class, and duplicate IDs across keys.
+// remove deletes the record with the given ID and set key, as Index.Delete
+// does: find, then removeAt.
+func (n *node) remove(id uint64, key string) bool {
+	i := n.find(id, key)
+	if i < 0 {
+		return false
+	}
+	n.removeAt(i)
+	return true
+}
+
 func TestNodeRemoveMixedLengths(t *testing.T) {
 	n := &node{id: 1}
 	type rec struct {

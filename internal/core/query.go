@@ -92,11 +92,7 @@ func (sc *Scratch) Reset() {
 // word hashes for the prepared query q.
 func (sc *Scratch) prepareSignature(q []string) {
 	sc.qhashes = appendSortedWordHashes(sc.qhashes[:0], q)
-	var sig uint64
-	for _, h := range sc.qhashes {
-		sig |= wordSigBits(h)
-	}
-	sc.qsig = sig
+	sc.qsig = hashesSignature(sc.qhashes)
 }
 
 // BroadMatch returns every indexed ad whose word set is a subset of the
@@ -214,11 +210,11 @@ func (ix *Index) AppendExactMatch(dst []*corpus.Ad, tokens, queryWords []string,
 		return dst
 	}
 	key := setKey(queryWords)
-	locKey, ok := ix.lookupLocator(key, counters)
+	loc, ok := ix.lookupLocator(key, counters)
 	if !ok {
 		return dst
 	}
-	n := ix.table.get(WordHash(ix.locWords[locKey]))
+	n := ix.table.get(WordHash(loc))
 	if n == nil {
 		return dst
 	}
@@ -262,16 +258,16 @@ func (ix *Index) AppendExactMatch(dst []*corpus.Ad, tokens, queryWords []string,
 	return dst
 }
 
-// lookupLocator resolves a set key to its locator key, charging one hash
+// lookupLocator resolves a set key to its locator, charging one hash
 // probe. (locOf lookups model the same H access as subset probes.)
-func (ix *Index) lookupLocator(key string, counters *costmodel.Counters) (string, bool) {
+func (ix *Index) lookupLocator(key string, counters *costmodel.Counters) ([]string, bool) {
 	if counters != nil {
 		counters.HashProbes++
 		counters.RandomAccesses++
 		counters.BytesScanned += int64(ix.opts.MemHash)
 	}
-	locKey, ok := ix.locOf[key]
-	return locKey, ok
+	loc, ok := ix.locOf[key]
+	return loc, ok
 }
 
 // prepareQueryCut appends the prepared form of queryWords to buf: words

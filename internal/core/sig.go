@@ -36,6 +36,16 @@ func SetSignature(words []string) uint64 {
 	return sig
 }
 
+// hashesSignature is SetSignature of the word set whose word hashes are
+// given, for callers that hold them already.
+func hashesSignature(hashes []uint64) uint64 {
+	var sig uint64
+	for _, h := range hashes {
+		sig |= wordSigBits(h)
+	}
+	return sig
+}
+
 // appendSortedWordHashes appends the word hashes of words to dst and
 // sorts the appended segment ascending, the layout the packed word-hash
 // columns and the merge-based subset check share.

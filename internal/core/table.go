@@ -141,9 +141,9 @@ func (t *probeTable) del(h uint64) {
 	}
 }
 
-// inc adds one prefix reference to h, upserting its slot.
-func (t *probeTable) inc(h uint64) {
-	t.cnt[t.slot(h)]++
+// add adds n prefix references to h, upserting its slot.
+func (t *probeTable) add(h uint64, n uint32) {
+	t.cnt[t.slot(h)] += n
 }
 
 // dec drops one prefix reference from h; a slot with no references and no
@@ -175,6 +175,23 @@ func (t *probeTable) grow() {
 	for size < (t.live+1)*2 {
 		size *= 2
 	}
+	t.resize(size)
+}
+
+// reserve sizes an empty table for n entries without leaving slot's load
+// bound: the capacity n upserts would have doubled their way to, so a bulk
+// load that starts here ends at the capacity one-by-one inserts reach.
+func (t *probeTable) reserve(n int) {
+	size := 64
+	for n*4 >= size*3 {
+		size *= 2
+	}
+	t.resize(size)
+}
+
+// resize moves the full slots into fresh arrays of size slots (a power of
+// two).
+func (t *probeTable) resize(size int) {
 	keys, vals, cnt, state := t.keys, t.vals, t.cnt, t.state
 	t.keys = make([]uint64, size)
 	t.vals = make([]*node, size)

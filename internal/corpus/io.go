@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+
+	"adindex/internal/textnorm"
 )
 
 // The on-disk corpus format is line-oriented text, one ad per line:
@@ -74,24 +78,110 @@ func (c *Corpus) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a corpus from the text format produced by Write.
+// maxLine is the longest line Read accepts, in bytes without its newline:
+// what a bufio.Scanner with a 1 MiB buffer, which Read once was, can hold
+// together with the byte that ends the line.
+const maxLine = 1<<20 - 1
+
+// minChunk is the least input worth a goroutine of its own.
+const minChunk = 1 << 16
+
+// Read parses a corpus from the text format produced by Write. The input
+// is read whole and its lines are parsed in newline-aligned chunks side by
+// side; the ads, and the error for the first bad line, are those of
+// parsing line by line.
 func Read(r io.Reader) (*Corpus, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	c := &Corpus{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	var text strings.Builder
+	_, readErr := io.Copy(&text, r)
+	// Like a line scanner, parse what did arrive before reporting that the
+	// rest did not: a malformed line comes before the failed read.
+	c, err := parse(text.String(), min(runtime.GOMAXPROCS(0), text.Len()/minChunk+1))
+	if err == nil && readErr != nil {
+		err = fmt.Errorf("corpus: read: %w", readErr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// parse parses text in up to chunks pieces, each cut after a newline and
+// parsed into its own stretch of one slice, a slot per line.
+func parse(text string, chunks int) (*Corpus, error) {
+	type piece struct {
+		text      string
+		firstLine int
+		ads       []Ad
+		err       error
+	}
+	var pieces []piece
+	lines := 0
+	for left := chunks; len(text) > 0; left-- {
+		cut := len(text)
+		if left > 1 {
+			if nl := strings.IndexByte(text[cut/left:], '\n'); nl >= 0 {
+				cut = cut/left + nl + 1
+			}
+		}
+		pieces = append(pieces, piece{text: text[:cut], firstLine: lines + 1})
+		lines += strings.Count(text[:cut], "\n")
+		text = text[cut:]
+	}
+	all := make([]Ad, lines+1) // the last line may lack its newline
+	var wg sync.WaitGroup
+	for i := range pieces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := &pieces[i]
+			p.ads, p.err = parseLines(all[p.firstLine-1:p.firstLine-1], p.text, p.firstLine)
+		}()
+	}
+	wg.Wait()
+	// Close the gaps blank lines left; the first bad line is the first bad
+	// piece's.
+	n := 0
+	for i := range pieces {
+		if pieces[i].err != nil {
+			return nil, pieces[i].err
+		}
+		if n != pieces[i].firstLine-1 {
+			copy(all[n:], pieces[i].ads)
+		}
+		n += len(pieces[i].ads)
+	}
+	if n == 0 {
+		return &Corpus{}, nil
+	}
+	return &Corpus{Ads: all[:n]}, nil
+}
+
+// parseLines appends the ads of text's lines, the first of which is line
+// lineNo of the input, to ads, up to the first bad line. The ads' word sets
+// are carved back to back out of one slice (a slot per space-separated
+// word, one allocation instead of several per line), each capped at its
+// length.
+func parseLines(ads []Ad, text string, lineNo int) ([]Ad, error) {
+	words := make([]string, 0, strings.Count(text, " ")+strings.Count(text, "\n")+1)
+	for ; len(text) > 0; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if len(line) > maxLine {
+			return nil, fmt.Errorf("corpus: read: %w", bufio.ErrTooLong)
+		}
+		line = strings.TrimSuffix(line, "\r")
 		if line == "" {
 			continue
 		}
-		// Count tabs before splitting: SplitN(…, 6) would silently fold
-		// extra tabs into the phrase field, mis-splitting the record.
+		// Count tabs before splitting: the phrase is what follows the fifth,
+		// and a sixth would silently become part of it.
 		if n := strings.Count(line, "\t"); n != 5 {
 			return nil, fmt.Errorf("corpus: line %d: expected 6 tab-separated fields, got %d", lineNo, n+1)
 		}
-		parts := strings.SplitN(line, "\t", 6)
+		var parts [5]string
+		for i := range parts {
+			parts[i], line, _ = strings.Cut(line, "\t")
+		}
 		id, err := strconv.ParseUint(parts[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: line %d: bad id: %v", lineNo, err)
@@ -112,18 +202,18 @@ func Read(r io.Reader) (*Corpus, error) {
 		if parts[4] != "" {
 			excl = strings.Split(parts[4], ",")
 		}
-		meta := Meta{CampaignID: uint32(camp), BidMicros: bid, ClickRate: uint16(ctr), Exclusions: excl}
-		ad := NewAd(id, parts[5], meta)
+		ad := Ad{ID: id, Phrase: line, Meta: Meta{CampaignID: uint32(camp), BidMicros: bid, ClickRate: uint16(ctr), Exclusions: excl}}
+		mark := len(words)
+		if words = textnorm.AppendWordSet(words, ad.Phrase); len(words) > mark {
+			ad.Words = words[mark:len(words):len(words)]
+		}
 		// Reject anything Write would refuse to emit (e.g. a stray
 		// carriage return mid-line, or an empty exclusion from ",,"), so
 		// every corpus Read accepts is guaranteed to round-trip.
 		if err := checkAd(&ad); err != nil {
 			return nil, fmt.Errorf("corpus: line %d: %v", lineNo, err)
 		}
-		c.Ads = append(c.Ads, ad)
+		ads = append(ads, ad)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("corpus: read: %w", err)
-	}
-	return c, nil
+	return ads, nil
 }

@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
+	"strings"
 
 	"adindex/internal/corpus"
 	"adindex/internal/textnorm"
@@ -179,7 +181,11 @@ func decodeAd(r *byteReader) (corpus.Ad, error) {
 
 // encodeAds builds the ads section payload.
 func encodeAds(ads []corpus.Ad) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(ads)))
+	size := binary.MaxVarintLen64
+	for i := range ads {
+		size += 4*binary.MaxVarintLen32 + len(ads[i].Phrase) // a lower bound that spares most of the regrowth
+	}
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ads)))
 	for i := range ads {
 		b = appendAd(b, &ads[i])
 	}
@@ -215,19 +221,41 @@ func decodeAds(payload []byte) ([]corpus.Ad, error) {
 // locator mapping that layout optimization computed (M in the paper),
 // persisted so the Section-V placement survives restarts.
 func encodeMapping(mapping map[string][]string) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(mapping)))
 	// In key order, so one mapping has one encoding: the snapshot file and
 	// the handoff stream of the same state are the same bytes.
-	keys := make([]string, 0, len(mapping))
-	for key := range mapping {
-		keys = append(keys, key)
+	// Each entry is sorted under the first eight bytes of its key, which decide nearly
+	// every comparison without a visit to the string.
+	type entry struct {
+		head uint64
+		key  string
+		loc  []string
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		loc := mapping[key]
-		words := textnorm.SplitKey(key)
-		b = binary.AppendUvarint(b, uint64(len(words)))
-		for _, w := range words {
+	entries := make([]entry, 0, len(mapping))
+	size := binary.MaxVarintLen64
+	for key, loc := range mapping {
+		var head [8]byte
+		copy(head[:], key)
+		entries = append(entries, entry{binary.BigEndian.Uint64(head[:]), key, loc})
+		size += 2*len(key) + 4 // its words, about as many bytes of locator, four counts
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.head != b.head {
+			return cmp.Compare(a.head, b.head)
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(len(mapping)))
+	for _, e := range entries {
+		key, loc := e.key, e.loc
+		// The words of the key (textnorm.SplitKey), without the slice.
+		words := 0
+		if key != "" {
+			words = strings.Count(key, "\x1f") + 1
+		}
+		b = binary.AppendUvarint(b, uint64(words))
+		for rest := key; words > 0; words-- {
+			var w string
+			w, rest, _ = strings.Cut(rest, "\x1f")
 			b = appendString(b, w)
 		}
 		b = binary.AppendUvarint(b, uint64(len(loc)))

@@ -53,12 +53,17 @@ type SnapshotState struct {
 // (header, section headers, payloads) is a separate Write call so fault
 // injection can target them individually.
 func writeSnapshot(fsys FS, dir string, gen uint64, ads []corpus.Ad, mapping map[string][]string, epoch uint64) error {
+	// The two payloads are encoded side by side; the bytes are those of
+	// encoding one after the other.
+	adsDone := make(chan []byte, 1)
+	go func() { adsDone <- encodeAds(ads) }()
+	mappingPayload := encodeMapping(mapping)
 	sections := []struct {
 		tag     uint32
 		payload []byte
 	}{
-		{sectionAds, encodeAds(ads)},
-		{sectionMapping, encodeMapping(mapping)},
+		{sectionAds, <-adsDone},
+		{sectionMapping, mappingPayload},
 	}
 
 	hdr := make([]byte, 0, snapHeaderLen)

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -30,8 +31,16 @@ func WriteMapping(w io.Writer, mapping map[string][]string) error {
 	return bw.Flush()
 }
 
+// ErrMalformedMapping is matched by errors.Is when ReadMapping refuses a
+// line. (An input it could not read to the end — a line over 1 MiB, a
+// failing reader — wraps the scanner's or the reader's error instead.)
+var ErrMalformedMapping = errors.New("optimize: malformed mapping")
+
 // ReadMapping parses a mapping written by WriteMapping, validating that
-// every locator is a non-empty subset of its word set.
+// every locator is a non-empty subset of its word set. The file comes from
+// outside the process (adserve -mapping): what is accepted here still has
+// to pass core.NewWithMapping's conditions against the corpus it is
+// applied to.
 func ReadMapping(r io.Reader) (map[string][]string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -45,16 +54,16 @@ func ReadMapping(r io.Reader) (map[string][]string, error) {
 		}
 		parts := strings.SplitN(line, "\t", 2)
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("optimize: mapping line %d: expected set<TAB>locator", lineNo)
+			return nil, fmt.Errorf("%w: line %d: expected set<TAB>locator", ErrMalformedMapping, lineNo)
 		}
 		words := textnorm.CanonicalSet(strings.Fields(parts[0]))
 		loc := textnorm.CanonicalSet(strings.Fields(parts[1]))
 		if len(words) == 0 || len(loc) == 0 {
-			return nil, fmt.Errorf("optimize: mapping line %d: empty set or locator", lineNo)
+			return nil, fmt.Errorf("%w: line %d: empty set or locator", ErrMalformedMapping, lineNo)
 		}
 		if !textnorm.IsSubset(loc, words) {
-			return nil, fmt.Errorf("optimize: mapping line %d: locator %v not a subset of %v",
-				lineNo, loc, words)
+			return nil, fmt.Errorf("%w: line %d: locator %v not a subset of %v",
+				ErrMalformedMapping, lineNo, loc, words)
 		}
 		mapping[textnorm.SetKey(words)] = loc
 	}

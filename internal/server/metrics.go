@@ -297,10 +297,12 @@ type MetricsSnapshot struct {
 // IndexSnapshot is the write-path section of /metrics: overlay folds (each
 // a rebuild of the whole base, on the goroutine of the write that filled
 // the overlay) since the index was opened, WAL replay included, and the
-// seconds they took.
+// seconds they took; and how long the last build of a base took, the
+// start's or the latest fold's.
 type IndexSnapshot struct {
 	Folds            uint64  `json:"folds"`
 	FoldSecondsTotal float64 `json:"fold_seconds_total"`
+	BuildSeconds     float64 `json:"build_seconds"`
 }
 
 // OverloadSnapshot is the overload-armor section of /metrics.

@@ -156,9 +156,10 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Index == nil || snap.Index.Folds != 0 || snap.Index.FoldSecondsTotal != 0 {
-		t.Fatalf("index section before any write = %+v", snap.Index)
+	if snap.Index == nil || snap.Index.Folds != 0 || snap.Index.FoldSecondsTotal != 0 || snap.Index.BuildSeconds <= 0 {
+		t.Fatalf("index section before any write = %+v, want no fold and the start's build time", snap.Index)
 	}
+
 	for id := 901; id <= 903; id++ {
 		serve(t, s, "POST", "/insert", fmt.Sprintf(`{"id":%d,"phrase":"fold filler %d"}`, id, id))
 	}
@@ -169,8 +170,12 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if snap.Index.Folds != 1 || snap.Index.FoldSecondsTotal <= 0 {
 		t.Errorf("index section after overflowing the overlay = %+v, want one timed fold", snap.Index)
 	}
-	if !bytes.Contains(metrics, []byte(`"index":{"folds":1,"fold_seconds_total":`)) {
-		t.Errorf("/metrics does not carry index.folds / index.fold_seconds_total: %s", metrics)
+	if !bytes.Contains(metrics, []byte(`"index":{"folds":1,"fold_seconds_total":`)) || !bytes.Contains(metrics, []byte(`,"build_seconds":`)) {
+		t.Errorf("/metrics does not carry index.folds / index.fold_seconds_total / index.build_seconds: %s", metrics)
+	}
+	// The one fold is the last build of a base.
+	if snap.Index.BuildSeconds != snap.Index.FoldSecondsTotal {
+		t.Errorf("index.build_seconds = %v after one fold of %v s", snap.Index.BuildSeconds, snap.Index.FoldSecondsTotal)
 	}
 }
 

@@ -1010,6 +1010,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.Epoch = ix.Epoch()
 		snap.Index = new(IndexSnapshot)
 		snap.Index.Folds, snap.Index.FoldSecondsTotal = ix.FoldStats()
+		snap.Index.BuildSeconds = ix.BuildSeconds()
 		if ix.RewriteEnabled() {
 			snap.Rewrite = s.metrics.rewriteSnapshot()
 		}

@@ -190,11 +190,18 @@ func NewElastic(ads []corpus.Ad, numShards int, opts ElasticOptions) (*ElasticCl
 		o := table.OwnerOf(ads[i].Words)
 		parts[o] = append(parts[o], ads[i])
 	}
-	ec := &ElasticCluster{opts: opts, table: table}
-	for _, part := range parts {
-		ec.shards = append(ec.shards, core.New(part, opts.Index))
+	// The shards share nothing; they are built side by side.
+	ec := &ElasticCluster{opts: opts, table: table, shards: make([]*core.Index, numShards)}
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ec.shards[i] = core.New(parts[i], opts.Index)
+		}()
 		ec.loads = append(ec.loads, &atomic.Uint64{})
 	}
+	wg.Wait()
 	return ec, nil
 }
 

@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"time"
@@ -60,11 +61,12 @@ func (s *snapshot) overlaySize() int {
 	return len(s.delta) + len(s.tombs)
 }
 
-// materialize returns the full live corpus: base ads minus tombstoned
-// records plus delta ads, ordered by ID. The ad structs are copies but
-// their Words/Exclusions still alias (immutable) snapshot storage.
-func (s *snapshot) materialize() []corpus.Ad {
-	ads := s.base.Ads()
+// live returns the full live corpus — base ads minus tombstoned records
+// plus delta ads — in no particular order, which is all a rebuild needs:
+// the loader orders its input itself. The ad structs are copies but their
+// Words/Exclusions still alias (immutable) snapshot storage.
+func (s *snapshot) live() []corpus.Ad {
+	ads := s.base.AppendAds(make([]corpus.Ad, 0, s.base.NumAds()+len(s.delta)))
 	if len(s.tombs) > 0 {
 		used := make(map[tombKey]int, len(s.tombs))
 		w := 0
@@ -79,26 +81,42 @@ func (s *snapshot) materialize() []corpus.Ad {
 		}
 		ads = ads[:w]
 	}
-	if len(s.delta) > 0 {
-		ads = append(ads, s.delta...)
-		slices.SortStableFunc(ads, func(a, b corpus.Ad) int {
-			switch {
-			case a.ID < b.ID:
-				return -1
-			case a.ID > b.ID:
-				return 1
-			}
-			return 0
-		})
+	return append(ads, s.delta...)
+}
+
+// materialize returns the live corpus ordered by ID, ads of one ID in the
+// order live has them (base before delta): what a snapshot file and Ads
+// hold. The IDs are sorted apart from the ads and the ads then moved once;
+// an Ad is 120 bytes, and sorting them in place moves each log n times.
+func (s *snapshot) materialize() []corpus.Ad {
+	ads := s.live()
+	type slot struct {
+		id uint64
+		at int32
 	}
-	return ads
+	slots := make([]slot, len(ads))
+	for i := range ads {
+		slots[i] = slot{ads[i].ID, int32(i)}
+	}
+	slices.SortFunc(slots, func(a, b slot) int {
+		if a.id != b.id {
+			return cmp.Compare(a.id, b.id)
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	out := make([]corpus.Ad, len(ads))
+	for i, sl := range slots {
+		out[i] = ads[sl.at]
+	}
+	return out
 }
 
 // fold rebuilds a fresh base containing the snapshot's full corpus,
-// preserving the base's optimized placement; word sets that only exist in
-// the delta get default placement. The receiver is not modified.
+// preserving the base's optimized placement (the loader reads the base's
+// own mapping, not a copy); word sets that only exist in the delta get
+// default placement. The receiver is not modified.
 func (s *snapshot) fold(opts core.Options) *core.Index {
-	ads := s.materialize()
+	ads := s.live()
 	base, err := core.NewWithMapping(ads, s.base.Mapping(), opts)
 	if err != nil {
 		// The live base's mapping is valid by construction; this is

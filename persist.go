@@ -2,6 +2,7 @@ package adindex
 
 import (
 	"fmt"
+	"time"
 
 	"adindex/internal/core"
 	"adindex/internal/durable"
@@ -68,11 +69,18 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 		observed: newObserveSampler(opts.maxObserved()),
 		rewriter: opts.planner(),
 	}
-	base, err := core.NewWithMapping(rec.Ads, rec.Mapping, opts.coreOptions())
-	if err != nil {
+	// A fresh directory given a corpus starts from that corpus, not from
+	// the empty state the directory recovered to.
+	bootstrap := rec.Report.Fresh && len(dc.Bootstrap) > 0
+	var base *core.Index
+	buildStart := time.Now()
+	if bootstrap {
+		base = core.New(dc.Bootstrap, opts.coreOptions())
+	} else if base, err = core.NewWithMapping(rec.Ads, rec.Mapping, opts.coreOptions()); err != nil {
 		store.Close()
 		return nil, nil, fmt.Errorf("adindex: rebuild from snapshot: %w", err)
 	}
+	ix.noteBuild(buildStart)
 	ix.publish(&snapshot{base: base, epoch: rec.Epoch})
 	// Replay the WAL through the real mutation path — the store is not
 	// attached yet, so replay is not re-logged. Each record advances the
@@ -93,12 +101,17 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 	ix.snapshotEvery = dc.snapshotEvery()
 	report := rec.Report
 
-	if report.Fresh && len(dc.Bootstrap) > 0 {
-		ix.mu.Lock()
-		ix.publish(&snapshot{base: core.New(dc.Bootstrap, opts.coreOptions())})
-		err := ix.snapshotLocked()
-		ix.mu.Unlock()
-		if err != nil {
+	if bootstrap {
+		// The first generation holds the base's ads in ID order. A corpus
+		// already in strictly increasing ID order is that list as it stands.
+		ads := dc.Bootstrap
+		for i := 1; i < len(ads); i++ {
+			if ads[i].ID <= ads[i-1].ID {
+				ads = ix.snap.Load().materialize()
+				break
+			}
+		}
+		if err := store.WriteSnapshot(ads, base.Mapping(), 0); err != nil {
 			ix.Close()
 			return nil, nil, fmt.Errorf("adindex: bootstrap snapshot: %w", err)
 		}

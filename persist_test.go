@@ -1,7 +1,12 @@
 package adindex
 
 import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adindex/internal/durable"
@@ -117,5 +122,41 @@ func TestOptimizeMappingSurvivesRestart(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("BroadMatch(%q) differs after restart", ads[i].Phrase)
 		}
+	}
+}
+
+// TestBootstrapSnapshotBytes: a corpus in strictly increasing ID order is
+// written as the first generation as it stands, without capturing and
+// sorting the base's ads; the file is byte for byte the one the capture
+// writes, which a shuffled corpus, and one with a repeated ID, still take.
+func TestBootstrapSnapshotBytes(t *testing.T) {
+	firstGeneration := func(bootstrap []Ad) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		ix, report, err := OpenDurable(dir, Options{MaxWords: 3}, DurableConfig{Bootstrap: bootstrap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if !report.Fresh || ix.NumAds() != len(bootstrap) || ix.BuildSeconds() <= 0 {
+			t.Fatalf("bootstrap of %d ads: report %+v, %d ads, built in %v s", len(bootstrap), report, ix.NumAds(), ix.BuildSeconds())
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "snap-0000000000000001.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	ads := GenerateAds(400, 11)
+	ordered := firstGeneration(ads)
+	shuffled := slices.Clone(ads)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if !bytes.Equal(firstGeneration(shuffled), ordered) {
+		t.Error("the first generation of an ordered corpus differs from the one captured from the base")
+	}
+	// A repeated ID is not strictly increasing: captured, and recoverable.
+	repeated := append(slices.Clone(ads), ads[len(ads)-1])
+	if bytes.Equal(firstGeneration(repeated), ordered) {
+		t.Error("a corpus with one more ad wrote the same first generation")
 	}
 }
