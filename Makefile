@@ -1,7 +1,8 @@
 # Development / CI entry points. `make check` is the gate every change
 # must pass, from a fresh clone with no other step first:
 #
-#   vet, build, test   the whole module (tier 1 is build + test)
+#   vet, build, test   the whole module (tier 1 is build + test); vet also
+#                      fails on a non-empty `gofmt -l .`
 #   race               the race detector over the concurrency-heavy
 #                      packages, -short so the load comparisons and the
 #                      fault-injection latency schedules stay affordable;
@@ -37,6 +38,8 @@ check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke ad
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -110,13 +113,17 @@ overloadsmoke:
 # Continuous-adaptation regression gate: the pinned adapt sim seeds
 # (synchronous rounds interleaved with inserts, deletes, Optimize calls,
 # and torn-crash restarts, oracle-checked) plus ddmin over adapt
-# schedules, the root adapt control-loop tests (incremental ≡ batch
-# greedy, RCU apply, recalibration), and the closed-loop drift
+# schedules, the root adapt control-loop tests (RCU apply, recalibration)
+# and the table test over the one installer (TestRemapInstallers:
+# Optimize, ApplyPlacement fresh and stale, ApplyMapping, each racing a
+# fold), the one solver's tests (incremental step ≡ batch greedy, and
+# TestOptimizeQualityPin: Optimize within 1.005x of the modeled cost the
+# deleted monolithic greedy reached), and the closed-loop drift
 # acceptance test through the HTTP server, under the race detector.
 adaptsmoke:
 	$(GO) test -race -run 'TestSimAdaptRegressionSeeds|TestSimShrinkWithAdaptOps' \
 		-v ./internal/sim
-	$(GO) test -race -run 'TestAdapt|TestExportDelta|TestApplyPlacement|TestStartStopAdapt|TestRecordQueryCost|TestIncremental|TestGaps|TestPlacement' \
+	$(GO) test -race -run 'TestAdapt|TestExportDelta|TestApplyPlacement|TestRemapInstallers|TestStartStopAdapt|TestRecordQueryCost|TestIncremental|TestGaps|TestPlacement|TestOptimizeQualityPin' \
 		. ./internal/setcover ./internal/optimize
 	$(GO) test -race -run 'TestAdaptUnderDrift' -v ./internal/server
 
@@ -141,7 +148,8 @@ cover:
 # outside bench/, and the independently settable values — adserve's flags
 # plus the exported fields of the option structs behind them.
 SIZE_STRUCTS = .:Options ./internal/server:Config ./internal/shard:Options \
-	./internal/shard:ElasticOptions ./internal/multiserver:ConnOpts
+	./internal/shard:ElasticOptions ./internal/multiserver:ConnOpts \
+	.:AdaptOptions .:RewriteOptions .:DurableConfig ./internal/optimize:Options
 size:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@flags=$$($(GO) run ./cmd/adserve -h 2>&1 | grep -c '^  -'); fields=0; \
@@ -165,7 +173,9 @@ size:
 # panic, typed rejections, allocation bounded by the input, Decode ∘
 # Encode = id on accepted inputs), and the offline mapping file adserve
 # -mapping reads (no panic, typed refusals, and what is accepted either
-# builds through core.NewWithMapping or is refused there with an error).
+# builds through core.NewWithMapping or is refused there with an error),
+# and the synonym file adserve -synonyms reads (no panic, typed refusals,
+# ReadClasses ∘ WriteClasses = id on accepted inputs).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
@@ -174,6 +184,7 @@ fuzzsmoke:
 	$(GO) test -run='TestRecordCountOverflowRejected' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
 	$(GO) test -run='^$$' -fuzz=FuzzReadMapping -fuzztime=10s ./internal/optimize
+	$(GO) test -run='^$$' -fuzz=FuzzReadClasses -fuzztime=10s ./internal/rewrite
 
 # One iteration of every root benchmark: keeps them compiling and
 # running without timing anything.

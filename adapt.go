@@ -22,12 +22,6 @@ type AdaptOptions struct {
 	// TopK bounds how many misplaced word sets one round may move.
 	// Default 32; negative means unbounded.
 	TopK int
-	// MinGainFrac skips applying rounds whose modeled-cost gain is below
-	// this fraction of current cost. Default 1e-4.
-	MinGainFrac float64
-	// Decay is the per-round decay of accumulated workload history.
-	// Default 0.5.
-	Decay float64
 	// Calibrate enables live cost-model recalibration from the per-query
 	// attribution recorded by RecordQueryCost.
 	Calibrate bool
@@ -42,8 +36,6 @@ func (ix *Index) adaptConfig() adapt.Config {
 	if a := ix.opts.Adapt; a != nil {
 		cfg.Interval = a.Interval
 		cfg.TopK = a.TopK
-		cfg.MinGainFrac = a.MinGainFrac
-		cfg.Decay = a.Decay
 		cfg.Calibrate = a.Calibrate
 	}
 	return cfg
@@ -136,50 +128,13 @@ func (ix *Index) ExportDelta() (*Workload, uint64) {
 }
 
 // ApplyPlacement rebuilds the index under mapping iff the remap epoch
-// still equals ifEpoch, reporting whether it applied. The heavy rebuild
-// runs outside the writer lock (queries stay lock-free, mutators only
-// block for the swap); concurrent overlay folds force a bounded retry,
-// and a concurrent re-mapping aborts with (false, nil).
+// still equals ifEpoch, reporting whether it applied (see remap: queries
+// stay lock-free, mutators only block for the swap). A concurrent
+// re-mapping aborts with (false, nil), and so does mutation churn that
+// folds the base under both of its two attempts.
 func (ix *Index) ApplyPlacement(mapping map[string][]string, ifEpoch uint64) (bool, error) {
-	const maxAttempts = 2
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		ix.mu.Lock()
-		if ix.remapEpoch.Load() != ifEpoch {
-			ix.mu.Unlock()
-			return false, nil
-		}
-		s := ix.snap.Load()
-		if s.overlaySize() > 0 {
-			s = &snapshot{base: ix.fold(s), epoch: s.epoch}
-			ix.publish(s)
-		}
-		ix.mu.Unlock()
-
-		rebuilt, err := core.NewWithMapping(s.base.Ads(), mapping, ix.opts.coreOptions())
-		if err != nil {
-			return false, err
-		}
-
-		ix.mu.Lock()
-		if ix.remapEpoch.Load() != ifEpoch {
-			ix.mu.Unlock()
-			return false, nil
-		}
-		cur := ix.snap.Load()
-		if cur.base == s.base {
-			ix.publish(&snapshot{
-				base: rebuilt, delta: cur.delta, deltaSigs: cur.deltaSigs,
-				tombs: cur.tombs, deleted: cur.deleted, epoch: cur.epoch + 1,
-			})
-			ix.remapEpoch.Add(1)
-			ix.snapshotIfDurableLocked()
-			ix.mu.Unlock()
-			return true, nil
-		}
-		ix.mu.Unlock()
-	}
-	// Mutation churn folded the base on every attempt; treat like stale.
-	return false, nil
+	installed, _, _, err := ix.remap(2, &ifEpoch, fixedPlan(mapping))
+	return installed != nil, err
 }
 
 // adaptTarget adapts *Index to the adapt.Target interface.

@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"errors"
 	"io"
 	"sort"
 	"sync"
@@ -476,8 +477,9 @@ type OptimizeReport struct {
 	Attempts int
 }
 
-// maxOptimizeAttempts bounds how often Optimize retries the out-of-lock
-// rebuild when concurrent mutations fold the base out from under it.
+// maxOptimizeAttempts bounds how often Optimize and ApplyMapping retry the
+// out-of-lock rebuild when concurrent mutations fold the base out from
+// under it.
 const maxOptimizeAttempts = 3
 
 // Optimize recomputes the ad-to-node mapping against the observed workload
@@ -487,86 +489,115 @@ const maxOptimizeAttempts = 3
 //
 // All heavy work (set cover, rebuild) runs outside the writer lock, and
 // queries are lock-free throughout, so matching proceeds at full speed for
-// the entire optimization. Concurrent Insert/Delete churn lands in the
-// overlay and is carried across the swap unchanged; only a concurrent
-// overlay fold (≥ MaxDeltaAds mutations during the rebuild) forces a
-// retry. After maxOptimizeAttempts such races Optimize gives up, keeps the
-// current placement, and reports Applied=false.
+// the entire optimization (see remap). After maxOptimizeAttempts lost
+// races with an overlay fold Optimize gives up, keeps the current
+// placement, and reports Applied=false.
 func (ix *Index) Optimize() (OptimizeReport, error) {
 	wl := ix.observed.Workload()
 	report := OptimizeReport{DistinctQueries: len(wl.Queries)}
+	var res *optimize.Result
+	installed, attempts, churned, err := ix.remap(maxOptimizeAttempts, nil,
+		func(attempt int, base *core.Index, ads []corpus.Ad) map[string][]string {
+			// On retries the mapping computed on attempt 1 is reused
+			// against the live corpus: word sets inserted since then are
+			// unknown to it and fall back to default placement until the
+			// next Optimize.
+			if attempt == 1 {
+				gs := optimize.BuildGroups(ads, wl)
+				opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.opts.model()}
+				res = optimize.Optimize(gs, opts)
+				report.NodesBefore = base.NumNodes()
+				report.ModeledCostBefore = optimize.EvaluateMapping(gs, base.Mapping(), opts)
+				report.ModeledCostAfter = res.ModeledCost
+			}
+			return res.Mapping
+		})
+	if err != nil {
+		return OptimizeReport{}, err
+	}
+	report.Applied = installed != nil
+	report.Attempts = attempts
+	report.Stale = churned
+	if installed == nil {
+		// Churn folded the base on every attempt: the index keeps its
+		// current (stale) placement rather than stall mutators.
+		installed = ix.snap.Load().base
+	}
+	report.NodesAfter = installed.NumNodes()
+	return report, nil
+}
 
-	var (
-		res        *optimize.Result
-		startEpoch uint64
-	)
-	for attempt := 1; attempt <= maxOptimizeAttempts; attempt++ {
-		// Fold pending overlay so the rebuild input is the full corpus.
-		// The fold itself is an equivalent-results layout change, so it is
-		// republished under the same epoch.
+// remap is the one rebuild-and-swap behind Optimize, ApplyPlacement and
+// ApplyMapping. Each attempt folds the pending overlay under the writer
+// lock (an equivalent-results layout change, republished under the epoch
+// it found), asks plan for the mapping of the folded base, and rebuilds
+// under it outside the lock. The rebuilt base is swapped in if the base it
+// was built from is still current: concurrent Insert/Delete churn sits in
+// the overlay and applies verbatim on top of the new layout (tombstones
+// and delta are layout-independent), so only a concurrent fold (≥
+// MaxDeltaAds mutations during the rebuild) costs another attempt.
+//
+// ifEpoch, when non-nil, is the remap epoch the caller planned against: it
+// is checked before the fold and again before the swap, and a mismatch
+// ends the call with nothing installed. An install bumps remapEpoch and,
+// on a durable index, persists the placement as a full snapshot inside the
+// swap's critical section — layout changes are not WAL-logged (the WAL
+// holds logical mutations only). Mutators stall for that write; queries
+// stay lock-free.
+//
+// installed is nil when the guard went stale or churn folded the base on
+// every attempt. churned reports a retry, or a mutation between the first
+// fold and the swap: what plan saw was not exactly what was installed.
+func (ix *Index) remap(maxAttempts int, ifEpoch *uint64,
+	plan func(attempt int, base *core.Index, ads []corpus.Ad) map[string][]string,
+) (installed *core.Index, attempts int, churned bool, err error) {
+	stale := func() bool { return ifEpoch != nil && ix.remapEpoch.Load() != *ifEpoch }
+	var startEpoch uint64
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		ix.mu.Lock()
-		s := ix.snap.Load()
-		if s.overlaySize() > 0 {
-			s = &snapshot{base: ix.fold(s), epoch: s.epoch}
-			ix.publish(s)
+		if stale() {
+			ix.mu.Unlock()
+			return nil, attempt, true, nil
 		}
+		s := ix.foldLocked()
 		ix.mu.Unlock()
-
-		ads := s.base.Ads()
 		if attempt == 1 {
 			startEpoch = s.epoch
-			report.NodesBefore = s.base.NumNodes()
-			gs := optimize.BuildGroups(ads, wl)
-			opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.opts.model()}
-			before := optimize.IdentityMapping(gs, opts)
-			res = optimize.Optimize(gs, opts)
-			report.ModeledCostBefore = before.ModeledCost
-			report.ModeledCostAfter = res.ModeledCost
 		}
+
+		ads := s.base.Ads()
+		mapping := plan(attempt, s.base, ads)
 		if hook := ix.optimizeRebuildHook; hook != nil {
 			hook(attempt)
 		}
-		// On retries the mapping computed on attempt 1 is reused against
-		// the live corpus: word sets inserted since then are unknown to it
-		// and fall back to default placement until the next Optimize.
-		rebuilt, err := core.NewWithMapping(ads, res.Mapping, ix.opts.coreOptions())
+		rebuilt, err := core.NewWithMapping(ads, mapping, ix.opts.coreOptions())
 		if err != nil {
-			return OptimizeReport{}, err
+			return nil, attempt, false, err
 		}
 
 		ix.mu.Lock()
-		cur := ix.snap.Load()
-		if cur.base == s.base {
-			// The base we rebuilt from is still current; any concurrent
-			// churn sits in the overlay and applies verbatim on top of the
-			// new layout (tombstones and delta are layout-independent).
+		if stale() {
+			ix.mu.Unlock()
+			return nil, attempt, true, nil
+		}
+		if cur := ix.snap.Load(); cur.base == s.base {
 			ix.publish(&snapshot{
 				base: rebuilt, delta: cur.delta, deltaSigs: cur.deltaSigs,
 				tombs: cur.tombs, deleted: cur.deleted, epoch: cur.epoch + 1,
 			})
 			ix.remapEpoch.Add(1)
-			// Layout changes are not WAL-logged (the WAL holds logical
-			// mutations only), so persist the optimized placement as a
-			// full snapshot before releasing the writer lock. Mutators
-			// stall for the write; queries stay lock-free.
 			ix.snapshotIfDurableLocked()
 			ix.mu.Unlock()
-			report.NodesAfter = rebuilt.NumNodes()
-			report.Applied = true
-			report.Attempts = attempt
-			report.Stale = attempt > 1 || cur.epoch != startEpoch
-			return report, nil
+			return rebuilt, attempt, attempt > 1 || cur.epoch != startEpoch, nil
 		}
 		ix.mu.Unlock()
 	}
-	// Give up: churn folded the base on every attempt. Keep the current
-	// (stale) placement rather than stall mutators indefinitely.
-	cur := ix.snap.Load()
-	report.NodesAfter = cur.base.NumNodes()
-	report.Applied = false
-	report.Attempts = maxOptimizeAttempts
-	report.Stale = true
-	return report, nil
+	return nil, maxAttempts, true, nil
+}
+
+// fixedPlan is the plan of a caller that arrives with its mapping.
+func fixedPlan(mapping map[string][]string) func(int, *core.Index, []corpus.Ad) map[string][]string {
+	return func(int, *core.Index, []corpus.Ad) map[string][]string { return mapping }
 }
 
 // ExportWorkload writes the observed query sample in the text format
@@ -588,23 +619,18 @@ func (ix *Index) ExportWorkload(w io.Writer) error {
 // cmd/adopt and ExportWorkload). Query results are unaffected. The mapping
 // must satisfy the validity conditions (each locator a subset of its word
 // set, at most MaxWords long); entries for unknown word sets are ignored.
-// Queries stay lock-free during the rebuild; concurrent mutators block.
+// Queries stay lock-free and mutators block only for the swap (see remap);
+// it is an error if mutation churn outpaced maxOptimizeAttempts rebuilds.
 func (ix *Index) ApplyMapping(r io.Reader) error {
 	mapping, err := optimize.ReadMapping(r)
 	if err != nil {
 		return err
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s := ix.snap.Load()
-	rebuilt, err := core.NewWithMapping(s.live(), mapping, ix.opts.coreOptions())
-	if err != nil {
-		return err
+	installed, _, _, err := ix.remap(maxOptimizeAttempts, nil, fixedPlan(mapping))
+	if err == nil && installed == nil {
+		err = errors.New("adindex: ApplyMapping: concurrent mutations folded the base under every rebuild")
 	}
-	ix.publish(&snapshot{base: rebuilt, epoch: s.epoch + 1})
-	ix.remapEpoch.Add(1)
-	ix.snapshotIfDurableLocked()
-	return nil
+	return err
 }
 
 // snapshotIfDurableLocked writes the published state as a new snapshot
@@ -698,10 +724,17 @@ func (ix *Index) foldedBase() *core.Index {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	s = ix.snap.Load()
+	return ix.foldLocked().base
+}
+
+// foldLocked folds any pending overlay into the base and returns the
+// published snapshot. The fold is an equivalent-results layout change, so
+// it is republished under the same epoch. Callers hold ix.mu.
+func (ix *Index) foldLocked() *snapshot {
+	s := ix.snap.Load()
 	if s.overlaySize() > 0 {
 		s = &snapshot{base: ix.fold(s), epoch: s.epoch}
 		ix.publish(s)
 	}
-	return s.base
+	return s
 }

@@ -2,6 +2,7 @@ package adindex
 
 import (
 	"io"
+	"slices"
 
 	"adindex/internal/hashindex"
 	"adindex/internal/textnorm"
@@ -71,7 +72,7 @@ func (c *CompressedIndex) ExactMatch(query string) ([]Ad, error) {
 	}
 	out := candidates[:0:0]
 	for _, ad := range candidates {
-		if tokenSeqEqual(textnorm.FoldDuplicates(textnorm.Tokenize(ad.Phrase)), qTokens) {
+		if slices.Equal(textnorm.FoldDuplicates(textnorm.Tokenize(ad.Phrase)), qTokens) {
 			out = append(out, ad)
 		}
 	}
@@ -88,39 +89,11 @@ func (c *CompressedIndex) PhraseMatch(query string) ([]Ad, error) {
 	}
 	out := candidates[:0:0]
 	for _, ad := range candidates {
-		if containsContiguousTokens(qTokens, textnorm.Tokenize(ad.Phrase)) {
+		if textnorm.ContainsContiguous(qTokens, textnorm.Tokenize(ad.Phrase)) {
 			out = append(out, ad)
 		}
 	}
 	return out, nil
-}
-
-func tokenSeqEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsContiguousTokens(haystack, needle []string) bool {
-	if len(needle) == 0 || len(needle) > len(haystack) {
-		return len(needle) == 0
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // BroadMatchCounted is BroadMatch with memory-access accounting.

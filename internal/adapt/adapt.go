@@ -56,6 +56,16 @@ type Target interface {
 	ApplyPlacement(mapping map[string][]string, ifEpoch uint64) (bool, error)
 }
 
+const (
+	// minGainFrac skips the apply when the round's modeled-cost
+	// improvement is below this fraction of the current modeled cost
+	// (avoids churning the index for noise).
+	minGainFrac = 1e-4
+	// decay is the per-round multiplier on accumulated workload
+	// frequencies, blending history with the fresh delta.
+	decay = 0.5
+)
+
 // Config parameterizes the control loop.
 type Config struct {
 	// Interval is the period of the background loop started by Start.
@@ -65,13 +75,6 @@ type Config struct {
 	// Default 32; <0 means unbounded (every round is a full re-solve —
 	// only sensible in tests).
 	TopK int
-	// MinGainFrac skips the apply when the round's modeled-cost
-	// improvement is below this fraction of the current modeled cost
-	// (avoids churning the index for noise). Default 1e-4.
-	MinGainFrac float64
-	// Decay is the per-round multiplier on accumulated workload
-	// frequencies, blending history with the fresh delta. Default 0.5.
-	Decay float64
 	// Calibrate enables cost-model recalibration from attribution
 	// counters.
 	Calibrate bool
@@ -87,12 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TopK == 0 {
 		c.TopK = 32
-	}
-	if c.MinGainFrac == 0 {
-		c.MinGainFrac = 1e-4
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		c.Decay = 0.5
 	}
 	if c.Model == (costmodel.Model{}) {
 		c.Model = costmodel.Default()
@@ -239,7 +236,7 @@ func (c *Controller) RunRound() (RoundReport, error) {
 	}
 	rep.DeltaQueries = len(delta.Queries)
 	for k, e := range c.acc {
-		e.weight *= c.cfg.Decay
+		e.weight *= decay
 		if e.weight < 0.5 {
 			delete(c.acc, k)
 		}
@@ -298,7 +295,7 @@ func (c *Controller) RunRound() (RoundReport, error) {
 	rep.CostBefore, rep.CostAfter = costBefore, costAfter
 	c.lastCostBefore.Store(math.Float64bits(costBefore))
 	c.lastCostAfter.Store(math.Float64bits(costAfter))
-	if moved == 0 || costBefore-costAfter < c.cfg.MinGainFrac*costBefore {
+	if moved == 0 || costBefore-costAfter < minGainFrac*costBefore {
 		rep.SkippedNoGain = true
 		c.skippedNoGain.Add(1)
 		return rep, nil

@@ -1,9 +1,6 @@
 package optimize
 
 import (
-	"container/heap"
-	"sort"
-
 	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
 )
@@ -13,10 +10,6 @@ type Options struct {
 	// MaxWords is the locator length bound (must match the index's
 	// max_words). Default 10.
 	MaxWords int
-	// MaxNodeGroups optionally caps the number of distinct word sets per
-	// data node (k' in the approximation bound). Zero means the cap
-	// emerges from the cost model alone.
-	MaxNodeGroups int
 	// Model is the memory cost model; zero value means costmodel.Default.
 	Model costmodel.Model
 	// CompressionRatio scales scan costs when data nodes are front-coded
@@ -66,18 +59,17 @@ type Result struct {
 func IdentityMapping(gs *Groups, opts Options) *Result {
 	opts.fillDefaults()
 	mapping := make(map[string][]string, len(gs.All))
-	locs := make(map[string]struct{}, len(gs.All))
 	for i := range gs.All {
 		g := &gs.All[i]
-		loc := fallbackLocator(g.Words, opts.MaxWords)
-		mapping[g.Key] = loc
-		locs[textnorm.SetKey(loc)] = struct{}{}
+		mapping[g.Key] = fallbackLocator(g.Words, opts.MaxWords)
 	}
-	return &Result{
-		Mapping:     mapping,
-		Nodes:       len(locs),
-		ModeledCost: evaluateNodeCost(gs, mapping, opts),
-	}
+	return newResult(gs, mapping, opts)
+}
+
+// newResult prices a complete mapping and counts the nodes it produces.
+func newResult(gs *Groups, mapping map[string][]string, opts Options) *Result {
+	cost, nodes := evaluateNodeCost(gs, mapping, opts)
+	return &Result{Mapping: mapping, Nodes: nodes, ModeledCost: cost}
 }
 
 // LongPhraseMapping re-maps only groups longer than MaxWords, choosing the
@@ -88,12 +80,10 @@ func IdentityMapping(gs *Groups, opts Options) *Result {
 func LongPhraseMapping(gs *Groups, opts Options) *Result {
 	opts.fillDefaults()
 	mapping := make(map[string][]string, len(gs.All))
-	locs := make(map[string]struct{}, len(gs.All))
 	for i := range gs.All {
 		g := &gs.All[i]
 		if len(g.Words) <= opts.MaxWords {
 			mapping[g.Key] = g.Words
-			locs[g.Key] = struct{}{}
 			continue
 		}
 		best := -1
@@ -107,20 +97,13 @@ func LongPhraseMapping(gs *Groups, opts Options) *Result {
 				best, bestFreq = a, f
 			}
 		}
-		var loc []string
 		if best >= 0 {
-			loc = gs.All[best].Words
+			mapping[g.Key] = gs.All[best].Words
 		} else {
-			loc = fallbackLocator(g.Words, opts.MaxWords)
+			mapping[g.Key] = fallbackLocator(g.Words, opts.MaxWords)
 		}
-		mapping[g.Key] = loc
-		locs[textnorm.SetKey(loc)] = struct{}{}
 	}
-	return &Result{
-		Mapping:     mapping,
-		Nodes:       len(locs),
-		ModeledCost: evaluateNodeCost(gs, mapping, opts),
-	}
+	return newResult(gs, mapping, opts)
 }
 
 // scanTerm returns the Equation (2) scan contribution of storing member
@@ -130,42 +113,28 @@ func scanTerm(opts *Options, locator, member *Group) float64 {
 	return opts.Model.Scan(opts.scanBytes(member.Bytes)) * float64(locator.FreqAtLeast(len(member.Words)))
 }
 
-// locCandidate is the lazy-greedy heap entry for one potential locator.
-type locCandidate struct {
-	locIdx int
-	ratio  float64
-}
-
-type candHeap []locCandidate
-
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].ratio < h[j].ratio }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(locCandidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
-}
+// Refinement bounds of Optimize: each step re-solves the refineStep most
+// misplaced groups, and at most refineRounds steps run. A 100k-ad corpus
+// reaches the fixed point in three steps of this size.
+const (
+	refineStep   = 4096
+	refineRounds = 16
+)
 
 // Optimize computes a full workload-adapted mapping (variant (c) of
-// Figure 10) by greedy weighted set cover over candidate nodes:
+// Figure 10) by greedy weighted set cover in placement form (see
+// BuildPlacement for the instance): the batch lazy-heap greedy covers every
+// movable group, then bounded incremental steps re-solve the most
+// misplaced groups until none moves. The steps are the withdrawal-style
+// refinement (Section V-B cites Hassin–Levin for improving on plain
+// greedy): greedy's element-ratio rule leaves subset groups in cheap
+// singleton nodes even when joining an ancestor's open node is globally
+// cheaper, and a step prices exactly that move. The adaptation round
+// (Placement.Step) is one such step from the live mapping.
 //
-//   - Elements are groups; candidate locators are existing groups of at
-//     most MaxWords words.
-//   - The weight of a node at locator L holding members S is
-//     F(L)·Cost_Random + Σ_{g∈S} Cost_Scan(bytes_g)·F(L, |Q|≥|g|), which
-//     is Equation (2) aggregated over the workload.
-//   - For a fixed locator the best candidate of each size is L's
-//     uncovered descendants in ascending scan-term order, so the greedy
-//     ratio minimization reduces to a prefix scan; a lazy heap picks the
-//     globally best candidate each round (valid because ratios only
-//     degrade as elements get covered).
-//
-// Groups left uncovered (possible when all their short ancestors were
-// absorbed elsewhere) fall back to their own word sets or, when too long,
-// synthetic locators — the relaxation Section V-A permits.
+// Groups outside the instance, or that no chosen set holds, fall back to
+// their own word sets or, when too long, synthetic locators — the
+// relaxation Section V-A permits.
 func Optimize(gs *Groups, opts Options) *Result {
 	opts.fillDefaults()
 	if gs.MaxQueryLen == 0 {
@@ -174,250 +143,21 @@ func Optimize(gs *Groups, opts Options) *Result {
 		// placement is the right default.
 		return IdentityMapping(gs, opts)
 	}
-	model := opts.Model
-	desc := gs.Descendants()
-
-	// Precompute, per admissible locator, its descendants ordered by
-	// ascending scan term (static: scan terms do not depend on coverage).
-	type member struct {
-		group int
-		term  float64
+	p, err := BuildPlacement(gs, opts)
+	if err != nil {
+		// Every element is numbered from a set that holds it, so the
+		// instance is valid by construction.
+		panic("optimize: " + err.Error())
 	}
-	members := make([][]member, len(gs.All))
-	admissible := make([]bool, len(gs.All))
-	for l := range gs.All {
-		loc := &gs.All[l]
-		if len(loc.Words) > opts.MaxWords {
-			continue
-		}
-		if loc.FreqTotal() == 0 {
-			// A locator the workload never reaches offers no evidence for
-			// merging; without this guard its zero weight would absorb
-			// every cold descendant into one degenerate node. Cold groups
-			// fall back to identity placement instead.
-			continue
-		}
-		admissible[l] = true
-		ms := make([]member, 0, len(desc[l]))
-		for _, g := range desc[l] {
-			term := scanTerm(&opts, loc, &gs.All[g])
-			if g != l && gs.All[g].FreqTotal() == 0 && term > 0 {
-				// A never-queried group costs nothing at its own node;
-				// absorbing it here would add scan cost for free.
-				continue
-			}
-			ms = append(ms, member{group: g, term: term})
-		}
-		sort.Slice(ms, func(i, j int) bool {
-			if ms[i].term != ms[j].term {
-				return ms[i].term < ms[j].term
-			}
-			return ms[i].group < ms[j].group
-		})
-		members[l] = ms
-	}
-
-	covered := make([]bool, len(gs.All))
-	assignment := make([]int, len(gs.All)) // group -> locator group index
-	for i := range assignment {
-		assignment[i] = -1
-	}
-
-	// bestPrefix returns the minimum-ratio uncovered prefix for locator l
-	// and its member list, honoring the locator-must-be-member rule: if
-	// group l itself is covered elsewhere the locator is unusable
-	// (condition III), signalled by ok=false.
-	bestPrefix := func(l int) (ratio float64, take []int, ok bool) {
-		if covered[l] {
-			return 0, nil, false
-		}
-		base := float64(gs.All[l].FreqTotal()) * model.RandomCost()
-		if base <= 0 {
-			// Never-accessed locator: give it a tiny positive base so
-			// cold groups still get grouped (deterministically) rather
-			// than dividing by zero weight.
-			base = 1e-9
-		}
-		sum := base
-		bestRatio := -1.0
-		bestLen := 0
-		n := 0
-		sawSelf := false
-		for _, m := range members[l] {
-			if covered[m.group] {
-				continue
-			}
-			sum += m.term
-			n++
-			if m.group == l {
-				sawSelf = true
-			}
-			if opts.MaxNodeGroups > 0 && n > opts.MaxNodeGroups {
-				break
-			}
-			// Only prefixes that include the locator's own group are
-			// valid nodes; scan terms of l are among the smallest for
-			// its own locator (its word set is the shortest superset of
-			// itself), so this almost always holds from the start.
-			if !sawSelf {
-				continue
-			}
-			r := sum / float64(n)
-			if bestRatio < 0 || r < bestRatio {
-				bestRatio, bestLen = r, n
-			}
-		}
-		if bestRatio < 0 {
-			return 0, nil, false
-		}
-		take = make([]int, 0, bestLen)
-		cnt := 0
-		for _, m := range members[l] {
-			if covered[m.group] {
-				continue
-			}
-			take = append(take, m.group)
-			cnt++
-			if cnt == bestLen {
-				break
-			}
-		}
-		return bestRatio, take, true
-	}
-
-	h := make(candHeap, 0, len(gs.All))
-	for l := range gs.All {
-		if !admissible[l] {
-			continue
-		}
-		if r, _, ok := bestPrefix(l); ok {
-			h = append(h, locCandidate{locIdx: l, ratio: r})
-		}
-	}
-	heap.Init(&h)
-
-	remaining := len(gs.All)
-	for remaining > 0 && h.Len() > 0 {
-		it := heap.Pop(&h).(locCandidate)
-		r, take, ok := bestPrefix(it.locIdx)
-		if !ok {
-			continue
-		}
-		if r > it.ratio+1e-12 {
-			// Stale: ratio degraded since scoring; re-queue.
-			heap.Push(&h, locCandidate{locIdx: it.locIdx, ratio: r})
-			continue
-		}
-		for _, g := range take {
-			covered[g] = true
-			assignment[g] = it.locIdx
-			remaining--
-		}
-	}
-
-	localImprove(gs, assignment, model, opts)
-
-	// Fallback for uncovered groups (all short ancestors absorbed
-	// elsewhere, or group inadmissible as its own locator).
-	mapping := make(map[string][]string, len(gs.All))
-	locs := make(map[string]struct{})
-	for g := range gs.All {
-		var loc []string
-		if assignment[g] >= 0 {
-			loc = gs.All[assignment[g]].Words
-		} else {
-			loc = fallbackLocator(gs.All[g].Words, opts.MaxWords)
-		}
-		mapping[gs.All[g].Key] = loc
-		locs[textnorm.SetKey(loc)] = struct{}{}
-	}
-	return &Result{
-		Mapping:     mapping,
-		Nodes:       len(locs),
-		ModeledCost: evaluateNodeCost(gs, mapping, opts),
-	}
-}
-
-// localImprove is the withdrawal-style refinement pass (Section V-B cites
-// Hassin–Levin for improving on plain greedy): greedy's element-ratio rule
-// tends to leave subset groups in cheap singleton nodes even when merging
-// them into an ancestor's node is globally cheaper (the saved Cost_Random
-// per access outweighs the added scan). The pass repeatedly moves a group
-// g from its current node into an ancestor-locator node L when
-//
-//	scan_g·F(L, ≥|g|)  <  savings of leaving g's current node,
-//
-// where leaving a singleton node g also saves its F(g)·Cost_Random term.
-func localImprove(gs *Groups, assignment []int, model costmodel.Model, opts Options) {
-	// nodeMembers[l] = groups currently mapped to locator group l.
-	nodeMembers := make(map[int][]int)
-	for g, l := range assignment {
-		if l >= 0 {
-			nodeMembers[l] = append(nodeMembers[l], g)
-		}
-	}
-	for pass := 0; pass < 3; pass++ {
-		changed := false
-		for g := range gs.All {
-			cur := assignment[g]
-			if cur < 0 {
-				continue
-			}
-			grp := &gs.All[g]
-			// A locator of a multi-member node must stay (condition III).
-			if cur == g && len(nodeMembers[g]) > 1 {
-				continue
-			}
-			// Cost of g where it is now.
-			var savings float64
-			curLoc := &gs.All[cur]
-			savings = scanTerm(&opts, curLoc, grp)
-			if cur == g && len(nodeMembers[g]) == 1 {
-				// Dissolving the singleton node also saves its random
-				// accesses.
-				savings += float64(grp.FreqTotal()) * model.RandomCost()
-			}
-			bestDst, bestCost := -1, savings
-			for _, l := range gs.Ancestors[g] {
-				if l == g || l == cur {
-					continue
-				}
-				if assignment[l] != l {
-					continue // not currently a locator node
-				}
-				if len(gs.All[l].Words) > opts.MaxWords {
-					continue
-				}
-				if opts.MaxNodeGroups > 0 && len(nodeMembers[l]) >= opts.MaxNodeGroups {
-					continue
-				}
-				cost := scanTerm(&opts, &gs.All[l], grp)
-				if cost < bestCost {
-					bestDst, bestCost = l, cost
-				}
-			}
-			if bestDst < 0 {
-				continue
-			}
-			// Move g from cur to bestDst.
-			ms := nodeMembers[cur]
-			for i, m := range ms {
-				if m == g {
-					nodeMembers[cur] = append(ms[:i], ms[i+1:]...)
-					break
-				}
-			}
-			if len(nodeMembers[cur]) == 0 {
-				delete(nodeMembers, cur)
-			}
-			nodeMembers[bestDst] = append(nodeMembers[bestDst], g)
-			assignment[g] = bestDst
-			changed = true
-		}
-		if !changed {
+	assign := p.PC.GreedyAssign()
+	for round := 0; round < refineRounds; round++ {
+		next, moved := p.PC.IncrementalStep(assign, refineStep)
+		if moved == 0 {
 			break
 		}
+		assign = next
 	}
+	return newResult(gs, p.MappingFromAssignment(assign), opts)
 }
 
 // EvaluateMapping returns Cost_Node(WL, M) for an arbitrary valid mapping
@@ -425,7 +165,8 @@ func localImprove(gs *Groups, assignment []int, model costmodel.Model, opts Opti
 // (online inserts since the last optimization) is from fresh optimality.
 func EvaluateMapping(gs *Groups, mapping map[string][]string, opts Options) float64 {
 	opts.fillDefaults()
-	return evaluateNodeCost(gs, mapping, opts)
+	cost, _ := evaluateNodeCost(gs, mapping, opts)
+	return cost
 }
 
 // evaluateNodeCost computes Cost_Node(WL, M): for each node, the frequency
@@ -433,7 +174,8 @@ func EvaluateMapping(gs *Groups, mapping map[string][]string, opts Options) floa
 // group's bytes scanned by the queries long enough to reach it. Locators
 // that are existing groups use their exact histograms; synthetic locators
 // conservatively inherit the histogram of their cheapest descendant group.
-func evaluateNodeCost(gs *Groups, mapping map[string][]string, opts Options) float64 {
+// The second result is the number of nodes the mapping produces.
+func evaluateNodeCost(gs *Groups, mapping map[string][]string, opts Options) (total float64, numNodes int) {
 	type nodeAgg struct {
 		locIdx  int // -1 for synthetic
 		members []int
@@ -453,7 +195,6 @@ func evaluateNodeCost(gs *Groups, mapping map[string][]string, opts Options) flo
 		}
 		n.members = append(n.members, g)
 	}
-	total := 0.0
 	for _, n := range nodes {
 		var loc *Group
 		if n.locIdx >= 0 {
@@ -475,7 +216,7 @@ func evaluateNodeCost(gs *Groups, mapping map[string][]string, opts Options) flo
 			total += scanTerm(&opts, loc, &gs.All[g])
 		}
 	}
-	return total
+	return total, len(nodes)
 }
 
 // HashCost computes Cost_Hash(WL): the mapping-independent cost of the

@@ -308,24 +308,6 @@ func ids(ads []*corpus.Ad) []uint64 {
 	return out
 }
 
-func TestMaxNodeGroupsCap(t *testing.T) {
-	// With an aggressive workload pushing to merge, the cap must bound
-	// distinct word sets per node.
-	ads := mustAds("a", "a b", "a c", "a d", "a e", "a f")
-	wl := wlOf(qf("a b c d e f", 1000))
-	gs := BuildGroups(ads, wl)
-	res := Optimize(gs, Options{MaxWords: 10, MaxNodeGroups: 2})
-	counts := make(map[string]int)
-	for _, loc := range res.Mapping {
-		counts[textnorm.SetKey(loc)]++
-	}
-	for loc, n := range counts {
-		if n > 2 {
-			t.Errorf("node %q holds %d groups, cap is 2", loc, n)
-		}
-	}
-}
-
 func TestHashCost(t *testing.T) {
 	gs := &Groups{}
 	model := costmodel.Model{Random: 100, ScanByte: 1}

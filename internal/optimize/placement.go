@@ -5,15 +5,13 @@ import (
 	"adindex/internal/textnorm"
 )
 
-// This file bridges the group statistics to the decomposed placement
-// form of set cover (setcover.Placement), which is what the continuous
-// adaptation loop solves incrementally: elements are movable groups,
-// candidate sets are admissible locators, Open is the locator's random-
-// access term and Member is the Equation (2) scan term. The admissibility
-// rules mirror the batch Optimize greedy exactly — cold locators cannot
-// absorb other groups and never-queried groups are not absorbed at a
-// positive scan price — so the incremental solver explores the same
-// search space the batch solver does.
+// This file bridges the group statistics to the placement form of set
+// cover (setcover.Placement), the one instance both Optimize and the
+// continuous adaptation loop solve: elements are movable groups, candidate
+// sets are admissible locators, Open is the locator's random-access term
+// and Member is the Equation (2) scan term. Optimize solves it from
+// nothing (batch greedy, then refinement steps); an adaptation round
+// (Step) runs one bounded step from the live mapping.
 
 // Placement couples a setcover placement instance with the indexing
 // needed to translate between element assignments and word-set mappings.
@@ -88,9 +86,10 @@ func BuildPlacement(gs *Groups, opts Options) (*Placement, error) {
 			continue
 		}
 		if loc.FreqTotal() == 0 {
-			// Cold locator: only admissible as its own singleton node
-			// (mirrors the batch admissibility guard — a node the
-			// workload never reaches offers no evidence for merging).
+			// Cold locator: only admissible as its own singleton node. A
+			// node the workload never reaches offers no evidence for
+			// merging, and its zero weight would otherwise absorb every
+			// cold descendant into one degenerate node.
 			canHold[l] = []int{l}
 			continue
 		}
@@ -174,8 +173,8 @@ func (p *Placement) AssignmentFromMapping(mapping map[string][]string) []int {
 
 // MappingFromAssignment produces a complete mapping: assigned elements
 // map to their set's locator words, unassigned elements and excluded
-// groups fall back exactly like the batch optimizer (own words, or a
-// synthetic locator when too long).
+// groups fall back to their own words, or a synthetic locator when too
+// long.
 func (p *Placement) MappingFromAssignment(assign []int) map[string][]string {
 	mapping := make(map[string][]string, len(p.gs.All))
 	for g := range p.gs.All {
@@ -199,14 +198,14 @@ func (p *Placement) MappingFromAssignment(assign []int) map[string][]string {
 // evaluation guard here make an applied step non-regressing under both
 // accountings.
 func (p *Placement) Step(mapping map[string][]string, k int) (out map[string][]string, moved int, costBefore, costAfter float64) {
-	costBefore = evaluateNodeCost(p.gs, mapping, p.opts)
+	costBefore, _ = evaluateNodeCost(p.gs, mapping, p.opts)
 	assign := p.AssignmentFromMapping(mapping)
 	next, moved := p.PC.IncrementalStep(assign, k)
 	if moved == 0 {
 		return mapping, 0, costBefore, costBefore
 	}
 	out = p.MappingFromAssignment(next)
-	costAfter = evaluateNodeCost(p.gs, out, p.opts)
+	costAfter, _ = evaluateNodeCost(p.gs, out, p.opts)
 	if costAfter > costBefore {
 		// The decomposed guard passed but the full evaluation (which
 		// prices fallback nodes the instance excludes) disagrees; keep

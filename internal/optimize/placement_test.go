@@ -118,7 +118,7 @@ func TestPlacementMappingRoundTrip(t *testing.T) {
 }
 
 // TestPlacementAdmissibilityMirrorsBatch: the placement instance must
-// enforce the batch greedy's guards — no multi-member cold locators, no
+// enforce the admissibility guards — no multi-member cold locators, no
 // cold members absorbed at positive scan cost.
 func TestPlacementAdmissibilityMirrorsBatch(t *testing.T) {
 	ads := mustAds("a", "a b", "a c", "z q")

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -25,6 +26,12 @@ type synClass struct {
 	members   []string // sorted, distinct; includes the canonical form
 }
 
+// ErrMalformedClasses is matched by errors.Is when NewClasses or
+// ReadClasses refuses a table. (An input ReadClasses could not read to the
+// end — a line over 1 MiB, a failing reader — wraps the scanner's or the
+// reader's error instead.)
+var ErrMalformedClasses = errors.New("rewrite: malformed synonym classes")
+
 // NewClasses builds a synonym table. Each inner slice is one class; the
 // first member is the canonical representative. Members are normalized
 // with the index's tokenizer and must each normalize to exactly one word;
@@ -38,7 +45,7 @@ func NewClasses(classes [][]string) (*Classes, error) {
 		for mi, m := range raw {
 			ws := textnorm.WordSet(m)
 			if len(ws) != 1 {
-				return nil, fmt.Errorf("rewrite: class %d: member %q does not normalize to a single word", ci, m)
+				return nil, fmt.Errorf("%w: class %d: member %q does not normalize to a single word", ErrMalformedClasses, ci, m)
 			}
 			w := ws[0]
 			if seen[w] {
@@ -46,7 +53,7 @@ func NewClasses(classes [][]string) (*Classes, error) {
 			}
 			seen[w] = true
 			if prev, dup := c.byWord[w]; dup {
-				return nil, fmt.Errorf("rewrite: word %q appears in class %d and class %d", w, prev, ci)
+				return nil, fmt.Errorf("%w: word %q appears in class %d and class %d", ErrMalformedClasses, w, prev, ci)
 			}
 			if mi == 0 || cls.canonical == "" {
 				cls.canonical = w
@@ -54,7 +61,7 @@ func NewClasses(classes [][]string) (*Classes, error) {
 			cls.members = append(cls.members, w)
 		}
 		if len(cls.members) < 2 {
-			return nil, fmt.Errorf("rewrite: class %d needs at least two distinct members", ci)
+			return nil, fmt.Errorf("%w: class %d needs at least two distinct members", ErrMalformedClasses, ci)
 		}
 		sort.Strings(cls.members)
 		idx := len(c.classes)
@@ -87,7 +94,7 @@ func ReadClasses(r io.Reader) (*Classes, error) {
 			}
 		}
 		if len(members) < 2 {
-			return nil, fmt.Errorf("rewrite: line %d: a class needs at least two members", lineNo)
+			return nil, fmt.Errorf("%w: line %d: a class needs at least two members", ErrMalformedClasses, lineNo)
 		}
 		raw = append(raw, members)
 	}

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -91,8 +92,8 @@ func TestReadWriteClassesRoundTrip(t *testing.T) {
 
 func TestReadClassesErrors(t *testing.T) {
 	for _, in := range []string{"single\n", "a\tb\nlonely\n"} {
-		if _, err := ReadClasses(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadClasses(%q) accepted, want error", in)
+		if _, err := ReadClasses(strings.NewReader(in)); !errors.Is(err, ErrMalformedClasses) {
+			t.Errorf("ReadClasses(%q) = %v, want ErrMalformedClasses", in, err)
 		}
 	}
 }

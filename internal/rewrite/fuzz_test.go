@@ -1,6 +1,10 @@
 package rewrite
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -70,6 +74,55 @@ func FuzzLevenshteinWalk(f *testing.F) {
 		if seen[query] {
 			if d, ok := got[query]; !ok || d != 0 {
 				t.Fatalf("stored query %q not visited at distance 0 (maxDist %d)", query, maxDist)
+			}
+		}
+	})
+}
+
+// FuzzReadClasses feeds ReadClasses bytes this process did not write, the
+// way adserve -synonyms does. It never panics; what it refuses it refuses
+// with ErrMalformedClasses (or the scanner's error for a line over its
+// buffer); and what it accepts survives WriteClasses and a second read as
+// the same table: the same bytes, and the same class around every word.
+func FuzzReadClasses(f *testing.F) {
+	f.Add([]byte("# synonyms\nshoe\tsneaker\ttrainer\n\ncouch\tsofa\r\n"))
+	f.Add([]byte("single\n"))
+	f.Add([]byte("a\tb\nb\tc\n"))           // a word in two classes
+	f.Add([]byte("Shoes!\tSHOES\tshoes\n")) // one word three ways
+	f.Add([]byte("two words\tone\n"))
+	f.Add([]byte("\t\t \t\n#\ta\tb\n"))
+	f.Add([]byte("a\x1fb\tc\n"))
+	f.Add(append(bytes.Repeat([]byte("w"), 1<<20), "\tv\n"...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadClasses(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrMalformedClasses) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteClasses(&first, c); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := ReadClasses(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadClasses refuses what WriteClasses wrote (%q): %v", first.Bytes(), err)
+		}
+		var second bytes.Buffer
+		if err := WriteClasses(&second, c2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip rewrote the file: %q -> %q", first.Bytes(), second.Bytes())
+		}
+		if c2.NumClasses() != c.NumClasses() || c2.NumWords() != c.NumWords() {
+			t.Fatalf("round trip changed the table: %d classes of %d words -> %d of %d",
+				c.NumClasses(), c.NumWords(), c2.NumClasses(), c2.NumWords())
+		}
+		for w := range c.byWord {
+			if c2.Canonical(w) != c.Canonical(w) || !slices.Equal(c2.Alternates(w), c.Alternates(w)) {
+				t.Fatalf("round trip changed the class of %q", w)
 			}
 		}
 	})

@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// This file implements the *placement* form of weighted set cover used by
-// the continuous-adaptation control loop. The batch optimizer treats a
-// candidate node as a monolithic set with one precomputed weight; the
-// control loop instead needs to move a few elements at a time, which
-// requires the weight decomposed into the part paid once per chosen set
-// (the locator's random accesses) and the part paid per member (that
+// This file implements the *placement* form of weighted set cover, which
+// the mapping optimizer and the continuous-adaptation control loop both
+// solve. Instance treats a candidate node as a monolithic set with one
+// precomputed weight; re-mapping needs to move a few elements at a time,
+// which requires the weight decomposed into the part paid once per chosen
+// set (the locator's random accesses) and the part paid per member (that
 // member's scan term). With the decomposition, the marginal cost of
 // adding one element to an already-open set — the quantity an
 // incremental step reasons about — is well defined.
