@@ -8,7 +8,9 @@
 #                      fault-injection latency schedules stay affordable;
 #                      ./internal/server brings TestCacheLinearizable
 #                      (writers and readers on overlapping word sets
-#                      through the reply cache)
+#                      through the reply cache) beside TestCacheConcurrent
+#                      and the segmented-LRU policy tests (scan
+#                      resistance, promotion, demotion, refresh)
 #   recovery-smoke     kill -9 a churning child, recover, compare with the
 #                      serial oracle; crash-at-every-write atomicity
 #   simsmoke           pinned whole-stack simulation seeds vs the oracle,
@@ -175,7 +177,12 @@ size:
 # -mapping reads (no panic, typed refusals, and what is accepted either
 # builds through core.NewWithMapping or is refused there with an error),
 # and the synonym file adserve -synonyms reads (no panic, typed refusals,
-# ReadClasses ∘ WriteClasses = id on accepted inputs).
+# ReadClasses ∘ WriteClasses = id on accepted inputs), and the compressed
+# data-node decoder (no panic, ErrMalformedNode refusals, allocation bounded
+# by the input and the phrases it decodes, Decode ∘ Encode = id on accepted
+# inputs; minimization is capped: with the allocation check's two
+# runtime.ReadMemStats per execution, minimizing one new input stalled the
+# workers for most of the ten seconds).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
@@ -185,6 +192,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
 	$(GO) test -run='^$$' -fuzz=FuzzReadMapping -fuzztime=10s ./internal/optimize
 	$(GO) test -run='^$$' -fuzz=FuzzReadClasses -fuzztime=10s ./internal/rewrite
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeNode -fuzztime=10s -fuzzminimizetime=100x ./internal/compress
 
 # One iteration of every root benchmark: keeps them compiling and
 # running without timing anything.

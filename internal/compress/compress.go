@@ -9,6 +9,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"adindex/internal/corpus"
@@ -61,6 +62,10 @@ func EncodeNode(records []corpus.Ad) []byte {
 	return buf
 }
 
+// ErrMalformedNode is wrapped by every error DecodeNode and Decoder.Next
+// return: the bytes are not a node EncodeNode could have written.
+var ErrMalformedNode = errors.New("compress: malformed node")
+
 // DecodeNode parses a node encoded by EncodeNode. Word sets are recomputed
 // from the phrases.
 func DecodeNode(data []byte) ([]corpus.Ad, error) {
@@ -100,7 +105,7 @@ func (d *Decoder) Offset() int { return d.pos }
 func (d *Decoder) getU() (uint64, error) {
 	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("compress: truncated uvarint at %d", d.pos)
+		return 0, fmt.Errorf("%w: truncated uvarint at %d", ErrMalformedNode, d.pos)
 	}
 	d.pos += n
 	return v, nil
@@ -109,7 +114,7 @@ func (d *Decoder) getU() (uint64, error) {
 func (d *Decoder) getS() (int64, error) {
 	v, n := binary.Varint(d.data[d.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("compress: truncated varint at %d", d.pos)
+		return 0, fmt.Errorf("%w: truncated varint at %d", ErrMalformedNode, d.pos)
 	}
 	d.pos += n
 	return v, nil
@@ -126,11 +131,11 @@ func (d *Decoder) Next() (corpus.Ad, error) {
 	if err != nil {
 		return zero, err
 	}
-	if int(prefixLen) > len(d.prevPhrase) {
-		return zero, fmt.Errorf("compress: prefix %d longer than previous phrase %q", prefixLen, d.prevPhrase)
+	if prefixLen > uint64(len(d.prevPhrase)) {
+		return zero, fmt.Errorf("%w: prefix %d longer than previous phrase %q", ErrMalformedNode, prefixLen, d.prevPhrase)
 	}
 	if suffixLen > uint64(len(d.data)-d.pos) {
-		return zero, fmt.Errorf("compress: truncated suffix at %d", d.pos)
+		return zero, fmt.Errorf("%w: truncated suffix at %d", ErrMalformedNode, d.pos)
 	}
 	phrase := d.prevPhrase[:prefixLen] + string(d.data[d.pos:d.pos+int(suffixLen)])
 	d.pos += int(suffixLen)
@@ -147,21 +152,21 @@ func (d *Decoder) Next() (corpus.Ad, error) {
 		return zero, err
 	}
 	if campaign > 1<<32-1 {
-		return zero, fmt.Errorf("compress: campaign %d overflows uint32", campaign)
+		return zero, fmt.Errorf("%w: campaign %d overflows uint32", ErrMalformedNode, campaign)
 	}
 	ctr, err := d.getU()
 	if err != nil {
 		return zero, err
 	}
 	if ctr > 1<<16-1 {
-		return zero, fmt.Errorf("compress: click rate %d overflows uint16", ctr)
+		return zero, fmt.Errorf("%w: click rate %d overflows uint16", ErrMalformedNode, ctr)
 	}
 	numExcl, err := d.getU()
 	if err != nil {
 		return zero, err
 	}
 	if numExcl > uint64(len(d.data)) {
-		return zero, fmt.Errorf("compress: implausible exclusion count %d", numExcl)
+		return zero, fmt.Errorf("%w: implausible exclusion count %d", ErrMalformedNode, numExcl)
 	}
 	var excl []string
 	for e := uint64(0); e < numExcl; e++ {
@@ -170,7 +175,7 @@ func (d *Decoder) Next() (corpus.Ad, error) {
 			return zero, err
 		}
 		if l > uint64(len(d.data)-d.pos) {
-			return zero, fmt.Errorf("compress: truncated exclusion at %d", d.pos)
+			return zero, fmt.Errorf("%w: truncated exclusion at %d", ErrMalformedNode, d.pos)
 		}
 		excl = append(excl, string(d.data[d.pos:d.pos+int(l)]))
 		d.pos += int(l)

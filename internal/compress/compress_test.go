@@ -1,8 +1,11 @@
 package compress
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -73,10 +76,15 @@ func TestDecodeErrors(t *testing.T) {
 			t.Fatalf("truncation at %d decoded fully without error", cut)
 		}
 	}
-	// Corrupt prefix length pointing beyond previous phrase.
-	bad := []byte{200, 1, 'x', 0, 0, 0, 0, 0} // prefixLen=200 with no prior phrase
-	if _, err := DecodeNode(bad); err == nil {
-		t.Error("oversized prefix accepted")
+	// Corrupt prefix length pointing beyond previous phrase: 200, and 1<<63,
+	// which int() makes negative (it used to pass the check and panic).
+	for _, bad := range [][]byte{
+		{200, 1, 'x', 0, 0, 0, 0, 0},
+		append(binary.AppendUvarint(nil, 1<<63), 0),
+	} {
+		if _, err := DecodeNode(bad); !errors.Is(err, ErrMalformedNode) {
+			t.Errorf("oversized prefix in % x: err %v, want ErrMalformedNode", bad, err)
+		}
 	}
 }
 
@@ -167,4 +175,49 @@ func TestCorpusNodeCompression(t *testing.T) {
 	if len(data) >= RawSize(c.Ads) {
 		t.Errorf("encoded %d B >= raw %d B", len(data), RawSize(c.Ads))
 	}
+}
+
+// FuzzDecodeNode feeds DecodeNode bytes it did not write, as a node read
+// back from a compressed index file would be. It never panics; what it
+// refuses it refuses with ErrMalformedNode; it allocates for the records it
+// decodes and nothing a count in the input merely claims; and what it
+// accepts survives EncodeNode and a second decode unchanged.
+func FuzzDecodeNode(f *testing.F) {
+	node := EncodeNode(sampleRecords())
+	f.Add(node)
+	f.Add(node[:len(node)/2])
+	f.Add([]byte{})
+	f.Add(append(binary.AppendUvarint(nil, 1<<63), 0))                 // a prefix length int() makes negative
+	f.Add([]byte{0, 1, 'x', 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // an exclusion count past the input
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, err := DecodeNode(data)
+		runtime.ReadMemStats(&after)
+
+		// Front coding lets a record's phrase repeat the previous one's
+		// bytes, so the records' text can outgrow the input; the limit is
+		// linear in both.
+		text := 0
+		for d := NewDecoder(data); d.More(); {
+			ad, err := d.Next()
+			if err != nil {
+				break
+			}
+			text += len(ad.Phrase)
+		}
+		if spent, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(data)+16*text+1<<16); spent > limit {
+			t.Fatalf("%d input bytes (%d bytes of phrases) cost %d allocated bytes, limit %d", len(data), text, spent, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedNode) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		again, err := DecodeNode(EncodeNode(recs))
+		if err != nil || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("round trip: %+v -> %+v, err %v", recs, again, err)
+		}
+	})
 }

@@ -5,6 +5,7 @@ package server
 
 import (
 	"math"
+	"runtime/metrics"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -255,6 +256,9 @@ type MetricsSnapshot struct {
 		Misses        uint64 `json:"misses"`
 		Invalidations uint64 `json:"invalidations"`
 		Entries       int    `json:"entries"`
+		// Probation is how many of those entries sit in the probation
+		// segment: not hit since they were stored or demoted.
+		Probation int `json:"probation"`
 		// Bytes is the key and body bytes the live entries hold.
 		Bytes int64 `json:"bytes"`
 	} `json:"cache"`
@@ -272,6 +276,10 @@ type MetricsSnapshot struct {
 	NotReady      uint64            `json:"not_ready"`
 	Epoch         uint64            `json:"epoch"`
 	Latency       HistogramSnapshot `json:"latency"`
+	// Memory is the process's Go heap: what the last collection found
+	// live, and the size at which the next one starts (the runtime lets
+	// the heap grow to about twice its live size in between).
+	Memory MemorySnapshot `json:"memory"`
 	// Index is present once a local index is installed: overlay folds
 	// and the time they took.
 	Index *IndexSnapshot `json:"index,omitempty"`
@@ -303,6 +311,30 @@ type IndexSnapshot struct {
 	Folds            uint64  `json:"folds"`
 	FoldSecondsTotal float64 `json:"fold_seconds_total"`
 	BuildSeconds     float64 `json:"build_seconds"`
+	// ObservedQueries is how many distinct query word sets the workload
+	// sampler holds (Index.ObservedQueries).
+	ObservedQueries int `json:"observed_queries"`
+}
+
+// MemorySnapshot is the memory section of /metrics, read from
+// runtime/metrics.
+type MemorySnapshot struct {
+	HeapLiveBytes uint64 `json:"heap_live_bytes"` // /gc/heap/live:bytes
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"` // /gc/heap/goal:bytes
+}
+
+// readMemory reads the memory section.
+func readMemory() MemorySnapshot {
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(samples)
+	var m MemorySnapshot
+	if samples[0].Value.Kind() == metrics.KindUint64 {
+		m.HeapLiveBytes = samples[0].Value.Uint64()
+	}
+	if samples[1].Value.Kind() == metrics.KindUint64 {
+		m.HeapGoalBytes = samples[1].Value.Uint64()
+	}
+	return m
 }
 
 // OverloadSnapshot is the overload-armor section of /metrics.
@@ -399,5 +431,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.Overload.Panics = r.Panics.Load()
 	s.Overload.QuarantineRejects = r.QuarantineRejects.Load()
 	s.Latency = latencySnapshot(r.Latency)
+	s.Memory = readMemory()
 	return s
 }

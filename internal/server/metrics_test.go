@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,6 +136,20 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if lat["count"].(float64) != 1 {
 		t.Errorf("latency.count = %v", lat["count"])
 	}
+	// The memory section is the process's heap as the last collection
+	// left it.
+	runtime.GC()
+	var mem MetricsSnapshot
+	if b, err = json.Marshal(r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &mem); err != nil {
+		t.Fatal(err)
+	}
+	if m := mem.Memory; m.HeapLiveBytes == 0 || m.HeapGoalBytes < m.HeapLiveBytes ||
+		!bytes.Contains(b, []byte(`"memory":{"heap_live_bytes":`)) || !bytes.Contains(b, []byte(`,"heap_goal_bytes":`)) {
+		t.Errorf("memory section = %+v in %s, want a live heap under its goal", m, b)
+	}
 
 	// The cache section is the server's: cache.bytes is the key and body
 	// bytes of the live entries, here the one reply a search just stored.
@@ -147,6 +162,24 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	cache := back["cache"].(map[string]any)
 	if want := len("b\x00books\x1fused") + len(body); cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(want) {
 		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, want)
+	}
+	// A stored reply waits in probation until it is asked again; the
+	// sampler holds the one query's word set.
+	if cache["probation"].(float64) != 1 {
+		t.Errorf("cache.probation = %v before the repeat, want 1", cache["probation"])
+	}
+	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
+		t.Errorf("index.observed_queries = %v, want 1", got)
+	}
+	serve(t, s, "GET", searchTarget("books used", "broad"), "")
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
+		t.Fatal(err)
+	}
+	if cache := back["cache"].(map[string]any); cache["probation"].(float64) != 0 || cache["entries"].(float64) != 1 || cache["hits"].(float64) != 1 {
+		t.Errorf("cache = %v after the repeat, want its one entry hit and out of probation", cache)
+	}
+	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
+		t.Errorf("index.observed_queries = %v after a reordered repeat, want 1", got)
 	}
 
 	// The index section counts overlay folds where they happen: here the

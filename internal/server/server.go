@@ -1000,6 +1000,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.metrics.Snapshot()
 	snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Invalidations = s.cache.Stats()
 	snap.Cache.Entries = s.cache.Len()
+	snap.Cache.Probation = s.cache.probationLen()
 	snap.Cache.Bytes = s.cache.Bytes()
 	snap.Overload.Shedding = s.limiter.Shedding()
 	snap.Overload.ShedOverload = s.limiter.ShedOverload()
@@ -1011,6 +1012,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.Index = new(IndexSnapshot)
 		snap.Index.Folds, snap.Index.FoldSecondsTotal = ix.FoldStats()
 		snap.Index.BuildSeconds = ix.BuildSeconds()
+		snap.Index.ObservedQueries = ix.ObservedQueries()
 		if ix.RewriteEnabled() {
 			snap.Rewrite = s.metrics.rewriteSnapshot()
 		}

@@ -29,14 +29,25 @@ type observeSampler struct {
 	deltaEpoch atomic.Uint64
 }
 
+// observeShard is one shard of the sample: one map from a set's canonical
+// key, the only copy of its words (Workload and ExportDelta split it back
+// with textnorm.SplitKey), to both of its counts.
 type observeShard struct {
 	mu sync.Mutex
-	m  map[string]*workload.Query
-	// pending accumulates per-key frequency counts since the last
-	// ExportDelta drain. It shares keys with m but holds its own Query
-	// values, so draining never disturbs the long-lived sample and
-	// eviction from m never loses a pending count.
-	pending map[string]*workload.Query
+	m  map[string]*observeCount
+	// dirty lists the keys whose pending count went 0 → 1 since the last
+	// drain, as the map's own strings, so a drain visits the sets observed
+	// since and not the whole sample. A set evicted after it was listed
+	// stays listed (and is listed again if readmitted) until a drain or
+	// compactLocked skips it.
+	dirty []string
+}
+
+// observeCount is one sampled set's counts.
+type observeCount struct {
+	key     string // the map key, for dirty
+	freq    int    // occurrences since the set was admitted
+	pending int    // occurrences since the last ExportDelta drain
 }
 
 func newObserveSampler(maxObserved int) *observeSampler {
@@ -46,8 +57,7 @@ func newObserveSampler(maxObserved int) *observeSampler {
 	}
 	s := &observeSampler{shardCap: cap}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]*workload.Query)
-		s.shards[i].pending = make(map[string]*workload.Query)
+		s.shards[i].m = make(map[string]*observeCount)
 	}
 	return s
 }
@@ -78,10 +88,9 @@ func (os *observeSampler) Observe(query string) {
 
 // ObserveWords records one occurrence of the query whose canonical word
 // set is words, for callers that have already tokenized it. words is only
-// read: the sample keeps its own copy on first admit. The frequent case (a
-// set already sampled) costs one short critical section on one shard and
-// no allocation: the set key is built on the stack and only becomes a
-// string when a map has to keep it.
+// read. The frequent case (a set already sampled) costs one short critical
+// section on one shard and no allocation: the set key is built on the
+// stack and only becomes a string when the map has to keep it.
 func (os *observeSampler) ObserveWords(words []string) {
 	if len(words) == 0 {
 		return
@@ -90,77 +99,66 @@ func (os *observeSampler) ObserveWords(words []string) {
 	key := textnorm.AppendSetKey(buf[:0], words)
 	sh := &os.shards[shardIndex(key)]
 	sh.mu.Lock()
-	var kept []string
-	var owned string // key as a string, made once if a map has to keep it
-	if q, ok := sh.m[string(key)]; ok {
-		q.Freq++
-		kept = q.Words
-	} else {
+	c, ok := sh.m[string(key)]
+	if !ok {
 		if len(sh.m) >= os.shardCap {
 			sh.evictLocked()
 		}
-		kept = make([]string, len(words))
-		copy(kept, words)
-		owned = string(key)
-		sh.m[owned] = &workload.Query{Words: kept, Freq: 1}
+		c = &observeCount{key: string(key)}
+		sh.m[c.key] = c
 	}
-	if p, ok := sh.pending[string(key)]; ok {
-		p.Freq++
-	} else {
-		if len(sh.pending) >= 2*os.shardCap {
-			// The delta buffer outgrew its drain cadence (adaptation
-			// stopped, or a vocabulary shift flooded new keys). Sample-evict
-			// like the long-lived map: an approximate delta is fine, an
-			// unbounded one is not.
-			sh.pendingEvictLocked()
+	c.freq++
+	if c.pending++; c.pending == 1 {
+		if len(sh.dirty) >= 2*os.shardCap {
+			// Only evictions leave dead keys behind, so this runs at the
+			// cap alone; it leaves at most shardCap keys, so it runs at
+			// most once per shardCap admits.
+			sh.compactLocked()
 		}
-		if owned == "" {
-			owned = string(key)
-		}
-		sh.pending[owned] = &workload.Query{Words: kept, Freq: 1}
+		sh.dirty = append(sh.dirty, c.key)
 	}
 	sh.mu.Unlock()
 }
 
-// pendingEvictLocked mirrors evictLocked for the delta buffer.
-func (sh *observeShard) pendingEvictLocked() {
-	const sample = 8
-	victim := ""
-	victimFreq := 0
-	n := 0
-	for key, q := range sh.pending {
-		if victim == "" || q.Freq < victimFreq {
-			victim, victimFreq = key, q.Freq
-		}
-		if n++; n >= sample {
-			break
+// compactLocked drops from dirty the keys of evicted sets and the
+// duplicate a readmitted set leaves behind, keeping each set with a
+// pending count once.
+func (sh *observeShard) compactLocked() {
+	kept := sh.dirty[:0]
+	for _, key := range sh.dirty {
+		if c := sh.m[key]; c != nil && c.pending > 0 {
+			c.pending = -c.pending // kept: a duplicate of key now fails the test
+			kept = append(kept, c.key)
 		}
 	}
-	if victim != "" {
-		delete(sh.pending, victim)
+	for _, key := range kept {
+		c := sh.m[key]
+		c.pending = -c.pending
 	}
+	clear(sh.dirty[len(kept):]) // the dropped strings are garbage only once unreferenced
+	sh.dirty = kept
 }
 
 // evictLocked removes the lowest-frequency entry among a small random
 // sample of the shard (Go map iteration order is randomized, so iterating
 // a few entries is a cheap approximate-LFU sample). Holding only a sample
 // keeps eviction O(1) regardless of the cap, and the high-frequency head
-// of a power-law workload survives.
+// of a power-law workload survives. The victim's undrained count goes with
+// it: at the cap the delta is approximate, as the sample is.
 func (sh *observeShard) evictLocked() {
 	const sample = 8
-	victim := ""
-	victimFreq := 0
+	var victim *observeCount
 	n := 0
-	for key, q := range sh.m {
-		if victim == "" || q.Freq < victimFreq {
-			victim, victimFreq = key, q.Freq
+	for _, c := range sh.m {
+		if victim == nil || c.freq < victim.freq {
+			victim = c
 		}
 		if n++; n >= sample {
 			break
 		}
 	}
-	if victim != "" {
-		delete(sh.m, victim)
+	if victim != nil {
+		delete(sh.m, victim.key)
 	}
 }
 
@@ -176,41 +174,60 @@ func (os *observeSampler) Distinct() int {
 	return total
 }
 
-// Workload merges all shards into a workload snapshot. A key only ever
-// lives on one shard, so concatenation needs no cross-shard merging.
-func (os *observeSampler) Workload() *workload.Workload {
-	wl := &workload.Workload{}
-	for i := range os.shards {
-		sh := &os.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.m {
-			wl.Queries = append(wl.Queries, *q)
-		}
-		sh.mu.Unlock()
+// setCount is a sampled set's key and one of its counts, copied out under
+// a shard lock; toWorkload splits the keys into words after it is released.
+type setCount struct {
+	key string
+	n   int
+}
+
+func toWorkload(counts []setCount) *workload.Workload {
+	wl := &workload.Workload{Queries: make([]workload.Query, len(counts))}
+	for i, c := range counts {
+		wl.Queries[i] = workload.Query{Words: textnorm.SplitKey(c.key), Freq: c.n}
 	}
 	return wl
 }
 
-// ExportDelta drains the per-shard delta buffers accumulated since the
-// previous drain and returns them as a workload, plus the drain's epoch
-// (monotonically increasing; the first drain returns 1). Unlike Workload
-// it never walks the long-lived sample, so its cost is proportional to
-// traffic since the last round, not to the sample cap. Shards are
-// drained one lock at a time — Observe on other shards proceeds
-// concurrently, and a key observed on a not-yet-drained shard during the
-// walk simply lands in this or the next delta.
-func (os *observeSampler) ExportDelta() (*workload.Workload, uint64) {
-	wl := &workload.Workload{}
+// Workload merges all shards into a workload snapshot. A key only ever
+// lives on one shard, so concatenation needs no cross-shard merging.
+func (os *observeSampler) Workload() *workload.Workload {
+	var counts []setCount
 	for i := range os.shards {
 		sh := &os.shards[i]
 		sh.mu.Lock()
-		if len(sh.pending) > 0 {
-			for _, q := range sh.pending {
-				wl.Queries = append(wl.Queries, *q)
-			}
-			sh.pending = make(map[string]*workload.Query)
+		for key, c := range sh.m {
+			counts = append(counts, setCount{key, c.freq})
 		}
 		sh.mu.Unlock()
 	}
-	return wl, os.deltaEpoch.Add(1)
+	return toWorkload(counts)
+}
+
+// ExportDelta drains the pending counts accumulated since the previous
+// drain and returns them as a workload, plus the drain's epoch
+// (monotonically increasing; the first drain returns 1). It walks only the
+// dirty lists, never the whole sample, so its cost is proportional to
+// traffic since the last round, not to the sample cap. Shards are drained
+// one lock at a time — Observe on other shards proceeds concurrently, and
+// a key observed on a not-yet-drained shard during the walk simply lands
+// in this or the next delta.
+func (os *observeSampler) ExportDelta() (*workload.Workload, uint64) {
+	var counts []setCount
+	for i := range os.shards {
+		sh := &os.shards[i]
+		sh.mu.Lock()
+		for _, key := range sh.dirty {
+			// A set listed twice (evicted, readmitted) drains once; an
+			// evicted one took its count with it.
+			if c := sh.m[key]; c != nil && c.pending > 0 {
+				counts = append(counts, setCount{c.key, c.pending})
+				c.pending = 0
+			}
+		}
+		clear(sh.dirty)
+		sh.dirty = sh.dirty[:0]
+		sh.mu.Unlock()
+	}
+	return toWorkload(counts), os.deltaEpoch.Add(1)
 }

@@ -162,3 +162,49 @@ func TestObserveWordsIsObserve(t *testing.T) {
 		t.Errorf("ObserveWords of a sampled set allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestObserveSamplerBounded: with the adaptation loop never started,
+// nothing drains the pending counts, and the sampler still holds no more
+// than MaxObservedQueries sets — in the sample, in what a later drain
+// returns, and in the keys it keeps listed for that drain. Sets evicted and
+// readmitted (the round-robin phase) are drained once each.
+func TestObserveSamplerBounded(t *testing.T) {
+	const maxObserved = 64
+	ix := New(Options{MaxObservedQueries: maxObserved})
+	for i := 0; i < 10_000; i++ {
+		ix.Observe(fmt.Sprintf("distinct query %d", i))
+	}
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 200; i++ {
+			ix.Observe(fmt.Sprintf("repeated query %d", i))
+		}
+	}
+	if got := ix.ObservedQueries(); got > maxObserved {
+		t.Fatalf("sample holds %d sets, cap %d", got, maxObserved)
+	}
+	s := ix.observed
+	for i := range s.shards {
+		if n := len(s.shards[i].dirty); n > 2*s.shardCap {
+			t.Errorf("shard %d lists %d keys for the next drain, cap %d per shard", i, n, s.shardCap)
+		}
+	}
+	wl, _ := ix.ExportDelta()
+	if len(wl.Queries) > maxObserved {
+		t.Fatalf("drain returned %d sets, cap %d", len(wl.Queries), maxObserved)
+	}
+	// What the drain returns is what the sample holds, counted once each.
+	sample := map[string]int{}
+	for _, q := range ix.observed.Workload().Queries {
+		sample[textnorm.SetKey(q.Words)] = q.Freq
+	}
+	for _, q := range wl.Queries {
+		key := textnorm.SetKey(q.Words)
+		if f, ok := sample[key]; !ok || q.Freq != f {
+			t.Errorf("drained %v ×%d, sample holds it ×%d (present %v)", q.Words, q.Freq, f, ok)
+		}
+		delete(sample, key)
+	}
+	if len(sample) != 0 {
+		t.Errorf("%d sampled sets observed since the start were not drained", len(sample))
+	}
+}
