@@ -182,7 +182,10 @@ size:
 # by the input and the phrases it decodes, Decode ∘ Encode = id on accepted
 # inputs; minimization is capped: with the allocation check's two
 # runtime.ReadMemStats per execution, minimizing one new input stalled the
-# workers for most of the ten seconds).
+# workers for most of the ten seconds), and the compressed snapshot
+# LoadSnapshot reads (no panic, ErrMalformedSnapshot refusals, allocation
+# bounded by the input, accepted snapshots answer queries and reload; the
+# same minimization cap).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
@@ -193,6 +196,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMapping -fuzztime=10s ./internal/optimize
 	$(GO) test -run='^$$' -fuzz=FuzzReadClasses -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeNode -fuzztime=10s -fuzzminimizetime=100x ./internal/compress
+	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s -fuzzminimizetime=100x .
 
 # One iteration of every root benchmark: keeps them compiling and
 # running without timing anything.

@@ -270,41 +270,6 @@ func ExampleSelectAds() {
 	// Output: running shoes
 }
 
-func TestShardedIndexFacade(t *testing.T) {
-	ads := GenerateAds(1000, 13)
-	single := Build(ads, Options{})
-	sharded, err := NewSharded(ads, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.NumShards() != 4 || sharded.NumAds() != 1000 {
-		t.Fatalf("shards=%d ads=%d", sharded.NumShards(), sharded.NumAds())
-	}
-	for i := 0; i < 100; i++ {
-		q := ads[i*7%len(ads)].Phrase + " extra"
-		a := idsOf(single.BroadMatch(q))
-		b := idsOf(sharded.BroadMatch(q))
-		if !sameIDs(a, b) {
-			t.Fatalf("diverged on %q: %v vs %v", q, a, b)
-		}
-	}
-	sharded.Insert(NewAd(99999, "zzzz unique phrase", Meta{}))
-	if got := sharded.BroadMatch("zzzz unique phrase today"); len(got) != 1 {
-		t.Fatalf("inserted ad not found: %v", idsOf(got))
-	}
-	if !sharded.Delete(99999, "zzzz unique phrase") {
-		t.Fatal("delete failed")
-	}
-	var c Counters
-	sharded.BroadMatchCounted(ads[0].Phrase, &c)
-	if c.Queries != 1 || c.HashProbes == 0 {
-		t.Errorf("counters: %+v", c)
-	}
-	if _, err := NewSharded(nil, 0, Options{}); err == nil {
-		t.Error("0 shards accepted")
-	}
-}
-
 // Optimize runs concurrently with inserts/deletes without losing any
 // mutation (the epoch-swap path).
 func TestOptimizeConcurrentWithChurn(t *testing.T) {

@@ -28,37 +28,7 @@ type Selection struct {
 // and ranking to broad-match results for the given query, returning the
 // auction winners in rank order.
 func SelectAds(query string, matches []Ad, sel Selection) []Ad {
-	qWords := textnorm.WordSet(query)
-	out := make([]Ad, 0, len(matches))
-	for _, ad := range matches {
-		if ad.Meta.BidMicros < sel.MinBidMicros {
-			continue
-		}
-		if sel.ExcludeShown[ad.ID] {
-			continue
-		}
-		if excludedByKeyword(&ad, qWords) {
-			continue
-		}
-		out = append(out, ad)
-	}
-	score := func(a *Ad) int64 {
-		if sel.RankByExpectedRevenue {
-			return a.Meta.BidMicros * int64(a.Meta.ClickRate)
-		}
-		return a.Meta.BidMicros
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(&out[i]), score(&out[j])
-		if si != sj {
-			return si > sj
-		}
-		return out[i].ID < out[j].ID
-	})
-	if sel.MaxResults > 0 && len(out) > sel.MaxResults {
-		out = out[:sel.MaxResults]
-	}
-	return out
+	return selectWinners(query, matches, sel, func(a *Ad) (*Ad, MatchInfo) { return a, MatchInfo{} })
 }
 
 // RankDiscountPercent is the bid multiplier (in percent) an approximate
@@ -89,36 +59,42 @@ func RankDiscountPercent(info MatchInfo) int64 {
 // advertiser's real commitment); ties break by ID, then by penalty so an
 // exact duplicate outranks its rewritten twin.
 func SelectMatches(query string, matches []Match, sel Selection) []Match {
+	return selectWinners(query, matches, sel, func(m *Match) (*Ad, MatchInfo) { return &m.Ad, m.Info })
+}
+
+// selectWinners is SelectAds and SelectMatches over anything that views
+// as an ad and how it matched (an exact match for a bare Ad): filter by
+// bid floor, shown IDs and exclusion keywords, order by discounted score
+// descending with ID then penalty as the tiebreaks, cap at MaxResults.
+func selectWinners[T any](query string, items []T, sel Selection, view func(*T) (*Ad, MatchInfo)) []T {
 	qWords := textnorm.WordSet(query)
-	out := make([]Match, 0, len(matches))
-	for _, m := range matches {
-		if m.Meta.BidMicros < sel.MinBidMicros {
-			continue
+	out := make([]T, 0, len(items))
+	for i := range items {
+		ad, _ := view(&items[i])
+		if ad.Meta.BidMicros >= sel.MinBidMicros && !sel.ExcludeShown[ad.ID] && !excludedByKeyword(ad, qWords) {
+			out = append(out, items[i])
 		}
-		if sel.ExcludeShown[m.ID] {
-			continue
-		}
-		if excludedByKeyword(&m.Ad, qWords) {
-			continue
-		}
-		out = append(out, m)
 	}
-	score := func(m *Match) int64 {
-		s := m.Meta.BidMicros
+	score := func(ad *Ad, info MatchInfo) int64 {
+		s := ad.Meta.BidMicros
 		if sel.RankByExpectedRevenue {
-			s *= int64(m.Meta.ClickRate)
+			s *= int64(ad.Meta.ClickRate)
 		}
-		return s * RankDiscountPercent(m.Info) / 100
+		if pct := RankDiscountPercent(info); pct != 100 {
+			s = s * pct / 100
+		}
+		return s
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(&out[i]), score(&out[j])
-		if si != sj {
+		ai, ii := view(&out[i])
+		aj, ij := view(&out[j])
+		if si, sj := score(ai, ii), score(aj, ij); si != sj {
 			return si > sj
 		}
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
+		if ai.ID != aj.ID {
+			return ai.ID < aj.ID
 		}
-		return out[i].Info.Penalty() < out[j].Info.Penalty()
+		return ii.Penalty() < ij.Penalty()
 	})
 	if sel.MaxResults > 0 && len(out) > sel.MaxResults {
 		out = out[:sel.MaxResults]

@@ -237,7 +237,11 @@ func (f *flags) mode() string {
 // combination not listed here composes. The forbidden rows are all
 // features of the single-node adindex.Index, which the -shards front end
 // does not hold and the elastic cluster's bare core.Index shards do not
-// have yet (ROADMAP "One shard engine").
+// have yet (ROADMAP "One shard engine"). A shard already holds exactly
+// the ads of its slots and is read only through its position's server;
+// making it an adindex.Index waits on a fold proportional to the change
+// (ROADMAP "Writes proportional to the change"), since a fold today
+// rebuilds the whole shard.
 var refusals = []struct {
 	flag, mode string
 	required   bool // the mode needs the flag; otherwise it forbids it

@@ -107,7 +107,12 @@ func (c *CompressedIndex) WriteTo(w io.Writer) (int64, error) {
 	return c.inner.WriteTo(w)
 }
 
+// ErrMalformedSnapshot is wrapped by every error LoadSnapshot returns.
+var ErrMalformedSnapshot = hashindex.ErrMalformedSnapshot
+
 // LoadSnapshot restores a snapshot serialized by CompressedIndex.WriteTo.
+// It allocates as the bytes arrive, never on a count it has not read the
+// bytes for.
 func LoadSnapshot(r io.Reader) (*CompressedIndex, error) {
 	inner, err := hashindex.Read(r)
 	if err != nil {

@@ -91,13 +91,3 @@ func ExampleIndex_Match() {
 	// 1 fuzzy
 	// 2 exact
 }
-
-func ExampleNewSharded() {
-	ads := adindex.GenerateAds(10000, 1)
-	cluster, err := adindex.NewSharded(ads, 4, adindex.Options{})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(cluster.NumShards(), "shards,", cluster.NumAds(), "ads")
-	// Output: 4 shards, 10000 ads
-}

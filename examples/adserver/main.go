@@ -144,7 +144,7 @@ func runDemo(base string) {
 			fmt.Printf("    #%d %q bid=%d\n", w.ID, w.Phrase, w.Meta.BidMicros)
 		}
 	}
-	resp, err := http.Get(base + "/optimize")
+	resp, err := http.Post(base+"/optimize", "", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

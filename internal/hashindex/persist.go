@@ -2,7 +2,9 @@ package hashindex
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -104,52 +106,60 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, bw.Flush()
 }
 
-// Read deserializes an index written by WriteTo.
+// ErrMalformedSnapshot is wrapped by every error Read returns.
+var ErrMalformedSnapshot = errors.New("hashindex: malformed snapshot")
+
+// maxPosition bounds every position a snapshot stores: arena offsets and
+// signature suffixes both stay below it.
+const maxPosition = 1 << 40
+
+// Read deserializes an index written by WriteTo. Every refusal wraps
+// ErrMalformedSnapshot. No count in the input is trusted before the bytes
+// it counts have arrived, so what Read allocates grows with what it reads,
+// plus the 2^SuffixBits-bit signature array the header names.
 func Read(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
+	ix, err := read(bufio.NewReader(r))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformedSnapshot, err)
+	}
+	return ix, nil
+}
+
+func read(br *bufio.Reader) (*Index, error) {
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hashindex: reading magic: %w", err)
+		return nil, fmt.Errorf("reading magic: %w", err)
 	}
 	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("hashindex: bad magic %q", magic)
+		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
 		return nil, err
 	}
 	if ver != snapVersion {
-		return nil, fmt.Errorf("hashindex: unsupported snapshot version %d", ver)
+		return nil, fmt.Errorf("unsupported snapshot version %d", ver)
 	}
 	getU := func() (uint64, error) { return binary.ReadUvarint(br) }
 
-	var opts Options
-	if v, err := getU(); err != nil {
-		return nil, err
-	} else {
-		opts.SuffixBits = int(v)
+	var header [3]uint64 // suffix bits, MaxWords, MaxQueryWords
+	for i := range header {
+		if header[i], err = getU(); err != nil {
+			return nil, err
+		}
 	}
-	if v, err := getU(); err != nil {
-		return nil, err
-	} else {
-		opts.MaxWords = int(v)
+	if header[0] < 1 || header[0] > 30 {
+		return nil, fmt.Errorf("suffix bits %d out of range", header[0])
 	}
-	if v, err := getU(); err != nil {
-		return nil, err
-	} else {
-		opts.MaxQueryWords = int(v)
+	if header[1] < 1 || header[1] > 1<<16 || header[2] < 1 || header[2] > 1<<16 {
+		return nil, fmt.Errorf("word limits %d/%d out of range", header[1], header[2])
 	}
-	if opts.SuffixBits < 1 || opts.SuffixBits > 30 {
-		return nil, fmt.Errorf("hashindex: snapshot suffix bits %d out of range", opts.SuffixBits)
-	}
+	opts := Options{SuffixBits: int(header[0]), MaxWords: int(header[1]), MaxQueryWords: int(header[2])}
 
 	ix := &Index{opts: opts, mask: uint64(1)<<uint(opts.SuffixBits) - 1, vocab: make(map[string]int)}
 	nVocab, err := getU()
 	if err != nil {
 		return nil, err
-	}
-	if nVocab > 1<<28 {
-		return nil, fmt.Errorf("hashindex: implausible vocabulary size %d", nVocab)
 	}
 	for i := uint64(0); i < nVocab; i++ {
 		l, err := getU()
@@ -157,7 +167,7 @@ func Read(r io.Reader) (*Index, error) {
 			return nil, err
 		}
 		if l > 1<<16 {
-			return nil, fmt.Errorf("hashindex: implausible word length %d", l)
+			return nil, fmt.Errorf("implausible word length %d", l)
 		}
 		word := make([]byte, l)
 		if _, err := io.ReadFull(br, word); err != nil {
@@ -170,53 +180,57 @@ func Read(r io.Reader) (*Index, error) {
 		ix.vocab[string(word)] = int(df)
 	}
 
-	readGaps := func(limit int) ([]int, error) {
+	// readGaps reads a count and that many gap-encoded, strictly
+	// increasing positions; the slice grows with the gaps read, at least
+	// one byte each, not with the count claimed.
+	readGaps := func() ([]int, error) {
 		n, err := getU()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(limit) {
-			return nil, fmt.Errorf("hashindex: implausible position count %d", n)
-		}
-		out := make([]int, n)
+		out := make([]int, 0, min(n, 1<<12))
 		pos := -1
-		for i := range out {
+		for i := uint64(0); i < n; i++ {
 			gap, err := getU()
 			if err != nil {
 				return nil, err
 			}
+			if gap == 0 || gap > maxPosition || pos+int(gap) >= maxPosition {
+				return nil, fmt.Errorf("position gap %d after %d out of range", gap, pos)
+			}
 			pos += int(gap)
-			out[i] = pos
+			out = append(out, pos)
 		}
 		return out, nil
 	}
-	sigPositions, err := readGaps(1 << 30)
+	sigPositions, err := readGaps()
 	if err != nil {
-		return nil, fmt.Errorf("hashindex: signature positions: %w", err)
+		return nil, fmt.Errorf("signature positions: %w", err)
 	}
-	starts, err := readGaps(1 << 30)
+	starts, err := readGaps()
 	if err != nil {
-		return nil, fmt.Errorf("hashindex: node starts: %w", err)
+		return nil, fmt.Errorf("node starts: %w", err)
 	}
 	arenaLen, err := getU()
 	if err != nil {
 		return nil, err
 	}
-	if arenaLen > 1<<40 {
-		return nil, fmt.Errorf("hashindex: implausible arena size %d", arenaLen)
+	if arenaLen > maxPosition {
+		return nil, fmt.Errorf("implausible arena size %d", arenaLen)
 	}
-	ix.arena = make([]byte, arenaLen)
-	if _, err := io.ReadFull(br, ix.arena); err != nil {
-		return nil, fmt.Errorf("hashindex: arena: %w", err)
+	var arena bytes.Buffer // grows as the bytes arrive
+	if _, err := io.CopyN(&arena, br, int64(arenaLen)); err != nil {
+		return nil, fmt.Errorf("arena of %d bytes: %w", arenaLen, err)
 	}
+	ix.arena = arena.Bytes()
 
 	if len(sigPositions) != len(starts) {
-		return nil, fmt.Errorf("hashindex: %d signatures but %d nodes", len(sigPositions), len(starts))
+		return nil, fmt.Errorf("%d signatures but %d nodes", len(sigPositions), len(starts))
 	}
 	ix.sig = bitvec.New(1 << uint(opts.SuffixBits))
 	for _, p := range sigPositions {
-		if p < 0 || p >= ix.sig.Len() {
-			return nil, fmt.Errorf("hashindex: signature position %d out of range", p)
+		if p >= ix.sig.Len() {
+			return nil, fmt.Errorf("signature position %d out of range", p)
 		}
 		ix.sig.Set(p)
 	}
@@ -227,7 +241,7 @@ func Read(r io.Reader) (*Index, error) {
 	}
 	ix.off, err = bitvec.NewSparse(offLen, starts)
 	if err != nil {
-		return nil, fmt.Errorf("hashindex: rebuilding B^off: %w", err)
+		return nil, fmt.Errorf("rebuilding B^off: %w", err)
 	}
 	return ix, nil
 }

@@ -29,7 +29,6 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
-	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
 	"adindex/internal/workload"
 )
@@ -85,7 +84,7 @@ type CoreBackend struct{ Index *core.Index }
 func (b CoreBackend) AppendMatch(dst []byte, req Request) ([]byte, error) {
 	sc := GetMatchScratch()
 	defer sc.Release()
-	return sc.AppendReply(dst, req, sc.BroadMatch(b.Index, req.Query, nil, req.Deadline)), nil
+	return sc.AppendReply(dst, req, sc.BroadMatch(b.Index, req.Query, req.Deadline)), nil
 }
 
 // MatchScratch holds the reusable buffers of one broad-match request
@@ -106,23 +105,21 @@ var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
 func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScratch) }
 
 // BroadMatch returns the ads of ix broad-matching the raw query text,
-// ID-ordered, charging the access accounting to counters when non-nil.
-// The enumeration stops at deadline when that is non-zero; what it then
-// left out, and whether the MaxQueryWords cutoff shortened the query, is
-// what AppendReply flags. The slice belongs to the scratch (the caller may
-// reorder or shorten it) and the records to the index: both are valid
-// until Release or the index's next mutation, whichever comes first.
-func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, counters *costmodel.Counters, deadline time.Time) []*corpus.Ad {
+// ID-ordered. The enumeration stops at deadline when that is non-zero;
+// what it then left out, and whether the MaxQueryWords cutoff shortened
+// the query, is what AppendReply flags. The slice belongs to the scratch
+// and the records to the index: both are valid until Release or the
+// index's next mutation, whichever comes first.
+func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, deadline time.Time) []*corpus.Ad {
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
 	sc.budget.Init(0, deadline)
-	sc.matches = ix.AppendBroadMatchBudget(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
+	sc.matches = ix.AppendBroadMatchBudget(sc.matches[:0], sc.words, nil, &sc.core, &sc.budget)
 	return sc.matches
 }
 
 // AppendReply appends the frame body that answers req with matches — the
-// last BroadMatch's, or the part of them the caller kept: a record frame
-// for a records request and an ID frame otherwise, flagged with what that
-// match left out.
+// last BroadMatch's, or none: a record frame for a records request and an
+// ID frame otherwise, flagged with what that match left out.
 func (sc *MatchScratch) AppendReply(dst []byte, req Request, matches []*corpus.Ad) []byte {
 	var flags byte
 	if sc.budget.Exhausted() {

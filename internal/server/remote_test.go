@@ -20,21 +20,22 @@ import (
 	"adindex/internal/shard"
 )
 
-// startRemoteServer stands up a full split deployment over loopback: two
-// index shard servers (via ShardedIndex.ServeShards), an ad-metadata
-// server, and a remote-mode front-end whose shard 0 connection runs
+// startRemoteServer stands up a full split deployment over loopback: a
+// static two-shard cluster's index servers, an ad-metadata server, and a
+// remote-mode front-end on the frozen route whose shard 0 connection runs
 // through a faultnet proxy so tests can kill and restore it.
 func startRemoteServer(t *testing.T, cfg Config, sopts shard.Options) (*Server, string, *faultnet.Proxy) {
 	t.Helper()
-	sx, err := adindex.NewSharded(testCatalog(), 2, adindex.Options{})
+	ec, err := shard.NewElastic(testCatalog(), 2, shard.ElasticOptions{Slots: 2, MaxShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, closeShards, err := sx.ServeShards()
+	es, err := ec.Serve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(closeShards)
+	t.Cleanup(es.Close)
+	addrs := es.Addrs()
 	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, testCatalog())
 	if err != nil {
 		t.Fatal(err)

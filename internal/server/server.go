@@ -983,9 +983,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, ix.Stats())
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	ix := s.localIndex(w)
 	if ix == nil {
+		return
+	}
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
 	report, err := ix.Optimize()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -380,6 +381,30 @@ func TestBadRequests(t *testing.T) {
 	if got := s.Metrics().Mutations.Load(); got != 0 {
 		t.Errorf("mutations counter = %d after a refused insert", got)
 	}
+}
+
+// TestWritesRequirePost: every endpoint that changes the index answers
+// 405 to any other method and leaves the index as it was.
+func TestWritesRequirePost(t *testing.T) {
+	ix := adindex.Build(testCatalog(), adindex.Options{})
+	s := New(ix, Config{})
+	for i := 0; i < 100; i++ {
+		ix.Observe("cheap used books") // something for a re-layout to act on
+	}
+	epoch := ix.Epoch()
+	for _, path := range []string{"/insert", "/delete", "/optimize"} {
+		for _, method := range []string{"GET", "PUT", "DELETE"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(`{"id":9,"phrase":"cheap books"}`)))
+			if rec.Code != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s = %d, want 405", method, path, rec.Code)
+			}
+		}
+	}
+	if got := ix.Epoch(); got != epoch {
+		t.Errorf("index epoch %d -> %d: a refused request changed the index", epoch, got)
+	}
+	serve(t, s, "POST", "/optimize", "")
 }
 
 func TestStartBindFailure(t *testing.T) {

@@ -14,20 +14,19 @@
 // There is one cluster type, ElasticCluster, and one fan-out client,
 // NetClient. A static deployment is the same pair standing still: a
 // cluster that is never rebalanced, reached through a frozen (epoch 0)
-// route.
+// route. Every read of a cluster is a frame answered by one shard
+// position's server (Serve); a shard holds exactly the ads of the slots
+// it owns, so a position answers from its index as it stands.
 package shard
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
-	"adindex/internal/costmodel"
 	"adindex/internal/durable"
 	"adindex/internal/multiserver"
 	"adindex/internal/textnorm"
@@ -36,34 +35,33 @@ import (
 // ElasticCluster is a sharded broad-match index whose shard count and
 // slot ownership change while queries keep flowing. Rebalancing — a
 // split onto a fresh shard, a merge of one shard into another, or a
-// migration of slots between existing shards — is a live handoff:
+// migration of slots between existing shards — is a live handoff that
+// rebuilds both sides in private:
 //
-//  1. begin: a dual-write journal opens for the moving slots (and, when
-//     the target already exists, the target's own slots), and the
-//     source's contents plus the target's current base are copied —
-//     unsorted, memcpy-scale — in the same critical section, so
-//     snapshot + journal tile the mutation stream exactly.
-//  2. stream: the captured state crosses as a sequence of checksummed
-//     snapshot segments (internal/durable's snapshot file format
-//     byte-for-byte).
-//  3. load: the segments land in a PRIVATE staging index built over the
-//     captured base — no cluster lock is held, so the bulk load never
-//     contends with queries.
-//  4. catch-up: journal frames (the durable WAL wire format) replay onto
-//     the staging index in bounded rounds; an unbounded window aborts.
+//  1. begin: a dual-write journal opens for every slot the source or the
+//     target owns, and both shards' contents are copied — unsorted,
+//     memcpy-scale — in the same critical section, so capture + journal
+//     tile each side's mutation stream exactly.
+//  2. stream: the moving ads cross as a sequence of checksummed snapshot
+//     segments (internal/durable's snapshot file format byte-for-byte).
+//  3. load: two PRIVATE staging indexes are built with no cluster lock
+//     held — the source's kept slots from the capture, and the target's
+//     base plus the streamed segments.
+//  4. catch-up: journal frames (the durable WAL wire format) replay in
+//     bounded rounds, each onto the side its slot lands on; an unbounded
+//     window aborts.
 //  5. cutover: one short critical section replays the final journal
-//     tail, swaps the staging index in as the target (a pointer
-//     assignment), and publishes the successor routing table (epoch+1).
-//  6. drain: the source lazily deletes the moved ads in batches.
+//     tail, swaps both staging indexes in (two pointer assignments), and
+//     publishes the successor routing table (epoch+1).
 //
-// Queries are correct in every phase because staged copies live outside
-// the serving path entirely until the cutover swap, and match results
-// are filtered by slot ownership under the table the query runs
-// against: before cutover the moving ads are visible only on the
-// source, after cutover only on the target, even while both hold
-// physical copies. A failure in any phase aborts: the journal closes,
-// the staging index is discarded untouched by serving state, and the
-// deployment stays on the last stable epoch.
+// The cluster's invariant is that shard i holds exactly the ads whose
+// slots shard i owns under the current table (CheckOwnership). Before
+// the cutover the live shards are untouched but for their own
+// mutations; the cutover replaces both sides and the table together.
+// So a query needs no ownership filter, and nothing is left behind to
+// drain. A failure in any phase aborts: the journal closes, the staging
+// indexes are dropped untouched by serving state, and the deployment
+// stays on the last stable epoch.
 type ElasticCluster struct {
 	opts ElasticOptions
 
@@ -101,15 +99,22 @@ type migration struct {
 	to    int
 	fresh bool // target shard was created by this handoff
 
-	// delta is the dual-write journal: WAL frames for every mutation
-	// since capture that touched a moving slot or (for a handoff onto an
-	// existing shard) one of the target's own slots — the staging index
-	// replaces the whole target at cutover, so it must also absorb the
-	// target's concurrent native mutations.
-	delta        []byte
+	// journal is the dual-write journal: WAL frames for every mutation
+	// since capture on a slot the source or the target owns, one stream
+	// per side the slot lands on at cutover. Each staging index replaces
+	// its live shard wholesale, so it must absorb every concurrent
+	// mutation of what it will own.
+	journal      [2][]byte
 	deltaRecords int
 	totalRecords int
 }
+
+// The two sides of a handoff, indexing migration.journal and the staging
+// pair.
+const (
+	kept  = 0 // the source's remaining slots
+	moved = 1 // the target's own slots plus the moving ones
+)
 
 // ElasticOptions tunes an ElasticCluster. Zero values select defaults.
 type ElasticOptions struct {
@@ -147,9 +152,9 @@ func (o ElasticOptions) withDefaults() ElasticOptions {
 // values (seconds per handoff) and 5-7x with 64-ad chunks parked 50µs
 // (a tenth of a second per handoff).
 const (
-	// handoffBatch is how many ads a handoff copies, stages, or drains
-	// per uninterrupted work chunk: the longest it can hold a core that
-	// a query is waiting for.
+	// handoffBatch is how many ads a handoff stages per uninterrupted
+	// work chunk: the longest it can hold a core that a query is waiting
+	// for.
 	handoffBatch = 8
 	// handoffPace is how long the handoff goroutine parks between work
 	// chunks (the effective floor is the host's timer granularity).
@@ -230,39 +235,52 @@ func (ec *ElasticCluster) NumShards() int {
 // MaxShards returns the shard-position cap.
 func (ec *ElasticCluster) MaxShards() int { return ec.opts.MaxShards }
 
-// NumAds returns the logical ad count: physical copies staged or not yet
-// drained by a handoff are not counted twice.
+// NumAds returns the ad count: every ad lives on exactly one shard.
 func (ec *ElasticCluster) NumAds() int {
 	ec.mu.RLock()
 	defer ec.mu.RUnlock()
 	n := 0
-	for id, ix := range ec.shards {
-		for _, ad := range ix.Ads() {
-			if ec.table.OwnerOf(ad.Words) == id {
-				n++
-			}
-		}
+	for _, ix := range ec.shards {
+		n += ix.NumAds()
 	}
 	return n
 }
 
-// Insert routes the ad to its slot's owner; if that slot is mid-handoff
-// the mutation is also journaled for catch-up replay on the target.
+// CheckOwnership verifies the cluster's invariant: the routing table is
+// valid, and every record on shard i lies in a slot shard i owns under
+// it. It copies every ad, so it is for tests and simulation harnesses,
+// never a serving path.
+func (ec *ElasticCluster) CheckOwnership() error {
+	ec.mu.RLock()
+	defer ec.mu.RUnlock()
+	if err := ec.table.Validate(); err != nil {
+		return err
+	}
+	for id, ix := range ec.shards {
+		for _, ad := range ix.Ads() {
+			if owner := ec.table.OwnerOf(ad.Words); owner != id {
+				return fmt.Errorf("shard: ad %d (%q) is on shard %d, its slot's owner is %d (epoch %d)",
+					ad.ID, ad.Phrase, id, owner, ec.table.Epoch)
+			}
+		}
+	}
+	return nil
+}
+
+// Insert routes the ad to its slot's owner, journaling it when a handoff
+// is in flight.
 func (ec *ElasticCluster) Insert(ad corpus.Ad) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	slot := ec.table.SlotOfWords(ad.Words)
 	ec.shards[ec.table.Owners[slot]].Insert(ad)
-	if ec.mig != nil && (ec.mig.slots[slot] || ec.table.Owners[slot] == ec.mig.to) {
-		rec := durable.Record{Op: durable.OpInsert, Ad: ad}
-		ec.mig.delta = durable.AppendRecordFrame(ec.mig.delta, &rec)
-		ec.mig.deltaRecords++
-		ec.mig.totalRecords++
+	if ec.mig != nil {
+		ec.journalLocked(slot, &durable.Record{Op: durable.OpInsert, Ad: ad})
 	}
 }
 
 // Delete removes one copy of (id, phrase) from its slot's owner,
-// journaling the delete when the slot is mid-handoff.
+// journaling the delete when a handoff is in flight.
 func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 	words := textnorm.WordSet(phrase)
 	if len(words) == 0 {
@@ -272,73 +290,27 @@ func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 	defer ec.mu.Unlock()
 	slot := ec.table.SlotOfWords(words)
 	found := ec.shards[ec.table.Owners[slot]].Delete(id, phrase)
-	if ec.mig != nil && (ec.mig.slots[slot] || ec.table.Owners[slot] == ec.mig.to) {
-		rec := durable.Record{Op: durable.OpDelete, ID: id, Phrase: phrase}
-		ec.mig.delta = durable.AppendRecordFrame(ec.mig.delta, &rec)
-		ec.mig.deltaRecords++
-		ec.mig.totalRecords++
+	if ec.mig != nil {
+		ec.journalLocked(slot, &durable.Record{Op: durable.OpDelete, ID: id, Phrase: phrase})
 	}
 	return found
 }
 
-// ownedMatchesLocked runs one query against shard position id, bounded by
-// deadline when that is non-zero, with the ownership filter applied, under
-// the caller's read lock. The matches live in sc and reference the shard's
-// records: the caller consumes them before it releases either the scratch
-// or the lock.
-func (ec *ElasticCluster) ownedMatchesLocked(sc *multiserver.MatchScratch, id int, query string, counters *costmodel.Counters, deadline time.Time) []*corpus.Ad {
-	if id < 0 || id >= len(ec.shards) {
-		return nil
+// journalLocked appends a mutation of slot to the in-flight handoff's
+// journal when either side owns the slot, on the side the slot lands on
+// at cutover. The caller holds mu exclusively.
+func (ec *ElasticCluster) journalLocked(slot int, rec *durable.Record) {
+	m, owner := ec.mig, ec.table.Owners[slot]
+	if owner != m.from && owner != m.to {
+		return
 	}
-	matches := sc.BroadMatch(ec.shards[id], query, counters, deadline)
-	owned := matches[:0]
-	for _, m := range matches {
-		// Ownership filter: a physical copy answers only from the shard
-		// that owns its slot under the table this query runs against.
-		if ec.table.OwnerOf(m.Words) == id {
-			owned = append(owned, m)
-		}
+	side := moved
+	if owner == m.from && !m.slots[slot] {
+		side = kept
 	}
-	if len(owned) > 0 {
-		ec.loads[id].Add(uint64(len(owned)))
-	}
-	return owned
-}
-
-// Match runs the query on every active shard in turn and hands the owned
-// matches, ID-ordered (duplicates preserved), to visit. The matches
-// reference shard records, so visit runs under the cluster's read lock
-// and must copy out what it keeps. counters, when non-nil, accumulates
-// every shard's access accounting, the query counted once.
-func (ec *ElasticCluster) Match(query string, counters *costmodel.Counters, visit func(matches []*corpus.Ad)) {
-	ec.mu.RLock()
-	defer ec.mu.RUnlock()
-	sc := multiserver.GetMatchScratch()
-	defer sc.Release()
-	var queries int64
-	if counters != nil {
-		queries = counters.Queries + 1
-	}
-	var all []*corpus.Ad
-	for _, id := range ec.table.ActiveShards() {
-		all = append(all, ec.ownedMatchesLocked(sc, id, query, counters, time.Time{})...)
-	}
-	if counters != nil {
-		counters.Queries = queries
-	}
-	slices.SortStableFunc(all, func(a, b *corpus.Ad) int { return cmp.Compare(a.ID, b.ID) })
-	visit(all)
-}
-
-// MatchIDs is Match keeping the IDs only.
-func (ec *ElasticCluster) MatchIDs(query string) []uint64 {
-	var out []uint64
-	ec.Match(query, nil, func(matches []*corpus.Ad) {
-		for _, m := range matches {
-			out = append(out, m.ID)
-		}
-	})
-	return out
+	m.journal[side] = durable.AppendRecordFrame(m.journal[side], rec)
+	m.deltaRecords++
+	m.totalRecords++
 }
 
 // shardBackend serves one shard position over the frame protocol with
@@ -351,10 +323,11 @@ type shardBackend struct {
 
 // AppendMatch implements multiserver.Backend: a tagged request is held to
 // the cluster's routing epoch, the enumeration to the request's deadline,
-// and the owned matches go from the shard's records into the response frame
-// — their IDs, or for a records request IDs and metadata, read under the
+// and the shard's matches go from its records into the response frame —
+// their IDs, or for a records request IDs and metadata, read under the
 // lock the match ran under — flagged with what the deadline or the
-// MaxQueryWords cutoff left out.
+// MaxQueryWords cutoff left out. A position with no shard yet answers
+// empty.
 func (b shardBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
 	b.ec.mu.RLock()
 	defer b.ec.mu.RUnlock()
@@ -363,7 +336,14 @@ func (b shardBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, 
 	}
 	sc := multiserver.GetMatchScratch()
 	defer sc.Release()
-	return sc.AppendReply(dst, req, b.ec.ownedMatchesLocked(sc, b.id, req.Query, nil, req.Deadline)), nil
+	var matches []*corpus.Ad
+	if b.id < len(b.ec.shards) {
+		matches = sc.BroadMatch(b.ec.shards[b.id], req.Query, req.Deadline)
+		if len(matches) > 0 {
+			b.ec.loads[b.id].Add(uint64(len(matches)))
+		}
+	}
+	return sc.AppendReply(dst, req, matches), nil
 }
 
 // ElasticServing is a set of TCP index servers fronting an
@@ -488,9 +468,9 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	}
 
 	// Phase: begin. Validate, provision the target, open the dual-write
-	// journal, and capture the moving state — all in one critical
-	// section, so the snapshot and the journal tile the mutation stream
-	// with no gap and no overlap.
+	// journal, and capture both sides — all in one critical section, so
+	// the capture and the journal tile the mutation stream with no gap
+	// and no overlap.
 	ec.mu.Lock()
 	if ec.mig != nil {
 		ec.mu.Unlock()
@@ -528,15 +508,11 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	ec.mig = &migration{kind: kind, slots: moving, from: from, to: to, fresh: fresh}
 	srcEpoch := ec.table.Epoch
 	srcTable := ec.table
-	// Copy the source's contents — unsorted, so the critical section
-	// holds only a memcpy-scale cost, not a sort — under the same lock
-	// that opens the journal: capture + journal tile the mutation stream
-	// exactly, with no overlap (journal replay appends, so a record
-	// also reflected in the capture would double). An existing target is
-	// replaced wholesale by the staging index at cutover, so its current
-	// contents are captured here too, tiling its native mutation stream
-	// the same way. The moving-slot filter runs outside the lock because
-	// an ad's slot is a pure function of its words.
+	// Copy both sides' contents unsorted, so the critical section holds
+	// only a memcpy-scale cost, not a sort. Journal replay appends, so a
+	// record also reflected in the capture would double. Both live shards
+	// are replaced wholesale at cutover. The split by slot runs outside
+	// the lock because an ad's slot is a pure function of its words.
 	capture := ec.shards[from].AppendAds(nil)
 	var base []corpus.Ad
 	if !fresh {
@@ -545,19 +521,20 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	ec.phase = "stream"
 	ec.mu.Unlock()
 
-	// Index work parks every batch ads; the slot filters, an order of
+	// Index work parks every batch ads; the slot split, an order of
 	// magnitude cheaper per ad, every chunk. Both run outside the lock.
 	const batch, chunk = handoffBatch, 16 * handoffBatch
-	keep := capture[:0]
+	var stay, move []corpus.Ad
 	for i, ad := range capture {
 		if moving[srcTable.SlotOfWords(ad.Words)] {
-			keep = append(keep, ad)
+			move = append(move, ad)
+		} else {
+			stay = append(stay, ad)
 		}
 		if (i+1)%chunk == 0 {
 			pace()
 		}
 	}
-	capture = keep
 
 	defer func() {
 		if err != nil {
@@ -569,158 +546,133 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		return err
 	}
 
-	// Phase: stream. The captured state crosses as a sequence of
-	// checksummed snapshot segments; corruption in any segment is
-	// detected at decode and aborts. Segmenting keeps each encode and
-	// decode CPU chunk short, so a lone serving core is never
-	// monopolized for a full snapshot's length.
+	// Phase: stream. The moving ads cross as a sequence of checksummed
+	// snapshot segments; corruption in any segment is detected at decode
+	// and aborts. Segmenting keeps each encode and decode CPU chunk
+	// short, so a lone serving core is never monopolized for a full
+	// snapshot's length.
 	var segs [][]byte
-	for i := 0; i == 0 || i < len(capture); i += streamSegment {
-		end := i + streamSegment
-		if end > len(capture) {
-			end = len(capture)
-		}
-		segs = append(segs, durable.EncodeSnapshotStream(srcEpoch, capture[i:end], nil, srcEpoch))
+	for i := 0; i == 0 || i < len(move); i += streamSegment {
+		end := min(i+streamSegment, len(move))
+		segs = append(segs, durable.EncodeSnapshotStream(srcEpoch, move[i:end], nil, srcEpoch))
 		pace()
 	}
 	if err := ec.faultAt("stream", segs[0]); err != nil {
 		return err
 	}
 
-	// Phase: load. Staged copies land in a PRIVATE staging index — the
-	// live target and the cluster lock are untouched, so queries never
-	// contend with the bulk load (a lock-held batch loop here starved
-	// readers for the whole handoff under sustained fan-out traffic).
-	// The staging index starts from the existing target's captured base
-	// and replaces it wholesale at cutover. Inserts pause every
+	// Phase: load. Both sides are built in PRIVATE staging indexes — the
+	// live shards and the cluster lock are untouched, so queries never
+	// contend with the load (a lock-held batch loop here starved readers
+	// for the whole handoff under sustained fan-out traffic). The source
+	// side is its kept slots; the target side starts from the target's
+	// captured base and takes the streamed segments. Inserts pause every
 	// handoffBatch: on small GOMAXPROCS an unbroken bulk build
 	// monopolizes CPU and stalls every in-flight query for its full
 	// length.
 	ec.setPhase("load")
-	staging := core.New(nil, ec.opts.Index)
+	staging := [2]*core.Index{core.New(nil, ec.opts.Index), core.New(nil, ec.opts.Index)}
 	loaded := 0
-	stage := func(ads []corpus.Ad) {
+	stage := func(side int, ads []corpus.Ad) {
 		for _, ad := range ads {
-			staging.Insert(ad)
+			staging[side].Insert(ad)
 			if loaded++; loaded%batch == 0 {
 				pace()
 			}
 		}
 	}
-	stage(base)
+	stage(kept, stay)
+	stage(moved, base)
 	for _, seg := range segs {
 		state, derr := durable.DecodeSnapshotStream(seg)
 		if derr != nil {
 			return fmt.Errorf("shard: handoff snapshot stream rejected: %w", derr)
 		}
-		stage(state.Ads)
+		stage(moved, state.Ads)
 	}
 	if err := ec.faultAt("load", nil); err != nil {
 		return err
 	}
 
 	// Phase: catch-up. Replay journal frames accumulated behind the
-	// snapshot in bounded rounds; a window that keeps growing past
+	// capture in bounded rounds; a window that keeps growing past
 	// MaxDeltaRecords aborts rather than chasing forever.
 	ec.setPhase("catchup")
 	for round := 0; round < maxCatchUpRounds; round++ {
 		ec.mu.Lock()
-		delta := ec.mig.delta
-		ec.mig.delta = nil
+		journal := ec.mig.journal
+		ec.mig.journal = [2][]byte{}
 		ec.mig.deltaRecords = 0
 		total := ec.mig.totalRecords
 		ec.mu.Unlock()
 		if total > ec.opts.MaxDeltaRecords {
 			return fmt.Errorf("shard: handoff dual-write window exceeded %d records", ec.opts.MaxDeltaRecords)
 		}
-		if len(delta) == 0 {
+		if len(journal[kept])+len(journal[moved]) == 0 {
 			break
 		}
-		recs, rerr := durable.DecodeRecordFrames(delta)
-		if rerr != nil {
-			return fmt.Errorf("shard: handoff delta stream rejected: %w", rerr)
+		if err := replay(journal, staging); err != nil {
+			return fmt.Errorf("shard: handoff delta stream rejected: %w", err)
 		}
-		applyRecords(staging, recs)
 	}
 	if err := ec.faultAt("catchup", nil); err != nil {
 		return err
 	}
 
 	// Phase: cutover. One short critical section: replay the final
-	// journal tail into staging, swap staging in as the target, publish
-	// the successor table, close the journal. The swap is a pointer
-	// assignment, so cutover cost is O(final delta), not O(moved state).
+	// journal tail, swap both staging indexes in, publish the successor
+	// table, close the journal. The swaps are pointer assignments, so
+	// cutover cost is O(final delta), not O(moved state).
 	ec.mu.Lock()
 	ec.phase = "cutover"
-	if len(ec.mig.delta) > 0 {
-		recs, rerr := durable.DecodeRecordFrames(ec.mig.delta)
-		if rerr != nil {
-			ec.mu.Unlock()
-			return fmt.Errorf("shard: handoff final delta rejected: %w", rerr)
-		}
-		applyRecords(staging, recs)
+	if err := replay(ec.mig.journal, staging); err != nil {
+		ec.mu.Unlock()
+		return fmt.Errorf("shard: handoff final delta rejected: %w", err)
 	}
 	next, terr := ec.table.MoveSlots(slots, to)
 	if terr != nil {
 		ec.mu.Unlock()
 		return terr
 	}
-	ec.shards[to] = staging
+	ec.shards[from], ec.shards[to] = staging[kept], staging[moved]
 	ec.table = next
 	ec.mig = nil
-	ec.phase = "drain"
+	ec.phase = ""
 	ec.mu.Unlock()
-
-	// Phase: drain. The moved slots now route to the target, so the
-	// source's leftover copies are frozen; delete them in short batches.
-	// Capture unsorted in one copy under the read lock, as begin does
-	// under the write lock (a park in here would hold the lock through
-	// it, and a writer queued behind a held read lock stalls every new
-	// reader); filter outside it.
-	ec.mu.RLock()
-	residue := ec.shards[from].AppendAds(nil)
-	ec.mu.RUnlock()
-	var leftovers []corpus.Ad
-	for i, ad := range residue {
-		if moving[srcTable.SlotOfWords(ad.Words)] {
-			leftovers = append(leftovers, ad)
-		}
-		if (i+1)%chunk == 0 {
-			pace()
-		}
-	}
-	for i := 0; i < len(leftovers); i += batch {
-		end := i + batch
-		if end > len(leftovers) {
-			end = len(leftovers)
-		}
-		ec.mu.Lock()
-		for _, ad := range leftovers[i:end] {
-			ec.shards[from].Delete(ad.ID, ad.Phrase)
-		}
-		ec.mu.Unlock()
-		// Park between batches so queued readers drain; back-to-back
-		// write acquisitions can otherwise starve them for the whole
-		// sweep.
-		pace()
-	}
-	ec.setPhase("")
 	ec.completed.Add(1)
 	return nil
 }
 
+// replay applies journal frames to the staging pair, each side's frames
+// to its own index.
+func replay(journal [2][]byte, staging [2]*core.Index) error {
+	for side, frames := range journal {
+		recs, err := durable.DecodeRecordFrames(frames)
+		if err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			switch rec.Op {
+			case durable.OpInsert:
+				staging[side].Insert(rec.Ad)
+			case durable.OpDelete:
+				staging[side].Delete(rec.ID, rec.Phrase)
+			}
+		}
+	}
+	return nil
+}
+
 // abort rolls a failed handoff back to the last stable epoch: the
-// journal closes, staged copies are discarded (a fresh target shard is
-// removed outright; an existing target is rebuilt without the foreign
-// slots), and the error is recorded.
+// journal closes, the staging indexes are dropped with it, a fresh
+// target's placeholder shard is removed, and the error is recorded.
 func (ec *ElasticCluster) abort(cause error) {
 	ec.mu.Lock()
 	mig := ec.mig
 	ec.mig = nil
 	ec.phase = ""
-	// Staged copies only ever lived in the private staging index (now
-	// dropped with the migration), so the live target needs no rebuild;
-	// a fresh handoff just removes its empty placeholder shard.
+	// The live shards were never touched but for their own mutations, so
+	// neither needs a rebuild.
 	if mig != nil && mig.fresh {
 		ec.shards = ec.shards[:mig.to]
 		ec.loads = ec.loads[:mig.to]
@@ -759,19 +711,6 @@ func (ec *ElasticCluster) faultAt(phase string, stream []byte) error {
 		return nil
 	}
 	return fn(phase, stream)
-}
-
-// applyRecords replays journal records onto the target index, caller
-// holding the exclusive lock.
-func applyRecords(ix *core.Index, recs []durable.Record) {
-	for i := range recs {
-		switch recs[i].Op {
-		case durable.OpInsert:
-			ix.Insert(recs[i].Ad)
-		case durable.OpDelete:
-			ix.Delete(recs[i].ID, recs[i].Phrase)
-		}
-	}
 }
 
 // ShardLoad is one shard's placement signal.

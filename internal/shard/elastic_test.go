@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,13 +24,72 @@ func elasticAds(n int) []corpus.Ad {
 	return ads
 }
 
-// checkVisibility asserts every ad is matched exactly once and the
-// logical count is right.
+// clusterRecords is the cluster's answer to q as a client on its live
+// route gets it: every shard position asked through its frame backend at
+// one routing epoch (all over again if a cutover intervenes), the
+// replies merged by ID — stable across positions, duplicates kept —
+// leaving out the positions in skip.
+func clusterRecords(t testing.TB, ec *ElasticCluster, q string, skip ...int) ([]uint64, []multiserver.AdMeta) {
+	t.Helper()
+	type record struct {
+		id   uint64
+		meta multiserver.AdMeta
+	}
+	var all []record
+	for stale := true; stale; {
+		stale, all = false, all[:0]
+		req := multiserver.Request{Query: q, Records: true, Tagged: true, Epoch: ec.Epoch()}
+		for id := 0; id < ec.MaxShards() && !stale; id++ {
+			if slices.Contains(skip, id) {
+				continue
+			}
+			body, err := shardBackend{ec: ec, id: id}.AppendMatch(nil, req)
+			if stale = errors.Is(err, multiserver.ErrStaleEpoch); stale {
+				continue
+			}
+			ids, meta, _, derr := multiserver.DecodeRecords(body)
+			if err != nil || derr != nil {
+				t.Errorf("position %d, query %q: %v, %v", id, q, err, derr)
+				return nil, nil
+			}
+			for i := range ids {
+				all = append(all, record{ids[i], meta[i]})
+			}
+		}
+	}
+	slices.SortStableFunc(all, func(a, b record) int { return cmp.Compare(a.id, b.id) })
+	var ids []uint64
+	var meta []multiserver.AdMeta
+	for _, r := range all {
+		ids, meta = append(ids, r.id), append(meta, r.meta)
+	}
+	return ids, meta
+}
+
+// clusterIDs is clusterRecords keeping the IDs.
+func clusterIDs(t testing.TB, ec *ElasticCluster, q string) []uint64 {
+	t.Helper()
+	ids, _ := clusterRecords(t, ec, q)
+	return ids
+}
+
+// checkOwnership fails the test unless every shard holds exactly the ads
+// of the slots it owns.
+func checkOwnership(t testing.TB, ec *ElasticCluster) {
+	t.Helper()
+	if err := ec.CheckOwnership(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkVisibility asserts every ad is matched exactly once, the logical
+// count is right, and the ownership invariant holds.
 func checkVisibility(t *testing.T, ec *ElasticCluster, ads []corpus.Ad, gone map[uint64]bool) {
 	t.Helper()
+	checkOwnership(t, ec)
 	want := 0
 	for _, ad := range ads {
-		ids := ec.MatchIDs(ad.Phrase)
+		ids := clusterIDs(t, ec, ad.Phrase)
 		if gone[ad.ID] {
 			if len(ids) != 0 {
 				t.Fatalf("deleted ad %d still matched: %v", ad.ID, ids)
@@ -148,7 +209,7 @@ func TestElasticMergeAndMigrate(t *testing.T) {
 	// Mutations still route correctly after two rebalances.
 	extra := corpus.NewAd(9100, "post rebalance insert", corpus.Meta{})
 	ec.Insert(extra)
-	if ids := ec.MatchIDs(extra.Phrase); len(ids) != 1 || ids[0] != extra.ID {
+	if ids := clusterIDs(t, ec, extra.Phrase); len(ids) != 1 || ids[0] != extra.ID {
 		t.Fatalf("post-rebalance insert matched %v", ids)
 	}
 	if !ec.Delete(extra.ID, extra.Phrase) {
@@ -158,37 +219,110 @@ func TestElasticMergeAndMigrate(t *testing.T) {
 
 func TestElasticAbortRollsBack(t *testing.T) {
 	ads := elasticAds(120)
-	for _, phase := range []string{"begin", "stream", "load", "catchup"} {
-		ec, err := NewElastic(ads, 2, ElasticOptions{})
-		if err != nil {
-			t.Fatalf("NewElastic: %v", err)
-		}
-		boom := errors.New("injected " + phase + " fault")
-		ec.handoffFault = func(p string, _ []byte) error {
-			if p == phase {
-				return boom
+	ops := map[string]func(ec *ElasticCluster) error{
+		"split":   func(ec *ElasticCluster) error { _, err := ec.Split(0); return err },
+		"migrate": func(ec *ElasticCluster) error { return ec.Migrate(0, 1) },
+	}
+	for name, op := range ops {
+		for _, phase := range []string{"begin", "stream", "load", "catchup"} {
+			ec, err := NewElastic(ads, 2, ElasticOptions{})
+			if err != nil {
+				t.Fatalf("NewElastic: %v", err)
 			}
+			boom := errors.New("injected " + phase + " fault")
+			ec.handoffFault = func(p string, _ []byte) error {
+				if p == phase {
+					return boom
+				}
+				return nil
+			}
+			if err := op(ec); !errors.Is(err, boom) {
+				t.Fatalf("%s, phase %s: err = %v, want injected fault", name, phase, err)
+			}
+			// Last stable epoch, shard count, and every ad are intact.
+			if ec.Epoch() != 1 || ec.NumShards() != 2 {
+				t.Fatalf("%s, phase %s: epoch=%d shards=%d after abort", name, phase, ec.Epoch(), ec.NumShards())
+			}
+			checkVisibility(t, ec, ads, nil)
+			st := ec.Status()
+			if st.Aborted != 1 || st.Completed != 0 || st.Migrating || st.Phase != "" || st.LastError == "" {
+				t.Fatalf("%s, phase %s: status after abort = %+v", name, phase, st)
+			}
+			// The deployment is not wedged: a clean retry succeeds.
+			ec.handoffFault = nil
+			if err := op(ec); err != nil {
+				t.Fatalf("%s, phase %s: retry after abort: %v", name, phase, err)
+			}
+			checkVisibility(t, ec, ads, nil)
+		}
+	}
+}
+
+// TestElasticJournalBothSides: a migration journals every mutation on a
+// slot either side owns — moving, kept by the source, or the target's
+// own — and replays it onto the side that owns the slot after the
+// cutover; a third shard's mutations stay out of the journal.
+func TestElasticJournalBothSides(t *testing.T) {
+	ads := elasticAds(300)
+	ec, err := NewElastic(ads, 3, ElasticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moving := map[int]bool{}
+	for _, s := range ec.Table().SplitSlots(0) {
+		moving[s] = true
+	}
+	side := func(ad corpus.Ad) string {
+		slot := ec.Table().SlotOfWords(ad.Words)
+		switch owner := ec.Table().Owners[slot]; {
+		case moving[slot]:
+			return "moving"
+		case owner == 0:
+			return "kept"
+		case owner == 1:
+			return "target"
+		}
+		return "bystander"
+	}
+	// One seeded ad to delete and one new ad to insert on each side.
+	victims, fresh := map[string]corpus.Ad{}, map[string]corpus.Ad{}
+	for _, ad := range ads {
+		if _, ok := victims[side(ad)]; !ok {
+			victims[side(ad)] = ad
+		}
+	}
+	for i := 0; len(fresh) < 4; i++ {
+		ad := corpus.NewAd(uint64(9000+i), fmt.Sprintf("fresh%d", i), corpus.Meta{})
+		if _, ok := fresh[side(ad)]; !ok {
+			fresh[side(ad)] = ad
+		}
+	}
+	if len(victims) != 4 {
+		t.Fatalf("seeded ads cover sides %v", victims)
+	}
+	gone := map[uint64]bool{}
+	all := append([]corpus.Ad(nil), ads...)
+	ec.handoffFault = func(p string, _ []byte) error {
+		if p != "load" {
 			return nil
 		}
-		if _, err := ec.Split(0); !errors.Is(err, boom) {
-			t.Fatalf("phase %s: Split err = %v, want injected fault", phase, err)
+		for _, s := range []string{"moving", "kept", "target", "bystander"} {
+			ec.Insert(fresh[s])
+			all = append(all, fresh[s])
+			if !ec.Delete(victims[s].ID, victims[s].Phrase) {
+				t.Errorf("mid-handoff delete on the %s side failed", s)
+			}
+			gone[victims[s].ID] = true
 		}
-		// Last stable epoch, shard count, and every ad are intact.
-		if ec.Epoch() != 1 || ec.NumShards() != 2 {
-			t.Fatalf("phase %s: epoch=%d shards=%d after abort", phase, ec.Epoch(), ec.NumShards())
+		if got := ec.Status().DeltaRecords; got != 6 {
+			t.Errorf("journal holds %d records, want the 6 of the moving, kept and target sides", got)
 		}
-		checkVisibility(t, ec, ads, nil)
-		st := ec.Status()
-		if st.Aborted != 1 || st.Completed != 0 || st.Migrating || st.LastError == "" {
-			t.Fatalf("phase %s: status after abort = %+v", phase, st)
-		}
-		// The deployment is not wedged: a clean retry succeeds.
-		ec.handoffFault = nil
-		if _, err := ec.Split(0); err != nil {
-			t.Fatalf("phase %s: retry Split after abort: %v", phase, err)
-		}
-		checkVisibility(t, ec, ads, nil)
+		return nil
 	}
+	if err := ec.Migrate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkVisibility(t, ec, all, gone)
 }
 
 func TestElasticAbortRebuildsExistingTarget(t *testing.T) {
@@ -204,8 +338,8 @@ func TestElasticAbortRebuildsExistingTarget(t *testing.T) {
 		}
 		return nil
 	}
-	// Migrate (existing target): the abort must strip the staged foreign
-	// copies back out of shard 1 without touching its own ads.
+	// Migrate (existing target): the staged copies never reached shard 1,
+	// so the abort leaves it with exactly its own ads.
 	if err := ec.Migrate(0, 1); !errors.Is(err, boom) {
 		t.Fatalf("Migrate err = %v, want injected fault", err)
 	}
@@ -243,8 +377,9 @@ func TestElasticStagedCopiesInvisibleMidHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewElastic: %v", err)
 	}
-	// At catch-up the target holds staged physical copies of every moving
-	// ad; the ownership filter must keep queries single-copy.
+	// At catch-up the staging indexes hold copies of every ad of both
+	// sides; they are private, so queries stay single-copy and every live
+	// shard holds only its own slots.
 	checked := false
 	ec.handoffFault = func(p string, _ []byte) error {
 		if p == "catchup" {
@@ -322,7 +457,7 @@ func TestElasticSuggestSplit(t *testing.T) {
 	for _, ad := range ads {
 		if ec.Table().OwnerOf(ad.Words) == 1 {
 			for i := 0; i < 5; i++ {
-				ec.MatchIDs(ad.Phrase)
+				clusterIDs(t, ec, ad.Phrase)
 			}
 		}
 	}

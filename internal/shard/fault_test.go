@@ -321,7 +321,7 @@ func TestReplicaKillMidLoadAcceptance(t *testing.T) {
 	}
 	defer nc.Close()
 
-	fullIDs := d.cluster.MatchIDs(q)
+	fullIDs := clusterIDs(t, d.cluster, q)
 	partialIDs := d.shardIDs(q, 1)
 	shard0Breaker := func() *multiserver.Breaker {
 		return nc.route.Load().shards[0].conns[0].Breaker()

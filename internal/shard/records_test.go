@@ -71,13 +71,13 @@ func deployRecords(t *testing.T, nAds, nShards int, opts Options) *recordsDeploy
 func (d *recordsDeployment) spanningQuery(t *testing.T) string {
 	t.Helper()
 	for _, ad := range d.c.Ads {
-		q, owners := joinWords(ad.Words), map[int]bool{}
-		d.ec.Match(q, nil, func(matches []*corpus.Ad) {
-			for _, m := range matches {
-				owners[d.ec.table.OwnerOf(m.Words)] = true
+		q, answering := joinWords(ad.Words), 0
+		for id := 0; id < d.ec.NumShards(); id++ {
+			if ids, _ := decodeReply(t, shardBackend{ec: d.ec, id: id}, multiserver.Request{Query: q}); len(ids) > 0 {
+				answering++
 			}
-		})
-		if len(owners) > 1 {
+		}
+		if answering > 1 {
 			return q
 		}
 	}
@@ -95,29 +95,15 @@ func (d *recordsDeployment) requests() (n int64) {
 	return n
 }
 
-// wantRecords is the cluster's own answer: every owned match with the
-// metadata its shard holds, in Match's order. skip leaves out the shards
-// a degraded answer is missing.
-func wantRecords(ec *ElasticCluster, q string, skip ...int) (ids []uint64, meta []multiserver.AdMeta) {
-	ec.Match(q, nil, func(matches []*corpus.Ad) {
-		for _, m := range matches {
-			if !slices.Contains(skip, ec.table.OwnerOf(m.Words)) {
-				ids = append(ids, m.ID)
-				meta = append(meta, multiserver.AdMeta{BidMicros: m.Meta.BidMicros, ClickRate: m.Meta.ClickRate})
-			}
-		}
-	})
-	return ids, meta
-}
-
 // checkRecords holds a result to the cluster's answer, ID for ID and
-// record for record.
+// record for record. skip leaves out the shards a degraded answer is
+// missing.
 func checkRecords(t *testing.T, label string, ec *ElasticCluster, q string, res *Result, err error, skip ...int) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("%s: query %q: %v", label, q, err)
 	}
-	ids, meta := wantRecords(ec, q, skip...)
+	ids, meta := clusterRecords(t, ec, q, skip...)
 	if len(ids) == 0 {
 		t.Fatalf("%s: query %q matches nothing: the test exercises nothing", label, q)
 	}
@@ -304,7 +290,7 @@ func TestRecordsThroughEveryAttemptPath(t *testing.T) {
 					}
 					// The corpus does not change, so the answer is fixed
 					// across the cutover, whichever shard serves it.
-					if ids, meta := wantRecords(d.ec, q); !slices.Equal(res.IDs, ids) || !slices.Equal(res.Meta, meta) {
+					if ids, meta := clusterRecords(t, d.ec, q); !slices.Equal(res.IDs, ids) || !slices.Equal(res.Meta, meta) {
 						t.Errorf("query %q through the split: got %v %+v, want %v %+v", q, res.IDs, res.Meta, ids, meta)
 						return
 					}
@@ -322,6 +308,7 @@ func TestRecordsThroughEveryAttemptPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Split: %v", err)
 		}
+		checkOwnership(t, d.ec)
 		st := d.nc.Stats()
 		if st.StaleRetries == 0 || d.nc.Epoch() != 2 {
 			t.Errorf("the split was not absorbed by a refresh: epoch %d, %+v", d.nc.Epoch(), st)

@@ -22,9 +22,9 @@ import (
 // wires them) takes closed-loop query load while the cluster splits,
 // migrates and merges underneath it. No query may fail, and the p99 of
 // the queries that started inside a handoff (snapshot stream, staging
-// load, catch-up, cutover, client refresh-and-retry, drain) must stay
-// within 2x the p99 of the steady windows measured just before each
-// handoff.
+// load of both sides, catch-up, cutover, client refresh-and-retry) must
+// stay within 2x the p99 of the steady windows measured just before each
+// handoff. After each handoff every shard holds exactly its own slots.
 //
 // This is the test that holds handoffBatch and handoffPace: with pace()
 // stubbed out the handoff monopolizes a core and the during-p99 rises
@@ -142,6 +142,9 @@ func reshardUnderLoad(t *testing.T, ads []corpus.Ad, queries []string) (before, 
 		w := window{start: s.end}
 		err := op.run()
 		w.end = time.Now()
+		if err == nil {
+			err = ec.CheckOwnership()
+		}
 		if err != nil {
 			stop.Store(true)
 			wg.Wait()
@@ -227,6 +230,7 @@ func TestInsertNotStalledByHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOwnership(t, ec)
 	t.Logf("%d inserts through the split, slowest %v (phase %q)", inserts, worst, worstAt)
 	if inserts < 100 {
 		t.Fatalf("only %d inserts overlapped the split", inserts)

@@ -13,14 +13,12 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
-	"adindex/internal/costmodel"
 	"adindex/internal/multiserver"
 	"adindex/internal/workload"
 )
 
 // newStatic builds the static deployment's cluster: an ElasticCluster
-// that is never rebalanced, one slot per shard and no room to grow (what
-// adindex.NewSharded builds).
+// that is never rebalanced, one slot per shard and no room to grow.
 func newStatic(t testing.TB, ads []corpus.Ad, n int) *ElasticCluster {
 	t.Helper()
 	ec, err := NewElastic(ads, n, ElasticOptions{Slots: n, MaxShards: n})
@@ -46,7 +44,7 @@ func sameAnswers(t *testing.T, c *corpus.Corpus, single *core.Index, cluster *El
 	for qi := range wl.Queries {
 		q := joinWords(wl.Queries[qi].Words)
 		want := ids(single.BroadMatchText(q, nil))
-		got := cluster.MatchIDs(q)
+		got := clusterIDs(t, cluster, q)
 		if len(want) == 0 && len(got) == 0 {
 			continue
 		}
@@ -75,26 +73,59 @@ func TestClusterEquivalence(t *testing.T) {
 		if _, err := elastic.Split(0); err != nil {
 			t.Fatal(err)
 		}
+		checkOwnership(t, elastic)
 		sameAnswers(t, c, single, elastic, "split")
 	}
 }
 
-func TestClusterCounters(t *testing.T) {
-	c := corpus.Generate(corpus.GenOptions{NumAds: 500, Seed: 133})
-	cluster := newStatic(t, c.Ads, 3)
-	var counters costmodel.Counters
-	matched := 0
-	for i := 0; i < 2; i++ {
-		cluster.Match(c.Ads[0].Phrase, &counters, func(m []*corpus.Ad) { matched = len(m) })
+// TestServedStaticCluster: a static cluster served over TCP and reached
+// through a frozen route answers what one index over the whole corpus
+// answers, and follows the cluster's inserts and deletes.
+func TestServedStaticCluster(t *testing.T) {
+	c := corpus.Generate(corpus.GenOptions{NumAds: 1000, Seed: 13})
+	single := core.New(c.Ads, core.Options{})
+	cluster := newStatic(t, c.Ads, 4)
+	if cluster.NumShards() != 4 || cluster.NumAds() != 1000 {
+		t.Fatalf("shards=%d ads=%d", cluster.NumShards(), cluster.NumAds())
 	}
-	if matched == 0 {
-		t.Error("an ad's own phrase matched nothing")
+	es, err := cluster.Serve()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if counters.Queries != 2 {
-		t.Errorf("Queries = %d after 2 queries, want 2 (not per shard)", counters.Queries)
+	defer es.Close()
+	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, c.Ads)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if counters.HashProbes == 0 {
-		t.Errorf("no probe accounting: %+v", counters)
+	defer adSrv.Close()
+	nc, err := dialStatic(es.Addrs(), adSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	query := func(q string) []uint64 {
+		t.Helper()
+		got, err := nc.Query(q)
+		if err != nil {
+			t.Fatalf("query %q: %v", q, err)
+		}
+		return got
+	}
+	for i := 0; i < 100; i++ {
+		q := c.Ads[i*7%len(c.Ads)].Phrase + " extra"
+		if want, got := ids(single.BroadMatchText(q, nil)), query(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %q: %v, one index: %v", q, got, want)
+		}
+	}
+	cluster.Insert(corpus.NewAd(99999, "zzzz unique phrase", corpus.Meta{}))
+	if got := query("zzzz unique phrase today"); !reflect.DeepEqual(got, []uint64{99999}) {
+		t.Fatalf("inserted ad: %v", got)
+	}
+	if !cluster.Delete(99999, "zzzz unique phrase") {
+		t.Fatal("delete failed")
+	}
+	if got := query("zzzz unique phrase today"); len(got) != 0 {
+		t.Fatalf("deleted ad still served: %v", got)
 	}
 }
 
@@ -102,7 +133,7 @@ func TestClusterInsertDelete(t *testing.T) {
 	cluster := newStatic(t, nil, 4)
 	cluster.Insert(corpus.NewAd(1, "red shoes", corpus.Meta{}))
 	cluster.Insert(corpus.NewAd(2, "blue shoes", corpus.Meta{}))
-	if got := cluster.MatchIDs("red blue shoes"); !reflect.DeepEqual(got, []uint64{1, 2}) {
+	if got := clusterIDs(t, cluster, "red blue shoes"); !reflect.DeepEqual(got, []uint64{1, 2}) {
 		t.Fatalf("got %v", got)
 	}
 	if !cluster.Delete(1, "red shoes") {
@@ -114,7 +145,7 @@ func TestClusterInsertDelete(t *testing.T) {
 	if cluster.Delete(5, "") {
 		t.Fatal("empty phrase delete succeeded")
 	}
-	if got := cluster.MatchIDs("red blue shoes"); !reflect.DeepEqual(got, []uint64{2}) {
+	if got := clusterIDs(t, cluster, "red blue shoes"); !reflect.DeepEqual(got, []uint64{2}) {
 		t.Fatalf("after delete: %v", got)
 	}
 }
@@ -395,7 +426,7 @@ func TestShardCountInvarianceQuick(t *testing.T) {
 			}
 			q := joinWords(qw)
 			a := ids(single.BroadMatchText(q, nil))
-			b := cluster.MatchIDs(q)
+			b := clusterIDs(t, cluster, q)
 			if len(a) != len(b) {
 				return false
 			}

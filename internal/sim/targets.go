@@ -257,13 +257,17 @@ func (e *elasticTarget) numAds() int {
 }
 
 // stateCheck returns a non-empty divergence description when the
-// deployment's own cross-replica invariants fail — every replica at the
-// same routing epoch, a structurally valid route — and "" when healthy.
+// deployment's own invariants fail — every replica at the same routing
+// epoch with every shard holding exactly its own slots, a structurally
+// valid route — and "" when healthy.
 func (e *elasticTarget) stateCheck() string {
 	e0 := e.replicas[0]
 	for ri, ec := range e.replicas {
 		if got, want := ec.Epoch(), e0.Epoch(); got != want {
 			return fmt.Sprintf("replica %d at epoch %d, replica 0 at %d", ri, got, want)
+		}
+		if err := ec.CheckOwnership(); err != nil {
+			return fmt.Sprintf("replica %d: %v", ri, err)
 		}
 	}
 	if err := e0.RouteOver(e.proxyAddrs...).Validate(); err != nil {
