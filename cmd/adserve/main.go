@@ -22,8 +22,7 @@
 //	adserve -corpus corpus.tsv -addr :8080 -tcp-ad :9010
 //	# fault-tolerant front-end: shards separated by ';', replicas by ','
 //	adserve -addr :8077 -shards '127.0.0.1:9001;127.0.0.1:9002' \
-//	        -ad-server 127.0.0.1:9010 -allow-partial \
-//	        -net-timeout 2s -net-retries 2 -hedge-after 20ms
+//	        -ad-server 127.0.0.1:9010 -allow-partial -hedge-after 20ms
 //
 // Elastic (live-reshardable) usage:
 //
@@ -36,8 +35,8 @@
 //	curl -X POST 'http://localhost:8077/admin/rebalance?op=migrate&from=0&to=2'
 //	curl 'http://localhost:8077/admin/rebalance'                         # status
 //
-// Flag combinations that would silently drop a flag are refused at
-// start-up; the refusals table below lists every one with its reason.
+// A flag the selected deployment does not read is refused at start-up;
+// the readers table below declares which deployments read each flag.
 //
 // Endpoints (see internal/server):
 //
@@ -67,7 +66,6 @@ import (
 	"adindex/internal/multiserver"
 	"adindex/internal/rewrite"
 	"adindex/internal/server"
-	"adindex/internal/shard"
 )
 
 // flags is every adserve command-line option.
@@ -77,19 +75,15 @@ type flags struct {
 	cacheEntries          int
 	maxInflight           int
 	requestTimeout        time.Duration
-	maxObserved           int
 
 	adaptInterval time.Duration
-	adaptTopK     int
 
 	queryBudget     int64
 	shedTargetDelay time.Duration
 	quarantineTTL   time.Duration
 
-	rewrite            bool
-	synonyms           string
-	rewriteMaxVariants int
-	rewriteMaxProbes   int
+	rewrite  bool
+	synonyms string
 
 	dataDir, walSync     string
 	snapshotEvery        int
@@ -97,18 +91,11 @@ type flags struct {
 
 	tcpIndex, tcpAd string
 
-	elastic, elasticMaxShards, elasticSlots int
+	elastic int
 
 	shards, adServer string
-	netTimeout       time.Duration
-	netRetries       int
-	retryBase        time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
 	hedgeAfter       time.Duration
 	allowPartial     bool
-	minLiveShards    int
-	backendGrace     time.Duration
 }
 
 func defineFlags(fs *flag.FlagSet) *flags {
@@ -123,16 +110,12 @@ func defineFlags(fs *flag.FlagSet) *flags {
 		"max concurrently executing searches; beyond this + queue, requests are shed with 503")
 	fs.DurationVar(&f.requestTimeout, "request-timeout", server.DefaultRequestTimeout,
 		"per-request deadline covering admission-queue wait and execution")
-	fs.IntVar(&f.maxObserved, "max-observed", adindex.DefaultMaxObservedQueries,
-		"cap on distinct observed queries kept for layout optimization (negative = unbounded)")
 
 	// Continuous adaptation (local index): a background control loop that
 	// re-maps the most misplaced word sets each round instead of
 	// stop-the-world /optimize calls (see DESIGN.md §5.10).
 	fs.DurationVar(&f.adaptInterval, "adapt-interval", 0,
 		"continuous adaptation: background re-mapping round period; also enables per-query cost tracking and live cost-model recalibration (0 disables; local index only)")
-	fs.IntVar(&f.adaptTopK, "adapt-topk", 0,
-		"continuous adaptation: max misplaced word sets moved per round (0 = default 32, negative = unbounded)")
 
 	// Overload armor: per-query cost budgets, adaptive load shedding, and
 	// the poison-query quarantine (see DESIGN.md §5.9).
@@ -150,10 +133,6 @@ func defineFlags(fs *flag.FlagSet) *flags {
 		"enable approximate broad match (/search?rewrite=on): fuzzy spelling rewrites, plus synonym substitutions with -synonyms")
 	fs.StringVar(&f.synonyms, "synonyms", "",
 		"synonym-class TSV (one class per line, tab-separated words); implies -rewrite")
-	fs.IntVar(&f.rewriteMaxVariants, "rewrite-max-variants", 0,
-		"cap on rewrite variants planned per query (0 = default, negative = unbounded)")
-	fs.IntVar(&f.rewriteMaxProbes, "rewrite-max-probes", 0,
-		"cap on index probes per rewritten query, exact probe included (0 = default, negative = unbounded)")
 
 	// Durable persistence (local index): every acknowledged mutation is
 	// WAL-logged before it applies, and the index recovers from the
@@ -179,48 +158,58 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	// POST /admin/rebalance with zero downtime (epoch-routed cutover).
 	fs.IntVar(&f.elastic, "elastic", 0,
 		"elastic mode: initial shard count for a live-reshardable cluster built from -corpus (0 disables)")
-	fs.IntVar(&f.elasticMaxShards, "elastic-max-shards", 0,
-		"elastic mode: shard-count ceiling (pre-provisioned TCP positions; 0 = default 8)")
-	fs.IntVar(&f.elasticSlots, "elastic-slots", 0,
-		fmt.Sprintf("elastic mode: routing slot-universe size (0 = default %d)", shard.DefaultSlots))
 
-	// Remote (distributed front-end) mode; the client tuning also applies
-	// to the elastic node's own fan-out client.
+	// Remote (distributed front-end) mode; the fault-tolerance switches also
+	// apply to the elastic node's own fan-out client.
 	fs.StringVar(&f.shards, "shards", "",
 		"remote mode: index shard addresses, shards separated by ';', replicas of one shard by ','")
 	fs.StringVar(&f.adServer, "ad-server", "",
 		"remote mode: ad-metadata server address (required with -shards)")
-	fs.DurationVar(&f.netTimeout, "net-timeout", multiserver.DefaultTimeout,
-		"remote mode: per-exchange backend deadline")
-	fs.IntVar(&f.netRetries, "net-retries", multiserver.DefaultMaxRetries,
-		"remote mode: retry budget per backend exchange (negative disables retries)")
-	fs.DurationVar(&f.retryBase, "retry-base", 10*time.Millisecond,
-		"remote mode: first retry backoff (doubles per attempt, plus jitter)")
-	fs.IntVar(&f.breakerThreshold, "breaker-threshold", 5,
-		"remote mode: consecutive failures that open a backend's circuit breaker")
-	fs.DurationVar(&f.breakerCooldown, "breaker-cooldown", time.Second,
-		"remote mode: how long an open breaker waits before half-opening")
 	fs.DurationVar(&f.hedgeAfter, "hedge-after", 0,
 		"remote mode: duplicate an in-flight shard query to the next replica after this delay (0 disables)")
 	fs.BoolVar(&f.allowPartial, "allow-partial", false,
 		"remote mode: serve degraded (partial / ID-only) results instead of failing when backends are down")
-	fs.IntVar(&f.minLiveShards, "min-live-shards", 1,
-		"remote mode: minimum shards that must answer for a partial result")
-	fs.DurationVar(&f.backendGrace, "backend-grace", 10*time.Second,
-		"remote mode: sustained backend loss longer than this flips /readyz to 503")
 	return f
 }
 
-// The deployment a command line selects. The in-memory and -data-dir
-// indexes share one start-up flow (runLocal).
+// A mode is a set of deployments, one bit each; a command line selects
+// exactly one. The in-memory and -data-dir indexes share one start-up flow
+// (runLocal).
+type mode uint8
+
 const (
-	modeElastic = "-elastic"
-	modeShards  = "-shards"
-	modeDurable = "-data-dir"
-	modeMemory  = "an in-memory index"
+	modeMemory mode = 1 << iota
+	modeDurable
+	modeElastic
+	modeShards
+
+	modeLocal = modeMemory | modeDurable
+	modeAny   = modeLocal | modeElastic | modeShards
 )
 
-func (f *flags) mode() string {
+// String names a deployment as a refusal prints it, and a set as its
+// members joined by "or".
+func (m mode) String() string {
+	switch m {
+	case modeMemory:
+		return "an in-memory index"
+	case modeDurable:
+		return "-data-dir"
+	case modeElastic:
+		return "-elastic"
+	case modeShards:
+		return "-shards"
+	}
+	var names []string
+	for d := modeMemory; d <= modeShards; d <<= 1 {
+		if m&d != 0 {
+			names = append(names, d.String())
+		}
+	}
+	return strings.Join(names, " or ")
+}
+
+func (f *flags) mode() mode {
 	switch {
 	case f.elastic > 0:
 		return modeElastic
@@ -232,60 +221,111 @@ func (f *flags) mode() string {
 	return modeMemory
 }
 
-// refusals lists every flag adserve rejects or insists on in some mode,
-// each with its one-line reason. Nothing else refuses a flag: a
-// combination not listed here composes. The forbidden rows are all
-// features of the single-node adindex.Index, which the -shards front end
-// does not hold and the elastic cluster's bare core.Index shards do not
-// have yet (ROADMAP "One shard engine"). A shard already holds exactly
-// the ads of its slots and is read only through its position's server;
-// making it an adindex.Index waits on a fold proportional to the change
-// (ROADMAP "Writes proportional to the change"), since a fold today
-// rebuilds the whole shard.
-var refusals = []struct {
-	flag, mode string
-	required   bool // the mode needs the flag; otherwise it forbids it
-	reason     string
-}{
-	{"corpus", modeMemory, true, "there is nothing else to build the index from"},
-	{"corpus", modeElastic, true, "the cluster is built from it"},
-	{"ad-server", modeShards, true, "the front end fetches ad metadata from it"},
+// readers declares, for every flag, the deployments that read it. A flag
+// given to any other deployment is refused at start-up, so no flag is
+// dropped in silence.
+var readers = map[string]mode{
+	"corpus":        modeLocal | modeElastic,
+	"mapping":       modeLocal,
+	"addr":          modeAny,
+	"max-words":     modeLocal | modeElastic,
+	"cache-entries": modeLocal, // a remote front end bypasses the reply cache
 
-	{"shards", modeElastic, false, "the elastic node hosts its own cluster"},
-	{"data-dir", modeElastic, false, "the elastic cluster is not durable yet"},
-	{"rewrite", modeElastic, false, "rewrite runs on a local index"},
-	{"synonyms", modeElastic, false, "rewrite runs on a local index"},
-	{"tcp-index", modeElastic, false, "shard positions already serve the TCP index protocol"},
-	{"adapt-interval", modeElastic, false, "the cluster re-maps via the offline export/optimize path"},
-	{"query-budget", modeElastic, false, "cluster shards match without a cost budget, so the bound would be dropped"},
-	{"mapping", modeElastic, false, "a mapping file describes one index, not a cluster's shards"},
+	"max-inflight":      modeAny,
+	"request-timeout":   modeAny,
+	"shed-target-delay": modeAny,
+	"quarantine-ttl":    modeAny,
+	"query-budget":      modeLocal,
+	"adapt-interval":    modeLocal,
+	"rewrite":           modeLocal,
+	"synonyms":          modeLocal,
 
-	{"data-dir", modeShards, false, "a remote front-end holds no local index state"},
-	{"rewrite", modeShards, false, "rewrite runs on a local index"},
-	{"synonyms", modeShards, false, "rewrite runs on a local index"},
-	{"adapt-interval", modeShards, false, "adaptation needs a local index; a remote front-end holds none"},
-	{"query-budget", modeShards, false, "the budget is enforced where the index is: set it on the -tcp-index backends"},
-	{"mapping", modeShards, false, "a remote front-end holds no index to re-map"},
-	{"tcp-index", modeShards, false, "a remote front-end holds no index to serve"},
-	{"tcp-ad", modeShards, false, "a remote front-end holds no ads to serve"},
+	"data-dir":               modeDurable,
+	"wal-sync":               modeDurable,
+	"snapshot-every":         modeDurable,
+	"allow-partial-recovery": modeDurable,
+
+	"tcp-index":     modeLocal,
+	"tcp-ad":        modeLocal | modeElastic,
+	"elastic":       modeElastic,
+	"shards":        modeShards,
+	"ad-server":     modeShards,
+	"hedge-after":   modeShards | modeElastic,
+	"allow-partial": modeShards | modeElastic,
 }
 
-// refuse returns the first refusals row the command line violates, as
-// an error, or nil.
-func refuse(fs *flag.FlagSet, f *flags) error {
-	given := make(map[string]bool)
-	fs.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
-	mode := f.mode()
-	for _, r := range refusals {
-		if r.mode != mode || given[r.flag] == r.required {
-			continue
-		}
-		if r.required {
-			return fmt.Errorf("%s requires -%s: %s", mode, r.flag, r.reason)
-		}
-		return fmt.Errorf("-%s is incompatible with %s: %s", r.flag, mode, r.reason)
+// needs lists the flags a deployment cannot start without.
+var needs = []struct {
+	flag   string
+	mode   mode
+	reason string
+}{
+	{"corpus", modeMemory, "there is nothing else to build the index from"},
+	{"corpus", modeElastic, "the cluster is built from it"},
+	{"ad-server", modeShards, "the front end fetches ad metadata from it"},
+}
+
+// flagMode is one flag given to one deployment.
+type flagMode struct {
+	flag string
+	mode mode
+}
+
+// why says why a deployment does not read a flag, where that is more than
+// the flag belonging to other deployments. Most are features of the
+// single-node adindex.Index, which the -shards front end does not hold and
+// the elastic cluster's bare core.Index shards do not have yet (ROADMAP
+// "One shard engine"). A shard already holds exactly the ads of its slots
+// and is read only through its position's server; making it an
+// adindex.Index waits on a fold proportional to the change (ROADMAP
+// "Writes proportional to the change"), since a fold today rebuilds the
+// whole shard.
+var why = map[flagMode]string{
+	{"shards", modeElastic}:         "the elastic node hosts its own cluster",
+	{"data-dir", modeElastic}:       "the elastic cluster is not durable yet",
+	{"rewrite", modeElastic}:        "rewrite runs on a local index",
+	{"synonyms", modeElastic}:       "rewrite runs on a local index",
+	{"tcp-index", modeElastic}:      "shard positions already serve the TCP index protocol",
+	{"adapt-interval", modeElastic}: "the cluster re-maps via the offline export/optimize path",
+	{"query-budget", modeElastic}:   "cluster shards match without a cost budget, so the bound would be dropped",
+	{"mapping", modeElastic}:        "a mapping file describes one index, not a cluster's shards",
+
+	{"data-dir", modeShards}:       "a remote front-end holds no local index state",
+	{"rewrite", modeShards}:        "rewrite runs on a local index",
+	{"synonyms", modeShards}:       "rewrite runs on a local index",
+	{"adapt-interval", modeShards}: "adaptation needs a local index; a remote front-end holds none",
+	{"query-budget", modeShards}:   "the budget is enforced where the index is: set it on the -tcp-index backends",
+	{"mapping", modeShards}:        "a remote front-end holds no index to re-map",
+	{"tcp-index", modeShards}:      "a remote front-end holds no index to serve",
+	{"tcp-ad", modeShards}:         "a remote front-end holds no ads to serve",
+}
+
+// reason is why deployment m refuses flag name.
+func reason(name string, m mode) string {
+	if r, ok := why[flagMode{name, m}]; ok {
+		return r
 	}
-	return nil
+	return "only " + readers[name].String() + " reads it"
+}
+
+// refuse returns, as an error, the first flag the selected deployment needs
+// and was not given, else the first given flag it does not read, or nil.
+func refuse(fs *flag.FlagSet, f *flags) error {
+	m := f.mode()
+	given := make(map[string]bool)
+	var unread error
+	fs.Visit(func(fl *flag.Flag) {
+		given[fl.Name] = true
+		if unread == nil && readers[fl.Name]&m == 0 {
+			unread = fmt.Errorf("-%s is incompatible with %s: %s", fl.Name, m, reason(fl.Name, m))
+		}
+	})
+	for _, n := range needs {
+		if n.mode == m && !given[n.flag] {
+			return fmt.Errorf("%s requires -%s: %s", m, n.flag, n.reason)
+		}
+	}
+	return unread
 }
 
 func main() {
@@ -295,13 +335,12 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := server.Config{
-		CacheEntries:     f.cacheEntries,
-		MaxInflight:      f.maxInflight,
-		RequestTimeout:   f.requestTimeout,
-		BackendLossGrace: f.backendGrace,
-		QueryBudget:      f.queryBudget,
-		ShedTargetDelay:  f.shedTargetDelay,
-		QuarantineTTL:    f.quarantineTTL,
+		CacheEntries:    f.cacheEntries,
+		MaxInflight:     f.maxInflight,
+		RequestTimeout:  f.requestTimeout,
+		QueryBudget:     f.queryBudget,
+		ShedTargetDelay: f.shedTargetDelay,
+		QuarantineTTL:   f.quarantineTTL,
 	}
 	switch f.mode() {
 	case modeElastic:
@@ -332,12 +371,12 @@ func loadCorpus(path string) []adindex.Ad {
 // indexOptions maps the flags onto the local index's options, loading
 // the synonym table when one is named.
 func indexOptions(f *flags) adindex.Options {
-	opts := adindex.Options{MaxWords: f.maxWords, MaxObservedQueries: f.maxObserved}
+	opts := adindex.Options{MaxWords: f.maxWords}
 	if f.adaptInterval > 0 {
-		opts.Adapt = &adindex.AdaptOptions{Interval: f.adaptInterval, TopK: f.adaptTopK, Calibrate: true}
+		opts.Adapt = &adindex.AdaptOptions{Interval: f.adaptInterval, Calibrate: true}
 	}
 	if f.rewrite || f.synonyms != "" {
-		opts.Rewrite = &adindex.RewriteOptions{MaxVariants: f.rewriteMaxVariants, MaxProbes: f.rewriteMaxProbes}
+		opts.Rewrite = &adindex.RewriteOptions{}
 		if f.synonyms != "" {
 			file, err := os.Open(f.synonyms)
 			if err != nil {
@@ -352,8 +391,8 @@ func indexOptions(f *flags) adindex.Options {
 			log.Printf("loaded %d synonym classes (%d words) from %s",
 				classes.NumClasses(), classes.NumWords(), f.synonyms)
 		}
-		log.Printf("approximate broad match enabled (variants=%d, probes=%d; 0 = default)",
-			f.rewriteMaxVariants, f.rewriteMaxProbes)
+		log.Printf("approximate broad match enabled (variants=%d, probes=%d per query)",
+			rewrite.DefaultMaxVariants, rewrite.DefaultMaxProbes)
 	}
 	return opts
 }
@@ -411,7 +450,7 @@ func runLocal(f *flags, cfg server.Config) {
 	if opts.Adapt != nil {
 		ix.StartAdapt()
 		defer ix.StopAdapt()
-		log.Printf("continuous adaptation: round every %v, top-k %d", f.adaptInterval, f.adaptTopK)
+		log.Printf("continuous adaptation: round every %v", f.adaptInterval)
 	}
 	if f.tcpIndex != "" {
 		ts, err := multiserver.NewIndexServer(f.tcpIndex, multiserver.ServeOpts{}, indexBackend{ix, f.queryBudget})

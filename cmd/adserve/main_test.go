@@ -1,6 +1,6 @@
 // Flag-matrix smoke: every deployment mode of the real binary started on
-// loopback and driven over HTTP, and every row of the refusals table run
-// to its non-zero exit. The binary under test is this test binary
+// loopback and driven over HTTP, and every flag a deployment needs but
+// lacks, or is given but does not read, run to its non-zero exit. The binary under test is this test binary
 // re-executed (see TestMain), so it is built — and race-instrumented —
 // exactly like the tests.
 package main
@@ -13,11 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -28,6 +30,8 @@ import (
 	"adindex"
 	"adindex/internal/corpus"
 	"adindex/internal/multiserver"
+	"adindex/internal/server"
+	"adindex/internal/shard"
 )
 
 // childArg as the first argument turns the test binary into adserve.
@@ -264,12 +268,16 @@ func TestShardsFrontEnd(t *testing.T) {
 	searchMatches(t, base, c.Ads[0].Phrase, c.Ads[0].ID)
 	searchMatches(t, base, c.Ads[half].Phrase, c.Ads[half].ID)
 
-	// A shard with no reachable replica fails the start.
-	dark := start(t, "-addr", "127.0.0.1:0", "-shards", index[0]+";127.0.0.1:1", "-ad-server", ad,
-		"-net-timeout", "200ms")
+	// A shard with no reachable replica fails the start, at once: the
+	// dial is refused, so no exchange waits out its deadline.
+	began := time.Now()
+	dark := start(t, "-addr", "127.0.0.1:0", "-shards", index[0]+";127.0.0.1:1", "-ad-server", ad)
 	<-dark.done
 	if dark.cmd.ProcessState.Success() || !strings.Contains(dark.logText(), "no reachable replica for shard 1") {
 		t.Fatalf("front end over a dark shard: exit %v, log:\n%s", dark.cmd.ProcessState, dark.logText())
+	}
+	if took := time.Since(began); took >= multiserver.DefaultTimeout {
+		t.Errorf("front end over a dark shard took %v to fail, not less than one exchange deadline (%v)", took, multiserver.DefaultTimeout)
 	}
 }
 
@@ -281,8 +289,7 @@ func TestElasticMode(t *testing.T) {
 	p := start(t, "-corpus", path, "-addr", "127.0.0.1:0", "-elastic", "2")
 	base := p.base(t)
 	awaitReady(t, p, base)
-	// -elastic-slots left at its default: the line reports the table's
-	// slots, not the flag's zero.
+	// The line reports the routing table's slots and shard cap.
 	if slots := p.logged(t, `elastic cluster: 2/8 shards, (\d+) slots`); slots != "64" {
 		t.Errorf("start-up line reports %s slots, want 64", slots)
 	}
@@ -317,62 +324,140 @@ func TestElasticMode(t *testing.T) {
 	}
 }
 
-// TestRefusals runs every row of the refusals table: the mode it names,
-// with the flag it forbids given (or the flag it requires left out),
-// must exit non-zero printing the row's reason.
+// TestRefusals starts every deployment without each flag it needs, and
+// with each flag it does not read: every such command line must exit
+// non-zero printing its reason.
 func TestRefusals(t *testing.T) {
-	modeArgs := map[string]map[string]string{
+	modeArgs := map[mode]map[string]string{
 		modeMemory:  {"corpus": "x"},
+		modeDurable: {"data-dir": filepath.Join(t.TempDir(), "state")},
 		modeElastic: {"elastic": "2", "corpus": "x"},
 		modeShards:  {"shards": "127.0.0.1:1", "ad-server": "127.0.0.1:1"},
 	}
 	sample := map[string]string{
-		"shards": "127.0.0.1:1", "data-dir": "x", "rewrite": "true", "synonyms": "x",
-		"tcp-index": "127.0.0.1:0", "tcp-ad": "127.0.0.1:0", "adapt-interval": "1s",
-		"query-budget": "8", "mapping": "x",
+		"corpus": "x", "mapping": "x", "max-words": "4", "cache-entries": "5",
+		"adapt-interval": "1s", "query-budget": "8", "rewrite": "true", "synonyms": "x",
+		"data-dir": "x", "wal-sync": "none", "snapshot-every": "10", "allow-partial-recovery": "true",
+		"tcp-index": "127.0.0.1:0", "tcp-ad": "127.0.0.1:0", "elastic": "2",
+		"shards": "127.0.0.1:1", "ad-server": "127.0.0.1:1", "hedge-after": "5ms", "allow-partial": "true",
 	}
-	for _, r := range refusals {
-		t.Run(r.flag+" with "+r.mode, func(t *testing.T) {
-			set := map[string]string{}
-			for k, v := range modeArgs[r.mode] {
-				set[k] = v
-			}
-			if r.required {
-				delete(set, r.flag)
-			} else if v, ok := sample[r.flag]; ok {
-				set[r.flag] = v
-			} else {
-				t.Fatalf("no sample value for -%s", r.flag)
-			}
-			args := []string{childArg, "-addr=127.0.0.1:0"}
-			for k, v := range set {
-				args = append(args, "-"+k+"="+v)
-			}
-			// A command line that is wrongly accepted may start serving;
-			// the deadline turns that into a failure, not a hang.
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-			defer cancel()
-			out, err := exec.CommandContext(ctx, os.Args[0], args...).CombinedOutput()
-			if err == nil {
-				t.Fatalf("adserve %v started; want a refusal", args[1:])
-			}
-			if !strings.Contains(string(out), r.reason) {
-				t.Fatalf("adserve %v printed\n%s\nwant the reason %q", args[1:], out, r.reason)
-			}
+	for _, n := range needs {
+		t.Run(n.flag+" with "+n.mode.String(), func(t *testing.T) {
+			set := maps.Clone(modeArgs[n.mode])
+			delete(set, n.flag)
+			refused(t, set, n.reason)
 		})
+	}
+	fs := flag.NewFlagSet("adserve", flag.ContinueOnError)
+	defineFlags(fs)
+	fs.VisitAll(func(fl *flag.Flag) {
+		if readers[fl.Name] == 0 {
+			t.Errorf("-%s declares no deployment that reads it", fl.Name)
+		}
+		for m := modeMemory; m <= modeShards; m <<= 1 {
+			if readers[fl.Name]&m != 0 {
+				continue
+			}
+			t.Run(fl.Name+" with "+m.String(), func(t *testing.T) {
+				set := maps.Clone(modeArgs[m])
+				set[fl.Name] = sample[fl.Name]
+				if modeOf(t, set) != m {
+					// The flag selects its own deployment (-elastic, -shards,
+					// -data-dir); given at its default it selects nothing but
+					// is still given.
+					set[fl.Name] = fl.DefValue
+				}
+				if got := modeOf(t, set); got != m {
+					t.Fatalf("no command line gives -%s to %s: %v selects %s", fl.Name, m, set, got)
+				}
+				refused(t, set, reason(fl.Name, m))
+			})
+		}
+	})
+}
+
+// modeOf is the deployment the flags in set select.
+func modeOf(t *testing.T, set map[string]string) mode {
+	t.Helper()
+	fs := flag.NewFlagSet("adserve", flag.ContinueOnError)
+	f := defineFlags(fs)
+	if err := fs.Parse(flagArgs(set)); err != nil {
+		t.Fatal(err)
+	}
+	return f.mode()
+}
+
+func flagArgs(set map[string]string) []string {
+	var args []string
+	for k, v := range set {
+		args = append(args, "-"+k+"="+v)
+	}
+	return args
+}
+
+// refused runs adserve with the flags in set and requires a non-zero exit
+// printing reason.
+func refused(t *testing.T, set map[string]string, reason string) {
+	t.Helper()
+	args := append([]string{childArg, "-addr=127.0.0.1:0"}, flagArgs(set)...)
+	// A command line that is wrongly accepted may start serving; the
+	// deadline turns that into a failure, not a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], args...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("adserve %v started; want a refusal", args[1:])
+	}
+	if !strings.Contains(string(out), reason) {
+		t.Fatalf("adserve %v printed\n%s\nwant the reason %q", args[1:], out, reason)
 	}
 }
 
-// TestFlagCount pins the size of the flag surface: a simplification adds
-// no knob.
-func TestFlagCount(t *testing.T) {
+// TestSettableValues pins the size of adserve's configuration surface: its
+// flags plus the exported fields of the option structs they reach, counted
+// by reflection. A field whose type is a struct with exported fields, or a
+// pointer to one, counts as those fields. A simplification adds no knob;
+// `make size` prints this test's log.
+func TestSettableValues(t *testing.T) {
 	fs := flag.NewFlagSet("adserve", flag.ContinueOnError)
 	defineFlags(fs)
-	n := 0
-	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 37 {
-		t.Errorf("adserve defines %d flags, want 37", n)
+	flags := 0
+	fs.VisitAll(func(*flag.Flag) { flags++ })
+	fields := 0
+	for _, opts := range []any{adindex.Options{}, adindex.DurableConfig{}, server.Config{}, shard.Options{}, shard.ElasticOptions{}} {
+		typ := reflect.TypeOf(opts)
+		n := settable(typ)
+		t.Logf("%s: %d settable fields", typ, n)
+		fields += n
 	}
+	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, fields, flags+fields)
+	if flags != 24 || fields != 42 {
+		t.Errorf("%d flags and %d option fields, want 24 and 42", flags, fields)
+	}
+}
+
+// settable counts the exported fields of struct type typ, recursing into
+// struct-typed ones.
+func settable(typ reflect.Type) int {
+	n := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			if k := settable(ft); k > 0 {
+				n += k
+				continue
+			}
+		}
+		n++
+	}
+	return n
 }
 
 // TestIndexBackend: the -tcp-index backend honours the whole request it

@@ -11,20 +11,9 @@ import (
 )
 
 // shardOptions maps the remote-mode flags onto the fan-out client's
-// options.
+// options; every connection runs on the multiserver defaults.
 func shardOptions(f *flags) shard.Options {
-	return shard.Options{
-		Conn: multiserver.ConnOpts{
-			Timeout:          f.netTimeout,
-			MaxRetries:       f.netRetries,
-			RetryBase:        f.retryBase,
-			BreakerThreshold: f.breakerThreshold,
-			BreakerCooldown:  f.breakerCooldown,
-		},
-		AllowPartial:  f.allowPartial,
-		MinLiveShards: f.minLiveShards,
-		HedgeAfter:    f.hedgeAfter,
-	}
+	return shard.Options{AllowPartial: f.allowPartial, HedgeAfter: f.hedgeAfter}
 }
 
 // runShards is the -shards main loop: a fault-tolerant front end over a
@@ -58,11 +47,7 @@ func runShards(f *flags, cfg server.Config) {
 func runElastic(f *flags, cfg server.Config) {
 	ads := loadCorpus(f.corpus)
 	buildStart := time.Now()
-	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{
-		Slots:     f.elasticSlots,
-		MaxShards: f.elasticMaxShards,
-		Index:     core.Options{MaxWords: f.maxWords},
-	})
+	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{Index: core.Options{MaxWords: f.maxWords}})
 	if err != nil {
 		log.Fatalf("elastic cluster: %v", err)
 	}

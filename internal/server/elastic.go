@@ -9,36 +9,14 @@ import (
 	"adindex/internal/shard"
 )
 
-// Rebalancer is the elastic-cluster surface the serving layer exposes:
-// live status for /metrics and /readyz plus the three topology
-// operations behind the /admin/rebalance endpoint. Implemented by
-// shard.ElasticCluster.
-type Rebalancer interface {
-	Status() shard.RebalanceStatus
-	SuggestSplit() int
-	Split(shardID int) (int, error)
-	Merge(from, to int) error
-	Migrate(from, to int) error
-}
-
-// rebalHolder wraps the interface so it can live in an atomic.Pointer.
-type rebalHolder struct{ r Rebalancer }
-
 // AttachRebalancer publishes an elastic cluster on this server:
 // /metrics gains an "elastic" section, /readyz annotates an in-flight
 // rebalance (the node REMAINS ready — a live handoff keeps serving
 // queries from the old owner until cutover, so orchestrators must not
 // route around it), and /admin/rebalance accepts split/merge/migrate.
-// Safe to call before or after Start.
-func (s *Server) AttachRebalancer(r Rebalancer) {
-	s.elastic.Store(&rebalHolder{r})
-}
-
-func (s *Server) rebalancer() Rebalancer {
-	if h := s.elastic.Load(); h != nil {
-		return h.r
-	}
-	return nil
+// Call it before Start.
+func (s *Server) AttachRebalancer(ec *shard.ElasticCluster) {
+	s.elastic = ec
 }
 
 // handleRebalance is the admin surface for live topology changes.
@@ -53,16 +31,15 @@ func (s *Server) rebalancer() Rebalancer {
 // (or post-abort) status. Concurrent admin calls serialize inside the
 // cluster; queries keep flowing throughout.
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	reb := s.rebalancer()
-	if reb == nil {
+	if s.elastic == nil {
 		http.Error(w, "not an elastic node", http.StatusNotImplemented)
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
-		s.writeJSON(w, reb.Status())
+		s.writeJSON(w, s.elastic.Status())
 	case http.MethodPost:
-		s.runRebalance(w, r, reb)
+		s.runRebalance(w, r, s.elastic)
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 	}
@@ -76,7 +53,7 @@ type rebalanceResponse struct {
 	Status   shard.RebalanceStatus `json:"status"`
 }
 
-func (s *Server) runRebalance(w http.ResponseWriter, r *http.Request, reb Rebalancer) {
+func (s *Server) runRebalance(w http.ResponseWriter, r *http.Request, reb *shard.ElasticCluster) {
 	q := r.URL.Query()
 	intArg := func(name string) (int, bool) {
 		v, err := strconv.Atoi(q.Get(name))

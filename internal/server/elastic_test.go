@@ -35,7 +35,7 @@ func postJSON(t *testing.T, url string, out any) {
 // startElasticServer stands up a single-process elastic deployment over
 // loopback — an ElasticCluster serving epoch-checked TCP positions, an
 // ad-metadata server, a routed NetClient looped back over them — and a
-// remote-mode HTTP front-end with the cluster attached as Rebalancer.
+// remote-mode HTTP front-end with the cluster attached.
 // This is exactly the topology `adserve -elastic` runs.
 func startElasticServer(t *testing.T, cfg Config) (*Server, string, *shard.ElasticCluster) {
 	t.Helper()

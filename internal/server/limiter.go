@@ -1,8 +1,8 @@
 // Admission control: a concurrency semaphore with a bounded wait queue
 // and optional CoDel-style queue-delay shedding.
 //
-// The serving layer admits at most MaxInflight concurrent queries; up to
-// MaxQueue more may wait (bounded by their request deadline). Anything
+// The serving layer admits at most MaxInflight concurrent queries; four
+// times as many more may wait (bounded by their request deadline). Anything
 // beyond that is shed immediately with 503 + Retry-After rather than
 // queued — under overload an unbounded queue only converts saturation
 // into unbounded tail latency (every queued request eventually times out
@@ -70,24 +70,19 @@ type Limiter struct {
 }
 
 // NewLimiter admits up to maxInflight concurrent holders with up to
-// maxQueue waiters and no delay shedding. maxInflight < 1 is raised to
-// 1; maxQueue < 0 is treated as 0 (shed as soon as all slots are busy).
-func NewLimiter(maxInflight, maxQueue int) *Limiter {
-	return NewLimiterShedAt(maxInflight, maxQueue, 0, 0, time.Now)
-}
-
-// NewLimiterShed adds CoDel-style queue-delay shedding: once the minimum
-// queue wait stays above target for a full DefaultShedWindow, new queue
-// entrants are rejected with ErrOverload until the minimum falls back to
-// target/2. target <= 0 disables shedding.
-func NewLimiterShed(maxInflight, maxQueue int, target time.Duration) *Limiter {
+// maxQueue waiters. maxInflight < 1 is raised to 1; maxQueue < 0 is
+// treated as 0 (shed as soon as all slots are busy). With target > 0 it
+// sheds by queue delay, CoDel-style: once the minimum queue wait stays
+// above target for a full DefaultShedWindow, new queue entrants are
+// rejected with ErrOverload until the minimum falls back to target/2.
+func NewLimiter(maxInflight, maxQueue int, target time.Duration) *Limiter {
 	return NewLimiterShedAt(maxInflight, maxQueue, target, 0, time.Now)
 }
 
-// NewLimiterShedAt is NewLimiterShed with the interval width and the
-// clock exposed, so tests drive the shedding state machine on a
-// simulated clock without wall sleeps. window 0 selects
-// DefaultShedWindow; now must not be nil.
+// NewLimiterShedAt is NewLimiter with the interval width and the clock
+// exposed, so tests drive the shedding state machine on a simulated
+// clock without wall sleeps. window 0 selects DefaultShedWindow; now must
+// not be nil.
 func NewLimiterShedAt(maxInflight, maxQueue int, target, window time.Duration, now func() time.Time) *Limiter {
 	if maxInflight < 1 {
 		maxInflight = 1
@@ -180,16 +175,6 @@ func (l *Limiter) Shedding() bool { return l.sheddingNow() }
 // shedding; ShedQueueFull how many by the hard queue bound.
 func (l *Limiter) ShedOverload() uint64  { return l.shedOverload.Load() }
 func (l *Limiter) ShedQueueFull() uint64 { return l.shedQueueFull.Load() }
-
-// RetryAfter is the pushback hint for shed requests: one interval is
-// the soonest the shedding verdict can change, so retrying earlier can
-// only be shed again.
-func (l *Limiter) RetryAfter() time.Duration {
-	if l.window > 0 {
-		return l.window
-	}
-	return DefaultShedWindow
-}
 
 // note records one queue-delay sample and rolls the CoDel interval:
 // each window keeps only the minimum observed delay, and at the window

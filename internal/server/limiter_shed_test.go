@@ -152,19 +152,8 @@ func TestLimiterShedDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestLimiterRetryAfter(t *testing.T) {
-	l := NewLimiterShed(1, 1, 5*time.Millisecond)
-	if got := l.RetryAfter(); got != DefaultShedWindow {
-		t.Fatalf("RetryAfter = %v, want %v", got, DefaultShedWindow)
-	}
-	l2 := NewLimiterShedAt(1, 1, 5*time.Millisecond, 250*time.Millisecond, time.Now)
-	if got := l2.RetryAfter(); got != 250*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want 250ms", got)
-	}
-}
-
 func TestLimiterQueueFullCounter(t *testing.T) {
-	l := NewLimiter(1, 0)
+	l := NewLimiter(1, 0, 0)
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}

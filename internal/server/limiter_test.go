@@ -9,7 +9,7 @@ import (
 )
 
 func TestLimiterFastPath(t *testing.T) {
-	l := NewLimiter(2, 0)
+	l := NewLimiter(2, 0, 0)
 	ctx := context.Background()
 	if err := l.Acquire(ctx); err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestLimiterFastPath(t *testing.T) {
 }
 
 func TestLimiterQueueBound(t *testing.T) {
-	l := NewLimiter(1, 2)
+	l := NewLimiter(1, 2, 0)
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLimiterQueueBound(t *testing.T) {
 }
 
 func TestLimiterDeadlineInQueue(t *testing.T) {
-	l := NewLimiter(1, 4)
+	l := NewLimiter(1, 4, 0)
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLimiterDeadlineInQueue(t *testing.T) {
 // releases) or sheds — nothing deadlocks.
 func TestLimiterSaturation(t *testing.T) {
 	const maxInflight, maxQueue, goroutines = 4, 8, 64
-	l := NewLimiter(maxInflight, maxQueue)
+	l := NewLimiter(maxInflight, maxQueue, 0)
 	var mu sync.Mutex
 	inflight, peak, admitted, shed := 0, 0, 0, 0
 	var wg sync.WaitGroup

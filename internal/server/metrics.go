@@ -292,7 +292,7 @@ type MetricsSnapshot struct {
 	// Durability is present for durable (or recovering) local servers:
 	// the recovery report from startup plus live persistence counters.
 	Durability *DurabilitySnapshot `json:"durability,omitempty"`
-	// Elastic is present when a Rebalancer is attached: routing epoch,
+	// Elastic is present when an elastic cluster is attached: routing epoch,
 	// in-flight migration phase, completed/aborted handoffs, and
 	// per-shard placement signals (slots, ads, matches served).
 	Elastic *shard.RebalanceStatus `json:"elastic,omitempty"`

@@ -260,11 +260,10 @@ func TestOverloadFlood(t *testing.T) {
 	t.Cleanup(nc.Close)
 
 	// Small front end so a 4x flood is cheap to generate: 4 execution
-	// slots, a short queue drained by CoDel shedding, quarantine armed.
+	// slots, their queue of 16 drained by CoDel shedding, quarantine armed.
 	const maxInflight = 4
 	s := NewRemote(nc, Config{
 		MaxInflight:     maxInflight,
-		MaxQueue:        2 * maxInflight,
 		RequestTimeout:  2 * time.Second,
 		ShedTargetDelay: 2 * time.Millisecond,
 		QuarantineTTL:   time.Minute,
@@ -384,7 +383,7 @@ func TestOverloadFlood(t *testing.T) {
 	// Accepted-latency acceptance: p99 under flood stays within 2x steady
 	// state, with an absolute floor. The floor is honest calibration, not
 	// slack hiding a regression: an accepted request may legitimately sit
-	// behind the full CoDel queue (MaxQueue entries, each a budget-bounded
+	// behind the full CoDel queue (4 entries per slot, each a budget-bounded
 	// query that the race detector and a 1-CPU runner inflate to ~10ms),
 	// which measures ~100ms here — far above 2x a lightly-loaded steady
 	// p99 of a few ms. What the bound must reject is admission collapse:

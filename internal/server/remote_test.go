@@ -132,7 +132,7 @@ func TestRemoteSearch(t *testing.T) {
 func TestRemoteDegradedSearchAndReadyz(t *testing.T) {
 	grace := 250 * time.Millisecond
 	_, base, proxy := startRemoteServer(t,
-		Config{BackendLossGrace: grace},
+		Config{backendLossGrace: grace},
 		shard.Options{AllowPartial: true, Conn: multiserver.ConnOpts{
 			Timeout:          300 * time.Millisecond,
 			MaxRetries:       1,

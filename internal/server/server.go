@@ -51,22 +51,13 @@ type Config struct {
 	// CacheEntries is the total result-cache capacity across shards.
 	// 0 selects DefaultCacheEntries; negative disables caching.
 	CacheEntries int
-	// CacheShards is the result-cache shard count (rounded up to a power
-	// of two). 0 selects DefaultCacheShards.
-	CacheShards int
-	// MaxInflight bounds concurrently executing /search requests.
-	// 0 selects DefaultMaxInflight.
+	// MaxInflight bounds concurrently executing /search requests; four
+	// times as many more may wait for a slot, and requests beyond that are
+	// shed with 503. 0 selects DefaultMaxInflight.
 	MaxInflight int
-	// MaxQueue bounds /search requests waiting for an execution slot;
-	// requests beyond it are shed with 503. 0 selects 4×MaxInflight;
-	// negative means no queue (shed as soon as all slots are busy).
-	MaxQueue int
 	// RequestTimeout is the per-request deadline, covering queue wait and
 	// execution. 0 selects DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 503 shed responses.
-	// 0 selects 1s.
-	RetryAfter time.Duration
 	// QueryBudget bounds the index work (cost-model units: subset probes
 	// plus records scanned) one /search query of any type may perform;
 	// exhausted queries return their verified partial results flagged
@@ -89,19 +80,15 @@ type Config struct {
 	// the selection is fixed for the server's lifetime and must not be
 	// mutated (ExcludeShown included) once the server is built.
 	Selection *adindex.Selection
-	// ReadTimeout, WriteTimeout, and IdleTimeout configure the
-	// http.Server; zero values select 10s, 30s, and 120s.
-	ReadTimeout, WriteTimeout, IdleTimeout time.Duration
-	// ShutdownTimeout bounds the graceful drain in Run. 0 selects 10s.
-	ShutdownTimeout time.Duration
-	// BackendLossGrace applies to remote-mode servers (NewRemote): when
-	// some backend shard (or the ad-metadata server) has been
-	// continuously unreachable for longer than this, /readyz reports 503
-	// so load balancers route around the sustained loss. Transient blips
-	// shorter than the grace never flip readiness. 0 selects 10s.
-	BackendLossGrace time.Duration
 	// Logger receives lifecycle log lines; nil selects log.Default().
 	Logger *log.Logger
+
+	// backendLossGrace applies to remote-mode servers (NewRemote): when
+	// some backend shard (or the ad-metadata server) has been continuously
+	// unreachable for longer than this, /readyz reports 503 so load
+	// balancers route around the sustained loss. Transient blips shorter
+	// than the grace never flip readiness. 0 selects 10s; tests shorten it.
+	backendLossGrace time.Duration
 }
 
 // Defaults for Config's zero values.
@@ -112,39 +99,34 @@ const (
 	DefaultRequestTimeout = time.Second
 )
 
+// The serving constants no deployment sets.
+const (
+	// queuePerSlot is how many requests may wait per execution slot.
+	queuePerSlot = 4
+	// retryAfter is the Retry-After, in seconds, of every 503.
+	retryAfter = "1"
+	// readTimeout, writeTimeout and idleTimeout bound the http.Server's
+	// connections.
+	readTimeout  = 10 * time.Second
+	writeTimeout = 30 * time.Second
+	idleTimeout  = 120 * time.Second
+	// shutdownTimeout bounds the graceful drain in Run: above net/http's
+	// 5 s grace for a connection that never sent a request.
+	shutdownTimeout = 10 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = DefaultCacheEntries
 	}
-	if c.CacheShards == 0 {
-		c.CacheShards = DefaultCacheShards
-	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = DefaultMaxInflight
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 4 * c.MaxInflight
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 120 * time.Second
-	}
-	if c.ShutdownTimeout == 0 {
-		c.ShutdownTimeout = 10 * time.Second
-	}
-	if c.BackendLossGrace == 0 {
-		c.BackendLossGrace = 10 * time.Second
+	if c.backendLossGrace == 0 {
+		c.backendLossGrace = 10 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = log.Default()
@@ -166,9 +148,9 @@ type Server struct {
 	// remote is the fan-out client of a remote-mode server; nil means
 	// local mode, even before the index is installed. Immutable.
 	remote *shard.NetClient
-	// elastic, when attached, surfaces live-resharding status in
-	// /metrics and /readyz and enables /admin/rebalance.
-	elastic    atomic.Pointer[rebalHolder]
+	// elastic, when attached (before Start), surfaces live-resharding
+	// status in /metrics and /readyz and enables /admin/rebalance.
+	elastic    *shard.ElasticCluster
 	cfg        Config
 	cache      *Cache
 	limiter    *Limiter
@@ -217,8 +199,8 @@ func (s *Server) local() *adindex.Index { return s.localIx.Load() }
 // a remote sharded deployment through nc instead of a local index. The
 // distributed client's fault tolerance surfaces here: degraded responses
 // are flagged and counted, /metrics includes retry/breaker/degradation
-// counters, and /readyz turns unready after sustained backend loss
-// (Config.BackendLossGrace). Mutating and index-introspection endpoints
+// counters, and /readyz turns unready after backend loss sustained for
+// 10 s. Mutating and index-introspection endpoints
 // (insert/delete/stats/optimize) respond 501, and the result cache is
 // bypassed — the remote corpus has no visible mutation epoch to
 // invalidate on.
@@ -231,8 +213,8 @@ func newServer(ix *adindex.Index, nc *shard.NetClient, cfg Config) *Server {
 	s := &Server{
 		remote:     nc,
 		cfg:        cfg,
-		cache:      NewCache(cfg.CacheEntries, cfg.CacheShards),
-		limiter:    NewLimiterShed(cfg.MaxInflight, cfg.MaxQueue, cfg.ShedTargetDelay),
+		cache:      NewCache(cfg.CacheEntries, DefaultCacheShards),
+		limiter:    NewLimiter(cfg.MaxInflight, queuePerSlot*cfg.MaxInflight, cfg.ShedTargetDelay),
 		quarantine: NewQuarantine(cfg.QuarantineTTL),
 		metrics:    NewRegistry(),
 		serveErr:   make(chan error, 1),
@@ -258,9 +240,9 @@ func newServer(ix *adindex.Index, nc *shard.NetClient, cfg Config) *Server {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.httpSrv = &http.Server{
 		Handler:      mux,
-		ReadTimeout:  cfg.ReadTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-		IdleTimeout:  cfg.IdleTimeout,
+		ReadTimeout:  readTimeout,
+		WriteTimeout: writeTimeout,
+		IdleTimeout:  idleTimeout,
 		ErrorLog:     cfg.Logger,
 	}
 	return s
@@ -359,8 +341,8 @@ func (s *Server) awaitShutdown(sigCtx context.Context) error {
 		return err
 	case <-sigCtx.Done():
 	}
-	s.cfg.Logger.Printf("shutting down: draining in-flight requests (up to %v)", s.cfg.ShutdownTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+	s.cfg.Logger.Printf("shutting down: draining in-flight requests (up to %v)", shutdownTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		return fmt.Errorf("server: shutdown: %w", err)
@@ -907,12 +889,12 @@ func (s *Server) localIndex(w http.ResponseWriter) *adindex.Index {
 // index.
 func (s *Server) notReady(w http.ResponseWriter) {
 	s.metrics.NotReady.Add(1)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Round(time.Second)/time.Second)))
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, "index recovering, retry later", http.StatusServiceUnavailable)
 }
 
 func (s *Server) shed(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Round(time.Second)/time.Second)))
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, "overloaded, retry later", http.StatusServiceUnavailable)
 }
 
@@ -1040,8 +1022,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			Health: s.remote.Health(),
 		}
 	}
-	if r := s.rebalancer(); r != nil {
-		st := r.Status()
+	if s.elastic != nil {
+		st := s.elastic.Status()
 		snap.Elastic = &st
 	}
 	s.writeJSON(w, snap)
@@ -1067,7 +1049,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	// load balancers route around it. Brief blips inside the grace window
 	// keep serving (degraded) rather than flapping readiness.
 	if s.remote != nil {
-		if h := s.remote.Health(); h.DeadFor > s.cfg.BackendLossGrace {
+		if h := s.remote.Health(); h.DeadFor > s.cfg.backendLossGrace {
 			http.Error(w, fmt.Sprintf("backends degraded for %v", h.DeadFor.Round(time.Millisecond)),
 				http.StatusServiceUnavailable)
 			return
@@ -1077,8 +1059,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	// handoff keeps serving from the old owner until the atomic cutover,
 	// so routing around it would shed capacity for no benefit. The state
 	// is annotated so probes can observe it.
-	if r := s.rebalancer(); r != nil {
-		if st := r.Status(); st.Migrating {
+	if s.elastic != nil {
+		if st := s.elastic.Status(); st.Migrating {
 			w.WriteHeader(http.StatusOK)
 			fmt.Fprintf(w, "ready (rebalancing: %s %d->%d, phase %s, epoch %d)\n",
 				st.Kind, st.From, st.To, st.Phase, st.Epoch)

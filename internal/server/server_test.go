@@ -250,19 +250,17 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestSheddingUnderSaturation saturates a 1-slot, 1-queue server with slow
-// requests and checks that overflow is shed with 503 + Retry-After while
-// admitted requests still succeed.
+// TestSheddingUnderSaturation saturates a 1-slot server (so a queue of 4)
+// with slow requests and checks that overflow is shed with 503 +
+// Retry-After: 1 while admitted requests still succeed.
 func TestSheddingUnderSaturation(t *testing.T) {
 	s, _, base := startTestServer(t, Config{
 		MaxInflight:    1,
-		MaxQueue:       1,
 		RequestTimeout: 2 * time.Second,
-		RetryAfter:     3 * time.Second,
 	})
 	s.handlerDelay = 150 * time.Millisecond
 
-	const clients = 8
+	const clients = 16
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	ok200, shed503 := 0, 0
@@ -283,8 +281,8 @@ func TestSheddingUnderSaturation(t *testing.T) {
 			case http.StatusOK:
 				ok200++
 			case http.StatusServiceUnavailable:
-				if resp.Header.Get("Retry-After") != "3" {
-					t.Errorf("Retry-After = %q, want \"3\"", resp.Header.Get("Retry-After"))
+				if resp.Header.Get("Retry-After") != "1" {
+					t.Errorf("Retry-After = %q, want \"1\"", resp.Header.Get("Retry-After"))
 				}
 				shed503++
 			default:
@@ -309,7 +307,7 @@ func TestSheddingUnderSaturation(t *testing.T) {
 // goroutine, SIGTERM to the process, Run returns nil after draining.
 func TestRunHandlesSigterm(t *testing.T) {
 	ix := adindex.Build(testCatalog(), adindex.Options{})
-	s := New(ix, Config{ShutdownTimeout: 10 * time.Second}) // above net/http's 5 s StateNew grace, as drain is
+	s := New(ix, Config{})
 	done := make(chan error, 1)
 	go func() { done <- s.Run("127.0.0.1:0") }()
 
@@ -349,6 +347,30 @@ func TestRunHandlesSigterm(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("Run did not return after SIGTERM")
+	}
+}
+
+// TestServingConstants pins the values that replaced settings: the
+// http.Server's timeouts, the reply cache's shard count, an admission
+// queue of four per execution slot, the drain budget and the backend-loss
+// grace.
+func TestServingConstants(t *testing.T) {
+	s := New(nil, Config{MaxInflight: 3})
+	timeouts := [3]time.Duration{s.httpSrv.ReadTimeout, s.httpSrv.WriteTimeout, s.httpSrv.IdleTimeout}
+	if timeouts != [3]time.Duration{10 * time.Second, 30 * time.Second, 120 * time.Second} {
+		t.Errorf("http.Server read/write/idle timeouts = %v, want 10s/30s/120s", timeouts)
+	}
+	if got := len(s.cache.shards); got != 16 {
+		t.Errorf("reply cache has %d shards, want 16", got)
+	}
+	if got := s.limiter.maxQueue; got != 12 {
+		t.Errorf("admission queue behind 3 slots = %d, want 12", got)
+	}
+	if got := New(nil, Config{}).limiter.maxQueue; got != 4*DefaultMaxInflight {
+		t.Errorf("admission queue behind the default %d slots = %d, want %d", DefaultMaxInflight, got, 4*DefaultMaxInflight)
+	}
+	if shutdownTimeout != 10*time.Second || s.cfg.backendLossGrace != 10*time.Second {
+		t.Errorf("drain budget %v, backend-loss grace %v; want 10s each", shutdownTimeout, s.cfg.backendLossGrace)
 	}
 }
 

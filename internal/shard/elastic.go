@@ -124,11 +124,12 @@ type ElasticOptions struct {
 	// Serving layers provision one server per position up front, so
 	// growth never races a client against a listener that isn't up yet.
 	MaxShards int
-	// MaxDeltaRecords aborts a handoff whose dual-write window exceeds
-	// this many journaled mutations (default 4096).
-	MaxDeltaRecords int
 	// Index configures each shard index.
 	Index core.Options
+
+	// maxDeltaRecords aborts a handoff whose dual-write window exceeds
+	// this many journaled mutations (default 4096; tests move it).
+	maxDeltaRecords int
 }
 
 func (o ElasticOptions) withDefaults() ElasticOptions {
@@ -138,8 +139,8 @@ func (o ElasticOptions) withDefaults() ElasticOptions {
 	if o.MaxShards == 0 {
 		o.MaxShards = 8
 	}
-	if o.MaxDeltaRecords == 0 {
-		o.MaxDeltaRecords = 4096
+	if o.maxDeltaRecords == 0 {
+		o.maxDeltaRecords = 4096
 	}
 	return o
 }
@@ -596,7 +597,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 
 	// Phase: catch-up. Replay journal frames accumulated behind the
 	// capture in bounded rounds; a window that keeps growing past
-	// MaxDeltaRecords aborts rather than chasing forever.
+	// maxDeltaRecords aborts rather than chasing forever.
 	ec.setPhase("catchup")
 	for round := 0; round < maxCatchUpRounds; round++ {
 		ec.mu.Lock()
@@ -605,8 +606,8 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		ec.mig.deltaRecords = 0
 		total := ec.mig.totalRecords
 		ec.mu.Unlock()
-		if total > ec.opts.MaxDeltaRecords {
-			return fmt.Errorf("shard: handoff dual-write window exceeded %d records", ec.opts.MaxDeltaRecords)
+		if total > ec.opts.maxDeltaRecords {
+			return fmt.Errorf("shard: handoff dual-write window exceeded %d records", ec.opts.maxDeltaRecords)
 		}
 		if len(journal[kept])+len(journal[moved]) == 0 {
 			break

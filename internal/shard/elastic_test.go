@@ -425,7 +425,7 @@ func TestElasticGuards(t *testing.T) {
 		t.Fatalf("initial shards above MaxShards accepted")
 	}
 	// The delta-window bound aborts a handoff that cannot converge.
-	ec2, _ := NewElastic(elasticAds(40), 2, ElasticOptions{MaxDeltaRecords: 2})
+	ec2, _ := NewElastic(elasticAds(40), 2, ElasticOptions{maxDeltaRecords: 2})
 	moving := map[int]bool{}
 	for _, s := range ec2.Table().SplitSlots(0) {
 		moving[s] = true

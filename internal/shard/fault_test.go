@@ -229,7 +229,7 @@ func TestMinLiveShardsQuorum(t *testing.T) {
 	q := d.pickQuery(t)
 	nc, err := DialReplicaShards(
 		[][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
-		Options{Conn: fastConn(), AllowPartial: true, MinLiveShards: 2})
+		Options{Conn: fastConn(), AllowPartial: true, minLiveShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMinLiveShardsQuorum(t *testing.T) {
 	d.shards[0].Close()
 	// Below the quorum floor even partial mode refuses to answer.
 	if _, err := nc.QueryResult(q); err == nil {
-		t.Fatal("result below MinLiveShards quorum")
+		t.Fatal("result below the minLiveShards quorum")
 	}
 }
 

@@ -24,19 +24,21 @@ type Options struct {
 	// returns the merged matches of the live shards, flagged Degraded
 	// with the failed shards listed, instead of failing outright.
 	AllowPartial bool
-	// MinLiveShards is the minimum number of shards that must answer for
-	// a partial result to be returned (a quorum floor). 0 selects 1.
-	MinLiveShards int
 	// HedgeAfter, when > 0 and a shard has more than one replica, sends
 	// a hedged duplicate of an in-flight query to the next replica after
 	// this delay; the first success wins. Queries are idempotent, so the
 	// only cost is the extra request.
 	HedgeAfter time.Duration
+
+	// minLiveShards is the minimum number of shards that must answer for
+	// a partial result to be returned (a quorum floor). 0 selects 1;
+	// tests raise it.
+	minLiveShards int
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinLiveShards <= 0 {
-		o.MinLiveShards = 1
+	if o.minLiveShards <= 0 {
+		o.minLiveShards = 1
 	}
 	return o
 }
@@ -397,9 +399,9 @@ func (nc *NetClient) fanOut(sc *fanScratch, st *routeState, req shardReq, partia
 	if firstErr != nil && !partial {
 		return nil, firstErr
 	}
-	if live < nc.opts.MinLiveShards {
+	if live < nc.opts.minLiveShards {
 		return nil, fmt.Errorf("shard: only %d/%d shards answered (min %d): %w",
-			live, len(shardIDs), nc.opts.MinLiveShards, firstErr)
+			live, len(shardIDs), nc.opts.minLiveShards, firstErr)
 	}
 	res.Degraded = len(res.FailedShards) > 0
 	if matched > 0 {

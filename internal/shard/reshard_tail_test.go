@@ -195,7 +195,7 @@ func TestInsertNotStalledByHandoff(t *testing.T) {
 		t.Skip("splits a 20k-ad cluster at the shipped handoff pace (~1.5 s)")
 	}
 	c := corpus.Generate(corpus.GenOptions{NumAds: 20000, Seed: 1610})
-	ec, err := NewElastic(c.Ads, 2, ElasticOptions{MaxShards: 4, MaxDeltaRecords: 1 << 20})
+	ec, err := NewElastic(c.Ads, 2, ElasticOptions{MaxShards: 4, maxDeltaRecords: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

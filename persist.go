@@ -20,9 +20,6 @@ type DurableConfig struct {
 	// records accumulate. 0 selects DefaultSnapshotEvery; negative
 	// disables auto-rotation (Optimize and Persist still rotate).
 	SnapshotEvery int
-	// KeepGenerations is how many snapshot generations are retained
-	// (minimum and default 2: current plus one fallback).
-	KeepGenerations int
 	// Bootstrap seeds a fresh (empty) data directory: the ads are built
 	// into the index and written as the initial snapshot generation in
 	// one pass, instead of WAL-logging them one by one. Ignored when the
@@ -60,7 +57,7 @@ func (dc DurableConfig) snapshotEvery() int {
 // it and snapshots on Optimize, ApplyMapping, Persist, and every
 // SnapshotEvery records. Call Close to flush and release the store.
 func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.RecoveryReport, error) {
-	store, rec, err := durable.Open(dir, durable.Options{FS: dc.FS, Sync: dc.Sync, Keep: dc.KeepGenerations})
+	store, rec, err := durable.Open(dir, durable.Options{FS: dc.FS, Sync: dc.Sync})
 	if err != nil {
 		return nil, nil, err
 	}
