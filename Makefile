@@ -15,13 +15,14 @@
 #                      serial oracle; crash-at-every-write atomicity
 #   simsmoke           pinned whole-stack simulation seeds vs the oracle,
 #                      the cached-server target among them
-#   migratesmoke       pinned elastic-resharding seeds, and the tail-latency
+#   migratesmoke       pinned elastic-resharding seeds (handoffs through
+#                      begin/load/catch-up/cutover), and the tail-latency
 #                      bar across a live split/migrate/merge
 #   overloadsmoke      budget/quarantine/shedding and the 4x flood bar
 #   adaptsmoke         adapt control loop and the drift bar
 #   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
-#                      record frame among them) and on the reply encoders
-#                      held to encoding/json
+#                      snapshot file and WAL decoders among them) and on
+#                      the reply encoders held to encoding/json
 #   benchsmoke         one iteration of every root `go test` benchmark
 #   benchmod           vet + test of bench/, the end-to-end benchmark
 #                      (its own module: `go test ./...` never compiles it)
@@ -163,8 +164,8 @@ size:
 # per-record subset scan under random insert/remove churn), and the
 # multiserver wire decoders (frame and response readers, ID, record and
 # metadata bodies, and the one request decoder over every tag combination,
-# after the pinned record-frame overflow cases) and the durable snapshot-stream and
-# record-frame decoders that handoff and recovery feed (for both: no
+# after the pinned record-frame overflow cases) and the durable snapshot-file and
+# WAL decoders that recovery runs over disk bytes (for both: no
 # panic, typed rejections, allocation bounded by the input, Decode ∘
 # Encode = id on accepted inputs), and the offline mapping file adserve
 # -mapping reads (no panic, typed refusals, and what is accepted either

@@ -49,6 +49,33 @@ type SnapshotState struct {
 	Gen     uint64
 }
 
+// section is one tagged snapshot payload.
+type section struct {
+	tag     uint32
+	payload []byte
+}
+
+// snapshotParts lays out a snapshot of generation gen: the header, then
+// each section's header and its payload. Their concatenation is the file.
+func snapshotParts(gen, epoch uint64, sections ...section) [][]byte {
+	hdr := make([]byte, 0, snapHeaderLen)
+	hdr = append(hdr, snapMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, gen)
+	hdr = binary.LittleEndian.AppendUint64(hdr, epoch)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(sections)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, checksum(hdr))
+	parts := [][]byte{hdr}
+	for _, s := range sections {
+		sh := make([]byte, 0, sectionHdrLen)
+		sh = binary.LittleEndian.AppendUint32(sh, s.tag)
+		sh = binary.LittleEndian.AppendUint64(sh, uint64(len(s.payload)))
+		sh = binary.LittleEndian.AppendUint32(sh, checksum(s.payload))
+		parts = append(parts, sh, s.payload)
+	}
+	return parts
+}
+
 // writeSnapshot atomically writes generation gen. Each logical part
 // (header, section headers, payloads) is a separate Write call so fault
 // injection can target them individually.
@@ -58,47 +85,15 @@ func writeSnapshot(fsys FS, dir string, gen uint64, ads []corpus.Ad, mapping map
 	adsDone := make(chan []byte, 1)
 	go func() { adsDone <- encodeAds(ads) }()
 	mappingPayload := encodeMapping(mapping)
-	sections := []struct {
-		tag     uint32
-		payload []byte
-	}{
-		{sectionAds, <-adsDone},
-		{sectionMapping, mappingPayload},
-	}
-
-	hdr := make([]byte, 0, snapHeaderLen)
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, gen)
-	hdr = binary.LittleEndian.AppendUint64(hdr, epoch)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(sections)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, checksum(hdr))
+	parts := snapshotParts(gen, epoch, section{sectionAds, <-adsDone}, section{sectionMapping, mappingPayload})
 
 	tmp := filepath.Join(dir, snapName(gen)+tmpSuffix)
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("durable: create %s: %w", tmp, err)
 	}
-	write := func(b []byte) error {
-		if err != nil {
-			return err
-		}
-		_, err = f.Write(b)
-		return err
-	}
-	if err := write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: write %s: %w", tmp, err)
-	}
-	for _, s := range sections {
-		sh := make([]byte, 0, sectionHdrLen)
-		sh = binary.LittleEndian.AppendUint32(sh, s.tag)
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(len(s.payload)))
-		sh = binary.LittleEndian.AppendUint32(sh, checksum(s.payload))
-		if err := write(sh); err == nil {
-			err = write(s.payload)
-		}
-		if err != nil {
+	for _, b := range parts {
+		if _, err := f.Write(b); err != nil {
 			f.Close()
 			return fmt.Errorf("durable: write %s: %w", tmp, err)
 		}

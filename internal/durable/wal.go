@@ -107,6 +107,13 @@ const (
 	SyncNone
 )
 
+// appendFrame appends one WAL frame carrying payload to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, checksum(payload))
+	return append(buf, payload...)
+}
+
 // walWriter appends frames to the current generation's WAL.
 type walWriter struct {
 	f     File
@@ -118,10 +125,7 @@ type walWriter struct {
 func (w *walWriter) append(recs ...*Record) error {
 	w.buf = w.buf[:0]
 	for _, rec := range recs {
-		payload := encodeRecord(rec)
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, checksum(payload))
-		w.buf = append(w.buf, payload...)
+		w.buf = appendFrame(w.buf, encodeRecord(rec))
 	}
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)

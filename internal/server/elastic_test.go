@@ -207,7 +207,7 @@ func TestReadyzDuringRebalance(t *testing.T) {
 	// migration is installed but cutover has not happened.
 	var midCode int
 	var midBody string
-	ec.SetRebalanceHook(func(phase string, _ []byte) error {
+	ec.SetRebalanceHook(func(phase string) error {
 		if phase == "catchup" && midCode == 0 {
 			midCode, midBody = readyz()
 		}

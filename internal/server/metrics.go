@@ -171,7 +171,8 @@ func latencySnapshot(h *Histogram) HistogramSnapshot {
 type Registry struct {
 	// Per-match-type request counts (accepted requests only).
 	ReqBroad, ReqExact, ReqPhrase atomic.Uint64
-	// BadRequests counts 4xx rejections (missing q, bad type).
+	// BadRequests counts 4xx rejections (missing q, bad type, a body
+	// over the size limit).
 	BadRequests atomic.Uint64
 	// Shed counts 503 responses from admission control.
 	Shed atomic.Uint64

@@ -685,6 +685,25 @@ func (s *Server) reject(w http.ResponseWriter, code int, msg string) {
 	http.Error(w, msg, code)
 }
 
+// maxBodyBytes bounds the JSON body of /insert, /delete and /search/batch.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// A larger body is answered 413 and a malformed one 400, both counted.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s body exceeds %d bytes", what, maxBodyBytes))
+	default:
+		s.reject(w, http.StatusBadRequest, "bad "+what+" body: "+err.Error())
+	}
+	return false
+}
+
 // MaxBatchQueries bounds a single /search/batch request.
 const MaxBatchQueries = 256
 
@@ -716,8 +735,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+	if !s.decodeBody(w, r, "batch", &req) {
 		return
 	}
 	if len(req.Queries) == 0 || len(req.Queries) > MaxBatchQueries {
@@ -914,8 +932,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad insert body: "+err.Error())
+	if !s.decodeBody(w, r, "insert", &req) {
 		return
 	}
 	if req.ID == 0 || strings.TrimSpace(req.Phrase) == "" {
@@ -948,8 +965,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad delete body: "+err.Error())
+	if !s.decodeBody(w, r, "delete", &req) {
 		return
 	}
 	found := ix.Delete(req.ID, req.Phrase)

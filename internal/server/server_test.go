@@ -405,6 +405,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizeBodiesRejected: a JSON body over maxBodyBytes is refused
+// 413 and counted before any of it reaches the index.
+func TestOversizeBodiesRejected(t *testing.T) {
+	ix := adindex.Build(testCatalog(), adindex.Options{})
+	s := New(ix, Config{})
+	epoch, ads := ix.Epoch(), ix.NumAds()
+	long := strings.Repeat("a", 2*maxBodyBytes) + " books"
+	for path, body := range map[string]string{
+		"/insert":       `{"id":9,"phrase":"` + long + `"}`,
+		"/delete":       `{"id":1,"phrase":"` + long + `"}`,
+		"/search/batch": `{"queries":["` + long + `"]}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s of %d bytes = %d, want 413", path, len(body), rec.Code)
+		}
+	}
+	if got := s.Metrics().BadRequests.Load(); got != 3 {
+		t.Errorf("bad request counter = %d, want 3", got)
+	}
+	if ix.Epoch() != epoch || ix.NumAds() != ads {
+		t.Errorf("index epoch %d -> %d, ads %d -> %d: a refused body changed the index", epoch, ix.Epoch(), ads, ix.NumAds())
+	}
+}
+
 // TestWritesRequirePost: every endpoint that changes the index answers
 // 405 to any other method and leaves the index as it was.
 func TestWritesRequirePost(t *testing.T) {

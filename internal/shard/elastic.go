@@ -42,17 +42,17 @@ import (
 //     target owns, and both shards' contents are copied — unsorted,
 //     memcpy-scale — in the same critical section, so capture + journal
 //     tile each side's mutation stream exactly.
-//  2. stream: the moving ads cross as a sequence of checksummed snapshot
-//     segments (internal/durable's snapshot file format byte-for-byte).
-//  3. load: two PRIVATE staging indexes are built with no cluster lock
+//  2. load: two PRIVATE staging indexes are built with no cluster lock
 //     held — the source's kept slots from the capture, and the target's
-//     base plus the streamed segments.
-//  4. catch-up: journal frames (the durable WAL wire format) replay in
-//     bounded rounds, each onto the side its slot lands on; an unbounded
-//     window aborts.
-//  5. cutover: one short critical section replays the final journal
+//     base plus the moving ads.
+//  3. catch-up: journaled mutations replay in bounded rounds, each onto
+//     the side its slot lands on; an unbounded window aborts.
+//  4. cutover: one short critical section replays the final journal
 //     tail, swaps both staging indexes in (two pointer assignments), and
 //     publishes the successor routing table (epoch+1).
+//
+// Both sides live in this process, so the ads and the journaled
+// mutations pass to the staging indexes as values: nothing is encoded.
 //
 // The cluster's invariant is that shard i holds exactly the ads whose
 // slots shard i owns under the current table (CheckOwnership). Before
@@ -66,13 +66,14 @@ type ElasticCluster struct {
 	opts ElasticOptions
 
 	// mu guards the routing table pointer, the shard slice, migration
-	// state, and phase; queries hold it shared, mutations and rebalance
-	// critical sections exclusive.
-	mu     sync.RWMutex
-	table  *RoutingTable
-	shards []*core.Index
-	mig    *migration
-	phase  string
+	// state, phase and the last abort's error; queries hold it shared,
+	// mutations and rebalance critical sections exclusive.
+	mu      sync.RWMutex
+	table   *RoutingTable
+	shards  []*core.Index
+	mig     *migration
+	phase   string
+	lastErr string
 
 	// admin serializes rebalance operations end to end.
 	admin sync.Mutex
@@ -81,14 +82,9 @@ type ElasticCluster struct {
 	completed atomic.Uint64
 	aborted   atomic.Uint64
 
-	lastErrMu sync.Mutex
-	lastErr   string
-
 	// handoffFault, when set, is invoked at each handoff phase; a
-	// non-nil return aborts the migration there. At the "stream" phase
-	// the raw snapshot stream is passed and may be corrupted in place
-	// (exercising the checksum path). Test seam.
-	handoffFault func(phase string, stream []byte) error
+	// non-nil return aborts the migration there. Test seam.
+	handoffFault func(phase string) error
 }
 
 // migration is the in-flight handoff state.
@@ -99,12 +95,12 @@ type migration struct {
 	to    int
 	fresh bool // target shard was created by this handoff
 
-	// journal is the dual-write journal: WAL frames for every mutation
-	// since capture on a slot the source or the target owns, one stream
-	// per side the slot lands on at cutover. Each staging index replaces
-	// its live shard wholesale, so it must absorb every concurrent
-	// mutation of what it will own.
-	journal      [2][]byte
+	// journal is the dual-write journal: every mutation since capture on
+	// a slot the source or the target owns, one list per side the slot
+	// lands on at cutover. Each staging index replaces its live shard
+	// wholesale, so it must absorb every concurrent mutation of what it
+	// will own.
+	journal      [2][]durable.Record
 	deltaRecords int
 	totalRecords int
 }
@@ -160,10 +156,6 @@ const (
 	// handoffPace is how long the handoff goroutine parks between work
 	// chunks (the effective floor is the host's timer granularity).
 	handoffPace = 700 * time.Microsecond
-	// streamSegment is how many captured ads each checksummed snapshot
-	// segment carries: it bounds the encode/decode CPU chunks the same
-	// way handoffBatch bounds the insert chunks.
-	streamSegment = 128
 	// maxCatchUpRounds bounds journal replay rounds before the final
 	// locked round.
 	maxCatchUpRounds = 3
@@ -276,7 +268,7 @@ func (ec *ElasticCluster) Insert(ad corpus.Ad) {
 	slot := ec.table.SlotOfWords(ad.Words)
 	ec.shards[ec.table.Owners[slot]].Insert(ad)
 	if ec.mig != nil {
-		ec.journalLocked(slot, &durable.Record{Op: durable.OpInsert, Ad: ad})
+		ec.journalLocked(slot, durable.Record{Op: durable.OpInsert, Ad: ad})
 	}
 }
 
@@ -292,7 +284,7 @@ func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 	slot := ec.table.SlotOfWords(words)
 	found := ec.shards[ec.table.Owners[slot]].Delete(id, phrase)
 	if ec.mig != nil {
-		ec.journalLocked(slot, &durable.Record{Op: durable.OpDelete, ID: id, Phrase: phrase})
+		ec.journalLocked(slot, durable.Record{Op: durable.OpDelete, ID: id, Phrase: phrase})
 	}
 	return found
 }
@@ -300,7 +292,7 @@ func (ec *ElasticCluster) Delete(id uint64, phrase string) bool {
 // journalLocked appends a mutation of slot to the in-flight handoff's
 // journal when either side owns the slot, on the side the slot lands on
 // at cutover. The caller holds mu exclusively.
-func (ec *ElasticCluster) journalLocked(slot int, rec *durable.Record) {
+func (ec *ElasticCluster) journalLocked(slot int, rec durable.Record) {
 	m, owner := ec.mig, ec.table.Owners[slot]
 	if owner != m.from && owner != m.to {
 		return
@@ -309,7 +301,7 @@ func (ec *ElasticCluster) journalLocked(slot int, rec *durable.Record) {
 	if owner == m.from && !m.slots[slot] {
 		side = kept
 	}
-	m.journal[side] = durable.AppendRecordFrame(m.journal[side], rec)
+	m.journal[side] = append(m.journal[side], rec)
 	m.deltaRecords++
 	m.totalRecords++
 }
@@ -507,7 +499,6 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		}
 	}
 	ec.mig = &migration{kind: kind, slots: moving, from: from, to: to, fresh: fresh}
-	srcEpoch := ec.table.Epoch
 	srcTable := ec.table
 	// Copy both sides' contents unsorted, so the critical section holds
 	// only a memcpy-scale cost, not a sort. Journal replay appends, so a
@@ -519,7 +510,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	if !fresh {
 		base = ec.shards[to].AppendAds(nil)
 	}
-	ec.phase = "stream"
+	ec.phase = "begin"
 	ec.mu.Unlock()
 
 	// Index work parks every batch ads; the slot split, an order of
@@ -543,22 +534,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		}
 	}()
 
-	if err := ec.faultAt("begin", nil); err != nil {
-		return err
-	}
-
-	// Phase: stream. The moving ads cross as a sequence of checksummed
-	// snapshot segments; corruption in any segment is detected at decode
-	// and aborts. Segmenting keeps each encode and decode CPU chunk
-	// short, so a lone serving core is never monopolized for a full
-	// snapshot's length.
-	var segs [][]byte
-	for i := 0; i == 0 || i < len(move); i += streamSegment {
-		end := min(i+streamSegment, len(move))
-		segs = append(segs, durable.EncodeSnapshotStream(srcEpoch, move[i:end], nil, srcEpoch))
-		pace()
-	}
-	if err := ec.faultAt("stream", segs[0]); err != nil {
+	if err := ec.faultAt("begin"); err != nil {
 		return err
 	}
 
@@ -567,7 +543,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	// contend with the load (a lock-held batch loop here starved readers
 	// for the whole handoff under sustained fan-out traffic). The source
 	// side is its kept slots; the target side starts from the target's
-	// captured base and takes the streamed segments. Inserts pause every
+	// captured base and takes the moving ads. Inserts pause every
 	// handoffBatch: on small GOMAXPROCS an unbroken bulk build
 	// monopolizes CPU and stalls every in-flight query for its full
 	// length.
@@ -584,25 +560,19 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	}
 	stage(kept, stay)
 	stage(moved, base)
-	for _, seg := range segs {
-		state, derr := durable.DecodeSnapshotStream(seg)
-		if derr != nil {
-			return fmt.Errorf("shard: handoff snapshot stream rejected: %w", derr)
-		}
-		stage(moved, state.Ads)
-	}
-	if err := ec.faultAt("load", nil); err != nil {
+	stage(moved, move)
+	if err := ec.faultAt("load"); err != nil {
 		return err
 	}
 
-	// Phase: catch-up. Replay journal frames accumulated behind the
+	// Phase: catch-up. Replay the mutations journaled behind the
 	// capture in bounded rounds; a window that keeps growing past
 	// maxDeltaRecords aborts rather than chasing forever.
 	ec.setPhase("catchup")
 	for round := 0; round < maxCatchUpRounds; round++ {
 		ec.mu.Lock()
 		journal := ec.mig.journal
-		ec.mig.journal = [2][]byte{}
+		ec.mig.journal = [2][]durable.Record{}
 		ec.mig.deltaRecords = 0
 		total := ec.mig.totalRecords
 		ec.mu.Unlock()
@@ -612,11 +582,9 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 		if len(journal[kept])+len(journal[moved]) == 0 {
 			break
 		}
-		if err := replay(journal, staging); err != nil {
-			return fmt.Errorf("shard: handoff delta stream rejected: %w", err)
-		}
+		replay(journal, staging)
 	}
-	if err := ec.faultAt("catchup", nil); err != nil {
+	if err := ec.faultAt("catchup"); err != nil {
 		return err
 	}
 
@@ -626,10 +594,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	// cutover cost is O(final delta), not O(moved state).
 	ec.mu.Lock()
 	ec.phase = "cutover"
-	if err := replay(ec.mig.journal, staging); err != nil {
-		ec.mu.Unlock()
-		return fmt.Errorf("shard: handoff final delta rejected: %w", err)
-	}
+	replay(ec.mig.journal, staging)
 	next, terr := ec.table.MoveSlots(slots, to)
 	if terr != nil {
 		ec.mu.Unlock()
@@ -644,14 +609,10 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	return nil
 }
 
-// replay applies journal frames to the staging pair, each side's frames
+// replay applies journaled mutations to the staging pair, each side's
 // to its own index.
-func replay(journal [2][]byte, staging [2]*core.Index) error {
-	for side, frames := range journal {
-		recs, err := durable.DecodeRecordFrames(frames)
-		if err != nil {
-			return err
-		}
+func replay(journal [2][]durable.Record, staging [2]*core.Index) {
+	for side, recs := range journal {
 		for _, rec := range recs {
 			switch rec.Op {
 			case durable.OpInsert:
@@ -661,7 +622,6 @@ func replay(journal [2][]byte, staging [2]*core.Index) error {
 			}
 		}
 	}
-	return nil
 }
 
 // abort rolls a failed handoff back to the last stable epoch: the
@@ -678,11 +638,9 @@ func (ec *ElasticCluster) abort(cause error) {
 		ec.shards = ec.shards[:mig.to]
 		ec.loads = ec.loads[:mig.to]
 	}
+	ec.lastErr = cause.Error()
 	ec.mu.Unlock()
 	ec.aborted.Add(1)
-	ec.lastErrMu.Lock()
-	ec.lastErr = cause.Error()
-	ec.lastErrMu.Unlock()
 }
 
 func (ec *ElasticCluster) setPhase(p string) {
@@ -692,26 +650,25 @@ func (ec *ElasticCluster) setPhase(p string) {
 }
 
 // SetRebalanceHook installs fn, invoked at each handoff phase ("begin",
-// "stream", "load", "catchup") of subsequent rebalances; at "stream" the
-// raw snapshot bytes are passed and may be corrupted in place. A non-nil
-// return aborts the handoff at that phase. The hook runs outside the
+// "load", "catchup") of subsequent rebalances. A non-nil return aborts
+// the handoff at that phase. The hook runs outside the
 // cluster locks, so it may mutate and query the cluster — simulation
 // harnesses use this to interleave traffic mid-handoff deterministically.
 // Pass nil to clear.
-func (ec *ElasticCluster) SetRebalanceHook(fn func(phase string, stream []byte) error) {
+func (ec *ElasticCluster) SetRebalanceHook(fn func(phase string) error) {
 	ec.mu.Lock()
 	ec.handoffFault = fn
 	ec.mu.Unlock()
 }
 
-func (ec *ElasticCluster) faultAt(phase string, stream []byte) error {
+func (ec *ElasticCluster) faultAt(phase string) error {
 	ec.mu.RLock()
 	fn := ec.handoffFault
 	ec.mu.RUnlock()
 	if fn == nil {
 		return nil
 	}
-	return fn(phase, stream)
+	return fn(phase)
 }
 
 // ShardLoad is one shard's placement signal.
@@ -753,6 +710,7 @@ func (ec *ElasticCluster) Status() RebalanceStatus {
 		Phase:        ec.phase,
 		Completed:    ec.completed.Load(),
 		Aborted:      ec.aborted.Load(),
+		LastError:    ec.lastErr,
 	}
 	if ec.mig != nil {
 		st.Migrating = true
@@ -771,9 +729,6 @@ func (ec *ElasticCluster) Status() RebalanceStatus {
 		})
 	}
 	ec.mu.RUnlock()
-	ec.lastErrMu.Lock()
-	st.LastError = ec.lastErr
-	ec.lastErrMu.Unlock()
 	return st
 }
 

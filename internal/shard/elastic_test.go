@@ -146,7 +146,7 @@ func TestElasticSplitLive(t *testing.T) {
 	if movDel.ID == 0 {
 		t.Fatalf("no seeded ad in a moving slot")
 	}
-	ec.handoffFault = func(phase string, _ []byte) error {
+	ec.handoffFault = func(phase string) error {
 		if phase == "load" {
 			ec.Insert(movIns)
 			ec.Insert(stayIns)
@@ -224,13 +224,17 @@ func TestElasticAbortRollsBack(t *testing.T) {
 		"migrate": func(ec *ElasticCluster) error { return ec.Migrate(0, 1) },
 	}
 	for name, op := range ops {
-		for _, phase := range []string{"begin", "stream", "load", "catchup"} {
+		for _, phase := range []string{"begin", "load", "catchup"} {
 			ec, err := NewElastic(ads, 2, ElasticOptions{})
 			if err != nil {
 				t.Fatalf("NewElastic: %v", err)
 			}
 			boom := errors.New("injected " + phase + " fault")
-			ec.handoffFault = func(p string, _ []byte) error {
+			ec.handoffFault = func(p string) error {
+				// Status reports the phase each hook runs in.
+				if got := ec.Status().Phase; got != p {
+					t.Errorf("%s: hook at %q, Status().Phase = %q", name, p, got)
+				}
 				if p == phase {
 					return boom
 				}
@@ -302,7 +306,7 @@ func TestElasticJournalBothSides(t *testing.T) {
 	}
 	gone := map[uint64]bool{}
 	all := append([]corpus.Ad(nil), ads...)
-	ec.handoffFault = func(p string, _ []byte) error {
+	ec.handoffFault = func(p string) error {
 		if p != "load" {
 			return nil
 		}
@@ -332,7 +336,7 @@ func TestElasticAbortRebuildsExistingTarget(t *testing.T) {
 		t.Fatalf("NewElastic: %v", err)
 	}
 	boom := errors.New("target died mid-catch-up")
-	ec.handoffFault = func(p string, _ []byte) error {
+	ec.handoffFault = func(p string) error {
 		if p == "catchup" {
 			return boom
 		}
@@ -349,28 +353,6 @@ func TestElasticAbortRebuildsExistingTarget(t *testing.T) {
 	checkVisibility(t, ec, ads, nil)
 }
 
-func TestElasticStreamCorruptionAborts(t *testing.T) {
-	ads := elasticAds(60)
-	ec, err := NewElastic(ads, 2, ElasticOptions{})
-	if err != nil {
-		t.Fatalf("NewElastic: %v", err)
-	}
-	ec.handoffFault = func(p string, stream []byte) error {
-		if p == "stream" && len(stream) > 40 {
-			stream[40] ^= 0xFF // corrupt the stream in flight
-		}
-		return nil
-	}
-	_, err = ec.Split(0)
-	if err == nil || !strings.Contains(err.Error(), "snapshot stream rejected") {
-		t.Fatalf("corrupted stream err = %v, want checksum rejection", err)
-	}
-	if ec.Epoch() != 1 || ec.NumShards() != 2 {
-		t.Fatalf("epoch=%d shards=%d after corrupt-stream abort", ec.Epoch(), ec.NumShards())
-	}
-	checkVisibility(t, ec, ads, nil)
-}
-
 func TestElasticStagedCopiesInvisibleMidHandoff(t *testing.T) {
 	ads := elasticAds(100)
 	ec, err := NewElastic(ads, 2, ElasticOptions{})
@@ -381,7 +363,7 @@ func TestElasticStagedCopiesInvisibleMidHandoff(t *testing.T) {
 	// sides; they are private, so queries stay single-copy and every live
 	// shard holds only its own slots.
 	checked := false
-	ec.handoffFault = func(p string, _ []byte) error {
+	ec.handoffFault = func(p string) error {
 		if p == "catchup" {
 			checked = true
 			checkVisibility(t, ec, ads, nil)
@@ -431,7 +413,7 @@ func TestElasticGuards(t *testing.T) {
 		moving[s] = true
 	}
 	hot := movingPhrase(t, ec2.Table(), moving, true)
-	ec2.handoffFault = func(p string, _ []byte) error {
+	ec2.handoffFault = func(p string) error {
 		if p == "load" {
 			for i := 0; i < 5; i++ {
 				ec2.Insert(corpus.NewAd(uint64(8000+i), hot, corpus.Meta{}))

@@ -286,7 +286,7 @@ func (e *elasticTarget) rebalance(op *Op, mid func(phase string)) (applied bool,
 	outcomes := make([]error, len(e.replicas))
 	for ri, ec := range e.replicas {
 		if ri == 0 && mid != nil {
-			ec.SetRebalanceHook(func(phase string, _ []byte) error {
+			ec.SetRebalanceHook(func(phase string) error {
 				mid(phase)
 				return nil
 			})
