@@ -12,7 +12,8 @@
 #                      and the segmented-LRU policy tests (scan
 #                      resistance, promotion, demotion, refresh)
 #   recovery-smoke     kill -9 a churning child, recover, compare with the
-#                      serial oracle; crash-at-every-write atomicity
+#                      serial oracle; crash-at-every-write atomicity;
+#                      repair leaves what recovery leaves
 #   simsmoke           pinned whole-stack simulation seeds vs the oracle,
 #                      the cached-server target among them
 #   migratesmoke       pinned elastic-resharding seeds (handoffs through
@@ -58,10 +59,11 @@ race:
 
 # The crash-recovery stress skips under -short (it forks and SIGKILLs a
 # child), so the smoke target runs it explicitly, under the race
-# detector, together with the crash-at-every-write atomicity sweep.
+# detector, together with the crash-at-every-write atomicity sweep and
+# the check that adfsck -repair leaves the directory recovery would.
 recovery-smoke:
-	$(GO) test -race -run 'TestCrashRecoveryStress|TestSnapshotAtomicUnderCrash' \
-		-v . ./internal/diskfault
+	$(GO) test -race -run 'TestCrashRecoveryStress|TestSnapshotAtomicUnderCrash|TestRepairLeavesWhatRecoveryLeaves' \
+		-v . ./internal/diskfault ./internal/durable
 
 # Seeded deterministic simulation smoke: a few fixed seeds through the
 # whole stack (in-memory, durable with torn-crash restarts, compressed

@@ -193,7 +193,7 @@ func TestSnapshot(t *testing.T) {
 			q += w
 		}
 		want := idsOf(ix.BroadMatch(q))
-		got, err := snap.BroadMatch(q)
+		got, err := snap.BroadMatch(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -234,7 +234,7 @@ func compSetup(b *testing.B) {
 	benchSetup(b)
 	compOnce.Do(func() {
 		var err error
-		compIx, err = hashindex.Build(bCorpus.Ads, nil, hashindex.Options{})
+		compIx, err = hashindex.Build(bCore, hashindex.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -396,7 +396,7 @@ var (
 
 func treeSetup(b *testing.B) {
 	benchSetup(b)
-	treeOnce.Do(func() { treeIx = treeindex.New(bCorpus.Ads, treeindex.Options{}) })
+	treeOnce.Do(func() { treeIx = treeindex.New(bCore) })
 }
 
 func BenchmarkTreeIndexBroadMatch(b *testing.B) {

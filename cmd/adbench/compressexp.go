@@ -19,11 +19,12 @@ import (
 func runCompress(cfg config) {
 	header("§VI: compressed lookup structure")
 	c := mkCorpus(cfg.ads, cfg.seed)
+	base := core.New(c.Ads, core.Options{})
 
 	fmt.Printf("%-8s %10s %12s %14s %14s %12s\n",
 		"s", "nodes", "B^sig B", "B^off B", "entropy bits", "vs hashtable")
 	for _, s := range []int{0, 16, 20, 24} {
-		ix, err := hashindex.Build(c.Ads, nil, hashindex.Options{SuffixBits: s})
+		ix, err := hashindex.Build(base, hashindex.Options{SuffixBits: s})
 		must(err)
 		sz := ix.Sizes()
 		entropyBytes := (sz.SigEntropyBits + sz.OffEntropyBits) / 8
@@ -39,9 +40,8 @@ func runCompress(cfg config) {
 	fmt.Printf("(* = auto-selected)  paper example: 9:1 at 20M nodes, s=28\n")
 
 	// Front-coding effect on the node arena.
-	base := core.New(c.Ads, core.Options{})
 	raw := base.Stats().NodeBytes
-	ix, err := hashindex.Build(c.Ads, nil, hashindex.Options{})
+	ix, err := hashindex.Build(base, hashindex.Options{})
 	must(err)
 	fmt.Printf("\nnode arena: raw %d B -> front-coded %d B (%.0f%% of raw)\n",
 		raw, ix.ArenaBytes(), float64(ix.ArenaBytes())/float64(raw)*100)
@@ -115,8 +115,8 @@ func runAblation(cfg config) {
 	// Hash table vs trie lookup structure (the Section III-B alternative):
 	// probes for the hash structure are subset enumerations; the trie only
 	// walks existing paths, which matters most for long queries.
-	tree := treeindex.New(c.Ads, treeindex.Options{})
 	hash := core.New(c.Ads, core.Options{MaxQueryWords: 24})
+	tree := treeindex.New(hash)
 	stream := wl.Stream(minInt(cfg.stream, 20000), cfg.seed+3)
 	var ctree, chash costmodel.Counters
 	for _, q := range stream {

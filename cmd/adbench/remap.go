@@ -104,7 +104,9 @@ func runCounters(cfg config) {
 	full := optimize.Optimize(gs, optimize.Options{MaxWords: 10})
 
 	run := func(mapping map[string][]string) memsim.Stats {
-		layout := memsim.BuildLayout(c.Ads, mapping, 10, 12)
+		ix, err := core.NewWithMapping(c.Ads, mapping, core.Options{MaxWords: 10, MaxQueryWords: 12})
+		must(err)
+		layout := memsim.BuildLayout(ix)
 		sim := memsim.New(memsim.Config{TLBEntries: 64, CacheSets: 1024, CacheWays: 8})
 		for _, q := range stream {
 			layout.ReplayQuery(sim, q.Words)

@@ -8,11 +8,13 @@
 //
 // For each snapshot it checks the magic/version/header CRC and every
 // section CRC; for each WAL it walks the frames, verifying lengths and
-// payload CRCs. Nothing is modified unless -repair is given, which
-// performs the safe subset of fixes: truncating torn/corrupt WAL tails
-// back to the last valid frame and deleting leftover .tmp files.
-// Corrupt snapshots are never "repaired" — recovery falls back to the
-// previous generation instead.
+// payload CRCs. Nothing is modified unless -repair is given, which makes
+// the disk changes adserve -allow-partial-recovery would make on start:
+// it deletes leftover .tmp files, truncates the WAL where replay stops to
+// its last valid frame, and removes the WALs and snapshots after that
+// point, whose records assume the lost region. A corrupt snapshot that
+// recovery skips for an older generation stays on disk; -repair refuses,
+// as recovery does, a directory where no snapshot generation verifies.
 //
 // Exit codes (the worst problem found, snapshots taking priority):
 //
@@ -57,7 +59,7 @@ func exitCode(c durable.Corruption) int {
 
 func main() {
 	repair := flag.Bool("repair", false,
-		"truncate torn/corrupt WAL tails to the last valid frame and remove leftover .tmp files")
+		"make the disk changes adserve -allow-partial-recovery would make: truncate the WAL where replay stops, remove the files after it and leftover .tmp files")
 	asJSON := flag.Bool("json", false, "emit the full report as JSON")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: adfsck [-repair] [-json] DIR\n")
@@ -128,8 +130,8 @@ func printReport(rep *durable.FsckReport, repaired *durable.RepairResult) {
 		for _, w := range repaired.TruncatedWALs {
 			fmt.Printf("repaired: truncated %s (-%d bytes total)\n", w, repaired.TruncatedBytes)
 		}
-		for _, tmp := range repaired.RemovedTmp {
-			fmt.Printf("repaired: removed %s\n", tmp)
+		for _, name := range append(repaired.Removed, repaired.RemovedTmp...) {
+			fmt.Printf("repaired: removed %s\n", name)
 		}
 	}
 	if worst, detail := rep.Worst(); worst != durable.CorruptNone {

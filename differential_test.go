@@ -4,21 +4,25 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"adindex/internal/corpus"
+	"adindex/internal/treeindex"
 )
 
-// Differential tests pinning the compressed B^sig/B^off snapshot against
-// the hash-table index it replaces: over randomized corpora the two must
-// return identical broad-match results for every query, across several
-// signature suffix widths. The corpora deliberately stress the spots
-// where the two code paths diverge structurally — exclusion metadata,
-// duplicate-folded word sets, and phrases at the max_words locator
+// Differential tests pinning the views read off a built index — the
+// compressed B^sig/B^off snapshot, across several signature suffix
+// widths, and the tree of Section III-B — against the hash-table index
+// they are read from: over randomized corpora all three must return
+// identical broad-match results for every query. The corpora deliberately
+// stress the spots where the code paths diverge structurally — exclusion
+// metadata, duplicate-folded word sets, phrases at the max_words locator
 // boundary (where sets stop being fully indexable and locator selection
-// kicks in).
+// kicks in), tombstones folded into the base, and a non-default mapping
+// that co-locates sets.
 
 const (
 	diffCorpora    = 30
@@ -29,9 +33,10 @@ const (
 // diffCorpus builds one adversarial corpus: a mix of short phrases,
 // phrases with duplicated words, exact-boundary and over-boundary
 // phrases, and exclusion metadata; some ads are duplicates of earlier
-// ones under new IDs, and a slice of the corpus is deleted again so the
-// snapshot is taken over a folded base with tombstoned sets.
-func diffCorpus(seed int64) (*Index, []corpus.Ad, *rand.Rand) {
+// ones under new IDs; odd seeds re-map the index for an observed workload,
+// and a slice of the corpus is then deleted again so the snapshot is taken
+// over a folded base with tombstoned sets.
+func diffCorpus(t *testing.T, seed int64) (*Index, []corpus.Ad, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	vocab := corpus.MakeVocabulary(30)
 	pick := func() string { return vocab[rng.Intn(len(vocab))] }
@@ -80,6 +85,15 @@ func diffCorpus(seed int64) (*Index, []corpus.Ad, *rand.Rand) {
 	ix := New(Options{MaxWords: diffMaxWords})
 	for _, ad := range ads {
 		ix.Insert(ad)
+	}
+	if seed%2 == 1 {
+		// Queries that widen bid phrases make sets share nodes.
+		for i := 0; i < 20; i++ {
+			ix.Observe(ads[rng.Intn(len(ads))].Phrase + " " + pick() + " " + pick())
+		}
+		if _, err := ix.Optimize(); err != nil {
+			t.Fatalf("seed %d: Optimize: %v", seed, err)
+		}
 	}
 	// Delete a slice so the snapshot folds over tombstones.
 	live := ads[:0:0]
@@ -133,8 +147,9 @@ func sortAds(ads []Ad) {
 
 func TestDifferentialCompressedVsHash(t *testing.T) {
 	suffixWidths := []int{0, 4, 8, 12} // 0 = auto-select
+	remapped := 0
 	for seed := int64(0); seed < diffCorpora; seed++ {
-		ix, live, rng := diffCorpus(seed)
+		ix, live, rng := diffCorpus(t, seed)
 		queries := diffQueries(live, rng)
 		for _, bits := range suffixWidths {
 			snap, err := ix.Snapshot(bits)
@@ -144,7 +159,7 @@ func TestDifferentialCompressedVsHash(t *testing.T) {
 			for _, q := range queries {
 				want := ix.BroadMatch(q)
 				sortAds(want)
-				got, err := snap.BroadMatch(q)
+				got, err := snap.BroadMatch(q, nil)
 				if err != nil {
 					t.Fatalf("seed %d bits %d: compressed BroadMatch(%q): %v", seed, bits, q, err)
 				}
@@ -166,36 +181,27 @@ func TestDifferentialCompressedVsHash(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDifferentialCompressedExactMatch pins the exact-match path, which
-// in the compressed index is reconstructed by filtering broad-match
-// candidates rather than consulting a per-set directory.
-func TestDifferentialCompressedExactMatch(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		ix, live, _ := diffCorpus(seed + 1000)
-		snap, err := ix.Snapshot(0)
-		if err != nil {
-			t.Fatalf("seed %d: Snapshot: %v", seed, err)
+		base := ix.foldedBase()
+		if base.NumNodes() < base.NumDistinctSets() {
+			remapped++
 		}
-		for i := range live {
-			q := live[i].Phrase
-			want := ix.ExactMatch(q)
+		tree := treeindex.New(base)
+		for _, q := range queries {
+			want := ix.BroadMatch(q)
 			sortAds(want)
-			got, err := snap.ExactMatch(q)
-			if err != nil {
-				t.Fatalf("seed %d: compressed ExactMatch(%q): %v", seed, q, err)
+			var got []Ad
+			for _, ad := range tree.BroadMatchText(q, nil) {
+				got = append(got, *ad)
 			}
 			sortAds(got)
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: ExactMatch(%q) diverges:\ncompressed %v\nhash       %v",
+			if !slices.Equal(summarize(got), summarize(want)) {
+				t.Fatalf("seed %d: BroadMatch(%q) diverges:\ntree %v\nhash %v",
 					seed, q, summarize(got), summarize(want))
 			}
 		}
+	}
+	if remapped == 0 {
+		t.Fatal("no corpus had a mapping that co-locates word sets")
 	}
 }
 

@@ -49,7 +49,7 @@ func ExampleIndex_Snapshot() {
 	if err != nil {
 		panic(err)
 	}
-	ads, err := reloaded.BroadMatch("cheap used books")
+	ads, err := reloaded.BroadMatch("cheap used books", nil)
 	if err != nil {
 		panic(err)
 	}

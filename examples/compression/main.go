@@ -53,7 +53,7 @@ func main() {
 		queries := sampleQueries(ads, 500)
 		for _, q := range queries {
 			a := ix.Match(nil, adindex.Query{Text: q, Counters: &ch}).Ads
-			b, err := snap.BroadMatchCounted(q, &cc)
+			b, err := snap.BroadMatch(q, &cc)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range queries[:200] {
-		got, err := reloaded.BroadMatch(q)
+		got, err := reloaded.BroadMatch(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,11 +121,11 @@ func TestAllIndexVariantsAgree(t *testing.T) {
 	pub := Build(c.Ads, Options{MaxQueryWords: 64})
 	unmod := invindex.NewUnmodified(c.Ads)
 	mod := invindex.NewModified(c.Ads)
-	tree := treeindex.New(c.Ads, treeindex.Options{})
 	snap, err := pub.Snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := treeindex.New(pub.foldedBase())
 
 	for qi := range wl.Queries {
 		words := wl.Queries[qi].Words
@@ -141,7 +141,7 @@ func TestAllIndexVariantsAgree(t *testing.T) {
 		if got := ptrIDs(tree.BroadMatch(words, nil)); !sameIDs(got, want) {
 			t.Fatalf("tree diverged on %q: %v vs %v", q, got, want)
 		}
-		sm, err := snap.BroadMatch(q)
+		sm, err := snap.BroadMatch(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestDuplicateWordsEndToEnd(t *testing.T) {
 		if got := idsOf(ix.BroadMatch(q)); !reflect.DeepEqual(got, want) {
 			t.Errorf("index %q = %v, want %v", q, got, want)
 		}
-		sm, err := snap.BroadMatch(q)
+		sm, err := snap.BroadMatch(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,14 +93,14 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 		"w6",
 	)
 	ix := New(ads, Options{MaxWords: 3, MaxQueryWords: 3})
-	q, _ := ix.prepareQueryCut(nil, []string{"w1", "w2", "w3", "w4", "w5", "w6"})
+	q, _ := PrepareQuery(nil, []string{"w1", "w2", "w3", "w4", "w5", "w6"}, ix.DocFreqs(), ix.Options().MaxQueryWords)
 	if len(q) != 3 {
 		t.Fatalf("q = %v", q)
 	}
 	// w4, w5, w6 are the rarest (df 1 each).
 	want := []string{"w4", "w5", "w6"}
 	if !reflect.DeepEqual(q, want) {
-		t.Errorf("prepareQueryCut kept %v, want %v", q, want)
+		t.Errorf("PrepareQuery kept %v, want %v", q, want)
 	}
 }
 

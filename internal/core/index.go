@@ -116,6 +116,33 @@ func (ix *Index) VocabWords() []string {
 // not in the vocabulary).
 func (ix *Index) WordDF(w string) int { return ix.df[w] }
 
+// DocFreqs returns the per-word document frequencies: the df map that
+// PrepareQuery and the long-phrase locator rule read. It is the index's own
+// map, not a copy: read it only, and not across an Insert or Delete.
+func (ix *Index) DocFreqs() map[string]int { return ix.df }
+
+// Nodes calls fn for every data node in ascending order of its key, the
+// WordHash of its locator, with the node's records in node order
+// (CompareRecords: the records of one word set adjacent). The records are
+// the index's own: read them only, and not across an Insert or Delete.
+// It is the node walk the compressed directory, the tree and the layout
+// model are read off.
+func (ix *Index) Nodes(fn func(hash uint64, records []corpus.Ad)) {
+	type entry struct {
+		h uint64
+		n *node
+	}
+	nodes := make([]entry, 0, ix.table.len())
+	ix.table.each(func(h uint64, n *node) bool {
+		nodes = append(nodes, entry{h, n})
+		return true
+	})
+	slices.SortFunc(nodes, func(a, b entry) int { return cmp.Compare(a.h, b.h) })
+	for _, e := range nodes {
+		fn(e.h, e.n.records)
+	}
+}
+
 // addPrefixes registers n records' worth of references to every prefix of
 // loc (in sorted order, hashed incrementally exactly as subset enumeration
 // does).
@@ -145,16 +172,21 @@ func (ix *Index) chooseLocator(words []string) []string {
 	if len(words) <= ix.opts.MaxWords {
 		return words
 	}
-	byRarity := make([]string, len(words))
-	copy(byRarity, words)
-	sort.SliceStable(byRarity, func(i, j int) bool {
-		di, dj := ix.df[byRarity[i]], ix.df[byRarity[j]]
+	return rarest(slices.Clone(words), ix.opts.MaxWords, ix.df)
+}
+
+// rarest orders words in place, rarest first by df and ties by the word,
+// and returns the canonical set of the first k: the one rule by which the
+// long-phrase locator and the long-query cutoff both keep k words.
+func rarest(words []string, k int, df map[string]int) []string {
+	sort.SliceStable(words, func(i, j int) bool {
+		di, dj := df[words[i]], df[words[j]]
 		if di != dj {
 			return di < dj
 		}
-		return byRarity[i] < byRarity[j]
+		return words[i] < words[j]
 	})
-	return textnorm.CanonicalSet(byRarity[:ix.opts.MaxWords])
+	return textnorm.CanonicalSet(words[:k])
 }
 
 // Insert adds an advertisement online: into the node of its word set's

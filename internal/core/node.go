@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -61,7 +62,7 @@ type node struct {
 // columnar mirrors.
 func (n *node) insert(ad corpus.Ad) {
 	i := sort.Search(len(n.records), func(i int) bool {
-		return !recordLess(&n.records[i], &ad)
+		return CompareRecords(&n.records[i], &ad) >= 0
 	})
 	n.records = slices.Insert(n.records, i, ad)
 	n.sigs = slices.Insert(n.sigs, i, SetSignature(ad.Words))
@@ -145,23 +146,23 @@ func keyWordCount(key string) int {
 	return strings.Count(key, "\x1f") + 1
 }
 
-// recordLess orders records by word count, then set key, then ID.
-func recordLess(a, b *corpus.Ad) bool {
-	if la, lb := len(a.Words), len(b.Words); la != lb {
-		return la < lb
+// CompareRecords is the order a data node keeps its records in: by word
+// count, then set key, then ID. A structure that merges nodes keeps it too.
+func CompareRecords(a, b *corpus.Ad) int {
+	if c := cmp.Compare(len(a.Words), len(b.Words)); c != 0 {
+		return c
 	}
-	ka, kb := a.SetKey(), b.SetKey()
-	if ka != kb {
-		return ka < kb
+	if c := strings.Compare(a.SetKey(), b.SetKey()); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // checkOrdered verifies the node's order invariant (used by tests and
 // integrity checks).
 func (n *node) checkOrdered() bool {
 	for i := 1; i < len(n.records); i++ {
-		if recordLess(&n.records[i], &n.records[i-1]) {
+		if CompareRecords(&n.records[i], &n.records[i-1]) < 0 {
 			return false
 		}
 	}

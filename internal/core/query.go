@@ -144,7 +144,7 @@ func (ix *Index) appendSubsetMatch(dst []*corpus.Ad, phraseTokens, queryWords []
 	if sc == nil {
 		sc = &local
 	}
-	q, cut := ix.prepareQueryCut(sc.q[:0], queryWords)
+	q, cut := PrepareQuery(sc.q[:0], queryWords, ix.df, ix.opts.MaxQueryWords)
 	if cut && b != nil {
 		b.cutoff = true
 	}
@@ -270,32 +270,25 @@ func (ix *Index) lookupLocator(key string, counters *costmodel.Counters) ([]stri
 	return loc, ok
 }
 
-// prepareQueryCut appends the prepared form of queryWords to buf: words
-// not present in any indexed bid are dropped (this cannot change the
-// result, since every match's words are indexed), and over-long queries
-// are cut to their MaxQueryWords rarest indexed words (the Section IV-B
-// heuristic cutoff, which may lose matches on extreme queries). The second
-// return reports whether the cutoff dropped words, so budgeted callers
-// can surface the loss instead of hiding it.
-func (ix *Index) prepareQueryCut(buf []string, queryWords []string) ([]string, bool) {
+// PrepareQuery appends the prepared form of queryWords to buf: words with
+// no document frequency in df are dropped (this cannot change the result,
+// since every match's words are indexed), and over-long queries are cut
+// to their maxQueryWords rarest indexed words (the Section IV-B heuristic
+// cutoff, which may lose matches on extreme queries). The second return
+// reports whether the cutoff dropped words, so budgeted callers can
+// surface the loss instead of hiding it. Every structure that answers
+// queries over an index's nodes prepares them here, with that index's df
+// and MaxQueryWords; with a warmed buf and no cutoff it allocates nothing.
+func PrepareQuery(buf, queryWords []string, df map[string]int, maxQueryWords int) ([]string, bool) {
 	for _, w := range queryWords {
-		if ix.df[w] > 0 {
+		if df[w] > 0 {
 			buf = append(buf, w)
 		}
 	}
-	if len(buf) > ix.opts.MaxQueryWords {
-		sort.SliceStable(buf, func(i, j int) bool {
-			di, dj := ix.df[buf[i]], ix.df[buf[j]]
-			if di != dj {
-				return di < dj
-			}
-			return buf[i] < buf[j]
-		})
-		cut := textnorm.CanonicalSet(buf[:ix.opts.MaxQueryWords])
-		buf = append(buf[:0], cut...)
-		return buf, true
+	if len(buf) <= maxQueryWords {
+		return buf, false
 	}
-	return buf, false
+	return append(buf[:0], rarest(buf, maxQueryWords, df)...), true
 }
 
 // appendCandidateNodes appends to sc.visited each distinct data node

@@ -333,7 +333,13 @@ func TestGenerationFallback(t *testing.T) {
 	}
 }
 
-func TestMidChainCorruptionDropsNewerFiles(t *testing.T) {
+// midChainDir returns a state directory whose replay stops mid-chain:
+// snapshots 1 and 2 with ten inserts in each of wal-1 and wal-2, then the
+// newest snapshot corrupted AND the first record of wal-1. Recovery falls
+// back to snapshot 1 and must drop wal-2 wholesale (its records assume
+// state that includes the damaged region).
+func midChainDir(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	st, _ := openStore(t, dir)
 	ads := testAds(30, 8)
@@ -353,12 +359,13 @@ func TestMidChainCorruptionDropsNewerFiles(t *testing.T) {
 		st.LogInsert(ad) // wal-2
 	}
 	st.Close()
-	// Newest snapshot corrupt AND a record in wal-1 corrupt: the chain
-	// stops mid-way, so wal-2 must be dropped wholesale (its records
-	// assume state that includes the damaged region).
 	corruptFile(t, dir, snapName(2), 0)
 	corruptFile(t, dir, walName(1), 20) // inside first record's payload
+	return dir
+}
 
+func TestMidChainCorruptionDropsNewerFiles(t *testing.T) {
+	dir := midChainDir(t)
 	_, rec := openStore(t, dir)
 	if rec.Report.SnapshotGen != 1 || len(rec.Ads) != 10 {
 		t.Fatalf("base = gen %d / %d ads, want 1 / 10", rec.Report.SnapshotGen, len(rec.Ads))
@@ -377,6 +384,75 @@ func TestMidChainCorruptionDropsNewerFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapName(2))); !os.IsNotExist(err) {
 		t.Fatal("corrupt snap-2 not removed after mid-chain stop")
 	}
+}
+
+// Repair leaves the directory recovery would leave: after a mid-chain
+// stop it removes what Open removes, so the repaired directory recovers
+// exactly the state the unrepaired one does, and not wal-2's records on a
+// base that lacks wal-1's.
+func TestRepairLeavesWhatRecoveryLeaves(t *testing.T) {
+	repaired, opened := midChainDir(t), t.TempDir()
+	entries, err := os.ReadDir(repaired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(repaired, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(opened, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := Plan(nil, repaired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Repair(nil, repaired)
+	if err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	if !reflect.DeepEqual(res.TruncatedWALs, []string{walName(1)}) ||
+		!reflect.DeepEqual(res.Removed, []string{walName(2), snapName(2)}) {
+		t.Fatalf("repair = %+v, want wal-1 truncated, wal-2 and snap-2 removed", res)
+	}
+	after, err := Plan(nil, repaired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.RecordsReplayed != before.RecordsReplayed {
+		t.Fatalf("repair changed what replays: %d records before, %d after",
+			before.RecordsReplayed, after.RecordsReplayed)
+	}
+
+	_, want := openStore(t, opened)
+	_, got := openStore(t, repaired)
+	if !reflect.DeepEqual(got.Ads, want.Ads) || !reflect.DeepEqual(got.Records, want.Records) || got.Epoch != want.Epoch {
+		t.Fatalf("repaired directory recovers %d ads + %d records at epoch %d, unrepaired %d + %d at %d",
+			len(got.Ads), len(got.Records), got.Epoch, len(want.Ads), len(want.Records), want.Epoch)
+	}
+	if a, b := dirListing(t, repaired), dirListing(t, opened); !reflect.DeepEqual(a, b) {
+		t.Fatalf("repaired then opened %v, opened %v", a, b)
+	}
+}
+
+// dirListing maps each file in dir to its size.
+func dirListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = info.Size()
+	}
+	return out
 }
 
 func TestAllSnapshotsCorruptRefusesEmpty(t *testing.T) {

@@ -221,10 +221,10 @@ func decodeAds(payload []byte) ([]corpus.Ad, error) {
 // locator mapping that layout optimization computed (M in the paper),
 // persisted so the Section-V placement survives restarts.
 func encodeMapping(mapping map[string][]string) []byte {
-	// In key order, so one mapping has one encoding: the snapshot file and
-	// the handoff stream of the same state are the same bytes.
-	// Each entry is sorted under the first eight bytes of its key, which decide nearly
-	// every comparison without a visit to the string.
+	// In key order, so one mapping has one encoding: two snapshots of the
+	// same state are the same bytes. Each entry is sorted under the first
+	// eight bytes of its key, which decide nearly every comparison without
+	// a visit to the string.
 	type entry struct {
 		head uint64
 		key  string

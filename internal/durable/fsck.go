@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"path/filepath"
 )
 
 // FsckFile is the verification result for one on-disk artifact.
@@ -111,45 +110,28 @@ type RepairResult struct {
 	TruncatedWALs []string `json:"truncated_wals,omitempty"`
 	// TruncatedBytes is the total tail bytes removed.
 	TruncatedBytes int64 `json:"truncated_bytes"`
+	// Removed lists the WALs and snapshots past the point where replay
+	// stops: recovery would drop them, since they assume the lost region.
+	Removed []string `json:"removed,omitempty"`
 	// RemovedTmp lists deleted leftover temp files.
 	RemovedTmp []string `json:"removed_tmp,omitempty"`
 }
 
-// Repair performs the safe subset of fixes: truncating torn or corrupt
-// WAL tails to their last valid frame and deleting leftover temp files.
-// It never touches snapshots — a corrupt snapshot cannot be repaired,
-// only skipped by recovery's generation fallback — and never deletes
-// WAL files, since even a partially corrupt WAL's valid prefix carries
-// acknowledged mutations.
+// Repair makes the disk changes recovery would make — those of Open, and
+// of adserve -allow-partial-recovery — without opening a store: it
+// removes leftover temp files, truncates the WAL the replay stops in to
+// its last valid frame, and removes the WALs and snapshots after that
+// point. A repaired directory therefore recovers exactly what it would
+// have recovered unrepaired. Like recovery, Repair refuses a directory
+// where no snapshot generation verifies, and it leaves alone a corrupt
+// snapshot that recovery skips in favour of an older generation.
 func Repair(fsys FS, dir string) (*RepairResult, error) {
 	if fsys == nil {
 		fsys = OSFS{}
 	}
-	rep, err := Fsck(fsys, dir)
+	plan, err := planRecovery(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	res := &RepairResult{}
-	for _, w := range rep.WALs {
-		if w.Class == CorruptNone {
-			continue
-		}
-		if err := fsys.Truncate(filepath.Join(dir, w.Name), w.ValidBytes); err != nil {
-			return res, fmt.Errorf("durable: repair truncate %s: %w", w.Name, err)
-		}
-		res.TruncatedWALs = append(res.TruncatedWALs, w.Name)
-		res.TruncatedBytes += w.TotalBytes - w.ValidBytes
-	}
-	for _, tmp := range rep.TmpFiles {
-		if err := fsys.Remove(filepath.Join(dir, tmp)); err != nil {
-			return res, fmt.Errorf("durable: repair remove %s: %w", tmp, err)
-		}
-		res.RemovedTmp = append(res.RemovedTmp, tmp)
-	}
-	if len(res.TruncatedWALs) > 0 || len(res.RemovedTmp) > 0 {
-		if err := fsys.SyncDir(dir); err != nil {
-			return res, fmt.Errorf("durable: repair sync dir %s: %w", dir, err)
-		}
-	}
-	return res, nil
+	return applyPlan(fsys, dir, plan)
 }

@@ -137,6 +137,7 @@ type recoveryPlan struct {
 	removeTmps  []string // crash debris, always safe to delete
 	truncWAL    string   // torn WAL to truncate ("" = none)
 	truncTo     int64
+	truncBytes  int64    // the bytes truncWAL loses
 	removeNewer []string // WALs/snapshots past the replay stop point
 	appendGen   uint64   // generation whose WAL receives new appends
 	appendBytes int64    // valid bytes already in that WAL
@@ -242,6 +243,7 @@ func planRecovery(fsys FS, dir string) (*recoveryPlan, error) {
 			}
 			state.Report.DroppedBytes += scan.totalBytes - scan.validBytes
 			stopped, stopGen, stopValid = true, g, scan.validBytes
+			plan.truncBytes = scan.totalBytes - scan.validBytes
 			if ci < len(chain)-1 {
 				state.Report.NeedsRotation = true
 			}
@@ -306,6 +308,43 @@ func Plan(fsys FS, dir string) (*RecoveryReport, error) {
 	return &report, nil
 }
 
+// applyPlan makes the directory what recovery under plan leaves: leftover
+// temp files removed, the WAL the replay stopped in truncated to its valid
+// prefix, and the WALs and snapshots past that point removed (their
+// content assumed the dropped region). Open applies it before appending;
+// Repair applies it alone, so a repaired directory is the one recovery
+// would leave.
+func applyPlan(fsys FS, dir string, plan *recoveryPlan) (*RepairResult, error) {
+	res := &RepairResult{}
+	// Temp files are debris from a crash mid-snapshot-write; they were
+	// never current, so removal is always safe, and one that stays is
+	// harmless.
+	for _, tmp := range plan.removeTmps {
+		if fsys.Remove(filepath.Join(dir, tmp)) == nil {
+			res.RemovedTmp = append(res.RemovedTmp, tmp)
+		}
+	}
+	if plan.truncWAL != "" {
+		if err := fsys.Truncate(filepath.Join(dir, plan.truncWAL), plan.truncTo); err != nil {
+			return res, fmt.Errorf("durable: truncate torn %s: %w", plan.truncWAL, err)
+		}
+		res.TruncatedWALs = append(res.TruncatedWALs, plan.truncWAL)
+		res.TruncatedBytes += plan.truncBytes
+		for _, name := range plan.removeNewer {
+			if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return res, fmt.Errorf("durable: remove %s past the replay stop: %w", name, err)
+			}
+			res.Removed = append(res.Removed, name)
+		}
+	}
+	if len(res.RemovedTmp) > 0 || plan.truncWAL != "" {
+		if err := fsys.SyncDir(dir); err != nil {
+			return res, fmt.Errorf("durable: sync dir %s: %w", dir, err)
+		}
+	}
+	return res, nil
+}
+
 // Open opens (or initializes) the durable state directory and recovers
 // its contents: the newest verifiable snapshot plus the WAL chain on top
 // of it, tolerating a torn tail. It never returns partial state with a
@@ -321,23 +360,9 @@ func Open(dir string, opts Options) (*Store, *RecoveredState, error) {
 		return nil, nil, err
 	}
 	state := plan.state
-
 	// Apply the planned mutations before any new appends land.
-	// Leftover temp files are debris from a crash mid-snapshot-write;
-	// they were never current, so removal is always safe.
-	for _, tmp := range plan.removeTmps {
-		fsys.Remove(filepath.Join(dir, tmp))
-	}
-	if plan.truncWAL != "" {
-		if err := fsys.Truncate(filepath.Join(dir, plan.truncWAL), plan.truncTo); err != nil {
-			return nil, nil, fmt.Errorf("durable: truncate torn %s: %w", plan.truncWAL, err)
-		}
-		for _, name := range plan.removeNewer {
-			fsys.Remove(filepath.Join(dir, name))
-		}
-		if err := fsys.SyncDir(dir); err != nil {
-			return nil, nil, fmt.Errorf("durable: sync dir %s: %w", dir, err)
-		}
+	if _, err := applyPlan(fsys, dir, plan); err != nil {
+		return nil, nil, err
 	}
 
 	f, err := fsys.OpenAppend(filepath.Join(dir, walName(plan.appendGen)))

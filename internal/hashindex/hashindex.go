@@ -16,10 +16,11 @@
 package hashindex
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"adindex/internal/bitvec"
 	"adindex/internal/compress"
@@ -34,122 +35,78 @@ type Options struct {
 	// SuffixBits is s, the hash-suffix width. Zero selects it
 	// automatically via SelectSuffixBits.
 	SuffixBits int
-	// MaxWords and MaxQueryWords mirror core.Options and must match the
-	// mapping the index is built from.
-	MaxWords      int
-	MaxQueryWords int
 	// Tradeoff is the λ of the suffix-selection cost model: modeled
 	// extra scan bytes per lookup are worth λ bits of space each.
 	// Default 64.
 	Tradeoff float64
 }
 
-func (o *Options) fillDefaults() {
-	if o.MaxWords == 0 {
-		o.MaxWords = 10
-	}
-	if o.MaxQueryWords == 0 {
-		o.MaxQueryWords = 12
-	}
-	if o.Tradeoff == 0 {
-		o.Tradeoff = 64
-	}
-}
-
 // Index is the immutable compressed broad-match index.
 type Index struct {
-	opts  Options
-	mask  uint64
-	sig   *bitvec.Vector
-	off   *bitvec.Sparse
-	arena []byte
-	vocab map[string]int // document frequencies for query preparation
+	suffixBits    int
+	maxWords      int
+	maxQueryWords int
+	mask          uint64
+	sig           *bitvec.Vector
+	off           *bitvec.Sparse
+	arena         []byte
+	vocab         map[string]int // document frequencies for query preparation
 }
 
-// Build constructs the compressed index from ads under the given mapping
-// (word-set key -> locator, as produced by internal/optimize; nil mapping
-// places each set at itself with long sets cut to MaxWords).
-func Build(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, error) {
-	opts.fillDefaults()
-
-	// Group ads by locator, reusing the core index's placement logic so
-	// both structures index identically.
-	var base *core.Index
-	var err error
-	if mapping == nil {
-		base = core.New(ads, core.Options{MaxWords: opts.MaxWords, MaxQueryWords: opts.MaxQueryWords})
-	} else {
-		base, err = core.NewWithMapping(ads, mapping, core.Options{MaxWords: opts.MaxWords, MaxQueryWords: opts.MaxQueryWords})
-		if err != nil {
-			return nil, err
-		}
+// Build reads the compressed index off a built core index: its data nodes
+// in node order, their records in node order, its vocabulary and its
+// MaxWords/MaxQueryWords. Only the directory is new: nodes whose locator
+// hashes share an s-bit suffix merge into one arena node, as the paper
+// merges colliding nodes. The result shares nothing with base.
+func Build(base *core.Index, opts Options) (*Index, error) {
+	if opts.Tradeoff == 0 {
+		opts.Tradeoff = 64
 	}
-	type protoNode struct {
+	type baseNode struct {
 		hash    uint64
 		records []corpus.Ad
 	}
-	byLoc := make(map[uint64]*protoNode)
-	m := base.Mapping()
-	for i := range ads {
-		loc := m[ads[i].SetKey()]
-		h := core.WordHash(loc)
-		pn := byLoc[h]
-		if pn == nil {
-			pn = &protoNode{hash: h}
-			byLoc[h] = pn
-		}
-		pn.records = append(pn.records, ads[i])
-	}
-
+	var nodes []baseNode
+	total := 0
+	base.Nodes(func(h uint64, records []corpus.Ad) {
+		nodes = append(nodes, baseNode{h, records})
+		total += compress.RawSize(records)
+	})
 	if opts.SuffixBits == 0 {
-		total := 0
-		for _, pn := range byLoc {
-			total += compress.RawSize(pn.records)
-		}
-		opts.SuffixBits = SelectSuffixBits(len(byLoc), total, opts.Tradeoff)
+		opts.SuffixBits = SelectSuffixBits(len(nodes), total, opts.Tradeoff)
 	}
 	if opts.SuffixBits < 1 || opts.SuffixBits > 30 {
 		return nil, fmt.Errorf("hashindex: SuffixBits %d out of range [1,30]", opts.SuffixBits)
 	}
 	mask := uint64(1)<<uint(opts.SuffixBits) - 1
+	o := base.Options()
+	ix := &Index{
+		suffixBits:    opts.SuffixBits,
+		maxWords:      o.MaxWords,
+		maxQueryWords: o.MaxQueryWords,
+		mask:          mask,
+		sig:           bitvec.New(1 << uint(opts.SuffixBits)),
+		vocab:         maps.Clone(base.DocFreqs()),
+	}
 
-	// Merge nodes by hash suffix, keeping the word-count order invariant
-	// within each merged node.
-	bySuffix := make(map[uint64][]corpus.Ad)
-	for _, pn := range byLoc {
-		sw := pn.hash & mask
-		bySuffix[sw] = append(bySuffix[sw], pn.records...)
-	}
-	suffixes := make([]uint64, 0, len(bySuffix))
-	for sw := range bySuffix {
-		suffixes = append(suffixes, sw)
-	}
-	sort.Slice(suffixes, func(i, j int) bool { return suffixes[i] < suffixes[j] })
-
-	ix := &Index{opts: opts, mask: mask, vocab: make(map[string]int)}
-	for i := range ads {
-		for _, w := range ads[i].Words {
-			ix.vocab[w]++
-		}
-	}
-	ix.sig = bitvec.New(1 << uint(opts.SuffixBits))
+	// Arena order is suffix order; a run of nodes sharing a suffix is one
+	// merged node, its records kept in node order.
+	slices.SortStableFunc(nodes, func(a, b baseNode) int { return cmp.Compare(a.hash&mask, b.hash&mask) })
 	var starts []int
-	for _, sw := range suffixes {
-		records := bySuffix[sw]
-		sort.Slice(records, func(i, j int) bool {
-			li, lj := len(records[i].Words), len(records[j].Words)
-			if li != lj {
-				return li < lj
+	for i := 0; i < len(nodes); {
+		sw, records := nodes[i].hash&mask, nodes[i].records
+		j := i + 1
+		if j < len(nodes) && nodes[j].hash&mask == sw {
+			records = slices.Clone(records)
+			for ; j < len(nodes) && nodes[j].hash&mask == sw; j++ {
+				records = append(records, nodes[j].records...)
 			}
-			ki, kj := records[i].SetKey(), records[j].SetKey()
-			if ki != kj {
-				return ki < kj
-			}
-			return records[i].ID < records[j].ID
-		})
+			slices.SortStableFunc(records, func(a, b corpus.Ad) int { return core.CompareRecords(&a, &b) })
+		}
 		ix.sig.Set(int(sw))
 		starts = append(starts, len(ix.arena))
 		ix.arena = append(ix.arena, compress.EncodeNode(records)...)
+		i = j
 	}
 	ix.sig.BuildRank()
 	// B^off needs one position per node; an empty corpus gets a 1-bit
@@ -158,6 +115,7 @@ func Build(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, 
 	if offLen == 0 {
 		offLen = 1
 	}
+	var err error
 	ix.off, err = bitvec.NewSparse(offLen, starts)
 	if err != nil {
 		return nil, fmt.Errorf("hashindex: building B^off: %w", err)
@@ -185,14 +143,14 @@ func (ix *Index) nodeAt(sw uint64) []byte {
 // immutable). counters accounts arena bytes actually decoded, per the
 // cost model.
 func (ix *Index) BroadMatch(queryWords []string, counters *costmodel.Counters) ([]corpus.Ad, error) {
-	q := ix.prepareQuery(queryWords)
+	q, _ := core.PrepareQuery(nil, queryWords, ix.vocab, ix.maxQueryWords)
 	if counters != nil {
 		counters.Queries++
 	}
 	if len(q) == 0 {
 		return nil, nil
 	}
-	k := ix.opts.MaxWords
+	k := ix.maxWords
 	if k > len(q) {
 		k = len(q)
 	}
@@ -287,26 +245,6 @@ func (ix *Index) scanNode(data []byte, q []string, counters *costmodel.Counters,
 	return matches, nil
 }
 
-func (ix *Index) prepareQuery(queryWords []string) []string {
-	q := make([]string, 0, len(queryWords))
-	for _, w := range queryWords {
-		if ix.vocab[w] > 0 {
-			q = append(q, w)
-		}
-	}
-	if len(q) > ix.opts.MaxQueryWords {
-		sort.SliceStable(q, func(i, j int) bool {
-			di, dj := ix.vocab[q[i]], ix.vocab[q[j]]
-			if di != dj {
-				return di < dj
-			}
-			return q[i] < q[j]
-		})
-		q = textnorm.CanonicalSet(q[:ix.opts.MaxQueryWords])
-	}
-	return q
-}
-
 // Sizes describes the memory footprint of the structure and the hash-table
 // baseline it replaces (Section VI's 9:1 example).
 type Sizes struct {
@@ -328,7 +266,7 @@ type Sizes struct {
 func (ix *Index) Sizes() Sizes {
 	nodes := ix.off.Ones()
 	s := Sizes{
-		SuffixBits:     ix.opts.SuffixBits,
+		SuffixBits:     ix.suffixBits,
 		SigBytes:       ix.sig.SizeBytes(),
 		SigEntropyBits: bitvec.CompressedSizeBound(ix.sig.Len(), ix.sig.Ones()),
 		OffBytes:       ix.off.SizeBytes(),

@@ -40,7 +40,7 @@ func ptrIDs(ads []*corpus.Ad) []uint64 {
 
 func TestBasicLookup(t *testing.T) {
 	ads := mustAds("used books", "comic books", "cheap books")
-	ix, err := Build(ads, nil, Options{SuffixBits: 16})
+	ix, err := Build(core.New(ads, core.Options{}), Options{SuffixBits: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestBasicLookup(t *testing.T) {
 }
 
 func TestEmptyCorpus(t *testing.T) {
-	ix, err := Build(nil, nil, Options{SuffixBits: 10})
+	ix, err := Build(core.New(nil, core.Options{}), Options{SuffixBits: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEquivalenceWithCore(t *testing.T) {
 	vocab := c.Vocabulary()
 	rng := rand.New(rand.NewSource(7))
 	for _, s := range []int{8, 12, 20} {
-		ix, err := Build(c.Ads, nil, Options{SuffixBits: s})
+		ix, err := Build(base, Options{SuffixBits: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestEquivalenceUnderOptimizedMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(c.Ads, res.Mapping, Options{SuffixBits: 14})
+	ix, err := Build(base, Options{SuffixBits: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestEquivalenceUnderOptimizedMapping(t *testing.T) {
 func TestSuffixCollisionMerge(t *testing.T) {
 	// With 1-bit suffixes nearly everything merges; results must hold.
 	ads := mustAds("a", "b", "c", "a b", "b c", "talk talk")
-	ix, err := Build(ads, nil, Options{SuffixBits: 1})
+	ix, err := Build(core.New(ads, core.Options{}), Options{SuffixBits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSuffixCollisionMerge(t *testing.T) {
 
 func TestSizesReport(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 5000, Seed: 45})
-	ix, err := Build(c.Ads, nil, Options{SuffixBits: 18})
+	ix, err := Build(core.New(c.Ads, core.Options{}), Options{SuffixBits: 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSelectSuffixBits(t *testing.T) {
 
 func TestAutoSuffixSelection(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 1000, Seed: 46})
-	ix, err := Build(c.Ads, nil, Options{}) // SuffixBits auto
+	ix, err := Build(core.New(c.Ads, core.Options{}), Options{}) // SuffixBits auto
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestAutoSuffixSelection(t *testing.T) {
 
 func TestCountersCharged(t *testing.T) {
 	ads := mustAds("a b", "a c")
-	ix, err := Build(ads, nil, Options{SuffixBits: 12})
+	ix, err := Build(core.New(ads, core.Options{}), Options{SuffixBits: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +254,10 @@ func TestCountersCharged(t *testing.T) {
 }
 
 func TestInvalidOptions(t *testing.T) {
-	if _, err := Build(nil, nil, Options{SuffixBits: 31}); err == nil {
-		t.Error("SuffixBits 31 should be rejected")
-	}
-	if _, err := Build(mustAds("a"), map[string][]string{
-		textnorm.SetKey([]string{"a"}): {"b"},
-	}, Options{SuffixBits: 10}); err == nil {
-		t.Error("invalid mapping should propagate")
+	for _, bits := range []int{-1, 31} {
+		if _, err := Build(core.New(nil, core.Options{}), Options{SuffixBits: bits}); err == nil {
+			t.Errorf("SuffixBits %d should be rejected", bits)
+		}
 	}
 }
 
@@ -283,7 +280,7 @@ func TestCompressedQuick(t *testing.T) {
 			}
 			ads[i] = corpus.NewAd(uint64(i+1), phrase, corpus.Meta{})
 		}
-		ix, err := Build(ads, nil, Options{SuffixBits: 1 + rng.Intn(16)})
+		ix, err := Build(core.New(ads, core.Options{}), Options{SuffixBits: 1 + rng.Intn(16)})
 		if err != nil {
 			return false
 		}

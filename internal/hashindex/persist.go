@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"adindex/internal/bitvec"
 )
@@ -50,23 +51,28 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := write([]byte{snapVersion}); err != nil {
 		return cw.n, err
 	}
-	for _, v := range []uint64{uint64(ix.opts.SuffixBits), uint64(ix.opts.MaxWords), uint64(ix.opts.MaxQueryWords)} {
+	for _, v := range []uint64{uint64(ix.suffixBits), uint64(ix.maxWords), uint64(ix.maxQueryWords)} {
 		if err := putU(v); err != nil {
 			return cw.n, err
 		}
 	}
-	// Vocabulary.
+	// Vocabulary, sorted, so one index always writes the same bytes.
 	if err := putU(uint64(len(ix.vocab))); err != nil {
 		return cw.n, err
 	}
-	for w, df := range ix.vocab {
+	words := make([]string, 0, len(ix.vocab))
+	for w := range ix.vocab {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	for _, w := range words {
 		if err := putU(uint64(len(w))); err != nil {
 			return cw.n, err
 		}
 		if err := write([]byte(w)); err != nil {
 			return cw.n, err
 		}
-		if err := putU(uint64(df)); err != nil {
+		if err := putU(uint64(ix.vocab[w])); err != nil {
 			return cw.n, err
 		}
 	}
@@ -154,9 +160,13 @@ func read(br *bufio.Reader) (*Index, error) {
 	if header[1] < 1 || header[1] > 1<<16 || header[2] < 1 || header[2] > 1<<16 {
 		return nil, fmt.Errorf("word limits %d/%d out of range", header[1], header[2])
 	}
-	opts := Options{SuffixBits: int(header[0]), MaxWords: int(header[1]), MaxQueryWords: int(header[2])}
-
-	ix := &Index{opts: opts, mask: uint64(1)<<uint(opts.SuffixBits) - 1, vocab: make(map[string]int)}
+	ix := &Index{
+		suffixBits:    int(header[0]),
+		maxWords:      int(header[1]),
+		maxQueryWords: int(header[2]),
+		mask:          uint64(1)<<header[0] - 1,
+		vocab:         make(map[string]int),
+	}
 	nVocab, err := getU()
 	if err != nil {
 		return nil, err
@@ -227,7 +237,7 @@ func read(br *bufio.Reader) (*Index, error) {
 	if len(sigPositions) != len(starts) {
 		return nil, fmt.Errorf("%d signatures but %d nodes", len(sigPositions), len(starts))
 	}
-	ix.sig = bitvec.New(1 << uint(opts.SuffixBits))
+	ix.sig = bitvec.New(1 << uint(ix.suffixBits))
 	for _, p := range sigPositions {
 		if p >= ix.sig.Len() {
 			return nil, fmt.Errorf("signature position %d out of range", p)

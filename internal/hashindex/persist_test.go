@@ -6,13 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/workload"
 )
 
 func TestPersistRoundTrip(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 91})
-	ix, err := Build(c.Ads, nil, Options{SuffixBits: 16})
+	ix, err := Build(core.New(c.Ads, core.Options{}), Options{SuffixBits: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 func TestPersistEmpty(t *testing.T) {
-	ix, err := Build(nil, nil, Options{SuffixBits: 12})
+	ix, err := Build(core.New(nil, core.Options{}), Options{SuffixBits: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 
 func TestReadRejectsTruncation(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 100, Seed: 93})
-	ix, err := Build(c.Ads, nil, Options{SuffixBits: 12})
+	ix, err := Build(core.New(c.Ads, core.Options{}), Options{SuffixBits: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestReadFuzzQuick(t *testing.T) {
 // yields a structurally sound index (never panics, never loops).
 func TestReadBitflipQuick(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 50, Seed: 94})
-	ix, err := Build(c.Ads, nil, Options{SuffixBits: 10})
+	ix, err := Build(core.New(c.Ads, core.Options{}), Options{SuffixBits: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func (*shortErr) Error() string { return "short write" }
 
 func TestWriteToErrorPaths(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 200, Seed: 95})
-	ix, err := Build(c.Ads, nil, Options{SuffixBits: 12})
+	ix, err := Build(core.New(c.Ads, core.Options{}), Options{SuffixBits: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

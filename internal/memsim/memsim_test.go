@@ -108,23 +108,49 @@ func TestTotalCycles(t *testing.T) {
 	}
 }
 
-func buildReplayFixtures(t testing.TB, nAds, nQueries int) ([]corpus.Ad, *workload.Workload, map[string][]string, map[string][]string) {
+// buildReplayFixtures returns a workload and the core indexes built over
+// one corpus under the identity mapping and under the optimized one.
+func buildReplayFixtures(t testing.TB, nAds, nQueries int) (*workload.Workload, *core.Index, *core.Index) {
 	t.Helper()
 	c := corpus.Generate(corpus.GenOptions{NumAds: nAds, Seed: 61})
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: nQueries, Seed: 62})
 	gs := optimize.BuildGroups(c.Ads, wl)
-	identity := optimize.IdentityMapping(gs, optimize.Options{}).Mapping
-	full := optimize.Optimize(gs, optimize.Options{}).Mapping
-	return c.Ads, wl, identity, full
+	build := func(mapping map[string][]string) *core.Index {
+		ix, err := core.NewWithMapping(c.Ads, mapping, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	identity := build(optimize.IdentityMapping(gs, optimize.Options{}).Mapping)
+	full := build(optimize.Optimize(gs, optimize.Options{}).Mapping)
+	return wl, identity, full
 }
 
+// A layout is core's nodes as core holds them: the same node count, and
+// each node the bytes of core's node, under either mapping.
 func TestReplayLayoutConsistency(t *testing.T) {
-	ads, _, identity, full := buildReplayFixtures(t, 800, 300)
-	li := BuildLayout(ads, identity, 10, 12)
-	lf := BuildLayout(ads, full, 10, 12)
-	ixI := core.New(ads, core.Options{})
-	if li.NumNodes() != ixI.NumNodes() {
-		t.Errorf("identity layout nodes = %d, core = %d", li.NumNodes(), ixI.NumNodes())
+	_, identity, full := buildReplayFixtures(t, 800, 300)
+	li, lf := BuildLayout(identity), BuildLayout(full)
+	for _, v := range []struct {
+		name string
+		base *core.Index
+		l    *IndexLayout
+	}{{"identity", identity, li}, {"optimized", full, lf}} {
+		st := v.base.Stats()
+		if v.l.NumNodes() != st.NumNodes || v.l.ArenaBytes != uint64(st.NodeBytes) {
+			t.Errorf("%s: layout %d nodes / %d B, core %d nodes / %d B",
+				v.name, v.l.NumNodes(), v.l.ArenaBytes, st.NumNodes, st.NodeBytes)
+		}
+		v.base.Nodes(func(h uint64, records []corpus.Ad) {
+			bytes := 0
+			for i := range records {
+				bytes += records[i].Size()
+			}
+			if n := v.l.nodes[h]; n == nil || n.recEnd[len(n.recEnd)-1] != bytes {
+				t.Errorf("%s: node %x is not laid out at core's %d B", v.name, h, bytes)
+			}
+		})
 	}
 	if lf.NumNodes() >= li.NumNodes() {
 		t.Errorf("remapped layout should have fewer nodes: %d vs %d", lf.NumNodes(), li.NumNodes())
@@ -140,14 +166,14 @@ func TestReplayLayoutConsistency(t *testing.T) {
 // fewer page walks and cache misses with re-mapping; branch mispredictions
 // move the other way (or at least do not improve as much).
 func TestReplayReproducesCounterFindings(t *testing.T) {
-	ads, wl, identity, full := buildReplayFixtures(t, 10000, 1500)
+	wl, identity, full := buildReplayFixtures(t, 10000, 1500)
 	stream := wl.Stream(5000, 63)
 
 	// A small TLB relative to the index working set, as on the paper's
 	// 2008-era hardware relative to a 180M-ad index.
 	cfg := Config{TLBEntries: 16, CacheSets: 1024, CacheWays: 8}
-	run := func(mapping map[string][]string) Stats {
-		layout := BuildLayout(ads, mapping, 10, 12)
+	run := func(base *core.Index) Stats {
+		layout := BuildLayout(base)
 		sim := New(cfg)
 		for _, q := range stream {
 			layout.ReplayQuery(sim, q.Words)
@@ -180,8 +206,8 @@ func TestReplayReproducesCounterFindings(t *testing.T) {
 }
 
 func TestReplayEmptyQuery(t *testing.T) {
-	ads, _, identity, _ := buildReplayFixtures(t, 50, 10)
-	layout := BuildLayout(ads, identity, 10, 12)
+	_, identity, _ := buildReplayFixtures(t, 50, 10)
+	layout := BuildLayout(identity)
 	sim := New(Config{})
 	layout.ReplayQuery(sim, nil)
 	layout.ReplayQuery(sim, []string{"notincorpusatall"})

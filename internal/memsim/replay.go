@@ -1,11 +1,8 @@
 package memsim
 
 import (
-	"sort"
-
 	"adindex/internal/core"
 	"adindex/internal/corpus"
-	"adindex/internal/textnorm"
 )
 
 // Branch-site identifiers (standing for the branch instructions of the
@@ -15,11 +12,10 @@ const (
 	siteScanContinue = 2 // "scan the next record in this node?"
 )
 
-// IndexLayout models the physical memory layout of a broad-match index
-// built under a given mapping: an open-addressed hash table array followed
-// by a node arena. Replaying a workload against two layouts (with and
-// without re-mapping) reproduces the Section VII-C hardware-counter
-// comparison.
+// IndexLayout models the physical memory layout of a built broad-match
+// index: an open-addressed hash table array followed by a node arena.
+// Replaying a workload against two layouts (with and without re-mapping)
+// reproduces the Section VII-C hardware-counter comparison.
 type IndexLayout struct {
 	maxWords      int
 	maxQueryWords int
@@ -39,71 +35,45 @@ type IndexLayout struct {
 type nodeLayout struct {
 	addr uint64
 	// recLens[i] / recEnd[i]: word count of record i and the cumulative
-	// byte offset after it (records in word-count order).
+	// byte offset after it (records in node order).
 	recLens []int
 	recEnd  []int
 }
 
-// BuildLayout lays out the index that core.NewWithMapping(ads, mapping)
-// would build. maxWords/maxQueryWords must match the index options.
-func BuildLayout(ads []corpus.Ad, mapping map[string][]string, maxWords, maxQueryWords int) *IndexLayout {
+// BuildLayout lays out base: its nodes in node order, each node's records
+// in node order, queries prepared with base's vocabulary and
+// MaxWords/MaxQueryWords. The layout shares base's word statistics, so it
+// is valid until base's next Insert or Delete.
+func BuildLayout(base *core.Index) *IndexLayout {
+	o := base.Options()
 	l := &IndexLayout{
-		maxWords:      maxWords,
-		maxQueryWords: maxQueryWords,
-		df:            make(map[string]int),
+		maxWords:      o.MaxWords,
+		maxQueryWords: o.MaxQueryWords,
+		df:            base.DocFreqs(),
 		tableBase:     1 << 20,
 		slotBytes:     16,
-		nodes:         make(map[uint64]*nodeLayout),
-	}
-	for i := range ads {
-		for _, w := range ads[i].Words {
-			l.df[w]++
-		}
-	}
-	// Group records per locator hash.
-	byLoc := make(map[uint64][]*corpus.Ad)
-	for i := range ads {
-		loc, ok := mapping[ads[i].SetKey()]
-		if !ok {
-			loc = ads[i].Words
-		}
-		h := core.WordHash(loc)
-		byLoc[h] = append(byLoc[h], &ads[i])
+		nodes:         make(map[uint64]*nodeLayout, base.NumNodes()),
 	}
 	// Hash table sizing: next power of two above nodes * 4/3.
 	l.numSlots = 1
-	for l.numSlots < uint64(len(byLoc))*4/3+1 {
+	for l.numSlots < uint64(base.NumNodes())*4/3+1 {
 		l.numSlots <<= 1
 	}
 	l.TableBytes = l.numSlots * l.slotBytes
 	l.arenaBase = l.tableBase + l.TableBytes + (1 << 20)
 
-	// Lay out nodes in hash order (deterministic build order).
-	hashes := make([]uint64, 0, len(byLoc))
-	for h := range byLoc {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
 	addr := l.arenaBase
-	for _, h := range hashes {
-		records := byLoc[h]
-		sort.Slice(records, func(i, j int) bool {
-			li, lj := len(records[i].Words), len(records[j].Words)
-			if li != lj {
-				return li < lj
-			}
-			return records[i].ID < records[j].ID
-		})
+	base.Nodes(func(h uint64, records []corpus.Ad) {
 		nl := &nodeLayout{addr: addr}
 		end := 0
-		for _, r := range records {
-			end += r.Size()
-			nl.recLens = append(nl.recLens, len(r.Words))
+		for i := range records {
+			end += records[i].Size()
+			nl.recLens = append(nl.recLens, len(records[i].Words))
 			nl.recEnd = append(nl.recEnd, end)
 		}
 		l.nodes[h] = nl
 		addr += uint64(end)
-	}
+	})
 	l.ArenaBytes = addr - l.arenaBase
 	return l
 }
@@ -115,7 +85,7 @@ func (l *IndexLayout) NumNodes() int { return len(l.nodes) }
 // broad-match query: every subset probe touches its hash slot; hits scan
 // the node up to the early-termination point.
 func (l *IndexLayout) ReplayQuery(sim *Simulator, queryWords []string) {
-	q := l.prepareQuery(queryWords)
+	q, _ := core.PrepareQuery(nil, queryWords, l.df, l.maxQueryWords)
 	if len(q) == 0 {
 		return
 	}
@@ -159,24 +129,4 @@ func (l *IndexLayout) scanNode(sim *Simulator, n *nodeLayout, qlen int) {
 	}
 	// Loop fell off the end of the node.
 	sim.Branch(siteScanContinue, false)
-}
-
-func (l *IndexLayout) prepareQuery(queryWords []string) []string {
-	q := make([]string, 0, len(queryWords))
-	for _, w := range queryWords {
-		if l.df[w] > 0 {
-			q = append(q, w)
-		}
-	}
-	if len(q) > l.maxQueryWords {
-		sort.SliceStable(q, func(i, j int) bool {
-			di, dj := l.df[q[i]], l.df[q[j]]
-			if di != dj {
-				return di < dj
-			}
-			return q[i] < q[j]
-		})
-		q = textnorm.CanonicalSet(q[:l.maxQueryWords])
-	}
-	return q
 }

@@ -21,8 +21,8 @@ import (
 // servers, queried through the routed client, as `adserve -elastic`
 // wires them) takes closed-loop query load while the cluster splits,
 // migrates and merges underneath it. No query may fail, and the p99 of
-// the queries that started inside a handoff (snapshot stream, staging
-// load of both sides, catch-up, cutover, client refresh-and-retry) must
+// the queries that started inside a handoff (begin, staging load of both
+// sides, catch-up, cutover, client refresh-and-retry) must
 // stay within 2x the p99 of the steady windows measured just before each
 // handoff. After each handoff every shard holds exactly its own slots.
 //

@@ -323,7 +323,7 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			return fail("compressed", "Snapshot(%d): %v", r.cfg.SuffixBits, err)
 		}
 		for _, q := range op.Queries {
-			got, err := snap.BroadMatch(q)
+			got, err := snap.BroadMatch(q, nil)
 			if err != nil {
 				return fail("compressed", "BroadMatch(%q): %v", q, err)
 			}

@@ -16,10 +16,10 @@
 package treeindex
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
+	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
@@ -36,29 +36,13 @@ func byID(a, b *corpus.Ad) int {
 	return 0
 }
 
-// Options configures the tree index.
-type Options struct {
-	// MaxWords bounds locator length, mirroring core.Options: longer
-	// phrases are re-mapped onto shorter locator paths. Default 10.
-	MaxWords int
-}
-
-func (o *Options) fillDefaults() {
-	if o.MaxWords == 0 {
-		o.MaxWords = 10
-	}
-}
-
-// Index is the trie-based broad-match index. It is not safe for
-// concurrent mutation.
+// Index is the trie-based broad-match index, a read-only view of the core
+// index it was built from.
 type Index struct {
-	opts   Options
-	root   *trieNode
-	df     map[string]int
-	numAds int
-	// locOf maps each distinct word-set key to its locator key, exactly
-	// as in the hash-based index (condition IV grouping).
-	locOf map[string]string
+	root          *trieNode
+	df            map[string]int
+	maxQueryWords int
+	numAds        int
 }
 
 type trieNode struct {
@@ -67,180 +51,58 @@ type trieNode struct {
 	// children are ordered by word, enabling merge-style descent against
 	// the sorted query.
 	children []*trieNode
-	// records holds the ads mapped to the locator ending here, ordered
-	// by word count for early termination.
+	// records holds the ads mapped to the locator ending here, in core's
+	// node order (word count first, for early termination).
 	records []corpus.Ad
 	bytes   int
 }
 
-// New builds a tree index with the default placement (long phrases
-// re-mapped to their MaxWords rarest words, as in core.New).
-func New(ads []corpus.Ad, opts Options) *Index {
-	opts.fillDefaults()
-	ix := &Index{opts: opts, root: &trieNode{}, df: make(map[string]int), locOf: make(map[string]string)}
-	for i := range ads {
-		for _, w := range ads[i].Words {
-			ix.df[w]++
+// New reads a tree index off a built core index: each word set's locator
+// (base.Mapping) becomes a trie path, and the node at its end holds the
+// set's records as base's data node holds them. Queries are prepared with
+// base's vocabulary and MaxQueryWords, so the tree answers as base does.
+// The tree copies the records but shares base's word statistics: it is
+// valid until base's next Insert or Delete.
+func New(base *core.Index) *Index {
+	ix := &Index{
+		root:          &trieNode{},
+		df:            base.DocFreqs(),
+		maxQueryWords: base.Options().MaxQueryWords,
+		numAds:        base.NumAds(),
+	}
+	mapping := base.Mapping()
+	base.Nodes(func(_ uint64, records []corpus.Ad) {
+		// A node holds one locator's sets, or more than one only where
+		// locators collide under WordHash: each run of records with one
+		// locator goes to that locator's trie node.
+		for lo := 0; lo < len(records); {
+			loc := mapping[records[lo].SetKey()]
+			hi := lo + 1
+			for hi < len(records) && slices.Equal(mapping[records[hi].SetKey()], loc) {
+				hi++
+			}
+			n := ix.root
+			for _, w := range loc {
+				n = n.child(w)
+			}
+			n.records = append(n.records, records[lo:hi]...)
+			for i := lo; i < hi; i++ {
+				n.bytes += records[i].Size()
+			}
+			lo = hi
 		}
-	}
-	for i := range ads {
-		ix.place(ads[i], nil)
-	}
+	})
 	return ix
-}
-
-// NewWithMapping builds a tree index under an explicit mapping (word-set
-// key -> locator), validating the same conditions as core.NewWithMapping.
-func NewWithMapping(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, error) {
-	opts.fillDefaults()
-	ix := &Index{opts: opts, root: &trieNode{}, df: make(map[string]int), locOf: make(map[string]string)}
-	for i := range ads {
-		for _, w := range ads[i].Words {
-			ix.df[w]++
-		}
-	}
-	for i := range ads {
-		key := ads[i].SetKey()
-		loc, ok := mapping[key]
-		if !ok {
-			ix.place(ads[i], nil)
-			continue
-		}
-		if len(loc) == 0 || len(loc) > ix.opts.MaxWords {
-			return nil, fmt.Errorf("treeindex: invalid locator %v for %q", loc, key)
-		}
-		if !textnorm.IsSubset(loc, ads[i].Words) {
-			return nil, fmt.Errorf("treeindex: locator %v not a subset of %v", loc, ads[i].Words)
-		}
-		ix.place(ads[i], loc)
-	}
-	return ix, nil
 }
 
 // NumAds returns the number of indexed ads.
 func (ix *Index) NumAds() int { return ix.numAds }
 
-// Insert adds an advertisement online, placing it by the same local
-// heuristic as New.
-func (ix *Index) Insert(ad corpus.Ad) {
-	for _, w := range ad.Words {
-		ix.df[w]++
-	}
-	ix.place(ad, nil)
-}
-
-// Delete removes the ad with the given ID and phrase, reporting whether
-// it was found. Empty trie nodes along the locator path are pruned.
-func (ix *Index) Delete(id uint64, phrase string) bool {
-	words := textnorm.WordSet(phrase)
-	key := textnorm.SetKey(words)
-	locKey, ok := ix.locOf[key]
-	if !ok {
-		return false
-	}
-	loc := textnorm.SplitKey(locKey)
-	// Walk down, remembering the path for pruning.
-	path := make([]*trieNode, 0, len(loc)+1)
-	path = append(path, ix.root)
-	n := ix.root
-	for _, w := range loc {
-		n = n.child(w, false)
-		if n == nil {
-			return false
-		}
-		path = append(path, n)
-	}
-	if !n.removeRecord(id, key) {
-		return false
-	}
-	ix.numAds--
-	for _, w := range words {
-		if ix.df[w]--; ix.df[w] == 0 {
-			delete(ix.df, w)
-		}
-	}
-	// Drop locOf if this was the set's last record anywhere in its node.
-	still := false
-	for i := range n.records {
-		if n.records[i].SetKey() == key {
-			still = true
-			break
-		}
-	}
-	if !still {
-		delete(ix.locOf, key)
-	}
-	// Prune empty leaves bottom-up.
-	for d := len(path) - 1; d > 0; d-- {
-		node := path[d]
-		if len(node.records) > 0 || len(node.children) > 0 {
-			break
-		}
-		path[d-1].removeChild(node.word)
-	}
-	return true
-}
-
-func (n *trieNode) removeRecord(id uint64, key string) bool {
-	for i := range n.records {
-		if n.records[i].ID == id && n.records[i].SetKey() == key {
-			n.bytes -= n.records[i].Size()
-			n.records = append(n.records[:i], n.records[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-func (n *trieNode) removeChild(word string) {
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].word >= word })
-	if i < len(n.children) && n.children[i].word == word {
-		n.children = append(n.children[:i], n.children[i+1:]...)
-	}
-}
-
-func (ix *Index) place(ad corpus.Ad, loc []string) {
-	key := ad.SetKey()
-	if locKey, ok := ix.locOf[key]; ok {
-		loc = textnorm.SplitKey(locKey)
-	} else {
-		if loc == nil {
-			loc = ix.chooseLocator(ad.Words)
-		}
-		ix.locOf[key] = textnorm.SetKey(loc)
-	}
-	n := ix.root
-	for _, w := range loc {
-		n = n.child(w, true)
-	}
-	n.insert(ad)
-	ix.numAds++
-}
-
-func (ix *Index) chooseLocator(words []string) []string {
-	if len(words) <= ix.opts.MaxWords {
-		return words
-	}
-	byRarity := make([]string, len(words))
-	copy(byRarity, words)
-	sort.SliceStable(byRarity, func(i, j int) bool {
-		di, dj := ix.df[byRarity[i]], ix.df[byRarity[j]]
-		if di != dj {
-			return di < dj
-		}
-		return byRarity[i] < byRarity[j]
-	})
-	return textnorm.CanonicalSet(byRarity[:ix.opts.MaxWords])
-}
-
-// child returns the child labelled w, creating it when create is set.
-func (n *trieNode) child(w string, create bool) *trieNode {
+// child returns the child labelled w, creating it if absent.
+func (n *trieNode) child(w string) *trieNode {
 	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].word >= w })
 	if i < len(n.children) && n.children[i].word == w {
 		return n.children[i]
-	}
-	if !create {
-		return nil
 	}
 	c := &trieNode{word: w}
 	n.children = append(n.children, nil)
@@ -249,35 +111,12 @@ func (n *trieNode) child(w string, create bool) *trieNode {
 	return c
 }
 
-func (n *trieNode) insert(ad corpus.Ad) {
-	i := sort.Search(len(n.records), func(i int) bool {
-		ri := &n.records[i]
-		if len(ri.Words) != len(ad.Words) {
-			return len(ri.Words) > len(ad.Words)
-		}
-		ki, ka := ri.SetKey(), ad.SetKey()
-		if ki != ka {
-			return ki > ka
-		}
-		return ri.ID >= ad.ID
-	})
-	n.records = append(n.records, corpus.Ad{})
-	copy(n.records[i+1:], n.records[i:])
-	n.records[i] = ad
-	n.bytes += ad.Size()
-}
-
 // BroadMatch returns all ads broad-matching the canonical query word set,
 // ordered by ID. Traversal descends only into trie paths that exist:
 // at each node, the sorted children are merged against the remaining
 // query words.
 func (ix *Index) BroadMatch(queryWords []string, counters *costmodel.Counters) []*corpus.Ad {
-	q := make([]string, 0, len(queryWords))
-	for _, w := range queryWords {
-		if ix.df[w] > 0 {
-			q = append(q, w)
-		}
-	}
+	q, _ := core.PrepareQuery(nil, queryWords, ix.df, ix.maxQueryWords)
 	if counters != nil {
 		counters.Queries++
 	}

@@ -33,7 +33,7 @@ func ids(ads []*corpus.Ad) []uint64 {
 
 func TestBasicBroadMatch(t *testing.T) {
 	ads := mustAds("used books", "comic books", "cheap books", "talk talk")
-	ix := New(ads, Options{})
+	ix := New(core.New(ads, core.Options{}))
 	got := ids(ix.BroadMatchText("cheap used books", nil))
 	if !reflect.DeepEqual(got, []uint64{1, 3}) {
 		t.Errorf("got %v, want [1 3]", got)
@@ -52,7 +52,7 @@ func TestBasicBroadMatch(t *testing.T) {
 func TestEquivalenceWithCore(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 3000, Seed: 81})
 	hash := core.New(c.Ads, core.Options{MaxQueryWords: 64})
-	tree := New(c.Ads, Options{})
+	tree := New(hash)
 	vocab := c.Vocabulary()
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 300; trial++ {
@@ -83,15 +83,12 @@ func TestEquivalenceUnderMapping(t *testing.T) {
 	gs := optimize.BuildGroups(c.Ads, wl)
 	res := optimize.Optimize(gs, optimize.Options{})
 	// The trie needs no long-query cutoff (existing-path pruning bounds
-	// its work naturally), so compare against an uncut hash index.
+	// its work naturally), so it is read off an uncut hash index.
 	hash, err := core.NewWithMapping(c.Ads, res.Mapping, core.Options{MaxQueryWords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := NewWithMapping(c.Ads, res.Mapping, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := New(hash)
 	for qi := range wl.Queries {
 		q := wl.Queries[qi].Words
 		a := ids(hash.BroadMatch(q, nil))
@@ -105,26 +102,12 @@ func TestEquivalenceUnderMapping(t *testing.T) {
 	}
 }
 
-func TestNewWithMappingValidation(t *testing.T) {
-	ads := mustAds("a b c")
-	key := textnorm.SetKey([]string{"a", "b", "c"})
-	if _, err := NewWithMapping(ads, map[string][]string{key: {"z"}}, Options{}); err == nil {
-		t.Error("non-subset locator accepted")
-	}
-	if _, err := NewWithMapping(ads, map[string][]string{key: {}}, Options{}); err == nil {
-		t.Error("empty locator accepted")
-	}
-	if _, err := NewWithMapping(ads, map[string][]string{key: {"a", "b", "c"}}, Options{MaxWords: 2}); err == nil {
-		t.Error("over-long locator accepted")
-	}
-}
-
 // The trie's key property: for long queries, the traversal visits only
 // existing paths, far below the hash structure's probe bound.
 func TestLongQueryPruning(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 5000, Seed: 85})
-	tree := New(c.Ads, Options{})
 	hash := core.New(c.Ads, core.Options{MaxWords: 10, MaxQueryWords: 20})
+	tree := New(hash)
 
 	// A 20-word query built from corpus vocabulary.
 	vocab := c.Vocabulary()
@@ -149,7 +132,7 @@ func TestLongQueryPruning(t *testing.T) {
 
 func TestLongPhraseRemapped(t *testing.T) {
 	long := "alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima"
-	ix := New(mustAds(long), Options{MaxWords: 4})
+	ix := New(core.New(mustAds(long), core.Options{MaxWords: 4}))
 	got := ids(ix.BroadMatchText(long+" more words", nil))
 	if !reflect.DeepEqual(got, []uint64{1}) {
 		t.Errorf("long phrase lost after re-mapping: %v", got)
@@ -161,7 +144,7 @@ func TestLongPhraseRemapped(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	ads := mustAds("a", "a b", "a b", "c")
-	ix := New(ads, Options{})
+	ix := New(core.New(ads, core.Options{}))
 	s := ix.Stats()
 	if s.NumAds != 4 {
 		t.Errorf("NumAds = %d", s.NumAds)
@@ -182,7 +165,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestChildOrderDeterministic(t *testing.T) {
-	ix := New(mustAds("zeta", "alpha", "mike"), Options{})
+	ix := New(core.New(mustAds("zeta", "alpha", "mike"), core.Options{}))
 	words := make([]string, 0, 3)
 	for _, c := range ix.root.children {
 		words = append(words, c.word)
@@ -210,7 +193,7 @@ func TestTreeQuick(t *testing.T) {
 			}
 			ads[i] = corpus.NewAd(uint64(i+1), phrase, corpus.Meta{})
 		}
-		ix := New(ads, Options{MaxWords: 2})
+		ix := New(core.New(ads, core.Options{MaxWords: 2}))
 		for trial := 0; trial < 10; trial++ {
 			var q []string
 			for j := 0; j <= rng.Intn(4); j++ {

@@ -38,56 +38,3 @@ func TestGenerateAdsDeterministic(t *testing.T) {
 		t.Fatalf("len = %d", len(a))
 	}
 }
-
-func TestCompressedExactPhraseMatch(t *testing.T) {
-	ix := Build([]Ad{
-		NewAd(1, "used books", Meta{}),
-		NewAd(2, "books used", Meta{}),
-		NewAd(3, "cheap used books", Meta{}),
-	}, Options{})
-	snap, err := ix.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := snap.ExactMatch("used books")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(idsOf(exact), []uint64{1}) {
-		t.Errorf("ExactMatch = %v", idsOf(exact))
-	}
-	phrase, err := snap.PhraseMatch("buy used books today")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(idsOf(phrase), []uint64{1}) {
-		t.Errorf("PhraseMatch = %v", idsOf(phrase))
-	}
-	// Compressed match types agree with the live index across a corpus.
-	ads := GenerateAds(800, 9)
-	live := Build(ads, Options{})
-	snap2, err := live.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		q := ads[i*7%len(ads)].Phrase
-		wantE := idsOf(live.ExactMatch(q))
-		gotE, err := snap2.ExactMatch(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(idsOf(gotE), wantE) {
-			t.Fatalf("exact diverged on %q: %v vs %v", q, idsOf(gotE), wantE)
-		}
-		long := "extra " + q + " words"
-		wantP := idsOf(live.PhraseMatch(long))
-		gotP, err := snap2.PhraseMatch(long)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(idsOf(gotP), wantP) {
-			t.Fatalf("phrase diverged on %q: %v vs %v", long, idsOf(gotP), wantP)
-		}
-	}
-}
