@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adindex/internal/adapt"
 	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
@@ -16,6 +15,7 @@ import (
 	"adindex/internal/optimize"
 	"adindex/internal/rewrite"
 	"adindex/internal/textnorm"
+	"adindex/internal/workload"
 )
 
 // Ad is one advertisement: a bid phrase plus advertiser metadata.
@@ -72,10 +72,6 @@ type Options struct {
 	// synonym-class expansion, under a per-query budget. Nil disables
 	// rewriting; exact matching is unaffected either way.
 	Rewrite *RewriteOptions
-	// Adapt configures the continuous adaptation control loop (AdaptRound
-	// / StartAdapt). Nil uses defaults when the loop is invoked; the loop
-	// never runs unless explicitly started.
-	Adapt *AdaptOptions
 }
 
 // DefaultMaxObservedQueries is the default Options.MaxObservedQueries.
@@ -149,16 +145,14 @@ type Index struct {
 	foldNanos  atomic.Int64
 	buildNanos atomic.Int64
 
-	// remapEpoch counts placement changes (Optimize, ApplyMapping,
-	// ApplyPlacement) — the staleness guard of the adaptation loop.
-	remapEpoch atomic.Uint64
-	// attr accumulates per-query cost attribution (RecordQueryCost) for
-	// cost-model recalibration.
-	attr core.CostAttribution
-	// adaptCtl is the lazily-built continuous-adaptation controller;
-	// adaptMu guards its construction and lifecycle.
-	adaptMu  sync.Mutex
-	adaptCtl *adapt.Controller
+	// remaps counts installed re-mappings (Optimize, ApplyMapping and
+	// adaptation ticks).
+	remaps atomic.Uint64
+	// adaptStop and adaptDone run the StartAdapt loop, guarded by adaptMu;
+	// adaptSeen is the sampler's occurrence count at the last tick.
+	adaptMu              sync.Mutex
+	adaptStop, adaptDone chan struct{}
+	adaptSeen            atomic.Uint64
 
 	// optimizeRebuildHook, when set, is invoked (without ix.mu held)
 	// immediately before each Optimize rebuild attempt — after the fold
@@ -200,8 +194,8 @@ func (ix *Index) PersistErr() error {
 }
 
 // Epoch returns the index mutation epoch: a counter bumped by every
-// Insert, Delete (found or not), Optimize, ApplyMapping and applied
-// adaptation round; a fold republishes under the epoch it found. It names a
+// Insert, Delete (found or not), Optimize, ApplyMapping and installing
+// adaptation tick; a fold republishes under the epoch it found. It names a
 // published state — WAL recovery reproduces it record by record — and says
 // nothing about which answers changed: most epochs leave most answers as
 // they were. A result cache stamps an entry with the epoch of the View
@@ -284,6 +278,10 @@ func (ix *Index) BuildSeconds() float64 {
 func (ix *Index) FoldStats() (folds uint64, seconds float64) {
 	return ix.folds.Load(), time.Duration(ix.foldNanos.Load()).Seconds()
 }
+
+// Remaps returns how many re-mappings the index has installed: by
+// Optimize, ApplyMapping, or an adaptation tick that found a gain.
+func (ix *Index) Remaps() uint64 { return ix.remaps.Load() }
 
 // New returns an empty index.
 func New(opts Options) *Index {
@@ -496,18 +494,15 @@ func (ix *Index) Optimize() (OptimizeReport, error) {
 	wl := ix.observed.Workload()
 	report := OptimizeReport{DistinctQueries: len(wl.Queries)}
 	var res *optimize.Result
-	installed, attempts, churned, err := ix.remap(maxOptimizeAttempts, nil,
+	installed, attempts, churned, err := ix.remap(maxOptimizeAttempts,
 		func(attempt int, base *core.Index, ads []corpus.Ad) map[string][]string {
 			// On retries the mapping computed on attempt 1 is reused
 			// against the live corpus: word sets inserted since then are
 			// unknown to it and fall back to default placement until the
 			// next Optimize.
 			if attempt == 1 {
-				gs := optimize.BuildGroups(ads, wl)
-				opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.opts.model()}
-				res = optimize.Optimize(gs, opts)
+				res, report.ModeledCostBefore = ix.plan(base, ads, wl)
 				report.NodesBefore = base.NumNodes()
-				report.ModeledCostBefore = optimize.EvaluateMapping(gs, base.Mapping(), opts)
 				report.ModeledCostAfter = res.ModeledCost
 			}
 			return res.Mapping
@@ -527,8 +522,17 @@ func (ix *Index) Optimize() (OptimizeReport, error) {
 	return report, nil
 }
 
-// remap is the one rebuild-and-swap behind Optimize, ApplyPlacement and
-// ApplyMapping. Each attempt folds the pending overlay under the writer
+// plan is the one planner, run by Optimize and by the adaptation tick: it
+// solves the placement of ads, base's corpus, for the workload sample wl
+// and prices base's own mapping against the same sample (before).
+func (ix *Index) plan(base *core.Index, ads []corpus.Ad, wl *workload.Workload) (res *optimize.Result, before float64) {
+	gs := optimize.BuildGroups(ads, wl)
+	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.opts.model()}
+	return optimize.Optimize(gs, opts), optimize.EvaluateMapping(gs, base.Mapping(), opts)
+}
+
+// remap is the one rebuild-and-swap behind Optimize, ApplyMapping and the
+// adaptation tick. Each attempt folds the pending overlay under the writer
 // lock (an equivalent-results layout change, republished under the epoch
 // it found), asks plan for the mapping of the folded base, and rebuilds
 // under it outside the lock. The rebuilt base is swapped in if the base it
@@ -537,28 +541,20 @@ func (ix *Index) Optimize() (OptimizeReport, error) {
 // and delta are layout-independent), so only a concurrent fold (≥
 // MaxDeltaAds mutations during the rebuild) costs another attempt.
 //
-// ifEpoch, when non-nil, is the remap epoch the caller planned against: it
-// is checked before the fold and again before the swap, and a mismatch
-// ends the call with nothing installed. An install bumps remapEpoch and,
-// on a durable index, persists the placement as a full snapshot inside the
-// swap's critical section — layout changes are not WAL-logged (the WAL
-// holds logical mutations only). Mutators stall for that write; queries
-// stay lock-free.
+// An install bumps the remap count and, on a durable index, persists the
+// placement as a full snapshot inside the swap's critical section — layout
+// changes are not WAL-logged (the WAL holds logical mutations only).
+// Mutators stall for that write; queries stay lock-free.
 //
-// installed is nil when the guard went stale or churn folded the base on
-// every attempt. churned reports a retry, or a mutation between the first
-// fold and the swap: what plan saw was not exactly what was installed.
-func (ix *Index) remap(maxAttempts int, ifEpoch *uint64,
+// installed is nil when churn folded the base on every attempt. churned
+// reports a retry, or a mutation between the first fold and the swap: what
+// plan saw was not exactly what was installed.
+func (ix *Index) remap(maxAttempts int,
 	plan func(attempt int, base *core.Index, ads []corpus.Ad) map[string][]string,
 ) (installed *core.Index, attempts int, churned bool, err error) {
-	stale := func() bool { return ifEpoch != nil && ix.remapEpoch.Load() != *ifEpoch }
 	var startEpoch uint64
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		ix.mu.Lock()
-		if stale() {
-			ix.mu.Unlock()
-			return nil, attempt, true, nil
-		}
 		s := ix.foldLocked()
 		ix.mu.Unlock()
 		if attempt == 1 {
@@ -576,16 +572,12 @@ func (ix *Index) remap(maxAttempts int, ifEpoch *uint64,
 		}
 
 		ix.mu.Lock()
-		if stale() {
-			ix.mu.Unlock()
-			return nil, attempt, true, nil
-		}
 		if cur := ix.snap.Load(); cur.base == s.base {
 			ix.publish(&snapshot{
 				base: rebuilt, delta: cur.delta, deltaSigs: cur.deltaSigs,
 				tombs: cur.tombs, deleted: cur.deleted, epoch: cur.epoch + 1,
 			})
-			ix.remapEpoch.Add(1)
+			ix.remaps.Add(1)
 			ix.snapshotIfDurableLocked()
 			ix.mu.Unlock()
 			return rebuilt, attempt, attempt > 1 || cur.epoch != startEpoch, nil
@@ -626,7 +618,7 @@ func (ix *Index) ApplyMapping(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	installed, _, _, err := ix.remap(maxOptimizeAttempts, nil, fixedPlan(mapping))
+	installed, _, _, err := ix.remap(maxOptimizeAttempts, fixedPlan(mapping))
 	if err == nil && installed == nil {
 		err = errors.New("adindex: ApplyMapping: concurrent mutations folded the base under every rebuild")
 	}

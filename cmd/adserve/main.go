@@ -111,11 +111,10 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&f.requestTimeout, "request-timeout", server.DefaultRequestTimeout,
 		"per-request deadline covering admission-queue wait and execution")
 
-	// Continuous adaptation (local index): a background control loop that
-	// re-maps the most misplaced word sets each round instead of
-	// stop-the-world /optimize calls (see DESIGN.md §5.10).
+	// Periodic re-optimization (local index): /optimize on a timer (see
+	// DESIGN.md §5.10).
 	fs.DurationVar(&f.adaptInterval, "adapt-interval", 0,
-		"continuous adaptation: background re-mapping round period; also enables per-query cost tracking and live cost-model recalibration (0 disables; local index only)")
+		"periodic re-optimization: every interval in which queries arrived, re-plan the layout as /optimize does and install it if it lowers modeled cost (0 disables; local index only)")
 
 	// Overload armor: per-query cost budgets, adaptive load shedding, and
 	// the poison-query quarantine (see DESIGN.md §5.9).
@@ -286,14 +285,14 @@ var why = map[flagMode]string{
 	{"rewrite", modeElastic}:        "rewrite runs on a local index",
 	{"synonyms", modeElastic}:       "rewrite runs on a local index",
 	{"tcp-index", modeElastic}:      "shard positions already serve the TCP index protocol",
-	{"adapt-interval", modeElastic}: "the cluster re-maps via the offline export/optimize path",
+	{"adapt-interval", modeElastic}: "re-optimization re-maps a local index; cluster shards sample no workload",
 	{"query-budget", modeElastic}:   "cluster shards match without a cost budget, so the bound would be dropped",
 	{"mapping", modeElastic}:        "a mapping file describes one index, not a cluster's shards",
 
 	{"data-dir", modeShards}:       "a remote front-end holds no local index state",
 	{"rewrite", modeShards}:        "rewrite runs on a local index",
 	{"synonyms", modeShards}:       "rewrite runs on a local index",
-	{"adapt-interval", modeShards}: "adaptation needs a local index; a remote front-end holds none",
+	{"adapt-interval", modeShards}: "re-optimization re-maps a local index; a remote front-end holds none",
 	{"query-budget", modeShards}:   "the budget is enforced where the index is: set it on the -tcp-index backends",
 	{"mapping", modeShards}:        "a remote front-end holds no index to re-map",
 	{"tcp-index", modeShards}:      "a remote front-end holds no index to serve",
@@ -372,9 +371,6 @@ func loadCorpus(path string) []adindex.Ad {
 // the synonym table when one is named.
 func indexOptions(f *flags) adindex.Options {
 	opts := adindex.Options{MaxWords: f.maxWords}
-	if f.adaptInterval > 0 {
-		opts.Adapt = &adindex.AdaptOptions{Interval: f.adaptInterval, Calibrate: true}
-	}
 	if f.rewrite || f.synonyms != "" {
 		opts.Rewrite = &adindex.RewriteOptions{}
 		if f.synonyms != "" {
@@ -400,7 +396,7 @@ func indexOptions(f *flags) adindex.Options {
 // runLocal serves a local index, in memory or (-data-dir) durable: bind
 // the port first — so /healthz answers and /readyz reports "recovering"
 // during a long build or WAL replay —, build or recover the index, apply
-// the offline mapping, install the index, start adaptation and the TCP
+// the offline mapping, install the index, start re-optimization and the TCP
 // protocol servers, and serve until SIGTERM, after which the drain
 // flushes the WAL before exit.
 func runLocal(f *flags, cfg server.Config) {
@@ -447,10 +443,10 @@ func runLocal(f *flags, cfg server.Config) {
 		st.NumAds, st.NumNodes, st.DistinctSets, int(ix.BuildSeconds()*1000))
 	srv.InstallIndex(ix, report)
 
-	if opts.Adapt != nil {
-		ix.StartAdapt()
-		defer ix.StopAdapt()
-		log.Printf("continuous adaptation: round every %v", f.adaptInterval)
+	if f.adaptInterval > 0 {
+		// Close stops the loop before it closes the store.
+		ix.StartAdapt(f.adaptInterval)
+		log.Printf("periodic re-optimization every %v", f.adaptInterval)
 	}
 	if f.tcpIndex != "" {
 		ts, err := multiserver.NewIndexServer(f.tcpIndex, multiserver.ServeOpts{}, indexBackend{ix, f.queryBudget})

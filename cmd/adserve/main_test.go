@@ -431,8 +431,8 @@ func TestSettableValues(t *testing.T) {
 		fields += n
 	}
 	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, fields, flags+fields)
-	if flags != 24 || fields != 42 {
-		t.Errorf("%d flags and %d option fields, want 24 and 42", flags, fields)
+	if flags != 24 || fields != 39 {
+		t.Errorf("%d flags and %d option fields, want 24 and 39", flags, fields)
 	}
 }
 

@@ -33,7 +33,8 @@
 // nodes keyed by subsets of their word sets so that co-accessed nodes merge
 // — the minimum-expected-latency layout is a weighted set cover, solved
 // greedily under a random-vs-sequential memory cost model. Re-mapping
-// never changes query results.
+// never changes query results. StartAdapt runs the same planner on a timer
+// and installs its layout only when it lowers modeled cost.
 //
 // # Compression
 //

@@ -129,8 +129,7 @@ const (
 // refinement (Section V-B cites Hassin–Levin for improving on plain
 // greedy): greedy's element-ratio rule leaves subset groups in cheap
 // singleton nodes even when joining an ancestor's open node is globally
-// cheaper, and a step prices exactly that move. The adaptation round
-// (Placement.Step) is one such step from the live mapping.
+// cheaper, and a step prices exactly that move.
 //
 // Groups outside the instance, or that no chosen set holds, fall back to
 // their own word sets or, when too long, synthetic locators — the

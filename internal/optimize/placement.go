@@ -1,17 +1,12 @@
 package optimize
 
-import (
-	"adindex/internal/setcover"
-	"adindex/internal/textnorm"
-)
+import "adindex/internal/setcover"
 
 // This file bridges the group statistics to the placement form of set
-// cover (setcover.Placement), the one instance both Optimize and the
-// continuous adaptation loop solve: elements are movable groups, candidate
-// sets are admissible locators, Open is the locator's random-access term
-// and Member is the Equation (2) scan term. Optimize solves it from
-// nothing (batch greedy, then refinement steps); an adaptation round
-// (Step) runs one bounded step from the live mapping.
+// cover (setcover.Placement), the instance Optimize solves: elements are
+// movable groups, candidate sets are admissible locators, Open is the
+// locator's random-access term and Member is the Equation (2) scan term.
+// Optimize solves it from nothing: batch greedy, then refinement steps.
 
 // Placement couples a setcover placement instance with the indexing
 // needed to translate between element assignments and word-set mappings.
@@ -144,33 +139,6 @@ func BuildPlacement(gs *Groups, opts Options) (*Placement, error) {
 // NumMovable returns the number of elements (movable groups).
 func (p *Placement) NumMovable() int { return len(p.elemGroup) }
 
-// AssignmentFromMapping converts a live mapping (set key → locator
-// words, as returned by core.Index.Mapping) into an element assignment.
-// An element whose current locator is not an admissible candidate set
-// holding it — a synthetic fallback locator, a cold merge inherited from
-// an older workload, or a locator evicted from the sample — becomes
-// unassigned (-1), which the incremental step always re-solves first.
-func (p *Placement) AssignmentFromMapping(mapping map[string][]string) []int {
-	assign := make([]int, len(p.elemGroup))
-	for e, g := range p.elemGroup {
-		assign[e] = -1
-		loc, ok := mapping[p.gs.All[g].Key]
-		if !ok {
-			continue
-		}
-		li, ok := p.gs.ByKey[textnorm.SetKey(loc)]
-		if !ok {
-			continue
-		}
-		s := p.groupSet[li]
-		if s < 0 || !p.PC.Holds(s, e) {
-			continue
-		}
-		assign[e] = s
-	}
-	return assign
-}
-
 // MappingFromAssignment produces a complete mapping: assigned elements
 // map to their set's locator words, unassigned elements and excluded
 // groups fall back to their own words, or a synthetic locator when too
@@ -187,30 +155,4 @@ func (p *Placement) MappingFromAssignment(assign []int) map[string][]string {
 		mapping[p.gs.All[g].Key] = loc
 	}
 	return mapping
-}
-
-// Step runs one bounded incremental greedy step against the live
-// mapping: translate to an assignment, re-solve the top-k most-misplaced
-// elements, translate back. moved is the number of groups whose locator
-// changed; costBefore/costAfter are full Cost_Node evaluations of the
-// input and output mappings (comparable with OptimizeReport's modeled
-// costs). The decomposed-cost guard inside the setcover step plus the
-// evaluation guard here make an applied step non-regressing under both
-// accountings.
-func (p *Placement) Step(mapping map[string][]string, k int) (out map[string][]string, moved int, costBefore, costAfter float64) {
-	costBefore, _ = evaluateNodeCost(p.gs, mapping, p.opts)
-	assign := p.AssignmentFromMapping(mapping)
-	next, moved := p.PC.IncrementalStep(assign, k)
-	if moved == 0 {
-		return mapping, 0, costBefore, costBefore
-	}
-	out = p.MappingFromAssignment(next)
-	costAfter, _ = evaluateNodeCost(p.gs, out, p.opts)
-	if costAfter > costBefore {
-		// The decomposed guard passed but the full evaluation (which
-		// prices fallback nodes the instance excludes) disagrees; keep
-		// the current mapping.
-		return mapping, 0, costBefore, costBefore
-	}
-	return out, moved, costBefore, costAfter
 }

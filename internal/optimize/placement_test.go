@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/textnorm"
 	"adindex/internal/workload"
@@ -46,74 +45,6 @@ func TestPlacementIncrementalEqualsBatchOnCorpora(t *testing.T) {
 		if c1, c2 := p.PC.Cost(step), p.PC.Cost(again); c2 > c1*(1+1e-9) {
 			t.Fatalf("seed %d: fixed-point step regressed cost %.1f -> %.1f (moved %d)", seed, c1, c2, moved)
 		}
-	}
-}
-
-// TestPlacementStepMonotoneAndValid drives bounded incremental steps from
-// identity placement: every applied round must not increase the full
-// Cost_Node evaluation, and every intermediate mapping must be valid and
-// result-preserving.
-func TestPlacementStepMonotoneAndValid(t *testing.T) {
-	p, gs, ads := buildTestPlacement(t, 51, 151, 1200, 800)
-	opts := Options{MaxWords: 10}
-	mapping := IdentityMapping(gs, opts).Mapping
-	base := core.New(ads, core.Options{})
-	queries := make([][]string, 0, 64)
-	for i := range gs.All {
-		if i%7 == 0 {
-			queries = append(queries, gs.All[i].Words)
-		}
-	}
-
-	prev := EvaluateMapping(gs, mapping, opts)
-	totalMoved := 0
-	for round := 0; round < 12; round++ {
-		next, moved, costBefore, costAfter := p.Step(mapping, 16)
-		if costBefore > prev*(1+1e-9) || costAfter > costBefore*(1+1e-9) {
-			t.Fatalf("round %d: cost regressed: prev %.1f before %.1f after %.1f", round, prev, costBefore, costAfter)
-		}
-		totalMoved += moved
-		mapping, prev = next, costAfter
-
-		ix, err := core.NewWithMapping(ads, mapping, core.Options{})
-		if err != nil {
-			t.Fatalf("round %d: invalid mapping: %v", round, err)
-		}
-		for _, q := range queries {
-			a := ids(base.BroadMatch(q, nil))
-			b := ids(ix.BroadMatch(q, nil))
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("round %d: results differ for %v", round, q)
-			}
-		}
-		if moved == 0 {
-			break
-		}
-	}
-	if totalMoved == 0 {
-		t.Fatal("incremental steps from identity placement never moved anything")
-	}
-	id := IdentityMapping(gs, opts)
-	if prev > id.ModeledCost {
-		t.Fatalf("converged cost %.1f worse than identity %.1f", prev, id.ModeledCost)
-	}
-}
-
-// TestPlacementMappingRoundTrip: converting a mapping to an assignment
-// and back must preserve the locator of every movable, admissibly-placed
-// group.
-func TestPlacementMappingRoundTrip(t *testing.T) {
-	p, gs, _ := buildTestPlacement(t, 61, 161, 600, 400)
-	res := p.MappingFromAssignment(p.PC.GreedyAssign())
-	assign := p.AssignmentFromMapping(res)
-	back := p.MappingFromAssignment(assign)
-	for key, loc := range res {
-		if textnorm.SetKey(back[key]) != textnorm.SetKey(loc) {
-			t.Fatalf("round trip changed locator of %q: %v -> %v", key, loc, back[key])
-		}
-	}
-	if len(res) != len(gs.All) {
-		t.Fatalf("mapping covers %d of %d groups", len(res), len(gs.All))
 	}
 }
 

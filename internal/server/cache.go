@@ -35,7 +35,7 @@
 // epoch is at least that. A write therefore costs the cached queries that
 // contain its rarest word (plus those whose words share that word's slot)
 // and no others, in O(1) with no traversal; a not-found delete, a fold,
-// Optimize, ApplyMapping and an adaptation round cost nothing. A query long
+// Optimize, ApplyMapping and an adaptation tick cost nothing. A query long
 // enough for the MaxQueryWords cutoff is the exception (its answer depends
 // on document frequencies): ChangedAt gives it the view's own epoch, so any
 // epoch change drops it. A present entry that is too old is a miss and an

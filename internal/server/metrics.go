@@ -1,10 +1,8 @@
-// Metrics: a stdlib-only registry of atomic counters and one fixed-bucket
-// histogram type (latency and modeled cost differ only in their bucket
-// table) for the serving layer.
+// Metrics: a stdlib-only registry of atomic counters and a fixed-bucket
+// latency histogram for the serving layer.
 package server
 
 import (
-	"math"
 	"runtime/metrics"
 	"slices"
 	"sync/atomic"
@@ -15,16 +13,14 @@ import (
 	"adindex/internal/shard"
 )
 
-// Histogram is a fixed-bucket concurrent histogram over a static table of
-// bucket upper bounds. All methods are safe for concurrent use; Observe
-// is a binary search over the table plus three atomic adds. Create one
-// with NewLatencyHistogram or NewCostHistogram.
+// Histogram is a fixed-bucket concurrent histogram of nanosecond samples
+// over latencyBounds. All methods are safe for concurrent use; Observe is a
+// binary search over the table plus three atomic adds. Create one with
+// NewLatencyHistogram.
 type Histogram struct {
-	// bounds[i] is the exclusive upper bound of bucket i; samples at or
+	// buckets[i] counts the samples below latencyBounds[i]; samples at or
 	// past the last bound land in one overflow bucket, which reports the
-	// last bound. The table is shared by every histogram of its kind and
-	// never written.
-	bounds  []float64
+	// last bound.
 	buckets []atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Uint64 // samples rounded to integers
@@ -47,29 +43,10 @@ var latencyBounds = func() []float64 {
 	return b
 }()
 
-// costBounds is the modeled-cost bucket table, in cost-model units
-// (scan-byte equivalents): 48 power-of-two edges, bucket i covering
-// [2^i, 2^(i+1)) with bucket 0 covering [0, 2), which spans any realistic
-// per-query cost.
-var costBounds = func() []float64 {
-	b := make([]float64, 48)
-	for i := range b {
-		b[i] = math.Ldexp(1, i+1)
-	}
-	return b
-}()
-
-func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
+// NewLatencyHistogram returns an empty histogram.
+func NewLatencyHistogram() *Histogram {
+	return &Histogram{buckets: make([]atomic.Uint64, len(latencyBounds)+1)}
 }
-
-// NewLatencyHistogram returns an empty histogram of nanosecond samples
-// over the latency table.
-func NewLatencyHistogram() *Histogram { return newHistogram(latencyBounds) }
-
-// NewCostHistogram returns an empty histogram of modeled-cost samples
-// over the power-of-two table.
-func NewCostHistogram() *Histogram { return newHistogram(costBounds) }
 
 // Observe records one sample (negative samples count as zero).
 func (h *Histogram) Observe(v float64) {
@@ -78,7 +55,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// The first bound above v: a sample equal to a bound belongs to the
 	// next bucket.
-	i, onEdge := slices.BinarySearch(h.bounds, v)
+	i, onEdge := slices.BinarySearch(latencyBounds, v)
 	if onEdge {
 		i++
 	}
@@ -90,12 +67,9 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// upper returns the bound bucket i reports.
-func (h *Histogram) upper(i int) float64 {
-	if i >= len(h.bounds) {
-		i = len(h.bounds) - 1
-	}
-	return h.bounds[i]
+// latencyUpper returns the bound bucket i reports.
+func latencyUpper(i int) float64 {
+	return latencyBounds[min(i, len(latencyBounds)-1)]
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
@@ -114,10 +88,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			return h.upper(i)
+			return latencyUpper(i)
 		}
 	}
-	return h.upper(len(h.buckets) - 1)
+	return latencyUpper(len(h.buckets) - 1)
 }
 
 // Mean returns the mean observed sample (0 when empty).
@@ -160,7 +134,7 @@ func latencySnapshot(h *Histogram) HistogramSnapshot {
 	}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
-			s.BucketUS = append(s.BucketUS, BucketSnapshot{UpperUS: us(h.upper(i)), Count: n})
+			s.BucketUS = append(s.BucketUS, BucketSnapshot{UpperUS: us(latencyUpper(i)), Count: n})
 		}
 	}
 	return s
@@ -210,15 +184,11 @@ type Registry struct {
 	// Latency is the end-to-end /search latency in nanoseconds (queue
 	// wait + match + encode) for admitted requests.
 	Latency *Histogram
-	// Cost is the per-query modeled-cost histogram (cost-model units of
-	// the index walk), populated when the index adapts. Layout drift
-	// shows up here long before it is visible in wall-clock Latency.
-	Cost *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{Latency: NewLatencyHistogram(), Cost: NewCostHistogram()}
+	return &Registry{Latency: NewLatencyHistogram()}
 }
 
 // noteRewrite folds one rewritten query's stats into the registry.
@@ -297,21 +267,19 @@ type MetricsSnapshot struct {
 	// in-flight migration phase, completed/aborted handoffs, and
 	// per-shard placement signals (slots, ads, matches served).
 	Elastic *shard.RebalanceStatus `json:"elastic,omitempty"`
-	// Adapt is present when the index adapts (Index.AdaptEnabled):
-	// continuous-adaptation rounds/moves/modeled-cost trend, plus the
-	// per-query modeled-cost distribution.
-	Adapt *AdaptMetricsSnapshot `json:"adapt,omitempty"`
 }
 
 // IndexSnapshot is the write-path section of /metrics: overlay folds (each
 // a rebuild of the whole base, on the goroutine of the write that filled
 // the overlay) since the index was opened, WAL replay included, and the
-// seconds they took; and how long the last build of a base took, the
-// start's or the latest fold's.
+// seconds they took; how long the last build of a base took, the start's
+// or the latest fold's; and the re-mappings installed since the index was
+// opened (Index.Remaps: /optimize, -mapping and -adapt-interval ticks).
 type IndexSnapshot struct {
 	Folds            uint64  `json:"folds"`
 	FoldSecondsTotal float64 `json:"fold_seconds_total"`
 	BuildSeconds     float64 `json:"build_seconds"`
+	Remaps           uint64  `json:"remaps"`
 	// ObservedQueries is how many distinct query word sets the workload
 	// sampler holds (Index.ObservedQueries).
 	ObservedQueries int `json:"observed_queries"`

@@ -11,10 +11,9 @@ import (
 	"adindex"
 )
 
-// bucketOf reports which bucket of a fresh histogram over bounds a sample
-// lands in.
-func bucketOf(bounds []float64, v float64) int {
-	h := newHistogram(bounds)
+// bucketOf reports which bucket of a fresh histogram a sample lands in.
+func bucketOf(v float64) int {
+	h := NewLatencyHistogram()
 	h.Observe(v)
 	for i := range h.buckets {
 		if h.buckets[i].Load() == 1 {
@@ -26,7 +25,7 @@ func bucketOf(bounds []float64, v float64) int {
 
 func TestHistogramBuckets(t *testing.T) {
 	numBuckets := len(latencyBounds) + 1
-	bucketIndex := func(d time.Duration) int { return bucketOf(latencyBounds, float64(d)) }
+	bucketIndex := func(d time.Duration) int { return bucketOf(float64(d)) }
 	bucketUpper := func(i int) time.Duration { return time.Duration(latencyBounds[i]) }
 	cases := []struct {
 		d    time.Duration
@@ -54,30 +53,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if got := bucketIndex(bucketUpper(i) - time.Nanosecond); got != i {
 			t.Errorf("bucketIndex(upper(%d)-1ns) = %d", i, got)
 		}
-	}
-}
-
-// TestCostBoundsPowerOfTwoEdges: bucket i of the cost table covers
-// [2^i, 2^(i+1)), bucket 0 also takes [0, 2), and quantiles report the
-// power-of-two upper edge (TestAdaptUnderDrift compares those edges).
-func TestCostBoundsPowerOfTwoEdges(t *testing.T) {
-	for _, c := range []struct {
-		cost float64
-		want int
-	}{{-3, 0}, {0, 0}, {1.9, 0}, {2, 1}, {3.99, 1}, {4, 2}, {1023, 9}, {1024, 10}, {1e30, 48}} {
-		if got := bucketOf(costBounds, c.cost); got != c.want {
-			t.Errorf("cost %v in bucket %d, want %d", c.cost, got, c.want)
-		}
-	}
-	h := NewCostHistogram()
-	h.Observe(1500)
-	h.Observe(1e30) // overflow reports the largest bound
-	if p50, max := h.Quantile(0.5), h.Quantile(1); p50 != 2048 || max != costBounds[len(costBounds)-1] {
-		t.Errorf("p50 = %v, max = %v", p50, max)
-	}
-	resetHistogram(h)
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("Reset left samples behind")
 	}
 }
 
@@ -181,6 +156,16 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v after a reordered repeat, want 1", got)
 	}
+	if got := back["index"].(map[string]any)["remaps"]; got != float64(0) {
+		t.Errorf("index.remaps = %v before any re-mapping, want 0", got)
+	}
+	serve(t, s, "POST", "/optimize", "")
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back["index"].(map[string]any)["remaps"]; got != float64(1) {
+		t.Errorf("index.remaps = %v after one /optimize, want 1", got)
+	}
 
 	// The index section counts overlay folds where they happen: here the
 	// third insert finds a two-ad overlay full.
@@ -210,14 +195,4 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if snap.Index.BuildSeconds != snap.Index.FoldSecondsTotal {
 		t.Errorf("index.build_seconds = %v after one fold of %v s", snap.Index.BuildSeconds, snap.Index.FoldSecondsTotal)
 	}
-}
-
-// resetHistogram zeroes h between the quiescent phases of a test (it is
-// not atomic with respect to concurrent Observe calls).
-func resetHistogram(h *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
 }

@@ -611,24 +611,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadline time.Tim
 }
 
 // match is the one place a query is evaluated against the index: one
-// View.Match into dst, whose outcome feeds the overload metrics, the
-// quarantine (fp is the query's fingerprint), and — when the index adapts —
-// per-query cost attribution.
+// View.Match into dst, whose outcome feeds the overload metrics and the
+// quarantine (fp is the query's fingerprint).
 func (s *Server) match(rd *reading, fp uint64, dst []adindex.Ad, q adindex.Query) adindex.Result {
-	ix := rd.ix
-	var matchStart time.Time
-	if ix.AdaptEnabled() {
-		q.Counters = new(adindex.Counters)
-		matchStart = time.Now()
-	}
 	res := rd.view.Match(dst, q)
-	if q.Counters != nil {
-		// The match's access counters are attributed to the index (feeding
-		// adaptation's cost-model recalibration) and its modeled cost
-		// recorded in the per-query cost histogram.
-		ix.RecordQueryCost(q.Counters, time.Since(matchStart).Nanoseconds())
-		s.metrics.Cost.Observe(q.Counters.Cost(ix.Model()))
-	}
 	if q.Rewrite {
 		s.metrics.noteRewrite(res.Rewrite)
 	}
@@ -968,6 +954,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, "delete", &req) {
 		return
 	}
+	// The check /insert makes first, and no more: a phrase with no
+	// indexable word can be in the corpus, and stays deletable.
+	if req.ID == 0 || strings.TrimSpace(req.Phrase) == "" {
+		s.reject(w, http.StatusBadRequest, "delete requires non-zero id and non-empty phrase")
+		return
+	}
 	found := ix.Delete(req.ID, req.Phrase)
 	s.metrics.Mutations.Add(1)
 	s.writeJSON(w, map[string]any{"found": found, "epoch": ix.Epoch()})
@@ -1014,6 +1006,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.Index = new(IndexSnapshot)
 		snap.Index.Folds, snap.Index.FoldSecondsTotal = ix.FoldStats()
 		snap.Index.BuildSeconds = ix.BuildSeconds()
+		snap.Index.Remaps = ix.Remaps()
 		snap.Index.ObservedQueries = ix.ObservedQueries()
 		if ix.RewriteEnabled() {
 			snap.Rewrite = s.metrics.rewriteSnapshot()
@@ -1024,9 +1017,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				d.PersistErr = err.Error()
 			}
 			snap.Durability = d
-		}
-		if ix.AdaptEnabled() {
-			snap.Adapt = s.adaptSnapshot(ix)
 		}
 	} else if s.remote == nil {
 		// Recovering: no index yet, but surface that state explicitly.

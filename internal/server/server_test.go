@@ -405,6 +405,35 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestDeleteRequiresIDAndPhrase is the regression test for a /delete body
+// with no ID or no phrase: it was applied (on a durable index, WAL-logged),
+// bumped the epoch and counted as a mutation. It answers 400 now, as the
+// same /insert does. A phrase of punctuation names an ad a corpus file can
+// hold, and stays deletable.
+func TestDeleteRequiresIDAndPhrase(t *testing.T) {
+	ix := adindex.Build(testCatalog(), adindex.Options{})
+	ix.Insert(adindex.NewAd(77, " ?! ", adindex.Meta{}))
+	s := New(ix, Config{})
+	epoch := ix.Epoch()
+	for _, body := range []string{`{}`, `{"id":0,"phrase":"used books"}`, `{"id":3,"phrase":"  "}`} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/delete", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST /delete %s = %d, want 400", body, rec.Code)
+		}
+	}
+	if got := s.Metrics().BadRequests.Load(); got != 3 {
+		t.Errorf("bad request counter = %d, want 3", got)
+	}
+	if got := s.Metrics().Mutations.Load(); got != 0 || ix.Epoch() != epoch {
+		t.Errorf("mutations %d, epoch %d -> %d: a refused delete reached the index", got, epoch, ix.Epoch())
+	}
+	var reply struct{ Found bool }
+	if err := json.Unmarshal(serve(t, s, "POST", "/delete", `{"id":77,"phrase":" ?! "}`), &reply); err != nil || !reply.Found {
+		t.Errorf("deleting the wordless ad: found = %v, err %v; want it found", reply.Found, err)
+	}
+}
+
 // TestOversizeBodiesRejected: a JSON body over maxBodyBytes is refused
 // 413 and counted before any of it reaches the index.
 func TestOversizeBodiesRejected(t *testing.T) {

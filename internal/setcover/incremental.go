@@ -7,8 +7,7 @@ import (
 )
 
 // This file implements the *placement* form of weighted set cover, which
-// the mapping optimizer and the continuous-adaptation control loop both
-// solve. Instance treats a candidate node as a monolithic set with one
+// the mapping optimizer solves. Instance treats a candidate node as a monolithic set with one
 // precomputed weight; re-mapping needs to move a few elements at a time,
 // which requires the weight decomposed into the part paid once per chosen
 // set (the locator's random accesses) and the part paid per member (that
@@ -79,11 +78,6 @@ func NewPlacement(numElements int, sets [][]int, costs PlacementCosts) (*Placeme
 		p.order[s] = o
 	}
 	return p, nil
-}
-
-// Holds reports whether candidate set s contains element e.
-func (p *Placement) Holds(s, e int) bool {
-	return s >= 0 && s < len(p.elems) && containsSorted(p.elems[s], e)
 }
 
 // Cost returns the total decomposed cost of an assignment, or +Inf if any

@@ -94,8 +94,8 @@ func TestIncrementalNeverIncreasesCost(t *testing.T) {
 	}
 }
 
-// TestIncrementalUnboundedEqualsBatch pins the equivalence the adapt loop
-// relies on: with no pool bound and nothing assigned, one incremental
+// TestIncrementalUnboundedEqualsBatch pins the equivalence Optimize's
+// refinement relies on: with no pool bound and nothing assigned, one incremental
 // step IS the batch lazy-heap greedy, and iterating it is a fixed point.
 func TestIncrementalUnboundedEqualsBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

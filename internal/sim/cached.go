@@ -265,8 +265,6 @@ func (c *cachedTarget) relayout(kind Kind, oracle *model) string {
 		if err = optimize.WriteMapping(&buf, oracle.mapping()); err == nil {
 			err = c.ix.ApplyMapping(&buf)
 		}
-	case OpAdapt:
-		_, err = c.ix.AdaptRound()
 	case OpPersist:
 		err = c.ix.Persist()
 	}

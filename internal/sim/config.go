@@ -25,12 +25,6 @@ type Config struct {
 	// split/merge/migrate handoffs that carry mid-handoff inserts and
 	// queries.
 	Elastic bool `json:"elastic,omitempty"`
-	// Adapt makes the generator emit OpAdapt ops: synchronous continuous-
-	// adaptation rounds (AdaptRound) on the plain and durable targets,
-	// interleaved with inserts, deletes, and crash-restarts. Every query
-	// after a round is still oracle-checked, so an adaptation that loses
-	// or corrupts results diverges immediately.
-	Adapt bool `json:"adapt,omitempty"`
 	// Cached adds the cached-server target: an index of its own (durable
 	// and crash-restarted with the durable target when Durable is set)
 	// behind the HTTP serving layer, so every query passes the reply cache

@@ -118,12 +118,6 @@ type runner struct {
 	cached    *cachedTarget
 	checks    int
 	truncated int
-	// adaptDrift is plain's applied adapt rounds minus durable's. An
-	// applied round bumps the epoch, and the two targets may legitimately
-	// decide differently (a crash-restart resets the durable twin's
-	// observed-workload history), so the epoch-lockstep check offsets the
-	// durable epoch by this drift.
-	adaptDrift int64
 }
 
 func (r *runner) apply(i int, op *Op) *Failure {
@@ -221,26 +215,6 @@ func (r *runner) apply(i int, op *Op) *Failure {
 		if r.dur != nil {
 			if err := r.dur.ix.Persist(); err != nil {
 				return fail("durable", "Persist: %v", err)
-			}
-		}
-		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
-			return fail("cached", "%s", d)
-		}
-	case OpAdapt:
-		rep, err := r.plain.AdaptRound()
-		if err != nil {
-			return fail("plain", "AdaptRound: %v", err)
-		}
-		if rep.Applied {
-			r.adaptDrift++
-		}
-		if r.dur != nil {
-			drep, err := r.dur.ix.AdaptRound()
-			if err != nil {
-				return fail("durable", "AdaptRound: %v", err)
-			}
-			if drep.Applied {
-				r.adaptDrift--
 			}
 		}
 		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
@@ -535,8 +509,8 @@ func (r *runner) checkDurableState(i int, when string) *Failure {
 	if d := diffAds(r.dur.ix.Ads(), r.oracle.sortedAds()); d != "" {
 		return fail("ads diverged: %s", d)
 	}
-	if got, want := r.dur.ix.Epoch(), r.plain.Epoch(); int64(got)+r.adaptDrift != int64(want) {
-		return fail("epoch = %d, plain twin at %d (adapt drift %d)", got, want, r.adaptDrift)
+	if got, want := r.dur.ix.Epoch(), r.plain.Epoch(); got != want {
+		return fail("epoch = %d, plain twin at %d", got, want)
 	}
 	if err := r.dur.ix.PersistErr(); err != nil {
 		return fail("sticky persist error: %v", err)

@@ -44,48 +44,6 @@ func TestSimOracleCatchesInjectedOffByOne(t *testing.T) {
 	}
 }
 
-// TestSimShrinkWithAdaptOps: delta-debugging still minimizes a failing
-// schedule when adaptation rounds are in the mix — adapt ops carry no
-// payload, so ddmin can drop them freely, and the minimized trace must
-// reproduce on a fresh run.
-func TestSimShrinkWithAdaptOps(t *testing.T) {
-	cfg := buggyConfig(t, 11)
-	cfg.Adapt = true
-	sched := Generate(cfg)
-	hasAdapt := false
-	for i := range sched.Ops {
-		if sched.Ops[i].Kind == OpAdapt {
-			hasAdapt = true
-			break
-		}
-	}
-	if !hasAdapt {
-		t.Fatal("schedule generated no adapt ops")
-	}
-
-	min, f := Shrink(cfg, sched)
-	if f == nil {
-		t.Fatal("Shrink lost the failure")
-	}
-	if f.Target != "plain" {
-		t.Fatalf("minimized failure target = %q, want plain", f.Target)
-	}
-	if len(min.Ops) > 20 {
-		t.Fatalf("minimized schedule has %d ops, want <= 20", len(min.Ops))
-	}
-	t.Logf("minimized %d ops -> %d ops: %v", len(sched.Ops), len(min.Ops), f)
-
-	cfg2 := buggyConfig(t, 11)
-	cfg2.Adapt = true
-	res, err := RunSchedule(cfg2, min)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failure == nil || res.Failure.Target != "plain" {
-		t.Fatalf("minimized schedule did not reproduce: %s", res.Verdict())
-	}
-}
-
 func TestSimShrinksInjectedBugToSmallTrace(t *testing.T) {
 	cfg := buggyConfig(t, 11)
 	sched := Generate(cfg)

@@ -66,10 +66,6 @@ const (
 	OpMerge
 	// OpMigrate moves half of elastic shard Shard's slots onto shard To.
 	OpMigrate
-	// OpAdapt runs one synchronous continuous-adaptation round (pull the
-	// observed-workload delta, re-solve placement for the most misplaced
-	// word sets, apply) on the plain and durable targets.
-	OpAdapt
 )
 
 var kindNames = map[Kind]string{
@@ -88,7 +84,6 @@ var kindNames = map[Kind]string{
 	OpSplit:        "split",
 	OpMerge:        "merge",
 	OpMigrate:      "migrate",
-	OpAdapt:        "adapt",
 }
 
 // String returns the stable lowercase op name used in traces.
@@ -222,11 +217,6 @@ func Generate(cfg Config) Schedule {
 		shadow, _ = shard.NewRoutingTable(cfg.Shards, simElasticSlots)
 		choices = append(choices, choice{OpSplit, 3}, choice{OpMigrate, 3}, choice{OpMerge, 2})
 	}
-	// Appended last and only under cfg.Adapt, so schedules of non-adapt
-	// configs stay byte-identical to before.
-	if cfg.Adapt {
-		choices = append(choices, choice{OpAdapt, 4})
-	}
 	total := 0
 	for _, c := range choices {
 		total += c.weight
@@ -287,7 +277,7 @@ func Generate(cfg Config) Schedule {
 				qs[i] = genQuery(rng, vocab, pool, live, g)
 			}
 			ops = append(ops, Op{Kind: kind, Queries: qs})
-		case OpOptimize, OpApplyMapping, OpPersist, OpAdapt:
+		case OpOptimize, OpApplyMapping, OpPersist:
 			ops = append(ops, Op{Kind: kind})
 		case OpCrash:
 			ops = append(ops, Op{Kind: OpCrash, Torn: rng.Intn(2) == 0})

@@ -257,43 +257,6 @@ func TestSimRewriteUnderBudget(t *testing.T) {
 	}
 }
 
-// adaptSeeds pin the continuous-adaptation scenario: synchronous
-// adaptation rounds (pull delta, re-solve the most misplaced word sets,
-// RCU apply) interleaved with inserts, deletes, batch Optimize calls,
-// and torn-crash restarts of the durable twin. Every query after a
-// round is oracle-checked, so a round that loses or corrupts results
-// diverges; `make adaptsmoke` runs these under the race detector.
-var adaptSeeds = []int64{8, 21}
-
-func TestSimAdaptRegressionSeeds(t *testing.T) {
-	for _, seed := range adaptSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := fullConfig(t, seed)
-			cfg.Gen.Ops = 100
-			cfg.Adapt = true
-			sched := Generate(cfg)
-			rounds := 0
-			for i := range sched.Ops {
-				if sched.Ops[i].Kind == OpAdapt {
-					rounds++
-				}
-			}
-			if rounds == 0 {
-				t.Fatalf("seed %d generated no adapt ops: the scenario exercises nothing", seed)
-			}
-			res, err := RunSchedule(cfg, sched)
-			if err != nil {
-				t.Fatalf("harness setup: %v", err)
-			}
-			if res.Failure != nil {
-				t.Fatal(res.Verdict())
-			}
-			t.Logf("%s (%d adapt rounds)", res.Verdict(), rounds)
-		})
-	}
-}
-
 // rewriteRegressionSeeds pin rewrite-enabled schedules: ~40% of queries
 // are typo- or synonym-perturbed and checked through a rewritten Match
 // plus the discounted auction (on the plain and crash-restarted durable
@@ -315,26 +278,24 @@ func TestSimRewriteRegressionSeeds(t *testing.T) {
 // cachedSeeds pin the cached-server scenario: the schedule of the plain
 // index driven through server.New(ix, cfg).Handler() — /insert, /delete,
 // /optimize, /search twice per query, /search/batch — on a durable index
-// that is crash-restarted (a new server each time, as a restart is), with
-// adaptation rounds in every other seed. Every reply, hit or miss, is held
-// to the oracle; after each write every query asked so far is asked again,
-// so an entry a write should have dropped diverges at that write, and an
-// op that changes no answer (not-found delete, Optimize, ApplyMapping,
-// Persist, an adaptation round) must leave every entry in place. `make
-// simsmoke` runs these under the race detector.
+// that is crash-restarted (a new server each time, as a restart is). Every
+// reply, hit or miss, is held to the oracle; after each write every query
+// asked so far is asked again, so an entry a write should have dropped
+// diverges at that write, and an op that changes no answer (not-found
+// delete, Optimize, ApplyMapping, Persist) must leave every entry in place.
+// `make simsmoke` runs these under the race detector.
 var cachedSeeds = []int64{6, 14, 19, 31}
 
 func TestSimCachedServer(t *testing.T) {
 	survived := 0
-	for i, seed := range cachedSeeds {
-		seed, adapt := seed, i%2 == 1
+	for _, seed := range cachedSeeds {
+		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := Config{
 				Seed:    seed,
 				Gen:     GenOptions{Ops: defaultOps()},
 				Durable: true,
 				Cached:  true,
-				Adapt:   adapt,
 				Dir:     t.TempDir(),
 			}
 			if res := runSeed(t, cfg); res != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // Drift streams model the ways a sponsored-search workload moves under
-// the index's feet, for exercising the continuous adaptation loop:
+// the index's feet, for exercising periodic re-optimization:
 // TopicDriftStream rotates which topic cluster is hot (editorial cycles,
 // seasonal categories), ShiftStream slowly replaces the vocabulary
 // itself (new products, new spellings), and FlashCrowdStream (see

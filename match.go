@@ -381,7 +381,7 @@ func (v View) Epoch() uint64 { return v.s.epoch }
 // version among the words' slots of the index's word version table
 // (Index.noteChanged: an insert or a found delete of word set W stamps one
 // word of W, which every query containing W contains). Not-found deletes,
-// folds, Optimize, ApplyMapping and adaptation rounds change no answer and
+// folds, Optimize, ApplyMapping and adaptation ticks change no answer and
 // stamp nothing, whatever they do to Epoch. Slots are shared between
 // words, so the value can be newer than necessary, never older.
 //

@@ -2,7 +2,6 @@ package adindex
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"adindex/internal/textnorm"
 	"adindex/internal/workload"
@@ -23,31 +22,16 @@ type observeSampler struct {
 	// cap is divided evenly, so totals stay at or below the configured cap.
 	shardCap int
 	shards   [observeShards]observeShard
-	// deltaEpoch counts ExportDelta drains. The adaptation loop pairs a
-	// drained delta with the remap epoch it was planned against; this
-	// counter lets tests and metrics distinguish rounds.
-	deltaEpoch atomic.Uint64
 }
 
 // observeShard is one shard of the sample: one map from a set's canonical
-// key, the only copy of its words (Workload and ExportDelta split it back
-// with textnorm.SplitKey), to both of its counts.
+// key, the only copy of its words (Workload splits it back with
+// textnorm.SplitKey), to its occurrences since the set was admitted; and
+// the occurrences the shard has recorded in all, evicted sets included.
 type observeShard struct {
-	mu sync.Mutex
-	m  map[string]*observeCount
-	// dirty lists the keys whose pending count went 0 → 1 since the last
-	// drain, as the map's own strings, so a drain visits the sets observed
-	// since and not the whole sample. A set evicted after it was listed
-	// stays listed (and is listed again if readmitted) until a drain or
-	// compactLocked skips it.
-	dirty []string
-}
-
-// observeCount is one sampled set's counts.
-type observeCount struct {
-	key     string // the map key, for dirty
-	freq    int    // occurrences since the set was admitted
-	pending int    // occurrences since the last ExportDelta drain
+	mu    sync.Mutex
+	m     map[string]*int
+	total uint64
 }
 
 func newObserveSampler(maxObserved int) *observeSampler {
@@ -57,7 +41,7 @@ func newObserveSampler(maxObserved int) *observeSampler {
 	}
 	s := &observeSampler{shardCap: cap}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]*observeCount)
+		s.shards[i].m = make(map[string]*int)
 	}
 	return s
 }
@@ -99,66 +83,38 @@ func (os *observeSampler) ObserveWords(words []string) {
 	key := textnorm.AppendSetKey(buf[:0], words)
 	sh := &os.shards[shardIndex(key)]
 	sh.mu.Lock()
-	c, ok := sh.m[string(key)]
+	n, ok := sh.m[string(key)]
 	if !ok {
 		if len(sh.m) >= os.shardCap {
 			sh.evictLocked()
 		}
-		c = &observeCount{key: string(key)}
-		sh.m[c.key] = c
+		n = new(int)
+		sh.m[string(key)] = n
 	}
-	c.freq++
-	if c.pending++; c.pending == 1 {
-		if len(sh.dirty) >= 2*os.shardCap {
-			// Only evictions leave dead keys behind, so this runs at the
-			// cap alone; it leaves at most shardCap keys, so it runs at
-			// most once per shardCap admits.
-			sh.compactLocked()
-		}
-		sh.dirty = append(sh.dirty, c.key)
-	}
+	*n++
+	sh.total++
 	sh.mu.Unlock()
-}
-
-// compactLocked drops from dirty the keys of evicted sets and the
-// duplicate a readmitted set leaves behind, keeping each set with a
-// pending count once.
-func (sh *observeShard) compactLocked() {
-	kept := sh.dirty[:0]
-	for _, key := range sh.dirty {
-		if c := sh.m[key]; c != nil && c.pending > 0 {
-			c.pending = -c.pending // kept: a duplicate of key now fails the test
-			kept = append(kept, c.key)
-		}
-	}
-	for _, key := range kept {
-		c := sh.m[key]
-		c.pending = -c.pending
-	}
-	clear(sh.dirty[len(kept):]) // the dropped strings are garbage only once unreferenced
-	sh.dirty = kept
 }
 
 // evictLocked removes the lowest-frequency entry among a small random
 // sample of the shard (Go map iteration order is randomized, so iterating
 // a few entries is a cheap approximate-LFU sample). Holding only a sample
 // keeps eviction O(1) regardless of the cap, and the high-frequency head
-// of a power-law workload survives. The victim's undrained count goes with
-// it: at the cap the delta is approximate, as the sample is.
+// of a power-law workload survives.
 func (sh *observeShard) evictLocked() {
 	const sample = 8
-	var victim *observeCount
-	n := 0
-	for _, c := range sh.m {
-		if victim == nil || c.freq < victim.freq {
-			victim = c
+	victim, min := "", -1
+	i := 0
+	for key, n := range sh.m {
+		if min < 0 || *n < min {
+			victim, min = key, *n
 		}
-		if n++; n >= sample {
+		if i++; i >= sample {
 			break
 		}
 	}
-	if victim != nil {
-		delete(sh.m, victim.key)
+	if min >= 0 {
+		delete(sh.m, victim)
 	}
 }
 
@@ -174,60 +130,39 @@ func (os *observeSampler) Distinct() int {
 	return total
 }
 
-// setCount is a sampled set's key and one of its counts, copied out under
-// a shard lock; toWorkload splits the keys into words after it is released.
-type setCount struct {
-	key string
-	n   int
+// Occurrences returns how many query occurrences the sampler has recorded
+// since it was made, evicted sets included.
+func (os *observeSampler) Occurrences() uint64 {
+	var total uint64
+	for i := range os.shards {
+		sh := &os.shards[i]
+		sh.mu.Lock()
+		total += sh.total
+		sh.mu.Unlock()
+	}
+	return total
 }
 
-func toWorkload(counts []setCount) *workload.Workload {
+// Workload merges all shards into a workload snapshot. A key only ever
+// lives on one shard, so concatenation needs no cross-shard merging; the
+// keys are split into words after each shard's lock is released.
+func (os *observeSampler) Workload() *workload.Workload {
+	type setCount struct {
+		key string
+		n   int
+	}
+	var counts []setCount
+	for i := range os.shards {
+		sh := &os.shards[i]
+		sh.mu.Lock()
+		for key, n := range sh.m {
+			counts = append(counts, setCount{key, *n})
+		}
+		sh.mu.Unlock()
+	}
 	wl := &workload.Workload{Queries: make([]workload.Query, len(counts))}
 	for i, c := range counts {
 		wl.Queries[i] = workload.Query{Words: textnorm.SplitKey(c.key), Freq: c.n}
 	}
 	return wl
-}
-
-// Workload merges all shards into a workload snapshot. A key only ever
-// lives on one shard, so concatenation needs no cross-shard merging.
-func (os *observeSampler) Workload() *workload.Workload {
-	var counts []setCount
-	for i := range os.shards {
-		sh := &os.shards[i]
-		sh.mu.Lock()
-		for key, c := range sh.m {
-			counts = append(counts, setCount{key, c.freq})
-		}
-		sh.mu.Unlock()
-	}
-	return toWorkload(counts)
-}
-
-// ExportDelta drains the pending counts accumulated since the previous
-// drain and returns them as a workload, plus the drain's epoch
-// (monotonically increasing; the first drain returns 1). It walks only the
-// dirty lists, never the whole sample, so its cost is proportional to
-// traffic since the last round, not to the sample cap. Shards are drained
-// one lock at a time — Observe on other shards proceeds concurrently, and
-// a key observed on a not-yet-drained shard during the walk simply lands
-// in this or the next delta.
-func (os *observeSampler) ExportDelta() (*workload.Workload, uint64) {
-	var counts []setCount
-	for i := range os.shards {
-		sh := &os.shards[i]
-		sh.mu.Lock()
-		for _, key := range sh.dirty {
-			// A set listed twice (evicted, readmitted) drains once; an
-			// evicted one took its count with it.
-			if c := sh.m[key]; c != nil && c.pending > 0 {
-				counts = append(counts, setCount{c.key, c.pending})
-				c.pending = 0
-			}
-		}
-		clear(sh.dirty)
-		sh.dirty = sh.dirty[:0]
-		sh.mu.Unlock()
-	}
-	return toWorkload(counts), os.deltaEpoch.Add(1)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"adindex/internal/textnorm"
-	"adindex/internal/workload"
 )
 
 // sameShardWords returns n distinct single-word queries whose canonical
@@ -127,8 +126,8 @@ func TestObserveCapAcrossShards(t *testing.T) {
 
 // TestObserveWordsIsObserve: the word-set entry point records exactly what
 // Observe records for the same query — same key, same frequency, its own
-// copy of the words — including through a delta drain, and the frequent
-// case (a set already sampled) allocates nothing.
+// copy of the words — and the frequent case (a set already sampled)
+// allocates nothing.
 func TestObserveWordsIsObserve(t *testing.T) {
 	s := newObserveSampler(1024)
 	long := "alpha beta gamma delta epsilon " + strings.Repeat("zeta", 40) // a set key beyond the stack buffer
@@ -139,20 +138,15 @@ func TestObserveWordsIsObserve(t *testing.T) {
 		clear(words) // the sample must not alias the caller's buffer
 	}
 	s.ObserveWords(nil) // an empty query is not a sample
-	check := func(name string, got []workload.Query) {
-		t.Helper()
-		if len(got) != 3 {
-			t.Fatalf("%s holds %d sets, want 3", name, len(got))
-		}
-		for _, q := range got {
-			if q.Freq != 2 || len(q.Words) == 0 || q.Words[0] == "" {
-				t.Errorf("%s entry %v has freq %d, want 2 with its words intact", name, q.Words, q.Freq)
-			}
+	got := s.Workload().Queries
+	if len(got) != 3 || s.Occurrences() != 6 {
+		t.Fatalf("sample holds %d sets of %d occurrences, want 3 of 6", len(got), s.Occurrences())
+	}
+	for _, q := range got {
+		if q.Freq != 2 || len(q.Words) == 0 || q.Words[0] == "" {
+			t.Errorf("entry %v has freq %d, want 2 with its words intact", q.Words, q.Freq)
 		}
 	}
-	check("sample", s.Workload().Queries)
-	delta, _ := s.ExportDelta()
-	check("delta", delta.Queries)
 
 	if raceEnabled {
 		return
@@ -163,11 +157,9 @@ func TestObserveWordsIsObserve(t *testing.T) {
 	}
 }
 
-// TestObserveSamplerBounded: with the adaptation loop never started,
-// nothing drains the pending counts, and the sampler still holds no more
-// than MaxObservedQueries sets — in the sample, in what a later drain
-// returns, and in the keys it keeps listed for that drain. Sets evicted and
-// readmitted (the round-robin phase) are drained once each.
+// TestObserveSamplerBounded: a stream of distinct sets far past the cap,
+// then sets evicted and readmitted round-robin, leaves the sampler holding
+// no more than MaxObservedQueries sets while it counts every occurrence.
 func TestObserveSamplerBounded(t *testing.T) {
 	const maxObserved = 64
 	ix := New(Options{MaxObservedQueries: maxObserved})
@@ -182,29 +174,7 @@ func TestObserveSamplerBounded(t *testing.T) {
 	if got := ix.ObservedQueries(); got > maxObserved {
 		t.Fatalf("sample holds %d sets, cap %d", got, maxObserved)
 	}
-	s := ix.observed
-	for i := range s.shards {
-		if n := len(s.shards[i].dirty); n > 2*s.shardCap {
-			t.Errorf("shard %d lists %d keys for the next drain, cap %d per shard", i, n, s.shardCap)
-		}
-	}
-	wl, _ := ix.ExportDelta()
-	if len(wl.Queries) > maxObserved {
-		t.Fatalf("drain returned %d sets, cap %d", len(wl.Queries), maxObserved)
-	}
-	// What the drain returns is what the sample holds, counted once each.
-	sample := map[string]int{}
-	for _, q := range ix.observed.Workload().Queries {
-		sample[textnorm.SetKey(q.Words)] = q.Freq
-	}
-	for _, q := range wl.Queries {
-		key := textnorm.SetKey(q.Words)
-		if f, ok := sample[key]; !ok || q.Freq != f {
-			t.Errorf("drained %v ×%d, sample holds it ×%d (present %v)", q.Words, q.Freq, f, ok)
-		}
-		delete(sample, key)
-	}
-	if len(sample) != 0 {
-		t.Errorf("%d sampled sets observed since the start were not drained", len(sample))
+	if got := ix.observed.Occurrences(); got != 14_000 {
+		t.Fatalf("sampler counted %d occurrences, want 14000", got)
 	}
 }

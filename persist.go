@@ -181,10 +181,12 @@ func (ix *Index) CrashForTesting() {
 	ix.store.Crash()
 }
 
-// Close flushes and closes the durable store (no-op for an in-memory
-// index). The index must not be mutated afterwards; reads keep working
-// against the last published snapshot.
+// Close stops the adaptation loop, waiting for a tick in flight, then
+// flushes and closes the durable store (a no-op for an in-memory index).
+// The index must not be mutated afterwards; reads keep working against the
+// last published snapshot.
 func (ix *Index) Close() error {
+	ix.StopAdapt()
 	if ix.store == nil {
 		return nil
 	}
