@@ -528,7 +528,7 @@ func (ix *Index) Optimize() (OptimizeReport, error) {
 func (ix *Index) plan(base *core.Index, ads []corpus.Ad, wl *workload.Workload) (res *optimize.Result, before float64) {
 	gs := optimize.BuildGroups(ads, wl)
 	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.opts.model()}
-	return optimize.Optimize(gs, opts), optimize.EvaluateMapping(gs, base.Mapping(), opts)
+	return optimize.Optimize(gs, opts), optimize.EvaluateLocator(gs, base.Locator, opts)
 }
 
 // remap is the one rebuild-and-swap behind Optimize, ApplyMapping and the
@@ -683,6 +683,16 @@ func (ix *Index) Stats() Stats {
 		MaxNodeAds:   s.MaxNodeAds,
 		AvgNodeAds:   s.AvgNodeAds,
 	}
+}
+
+// IndexBytes is the memory a base index holds, by column.
+type IndexBytes = core.ByteStats
+
+// IndexBytes returns the memory the current base index holds, by column.
+// It reads the published base as it stands: unlike Stats it folds nothing,
+// and the overlay (at most MaxDeltaAds ads) is not counted.
+func (ix *Index) IndexBytes() IndexBytes {
+	return ix.snap.Load().base.Stats().Bytes
 }
 
 // NumAds returns the number of indexed advertisements, overlay included.

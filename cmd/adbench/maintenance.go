@@ -54,7 +54,7 @@ func runMaintenance(cfg config) {
 	wl2 := workload.Generate(combined, workload.GenOptions{NumQueries: cfg.queries, Seed: cfg.seed + 11})
 	gs2 := optimize.BuildGroups(combined.Ads, wl2)
 
-	drifted := costOfMapping(gs2, ix.Mapping())
+	drifted := optimize.EvaluateLocator(gs2, ix.Locator, optimize.Options{MaxWords: 10})
 	start = time.Now()
 	fresh := optimize.Optimize(gs2, optimize.Options{MaxWords: 10})
 	reoptTime := time.Since(start)
@@ -64,21 +64,4 @@ func runMaintenance(cfg config) {
 	fmt.Printf("periodic re-optimization took %v for %d ads — the cost the paper\n",
 		reoptTime.Round(time.Millisecond), combined.NumAds())
 	fmt.Printf("amortizes by running it on a separate machine (see cmd/adopt)\n")
-}
-
-// costOfMapping evaluates an existing mapping against fresh group
-// statistics, defaulting unmapped sets (e.g. newly inserted ones beyond
-// the mapping) to identity placement.
-func costOfMapping(gs *optimize.Groups, mapping map[string][]string) float64 {
-	id := optimize.IdentityMapping(gs, optimize.Options{MaxWords: 10})
-	merged := make(map[string][]string, len(id.Mapping))
-	for k, v := range id.Mapping {
-		merged[k] = v
-	}
-	for k, v := range mapping {
-		if _, ok := merged[k]; ok {
-			merged[k] = v
-		}
-	}
-	return optimize.EvaluateMapping(gs, merged, optimize.Options{MaxWords: 10})
 }

@@ -25,8 +25,11 @@ func runThroughput(cfg config) {
 	unmod := invindex.NewUnmodified(c.Ads)
 	mod := invindex.NewModified(c.Ads)
 
+	var sc core.Scratch
+	var refs []core.Ref
 	coreQPS, coreMatches := timeRun(stream, func(q []string) int {
-		return len(ix.BroadMatch(q, nil))
+		refs = ix.AppendBroadRefs(refs[:0], q, nil, &sc, nil)
+		return len(refs)
 	})
 	unmodQPS, unmodMatches := timeRun(stream, func(q []string) int {
 		return len(unmod.BroadMatch(q, nil))

@@ -34,8 +34,8 @@ func longPopularQueries(c *corpus.Corpus, n, width int) [][]string {
 // in result order.
 func budgetedIDs(ix *Index, q []string, b *Budget) []uint64 {
 	var ids []uint64
-	for _, m := range ix.AppendBroadMatchBudget(nil, q, nil, nil, b) {
-		ids = append(ids, m.ID)
+	for _, r := range ix.AppendBroadRefs(nil, q, nil, nil, b) {
+		ids = append(ids, ix.ID(r))
 	}
 	return ids
 }
@@ -187,12 +187,12 @@ func TestBudgetCutoffApplied(t *testing.T) {
 	ix := New(mustAds("a b", "c d", "e f", "g h"), Options{MaxWords: 2, MaxQueryWords: 4})
 	long := strings.Fields("a b c d e f g h")
 	var b Budget
-	ix.AppendBroadMatchBudget(nil, long, nil, nil, &b)
+	ix.AppendBroadRefs(nil, long, nil, nil, &b)
 	if !b.CutoffApplied() {
 		t.Fatal("8 indexed words over MaxQueryWords=4: cutoff not reported")
 	}
 	var b2 Budget
-	ix.AppendBroadMatchBudget(nil, strings.Fields("a b"), nil, nil, &b2)
+	ix.AppendBroadRefs(nil, strings.Fields("a b"), nil, nil, &b2)
 	if b2.CutoffApplied() {
 		t.Fatal("short query reported cutoff")
 	}

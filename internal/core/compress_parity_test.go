@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"adindex/internal/compress"
@@ -8,12 +9,12 @@ import (
 )
 
 // TestCompressColumnarParity pins differential parity between node
-// compression and the columnar mirrors: front-coding a node's records and
+// compression and the record columns: front-coding a node's records and
 // decoding them back must reproduce exactly the record order the node
-// held, and re-inserting the decoded records into a fresh node must
-// rebuild byte-identical signature, word-count, and word-hash columns.
-// This is the invariant that lets a future paged layout drop the mirrors
-// on encode and rebuild them on decode without a differential risk.
+// held, and the decoded records must rebuild the node's signature,
+// word-count, word and size columns value for value. This is the
+// invariant that lets a paged layout drop the columns on encode and
+// rebuild them on decode without a differential risk.
 func TestCompressColumnarParity(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 1500, Seed: 87})
 	// Small MaxWords forces re-mapping, so nodes hold mixed-length record
@@ -21,55 +22,37 @@ func TestCompressColumnarParity(t *testing.T) {
 	ix := New(c.Ads, Options{MaxWords: 3})
 
 	nodes := 0
-	var nodeList []*node
-	ix.table.each(func(_ uint64, n *node) bool {
-		nodeList = append(nodeList, n)
-		return true
-	})
-	for _, n := range nodeList {
+	ix.eachNode(func(_ uint64, k uint32) {
 		nodes++
-		enc := compress.EncodeNode(n.records)
-		dec, err := compress.DecodeNode(enc)
+		nd := ix.nodes[k]
+		records := ix.appendAds(nil, nd.off, nd.off+nd.n)
+		dec, err := compress.DecodeNode(compress.EncodeNode(records))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if len(dec) != len(n.records) {
-			t.Fatalf("round-trip length %d, want %d", len(dec), len(n.records))
+		if len(dec) != len(records) {
+			t.Fatalf("round-trip length %d, want %d", len(dec), len(records))
 		}
-		rebuilt := &node{id: n.id}
 		for i := range dec {
-			if dec[i].ID != n.records[i].ID || dec[i].Phrase != n.records[i].Phrase {
-				t.Fatalf("record %d round-tripped as (%d,%q), want (%d,%q)",
-					i, dec[i].ID, dec[i].Phrase, n.records[i].ID, n.records[i].Phrase)
+			r := nd.off + uint32(i)
+			if dec[i].ID != ix.ids[r] || dec[i].Phrase != ix.phrase(r) {
+				t.Fatalf("record %d round-tripped as (%d,%q), want (%d,%q)", i, dec[i].ID, dec[i].Phrase, ix.ids[r], ix.phrase(r))
 			}
-			rebuilt.insert(dec[i])
-		}
-		if !rebuilt.checkColumns() {
-			t.Fatal("rebuilt node columns inconsistent")
-		}
-		if len(rebuilt.sigs) != len(n.sigs) {
-			t.Fatalf("rebuilt %d sigs, want %d", len(rebuilt.sigs), len(n.sigs))
-		}
-		for i := range n.sigs {
-			if rebuilt.sigs[i] != n.sigs[i] {
-				t.Fatalf("sig column diverged at %d: %x vs %x", i, rebuilt.sigs[i], n.sigs[i])
+			if SetSignature(dec[i].Words) != ix.sigs[r] {
+				t.Fatalf("sig column diverged at %d", i)
 			}
-			if rebuilt.wcs[i] != n.wcs[i] {
-				t.Fatalf("wc column diverged at %d: %d vs %d", i, rebuilt.wcs[i], n.wcs[i])
+			if len(dec[i].Words) != int(ix.wcs[r]) {
+				t.Fatalf("wc column diverged at %d", i)
+			}
+			ids, ok := ix.voc.appendIDs(nil, dec[i].Words)
+			if !ok || !slices.Equal(ids, ix.recWords(r)) {
+				t.Fatalf("word column diverged at %d", i)
+			}
+			if dec[i].Size() != ix.size(r) {
+				t.Fatalf("record %d size %d, want %d", i, dec[i].Size(), ix.size(r))
 			}
 		}
-		if len(rebuilt.wordHashes) != len(n.wordHashes) {
-			t.Fatalf("rebuilt %d word hashes, want %d", len(rebuilt.wordHashes), len(n.wordHashes))
-		}
-		for i := range n.wordHashes {
-			if rebuilt.wordHashes[i] != n.wordHashes[i] {
-				t.Fatalf("word-hash column diverged at %d", i)
-			}
-		}
-		if rebuilt.bytes != n.bytes {
-			t.Fatalf("rebuilt bytes %d, want %d", rebuilt.bytes, n.bytes)
-		}
-	}
+	})
 	if nodes == 0 {
 		t.Fatal("no nodes built")
 	}

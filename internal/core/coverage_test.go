@@ -2,9 +2,9 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
-	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
 )
@@ -105,55 +105,51 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	ix := New(mustAds("a b", "c d"), Options{})
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	corrupt := map[string]func(ix *Index){
+		"byte count":   func(ix *Index) { ix.bytes += 7 },
+		"signature":    func(ix *Index) { ix.sigs[0] ^= 1 },
+		"word count":   func(ix *Index) { ix.wcs[0]++ },
+		"set joint":    func(ix *Index) { ix.sameKey[0] = true },
+		"word ID":      func(ix *Index) { ix.wordIDs[0] = uint32(len(ix.voc.words)) },
+		"frequency":    func(ix *Index) { ix.voc.df[0]++ },
+		"set count":    func(ix *Index) { ix.sets++ },
+		"empty node":   func(ix *Index) { ix.nodes[0].n = 0 },
+		"text":         func(ix *Index) { ix.textUsed-- },
+		"vocabulary":   func(ix *Index) { ix.voc.ids["zzz"] = 0 },
+		"dangling set": func(ix *Index) { ix.locOf[setKey([]string{"p", "q"})] = []string{"p"} },
+		"locator": func(ix *Index) {
+			ix.locOf[setKey([]string{"c", "d"})] = []string{"no", "such", "locator"}
+		},
 	}
-	// Corrupt a node's byte counter.
-	ix.table.each(func(_ uint64, n *node) bool {
-		n.bytes += 7
-		return false
-	})
-	if err := ix.CheckInvariants(); err == nil {
-		t.Error("byte-count corruption undetected")
-	}
-	// Fresh index: corrupt record order.
-	ix2 := New(mustAds("a", "a b c"), Options{})
-	ix2.table.each(func(_ uint64, n *node) bool {
-		if len(n.records) >= 2 {
-			n.records[0], n.records[1] = n.records[1], n.records[0]
+	for name, fn := range corrupt {
+		ix := New(mustAds("a b", "c d", "a b"), Options{})
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	err := ix2.CheckInvariants()
-	_ = err // order corruption only exists if a node had 2 records; accept either
-	// Corrupt locOf to point at a missing locator.
-	ix3 := New(mustAds("x y"), Options{})
-	ix3.locOf[setKey([]string{"x", "y"})] = []string{"no", "such", "locator"}
-	if err := ix3.CheckInvariants(); err == nil {
-		t.Error("dangling locator undetected")
-	}
-	// Empty node.
-	ix4 := New(mustAds("p q"), Options{})
-	ix4.table.each(func(_ uint64, n *node) bool {
-		n.records = nil
-		return false
-	})
-	if err := ix4.CheckInvariants(); err == nil {
-		t.Error("empty node undetected")
+		fn(ix)
+		if err := ix.CheckInvariants(); err == nil {
+			t.Errorf("%s corruption undetected", name)
+		}
 	}
 }
 
 func TestCheckOrderedDetects(t *testing.T) {
-	n := &node{}
-	n.insert(corpus.NewAd(1, "a b", corpus.Meta{}))
-	n.insert(corpus.NewAd(2, "c", corpus.Meta{}))
-	if !n.checkOrdered() {
-		t.Fatal("valid node reported unordered")
+	// "a" and "a b" share the node of locator {a}.
+	ix, err := NewWithMapping(mustAds("a b", "a"), map[string][]string{setKey([]string{"a", "b"}): {"a"}}, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	n.records[0], n.records[1] = n.records[1], n.records[0]
-	if n.checkOrdered() {
-		t.Fatal("swapped node reported ordered")
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("valid node reported broken: %v", err)
+	}
+	swap := func(col []uint32) { col[0], col[1] = col[1], col[0] }
+	swap(ix.wcs)
+	swap(ix.wordAt)
+	swap(ix.textAt)
+	ix.ids[0], ix.ids[1] = ix.ids[1], ix.ids[0]
+	ix.sigs[0], ix.sigs[1] = ix.sigs[1], ix.sigs[0]
+	if err := ix.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("swapped node reported %v, want out of order", err)
 	}
 }
 

@@ -340,15 +340,35 @@ func TestInsertDeleteQuick(t *testing.T) {
 	}
 }
 
-// ExactMatch and PhraseMatch are the raw-text forms of AppendExactMatch
-// and AppendPhraseMatch the tests of this package call.
+// adsOf copies out the ads of refs; nil when there are none.
+func (ix *Index) adsOf(refs []Ref) []*corpus.Ad {
+	if len(refs) == 0 {
+		return nil
+	}
+	need := 0
+	for _, r := range refs {
+		need += ix.AdStrings(r)
+	}
+	ads, strs := make([]corpus.Ad, 0, len(refs)), make([]string, 0, need)
+	for _, r := range refs {
+		ads, strs = ix.AppendAd(ads, strs, r)
+	}
+	out := make([]*corpus.Ad, len(ads))
+	for i := range ads {
+		out[i] = &ads[i]
+	}
+	return out
+}
+
+// ExactMatch and PhraseMatch are the raw-text forms of AppendExactRefs
+// and AppendPhraseRefs the tests of this package call.
 func (ix *Index) ExactMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
 	tokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
-	return ix.AppendExactMatch(nil, tokens, textnorm.CanonicalSet(tokens), counters)
+	return ix.adsOf(ix.AppendExactRefs(nil, tokens, textnorm.CanonicalSet(tokens), counters, nil))
 }
 
 func (ix *Index) PhraseMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	return ix.AppendPhraseMatch(nil, textnorm.Tokenize(query), textnorm.WordSet(query), counters, nil, nil)
+	return ix.adsOf(ix.AppendPhraseRefs(nil, textnorm.Tokenize(query), textnorm.WordSet(query), counters, nil, nil))
 }
 
 func TestExactMatch(t *testing.T) {
@@ -500,20 +520,28 @@ func TestWordHashProperties(t *testing.T) {
 }
 
 func TestNodeOrderInvariant(t *testing.T) {
-	n := &node{}
-	ads := mustAds("c c c", "a", "b b", "a b c d", "z")
-	for _, a := range ads {
-		n.insert(a)
+	// MaxWords 1 re-maps every multi-word phrase onto its rarest word, so
+	// the nodes of the index grown here hold records of several lengths.
+	ix := New(nil, Options{MaxWords: 1})
+	for _, a := range mustAds("c c c", "a", "b b", "a b c d", "z", "d c", "b a", "c", "d") {
+		ix.Insert(a)
 	}
-	if !n.checkOrdered() {
-		t.Fatalf("node out of order: %+v", n.records)
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	lens := make([]int, len(n.records))
-	for i := range n.records {
-		lens[i] = len(n.records[i].Words)
-	}
-	if !sort.IntsAreSorted(lens) {
-		t.Fatalf("word counts not ascending: %v", lens)
+	mixed := false
+	ix.Nodes(func(_ uint64, records []corpus.Ad) {
+		lens := make([]int, len(records))
+		for i := range records {
+			lens[i] = len(records[i].Words)
+		}
+		if !sort.IntsAreSorted(lens) {
+			t.Fatalf("word counts not ascending: %v", lens)
+		}
+		mixed = mixed || lens[0] != lens[len(lens)-1]
+	})
+	if !mixed {
+		t.Fatal("no node holds records of different lengths")
 	}
 }
 

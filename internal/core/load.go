@@ -16,12 +16,13 @@ import (
 // The bulk loader behind New and NewWithMapping. An index over a known
 // corpus is not grown one Insert at a time: the ads are sorted into the
 // order the nodes keep them in, and every node, column and table entry is
-// then written once, at its final size, into storage shared by the whole
-// index. The result is the structure the same ads would build through
-// Insert (TestBulkLoadEqualsIncremental), and it is a function of the
-// input alone: every stage either writes disjoint, precomputed positions
-// or runs on one goroutine in sorted order, so the worker count changes
-// neither node ids nor table slots (TestBulkLoadWorkerCountInvariant).
+// then written once, at its final size, into the index-wide columns, word
+// IDs and arena. The result holds the records, nodes, table and mapping
+// the same ads would build through Insert (TestBulkLoadEqualsIncremental),
+// and it is a function of the input alone: every stage either writes
+// disjoint, precomputed positions or runs on one goroutine in sorted
+// order, so the worker count changes no byte of it
+// (TestBulkLoadWorkerCountInvariant).
 
 // loadGrain is how many ads justify one more loader goroutine.
 const loadGrain = 4096
@@ -68,8 +69,11 @@ type loadSet struct {
 	lo, hi int32  // its ads, as positions in the ordered input
 	hash   uint64 // WordHash(loc), the key of its node
 	words  []string
-	key    string
-	loc    []string
+	// key is the set key, computed where the loader needs it: to look the
+	// set up in a mapping, or to enter a locator that is not the set's own
+	// words into locOf.
+	key string
+	loc []string
 }
 
 // byNode orders sets as the nodes keep them: by node, word count, set key.
@@ -119,16 +123,20 @@ func compareKeys(a, b []string) int {
 // occurs in ads, reporting the first such ad in input order.
 func load(ads []corpus.Ad, mapping map[string][]string, opts Options, workers int) (*Index, error) {
 	opts.fillDefaults()
+	ix := &Index{opts: opts, voc: newVocab(), locOf: map[string][]string{}}
 	n := len(ads)
 	if n == 0 {
-		return &Index{opts: opts, locOf: map[string][]string{}, df: map[string]int{}}, nil
+		return ix, nil
 	}
-	ix := &Index{opts: opts, numAds: n}
+	if n > MaxRecords {
+		panic("core: more than MaxRecords ads")
+	}
 	chunks := max(1, workers)
 	chunkOf := func(p, total int) (lo, hi int) { return p * total / chunks, (p + 1) * total / chunks }
 
-	// Each ad's set hash, and the document frequencies, which choose the
-	// default locator of a long phrase: counted per chunk, summed.
+	// Each ad's set hash, and the document frequencies: counted per chunk,
+	// then frozen into the vocabulary, which numbers the words and chooses
+	// the default locator of a long phrase.
 	placed := make([]placedAd, n)
 	dfs := make([]map[string]int, chunks)
 	parallel(workers, chunks, func(p int) {
@@ -140,12 +148,7 @@ func load(ads []corpus.Ad, mapping map[string][]string, opts Options, workers in
 			placed[lo] = placedAd{WordHash(ads[lo].Words), int32(lo)}
 		}
 	})
-	ix.df = dfs[0]
-	for _, df := range dfs[1:] {
-		for w, c := range df {
-			ix.df[w] += c
-		}
-	}
+	ix.voc = buildVocab(dfs)
 
 	// Order the ads by (set hash, word count, set key, ID): a counting sort
 	// on the top byte of the hash, then each bucket on its own. Among
@@ -185,10 +188,8 @@ func load(ads []corpus.Ad, mapping map[string][]string, opts Options, workers in
 
 	// The distinct sets are the runs of equal words.
 	sets := make([]loadSet, 0, n)
-	numHashes := 0
 	for j := range order {
 		words := ads[order[j].i].Words
-		numHashes += len(words)
 		if last := len(sets) - 1; j > 0 && order[j].h == order[j-1].h && slices.Equal(words, sets[last].words) {
 			sets[last].hi++
 			continue
@@ -196,32 +197,41 @@ func load(ads []corpus.Ad, mapping map[string][]string, opts Options, workers in
 		sets = append(sets, loadSet{lo: int32(j), hi: int32(j) + 1, words: words})
 	}
 
-	// Every set's key (the keys of a chunk share one string) and locator. A
-	// mapped locator that must be refused is reported for the first ad of
-	// its set in input order, as a build ad by ad would.
+	// Every set's locator, and its key where the loader needs it (the keys
+	// of a chunk share one string). A mapped locator that must be refused
+	// is reported for the first ad of its set in input order, as a build ad
+	// by ad would.
 	refusedAt := make([]int32, chunks)
 	parallel(workers, chunks, func(p int) {
 		refusedAt[p] = int32(n)
 		lo, hi := chunkOf(p, len(sets))
 		var keys []byte
-		for i := lo; i < hi; i++ {
-			keys = textnorm.AppendSetKey(keys, sets[i].words)
+		if mapping != nil {
+			for i := lo; i < hi; i++ {
+				keys = textnorm.AppendSetKey(keys, sets[i].words)
+			}
 		}
 		rest := string(keys)
 		for i := lo; i < hi; i++ {
 			s := &sets[i]
-			end := max(len(s.words)-1, 0)
-			for _, w := range s.words {
-				end += len(w)
-			}
-			s.key, rest = rest[:end], rest[end:]
-			var mapped bool
-			if s.loc, mapped = mapping[s.key]; !mapped {
-				s.loc = ix.chooseLocator(s.words)
-			} else if checkLocator(s.loc, s.words, opts.MaxWords) != nil {
-				for j := s.lo; j < s.hi; j++ {
-					refusedAt[p] = min(refusedAt[p], order[j].i)
+			mapped := false
+			if mapping != nil {
+				end := max(len(s.words)-1, 0)
+				for _, w := range s.words {
+					end += len(w)
 				}
+				s.key, rest = rest[:end], rest[end:]
+				if s.loc, mapped = mapping[s.key]; mapped && checkLocator(s.loc, s.words, opts.MaxWords) != nil {
+					for j := s.lo; j < s.hi; j++ {
+						refusedAt[p] = min(refusedAt[p], order[j].i)
+					}
+				}
+			}
+			if !mapped {
+				s.loc = ix.chooseLocator(s.words)
+			}
+			if mapping == nil && len(s.words) > opts.MaxWords {
+				s.key = setKey(s.words)
 			}
 			s.hash = WordHash(s.loc)
 		}
@@ -252,83 +262,119 @@ func load(ads []corpus.Ad, mapping map[string][]string, opts Options, workers in
 		}
 	}
 
-	// Carve every node's records and columns, exact-size, out of six slabs.
-	// The slices are capped at their length, so an Insert into a node grows
-	// it into storage of its own instead of over its neighbour's.
-	var firstSet []int32 // node k holds sets[firstSet[k]:firstSet[k+1]]
+	// Every node's records, exact-size and in node order, in the record
+	// columns: node k holds sets[firstSet[k]:firstSet[k+1]]. A node has no
+	// room, so an Insert into it moves it to the end of the columns instead
+	// of growing over its neighbour.
+	var firstSet []int32
 	for i := range sets {
 		if i == 0 || sets[i].hash != sets[i-1].hash {
 			firstSet = append(firstSet, int32(i))
 		}
 	}
 	firstSet = append(firstSet, int32(len(sets)))
-	nodes := make([]node, len(firstSet)-1)
-	records := make([]corpus.Ad, n)
-	sigs := make([]uint64, n)
-	wcs := make([]uint32, n)
-	sameKey := make([]bool, n)
-	wordHashes := make([]uint64, numHashes)
-	hashOff := make([]uint32, n+len(nodes))
-	r, h := 0, 0
-	for k := range nodes {
-		r1, h1 := r, h
+	ix.nodes = make([]node, len(firstSet)-1)
+	r := uint32(0)
+	for k := range ix.nodes {
+		r1 := r
 		for _, s := range sets[firstSet[k]:firstSet[k+1]] {
-			r1 += int(s.hi - s.lo)
-			h1 += int(s.hi-s.lo) * len(s.words)
+			r1 += uint32(s.hi - s.lo)
 		}
-		nodes[k] = node{
-			id:         uint64(k + 1),
-			records:    records[r:r1:r1],
-			sigs:       sigs[r:r1:r1],
-			wcs:        wcs[r:r1:r1],
-			sameKey:    sameKey[r:r1:r1],
-			wordHashes: wordHashes[h:h1:h1],
-			hashOff:    hashOff[r+k : r1+k+1 : r1+k+1],
-		}
-		r, h = r1, h1
+		ix.nodes[k] = node{off: r, n: r1 - r, cap: r1 - r}
+		r = r1
 	}
-	ix.nodeSeq = uint64(len(nodes))
+	ix.ids, ix.bids, ix.ctr, ix.campaign = make([]uint64, n), make([]int64, n), make([]uint16, n), make([]uint32, n)
+	ix.sigs, ix.wcs, ix.sameKey = make([]uint64, n), make([]uint32, n), make([]bool, n)
+	ix.wordAt, ix.textAt = make([]uint32, n), make([]uint32, n)
+	ix.numAds, ix.sets = n, len(sets)
 
-	// Three writers with nothing in common: the probe table and the mapping,
-	// each filled by one goroutine in node order, and the nodes' contents,
-	// filled a range of nodes at a time.
+	// The nodes are written a range at a time. A first pass sizes each
+	// range's share of the word IDs (one run per set, which its records
+	// share) and of the arena, so that every range knows where to write.
 	const rangesPerWorker = 4 // evens out ranges that hold a giant node
 	ranges := chunks * rangesPerWorker
+	nodeRange := func(p int) (lo, hi int) { return p * len(ix.nodes) / ranges, (p + 1) * len(ix.nodes) / ranges }
+	wordsAt, textAt := make([]int, ranges+1), make([]int, ranges+1)
+	parallel(workers, ranges, func(p int) {
+		lo, hi := nodeRange(p)
+		for _, s := range sets[firstSet[lo]:firstSet[hi]] {
+			wordsAt[p+1] += len(s.words)
+			for j := s.lo; j < s.hi; j++ {
+				textAt[p+1] += textLen(&ads[order[j].i])
+			}
+		}
+	})
+	for p := 0; p < ranges; p++ {
+		wordsAt[p+1] += wordsAt[p]
+		textAt[p+1] += textAt[p]
+	}
+	if textAt[ranges] > maxArena {
+		panic("core: phrase arena exceeds 4 GiB")
+	}
+	ix.wordIDs, ix.arena = make([]uint32, wordsAt[ranges]), make([]byte, textAt[ranges])
+	ix.textUsed = textAt[ranges]
+	for _, s := range sets {
+		ix.wordsUsed += len(s.words) * int(s.hi-s.lo)
+	}
+
+	// Three writers with nothing in common: the probe table and the
+	// mapping, each filled by one goroutine in node order, and the nodes'
+	// records, filled a range of nodes at a time.
+	rangeBytes := make([]int, ranges)
 	parallel(workers, 2+ranges, func(p int) {
 		switch p {
 		case 0:
-			ix.table.reserve(len(nodes))
-			for k := range nodes {
-				ix.table.put(sets[firstSet[k]].hash, &nodes[k])
+			ix.table.reserve(len(ix.nodes))
+			for k := range ix.nodes {
+				ix.table.put(sets[firstSet[k]].hash, uint32(k)+1)
 				for _, s := range sets[firstSet[k]:firstSet[k+1]] {
 					ix.addPrefixes(s.loc, uint32(s.hi-s.lo))
 				}
 			}
 		case 1:
-			ix.locOf = make(map[string][]string, len(sets))
 			for i := range sets {
-				ix.locOf[sets[i].key] = sets[i].loc
+				if s := &sets[i]; !slices.Equal(s.loc, s.words) {
+					loc := make([]string, len(s.loc))
+					for j, w := range s.loc {
+						loc[j] = ix.voc.words[ix.voc.ids[w]]
+					}
+					ix.locOf[strings.Clone(s.key)] = loc
+				}
 			}
 		default:
 			p -= 2
-			var wh []uint64
-			for k := p * len(nodes) / ranges; k < (p+1)*len(nodes)/ranges; k++ {
-				nd, at := &nodes[k], 0
-				for _, s := range sets[firstSet[k]:firstSet[k+1]] {
-					wh = appendSortedWordHashes(wh[:0], s.words)
-					sig := hashesSignature(wh)
-					for j := s.lo; j < s.hi; j, at = j+1, at+1 {
-						nd.records[at] = ads[order[j].i]
-						nd.sigs[at] = sig
-						nd.wcs[at] = uint32(len(wh))
-						nd.sameKey[at] = j > s.lo
-						nd.hashOff[at+1] = nd.hashOff[at] + uint32(len(wh))
-						copy(nd.wordHashes[nd.hashOff[at]:], wh)
-						nd.bytes += nd.records[at].Size()
-					}
-				}
-			}
+			lo, hi := nodeRange(p)
+			rangeBytes[p] = ix.writeNodes(ads, order, sets, firstSet, lo, hi, wordsAt[p], textAt[p])
 		}
 	})
+	for _, b := range rangeBytes {
+		ix.bytes += b
+	}
 	return ix, nil
+}
+
+// writeNodes writes the records of nodes lo … hi-1, their word IDs from
+// wordIDs[words] on and their text from arena[text] on, and returns their
+// cost-model bytes.
+func (ix *Index) writeNodes(ads []corpus.Ad, order []placedAd, sets []loadSet, firstSet []int32, lo, hi, words, text int) (bytes int) {
+	for k := lo; k < hi; k++ {
+		r := ix.nodes[k].off
+		for _, s := range sets[firstSet[k]:firstSet[k+1]] {
+			at := uint32(words)
+			for _, w := range s.words {
+				ix.wordIDs[words] = ix.voc.ids[w]
+				words++
+			}
+			sig := ix.voc.signature(ix.wordIDs[at:words])
+			for j := s.lo; j < s.hi; j, r = j+1, r+1 {
+				ad := &ads[order[j].i]
+				ix.ids[r], ix.bids[r], ix.ctr[r], ix.campaign[r] = ad.ID, ad.Meta.BidMicros, ad.Meta.ClickRate, ad.Meta.CampaignID
+				ix.sigs[r], ix.wcs[r], ix.sameKey[r], ix.wordAt[r] = sig, uint32(len(s.words)), j > s.lo, at
+				ix.textAt[r] = uint32(text)
+				text += putText(ix.arena[text:], ad)
+				bytes += ad.Size()
+			}
+		}
+	}
+	return bytes
 }

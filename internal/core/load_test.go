@@ -13,68 +13,61 @@ import (
 // grown is the reference the bulk loader is held to: the index the same
 // ads and mapping build one Insert at a time. Like the loader it knows the
 // whole corpus' document frequencies before it places the first ad (they
-// choose the default locator of a long phrase), and an explicit locator is
-// entered just before its set's first ad arrives.
+// choose the default locator of a long phrase), and an explicit locator
+// that is not the set's own words is entered just before its set's first
+// ad arrives.
 func grown(ads []corpus.Ad, mapping map[string][]string, opts Options) *Index {
 	ix, _ := load(nil, nil, opts, 1)
 	for i := range ads {
 		for _, w := range ads[i].Words {
-			ix.df[w]++
+			ix.voc.df[ix.voc.intern(w)]++
 		}
 	}
 	for i := range ads {
 		key := ads[i].SetKey()
-		if loc, ok := mapping[key]; ok && ix.locOf[key] == nil {
+		if loc, ok := mapping[key]; ok && !slices.Equal(loc, ads[i].Words) && ix.locOf[key] == nil {
 			ix.locOf[key] = loc
 		}
 		for _, w := range ads[i].Words {
-			ix.df[w]-- // Insert counts them again
+			ix.voc.df[ix.voc.ids[w]]-- // Insert counts them again
 		}
 		ix.Insert(ads[i])
 	}
 	return ix
 }
 
-// nodeShape is everything a node holds but its id.
+// nodeShape is everything a node holds, words as strings: the two builds
+// number their vocabularies differently.
 type nodeShape struct {
-	Records    []corpus.Ad
-	Sigs       []uint64
-	Wcs        []uint32
-	WordHashes []uint64
-	HashOff    []uint32
-	SameKey    []bool
-	Bytes      int
-	Prefixes   uint32
+	Records  []corpus.Ad
+	Sigs     []uint64
+	Wcs      []uint32
+	SameKey  []bool
+	Prefixes uint32
 }
 
 // shape flattens an index for comparison: bookkeeping, table capacity, and
 // per table key the node stored there and the prefix references on it.
-// Node ids are left out (they record creation order) after checking that
-// they are distinct and within nodeSeq.
+// Where the records sit in the columns, and the room a grown node has,
+// are left out.
 func shape(t *testing.T, ix *Index) (map[uint64]nodeShape, []any) {
 	t.Helper()
 	byKey := make(map[uint64]nodeShape)
-	ids := make(map[uint64]bool)
 	for i, st := range ix.table.state {
 		if st != slotFull {
 			continue
 		}
 		sh := nodeShape{Prefixes: ix.table.cnt[i]}
-		if n := ix.table.vals[i]; n != nil {
-			if n.id == 0 || n.id > ix.nodeSeq || ids[n.id] {
-				t.Fatalf("node id %d repeated or outside 1..%d", n.id, ix.nodeSeq)
-			}
-			ids[n.id] = true
-			// Copies, and nil when empty: a column carved from a slab is
-			// never nil, a grown one may be.
-			sh.Records, sh.Sigs, sh.Wcs, sh.WordHashes, sh.HashOff, sh.SameKey, sh.Bytes =
-				append([]corpus.Ad(nil), n.records...), append([]uint64(nil), n.sigs...),
-				append([]uint32(nil), n.wcs...), append([]uint64(nil), n.wordHashes...),
-				append([]uint32(nil), n.hashOff...), append([]bool(nil), n.sameKey...), n.bytes
+		if v := ix.table.vals[i]; v != 0 {
+			nd := ix.nodes[v-1]
+			lo, hi := nd.off, nd.off+nd.n
+			sh.Records = ix.appendAds(nil, lo, hi)
+			sh.Sigs, sh.Wcs, sh.SameKey = ix.sigs[lo:hi], ix.wcs[lo:hi], ix.sameKey[lo:hi]
 		}
 		byKey[ix.table.keys[i]] = sh
 	}
-	return byKey, []any{ix.numAds, ix.locOf, ix.df, len(ix.table.keys), ix.table.nodes, ix.table.live}
+	return byKey, []any{ix.numAds, ix.sets, ix.bytes, ix.wordsUsed, ix.textUsed, ix.locOf, ix.DocFreqs(),
+		len(ix.table.keys), ix.table.nodes, ix.table.live}
 }
 
 func requireSameStructure(t *testing.T, what string, got, want *Index) {
@@ -135,8 +128,8 @@ func remapping(ads []corpus.Ad) map[string][]string {
 
 // TestBulkLoadEqualsIncremental: New and NewWithMapping build, bulk, the
 // structure the same input builds through Insert — records, every column,
-// prefix counts, table capacity, bookkeeping — and refuse what they
-// refused when they were a loop over place, in the same words.
+// prefix counts, table capacity, vocabulary, bookkeeping — and refuse
+// what they refused when they were a loop over place, in the same words.
 func TestBulkLoadEqualsIncremental(t *testing.T) {
 	inputs := map[string][]corpus.Ad{"awkward": awkwardAds(), "empty": nil}
 	for _, seed := range []int64{1, 2, 3} {
@@ -188,10 +181,15 @@ func TestBulkLoadEqualsIncremental(t *testing.T) {
 }
 
 // TestBulkLoadWorkerCountInvariant: the loaded index is a function of the
-// input alone — the same node ids in the same table slots from one
-// goroutine as from many.
+// input alone — the same columns, word IDs, arena, vocabulary, nodes and
+// table, byte for byte, from one goroutine as from many.
 func TestBulkLoadWorkerCountInvariant(t *testing.T) {
 	ads := append(corpus.Generate(corpus.GenOptions{NumAds: 8000, Seed: 4}).Ads, awkwardAds()...)
+	storage := func(ix *Index) []any {
+		return []any{ix.ids, ix.bids, ix.ctr, ix.campaign, ix.sigs, ix.wcs, ix.sameKey, ix.wordAt, ix.textAt,
+			ix.wordIDs, ix.arena, ix.voc.words, ix.voc.df, ix.nodes, ix.free,
+			ix.table.keys, ix.table.vals, ix.table.cnt, ix.table.state}
+	}
 	for _, mapping := range []map[string][]string{nil, remapping(ads)} {
 		one, err := load(ads, mapping, Options{MaxWords: 4}, 1)
 		if err != nil {
@@ -203,14 +201,8 @@ func TestBulkLoadWorkerCountInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameStructure(t, fmt.Sprint(workers, " workers"), many, one)
-			if many.nodeSeq != one.nodeSeq || !slices.Equal(many.table.keys, one.table.keys) ||
-				!slices.Equal(many.table.state, one.table.state) || !slices.Equal(many.table.cnt, one.table.cnt) {
-				t.Fatalf("%d workers: table arrays differ from the single-worker build", workers)
-			}
-			for i, n := range one.table.vals {
-				if m := many.table.vals[i]; (n == nil) != (m == nil) || n != nil && n.id != m.id {
-					t.Fatalf("%d workers: slot %d holds node %v, single-worker build holds %v", workers, i, m, n)
-				}
+			if !reflect.DeepEqual(storage(many), storage(one)) {
+				t.Fatalf("%d workers: storage differs from the single-worker build", workers)
 			}
 		}
 	}
@@ -218,8 +210,9 @@ func TestBulkLoadWorkerCountInvariant(t *testing.T) {
 
 // TestMutateAfterBulkLoad: a loaded index takes online Inserts and Deletes
 // in every node exactly as a grown one does. The nodes of a loaded index
-// are neighbours in shared slabs; an Insert that grew one in place would
-// overwrite the next, and the comparison after every batch would see it.
+// are neighbours in the shared columns with no room; an Insert that grew
+// one in place would overwrite the next, and the comparison after every
+// batch would see it.
 func TestMutateAfterBulkLoad(t *testing.T) {
 	ads := append(corpus.Generate(corpus.GenOptions{NumAds: 3000, Seed: 5}).Ads, awkwardAds()...)
 	opts := Options{MaxWords: 4}
@@ -231,11 +224,12 @@ func TestMutateAfterBulkLoad(t *testing.T) {
 	ref := grown(ads, mapping, opts)
 	requireSameStructure(t, "before mutation", loaded, ref)
 
-	// One existing ad per node, in node-id order so both runs agree.
+	// One existing ad per node, in ID order so both runs agree.
 	var perNode []corpus.Ad
-	loaded.table.each(func(_ uint64, n *node) bool {
-		perNode = append(perNode, n.records[len(n.records)/2])
-		return true
+	loaded.eachNode(func(_ uint64, k uint32) {
+		nd := loaded.nodes[k]
+		r := nd.off + nd.n/2
+		perNode = loaded.appendAds(perNode, r, r+1)
 	})
 	slices.SortFunc(perNode, func(a, b corpus.Ad) int { return int(a.ID) - int(b.ID) })
 	rng := rand.New(rand.NewSource(6))

@@ -2,148 +2,352 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
-	"sort"
 	"strings"
+	"unsafe"
 
 	"adindex/internal/corpus"
 )
 
-// node is a data node (Figure 4): the variable-length record holding every
-// advertisement mapped to one hash key. Records are kept ordered by the
-// number of words in their phrases, so query processing can stop scanning
-// as soon as it encounters a phrase longer than the query (Section V-A).
+// node is a data node (Figure 4): the variable-length run of records
+// holding every advertisement mapped to one hash key. Its records are
+// positions off … off+n-1 of the index's record columns, and the
+// positions up to off+cap are its room to grow. Records are kept ordered
+// by word count, then set key, then ID (CompareRecords): query processing
+// stops scanning at the first phrase longer than the query (Section V-A),
+// and the records of one word set are adjacent (mapping condition IV).
 //
 // Because distinct word sets can collide under WordHash, and because
 // re-mapping deliberately co-locates different word sets, a node may hold
 // records from several locators; each record carries its exact word set.
-//
-// The record array is mirrored by columnar (structure-of-arrays) side
-// tables so the broad-match scan never touches the wide Ad structs for
-// records the query cannot match: a flat signature column swept
-// branch-free rejects most records on a single 64-bit load, the word-count
-// column drives the length early-exit without pointer-chasing, and the
-// packed per-record word-hash column verifies subset containment on
-// integers before the exact string check runs. All columns are
-// index-aligned with records and maintained by insert/removeAt.
 type node struct {
-	// id identifies the node uniquely within its index, assigned at
-	// creation. Query scratch state dedupes visited nodes by this id
-	// (nodes are shared by concurrent readers, so an in-node mark is not
-	// an option).
-	id uint64
-	// records, ordered by (len(Words), set key, ID). Grouping by set key
-	// within a length class keeps all ads of one word set contiguous
-	// (mapping condition IV), which the optimizer relies on.
-	records []corpus.Ad
-	// sigs[i] is the 64-bit word-set signature of records[i] (see
-	// SetSignature): a Bloom-style filter with the guarantee that
-	// sigs[i] &^ querySignature != 0 implies records[i] cannot
-	// broad-match the query.
-	sigs []uint64
-	// wcs[i] is len(records[i].Words); the scan's length early-exit binary
-	// searches this flat column instead of dereferencing records.
-	wcs []uint32
-	// wordHashes packs the sorted 64-bit word hashes of every record
-	// back-to-back; record i owns wordHashes[hashOff[i]:hashOff[i+1]].
-	// hashOff has len(records)+1 entries whenever the node is non-empty.
-	wordHashes []uint64
-	hashOff    []uint32
-	// sameKey[i] marks records[i] as having the same word set as
-	// records[i-1] (set-key grouping makes such records adjacent). A
-	// subset verdict depends only on the word set, so the scan verifies
-	// each run once and reuses the verdict across the run.
-	sameKey []bool
-	// bytes is the cached total of record sizes, used by the cost model.
-	bytes int
+	off, n, cap uint32
 }
 
-// insert adds ad keeping the order invariant across records and all
-// columnar mirrors.
-func (n *node) insert(ad corpus.Ad) {
-	i := sort.Search(len(n.records), func(i int) bool {
-		return CompareRecords(&n.records[i], &ad) >= 0
-	})
-	n.records = slices.Insert(n.records, i, ad)
-	n.sigs = slices.Insert(n.sigs, i, SetSignature(ad.Words))
-	n.wcs = slices.Insert(n.wcs, i, uint32(len(ad.Words)))
-	n.sameKey = slices.Insert(n.sameKey, i, false)
-	n.sameKey[i] = i > 0 && n.records[i].SetKey() == n.records[i-1].SetKey()
-	if i+1 < len(n.records) {
-		n.sameKey[i+1] = n.records[i+1].SetKey() == n.records[i].SetKey()
-	}
+// Ref names one record of an index: its position in the record columns.
+// A match path appends Refs; the ad behind one is built only when a
+// caller copies it out (AppendAd). A Ref is valid until the index's next
+// Insert or Delete.
+type Ref uint32
 
-	wh := appendSortedWordHashes(nil, ad.Words)
-	if len(n.hashOff) == 0 {
-		n.hashOff = append(n.hashOff, 0)
-	}
-	n.wordHashes = slices.Insert(n.wordHashes, int(n.hashOff[i]), wh...)
-	n.hashOff = slices.Insert(n.hashOff, i+1, n.hashOff[i]+uint32(len(wh)))
-	for j := i + 2; j < len(n.hashOff); j++ {
-		n.hashOff[j] += uint32(len(wh))
-	}
-	n.bytes += ad.Size()
+// The record columns. A record is a position r in every one of them:
+//
+//	ids[r], bids[r], ctr[r], campaign[r]  the ad's ID and info(A)
+//	sigs[r]     the signature of its word set (SetSignature): the scan
+//	            rejects most records on this one 64-bit load
+//	wcs[r]      its word count: the scan's length early-exit
+//	sameKey[r]  its word set is record r-1's (set runs are verified once)
+//	wordAt[r]   its word IDs are wordIDs[wordAt[r] : wordAt[r]+wcs[r]],
+//	            in canonical (string) order; a set's records share them
+//	textAt[r]   its phrase and exclusions start at arena[textAt[r]]
+//
+// A record's text is uvarint(len(phrase)) phrase uvarint(#exclusions)
+// and each exclusion as uvarint(len) bytes. The arena is append-only:
+// bytes below its length are never written again, so a phrase copied out
+// of it (a string aliasing the arena) stays valid and immutable for as
+// long as anyone holds it.
+
+// recWords returns the word IDs of record r.
+func (ix *Index) recWords(r uint32) []uint32 {
+	at := ix.wordAt[r]
+	return ix.wordIDs[at : at+ix.wcs[r]]
 }
 
-// recHashes returns the sorted word hashes of record i.
-func (n *node) recHashes(i int) []uint64 {
-	return n.wordHashes[n.hashOff[i]:n.hashOff[i+1]]
+// sameSet reports whether records r and s hold the same word set.
+func (ix *Index) sameSet(r, s uint32) bool {
+	return ix.wcs[r] == ix.wcs[s] && slices.Equal(ix.recWords(r), ix.recWords(s))
 }
 
-// find returns the position of a record with the given ID and set key, or
-// -1. The (word count, set key, ID) order invariant makes the position
-// binary-searchable, so delete-heavy churn costs O(log n) to locate plus
-// the splice, not a full node scan per tombstone.
-func (n *node) find(id uint64, key string) int {
-	wc := uint32(keyWordCount(key))
-	i := sort.Search(len(n.records), func(i int) bool {
-		if n.wcs[i] != wc {
-			return n.wcs[i] > wc
+// compareSets orders two word sets of equal length as strings.Compare
+// orders their set keys (compareKeys, on word IDs).
+func (ix *Index) compareSets(a, b []uint32) int {
+	for i := range a {
+		if a[i] == b[i] {
+			continue
 		}
-		if rk := n.records[i].SetKey(); rk != key {
-			return rk > key
+		x, y := ix.voc.words[a[i]], ix.voc.words[b[i]]
+		if strings.HasPrefix(x, y) || strings.HasPrefix(y, x) {
+			return strings.Compare(ix.setKeyOf(a[i:]), ix.setKeyOf(b[i:]))
 		}
-		return n.records[i].ID >= id
-	})
-	if i >= len(n.records) || n.wcs[i] != wc ||
-		n.records[i].ID != id || n.records[i].SetKey() != key {
-		return -1
+		return strings.Compare(x, y)
 	}
-	return i
+	return 0
 }
 
-// lastOfSet reports whether record i is the only record of its word set:
-// the records of one set are adjacent, and sameKey marks the joints.
-func (n *node) lastOfSet(i int) bool {
-	return !n.sameKey[i] && (i+1 == len(n.records) || !n.sameKey[i+1])
+// compareRecord is CompareRecords between record r and a record with word
+// set ids and the given ID.
+func (ix *Index) compareRecord(r uint32, ids []uint32, id uint64) int {
+	if c := cmp.Compare(int(ix.wcs[r]), len(ids)); c != 0 {
+		return c
+	}
+	if c := ix.compareSets(ix.recWords(r), ids); c != 0 {
+		return c
+	}
+	return cmp.Compare(ix.ids[r], id)
 }
 
-// removeAt splices record i out of the record array and every columnar
-// mirror.
-func (n *node) removeAt(i int) {
-	n.bytes -= n.records[i].Size()
-	k := n.hashOff[i+1] - n.hashOff[i]
-	n.records = slices.Delete(n.records, i, i+1)
-	n.sigs = slices.Delete(n.sigs, i, i+1)
-	n.wcs = slices.Delete(n.wcs, i, i+1)
-	n.sameKey = slices.Delete(n.sameKey, i, i+1)
-	if i < len(n.records) {
-		n.sameKey[i] = i > 0 && n.records[i].SetKey() == n.records[i-1].SetKey()
+// setKeyOf returns the set key of a word set given as IDs.
+func (ix *Index) setKeyOf(ids []uint32) string {
+	var b strings.Builder
+	for i, id := range ids {
+		if i > 0 {
+			b.WriteByte('\x1f')
+		}
+		b.WriteString(ix.voc.words[id])
 	}
-	n.wordHashes = slices.Delete(n.wordHashes, int(n.hashOff[i]), int(n.hashOff[i]+k))
-	n.hashOff = slices.Delete(n.hashOff, i+1, i+2)
-	for j := i + 1; j < len(n.hashOff); j++ {
-		n.hashOff[j] -= k
-	}
+	return b.String()
 }
 
-// keyWordCount returns the number of words in a canonical set key
-// (SetKey joins words with the 0x1f unit separator).
-func keyWordCount(key string) int {
-	if key == "" {
-		return 0
+// search returns the first position i of node k whose record is not below
+// (ids, id) in node order; records equal in all of it come after i.
+func (ix *Index) search(k uint32, ids []uint32, id uint64) uint32 {
+	nd := ix.nodes[k]
+	lo, hi := uint32(0), nd.n
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if ix.compareRecord(nd.off+mid, ids, id) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return strings.Count(key, "\x1f") + 1
+	return lo
+}
+
+// find returns the position of a record of node k with the given word set
+// and ID, or -1. The node order makes it a binary search: churn costs
+// O(log n) to locate plus the splice, not a full node scan per delete.
+func (ix *Index) find(k uint32, ids []uint32, id uint64) int {
+	i := ix.search(k, ids, id)
+	if nd := ix.nodes[k]; i < nd.n && ix.compareRecord(nd.off+i, ids, id) == 0 {
+		return int(i)
+	}
+	return -1
+}
+
+// lastOfSet reports whether record r, at position i of node k, is the
+// only record of its word set: the records of one set are adjacent, and
+// sameKey marks the joints.
+func (ix *Index) lastOfSet(k, i uint32) bool {
+	nd := ix.nodes[k]
+	r := nd.off + i
+	return !ix.sameKey[r] && (i+1 == nd.n || !ix.sameKey[r+1])
+}
+
+// openSlot makes room for one record at position i of node k, moving the
+// node to the end of the columns first when it has no room, and returns
+// the record's column position.
+func (ix *Index) openSlot(k, i uint32) uint32 {
+	if nd := ix.nodes[k]; nd.n == nd.cap {
+		ix.relocate(k, max(2*nd.n, 2))
+	}
+	nd := &ix.nodes[k]
+	lo, hi := nd.off+i, nd.off+nd.n
+	shiftUp(ix.ids, lo, hi)
+	shiftUp(ix.bids, lo, hi)
+	shiftUp(ix.ctr, lo, hi)
+	shiftUp(ix.campaign, lo, hi)
+	shiftUp(ix.sigs, lo, hi)
+	shiftUp(ix.wcs, lo, hi)
+	shiftUp(ix.sameKey, lo, hi)
+	shiftUp(ix.wordAt, lo, hi)
+	shiftUp(ix.textAt, lo, hi)
+	nd.n++
+	return lo
+}
+
+// closeSlot removes the record at position i of node k; the node keeps
+// the freed slot as room.
+func (ix *Index) closeSlot(k, i uint32) {
+	nd := &ix.nodes[k]
+	lo, hi := nd.off+i, nd.off+nd.n
+	shiftDown(ix.ids, lo, hi)
+	shiftDown(ix.bids, lo, hi)
+	shiftDown(ix.ctr, lo, hi)
+	shiftDown(ix.campaign, lo, hi)
+	shiftDown(ix.sigs, lo, hi)
+	shiftDown(ix.wcs, lo, hi)
+	shiftDown(ix.sameKey, lo, hi)
+	shiftDown(ix.wordAt, lo, hi)
+	shiftDown(ix.textAt, lo, hi)
+	nd.n--
+}
+
+// relocate moves node k's records to the end of the columns, with room
+// for capacity records. The slots it leaves are garbage until compact.
+func (ix *Index) relocate(k, capacity uint32) {
+	nd := &ix.nodes[k]
+	lo, hi := nd.off, nd.off+nd.n
+	if uint64(len(ix.ids))+uint64(capacity) > MaxRecords {
+		panic("core: index exceeds MaxRecords record slots")
+	}
+	at := uint32(len(ix.ids))
+	ix.ids = moveTail(ix.ids, lo, hi, capacity)
+	ix.bids = moveTail(ix.bids, lo, hi, capacity)
+	ix.ctr = moveTail(ix.ctr, lo, hi, capacity)
+	ix.campaign = moveTail(ix.campaign, lo, hi, capacity)
+	ix.sigs = moveTail(ix.sigs, lo, hi, capacity)
+	ix.wcs = moveTail(ix.wcs, lo, hi, capacity)
+	ix.sameKey = moveTail(ix.sameKey, lo, hi, capacity)
+	ix.wordAt = moveTail(ix.wordAt, lo, hi, capacity)
+	ix.textAt = moveTail(ix.textAt, lo, hi, capacity)
+	nd.off, nd.cap = at, capacity
+}
+
+// MaxRecords bounds the records, and the record slots, of an index: every
+// Ref is below it, and a caller may name records of its own with the
+// values from MaxRecords on.
+const MaxRecords = 1 << 31
+
+// maxArena bounds the arena: text offsets are uint32.
+const maxArena = 1 << 32
+
+// shiftUp moves col[lo:hi] up by one; col[hi] must be room.
+func shiftUp[T any](col []T, lo, hi uint32) { copy(col[lo+1:hi+1], col[lo:hi]) }
+
+// shiftDown moves col[lo+1:hi] down by one.
+func shiftDown[T any](col []T, lo, hi uint32) { copy(col[lo:hi-1], col[lo+1:hi]) }
+
+// moveTail appends a copy of col[lo:hi] and room for capacity elements in
+// all.
+func moveTail[T any](col []T, lo, hi, capacity uint32) []T {
+	at := len(col)
+	col = slices.Grow(col, int(capacity))[:at+int(capacity)]
+	copy(col[at:], col[lo:hi])
+	return col
+}
+
+// textLen is the arena size of an ad's text.
+func textLen(ad *corpus.Ad) int {
+	n := uvarintLen(len(ad.Phrase)) + len(ad.Phrase) + uvarintLen(len(ad.Meta.Exclusions))
+	for _, e := range ad.Meta.Exclusions {
+		n += uvarintLen(len(e)) + len(e)
+	}
+	return n
+}
+
+func uvarintLen(n int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(n))
+}
+
+// putText writes an ad's text at the start of dst, which has room for
+// textLen(ad) bytes, and returns its length.
+func putText(dst []byte, ad *corpus.Ad) int {
+	at := binary.PutUvarint(dst, uint64(len(ad.Phrase)))
+	at += copy(dst[at:], ad.Phrase)
+	at += binary.PutUvarint(dst[at:], uint64(len(ad.Meta.Exclusions)))
+	for _, e := range ad.Meta.Exclusions {
+		at += binary.PutUvarint(dst[at:], uint64(len(e)))
+		at += copy(dst[at:], e)
+	}
+	return at
+}
+
+// appendText appends an ad's text to the arena and returns its offset.
+func (ix *Index) appendText(ad *corpus.Ad) uint32 {
+	at, n := len(ix.arena), textLen(ad)
+	if uint64(at)+uint64(n) > maxArena {
+		panic("core: phrase arena exceeds 4 GiB")
+	}
+	ix.arena = slices.Grow(ix.arena, n)[:at+n]
+	putText(ix.arena[at:], ad)
+	ix.textUsed += n
+	return uint32(at)
+}
+
+// arenaString reads a uvarint length and that many bytes from text, as a
+// string aliasing the arena.
+func arenaString(text []byte) (string, []byte) {
+	n, k := binary.Uvarint(text)
+	text = text[k:]
+	if n == 0 {
+		return "", text
+	}
+	return unsafe.String(&text[0], int(n)), text[n:]
+}
+
+// text returns record r's text, from its start to the end of the arena.
+func (ix *Index) text(r uint32) []byte { return ix.arena[ix.textAt[r]:] }
+
+// phrase returns record r's bid phrase.
+func (ix *Index) phrase(r uint32) string {
+	p, _ := arenaString(ix.text(r))
+	return p
+}
+
+// textStats decodes record r's text: its arena bytes, its number of
+// exclusions, and size(A) (corpus.Ad.Size) of the record.
+func (ix *Index) textStats(r uint32) (n, exclusions, size int) {
+	text := ix.text(r)
+	p, rest := arenaString(text)
+	size = len(p) + 2 + 8 + 4 + 8 + 2 // as corpus.Ad.Size
+	count, k := binary.Uvarint(rest)
+	rest = rest[k:]
+	for i := uint64(0); i < count; i++ {
+		var e string
+		e, rest = arenaString(rest)
+		size += len(e) + 1
+	}
+	return len(text) - len(rest), int(count), size
+}
+
+// size returns size(A) of record r.
+func (ix *Index) size(r uint32) int {
+	_, _, size := ix.textStats(r)
+	return size
+}
+
+// ID returns the ad ID of record r.
+func (ix *Index) ID(r Ref) uint64 { return ix.ids[r] }
+
+// Bid returns the bid and click rate of record r: the metadata a record
+// frame carries.
+func (ix *Index) Bid(r Ref) (micros int64, clickRate uint16) { return ix.bids[r], ix.ctr[r] }
+
+// SetKey returns the set key of record r's word set.
+func (ix *Index) SetKey(r Ref) string { return ix.setKeyOf(ix.recWords(uint32(r))) }
+
+// AdStrings returns how many strings AppendAd takes from its string
+// arena for record r: its words and its exclusions.
+func (ix *Index) AdStrings(r Ref) int {
+	_, exclusions, _ := ix.textStats(uint32(r))
+	return int(ix.wcs[r]) + exclusions
+}
+
+// AppendAd appends the ad of record r to dst. Its Words are the
+// vocabulary's strings and its Phrase and Exclusions alias the arena; the
+// slice headers of Words and Exclusions are appended to strs, so a caller
+// that sizes strs up front (AdStrings) copies a match list out in one
+// allocation. Both slices are returned extended. Empty Words and
+// Exclusions are nil.
+func (ix *Index) AppendAd(dst []corpus.Ad, strs []string, r Ref) ([]corpus.Ad, []string) {
+	dst = append(dst, corpus.Ad{})
+	ad := &dst[len(dst)-1]
+	ad.ID = ix.ids[r]
+	ad.Meta.CampaignID, ad.Meta.BidMicros, ad.Meta.ClickRate = ix.campaign[r], ix.bids[r], ix.ctr[r]
+	if ws := ix.recWords(uint32(r)); len(ws) > 0 {
+		mark := len(strs)
+		for _, id := range ws {
+			strs = append(strs, ix.voc.words[id])
+		}
+		ad.Words = strs[mark:len(strs):len(strs)]
+	}
+	var rest []byte
+	ad.Phrase, rest = arenaString(ix.text(uint32(r)))
+	if rest[0] != 0 { // the exclusion count
+		count, k := binary.Uvarint(rest)
+		rest = rest[k:]
+		mark := len(strs)
+		for i := uint64(0); i < count; i++ {
+			var e string
+			e, rest = arenaString(rest)
+			strs = append(strs, e)
+		}
+		ad.Meta.Exclusions = strs[mark:len(strs):len(strs)]
+	}
+	return dst, strs
 }
 
 // CompareRecords is the order a data node keeps its records in: by word
@@ -156,44 +360,4 @@ func CompareRecords(a, b *corpus.Ad) int {
 		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
-}
-
-// checkOrdered verifies the node's order invariant (used by tests and
-// integrity checks).
-func (n *node) checkOrdered() bool {
-	for i := 1; i < len(n.records); i++ {
-		if CompareRecords(&n.records[i], &n.records[i-1]) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// checkColumns verifies that every columnar mirror agrees with the record
-// array (used by tests and integrity checks).
-func (n *node) checkColumns() bool {
-	if len(n.sigs) != len(n.records) || len(n.wcs) != len(n.records) ||
-		len(n.sameKey) != len(n.records) {
-		return false
-	}
-	if len(n.records) > 0 && len(n.hashOff) != len(n.records)+1 {
-		return false
-	}
-	for i := range n.records {
-		if n.sigs[i] != SetSignature(n.records[i].Words) {
-			return false
-		}
-		if int(n.wcs[i]) != len(n.records[i].Words) {
-			return false
-		}
-		wh := appendSortedWordHashes(nil, n.records[i].Words)
-		if !slices.Equal(n.recHashes(i), wh) {
-			return false
-		}
-		wantSame := i > 0 && n.records[i].SetKey() == n.records[i-1].SetKey()
-		if n.sameKey[i] != wantSame {
-			return false
-		}
-	}
-	return true
 }

@@ -2,29 +2,82 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"adindex/internal/corpus"
 	"adindex/internal/textnorm"
 )
 
-// TestNodeRemoveMixedLengths is the regression test for the remove
-// satellite: the binary-searched remove must delete exactly the
-// (ID, set key) record from a node holding mixed-length records, several
-// set keys per length class, and duplicate IDs across keys.
-// remove deletes the record with the given ID and set key, as Index.Delete
-// does: find, then removeAt.
-func (n *node) remove(id uint64, key string) bool {
-	i := n.find(id, key)
+// bareNode returns an index with one node outside H, for the tests that
+// drive a node's records directly.
+func bareNode() (*Index, uint32) {
+	ix := New(nil, Options{})
+	return ix, ix.newNode()
+}
+
+// insert writes ad into node k as Insert does once it has found the node.
+func (ix *Index) insert(k uint32, ad corpus.Ad) {
+	ids := make([]uint32, len(ad.Words))
+	for i, w := range ad.Words {
+		ids[i] = ix.voc.intern(w)
+	}
+	ix.insertRecord(k, &ad, ids)
+}
+
+// remove deletes the record of node k with the given ID and phrase, as
+// Index.Delete does: find, then removeRecord.
+func (ix *Index) remove(k uint32, id uint64, phrase string) bool {
+	ids, ok := ix.voc.appendIDs(nil, textnorm.WordSet(phrase))
+	if !ok {
+		return false
+	}
+	i := ix.find(k, ids, id)
 	if i < 0 {
 		return false
 	}
-	n.removeAt(i)
+	ix.removeRecord(k, uint32(i))
 	return true
 }
 
+// checkNodeColumns verifies node k's order and columns as CheckInvariants
+// does.
+func (ix *Index) checkNodeColumns(k uint32) error {
+	nd := ix.nodes[k]
+	for r := nd.off; r < nd.off+nd.n; r++ {
+		words := make([]string, ix.wcs[r])
+		for i, id := range ix.recWords(r) {
+			words[i] = ix.voc.words[id]
+		}
+		if ix.sigs[r] != SetSignature(words) {
+			return fmt.Errorf("record %d: signature out of sync", r)
+		}
+		if r > nd.off && ix.compareRecord(r-1, ix.recWords(r), ix.ids[r]) > 0 {
+			return fmt.Errorf("record %d: out of order", r)
+		}
+		if same := r > nd.off && ix.sameSet(r-1, r); ix.sameKey[r] != same {
+			return fmt.Errorf("record %d: set joint %v, want %v", r, ix.sameKey[r], same)
+		}
+	}
+	return nil
+}
+
+// records lists node k's records as "ID/phrase".
+func (ix *Index) records(k uint32) []string {
+	nd := ix.nodes[k]
+	var out []string
+	for r := nd.off; r < nd.off+nd.n; r++ {
+		out = append(out, fmt.Sprintf("%d/%s", ix.ids[r], ix.phrase(r)))
+	}
+	return out
+}
+
+// TestNodeRemoveMixedLengths: the binary-searched remove must delete
+// exactly the (ID, word set) record from a node holding mixed-length
+// records, several word sets per length class, and duplicate IDs across
+// sets.
 func TestNodeRemoveMixedLengths(t *testing.T) {
-	n := &node{id: 1}
+	ix, k := bareNode()
 	type rec struct {
 		id     uint64
 		phrase string
@@ -34,106 +87,93 @@ func TestNodeRemoveMixedLengths(t *testing.T) {
 		{2, "apple"},
 		{3, "apple pie"},
 		{4, "zebra apple"},
-		{2, "zebra apple"}, // same ID as a 1-word record, different key
+		{2, "zebra apple"}, // same ID as a 1-word record, different set
 		{5, "apple pie crust"},
 		{6, "banana apple pie"},
 		{7, "zebra apple pie crust"},
-		{5, "apple pie"}, // same key as ID 3, different ID
+		{5, "apple pie"}, // same set as ID 3, different ID
 	}
 	for _, r := range recs {
-		n.insert(corpus.NewAd(r.id, r.phrase, corpus.Meta{}))
+		ix.insert(k, corpus.NewAd(r.id, r.phrase, corpus.Meta{}))
 	}
-	if !n.checkOrdered() || !n.checkColumns() {
-		t.Fatal("node invariants broken after inserts")
+	if err := ix.checkNodeColumns(k); err != nil {
+		t.Fatalf("node invariants broken after inserts: %v", err)
 	}
 
-	key := func(p string) string { return textnorm.SetKey(textnorm.WordSet(p)) }
-
-	// Misses: wrong ID for an existing key, wrong key for an existing ID.
-	if n.remove(99, key("apple pie")) {
+	// Misses: wrong ID for an existing set, wrong set for an existing ID.
+	if ix.remove(k, 99, "apple pie") {
 		t.Fatal("removed a record with an absent ID")
 	}
-	if n.remove(1, key("apple pie crust")) {
-		t.Fatal("removed a record with a mismatched key")
+	if ix.remove(k, 1, "apple pie crust") {
+		t.Fatal("removed a record with a mismatched set")
 	}
 
 	// Remove (2, "zebra apple") and verify the 1-word record with ID 2 and
 	// the other 2-word records survive.
-	if !n.remove(2, key("zebra apple")) {
+	if !ix.remove(k, 2, "zebra apple") {
 		t.Fatal("remove of (2, zebra apple) missed")
 	}
-	wantLeft := map[string]bool{
-		"1/zebra": true, "2/apple": true, "3/apple pie": true,
-		"4/zebra apple": true, "5/apple pie crust": true,
-		"6/banana apple pie": true, "7/zebra apple pie crust": true,
-		"5/apple pie": true,
-	}
-	if len(n.records) != len(wantLeft) {
-		t.Fatalf("node holds %d records, want %d", len(n.records), len(wantLeft))
-	}
-	for i := range n.records {
-		k := fmt.Sprintf("%d/%s", n.records[i].ID, n.records[i].Phrase)
-		if !wantLeft[k] {
-			t.Fatalf("unexpected survivor %s", k)
-		}
+	wantLeft := []string{"1/zebra", "2/apple", "3/apple pie", "4/zebra apple", "5/apple pie",
+		"5/apple pie crust", "6/banana apple pie", "7/zebra apple pie crust"}
+	got := ix.records(k)
+	slices.Sort(got)
+	if !slices.Equal(got, wantLeft) {
+		t.Fatalf("node holds %v, want %v", got, wantLeft)
 	}
 
-	// Remove one of the two records sharing the "apple pie" key; exactly
+	// Remove one of the two records sharing the "apple pie" set; exactly
 	// the requested ID must go.
-	if !n.remove(5, key("apple pie")) {
+	if !ix.remove(k, 5, "apple pie") {
 		t.Fatal("remove of (5, apple pie) missed")
 	}
-	for i := range n.records {
-		if n.records[i].ID == 5 && n.records[i].Phrase == "apple pie" {
-			t.Fatal("(5, apple pie) still present")
-		}
+	if slices.Contains(ix.records(k), "5/apple pie") {
+		t.Fatal("(5, apple pie) still present")
 	}
-	if n.remove(5, key("apple pie")) {
+	if ix.remove(k, 5, "apple pie") {
 		t.Fatal("second remove of (5, apple pie) should miss")
 	}
 
-	// Drain the rest and confirm columns stay aligned the whole way down.
+	// Drain the rest and confirm the columns stay aligned the whole way down.
 	rest := []rec{{1, "zebra"}, {2, "apple"}, {3, "apple pie"}, {4, "zebra apple"},
 		{5, "apple pie crust"}, {6, "banana apple pie"}, {7, "zebra apple pie crust"}}
 	for _, r := range rest {
-		if !n.remove(r.id, key(r.phrase)) {
+		if !ix.remove(k, r.id, r.phrase) {
 			t.Fatalf("remove of (%d, %s) missed", r.id, r.phrase)
 		}
-		if !n.checkOrdered() || !n.checkColumns() {
-			t.Fatalf("node invariants broken after removing (%d, %s)", r.id, r.phrase)
+		if err := ix.checkNodeColumns(k); err != nil {
+			t.Fatalf("node invariants broken after removing (%d, %s): %v", r.id, r.phrase, err)
 		}
 	}
-	if len(n.records) != 0 || n.bytes != 0 {
-		t.Fatalf("node not empty after draining: %d records, %d bytes", len(n.records), n.bytes)
+	if ix.nodes[k].n != 0 || ix.bytes != 0 || ix.sets != 0 {
+		t.Fatalf("node not empty after draining: %d records, %d bytes, %d sets", ix.nodes[k].n, ix.bytes, ix.sets)
 	}
 }
 
-// TestNodeRemoveDuplicateRecords covers duplicate (ID, key) records:
+// TestNodeRemoveDuplicateRecords covers duplicate (ID, set) records:
 // each remove takes exactly one.
 func TestNodeRemoveDuplicateRecords(t *testing.T) {
-	n := &node{id: 1}
+	ix, k := bareNode()
 	ad := corpus.NewAd(9, "used books", corpus.Meta{BidMicros: 100})
-	n.insert(ad)
-	n.insert(ad)
-	n.insert(corpus.NewAd(9, "rare books", corpus.Meta{}))
-	key := textnorm.SetKey(ad.Words)
-	if !n.remove(9, key) {
+	ix.insert(k, ad)
+	ix.insert(k, ad)
+	ix.insert(k, corpus.NewAd(9, "rare books", corpus.Meta{}))
+	if !ix.remove(k, 9, ad.Phrase) {
 		t.Fatal("first remove missed")
 	}
-	if len(n.records) != 2 {
-		t.Fatalf("%d records left, want 2", len(n.records))
+	if ix.nodes[k].n != 2 {
+		t.Fatalf("%d records left, want 2", ix.nodes[k].n)
 	}
-	if !n.remove(9, key) {
+	if !ix.remove(k, 9, ad.Phrase) {
 		t.Fatal("second remove missed")
 	}
-	if n.remove(9, key) {
+	if ix.remove(k, 9, ad.Phrase) {
 		t.Fatal("third remove should miss")
 	}
-	if len(n.records) != 1 || n.records[0].Phrase != "rare books" {
-		t.Fatalf("wrong survivor: %+v", n.records)
+	if got := ix.records(k); !slices.Equal(got, []string{"9/rare books"}) {
+		t.Fatalf("wrong survivor: %v", got)
 	}
-	if !n.checkColumns() {
-		t.Fatal("columns out of sync")
+	if err := ix.checkNodeColumns(k); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -170,14 +210,8 @@ func TestIndexDeleteMixedLengthNodes(t *testing.T) {
 	for _, m := range ix.BroadMatch(q, nil) {
 		ids = append(ids, m.ID)
 	}
-	want := []uint64{1, 3, 4, 5}
-	if len(ids) != len(want) {
+	if want := []uint64{1, 3, 4, 5}; !slices.Equal(ids, want) {
 		t.Fatalf("got %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("got %v, want %v", ids, want)
-		}
 	}
 	if ix.Delete(2, "alpha beta gamma") {
 		t.Fatal("double delete should miss")

@@ -64,22 +64,31 @@ func TestAppendBroadMatchZeroAlloc(t *testing.T) {
 }
 
 // TestScratchResetDropsReferences makes sure a Reset scratch retains no
-// pointers into the index (pooled scratches must not pin retired
-// snapshots).
+// references into the index or the query (pooled scratches must not pin
+// retired snapshots): the ads AppendBroadMatch copied out alias the
+// index's arena and vocabulary.
 func TestScratchResetDropsReferences(t *testing.T) {
 	ix := New(mustAds("used books", "comic books"), Options{})
 	var sc Scratch
 	ix.AppendBroadMatch(nil, textnorm.WordSet("used comic books"), nil, &sc)
-	if cap(sc.visited) == 0 {
+	phrase := ix.AppendPhraseRefs(nil, textnorm.Tokenize("used books"), textnorm.WordSet("used books"), nil, &sc, nil)
+	if len(sc.ads) == 0 || len(sc.strs) == 0 || len(phrase) == 0 || cap(sc.toks) == 0 {
 		t.Fatal("scratch never used")
 	}
 	sc.Reset()
-	for _, n := range sc.visited[:cap(sc.visited)] {
-		if n != nil {
-			t.Fatal("Reset left a node pointer in the visited buffer")
+	for _, ad := range sc.ads[:cap(sc.ads)] {
+		if ad.Phrase != "" || ad.Words != nil {
+			t.Fatal("Reset left an ad in the copy-out buffer")
 		}
 	}
-	if len(sc.q) != 0 || len(sc.visited) != 0 {
+	for _, buf := range [][]string{sc.strs[:cap(sc.strs)], sc.toks[:cap(sc.toks)], sc.q[:cap(sc.q)]} {
+		for _, s := range buf {
+			if s != "" {
+				t.Fatal("Reset left a string in a buffer")
+			}
+		}
+	}
+	if len(sc.q) != 0 || len(sc.visited) != 0 || len(sc.refs) != 0 || len(sc.ads) != 0 {
 		t.Fatal("Reset left non-zero lengths")
 	}
 }

@@ -6,14 +6,13 @@
 //	recSig &^ querySig != 0  ⇒  record is not a subset of the query
 //
 // with no false negatives ever. False positives (signature survives,
-// subset fails) are resolved by the word-hash and string verifications
-// that follow; the differential and fuzz suites pin the equivalence
-// against a naive scan.
+// subset fails) are resolved by the exact subset check on word IDs that
+// follows; the differential and fuzz suites pin the equivalence against a
+// naive scan.
 package core
 
-// WordSignatureHash returns the 64-bit FNV-1a hash of a single word — the
-// per-word integer identity used both for the packed word-hash columns and
-// for deriving signature bits. It equals WordHash([]string{w}).
+// WordSignatureHash returns the 64-bit FNV-1a hash of a single word, from
+// which its signature bits are derived. It equals WordHash([]string{w}).
 func WordSignatureHash(w string) uint64 {
 	return hashExtend(fnvOffset64, true, w)
 }
@@ -36,57 +35,8 @@ func SetSignature(words []string) uint64 {
 	return sig
 }
 
-// hashesSignature is SetSignature of the word set whose word hashes are
-// given, for callers that hold them already.
-func hashesSignature(hashes []uint64) uint64 {
-	var sig uint64
-	for _, h := range hashes {
-		sig |= wordSigBits(h)
-	}
-	return sig
-}
-
-// appendSortedWordHashes appends the word hashes of words to dst and
-// sorts the appended segment ascending, the layout the packed word-hash
-// columns and the merge-based subset check share.
-func appendSortedWordHashes(dst []uint64, words []string) []uint64 {
-	mark := len(dst)
-	for _, w := range words {
-		dst = append(dst, WordSignatureHash(w))
-	}
-	seg := dst[mark:]
-	// Insertion sort: word sets are short (bounded by MaxQueryWords on the
-	// query side, phrase length on the record side).
-	for i := 1; i < len(seg); i++ {
-		for j := i; j > 0 && seg[j] < seg[j-1]; j-- {
-			seg[j], seg[j-1] = seg[j-1], seg[j]
-		}
-	}
-	return dst
-}
-
-// hashSubset reports whether the sorted multiset sub is contained in the
-// sorted multiset super, by a linear merge over the integer hashes. A true
-// string subset implies hashSubset (every record word appears verbatim in
-// the query, hash included), so it never rejects a real match; 64-bit
-// collisions can only cause false positives, which the final string check
-// removes.
-func hashSubset(sub, super []uint64) bool {
-	i := 0
-	for _, h := range sub {
-		for i < len(super) && super[i] < h {
-			i++
-		}
-		if i >= len(super) || super[i] != h {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
 // nodeSet is a small open-addressed set of visited data nodes, keyed by
-// the per-index node id (never 0; nodeSeq starts at 1). It replaces the
+// the node's table value (its number plus one, never 0). It replaces the
 // linear dedup scan of the visited slice, which made long queries
 // O(probes × nodes visited) — quadratic at MaxQueryWords against dense
 // tables. The slot arrays live in a pooled Scratch: they grow to the

@@ -2,7 +2,8 @@ package core
 
 // probeTable is the hash table H of Section III-A, fused with the
 // locator-prefix frontier filter: an open-addressed, linear-probe map
-// from 64-bit incremental word-set hashes to data nodes, where each slot
+// from 64-bit incremental word-set hashes to data nodes (a node's number
+// plus one; 0 is no node), where each slot
 // additionally carries a reference count of live locators having that
 // word set as a sorted prefix. A node's key — the hash of its full
 // locator — is also that locator's last prefix, so the two roles share
@@ -17,7 +18,7 @@ package core
 // indirection. Deletions leave tombstones; rebuilds on growth drop them.
 type probeTable struct {
 	keys  []uint64
-	vals  []*node
+	vals  []uint32
 	cnt   []uint32 // locator-prefix references per slot
 	state []uint8  // slotEmpty, slotFull or slotTomb
 	nodes int      // full slots holding a node
@@ -37,11 +38,11 @@ const (
 
 func (t *probeTable) len() int { return t.nodes }
 
-// get returns the node stored under h, or nil (also when h is live only
+// get returns the node stored under h, or 0 (also when h is live only
 // as a prefix of longer locators).
-func (t *probeTable) get(h uint64) *node {
+func (t *probeTable) get(h uint64) uint32 {
 	if t.live == 0 {
-		return nil
+		return 0
 	}
 	mask := uint64(len(t.keys) - 1)
 	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
@@ -50,18 +51,18 @@ func (t *probeTable) get(h uint64) *node {
 			return t.vals[i]
 		}
 		if st == slotEmpty {
-			return nil
+			return 0
 		}
 	}
 }
 
 // lookup is the single-probe enumeration primitive: it returns the node
-// stored under h (nil if none) and whether h is live at all — as a node
+// stored under h (0 if none) and whether h is live at all — as a node
 // key or as a prefix of some live locator. ok == false prunes the whole
 // DFS subtree rooted at h.
-func (t *probeTable) lookup(h uint64) (n *node, ok bool) {
+func (t *probeTable) lookup(h uint64) (v uint32, ok bool) {
 	if t.live == 0 {
-		return nil, false
+		return 0, false
 	}
 	mask := uint64(len(t.keys) - 1)
 	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
@@ -70,7 +71,7 @@ func (t *probeTable) lookup(h uint64) (n *node, ok bool) {
 			return t.vals[i], true
 		}
 		if st == slotEmpty {
-			return nil, false
+			return 0, false
 		}
 	}
 }
@@ -98,21 +99,21 @@ func (t *probeTable) slot(h uint64) int {
 				ins = int(i)
 				t.used++
 			}
-			t.keys[ins], t.vals[ins], t.cnt[ins], t.state[ins] = h, nil, 0, slotFull
+			t.keys[ins], t.vals[ins], t.cnt[ins], t.state[ins] = h, 0, 0, slotFull
 			t.live++
 			return ins
 		}
 	}
 }
 
-// put stores n under h, replacing any existing node and preserving the
-// slot's prefix references.
-func (t *probeTable) put(h uint64, n *node) {
+// put stores node v (non-zero) under h, replacing any existing node and
+// preserving the slot's prefix references.
+func (t *probeTable) put(h uint64, v uint32) {
 	i := t.slot(h)
-	if t.vals[i] == nil && n != nil {
+	if t.vals[i] == 0 {
 		t.nodes++
 	}
-	t.vals[i] = n
+	t.vals[i] = v
 }
 
 // del removes the node under h, if present. The slot survives as long as
@@ -125,8 +126,8 @@ func (t *probeTable) del(h uint64) {
 	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
 		st := t.state[i]
 		if st == slotFull && t.keys[i] == h {
-			if t.vals[i] != nil {
-				t.vals[i] = nil
+			if t.vals[i] != 0 {
+				t.vals[i] = 0
 				t.nodes--
 			}
 			if t.cnt[i] == 0 {
@@ -156,7 +157,7 @@ func (t *probeTable) dec(h uint64) {
 	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
 		st := t.state[i]
 		if st == slotFull && t.keys[i] == h {
-			if t.cnt[i]--; t.cnt[i] == 0 && t.vals[i] == nil {
+			if t.cnt[i]--; t.cnt[i] == 0 && t.vals[i] == 0 {
 				t.state[i] = slotTomb
 				t.live--
 			}
@@ -194,7 +195,7 @@ func (t *probeTable) reserve(n int) {
 func (t *probeTable) resize(size int) {
 	keys, vals, cnt, state := t.keys, t.vals, t.cnt, t.state
 	t.keys = make([]uint64, size)
-	t.vals = make([]*node, size)
+	t.vals = make([]uint32, size)
 	t.cnt = make([]uint32, size)
 	t.state = make([]uint8, size)
 	t.nodes, t.live, t.used = 0, 0, 0
@@ -202,7 +203,7 @@ func (t *probeTable) resize(size int) {
 		if st == slotFull {
 			j := t.slot(keys[i])
 			t.cnt[j] = cnt[i]
-			if vals[i] != nil {
+			if vals[i] != 0 {
 				t.vals[j] = vals[i]
 				t.nodes++
 			}
@@ -210,11 +211,11 @@ func (t *probeTable) resize(size int) {
 	}
 }
 
-// each calls fn for every (hash, node) entry in unspecified order until
-// fn returns false. Prefix-only slots are skipped.
-func (t *probeTable) each(fn func(h uint64, n *node) bool) {
+// each calls fn for every (hash, node) entry in slot order until fn
+// returns false. Prefix-only slots are skipped.
+func (t *probeTable) each(fn func(h uint64, v uint32) bool) {
 	for i, st := range t.state {
-		if st == slotFull && t.vals[i] != nil && !fn(t.keys[i], t.vals[i]) {
+		if st == slotFull && t.vals[i] != 0 && !fn(t.keys[i], t.vals[i]) {
 			return
 		}
 	}
@@ -229,3 +230,6 @@ func (t *probeTable) eachPrefix(fn func(h uint64, cnt uint32) bool) {
 		}
 	}
 }
+
+// bytes returns the memory the table holds.
+func (t *probeTable) bytes() int { return cap(t.keys) * (8 + 4 + 4 + 1) }

@@ -18,7 +18,6 @@ package hashindex
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -86,7 +85,7 @@ func Build(base *core.Index, opts Options) (*Index, error) {
 		maxQueryWords: o.MaxQueryWords,
 		mask:          mask,
 		sig:           bitvec.New(1 << uint(opts.SuffixBits)),
-		vocab:         maps.Clone(base.DocFreqs()),
+		vocab:         base.DocFreqs(),
 	}
 
 	// Arena order is suffix order; a run of nodes sharing a suffix is one

@@ -42,8 +42,7 @@ type nodeLayout struct {
 
 // BuildLayout lays out base: its nodes in node order, each node's records
 // in node order, queries prepared with base's vocabulary and
-// MaxWords/MaxQueryWords. The layout shares base's word statistics, so it
-// is valid until base's next Insert or Delete.
+// MaxWords/MaxQueryWords. The layout copies what it reads of base.
 func BuildLayout(base *core.Index) *IndexLayout {
 	o := base.Options()
 	l := &IndexLayout{

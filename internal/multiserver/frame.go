@@ -473,16 +473,24 @@ const adRecordBytes = 8 + adMetaBytes
 // 4-byte big-endian count, 18 bytes per match (ID, BidMicros, ClickRate),
 // and the ID frame's trailing flags byte, present only when non-zero.
 func AppendAdRecords(dst []byte, ads []*corpus.Ad, flags byte) []byte {
-	size := 5 + adRecordBytes*len(ads)
+	return appendRecords(dst, len(ads), func(i int) (uint64, AdMeta) {
+		return ads[i].ID, AdMeta{BidMicros: ads[i].Meta.BidMicros, ClickRate: ads[i].Meta.ClickRate}
+	}, flags)
+}
+
+// appendRecords is AppendAdRecords over n matches that record(i) reads.
+func appendRecords(dst []byte, n int, record func(i int) (uint64, AdMeta), flags byte) []byte {
+	size := 5 + adRecordBytes*n
 	if flags != 0 {
 		size++
 	}
 	dst = slices.Grow(dst, size)
 	dst = append(dst, recordFrameMagic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ads)))
-	for _, ad := range ads {
-		dst = binary.BigEndian.AppendUint64(dst, ad.ID)
-		dst = appendMetaRecord(dst, AdMeta{BidMicros: ad.Meta.BidMicros, ClickRate: ad.Meta.ClickRate})
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	for i := 0; i < n; i++ {
+		id, m := record(i)
+		dst = binary.BigEndian.AppendUint64(dst, id)
+		dst = appendMetaRecord(dst, m)
 	}
 	if flags != 0 {
 		dst = append(dst, flags)

@@ -84,19 +84,22 @@ type CoreBackend struct{ Index *core.Index }
 func (b CoreBackend) AppendMatch(dst []byte, req Request) ([]byte, error) {
 	sc := GetMatchScratch()
 	defer sc.Release()
-	return sc.AppendReply(dst, req, sc.BroadMatch(b.Index, req.Query, req.Deadline)), nil
+	sc.BroadMatch(b.Index, req.Query, req.Deadline)
+	return sc.AppendReply(dst, req), nil
 }
 
 // MatchScratch holds the reusable buffers of one broad-match request
 // against a core.Index — the query's word set, the enumeration scratch
-// and the match list — so a backend serving from an index allocates
-// nothing per request once its scratches are warm. Get one per request
-// and Release it when the matches have been encoded.
+// and the matching records — so a backend serving from an index allocates
+// nothing per request once its scratches are warm: no ad is built, the
+// reply is encoded from the index's columns. Get one per request and
+// Release it when the matches have been encoded.
 type MatchScratch struct {
-	words   []string
-	core    core.Scratch
-	budget  core.Budget
-	matches []*corpus.Ad
+	words  []string
+	core   core.Scratch
+	budget core.Budget
+	ix     *core.Index
+	refs   []core.Ref
 }
 
 var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
@@ -104,23 +107,23 @@ var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
 // GetMatchScratch takes a scratch from the pool.
 func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScratch) }
 
-// BroadMatch returns the ads of ix broad-matching the raw query text,
-// ID-ordered. The enumeration stops at deadline when that is non-zero;
-// what it then left out, and whether the MaxQueryWords cutoff shortened
-// the query, is what AppendReply flags. The slice belongs to the scratch
-// and the records to the index: both are valid until Release or the
-// index's next mutation, whichever comes first.
-func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, deadline time.Time) []*corpus.Ad {
+// BroadMatch finds the records of ix broad-matching the raw query text and
+// returns how many there are. The enumeration stops at deadline when that
+// is non-zero; what it then left out, and whether the MaxQueryWords
+// cutoff shortened the query, is what AppendReply flags. The matches are
+// read off ix by AppendReply, so ix must not change in between.
+func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, deadline time.Time) int {
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
 	sc.budget.Init(0, deadline)
-	sc.matches = ix.AppendBroadMatchBudget(sc.matches[:0], sc.words, nil, &sc.core, &sc.budget)
-	return sc.matches
+	sc.ix = ix
+	sc.refs = ix.AppendBroadRefs(sc.refs[:0], sc.words, nil, &sc.core, &sc.budget)
+	return len(sc.refs)
 }
 
-// AppendReply appends the frame body that answers req with matches — the
-// last BroadMatch's, or none: a record frame for a records request and an
-// ID frame otherwise, flagged with what that match left out.
-func (sc *MatchScratch) AppendReply(dst []byte, req Request, matches []*corpus.Ad) []byte {
+// AppendReply appends the frame body that answers req with the last
+// BroadMatch's matches, or with none: a record frame for a records request
+// and an ID frame otherwise, flagged with what that match left out.
+func (sc *MatchScratch) AppendReply(dst []byte, req Request) []byte {
 	var flags byte
 	if sc.budget.Exhausted() {
 		flags |= IDFlagTruncated
@@ -128,20 +131,29 @@ func (sc *MatchScratch) AppendReply(dst []byte, req Request, matches []*corpus.A
 	if sc.budget.CutoffApplied() {
 		flags |= IDFlagCutoff
 	}
+	ix, refs := sc.ix, sc.refs
 	if req.Records {
-		return AppendAdRecords(dst, matches, flags)
+		return appendRecords(dst, len(refs), func(i int) (uint64, AdMeta) {
+			bid, ctr := ix.Bid(refs[i])
+			return ix.ID(refs[i]), AdMeta{BidMicros: bid, ClickRate: ctr}
+		}, flags)
 	}
-	return AppendAdIDs(dst, matches, flags)
+	dst, body := growIDFrame(dst, len(refs), flags)
+	for i, r := range refs {
+		binary.BigEndian.PutUint64(body[8*i:], ix.ID(r))
+	}
+	return dst
 }
 
 // Release returns the scratch to the pool with every reference into the
 // query text and the index cleared, so a pooled scratch pins neither, and
-// with no match's flags left behind.
+// with no match's flags or records left behind.
 func (sc *MatchScratch) Release() {
 	clear(sc.words[:cap(sc.words)])
 	sc.core.Reset()
 	sc.budget = core.Budget{}
-	clear(sc.matches[:cap(sc.matches)])
+	sc.ix = nil
+	sc.refs = sc.refs[:0]
 	matchScratchPool.Put(sc)
 }
 

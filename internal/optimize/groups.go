@@ -107,6 +107,8 @@ func BuildGroups(ads []corpus.Ad, wl *workload.Workload) *Groups {
 	// A generous query cutoff keeps the histograms exact for realistic
 	// query lengths.
 	ix := core.New(reps, core.Options{MaxWords: 10, MaxQueryWords: 24})
+	var sc core.Scratch
+	var matches []core.Ref
 
 	if wl != nil {
 		for qi := range wl.Queries {
@@ -115,8 +117,9 @@ func BuildGroups(ads []corpus.Ad, wl *workload.Workload) *Groups {
 			if l > gs.MaxQueryLen {
 				gs.MaxQueryLen = l
 			}
-			for _, rep := range ix.BroadMatch(q.Words, nil) {
-				g := &gs.All[rep.ID-1]
+			matches = ix.AppendBroadRefs(matches[:0], q.Words, nil, &sc, nil)
+			for _, rep := range matches {
+				g := &gs.All[ix.ID(rep)-1]
 				for len(g.FreqByLen) <= l {
 					g.FreqByLen = append(g.FreqByLen, 0)
 				}
@@ -129,10 +132,10 @@ func BuildGroups(ads []corpus.Ad, wl *workload.Workload) *Groups {
 	// groups == broad-match of the group's own words.
 	gs.Ancestors = make([][]int, len(gs.All))
 	for i := range gs.All {
-		matches := ix.BroadMatch(gs.All[i].Words, nil)
+		matches = ix.AppendBroadRefs(matches[:0], gs.All[i].Words, nil, &sc, nil)
 		anc := make([]int, 0, len(matches))
 		for _, rep := range matches {
-			anc = append(anc, int(rep.ID-1))
+			anc = append(anc, int(ix.ID(rep)-1))
 		}
 		sort.Ints(anc)
 		gs.Ancestors[i] = anc

@@ -68,8 +68,13 @@ func IdentityMapping(gs *Groups, opts Options) *Result {
 
 // newResult prices a complete mapping and counts the nodes it produces.
 func newResult(gs *Groups, mapping map[string][]string, opts Options) *Result {
-	cost, nodes := evaluateNodeCost(gs, mapping, opts)
+	cost, nodes := evaluateNodeCost(gs, mappedLocator(mapping), opts)
 	return &Result{Mapping: mapping, Nodes: nodes, ModeledCost: cost}
+}
+
+// mappedLocator reads each group's locator off a complete mapping.
+func mappedLocator(mapping map[string][]string) func(*Group) []string {
+	return func(g *Group) []string { return mapping[g.Key] }
 }
 
 // LongPhraseMapping re-maps only groups longer than MaxWords, choosing the
@@ -160,11 +165,20 @@ func Optimize(gs *Groups, opts Options) *Result {
 }
 
 // EvaluateMapping returns Cost_Node(WL, M) for an arbitrary valid mapping
-// against the group statistics, e.g. to measure how far a drifted layout
-// (online inserts since the last optimization) is from fresh optimality.
+// that covers every group.
 func EvaluateMapping(gs *Groups, mapping map[string][]string, opts Options) float64 {
 	opts.fillDefaults()
-	cost, _ := evaluateNodeCost(gs, mapping, opts)
+	cost, _ := evaluateNodeCost(gs, mappedLocator(mapping), opts)
+	return cost
+}
+
+// EvaluateLocator is EvaluateMapping for the mapping a built index holds,
+// read through its Locator (core.Index.Locator): e.g. to price the
+// placement an index serves, or how far a drifted layout (online inserts
+// since the last optimization) is from fresh optimality.
+func EvaluateLocator(gs *Groups, locator func(words []string) []string, opts Options) float64 {
+	opts.fillDefaults()
+	cost, _ := evaluateNodeCost(gs, func(g *Group) []string { return locator(g.Words) }, opts)
 	return cost
 }
 
@@ -173,16 +187,16 @@ func EvaluateMapping(gs *Groups, mapping map[string][]string, opts Options) floa
 // group's bytes scanned by the queries long enough to reach it. Locators
 // that are existing groups use their exact histograms; synthetic locators
 // conservatively inherit the histogram of their cheapest descendant group.
-// The second result is the number of nodes the mapping produces.
-func evaluateNodeCost(gs *Groups, mapping map[string][]string, opts Options) (total float64, numNodes int) {
+// locate returns each group's locator. The second result is the number of
+// nodes the mapping produces.
+func evaluateNodeCost(gs *Groups, locate func(*Group) []string, opts Options) (total float64, numNodes int) {
 	type nodeAgg struct {
 		locIdx  int // -1 for synthetic
 		members []int
 	}
 	nodes := make(map[string]*nodeAgg)
 	for g := range gs.All {
-		loc := mapping[gs.All[g].Key]
-		lk := textnorm.SetKey(loc)
+		lk := textnorm.SetKey(locate(&gs.All[g]))
 		n := nodes[lk]
 		if n == nil {
 			li := -1

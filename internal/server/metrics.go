@@ -269,12 +269,13 @@ type MetricsSnapshot struct {
 	Elastic *shard.RebalanceStatus `json:"elastic,omitempty"`
 }
 
-// IndexSnapshot is the write-path section of /metrics: overlay folds (each
-// a rebuild of the whole base, on the goroutine of the write that filled
-// the overlay) since the index was opened, WAL replay included, and the
+// IndexSnapshot is the index section of /metrics: overlay folds (each a
+// rebuild of the whole base, on the goroutine of the write that filled the
+// overlay) since the index was opened, WAL replay included, and the
 // seconds they took; how long the last build of a base took, the start's
-// or the latest fold's; and the re-mappings installed since the index was
-// opened (Index.Remaps: /optimize, -mapping and -adapt-interval ticks).
+// or the latest fold's; the re-mappings installed since the index was
+// opened (Index.Remaps: /optimize, -mapping and -adapt-interval ticks);
+// and the memory the base holds, by column.
 type IndexSnapshot struct {
 	Folds            uint64  `json:"folds"`
 	FoldSecondsTotal float64 `json:"fold_seconds_total"`
@@ -283,6 +284,8 @@ type IndexSnapshot struct {
 	// ObservedQueries is how many distinct query word sets the workload
 	// sampler holds (Index.ObservedQueries).
 	ObservedQueries int `json:"observed_queries"`
+	// Bytes is the base index's memory by column (Index.IndexBytes).
+	Bytes adindex.IndexBytes `json:"bytes"`
 }
 
 // MemorySnapshot is the memory section of /metrics, read from
@@ -290,11 +293,16 @@ type IndexSnapshot struct {
 type MemorySnapshot struct {
 	HeapLiveBytes uint64 `json:"heap_live_bytes"` // /gc/heap/live:bytes
 	HeapGoalBytes uint64 `json:"heap_goal_bytes"` // /gc/heap/goal:bytes
+	// GCCPUSeconds is the CPU time the collector has spent since the
+	// process started (/cpu/classes/gc/total:cpu-seconds), an estimate
+	// the runtime updates at each collection.
+	GCCPUSeconds float64 `json:"gc_cpu_seconds"`
 }
 
 // readMemory reads the memory section.
 func readMemory() MemorySnapshot {
-	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"}}
 	metrics.Read(samples)
 	var m MemorySnapshot
 	if samples[0].Value.Kind() == metrics.KindUint64 {
@@ -302,6 +310,9 @@ func readMemory() MemorySnapshot {
 	}
 	if samples[1].Value.Kind() == metrics.KindUint64 {
 		m.HeapGoalBytes = samples[1].Value.Uint64()
+	}
+	if samples[2].Value.Kind() == metrics.KindFloat64 {
+		m.GCCPUSeconds = samples[2].Value.Float64()
 	}
 	return m
 }

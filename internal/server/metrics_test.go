@@ -125,6 +125,11 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 		!bytes.Contains(b, []byte(`"memory":{"heap_live_bytes":`)) || !bytes.Contains(b, []byte(`,"heap_goal_bytes":`)) {
 		t.Errorf("memory section = %+v in %s, want a live heap under its goal", m, b)
 	}
+	// The collector's CPU time only grows, and the collection above spent
+	// some.
+	if m := mem.Memory; m.GCCPUSeconds <= 0 || !bytes.Contains(b, []byte(`,"gc_cpu_seconds":`)) {
+		t.Errorf("memory section = %+v in %s, want the collector's CPU seconds", m, b)
+	}
 
 	// The cache section is the server's: cache.bytes is the key and body
 	// bytes of the live entries, here the one reply a search just stored.
@@ -145,6 +150,20 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v, want 1", got)
+	}
+	// index.bytes is the base's memory by column, as the index reports it.
+	var ixSnap MetricsSnapshot
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &ixSnap); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ixSnap.Index.Bytes, s.local().IndexBytes(); got != want || got.Records == 0 || got.WordIDs == 0 ||
+		got.Arena == 0 || got.Signatures == 0 || got.ProbeTable == 0 || got.Vocabulary == 0 {
+		t.Errorf("index.bytes = %+v, want the index's own %+v with every column present", got, want)
+	}
+	for _, column := range []string{"records", "word_ids", "arena", "signatures", "probe_table", "locators", "vocabulary"} {
+		if _, ok := back["index"].(map[string]any)["bytes"].(map[string]any)[column]; !ok {
+			t.Errorf("index.bytes has no %q", column)
+		}
 	}
 	serve(t, s, "GET", searchTarget("books used", "broad"), "")
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {

@@ -329,14 +329,12 @@ func (b shardBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, 
 	}
 	sc := multiserver.GetMatchScratch()
 	defer sc.Release()
-	var matches []*corpus.Ad
 	if b.id < len(b.ec.shards) {
-		matches = sc.BroadMatch(b.ec.shards[b.id], req.Query, req.Deadline)
-		if len(matches) > 0 {
-			b.ec.loads[b.id].Add(uint64(len(matches)))
+		if n := sc.BroadMatch(b.ec.shards[b.id], req.Query, req.Deadline); n > 0 {
+			b.ec.loads[b.id].Add(uint64(n))
 		}
 	}
-	return sc.AppendReply(dst, req, matches), nil
+	return sc.AppendReply(dst, req), nil
 }
 
 // ElasticServing is a set of TCP index servers fronting an

@@ -99,6 +99,23 @@ func FoldDuplicates(tokens []string) []string {
 	return out
 }
 
+// Folded returns FoldDuplicates(tokens), which is tokens itself when no
+// token repeats: a short sequence without repeats, the common case,
+// allocates nothing.
+func Folded(tokens []string) []string {
+	if len(tokens) > 16 {
+		return FoldDuplicates(tokens)
+	}
+	for i := range tokens {
+		for j := 0; j < i; j++ {
+			if tokens[i] == tokens[j] {
+				return FoldDuplicates(tokens)
+			}
+		}
+	}
+	return tokens
+}
+
 func foldedToken(t string, n int) string {
 	var b strings.Builder
 	b.Grow(len(t)*n + n - 1)

@@ -55,6 +55,14 @@ func TestFoldDuplicates(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("FoldDuplicates(%v) = %v, want %v", c.in, got, c.want)
 		}
+		// Folded is the same fold, returning a repeat-free input itself.
+		if got := Folded(c.in); !slices.Equal(got, c.want) {
+			t.Errorf("Folded(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	long := strings.Fields("a b c d e f g h i j k l m n o p q a")
+	if got, want := Folded(long), FoldDuplicates(long); !slices.Equal(got, want) {
+		t.Errorf("Folded(%v) = %v, want %v", long, got, want)
 	}
 }
 

@@ -58,11 +58,10 @@ type trieNode struct {
 }
 
 // New reads a tree index off a built core index: each word set's locator
-// (base.Mapping) becomes a trie path, and the node at its end holds the
+// (base.Locator) becomes a trie path, and the node at its end holds the
 // set's records as base's data node holds them. Queries are prepared with
 // base's vocabulary and MaxQueryWords, so the tree answers as base does.
-// The tree copies the records but shares base's word statistics: it is
-// valid until base's next Insert or Delete.
+// The tree copies the records and the word statistics it reads.
 func New(base *core.Index) *Index {
 	ix := &Index{
 		root:          &trieNode{},
@@ -70,15 +69,14 @@ func New(base *core.Index) *Index {
 		maxQueryWords: base.Options().MaxQueryWords,
 		numAds:        base.NumAds(),
 	}
-	mapping := base.Mapping()
 	base.Nodes(func(_ uint64, records []corpus.Ad) {
 		// A node holds one locator's sets, or more than one only where
 		// locators collide under WordHash: each run of records with one
 		// locator goes to that locator's trie node.
 		for lo := 0; lo < len(records); {
-			loc := mapping[records[lo].SetKey()]
+			loc := base.Locator(records[lo].Words)
 			hi := lo + 1
-			for hi < len(records) && slices.Equal(mapping[records[hi].SetKey()], loc) {
+			for hi < len(records) && slices.Equal(base.Locator(records[hi].Words), loc) {
 				hi++
 			}
 			n := ix.root

@@ -48,7 +48,7 @@ func TestAdversarialQueriesAreExpensive(t *testing.T) {
 			q := textnorm.WordSet(strings.Join(wl.Queries[i].Words, " "))
 			var b core.Budget
 			b.Init(0, time.Time{})
-			ix.AppendBroadMatchBudget(nil, q, nil, &sc, &b)
+			ix.AppendBroadRefs(nil, q, nil, &sc, &b)
 			total += b.Spent()
 		}
 		return total

@@ -126,21 +126,23 @@ func (s *snapshot) fold(opts core.Options) *core.Index {
 	return base
 }
 
-func adByID(a, b *corpus.Ad) int {
-	switch {
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
+// An answer is a list of core.Refs: a Ref below deltaRef is a record of
+// the base, and deltaRef+i is the delta ad s.delta[i].
+const deltaRef = core.Ref(core.MaxRecords)
+
+// id returns the ad ID of the answer's record r.
+func (s *snapshot) id(r core.Ref) uint64 {
+	if r >= deltaRef {
+		return s.delta[r-deltaRef].ID
 	}
-	return 0
+	return s.base.ID(r)
 }
 
-// appendMatch is the one match routine every query runs: it appends
-// pointers to every record that matches the query under typ to dst — the
-// base retrieval, minus tombstoned base records, plus a linear scan of the
-// delta — ordered by ID within the appended segment. queryWords is the
-// query's canonical word set; tokens is its ordered token sequence for the
+// appendMatch is the one match routine every query runs: it appends the
+// records that match the query under typ to dst — the base retrieval,
+// minus tombstoned base records, plus a linear scan of the delta —
+// ordered by ID within the appended segment. queryWords is the query's
+// canonical word set; tokens is its ordered token sequence for the
 // order-sensitive types (duplicate-folded for Exact, as tokenized for
 // Phrase) and unused for Broad. Section III-B: the types share the
 // lookups and differ in the node-side test, so Broad and Phrase run the
@@ -151,19 +153,19 @@ func adByID(a, b *corpus.Ad) int {
 // and per scanned record by the base walk, which stops at node
 // granularity once it is exhausted; the delta (bounded by MaxDeltaAds) is
 // charged as one unit of its length and always scanned whole, so freshly
-// inserted ads stay visible even in truncated answers. The returned
-// pointers reference snapshot-internal storage; public entry points copy
-// them out before returning.
-func (s *snapshot) appendMatch(dst []*corpus.Ad, typ QueryType, tokens, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []*corpus.Ad {
+// inserted ads stay visible even in truncated answers. The Refs name
+// snapshot storage; public entry points copy them out (appendAdCopies)
+// before returning.
+func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []core.Ref {
 	mark := len(dst)
 	switch typ {
 	case Exact:
-		dst = s.base.AppendExactMatch(dst, tokens, queryWords, counters)
+		dst = s.base.AppendExactRefs(dst, tokens, queryWords, counters, sc)
 		b = nil
 	case Phrase:
-		dst = s.base.AppendPhraseMatch(dst, tokens, queryWords, counters, sc, b)
+		dst = s.base.AppendPhraseRefs(dst, tokens, queryWords, counters, sc, b)
 	default:
-		dst = s.base.AppendBroadMatchBudget(dst, queryWords, counters, sc, b)
+		dst = s.base.AppendBroadRefs(dst, queryWords, counters, sc, b)
 	}
 	if len(s.tombs) > 0 {
 		dst = s.filterTombs(dst, mark, counters)
@@ -198,14 +200,14 @@ func (s *snapshot) appendMatch(dst []*corpus.Ad, typ QueryType, tokens, queryWor
 			// query in the base, which enumerates non-empty subsets only;
 			// the overlay agrees rather than calling ∅ a subset of all.
 			if len(rec.Words) > 0 && len(rec.Words) <= len(queryWords) && textnorm.IsSubset(rec.Words, queryWords) && orderedMatch(typ, tokens, rec.Phrase) {
-				dst = append(dst, rec)
+				dst = append(dst, deltaRef+core.Ref(i))
 			}
 		}
 		if len(dst) > n {
 			if counters != nil {
 				counters.Matches += int64(len(dst) - n)
 			}
-			slices.SortFunc(dst[mark:], adByID)
+			slices.SortFunc(dst[mark:], func(a, b core.Ref) int { return cmp.Compare(s.id(a), s.id(b)) })
 		}
 	}
 	return dst
@@ -229,11 +231,11 @@ func orderedMatch(typ QueryType, tokens []string, phrase string) bool {
 // filterTombs removes tombstoned base records from dst[mark:] in place,
 // honoring per-key deletion counts (a key deleted twice suppresses two of
 // its duplicate records).
-func (s *snapshot) filterTombs(dst []*corpus.Ad, mark int, counters *costmodel.Counters) []*corpus.Ad {
+func (s *snapshot) filterTombs(dst []core.Ref, mark int, counters *costmodel.Counters) []core.Ref {
 	var used map[tombKey]int
 	w := mark
 	for _, m := range dst[mark:] {
-		k := tombKey{id: m.ID, key: m.SetKey()}
+		k := tombKey{id: s.base.ID(m), key: s.base.SetKey(m)}
 		if t := s.tombs[k]; t > 0 {
 			if used == nil {
 				used = make(map[tombKey]int, len(s.tombs))
@@ -249,18 +251,19 @@ func (s *snapshot) filterTombs(dst []*corpus.Ad, mark int, counters *costmodel.C
 		dst[w] = m
 		w++
 	}
-	clear(dst[w:])
 	return dst[:w]
 }
 
 // queryScratch bundles the per-query buffers of the hot path: the
-// canonical query word set, the core enumeration scratch, and the match
-// pointer accumulator. Instances are pooled so a steady-state query
-// performs no buffer allocations.
+// canonical query word set, the core enumeration scratch, and the records
+// of the answer. Instances are pooled so a steady-state query performs no
+// buffer allocations.
 type queryScratch struct {
-	words   []string
-	core    core.Scratch
-	matches []*corpus.Ad
+	words []string
+	// tokens is the query's token sequence, for Exact and Phrase.
+	tokens []string
+	core   core.Scratch
+	refs   []core.Ref
 	// budget is the per-query cost budget, kept here so charging a query
 	// allocates nothing.
 	budget core.Budget
@@ -278,30 +281,43 @@ func getScratch() *queryScratch {
 func putScratch(sc *queryScratch) {
 	clear(sc.words[:cap(sc.words)])
 	sc.words = sc.words[:0]
+	clear(sc.tokens[:cap(sc.tokens)])
+	sc.tokens = sc.tokens[:0]
 	sc.core.Reset()
-	clear(sc.matches[:cap(sc.matches)])
-	sc.matches = sc.matches[:0]
+	sc.refs = sc.refs[:0]
 	sc.budget = core.Budget{} // drops the caller's clock func
 	scratchPool.Put(sc)
 }
 
-// appendAdCopies appends deep copies of matches to dst. All Words and
-// Exclusions slices of the appended ads share a single string arena, so
-// the whole copy costs two allocations (arena + dst growth) regardless of
-// match count, and no returned slice aliases index-internal storage. With
-// no matches dst is returned untouched (nil stays nil).
-func appendAdCopies(dst []Ad, matches []*corpus.Ad) []Ad {
-	if len(matches) == 0 {
+// appendAdCopies appends copies of the ads of refs, an answer of s, to
+// dst: the base records' ads are built here from the index's columns, the
+// only ads a query builds. All Words and Exclusions slices of the appended
+// ads share a single string arena, so the whole copy costs one allocation
+// beyond dst's growth regardless of match count, and no returned slice
+// aliases index-internal storage (the strings themselves are immutable).
+// With no refs dst is returned untouched (nil stays nil).
+func appendAdCopies(dst []Ad, s *snapshot, refs []core.Ref) []Ad {
+	if len(refs) == 0 {
 		return dst
 	}
 	need := 0
-	for _, m := range matches {
-		need += len(m.Words) + len(m.Meta.Exclusions)
+	for _, r := range refs {
+		if r < deltaRef {
+			need += s.base.AdStrings(r)
+		} else {
+			m := &s.delta[r-deltaRef]
+			need += len(m.Words) + len(m.Meta.Exclusions)
+		}
 	}
 	arena := make([]string, 0, need)
-	dst = slices.Grow(dst, len(matches))
-	for _, m := range matches {
-		dst, arena = appendAdCopy(dst, arena, m)
+	dst = slices.Grow(dst, len(refs))
+	for _, r := range refs {
+		if r < deltaRef {
+			dst, arena = s.base.AppendAd(dst, arena, r)
+			dst[len(dst)-1].Meta.RefreshExclusionSets()
+		} else {
+			dst, arena = appendAdCopy(dst, arena, &s.delta[r-deltaRef])
+		}
 	}
 	return dst
 }
@@ -502,15 +518,16 @@ func (v View) Match(dst []Ad, q Query) Result {
 		res.Infos, res.Rewrite = v.matchRewrite(sc, q.Counters)
 	} else {
 		var tokens []string
-		switch q.Type {
-		case Exact:
-			tokens = textnorm.FoldDuplicates(textnorm.Tokenize(q.Text))
-		case Phrase:
-			tokens = textnorm.Tokenize(q.Text)
+		if q.Type != Broad {
+			sc.tokens = textnorm.AppendTokens(sc.tokens[:0], q.Text)
+			tokens = sc.tokens
+			if q.Type == Exact {
+				tokens = textnorm.Folded(tokens)
+			}
 		}
-		sc.matches = v.s.appendMatch(sc.matches[:0], q.Type, tokens, sc.words, q.Counters, &sc.core, &sc.budget)
+		sc.refs = v.s.appendMatch(sc.refs[:0], q.Type, tokens, sc.words, q.Counters, &sc.core, &sc.budget)
 	}
-	res.Ads = appendAdCopies(dst, sc.matches)
+	res.Ads = appendAdCopies(dst, v.s, sc.refs)
 	res.Truncated = sc.budget.Exhausted()
 	res.CutoffApplied = sc.budget.CutoffApplied()
 	res.CostSpent = sc.budget.Spent()

@@ -247,33 +247,52 @@ func TestMatchAppendsAfterDst(t *testing.T) {
 	}
 }
 
-// TestMatchAllocs is the root-package allocation contract: a warm broad
-// Match into a reused dst costs at most one allocation (the string arena
-// backing the copied ads), with or without a budget. BroadMatchAppend is
-// the same call.
+// TestMatchAllocs is the root-package allocation contract: a warm Match
+// into a reused dst costs at most one allocation per broad query (the
+// string arena backing the copied ads), with or without a budget; an
+// exact or phrase query of a live phrase costs no more. Neither builds a
+// set key per candidate record or tokenizes a phrase into a fresh slice.
+// BroadMatchAppend is the same call.
 func TestMatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 64})
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 64, Seed: 65})
-	var queries []string
+	var broad, phrases []string
 	for _, q := range wl.Queries {
-		queries = append(queries, strings.Join(q.Words, " "))
+		broad = append(broad, strings.Join(q.Words, " "))
+	}
+	for i := 0; i < 64; i++ {
+		phrases = append(phrases, c.Ads[i*31].Phrase)
 	}
 	view := Build(c.Ads, Options{}).View()
-	for _, b := range []QueryBudget{{}, {MaxCost: 1 << 20, Deadline: time.Now().Add(time.Hour)}} {
+	for _, tc := range []struct {
+		typ     QueryType
+		queries []string
+		budget  QueryBudget
+		max     float64
+	}{
+		{Broad, broad, QueryBudget{}, 1},
+		{Broad, broad, QueryBudget{MaxCost: 1 << 20, Deadline: time.Now().Add(time.Hour)}, 1},
+		{Exact, phrases, QueryBudget{}, 1},
+		{Phrase, phrases, QueryBudget{}, 1},
+	} {
 		dst := make([]Ad, 0, 256)
-		i := 0
+		i, matched := 0, 0
 		run := func() {
-			dst = view.Match(dst[:0], Query{Text: queries[i%len(queries)], Budget: b}).Ads
+			dst = view.Match(dst[:0], Query{Text: tc.queries[i%len(tc.queries)], Type: tc.typ, Budget: tc.budget}).Ads
+			matched += len(dst)
 			i++
 		}
-		for range queries {
+		for range tc.queries {
 			run() // warm the scratch pool and dst
 		}
-		if allocs := testing.AllocsPerRun(500, run); allocs > 1 {
-			t.Errorf("budget %+v: warm View.Match = %.2f allocs/op, want <= 1", b, allocs)
+		if matched < len(tc.queries) {
+			t.Fatalf("type %d: %d matches over %d queries, want every query to match", tc.typ, matched, len(tc.queries))
+		}
+		if allocs := testing.AllocsPerRun(500, run); allocs > tc.max {
+			t.Errorf("type %d budget %+v: warm View.Match = %.2f allocs/op, want <= %v", tc.typ, tc.budget, allocs, tc.max)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"adindex/internal/core"
-	"adindex/internal/corpus"
 	"adindex/internal/rewrite"
 	"adindex/internal/textnorm"
 )
@@ -142,7 +141,7 @@ func (s *snapshot) vocabulary() *rewrite.Vocabulary {
 // canonical word set is probed first, then the planner's rewrite variants
 // in deterministic plan order until the probe limit or sc.budget (which
 // every probe charges) runs out. It leaves the distinct matching records
-// in sc.matches, ordered by ID, and returns their infos in the same
+// in sc.refs, ordered by ID, and returns their infos in the same
 // order; a record reachable through several variants is tagged with the
 // first variant that found it (plan order is penalty order, so that is
 // its best rewrite). Without a planner only the exact probe runs and
@@ -159,24 +158,24 @@ func (v View) matchRewrite(sc *queryScratch, counters *Counters) ([]MatchInfo, R
 		probeLimit = v.rw.Budget.ProbeLimit()
 	}
 
-	type hit struct {
-		rec  *corpus.Ad
+	type found struct {
+		ref  core.Ref
 		info MatchInfo
 	}
-	var hits []hit
-	var seen map[*corpus.Ad]bool
+	var hits []found
+	var seen map[core.Ref]bool
 	probe := func(words []string, info MatchInfo) {
 		stats.Probes++
-		sc.matches = v.s.appendMatch(sc.matches[:0], Broad, nil, words, counters, &sc.core, &sc.budget)
-		for _, m := range sc.matches {
-			if seen[m] {
+		sc.refs = v.s.appendMatch(sc.refs[:0], Broad, nil, words, counters, &sc.core, &sc.budget)
+		for _, r := range sc.refs {
+			if seen[r] {
 				continue
 			}
 			if seen == nil {
-				seen = make(map[*corpus.Ad]bool)
+				seen = make(map[core.Ref]bool)
 			}
-			seen[m] = true
-			hits = append(hits, hit{rec: m, info: info})
+			seen[r] = true
+			hits = append(hits, found{ref: r, info: info})
 			switch info.Type {
 			case MatchFuzzy:
 				stats.FuzzyHits++
@@ -199,12 +198,12 @@ func (v View) matchRewrite(sc *queryScratch, counters *Counters) ([]MatchInfo, R
 
 	// Restore the global ID order broad match guarantees; insertion order
 	// breaks ties so equal-ID duplicates keep their plan-order infos.
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].rec.ID < hits[j].rec.ID })
-	sc.matches = sc.matches[:0]
+	sort.SliceStable(hits, func(i, j int) bool { return v.s.id(hits[i].ref) < v.s.id(hits[j].ref) })
+	sc.refs = sc.refs[:0]
 	infos := make([]MatchInfo, 0, len(hits))
-	for _, h := range hits {
-		sc.matches = append(sc.matches, h.rec)
-		infos = append(infos, h.info)
+	for _, f := range hits {
+		sc.refs = append(sc.refs, f.ref)
+		infos = append(infos, f.info)
 	}
 	return infos, stats
 }
