@@ -8,8 +8,10 @@
 #                      fault-injection latency schedules stay affordable;
 #                      ./internal/server brings TestCacheLinearizable
 #                      (writers and readers on overlapping word sets
-#                      through the reply cache) beside TestCacheConcurrent
-#                      and the segmented-LRU policy tests (scan
+#                      through the reply cache) beside TestCacheConcurrent,
+#                      TestCacheSlotReuse (hits reading shared ad
+#                      fragments while other shards free and reuse their
+#                      slots) and the segmented-LRU policy tests (scan
 #                      resistance, promotion, demotion, refresh)
 #   recovery-smoke     kill -9 a churning child, recover, compare with the
 #                      serial oracle; crash-at-every-write atomicity;
@@ -26,7 +28,8 @@
 #   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
 #                      snapshot file and WAL decoders among them) and on
 #                      the reply encoders held to encoding/json
-#   benchsmoke         one iteration of every root `go test` benchmark
+#   benchsmoke         one iteration of every root `go test` benchmark and
+#                      of internal/server's
 #   benchmod           vet + test of bench/, the end-to-end benchmark
 #                      (its own module: `go test ./...` never compiles it)
 #
@@ -194,10 +197,11 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeNode -fuzztime=10s -fuzzminimizetime=100x ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s -fuzzminimizetime=100x .
 
-# One iteration of every root benchmark: keeps them compiling and
+# One iteration of every root benchmark and of internal/server's
+# (BenchmarkSearchHit, the cached /search): keeps them compiling and
 # running without timing anything.
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/server
 
 # The end-to-end benchmark harness is a separate module linking this
 # one's packages: vet it and run its own tests (~20 s) against the

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"adindex"
+	"adindex/internal/corpus"
+	"adindex/internal/workload"
 )
 
 func ad(id uint64) []adindex.Ad {
@@ -128,40 +134,63 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheBytes: the byte total follows the entries through every way a
-// body can leave — replacement, eviction, the refresh of an outdated entry
-// (which keeps its bytes until then).
+// TestCacheBytes: the entries' own bytes and the shared ads' bytes, each
+// ad counted once, follow the entries through every way a reply can arrive
+// or leave. A reply not repeated yet owns its key and its body; a repeat
+// interns its ads, after which it owns its key and 4 bytes per reference;
+// a body without ads stays as it is. Replacement, eviction,
+// and the refresh of an outdated entry (which keeps its bytes until then)
+// each move both totals.
 func TestCacheBytes(t *testing.T) {
-	c := NewCache(2, 1)
-	size := func(key string, ads []adindex.Ad) int64 {
-		b, err := json.Marshal(ads)
-		if err != nil {
-			t.Fatal(err)
+	c := NewCache(2, 1) // one probation slot, one protected
+	owned := func(key string, ads []adindex.Ad, repeated bool) int64 {
+		switch {
+		case ads == nil:
+			return int64(len(key) + len("null"))
+		case len(ads) == 0:
+			return int64(len(key) + len("[]"))
+		case repeated:
+			return int64(len(key) + 4*len(ads))
 		}
-		return int64(len(key) + len(b))
+		return int64(len(key) + len(corpus.AppendAdsJSON(nil, ads)))
 	}
-	check := func(step string, want int64) {
+	check := func(step string, want int64, shared ...adindex.Ad) {
 		t.Helper()
 		if got := c.Bytes(); got != want {
 			t.Errorf("%s: Bytes = %d, want %d", step, got, want)
 		}
+		var sharedBytes int64
+		for i := range shared {
+			sharedBytes += int64(len(shared[i].AppendJSON(nil)))
+		}
+		if n, b := c.sharedAds(); n != len(shared) || b != sharedBytes {
+			t.Errorf("%s: shared ads = %d of %d bytes, want %d of %d", step, n, b, len(shared), sharedBytes)
+		}
 		checkSegments(t, c)
 	}
+	a1, a3, a7, big := ad(1)[0], ad(3)[0], ad(7)[0], ad(1000000)[0]
 	check("empty", 0)
 	c.Put("a", 0, ad(1))
-	c.Get("a", 0) // protected, so the next reply does not evict it
+	check("a new reply", owned("a", ad(1), false))
+	c.Get("a", 0) // a repeat: protected, its ad interned
+	check("its repeat", owned("a", ad(1), true), a1)
 	c.Put("bb", 0, nil)
-	check("two entries", size("a", ad(1))+size("bb", nil))
-	c.Put("a", 0, ad(1000000)) // replaced by a longer body
-	check("replace", size("a", ad(1000000))+size("bb", nil))
-	c.Put("ccc", 0, ad(3)) // evicts bb, the least recently used probation entry
-	check("evict", size("a", ad(1000000))+size("ccc", ad(3)))
+	check("two entries", owned("a", ad(1), true)+owned("bb", nil, false), a1)
+	c.Put("a", 0, ad(1000000)) // replaced by a longer ad, interned at once
+	check("replace", owned("a", ad(1000000), true)+owned("bb", nil, false), big)
+	ccc := []adindex.Ad{a3, big}
+	c.Put("ccc", 0, ccc) // evicts bb, the least recently used probation entry
+	check("evict", owned("a", ad(1000000), true)+owned("ccc", ccc, false), big)
 	c.Get("a", 1) // outdated: stays until refreshed
-	check("invalidate", size("a", ad(1000000))+size("ccc", ad(3)))
-	c.Put("a", 1, ad(7))
-	check("refresh", size("a", ad(7))+size("ccc", ad(3)))
+	check("invalidate", owned("a", ad(1000000), true)+owned("ccc", ccc, false), big)
+	c.Put("a", 1, []adindex.Ad{})
+	check("refresh", owned("a", []adindex.Ad{}, true)+owned("ccc", ccc, false))
+	c.Get("ccc", 0) // promoted, demoting a
+	check("promotion", owned("a", []adindex.Ad{}, true)+owned("ccc", ccc, true), a3, big)
+	c.Put("a", 2, []adindex.Ad{a7, a3})
+	check("refresh sharing", owned("a", ad(7), true)+4+owned("ccc", ccc, true), a3, big, a7)
 	var off *Cache
-	if off.Bytes() != 0 {
+	if n, b := off.sharedAds(); off.Bytes() != 0 || n != 0 || b != 0 {
 		t.Error("nil cache holds bytes")
 	}
 }
@@ -214,6 +243,65 @@ func checkSegments(t *testing.T, c *Cache) {
 			t.Errorf("shard %d: Bytes counts %d, the segments hold %d", i, s.bytes, sum)
 		}
 		s.mu.Unlock()
+	}
+	checkFragments(t, c)
+}
+
+// checkFragments holds the fragment table to the entries: every entry
+// holds its body in one form (a protected one never as bytes), every
+// slot's count is the number of references the entries hold to it, a slot is
+// free exactly when that is 0, a slot in use holds an ad's JSON, the ID
+// index points at slots in use of that ID, and the table's totals are the
+// sums over its slots.
+func checkFragments(t *testing.T, c *Cache) {
+	t.Helper()
+	want := map[uint32]uint32{}
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for _, el := range s.items {
+			ent := el.Value.(*cacheEntry)
+			for _, i := range ent.refs {
+				want[i]++
+			}
+			// Bytes or references; a repeated reply with ads, references.
+			if (ent.refs == nil) == (ent.body == nil) || ent.protected && holdsAds(ent.body) {
+				t.Errorf("entry %q (protected %v): body %q, %d references", ent.key, ent.protected, ent.body, len(ent.refs))
+			}
+		}
+		s.mu.Unlock()
+	}
+	tb := &c.ads
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	live, free := 0, map[uint32]bool{}
+	var bytes int64
+	for _, i := range tb.free {
+		free[i] = true
+	}
+	for i := uint32(0); i < tb.slots; i++ {
+		ch, j := tb.at(i)
+		refs, json := ch.refs[j], ch.json[j]
+		if refs != want[i] {
+			t.Errorf("fragment %d (ad %d) counts %d references, the entries hold %d", i, ch.id[j], refs, want[i])
+		}
+		if free[i] != (refs == 0) || (refs == 0) != (json == nil) {
+			t.Errorf("fragment %d: %d references, %d bytes, on the free list %v", i, refs, len(json), free[i])
+		}
+		if refs > 0 {
+			live++
+			bytes += int64(len(json))
+		}
+	}
+	if len(free) != len(tb.free) || live+len(tb.free) != int(tb.slots) {
+		t.Errorf("%d slots: %d in use, %d on the free list (%d distinct)", tb.slots, live, len(tb.free), len(free))
+	}
+	for id, i := range tb.byID {
+		if ch, j := tb.at(i); ch.refs[j] == 0 || ch.id[j] != id {
+			t.Errorf("ID %d indexes fragment %d, which holds ad %d with %d references", id, i, ch.id[j], ch.refs[j])
+		}
+	}
+	if live != tb.live || bytes != tb.bytes {
+		t.Errorf("table counts %d fragments of %d bytes, its slots hold %d of %d", tb.live, tb.bytes, live, bytes)
 	}
 }
 
@@ -393,4 +481,233 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCacheSharesAds: replies that share ads hold each shared ad once, from
+// their first repeat on (a reply not repeated yet keeps its own bytes); every
+// way a reply leaves the cache — an eviction, the refresh of an outdated
+// entry, an older view's refused put — leaves every reference count exact;
+// once every entry that held ads is gone the table is empty; and on a hot
+// query stream the cache holds a fraction of the bytes its replies carry.
+func TestCacheSharesAds(t *testing.T) {
+	ads := make([]adindex.Ad, 10)
+	for i := range ads {
+		ads[i] = adindex.NewAd(uint64(i), fmt.Sprintf("shared phrase %d", i), adindex.Meta{BidMicros: int64(i)})
+	}
+	pick := func(ids ...int) []adindex.Ad {
+		out := make([]adindex.Ad, len(ids))
+		for k, id := range ids {
+			out[k] = ads[id]
+		}
+		return out
+	}
+	c := NewCache(10, 1) // probation 2, protected 8
+	stored := map[string][]adindex.Ad{}
+	put := func(key string, epoch uint64, list []adindex.Ad) {
+		c.Put(key, epoch, list)
+		stored[key] = list
+	}
+	// check holds the table to the distinct ads of the entries that
+	// interned theirs, and says how many there are.
+	check := func(step string, want int) {
+		t.Helper()
+		checkSegments(t, c)
+		distinct := map[uint64]int{}
+		s := c.shards[0]
+		s.mu.Lock()
+		for key, el := range s.items {
+			if el.Value.(*cacheEntry).refs == nil {
+				continue
+			}
+			for i := range stored[key] {
+				distinct[stored[key][i].ID] = len(stored[key][i].AppendJSON(nil))
+			}
+		}
+		s.mu.Unlock()
+		var sum int64
+		for _, n := range distinct {
+			sum += int64(n)
+		}
+		if n, b := c.sharedAds(); n != len(distinct) || b != sum || n != want {
+			t.Errorf("%s: shared ads = %d of %d bytes; the interned entries hold %d distinct ads, %d bytes; want %d", step, n, b, len(distinct), sum, want)
+		}
+	}
+	hit := func(key string, changedAt uint64) {
+		t.Helper()
+		if reply, ok := c.Get(key, changedAt); !ok || string(reply.Body) != string(corpus.AppendAdsJSON(nil, stored[key])) {
+			t.Errorf("%s: hit %v, body %s", key, ok, reply.Body)
+		}
+	}
+	put("x", 0, pick(1, 2, 3))
+	hit("x", 0)
+	put("y", 0, pick(2, 3, 4))
+	hit("y", 0)
+	check("two protected entries", 4)
+	hit("y", 0) // from the fragments now: x is the protected segment's least recent
+	put("p", 0, pick(4, 5))
+	check("a reply not repeated yet", 4)
+
+	for i := 1; i <= 7; i++ { // k7's promotion overflows protected: x is demoted
+		key := fmt.Sprintf("k%d", i)
+		put(key, 0, pick(6))
+		hit(key, 0)
+	}
+	if prob, _ := segments(c); fmt.Sprint(prob) != "[x p]" {
+		t.Fatalf("probation %v, want x demoted ahead of p", prob)
+	}
+	check("demotion", 5)
+	put("n1", 0, nil)     // evicts p, which holds bytes
+	put("n2", 0, pick(7)) // evicts x: 1 goes, 2 and 3 stay with y
+	check("eviction", 4)
+
+	c.Get("y", 1) // outdated
+	put("y", 1, pick(2, 8))
+	check("refresh of an outdated entry", 3) // 3 and 4 go, 8 takes a freed slot
+	c.Put("y", 0, pick(9))                   // an older view's put: refused
+	check("refused put", 3)
+	hit("y", 1)
+
+	// Repeated replies without ads push every other entry out: protected
+	// overflow demotes, probation evicts.
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("empty%d", i)
+		put(key, 0, nil)
+		hit(key, 0)
+	}
+	put("last", 0, []adindex.Ad{})
+	put("last2", 0, nil)
+	check("every entry with ads gone", 0)
+	if n, b := c.sharedAds(); n != 0 || b != 0 || len(c.ads.byID) != 0 || len(c.ads.free) != int(c.ads.slots) {
+		t.Errorf("table after its last reference: %d ads of %d bytes, %d IDs, %d of %d slots free", n, b, len(c.ads.byID), len(c.ads.free), c.ads.slots)
+	}
+
+	// A hot stream: power-law queries over a 20k-ad corpus, each asked
+	// twice, against what a cache of whole replies would hold.
+	corp := corpus.Generate(corpus.GenOptions{NumAds: 20000, Seed: 3201})
+	s := New(adindex.Build(corp.Ads, adindex.Options{}), Config{})
+	_, queries := hotQueries(corp, 5000, 3202)
+	var whole int64
+	for _, q := range queries {
+		miss := serve(t, s, "GET", searchTarget(q, "broad"), "")
+		again := serve(t, s, "GET", searchTarget(q, "broad"), "")
+		if withoutVolatile(miss) != withoutVolatile(again) || !bytes.Contains(again, []byte(`"cached":true`)) {
+			t.Fatalf("%q: hit %s\nmiss %s", q, again, miss)
+		}
+		whole += int64(bytes.Index(miss, []byte(`,"took_us"`)) - bytes.Index(miss, []byte(`"ads":`)) - len(`"ads":`))
+	}
+	checkSegments(t, s.cache)
+	n, shared := s.cache.sharedAds()
+	if held := s.cache.Bytes() + shared; held*5 > whole {
+		t.Errorf("the cache holds %d bytes (%d own, %d in %d shared ads) for replies carrying %d bytes of ads, want at most a fifth", held, held-shared, shared, n, whole)
+	} else {
+		t.Logf("the cache holds %d bytes (%d in %d shared ads) for replies carrying %d bytes of ads", held, shared, n, whole)
+	}
+}
+
+// TestCacheSlotReuse: eight goroutines put, get and refresh 64 keys in a
+// 2-shard, 8-entry cache whose replies overlap in ads, some of them IDs
+// whose content changes with the epoch, so ads are interned, fragments
+// freed and slots reused all the time. Every hit's body is exactly the encoding of the
+// ads stored under its key at its epoch, which a marker ad in each reply
+// names.
+func TestCacheSlotReuse(t *testing.T) {
+	c := NewCache(8, 2)
+	const keys, epochs, marker = 64, 4, 1_000_000
+	adsOf := func(key, epoch int) []adindex.Ad {
+		list := []adindex.Ad{adindex.NewAd(uint64(marker+key*epochs+epoch), "marker", adindex.Meta{})}
+		for j := 0; j < 1+key%5; j++ {
+			id := (key + 3*j) % 16
+			// IDs 0-3 carry other content in other epochs.
+			phrase := fmt.Sprintf("overlap %d", id)
+			if id < 4 {
+				phrase += fmt.Sprintf(" v%d", epoch%2)
+			}
+			list = append(list, adindex.NewAd(uint64(id), phrase, adindex.Meta{BidMicros: int64(id)}))
+		}
+		return list
+	}
+	ops := 4000
+	if testing.Short() {
+		ops = 1000
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2*ops; i++ {
+				// Each key is asked twice in a row, so a reply is repeated —
+				// its ads interned — unless another goroutine's evicted it.
+				key := (g*7 + i/2*13) % keys
+				changedAt := uint64((i / 6) % epochs)
+				name := fmt.Sprintf("k%d", key)
+				reply, ok := c.Get(name, changedAt)
+				if !ok {
+					c.Put(name, changedAt, adsOf(key, int(changedAt)))
+					continue
+				}
+				var got []adindex.Ad
+				if err := json.Unmarshal(reply.Body, &got); err != nil || len(got) == 0 || got[0].ID < marker {
+					t.Errorf("%s: body %s: %v", name, reply.Body, err)
+					return
+				}
+				k, epoch := int(got[0].ID-marker)/epochs, int(got[0].ID-marker)%epochs
+				if want := corpus.AppendAdsJSON(nil, adsOf(key, epoch)); k != key || uint64(epoch) < changedAt || !bytes.Equal(reply.Body, want) {
+					t.Errorf("%s at %d: hit %s\nwant the reply of epoch %d: %s", name, changedAt, reply.Body, epoch, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	checkSegments(t, c)
+	// The 64 keys' replies carry 256 distinct markers, of which the 8
+	// entries hold at most 8 at a time: the slots were reused.
+	hits, _, _ := c.Stats()
+	if hits < uint64(ops) || c.ads.slots > 64 {
+		t.Errorf("%d hits, %d fragment slots: want at least %d hits and at most 64 slots", hits, c.ads.slots, ops)
+	}
+	t.Logf("%d hits, %d fragment slots", hits, c.ads.slots)
+}
+
+// BenchmarkSearchHit times a cached /search over the working set of a hot
+// stream (power-law queries over a 200k-ad corpus): every query was asked
+// twice while warming up, so every entry is protected and every timed
+// request is a hit.
+func BenchmarkSearchHit(b *testing.B) {
+	corp := corpus.Generate(corpus.GenOptions{NumAds: 200_000, Seed: 1})
+	s := New(adindex.Build(corp.Ads, adindex.Options{}), Config{})
+	wl, queries := hotQueries(corp, 20_000, 2)
+	reqs := make(map[*workload.Query]*http.Request, len(queries))
+	w := &reusedWriter{h: http.Header{}}
+	for i, q := range queries {
+		req := httptest.NewRequest("GET", searchTarget(q, "broad"), nil)
+		reqs[&wl.Queries[i]] = req
+		s.handleSearch(w, req)
+		s.handleSearch(w, req)
+	}
+	stream := wl.Stream(1<<16, 3)
+	hits, _, _ := s.cache.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.handleSearch(w, reqs[stream[i%len(stream)]])
+	}
+	b.StopTimer()
+	if after, _, _ := s.cache.Stats(); after-hits != uint64(b.N) {
+		b.Fatalf("%d of %d requests hit", after-hits, b.N)
+	}
+}
+
+// hotQueries generates n distinct queries over corp with the hot
+// benchmark streams' frequency law (200/rank), each cut to the index's
+// default 12-word cutoff so that no answer is cut short; queries[i] is
+// wl.Queries[i] as text.
+func hotQueries(corp *corpus.Corpus, n int, seed int64) (wl *workload.Workload, queries []string) {
+	wl = workload.Generate(corp, workload.GenOptions{NumQueries: n, ZipfS: 1, MaxFreq: 200, Seed: seed})
+	queries = make([]string, len(wl.Queries))
+	for i := range wl.Queries {
+		words := wl.Queries[i].Words
+		queries[i] = strings.Join(words[:min(len(words), 12)], " ")
+	}
+	return wl, queries
 }

@@ -230,8 +230,14 @@ type MetricsSnapshot struct {
 		// Probation is how many of those entries sit in the probation
 		// segment: not hit since they were stored or demoted.
 		Probation int `json:"probation"`
-		// Bytes is the key and body bytes the live entries hold.
+		// Bytes is what the live entries own: their keys, the bodies they
+		// keep (of replies not repeated yet, or without ads) and 4 bytes
+		// per reference to a shared ad.
 		Bytes int64 `json:"bytes"`
+		// SharedAds and SharedBytes are the distinct encoded ads the
+		// entries reference and their bytes, each counted once.
+		SharedAds   int   `json:"shared_ads"`
+		SharedBytes int64 `json:"shared_bytes"`
 	} `json:"cache"`
 	Shed     uint64 `json:"shed"`
 	Timeouts uint64 `json:"timeouts"`

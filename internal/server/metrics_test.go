@@ -131,17 +131,28 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 		t.Errorf("memory section = %+v in %s, want the collector's CPU seconds", m, b)
 	}
 
-	// The cache section is the server's: cache.bytes is the key and body
-	// bytes of the live entries, here the one reply a search just stored.
+	// The cache section is the server's: cache.bytes is what the live
+	// entries own — here the one reply a search just stored, not repeated
+	// yet: its key and its body — and
+	// cache.shared_ads / shared_bytes are the distinct ads repeated replies
+	// reference, each counted once: none yet.
 	s := New(adindex.Build(testCatalog(), adindex.Options{}), Config{})
 	reply := serve(t, s, "GET", searchTarget("used books", "broad"), "")
 	body := reply[bytes.Index(reply, []byte(`"ads":`))+len(`"ads":`) : bytes.Index(reply, []byte(`,"took_us"`))]
+	var ads []adindex.Ad
+	if err := json.Unmarshal(body, &ads); err != nil || len(ads) < 2 {
+		t.Fatalf("reply %s: %d ads, %v", reply, len(ads), err)
+	}
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
 		t.Fatal(err)
 	}
 	cache := back["cache"].(map[string]any)
-	if want := len("b\x00books\x1fused") + len(body); cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(want) {
+	key := len("b\x00books\x1fused")
+	if want := key + len(body); cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(want) {
 		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, want)
+	}
+	if cache["shared_ads"].(float64) != 0 || cache["shared_bytes"].(float64) != 0 {
+		t.Errorf("cache = %v, want no shared ads before a repeat", cache)
 	}
 	// A stored reply waits in probation until it is asked again; the
 	// sampler holds the one query's word set.
@@ -171,6 +182,13 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	if cache := back["cache"].(map[string]any); cache["probation"].(float64) != 0 || cache["entries"].(float64) != 1 || cache["hits"].(float64) != 1 {
 		t.Errorf("cache = %v after the repeat, want its one entry hit and out of probation", cache)
+	}
+	// The repeat interned the reply's ads: the entry owns its key and a
+	// 4-byte reference per ad, the table the ads, which are the body
+	// without its brackets and commas.
+	if cache, want := back["cache"].(map[string]any), len(body)-2-(len(ads)-1); cache["bytes"].(float64) != float64(key+4*len(ads)) ||
+		cache["shared_ads"].(float64) != float64(len(ads)) || cache["shared_bytes"].(float64) != float64(want) {
+		t.Errorf("cache = %v after the repeat, want %d bytes of entry and %d shared ads of %d bytes", cache, key+4*len(ads), len(ads), want)
 	}
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v after a reordered repeat, want 1", got)

@@ -9,7 +9,8 @@
 // words alias the request's query string, key and buf are bytes built for
 // this request, ads are the match's copies — and the cache never keeps any
 // of it: cachePut copies key and body. The other direction is copy-only as
-// well: a cached body is appended into buf, never appended to.
+// well: a hit appends the cached body into buf while the cache holds the
+// entry, and buf never refers into the cache.
 package server
 
 import (

@@ -512,8 +512,8 @@ type outcome struct {
 // deadline (the subset walk of broad, phrase and rewritten queries charges
 // them; an exact query is one lookup), put through the selection and
 // encoded. The result object goes onto sc.buf up to and including the "ads"
-// array — a hit copies the cached body in, a miss encodes it in place — and
-// closeResult completes it.
+// array — a hit has the cache append it while it holds the entry, a miss
+// encodes the array in place — and closeResult completes it.
 func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) outcome {
 	if s.panicOn != "" && q == s.panicOn {
 		panic("injected test panic")
@@ -522,7 +522,9 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 	var reply Cached
 	hit := false
 	if !rd.rewrite {
-		reply, hit = cacheGet(s.cache, sc.key, rd.view.ChangedAt(sc.words))
+		sc.buf, reply, hit = cacheGet(s.cache, sc.buf, sc.key, rd.view.ChangedAt(sc.words), func(dst []byte, matched int) []byte {
+			return appendSearchHead(dst, q, rd.typ, matched, true)
+		})
 	}
 	var res adindex.Result
 	if !hit {
@@ -539,11 +541,12 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
-	sc.buf = appendSearchHead(sc.buf, q, rd.typ, reply.Matched, hit)
 	out := outcome{truncated: res.Truncated, cutoff: reply.Cutoff, costSpent: res.CostSpent}
+	if hit {
+		return out
+	}
+	sc.buf = appendSearchHead(sc.buf, q, rd.typ, reply.Matched, false)
 	switch {
-	case hit:
-		sc.buf = append(sc.buf, reply.Body...)
 	case rd.rewrite:
 		sc.buf = append(sc.buf, "null"...)
 		out.matches, out.rewrite = s.selectMatches(q, res), newRewriteStatsJSON(res.Rewrite)
@@ -996,6 +999,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Cache.Entries = s.cache.Len()
 	snap.Cache.Probation = s.cache.probationLen()
 	snap.Cache.Bytes = s.cache.Bytes()
+	snap.Cache.SharedAds, snap.Cache.SharedBytes = s.cache.sharedAds()
 	snap.Overload.Shedding = s.limiter.Shedding()
 	snap.Overload.ShedOverload = s.limiter.ShedOverload()
 	snap.Overload.ShedQueueFull = s.limiter.ShedQueueFull()
