@@ -24,10 +24,6 @@ type Ad = corpus.Ad
 // Meta is the advertiser metadata attached to an Ad.
 type Meta = corpus.Meta
 
-// CostModel parameterizes the random-vs-sequential memory cost model used
-// by layout optimization.
-type CostModel = costmodel.Model
-
 // Counters accumulates per-query memory-access accounting (random
 // accesses, bytes scanned, hash probes); set Query.Counters when
 // instrumenting.
@@ -46,20 +42,6 @@ type Options struct {
 	// words are stored under shorter locators, which in turn bounds the
 	// per-query subset enumeration. Default 10.
 	MaxWords int
-	// MaxQueryWords is the heuristic cutoff for extremely long queries;
-	// longer queries are reduced to their rarest MaxQueryWords indexed
-	// words (may lose matches on such extremes). Default 12.
-	MaxQueryWords int
-	// CostModel drives layout optimization. Zero value selects the
-	// default (one random access ≈ 256 sequentially scanned bytes).
-	CostModel CostModel
-	// MaxObservedQueries bounds the distinct-query workload sample kept by
-	// Observe. Live traffic has an unbounded tail of distinct word sets, so
-	// without a cap the sample grows forever; at the cap, admitting a new
-	// set evicts the lowest-frequency set from a small random sample (the
-	// power-law head that Optimize cares about survives). Default
-	// DefaultMaxObservedQueries; negative disables the cap.
-	MaxObservedQueries int
 	// MaxDeltaAds bounds the mutation overlay kept on top of the immutable
 	// base snapshot. Inserts and deletes accumulate in a small
 	// linearly-scanned delta; when it reaches this size the overlay is
@@ -74,21 +56,15 @@ type Options struct {
 	Rewrite *RewriteOptions
 }
 
-// DefaultMaxObservedQueries is the default Options.MaxObservedQueries.
+// DefaultMaxObservedQueries bounds the distinct-query workload sample kept
+// by Observe. Live traffic has an unbounded tail of distinct word sets, so
+// without a cap the sample would grow forever; at the cap, admitting a new
+// set evicts the lowest-frequency set from a small random sample (the
+// power-law head that Optimize cares about survives).
 const DefaultMaxObservedQueries = 1_000_000
 
 // DefaultMaxDeltaAds is the default Options.MaxDeltaAds.
 const DefaultMaxDeltaAds = 256
-
-func (o Options) maxObserved() int {
-	if o.MaxObservedQueries == 0 {
-		return DefaultMaxObservedQueries
-	}
-	if o.MaxObservedQueries < 0 {
-		return int(^uint(0) >> 1)
-	}
-	return o.MaxObservedQueries
-}
 
 func (o Options) maxDeltaAds() int {
 	if o.MaxDeltaAds == 0 {
@@ -100,15 +76,10 @@ func (o Options) maxDeltaAds() int {
 	return o.MaxDeltaAds
 }
 
+// coreOptions passes MaxWords alone: the long-query cutoff is core's
+// default, 12 words.
 func (o Options) coreOptions() core.Options {
-	return core.Options{MaxWords: o.MaxWords, MaxQueryWords: o.MaxQueryWords}
-}
-
-func (o Options) model() costmodel.Model {
-	if o.CostModel == (CostModel{}) {
-		return costmodel.Default()
-	}
-	return o.CostModel
+	return core.Options{MaxWords: o.MaxWords}
 }
 
 // Index is a thread-safe broad-match advertisement index.
@@ -122,6 +93,11 @@ func (o Options) model() costmodel.Model {
 // an explicit grace period.
 type Index struct {
 	opts Options
+	// model prices the plans of Optimize and the adaptation tick:
+	// costmodel.Default(), the Section V-A model (one random access ≈ 256
+	// sequentially scanned bytes). A test may set another before sharing
+	// the index.
+	model costmodel.Model
 
 	// snap is the published snapshot. Readers Load it exactly once per
 	// query; mutators Store a fresh snapshot while holding mu.
@@ -293,7 +269,8 @@ func New(opts Options) *Index {
 func Build(ads []Ad, opts Options) *Index {
 	ix := &Index{
 		opts:     opts,
-		observed: newObserveSampler(opts.maxObserved()),
+		model:    costmodel.Default(),
+		observed: newObserveSampler(DefaultMaxObservedQueries),
 		rewriter: opts.planner(),
 	}
 	start := time.Now()
@@ -527,7 +504,7 @@ func (ix *Index) Optimize() (OptimizeReport, error) {
 // and prices base's own mapping against the same sample (before).
 func (ix *Index) plan(base *core.Index, ads []corpus.Ad, wl *workload.Workload) (res *optimize.Result, before float64) {
 	gs := optimize.BuildGroups(ads, wl)
-	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.opts.model()}
+	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.model}
 	return optimize.Optimize(gs, opts), optimize.EvaluateLocator(gs, base.Locator, opts)
 }
 

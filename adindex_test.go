@@ -3,12 +3,15 @@ package adindex
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"adindex/internal/corpus"
+	"adindex/internal/costmodel"
+	"adindex/internal/optimize"
 	"adindex/internal/workload"
 )
 
@@ -112,10 +115,20 @@ func TestObserveAndOptimize(t *testing.T) {
 	if ix.ObservedQueries() != len(wl.Queries) {
 		t.Fatalf("observed %d, want %d", ix.ObservedQueries(), len(wl.Queries))
 	}
+	// Optimize prices plans under the paper's model, costmodel.Default().
+	gs := optimize.BuildGroups(c.Ads, ix.observed.Workload())
+	base := ix.foldedBase()
+	priced := func(m costmodel.Model) float64 {
+		return optimize.EvaluateLocator(gs, base.Locator, optimize.Options{Model: m})
+	}
+	want, other := priced(costmodel.Default()), priced(costmodel.Model{Random: 64, ScanByte: 1})
 	before := ix.Stats()
 	report, err := ix.Optimize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := report.ModeledCostBefore; math.Abs(got-want) > 1e-9*want || want == other {
+		t.Errorf("ModeledCostBefore = %g, want %g under costmodel.Default() (%g under another model)", got, want, other)
 	}
 	after := ix.Stats()
 	if report.NodesAfter >= report.NodesBefore {
@@ -343,7 +356,8 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 }
 
 func TestObserveCapBoundsMemory(t *testing.T) {
-	ix := Build(sampleAds(), Options{MaxObservedQueries: 100})
+	ix := Build(sampleAds(), Options{})
+	ix.observed = newObserveSampler(100)
 	// The hot query is seen often, so its frequency dwarfs the tail's.
 	for i := 0; i < 50; i++ {
 		ix.Observe("used books")

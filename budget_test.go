@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,21 +99,25 @@ func TestBroadMatchBudgetOverlay(t *testing.T) {
 	}
 }
 
-// TestBroadMatchBudgetCutoffSurfaced: a query longer than MaxQueryWords
-// reports CutoffApplied even with no cost bound.
+// TestBroadMatchBudgetCutoffSurfaced: a query with more indexed words than
+// the long-query cutoff (core's 12) reports CutoffApplied even with no cost
+// bound; a query of 12 indexed words does not.
 func TestBroadMatchBudgetCutoffSurfaced(t *testing.T) {
-	ads := []Ad{NewAd(1, "alpha beta", Meta{})}
-	ix := Build(ads, Options{MaxQueryWords: 2, MaxWords: 2})
-	// Both query words are indexed; pad with more indexed words via extra ads.
-	ix2 := Build([]Ad{
-		NewAd(1, "w1 w2", Meta{}), NewAd(2, "w3 w4", Meta{}), NewAd(3, "w5 w6", Meta{}),
-	}, Options{MaxQueryWords: 4, MaxWords: 2})
-	res := ix2.Match(nil, Query{Text: "w1 w2 w3 w4 w5 w6", Budget: QueryBudget{}})
-	if !res.CutoffApplied {
-		t.Fatal("6 indexed words over MaxQueryWords=4: cutoff not surfaced")
+	var ads []Ad
+	var words []string
+	for i := 1; i <= 13; i++ {
+		w := fmt.Sprintf("w%d", i)
+		words = append(words, w)
+		ads = append(ads, NewAd(uint64(i), w, Meta{}))
 	}
-	res = ix.Match(nil, Query{Text: "alpha beta", Budget: QueryBudget{}})
-	if res.CutoffApplied || res.Truncated {
-		t.Fatalf("short query flagged: %+v", res)
+	ix := Build(ads, Options{})
+	res := ix.Match(nil, Query{Text: strings.Join(words, " "), Budget: QueryBudget{}})
+	if !res.CutoffApplied {
+		t.Fatal("13 indexed words over the cutoff of 12: cutoff not surfaced")
+	}
+	res = ix.Match(nil, Query{Text: strings.Join(words[:12], " "), Budget: QueryBudget{}})
+	if res.CutoffApplied || res.Truncated || len(res.Ads) != 12 {
+		t.Fatalf("12 indexed words: %d ads, cutoff %v, truncated %v; want all 12, neither flag",
+			len(res.Ads), res.CutoffApplied, res.Truncated)
 	}
 }

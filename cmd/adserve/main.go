@@ -462,7 +462,8 @@ func runLocal(f *flags, cfg server.Config) {
 			log.Fatalf("tcp ad server: %v", err)
 		}
 		defer as.Close()
-		log.Printf("serving TCP ad-metadata protocol on %s", as.Addr())
+		log.Printf("serving TCP ad-metadata protocol on %s for the %d ads present at start; later writes do not reach it",
+			as.Addr(), ix.NumAds())
 	}
 
 	if err := srv.AwaitShutdown(); err != nil {

@@ -417,47 +417,52 @@ func refused(t *testing.T, set map[string]string, reason string) {
 // flags plus the exported fields of the option structs they reach, counted
 // by reflection. A field whose type is a struct with exported fields, or a
 // pointer to one, counts as those fields. A simplification adds no knob;
-// `make size` prints this test's log.
+// `make size` prints this test's log, which names every counted field by
+// its path, so a diff of two logs shows which knob a change added or
+// removed.
 func TestSettableValues(t *testing.T) {
 	fs := flag.NewFlagSet("adserve", flag.ContinueOnError)
 	defineFlags(fs)
 	flags := 0
 	fs.VisitAll(func(*flag.Flag) { flags++ })
-	fields := 0
+	var fields []string
 	for _, opts := range []any{adindex.Options{}, adindex.DurableConfig{}, server.Config{}, shard.Options{}, shard.ElasticOptions{}} {
 		typ := reflect.TypeOf(opts)
-		n := settable(typ)
-		t.Logf("%s: %d settable fields", typ, n)
-		fields += n
+		n := len(fields)
+		fields = settable(fields, typ.String(), typ)
+		t.Logf("%s: %d settable fields", typ, len(fields)-n)
+		for _, f := range fields[n:] {
+			t.Logf("  %s", f)
+		}
 	}
-	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, fields, flags+fields)
-	if flags != 24 || fields != 39 {
-		t.Errorf("%d flags and %d option fields, want 24 and 39", flags, fields)
+	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, len(fields), flags+len(fields))
+	if flags != 24 || len(fields) != 30 {
+		t.Errorf("%d flags and %d option fields, want 24 and 30", flags, len(fields))
 	}
 }
 
-// settable counts the exported fields of struct type typ, recursing into
-// struct-typed ones.
-func settable(typ reflect.Type) int {
-	n := 0
+// settable appends to paths the path, under prefix, of each exported field
+// of struct type typ, recursing into struct-typed ones.
+func settable(paths []string, prefix string, typ reflect.Type) []string {
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if !f.IsExported() {
 			continue
 		}
+		path := prefix + "." + f.Name
 		ft := f.Type
 		if ft.Kind() == reflect.Pointer {
 			ft = ft.Elem()
 		}
 		if ft.Kind() == reflect.Struct {
-			if k := settable(ft); k > 0 {
-				n += k
+			if inner := settable(nil, path, ft); len(inner) > 0 {
+				paths = append(paths, inner...)
 				continue
 			}
 		}
-		n++
+		paths = append(paths, path)
 	}
-	return n
+	return paths
 }
 
 // TestIndexBackend: the -tcp-index backend honours the whole request it

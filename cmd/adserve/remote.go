@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"adindex/internal/core"
 	"adindex/internal/multiserver"
 	"adindex/internal/server"
 	"adindex/internal/shard"
@@ -49,7 +48,7 @@ func runShards(f *flags, cfg server.Config) {
 func runElastic(f *flags, cfg server.Config) {
 	ads := loadCorpus(f.corpus)
 	buildStart := time.Now()
-	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{Index: core.Options{MaxWords: f.maxWords}})
+	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{MaxWords: f.maxWords})
 	if err != nil {
 		log.Fatalf("elastic cluster: %v", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"adindex/internal/costmodel"
 )
 
 // TestAdaptUnderDrift is the acceptance test for periodic re-optimization:
@@ -72,7 +74,7 @@ func driveHubTraffic(t *testing.T, ix *Index, hubLo, hubHi, n int) []float64 {
 			t.Fatalf("query %q matched nothing", q)
 		}
 		ix.Observe(q)
-		costs[j] = c.Cost(ix.opts.model())
+		costs[j] = c.Cost(ix.model)
 	}
 	return costs
 }
@@ -88,8 +90,10 @@ func costP99(costs []float64) float64 {
 // post-drift p99 for the adapting index and the frozen control.
 func driftAttempt(t *testing.T) (adaptPre, adaptPost, frozenPre, frozenPost float64) {
 	t.Helper()
-	opts := Options{CostModel: CostModel{Random: driftRandomCost, ScanByte: 1}}
-	adaptIx, frozenIx := Build(hubCatalog(driftHubs), opts), Build(hubCatalog(driftHubs), opts)
+	adaptIx, frozenIx := Build(hubCatalog(driftHubs), Options{}), Build(hubCatalog(driftHubs), Options{})
+	for _, ix := range []*Index{adaptIx, frozenIx} {
+		ix.model = costmodel.Model{Random: driftRandomCost, ScanByte: 1}
+	}
 
 	// Phase A: both indexes take identical traffic over hubs 0..14 and
 	// optimize on it, merging the hot hubs' word sets. Hubs 15..29 see

@@ -10,9 +10,9 @@ import (
 )
 
 func TestOptionsAccessors(t *testing.T) {
-	ix := New(nil, Options{MaxWords: 7, MaxQueryWords: 9, MemHash: 32})
+	ix := New(nil, Options{MaxWords: 7, MaxQueryWords: 9})
 	o := ix.Options()
-	if o.MaxWords != 7 || o.MaxQueryWords != 9 || o.MemHash != 32 {
+	if o.MaxWords != 7 || o.MaxQueryWords != 9 {
 		t.Errorf("Options = %+v", o)
 	}
 	ix2 := New(mustAds("a b", "a b", "c"), Options{})
@@ -36,7 +36,8 @@ func TestExactMatchCountedAndMisses(t *testing.T) {
 	if got := ix.ExactMatch("never indexed phrase", &c); got != nil {
 		t.Errorf("miss matched %v", got)
 	}
-	if c.Queries != 1 || c.HashProbes != 1 {
+	// The one probe of H is charged mem_hash = 16 bytes, and nothing else.
+	if c.Queries != 1 || c.HashProbes != 1 || c.BytesScanned != 16 {
 		t.Errorf("miss counters: %+v", c)
 	}
 	// Hit with counters.

@@ -24,11 +24,11 @@ type Options struct {
 	// can (rarely) lose matches, exactly as the paper's cutoff does.
 	// Default 12.
 	MaxQueryWords int
-
-	// MemHash is the number of bytes read per hash-table probe
-	// (mem_hash in the Section V-A cost model). Default 16.
-	MemHash int
 }
+
+// memHash is the number of bytes a hash-table probe is charged as reading
+// (mem_hash in the Section V-A cost model).
+const memHash = 16
 
 func (o *Options) fillDefaults() {
 	if o.MaxWords == 0 {
@@ -36,9 +36,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MaxQueryWords == 0 {
 		o.MaxQueryWords = 12
-	}
-	if o.MemHash == 0 {
-		o.MemHash = 16
 	}
 }
 

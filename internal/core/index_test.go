@@ -424,7 +424,7 @@ func TestPhraseMatch(t *testing.T) {
 
 func TestCountersAccounting(t *testing.T) {
 	ads := mustAds("a b", "a c", "b c")
-	ix := New(ads, Options{MemHash: 16})
+	ix := New(ads, Options{})
 	var c costmodel.Counters
 	ix.BroadMatch([]string{"a", "b", "c"}, &c)
 	// 3 words, MaxWords default 10 -> 2^3-1 = 7 subsets probed.

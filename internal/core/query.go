@@ -240,7 +240,7 @@ func (ix *Index) AppendExactRefs(dst []Ref, tokens, queryWords []string, counter
 	if counters != nil {
 		counters.HashProbes++
 		counters.RandomAccesses++
-		counters.BytesScanned += int64(ix.opts.MemHash)
+		counters.BytesScanned += memHash
 	}
 	var buf wordIDBuf
 	_, _, k, ids, ok := ix.resolve(queryWords, buf[:0])
@@ -356,7 +356,7 @@ func (ix *Index) enumSubsets(q []string, start int, h uint64, size, k int, count
 		if counters != nil {
 			counters.HashProbes++
 			counters.RandomAccesses++
-			counters.BytesScanned += int64(ix.opts.MemHash)
+			counters.BytesScanned += memHash
 		}
 		v, ok := ix.table.lookup(nh)
 		if !ok {

@@ -71,7 +71,7 @@ func (ix *Index) refEnumSubsets(q []string, start int, h uint64, size, k int, co
 		if counters != nil {
 			counters.HashProbes++
 			counters.RandomAccesses++
-			counters.BytesScanned += int64(ix.opts.MemHash)
+			counters.BytesScanned += memHash
 		}
 		if v := ix.table.get(nh); v != 0 && !slices.Contains(visited, v) {
 			if counters != nil {

@@ -17,18 +17,15 @@ type Options struct {
 	FS FS
 	// Sync is the WAL append sync policy.
 	Sync SyncMode
-	// Keep is how many snapshot generations (with their WALs) are
-	// retained after a rotation; older files are deleted. Minimum and
-	// default 2: the newest generation plus one fallback.
-	Keep int
 }
+
+// keepGens is how many snapshot generations (with their WALs) a rotation
+// retains, deleting older files: the newest generation plus one fallback.
+const keepGens = 2
 
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
-	}
-	if o.Keep < 2 {
-		o.Keep = 2
 	}
 	return o
 }
@@ -425,7 +422,7 @@ func (s *Store) Sync() error {
 // WriteSnapshot writes the full state as a new generation and rotates
 // the WAL: the snapshot lands atomically (tmp + fsync + rename + dir
 // fsync), a fresh empty WAL is created for the new generation, and
-// generations older than Options.Keep are deleted. On return, recovery
+// generations older than the last keepGens are deleted. On return, recovery
 // will never need the records logged before this call.
 //
 // The caller must guarantee no concurrent Log* calls (adindex holds its
@@ -461,8 +458,8 @@ func (s *Store) WriteSnapshot(ads []corpus.Ad, mapping map[string][]string, epoc
 	s.stats.Snapshots++
 	// Retire generations beyond the keep window. Failure to delete old
 	// files never compromises the new generation; ignore errors.
-	if newGen+1 >= uint64(s.opts.Keep) {
-		cutoff := newGen + 1 - uint64(s.opts.Keep)
+	if newGen+1 >= keepGens {
+		cutoff := newGen + 1 - keepGens
 		snaps, wals, _, err := listGens(fsys, s.dir)
 		if err == nil {
 			for _, g := range snaps {

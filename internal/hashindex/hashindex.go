@@ -34,11 +34,11 @@ type Options struct {
 	// SuffixBits is s, the hash-suffix width. Zero selects it
 	// automatically via SelectSuffixBits.
 	SuffixBits int
-	// Tradeoff is the λ of the suffix-selection cost model: modeled
-	// extra scan bytes per lookup are worth λ bits of space each.
-	// Default 64.
-	Tradeoff float64
 }
+
+// tradeoff is the λ of the automatic suffix selection: modeled extra scan
+// bytes per lookup are worth λ bits of space each.
+const tradeoff = 64
 
 // Index is the immutable compressed broad-match index.
 type Index struct {
@@ -58,9 +58,6 @@ type Index struct {
 // hashes share an s-bit suffix merge into one arena node, as the paper
 // merges colliding nodes. The result shares nothing with base.
 func Build(base *core.Index, opts Options) (*Index, error) {
-	if opts.Tradeoff == 0 {
-		opts.Tradeoff = 64
-	}
 	type baseNode struct {
 		hash    uint64
 		records []corpus.Ad
@@ -72,7 +69,7 @@ func Build(base *core.Index, opts Options) (*Index, error) {
 		total += compress.RawSize(records)
 	})
 	if opts.SuffixBits == 0 {
-		opts.SuffixBits = SelectSuffixBits(len(nodes), total, opts.Tradeoff)
+		opts.SuffixBits = SelectSuffixBits(len(nodes), total, tradeoff)
 	}
 	if opts.SuffixBits < 1 || opts.SuffixBits > 30 {
 		return nil, fmt.Errorf("hashindex: SuffixBits %d out of range [1,30]", opts.SuffixBits)

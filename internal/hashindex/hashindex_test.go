@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adindex/internal/compress"
 	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
@@ -206,12 +207,19 @@ func TestSelectSuffixBits(t *testing.T) {
 
 func TestAutoSuffixSelection(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 1000, Seed: 46})
-	ix, err := Build(core.New(c.Ads, core.Options{}), Options{}) // SuffixBits auto
+	base := core.New(c.Ads, core.Options{})
+	ix, err := Build(base, Options{}) // SuffixBits auto
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Sizes().SuffixBits < 8 {
-		t.Errorf("auto suffix = %d", ix.Sizes().SuffixBits)
+	// The automatic width is SelectSuffixBits at λ = 64.
+	nodes, total := 0, 0
+	base.Nodes(func(_ uint64, records []corpus.Ad) {
+		nodes++
+		total += compress.RawSize(records)
+	})
+	if got, want := ix.Sizes().SuffixBits, SelectSuffixBits(nodes, total, 64); got != want || got < 8 {
+		t.Errorf("auto suffix = %d, want SelectSuffixBits(%d, %d, 64) = %d", got, nodes, total, want)
 	}
 	got, err := ix.BroadMatchText(c.Ads[0].Phrase, nil)
 	if err != nil {

@@ -120,12 +120,17 @@ type ElasticOptions struct {
 	// Serving layers provision one server per position up front, so
 	// growth never races a client against a listener that isn't up yet.
 	MaxShards int
-	// Index configures each shard index.
-	Index core.Options
+	// MaxWords is each shard index's locator bound (core.Options.MaxWords;
+	// default 10).
+	MaxWords int
 
 	// maxDeltaRecords aborts a handoff whose dual-write window exceeds
 	// this many journaled mutations (default 4096; tests move it).
 	maxDeltaRecords int
+}
+
+func (o ElasticOptions) coreOptions() core.Options {
+	return core.Options{MaxWords: o.MaxWords}
 }
 
 func (o ElasticOptions) withDefaults() ElasticOptions {
@@ -207,7 +212,7 @@ func NewElastic(ads []corpus.Ad, numShards int, opts ElasticOptions) (*ElasticCl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ec.shards[i] = core.NewAt(ads, parts[i], opts.Index)
+			ec.shards[i] = core.NewAt(ads, parts[i], opts.coreOptions())
 		}()
 		ec.loads = append(ec.loads, &atomic.Uint64{})
 	}
@@ -493,7 +498,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 			ec.mu.Unlock()
 			return fmt.Errorf("shard: cannot grow past MaxShards=%d", ec.opts.MaxShards)
 		}
-		ec.shards = append(ec.shards, core.New(nil, ec.opts.Index))
+		ec.shards = append(ec.shards, core.New(nil, ec.opts.coreOptions()))
 		ec.loads = append(ec.loads, &atomic.Uint64{})
 	}
 	for _, s := range slots {
@@ -560,7 +565,7 @@ func (ec *ElasticCluster) moveSlots(kind string, slots []int, from, to int) (err
 	// monopolizes CPU and stalls every in-flight query for its full
 	// length.
 	ec.setPhase("load")
-	staging := [2]*core.Index{core.New(nil, ec.opts.Index), core.New(nil, ec.opts.Index)}
+	staging := [2]*core.Index{core.New(nil, ec.opts.coreOptions()), core.New(nil, ec.opts.coreOptions())}
 	loaded := 0
 	stage := func(side int, ad *corpus.Ad) {
 		staging[side].Insert(*ad)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"adindex"
-	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/diskfault"
 	"adindex/internal/faultnet"
@@ -97,13 +96,6 @@ func simConnOpts(cfg Config) multiserver.ConnOpts {
 	}
 }
 
-// coreOptions is indexOptions for the cluster shards, built directly on
-// core.Index; it must agree with the single-node targets on everything
-// that affects match results.
-func coreOptions(cfg Config) core.Options {
-	return core.Options{MaxWords: cfg.MaxWords}
-}
-
 // The elastic deployment's fixed topology knobs: a small slot universe
 // so splits/merges interact within short schedules, and a low shard cap
 // so schedules hit the growth boundary. The generator's shadow table
@@ -142,7 +134,9 @@ func newElasticTarget(cfg Config) (*elasticTarget, error) {
 	eopts := shard.ElasticOptions{
 		Slots:     simElasticSlots,
 		MaxShards: simElasticMaxShards,
-		Index:     coreOptions(cfg),
+		// As indexOptions: the shards must answer as the single-node
+		// targets do.
+		MaxWords: cfg.MaxWords,
 	}
 	for r := 0; r < cfg.Replicas; r++ {
 		ec, err := shard.NewElastic(nil, cfg.Shards, eopts)

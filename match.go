@@ -401,10 +401,10 @@ func (v View) Epoch() uint64 { return v.s.epoch }
 // stamp nothing, whatever they do to Epoch. Slots are shared between
 // words, so the value can be newer than necessary, never older.
 //
-// The exception is a query long enough for the MaxQueryWords cutoff, which
-// keeps only the rarest indexed words of a longer query (Result.CutoffApplied
-// says whether it did): its answer depends on document frequencies, which
-// any mutation moves. For it ChangedAt is the view's own epoch: nothing
+// The exception is a query long enough for the long-query cutoff, which
+// keeps only the rarest 12 indexed words of a longer query
+// (Result.CutoffApplied says whether it did): its answer depends on
+// document frequencies, which any mutation moves. For it ChangedAt is the view's own epoch: nothing
 // older than this View will do.
 //
 // The table is the index's, not the snapshot's: a View obtained before a
@@ -487,8 +487,8 @@ type Result struct {
 	// Truncated reports that the budget (cost or deadline) ran out before
 	// the retrieval completed.
 	Truncated bool
-	// CutoffApplied reports that the query had more than MaxQueryWords
-	// indexed words and was reduced to its rarest ones.
+	// CutoffApplied reports that the query had more than 12 indexed words
+	// (the long-query cutoff) and was reduced to its rarest 12.
 	CutoffApplied bool
 	// CostSpent is the cost units the query charged.
 	CostSpent int64

@@ -18,8 +18,9 @@ const observeShards = 16
 // and rarely with other Observe calls. Shards are merged on demand by
 // Workload / Distinct (Optimize and ExportWorkload time).
 type observeSampler struct {
-	// shardCap bounds each shard; the global Options.MaxObservedQueries
-	// cap is divided evenly, so totals stay at or below the configured cap.
+	// shardCap bounds each shard; the global cap (an index's is
+	// DefaultMaxObservedQueries) is divided evenly, so totals stay at or
+	// below it.
 	shardCap int
 	shards   [observeShards]observeShard
 }

@@ -89,17 +89,22 @@ func assertWorkload(t *testing.T, s *observeSampler, want map[string]int) {
 	}
 }
 
-// TestObserveCapAcrossShards checks MaxObservedQueries is enforced as a
+// TestObserveCapAcrossShards checks the sampler cap is enforced as a
 // global bound: observing far more distinct queries than the cap never
 // pushes the sample above it, and repeat queries keep counting.
 func TestObserveCapAcrossShards(t *testing.T) {
+	// An index samples DefaultMaxObservedQueries sets, 62 500 per shard.
+	if got := New(Options{}).observed.shardCap; got != 62_500 {
+		t.Fatalf("sampler shard cap %d, want 1 000 000 / 16 = 62 500", got)
+	}
 	const maxObserved = 64
-	ix := New(Options{MaxObservedQueries: maxObserved})
+	ix := New(Options{})
+	ix.observed = newObserveSampler(maxObserved)
 	for i := 0; i < 1000; i++ {
 		ix.Observe(fmt.Sprintf("unique query %d", i))
 	}
 	if got := ix.ObservedQueries(); got > maxObserved {
-		t.Fatalf("ObservedQueries = %d, exceeds MaxObservedQueries %d", got, maxObserved)
+		t.Fatalf("ObservedQueries = %d, exceeds the cap %d", got, maxObserved)
 	}
 	if got := ix.ObservedQueries(); got < maxObserved/2 {
 		t.Fatalf("ObservedQueries = %d, sampler retaining far less than cap %d", got, maxObserved)
@@ -159,10 +164,11 @@ func TestObserveWordsIsObserve(t *testing.T) {
 
 // TestObserveSamplerBounded: a stream of distinct sets far past the cap,
 // then sets evicted and readmitted round-robin, leaves the sampler holding
-// no more than MaxObservedQueries sets while it counts every occurrence.
+// no more than its cap of sets while it counts every occurrence.
 func TestObserveSamplerBounded(t *testing.T) {
 	const maxObserved = 64
-	ix := New(Options{MaxObservedQueries: maxObserved})
+	ix := New(Options{})
+	ix.observed = newObserveSampler(maxObserved)
 	for i := 0; i < 10_000; i++ {
 		ix.Observe(fmt.Sprintf("distinct query %d", i))
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adindex/internal/core"
+	"adindex/internal/costmodel"
 	"adindex/internal/durable"
 )
 
@@ -63,7 +64,8 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 	}
 	ix := &Index{
 		opts:     opts,
-		observed: newObserveSampler(opts.maxObserved()),
+		model:    costmodel.Default(),
+		observed: newObserveSampler(DefaultMaxObservedQueries),
 		rewriter: opts.planner(),
 	}
 	// A fresh directory given a corpus starts from that corpus, not from

@@ -33,30 +33,21 @@ type Match struct {
 	Info MatchInfo
 }
 
-// RewriteOptions enables approximate broad match (Options.Rewrite).
+// RewriteOptions enables approximate broad match (Options.Rewrite). A
+// rewritten query plans at most rewrite.DefaultMaxVariants variants and
+// spends at most rewrite.DefaultMaxProbes index probes, the exact probe
+// included.
 type RewriteOptions struct {
 	// Synonyms is the synonym-class table; nil enables fuzzy (spelling)
 	// rewrites only.
 	Synonyms *rewrite.Classes
-	// MaxVariants caps rewrite variants planned per query
-	// (0 = rewrite.DefaultMaxVariants, negative = unbounded).
-	MaxVariants int
-	// MaxProbes caps index probes per query, the exact probe included
-	// (0 = rewrite.DefaultMaxProbes, negative = unbounded).
-	MaxProbes int
 }
 
 func (o Options) planner() *rewrite.Planner {
 	if o.Rewrite == nil {
 		return nil
 	}
-	return &rewrite.Planner{
-		Classes: o.Rewrite.Synonyms,
-		Budget: rewrite.Budget{
-			MaxVariants: o.Rewrite.MaxVariants,
-			MaxProbes:   o.Rewrite.MaxProbes,
-		},
-	}
+	return &rewrite.Planner{Classes: o.Rewrite.Synonyms}
 }
 
 // RewriteEnabled reports whether the index was built with
@@ -69,8 +60,8 @@ type RewriteStats struct {
 	Variants int
 	// Probes is the number of index probes spent (exact probe included).
 	Probes int
-	// Clipped reports that a budget (MaxVariants or MaxProbes) truncated
-	// the expansion.
+	// Clipped reports that a budget (the variant or the probe cap)
+	// truncated the expansion.
 	Clipped bool
 	// FuzzyHits / SynonymHits count results contributed by fuzzy and
 	// synonym variants (beyond what the exact query already matched).

@@ -183,13 +183,27 @@ func TestRewriteVocabularyAcrossFolds(t *testing.T) {
 }
 
 func TestMatchRewriteProbeBudget(t *testing.T) {
-	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{MaxProbes: 1}})
+	ix := Build(rewriteTestAds(), Options{Rewrite: &RewriteOptions{}})
+	ix.rewriter.Budget.MaxProbes = 1
 	got, stats := rewriteMatch(ix, "runing shoes")
 	if len(got) != 0 {
 		t.Fatalf("probe budget 1 should stop at the exact probe, got %v", matchIDs(got))
 	}
 	if stats.Probes != 1 || !stats.Clipped {
 		t.Errorf("stats = %+v, want 1 probe and clipped", stats)
+	}
+
+	// The index's own budget is rewrite.DefaultMaxProbes = 8: nine
+	// one-edit neighbours of "carx" plan nine variants, and the exact probe
+	// plus seven of them reach seven ads.
+	var ads []Ad
+	for i, w := range strings.Fields("carb card care carl carn carp cars cart cary") {
+		ads = append(ads, NewAd(uint64(i+1), w, Meta{}))
+	}
+	ix = Build(ads, Options{Rewrite: &RewriteOptions{}})
+	got, stats = rewriteMatch(ix, "carx")
+	if stats.Variants != 9 || stats.Probes != 8 || !stats.Clipped || len(got) != 7 {
+		t.Errorf("%d matches, stats %+v; want 7 matches, 9 variants, 8 probes, clipped", len(got), stats)
 	}
 }
 
@@ -226,7 +240,8 @@ func TestSelectMatchesDiscounts(t *testing.T) {
 func TestRewriteMetamorphicTypo(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 400, Seed: 97})
 	// Unbounded budget so the restoring variant is never clipped away.
-	ix := Build(c.Ads, Options{Rewrite: &RewriteOptions{MaxVariants: -1, MaxProbes: -1}})
+	ix := Build(c.Ads, Options{Rewrite: &RewriteOptions{}})
+	ix.rewriter.Budget = rewrite.Budget{MaxVariants: -1, MaxProbes: -1}
 	rng := rand.New(rand.NewSource(98))
 	tried := 0
 	for tried < 25 {
