@@ -57,11 +57,14 @@ type Options struct {
 }
 
 // DefaultMaxObservedQueries bounds the distinct-query workload sample kept
-// by Observe. Live traffic has an unbounded tail of distinct word sets, so
-// without a cap the sample would grow forever; at the cap, admitting a new
-// set evicts the lowest-frequency set from a small random sample (the
-// power-law head that Optimize cares about survives).
-const DefaultMaxObservedQueries = 1_000_000
+// by Observe: 4 096 sets on each of its 16 shards. Live traffic has an
+// unbounded tail of distinct word sets, so without a cap the sample would
+// grow forever. Below the cap every count is exact; at the cap the sample
+// is a Space-Saving top-k, where a new set takes the least counted set's
+// slot and inherits its count as error. The power-law head that Optimize
+// prices survives with counts off by at most a shard's occurrences over
+// 4 096.
+const DefaultMaxObservedQueries = 65_536
 
 // DefaultMaxDeltaAds is the default Options.MaxDeltaAds.
 const DefaultMaxDeltaAds = 256
@@ -427,6 +430,13 @@ func (ix *Index) ObserveWords(words []string) {
 // ObservedQueries returns the number of distinct observed queries.
 func (ix *Index) ObservedQueries() int {
 	return ix.observed.Distinct()
+}
+
+// ObservedBytes returns the memory the workload sample holds: its slot
+// arrays, its hash tables and the bytes of its set keys. It stays bounded
+// however many distinct queries are observed.
+func (ix *Index) ObservedBytes() int {
+	return ix.observed.Bytes()
 }
 
 // OptimizeReport describes the outcome of a re-optimization.

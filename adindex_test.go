@@ -369,7 +369,8 @@ func TestObserveCapBoundsMemory(t *testing.T) {
 	if got := ix.ObservedQueries(); got > 100 {
 		t.Fatalf("observed sample grew to %d, cap is 100", got)
 	}
-	// The high-frequency head must survive sampled low-frequency eviction.
+	// The high-frequency head must keep its slot while the tail takes turns
+	// at the least counted ones.
 	var buf bytes.Buffer
 	if err := ix.ExportWorkload(&buf); err != nil {
 		t.Fatal(err)

@@ -293,6 +293,9 @@ type IndexSnapshot struct {
 	// ObservedQueries is how many distinct query word sets the workload
 	// sampler holds (Index.ObservedQueries).
 	ObservedQueries int `json:"observed_queries"`
+	// ObservedBytes is the memory the sampler holds (Index.ObservedBytes):
+	// bounded by its 65 536 slots however many sets pass through it.
+	ObservedBytes int `json:"observed_bytes"`
 	// Bytes is the base index's memory by column (Index.IndexBytes).
 	Bytes adindex.IndexBytes `json:"bytes"`
 }

@@ -169,6 +169,12 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v, want 1", got)
 	}
+	// index.observed_bytes is the sampler's memory as the index counts it:
+	// the slots of the one shard that holds the set, its table and the key.
+	observedBytes := back["index"].(map[string]any)["observed_bytes"]
+	if want := s.local().ObservedBytes(); want == 0 || observedBytes != float64(want) {
+		t.Errorf("index.observed_bytes = %v, want the index's own %d", observedBytes, want)
+	}
 	// index.bytes is the base's memory by column, as the index reports it.
 	var ixSnap MetricsSnapshot
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &ixSnap); err != nil {
@@ -199,6 +205,9 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v after a reordered repeat, want 1", got)
+	}
+	if got := back["index"].(map[string]any)["observed_bytes"]; got != observedBytes {
+		t.Errorf("index.observed_bytes = %v after a reordered repeat, want %v", got, observedBytes)
 	}
 	if got := back["index"].(map[string]any)["remaps"]; got != float64(0) {
 		t.Errorf("index.remaps = %v before any re-mapping, want 0", got)

@@ -1012,6 +1012,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.Index.BuildSeconds = ix.BuildSeconds()
 		snap.Index.Remaps = ix.Remaps()
 		snap.Index.ObservedQueries = ix.ObservedQueries()
+		snap.Index.ObservedBytes = ix.ObservedBytes()
 		snap.Index.Bytes = ix.IndexBytes()
 		if ix.RewriteEnabled() {
 			snap.Rewrite = s.metrics.rewriteSnapshot()
