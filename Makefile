@@ -32,6 +32,10 @@
 #                      internal/server's and of internal/shard's
 #   benchmod           vet + test of bench/, the end-to-end benchmark
 #                      (its own module: `go test ./...` never compiles it)
+#   crossbuild         vet under GOARCH=386 and the short tests of the
+#                      packages whose decoders and bounds a 32-bit int
+#                      constrains; builds for darwin/arm64 and windows,
+#                      where an index region is heap memory, not a mapping
 #
 # Performance is measured by bench/ alone (BENCHMARK.json names its
 # workloads and metrics; `bash bench/run.sh` runs it). `make soak`,
@@ -41,9 +45,9 @@
 GO ?= go
 
 .PHONY: check vet build test race recovery-smoke simsmoke migratesmoke \
-	overloadsmoke adaptsmoke soak cover size fuzzsmoke benchsmoke benchmod clean
+	overloadsmoke adaptsmoke soak cover size fuzzsmoke benchsmoke benchmod crossbuild clean
 
-check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke adaptsmoke fuzzsmoke benchsmoke benchmod
+check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke adaptsmoke fuzzsmoke benchsmoke benchmod crossbuild
 
 vet:
 	$(GO) vet ./...
@@ -210,6 +214,18 @@ benchsmoke:
 benchmod:
 	$(GO) build -o bench/out/adserve ./cmd/adserve
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The module on platforms other than amd64 Linux: 32-bit (the wire frame
+# header, the record and arena bounds of internal/core and the snapshot
+# positions of internal/hashindex are held below what an int holds
+# there; a 386 test binary runs natively on amd64 Linux), and the
+# non-Linux build of internal/core's region, which falls back to a heap
+# slice.
+crossbuild:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -short ./internal/multiserver ./internal/core ./internal/hashindex ./internal/durable
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 clean:
 	$(GO) clean ./...

@@ -227,11 +227,11 @@ func (ix *Index) noteChanged(base *core.Index, words []string, epoch uint64) {
 	ix.changed[wordSlot(rarest)].Store(epoch)
 }
 
-// fold folds s's overlay into a fresh base (snapshot.fold), counted and
-// timed for FoldStats. Callers hold ix.mu.
-func (ix *Index) fold(s *snapshot) *core.Index {
+// fold folds s's overlay, and then extra, into a fresh base
+// (snapshot.fold), counted and timed for FoldStats. Callers hold ix.mu.
+func (ix *Index) fold(s *snapshot, extra ...corpus.Ad) *core.Index {
 	start := time.Now()
-	base := s.fold(ix.opts.coreOptions())
+	base := s.fold(ix.opts.coreOptions(), extra...)
 	ix.folds.Add(1)
 	ix.foldNanos.Add(int64(ix.noteBuild(start)))
 	return base
@@ -277,7 +277,8 @@ func Build(ads []Ad, opts Options) *Index {
 		rewriter: opts.planner(),
 	}
 	start := time.Now()
-	ix.publish(&snapshot{base: core.New(ads, opts.coreOptions())})
+	base, _ := core.NewFrozen(ads, nil, opts.coreOptions()) // no mapping, nothing to refuse
+	ix.publish(&snapshot{base: base})
 	ix.noteBuild(start)
 	return ix
 }
@@ -325,9 +326,8 @@ func (ix *Index) insertLocked(ad Ad) {
 	s := ix.snap.Load()
 	ix.noteChanged(s.base, ad.Words, s.epoch+1)
 	if s.overlaySize() >= ix.opts.maxDeltaAds() {
-		base := ix.fold(s)
-		base.Insert(ad)
-		ix.publish(&snapshot{base: base, epoch: s.epoch + 1})
+		// A base is frozen: the ad joins the fold instead of the new base.
+		ix.publish(&snapshot{base: ix.fold(s, ad), epoch: s.epoch + 1})
 		return
 	}
 	// Appending in place is safe: published snapshots hold delta slice
@@ -553,7 +553,7 @@ func (ix *Index) remap(maxAttempts int,
 		if hook := ix.optimizeRebuildHook; hook != nil {
 			hook(attempt)
 		}
-		rebuilt, err := core.NewWithMapping(ads, mapping, ix.opts.coreOptions())
+		rebuilt, err := core.NewFrozen(ads, mapping, ix.opts.coreOptions())
 		if err != nil {
 			return nil, attempt, false, err
 		}
@@ -681,6 +681,14 @@ type IndexBytes = core.ByteStats
 func (ix *Index) IndexBytes() IndexBytes {
 	return ix.snap.Load().base.Stats().Bytes
 }
+
+// OffHeapBytes returns the bytes of index memory mapped outside the Go
+// heap, process-wide: every base keeps its record columns, word IDs, nodes
+// and probe table in one mapped region, unmapped once the collector finds
+// the base unreachable (a fold or re-mapping retires it). The heap goal
+// and this sum to about what the process holds. 0 off Linux, where the
+// regions are heap memory.
+func OffHeapBytes() int64 { return core.OffHeapBytes() }
 
 // NumAds returns the number of indexed advertisements, overlay included.
 func (ix *Index) NumAds() int {

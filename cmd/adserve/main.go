@@ -57,6 +57,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -441,6 +442,12 @@ func runLocal(f *flags, cfg server.Config) {
 	st := ix.Stats()
 	log.Printf("index ready: %d ads, %d nodes, %d distinct sets, built in %d ms",
 		st.NumAds, st.NumNodes, st.DistinctSets, int(ix.BuildSeconds()*1000))
+	// The index holds what it keeps of the corpus, its columns in a mapped
+	// region. Drop the parsed corpus and collect the build's garbage once,
+	// so serving starts from a heap goal of twice what the heap keeps, not
+	// of the build.
+	ads, dc.Bootstrap = nil, nil
+	runtime.GC()
 	srv.InstallIndex(ix, report)
 
 	if f.adaptInterval > 0 {

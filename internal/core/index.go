@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -84,6 +85,11 @@ type Index struct {
 	// wordsUsed and textUsed are what the live records need of wordIDs and
 	// the arena; the rest is garbage that compact reclaims.
 	wordsUsed, textUsed int
+
+	// frozen is set on an index NewFrozen built: it takes no Insert or
+	// Delete, and region, when it has records, holds its columns.
+	frozen bool
+	region *region
 }
 
 // New builds an index over ads with the default mapping: every ad is
@@ -116,6 +122,32 @@ func NewAt(ads []corpus.Ad, at []int32, opts Options) *Index {
 // non-empty subset of the mapped word set and at most MaxWords long.
 func NewWithMapping(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, error) {
 	return load(ads, nil, mapping, opts, loadWorkers(len(ads)))
+}
+
+// NewFrozen builds the index NewWithMapping builds (a nil mapping is New's
+// default placement) as a frozen index: its record columns, word IDs,
+// nodes and probe table live in one region outside the Go heap
+// (region.go), unmapped once the index is unreachable, and it refuses
+// Insert and Delete with a panic. It is the base an immutable snapshot
+// serves from.
+func NewFrozen(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, error) {
+	return build(ads, nil, mapping, opts, loadWorkers(len(ads)), true)
+}
+
+// MappedBytes returns the size of the index's region if it is mapped
+// outside the Go heap (OffHeapBytes counts it), and 0 otherwise.
+func (ix *Index) MappedBytes() int {
+	if ix.region == nil || !ix.region.mapped {
+		return 0
+	}
+	return len(ix.region.mem)
+}
+
+// mutable panics if the index is frozen.
+func (ix *Index) mutable(op string) {
+	if ix.frozen {
+		panic("core: " + op + " into a frozen index")
+	}
 }
 
 // Options returns the index configuration.
@@ -188,6 +220,7 @@ func (ix *Index) Nodes(fn func(hash uint64, records []corpus.Ad)) {
 		nd := ix.nodes[e.k]
 		fn(e.h, ix.appendAds(nil, nd.off, nd.off+nd.n))
 	}
+	runtime.KeepAlive(ix)
 }
 
 // appendAds appends the ads of records lo … hi-1 to dst, their strings in
@@ -298,6 +331,7 @@ type wordIDBuf [16]uint32
 // incrementally; the globally optimized mapping is not recomputed
 // (Section VI recommends periodic re-optimization instead).
 func (ix *Index) Insert(ad corpus.Ad) {
+	ix.mutable("Insert")
 	var buf wordIDBuf
 	ids := buf[:0]
 	for _, w := range ad.Words {
@@ -404,6 +438,7 @@ func (ix *Index) resolve(words []string, buf []uint32) (loc []string, h uint64, 
 // locate the node the ad was re-mapped to; locOf makes that a single
 // lookup here.
 func (ix *Index) Delete(id uint64, phrase string) bool {
+	ix.mutable("Delete")
 	words := textnorm.WordSet(phrase)
 	var buf wordIDBuf
 	loc, h, k, ids, ok := ix.resolve(words, buf[:0])
@@ -437,6 +472,7 @@ func (ix *Index) Delete(id uint64, phrase string) bool {
 // overlay layer translate a deletion against an immutable base into a
 // tombstone with an exact suppressed-record count.
 func (ix *Index) Lookup(id uint64, phrase string) int {
+	defer runtime.KeepAlive(ix)
 	var buf wordIDBuf
 	_, _, k, ids, ok := ix.resolve(textnorm.WordSet(phrase), buf[:0])
 	if !ok {
@@ -479,6 +515,7 @@ func (ix *Index) AppendAds(dst []corpus.Ad) []corpus.Ad {
 			dst, strs = ix.AppendAd(dst, strs, Ref(r))
 		}
 	})
+	runtime.KeepAlive(ix)
 	return dst
 }
 
@@ -531,6 +568,7 @@ func (b ByteStats) Total() int {
 
 // Stats computes summary statistics.
 func (ix *Index) Stats() Stats {
+	defer runtime.KeepAlive(ix)
 	s := Stats{NumAds: ix.numAds, NumNodes: ix.table.len(), DistinctSets: ix.sets, NodeBytes: ix.bytes}
 	ix.eachNode(func(_ uint64, k uint32) { s.MaxNodeAds = max(s.MaxNodeAds, int(ix.nodes[k].n)) })
 	if s.NumNodes > 0 {
@@ -610,6 +648,7 @@ func (ix *Index) compact() {
 // co-location, and the prefix reference counts. Used by tests and by
 // maintenance tooling.
 func (ix *Index) CheckInvariants() error {
+	defer runtime.KeepAlive(ix)
 	n := len(ix.ids)
 	if len(ix.bids) != n || len(ix.ctr) != n || len(ix.campaign) != n || len(ix.sigs) != n ||
 		len(ix.wcs) != n || len(ix.sameKey) != n || len(ix.wordAt) != n || len(ix.textAt) != n {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,8 +125,14 @@ func compareKeys(a, b []string) int {
 // set that occurs in the input, reporting the first such ad in input
 // order.
 func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options, workers int) (*Index, error) {
+	return build(ads, at, mapping, opts, workers, false)
+}
+
+// build is load, for a frozen index (NewFrozen) where frozen is set: the
+// one loader, with its columns on the heap or in a region.
+func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options, workers int, frozen bool) (*Index, error) {
 	opts.fillDefaults()
-	ix := &Index{opts: opts, voc: newVocab(), locOf: map[string][]string{}}
+	ix := &Index{opts: opts, voc: newVocab(), locOf: map[string][]string{}, frozen: frozen}
 	n := len(ads)
 	if at != nil {
 		n = len(at)
@@ -133,7 +140,7 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 	if n == 0 {
 		return ix, nil
 	}
-	if n > MaxRecords {
+	if uint64(n) > MaxRecords {
 		panic("core: more than MaxRecords ads")
 	}
 	chunks := max(1, workers)
@@ -197,25 +204,41 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 		})
 	})
 
-	// The distinct sets are the runs of equal words.
-	sets := make([]loadSet, 0, n)
+	// The distinct sets are the runs of equal words, found first so that
+	// their list is exact-size.
+	runStart := make([]bool, n)
+	numSets := 0
 	for j := range order {
-		words := ads[order[j].i].Words
-		if last := len(sets) - 1; j > 0 && order[j].h == order[j-1].h && slices.Equal(words, sets[last].words) {
-			sets[last].hi++
+		if j == 0 || order[j].h != order[j-1].h || !slices.Equal(ads[order[j].i].Words, ads[order[j-1].i].Words) {
+			runStart[j] = true
+			numSets++
+		}
+	}
+	sets := make([]loadSet, 0, numSets)
+	for j := range order {
+		if !runStart[j] {
+			sets[len(sets)-1].hi++
 			continue
 		}
-		sets = append(sets, loadSet{lo: int32(j), hi: int32(j) + 1, words: words})
+		sets = append(sets, loadSet{lo: int32(j), hi: int32(j) + 1, words: ads[order[j].i].Words})
 	}
+	runStart = nil
 
 	// Every set's locator, and its key where the loader needs it (the keys
 	// of a chunk share one string). A mapped locator that must be refused
 	// is reported for the first ad of its set in input order, as a build ad
-	// by ad would.
+	// by ad would. Hashing a locator passes through the hashes of its
+	// proper prefixes, which each chunk lists for tableSlots.
 	refusedAt := make([]int32, chunks)
+	prefixes := make([][]uint64, chunks)
 	parallel(workers, chunks, func(p int) {
 		refusedAt[p] = int32(len(ads))
 		lo, hi := chunkOf(p, len(sets))
+		room := 0 // a valid locator has at most MaxWords words
+		for _, s := range sets[lo:hi] {
+			room += max(min(len(s.words), opts.MaxWords)-1, 0)
+		}
+		prefixes[p] = make([]uint64, 0, room)
 		var keys []byte
 		if mapping != nil {
 			for i := lo; i < hi; i++ {
@@ -244,7 +267,7 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 			if mapping == nil && len(s.words) > opts.MaxWords {
 				s.key = setKey(s.words)
 			}
-			s.hash = WordHash(s.loc)
+			prefixes[p], s.hash = appendLocatorHashes(prefixes[p], s.loc)
 		}
 	})
 	if first := slices.Min(refusedAt); int(first) < len(ads) {
@@ -284,27 +307,14 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 		}
 	}
 	firstSet = append(firstSet, int32(len(sets)))
-	ix.nodes = make([]node, len(firstSet)-1)
-	r := uint32(0)
-	for k := range ix.nodes {
-		r1 := r
-		for _, s := range sets[firstSet[k]:firstSet[k+1]] {
-			r1 += uint32(s.hi - s.lo)
-		}
-		ix.nodes[k] = node{off: r, n: r1 - r, cap: r1 - r}
-		r = r1
-	}
-	ix.ids, ix.bids, ix.ctr, ix.campaign = make([]uint64, n), make([]int64, n), make([]uint16, n), make([]uint32, n)
-	ix.sigs, ix.wcs, ix.sameKey = make([]uint64, n), make([]uint32, n), make([]bool, n)
-	ix.wordAt, ix.textAt = make([]uint32, n), make([]uint32, n)
-	ix.numAds, ix.sets = n, len(sets)
+	numNodes := len(firstSet) - 1
 
 	// The nodes are written a range at a time. A first pass sizes each
 	// range's share of the word IDs (one run per set, which its records
 	// share) and of the arena, so that every range knows where to write.
 	const rangesPerWorker = 4 // evens out ranges that hold a giant node
 	ranges := chunks * rangesPerWorker
-	nodeRange := func(p int) (lo, hi int) { return p * len(ix.nodes) / ranges, (p + 1) * len(ix.nodes) / ranges }
+	nodeRange := func(p int) (lo, hi int) { return p * numNodes / ranges, (p + 1) * numNodes / ranges }
 	wordsAt, textAt := make([]int, ranges+1), make([]int, ranges+1)
 	parallel(workers, ranges, func(p int) {
 		lo, hi := nodeRange(p)
@@ -319,13 +329,43 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 		wordsAt[p+1] += wordsAt[p]
 		textAt[p+1] += textAt[p]
 	}
-	if textAt[ranges] > maxArena {
+	if uint64(textAt[ranges]) > maxArena {
 		panic("core: phrase arena exceeds 4 GiB")
 	}
-	ix.wordIDs, ix.arena = make([]uint32, wordsAt[ranges]), make([]byte, textAt[ranges])
+	slots := tableSlots(prefixes, sets, firstSet, workers)
+	prefixes = nil
+
+	// Every pointer-free column at its final size, in one region for a
+	// frozen index; the arena on the heap.
+	cols := &columns{frozen: frozen}
+	carveAll := func() {
+		ix.nodes = carve[node](cols, numNodes)
+		ix.ids, ix.bids, ix.ctr, ix.campaign = carve[uint64](cols, n), carve[int64](cols, n), carve[uint16](cols, n), carve[uint32](cols, n)
+		ix.sigs, ix.wcs, ix.sameKey = carve[uint64](cols, n), carve[uint32](cols, n), carve[bool](cols, n)
+		ix.wordAt, ix.textAt = carve[uint32](cols, n), carve[uint32](cols, n)
+		ix.wordIDs = carve[uint32](cols, wordsAt[ranges])
+		ix.table.use(carve[uint64](cols, slots), carve[uint32](cols, slots), carve[uint32](cols, slots), carve[uint8](cols, slots))
+	}
+	if frozen {
+		carveAll()
+		cols.r = newRegion(cols.sizes)
+	}
+	carveAll()
+	ix.region = cols.r
+	ix.arena = make([]byte, textAt[ranges])
+	ix.numAds, ix.sets = n, len(sets)
 	ix.textUsed = textAt[ranges]
 	for _, s := range sets {
 		ix.wordsUsed += len(s.words) * int(s.hi-s.lo)
+	}
+	r := uint32(0)
+	for k := range ix.nodes {
+		r1 := r
+		for _, s := range sets[firstSet[k]:firstSet[k+1]] {
+			r1 += uint32(s.hi - s.lo)
+		}
+		ix.nodes[k] = node{off: r, n: r1 - r, cap: r1 - r}
+		r = r1
 	}
 
 	// Three writers with nothing in common: the probe table and the
@@ -335,7 +375,6 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 	parallel(workers, 2+ranges, func(p int) {
 		switch p {
 		case 0:
-			ix.table.reserve(len(ix.nodes))
 			for k := range ix.nodes {
 				ix.table.put(sets[firstSet[k]].hash, uint32(k)+1)
 				for _, s := range sets[firstSet[k]:firstSet[k+1]] {
@@ -388,4 +427,133 @@ func (ix *Index) writeNodes(ads []corpus.Ad, order []placedAd, sets []loadSet, f
 		}
 	}
 	return bytes
+}
+
+// appendLocatorHashes appends the hashes of the proper prefixes of loc to
+// dst, hashed as addPrefixes hashes them, and returns the hash of loc
+// itself, its node's key (WordHash).
+func appendLocatorHashes(dst []uint64, loc []string) ([]uint64, uint64) {
+	h := uint64(fnvOffset64)
+	for i, w := range loc {
+		if i > 0 {
+			dst = append(dst, h)
+		}
+		h = hashExtend(h, i == 0, w)
+	}
+	return dst, h
+}
+
+// tableSlots is the capacity of the loader's probe table, sized up front
+// for its distinct keys: the nodes' keys and the proper prefixes of their
+// sets' locators, listed by chunk in prefixes. That is the capacity a
+// table sized for the nodes grows to under the loader's upserts
+// (tableSize), so the loader fills it without a rehash. Such a table
+// grows at the first upsert past its load bound; where the last upsert
+// enters a new key — the last node holds only the wordless set, which
+// prefixes nothing — it ends sized for one key fewer.
+//
+// Each chunk's list is partitioned in place by the keys' top byte; then,
+// a top byte at a time, the node keys with that byte (a run: the nodes
+// are in key order) and the chunks' prefixes with it go into one small
+// hash set, which counts the prefixes that are new.
+func tableSlots(prefixes [][]uint64, sets []loadSet, firstSet []int32, workers int) int {
+	numNodes := len(firstSet) - 1
+	bounds := make([][257]int, len(prefixes))
+	parallel(workers, len(prefixes), func(p int) { bounds[p] = partitionByTopByte(prefixes[p]) })
+	nodeKey := func(k int) uint64 { return sets[firstSet[k]].hash }
+	nodesFrom := func(b int) int { return sort.Search(numNodes, func(k int) bool { return int(nodeKey(k)>>56) >= b }) }
+	workers = max(1, workers)
+	fresh := make([]int, workers)
+	parallel(workers, workers, func(w int) {
+		var seen keySet
+		for b := w; b < 256; b += workers {
+			lo, hi := nodesFrom(b), nodesFrom(b+1)
+			size := hi - lo
+			for p := range bounds {
+				size += bounds[p][b+1] - bounds[p][b]
+			}
+			seen.reset(size)
+			for k := lo; k < hi; k++ {
+				seen.add(nodeKey(k))
+			}
+			for p, list := range prefixes {
+				for _, h := range list[bounds[p][b]:bounds[p][b+1]] {
+					if seen.add(h) {
+						fresh[w]++
+					}
+				}
+			}
+		}
+	})
+	keys := numNodes
+	for _, n := range fresh {
+		keys += n
+	}
+	if last := len(sets) - 1; int(firstSet[numNodes-1]) == last && len(sets[last].loc) == 0 {
+		keys--
+	}
+	return tableSize(max(numNodes, keys))
+}
+
+// partitionByTopByte orders hashes by their top byte, in place, and
+// returns where each byte's run starts (and, at 256, where the last ends).
+func partitionByTopByte(hashes []uint64) (start [257]int) {
+	for _, h := range hashes {
+		start[h>>56+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	next := start // each run's first position not yet settled
+	for b := 0; b < 256; b++ {
+		for next[b] < start[b+1] {
+			if t := hashes[next[b]] >> 56; int(t) == b {
+				next[b]++
+			} else {
+				hashes[next[b]], hashes[next[t]] = hashes[next[t]], hashes[next[b]]
+				next[t]++
+			}
+		}
+	}
+	return start
+}
+
+// keySet is a set of 64-bit hashes: open addressing in one array, reused
+// from one use to the next, with 0 kept apart as the empty slot's mark.
+type keySet struct {
+	slots []uint64
+	shift uint
+	zero  bool
+}
+
+// reset empties the set and sizes it for n keys at most half full.
+func (s *keySet) reset(n int) {
+	size, shift := 16, uint(60)
+	for size < 2*n {
+		size, shift = size*2, shift-1
+	}
+	if cap(s.slots) < size {
+		s.slots = make([]uint64, size)
+	}
+	s.slots, s.shift, s.zero = s.slots[:size], shift, false
+	clear(s.slots)
+}
+
+// add adds h and reports whether it was new.
+func (s *keySet) add(h uint64) bool {
+	if h == 0 {
+		added := !s.zero
+		s.zero = true
+		return added
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := (h * probeFib) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case h:
+			return false
+		case 0:
+			s.slots[i] = h
+			return true
+		}
+	}
 }

@@ -44,3 +44,34 @@ func TestIndexLiveBytesPerAd(t *testing.T) {
 	}
 	runtime.KeepAlive(ix)
 }
+
+// TestFrozenBaseHeapBytesPerAd: a frozen index keeps its record columns,
+// word IDs, nodes and probe table in its region, so its live heap is the
+// text arena, the vocabulary and the mapping: at most 40 bytes per ad of
+// the generated corpus. It holds the memory, column by column, a heap
+// build of the same ads holds.
+func TestFrozenBaseHeapBytesPerAd(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments the heap")
+	}
+	const n = 100_000
+	heapBytes := buildUnreachable(n).Stats().Bytes
+	before := liveHeap()
+	ix, err := NewFrozen(corpus.Generate(corpus.GenOptions{NumAds: n, Seed: 1}).Ads, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	if ix.MappedBytes() == 0 {
+		t.Skip("index regions are heap memory on this platform")
+	}
+	perAd := float64(after-before) / n
+	t.Logf("live heap %.1f B/ad; the region maps %d bytes, %.1f B/ad", perAd, ix.MappedBytes(), float64(ix.MappedBytes())/n)
+	if perAd > 40 {
+		t.Errorf("frozen index holds %.1f live heap bytes per ad, want <= 40", perAd)
+	}
+	if got := ix.Stats().Bytes; got != heapBytes {
+		t.Errorf("frozen index holds %+v, a heap build %+v", got, heapBytes)
+	}
+	runtime.KeepAlive(ix)
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"strings"
 	"unsafe"
@@ -300,20 +301,34 @@ func (ix *Index) size(r uint32) int {
 }
 
 // ID returns the ad ID of record r.
-func (ix *Index) ID(r Ref) uint64 { return ix.ids[r] }
+func (ix *Index) ID(r Ref) uint64 {
+	id := ix.ids[r]
+	runtime.KeepAlive(ix)
+	return id
+}
 
 // Bid returns the bid and click rate of record r: the metadata a record
 // frame carries.
-func (ix *Index) Bid(r Ref) (micros int64, clickRate uint16) { return ix.bids[r], ix.ctr[r] }
+func (ix *Index) Bid(r Ref) (micros int64, clickRate uint16) {
+	micros, clickRate = ix.bids[r], ix.ctr[r]
+	runtime.KeepAlive(ix)
+	return micros, clickRate
+}
 
 // SetKey returns the set key of record r's word set.
-func (ix *Index) SetKey(r Ref) string { return ix.setKeyOf(ix.recWords(uint32(r))) }
+func (ix *Index) SetKey(r Ref) string {
+	key := ix.setKeyOf(ix.recWords(uint32(r)))
+	runtime.KeepAlive(ix)
+	return key
+}
 
 // AdStrings returns how many strings AppendAd takes from its string
 // arena for record r: its words and its exclusions.
 func (ix *Index) AdStrings(r Ref) int {
 	_, exclusions, _ := ix.textStats(uint32(r))
-	return int(ix.wcs[r]) + exclusions
+	n := int(ix.wcs[r]) + exclusions
+	runtime.KeepAlive(ix)
+	return n
 }
 
 // AppendAd appends the ad of record r to dst. Its Words are the
@@ -347,6 +362,7 @@ func (ix *Index) AppendAd(dst []corpus.Ad, strs []string, r Ref) ([]corpus.Ad, [
 		}
 		ad.Meta.Exclusions = strs[mark:len(strs):len(strs)]
 	}
+	runtime.KeepAlive(ix)
 	return dst, strs
 }
 

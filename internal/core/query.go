@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -183,6 +184,7 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 		counters.Queries++
 		counters.Matches += int64(len(dst) - mark)
 	}
+	runtime.KeepAlive(ix)
 	return dst
 }
 
@@ -230,6 +232,7 @@ func (ix *Index) BroadMatchText(query string, counters *costmodel.Counters) []*c
 // query's own word set, so there is no enumeration to cut off or to
 // budget. The appended segment is ordered by ad ID. sc may be nil.
 func (ix *Index) AppendExactRefs(dst []Ref, tokens, queryWords []string, counters *costmodel.Counters, sc *Scratch) []Ref {
+	defer runtime.KeepAlive(ix)
 	if counters != nil {
 		counters.Queries++
 	}

@@ -179,32 +179,34 @@ func (t *probeTable) grow() {
 	t.resize(size)
 }
 
-// reserve sizes an empty table for n entries without leaving slot's load
-// bound: the capacity n upserts would have doubled their way to, so a bulk
-// load that starts here ends at the capacity one-by-one inserts reach.
-func (t *probeTable) reserve(n int) {
+// tableSize is the capacity a table holding n keys ends at, whether it
+// grew to them one upsert at a time or was sized for them up front: the
+// smallest power of two, at least 64, that keeps slot's load bound.
+func tableSize(n int) int {
 	size := 64
 	for n*4 >= size*3 {
 		size *= 2
 	}
-	t.resize(size)
+	return size
+}
+
+// use makes the table empty over the given zeroed arrays, all of one
+// power-of-two length.
+func (t *probeTable) use(keys []uint64, vals, cnt []uint32, state []uint8) {
+	*t = probeTable{keys: keys, vals: vals, cnt: cnt, state: state}
 }
 
 // resize moves the full slots into fresh arrays of size slots (a power of
 // two).
 func (t *probeTable) resize(size int) {
-	keys, vals, cnt, state := t.keys, t.vals, t.cnt, t.state
-	t.keys = make([]uint64, size)
-	t.vals = make([]uint32, size)
-	t.cnt = make([]uint32, size)
-	t.state = make([]uint8, size)
-	t.nodes, t.live, t.used = 0, 0, 0
-	for i, st := range state {
+	old := *t
+	t.use(make([]uint64, size), make([]uint32, size), make([]uint32, size), make([]uint8, size))
+	for i, st := range old.state {
 		if st == slotFull {
-			j := t.slot(keys[i])
-			t.cnt[j] = cnt[i]
-			if vals[i] != 0 {
-				t.vals[j] = vals[i]
+			j := t.slot(old.keys[i])
+			t.cnt[j] = old.cnt[i]
+			if old.vals[i] != 0 {
+				t.vals[j] = old.vals[i]
 				t.nodes++
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"adindex/internal/bitvec"
@@ -116,8 +117,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 var ErrMalformedSnapshot = errors.New("hashindex: malformed snapshot")
 
 // maxPosition bounds every position a snapshot stores: arena offsets and
-// signature suffixes both stay below it.
-const maxPosition = 1 << 40
+// signature suffixes both stay below it, and below what an int holds.
+const maxPosition uint64 = min(1<<40, math.MaxInt)
 
 // Read deserializes an index written by WriteTo. Every refusal wraps
 // ErrMalformedSnapshot. No count in the input is trusted before the bytes
@@ -205,7 +206,7 @@ func read(br *bufio.Reader) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
-			if gap == 0 || gap > maxPosition || pos+int(gap) >= maxPosition {
+			if gap == 0 || gap > maxPosition || uint64(pos+1)+gap > maxPosition {
 				return nil, fmt.Errorf("position gap %d after %d out of range", gap, pos)
 			}
 			pos += int(gap)

@@ -101,10 +101,11 @@ func (fr *frameReader) readFrame() ([]byte, error) {
 		}
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	size := binary.BigEndian.Uint32(hdr)
+	if size > maxFrame {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
+	n := int(size)
 	if 4+n <= fr.br.Size() {
 		frame, err := fr.br.Peek(4 + n)
 		if err != nil {

@@ -305,6 +305,10 @@ type IndexSnapshot struct {
 type MemorySnapshot struct {
 	HeapLiveBytes uint64 `json:"heap_live_bytes"` // /gc/heap/live:bytes
 	HeapGoalBytes uint64 `json:"heap_goal_bytes"` // /gc/heap/goal:bytes
+	// OffHeapBytes is the index memory mapped outside the Go heap
+	// (adindex.OffHeapBytes): the regions of the base indexes not yet
+	// unmapped. With the heap goal it accounts for the resident set.
+	OffHeapBytes uint64 `json:"offheap_bytes"`
 	// PeakRSSBytes is the process's high-water resident set (VmHWM in
 	// /proc/self/status), or 0 where that file does not exist: the peak
 	// of start-up and serving together, which the heap numbers miss.
@@ -330,6 +334,7 @@ func readMemory() MemorySnapshot {
 	if samples[2].Value.Kind() == metrics.KindFloat64 {
 		m.GCCPUSeconds = samples[2].Value.Float64()
 	}
+	m.OffHeapBytes = uint64(adindex.OffHeapBytes())
 	m.PeakRSSBytes = peakRSS()
 	return m
 }

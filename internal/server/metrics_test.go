@@ -150,8 +150,16 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(body, &ads); err != nil || len(ads) < 2 {
 		t.Fatalf("reply %s: %d ads, %v", reply, len(ads), err)
 	}
-	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
+	metricsBody := serve(t, s, "GET", "/metrics", "")
+	if err := json.Unmarshal(metricsBody, &back); err != nil {
 		t.Fatal(err)
+	}
+	// memory.offheap_bytes counts the mapped regions of the live bases,
+	// the served index's among them; off Linux nothing is mapped.
+	offHeap := back["memory"].(map[string]any)["offheap_bytes"]
+	if mapped := runtime.GOOS == "linux"; !bytes.Contains(metricsBody, []byte(`,"offheap_bytes":`)) ||
+		mapped != (offHeap.(float64) > 0) {
+		t.Errorf("memory.offheap_bytes = %v on %s, want it above 0 exactly where regions are mapped", offHeap, runtime.GOOS)
 	}
 	cache := back["cache"].(map[string]any)
 	key := len("b\x00books\x1fused")

@@ -63,10 +63,11 @@ func (s *snapshot) overlaySize() int {
 
 // live returns the full live corpus — base ads minus tombstoned records
 // plus delta ads — in no particular order, which is all a rebuild needs:
-// the loader orders its input itself. The ad structs are copies but their
-// Words/Exclusions still alias (immutable) snapshot storage.
-func (s *snapshot) live() []corpus.Ad {
-	ads := s.base.AppendAds(make([]corpus.Ad, 0, s.base.NumAds()+len(s.delta)))
+// the loader orders its input itself; extra ads follow it. The ad structs
+// are copies but their Words/Exclusions still alias (immutable) snapshot
+// storage.
+func (s *snapshot) live(extra ...corpus.Ad) []corpus.Ad {
+	ads := s.base.AppendAds(make([]corpus.Ad, 0, s.base.NumAds()+len(s.delta)+len(extra)))
 	if len(s.tombs) > 0 {
 		used := make(map[tombKey]int, len(s.tombs))
 		w := 0
@@ -81,7 +82,7 @@ func (s *snapshot) live() []corpus.Ad {
 		}
 		ads = ads[:w]
 	}
-	return append(ads, s.delta...)
+	return append(append(ads, s.delta...), extra...)
 }
 
 // materialize returns the live corpus ordered by ID, ads of one ID in the
@@ -111,17 +112,19 @@ func (s *snapshot) materialize() []corpus.Ad {
 	return out
 }
 
-// fold rebuilds a fresh base containing the snapshot's full corpus,
-// preserving the base's optimized placement (the loader reads the base's
-// own mapping, not a copy); word sets that only exist in the delta get
-// default placement. The receiver is not modified.
-func (s *snapshot) fold(opts core.Options) *core.Index {
-	ads := s.live()
-	base, err := core.NewWithMapping(ads, s.base.Mapping(), opts)
+// fold builds a fresh frozen base holding the snapshot's full corpus and
+// then extra, preserving the base's optimized placement (the loader reads
+// the base's own mapping, not a copy); word sets that only exist in the
+// delta or in extra get default placement. A bulk load is the index the
+// same ads build one Insert at a time, so folding an insert in is
+// inserting it after the fold. The receiver is not modified.
+func (s *snapshot) fold(opts core.Options, extra ...corpus.Ad) *core.Index {
+	ads := s.live(extra...)
+	base, err := core.NewFrozen(ads, s.base.Mapping(), opts)
 	if err != nil {
 		// The live base's mapping is valid by construction; this is
 		// unreachable, but default placement is always a safe fallback.
-		base = core.New(ads, opts)
+		base, _ = core.NewFrozen(ads, nil, opts)
 	}
 	return base
 }

@@ -74,8 +74,8 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 	var base *core.Index
 	buildStart := time.Now()
 	if bootstrap {
-		base = core.New(dc.Bootstrap, opts.coreOptions())
-	} else if base, err = core.NewWithMapping(rec.Ads, rec.Mapping, opts.coreOptions()); err != nil {
+		base, _ = core.NewFrozen(dc.Bootstrap, nil, opts.coreOptions())
+	} else if base, err = core.NewFrozen(rec.Ads, rec.Mapping, opts.coreOptions()); err != nil {
 		store.Close()
 		return nil, nil, fmt.Errorf("adindex: rebuild from snapshot: %w", err)
 	}
