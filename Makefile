@@ -11,8 +11,13 @@
 #                      through the reply cache) beside TestCacheConcurrent,
 #                      TestCacheSlotReuse (hits reading shared ad
 #                      fragments while other shards free and reuse their
-#                      slots) and the segmented-LRU policy tests (scan
-#                      resistance, promotion, demotion, refresh)
+#                      slots), the segmented-LRU policy tests (scan
+#                      resistance, promotion, demotion, refresh) and the
+#                      second-sight admission tests
+#                      (TestCacheAdmissionReplay: two misses per distinct
+#                      query of the hot stream's shape, never a third;
+#                      TestCacheFirstSightingsHoldNoBodies: ghosts own
+#                      their keys only)
 #   recovery-smoke     kill -9 a churning child, recover, compare with the
 #                      serial oracle; crash-at-every-write atomicity;
 #                      repair leaves what recovery leaves

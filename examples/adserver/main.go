@@ -126,7 +126,8 @@ func runDemo(base string) {
 		"waterproof rain jacket for hiking",
 		"used books free shipping",
 		"best mountain bike helmet deals",
-		"cheap running shoes sale", // repeat: served from the result cache
+		"cheap running shoes sale", // second sighting: the cache stores the reply
+		"running shoes sale cheap", // same word set: served from the result cache
 	}
 	for _, q := range queries {
 		resp, err := http.Get(base + "/search?q=" + strings.ReplaceAll(q, " ", "+"))

@@ -58,7 +58,10 @@ func TestSearchBatch(t *testing.T) {
 		t.Errorf("batch epoch = %d, index epoch = %d", out.Epoch, ix.Epoch())
 	}
 
-	// The singular endpoint shares the cache: a repeat batch is all hits.
+	// The singular endpoint shares the cache: the batch above was the
+	// query's first sighting, a /search its second, and a repeat batch
+	// hits.
+	search(t, base, "books cheap used", "broad")
 	_, again := postBatch(t, base, batchRequest{Queries: []string{"used cheap books"}})
 	if len(again.Results) != 1 || !again.Results[0].Cached {
 		t.Errorf("reordered repeat in batch missed the cache: %+v", again.Results)

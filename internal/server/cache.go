@@ -10,38 +10,44 @@
 // words (all the key holds) and the server's immutable Config, so the
 // post-selection array is as cacheable as the raw matches were.
 //
-// A repeated reply is not stored whole. Broad match makes the replies to a
+// A stored reply is not held whole. Broad match makes the replies to a
 // power-law query stream share most of their ads (one bid on a few words
 // matches every query that contains them): at the end of an http-hot run
 // 20 000 stored replies held 1.5 M ad objects, 198 MB, of only 47 081
 // distinct ads, 7.0 MB. So the cache owns one table of encoded ads, each
 // the exact bytes corpus.(*Ad).AppendJSON writes, stored once, and a
-// repeated entry is its body length and the uint32 numbers of its ads'
-// fragments, in order. A fragment counts the entries that reference it,
-// and its slot is freed for reuse when the count reaches zero: on the
-// eviction of a demoted entry or on the refresh of an outdated one. The
-// table is keyed by ad ID, which hashes cheaply, and two replies share a
+// stored entry is its body length and the uint32 numbers of its ads'
+// fragments, in order ("null" and "[]" stay copies). A fragment counts
+// the entries that reference it, and its slot is freed for reuse when the
+// count reaches zero. The table is keyed by ad ID, and two replies share a
 // fragment only when its bytes are equal: an ID re-inserted with other
 // content gets a fragment of its own, so sharing never changes a byte of a
 // reply. The references are numbers, not pointers, on purpose: in a
 // prototype with []*fragment the collector traced 1.5 M pointers per cycle
 // on http-hot, and its CPU time went from 0.2 to 1.3 s.
 //
-// Ads are interned at promotion, not at put. A miss encodes its array once,
-// into the response buffer, and the put stores an exact-size copy of it in
-// probation, so a reply asked once — all of a stream of distinct queries —
-// costs one copy and no table work. Its first repeat (the hit that promotes
-// it, or a refresh) splits the array into its ads (adSep) and interns them,
-// and drops the copy. Interning every put instead kept one body form but
-// cost each miss a table lookup per ad: http-cold's p50_rel rose 4.5 % (ten
-// runs a side, 2 vCPUs). A body that holds no ad ("null", "[]") stays a
-// copy.
+// Second-sight admission. A key's first put stores no reply but a ghost
+// in probation: the key and its epoch. A Get that finds a ghost is a plain
+// miss (no invalidation; the ghost stays put), and the put after it
+// interns the reply's ads (split at adSep) and promotes the entry, as the
+// refresh of an outdated entry does. A query asked once costs its key and
+// no table work; every distinct query misses once more, and no more:
+// replaying the first 400k requests of the http-hot stream of seeds 1 and
+// 2 through a default-sized cache, misses went 20 000 → 40 000 (0.050 →
+// 0.100), and none missed a third time (TestCacheAdmissionReplay). End to
+// end (seed 1, ten pairs, 2 vCPUs) rss_mb on http-hot went 210 → 95 MiB,
+// the start's own peak: keeping each first reply as a copy until its
+// repeat had held about 13 k bodies of 8 KB at the height of warm-up.
+// p50_rel, p90_rel and qps_rel moved 1.375 → 1.377, 2.56 → 2.64 and
+// 0.733 → 0.722, inside their bounds. Interning every reply at its first
+// put gave the same rss_mb, but a table lookup per ad on every miss:
+// http-cold's p90_rel rose 22–24 %.
 //
 // A hit appends the entry's body to the caller's buffer while it holds the
-// entry's shard lock: a copy of a probation body, or "[", the fragments
-// separated by commas and "]". The entry pins its fragments — none of them
-// reaches a count of zero while it references them — so an eviction in
-// another shard never frees a slot a hit is reading, and a hit takes no
+// entry's shard lock: "[", the fragments separated by commas and "]", or
+// the copy of a body without ads. The entry pins its fragments — none of
+// them reaches a count of zero while it references them — so an eviction
+// in another shard never frees a slot a hit is reading, and a hit takes no
 // table lock. Slots live in fixed-size chunks that never move. Nothing a
 // hit returns refers into the cache: the body is the caller's copy.
 //
@@ -75,29 +81,18 @@
 // refreshes it in place. An entry newer than the caller's view is served if
 // new enough and never replaced by an older computation.
 //
-// Admission. Each shard is a segmented LRU (SLRU). A new reply enters a
-// probation segment holding at most a fifth of the shard; a repeat — a hit,
-// or the refresh of an outdated entry, which is the put after a miss on a
-// present key — moves it to the protected segment, which holds the rest.
-// Protected overflow demotes that segment's least-recently-used entry to
-// probation's head, and probation overflow evicts. A query seen once (the
-// long tail of a query stream, and all of a stream of distinct queries)
-// therefore cycles through probation and never displaces the working set,
-// and costs at most a fifth of the capacity in memory: at the default 65 536
-// entries the 300k distinct queries of http-cold filled the plain LRU with
-// 127 MB of replies that its closed loop never hit. Admitting on second
-// sight instead (a doorkeeper that stores a reply only when its key was
-// asked before) keeps one-off replies out entirely, but charges every
-// working-set query a second miss.
-// Replaying the first 400k requests of the http-hot and http-churn read
-// streams of seeds 1 and 2 (20k distinct queries each, no writes), the plain
-// LRU and this SLRU missed the same 20 000 requests in the same order
-// (0.050), the doorkeeper twice as many (0.100). Probation has to hold a new
-// reply until its first repeat arrives: of the shares 1/3, 1/5, 1/10 and
-// 1/20, one fifth is the smallest that kept the miss sequence identical
-// (1/10 missed 0.055, 1/20 0.116). It is a constant, not an option: the
-// working set and the tail are properties of the traffic, not of a
-// deployment.
+// Segments. Each shard is a segmented LRU: probation holds at most a fifth
+// of it, protected the rest. A new key enters probation; a repeat (its
+// second sighting, a hit on a demoted entry, a refresh) moves it to
+// protected, whose overflow demotes its least-recently-used entry,
+// fragments and all, to probation's head; probation's overflow evicts its
+// least-recently-used entry, ghost or demoted. So one-off queries cycle
+// through probation as ghosts and never displace the working set (at the
+// default 65 536 entries, http-cold's 300k distinct queries filled a
+// plain LRU with 127 MB of replies never hit). A fifth holds every ghost
+// of the replay above until its second sighting (when probation held
+// replies, 1/10 missed 0.055 of it and 1/20 0.116). It is a constant, not
+// an option: the working set and the tail are properties of the traffic.
 package server
 
 import (
@@ -262,18 +257,18 @@ func (t *fragTable) internBody(body []byte, drop []uint32) []uint32 {
 func holdsAds(body []byte) bool { return len(body) > 2 && body[0] == '[' }
 
 // probationShare is the reciprocal of the share of a shard's capacity the
-// probation segment holds (see "Admission" above).
+// probation segment holds (see "Segments" above).
 const probationShare = 5
 
-// cacheEntry is one cached reply under its key and epoch. Its body takes
-// one of two forms. A reply not yet repeated keeps the bytes its miss
-// encoded (body); its first repeat interns its ads, and from then on it
-// holds their fragments, in order (refs), and its length (bodyLen). A body
-// that holds no ad ("null", "[]") stays in body.
+// cacheEntry is one cached key under its epoch. A ghost is a key seen
+// once: it holds no reply, and the put after its next miss stores one. A
+// reply that holds ads is held as their fragments, in order (refs), and its
+// length (bodyLen); one without ("null", "[]") as a copy (body).
 type cacheEntry struct {
 	key       string
 	epoch     uint64
 	protected bool // in the protected segment, else in probation
+	ghost     bool // a first sighting: no reply, always in probation
 	matched   int
 	cutoff    bool
 	body      []byte
@@ -285,13 +280,13 @@ type cacheEntry struct {
 // reference (the fragments are the table's).
 func (e *cacheEntry) size() int64 { return int64(len(e.key) + len(e.body) + 4*len(e.refs)) }
 
-// setBody makes the reply encoded in body the entry's, as a copy, or with
-// intern as its ads' fragments, and releases the fragments of the reply it
-// replaces. The caller holds the entry's shard lock.
-func (e *cacheEntry) setBody(body []byte, intern bool, t *fragTable) {
+// setBody makes the reply encoded in body the entry's, its ads as
+// fragments, and releases the fragments of the reply it replaces. The
+// caller holds the entry's shard lock.
+func (e *cacheEntry) setBody(body []byte, t *fragTable) {
 	drop := e.refs
 	e.body, e.bodyLen, e.refs = nil, len(body), nil
-	if intern && holdsAds(body) {
+	if holdsAds(body) {
 		e.refs = t.internBody(body, drop)
 		return
 	}
@@ -325,15 +320,15 @@ type cacheShard struct {
 	cap          int                      // entries across both segments
 	probationCap int                      // ⌈cap/probationShare⌉
 	items        map[string]*list.Element // value: *cacheEntry
-	probation    list.List                // never repeated (or demoted); front = most recent
-	protected    list.List                // repeated; front = most recent
+	probation    list.List                // ghosts and demoted entries; front = most recent
+	protected    list.List                // stored replies; front = most recent
 	bytes        int64                    // what the live entries own (cacheEntry.size)
 	ads          *fragTable               // the cache's
 }
 
-// evict drops the least-recently-used probation entry and releases its
-// fragments, if it holds any (a demoted entry does); the caller holds the
-// lock.
+// evict drops the least-recently-used probation entry, a ghost or a
+// demoted reply, and releases its fragments, if it holds any; the caller
+// holds the lock.
 func (s *cacheShard) evict() {
 	ent := s.probation.Remove(s.probation.Back()).(*cacheEntry)
 	delete(s.items, ent.key)
@@ -341,12 +336,12 @@ func (s *cacheShard) evict() {
 	s.ads.release(ent.refs)
 }
 
-// repeat records a repeat of the entry at el: a protected entry moves to its
-// segment's front; a probation entry is promoted to the protected front,
-// its ads interned, and if that overflows the protected segment its
-// least-recently-used entry is demoted to probation's front (probation lost
-// one entry and gains one, so it cannot overflow). The caller holds the
-// lock.
+// repeat records a repeat of the entry at el, which holds a reply: a
+// protected entry moves to its segment's front; a probation entry is
+// promoted to the protected front, and if that overflows the protected
+// segment its least-recently-used entry is demoted to probation's front
+// (probation lost one entry and gains one, so it cannot overflow). The
+// caller holds the lock.
 func (s *cacheShard) repeat(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	if ent.protected {
@@ -354,11 +349,6 @@ func (s *cacheShard) repeat(el *list.Element) {
 		return
 	}
 	s.probation.Remove(el)
-	if holdsAds(ent.body) {
-		s.bytes -= ent.size()
-		ent.setBody(ent.body, true, s.ads)
-		s.bytes += ent.size()
-	}
 	ent.protected = true
 	s.items[ent.key] = s.protected.PushFront(ent)
 	if s.protected.Len() > s.cap-s.probationCap {
@@ -424,8 +414,8 @@ func shardOf[K cacheKeyBytes](c *Cache, key K) *cacheShard {
 
 // Get returns the cached reply for key if present and computed at
 // changedAt or later (adindex.View.ChangedAt of the query's words). A
-// present entry that is older counts as an invalidation and a miss. The
-// reply's Body is a new slice.
+// present reply that is older counts as an invalidation and a miss; a ghost
+// is a plain miss. The reply's Body is a new slice.
 func (c *Cache) Get(key string, changedAt uint64) (Cached, bool) {
 	_, reply, ok := cacheGet(c, nil, key, changedAt, nil)
 	return reply, ok
@@ -443,7 +433,9 @@ func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, changedAt uint64, he
 	s := shardOf(c, key)
 	s.mu.Lock()
 	el, ok := s.items[string(key)]
-	if !ok {
+	if !ok || el.Value.(*cacheEntry).ghost {
+		// A ghost is left in place, not touched: the caller's put stores
+		// the reply.
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return dst, Cached{}, false
@@ -470,24 +462,23 @@ func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, changedAt uint64, he
 	return dst, reply, true
 }
 
-// Put stores ads, encoded, as the reply computed for key on a view of the
-// given epoch: the form for callers that hold ads rather than a reply body.
+// Put puts ads, encoded, as the reply computed for key on a view of the
+// given epoch (stored on the key's second sighting, as cachePut says): the
+// form for callers that hold ads rather than a reply body.
 func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
 	cachePut(c, key, epoch, Cached{Matched: len(ads), Body: corpus.AppendAdsJSON(nil, ads)})
 }
 
 // cachePut stores a reply computed at the given epoch (the Epoch of the
-// View that computed it) at the front of probation, as an exact-size copy of
-// its body, evicting probation's least-recently-used entry if that segment
-// is full. If the key is already present its entry is refreshed in place —
-// same map slot, the new reply's ads interned at once — and counts as a
-// repeat, unless it holds a reply from a newer epoch, which a reader still
-// on an old view must not replace. The cache keeps neither the body nor the
-// key the caller passed (it makes its own key string the first time), so
-// both may live in the caller's reused buffers. A put racing a concurrent
-// mutation is harmless: the entry says which epoch its reply was actually
-// computed at, and a Get that knows of a later change to the query's words
-// passes it over.
+// View that computed it) on its key's second sighting. A new key enters
+// probation's front as a ghost, evicting probation's least-recently-used
+// entry if it is full. A present entry takes the reply in place, its ads
+// interned, and counts as a repeat, unless it is from a newer epoch, which
+// a reader still on an old view must not replace. The cache keeps neither
+// the body nor the key the caller passed, so both may live in the caller's
+// reused buffers. A put racing a mutation is harmless: the entry says which
+// epoch its reply was computed at, and a Get that knows of a later change
+// to the query's words passes it over.
 func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
 	if c == nil {
 		return
@@ -501,8 +492,8 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
 			return
 		}
 		s.bytes -= ent.size()
-		ent.epoch, ent.matched, ent.cutoff = epoch, reply.Matched, reply.Cutoff
-		ent.setBody(reply.Body, true, s.ads)
+		ent.epoch, ent.matched, ent.cutoff, ent.ghost = epoch, reply.Matched, reply.Cutoff, false
+		ent.setBody(reply.Body, s.ads)
 		s.bytes += ent.size()
 		s.repeat(el)
 		return
@@ -510,8 +501,7 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
 	if s.probation.Len() >= s.probationCap {
 		s.evict()
 	}
-	ent := &cacheEntry{key: string(key), epoch: epoch, matched: reply.Matched, cutoff: reply.Cutoff}
-	ent.setBody(reply.Body, false, s.ads)
+	ent := &cacheEntry{key: string(key), epoch: epoch, ghost: true}
 	s.items[ent.key] = s.probation.PushFront(ent)
 	s.bytes += ent.size()
 }
@@ -523,10 +513,22 @@ func (c *Cache) Len() int {
 	return c.count(func(s *cacheShard) int { return s.probation.Len() + s.protected.Len() })
 }
 
-// probationLen returns the number of entries in probation: never repeated
-// since they were stored, or demoted since they last were.
+// probationLen returns the number of entries in probation: ghosts, and
+// replies demoted since they were last asked.
 func (c *Cache) probationLen() int {
 	return c.count(func(s *cacheShard) int { return s.probation.Len() })
+}
+
+// ghostLen returns the number of ghosts: keys seen once, holding no reply.
+func (c *Cache) ghostLen() int {
+	return c.count(func(s *cacheShard) (n int) {
+		for el := s.probation.Front(); el != nil; el = el.Next() {
+			if el.Value.(*cacheEntry).ghost {
+				n++
+			}
+		}
+		return n
+	})
 }
 
 // count sums n over the shards, each read under its lock.
@@ -544,8 +546,8 @@ func (c *Cache) count(n func(*cacheShard) int) int {
 }
 
 // Bytes returns the bytes the entries own (the same entries Len counts):
-// their keys, the bodies they keep (of replies not repeated yet, or without
-// ads) and 4 bytes per reference to a shared ad. The shared ads themselves
+// their keys, the bodies of replies without ads and 4 bytes per reference
+// to a shared ad. The shared ads themselves
 // are sharedAds'.
 func (c *Cache) Bytes() int64 {
 	if c == nil {

@@ -33,10 +33,21 @@ func cachedAds(t *testing.T, reply Cached) []adindex.Ad {
 	return ads
 }
 
+// store puts ads under key twice: the first sighting leaves a ghost, the
+// second stores the reply.
+func store(c *Cache, key string, epoch uint64, ads []adindex.Ad) {
+	c.Put(key, epoch, ads)
+	c.Put(key, epoch, ads)
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(8, 2)
 	if _, ok := c.Get("k", 0); ok {
 		t.Fatal("hit on empty cache")
+	}
+	c.Put("k", 0, ad(1))
+	if _, ok := c.Get("k", 0); ok {
+		t.Fatal("hit on a first sighting")
 	}
 	c.Put("k", 0, ad(1))
 	reply, ok := c.Get("k", 0)
@@ -44,8 +55,8 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	hits, misses, inv := c.Stats()
-	if hits != 1 || misses != 1 || inv != 0 {
-		t.Errorf("stats = %d/%d/%d, want 1/1/0", hits, misses, inv)
+	if hits != 1 || misses != 2 || inv != 0 {
+		t.Errorf("stats = %d/%d/%d, want 1/2/0", hits, misses, inv)
 	}
 }
 
@@ -63,7 +74,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 		}
 		return cachedAds(t, reply)[0].ID, true
 	}
-	c.Put("k", 3, ad(1))
+	store(c, "k", 3, ad(1))
 	// Writes elsewhere moved the index on, none touched this query's words
 	// after epoch 3: served, whether the words were last written before the
 	// entry or by the very state it was computed on.
@@ -108,13 +119,12 @@ func TestCacheEpochInvalidation(t *testing.T) {
 }
 
 // TestCacheLRUEviction: in a two-entry shard (one probation slot, one
-// protected) a new reply displaces the least-recently-used probation entry,
+// protected) a new key displaces the least-recently-used probation entry,
 // never the protected one, and a promotion that overflows the protected
 // segment demotes its entry instead of dropping it.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2, 1) // single shard, two entries
-	c.Put("a", 0, ad(1))
-	c.Get("a", 0) // a repeat: a is protected
+	c := NewCache(2, 1)     // single shard, two entries
+	store(c, "a", 0, ad(1)) // a second sighting: a is protected
 	c.Put("b", 0, ad(2))
 	c.Put("c", 0, ad(3)) // probation is full: evicts b
 	if _, ok := c.Get("b", 0); ok {
@@ -123,7 +133,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get("a", 0); !ok {
 		t.Error("protected entry a was evicted by a new reply")
 	}
-	if _, ok := c.Get("c", 0); !ok { // promotes c, demoting a
+	c.Put("c", 0, ad(3)) // c's second sighting promotes it, demoting a
+	if _, ok := c.Get("c", 0); !ok {
 		t.Error("new entry c missing")
 	}
 	if _, ok := c.Get("a", 0); !ok {
@@ -135,25 +146,24 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheBytes: the entries' own bytes and the shared ads' bytes, each
-// ad counted once, follow the entries through every way a reply can arrive
-// or leave. A reply not repeated yet owns its key and its body; a repeat
-// interns its ads, after which it owns its key and 4 bytes per reference;
-// a body without ads stays as it is. Replacement, eviction,
-// and the refresh of an outdated entry (which keeps its bytes until then)
-// each move both totals.
+// ad counted once, follow the entries through every way a key can arrive
+// or leave. A ghost owns its key; a stored reply owns its key and 4 bytes
+// per reference to its interned ads, or its key and its body if it holds
+// no ad. Replacement, eviction of a ghost or of a demoted reply, and the
+// refresh of an outdated entry (which keeps its bytes until then) each
+// move both totals.
 func TestCacheBytes(t *testing.T) {
 	c := NewCache(2, 1) // one probation slot, one protected
-	owned := func(key string, ads []adindex.Ad, repeated bool) int64 {
+	owned := func(key string, ads []adindex.Ad) int64 {
 		switch {
 		case ads == nil:
 			return int64(len(key) + len("null"))
 		case len(ads) == 0:
 			return int64(len(key) + len("[]"))
-		case repeated:
-			return int64(len(key) + 4*len(ads))
 		}
-		return int64(len(key) + len(corpus.AppendAdsJSON(nil, ads)))
+		return int64(len(key) + 4*len(ads))
 	}
+	ghost := func(key string) int64 { return int64(len(key)) }
 	check := func(step string, want int64, shared ...adindex.Ad) {
 		t.Helper()
 		if got := c.Bytes(); got != want {
@@ -171,24 +181,30 @@ func TestCacheBytes(t *testing.T) {
 	a1, a3, a7, big := ad(1)[0], ad(3)[0], ad(7)[0], ad(1000000)[0]
 	check("empty", 0)
 	c.Put("a", 0, ad(1))
-	check("a new reply", owned("a", ad(1), false))
-	c.Get("a", 0) // a repeat: protected, its ad interned
-	check("its repeat", owned("a", ad(1), true), a1)
+	check("a first sighting", ghost("a"))
+	c.Put("a", 0, ad(1)) // the second: stored, its ad interned
+	check("its second sighting", owned("a", ad(1)), a1)
 	c.Put("bb", 0, nil)
-	check("two entries", owned("a", ad(1), true)+owned("bb", nil, false), a1)
+	check("a ghost beside it", owned("a", ad(1))+ghost("bb"), a1)
 	c.Put("a", 0, ad(1000000)) // replaced by a longer ad, interned at once
-	check("replace", owned("a", ad(1000000), true)+owned("bb", nil, false), big)
+	check("replace", owned("a", ad(1000000))+ghost("bb"), big)
 	ccc := []adindex.Ad{a3, big}
 	c.Put("ccc", 0, ccc) // evicts bb, the least recently used probation entry
-	check("evict", owned("a", ad(1000000), true)+owned("ccc", ccc, false), big)
+	check("evict a ghost", owned("a", ad(1000000))+ghost("ccc"), big)
+	c.Put("ccc", 0, ccc) // promoted, demoting a; big is held once
+	check("sharing", owned("a", ad(1000000))+owned("ccc", ccc), a3, big)
 	c.Get("a", 1) // outdated: stays until refreshed
-	check("invalidate", owned("a", ad(1000000), true)+owned("ccc", ccc, false), big)
+	check("invalidate", owned("a", ad(1000000))+owned("ccc", ccc), a3, big)
 	c.Put("a", 1, []adindex.Ad{})
-	check("refresh", owned("a", []adindex.Ad{}, true)+owned("ccc", ccc, false))
-	c.Get("ccc", 0) // promoted, demoting a
-	check("promotion", owned("a", []adindex.Ad{}, true)+owned("ccc", ccc, true), a3, big)
+	check("refresh", owned("a", []adindex.Ad{})+owned("ccc", ccc), a3, big)
+	c.Put("bb", 0, nil) // evicts ccc, demoted by a's refresh
+	check("evict a demoted reply", owned("a", []adindex.Ad{})+ghost("bb"))
+	c.Put("bb", 0, nil) // promoted, demoting a
+	check("a reply without ads", owned("a", []adindex.Ad{})+owned("bb", nil))
+	c.Get("a", 0) // promoted, demoting bb
+	check("promotion", owned("a", []adindex.Ad{})+owned("bb", nil))
 	c.Put("a", 2, []adindex.Ad{a7, a3})
-	check("refresh sharing", owned("a", ad(7), true)+4+owned("ccc", ccc, true), a3, big, a7)
+	check("refresh with ads", owned("a", []adindex.Ad{a7, a3})+owned("bb", nil), a3, a7)
 	var off *Cache
 	if n, b := off.sharedAds(); off.Bytes() != 0 || n != 0 || b != 0 {
 		t.Error("nil cache holds bytes")
@@ -247,8 +263,9 @@ func checkSegments(t *testing.T, c *Cache) {
 	checkFragments(t, c)
 }
 
-// checkFragments holds the fragment table to the entries: every entry
-// holds its body in one form (a protected one never as bytes), every
+// checkFragments holds the fragment table to the entries: a ghost holds
+// no reply and sits in probation, every other entry holds its body in one
+// form (one with ads always as references), every
 // slot's count is the number of references the entries hold to it, a slot is
 // free exactly when that is 0, a slot in use holds an ad's JSON, the ID
 // index points at slots in use of that ID, and the table's totals are the
@@ -263,9 +280,11 @@ func checkFragments(t *testing.T, c *Cache) {
 			for _, i := range ent.refs {
 				want[i]++
 			}
-			// Bytes or references; a repeated reply with ads, references.
-			if (ent.refs == nil) == (ent.body == nil) || ent.protected && holdsAds(ent.body) {
-				t.Errorf("entry %q (protected %v): body %q, %d references", ent.key, ent.protected, ent.body, len(ent.refs))
+			// Nothing on a ghost; else bytes or references, and a reply
+			// with ads, references.
+			if ent.ghost && (ent.protected || ent.body != nil || ent.refs != nil) ||
+				!ent.ghost && ((ent.refs == nil) == (ent.body == nil) || holdsAds(ent.body)) {
+				t.Errorf("entry %q (ghost %v, protected %v): body %q, %d references", ent.key, ent.ghost, ent.protected, ent.body, len(ent.refs))
 			}
 		}
 		s.mu.Unlock()
@@ -305,9 +324,10 @@ func checkFragments(t *testing.T, c *Cache) {
 	}
 }
 
-// TestCacheScanResistance: a working set asked twice survives a stream of
-// replies that are never asked again — the one-off stream cycles through
-// probation, which never outgrows a fifth of the shard.
+// TestCacheScanResistance: a working set asked three times survives a
+// stream of queries that are never asked again — the one-off stream cycles
+// through probation as ghosts, and probation never outgrows a fifth of the
+// shard.
 func TestCacheScanResistance(t *testing.T) {
 	c := NewCache(1024, 1)
 	ask := func(key string) bool {
@@ -320,8 +340,8 @@ func TestCacheScanResistance(t *testing.T) {
 	const working = 600
 	for i := 0; i < working; i++ {
 		key := fmt.Sprintf("w%d", i)
-		if ask(key) || !ask(key) {
-			t.Fatalf("working-set key %s: want a miss, then a hit", key)
+		if ask(key) || ask(key) || !ask(key) {
+			t.Fatalf("working-set key %s: want two misses, then a hit", key)
 		}
 	}
 	oneOffs := 100_000
@@ -339,21 +359,29 @@ func TestCacheScanResistance(t *testing.T) {
 			t.Fatalf("working-set key w%d was displaced by one-off keys", i)
 		}
 	}
-	if got := c.probationLen(); got != 205 || c.Len() != working+205 {
-		t.Errorf("len %d with %d in probation, want %d with 205", c.Len(), got, working+205)
+	if got := c.probationLen(); got != 205 || c.Len() != working+205 || c.ghostLen() != 205 {
+		t.Errorf("len %d with %d in probation, %d ghosts, want %d with 205 ghosts in probation", c.Len(), got, c.ghostLen(), working+205)
 	}
 }
 
-// TestCacheProbationHitPromotes: a repeat inside probation is a hit and
-// moves the entry to protected, out of the way of the next new replies.
+// TestCacheProbationHitPromotes: a first sighting is a ghost in probation,
+// which a Get misses without moving; the second sighting stores the reply
+// in protected, out of the way of the next new keys, where it hits.
 func TestCacheProbationHitPromotes(t *testing.T) {
 	c := NewCache(10, 1) // probation 2, protected 8
 	c.Put("a", 0, ad(1))
 	if prob, prot := segments(c); len(prob) != 1 || len(prot) != 0 {
-		t.Fatalf("a new reply went to %v / %v, want probation", prob, prot)
+		t.Fatalf("a new key went to %v / %v, want probation", prob, prot)
 	}
+	if _, ok := c.Get("a", 0); ok {
+		t.Fatal("a ghost hit")
+	}
+	if prob, prot := segments(c); len(prob) != 1 || len(prot) != 0 {
+		t.Fatalf("a miss on a ghost moved it to %v / %v", prob, prot)
+	}
+	c.Put("a", 0, ad(1))
 	if reply, ok := c.Get("a", 0); !ok || cachedAds(t, reply)[0].ID != 1 {
-		t.Fatal("a repeat inside probation missed")
+		t.Fatal("a repeat after the second sighting missed")
 	}
 	if prob, prot := segments(c); len(prob) != 0 || len(prot) != 1 || prot[0] != "a" {
 		t.Fatalf("after its repeat: probation %v, protected %v, want a protected", prob, prot)
@@ -374,9 +402,7 @@ func TestCacheProbationHitPromotes(t *testing.T) {
 func TestCacheProtectedOverflowDemotes(t *testing.T) {
 	c := NewCache(10, 1) // probation 2, protected 8
 	for i := 0; i <= 8; i++ {
-		key := fmt.Sprintf("k%d", i)
-		c.Put(key, 0, ad(uint64(i)))
-		c.Get(key, 0)
+		store(c, fmt.Sprintf("k%d", i), 0, ad(uint64(i)))
 	}
 	prob, prot := segments(c)
 	if fmt.Sprint(prob) != "[k0]" || len(prot) != 8 || prot[0] != "k8" || prot[7] != "k1" {
@@ -384,7 +410,7 @@ func TestCacheProtectedOverflowDemotes(t *testing.T) {
 	}
 	c.Put("new", 0, ad(9))
 	if prob, _ := segments(c); fmt.Sprint(prob) != "[new k0]" {
-		t.Fatalf("probation %v, want the new reply ahead of the demoted k0", prob)
+		t.Fatalf("probation %v, want the new ghost ahead of the demoted k0", prob)
 	}
 	if _, ok := c.Get("k0", 0); !ok {
 		t.Fatal("demoted k0 missed")
@@ -399,10 +425,9 @@ func TestCacheProtectedOverflowDemotes(t *testing.T) {
 // TestCacheRefreshOutdated: the put that follows the miss on an outdated
 // entry rewrites it in place in either segment and counts as a repeat.
 func TestCacheRefreshOutdated(t *testing.T) {
-	c := NewCache(10, 1)
-	c.Put("p", 1, ad(1)) // probation
-	c.Put("q", 1, ad(2))
-	c.Get("q", 0) // protected
+	c := NewCache(2, 1) // probation 1, protected 1
+	store(c, "p", 1, ad(1))
+	store(c, "q", 1, ad(2)) // protected, demoting p to probation
 	for _, key := range []string{"p", "q"} {
 		if _, ok := c.Get(key, 2); ok {
 			t.Fatalf("%s: served a reply older than the last write to its words", key)
@@ -412,13 +437,13 @@ func TestCacheRefreshOutdated(t *testing.T) {
 		t.Fatalf("an invalidation moved an entry: probation %v, protected %v", prob, prot)
 	}
 	qel := c.shards[0].items["q"]
-	c.Put("p", 2, ad(3))
 	c.Put("q", 2, ad(4))
 	if c.shards[0].items["q"] != qel {
 		t.Error("refreshing a protected entry replaced it instead of rewriting it in place")
 	}
-	if prob, prot := segments(c); len(prob) != 0 || fmt.Sprint(prot) != "[q p]" {
-		t.Errorf("after the refreshes: probation %v, protected %v, want [] and [q p]", prob, prot)
+	c.Put("p", 2, ad(3))
+	if prob, prot := segments(c); fmt.Sprint(prob) != "[q]" || fmt.Sprint(prot) != "[p]" {
+		t.Errorf("after the refreshes: probation %v, protected %v, want p promoted and q demoted", prob, prot)
 	}
 	for key, want := range map[string]uint64{"p": 3, "q": 4} {
 		if reply, ok := c.Get(key, 2); !ok || cachedAds(t, reply)[0].ID != want {
@@ -483,10 +508,10 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheSharesAds: replies that share ads hold each shared ad once, from
-// their first repeat on (a reply not repeated yet keeps its own bytes); every
-// way a reply leaves the cache — an eviction, the refresh of an outdated
-// entry, an older view's refused put — leaves every reference count exact;
+// TestCacheSharesAds: replies that share ads hold each shared ad once (a
+// ghost holds none); every way a reply leaves the cache — an eviction, the
+// refresh of an outdated entry, an older view's refused put — leaves every
+// reference count exact;
 // once every entry that held ads is gone the table is empty; and on a hot
 // query stream the cache holds a fraction of the bytes its replies carry.
 func TestCacheSharesAds(t *testing.T) {
@@ -506,6 +531,10 @@ func TestCacheSharesAds(t *testing.T) {
 	put := func(key string, epoch uint64, list []adindex.Ad) {
 		c.Put(key, epoch, list)
 		stored[key] = list
+	}
+	store := func(key string, epoch uint64, list []adindex.Ad) {
+		put(key, epoch, list)
+		put(key, epoch, list)
 	}
 	// check holds the table to the distinct ads of the entries that
 	// interned theirs, and says how many there are.
@@ -538,25 +567,25 @@ func TestCacheSharesAds(t *testing.T) {
 			t.Errorf("%s: hit %v, body %s", key, ok, reply.Body)
 		}
 	}
-	put("x", 0, pick(1, 2, 3))
+	store("x", 0, pick(1, 2, 3))
 	hit("x", 0)
-	put("y", 0, pick(2, 3, 4))
+	store("y", 0, pick(2, 3, 4))
 	hit("y", 0)
 	check("two protected entries", 4)
-	hit("y", 0) // from the fragments now: x is the protected segment's least recent
+	hit("y", 0) // x is the protected segment's least recent
 	put("p", 0, pick(4, 5))
-	check("a reply not repeated yet", 4)
+	check("a first sighting", 4)
 
 	for i := 1; i <= 7; i++ { // k7's promotion overflows protected: x is demoted
 		key := fmt.Sprintf("k%d", i)
-		put(key, 0, pick(6))
+		store(key, 0, pick(6))
 		hit(key, 0)
 	}
 	if prob, _ := segments(c); fmt.Sprint(prob) != "[x p]" {
 		t.Fatalf("probation %v, want x demoted ahead of p", prob)
 	}
 	check("demotion", 5)
-	put("n1", 0, nil)     // evicts p, which holds bytes
+	put("n1", 0, nil)     // evicts the ghost p
 	put("n2", 0, pick(7)) // evicts x: 1 goes, 2 and 3 stay with y
 	check("eviction", 4)
 
@@ -571,7 +600,7 @@ func TestCacheSharesAds(t *testing.T) {
 	// overflow demotes, probation evicts.
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("empty%d", i)
-		put(key, 0, nil)
+		store(key, 0, nil)
 		hit(key, 0)
 	}
 	put("last", 0, []adindex.Ad{})
@@ -582,13 +611,14 @@ func TestCacheSharesAds(t *testing.T) {
 	}
 
 	// A hot stream: power-law queries over a 20k-ad corpus, each asked
-	// twice, against what a cache of whole replies would hold.
+	// three times, against what a cache of whole replies would hold.
 	corp := corpus.Generate(corpus.GenOptions{NumAds: 20000, Seed: 3201})
 	s := New(adindex.Build(corp.Ads, adindex.Options{}), Config{})
 	_, queries := hotQueries(corp, 5000, 3202)
 	var whole int64
 	for _, q := range queries {
 		miss := serve(t, s, "GET", searchTarget(q, "broad"), "")
+		serve(t, s, "GET", searchTarget(q, "broad"), "") // the second sighting stores it
 		again := serve(t, s, "GET", searchTarget(q, "broad"), "")
 		if withoutVolatile(miss) != withoutVolatile(again) || !bytes.Contains(again, []byte(`"cached":true`)) {
 			t.Fatalf("%q: hit %s\nmiss %s", q, again, miss)
@@ -635,11 +665,12 @@ func TestCacheSlotReuse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 2*ops; i++ {
-				// Each key is asked twice in a row, so a reply is repeated —
-				// its ads interned — unless another goroutine's evicted it.
-				key := (g*7 + i/2*13) % keys
-				changedAt := uint64((i / 6) % epochs)
+			for i := 0; i < 3*ops; i++ {
+				// Each key is asked three times in a row, so a reply is
+				// stored — its ads interned — and repeated unless another
+				// goroutine's evicted it.
+				key := (g*7 + i/3*13) % keys
+				changedAt := uint64((i / 9) % epochs)
 				name := fmt.Sprintf("k%d", key)
 				reply, ok := c.Get(name, changedAt)
 				if !ok {
@@ -668,6 +699,98 @@ func TestCacheSlotReuse(t *testing.T) {
 		t.Errorf("%d hits, %d fragment slots: want at least %d hits and at most 64 slots", hits, c.ads.slots, ops)
 	}
 	t.Logf("%d hits, %d fragment slots", hits, c.ads.slots)
+}
+
+// TestCacheAdmissionReplay replays the shape of the hot benchmark stream —
+// 400k requests over 20k power-law queries on a 200k-ad corpus, no writes
+// — through a cache of the server's default size, asking each request's
+// word-set key and putting what misses. Every distinct query misses
+// exactly twice, its first sighting and the second that stores it, and
+// never a third time: probation holds each ghost until its repeat, and
+// the working set fits.
+func TestCacheAdmissionReplay(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		corp := corpus.Generate(corpus.GenOptions{NumAds: 200_000, Seed: seed})
+		wl := workload.Generate(corp, workload.GenOptions{NumQueries: 20_000, HitProb: 0.7, MaxExtraWords: 3,
+			LongQueryProb: 0.02, ZipfS: 1.0, MaxFreq: 200, Seed: seed + 1})
+		keys := make(map[*workload.Query]string, len(wl.Queries))
+		var sc searchScratch
+		for i := range wl.Queries {
+			words := wl.Queries[i].Words
+			sc.tokenize("broad", strings.Join(words[:min(len(words), 12)], " "))
+			keys[&wl.Queries[i]] = string(sc.key)
+		}
+		c := NewCache(DefaultCacheEntries, DefaultCacheShards)
+		missed := map[string]int{}
+		for _, q := range wl.Stream(400_000, seed+2) {
+			if _, ok := c.Get(keys[q], 0); !ok {
+				missed[keys[q]]++
+				c.Put(keys[q], 0, nil)
+			}
+		}
+		thirds := 0
+		for _, n := range missed {
+			if n > 2 {
+				thirds++
+			}
+		}
+		_, misses, _ := c.Stats()
+		if misses != uint64(2*len(missed)) || thirds > 0 {
+			t.Errorf("seed %d: %d misses over %d distinct queries, %d of them missed a third time; want 2 per query", seed, misses, len(missed), thirds)
+		}
+		t.Logf("seed %d: %d misses over %d distinct queries (%.3f of 400 000 requests)", seed, misses, len(missed), float64(misses)/400_000)
+	}
+}
+
+// TestCacheFirstSightingsHoldNoBodies: 20 000 first sightings of 8 KB
+// replies leave 20 000 ghosts that own their keys and nothing else, and
+// put no ad in the shared table; the second sighting of each stores its
+// reply as fragments, which a hit returns byte for byte.
+func TestCacheFirstSightingsHoldNoBodies(t *testing.T) {
+	const n = 20_000
+	c := NewCache(5*n, 1) // probation holds every ghost
+	ads := make([]adindex.Ad, 64)
+	for i := range ads {
+		ads[i] = adindex.NewAd(uint64(i+1), fmt.Sprintf("shared phrase %d with ten words of bid text here", i), adindex.Meta{BidMicros: int64(i)})
+	}
+	bodies := make([]Cached, len(ads)) // reply i holds 32 ads from ads[i%64] on
+	for i := range bodies {
+		list := make([]adindex.Ad, 32)
+		for j := range list {
+			list[j] = ads[(i+j)%len(ads)]
+		}
+		bodies[i] = Cached{Matched: len(list), Body: corpus.AppendAdsJSON(nil, list)}
+	}
+	body := func(i int) Cached { return bodies[i%len(bodies)] }
+	if b := len(body(0).Body); b < 7_000 || b > 9_000 {
+		t.Fatalf("a reply of %d bytes, want about 8 KB", b)
+	}
+	key := func(i int) string { return fmt.Sprintf("b\x00query %d", i) }
+	var keyBytes int64
+	for i := 0; i < n; i++ {
+		cachePut(c, key(i), 0, body(i))
+		keyBytes += int64(len(key(i)))
+	}
+	if shared, sharedBytes := c.sharedAds(); c.Bytes() != keyBytes || shared != 0 || sharedBytes != 0 || c.ghostLen() != n {
+		t.Fatalf("after %d first sightings: %d bytes (keys %d), %d shared ads of %d bytes, %d ghosts; want the keys alone", n, c.Bytes(), keyBytes, shared, sharedBytes, c.ghostLen())
+	}
+	for i := 0; i < n; i++ {
+		cachePut(c, key(i), 0, body(i))
+	}
+	var adBytes int64
+	for i := range ads {
+		adBytes += int64(len(ads[i].AppendJSON(nil)))
+	}
+	if shared, sharedBytes := c.sharedAds(); c.Bytes() != keyBytes+n*32*4 || shared != len(ads) || sharedBytes != adBytes || c.ghostLen() != 0 {
+		t.Errorf("after the second sightings: %d bytes, %d shared ads of %d bytes, %d ghosts; want keys and 32 references each (%d), %d ads of %d bytes, none",
+			c.Bytes(), shared, sharedBytes, c.ghostLen(), keyBytes+n*32*4, len(ads), adBytes)
+	}
+	for i := 0; i < n; i++ {
+		if reply, ok := c.Get(key(i), 0); !ok || !bytes.Equal(reply.Body, body(i).Body) {
+			t.Fatalf("%s: hit %v, body %.80s", key(i), ok, reply.Body)
+		}
+	}
+	checkSegments(t, c)
 }
 
 // BenchmarkSearchHit times a cached /search over the working set of a hot

@@ -231,11 +231,13 @@ type MetricsSnapshot struct {
 		Invalidations uint64 `json:"invalidations"`
 		Entries       int    `json:"entries"`
 		// Probation is how many of those entries sit in the probation
-		// segment: not hit since they were stored or demoted.
+		// segment: ghosts, and replies not hit since they were demoted.
 		Probation int `json:"probation"`
-		// Bytes is what the live entries own: their keys, the bodies they
-		// keep (of replies not repeated yet, or without ads) and 4 bytes
-		// per reference to a shared ad.
+		// Ghosts is how many of the probation entries hold no reply:
+		// keys seen once, whose next put stores the reply.
+		Ghosts int `json:"ghosts"`
+		// Bytes is what the live entries own: their keys, the bodies of
+		// replies without ads and 4 bytes per reference to a shared ad.
 		Bytes int64 `json:"bytes"`
 		// SharedAds and SharedBytes are the distinct encoded ads the
 		// entries reference and their bytes, each counted once.
@@ -313,6 +315,11 @@ type MemorySnapshot struct {
 	// /proc/self/status), or 0 where that file does not exist: the peak
 	// of start-up and serving together, which the heap numbers miss.
 	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
+	// ReadyPeakRSSBytes is VmHWM as it stood when the server turned
+	// ready (/readyz first answering 200): the start's own peak, which
+	// tells it apart from a higher one serving reached since. 0 before
+	// then and where VmHWM is unknown.
+	ReadyPeakRSSBytes uint64 `json:"ready_peak_rss_bytes"`
 	// GCCPUSeconds is the CPU time the collector has spent since the
 	// process started (/cpu/classes/gc/total:cpu-seconds), an estimate
 	// the runtime updates at each collection.

@@ -139,10 +139,9 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 
 	// The cache section is the server's: cache.bytes is what the live
-	// entries own — here the one reply a search just stored, not repeated
-	// yet: its key and its body — and
-	// cache.shared_ads / shared_bytes are the distinct ads repeated replies
-	// reference, each counted once: none yet.
+	// entries own — here the ghost a search just left, its first sighting:
+	// its key — and cache.shared_ads / shared_bytes are the distinct ads
+	// stored replies reference, each counted once: none yet.
 	s := New(adindex.Build(testCatalog(), adindex.Options{}), Config{})
 	reply := serve(t, s, "GET", searchTarget("used books", "broad"), "")
 	body := reply[bytes.Index(reply, []byte(`"ads":`))+len(`"ads":`) : bytes.Index(reply, []byte(`,"took_us"`))]
@@ -163,16 +162,16 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	cache := back["cache"].(map[string]any)
 	key := len("b\x00books\x1fused")
-	if want := key + len(body); cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(want) {
-		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, want)
+	if cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(key) {
+		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, key)
 	}
 	if cache["shared_ads"].(float64) != 0 || cache["shared_bytes"].(float64) != 0 {
 		t.Errorf("cache = %v, want no shared ads before a repeat", cache)
 	}
-	// A stored reply waits in probation until it is asked again; the
-	// sampler holds the one query's word set.
-	if cache["probation"].(float64) != 1 {
-		t.Errorf("cache.probation = %v before the repeat, want 1", cache["probation"])
+	// A first sighting waits in probation as a ghost until it is asked
+	// again; the sampler holds the one query's word set.
+	if cache["probation"].(float64) != 1 || cache["ghosts"].(float64) != 1 {
+		t.Errorf("cache.probation = %v, cache.ghosts = %v before the repeat, want 1 and 1", cache["probation"], cache["ghosts"])
 	}
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v, want 1", got)
@@ -197,15 +196,17 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 			t.Errorf("index.bytes has no %q", column)
 		}
 	}
-	serve(t, s, "GET", searchTarget("books used", "broad"), "")
+	serve(t, s, "GET", searchTarget("books used", "broad"), "") // the second sighting stores it
+	serve(t, s, "GET", searchTarget("used books", "broad"), "")
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
 		t.Fatal(err)
 	}
-	if cache := back["cache"].(map[string]any); cache["probation"].(float64) != 0 || cache["entries"].(float64) != 1 || cache["hits"].(float64) != 1 {
+	if cache := back["cache"].(map[string]any); cache["probation"].(float64) != 0 || cache["ghosts"].(float64) != 0 ||
+		cache["entries"].(float64) != 1 || cache["hits"].(float64) != 1 {
 		t.Errorf("cache = %v after the repeat, want its one entry hit and out of probation", cache)
 	}
-	// The repeat interned the reply's ads: the entry owns its key and a
-	// 4-byte reference per ad, the table the ads, which are the body
+	// The second sighting interned the reply's ads: the entry owns its key
+	// and a 4-byte reference per ad, the table the ads, which are the body
 	// without its brackets and commas.
 	if cache, want := back["cache"].(map[string]any), len(body)-2-(len(ads)-1); cache["bytes"].(float64) != float64(key+4*len(ads)) ||
 		cache["shared_ads"].(float64) != float64(len(ads)) || cache["shared_bytes"].(float64) != float64(want) {
@@ -219,6 +220,26 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	if got := back["index"].(map[string]any)["remaps"]; got != float64(0) {
 		t.Errorf("index.remaps = %v before any re-mapping, want 0", got)
+	}
+	// Ghosts are probation entries, and probation's are entries; a server
+	// never started was never ready, so its start's peak is not read.
+	var full MetricsSnapshot
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &full); err != nil {
+		t.Fatal(err)
+	}
+	if c := full.Cache; c.Ghosts > c.Probation || c.Probation > c.Entries {
+		t.Errorf("cache = %+v, want ghosts <= probation <= entries", c)
+	}
+	if m := full.Memory; m.ReadyPeakRSSBytes != 0 || m.ReadyPeakRSSBytes > m.PeakRSSBytes {
+		t.Errorf("memory = %+v of a server never started, want no ready peak", m)
+	}
+	// A started server read VmHWM when it turned ready, where the kernel
+	// tells it, and the peak since can only be higher.
+	_, _, base := startTestServer(t, Config{})
+	var started MetricsSnapshot
+	getJSON(t, base+"/metrics", &started)
+	if m := started.Memory; (statusErr == nil) != (m.ReadyPeakRSSBytes > 0) || m.ReadyPeakRSSBytes > m.PeakRSSBytes {
+		t.Errorf("memory = %+v of a ready server, want 0 < ready_peak_rss_bytes <= peak_rss_bytes (/proc/self/status: %v)", m, statusErr)
 	}
 	serve(t, s, "POST", "/optimize", "")
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"testing"
 
 	"adindex"
@@ -54,6 +55,9 @@ func TestRecoveringLifecycle(t *testing.T) {
 	if m.NotReady < 2 {
 		t.Fatalf("NotReady = %d, want >= 2 (the two refused requests)", m.NotReady)
 	}
+	if m.Memory.ReadyPeakRSSBytes != 0 {
+		t.Fatalf("ready_peak_rss_bytes = %d before the server is ready, want 0", m.Memory.ReadyPeakRSSBytes)
+	}
 
 	// Recover a durable index (SyncNone so the shutdown flush below is
 	// what makes the WAL durable) and install it.
@@ -93,6 +97,12 @@ func TestRecoveringLifecycle(t *testing.T) {
 	}
 	if m.Durability.Store.Records != 1 {
 		t.Fatalf("store records = %d, want 1", m.Durability.Store.Records)
+	}
+	// The install made the server ready: the start's peak was read then,
+	// where the kernel tells it.
+	if _, err := os.Stat("/proc/self/status"); (err == nil) != (m.Memory.ReadyPeakRSSBytes > 0) ||
+		m.Memory.ReadyPeakRSSBytes > m.Memory.PeakRSSBytes {
+		t.Fatalf("memory after install = %+v, want 0 < ready_peak_rss_bytes <= peak_rss_bytes (/proc/self/status: %v)", m.Memory, err)
 	}
 
 	// Graceful shutdown drains and flushes the WAL; a new process must

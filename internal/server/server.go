@@ -162,6 +162,8 @@ type Server struct {
 	ln       net.Listener
 	serveErr chan error
 	ready    atomic.Bool
+	// readyPeakRSS is VmHWM when /readyz first answered 200 (markReady).
+	readyPeakRSS atomic.Uint64
 
 	// handlerDelay artificially lengthens /search execution; used by
 	// shutdown-drain and saturation tests.
@@ -189,6 +191,15 @@ func (s *Server) InstallIndex(ix *adindex.Index, report *durable.RecoveryReport)
 		s.recovery.Store(report)
 	}
 	s.localIx.Store(ix)
+	s.markReady()
+}
+
+// markReady records the peak resident set the first time the server is
+// ready: started, and holding an index unless it is remote.
+func (s *Server) markReady() {
+	if s.ready.Load() && (s.remote != nil || s.local() != nil) {
+		s.readyPeakRSS.CompareAndSwap(0, peakRSS())
+	}
 }
 
 // local returns the local index, or nil in remote mode / while
@@ -267,6 +278,7 @@ func (s *Server) Start(addr string) error {
 	s.ln = ln
 	s.lnMu.Unlock()
 	s.ready.Store(true)
+	s.markReady()
 	go func() {
 		err := s.httpSrv.Serve(ln)
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -998,6 +1010,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Invalidations = s.cache.Stats()
 	snap.Cache.Entries = s.cache.Len()
 	snap.Cache.Probation = s.cache.probationLen()
+	snap.Cache.Ghosts = s.cache.ghostLen()
+	snap.Memory.ReadyPeakRSSBytes = s.readyPeakRSS.Load()
 	snap.Cache.Bytes = s.cache.Bytes()
 	snap.Cache.SharedAds, snap.Cache.SharedBytes = s.cache.sharedAds()
 	snap.Overload.Shedding = s.limiter.Shedding()

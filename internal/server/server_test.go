@@ -90,13 +90,17 @@ func search(t *testing.T, base, q, typ string) searchResponse {
 func TestEndToEnd(t *testing.T) {
 	s, ix, base := startTestServer(t, Config{})
 
-	// Warm the cache, then check the repeat is served from it.
+	// Warm the cache, then check the repeat is served from it: the first
+	// sighting leaves a ghost, the second stores the reply.
 	first := search(t, base, "cheap used books", "broad")
 	if first.Cached {
 		t.Error("first query reported cached")
 	}
 	if first.Matched != 4 { // ads 1, 2, 4, 5 all broad-match
 		t.Errorf("matched = %d, want 4", first.Matched)
+	}
+	if second := search(t, base, "books cheap used", "broad"); second.Cached {
+		t.Error("second sighting reported cached")
 	}
 	repeat := search(t, base, "used cheap books", "broad") // reordered: same word set
 	if !repeat.Cached {

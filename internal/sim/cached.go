@@ -22,13 +22,15 @@ import (
 // cfg.Durable) behind server.New(ix, cfg).Handler(), mutated by POST
 // /insert, /delete and /optimize and read by GET /search and POST
 // /search/batch, so every answer passes the reply cache. Each query is
-// asked twice (the repeat must be a hit), and after every op that mutates
+// asked three times (its second sighting stores the reply, and the third
+// ask must be a hit), and after every op that mutates
 // or re-lays-out the index every query asked so far is asked again: a
 // cached reply that a write should have dropped diverges from the oracle
 // at the op that wrote it, and an op that changes no answer must cost no
 // entry. A crash-restart builds a new server, as a process restart does,
-// so its cache starts empty. The op methods are no-ops on a nil target (a
-// config without Config.Cached) and return "" or a divergence description.
+// so its cache starts empty, and asks every query twice to fill it again.
+// The op methods are no-ops on a nil target (a config without
+// Config.Cached) and return "" or a divergence description.
 type cachedTarget struct {
 	ix  *adindex.Index // the served index; replaced by crash
 	dur *durTarget     // ix's crash machinery under cfg.Durable, else nil
@@ -145,14 +147,16 @@ func (c *cachedTarget) ask(q string, oracle *model) (cachedReply, string) {
 	return reply, c.diff(q, &reply, oracle)
 }
 
-// query asks q twice: both answers are the oracle's and the second comes
-// from the cache.
+// query asks q three times: every answer is the oracle's and the third
+// comes from the cache, which the second sighting stored it in.
 func (c *cachedTarget) query(q string, oracle *model) string {
 	if c == nil {
 		return ""
 	}
-	if _, d := c.ask(q, oracle); d != "" {
-		return d
+	for range 2 {
+		if _, d := c.ask(q, oracle); d != "" {
+			return d
+		}
 	}
 	repeat, d := c.ask(q, oracle)
 	if d != "" {
@@ -284,5 +288,10 @@ func (c *cachedTarget) crash(opIndex int, torn bool, oracle *model) string {
 	}
 	c.ix = c.dur.ix
 	c.serve()
+	// The new server's cache is empty: the recheck is each query's first
+	// sighting there, and asking once more stores its reply again.
+	if d := c.recheck(oracle, false); d != "" {
+		return d
+	}
 	return c.recheck(oracle, false)
 }

@@ -28,8 +28,8 @@ type Config struct {
 	// Cached adds the cached-server target: an index of its own (durable
 	// and crash-restarted with the durable target when Durable is set)
 	// behind the HTTP serving layer, so every query passes the reply cache
-	// — twice, miss then hit — and every cached reply is re-asked after
-	// each write.
+	// — three times: a miss, the miss that stores the reply, a hit — and
+	// every cached reply is re-asked after each write.
 	Cached bool `json:"cached,omitempty"`
 	// Shards and Replicas shape the networked deployment. Defaults 2, 2.
 	Shards   int `json:"shards"`

@@ -277,8 +277,9 @@ func TestSimRewriteRegressionSeeds(t *testing.T) {
 
 // cachedSeeds pin the cached-server scenario: the schedule of the plain
 // index driven through server.New(ix, cfg).Handler() — /insert, /delete,
-// /optimize, /search twice per query, /search/batch — on a durable index
-// that is crash-restarted (a new server each time, as a restart is). Every
+// /optimize, /search three times per query, /search/batch — on a durable
+// index that is crash-restarted (a new server each time, as a restart is,
+// which re-asks every query twice to fill its cache again). Every
 // reply, hit or miss, is held to the oracle; after each write every query
 // asked so far is asked again, so an entry a write should have dropped
 // diverges at that write, and an op that changes no answer (not-found
