@@ -162,12 +162,15 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # What a simplicity PR reports, parent and change: the non-test Go lines
-# outside bench/, and the independently settable values — adserve's flags
+# outside bench/, the independently settable values — adserve's flags
 # plus the exported fields of the option structs they reach, as counted
-# (and pinned) by TestSettableValues.
+# (and pinned) by TestSettableValues —, and the root package's exported
+# identifiers, as counted (and pinned) by TestExportedIdentifiers. Both
+# tests name what they count, so a diff of two outputs names what moved.
 size:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@$(GO) test -count=1 -run '^TestSettableValues$$' -v ./cmd/adserve | sed -n 's/^ *main_test\.go:[0-9]*: //p'
+	@$(GO) test -count=1 -run '^TestExportedIdentifiers$$' -v . | sed -n 's/^ *api_test\.go:[0-9]*: //p'
 
 # Ten seconds of coverage-guided fuzzing each over the corpus text
 # format round-trip property (Read ∘ Write = id on accepted inputs), the
@@ -191,9 +194,9 @@ size:
 # inputs; minimization is capped: with the allocation check's two
 # runtime.ReadMemStats per execution, minimizing one new input stalled the
 # workers for most of the ten seconds), and the compressed snapshot
-# LoadSnapshot reads (no panic, ErrMalformedSnapshot refusals, allocation
-# bounded by the input, accepted snapshots answer queries and reload; the
-# same minimization cap).
+# hashindex.Read decodes (no panic, ErrMalformedSnapshot refusals,
+# allocation bounded by the input, accepted snapshots answer queries and
+# reload; the same minimization cap).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus

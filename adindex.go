@@ -3,7 +3,6 @@ package adindex
 import (
 	"errors"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +45,8 @@ type Options struct {
 	// base snapshot. Inserts and deletes accumulate in a small
 	// linearly-scanned delta; when it reaches this size the overlay is
 	// folded into a fresh base (an O(corpus) rebuild amortized across that
-	// many mutations). Default DefaultMaxDeltaAds; negative folds on every
-	// mutation (no overlay, maximal per-mutation cost).
+	// many mutations). Default 256; negative folds on every mutation (no
+	// overlay, maximal per-mutation cost).
 	MaxDeltaAds int
 	// Rewrite enables approximate broad match (Query.Rewrite): fuzzy
 	// spelling correction against the index vocabulary plus optional
@@ -56,7 +55,7 @@ type Options struct {
 	Rewrite *RewriteOptions
 }
 
-// DefaultMaxObservedQueries bounds the distinct-query workload sample kept
+// maxObservedQueries bounds the distinct-query workload sample kept
 // by Observe: 4 096 sets on each of its 16 shards. Live traffic has an
 // unbounded tail of distinct word sets, so without a cap the sample would
 // grow forever. Below the cap every count is exact; at the cap the sample
@@ -64,14 +63,14 @@ type Options struct {
 // slot and inherits its count as error. The power-law head that Optimize
 // prices survives with counts off by at most a shard's occurrences over
 // 4 096.
-const DefaultMaxObservedQueries = 65_536
+const maxObservedQueries = 65_536
 
-// DefaultMaxDeltaAds is the default Options.MaxDeltaAds.
-const DefaultMaxDeltaAds = 256
+// defaultMaxDeltaAds is the default Options.MaxDeltaAds.
+const defaultMaxDeltaAds = 256
 
 func (o Options) maxDeltaAds() int {
 	if o.MaxDeltaAds == 0 {
-		return DefaultMaxDeltaAds
+		return defaultMaxDeltaAds
 	}
 	if o.MaxDeltaAds < 0 {
 		return 0
@@ -273,7 +272,7 @@ func Build(ads []Ad, opts Options) *Index {
 	ix := &Index{
 		opts:     opts,
 		model:    costmodel.Default(),
-		observed: newObserveSampler(DefaultMaxObservedQueries),
+		observed: newObserveSampler(maxObservedQueries),
 		rewriter: opts.planner(),
 	}
 	start := time.Now()
@@ -579,23 +578,8 @@ func fixedPlan(mapping map[string][]string) func(int, *core.Index, []corpus.Ad) 
 	return func(int, *core.Index, []corpus.Ad) map[string][]string { return mapping }
 }
 
-// ExportWorkload writes the observed query sample in the text format
-// consumed by the offline optimizer (cmd/adopt): "freq<TAB>words" lines.
-// Section VI of the paper recommends running re-optimization periodically
-// on a separate machine; this is the hand-off.
-func (ix *Index) ExportWorkload(w io.Writer) error {
-	wl := ix.observed.Workload()
-	sort.Slice(wl.Queries, func(i, j int) bool {
-		if wl.Queries[i].Freq != wl.Queries[j].Freq {
-			return wl.Queries[i].Freq > wl.Queries[j].Freq
-		}
-		return wl.Queries[i].Key() < wl.Queries[j].Key()
-	})
-	return wl.Write(w)
-}
-
 // ApplyMapping rebuilds the index under a mapping computed offline (see
-// cmd/adopt and ExportWorkload). Query results are unaffected. The mapping
+// cmd/adopt). Query results are unaffected. The mapping
 // must satisfy the validity conditions (each locator a subset of its word
 // set, at most MaxWords long); entries for unknown word sets are ignored.
 // Queries stay lock-free and mutators block only for the swap (see remap);

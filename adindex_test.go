@@ -1,11 +1,10 @@
 package adindex
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,13 +47,13 @@ func TestBuildAndBroadMatch(t *testing.T) {
 
 func TestExactAndPhraseMatch(t *testing.T) {
 	ix := Build(sampleAds(), Options{})
-	if got := idsOf(ix.ExactMatch("used books")); !reflect.DeepEqual(got, []uint64{1, 4}) {
-		t.Errorf("ExactMatch = %v", got)
+	if got := idsOf(ix.Match(nil, Query{Text: "used books", Type: Exact}).Ads); !reflect.DeepEqual(got, []uint64{1, 4}) {
+		t.Errorf("exact match = %v", got)
 	}
-	if got := idsOf(ix.PhraseMatch("buy used books now")); !reflect.DeepEqual(got, []uint64{1, 4}) {
-		t.Errorf("PhraseMatch = %v", got)
+	if got := idsOf(ix.Match(nil, Query{Text: "buy used books now", Type: Phrase}).Ads); !reflect.DeepEqual(got, []uint64{1, 4}) {
+		t.Errorf("phrase match = %v", got)
 	}
-	if got := ix.PhraseMatch("books used cars"); len(got) != 0 {
+	if got := ix.Match(nil, Query{Text: "books used cars", Type: Phrase}).Ads; len(got) != 0 {
 		t.Errorf("out-of-order phrase matched %v", idsOf(got))
 	}
 }
@@ -192,10 +191,7 @@ func TestSelectAds(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 1500, Seed: 73})
 	ix := Build(c.Ads, Options{})
-	snap, err := ix.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := compressedSnapshot(t, ix, 0)
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 150, Seed: 74})
 	for i := range wl.Queries {
 		q := ""
@@ -206,7 +202,7 @@ func TestSnapshot(t *testing.T) {
 			q += w
 		}
 		want := idsOf(ix.BroadMatch(q))
-		got, err := snap.BroadMatch(q, nil)
+		got, err := snap.BroadMatchText(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,11 +367,11 @@ func TestObserveCapBoundsMemory(t *testing.T) {
 	}
 	// The high-frequency head must keep its slot while the tail takes turns
 	// at the least counted ones.
-	var buf bytes.Buffer
-	if err := ix.ExportWorkload(&buf); err != nil {
-		t.Fatal(err)
+	hot := false
+	for _, q := range ix.observed.Workload().Queries {
+		hot = hot || slices.Contains(q.Words, "books")
 	}
-	if !strings.Contains(buf.String(), "books") {
+	if !hot {
 		t.Error("hot query evicted despite its frequency")
 	}
 }

@@ -266,7 +266,7 @@ func BenchmarkExactMatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr3Index.ExactMatch(bCorpus.Ads[i%len(bCorpus.Ads)].Phrase)
+		pr3Index.Match(nil, Query{Text: bCorpus.Ads[i%len(bCorpus.Ads)].Phrase, Type: Exact})
 	}
 }
 
@@ -275,7 +275,7 @@ func BenchmarkPhraseMatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr3Index.PhraseMatch("find " + bCorpus.Ads[i%len(bCorpus.Ads)].Phrase + " online")
+		pr3Index.Match(nil, Query{Text: "find " + bCorpus.Ads[i%len(bCorpus.Ads)].Phrase + " online", Type: Phrase})
 	}
 }
 
@@ -290,7 +290,7 @@ func eightWordQuery(i int) string {
 	return strings.Join(toks[:8], " ")
 }
 
-func benchEightWords(b *testing.B, match func(string) []Ad) {
+func benchEightWords(b *testing.B, typ QueryType) {
 	pr3Setup(b)
 	queries := make([]string, 4096)
 	for i := range queries {
@@ -299,18 +299,18 @@ func benchEightWords(b *testing.B, match func(string) []Ad) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		match(queries[i%len(queries)])
+		pr3Index.Match(nil, Query{Text: queries[i%len(queries)], Type: typ})
 	}
 }
 
 // BenchmarkExactMatch8Words pins that exact match stays one lookup however
 // long the query: it must not pay the broad subset enumeration.
 func BenchmarkExactMatch8Words(b *testing.B) {
-	benchEightWords(b, func(q string) []Ad { return pr3Index.ExactMatch(q) })
+	benchEightWords(b, Exact)
 }
 
 func BenchmarkPhraseMatch8Words(b *testing.B) {
-	benchEightWords(b, func(q string) []Ad { return pr3Index.PhraseMatch(q) })
+	benchEightWords(b, Phrase)
 }
 
 // --- Maintenance (Section VI): inserts and deletes ---

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"adindex/internal/compress"
 	"adindex/internal/core"
@@ -23,6 +25,8 @@ func runCompress(cfg config) {
 
 	fmt.Printf("%-8s %10s %12s %14s %14s %12s\n",
 		"s", "nodes", "B^sig B", "B^off B", "entropy bits", "vs hashtable")
+	var snaps []*hashindex.Index
+	var labels []string
 	for _, s := range []int{0, 16, 20, 24} {
 		ix, err := hashindex.Build(base, hashindex.Options{SuffixBits: s})
 		must(err)
@@ -36,13 +40,45 @@ func runCompress(cfg config) {
 			label, sz.Nodes, sz.SigBytes, sz.OffBytes,
 			sz.SigEntropyBits+sz.OffEntropyBits,
 			float64(sz.HashTableBytes)/entropyBytes)
+		snaps = append(snaps, ix)
+		labels = append(labels, label)
 	}
 	fmt.Printf("(* = auto-selected)  paper example: 9:1 at 20M nodes, s=28\n")
 
+	// Every width answers a sampled query stream exactly as its base does
+	// (the same ID multiset), at the bytes scanned printed beside it.
+	stream := mkWorkload(c, cfg.queries, cfg.seed+1).Stream(minInt(cfg.stream, 20000), cfg.seed+3)
+	var hashC costmodel.Counters
+	want := make([][]uint64, len(stream))
+	for i, q := range stream {
+		for _, ad := range base.BroadMatch(q.Words, &hashC) {
+			want[i] = append(want[i], ad.ID)
+		}
+		slices.Sort(want[i])
+	}
+	n := float64(len(stream))
+	fmt.Printf("\n%d sampled queries, bytes scanned per query (compressed answers = hash answers):\n", len(stream))
+	fmt.Printf("  %-8s %10.0f\n", "hash", float64(hashC.BytesScanned)/n)
+	for k, ix := range snaps {
+		var cc costmodel.Counters
+		for i, q := range stream {
+			ads, err := ix.BroadMatch(q.Words, &cc)
+			must(err)
+			got := make([]uint64, len(ads))
+			for j := range ads {
+				got[j] = ads[j].ID
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want[i]) {
+				must(fmt.Errorf("s=%s: query %q matched %v, its base %v", labels[k], strings.Join(q.Words, " "), got, want[i]))
+			}
+		}
+		fmt.Printf("  s=%-6s %10.0f\n", labels[k], float64(cc.BytesScanned)/n)
+	}
+
 	// Front-coding effect on the node arena.
 	raw := base.Stats().NodeBytes
-	ix, err := hashindex.Build(base, hashindex.Options{})
-	must(err)
+	ix := snaps[0] // the auto-selected width
 	fmt.Printf("\nnode arena: raw %d B -> front-coded %d B (%.0f%% of raw)\n",
 		raw, ix.ArenaBytes(), float64(ix.ArenaBytes())/float64(raw)*100)
 

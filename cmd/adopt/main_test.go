@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"adindex"
 	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/optimize"
@@ -16,10 +15,11 @@ import (
 )
 
 // TestAdoptEndToEnd runs the binary over a corpus file and a workload file
-// exported by a serving index, and holds the mapping file it writes to what
-// its consumers need: optimize.ReadMapping and core.NewWithMapping accept
-// it, it models no worse than the default placement, and -compression-ratio
-// shifts the optimum toward fewer nodes (TestCompressionRatioShiftsOptimum).
+// written as adgen -queries-out writes one, and holds the mapping file it
+// writes to what its consumers need: optimize.ReadMapping and
+// core.NewWithMapping accept it, it models no worse than the default
+// placement, and -compression-ratio shifts the optimum toward fewer nodes
+// (TestCompressionRatioShiftsOptimum).
 func TestAdoptEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "adopt")
@@ -29,15 +29,11 @@ func TestAdoptEndToEnd(t *testing.T) {
 
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 33})
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 1500, Seed: 34})
-	ix := adindex.Build(c.Ads, adindex.Options{})
-	for _, q := range wl.Stream(5000, 35) {
-		ix.ObserveWords(q.Words)
-	}
 	var corpusFile, workloadFile bytes.Buffer
 	if err := c.Write(&corpusFile); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.ExportWorkload(&workloadFile); err != nil {
+	if err := wl.Write(&workloadFile); err != nil {
 		t.Fatal(err)
 	}
 	corpusPath := filepath.Join(dir, "corpus.tsv")

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -438,6 +439,45 @@ func TestSettableValues(t *testing.T) {
 	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, len(fields), flags+len(fields))
 	if flags != 24 || len(fields) != 30 {
 		t.Errorf("%d flags and %d option fields, want 24 and 30", flags, len(fields))
+	}
+}
+
+// TestServingDeps pins the module packages the serving binary links. The
+// §VI compressed snapshot (internal/hashindex, bitvec, compress) is an
+// offline structure adserve never builds, so none of them is here; a
+// serving segment that reads them (ROADMAP item 4) is the one change that
+// may add them back.
+func TestServingDeps(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	var got []string
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "adindex" || strings.HasPrefix(pkg, "adindex/") {
+			got = append(got, pkg)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"adindex",
+		"adindex/cmd/adserve",
+		"adindex/internal/core",
+		"adindex/internal/corpus",
+		"adindex/internal/costmodel",
+		"adindex/internal/durable",
+		"adindex/internal/multiserver",
+		"adindex/internal/optimize",
+		"adindex/internal/rewrite",
+		"adindex/internal/server",
+		"adindex/internal/setcover",
+		"adindex/internal/shard",
+		"adindex/internal/textnorm",
+		"adindex/internal/workload",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("adserve links %d module packages:\n%s\nwant %d:\n%s",
+			len(got), strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
 	}
 }
 

@@ -152,14 +152,11 @@ func TestDifferentialCompressedVsHash(t *testing.T) {
 		ix, live, rng := diffCorpus(t, seed)
 		queries := diffQueries(live, rng)
 		for _, bits := range suffixWidths {
-			snap, err := ix.Snapshot(bits)
-			if err != nil {
-				t.Fatalf("seed %d bits %d: Snapshot: %v", seed, bits, err)
-			}
+			snap := compressedSnapshot(t, ix, bits)
 			for _, q := range queries {
 				want := ix.BroadMatch(q)
 				sortAds(want)
-				got, err := snap.BroadMatch(q, nil)
+				got, err := snap.BroadMatchText(q, nil)
 				if err != nil {
 					t.Fatalf("seed %d bits %d: compressed BroadMatch(%q): %v", seed, bits, q, err)
 				}

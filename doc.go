@@ -20,11 +20,12 @@
 //	}, adindex.Options{})
 //	matches := ix.BroadMatch("cheap used books") // -> ad 1
 //
-// BroadMatch, ExactMatch and PhraseMatch are shorthands for the one query
-// method, Match, which takes a Query — text, match type, an optional work
-// budget, approximate (rewritten) matching, access accounting — and
-// returns a Result that says what a budget left out. SelectAds applies the
-// secondary auction filters (exclusion keywords, bid floors, ranking).
+// BroadMatch is the shorthand for a plain broad query of the one query
+// method, Match, which takes a Query — text, match type (Broad, Exact or
+// Phrase), an optional work budget, approximate (rewritten) matching,
+// access accounting — and returns a Result that says what a budget left
+// out. SelectAds applies the secondary auction filters (exclusion
+// keywords, bid floors, ranking).
 //
 // # Workload adaptation
 //
@@ -35,10 +36,4 @@
 // greedily under a random-vs-sequential memory cost model. Re-mapping
 // never changes query results. StartAdapt runs the same planner on a timer
 // and installs its layout only when it lowers modeled cost.
-//
-// # Compression
-//
-// Snapshot converts the index into an immutable compressed form: data
-// nodes are front-coded and the hash table is replaced by two succinct
-// rank/select bit arrays (B^sig and B^off).
 package adindex

@@ -4,7 +4,6 @@ package adindex_test
 // package's godoc pages).
 
 import (
-	"bytes"
 	"fmt"
 
 	"adindex"
@@ -31,39 +30,14 @@ func ExampleIndex_Observe() {
 	// 2 ads still match
 }
 
-func ExampleIndex_Snapshot() {
-	ix := adindex.Build([]adindex.Ad{
-		adindex.NewAd(1, "used books", adindex.Meta{BidMicros: 100000}),
-	}, adindex.Options{})
-
-	snap, err := ix.Snapshot(0) // 0 = auto-select the suffix width
-	if err != nil {
-		panic(err)
-	}
-	// Persist and reload.
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		panic(err)
-	}
-	reloaded, err := adindex.LoadSnapshot(&buf)
-	if err != nil {
-		panic(err)
-	}
-	ads, err := reloaded.BroadMatch("cheap used books", nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ads[0].Phrase)
-	// Output: used books
-}
-
-func ExampleIndex_ExactMatch() {
+func ExampleIndex_Match_exact() {
 	ix := adindex.Build([]adindex.Ad{
 		adindex.NewAd(1, "used books", adindex.Meta{}),
 		adindex.NewAd(2, "books used", adindex.Meta{}),
 	}, adindex.Options{})
 	// Exact match respects token order; broad match does not.
-	fmt.Println(len(ix.ExactMatch("used books")), len(ix.BroadMatch("used books")))
+	exact := ix.Match(nil, adindex.Query{Text: "used books", Type: adindex.Exact})
+	fmt.Println(len(exact.Ads), len(ix.BroadMatch("used books")))
 	// Output: 1 2
 }
 

@@ -35,10 +35,13 @@ func main() {
 	fmt.Printf("broad match %q -> %d ads\n", "talk", len(ix.BroadMatch("talk")))
 	fmt.Printf("broad match %q -> %d ads\n", "talk talk tour", len(ix.BroadMatch("talk talk tour")))
 
-	// Exact and phrase match reuse the same structure.
-	fmt.Printf("exact match %q -> %d ads\n", "used books", len(ix.ExactMatch("used books")))
+	// Exact and phrase match reuse the same structure: Match takes the
+	// query type.
+	exact := ix.Match(nil, adindex.Query{Text: "used books", Type: adindex.Exact})
+	fmt.Printf("exact match %q -> %d ads\n", "used books", len(exact.Ads))
 	fmt.Printf("phrase match %q:\n", "buy used books now")
-	for _, ad := range ix.PhraseMatch("buy used books now") {
+	phrase := ix.Match(nil, adindex.Query{Text: "buy used books now", Type: adindex.Phrase})
+	for _, ad := range phrase.Ads {
 		fmt.Printf("  #%d %q\n", ad.ID, ad.Phrase)
 	}
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestExamplesRun builds the five programs under examples/ and runs each
+// TestExamplesRun builds the four programs under examples/ and runs each
 // on a small input: every one must exit 0.
 func TestExamplesRun(t *testing.T) {
 	dir := t.TempDir()
@@ -18,7 +18,6 @@ func TestExamplesRun(t *testing.T) {
 	for name, args := range map[string][]string{
 		"quickstart":     nil,
 		"workloadtuning": nil,
-		"compression":    {"-ads", "2000"},
 		"sharded":        {"-ads", "2000", "-shards", "3"},
 		"adserver":       {"-ads", "2000", "-demo", "-addr", "127.0.0.1:0"},
 	} {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"adindex/internal/corpus"
+	"adindex/internal/hashindex"
 	"adindex/internal/invindex"
 	"adindex/internal/multiserver"
 	"adindex/internal/optimize"
@@ -53,20 +54,16 @@ func TestFullPipeline(t *testing.T) {
 
 	// 4. Compressed snapshot: equivalent answers, then survive a
 	// serialization round trip.
-	snap, err := ix.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
+	if _, err := compressedSnapshot(t, ix, 0).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadSnapshot(&buf)
+	reloaded, err := hashindex.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queries[:200] {
-		got, err := reloaded.BroadMatch(q, nil)
+		got, err := reloaded.BroadMatchText(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,10 +120,7 @@ func TestAllIndexVariantsAgree(t *testing.T) {
 	pub := Build(c.Ads, Options{})
 	unmod := invindex.NewUnmodified(c.Ads)
 	mod := invindex.NewModified(c.Ads)
-	snap, err := pub.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := compressedSnapshot(t, pub, 0)
 	tree := treeindex.New(pub.foldedBase())
 
 	for qi := range wl.Queries {
@@ -143,7 +137,7 @@ func TestAllIndexVariantsAgree(t *testing.T) {
 		if got := ptrIDs(tree.BroadMatch(words, nil)); !sameIDs(got, want) {
 			t.Fatalf("tree diverged on %q: %v vs %v", q, got, want)
 		}
-		sm, err := snap.BroadMatch(q, nil)
+		sm, err := snap.BroadMatchText(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +168,7 @@ func TestOfflineOptimizationFlow(t *testing.T) {
 
 	// "Separate machine": workload out, mapping back.
 	var wlBuf bytes.Buffer
-	if err := ix.ExportWorkload(&wlBuf); err != nil {
+	if err := ix.observed.Workload().Write(&wlBuf); err != nil {
 		t.Fatal(err)
 	}
 	exported, err := workload.Read(&wlBuf)
@@ -243,10 +237,7 @@ func TestDuplicateWordsEndToEnd(t *testing.T) {
 		NewAd(1, "talk", Meta{}),
 		NewAd(2, "talk talk", Meta{}),
 	}, Options{})
-	snap, err := ix.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := compressedSnapshot(t, ix, 0)
 	for q, want := range map[string][]uint64{
 		"talk":           {1},
 		"talk talk":      {2},
@@ -255,7 +246,7 @@ func TestDuplicateWordsEndToEnd(t *testing.T) {
 		if got := idsOf(ix.BroadMatch(q)); !reflect.DeepEqual(got, want) {
 			t.Errorf("index %q = %v, want %v", q, got, want)
 		}
-		sm, err := snap.BroadMatch(q, nil)
+		sm, err := snap.BroadMatchText(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -501,24 +501,6 @@ func (s *Store) Stats() StoreStats {
 // Dir returns the state directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Crash abandons the store as a dying process would: the WAL descriptor
-// is released without the close-time sync, so only bytes already synced
-// (or opportunistically flushed) survive. The store is unusable
-// afterwards; reopen the directory with Open to recover. Test-only — the
-// simulation harness uses it for deterministic crash-restart points.
-func (s *Store) Crash() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.wal != nil {
-		s.wal.closeNoSync()
-		s.wal = nil
-	}
-}
-
 // Close flushes and closes the WAL. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -154,11 +154,6 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
-// closeNoSync releases the descriptor WITHOUT the close-time sync — the
-// crash-simulation path. Whatever the kernel (or fault injector) already
-// has is all that survives, exactly as if the process died.
-func (w *walWriter) closeNoSync() error { return w.f.Close() }
-
 // walScan is the outcome of scanning one WAL file.
 type walScan struct {
 	records []Record

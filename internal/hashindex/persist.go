@@ -172,6 +172,11 @@ func read(br *bufio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	// WriteTo writes the words in strictly increasing order, each with a
+	// df no larger than the record count: a repeat would overwrite an
+	// entry, and a df past what an int holds would turn negative and
+	// change the rarest-word choice of the query cutoff.
+	var prevWord []byte
 	for i := uint64(0); i < nVocab; i++ {
 		l, err := getU()
 		if err != nil {
@@ -184,9 +189,16 @@ func read(br *bufio.Reader) (*Index, error) {
 		if _, err := io.ReadFull(br, word); err != nil {
 			return nil, err
 		}
+		if i > 0 && bytes.Compare(word, prevWord) <= 0 {
+			return nil, fmt.Errorf("vocabulary word %q does not follow %q", word, prevWord)
+		}
+		prevWord = word
 		df, err := getU()
 		if err != nil {
 			return nil, err
+		}
+		if df > maxPosition {
+			return nil, fmt.Errorf("document frequency %d of %q out of range", df, word)
 		}
 		ix.vocab[string(word)] = int(df)
 	}

@@ -2,6 +2,8 @@ package hashindex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -182,6 +184,53 @@ func TestWriteToErrorPaths(t *testing.T) {
 	for _, limit := range []int{0, 4, 64, int(total) / 2, int(total) - 1} {
 		if _, err := ix.WriteTo(&failingWriter{remaining: limit}); err == nil {
 			t.Errorf("WriteTo with %d-byte writer should fail", limit)
+		}
+	}
+}
+
+// TestReadRejectsBadVocabulary: Read refuses a vocabulary WriteTo never
+// writes — a repeated word, words out of order, a df past maxPosition —
+// instead of overwriting or wrapping a map entry.
+func TestReadRejectsBadVocabulary(t *testing.T) {
+	type entry struct {
+		word string
+		df   uint64
+	}
+	snapshot := func(vocab ...entry) []byte {
+		var b []byte
+		b = append(b, snapMagic...)
+		b = append(b, snapVersion)
+		b = binary.AppendUvarint(b, 10) // suffix bits
+		b = binary.AppendUvarint(b, 4)  // MaxWords
+		b = binary.AppendUvarint(b, 12) // MaxQueryWords
+		b = binary.AppendUvarint(b, uint64(len(vocab)))
+		for _, e := range vocab {
+			b = binary.AppendUvarint(b, uint64(len(e.word)))
+			b = append(b, e.word...)
+			b = binary.AppendUvarint(b, e.df)
+		}
+		return append(b, 0, 0, 0) // no signatures, no nodes, empty arena
+	}
+	for _, tc := range []struct {
+		name  string
+		vocab []entry
+		ok    bool
+	}{
+		{"increasing", []entry{{"books", 2}, {"cheap", 1}, {"used", 3}}, true},
+		{"df at maxPosition", []entry{{"books", maxPosition}}, true},
+		{"repeated word", []entry{{"books", 2}, {"books", 1}}, false},
+		{"out of order", []entry{{"cheap", 1}, {"books", 2}}, false},
+		{"df past maxPosition", []entry{{"books", maxPosition + 1}}, false},
+		{"df past int64", []entry{{"books", 1 << 63}}, false},
+	} {
+		_, err := Read(bytes.NewReader(snapshot(tc.vocab...)))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !tc.ok && !errors.Is(err, ErrMalformedSnapshot):
+			t.Errorf("%s: refusal %v does not wrap ErrMalformedSnapshot", tc.name, err)
 		}
 	}
 }

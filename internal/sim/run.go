@@ -7,7 +7,9 @@ import (
 	"slices"
 
 	"adindex"
+	"adindex/internal/core"
 	"adindex/internal/corpus"
+	"adindex/internal/hashindex"
 	"adindex/internal/multiserver"
 	"adindex/internal/optimize"
 	"adindex/internal/rewrite"
@@ -292,12 +294,13 @@ func (r *runner) apply(i int, op *Op) *Failure {
 		}
 		r.checks++
 	case OpCompressed:
-		snap, err := r.plain.Snapshot(r.cfg.SuffixBits)
+		base := core.New(r.plain.Ads(), core.Options{MaxWords: r.cfg.MaxWords})
+		snap, err := hashindex.Build(base, hashindex.Options{SuffixBits: r.cfg.SuffixBits})
 		if err != nil {
-			return fail("compressed", "Snapshot(%d): %v", r.cfg.SuffixBits, err)
+			return fail("compressed", "Build(%d): %v", r.cfg.SuffixBits, err)
 		}
 		for _, q := range op.Queries {
-			got, err := snap.BroadMatch(q, nil)
+			got, err := snap.BroadMatchText(q, nil)
 			if err != nil {
 				return fail("compressed", "BroadMatch(%q): %v", q, err)
 			}

@@ -8,7 +8,7 @@
 //   - the single-node adindex.Index (in-memory),
 //   - a durable adindex.Index that is crash-restarted at deterministic
 //     points, including torn final WAL frames,
-//   - compressed B^sig/B^off snapshots (adindex.CompressedIndex),
+//   - compressed B^sig/B^off snapshots (internal/hashindex) of the live ads,
 //   - a sharded, replicated TCP deployment queried through
 //     shard.NetClient behind fault-injecting proxies.
 //

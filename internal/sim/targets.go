@@ -36,17 +36,21 @@ func newDurTarget(cfg Config) (*durTarget, error) {
 	return d, err
 }
 
-// crash kills and reopens the durable index. With torn, a doomed insert
-// is first written through an armed injector that crashes the WAL append
-// mid-frame, leaving a torn final frame on disk: recovery must truncate
+// crash kills the disk under the durable index and reopens it. The
+// injector dies at its next mutating step, so Close's WAL sync is refused
+// and only what already reached the disk survives, as if the process
+// died. With torn, that step is a doomed insert's WAL append, which dies
+// mid-frame and leaves a torn final frame on disk: recovery must truncate
 // it silently (torn tails of unacknowledged records are not data loss).
 func (d *durTarget) crash(opIndex int, torn bool) error {
 	if torn {
 		d.inj.Arm(diskfault.Plan{CrashAtStep: 1, TornFraction: 0.5, Seed: int64(opIndex)})
 		doomed := corpus.NewAd(doomedID, "doomed torn frame", corpus.Meta{})
 		d.ix.Insert(doomed) // dies mid-frame; never acknowledged to the oracle
+	} else {
+		d.inj.Arm(diskfault.Plan{CrashAtStep: 1})
 	}
-	d.ix.CrashForTesting()
+	_ = d.ix.Close()            // fails: the dead disk refuses the close-time sync
 	d.inj.Arm(diskfault.Plan{}) // the next process sees a healthy disk
 	ix, rep, err := adindex.OpenDurable(d.cfg.Dir, indexOptions(d.cfg), d.durableConfig())
 	if err != nil {

@@ -550,18 +550,6 @@ func (v View) BroadMatchAppend(dst []Ad, query string) []Ad {
 	return v.Match(dst, Query{Text: query}).Ads
 }
 
-// ExactMatch returns ads whose bid phrase equals the query as a normalized
-// token sequence.
-func (v View) ExactMatch(query string) []Ad {
-	return v.Match(nil, Query{Text: query, Type: Exact}).Ads
-}
-
-// PhraseMatch returns ads whose bid phrase occurs in the query as a
-// contiguous, ordered token subsequence.
-func (v View) PhraseMatch(query string) []Ad {
-	return v.Match(nil, Query{Text: query, Type: Phrase}).Ads
-}
-
 // Match answers q against the current snapshot; see View.Match. The read
 // is lock-free: one atomic snapshot load, no mutex, no reader-side
 // contention.
@@ -572,14 +560,4 @@ func (ix *Index) Match(dst []Ad, q Query) Result {
 // BroadMatch is View.BroadMatch on the current snapshot.
 func (ix *Index) BroadMatch(query string) []Ad {
 	return ix.View().BroadMatch(query)
-}
-
-// ExactMatch is View.ExactMatch on the current snapshot.
-func (ix *Index) ExactMatch(query string) []Ad {
-	return ix.View().ExactMatch(query)
-}
-
-// PhraseMatch is View.PhraseMatch on the current snapshot.
-func (ix *Index) PhraseMatch(query string) []Ad {
-	return ix.View().PhraseMatch(query)
 }

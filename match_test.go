@@ -183,23 +183,14 @@ func TestMatchOptionsCompose(t *testing.T) {
 					if want := bruteForce(live, typ, query); !slices.Equal(got, want) {
 						t.Fatalf("%s type=%d rewrite=%v %q: Match = %v, brute force = %v", ixName, typ, rw, query, got, want)
 					}
-					if rw {
+					if rw || typ != Broad {
 						continue
 					}
-					var wrapped []Ad
-					switch typ {
-					case Broad:
-						wrapped = ix.BroadMatch(query)
-						if app := view.BroadMatchAppend(nil, query); !reflect.DeepEqual(app, full.Ads) {
-							t.Fatalf("%s %q: BroadMatchAppend differs from Match", ixName, query)
-						}
-					case Exact:
-						wrapped = ix.ExactMatch(query)
-					case Phrase:
-						wrapped = ix.PhraseMatch(query)
+					if wrapped := ix.BroadMatch(query); !reflect.DeepEqual(wrapped, full.Ads) {
+						t.Fatalf("%s %q: BroadMatch %v differs from Match %v", ixName, query, idsOf(wrapped), fullIDs)
 					}
-					if !reflect.DeepEqual(wrapped, full.Ads) {
-						t.Fatalf("%s type=%d %q: wrapper %v differs from Match %v", ixName, typ, query, idsOf(wrapped), fullIDs)
+					if app := view.BroadMatchAppend(nil, query); !reflect.DeepEqual(app, full.Ads) {
+						t.Fatalf("%s %q: BroadMatchAppend differs from Match", ixName, query)
 					}
 				}
 			}
@@ -223,8 +214,8 @@ func TestExactMatchBeyondQueryCutoff(t *testing.T) {
 	long := "one two three four five six seven eight nine ten eleven twelve thirteen fourteen fifteen"
 	ix := Build([]Ad{NewAd(1, long, Meta{}), NewAd(2, "one two", Meta{})}, Options{})
 	ix.Insert(NewAd(3, long, Meta{}))
-	if got := idsOf(ix.ExactMatch(long)); !slices.Equal(got, []uint64{1, 3}) {
-		t.Fatalf("ExactMatch(15 words) = %v, want [1 3]", got)
+	if got := idsOf(ix.Match(nil, Query{Text: long, Type: Exact}).Ads); !slices.Equal(got, []uint64{1, 3}) {
+		t.Fatalf("exact match of 15 words = %v, want [1 3]", got)
 	}
 	res := ix.Match(nil, Query{Text: long, Type: Exact, Budget: QueryBudget{MaxCost: 1, Deadline: time.Unix(1, 0)}})
 	if got := idsOf(res.Ads); !slices.Equal(got, []uint64{1, 3}) || res.Truncated || res.CutoffApplied {

@@ -24,10 +24,10 @@ const observeShards = 16
 // and inherits its count, so a shard that has recorded N occurrences
 // never undercounts a set, overcounts it by at most N/shardCap, and
 // monitors every set seen more than N/shardCap times. Shards are merged
-// on demand by Workload / Distinct (Optimize and ExportWorkload time).
+// on demand by Workload / Distinct (Optimize and adaptation-tick time).
 type observeSampler struct {
 	// shardCap bounds each shard; the global cap (an index's is
-	// DefaultMaxObservedQueries) is divided evenly, so totals stay at or
+	// maxObservedQueries) is divided evenly, so totals stay at or
 	// below it.
 	shardCap int
 	shards   [observeShards]observeShard

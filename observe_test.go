@@ -244,14 +244,14 @@ func TestObserveSketchQuality(t *testing.T) {
 	gen := workload.Generate(c, workload.GenOptions{NumQueries: 150_000, Seed: 2})
 	stream := gen.Stream(2_000_000, 3)
 
-	s := newObserveSampler(DefaultMaxObservedQueries)
+	s := newObserveSampler(maxObservedQueries)
 	truth := make(map[*workload.Query]int)
 	for _, q := range stream {
 		s.ObserveWords(q.Words)
 		truth[q]++
 	}
-	if len(truth) <= DefaultMaxObservedQueries {
-		t.Fatalf("stream has %d distinct sets, want more than k = %d", len(truth), DefaultMaxObservedQueries)
+	if len(truth) <= maxObservedQueries {
+		t.Fatalf("stream has %d distinct sets, want more than k = %d", len(truth), maxObservedQueries)
 	}
 	full := &workload.Workload{}
 	for q, f := range truth {
@@ -286,8 +286,8 @@ func TestObserveMemoryBounded(t *testing.T) {
 	if at300k > at70k*11/10 || at300k < at70k*9/10 {
 		t.Errorf("ObservedBytes went %d -> %d from 70k to 300k distinct sets, want within 10%%", at70k, at300k)
 	}
-	if got := ix.ObservedQueries(); got != DefaultMaxObservedQueries {
-		t.Errorf("ObservedQueries = %d, want the cap %d", got, DefaultMaxObservedQueries)
+	if got := ix.ObservedQueries(); got != maxObservedQueries {
+		t.Errorf("ObservedQueries = %d, want the cap %d", got, maxObservedQueries)
 	}
 }
 
@@ -295,7 +295,7 @@ func TestObserveMemoryBounded(t *testing.T) {
 // global bound: observing far more distinct queries than the cap never
 // pushes the sample above it, and repeat queries keep counting.
 func TestObserveCapAcrossShards(t *testing.T) {
-	// An index samples DefaultMaxObservedQueries sets, 4 096 per shard.
+	// An index samples maxObservedQueries sets, 4 096 per shard.
 	if got := New(Options{}).observed.shardCap; got != 4096 {
 		t.Fatalf("sampler shard cap %d, want 65 536 / 16 = 4 096", got)
 	}
@@ -454,13 +454,13 @@ func TestObserveConcurrent(t *testing.T) {
 // sample: "hot" repeats 64 monitored sets, "cold" sends sets the sample
 // does not hold, each taking the least counted slot.
 func BenchmarkObserveWords(b *testing.B) {
-	pool := make([]string, 4*DefaultMaxObservedQueries)
+	pool := make([]string, 4*maxObservedQueries)
 	for i := range pool {
 		pool[i] = fmt.Sprintf("q%d", i)
 	}
 	b.Run("hot", func(b *testing.B) {
-		s := newObserveSampler(DefaultMaxObservedQueries)
-		for _, w := range pool[:DefaultMaxObservedQueries] {
+		s := newObserveSampler(maxObservedQueries)
+		for _, w := range pool[:maxObservedQueries] {
 			s.ObserveWords([]string{w})
 		}
 		b.ReportAllocs()
@@ -470,11 +470,11 @@ func BenchmarkObserveWords(b *testing.B) {
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		s := newObserveSampler(DefaultMaxObservedQueries)
-		for _, w := range pool[:DefaultMaxObservedQueries] {
+		s := newObserveSampler(maxObservedQueries)
+		for _, w := range pool[:maxObservedQueries] {
 			s.ObserveWords([]string{w})
 		}
-		rest := pool[DefaultMaxObservedQueries:]
+		rest := pool[maxObservedQueries:]
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

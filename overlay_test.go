@@ -109,20 +109,20 @@ func TestOverlayExactAndPhrase(t *testing.T) {
 	ix := Build(sampleAds(), Options{})
 	ix.Insert(NewAd(77, "rare first edition", Meta{}))
 
-	if got := idsOf(ix.ExactMatch("rare first edition")); !reflect.DeepEqual(got, []uint64{77}) {
-		t.Fatalf("ExactMatch misses delta ad: %v", got)
+	if got := idsOf(ix.Match(nil, Query{Text: "rare first edition", Type: Exact}).Ads); !reflect.DeepEqual(got, []uint64{77}) {
+		t.Fatalf("exact match misses delta ad: %v", got)
 	}
-	if got := idsOf(ix.PhraseMatch("buy a rare first edition today")); !reflect.DeepEqual(got, []uint64{77}) {
-		t.Fatalf("PhraseMatch misses delta ad: %v", got)
+	if got := idsOf(ix.Match(nil, Query{Text: "buy a rare first edition today", Type: Phrase}).Ads); !reflect.DeepEqual(got, []uint64{77}) {
+		t.Fatalf("phrase match misses delta ad: %v", got)
 	}
 	if !ix.Delete(2, "comic books") {
 		t.Fatal("delete missed")
 	}
-	if got := ix.ExactMatch("comic books"); len(got) != 0 {
-		t.Fatalf("ExactMatch returns tombstoned ad: %v", idsOf(got))
+	if got := ix.Match(nil, Query{Text: "comic books", Type: Exact}).Ads; len(got) != 0 {
+		t.Fatalf("exact match returns tombstoned ad: %v", idsOf(got))
 	}
-	if got := ix.PhraseMatch("cheap comic books online"); len(got) != 0 {
-		t.Fatalf("PhraseMatch returns tombstoned ad: %v", idsOf(got))
+	if got := ix.Match(nil, Query{Text: "cheap comic books online", Type: Phrase}).Ads; len(got) != 0 {
+		t.Fatalf("phrase match returns tombstoned ad: %v", idsOf(got))
 	}
 }
 

@@ -65,7 +65,7 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 	ix := &Index{
 		opts:     opts,
 		model:    costmodel.Default(),
-		observed: newObserveSampler(DefaultMaxObservedQueries),
+		observed: newObserveSampler(maxObservedQueries),
 		rewriter: opts.planner(),
 	}
 	// A fresh directory given a corpus starts from that corpus, not from
@@ -129,9 +129,6 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 	return ix, &report, nil
 }
 
-// Durable reports whether the index persists mutations to disk.
-func (ix *Index) Durable() bool { return ix.store != nil }
-
 // Persist forces a snapshot rotation now: the full state is written as a
 // new generation and the WAL truncated. No-op on a non-durable index.
 func (ix *Index) Persist() error {
@@ -164,23 +161,6 @@ func (ix *Index) DurableStats() (stats durable.StoreStats, ok bool) {
 		return durable.StoreStats{}, false
 	}
 	return ix.store.Stats(), true
-}
-
-// CrashForTesting simulates the process dying at this exact point: the
-// durable store's WAL descriptor is dropped without the close-time sync,
-// so only already-synced bytes survive on disk, and the in-memory index
-// must be discarded (its unpersisted state died with the "process").
-// Reopen the directory with OpenDurable to recover. Combined with a
-// diskfault.Injector armed with a CrashAtStep plan this gives the
-// simulation harness deterministic crash points, including torn final
-// frames. No-op on a non-durable index.
-func (ix *Index) CrashForTesting() {
-	if ix.store == nil {
-		return
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.store.Crash()
 }
 
 // Close stops the adaptation loop, waiting for a tick in flight, then

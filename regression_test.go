@@ -41,8 +41,8 @@ func TestResultWordsDoNotAliasIndex(t *testing.T) {
 	ix.Insert(NewAd(42, "fresh delta phrase", Meta{Exclusions: []string{"free"}}))
 	for _, res := range [][]Ad{
 		ix.BroadMatch("fresh delta phrase now"),
-		ix.ExactMatch("fresh delta phrase"),
-		ix.PhraseMatch("a fresh delta phrase query"),
+		ix.Match(nil, Query{Text: "fresh delta phrase", Type: Exact}).Ads,
+		ix.Match(nil, Query{Text: "a fresh delta phrase query", Type: Phrase}).Ads,
 		ix.View().BroadMatchAppend(nil, "fresh delta phrase now"),
 		ix.Match(nil, Query{Text: "fresh delta phrase now", Budget: QueryBudget{MaxCost: 1}, Counters: new(Counters)}).Ads,
 		ix.Match(nil, Query{Text: "fresh delta phrase now", Rewrite: true}).Ads,
@@ -229,8 +229,8 @@ func TestWordlessAdMatchesNothing(t *testing.T) {
 		t.Helper()
 		for _, q := range []string{"cheap shoes", "shoes", "!!!", "anything at all"} {
 			res := ix.Match(nil, Query{Text: q})
-			exact := ix.ExactMatch(q)
-			phrase := ix.PhraseMatch(q)
+			exact := ix.Match(nil, Query{Text: q, Type: Exact}).Ads
+			phrase := ix.Match(nil, Query{Text: q, Type: Phrase}).Ads
 			for _, got := range [][]Ad{res.Ads, exact, phrase} {
 				for _, ad := range got {
 					if ad.ID == wordless.ID {

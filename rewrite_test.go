@@ -121,11 +121,11 @@ func TestRewriteOffExactPathUnchanged(t *testing.T) {
 		if a, b := plain.BroadMatch(q), rw.BroadMatch(q); !reflect.DeepEqual(a, b) {
 			t.Fatalf("BroadMatch(%q) differs with rewrite enabled", q)
 		}
-		if a, b := plain.ExactMatch(q), rw.ExactMatch(q); !reflect.DeepEqual(a, b) {
-			t.Fatalf("ExactMatch(%q) differs with rewrite enabled", q)
+		if a, b := plain.Match(nil, Query{Text: q, Type: Exact}).Ads, rw.Match(nil, Query{Text: q, Type: Exact}).Ads; !reflect.DeepEqual(a, b) {
+			t.Fatalf("exact match %q differs with rewrite enabled", q)
 		}
-		if a, b := plain.PhraseMatch(q), rw.PhraseMatch(q); !reflect.DeepEqual(a, b) {
-			t.Fatalf("PhraseMatch(%q) differs with rewrite enabled", q)
+		if a, b := plain.Match(nil, Query{Text: q, Type: Phrase}).Ads, rw.Match(nil, Query{Text: q, Type: Phrase}).Ads; !reflect.DeepEqual(a, b) {
+			t.Fatalf("phrase match %q differs with rewrite enabled", q)
 		}
 	}
 }
