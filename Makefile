@@ -17,7 +17,10 @@
 #                      (TestCacheAdmissionReplay: two misses per distinct
 #                      query of the hot stream's shape, never a third;
 #                      TestCacheFirstSightingsHoldNoBodies: ghosts own
-#                      their keys only)
+#                      their keys only); ./internal/corpus brings the
+#                      corpus reader's blocks, parsed side by side
+#                      (TestCorpusReadChunked over block sizes and worker
+#                      counts)
 #   recovery-smoke     kill -9 a churning child, recover, compare with the
 #                      serial oracle; crash-at-every-write atomicity;
 #                      repair leaves what recovery leaves
@@ -66,7 +69,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short . ./internal/core ./internal/server ./internal/multiserver \
+	$(GO) test -race -short . ./internal/core ./internal/corpus ./internal/server ./internal/multiserver \
 		./internal/faultnet ./internal/shard ./internal/durable ./internal/diskfault \
 		./internal/rewrite ./internal/sim ./internal/simclock ./internal/setcover \
 		./internal/optimize ./cmd/adserve

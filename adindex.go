@@ -3,6 +3,7 @@ package adindex
 import (
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,17 +270,60 @@ func New(opts Options) *Index {
 // Build constructs an index over ads with the default placement (each
 // distinct word set at its own data node; over-long phrases re-mapped).
 func Build(ads []Ad, opts Options) *Index {
-	ix := &Index{
-		opts:     opts,
-		model:    costmodel.Default(),
-		observed: newObserveSampler(maxObservedQueries),
-		rewriter: opts.planner(),
-	}
+	ix := newIndex(opts)
 	start := time.Now()
 	base, _ := core.NewFrozen(ads, nil, opts.coreOptions()) // no mapping, nothing to refuse
 	ix.publish(&snapshot{base: base})
 	ix.noteBuild(start)
 	return ix
+}
+
+// Load builds an index over the corpus text r, in the format WriteAds
+// writes, with one build: the text is parsed a block at a time straight
+// into the loader's columns, and no []Ad of the corpus is ever held. A nil
+// mapping is Build's default placement. Otherwise it is a mapping file, as
+// ApplyMapping reads (cmd/adopt), that the index is built under, counted
+// as one installed re-mapping (Remaps); its entries for word sets the
+// corpus lacks are ignored, and an invalid locator for one it holds is an
+// error.
+func Load(r, mapping io.Reader, opts Options) (*Index, error) {
+	var m map[string][]string
+	if mapping != nil {
+		var err error
+		if m, err = optimize.ReadMapping(mapping); err != nil {
+			return nil, err
+		}
+	}
+	in, err := corpus.ReadColumns(r)
+	if err != nil {
+		return nil, err
+	}
+	// The reader's blocks, which its merge copied out of, are garbage as
+	// large as the columns: collect them before the build allocates, so
+	// that the heap grows from the columns alone.
+	runtime.GC()
+	ix := newIndex(opts)
+	start := time.Now()
+	base, err := core.LoadFrozen(in, m, opts.coreOptions())
+	if err != nil {
+		return nil, err
+	}
+	ix.publish(&snapshot{base: base})
+	ix.noteBuild(start)
+	if m != nil {
+		ix.remaps.Add(1)
+	}
+	return ix, nil
+}
+
+// newIndex returns an index with nothing published yet.
+func newIndex(opts Options) *Index {
+	return &Index{
+		opts:     opts,
+		model:    costmodel.Default(),
+		observed: newObserveSampler(maxObservedQueries),
+		rewriter: opts.planner(),
+	}
 }
 
 // publish installs s as the current snapshot. Callers must hold ix.mu

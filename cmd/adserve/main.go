@@ -55,6 +55,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -352,20 +353,52 @@ func main() {
 	}
 }
 
-// loadCorpus reads the -corpus file.
-func loadCorpus(path string) []adindex.Ad {
+// readColumns reads the -corpus file into the loader's columns: the input
+// of an -elastic start, and expanded into ads, the seed of a fresh
+// -data-dir.
+func readColumns(path string) *corpus.Columns {
 	start := time.Now()
 	file, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := corpus.Read(file)
+	in, err := corpus.ReadColumns(file)
 	file.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("loaded %d ads from %s in %d ms", c.NumAds(), path, time.Since(start).Milliseconds())
-	return c.Ads
+	log.Printf("loaded %d ads from %s in %d ms", in.Len(), path, time.Since(start).Milliseconds())
+	return in
+}
+
+// loadIndex builds the in-memory index from the -corpus file, under the
+// -mapping file where one is named, with one build (adindex.Load).
+func loadIndex(f *flags, opts adindex.Options) *adindex.Index {
+	start := time.Now()
+	file, err := os.Open(f.corpus)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer file.Close()
+	var mapping io.Reader
+	if f.mapping != "" {
+		mf, err := os.Open(f.mapping)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer mf.Close()
+		mapping = mf
+	}
+	ix, err := adindex.Load(file, mapping, opts)
+	if err != nil {
+		log.Fatalf("loading %s: %v", f.corpus, err)
+	}
+	read := time.Since(start) - time.Duration(ix.BuildSeconds()*float64(time.Second))
+	log.Printf("loaded %d ads from %s in %d ms", ix.NumAds(), f.corpus, read.Milliseconds())
+	if f.mapping != "" {
+		log.Printf("applied offline mapping from %s", f.mapping)
+	}
+	return ix
 }
 
 // indexOptions maps the flags onto the local index's options, loading
@@ -396,10 +429,10 @@ func indexOptions(f *flags) adindex.Options {
 
 // runLocal serves a local index, in memory or (-data-dir) durable: bind
 // the port first — so /healthz answers and /readyz reports "recovering"
-// during a long build or WAL replay —, build or recover the index, apply
-// the offline mapping, install the index, start re-optimization and the TCP
-// protocol servers, and serve until SIGTERM, after which the drain
-// flushes the WAL before exit.
+// during a long build or WAL replay —, build the index under the offline
+// mapping, or recover it and re-map it, install the index, start
+// re-optimization and the TCP protocol servers, and serve until SIGTERM,
+// after which the drain flushes the WAL before exit.
 func runLocal(f *flags, cfg server.Config) {
 	opts := indexOptions(f)
 	var dc adindex.DurableConfig
@@ -415,29 +448,27 @@ func runLocal(f *flags, cfg server.Config) {
 	}
 	log.Printf("listening on http://%s", srv.Addr())
 
-	var ads []adindex.Ad
-	if f.corpus != "" {
-		ads = loadCorpus(f.corpus)
-	}
 	var ix *adindex.Index
 	var report *durable.RecoveryReport
 	if f.dataDir != "" {
-		dc.Bootstrap = ads
+		if f.corpus != "" {
+			dc.Bootstrap = readColumns(f.corpus).Ads()
+		}
 		ix, report = openDurable(f, opts, dc)
+		if f.mapping != "" {
+			// The state the directory holds is built already: re-map it.
+			mf, err := os.Open(f.mapping)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := ix.ApplyMapping(mf); err != nil {
+				log.Fatalf("applying mapping: %v", err)
+			}
+			mf.Close()
+			log.Printf("applied offline mapping from %s", f.mapping)
+		}
 	} else {
-		ix = adindex.Build(ads, opts)
-	}
-
-	if f.mapping != "" {
-		mf, err := os.Open(f.mapping)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := ix.ApplyMapping(mf); err != nil {
-			log.Fatalf("applying mapping: %v", err)
-		}
-		mf.Close()
-		log.Printf("applied offline mapping from %s", f.mapping)
+		ix = loadIndex(f, opts)
 	}
 	st := ix.Stats()
 	log.Printf("index ready: %d ads, %d nodes, %d distinct sets, built in %d ms",
@@ -446,7 +477,7 @@ func runLocal(f *flags, cfg server.Config) {
 	// region. Drop the parsed corpus and collect the build's garbage once,
 	// so serving starts from a heap goal of twice what the heap keeps, not
 	// of the build.
-	ads, dc.Bootstrap = nil, nil
+	dc.Bootstrap = nil
 	runtime.GC()
 	srv.InstallIndex(ix, report)
 

@@ -29,8 +29,10 @@ import (
 	"time"
 
 	"adindex"
+	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/multiserver"
+	"adindex/internal/optimize"
 	"adindex/internal/server"
 	"adindex/internal/shard"
 )
@@ -229,6 +231,110 @@ func TestLocalModes(t *testing.T) {
 			startupTimings(t, p)
 			if _, metrics := get(t, base+"/metrics"); !strings.Contains(metrics, `"build_seconds":`) {
 				t.Errorf("/metrics carries no index.build_seconds: %s", metrics)
+			}
+		})
+	}
+}
+
+// TestMappingStart: an in-memory start under -mapping builds its index
+// once, under the mapping: the node count is the mapped build's, the
+// mapping counts as the one installed re-mapping, and no remap published
+// a second base (the epoch is still 0). A locator the corpus refuses
+// stops the start with the loader's reason.
+func TestMappingStart(t *testing.T) {
+	c := testCorpus()
+	dir := t.TempDir()
+	path := writeCorpus(t, c, filepath.Join(dir, "corpus.tsv"))
+	mapping := map[string][]string{}
+	for _, ad := range c.Ads {
+		if len(ad.Words) > 1 {
+			mapping[ad.SetKey()] = ad.Words[:1]
+		}
+	}
+	want, err := core.NewWithMapping(c.Ads, mapping, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeMapping := func(name string, m map[string][]string) string {
+		var buf bytes.Buffer
+		if err := optimize.WriteMapping(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		mpath := filepath.Join(dir, name)
+		if err := os.WriteFile(mpath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mpath
+	}
+
+	p := start(t, "-corpus", path, "-mapping", writeMapping("mapping.tsv", mapping), "-addr", "127.0.0.1:0")
+	base := p.base(t)
+	awaitReady(t, p, base)
+	p.logged(t, `(applied offline mapping from \S+)`)
+	if nodes := p.logged(t, `index ready: 400 ads, (\d+) nodes`); nodes != fmt.Sprint(want.NumNodes()) {
+		t.Errorf("index ready with %s nodes, the mapped build has %d", nodes, want.NumNodes())
+	}
+	_, body := get(t, base+"/metrics")
+	var m struct {
+		Epoch uint64 `json:"epoch"`
+		Index struct {
+			Remaps uint64 `json:"remaps"`
+		} `json:"index"`
+	}
+	if err := json.Unmarshal([]byte(body), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Index.Remaps != 1 || m.Epoch != 0 {
+		t.Errorf("/metrics after a -mapping start: remaps %d, epoch %d; want 1 and 0", m.Index.Remaps, m.Epoch)
+	}
+	for _, ad := range c.Ads[:20] {
+		searchMatches(t, base, ad.Phrase, ad.ID)
+	}
+
+	var long corpus.Ad
+	for _, ad := range c.Ads {
+		if len(ad.Words) > len(long.Words) {
+			long = ad
+		}
+	}
+	bad := writeMapping("bad.tsv", map[string][]string{long.SetKey(): long.Words})
+	refused := start(t, "-corpus", path, "-mapping", bad, "-max-words", "1", "-addr", "127.0.0.1:0")
+	<-refused.done
+	if refused.cmd.ProcessState.Success() || !strings.Contains(refused.logText(), "exceeds MaxWords=1") {
+		t.Fatalf("a start under a locator longer than -max-words: exit %v, log:\n%s", refused.cmd.ProcessState, refused.logText())
+	}
+}
+
+// TestStartExpandsNoAds: an in-memory or -elastic start reads the corpus
+// into the loader's columns and never expands it into []Ad. With every
+// allocation since the start sampled, the heap profile at ready holds the
+// reader's allocations and none of an expansion into ads or of the []Ad
+// adapter — unless -tcp-ad asks the elastic node for an ad server, which
+// is built over the ads expanded then.
+func TestStartExpandsNoAds(t *testing.T) {
+	t.Setenv("GODEBUG", "memprofilerate=1")
+	path := writeCorpus(t, testCorpus(), filepath.Join(t.TempDir(), "corpus.tsv"))
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		expand bool
+	}{
+		{"memory", nil, false},
+		{"elastic", []string{"-elastic", "2"}, false},
+		{"elastic with an ad server", []string{"-elastic", "2", "-tcp-ad", "127.0.0.1:0"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := start(t, append([]string{"-corpus", path, "-addr", "127.0.0.1:0"}, tc.args...)...)
+			base := p.base(t)
+			awaitReady(t, p, base)
+			_, prof := get(t, base+"/debug/pprof/heap?debug=1")
+			if !strings.Contains(prof, "corpus.(*blockParser).parse") {
+				t.Fatalf("the heap profile holds no allocation of the reader:\n%.2000s", prof)
+			}
+			for _, fn := range []string{"corpus.(*Columns).Ads", "corpus.FromAds", "corpus.Read+"} {
+				if got := strings.Contains(prof, fn); got != (tc.expand && fn == "corpus.(*Columns).Ads") {
+					t.Errorf("the heap profile at ready holds allocations of %s: %v", fn, got)
+				}
 			}
 		})
 	}

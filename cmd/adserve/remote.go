@@ -39,20 +39,24 @@ func runShards(f *flags, cfg server.Config) {
 // multiserver frame protocol on one port per shard position (up to the
 // shard cap, so split targets are pre-provisioned) and a NetClient on the
 // cluster's live route feeding the HTTP front-end. The shards are built
-// over the one parsed copy of the corpus, which is dropped and collected
-// before serving. They hold the ads and answer with records, so a query is
-// one round trip per shard and the front end uses no ad server; -tcp-ad
-// starts one for outside clients of the two-hop protocol. Topology
+// over the one copy of the corpus, read into the loader's columns, which
+// is dropped and collected before serving. They hold the ads and answer
+// with records, so a query is one round trip per shard and the front end
+// uses no ad server; -tcp-ad starts one for outside clients of the two-hop
+// protocol, over the ads expanded from the columns then. Topology
 // changes run live through POST /admin/rebalance; /metrics carries the
 // migration status and /readyz annotates an in-flight handoff.
 func runElastic(f *flags, cfg server.Config) {
-	ads := loadCorpus(f.corpus)
+	in := readColumns(f.corpus)
+	// Collect the reader's garbage before the build allocates (see
+	// adindex.Load).
+	runtime.GC()
 	buildStart := time.Now()
-	ec, err := shard.NewElastic(ads, f.elastic, shard.ElasticOptions{MaxWords: f.maxWords})
+	ec, err := shard.LoadElastic(in, f.elastic, shard.ElasticOptions{MaxWords: f.maxWords})
 	if err != nil {
 		log.Fatalf("elastic cluster: %v", err)
 	}
-	log.Printf("index ready: %d ads in %d shards, built in %d ms", len(ads), ec.NumShards(), time.Since(buildStart).Milliseconds())
+	log.Printf("index ready: %d ads in %d shards, built in %d ms", in.Len(), ec.NumShards(), time.Since(buildStart).Milliseconds())
 	es, err := ec.Serve()
 	if err != nil {
 		log.Fatalf("serving shard positions: %v", err)
@@ -62,17 +66,17 @@ func runElastic(f *flags, cfg server.Config) {
 		ec.NumShards(), ec.MaxShards(), len(ec.Table().Owners), es.Addrs())
 
 	if f.tcpAd != "" {
-		adSrv, err := multiserver.NewAdServer(f.tcpAd, multiserver.ServeOpts{}, ads)
+		adSrv, err := multiserver.NewAdServer(f.tcpAd, multiserver.ServeOpts{}, in.Ads())
 		if err != nil {
 			log.Fatalf("tcp ad server: %v", err)
 		}
 		defer adSrv.Close()
 		log.Printf("serving TCP ad-metadata protocol on %s", adSrv.Addr())
 	}
-	// The shards hold what they keep of the corpus. Drop it (the ad server
-	// keeps its own reference) and collect the build's garbage once, so
+	// The shards hold what they keep of the corpus. Drop it (an ad server
+	// keeps the ads it was given) and collect the build's garbage once, so
 	// serving starts from a heap goal of twice the index, not of the build.
-	ads = nil
+	in = nil
 	runtime.GC()
 
 	nc, err := shard.DialRoute(func() (*shard.Route, error) {

@@ -25,7 +25,9 @@
 // Phrase), an optional work budget, approximate (rewritten) matching,
 // access accounting — and returns a Result that says what a budget left
 // out. SelectAds applies the secondary auction filters (exclusion
-// keywords, bid floors, ranking).
+// keywords, bid floors, ranking). Load builds the index straight from a
+// corpus file (the format WriteAds writes), parsed a block at a time into
+// the loader's columns, without a []Ad of the corpus.
 //
 // # Workload adaptation
 //

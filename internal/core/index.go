@@ -107,11 +107,19 @@ func New(ads []corpus.Ad, opts Options) *Index {
 // New). It is how a partition of one corpus is built a part at a time
 // while the corpus is held once.
 func NewAt(ads []corpus.Ad, at []int32, opts Options) *Index {
-	n := len(ads)
+	return LoadAt(corpus.FromAds(ads), at, opts)
+}
+
+// LoadAt is NewAt over a corpus in columns (corpus.ReadColumns): the index
+// over the ads at positions at of in, in ascending order, or over every ad
+// where at is nil. The index keeps the vocabulary's strings of in and
+// nothing else of it.
+func LoadAt(in *corpus.Columns, at []int32, opts Options) *Index {
+	n := in.Len()
 	if at != nil {
 		n = len(at)
 	}
-	ix, _ := load(ads, at, nil, opts, loadWorkers(n)) // no mapping, nothing to refuse
+	ix, _ := build(in, at, nil, opts, loadWorkers(n), false) // no mapping, nothing to refuse
 	return ix
 }
 
@@ -131,7 +139,13 @@ func NewWithMapping(ads []corpus.Ad, mapping map[string][]string, opts Options) 
 // Insert and Delete with a panic. It is the base an immutable snapshot
 // serves from.
 func NewFrozen(ads []corpus.Ad, mapping map[string][]string, opts Options) (*Index, error) {
-	return build(ads, nil, mapping, opts, loadWorkers(len(ads)), true)
+	return LoadFrozen(corpus.FromAds(ads), mapping, opts)
+}
+
+// LoadFrozen is NewFrozen over a corpus in columns (corpus.ReadColumns).
+// The index keeps the vocabulary's strings of in and nothing else of it.
+func LoadFrozen(in *corpus.Columns, mapping map[string][]string, opts Options) (*Index, error) {
+	return build(in, nil, mapping, opts, loadWorkers(in.Len()), true)
 }
 
 // MappedBytes returns the size of the index's region if it is mapped

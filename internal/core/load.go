@@ -67,25 +67,12 @@ type placedAd struct {
 
 // loadSet is one distinct word set of the input: a run of the ordered ads.
 type loadSet struct {
-	lo, hi int32  // its ads, as positions in the ordered input
-	hash   uint64 // WordHash(loc), the key of its node
-	words  []string
-	// key is the set key, computed where the loader needs it: to look the
-	// set up in a mapping, or to enter a locator that is not the set's own
-	// words into locOf.
-	key string
-	loc []string
-}
-
-// byNode orders sets as the nodes keep them: by node, word count, set key.
-func byNode(a, b loadSet) int {
-	if a.hash != b.hash {
-		return cmp.Compare(a.hash, b.hash)
-	}
-	if c := cmp.Compare(len(a.words), len(b.words)); c != 0 {
-		return c
-	}
-	return compareKeys(a.words, b.words)
+	lo, hi int32 // its ads, as positions in the ordered input
+	ad     int32 // the input position of its first ad, whose word IDs are the set's
+	// loc is its locator, an entry of the loader's list of locators, or -1
+	// where that is its own words.
+	loc  int32
+	hash uint64 // WordHash of the locator, the key of its node
 }
 
 // checkLocator is the validity condition of Section V-A on one entry of
@@ -103,19 +90,34 @@ func checkLocator(loc, words []string, maxWords int) error {
 	return nil
 }
 
-// compareKeys orders two word sets of equal length as strings.Compare
-// orders their set keys, building the keys only where a word of one is a
-// prefix of the other's, so that the separator after it decides.
-func compareKeys(a, b []string) int {
+// compareRuns orders two word sets of equal length, given as IDs into
+// words, as strings.Compare orders their set keys, building the keys only
+// where a word of one is a prefix of the other's, so that the separator
+// after it decides.
+func compareRuns(words []string, a, b []uint32) int {
 	for i := range a {
-		if x, y := a[i], b[i]; x != y {
-			if strings.HasPrefix(x, y) || strings.HasPrefix(y, x) {
-				return strings.Compare(setKey(a[i:]), setKey(b[i:]))
-			}
-			return strings.Compare(x, y)
+		if a[i] == b[i] {
+			continue
 		}
+		x, y := words[a[i]], words[b[i]]
+		if strings.HasPrefix(x, y) || strings.HasPrefix(y, x) {
+			return strings.Compare(runKey(words, a[i:]), runKey(words, b[i:]))
+		}
+		return strings.Compare(x, y)
 	}
 	return 0
+}
+
+// runKey returns the set key of a word set given as IDs into words.
+func runKey(words []string, ids []uint32) string {
+	var b strings.Builder
+	for i, id := range ids {
+		if i > 0 {
+			b.WriteByte('\x1f')
+		}
+		b.WriteString(words[id])
+	}
+	return b.String()
 }
 
 // load builds the index over the ads at positions at of ads (all of them
@@ -123,17 +125,18 @@ func compareKeys(a, b []string) int {
 // mapping's locator for it, or at the default one where mapping (which
 // may be nil) has none. It refuses a mapping with an invalid locator for a
 // set that occurs in the input, reporting the first such ad in input
-// order.
+// order. It is build, through the []corpus.Ad adapter.
 func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options, workers int) (*Index, error) {
-	return build(ads, at, mapping, opts, workers, false)
+	return build(corpus.FromAds(ads), at, mapping, opts, workers, false)
 }
 
-// build is load, for a frozen index (NewFrozen) where frozen is set: the
-// one loader, with its columns on the heap or in a region.
-func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options, workers int, frozen bool) (*Index, error) {
+// build is the one loader, behind every constructor: load over the
+// columns in, for a frozen index (NewFrozen) where frozen is set, with its
+// columns on the heap or in a region.
+func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Options, workers int, frozen bool) (*Index, error) {
 	opts.fillDefaults()
 	ix := &Index{opts: opts, voc: newVocab(), locOf: map[string][]string{}, frozen: frozen}
-	n := len(ads)
+	n := in.Len()
 	if at != nil {
 		n = len(at)
 	}
@@ -146,27 +149,39 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	chunks := max(1, workers)
 	chunkOf := func(p, total int) (lo, hi int) { return p * total / chunks, (p + 1) * total / chunks }
 
-	// Each ad's set hash, and the document frequencies: counted per chunk,
-	// then frozen into the vocabulary, which numbers the words and chooses
-	// the default locator of a long phrase. From here on an ad is its
-	// position in ads, so positions in ascending order keep the input-order
-	// tie-breaks of a build over the ads they name.
+	// Each ad's set hash, and the vocabulary: the input's, or, over some of
+	// its ads, the words they hold, counted per chunk. From here on an ad
+	// is its position in the input, so positions in ascending order keep
+	// the input-order tie-breaks of a build over the ads they name.
 	placed := make([]placedAd, n)
-	dfs := make([]map[string]int, chunks)
+	var counts [][]uint32
+	if at != nil {
+		counts = make([][]uint32, chunks)
+	}
 	parallel(workers, chunks, func(p int) {
-		dfs[p] = make(map[string]int)
+		var df []uint32
+		if counts != nil {
+			df = make([]uint32, len(in.Words))
+			counts[p] = df
+		}
 		for lo, hi := chunkOf(p, n); lo < hi; lo++ {
 			i := int32(lo)
 			if at != nil {
 				i = at[lo]
 			}
-			for _, w := range ads[i].Words {
-				dfs[p][w]++
+			h := uint64(fnvOffset64)
+			for k, w := range in.Run(int(i)) {
+				h = hashExtend(h, k == 0, in.Words[w])
+				if df != nil {
+					df[w]++
+				}
 			}
-			placed[lo] = placedAd{WordHash(ads[i].Words), i}
+			placed[lo] = placedAd{h, i}
 		}
 	})
-	ix.voc = buildVocab(dfs)
+	var remap []uint32
+	ix.voc, remap = loadVocab(in, counts)
+	counts = nil
 
 	// Order the ads by (set hash, word count, set key, ID): a counting sort
 	// on the top byte of the hash, then each bucket on its own. Among
@@ -185,19 +200,20 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 		order[next[o.h>>56]] = o
 		next[o.h>>56]++
 	}
+	placed = nil
 	parallel(workers, 256, func(bucket int) {
 		slices.SortFunc(order[start[bucket]:start[bucket+1]], func(a, b placedAd) int {
 			if a.h != b.h {
 				return cmp.Compare(a.h, b.h)
 			}
-			x, y := &ads[a.i], &ads[b.i]
-			if c := cmp.Compare(len(x.Words), len(y.Words)); c != 0 {
+			x, y := in.Run(int(a.i)), in.Run(int(b.i))
+			if c := cmp.Compare(len(x), len(y)); c != 0 {
 				return c
 			}
-			if c := compareKeys(x.Words, y.Words); c != 0 {
+			if c := compareRuns(in.Words, x, y); c != 0 {
 				return c
 			}
-			if c := cmp.Compare(x.ID, y.ID); c != 0 {
+			if c := cmp.Compare(in.ID[a.i], in.ID[b.i]); c != 0 {
 				return c
 			}
 			return cmp.Compare(b.i, a.i)
@@ -209,7 +225,7 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	runStart := make([]bool, n)
 	numSets := 0
 	for j := range order {
-		if j == 0 || order[j].h != order[j-1].h || !slices.Equal(ads[order[j].i].Words, ads[order[j-1].i].Words) {
+		if j == 0 || order[j].h != order[j-1].h || !slices.Equal(in.Run(int(order[j].i)), in.Run(int(order[j-1].i))) {
 			runStart[j] = true
 			numSets++
 		}
@@ -220,59 +236,76 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 			sets[len(sets)-1].hi++
 			continue
 		}
-		sets = append(sets, loadSet{lo: int32(j), hi: int32(j) + 1, words: ads[order[j].i].Words})
+		sets = append(sets, loadSet{lo: int32(j), hi: int32(j) + 1, ad: order[j].i})
 	}
 	runStart = nil
 
-	// Every set's locator, and its key where the loader needs it (the keys
-	// of a chunk share one string). A mapped locator that must be refused
-	// is reported for the first ad of its set in input order, as a build ad
-	// by ad would. Hashing a locator passes through the hashes of its
-	// proper prefixes, which each chunk lists for tableSlots.
+	// Every set's locator: a mapped one, or the default. A mapped locator
+	// that must be refused is reported for the first ad of its set in input
+	// order, as a build ad by ad would. The locators that are not the sets'
+	// own words are listed per chunk; hashing a locator passes through the
+	// hashes of its proper prefixes, which each chunk lists for tableSlots.
 	refusedAt := make([]int32, chunks)
 	prefixes := make([][]uint64, chunks)
+	chunkLocs := make([][][]string, chunks)
 	parallel(workers, chunks, func(p int) {
-		refusedAt[p] = int32(len(ads))
+		refusedAt[p] = int32(in.Len())
 		lo, hi := chunkOf(p, len(sets))
 		room := 0 // a valid locator has at most MaxWords words
 		for _, s := range sets[lo:hi] {
-			room += max(min(len(s.words), opts.MaxWords)-1, 0)
+			room += max(min(len(in.Run(int(s.ad))), opts.MaxWords)-1, 0)
 		}
 		prefixes[p] = make([]uint64, 0, room)
-		var keys []byte
-		if mapping != nil {
-			for i := lo; i < hi; i++ {
-				keys = textnorm.AppendSetKey(keys, sets[i].words)
-			}
-		}
-		rest := string(keys)
+		var words []string
+		var key []byte
 		for i := lo; i < hi; i++ {
 			s := &sets[i]
+			words = in.AppendWords(words[:0], int(s.ad))
+			var loc []string
 			mapped := false
 			if mapping != nil {
-				end := max(len(s.words)-1, 0)
-				for _, w := range s.words {
-					end += len(w)
-				}
-				s.key, rest = rest[:end], rest[end:]
-				if s.loc, mapped = mapping[s.key]; mapped && checkLocator(s.loc, s.words, opts.MaxWords) != nil {
+				key = textnorm.AppendSetKey(key[:0], words)
+				if loc, mapped = mapping[string(key)]; mapped && checkLocator(loc, words, opts.MaxWords) != nil {
 					for j := s.lo; j < s.hi; j++ {
 						refusedAt[p] = min(refusedAt[p], order[j].i)
 					}
 				}
 			}
 			if !mapped {
-				s.loc = ix.chooseLocator(s.words)
+				loc = ix.chooseLocator(words)
 			}
-			if mapping == nil && len(s.words) > opts.MaxWords {
-				s.key = setKey(s.words)
+			s.loc = -1
+			if !slices.Equal(loc, words) {
+				s.loc = int32(len(chunkLocs[p]))
+				chunkLocs[p] = append(chunkLocs[p], loc)
 			}
-			prefixes[p], s.hash = appendLocatorHashes(prefixes[p], s.loc)
+			prefixes[p], s.hash = appendLocatorHashes(prefixes[p], loc)
 		}
 	})
-	if first := slices.Min(refusedAt); int(first) < len(ads) {
-		words := ads[first].Words
+	if first := slices.Min(refusedAt); int(first) < in.Len() {
+		words := in.AppendWords(nil, int(first))
 		return nil, checkLocator(mapping[setKey(words)], words, opts.MaxWords)
+	}
+	var locs [][]string
+	for p := range chunkLocs {
+		lo, hi := chunkOf(p, len(sets))
+		for i := lo; i < hi; i++ {
+			if sets[i].loc >= 0 {
+				sets[i].loc += int32(len(locs))
+			}
+		}
+		locs = append(locs, chunkLocs[p]...)
+	}
+	chunkLocs = nil
+	byNode := func(a, b loadSet) int {
+		if a.hash != b.hash {
+			return cmp.Compare(a.hash, b.hash)
+		}
+		x, y := in.Run(int(a.ad)), in.Run(int(b.ad))
+		if c := cmp.Compare(len(x), len(y)); c != 0 {
+			return c
+		}
+		return compareRuns(in.Words, x, y)
 	}
 
 	// Node order. Sets located at themselves, nearly all of them, are in it
@@ -319,9 +352,9 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	parallel(workers, ranges, func(p int) {
 		lo, hi := nodeRange(p)
 		for _, s := range sets[firstSet[lo]:firstSet[hi]] {
-			wordsAt[p+1] += len(s.words)
+			wordsAt[p+1] += len(in.Run(int(s.ad)))
 			for j := s.lo; j < s.hi; j++ {
-				textAt[p+1] += textLen(&ads[order[j].i])
+				textAt[p+1] += len(in.TextOf(int(order[j].i)))
 			}
 		}
 	})
@@ -332,7 +365,9 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	if uint64(textAt[ranges]) > maxArena {
 		panic("core: phrase arena exceeds 4 GiB")
 	}
-	slots := tableSlots(prefixes, sets, firstSet, workers)
+	last := sets[len(sets)-1]
+	wordless := int(firstSet[numNodes-1]) == len(sets)-1 && last.loc < 0 && len(in.Run(int(last.ad))) == 0
+	slots := tableSlots(prefixes, sets, firstSet, wordless, workers)
 	prefixes = nil
 
 	// Every pointer-free column at its final size, in one region for a
@@ -356,7 +391,7 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	ix.numAds, ix.sets = n, len(sets)
 	ix.textUsed = textAt[ranges]
 	for _, s := range sets {
-		ix.wordsUsed += len(s.words) * int(s.hi-s.lo)
+		ix.wordsUsed += len(in.Run(int(s.ad))) * int(s.hi-s.lo)
 	}
 	r := uint32(0)
 	for k := range ix.nodes {
@@ -375,26 +410,32 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	parallel(workers, 2+ranges, func(p int) {
 		switch p {
 		case 0:
+			var words []string
 			for k := range ix.nodes {
 				ix.table.put(sets[firstSet[k]].hash, uint32(k)+1)
 				for _, s := range sets[firstSet[k]:firstSet[k+1]] {
-					ix.addPrefixes(s.loc, uint32(s.hi-s.lo))
+					loc := in.AppendWords(words[:0], int(s.ad))
+					if words = loc; s.loc >= 0 {
+						loc = locs[s.loc]
+					}
+					ix.addPrefixes(loc, uint32(s.hi-s.lo))
 				}
 			}
 		case 1:
-			for i := range sets {
-				if s := &sets[i]; !slices.Equal(s.loc, s.words) {
-					loc := make([]string, len(s.loc))
-					for j, w := range s.loc {
-						loc[j] = ix.voc.words[ix.voc.ids[w]]
-					}
-					ix.locOf[strings.Clone(s.key)] = loc
+			for _, s := range sets {
+				if s.loc < 0 {
+					continue
 				}
+				loc := make([]string, len(locs[s.loc]))
+				for j, w := range locs[s.loc] {
+					loc[j] = ix.voc.words[ix.voc.ids[w]]
+				}
+				ix.locOf[runKey(in.Words, in.Run(int(s.ad)))] = loc
 			}
 		default:
 			p -= 2
 			lo, hi := nodeRange(p)
-			rangeBytes[p] = ix.writeNodes(ads, order, sets, firstSet, lo, hi, wordsAt[p], textAt[p])
+			rangeBytes[p] = ix.writeNodes(in, remap, order, sets, firstSet, lo, hi, wordsAt[p], textAt[p])
 		}
 	})
 	for _, b := range rangeBytes {
@@ -403,26 +444,31 @@ func build(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Option
 	return ix, nil
 }
 
-// writeNodes writes the records of nodes lo … hi-1, their word IDs from
-// wordIDs[words] on and their text from arena[text] on, and returns their
-// cost-model bytes.
-func (ix *Index) writeNodes(ads []corpus.Ad, order []placedAd, sets []loadSet, firstSet []int32, lo, hi, words, text int) (bytes int) {
+// writeNodes writes the records of nodes lo … hi-1, their word IDs (the
+// input's, through remap where it is not nil) from wordIDs[words] on and
+// their text from arena[text] on, and returns their cost-model bytes.
+func (ix *Index) writeNodes(in *corpus.Columns, remap []uint32, order []placedAd, sets []loadSet, firstSet []int32, lo, hi, words, text int) (bytes int) {
 	for k := lo; k < hi; k++ {
 		r := ix.nodes[k].off
 		for _, s := range sets[firstSet[k]:firstSet[k+1]] {
 			at := uint32(words)
-			for _, w := range s.words {
-				ix.wordIDs[words] = ix.voc.ids[w]
+			for _, w := range in.Run(int(s.ad)) {
+				if remap != nil {
+					w = remap[w]
+				}
+				ix.wordIDs[words] = w
 				words++
 			}
 			sig := ix.voc.signature(ix.wordIDs[at:words])
 			for j := s.lo; j < s.hi; j, r = j+1, r+1 {
-				ad := &ads[order[j].i]
-				ix.ids[r], ix.bids[r], ix.ctr[r], ix.campaign[r] = ad.ID, ad.Meta.BidMicros, ad.Meta.ClickRate, ad.Meta.CampaignID
-				ix.sigs[r], ix.wcs[r], ix.sameKey[r], ix.wordAt[r] = sig, uint32(len(s.words)), j > s.lo, at
+				i := order[j].i
+				ix.ids[r], ix.bids[r], ix.ctr[r], ix.campaign[r] = in.ID[i], in.Bid[i], in.ClickRate[i], in.Campaign[i]
+				ix.sigs[r], ix.wcs[r], ix.sameKey[r], ix.wordAt[r] = sig, uint32(words)-at, j > s.lo, at
 				ix.textAt[r] = uint32(text)
-				text += putText(ix.arena[text:], ad)
-				bytes += ad.Size()
+				t := in.TextOf(int(i))
+				text += copy(ix.arena[text:], t)
+				_, _, size := measureText(t)
+				bytes += size
 			}
 		}
 	}
@@ -449,14 +495,14 @@ func appendLocatorHashes(dst []uint64, loc []string) ([]uint64, uint64) {
 // table sized for the nodes grows to under the loader's upserts
 // (tableSize), so the loader fills it without a rehash. Such a table
 // grows at the first upsert past its load bound; where the last upsert
-// enters a new key — the last node holds only the wordless set, which
-// prefixes nothing — it ends sized for one key fewer.
+// enters a new key — wordless: the last node holds only the wordless set,
+// which prefixes nothing — it ends sized for one key fewer.
 //
 // Each chunk's list is partitioned in place by the keys' top byte; then,
 // a top byte at a time, the node keys with that byte (a run: the nodes
 // are in key order) and the chunks' prefixes with it go into one small
 // hash set, which counts the prefixes that are new.
-func tableSlots(prefixes [][]uint64, sets []loadSet, firstSet []int32, workers int) int {
+func tableSlots(prefixes [][]uint64, sets []loadSet, firstSet []int32, wordless bool, workers int) int {
 	numNodes := len(firstSet) - 1
 	bounds := make([][257]int, len(prefixes))
 	parallel(workers, len(prefixes), func(p int) { bounds[p] = partitionByTopByte(prefixes[p]) })
@@ -489,7 +535,7 @@ func tableSlots(prefixes [][]uint64, sets []loadSet, firstSet []int32, workers i
 	for _, n := range fresh {
 		keys += n
 	}
-	if last := len(sets) - 1; int(firstSet[numNodes-1]) == last && len(sets[last].loc) == 0 {
+	if wordless {
 		keys--
 	}
 	return tableSize(max(numNodes, keys))

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"adindex/internal/corpus"
@@ -312,5 +314,74 @@ func TestMutateAfterBulkLoad(t *testing.T) {
 			}
 		}
 		requireSameStructure(t, fmt.Sprint("after batch ", batch), loaded, ref)
+	}
+}
+
+// TestLoadFromTextEqualsAdsLoad: an index loaded from corpus text through
+// the reader (corpus.ReadColumns, then LoadFrozen) is the index NewFrozen
+// builds over the ads corpus.Read returns for the same text, as ReadAds
+// does: the same record columns, word IDs, arena, nodes, table,
+// vocabulary and mapping, and the same Stats().Bytes — over several seeds,
+// with exclusions, duplicate IDs, the awkward ads, blank lines and CRLF
+// line ends, under the default placement and an explicit mapping. A build
+// over some of the ads (LoadAt) is NewAt's over the same positions.
+func TestLoadFromTextEqualsAdsLoad(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		c := corpus.Generate(corpus.GenOptions{NumAds: 3000, Seed: seed, ExclusionProb: 0.3})
+		c.Ads = append(append(c.Ads, awkwardAds()...), c.Ads[:50]...)
+		var buf bytes.Buffer
+		if err := c.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var text strings.Builder
+		for i, line := range strings.SplitAfter(buf.String(), "\n") {
+			if i%7 == 0 {
+				text.WriteString("\n")
+			}
+			if i%5 == 0 {
+				line = strings.Replace(line, "\n", "\r\n", 1)
+			}
+			text.WriteString(line)
+		}
+		parsed, err := corpus.Read(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ads := parsed.Ads
+		for _, mapping := range []map[string][]string{nil, remapping(ads)} {
+			for _, opts := range []Options{{}, {MaxWords: 3}} {
+				what := fmt.Sprintf("seed %d MaxWords=%d mapped=%v", seed, opts.MaxWords, mapping != nil)
+				in, err := corpus.ReadColumns(strings.NewReader(text.String()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := LoadFrozen(in, mapping, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewFrozen(ads, mapping, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameStructure(t, what, got, want)
+				if !reflect.DeepEqual(storage(got), storage(want)) {
+					t.Fatalf("%s: storage differs from the build over the parsed ads", what)
+				}
+				if g, w := got.Stats().Bytes, want.Stats().Bytes; g != w {
+					t.Fatalf("%s: Stats().Bytes %+v, over the parsed ads %+v", what, g, w)
+				}
+			}
+		}
+		in, err := corpus.ReadColumns(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at []int32
+		for i := 0; i < len(ads); i += 3 {
+			at = append(at, int32(i))
+		}
+		if !reflect.DeepEqual(storage(LoadAt(in, at, Options{})), storage(NewAt(ads, at, Options{}))) {
+			t.Fatalf("seed %d: LoadAt differs from NewAt over the parsed ads", seed)
+		}
 	}
 }

@@ -44,10 +44,10 @@ type Ref uint32
 //	textAt[r]   its phrase and exclusions start at arena[textAt[r]]
 //
 // A record's text is uvarint(len(phrase)) phrase uvarint(#exclusions)
-// and each exclusion as uvarint(len) bytes. The arena is append-only:
-// bytes below its length are never written again, so a phrase copied out
-// of it (a string aliasing the arena) stays valid and immutable for as
-// long as anyone holds it.
+// and each exclusion as uvarint(len) bytes (corpus.AppendText). The
+// arena is append-only: bytes below its length are never written again,
+// so a phrase copied out of it (a string aliasing the arena) stays valid
+// and immutable for as long as anyone holds it.
 
 // recWords returns the word IDs of record r.
 func (ix *Index) recWords(r uint32) []uint32 {
@@ -60,44 +60,16 @@ func (ix *Index) sameSet(r, s uint32) bool {
 	return ix.wcs[r] == ix.wcs[s] && slices.Equal(ix.recWords(r), ix.recWords(s))
 }
 
-// compareSets orders two word sets of equal length as strings.Compare
-// orders their set keys (compareKeys, on word IDs).
-func (ix *Index) compareSets(a, b []uint32) int {
-	for i := range a {
-		if a[i] == b[i] {
-			continue
-		}
-		x, y := ix.voc.words[a[i]], ix.voc.words[b[i]]
-		if strings.HasPrefix(x, y) || strings.HasPrefix(y, x) {
-			return strings.Compare(ix.setKeyOf(a[i:]), ix.setKeyOf(b[i:]))
-		}
-		return strings.Compare(x, y)
-	}
-	return 0
-}
-
 // compareRecord is CompareRecords between record r and a record with word
 // set ids and the given ID.
 func (ix *Index) compareRecord(r uint32, ids []uint32, id uint64) int {
 	if c := cmp.Compare(int(ix.wcs[r]), len(ids)); c != 0 {
 		return c
 	}
-	if c := ix.compareSets(ix.recWords(r), ids); c != 0 {
+	if c := compareRuns(ix.voc.words, ix.recWords(r), ids); c != 0 {
 		return c
 	}
 	return cmp.Compare(ix.ids[r], id)
-}
-
-// setKeyOf returns the set key of a word set given as IDs.
-func (ix *Index) setKeyOf(ids []uint32) string {
-	var b strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(ix.voc.words[id])
-	}
-	return b.String()
 }
 
 // search returns the first position i of node k whose record is not below
@@ -219,41 +191,13 @@ func moveTail[T any](col []T, lo, hi, capacity uint32) []T {
 	return col
 }
 
-// textLen is the arena size of an ad's text.
-func textLen(ad *corpus.Ad) int {
-	n := uvarintLen(len(ad.Phrase)) + len(ad.Phrase) + uvarintLen(len(ad.Meta.Exclusions))
-	for _, e := range ad.Meta.Exclusions {
-		n += uvarintLen(len(e)) + len(e)
-	}
-	return n
-}
-
-func uvarintLen(n int) int {
-	var b [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(b[:], uint64(n))
-}
-
-// putText writes an ad's text at the start of dst, which has room for
-// textLen(ad) bytes, and returns its length.
-func putText(dst []byte, ad *corpus.Ad) int {
-	at := binary.PutUvarint(dst, uint64(len(ad.Phrase)))
-	at += copy(dst[at:], ad.Phrase)
-	at += binary.PutUvarint(dst[at:], uint64(len(ad.Meta.Exclusions)))
-	for _, e := range ad.Meta.Exclusions {
-		at += binary.PutUvarint(dst[at:], uint64(len(e)))
-		at += copy(dst[at:], e)
-	}
-	return at
-}
-
 // appendText appends an ad's text to the arena and returns its offset.
 func (ix *Index) appendText(ad *corpus.Ad) uint32 {
-	at, n := len(ix.arena), textLen(ad)
+	at, n := len(ix.arena), corpus.TextLen(ad.Phrase, ad.Meta.Exclusions)
 	if uint64(at)+uint64(n) > maxArena {
 		panic("core: phrase arena exceeds 4 GiB")
 	}
-	ix.arena = slices.Grow(ix.arena, n)[:at+n]
-	putText(ix.arena[at:], ad)
+	ix.arena = corpus.AppendText(slices.Grow(ix.arena, n), ad.Phrase, ad.Meta.Exclusions)
 	ix.textUsed += n
 	return uint32(at)
 }
@@ -280,8 +224,10 @@ func (ix *Index) phrase(r uint32) string {
 
 // textStats decodes record r's text: its arena bytes, its number of
 // exclusions, and size(A) (corpus.Ad.Size) of the record.
-func (ix *Index) textStats(r uint32) (n, exclusions, size int) {
-	text := ix.text(r)
+func (ix *Index) textStats(r uint32) (n, exclusions, size int) { return measureText(ix.text(r)) }
+
+// measureText is textStats of the record text at the start of text.
+func measureText(text []byte) (n, exclusions, size int) {
 	p, rest := arenaString(text)
 	size = len(p) + 2 + 8 + 4 + 8 + 2 // as corpus.Ad.Size
 	count, k := binary.Uvarint(rest)
@@ -317,7 +263,7 @@ func (ix *Index) Bid(r Ref) (micros int64, clickRate uint16) {
 
 // SetKey returns the set key of record r's word set.
 func (ix *Index) SetKey(r Ref) string {
-	key := ix.setKeyOf(ix.recWords(uint32(r)))
+	key := runKey(ix.voc.words, ix.recWords(uint32(r)))
 	runtime.KeepAlive(ix)
 	return key
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"slices"
 	"strings"
+
+	"adindex/internal/corpus"
 )
 
 // vocab is an index's word vocabulary: every word an indexed record has
@@ -74,39 +75,42 @@ func (v *vocab) appendIDs(dst []uint32, words []string) ([]uint32, bool) {
 	return dst, true
 }
 
-// buildVocab freezes the per-chunk document frequencies the bulk loader
-// counted into one vocabulary: the words in sorted order, their bytes
-// packed into one string so that no word keeps its input alive.
-func buildVocab(dfs []map[string]int) vocab {
-	total := dfs[0]
-	for _, df := range dfs[1:] {
-		for w, c := range df {
-			total[w] += c
+// loadVocab is the vocabulary of an index the bulk loader builds over in:
+// in's own where counts is nil; otherwise the words of in that the
+// per-chunk document frequencies counts finds in at least one loaded ad,
+// in the same order. remap maps in's word IDs to the index's, and is nil
+// where they are the same.
+func loadVocab(in *corpus.Columns, counts [][]uint32) (v vocab, remap []uint32) {
+	words, df := in.Words, in.DF
+	if counts != nil {
+		total := counts[0]
+		for _, c := range counts[1:] {
+			for w, k := range c {
+				total[w] += k
+			}
 		}
+		used := 0
+		for _, k := range total {
+			if k > 0 {
+				used++
+			}
+		}
+		words, df, remap = make([]string, 0, used), make([]uint32, 0, used), make([]uint32, len(total))
+		for w, k := range total {
+			if k > 0 {
+				remap[w] = uint32(len(words))
+				words, df = append(words, in.Words[w]), append(df, k)
+			}
+		}
+	} else {
+		words, df = append(make([]string, 0, len(words)), words...), append(make([]uint32, 0, len(df)), df...)
 	}
-	words := make([]string, 0, len(total))
-	size := 0
-	for w := range total {
-		words = append(words, w)
-		size += len(w)
-	}
-	slices.Sort(words)
-	var packed strings.Builder
-	packed.Grow(size)
-	for _, w := range words {
-		packed.WriteString(w)
-	}
-	all := packed.String()
-	v := vocab{ids: make(map[string]uint32, len(words)), words: words, df: make([]uint32, len(words)), sig: make([]uint64, len(words))}
-	at := 0
+	v = vocab{ids: make(map[string]uint32, len(words)), words: words, df: df, sig: make([]uint64, len(words))}
 	for i, w := range words {
-		v.df[i] = uint32(total[w])
 		v.sig[i] = wordSigBits(WordSignatureHash(w))
-		words[i] = all[at : at+len(w)]
-		at += len(w)
-		v.ids[words[i]] = uint32(i)
+		v.ids[w] = uint32(i)
 	}
-	return v
+	return v, remap
 }
 
 // bytes estimates the memory the vocabulary holds: the words and their

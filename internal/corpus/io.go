@@ -2,13 +2,16 @@ package corpus
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"io/fs"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"adindex/internal/textnorm"
 )
@@ -47,11 +50,12 @@ func checkExclusion(s string) error {
 	return nil
 }
 
-func checkAd(a *Ad) error {
-	if err := checkPhrase(a.Phrase); err != nil {
-		return fmt.Errorf("phrase %q %v", a.Phrase, err)
+// checkAd checks an ad's phrase and exclusions, in that order.
+func checkAd(phrase string, exclusions []string) error {
+	if err := checkPhrase(phrase); err != nil {
+		return fmt.Errorf("phrase %q %v", phrase, err)
 	}
-	for _, e := range a.Meta.Exclusions {
+	for _, e := range exclusions {
 		if err := checkExclusion(e); err != nil {
 			return fmt.Errorf("exclusion %q %v", e, err)
 		}
@@ -67,7 +71,7 @@ func (c *Corpus) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i := range c.Ads {
 		a := &c.Ads[i]
-		if err := checkAd(a); err != nil {
+		if err := checkAd(a.Phrase, a.Meta.Exclusions); err != nil {
 			return fmt.Errorf("corpus: ad %d: %v", a.ID, err)
 		}
 		excl := strings.Join(a.Meta.Exclusions, ",")
@@ -84,93 +88,181 @@ func (c *Corpus) Write(w io.Writer) error {
 // together with the byte that ends the line.
 const maxLine = 1<<20 - 1
 
-// minChunk is the least input worth a goroutine of its own.
-const minChunk = 1 << 16
+// readBlock is the size of the blocks ReadColumns reads its input in, and
+// maxReaders the most blocks it parses side by side.
+const (
+	readBlock  = 256 << 10
+	maxReaders = 8
+)
 
-// Read parses a corpus from the text format produced by Write. The input
-// is read whole and its lines are parsed in newline-aligned chunks side by
-// side; the ads, and the error for the first bad line, are those of
-// parsing line by line.
+// Read parses a corpus from the text format produced by Write: the
+// columns ReadColumns reads, expanded into ads. The ads, and the error for
+// the first bad line, are those of parsing line by line.
 func Read(r io.Reader) (*Corpus, error) {
-	var text strings.Builder
-	// A file says how long it is: read it into one buffer of that size
-	// instead of one grown by appends, which every Phrase would pin.
-	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
-		if info, err := f.Stat(); err == nil && info.Mode().IsRegular() {
-			text.Grow(int(info.Size()))
-		}
-	}
-	_, readErr := io.Copy(&text, r)
-	// Like a line scanner, parse what did arrive before reporting that the
-	// rest did not: a malformed line comes before the failed read.
-	c, err := parse(text.String(), min(runtime.GOMAXPROCS(0), text.Len()/minChunk+1))
-	if err == nil && readErr != nil {
-		err = fmt.Errorf("corpus: read: %w", readErr)
-	}
+	c, err := ReadColumns(r)
 	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Corpus{Ads: c.Ads()}, nil
 }
 
-// parse parses text in up to chunks pieces, each cut after a newline and
-// parsed into its own stretch of one slice, a slot per line.
-func parse(text string, chunks int) (*Corpus, error) {
-	type piece struct {
-		text      string
+// ReadColumns parses a corpus from the text format produced by Write into
+// the loader's columns. It reads the input a block at a time, cuts each
+// block after its last newline and parses the blocks side by side, each
+// into columns of its own, which are merged once the input is read: it
+// never holds the whole input, and allocates by what it has read, never by
+// what the input says its size is. The columns, and the error for the
+// first bad line, are those of parsing line by line.
+func ReadColumns(r io.Reader) (*Columns, error) {
+	return readColumns(r, readBlock, min(runtime.GOMAXPROCS(0), maxReaders))
+}
+
+// readColumns is ReadColumns with blocks of blockSize bytes (more where a
+// line is longer) parsed by up to workers goroutines.
+func readColumns(r io.Reader, blockSize, workers int) (*Columns, error) {
+	type job struct {
+		buf       []byte // the block's buffer, its text at the start
+		text      int    // the length of the text
 		firstLine int
-		ads       []Ad
-		err       error
+		out       *block
 	}
-	var pieces []piece
-	lines := 0
-	for left := chunks; len(text) > 0; left-- {
-		cut := len(text)
-		if left > 1 {
-			if nl := strings.IndexByte(text[cut/left:], '\n'); nl >= 0 {
-				cut = cut/left + nl + 1
+	jobs := make(chan job)
+	// At most a buffer per worker, one being filled and one taking the
+	// unterminated tail of the last are in use.
+	free := make(chan []byte, workers+2)
+	made := 0
+	buffer := func(size int) []byte {
+		var b []byte
+		select {
+		case b = <-free:
+		default:
+			if made < cap(free) {
+				made++
+			} else {
+				b = <-free
 			}
 		}
-		pieces = append(pieces, piece{text: text[:cut], firstLine: lines + 1})
-		lines += strings.Count(text[:cut], "\n")
-		text = text[cut:]
+		return slices.Grow(b[:0], size)
 	}
-	all := make([]Ad, lines+1) // the last line may lack its newline
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i := range pieces {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := &pieces[i]
-			p.ads, p.err = parseLines(all[p.firstLine-1:p.firstLine-1], p.text, p.firstLine)
+			var p blockParser
+			for j := range jobs {
+				// The block's strings alias its buffer until it is parsed;
+				// nothing the parse keeps does.
+				j.out.cols, j.out.err = p.parse(unsafe.String(&j.buf[0], j.text), j.firstLine)
+				if j.out.err != nil {
+					failed.Store(true)
+				}
+				free <- j.buf
+			}
 		}()
 	}
+
+	var blocks []*block
+	var readErr error
+	eof := false
+	lines := 0
+	buf, want := buffer(0), blockSize
+	for !failed.Load() {
+		// Read until the buffer holds want bytes or the input ends. A
+		// buffer grows with what arrives, so what it holds is what was read.
+		for empty := 0; len(buf) < want && !eof; {
+			if len(buf) == cap(buf) {
+				buf = slices.Grow(buf, max(len(buf), 512))
+			}
+			n, err := r.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+n]
+			switch {
+			case err == io.EOF:
+				eof = true
+			case err != nil:
+				eof, readErr = true, err
+			case n == 0:
+				if empty++; empty == 100 {
+					eof, readErr = true, io.ErrNoProgress
+				}
+			}
+		}
+		// The block ends after the last newline, or at the end of the
+		// input; a buffer that holds no newline holds a part of one line,
+		// which is read on unless it is already too long for one.
+		cut := bytes.LastIndexByte(buf, '\n') + 1
+		last := eof || cut == 0 && len(buf) > maxLine
+		if last {
+			cut = len(buf)
+		} else if cut == 0 {
+			want = 2 * len(buf)
+			continue
+		}
+		want = blockSize
+		var next []byte
+		if !last {
+			next = append(buffer(len(buf)-cut), buf[cut:]...)
+		}
+		if cut > 0 {
+			b := &block{}
+			blocks = append(blocks, b)
+			first := lines + 1
+			lines += bytes.Count(buf[:cut], []byte{'\n'})
+			jobs <- job{buf: buf, text: cut, firstLine: first, out: b}
+		} else {
+			free <- buf
+		}
+		if last {
+			break
+		}
+		buf = next
+	}
+	close(jobs)
 	wg.Wait()
-	// Close the gaps blank lines left; the first bad line is the first bad
-	// piece's.
-	n := 0
-	for i := range pieces {
-		if pieces[i].err != nil {
-			return nil, pieces[i].err
+	// Like a line scanner, parse what did arrive before reporting that the
+	// rest did not: a malformed line comes before the failed read.
+	parsed := make([]*Columns, len(blocks))
+	for i, b := range blocks {
+		if b.err != nil {
+			return nil, b.err
 		}
-		if n != pieces[i].firstLine-1 {
-			copy(all[n:], pieces[i].ads)
-		}
-		n += len(pieces[i].ads)
+		parsed[i] = b.cols
 	}
-	if n == 0 {
-		return &Corpus{}, nil
+	if readErr != nil {
+		return nil, fmt.Errorf("corpus: read: %w", readErr)
 	}
-	return &Corpus{Ads: all[:n]}, nil
+	return merge(parsed)
 }
 
-// parseLines appends the ads of text's lines, the first of which is line
-// lineNo of the input, to ads, up to the first bad line. The ads' word sets
-// are carved back to back out of one slice (a slot per space-separated
-// word, one allocation instead of several per line), each capped at its
-// length.
-func parseLines(ads []Ad, text string, lineNo int) ([]Ad, error) {
-	words := make([]string, 0, strings.Count(text, " ")+strings.Count(text, "\n")+1)
+// block is the outcome of parsing one block: its columns, with a
+// vocabulary of their own, or the error for its first bad line.
+type block struct {
+	cols *Columns
+	err  error
+}
+
+// blockParser parses blocks, one at a time, into columns, reusing its
+// scratch space from one block to the next.
+type blockParser struct {
+	c     Columns           // the block's columns as they grow
+	ids   map[string]uint32 // the block's vocabulary: word -> number
+	words []string          // one ad's word set
+	excl  []string          // one ad's exclusions
+}
+
+// parse returns the columns of text's lines, the first of which is line
+// lineNo of the input, or the error for the first bad line. The columns
+// are exact-size, and their vocabulary is numbered in the order the words
+// first occur.
+func (p *blockParser) parse(text string, lineNo int) (*Columns, error) {
+	if p.ids == nil {
+		p.ids = make(map[string]uint32)
+	}
+	defer clear(p.ids) // its keys may alias the block's buffer
+	c := &p.c
+	*c = Columns{ID: c.ID[:0], Bid: c.Bid[:0], Campaign: c.Campaign[:0], ClickRate: c.ClickRate[:0],
+		WordAt: c.WordAt[:0], TextAt: c.TextAt[:0], WordIDs: c.WordIDs[:0], Text: c.Text[:0], Words: c.Words[:0], DF: c.DF[:0]}
 	for ; len(text) > 0; lineNo++ {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
@@ -206,22 +298,41 @@ func parseLines(ads []Ad, text string, lineNo int) ([]Ad, error) {
 		if err != nil {
 			return nil, fmt.Errorf("corpus: line %d: bad click rate: %v", lineNo, err)
 		}
-		var excl []string
-		if parts[4] != "" {
-			excl = strings.Split(parts[4], ",")
-		}
-		ad := Ad{ID: id, Phrase: line, Meta: Meta{CampaignID: uint32(camp), BidMicros: bid, ClickRate: uint16(ctr), Exclusions: excl}}
-		mark := len(words)
-		if words = textnorm.AppendWordSet(words, ad.Phrase); len(words) > mark {
-			ad.Words = words[mark:len(words):len(words)]
+		p.excl = p.excl[:0]
+		for rest, more := parts[4], parts[4] != ""; more; {
+			var e string
+			e, rest, more = strings.Cut(rest, ",")
+			p.excl = append(p.excl, e)
 		}
 		// Reject anything Write would refuse to emit (e.g. a stray
 		// carriage return mid-line, or an empty exclusion from ",,"), so
 		// every corpus Read accepts is guaranteed to round-trip.
-		if err := checkAd(&ad); err != nil {
+		if err := checkAd(line, p.excl); err != nil {
 			return nil, fmt.Errorf("corpus: line %d: %v", lineNo, err)
 		}
-		ads = append(ads, ad)
+		c.ID, c.Bid = append(c.ID, id), append(c.Bid, bid)
+		c.Campaign, c.ClickRate = append(c.Campaign, uint32(camp)), append(c.ClickRate, uint16(ctr))
+		c.WordAt, c.TextAt = append(c.WordAt, uint32(len(c.WordIDs))), append(c.TextAt, uint32(len(c.Text)))
+		c.Text = AppendText(c.Text, line, p.excl)
+		p.words = textnorm.AppendWordSet(p.words[:0], line)
+		for _, w := range p.words {
+			wid, ok := p.ids[w]
+			if !ok {
+				wid = uint32(len(c.Words))
+				p.ids[w] = wid
+				c.Words, c.DF = append(c.Words, w), append(c.DF, 0)
+			}
+			c.DF[wid]++
+			c.WordIDs = append(c.WordIDs, wid)
+		}
 	}
-	return ads, nil
+	if len(c.ID) == 0 {
+		return &Columns{}, nil
+	}
+	c.WordAt, c.TextAt = append(c.WordAt, uint32(len(c.WordIDs))), append(c.TextAt, uint32(len(c.Text)))
+	out := &Columns{ID: slices.Clone(c.ID), Bid: slices.Clone(c.Bid), Campaign: slices.Clone(c.Campaign),
+		ClickRate: slices.Clone(c.ClickRate), WordAt: slices.Clone(c.WordAt), TextAt: slices.Clone(c.TextAt),
+		WordIDs: slices.Clone(c.WordIDs), Text: slices.Clone(c.Text), Words: slices.Clone(c.Words), DF: slices.Clone(c.DF)}
+	packWords(out.Words) // they may alias the block's buffer
+	return out, nil
 }

@@ -178,10 +178,18 @@ const (
 func pace() { time.Sleep(handoffPace) }
 
 // NewElastic partitions ads across numShards shards under a fresh
-// epoch-1 routing table. Each shard is built over its positions in ads,
-// so the start holds one copy of the corpus, the caller's, and leaves it
-// as it was.
+// epoch-1 routing table: LoadElastic over the ads in columns. It leaves
+// the caller's slice as it was.
 func NewElastic(ads []corpus.Ad, numShards int, opts ElasticOptions) (*ElasticCluster, error) {
+	return LoadElastic(corpus.FromAds(ads), numShards, opts)
+}
+
+// LoadElastic partitions the ads of in (corpus.ReadColumns) across
+// numShards shards under a fresh epoch-1 routing table. Each shard is
+// built over its positions in in, so the start holds one copy of the
+// corpus, the caller's; the shards keep nothing of it but the
+// vocabulary's strings.
+func LoadElastic(in *corpus.Columns, numShards int, opts ElasticOptions) (*ElasticCluster, error) {
 	opts = opts.withDefaults()
 	if numShards > opts.MaxShards {
 		return nil, fmt.Errorf("shard: %d initial shards exceed MaxShards %d", numShards, opts.MaxShards)
@@ -190,19 +198,24 @@ func NewElastic(ads []corpus.Ad, numShards int, opts ElasticOptions) (*ElasticCl
 	if err != nil {
 		return nil, err
 	}
-	// Each shard's positions in ads, ascending, in one list of 4 B per ad:
+	// Each shard's positions in in, ascending, in one list of 4 B per ad:
 	// counted, then filled.
-	size := make([]int, numShards)
-	for i := range ads {
-		size[table.OwnerOf(ads[i].Words)]++
+	var words []string
+	owner := func(i int) int {
+		words = in.AppendWords(words[:0], i)
+		return table.OwnerOf(words)
 	}
-	all := make([]int32, len(ads))
+	size := make([]int, numShards)
+	for i := 0; i < in.Len(); i++ {
+		size[owner(i)]++
+	}
+	all := make([]int32, in.Len())
 	parts := make([][]int32, numShards)
 	for o, n := range size {
 		parts[o], all = all[:0:n], all[n:]
 	}
-	for i := range ads {
-		o := table.OwnerOf(ads[i].Words)
+	for i := 0; i < in.Len(); i++ {
+		o := owner(i)
 		parts[o] = append(parts[o], int32(i))
 	}
 	// The shards share nothing; they are built side by side.
@@ -212,7 +225,7 @@ func NewElastic(ads []corpus.Ad, numShards int, opts ElasticOptions) (*ElasticCl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ec.shards[i] = core.NewAt(ads, parts[i], opts.coreOptions())
+			ec.shards[i] = core.LoadAt(in, parts[i], opts.coreOptions())
 		}()
 		ec.loads = append(ec.loads, &atomic.Uint64{})
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"adindex/internal/core"
-	"adindex/internal/costmodel"
 	"adindex/internal/durable"
 )
 
@@ -62,12 +61,7 @@ func OpenDurable(dir string, opts Options, dc DurableConfig) (*Index, *durable.R
 	if err != nil {
 		return nil, nil, err
 	}
-	ix := &Index{
-		opts:     opts,
-		model:    costmodel.Default(),
-		observed: newObserveSampler(maxObservedQueries),
-		rewriter: opts.planner(),
-	}
+	ix := newIndex(opts)
 	// A fresh directory given a corpus starts from that corpus, not from
 	// the empty state the directory recovered to.
 	bootstrap := rec.Report.Fresh && len(dc.Bootstrap) > 0
