@@ -120,14 +120,14 @@ migratesmoke:
 # answers a typed error frame and keeps serving), the budget/quarantine
 # HTTP path, and the adversarial-flood acceptance test, under the race
 # detector; with them the fail-closed rules of the wire: a wrong or corrupt
-# answer to an ID or a records request is a typed error, pooled reply
+# answer to a records request is a typed error, pooled reply
 # buffers never cross queries, query text led by a tag byte is text, and an
 # elastic shard's deadline and cutoff flags reach the front end's reply.
 overloadsmoke:
 	$(GO) test -race -run 'TestSimOverloadBudget' -v ./internal/sim
 	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBackendFlagsOverWire|TestRecordsOverWire|TestRecordCountOverflowRejected' \
 		./internal/multiserver
-	$(GO) test -race -run 'TestCorruptShardReplyIsAnError|TestFanOutScratchIsolation|TestTagByteLedQueryText|TestTwoHopSkipsMetadataForNoMatch|TestElasticFlagsReachTheReply' \
+	$(GO) test -race -run 'TestCorruptShardReplyIsAnError|TestFanOutScratchIsolation|TestTagByteLedQueryText|TestElasticFlagsReachTheReply' \
 		./internal/shard
 	$(GO) test -race -run 'TestSearchBudget|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood|TestElasticFlagsReachTheReply' \
 		-v ./internal/server

@@ -15,21 +15,23 @@
 //
 // Distributed usage (every backend is itself an adserve):
 //
-//	# two index shard servers + one ad-metadata server, speaking the
-//	# multiserver TCP frame protocol alongside HTTP:
+//	# two index shard servers, speaking the multiserver TCP frame
+//	# protocol alongside HTTP; each answers with its matches' records
+//	# (ID, bid, click rate) as its live index holds them, /insert and
+//	# /delete included:
 //	adserve -corpus shard0.tsv -addr :8078 -tcp-index :9001
 //	adserve -corpus shard1.tsv -addr :8079 -tcp-index :9002
-//	adserve -corpus corpus.tsv -addr :8080 -tcp-ad :9010
-//	# fault-tolerant front-end: shards separated by ';', replicas by ','
+//	# fault-tolerant front-end, one round trip per shard: shards
+//	# separated by ';', replicas by ','
 //	adserve -addr :8077 -shards '127.0.0.1:9001;127.0.0.1:9002' \
-//	        -ad-server 127.0.0.1:9010 -allow-partial -hedge-after 20ms
+//	        -allow-partial -hedge-after 20ms
 //
 // Elastic (live-reshardable) usage:
 //
 //	# one process: N-shard cluster over TCP positions + routed front-end;
-//	# the shards answer with ad records (one round trip per shard, no ad
-//	# server unless -tcp-ad asks for one); split/merge/migrate run live
-//	# with epoch-routed atomic cutover
+//	# the shards answer with ad records, one round trip per shard, as
+//	# -shards backends do; split/merge/migrate run live with
+//	# epoch-routed atomic cutover
 //	adserve -corpus corpus.tsv -elastic 2 -addr :8077
 //	curl -X POST 'http://localhost:8077/admin/rebalance?op=split'        # hottest shard
 //	curl -X POST 'http://localhost:8077/admin/rebalance?op=migrate&from=0&to=2'
@@ -52,7 +54,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -91,13 +92,13 @@ type flags struct {
 	snapshotEvery        int
 	allowPartialRecovery bool
 
-	tcpIndex, tcpAd string
+	tcpIndex string
 
 	elastic int
 
-	shards, adServer string
-	hedgeAfter       time.Duration
-	allowPartial     bool
+	shards       string
+	hedgeAfter   time.Duration
+	allowPartial bool
 }
 
 func defineFlags(fs *flag.FlagSet) *flags {
@@ -147,11 +148,9 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.BoolVar(&f.allowPartialRecovery, "allow-partial-recovery", false,
 		"serve even when recovery fell back a snapshot generation or dropped WAL records; without it such recovery exits non-zero")
 
-	// TCP serving: expose the local index and/or ad metadata over the
-	// multiserver frame protocol so this process can back a -shards
-	// front-end.
-	fs.StringVar(&f.tcpIndex, "tcp-index", "", "also serve the index over the TCP frame protocol on this address")
-	fs.StringVar(&f.tcpAd, "tcp-ad", "", "also serve ad metadata over the TCP frame protocol on this address")
+	// TCP serving: expose the local index over the multiserver frame
+	// protocol so this process can back a -shards front-end.
+	fs.StringVar(&f.tcpIndex, "tcp-index", "", "also serve the index (matches with their records) over the TCP frame protocol on this address")
 
 	// Elastic (live-reshardable) mode: one process hosting an
 	// ElasticCluster with every shard position served over TCP, fronted
@@ -164,12 +163,10 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	// apply to the elastic node's own fan-out client.
 	fs.StringVar(&f.shards, "shards", "",
 		"remote mode: index shard addresses, shards separated by ';', replicas of one shard by ','")
-	fs.StringVar(&f.adServer, "ad-server", "",
-		"remote mode: ad-metadata server address (required with -shards)")
 	fs.DurationVar(&f.hedgeAfter, "hedge-after", 0,
 		"remote mode: duplicate an in-flight shard query to the next replica after this delay (0 disables)")
 	fs.BoolVar(&f.allowPartial, "allow-partial", false,
-		"remote mode: serve degraded (partial / ID-only) results instead of failing when backends are down")
+		"remote mode: serve degraded (partial) results instead of failing when shards are down")
 	return f
 }
 
@@ -247,10 +244,8 @@ var readers = map[string]mode{
 	"allow-partial-recovery": modeDurable,
 
 	"tcp-index":     modeLocal,
-	"tcp-ad":        modeLocal | modeElastic,
 	"elastic":       modeElastic,
 	"shards":        modeShards,
-	"ad-server":     modeShards,
 	"hedge-after":   modeShards | modeElastic,
 	"allow-partial": modeShards | modeElastic,
 }
@@ -263,7 +258,6 @@ var needs = []struct {
 }{
 	{"corpus", modeMemory, "there is nothing else to build the index from"},
 	{"corpus", modeElastic, "the cluster is built from it"},
-	{"ad-server", modeShards, "the front end fetches ad metadata from it"},
 }
 
 // flagMode is one flag given to one deployment.
@@ -298,7 +292,6 @@ var why = map[flagMode]string{
 	{"query-budget", modeShards}:   "the budget is enforced where the index is: set it on the -tcp-index backends",
 	{"mapping", modeShards}:        "a remote front-end holds no index to re-map",
 	{"tcp-index", modeShards}:      "a remote front-end holds no index to serve",
-	{"tcp-ad", modeShards}:         "a remote front-end holds no ads to serve",
 }
 
 // reason is why deployment m refuses flag name.
@@ -494,15 +487,6 @@ func runLocal(f *flags, cfg server.Config) {
 		defer ts.Close()
 		log.Printf("serving TCP index protocol on %s", ts.Addr())
 	}
-	if f.tcpAd != "" {
-		as, err := multiserver.NewAdServer(f.tcpAd, multiserver.ServeOpts{}, ix.Ads())
-		if err != nil {
-			log.Fatalf("tcp ad server: %v", err)
-		}
-		defer as.Close()
-		log.Printf("serving TCP ad-metadata protocol on %s for the %d ads present at start; later writes do not reach it",
-			as.Addr(), ix.NumAds())
-	}
 
 	if err := srv.AwaitShutdown(); err != nil {
 		log.Fatal(err)
@@ -587,9 +571,11 @@ func openDurable(f *flags, opts adindex.Options, dc adindex.DurableConfig) (*adi
 }
 
 // indexBackend adapts the public adindex.Index to the multiserver
-// Backend interface (IDs only on the wire; metadata lives on the ad
-// server, as in the paper's Section VII-B split). It has no routing table,
-// so an epoch-tagged request is served unchecked.
+// Backend interface. It answers a records request — what a -shards front
+// end sends — with each match's ID, bid and click rate as the live index
+// holds them, writes included, and any other request with the IDs alone.
+// It has no routing table, so an epoch-tagged request is served
+// unchecked.
 type indexBackend struct {
 	ix     *adindex.Index
 	budget int64 // -query-budget; 0 = unlimited cost
@@ -597,22 +583,22 @@ type indexBackend struct {
 
 // AppendMatch implements multiserver.Backend: the wire deadline and the
 // local -query-budget bound the enumeration, and truncation/cutoff ride
-// back to the front-end as ID-frame flags.
+// back to the front-end as frame flags.
 func (b indexBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
-	if req.Records {
-		return nil, errors.New("adserve -tcp-index answers with IDs only: the ad records are on the -tcp-ad server")
-	}
 	res := b.ix.Match(nil, adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
-	ids := make([]uint64, len(res.Ads))
-	for i := range res.Ads {
-		ids[i] = res.Ads[i].ID
-	}
 	var flags byte
 	if res.Truncated {
 		flags |= multiserver.IDFlagTruncated
 	}
 	if res.CutoffApplied {
 		flags |= multiserver.IDFlagCutoff
+	}
+	if req.Records {
+		return multiserver.AppendAdRecords(dst, res.Ads, flags), nil
+	}
+	ids := make([]uint64, len(res.Ads))
+	for i := range res.Ads {
+		ids[i] = res.Ads[i].ID
 	}
 	return multiserver.AppendIDs(dst, ids, flags), nil
 }

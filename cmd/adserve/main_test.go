@@ -309,19 +309,16 @@ func TestMappingStart(t *testing.T) {
 // into the loader's columns and never expands it into []Ad. With every
 // allocation since the start sampled, the heap profile at ready holds the
 // reader's allocations and none of an expansion into ads or of the []Ad
-// adapter — unless -tcp-ad asks the elastic node for an ad server, which
-// is built over the ads expanded then.
+// adapter.
 func TestStartExpandsNoAds(t *testing.T) {
 	t.Setenv("GODEBUG", "memprofilerate=1")
 	path := writeCorpus(t, testCorpus(), filepath.Join(t.TempDir(), "corpus.tsv"))
 	for _, tc := range []struct {
-		name   string
-		args   []string
-		expand bool
+		name string
+		args []string
 	}{
-		{"memory", nil, false},
-		{"elastic", []string{"-elastic", "2"}, false},
-		{"elastic with an ad server", []string{"-elastic", "2", "-tcp-ad", "127.0.0.1:0"}, true},
+		{"memory", nil},
+		{"elastic", []string{"-elastic", "2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := start(t, append([]string{"-corpus", path, "-addr", "127.0.0.1:0"}, tc.args...)...)
@@ -332,8 +329,8 @@ func TestStartExpandsNoAds(t *testing.T) {
 				t.Fatalf("the heap profile holds no allocation of the reader:\n%.2000s", prof)
 			}
 			for _, fn := range []string{"corpus.(*Columns).Ads", "corpus.FromAds", "corpus.Read+"} {
-				if got := strings.Contains(prof, fn); got != (tc.expand && fn == "corpus.(*Columns).Ads") {
-					t.Errorf("the heap profile at ready holds allocations of %s: %v", fn, got)
+				if strings.Contains(prof, fn) {
+					t.Errorf("the heap profile at ready holds allocations of %s", fn)
 				}
 			}
 		})
@@ -349,42 +346,90 @@ func startupTimings(t *testing.T, p *proc) {
 }
 
 // TestShardsFrontEnd: two adserve backends speaking the TCP frame
-// protocol (-tcp-index, one also -tcp-ad), each over half the corpus,
-// behind a -shards front end on a frozen route.
+// protocol (-tcp-index), each over half the corpus, behind a -shards front
+// end on a frozen route. The backends answer with their records as their
+// live indexes hold them, so a write on a backend is in the front end's
+// next answer: a new ad with the bid it was inserted with, and an ad
+// re-inserted under its ID with its new bid.
 func TestShardsFrontEnd(t *testing.T) {
 	c := testCorpus()
 	dir := t.TempDir()
 	half := len(c.Ads) / 2
-	var index []string
-	var ad string
+	var index, backend []string
 	for i, ads := range [][]corpus.Ad{c.Ads[:half], c.Ads[half:]} {
 		path := writeCorpus(t, &corpus.Corpus{Ads: ads}, filepath.Join(dir, fmt.Sprintf("shard%d.tsv", i)))
-		args := []string{"-corpus", path, "-addr", "127.0.0.1:0", "-tcp-index", "127.0.0.1:0"}
-		if i == 0 {
-			args = append(args, "-tcp-ad", "127.0.0.1:0")
-		}
-		p := start(t, args...)
+		p := start(t, "-corpus", path, "-addr", "127.0.0.1:0", "-tcp-index", "127.0.0.1:0")
 		index = append(index, p.logged(t, `serving TCP index protocol on (\S+)`))
-		if i == 0 {
-			ad = p.logged(t, `serving TCP ad-metadata protocol on (\S+)`)
-		}
+		backend = append(backend, p.base(t))
 	}
-	front := start(t, "-addr", "127.0.0.1:0", "-shards", strings.Join(index, ";"), "-ad-server", ad)
+	front := start(t, "-addr", "127.0.0.1:0", "-shards", strings.Join(index, ";"))
 	base := front.base(t)
 	awaitReady(t, front, base)
-	searchMatches(t, base, c.Ads[0].Phrase, c.Ads[0].ID)
-	searchMatches(t, base, c.Ads[half].Phrase, c.Ads[half].ID)
+	for _, ad := range []corpus.Ad{c.Ads[0], c.Ads[half]} {
+		if got := frontRecords(t, base, ad.Phrase)[ad.ID]; len(got) != 1 || got[0] != metaOf(ad.Meta) {
+			t.Errorf("ad %d through the front end: %+v, want its corpus record %+v", ad.ID, got, metaOf(ad.Meta))
+		}
+	}
+
+	old := c.Ads[half]
+	renewed := corpus.NewAd(old.ID, old.Phrase, corpus.Meta{BidMicros: old.Meta.BidMicros + 777, ClickRate: 42})
+	added := corpus.NewAd(900001, "zqxw widget", corpus.Meta{BidMicros: 5000, ClickRate: 7})
+	post(t, backend[1]+"/delete", fmt.Sprintf(`{"id":%d,"phrase":%q}`, old.ID, old.Phrase))
+	for _, ad := range []corpus.Ad{renewed, added} {
+		post(t, backend[1]+"/insert", fmt.Sprintf(`{"id":%d,"phrase":%q,"meta":{"BidMicros":%d,"ClickRate":%d}}`,
+			ad.ID, ad.Phrase, ad.Meta.BidMicros, ad.Meta.ClickRate))
+		if got := frontRecords(t, base, ad.Phrase)[ad.ID]; len(got) != 1 || got[0] != metaOf(ad.Meta) {
+			t.Errorf("ad %d written on a backend reads through the front end as %+v, want %+v", ad.ID, got, metaOf(ad.Meta))
+		}
+	}
 
 	// A shard with no reachable replica fails the start, at once: the
 	// dial is refused, so no exchange waits out its deadline.
 	began := time.Now()
-	dark := start(t, "-addr", "127.0.0.1:0", "-shards", index[0]+";127.0.0.1:1", "-ad-server", ad)
+	dark := start(t, "-addr", "127.0.0.1:0", "-shards", index[0]+";127.0.0.1:1")
 	<-dark.done
 	if dark.cmd.ProcessState.Success() || !strings.Contains(dark.logText(), "no reachable replica for shard 1") {
 		t.Fatalf("front end over a dark shard: exit %v, log:\n%s", dark.cmd.ProcessState, dark.logText())
 	}
 	if took := time.Since(began); took >= multiserver.DefaultTimeout {
 		t.Errorf("front end over a dark shard took %v to fail, not less than one exchange deadline (%v)", took, multiserver.DefaultTimeout)
+	}
+}
+
+func metaOf(m corpus.Meta) multiserver.AdMeta {
+	return multiserver.AdMeta{BidMicros: m.BidMicros, ClickRate: m.ClickRate}
+}
+
+// frontRecords runs one broad /search for q through a front end and
+// returns the records of the reply by ID.
+func frontRecords(t *testing.T, base, q string) map[uint64][]multiserver.AdMeta {
+	t.Helper()
+	code, body := get(t, base+"/search?q="+url.QueryEscape(q))
+	var resp struct {
+		IDs  []uint64             `json:"ids"`
+		Meta []multiserver.AdMeta `json:"meta"`
+	}
+	if err := json.Unmarshal([]byte(body), &resp); code != http.StatusOK || err != nil || len(resp.Meta) != len(resp.IDs) {
+		t.Fatalf("/search %q = %d %s (%v)", q, code, body, err)
+	}
+	out := make(map[uint64][]multiserver.AdMeta)
+	for i, id := range resp.IDs {
+		out[id] = append(out[id], resp.Meta[i])
+	}
+	return out
+}
+
+// post sends body to url and requires a 200.
+func post(t *testing.T, url, body string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s %s = %d %s", url, body, resp.StatusCode, reply)
 	}
 }
 
@@ -402,20 +447,13 @@ func TestElasticMode(t *testing.T) {
 	}
 	startupTimings(t, p)
 	searchMatches(t, base, c.Ads[0].Phrase, c.Ads[0].ID)
-	// The shards answer with the ad's own record in the one round trip, so
-	// the node runs and dials no ad server unless -tcp-ad asks for one.
-	_, body0 := get(t, base+"/search?q="+url.QueryEscape(c.Ads[0].Phrase))
-	if want := fmt.Sprintf(`{"BidMicros":%d,"ClickRate":%d}`, c.Ads[0].Meta.BidMicros, c.Ads[0].Meta.ClickRate); !strings.Contains(body0, want) {
-		t.Errorf("/search %q carries no %s: %s", c.Ads[0].Phrase, want, body0)
+	// The shards answer with the ad's own record in the one round trip.
+	if got := frontRecords(t, base, c.Ads[0].Phrase)[c.Ads[0].ID]; len(got) != 1 || got[0] != metaOf(c.Ads[0].Meta) {
+		t.Errorf("ad %d through the elastic front end: %+v, want %+v", c.Ads[0].ID, got, metaOf(c.Ads[0].Meta))
 	}
-	if _, metrics := get(t, base+"/metrics"); strings.Contains(metrics, "ad_breaker") || !strings.Contains(metrics, `"live_shards":2`) {
-		t.Errorf("/metrics of an elastic node shows an ad-server connection (or no shards): %s", metrics)
+	if _, metrics := get(t, base+"/metrics"); !strings.Contains(metrics, `"live_shards":2`) {
+		t.Errorf("/metrics of an elastic node shows no two live shards: %s", metrics)
 	}
-	if strings.Contains(p.logText(), "ad-metadata") {
-		t.Errorf("elastic node started an ad server unasked:\n%s", p.logText())
-	}
-	withAd := start(t, "-corpus", path, "-addr", "127.0.0.1:0", "-elastic", "2", "-tcp-ad", "127.0.0.1:0")
-	withAd.logged(t, `serving TCP ad-metadata protocol on (\S+)`)
 
 	resp, err := http.Post(base+"/admin/rebalance?op=split", "", nil)
 	if err != nil {
@@ -439,14 +477,14 @@ func TestRefusals(t *testing.T) {
 		modeMemory:  {"corpus": "x"},
 		modeDurable: {"data-dir": filepath.Join(t.TempDir(), "state")},
 		modeElastic: {"elastic": "2", "corpus": "x"},
-		modeShards:  {"shards": "127.0.0.1:1", "ad-server": "127.0.0.1:1"},
+		modeShards:  {"shards": "127.0.0.1:1"},
 	}
 	sample := map[string]string{
 		"corpus": "x", "mapping": "x", "max-words": "4", "cache-entries": "5",
 		"adapt-interval": "1s", "query-budget": "8", "rewrite": "true", "synonyms": "x",
 		"data-dir": "x", "wal-sync": "none", "snapshot-every": "10", "allow-partial-recovery": "true",
-		"tcp-index": "127.0.0.1:0", "tcp-ad": "127.0.0.1:0", "elastic": "2",
-		"shards": "127.0.0.1:1", "ad-server": "127.0.0.1:1", "hedge-after": "5ms", "allow-partial": "true",
+		"tcp-index": "127.0.0.1:0", "elastic": "2",
+		"shards": "127.0.0.1:1", "hedge-after": "5ms", "allow-partial": "true",
 	}
 	for _, n := range needs {
 		t.Run(n.flag+" with "+n.mode.String(), func(t *testing.T) {
@@ -543,8 +581,8 @@ func TestSettableValues(t *testing.T) {
 		}
 	}
 	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, len(fields), flags+len(fields))
-	if flags != 24 || len(fields) != 30 {
-		t.Errorf("%d flags and %d option fields, want 24 and 30", flags, len(fields))
+	if flags != 22 || len(fields) != 30 {
+		t.Errorf("%d flags and %d option fields, want 22 and 30", flags, len(fields))
 	}
 }
 
@@ -611,13 +649,14 @@ func settable(paths []string, prefix string, typ reflect.Type) []string {
 	return paths
 }
 
-// TestIndexBackend: the -tcp-index backend honours the whole request it
-// can — the deadline and -query-budget bound the match and are reported in
-// the ID frame's flags, an epoch tag is served unchecked — and refuses the
-// part it cannot: it holds no records to answer a records request with.
+// TestIndexBackend: the -tcp-index backend honours the whole request —
+// the deadline and -query-budget bound the match and are reported in the
+// frame's flags, an epoch tag is served unchecked — and answers a records
+// request with every match's ID, bid and click rate, in match order.
 func TestIndexBackend(t *testing.T) {
 	c := testCorpus()
-	b := indexBackend{ix: adindex.Build(c.Ads, adindex.Options{}), budget: 1}
+	ix := adindex.Build(c.Ads, adindex.Options{})
+	b := indexBackend{ix: ix, budget: 1}
 	q := c.Ads[0].Phrase + " " + c.Ads[1].Phrase + " " + c.Ads[2].Phrase
 	body, err := b.AppendMatch(nil, multiserver.Request{Query: q, Epoch: 9, Tagged: true})
 	if err != nil {
@@ -631,7 +670,18 @@ func TestIndexBackend(t *testing.T) {
 	if ids, flags, derr := multiserver.DecodeIDsFlags(body); err != nil || derr != nil || flags != 0 || len(ids) < 3 {
 		t.Errorf("unbudgeted: %d ids, flags %#x, err %v / %v; want the three phrases' ads, unflagged", len(ids), flags, err, derr)
 	}
-	if _, err := b.AppendMatch(nil, multiserver.Request{Query: q, Records: true}); err == nil {
-		t.Error("a records request was answered: this backend has no records to send")
+	body, err = b.AppendMatch(nil, multiserver.Request{Query: q, Records: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, meta, flags, err := multiserver.DecodeRecords(body)
+	want := ix.Match(nil, adindex.Query{Text: q}).Ads
+	if err != nil || flags != 0 || len(ids) != len(want) {
+		t.Fatalf("records request: %d records, flags %#x, err %v; want %d unflagged", len(ids), flags, err, len(want))
+	}
+	for i, ad := range want {
+		if ids[i] != ad.ID || meta[i] != metaOf(ad.Meta) {
+			t.Errorf("record %d = %d %+v, want %d %+v", i, ids[i], meta[i], ad.ID, metaOf(ad.Meta))
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"adindex/internal/multiserver"
 	"adindex/internal/server"
 	"adindex/internal/shard"
 )
@@ -18,15 +17,16 @@ func shardOptions(f *flags) shard.Options {
 
 // runShards is the -shards main loop: a fault-tolerant front end over a
 // static list of index backends (each one an adserve -tcp-index, or any
-// frame-protocol index server) and an ad-metadata server.
+// frame-protocol index server that answers records), one round trip per
+// shard.
 func runShards(f *flags, cfg server.Config) {
-	nc, err := shard.DialReplicaShards(parseShards(f.shards), f.adServer, shardOptions(f))
+	nc, err := shard.DialReplicaShards(parseShards(f.shards), shardOptions(f))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer nc.Close()
-	log.Printf("front-end over %d shards (ad server %s, partial=%v, hedge=%v)",
-		nc.NumShards(), f.adServer, f.allowPartial, f.hedgeAfter)
+	log.Printf("front-end over %d shards (partial=%v, hedge=%v)",
+		nc.NumShards(), f.allowPartial, f.hedgeAfter)
 	// Run binds before serving, so a bad -addr fails here with a non-zero
 	// exit instead of a goroutine logging into the void.
 	if err := server.NewRemote(nc, cfg).Run(f.addr); err != nil {
@@ -41,11 +41,9 @@ func runShards(f *flags, cfg server.Config) {
 // cluster's live route feeding the HTTP front-end. The shards are built
 // over the one copy of the corpus, read into the loader's columns, which
 // is dropped and collected before serving. They hold the ads and answer
-// with records, so a query is one round trip per shard and the front end
-// uses no ad server; -tcp-ad starts one for outside clients of the two-hop
-// protocol, over the ads expanded from the columns then. Topology
-// changes run live through POST /admin/rebalance; /metrics carries the
-// migration status and /readyz annotates an in-flight handoff.
+// with records, so a query is one round trip per shard. Topology changes
+// run live through POST /admin/rebalance; /metrics carries the migration
+// status and /readyz annotates an in-flight handoff.
 func runElastic(f *flags, cfg server.Config) {
 	in := readColumns(f.corpus)
 	// Collect the reader's garbage before the build allocates (see
@@ -65,17 +63,9 @@ func runElastic(f *flags, cfg server.Config) {
 	log.Printf("elastic cluster: %d/%d shards, %d slots, TCP positions %v",
 		ec.NumShards(), ec.MaxShards(), len(ec.Table().Owners), es.Addrs())
 
-	if f.tcpAd != "" {
-		adSrv, err := multiserver.NewAdServer(f.tcpAd, multiserver.ServeOpts{}, in.Ads())
-		if err != nil {
-			log.Fatalf("tcp ad server: %v", err)
-		}
-		defer adSrv.Close()
-		log.Printf("serving TCP ad-metadata protocol on %s", adSrv.Addr())
-	}
-	// The shards hold what they keep of the corpus. Drop it (an ad server
-	// keeps the ads it was given) and collect the build's garbage once, so
-	// serving starts from a heap goal of twice the index, not of the build.
+	// The shards hold what they keep of the corpus. Drop it and collect the
+	// build's garbage once, so serving starts from a heap goal of twice the
+	// index, not of the build.
 	in = nil
 	runtime.GC()
 

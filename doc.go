@@ -38,4 +38,12 @@
 // greedily under a random-vs-sequential memory cost model. Re-mapping
 // never changes query results. StartAdapt runs the same planner on a timer
 // and installs its layout only when it lowers modeled cost.
+//
+// # Serving
+//
+// cmd/adserve serves an Index over HTTP. Split across servers, every shard
+// answers a query with its matches' records — ID, bid, click rate — as its
+// index holds them, writes included, so a front end over a static shard
+// list (adserve -shards over adserve -tcp-index backends) or over a live
+// cluster (adserve -elastic) reaches each shard in one round trip.
 package adindex

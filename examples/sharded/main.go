@@ -2,11 +2,11 @@
 // send every query to all of them — the paper's Section VII-B deployment
 // for corpora too large for one machine. Every shard sits behind a TCP
 // index server, and the cluster is read the two ways a deployment reaches
-// it: the two-hop client of the paper's setup on the static address list
-// (a frozen route: IDs from the shards, metadata from an ad server), and
-// a client on the cluster's own route (each shard answers with its
-// records, one round trip per shard). A live split then moves half of a
-// shard's slots onto a new one while the routed client keeps answering.
+// it: a client on the static address list (a frozen route, as adserve
+// -shards dials it) and a client on the cluster's own route. Either way
+// each shard answers with its records, one round trip per shard. A live
+// split then moves half of a shard's slots onto a new one while the
+// routed client keeps answering.
 //
 // Run with:
 //
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"adindex"
-	"adindex/internal/multiserver"
 	"adindex/internal/shard"
 )
 
@@ -44,20 +43,15 @@ func main() {
 	}
 	defer serving.Close()
 	addrs := serving.Addrs()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, ads)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer adSrv.Close()
 	replicas := make([][]string, *numShards)
 	for i := range replicas {
 		replicas[i] = []string{addrs[i]}
 	}
-	twoHop, err := shard.DialReplicaShards(replicas, adSrv.Addr(), shard.Options{})
+	static, err := shard.DialReplicaShards(replicas, shard.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer twoHop.Close()
+	defer static.Close()
 	routed, err := shard.DialRoute(func() (*shard.Route, error) { return cluster.RouteOver(addrs), nil }, "", shard.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -89,8 +83,8 @@ func main() {
 			name, float64(len(queries))/elapsed.Seconds(), matches)
 	}
 	run("single index", func(q string) int { return len(single.BroadMatch(q)) })
-	run("two-hop", query(twoHop))
-	run("records route", query(routed))
+	run("static route", query(static))
+	run("live route", query(routed))
 
 	// Equivalence spot check: both clients answer what one index answers.
 	verify := func(label string, clients ...*shard.NetClient) {
@@ -103,7 +97,7 @@ func main() {
 			}
 		}
 	}
-	verify("before the split", twoHop, routed)
+	verify("before the split", static, routed)
 	fmt.Println("sharded results verified identical to the single index")
 
 	// A live split: the routed client refreshes its route at the new epoch

@@ -202,29 +202,13 @@ func (c *Conn) ExchangeDeadline(req []byte, deadline time.Time) ([]byte, error) 
 	return c.exchangeBytes(req, deadline, false)
 }
 
-// ExchangeIDs is ExchangeDeadline for a request answered by an ID frame
-// (flagged or not): the IDs are decoded straight out of the socket's
-// read buffer and appended to dst, so the reply is never copied as
-// bytes. dst may be nil; it must not be shared with an exchange that
-// can run at the same time.
-func (c *Conn) ExchangeIDs(dst []uint64, req []byte, deadline time.Time) (ids []uint64, flags byte, err error) {
-	var derr error
-	err = c.exchange(deadline, false,
-		func(frame []byte) []byte { return append(frame, req...) },
-		func(body []byte) { ids, flags, derr = appendDecodedIDs(dst, body, true) })
-	if err == nil {
-		err = derr
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return ids, flags, nil
-}
-
-// ExchangeRecords is ExchangeIDs for a request that asks for ad records
-// (AppendRecordsRequest): the record frame is decoded out of the read
-// buffer into ids and meta, index for index. Any other answer — an ID
-// frame from a backend that ignored the tag included — is ErrMalformed.
+// ExchangeRecords is ExchangeDeadline for a request that asks for ad
+// records (AppendRecordsRequest): the record frame is decoded straight
+// out of the socket's read buffer and appended to ids and meta, index for
+// index, so the reply is never copied as bytes. The buffers may be nil;
+// they must not be shared with an exchange that can run at the same time.
+// Any other answer — an ID frame from a backend that ignored the tag
+// included — is ErrMalformed.
 func (c *Conn) ExchangeRecords(ids []uint64, meta []AdMeta, req []byte, deadline time.Time) (gotIDs []uint64, gotMeta []AdMeta, flags byte, err error) {
 	var derr error
 	err = c.exchange(deadline, false,

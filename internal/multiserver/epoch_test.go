@@ -32,16 +32,16 @@ func (b *epochBackend) AppendMatch(dst []byte, req Request) ([]byte, error) {
 }
 
 // recordAds returns the ads a record frame of ids and meta encodes.
-func recordAds(ids []uint64, meta []AdMeta) []*corpus.Ad {
-	ads := make([]*corpus.Ad, len(ids))
+func recordAds(ids []uint64, meta []AdMeta) []corpus.Ad {
+	ads := make([]corpus.Ad, len(ids))
 	for i, id := range ids {
-		ads[i] = &corpus.Ad{ID: id, Meta: corpus.Meta{BidMicros: meta[i].BidMicros, ClickRate: meta[i].ClickRate}}
+		ads[i] = corpus.Ad{ID: id, Meta: corpus.Meta{BidMicros: meta[i].BidMicros, ClickRate: meta[i].ClickRate}}
 	}
 	return ads
 }
 
 // testAds returns one ad per ID with metadata that is a function of it.
-func testAds(ids []uint64) []*corpus.Ad {
+func testAds(ids []uint64) []corpus.Ad {
 	meta := make([]AdMeta, len(ids))
 	for i, id := range ids {
 		meta[i] = testMeta(id)
@@ -115,7 +115,9 @@ func TestRecordsOverWire(t *testing.T) {
 	if _, _, _, err := conn.ExchangeRecords(nil, nil, EncodeEpochRequest(1, []byte("q")), time.Time{}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("ID frame decoded as records: err = %v, want ErrMalformed", err)
 	}
-	if _, _, err := conn.ExchangeIDs(nil, AppendRecordsRequest(nil, 1, []byte("q")), time.Time{}); !errors.Is(err, ErrMalformed) {
+	if resp, err := conn.Exchange(AppendRecordsRequest(nil, 1, []byte("q"))); err != nil {
+		t.Fatal(err)
+	} else if _, _, err := DecodeIDsFlags(resp); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("record frame decoded as IDs: err = %v, want ErrMalformed", err)
 	}
 	// Neither confusion cost the connection or the breaker anything.

@@ -219,8 +219,8 @@ const (
 	epochReqMagic = 0xEB
 	// recordsReqMagic is the epoch tag of a request that asks for ad
 	// records: same layout, and the answer is a record frame
-	// (AppendAdRecords) in place of an ID frame. 0xF8-0xFF occur in no
-	// UTF-8 text.
+	// (AppendAdRecords) in place of an ID frame. At epoch 0 it asks for
+	// records and names no epoch. 0xF8-0xFF occur in no UTF-8 text.
 	recordsReqMagic = epochReqMagic | 0x10
 	// deadlineReqMagic tags a request with its remaining time budget.
 	deadlineReqMagic = 0xDB
@@ -306,8 +306,11 @@ func DecodeRequest(payload []byte, now time.Time) (req Request, body []byte, err
 		if len(body) < 9 {
 			return Request{}, nil, fmt.Errorf("%w: epoch request of %d bytes shorter than its 9-byte header", ErrMalformed, len(body))
 		}
-		req.Tagged, req.Records = true, body[0] == recordsReqMagic
+		req.Records = body[0] == recordsReqMagic
 		req.Epoch = binary.BigEndian.Uint64(body[1:9])
+		// A records request at epoch 0 is a frozen route's: it names no
+		// routing epoch (every table starts at 1), so it is untagged.
+		req.Tagged = !req.Records || req.Epoch != 0
 		body = body[9:]
 	}
 	return req, body, nil
@@ -473,7 +476,7 @@ const adRecordBytes = 8 + adMetaBytes
 // that holds the ads to a request tagged AppendRecordsRequest: magic byte,
 // 4-byte big-endian count, 18 bytes per match (ID, BidMicros, ClickRate),
 // and the ID frame's trailing flags byte, present only when non-zero.
-func AppendAdRecords(dst []byte, ads []*corpus.Ad, flags byte) []byte {
+func AppendAdRecords(dst []byte, ads []corpus.Ad, flags byte) []byte {
 	return appendRecords(dst, len(ads), func(i int) (uint64, AdMeta) {
 		return ads[i].ID, AdMeta{BidMicros: ads[i].Meta.BidMicros, ClickRate: ads[i].Meta.ClickRate}
 	}, flags)

@@ -6,6 +6,12 @@
 // baseline on CPU utilization, requests per second, and the response
 // latency distribution (Figure 9).
 //
+// The ad server and Client exist for that experiment (cmd/adbench fig9)
+// and the benchmark's layer passes.
+// A sharded deployment (package shard) uses the index servers alone: its
+// backends answer a records request with each match's metadata, so it
+// pays one round trip per shard and no second hop.
+//
 // Servers here are real TCP servers (loopback) with configurable injected
 // latency standing in for wire delay; the load driver is closed-loop with
 // a fixed worker pool, measuring end-to-end latency per request in the
@@ -43,11 +49,11 @@ type Request struct {
 	// Tagged reports that the request carried a routing epoch. A backend
 	// with a routing table rejects a tagged request whose epoch differs
 	// from its own with a *StaleEpochError; an untagged request, and any
-	// request to a backend without a table, is served unchecked.
+	// request to a backend without a table, is served unchecked. A
+	// records request at epoch 0 — a static route's — is untagged.
 	Tagged bool
 	// Records asks for a record frame (AppendAdRecords) — the matches'
-	// metadata with their IDs — in place of an ID frame. A backend that
-	// holds no ad records answers it with an error.
+	// metadata with their IDs — in place of an ID frame.
 	Records bool
 	// Deadline is the absolute local time the request's remaining budget
 	// translates to; zero when it carried none. It bounds the enumeration,

@@ -167,12 +167,12 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 
 	// The typed hops stay at one write each way as well.
-	ids, _, err := c.ExchangeIDs(nil, EncodeIDs([]uint64{7, 8}), time.Time{})
+	ids, _, _, err := c.ExchangeRecords(nil, nil, AppendAdRecords(nil, testAds([]uint64{7, 8}), 0), time.Time{})
 	if err != nil || len(ids) != 2 {
-		t.Fatalf("ExchangeIDs over the echo: %v %v", ids, err)
+		t.Fatalf("ExchangeRecords over the echo: %v %v", ids, err)
 	}
 	if cw, sw := client.writes.Load(), server.writes.Load(); cw != int64(len(steps)+2) || sw != int64(len(steps)+2) {
-		t.Fatalf("ExchangeIDs: client made %d writes and the server %d", cw, sw)
+		t.Fatalf("ExchangeRecords: client made %d writes and the server %d", cw, sw)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		}
 		return AppendIDs(dst, ids, IDFlagTruncated|IDFlagCutoff), nil
 	}, &client, &server)
-	if _, _, err := c.ExchangeIDs(nil, EncodeEpochRequest(42, q), time.Time{}); err != nil {
+	if _, err := c.Exchange(EncodeEpochRequest(42, q)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hex.EncodeToString(client.take()); got != "00000016eb000000000000002a636865617020666c6967687473" {
@@ -514,7 +514,9 @@ func TestExchangeAllocs(t *testing.T) {
 	if err != nil || len(ids) == 0 {
 		t.Fatalf("warm-up query: %v ids, err %v", len(ids), err)
 	}
-	var buf []uint64
+	records := AppendRecordsRequest(nil, 0, query)
+	var recIDs []uint64
+	var recMeta []AdMeta
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -525,9 +527,9 @@ func TestExchangeAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"ExchangeIDs into a reused buffer", 2, func() {
+		{"ExchangeRecords into reused buffers", 2, func() {
 			var err error
-			if buf, _, err = cl.IndexConn().ExchangeIDs(buf[:0], query, time.Time{}); err != nil {
+			if recIDs, recMeta, _, err = cl.IndexConn().ExchangeRecords(recIDs[:0], recMeta[:0], records, time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -834,3 +834,26 @@ func hotQueries(corp *corpus.Corpus, n int, seed int64) (wl *workload.Workload, 
 	}
 	return wl, queries
 }
+
+// BenchmarkSearchMiss is BenchmarkSearchHit's server and stream with the
+// reply cache off: every request matches, copies its ads out and encodes
+// them.
+func BenchmarkSearchMiss(b *testing.B) {
+	corp := corpus.Generate(corpus.GenOptions{NumAds: 200_000, Seed: 1})
+	s := New(adindex.Build(corp.Ads, adindex.Options{}), Config{CacheEntries: -1})
+	wl, queries := hotQueries(corp, 20_000, 2)
+	reqs := make(map[*workload.Query]*http.Request, len(queries))
+	w := &reusedWriter{h: http.Header{}}
+	for i, q := range queries {
+		reqs[&wl.Queries[i]] = httptest.NewRequest("GET", searchTarget(q, "broad"), nil)
+	}
+	stream := wl.Stream(1<<16, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.handleSearch(w, reqs[stream[i%len(stream)]])
+	}
+	b.StopTimer()
+	if hits, _, _ := s.cache.Stats(); hits != 0 || w.code != 0 {
+		b.Fatalf("%d cache hits, status %d: the runs did not measure the miss path", hits, w.code)
+	}
+}

@@ -33,9 +33,9 @@ func postJSON(t *testing.T, url string, out any) {
 }
 
 // startElasticServer stands up a single-process elastic deployment over
-// loopback — an ElasticCluster serving epoch-checked TCP positions, an
-// ad-metadata server, a routed NetClient looped back over them — and a
-// remote-mode HTTP front-end with the cluster attached.
+// loopback — an ElasticCluster serving epoch-checked TCP positions, a
+// routed NetClient looped back over them — and a remote-mode HTTP
+// front-end with the cluster attached.
 // This is exactly the topology `adserve -elastic` runs.
 func startElasticServer(t *testing.T, cfg Config) (*Server, string, *shard.ElasticCluster) {
 	t.Helper()
@@ -48,14 +48,9 @@ func startElasticServer(t *testing.T, cfg Config) (*Server, string, *shard.Elast
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { es.Close() })
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, testCatalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { adSrv.Close() })
 	nc, err := shard.DialRoute(func() (*shard.Route, error) {
 		return ec.RouteOver(es.Addrs()), nil
-	}, adSrv.Addr(), shard.Options{Conn: multiserver.ConnOpts{
+	}, "", shard.Options{Conn: multiserver.ConnOpts{
 		Timeout:          300 * time.Millisecond,
 		MaxRetries:       1,
 		RetryBase:        2 * time.Millisecond,

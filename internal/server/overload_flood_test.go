@@ -30,7 +30,7 @@ import (
 
 // floodBackend is the budgeted shard backend (the same wiring cmd/adserve
 // uses): -query-budget and the wire deadline bound the match, flags riding
-// the ID response.
+// the record response.
 type floodBackend struct {
 	ix     *adindex.Index
 	budget int64
@@ -38,10 +38,6 @@ type floodBackend struct {
 
 func (b floodBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
 	res := b.ix.Match(nil, adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
-	ids := make([]uint64, len(res.Ads))
-	for i := range res.Ads {
-		ids[i] = res.Ads[i].ID
-	}
 	var flags byte
 	if res.Truncated {
 		flags |= multiserver.IDFlagTruncated
@@ -49,7 +45,7 @@ func (b floodBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, 
 	if res.CutoffApplied {
 		flags |= multiserver.IDFlagCutoff
 	}
-	return multiserver.AppendIDs(dst, ids, flags), nil
+	return multiserver.AppendAdRecords(dst, res.Ads, flags), nil
 }
 
 // floodOutcome is one request's observed result.
@@ -239,12 +235,7 @@ func TestOverloadFlood(t *testing.T) {
 		t.Cleanup(func() { proxy.Close() })
 		addrs[i] = []string{proxy.Addr()}
 	}
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, c.Ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { adSrv.Close() })
-	nc, err := shard.DialReplicaShards(addrs, adSrv.Addr(), shard.Options{
+	nc, err := shard.DialReplicaShards(addrs, shard.Options{
 		Conn: multiserver.ConnOpts{
 			Timeout:          time.Second,
 			MaxRetries:       1,

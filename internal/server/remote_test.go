@@ -20,10 +20,10 @@ import (
 	"adindex/internal/shard"
 )
 
-// startRemoteServer stands up a full split deployment over loopback: a
-// static two-shard cluster's index servers, an ad-metadata server, and a
-// remote-mode front-end on the frozen route whose shard 0 connection runs
-// through a faultnet proxy so tests can kill and restore it.
+// startRemoteServer stands up a static deployment over loopback: a
+// two-shard cluster's index servers and a remote-mode front-end on the
+// frozen route whose shard 0 connection runs through a faultnet proxy so
+// tests can kill and restore it.
 func startRemoteServer(t *testing.T, cfg Config, sopts shard.Options) (*Server, string, *faultnet.Proxy) {
 	t.Helper()
 	ec, err := shard.NewElastic(testCatalog(), 2, shard.ElasticOptions{Slots: 2, MaxShards: 2})
@@ -36,11 +36,6 @@ func startRemoteServer(t *testing.T, cfg Config, sopts shard.Options) (*Server, 
 	}
 	t.Cleanup(es.Close)
 	addrs := es.Addrs()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, testCatalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { adSrv.Close() })
 	proxy, err := faultnet.New(addrs[0], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +52,7 @@ func startRemoteServer(t *testing.T, cfg Config, sopts shard.Options) (*Server, 
 			BreakerCooldown:  100 * time.Millisecond,
 		}
 	}
-	nc, err := shard.DialReplicaShards(
-		[][]string{{proxy.Addr()}, {addrs[1]}}, adSrv.Addr(), sopts)
+	nc, err := shard.DialReplicaShards([][]string{{proxy.Addr()}, {addrs[1]}}, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +87,10 @@ func TestRemoteSearch(t *testing.T) {
 	if res.Matched != 4 || !reflect.DeepEqual(res.IDs, []uint64{1, 2, 4, 5}) {
 		t.Fatalf("remote broad match: %+v", res)
 	}
-	if res.Degraded || res.MetaMissing {
+	if res.Degraded {
 		t.Errorf("healthy result flagged degraded: %+v", res)
 	}
-	// Metadata is fetched from the ad server and aligned with the IDs.
+	// Metadata is the shards' own records, aligned with the IDs.
 	if len(res.Meta) != 4 || res.Meta[0].BidMicros != 100 || res.Meta[3].BidMicros != 500 {
 		t.Errorf("remote metadata: %+v", res.Meta)
 	}
@@ -210,10 +204,9 @@ func TestRemoteReplyMatchesEncodingJSON(t *testing.T) {
 		"one match":       {IDs: ids[:1], Meta: meta[:1]},
 		"degraded":        {IDs: ids, Meta: meta, Degraded: true, FailedShards: []int{0, 3}},
 		"degraded, none":  {Degraded: true, FailedShards: []int{2}},
-		"meta missing":    {IDs: ids, Degraded: true, MetaMissing: true},
 		"truncated":       {IDs: ids, Meta: meta, Truncated: true},
 		"cutoff":          {IDs: ids, Meta: meta, CutoffApplied: true},
-		"everything": {IDs: ids, Degraded: true, FailedShards: []int{1}, MetaMissing: true,
+		"everything": {IDs: ids, Meta: meta, Degraded: true, FailedShards: []int{1},
 			Truncated: true, CutoffApplied: true},
 	}
 	for name, res := range cases {
@@ -221,7 +214,7 @@ func TestRemoteReplyMatchesEncodingJSON(t *testing.T) {
 			want, err := json.Marshal(searchResponse{
 				Query: q, Type: "broad", Matched: len(res.IDs), TookUS: 1234,
 				IDs: res.IDs, Meta: res.Meta, Degraded: res.Degraded, FailedShards: res.FailedShards,
-				MetaMissing: res.MetaMissing, Truncated: res.Truncated, CutoffApplied: res.CutoffApplied,
+				Truncated: res.Truncated, CutoffApplied: res.CutoffApplied,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -236,7 +229,7 @@ func TestRemoteReplyMatchesEncodingJSON(t *testing.T) {
 }
 
 // startElasticFrontEnd is a remote-mode server over a two-shard elastic
-// cluster on its records route, with no ad server.
+// cluster on its live route.
 func startElasticFrontEnd(t *testing.T, ads []adindex.Ad) *Server {
 	t.Helper()
 	ec, err := shard.NewElastic(ads, 2, shard.ElasticOptions{})
@@ -256,13 +249,14 @@ func startElasticFrontEnd(t *testing.T, ads []adindex.Ad) *Server {
 	return NewRemote(nc, Config{})
 }
 
-// TestRemoteSearchOverRecords: the front end of a records route serves
-// the same body as the two-hop deployment over the same catalog.
+// TestRemoteSearchOverRecords: the front end of a static route and that of
+// an elastic cluster's live route serve the same body over the same
+// catalog.
 func TestRemoteSearchOverRecords(t *testing.T) {
-	twoHop, _, _ := startRemoteServer(t, Config{}, shard.Options{})
+	static, _, _ := startRemoteServer(t, Config{}, shard.Options{})
 	records := startElasticFrontEnd(t, testCatalog())
 	for _, q := range []string{"cheap used books", "running shoes today", "nothing matches this", "books"} {
-		want := withoutVolatile(serve(t, twoHop, "GET", searchTarget(q, "broad"), ""))
+		want := withoutVolatile(serve(t, static, "GET", searchTarget(q, "broad"), ""))
 		got := withoutVolatile(serve(t, records, "GET", searchTarget(q, "broad"), ""))
 		if got != want {
 			t.Errorf("%q over records:\n got %s\nwant %s", q, got, want)

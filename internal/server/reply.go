@@ -77,9 +77,13 @@ type searchScratch struct {
 }
 
 // maxPooledBuf bounds the response buffer a scratch keeps between
-// requests; a larger one (a reply of thousands of ads) is dropped rather
-// than pinned by the pool.
-const maxPooledBuf = 1 << 20
+// requests, and maxPooledAds its copy-out slice (8192 ads of about 120 B:
+// the same mebibyte); a larger one (a reply of thousands of ads) is
+// dropped rather than pinned by the pool.
+const (
+	maxPooledBuf = 1 << 20
+	maxPooledAds = 8 << 10
+)
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
@@ -97,6 +101,9 @@ func putSearchScratch(sc *searchScratch) {
 	clear(sc.words[:cap(sc.words)])
 	clear(sc.ads)
 	sc.ads = sc.ads[:0]
+	if cap(sc.ads) > maxPooledAds {
+		sc.ads = nil
+	}
 	if cap(sc.buf) > maxPooledBuf {
 		sc.buf = nil
 	}

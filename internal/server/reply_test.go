@@ -75,7 +75,6 @@ type searchResponse struct {
 	Meta         []multiserver.AdMeta `json:"meta,omitempty"`
 	Degraded     bool                 `json:"degraded,omitempty"`
 	FailedShards []int                `json:"failed_shards,omitempty"`
-	MetaMissing  bool                 `json:"meta_missing,omitempty"`
 
 	// Overload-armor fields: a budget-truncated answer is a verified
 	// ID-ordered subset of the full answer, flagged rather than silently
@@ -608,4 +607,21 @@ func TestSearchHitAllocs(t *testing.T) {
 		t.Errorf("a cached /search reply costs %.1f allocations, want <= 6", allocs)
 	}
 	t.Logf("%.1f allocations per cached reply", allocs)
+}
+
+// TestSearchScratchPoolBounds: a scratch goes back to the pool keeping its
+// buffers only up to their bounds. One broad query matching 20 000 ads
+// used to leave its 2.4 MB copy-out slice pinned by the pool.
+func TestSearchScratchPoolBounds(t *testing.T) {
+	big := &searchScratch{ads: make([]adindex.Ad, 20_000), buf: make([]byte, 0, 2*maxPooledBuf)}
+	putSearchScratch(big)
+	if big.ads != nil || big.buf != nil {
+		t.Errorf("a scratch past its bounds was pooled with cap(ads) %d, cap(buf) %d; want both dropped", cap(big.ads), cap(big.buf))
+	}
+	small := &searchScratch{ads: make([]adindex.Ad, 10, maxPooledAds), buf: make([]byte, 0, maxPooledBuf)}
+	putSearchScratch(small)
+	if len(small.ads) != 0 || cap(small.ads) != maxPooledAds || cap(small.buf) != maxPooledBuf {
+		t.Errorf("a scratch within its bounds was pooled with len(ads) %d, cap(ads) %d, cap(buf) %d; want its buffers kept, ads emptied",
+			len(small.ads), cap(small.ads), cap(small.buf))
+	}
 }

@@ -84,10 +84,10 @@ type Config struct {
 	Logger *log.Logger
 
 	// backendLossGrace applies to remote-mode servers (NewRemote): when
-	// some backend shard (or the ad-metadata server) has been continuously
-	// unreachable for longer than this, /readyz reports 503 so load
-	// balancers route around the sustained loss. Transient blips shorter
-	// than the grace never flip readiness. 0 selects 10s; tests shorten it.
+	// some backend shard has been continuously unreachable for longer
+	// than this, /readyz reports 503 so load balancers route around the
+	// sustained loss. Transient blips shorter than the grace never flip
+	// readiness. 0 selects 10s; tests shorten it.
 	backendLossGrace time.Duration
 }
 
@@ -814,8 +814,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // searchRemote answers a /search through the distributed shard client.
-// Only broad match exists on the wire protocol; a degraded (partial or
-// ID-only) answer is served with its degradation flags rather than
+// Only broad match exists on the wire protocol; a degraded (partial)
+// answer is served with its degradation flags rather than
 // failing, and total backend failure maps to 502. The request deadline
 // rides the wire to every backend attempt; a query whose budget runs
 // out mid-fan-out answers 504.
@@ -881,9 +881,6 @@ func appendRemoteReply(dst []byte, q, typ string, res *shard.Result, tookUS int6
 			dst = append(strconv.AppendInt(dst, int64(id), 10), ',')
 		}
 		dst[len(dst)-1] = ']'
-	}
-	if res.MetaMissing {
-		dst = append(dst, `,"meta_missing":true`...)
 	}
 	return append(appendFlags(dst, res.Truncated, res.CutoffApplied, 0), "}\n"...)
 }

@@ -5,19 +5,20 @@ import (
 	"testing"
 	"time"
 
+	"adindex/internal/corpus"
 	"adindex/internal/multiserver"
 )
 
-// flaggedBackend is a budget-aware fake: every query answers two IDs
+// flaggedBackend is a budget-aware fake: every query answers two records
 // with the truncated flag set, so the test can watch the flag propagate
 // through the fan-out and merge.
 var flaggedBackend = multiserver.BackendFunc(func(dst []byte, _ multiserver.Request) ([]byte, error) {
-	return multiserver.AppendIDs(dst, []uint64{10, 20}, multiserver.IDFlagTruncated), nil
+	return multiserver.AppendAdRecords(dst, []corpus.Ad{{ID: 10}, {ID: 20}}, multiserver.IDFlagTruncated), nil
 })
 
 // plainBackend answers without flags.
 var plainBackend = multiserver.BackendFunc(func(dst []byte, _ multiserver.Request) ([]byte, error) {
-	return multiserver.AppendIDs(dst, []uint64{30}, 0), nil
+	return multiserver.AppendAdRecords(dst, []corpus.Ad{{ID: 30}}, 0), nil
 })
 
 // TestNetClientDeadlinePropagation: an expired deadline fails the whole
@@ -35,14 +36,8 @@ func TestNetClientDeadlinePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv1.Close()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adSrv.Close()
 
-	nc, err := DialReplicaShards([][]string{{srv0.Addr()}, {srv1.Addr()}}, adSrv.Addr(),
-		Options{AllowPartial: true})
+	nc, err := DialReplicaShards([][]string{{srv0.Addr()}, {srv1.Addr()}}, Options{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,8 @@
 // cluster that is never rebalanced, reached through a frozen (epoch 0)
 // route. Every read of a cluster is a frame answered by one shard
 // position's server (Serve); a shard holds exactly the ads of the slots
-// it owns, so a position answers from its index as it stands.
+// it owns, so a position answers from its index as it stands, with each
+// match's record: a query is one round trip per shard, on either route.
 package shard
 
 import (
@@ -405,7 +406,6 @@ func (es *ElasticServing) Addrs() []string { return append([]string(nil), es.add
 // list (ElasticServing.Addrs() of one replica of this deployment).
 // Because positions are provisioned up to MaxShards eagerly, the
 // address lists are static across rebalances — only the table moves.
-// The shards hold the ads, so the route declares Records.
 func (ec *ElasticCluster) RouteOver(replicaAddrs ...[]string) *Route {
 	t := ec.Table()
 	reps := make([][]string, t.NumShards)
@@ -416,7 +416,7 @@ func (ec *ElasticCluster) RouteOver(replicaAddrs ...[]string) *Route {
 			}
 		}
 	}
-	return &Route{Table: *t, Replicas: reps, Records: true}
+	return &Route{Table: *t, Replicas: reps}
 }
 
 // Close stops all shard servers.

@@ -28,30 +28,23 @@ func fastConn() multiserver.ConnOpts {
 	}
 }
 
-// deployment is a two-shard cluster with one index server per shard and
-// a shared ad server, for fault tests to rearrange.
+// deployment is a two-shard cluster with one index server per shard, for
+// fault tests to rearrange.
 type deployment struct {
 	c       *corpus.Corpus
 	cluster *ElasticCluster
 	shards  []*multiserver.Server
-	ad      *multiserver.Server
 }
 
 func deploy(t *testing.T, nAds, nShards int) *deployment {
 	t.Helper()
 	d := &deployment{c: corpus.Generate(corpus.GenOptions{NumAds: nAds, Seed: 138})}
-	var err error
 	d.cluster = newStatic(t, d.c.Ads, nShards)
 	for i := 0; i < nShards; i++ {
 		srv := d.shardServer(t, i)
 		t.Cleanup(func() { srv.Close() })
 		d.shards = append(d.shards, srv)
 	}
-	d.ad, err = multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, d.c.Ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.ad.Close() })
 	return d
 }
 
@@ -84,7 +77,7 @@ func TestPartialResultWithDeadShard(t *testing.T) {
 	d := deploy(t, 800, 2)
 	q := d.pickQuery(t)
 	nc, err := DialReplicaShards(
-		[][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
+		[][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}},
 		Options{Conn: fastConn(), AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +109,8 @@ func TestPartialResultWithDeadShard(t *testing.T) {
 	if want := d.shardIDs(q, 1); !reflect.DeepEqual(res.IDs, want) {
 		t.Errorf("degraded IDs = %v, want shard 1's %v", res.IDs, want)
 	}
-	if res.MetaMissing || len(res.Meta) != len(res.IDs) {
-		t.Errorf("degraded result lost metadata: missing=%v meta=%d ids=%d",
-			res.MetaMissing, len(res.Meta), len(res.IDs))
+	if len(res.Meta) != len(res.IDs) {
+		t.Errorf("degraded result lost metadata: meta=%d ids=%d", len(res.Meta), len(res.IDs))
 	}
 	if nc.Stats().Degraded == 0 {
 		t.Error("degraded counter not incremented")
@@ -137,7 +129,7 @@ func TestReplicaFailover(t *testing.T) {
 	defer replica.Close()
 	nc, err := DialReplicaShards(
 		[][]string{{d.shards[0].Addr(), replica.Addr()}, {d.shards[1].Addr()}},
-		d.ad.Addr(), Options{Conn: fastConn()})
+		Options{Conn: fastConn()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +169,7 @@ func TestLazyReplicaDialAtFailover(t *testing.T) {
 	q := d.pickQuery(t)
 	nc, err := DialReplicaShards(
 		[][]string{{"127.0.0.1:1", d.shards[0].Addr()}, {d.shards[1].Addr()}},
-		d.ad.Addr(), Options{Conn: fastConn()})
+		Options{Conn: fastConn()})
 	if err != nil {
 		t.Fatalf("dial with one dead replica: %v", err)
 	}
@@ -191,44 +183,11 @@ func TestLazyReplicaDialAtFailover(t *testing.T) {
 	}
 }
 
-func TestMetaMissingWhenAdServerDown(t *testing.T) {
-	d := deploy(t, 400, 2)
-	q := d.pickQuery(t)
-	nc, err := DialReplicaShards(
-		[][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
-		Options{Conn: fastConn(), AllowPartial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	full, err := nc.QueryResult(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.ad.Close()
-	res, err := nc.QueryResult(q)
-	if err != nil {
-		t.Fatalf("ad-server outage failed the query: %v", err)
-	}
-	if !res.MetaMissing || !res.Degraded {
-		t.Errorf("ID-only result not flagged: %+v", res)
-	}
-	if !reflect.DeepEqual(res.IDs, full.IDs) {
-		t.Errorf("ID-only result changed matches: %v vs %v", res.IDs, full.IDs)
-	}
-	if res.Meta != nil {
-		t.Errorf("MetaMissing result carries metadata: %v", res.Meta)
-	}
-	if h := nc.Health(); h.AdLive {
-		t.Error("health still reports the ad server live")
-	}
-}
-
 func TestMinLiveShardsQuorum(t *testing.T) {
 	d := deploy(t, 400, 2)
 	q := d.pickQuery(t)
 	nc, err := DialReplicaShards(
-		[][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
+		[][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}},
 		Options{Conn: fastConn(), AllowPartial: true, minLiveShards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +220,7 @@ func TestHedgedRequestBeatsSlowReplica(t *testing.T) {
 	fast := d.shardServer(t, 0)
 	defer fast.Close()
 	nc, err := DialReplicaShards(
-		[][]string{{slow.Addr(), fast.Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
+		[][]string{{slow.Addr(), fast.Addr()}, {d.shards[1].Addr()}},
 		Options{Conn: fastConn(), HedgeAfter: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +273,7 @@ func TestReplicaKillMidLoadAcceptance(t *testing.T) {
 
 	opts := fastConn()
 	nc, err := DialReplicaShards(
-		[][]string{{proxy.Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
+		[][]string{{proxy.Addr()}, {d.shards[1].Addr()}},
 		Options{Conn: opts, AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +390,7 @@ func TestBreakerProbeAfterRollingKill(t *testing.T) {
 	opts.BreakerCooldown = time.Minute
 	nc, err := DialReplicaShards(
 		[][]string{{proxyA.Addr(), proxyB.Addr()}, {d.shards[1].Addr()}},
-		d.ad.Addr(), Options{Conn: opts})
+		Options{Conn: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

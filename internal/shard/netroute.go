@@ -31,12 +31,14 @@ const maxEpochRefreshes = 3
 // eagerly; afterwards the client refreshes whenever a query hits a
 // stale-epoch rejection. Every replica of the fetched route's active
 // shards is dialed now and at least one per shard must be reachable
-// (the rest, and shards a later route adds, connect lazily). adAddr is
-// the ad-metadata server, which must be reachable; it may be empty when
-// the route's shards serve records, since the client then never asks
-// one. Connections are cached by address across refreshes, so a
-// rebalance does not drop warm connections to shards that did not move.
-func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetClient, error) {
+// (the rest, and shards a later route adds, connect lazily). Connections
+// are cached by address across refreshes, so a rebalance does not drop
+// warm connections to shards that did not move.
+//
+// The second argument, an ad-metadata server's address, is accepted and
+// ignored: the shards answer with their records, so the client asks no
+// ad server.
+func DialRoute(fetch func() (*Route, error), _ string, opts Options) (*NetClient, error) {
 	if fetch == nil {
 		return nil, fmt.Errorf("shard: DialRoute needs a route source")
 	}
@@ -65,29 +67,15 @@ func DialRoute(fetch func() (*Route, error), adAddr string, opts Options) (*NetC
 			return nil, fmt.Errorf("shard: no reachable replica for shard %d: %w", id, dialErr)
 		}
 	}
-	if adAddr == "" {
-		if !st.route.Records {
-			nc.Close()
-			return nil, fmt.Errorf("shard: the route's shards serve no records, so it needs an ad server")
-		}
-		return nc, nil
-	}
-	ad, err := multiserver.DialConn(adAddr, opts.Conn)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("shard: dialing ad server %s: %w", adAddr, err)
-	}
-	nc.ad = ad
 	return nc, nil
 }
 
 // DialReplicaShards connects to a static replicated deployment —
 // replicaAddrs[i] lists the interchangeable replica addresses of shard
-// i — by dialing its frozen route. All shards share one ad-metadata
-// server (adAddr); pass an index address if metadata is co-located.
-func DialReplicaShards(replicaAddrs [][]string, adAddr string, opts Options) (*NetClient, error) {
+// i — by dialing its frozen route.
+func DialReplicaShards(replicaAddrs [][]string, opts Options) (*NetClient, error) {
 	route := frozenRoute(replicaAddrs)
-	return DialRoute(func() (*Route, error) { return route, nil }, adAddr, opts)
+	return DialRoute(func() (*Route, error) { return route, nil }, "", opts)
 }
 
 // Epoch returns the routing epoch the client is operating at (0 on a

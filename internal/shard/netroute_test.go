@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"adindex/internal/corpus"
-	"adindex/internal/multiserver"
 )
 
 // routedFixture is an elastic deployment served over TCP plus a routed
@@ -14,7 +13,6 @@ import (
 type routedFixture struct {
 	ec *ElasticCluster
 	es *ElasticServing
-	ad *multiserver.Server
 	nc *NetClient
 }
 
@@ -29,19 +27,14 @@ func newRoutedFixture(t *testing.T, ads []corpus.Ad, numShards int, opts Options
 		t.Fatalf("Serve: %v", err)
 	}
 	t.Cleanup(es.Close)
-	ad, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, ads)
-	if err != nil {
-		t.Fatalf("NewAdServer: %v", err)
-	}
-	t.Cleanup(func() { ad.Close() })
 	nc, err := DialRoute(func() (*Route, error) {
 		return ec.RouteOver(es.Addrs()), nil
-	}, ad.Addr(), opts)
+	}, "", opts)
 	if err != nil {
 		t.Fatalf("DialRoute: %v", err)
 	}
 	t.Cleanup(nc.Close)
-	return &routedFixture{ec: ec, es: es, ad: ad, nc: nc}
+	return &routedFixture{ec: ec, es: es, nc: nc}
 }
 
 func TestRoutedClientQueries(t *testing.T) {
@@ -154,14 +147,9 @@ func TestRoutedClientBoundedRefresh(t *testing.T) {
 		t.Fatalf("Serve: %v", err)
 	}
 	defer es.Close()
-	ad, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, ads)
-	if err != nil {
-		t.Fatalf("NewAdServer: %v", err)
-	}
-	defer ad.Close()
 
 	stale := ec.RouteOver(es.Addrs()) // frozen pre-split route
-	nc, err := DialRoute(func() (*Route, error) { return stale, nil }, ad.Addr(), Options{})
+	nc, err := DialRoute(func() (*Route, error) { return stale, nil }, "", Options{})
 	if err != nil {
 		t.Fatalf("DialRoute: %v", err)
 	}

@@ -48,19 +48,13 @@ type Result struct {
 	// IDs is the merged, ID-ordered match list from all answering shards.
 	IDs []uint64
 	// Meta holds one metadata record per ID (aligned with IDs): the
-	// record the answering shard holds for that match on a route whose
-	// shards serve records, the ad server's otherwise. Nil when nothing
-	// matched or MetaMissing.
+	// record the answering shard holds for that match. Nil when nothing
+	// matched.
 	Meta []multiserver.AdMeta
-	// Degraded is set when anything was missing from the full answer:
-	// a shard was skipped or metadata could not be fetched.
+	// Degraded is set when a shard was skipped (Options.AllowPartial).
 	Degraded bool
 	// FailedShards lists the shard indexes that did not answer.
 	FailedShards []int
-	// MetaMissing is set when the ad-metadata server was unreachable and
-	// the result is ID-only (zero metadata) — the ID list is still
-	// served rather than failing the whole query.
-	MetaMissing bool
 	// Truncated is set when any answering shard ran out of cost budget
 	// and returned a partial (but verified, ID-ordered) match list.
 	Truncated bool
@@ -96,18 +90,17 @@ func (rs *replicaSet) deadFor() time.Duration {
 	return time.Duration(time.Now().UnixNano() - t)
 }
 
-// shardReq is what every attempt of one fanned-out query sends and
-// expects back: the request body (tags, then query text), whether it asks
-// for records — the answer is then a record frame, anything else an error
-// — and the query's deadline (zero for none).
+// shardReq is what every attempt of one fanned-out query sends: the
+// request body (the records tag, then query text) and the query's
+// deadline (zero for none). The answer is a record frame; anything else is
+// an error.
 type shardReq struct {
 	body     []byte
-	records  bool
 	deadline time.Time
 }
 
-// answer is one shard's decoded reply: the matching IDs and, to a records
-// request, their metadata, index for index.
+// answer is one shard's decoded reply: the matching IDs and their
+// metadata, index for index.
 type answer struct {
 	ids   []uint64
 	meta  []multiserver.AdMeta
@@ -118,25 +111,11 @@ type answer struct {
 // into from their start.
 func (req shardReq) ask(c *multiserver.Conn, into answer) (answer, error) {
 	var err error
-	if req.records {
-		into.ids, into.meta, into.flags, err = c.ExchangeRecords(into.ids[:0], into.meta[:0], req.body, req.deadline)
-	} else {
-		into.ids, into.flags, err = c.ExchangeIDs(into.ids[:0], req.body, req.deadline)
-	}
+	into.ids, into.meta, into.flags, err = c.ExchangeRecords(into.ids[:0], into.meta[:0], req.body, req.deadline)
 	if err != nil {
 		return answer{}, err
 	}
 	return into, nil
-}
-
-// decode parses the reply bytes of a forced probe.
-func (req shardReq) decode(resp []byte) (a answer, err error) {
-	if req.records {
-		a.ids, a.meta, a.flags, err = multiserver.DecodeRecords(resp)
-	} else {
-		a.ids, a.flags, err = multiserver.DecodeIDsFlags(resp)
-	}
-	return a, err
 }
 
 // probeThrough forces one attempt per replica past their open breakers,
@@ -170,13 +149,13 @@ func (rs *replicaSet) probeThrough(req shardReq) (got answer, err error, probed 
 		ci := rs.at(first, k)
 		resp, perr := rs.conns[ci].ProbeDeadline(req.body, req.deadline)
 		if perr == nil {
-			got, derr := req.decode(resp)
+			ids, meta, flags, derr := multiserver.DecodeRecords(resp)
 			if derr != nil {
 				lastErr = derr
 				continue
 			}
 			rs.preferred.Store(int32(ci))
-			return got, nil, true
+			return answer{ids, meta, flags}, nil, true
 		}
 		if errors.Is(perr, multiserver.ErrStaleEpoch) || errors.Is(perr, multiserver.ErrDeadlineExpired) {
 			return answer{}, perr, true
@@ -187,22 +166,18 @@ func (rs *replicaSet) probeThrough(req shardReq) (got answer, err error, probed 
 }
 
 // NetClient fans broad-match queries out to several remote index shards
-// (multiserver protocol) and merges their ID lists — the networked form
-// of the Section VII-B split deployment, hardened for production: each
-// shard may have several replica addresses with automatic failover and
-// optional request hedging, every connection carries deadlines, bounded
-// retries, and a circuit breaker, and (with Options.AllowPartial) the
-// client degrades gracefully instead of failing the whole query.
+// (multiserver protocol) and merges their answers — the networked form
+// of a sharded deployment, hardened for production: each shard may have
+// several replica addresses with automatic failover and optional request
+// hedging, every connection carries deadlines, bounded retries, and a
+// circuit breaker, and (with Options.AllowPartial) the client degrades
+// gracefully instead of failing the whole query.
 //
-// Where the metadata comes from is the route's to say. On a route whose
-// shards serve records every attempt asks for them, the matches arrive
-// with their metadata, and the ad server is never contacted: one round
-// trip per shard. Otherwise the shards are index servers answering IDs,
-// and a second hop fetches the merged list's metadata from the ad server.
+// The shards hold the ads: every attempt asks for records, and the matches
+// arrive with the metadata the answering shard holds for them — one round
+// trip per shard, on a static route and an elastic one alike.
 type NetClient struct {
-	ad     *multiserver.Conn // nil when dialed without an ad server
-	adDead atomic.Int64      // unix-nanos since the ad server stopped answering
-	opts   Options
+	opts Options
 
 	// The shard topology is a Route published through fetch (see
 	// DialRoute); connections are cached by address across routes.
@@ -218,13 +193,10 @@ type NetClient struct {
 	probes       atomic.Uint64
 }
 
-// Close closes all shard and ad-server connections.
+// Close closes all shard connections.
 func (nc *NetClient) Close() {
 	for _, c := range nc.allConns() {
 		c.Close()
-	}
-	if nc.ad != nil {
-		nc.ad.Close()
 	}
 }
 
@@ -244,9 +216,9 @@ func (nc *NetClient) allConns() []*multiserver.Conn {
 }
 
 // Query runs the query on every shard concurrently and returns the
-// merged, ID-ordered match list; the metadata is obtained as QueryResult
-// obtains it and dropped. Strict semantics: any shard failure fails the
-// query. Use QueryResult for graceful degradation.
+// merged, ID-ordered match list, without its metadata. Strict semantics:
+// any shard failure fails the query. Use QueryResult for graceful
+// degradation.
 func (nc *NetClient) Query(query string) ([]uint64, error) {
 	res, err := nc.run(query, time.Time{}, false)
 	if err != nil {
@@ -256,9 +228,8 @@ func (nc *NetClient) Query(query string) ([]uint64, error) {
 }
 
 // QueryResult runs the query with the client's configured degradation
-// semantics: with Options.AllowPartial, dead shards are skipped (the
-// result is flagged Degraded) and an unreachable ad server yields an
-// ID-only result instead of an error.
+// semantics: with Options.AllowPartial, dead shards are skipped and the
+// result is flagged Degraded.
 func (nc *NetClient) QueryResult(query string) (*Result, error) {
 	return nc.run(query, time.Time{}, nc.opts.AllowPartial)
 }
@@ -273,29 +244,22 @@ func (nc *NetClient) QueryResultDeadline(query string, deadline time.Time) (*Res
 	return nc.run(query, deadline, nc.opts.AllowPartial)
 }
 
-// run fans the query out under the current route. A versioned route
-// tags the query with its epoch, and a stale-epoch rejection — the
-// deployment rebalanced past it — is absorbed by refreshing the route
+// run fans the query out under the current route, as a records request
+// tagged with the route's epoch. A stale-epoch rejection — the deployment
+// rebalanced past a versioned route — is absorbed by refreshing the route
 // and retrying the whole query, without burning retry or breaker budget
 // (the backend was alive and correct to refuse): a client that lags a
 // clean cutover pays one extra round trip plus one route fetch, never a
-// failure. A frozen route (epoch 0) sends the bare query text and is
-// never stale.
+// failure. A frozen route's epoch 0 names no epoch, so it is never stale.
 func (nc *NetClient) run(query string, deadline time.Time, partial bool) (*Result, error) {
 	sc := fanPool.Get().(*fanScratch)
 	defer sc.release()
 	for refresh := 0; ; refresh++ {
 		st := nc.route.Load()
-		epoch, records := st.route.Table.Epoch, st.route.Records
-		sc.req = sc.req[:0]
-		switch {
-		case records:
-			sc.req = multiserver.AppendRecordsRequest(sc.req, epoch, nil)
-		case epoch != 0:
-			sc.req = multiserver.AppendEpochRequest(sc.req, epoch, nil)
-		}
+		epoch := st.route.Table.Epoch
+		sc.req = multiserver.AppendRecordsRequest(sc.req[:0], epoch, nil)
 		sc.req = multiserver.AppendQueryText(sc.req, query)
-		res, err := nc.fanOut(sc, st, shardReq{body: sc.req, records: records, deadline: deadline}, partial)
+		res, err := nc.fanOut(sc, st, shardReq{body: sc.req, deadline: deadline}, partial)
 		if err == nil || epoch == 0 || !errors.Is(err, multiserver.ErrStaleEpoch) {
 			return res, err
 		}
@@ -405,24 +369,7 @@ func (nc *NetClient) fanOut(sc *fanScratch, st *routeState, req shardReq, partia
 	}
 	res.Degraded = len(res.FailedShards) > 0
 	if matched > 0 {
-		sc.merge(res, matched, req.records)
-	}
-
-	// Index servers answered IDs: the metadata is the ad server's, one
-	// more hop — which an empty match list does not need.
-	if !req.records && matched > 0 {
-		meta, err := nc.fetchMeta(res.IDs, req.deadline)
-		if err != nil {
-			if !partial {
-				return nil, err
-			}
-			// Graceful degradation: the ad server is down, serve IDs with
-			// zero metadata rather than failing the query.
-			res.MetaMissing = true
-			res.Degraded = true
-		} else {
-			res.Meta = meta
-		}
+		sc.merge(res, matched)
 	}
 	if res.Degraded {
 		nc.degraded.Add(1)
@@ -431,11 +378,11 @@ func (nc *NetClient) fanOut(sc *fanScratch, st *routeState, req shardReq, partia
 }
 
 // merge fills res with the slots' matched answers in ID order, metadata
-// attached when the shards served records. Equal IDs come out in shard
-// order and, within a shard, in the shard's order — the order
-// ElasticCluster.Match gives them — so an ID held twice keeps both
-// records. A reply that is not ID-ordered is sorted first, not trusted.
-func (sc *fanScratch) merge(res *Result, matched int, records bool) {
+// attached. Equal IDs come out in shard order and, within a shard, in the
+// shard's order — the order ElasticCluster.Match gives them — so an ID
+// held twice keeps both records. A reply that is not ID-ordered is sorted
+// first, not trusted.
+func (sc *fanScratch) merge(res *Result, matched int) {
 	slots := sc.slots
 	sc.heads = slices.Grow(sc.heads[:0], len(slots))[:len(slots)]
 	heads := sc.heads
@@ -446,9 +393,7 @@ func (sc *fanScratch) merge(res *Result, matched int, records bool) {
 		}
 	}
 	res.IDs = make([]uint64, 0, matched)
-	if records {
-		res.Meta = make([]multiserver.AdMeta, 0, matched)
-	}
+	res.Meta = make([]multiserver.AdMeta, 0, matched)
 	for len(res.IDs) < matched {
 		next := -1
 		for i := range slots {
@@ -458,23 +403,19 @@ func (sc *fanScratch) merge(res *Result, matched int, records bool) {
 		}
 		slot, h := &slots[next], heads[next]
 		res.IDs = append(res.IDs, slot.ids[h])
-		if records {
-			res.Meta = append(res.Meta, slot.meta[h])
-		}
+		res.Meta = append(res.Meta, slot.meta[h])
 		heads[next]++
 	}
 }
 
-// byID sorts an answer by ID, carrying the metadata along when it has any.
+// byID sorts an answer by ID, carrying the metadata along.
 type byID answer
 
 func (a byID) Len() int           { return len(a.ids) }
 func (a byID) Less(i, j int) bool { return a.ids[i] < a.ids[j] }
 func (a byID) Swap(i, j int) {
 	a.ids[i], a.ids[j] = a.ids[j], a.ids[i]
-	if a.meta != nil {
-		a.meta[i], a.meta[j] = a.meta[j], a.meta[i]
-	}
+	a.meta[i], a.meta[j] = a.meta[j], a.meta[i]
 }
 
 // askShard fills slot with rs's answer to req, decoded into the slot's
@@ -595,20 +536,6 @@ func (nc *NetClient) failShard(rs *replicaSet, req shardReq, lastErr error, sawF
 	return answer{}, lastErr
 }
 
-// fetchMeta is the second hop of a route whose shards answer IDs only.
-func (nc *NetClient) fetchMeta(ids []uint64, deadline time.Time) ([]multiserver.AdMeta, error) {
-	if nc.ad == nil {
-		return nil, errors.New("shard: ad metadata fetch: the route's shards serve no records and the client has no ad server")
-	}
-	meta, err := nc.ad.ExchangeMeta(ids, deadline)
-	if err != nil {
-		nc.adDead.CompareAndSwap(0, time.Now().UnixNano())
-		return nil, fmt.Errorf("shard: ad metadata fetch: %w", err)
-	}
-	nc.adDead.Store(0)
-	return meta, nil
-}
-
 // ReplicaHealth is one replica's breaker view.
 type ReplicaHealth struct {
 	Addr    string `json:"addr"`
@@ -628,15 +555,9 @@ type ShardHealth struct {
 type Health struct {
 	Shards     []ShardHealth `json:"shards"`
 	LiveShards int           `json:"live_shards"`
-	// AdBreaker is the ad-server connection's breaker, absent when the
-	// client has no ad server; AdLive is false while that server is not
-	// answering.
-	AdBreaker string `json:"ad_breaker,omitempty"`
-	AdLive    bool   `json:"ad_live"`
-	// DeadFor is the longest continuous outage across shards and the ad
-	// server (0 when everything is answering) — the signal a readiness
-	// probe should threshold to stop routing to a client whose backends
-	// are gone.
+	// DeadFor is the longest continuous outage across shards (0 when
+	// every shard is answering) — the signal a readiness probe should
+	// threshold to stop routing to a client whose backends are gone.
 	DeadFor time.Duration `json:"-"`
 }
 
@@ -666,15 +587,6 @@ func (nc *NetClient) Health() Health {
 		}
 		h.Shards = append(h.Shards, sh)
 	}
-	h.AdLive = nc.adDead.Load() == 0
-	if !h.AdLive {
-		if d := time.Duration(time.Now().UnixNano() - nc.adDead.Load()); d > h.DeadFor {
-			h.DeadFor = d
-		}
-	}
-	if nc.ad != nil {
-		h.AdBreaker = nc.ad.Breaker().State().String()
-	}
 	return h
 }
 
@@ -701,18 +613,12 @@ type Stats struct {
 // (across every connection ever opened, including retired shards').
 func (nc *NetClient) Stats() Stats {
 	var s Stats
-	add := func(c *multiserver.Conn) {
+	for _, c := range nc.allConns() {
 		cs := c.Stats()
 		s.Retries += cs.Retries
 		s.Reconnects += cs.Reconnects
 		s.FastFails += cs.FastFails
 		s.BreakerOpens += c.Breaker().Opens()
-	}
-	for _, c := range nc.allConns() {
-		add(c)
-	}
-	if nc.ad != nil {
-		add(nc.ad)
 	}
 	s.Degraded = nc.degraded.Load()
 	s.Hedges = nc.hedges.Load()

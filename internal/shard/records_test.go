@@ -1,6 +1,5 @@
-// The record path: a route whose shards serve records answers a query in
-// one round trip per shard, metadata attached, on every attempt path a
-// NetClient has — and never touches an ad server.
+// The record path: a route's shards answer a query in one round trip per
+// shard, metadata attached, on every attempt path a NetClient has.
 package shard
 
 import (
@@ -20,15 +19,13 @@ import (
 )
 
 // recordsDeployment is an elastic cluster served twice over (two replicas
-// of every shard position, each behind a fault proxy), a client on its
-// live records route, and an ad server attached to that client which
-// nothing should ever ask.
+// of every shard position, each behind a fault proxy) and a client on its
+// live route.
 type recordsDeployment struct {
 	c       *corpus.Corpus
 	ec      *ElasticCluster
 	serving [2]*ElasticServing
 	proxies [2][]*faultnet.Proxy
-	ad      *multiserver.Server
 	nc      *NetClient
 }
 
@@ -55,11 +52,7 @@ func deployRecords(t *testing.T, nAds, nShards int, opts Options) *recordsDeploy
 			addrs[r] = append(addrs[r], p.Addr())
 		}
 	}
-	if d.ad, err = multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, d.c.Ads); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.ad.Close() })
-	d.nc, err = DialRoute(func() (*Route, error) { return d.ec.RouteOver(addrs[0], addrs[1]), nil }, d.ad.Addr(), opts)
+	d.nc, err = DialRoute(func() (*Route, error) { return d.ec.RouteOver(addrs[0], addrs[1]), nil }, "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,22 +103,19 @@ func checkRecords(t *testing.T, label string, ec *ElasticCluster, q string, res 
 	if !slices.Equal(res.IDs, ids) || !slices.Equal(res.Meta, meta) {
 		t.Fatalf("%s: query %q:\n got %v %+v\nwant %v %+v", label, q, res.IDs, res.Meta, ids, meta)
 	}
-	if res.MetaMissing {
-		t.Fatalf("%s: a records route flagged MetaMissing: %+v", label, res)
-	}
 }
 
 // TestRecordsOneExchangePerShard: a fan-out over N shards is N frames out
-// and N back, the ad server sees none of it, and the answer is what the
-// two-hop deployment gives for the same cluster.
+// and N back, and the answer is what a static route over the same
+// positions gives.
 func TestRecordsOneExchangePerShard(t *testing.T) {
 	const shards = 3
 	d := deployRecords(t, 900, shards, Options{Conn: fastConn()})
-	twoHop, err := DialReplicaShards([][]string{{d.serving[0].Addrs()[0]}, {d.serving[0].Addrs()[1]}, {d.serving[0].Addrs()[2]}}, d.ad.Addr(), Options{})
+	static, err := DialReplicaShards([][]string{{d.serving[0].Addrs()[0]}, {d.serving[0].Addrs()[1]}, {d.serving[0].Addrs()[2]}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer twoHop.Close()
+	defer static.Close()
 
 	queries := []string{d.spanningQuery(t), joinWords(d.c.Ads[7].Words) + " extra", "nothing matches this"}
 	for _, q := range queries {
@@ -141,29 +131,54 @@ func TestRecordsOneExchangePerShard(t *testing.T) {
 		if got := d.requests() - before; got != shards {
 			t.Errorf("query %q cost %d shard exchanges, want %d", q, got, shards)
 		}
-		adBefore := d.ad.Requests()
-		want, err := twoHop.QueryResult(q)
-		if err != nil || !slices.Equal(res.IDs, want.IDs) || !slices.Equal(res.Meta, want.Meta) {
-			t.Errorf("query %q: records %v %+v, two-hop %v %+v (err %v)", q, res.IDs, res.Meta, want.IDs, want.Meta, err)
+		before = d.requests()
+		want, err := static.QueryResult(q)
+		if err != nil || !slices.Equal(res.IDs, want.IDs) || !slices.Equal(res.Meta, want.Meta) || want.Degraded {
+			t.Errorf("query %q: live route %v %+v, static route %v %+v (err %v)", q, res.IDs, res.Meta, want.IDs, want.Meta, err)
 		}
-		// The two-hop client pays its second hop only when something matched.
-		if got, want := d.ad.Requests()-adBefore, min(int64(len(want.IDs)), 1); got != want {
-			t.Errorf("query %q: two-hop client made %d ad-server requests, want %d", q, got, want)
+		if got := d.requests() - before; got != shards {
+			t.Errorf("query %q cost the static route %d shard exchanges, want %d", q, got, shards)
 		}
 	}
-	if h := d.nc.Health(); !h.AdLive || h.LiveShards != shards {
+	if h := d.nc.Health(); h.LiveShards != shards {
 		t.Errorf("health: %+v", h)
 	}
-	// Everything the ad server saw came from the two-hop client.
-	if got := d.ad.Requests(); got != 2 {
-		t.Errorf("ad server answered %d requests, want the two-hop client's 2", got)
+}
+
+// TestTwoHopSkipsMetadataForNoMatch: records ride in the shard's own reply,
+// so a static route's query that matches nothing costs one exchange per
+// shard and no second hop, carries no records, and is complete, not
+// degraded.
+func TestTwoHopSkipsMetadataForNoMatch(t *testing.T) {
+	d := deploy(t, 400, 2)
+	nc, err := DialReplicaShards([][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}},
+		Options{Conn: fastConn(), AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	for round := 1; round <= 2; round++ {
+		res, err := nc.QueryResult("nothing matches this")
+		if err != nil || len(res.IDs) != 0 || len(res.Meta) != 0 || res.Degraded {
+			t.Fatalf("round %d: no-match query: %+v, %v", round, res, err)
+		}
+		for i, srv := range d.shards {
+			if got := srv.Requests(); got != int64(round) {
+				t.Errorf("round %d: shard %d answered %d requests, want %d", round, i, got, round)
+			}
+		}
+	}
+	if s := nc.Stats(); s.Degraded != 0 {
+		t.Errorf("a complete empty answer counted as degraded: %+v", s)
+	}
+	if h := nc.Health(); h.LiveShards != 2 {
+		t.Errorf("health after no-match queries: %+v", h)
 	}
 }
 
 // TestRecordsFollowTheCluster: metadata comes from the shard's own record
-// at match time, so an ad inserted after Serve answers with its metadata
-// (a start-up ad server answers zeros for it), and IDs held more than once
-// keep each record.
+// at match time, so an ad inserted after Serve answers with its metadata,
+// and IDs held more than once keep each record.
 func TestRecordsFollowTheCluster(t *testing.T) {
 	d := deployRecords(t, 300, 2, Options{Conn: fastConn()})
 	late := corpus.NewAd(900001, "zqxw latecomer", corpus.Meta{BidMicros: 4242, ClickRate: 17})
@@ -192,14 +207,11 @@ func TestRecordsFollowTheCluster(t *testing.T) {
 	if len(res.IDs) != len(words)+1 {
 		t.Fatalf("duplicate IDs: %d records for %d copies", len(res.IDs), len(words)+1)
 	}
-	if d.ad.Requests() != 0 {
-		t.Errorf("ad server answered %d requests", d.ad.Requests())
-	}
 }
 
 // TestRecordsThroughEveryAttemptPath drives the record request down each
 // way a NetClient has of reaching a shard. Whichever attempt wins, the
-// answer carries the shards' records and the ad server stays unasked.
+// answer carries the shards' records.
 func TestRecordsThroughEveryAttemptPath(t *testing.T) {
 	t.Run("failover", func(t *testing.T) {
 		d := deployRecords(t, 600, 2, Options{Conn: fastConn()})
@@ -331,19 +343,11 @@ func TestMergeKeepsRecordsWithTheirIDs(t *testing.T) {
 		{answer: answer{ids: []uint64{}, meta: []multiserver.AdMeta{}}},
 	}}
 	res := &Result{}
-	sc.merge(res, 8, true)
+	sc.merge(res, 8)
 	wantIDs := []uint64{1, 2, 5, 5, 5, 5, 9, 9}
 	wantMeta := []multiserver.AdMeta{m(10), m(20), m(50), m(51), m(52), m(53), m(90), m(91)}
 	if !slices.Equal(res.IDs, wantIDs) || !slices.Equal(res.Meta, wantMeta) {
 		t.Errorf("record merge:\n got %v %+v\nwant %v %+v", res.IDs, res.Meta, wantIDs, wantMeta)
-	}
-
-	// ID-only replies (a frozen route's) go through the same merge.
-	sc = &fanScratch{slots: []shardReply{{answer: answer{ids: []uint64{7, 3}}}, {answer: answer{ids: []uint64{3, 4}}}}}
-	res = &Result{}
-	sc.merge(res, 4, false)
-	if !slices.Equal(res.IDs, []uint64{3, 3, 4, 7}) || res.Meta != nil {
-		t.Errorf("ID merge: %v, meta %v", res.IDs, res.Meta)
 	}
 }
 
@@ -382,9 +386,9 @@ func TestTagByteLedQueryText(t *testing.T) {
 	defer adSrv.Close()
 	addrs := es.Addrs()
 
-	// A frozen route sends the text untagged to servers that decode tags;
-	// the records route sends it behind its own tag.
-	frozen, err := DialReplicaShards([][]string{{addrs[0]}, {addrs[1]}}, adSrv.Addr(), Options{})
+	// Both routes send the text behind the records tag, a frozen route at
+	// epoch 0.
+	frozen, err := DialReplicaShards([][]string{{addrs[0]}, {addrs[1]}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +399,7 @@ func TestTagByteLedQueryText(t *testing.T) {
 	}
 	defer routed.Close()
 	for i, q := range phrases {
-		for name, nc := range map[string]*NetClient{"frozen": frozen, "records": routed} {
+		for name, nc := range map[string]*NetClient{"frozen": frozen, "live": routed} {
 			if got, err := nc.Query(q); err != nil || !slices.Equal(got, want[i]) {
 				t.Errorf("%s route, Query(%q) = %v, %v; want %v", name, q, got, err, want[i])
 			}
@@ -419,39 +423,9 @@ func TestTagByteLedQueryText(t *testing.T) {
 	}
 }
 
-// TestTwoHopSkipsMetadataForNoMatch: with nothing matched there is nothing
-// to fetch, so the ad server is not asked — and, dead, is not noticed.
-func TestTwoHopSkipsMetadataForNoMatch(t *testing.T) {
-	d := deploy(t, 400, 2)
-	nc, err := DialReplicaShards([][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}}, d.ad.Addr(),
-		Options{Conn: fastConn(), AllowPartial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	check := func(label string) {
-		t.Helper()
-		res, err := nc.QueryResult("nothing matches this")
-		if err != nil || len(res.IDs) != 0 || len(res.Meta) != 0 || res.MetaMissing || res.Degraded {
-			t.Fatalf("%s: no-match query: %+v, %v", label, res, err)
-		}
-		if !nc.Health().AdLive {
-			t.Fatalf("%s: a query that needed no metadata marked the ad server dead", label)
-		}
-	}
-	check("ad server up")
-	if got := d.ad.Requests(); got != 0 {
-		t.Errorf("ad server answered %d requests for an empty match list", got)
-	}
-	d.ad.Close()
-	check("ad server down")
-	if nc.Stats().Degraded != 0 {
-		t.Error("a complete empty answer counted as degraded")
-	}
-}
-
-// TestDialRouteWithoutAdServer: only a route whose shards serve records
-// can do without one.
+// TestDialRouteWithoutAdServer: a frozen route and a live one both dial
+// with no ad server, and an ad-server address given to DialRoute is
+// ignored, reachable or not: every route's shards answer with records.
 func TestDialRouteWithoutAdServer(t *testing.T) {
 	ec := newStatic(t, elasticAds(20), 2)
 	es, err := ec.Serve()
@@ -460,20 +434,17 @@ func TestDialRouteWithoutAdServer(t *testing.T) {
 	}
 	defer es.Close()
 	frozen := frozenRoute([][]string{{es.Addrs()[0]}, {es.Addrs()[1]}})
-	if nc, err := DialRoute(func() (*Route, error) { return frozen, nil }, "", Options{}); err == nil {
-		nc.Close()
-		t.Error("an ID-only route dialed without an ad server")
-	}
-	nc, err := DialRoute(func() (*Route, error) { return ec.RouteOver(es.Addrs()), nil }, "", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if res, err := nc.QueryResult("w3"); err != nil || !slices.Equal(res.IDs, []uint64{4}) || len(res.Meta) != 1 {
-		t.Errorf("query without an ad server: %+v, %v", res, err)
-	}
-	if h := nc.Health(); h.AdBreaker != "" || !h.AdLive {
-		t.Errorf("health without an ad server: %+v", h)
+	for name, route := range map[string]*Route{"frozen": frozen, "live": ec.RouteOver(es.Addrs())} {
+		for _, adAddr := range []string{"", "127.0.0.1:1"} {
+			nc, err := DialRoute(func() (*Route, error) { return route, nil }, adAddr, Options{})
+			if err != nil {
+				t.Fatalf("%s route, ad address %q: %v", name, adAddr, err)
+			}
+			if res, err := nc.QueryResult("w3"); err != nil || !slices.Equal(res.IDs, []uint64{4}) || len(res.Meta) != 1 {
+				t.Errorf("%s route, ad address %q: %+v, %v", name, adAddr, res, err)
+			}
+			nc.Close()
+		}
 	}
 }
 

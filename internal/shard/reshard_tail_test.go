@@ -78,13 +78,8 @@ func reshardUnderLoad(t *testing.T, ads []corpus.Ad, queries []string) (before, 
 		t.Fatal(err)
 	}
 	defer es.Close()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adSrv.Close()
 	nc, err := DialRoute(func() (*Route, error) { return ec.RouteOver(es.Addrs()), nil },
-		adSrv.Addr(), Options{Conn: multiserver.ConnOpts{Timeout: 2 * time.Second, MaxRetries: 1}})
+		"", Options{Conn: multiserver.ConnOpts{Timeout: 2 * time.Second, MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

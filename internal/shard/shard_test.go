@@ -93,12 +93,7 @@ func TestServedStaticCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer es.Close()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, c.Ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adSrv.Close()
-	nc, err := dialStatic(es.Addrs(), adSrv.Addr())
+	nc, err := dialStatic(es.Addrs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +112,10 @@ func TestServedStaticCluster(t *testing.T) {
 			t.Fatalf("query %q: %v, one index: %v", q, got, want)
 		}
 	}
-	cluster.Insert(corpus.NewAd(99999, "zzzz unique phrase", corpus.Meta{}))
-	if got := query("zzzz unique phrase today"); !reflect.DeepEqual(got, []uint64{99999}) {
-		t.Fatalf("inserted ad: %v", got)
+	cluster.Insert(corpus.NewAd(99999, "zzzz unique phrase", corpus.Meta{BidMicros: 7, ClickRate: 3}))
+	res, err := nc.QueryResult("zzzz unique phrase today")
+	if err != nil || !reflect.DeepEqual(res.IDs, []uint64{99999}) || !reflect.DeepEqual(res.Meta, []multiserver.AdMeta{{BidMicros: 7, ClickRate: 3}}) {
+		t.Fatalf("inserted ad: %+v, %v; want its ID and the bid it was inserted with", res, err)
 	}
 	if !cluster.Delete(99999, "zzzz unique phrase") {
 		t.Fatal("delete failed")
@@ -179,12 +175,12 @@ func TestCoLocationByWordSet(t *testing.T) {
 }
 
 // dialStatic dials one replica per shard with strict semantics.
-func dialStatic(indexAddrs []string, adAddr string) (*NetClient, error) {
+func dialStatic(indexAddrs []string) (*NetClient, error) {
 	replicas := make([][]string, len(indexAddrs))
 	for i, a := range indexAddrs {
 		replicas[i] = []string{a}
 	}
-	return DialReplicaShards(replicas, adAddr, Options{})
+	return DialReplicaShards(replicas, Options{})
 }
 
 // plainServer serves one shard of cluster the way adserve -tcp-index
@@ -203,7 +199,7 @@ func TestNetShardedQuery(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 1500, Seed: 134})
 	single := core.New(c.Ads, core.Options{})
 
-	// Three index shards plus one shared ad server.
+	// Three index shards, each answering with its own records.
 	cluster := newStatic(t, c.Ads, 3)
 	var addrs []string
 	for i := 0; i < cluster.NumShards(); i++ {
@@ -211,13 +207,8 @@ func TestNetShardedQuery(t *testing.T) {
 		defer srv.Close()
 		addrs = append(addrs, srv.Addr())
 	}
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, c.Ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adSrv.Close()
 
-	nc, err := dialStatic(addrs, adSrv.Addr())
+	nc, err := dialStatic(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +237,8 @@ func TestNetShardedFailure(t *testing.T) {
 	srv0 := plainServer(t, cluster, 0)
 	srv1 := plainServer(t, cluster, 1)
 	defer srv1.Close()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, c.Ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adSrv.Close()
 
-	nc, err := dialStatic([]string{srv0.Addr(), srv1.Addr()}, adSrv.Addr())
+	nc, err := dialStatic([]string{srv0.Addr(), srv1.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +255,13 @@ func TestNetShardedFailure(t *testing.T) {
 }
 
 func TestDialShardsErrors(t *testing.T) {
-	if _, err := dialStatic(nil, "127.0.0.1:1"); err == nil {
+	if _, err := dialStatic(nil); err == nil {
 		t.Error("no shards accepted")
 	}
-	if _, err := DialReplicaShards([][]string{{}}, "127.0.0.1:1", Options{}); err == nil {
+	if _, err := DialReplicaShards([][]string{{}}, Options{}); err == nil {
 		t.Error("a shard with no replica addresses accepted")
 	}
-	if _, err := dialStatic([]string{"127.0.0.1:1"}, "127.0.0.1:1"); err == nil {
+	if _, err := dialStatic([]string{"127.0.0.1:1"}); err == nil {
 		t.Error("unreachable shard accepted")
 	}
 
@@ -290,18 +276,18 @@ func TestDialShardsErrors(t *testing.T) {
 	defer es.Close()
 	up := es.Addrs()
 	replicas := [][]string{{up[0]}, {"127.0.0.1:1", "127.0.0.1:2"}}
-	_, err = DialReplicaShards(replicas, up[0], Options{})
+	_, err = DialReplicaShards(replicas, Options{})
 	if err == nil || !strings.Contains(err.Error(), "no reachable replica for shard 1") {
 		t.Errorf("frozen route with a dark shard: err = %v", err)
 	}
 	_, err = DialRoute(func() (*Route, error) {
 		return &Route{Table: *cluster.Table(), Replicas: replicas}, nil
-	}, up[0], Options{})
+	}, "", Options{})
 	if err == nil || !strings.Contains(err.Error(), "no reachable replica for shard 1") {
 		t.Errorf("versioned route with a dark shard: err = %v", err)
 	}
 	// One dead replica beside a live one is fine.
-	nc, err := DialReplicaShards([][]string{{"127.0.0.1:1", up[0]}, {up[1]}}, up[0], Options{})
+	nc, err := DialReplicaShards([][]string{{"127.0.0.1:1", up[0]}, {up[1]}}, Options{})
 	if err != nil {
 		t.Fatalf("dial with one dead replica per shard: %v", err)
 	}
@@ -367,24 +353,18 @@ func (tp *tap) take() []byte {
 }
 
 // TestFrozenRouteWire: a static client is a NetClient on a frozen
-// (epoch 0) route. What it puts on the wire is the bare query text — the
-// "req plain" frame of multiserver's TestGoldenWireBytes, byte for byte
-// what the non-routed client sent — so a plain index server with no
-// notion of epochs (adserve -tcp-index) parses it; and it never goes
-// back to its route source.
+// (epoch 0) route. What it puts on the wire is a records request at epoch
+// 0, which names no epoch, so a plain index server with no notion of
+// epochs (adserve -tcp-index) serves it and answers with its records; and
+// the client never goes back to its route source.
 func TestFrozenRouteWire(t *testing.T) {
 	ads := elasticAds(40)
 	cluster := newStatic(t, ads, 1)
 	srv := plainServer(t, cluster, 0)
 	defer srv.Close()
-	adSrv, err := multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, ads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adSrv.Close()
 	tp := newTap(t, srv.Addr())
 
-	nc, err := dialStatic([]string{tp.ln.Addr().String()}, adSrv.Addr())
+	nc, err := dialStatic([]string{tp.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,15 +372,16 @@ func TestFrozenRouteWire(t *testing.T) {
 	if got, err := nc.Query("cheap flights"); err != nil || len(got) != 0 {
 		t.Fatalf("Query = %v, %v", got, err)
 	}
-	if got := hex.EncodeToString(tp.take()); got != "0000000d636865617020666c6967687473" {
+	if got := hex.EncodeToString(tp.take()); got != "00000016fb0000000000000000636865617020666c6967687473" {
 		t.Errorf("frozen-route request frame: %s", got)
 	}
 
 	for i := 0; i < 1000; i++ {
 		ad := ads[i%len(ads)]
-		got, err := nc.Query(ad.Phrase)
-		if err != nil || len(got) != 1 || got[0] != ad.ID {
-			t.Fatalf("Query(%q) = %v, %v", ad.Phrase, got, err)
+		res, err := nc.QueryResult(ad.Phrase)
+		want := multiserver.AdMeta{BidMicros: ad.Meta.BidMicros, ClickRate: ad.Meta.ClickRate}
+		if err != nil || len(res.IDs) != 1 || res.IDs[0] != ad.ID || res.Meta[0] != want {
+			t.Fatalf("QueryResult(%q) = %+v, %v; want ad %d with %+v", ad.Phrase, res, err, ad.ID, want)
 		}
 	}
 	if e := nc.Epoch(); e != 0 {

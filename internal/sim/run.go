@@ -405,10 +405,10 @@ func (r *runner) insertEverywhere(ad corpus.Ad) string {
 }
 
 // checkNetQuery runs one query over the wire and compares the ID
-// multiset against the oracle — and, on the elastic deployment, whose
-// shards answer with records, each ID's bid and click rate as well. when
-// annotates the failure detail (e.g. "mid-handoff"); "" for the ordinary
-// query path.
+// multiset against the oracle, and then each ID's bid and click rate: the
+// shards answer with their records on the static route and the live one
+// alike. when annotates the failure detail (e.g. "mid-handoff"); "" for
+// the ordinary query path.
 func (r *runner) checkNetQuery(i int, q, when string) *Failure {
 	prefix := ""
 	if when != "" {
@@ -422,7 +422,7 @@ func (r *runner) checkNetQuery(i int, q, when string) *Failure {
 	ids := slices.Clone(res.IDs)
 	slices.Sort(ids)
 	d := diffIDs(ids, idsOf(want))
-	if d == "" && r.cfg.Elastic {
+	if d == "" {
 		d = diffRecords(res, want)
 	}
 	if d != "" {

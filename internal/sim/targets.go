@@ -113,10 +113,10 @@ const (
 // shard.ElasticCluster, every shard position of every replica served by
 // an epoch-checking TCP server behind a faultnet proxy, queried through
 // one strict shard.NetClient — on the cluster's live route under
-// cfg.Elastic (one round trip per shard, records in the reply), on the
-// frozen route of the initial shards otherwise (the static deployment:
-// the same target with no rebalance in its schedule, IDs from the shards
-// and a second hop to an ad server). Mutations are applied to every
+// cfg.Elastic, on the frozen route of the initial shards otherwise (the
+// static deployment: the same target with no rebalance in its schedule).
+// Either way a query is one round trip per shard, records in the reply.
+// Mutations are applied to every
 // replica directly (modeling an out-of-band replication channel);
 // kill/heal partition and heal all of one replica's proxies. Rebalance ops run the live handoff on every
 // replica in lockstep (so epochs agree), with the runner's mid-handoff
@@ -128,7 +128,6 @@ type elasticTarget struct {
 	servings   []*shard.ElasticServing
 	proxies    [][]*faultnet.Proxy // [replica][position]
 	proxyAddrs [][]string          // [replica][position]
-	adSrv      *multiserver.Server // static deployment only
 	client     *shard.NetClient
 	dead       int // replica currently partitioned, -1 = none
 }
@@ -177,19 +176,10 @@ func newElasticTarget(cfg Config) (*elasticTarget, error) {
 	var client *shard.NetClient
 	var err error
 	if cfg.Elastic {
-		// The live route's shards answer with records, which the runner
-		// holds to the oracle; there is no ad server to ask.
 		client, err = shard.DialRoute(route, "", opts)
 	} else {
-		// The frozen route is ID-only: its second hop goes to an ad server
-		// with no ads, answering zeros the harness never inspects (the
-		// static comparison is on ID multisets).
-		if e.adSrv, err = multiserver.NewAdServer("127.0.0.1:0", multiserver.ServeOpts{}, nil); err != nil {
-			e.close()
-			return nil, err
-		}
 		r, _ := route()
-		client, err = shard.DialReplicaShards(r.Replicas, e.adSrv.Addr(), opts)
+		client, err = shard.DialReplicaShards(r.Replicas, opts)
 	}
 	if err != nil {
 		e.close()
@@ -323,9 +313,6 @@ func (e *elasticTarget) close() {
 		for _, p := range row {
 			p.Close()
 		}
-	}
-	if e.adSrv != nil {
-		e.adSrv.Close()
 	}
 	for _, es := range e.servings {
 		es.Close()
