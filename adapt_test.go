@@ -14,7 +14,7 @@ import (
 )
 
 func observeQuery(ix *Index, q *workload.Query) {
-	ix.Observe(strings.Join(q.Words, " "))
+	ix.BroadMatch(strings.Join(q.Words, " "))
 }
 
 // adaptTestIndex builds a durable index in the default placement with live
@@ -217,13 +217,46 @@ func TestStartStopAdapt(t *testing.T) {
 	if ix.adaptStop != stop {
 		t.Fatal("a second StartAdapt replaced the running loop")
 	}
-	ix.Observe("used books")
+	ix.BroadMatch("used books")
 	ix.StopAdapt()
 	ix.StopAdapt()
 	if ix.adaptStop != nil {
 		t.Fatal("StopAdapt left the loop registered")
 	}
 	New(Options{}).StopAdapt() // never started: must not hang or panic
+}
+
+// TestStopAdaptJoinsTick: StopAdapt returns only once the tick in flight
+// has finished, so nothing the loop does outlives it.
+func TestStopAdaptJoinsTick(t *testing.T) {
+	const hubs = 4
+	ix := Build(hubCatalog(hubs), Options{})
+	for j := 0; j < 200; j++ {
+		ix.BroadMatch(hubQuery(j%hubs, j/hubs)) // traffic a tick gains on
+	}
+	var once sync.Once
+	inTick, release := make(chan struct{}), make(chan struct{})
+	ix.optimizeRebuildHook = func(int) {
+		once.Do(func() { close(inTick) })
+		<-release
+	}
+	ix.StartAdapt(time.Millisecond)
+	<-inTick
+	stopped := make(chan struct{})
+	go func() {
+		ix.StopAdapt()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Error("StopAdapt returned while a tick was still rebuilding")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-stopped
+	if ix.Remaps() != 1 {
+		t.Errorf("%d re-mappings installed, want the one tick's", ix.Remaps())
+	}
 }
 
 // TestCloseStopsAdapt is the regression test for a shutdown that closed
@@ -247,7 +280,6 @@ func TestCloseStopsAdapt(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				q := hubQuery(h, j)
 				ix.BroadMatch(q)
-				ix.Observe(q)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -56,8 +56,8 @@ type Options struct {
 	Rewrite *RewriteOptions
 }
 
-// maxObservedQueries bounds the distinct-query workload sample kept
-// by Observe: 4 096 sets on each of its 16 shards. Live traffic has an
+// maxObservedQueries bounds the distinct-query workload sample that
+// Match feeds: 4 096 sets on each of its 16 shards. Live traffic has an
 // unbounded tail of distinct word sets, so without a cap the sample would
 // grow forever. Below the cap every count is exact; at the cap the sample
 // is a Space-Saving top-k, where a new set takes the least counted set's
@@ -87,11 +87,12 @@ func (o Options) coreOptions() core.Options {
 
 // Index is a thread-safe broad-match advertisement index.
 //
-// Reads are lock-free: every query loads the current immutable snapshot
-// with a single atomic pointer load and never contends with mutators or
-// other readers. Mutators (Insert, Delete, Optimize, ApplyMapping)
-// serialize among themselves on a writer-only mutex and publish a new
-// snapshot RCU-style; retired snapshots are reclaimed by the garbage
+// Reads never wait on writers: every query loads the current immutable
+// snapshot with a single atomic pointer load and never contends with
+// mutators. The one lock a query takes is the workload sampler shard its
+// word set hashes to, for one count update (View.Match). Mutators
+// (Insert, Delete, Optimize, ApplyMapping) serialize among themselves on
+// a writer-only mutex and publish a new snapshot RCU-style; retired snapshots are reclaimed by the garbage
 // collector once the last in-flight read drops them, which stands in for
 // an explicit grace period.
 type Index struct {
@@ -107,8 +108,8 @@ type Index struct {
 	snap atomic.Pointer[snapshot]
 	// mu serializes mutators. Readers never acquire it.
 	mu sync.Mutex
-	// observed samples the query stream for workload adaptation, sharded
-	// so recording never blocks queries (or other recorders).
+	// observed samples the queries Match answers for workload adaptation,
+	// sharded so that recording rarely waits on another query.
 	observed *observeSampler
 	// rewriter plans approximate broad-match expansions; nil when
 	// Options.Rewrite is unset. Immutable after construction.
@@ -456,21 +457,8 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 	return false
 }
 
-// Observe records one occurrence of query in the workload sample used by
-// Optimize. Call it on (a sample of) live traffic. Recording goes through
-// a sharded sampler and never blocks queries.
-func (ix *Index) Observe(query string) {
-	ix.observed.Observe(query)
-}
-
-// ObserveWords is Observe for a caller that already holds the query's
-// canonical word set (textnorm.AppendWordSet): it records the same sample
-// without tokenizing again. words is only read.
-func (ix *Index) ObserveWords(words []string) {
-	ix.observed.ObserveWords(words)
-}
-
-// ObservedQueries returns the number of distinct observed queries.
+// ObservedQueries returns the number of distinct query word sets in the
+// workload sample: the queries Match has answered (View.Match).
 func (ix *Index) ObservedQueries() int {
 	return ix.observed.Distinct()
 }
@@ -516,7 +504,7 @@ const maxOptimizeAttempts = 3
 // changes. With no observed workload the default placement is kept.
 //
 // All heavy work (set cover, rebuild) runs outside the writer lock, and
-// queries are lock-free throughout, so matching proceeds at full speed for
+// queries never wait on that lock, so matching proceeds at full speed for
 // the entire optimization (see remap). After maxOptimizeAttempts lost
 // races with an overlay fold Optimize gives up, keeps the current
 // placement, and reports Applied=false.
@@ -574,7 +562,7 @@ func (ix *Index) plan(base *core.Index, ads []corpus.Ad, wl *workload.Workload) 
 // An install bumps the remap count and, on a durable index, persists the
 // placement as a full snapshot inside the swap's critical section — layout
 // changes are not WAL-logged (the WAL holds logical mutations only).
-// Mutators stall for that write; queries stay lock-free.
+// Mutators stall for that write; queries never wait on it.
 //
 // installed is nil when churn folded the base on every attempt. churned
 // reports a retry, or a mutation between the first fold and the swap: what
@@ -626,8 +614,9 @@ func fixedPlan(mapping map[string][]string) func(int, *core.Index, []corpus.Ad) 
 // cmd/adopt). Query results are unaffected. The mapping
 // must satisfy the validity conditions (each locator a subset of its word
 // set, at most MaxWords long); entries for unknown word sets are ignored.
-// Queries stay lock-free and mutators block only for the swap (see remap);
-// it is an error if mutation churn outpaced maxOptimizeAttempts rebuilds.
+// Queries never wait on the rebuild, and mutators block only for the swap
+// (see remap); it is an error if mutation churn outpaced
+// maxOptimizeAttempts rebuilds.
 func (ix *Index) ApplyMapping(r io.Reader) error {
 	mapping, err := optimize.ReadMapping(r)
 	if err != nil {
@@ -741,7 +730,7 @@ func (ix *Index) CheckInvariants() error {
 }
 
 // foldedBase folds any pending overlay and returns the resulting pure
-// base. Queries remain lock-free while it runs.
+// base. Queries never wait on it.
 func (ix *Index) foldedBase() *core.Index {
 	s := ix.snap.Load()
 	if s.overlaySize() == 0 {

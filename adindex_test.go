@@ -105,7 +105,7 @@ func TestObserveAndOptimize(t *testing.T) {
 			q += w
 		}
 		for f := 0; f < wl.Queries[i].Freq%5+1; f++ {
-			ix.Observe(q)
+			ix.BroadMatch(q)
 		}
 		if i%10 == 0 {
 			expects = append(expects, expect{q: q, ids: idsOf(ix.BroadMatch(q))})
@@ -231,7 +231,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 				case 0:
 					ix.BroadMatch("cheap used books")
 				case 1:
-					ix.Observe("used books")
+					ix.BroadMatch("used books")
 				case 2:
 					id := uint64(1000 + w*1000 + i)
 					ix.Insert(NewAd(id, fmt.Sprintf("thing %d", w), Meta{}))
@@ -293,7 +293,7 @@ func TestOptimizeConcurrentWithChurn(t *testing.T) {
 			}
 			q += w
 		}
-		ix.Observe(q)
+		ix.BroadMatch(q)
 	}
 	done := make(chan struct{})
 	const churn = 300
@@ -342,7 +342,7 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 		t.Fatal("Delete did not advance the epoch")
 	}
 	e2 := ix.Epoch()
-	ix.Observe("used books")
+	ix.BroadMatch("used books")
 	if _, err := ix.Optimize(); err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +356,11 @@ func TestObserveCapBoundsMemory(t *testing.T) {
 	ix.observed = newObserveSampler(100)
 	// The hot query is seen often, so its frequency dwarfs the tail's.
 	for i := 0; i < 50; i++ {
-		ix.Observe("used books")
+		ix.BroadMatch("used books")
 	}
 	// A long tail of one-off queries flows past the cap.
 	for i := 0; i < 1000; i++ {
-		ix.Observe(fmt.Sprintf("rare query number %d", i))
+		ix.BroadMatch(fmt.Sprintf("rare query number %d", i))
 	}
 	if got := ix.ObservedQueries(); got > 100 {
 		t.Fatalf("observed sample grew to %d, cap is 100", got)

@@ -103,9 +103,8 @@ func selectWinners[T any](query string, items []T, sel Selection, view func(*T) 
 }
 
 // excludedByKeyword reports whether any of the ad's negative keywords
-// occurs in the query. Match copies carry their exclusion word sets
-// precomputed (cached at copy-out); ads from other paths fall back to
-// tokenizing here.
+// occurs in the query, tokenizing the exclusions here: an ad is asked once,
+// and only if it passed the bid floor.
 func excludedByKeyword(ad *Ad, qWords []string) bool {
 	for _, ws := range ad.Meta.ExclusionSets() {
 		for _, w := range ws {

@@ -88,7 +88,7 @@ func TestChangedAt(t *testing.T) {
 	quiet("a delete that found nothing")
 	ix.Insert(NewAd(12, "?!", Meta{}))
 	quiet("an insert with no words")
-	ix.Observe("used books")
+	ix.BroadMatch("used books")
 	if _, err := ix.Optimize(); err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"adindex"
@@ -575,17 +576,27 @@ func openDurable(f *flags, opts adindex.Options, dc adindex.DurableConfig) (*adi
 // end sends — with each match's ID, bid and click rate as the live index
 // holds them, writes included, and any other request with the IDs alone.
 // It has no routing table, so an epoch-tagged request is served
-// unchecked.
+// unchecked. Its matches are sampled for -adapt-interval like any other
+// query the index answers.
 type indexBackend struct {
 	ix     *adindex.Index
 	budget int64 // -query-budget; 0 = unlimited cost
 }
 
+// maxPooledBackendAds bounds the match slices backendAds keeps (8192 ads
+// of about 120 B, as the HTTP server's copy-out slice): a larger one is
+// left to the collector rather than pinned by the pool.
+const maxPooledBackendAds = 8 << 10
+
+// backendAds pools the slices AppendMatch copies matches into.
+var backendAds = sync.Pool{New: func() any { return new([]adindex.Ad) }}
+
 // AppendMatch implements multiserver.Backend: the wire deadline and the
 // local -query-budget bound the enumeration, and truncation/cutoff ride
 // back to the front-end as frame flags.
 func (b indexBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
-	res := b.ix.Match(nil, adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
+	pooled := backendAds.Get().(*[]adindex.Ad)
+	res := b.ix.Match((*pooled)[:0], adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
 	var flags byte
 	if res.Truncated {
 		flags |= multiserver.IDFlagTruncated
@@ -594,13 +605,16 @@ func (b indexBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, 
 		flags |= multiserver.IDFlagCutoff
 	}
 	if req.Records {
-		return multiserver.AppendAdRecords(dst, res.Ads, flags), nil
+		dst = multiserver.AppendAdRecords(dst, res.Ads, flags)
+	} else {
+		dst = multiserver.AppendMatchIDs(dst, res.Ads, flags)
 	}
-	ids := make([]uint64, len(res.Ads))
-	for i := range res.Ads {
-		ids[i] = res.Ads[i].ID
+	if cap(res.Ads) <= maxPooledBackendAds {
+		clear(res.Ads) // a pooled slice pins no ad strings
+		*pooled = res.Ads[:0]
+		backendAds.Put(pooled)
 	}
-	return multiserver.AppendIDs(dst, ids, flags), nil
+	return dst, nil
 }
 
 // parseShards splits "a,b;c,d" into [[a b] [c d]]: ';' separates shards,

@@ -685,3 +685,104 @@ func TestIndexBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexBackendAllocs: a -tcp-index backend copies a request's matches
+// into a pooled slice and encodes the frame straight from it, so a records
+// or ID request of hundreds of matches allocates at most twice (the
+// copies' string arena) however many it matched.
+func TestIndexBackendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	var ads []corpus.Ad
+	for i := 0; i < 540; i++ {
+		ads = append(ads, corpus.NewAd(uint64(i+1), "used books", corpus.Meta{BidMicros: int64(i), Exclusions: []string{"free"}}))
+	}
+	b := indexBackend{ix: adindex.Build(ads, adindex.Options{})}
+	for _, records := range []bool{true, false} {
+		req := multiserver.Request{Query: "cheap used books", Records: records}
+		var dst []byte
+		run := func() {
+			var err error
+			if dst, err = b.AppendMatch(dst[:0], req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		decode := multiserver.DecodeIDs
+		if records {
+			decode = func(body []byte) ([]uint64, error) {
+				ids, _, _, err := multiserver.DecodeRecords(body)
+				return ids, err
+			}
+		}
+		if ids, err := decode(dst); err != nil || len(ids) != len(ads) {
+			t.Fatalf("records %v: %d matches, err %v; want %d", records, len(ids), err, len(ads))
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs > 2 {
+			t.Errorf("records %v: %d matches cost %.1f allocations, want at most 2", records, len(ads), allocs)
+		}
+	}
+}
+
+// hubCorpus is a corpus whose traffic a re-mapping gains on: hubs 1-word
+// hub ads, each with 20 two-word topic ads that a query of the hub and
+// some of its topics co-accesses.
+func hubCorpus(hubs int) *corpus.Corpus {
+	var c corpus.Corpus
+	for h := 0; h < hubs; h++ {
+		hub := fmt.Sprintf("h%02d", h)
+		c.Ads = append(c.Ads, corpus.NewAd(uint64(len(c.Ads)+1), hub, corpus.Meta{BidMicros: 100}))
+		for j := 0; j < 20; j++ {
+			c.Ads = append(c.Ads, corpus.NewAd(uint64(len(c.Ads)+1), fmt.Sprintf("%s %st%02d", hub, hub, j), corpus.Meta{BidMicros: 100}))
+		}
+	}
+	return &c
+}
+
+// TestTCPIndexAdapts: a -tcp-index backend samples the queries it answers
+// over the frame protocol, so its -adapt-interval ticks re-map the index
+// for traffic that never touches its HTTP port.
+func TestTCPIndexAdapts(t *testing.T) {
+	const hubs = 4
+	path := writeCorpus(t, hubCorpus(hubs), filepath.Join(t.TempDir(), "hubs.tsv"))
+	p := start(t, "-corpus", path, "-addr", "127.0.0.1:0", "-tcp-index", "127.0.0.1:0", "-adapt-interval", "20ms")
+	addr := p.logged(t, `serving TCP index protocol on (\S+)`)
+	base := p.base(t)
+	conn, err := multiserver.DialConn(addr, multiserver.ConnOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for j := 0; j < 200; j++ {
+		h := j % hubs
+		q := fmt.Sprintf("h%02d", h)
+		for k := 0; k < 4; k++ {
+			q += fmt.Sprintf(" h%02dt%02d", h, (j/hubs+k)%20)
+		}
+		req := multiserver.AppendQueryText(multiserver.AppendRecordsRequest(nil, 0, nil), q)
+		if ids, _, _, err := conn.ExchangeRecords(nil, nil, req, time.Time{}); err != nil || len(ids) != 5 {
+			t.Fatalf("records exchange for %q: %d records, err %v; want the hub's and four topics' ads", q, len(ids), err)
+		}
+	}
+	var m struct {
+		Index struct {
+			Remaps          uint64 `json:"remaps"`
+			ObservedQueries int    `json:"observed_queries"`
+		} `json:"index"`
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		_, body := get(t, base+"/metrics")
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Fatalf("/metrics: %v in %s", err, body)
+		}
+		if m.Index.Remaps >= 1 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if m.Index.ObservedQueries == 0 || m.Index.Remaps == 0 {
+		t.Errorf("after 200 frames: observed_queries %d, remaps %d; want the frames sampled and a tick installed",
+			m.Index.ObservedQueries, m.Index.Remaps)
+	}
+}

@@ -89,7 +89,7 @@ func diffCorpus(t *testing.T, seed int64) (*Index, []corpus.Ad, *rand.Rand) {
 	if seed%2 == 1 {
 		// Queries that widen bid phrases make sets share nodes.
 		for i := 0; i < 20; i++ {
-			ix.Observe(ads[rng.Intn(len(ads))].Phrase + " " + pick() + " " + pick())
+			ix.BroadMatch(ads[rng.Intn(len(ads))].Phrase + " " + pick() + " " + pick())
 		}
 		if _, err := ix.Optimize(); err != nil {
 			t.Fatalf("seed %d: Optimize: %v", seed, err)

@@ -31,10 +31,11 @@
 //
 // # Workload adaptation
 //
-// The index can observe its query stream (Observe) and periodically
-// re-optimize the physical layout (Optimize): ads are re-mapped onto data
-// nodes keyed by subsets of their word sets so that co-accessed nodes merge
-// — the minimum-expected-latency layout is a weighted set cover, solved
+// The index samples the queries it answers (every Match records the
+// query's word set) and can periodically re-optimize the physical layout
+// for them (Optimize): ads are re-mapped onto data nodes keyed by subsets
+// of their word sets so that co-accessed nodes merge — the
+// minimum-expected-latency layout is a weighted set cover, solved
 // greedily under a random-vs-sequential memory cost model. Re-mapping
 // never changes query results. StartAdapt runs the same planner on a timer
 // and installs its layout only when it lowers modeled cost.

@@ -60,9 +60,9 @@ func hubQuery(h, j int) string {
 	return strings.Join(parts, " ")
 }
 
-// driveHubTraffic matches and observes n queries over hubs [hubLo, hubHi),
-// cycling hubs and topic windows deterministically, and returns each
-// query's modeled cost.
+// driveHubTraffic matches n queries over hubs [hubLo, hubHi), cycling
+// hubs and topic windows deterministically, and returns each query's
+// modeled cost. Matching samples each query for the next plan.
 func driveHubTraffic(t *testing.T, ix *Index, hubLo, hubHi, n int) []float64 {
 	t.Helper()
 	span := hubHi - hubLo
@@ -73,7 +73,6 @@ func driveHubTraffic(t *testing.T, ix *Index, hubLo, hubHi, n int) []float64 {
 		if res := ix.Match(nil, Query{Text: q, Counters: &c}); len(res.Ads) == 0 {
 			t.Fatalf("query %q matched nothing", q)
 		}
-		ix.Observe(q)
 		costs[j] = c.Cost(ix.model)
 	}
 	return costs

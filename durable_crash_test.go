@@ -77,7 +77,7 @@ func TestCrashChild(t *testing.T) {
 				os.Exit(3)
 			}
 		}
-		ix.Observe(ads[i].Phrase)
+		ix.BroadMatch(ads[i].Phrase)
 		if i == crashOptimizeStep {
 			if _, err := ix.Optimize(); err != nil {
 				fmt.Println("child optimize error:", err)

@@ -9,15 +9,16 @@ import (
 	"adindex"
 )
 
-func ExampleIndex_Observe() {
+func ExampleIndex_Optimize() {
 	ix := adindex.Build([]adindex.Ad{
 		adindex.NewAd(1, "running shoes", adindex.Meta{}),
 		adindex.NewAd(2, "cheap running shoes", adindex.Meta{}),
 	}, adindex.Options{})
 
-	// Observe a skewed stream: the two book nodes are always co-accessed.
+	// Answer a skewed stream: the index samples the queries it answers,
+	// and in these the two shoe nodes are always co-accessed.
 	for i := 0; i < 1000; i++ {
-		ix.Observe("cheap running shoes sale")
+		ix.BroadMatch("cheap running shoes sale")
 	}
 	report, err := ix.Optimize()
 	if err != nil {

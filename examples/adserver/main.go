@@ -86,14 +86,11 @@ func main() {
 	})
 
 	if *optimizeEvery > 0 {
-		go func() {
-			for range time.Tick(*optimizeEvery) {
-				if report, err := ix.Optimize(); err == nil {
-					log.Printf("re-optimized: %d -> %d nodes", report.NodesBefore, report.NodesAfter)
-				}
-			}
-		}()
+		// A tick re-plans only after new queries, and installs only a
+		// mapping that lowers modeled cost.
+		ix.StartAdapt(*optimizeEvery)
 	}
+	defer ix.Close()
 
 	if *demo {
 		if err := srv.Start(*addr); err != nil {

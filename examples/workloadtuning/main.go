@@ -1,5 +1,6 @@
-// Workload tuning: observe a skewed query stream, re-optimize the index
-// layout against it, and measure the change in memory-access cost.
+// Workload tuning: answer a skewed query stream, re-optimize the index
+// layout for the queries it answered, and measure the change in
+// memory-access cost.
 //
 // This demonstrates contribution (III) of the paper: adapting the mapping
 // to (statistical information on) a query workload. Re-mapping merges data
@@ -58,9 +59,9 @@ func main() {
 		if r >= len(queries) {
 			r = len(queries) - 1
 		}
-		ix.Observe(queries[r])
+		ix.Match(nil, adindex.Query{Text: queries[r]})
 	}
-	fmt.Printf("observed %d distinct queries from a stream of %d\n",
+	fmt.Printf("answered %d distinct queries from a stream of %d\n",
 		ix.ObservedQueries(), streamLen)
 
 	// Measure access cost of the hot queries before optimization.

@@ -19,7 +19,7 @@ func TestExamplesRun(t *testing.T) {
 		"quickstart":     nil,
 		"workloadtuning": nil,
 		"sharded":        {"-ads", "2000", "-shards", "3"},
-		"adserver":       {"-ads", "2000", "-demo", "-addr", "127.0.0.1:0"},
+		"adserver":       {"-ads", "2000", "-demo", "-addr", "127.0.0.1:0", "-optimize-every", "5ms"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

@@ -35,7 +35,6 @@ func TestFullPipeline(t *testing.T) {
 	baseline := make(map[string][]uint64, len(queries))
 	for _, q := range queries {
 		baseline[q] = idsOf(ix.BroadMatch(q))
-		ix.Observe(q)
 	}
 
 	// 3. Optimize the layout against the observed workload.
@@ -157,7 +156,7 @@ func TestOfflineOptimizationFlow(t *testing.T) {
 	for i := range wl.Queries {
 		queries[i] = strings.Join(wl.Queries[i].Words, " ")
 		for f := 0; f < wl.Queries[i].Freq%4+1; f++ {
-			ix.Observe(queries[i])
+			ix.BroadMatch(queries[i])
 		}
 	}
 	baseline := make(map[string][]uint64, len(queries))

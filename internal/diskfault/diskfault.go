@@ -83,20 +83,6 @@ func (in *Injector) Arm(plan Plan) {
 	in.crashed = false
 }
 
-// Steps returns how many mutating operations have been attempted.
-func (in *Injector) Steps() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.steps
-}
-
-// Writes returns how many Write calls have been attempted.
-func (in *Injector) Writes() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.writes
-}
-
 // Crashed reports whether the crash point has fired.
 func (in *Injector) Crashed() bool {
 	in.mu.Lock()

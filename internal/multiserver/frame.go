@@ -350,6 +350,16 @@ func AppendAdIDs(dst []byte, ads []*corpus.Ad, flags byte) []byte {
 	return dst
 }
 
+// AppendMatchIDs is AppendAdIDs over copied-out matches, the ads
+// AppendAdRecords encodes, for a backend over the public index.
+func AppendMatchIDs(dst []byte, ads []corpus.Ad, flags byte) []byte {
+	dst, body := growIDFrame(dst, len(ads), flags)
+	for i := range ads {
+		binary.BigEndian.PutUint64(body[8*i:], ads[i].ID)
+	}
+	return dst
+}
+
 // growIDFrame extends dst by an ID frame body of n IDs with the count
 // and flags filled in, and returns it with the 8n bytes the IDs go into.
 func growIDFrame(dst []byte, n int, flags byte) (frame, ids []byte) {

@@ -65,7 +65,7 @@ type searchScratch struct {
 	// queries (whose key it is) fill it.
 	tokens []string
 	// words is the query's canonical word set: what broad match keys by
-	// and what the workload sample records, for every type.
+	// and what the word version lookup reads, for every type.
 	words []string
 	// key is the cache key and the source of the quarantine fingerprint.
 	key []byte

@@ -438,7 +438,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // begin starts a query of a read request: its one tokenization into sc —
-// the cache key, the quarantine fingerprint and the workload sample all come
+// the cache key, the quarantine fingerprint and the version lookup all come
 // from it — and the poison-query check. A fingerprint that recently panicked
 // the match path or repeatedly blew its budget is not ok: the caller sheds
 // the request.
@@ -518,19 +518,19 @@ type outcome struct {
 }
 
 // answer is the one path a local query takes, whichever endpoint asked it.
-// The query has been through begin. It is sampled for the workload and its
-// key looked up at the newest epoch a write touched its words; a miss is
-// matched on the request's view under Config.QueryBudget and the request
-// deadline (the subset walk of broad, phrase and rewritten queries charges
-// them; an exact query is one lookup), put through the selection and
-// encoded. The result object goes onto sc.buf up to and including the "ads"
-// array — a hit has the cache append it while it holds the entry, a miss
-// encodes the array in place — and closeResult completes it.
+// The query has been through begin. Its key is looked up at the newest
+// epoch a write touched its words; a miss is matched on the request's view
+// (which samples it for the workload; a hit costs the index nothing) under
+// Config.QueryBudget and the request deadline (the subset walk of broad,
+// phrase and rewritten queries charges them; an exact query is one
+// lookup), put through the selection and encoded. The result object goes
+// onto sc.buf up to and including the "ads" array — a hit has the cache
+// append it while it holds the entry, a miss encodes the array in place —
+// and closeResult completes it.
 func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) outcome {
 	if s.panicOn != "" && q == s.panicOn {
 		panic("injected test panic")
 	}
-	rd.ix.ObserveWords(sc.words)
 	var reply Cached
 	hit := false
 	if !rd.rewrite {

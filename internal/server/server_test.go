@@ -470,7 +470,7 @@ func TestWritesRequirePost(t *testing.T) {
 	ix := adindex.Build(testCatalog(), adindex.Options{})
 	s := New(ix, Config{})
 	for i := 0; i < 100; i++ {
-		ix.Observe("cheap used books") // something for a re-layout to act on
+		ix.BroadMatch("cheap used books") // something for a re-layout to act on
 	}
 	epoch := ix.Epoch()
 	for _, path := range []string{"/insert", "/delete", "/optimize"} {
@@ -502,5 +502,50 @@ func TestStartBindFailure(t *testing.T) {
 	b := New(ix, Config{})
 	if err := b.Start(a.Addr()); err == nil {
 		t.Fatal("second bind on the same port succeeded")
+	}
+}
+
+// TestHitsAreNotSampled: the workload sample holds the queries the index
+// answers. A cache hit, of /search or /search/batch, never reaches the
+// index and leaves the sample as it was — its distinct sets and its
+// counts, which the modeled cost of a plan weighs — while a miss adds to
+// both.
+func TestHitsAreNotSampled(t *testing.T) {
+	ix := adindex.Build(testCatalog(), adindex.Options{})
+	s := New(ix, Config{})
+	optimize := func() adindex.OptimizeReport {
+		t.Helper()
+		r, err := ix.Optimize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	batch := func(q string) []byte {
+		t.Helper()
+		return serve(t, s, "POST", "/search/batch", fmt.Sprintf(`{"queries":[%q]}`, q))
+	}
+	const q = "cheap used books"
+	for range 2 { // a ghost, then the stored reply
+		serve(t, s, "GET", searchTarget(q, "broad"), "")
+	}
+	planned := optimize()
+	if ix.ObservedQueries() != 1 || planned.ModeledCostAfter <= 0 {
+		t.Fatalf("after two misses: %d sampled sets, modeled cost %v; want 1 and a positive cost", ix.ObservedQueries(), planned.ModeledCostAfter)
+	}
+
+	hit := []byte(`"cached":true`)
+	if !bytes.Contains(serve(t, s, "GET", searchTarget(q, "broad"), ""), hit) || !bytes.Contains(batch(q), hit) {
+		t.Fatal("a repeat missed the cache: the test exercises nothing")
+	}
+	if r := optimize(); ix.ObservedQueries() != 1 || r.ModeledCostBefore != planned.ModeledCostAfter {
+		t.Errorf("after two hits: %d sampled sets, modeled cost %v; want the sample unchanged: 1 set, cost %v",
+			ix.ObservedQueries(), r.ModeledCostBefore, planned.ModeledCostAfter)
+	}
+
+	batch("running shoes")
+	if r := optimize(); ix.ObservedQueries() != 2 || r.ModeledCostBefore <= planned.ModeledCostAfter {
+		t.Errorf("after a batch miss: %d sampled sets, modeled cost %v; want 2 sets and a cost above %v",
+			ix.ObservedQueries(), r.ModeledCostBefore, planned.ModeledCostAfter)
 	}
 }

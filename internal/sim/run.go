@@ -178,12 +178,15 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			return fail("cached", "%s", d)
 		}
 	case OpObserve:
-		r.plain.Observe(op.Query)
+		// Every query an index answers is sampled: an unchecked match adds
+		// the query to each target's workload sample and nothing else.
+		q := adindex.Query{Text: op.Query}
+		r.plain.Match(nil, q)
 		if r.dur != nil {
-			r.dur.ix.Observe(op.Query)
+			r.dur.ix.Match(nil, q)
 		}
 		if r.cached != nil {
-			r.cached.ix.Observe(op.Query)
+			r.cached.ix.Match(nil, q)
 		}
 	case OpOptimize:
 		if _, err := r.plain.Optimize(); err != nil {

@@ -42,7 +42,8 @@ const (
 	OpQuery
 	// OpBatch runs a batch of queries on one View.
 	OpBatch
-	// OpObserve records a query in the Optimize workload sample.
+	// OpObserve answers a query on every target, unchecked: all it adds is
+	// the query in each index's workload sample, which Optimize plans for.
 	OpObserve
 	// OpOptimize re-maps the index layout; results must not change.
 	OpOptimize

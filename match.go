@@ -317,7 +317,6 @@ func appendAdCopies(dst []Ad, s *snapshot, refs []core.Ref) []Ad {
 	for _, r := range refs {
 		if r < deltaRef {
 			dst, arena = s.base.AppendAd(dst, arena, r)
-			dst[len(dst)-1].Meta.RefreshExclusionSets()
 		} else {
 			dst, arena = appendAdCopy(dst, arena, &s.delta[r-deltaRef])
 		}
@@ -332,10 +331,6 @@ func appendAdCopy(dst []Ad, arena []string, m *corpus.Ad) ([]Ad, []string) {
 	ad := &dst[len(dst)-1]
 	arena, ad.Words = appendArena(arena, m.Words)
 	arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
-	// Copy-out is where matches become auction input: cache the
-	// exclusion word sets once here so selection never re-tokenizes
-	// them per query-word check.
-	ad.Meta.RefreshExclusionSets()
 	return dst, arena
 }
 
@@ -362,7 +357,6 @@ func deepCopyAdStrings(ads []Ad) {
 	for i := range ads {
 		arena, ads[i].Words = appendArena(arena, ads[i].Words)
 		arena, ads[i].Meta.Exclusions = appendArena(arena, ads[i].Meta.Exclusions)
-		ads[i].Meta.RefreshExclusionSets()
 	}
 }
 
@@ -378,15 +372,17 @@ type View struct {
 	// rw is the index's rewrite planner (nil when rewriting is disabled);
 	// carried on the View so a rewritten Match needs no Index reference.
 	rw *rewrite.Planner
-	// changed is the index's word version table: the one thing a View
-	// reads that is not pinned to its snapshot.
-	changed *wordVersions
+	// changed is the index's word version table and observed its workload
+	// sample: the things a View touches that are not pinned to its
+	// snapshot.
+	changed  *wordVersions
+	observed *observeSampler
 }
 
 // View returns a consistent view of the index's current state. It is a
 // single atomic load and never blocks.
 func (ix *Index) View() View {
-	return View{s: ix.snap.Load(), rw: ix.rewriter, changed: &ix.changed}
+	return View{s: ix.snap.Load(), rw: ix.rewriter, changed: &ix.changed, observed: ix.observed}
 }
 
 // Epoch returns the mutation epoch of the viewed snapshot.
@@ -510,12 +506,17 @@ func (r Result) Matches() []Match {
 }
 
 // Match answers q against the viewed snapshot, appending copies of the
-// matching ads to dst. Reusing dst across calls keeps a broad query at a
-// single allocation (the string arena backing the copies).
+// matching ads to dst. Reusing dst across calls keeps a query at a single
+// allocation (the string arena backing the copies). Every query Match
+// answers is recorded, as its canonical word set, in the index's workload
+// sample, which Optimize and the adaptation ticks plan against (§V): a
+// caller that answers a query without the index (a result cache hit)
+// costs the index nothing and is not sampled.
 func (v View) Match(dst []Ad, q Query) Result {
 	sc := getScratch()
 	sc.budget = core.Budget{MaxCost: q.Budget.MaxCost, Deadline: q.Budget.Deadline, Now: q.Budget.Now}
 	sc.words = textnorm.AppendWordSet(sc.words[:0], q.Text)
+	v.observed.ObserveWords(sc.words)
 	var res Result
 	if q.Rewrite && q.Type == Broad {
 		res.Infos, res.Rewrite = v.matchRewrite(sc, q.Counters)
@@ -551,8 +552,8 @@ func (v View) BroadMatchAppend(dst []Ad, query string) []Ad {
 }
 
 // Match answers q against the current snapshot; see View.Match. The read
-// is lock-free: one atomic snapshot load, no mutex, no reader-side
-// contention.
+// never waits on a writer: one atomic snapshot load, and no lock but the
+// sampler shard's.
 func (ix *Index) Match(dst []Ad, q Query) Result {
 	return ix.View().Match(dst, q)
 }

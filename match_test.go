@@ -240,9 +240,11 @@ func TestMatchAppendsAfterDst(t *testing.T) {
 
 // TestMatchAllocs is the root-package allocation contract: a warm Match
 // into a reused dst costs at most one allocation per broad query (the
-// string arena backing the copied ads), with or without a budget; an
-// exact or phrase query of a live phrase costs no more. Neither builds a
-// set key per candidate record or tokenizes a phrase into a fresh slice.
+// string arena backing the copied ads), with or without a budget, and
+// whatever the matched ads carry (exclusions are copied into the same
+// arena, never tokenized); an exact or phrase query of a live phrase costs
+// no more. Neither builds a set key per candidate record or tokenizes a
+// phrase into a fresh slice. Sampling a repeated query allocates nothing.
 // BroadMatchAppend is the same call.
 func TestMatchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -258,32 +260,50 @@ func TestMatchAllocs(t *testing.T) {
 		phrases = append(phrases, c.Ads[i*31].Phrase)
 	}
 	view := Build(c.Ads, Options{}).View()
+	// Every ad of this corpus carries a negative keyword, and its queries
+	// are long enough to match many ads each.
+	ex := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 66, ExclusionProb: 1})
+	exWl := workload.Generate(ex, workload.GenOptions{NumQueries: 64, Seed: 67})
+	var excluding []string
+	for _, q := range exWl.Queries {
+		excluding = append(excluding, strings.Join(q.Words, " ")+" "+ex.Ads[len(excluding)*29].Phrase)
+	}
+	exView := Build(ex.Ads, Options{}).View()
 	for _, tc := range []struct {
+		view    View
 		typ     QueryType
 		queries []string
 		budget  QueryBudget
 		max     float64
 	}{
-		{Broad, broad, QueryBudget{}, 1},
-		{Broad, broad, QueryBudget{MaxCost: 1 << 20, Deadline: time.Now().Add(time.Hour)}, 1},
-		{Exact, phrases, QueryBudget{}, 1},
-		{Phrase, phrases, QueryBudget{}, 1},
+		{view, Broad, broad, QueryBudget{}, 1},
+		{view, Broad, broad, QueryBudget{MaxCost: 1 << 20, Deadline: time.Now().Add(time.Hour)}, 1},
+		{view, Exact, phrases, QueryBudget{}, 1},
+		{view, Phrase, phrases, QueryBudget{}, 1},
+		{exView, Broad, excluding, QueryBudget{}, 1},
 	} {
 		dst := make([]Ad, 0, 256)
-		i, matched := 0, 0
+		i, matched, exclusions := 0, 0, 0
 		run := func() {
-			dst = view.Match(dst[:0], Query{Text: tc.queries[i%len(tc.queries)], Type: tc.typ, Budget: tc.budget}).Ads
+			dst = tc.view.Match(dst[:0], Query{Text: tc.queries[i%len(tc.queries)], Type: tc.typ, Budget: tc.budget}).Ads
 			matched += len(dst)
+			for j := range dst {
+				exclusions += len(dst[j].Meta.Exclusions)
+			}
 			i++
 		}
 		for range tc.queries {
-			run() // warm the scratch pool and dst
+			run() // warm the scratch pool, dst and the workload sample
 		}
 		if matched < len(tc.queries) {
 			t.Fatalf("type %d: %d matches over %d queries, want every query to match", tc.typ, matched, len(tc.queries))
 		}
+		if tc.view == exView && exclusions < 2*len(tc.queries) {
+			t.Fatalf("%d exclusions over %d queries: the case exercises nothing", exclusions, len(tc.queries))
+		}
 		if allocs := testing.AllocsPerRun(500, run); allocs > tc.max {
-			t.Errorf("type %d budget %+v: warm View.Match = %.2f allocs/op, want <= %v", tc.typ, tc.budget, allocs, tc.max)
+			t.Errorf("type %d budget %+v (%d matches, %d exclusions so far): warm View.Match = %.2f allocs/op, want <= %v",
+				tc.typ, tc.budget, matched, exclusions, allocs, tc.max)
 		}
 	}
 }

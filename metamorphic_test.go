@@ -185,7 +185,6 @@ func TestMetamorphicOptimizeAndApplyMappingPreserveResults(t *testing.T) {
 		before := make([][]Ad, len(queries))
 		for i, q := range queries {
 			before[i] = sortedMatches(ix, q)
-			ix.Observe(q)
 		}
 
 		if _, err := ix.Optimize(); err != nil {

@@ -9,14 +9,14 @@ import (
 )
 
 // observeShards is the shard count of the workload sampler. Sixteen
-// single-mutex shards keep Observe contention negligible at serving
+// single-mutex shards keep recording contention negligible at serving
 // concurrency while staying small enough that per-shard caps divide
 // evenly.
 const observeShards = 16
 
-// observeSampler records the observed query workload behind per-shard
-// mutexes, so Observe never contends with queries (which are lock-free)
-// and rarely with other Observe calls. Each shard is a Space-Saving top-k
+// observeSampler records the query workload the index answers behind
+// per-shard mutexes, so a query recording its set contends only with
+// queries whose sets hash to the same shard. Each shard is a Space-Saving top-k
 // summary (Metwally, Agrawal and El Abbadi, ICDT 2005) of the sets that
 // hash to it: at most shardCap monitored sets, each with an estimated
 // count and the error that estimate may carry. Below the cap every count
@@ -89,16 +89,8 @@ func setHash(key []byte) uint64 {
 	return h
 }
 
-// Observe records one occurrence of query.
-func (os *observeSampler) Observe(query string) {
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	os.ObserveWords(sc.words)
-	putScratch(sc)
-}
-
 // ObserveWords records one occurrence of the query whose canonical word
-// set is words, for callers that have already tokenized it. words is only
+// set is words (View.Match passes the set it matches with). words is only
 // read. It costs one short critical section on one shard. A monitored set
 // allocates nothing: the set key is built on the stack and only becomes a
 // string when a slot has to keep it.

@@ -66,7 +66,7 @@ func TestObserveEvictionDeterministic(t *testing.T) {
 	freqs := []int{7, 6, 4, 2}
 	for i, f := range freqs {
 		for j := 0; j < f; j++ {
-			s.Observe(words[i])
+			observeText(s, words[i])
 		}
 	}
 	if got := s.Distinct(); got != 4 {
@@ -77,7 +77,7 @@ func TestObserveEvictionDeterministic(t *testing.T) {
 	}
 
 	// A 5th set takes the count-2 slot: count 3, error 2.
-	s.Observe(words[4])
+	observeText(s, words[4])
 	assertWorkload(t, s, map[string]int{words[0]: 7, words[1]: 6, words[2]: 4, words[4]: 3})
 	if sl := slotOf(t, s, words[4]); sl.count != 3 || sl.err != 2 {
 		t.Fatalf("newcomer: count %d error %d, want 3 and 2", sl.count, sl.err)
@@ -85,7 +85,7 @@ func TestObserveEvictionDeterministic(t *testing.T) {
 
 	// The set that lost its slot comes back into the new minimum (3, the
 	// newcomer's): count 4, error 3.
-	s.Observe(words[3])
+	observeText(s, words[3])
 	assertWorkload(t, s, map[string]int{words[0]: 7, words[1]: 6, words[2]: 4, words[3]: 4})
 	if sl := slotOf(t, s, words[3]); sl.count != 4 || sl.err != 3 {
 		t.Fatalf("readmitted: count %d error %d, want 4 and 3", sl.count, sl.err)
@@ -275,7 +275,7 @@ func TestObserveMemoryBounded(t *testing.T) {
 	ix := New(Options{})
 	observe := func(from, to int) {
 		for i := from; i < to; i++ {
-			ix.Observe(fmt.Sprintf("distinct query %d", i))
+			ix.BroadMatch(fmt.Sprintf("distinct query %d", i))
 		}
 	}
 	observe(0, 70_000)
@@ -303,7 +303,7 @@ func TestObserveCapAcrossShards(t *testing.T) {
 	ix := New(Options{})
 	ix.observed = newObserveSampler(maxObserved)
 	for i := 0; i < 1000; i++ {
-		ix.Observe(fmt.Sprintf("unique query %d", i))
+		ix.BroadMatch(fmt.Sprintf("unique query %d", i))
 	}
 	if got := ix.ObservedQueries(); got > maxObserved {
 		t.Fatalf("ObservedQueries = %d, exceeds the cap %d", got, maxObserved)
@@ -316,8 +316,8 @@ func TestObserveCapAcrossShards(t *testing.T) {
 	// at cap (the sampler evicts cold entries, not counts).
 	s := newObserveSampler(maxObserved)
 	for i := 0; i < 1000; i++ {
-		s.Observe("hot query")
-		s.Observe(fmt.Sprintf("cold %d", i))
+		observeText(s, "hot query")
+		observeText(s, fmt.Sprintf("cold %d", i))
 	}
 	hotKey := textnorm.SetKey([]string{"hot", "query"})
 	var hotFreq int
@@ -331,23 +331,31 @@ func TestObserveCapAcrossShards(t *testing.T) {
 	}
 }
 
-// TestObserveWordsIsObserve: the word-set entry point records exactly what
-// Observe records for the same query — same key, same frequency, its own
-// copy of the words — a monitored set allocates nothing, and a new set at
-// the cap allocates at most its key.
-func TestObserveWordsIsObserve(t *testing.T) {
-	s := newObserveSampler(1024)
+// observeText records one occurrence of the query q in s.
+func observeText(s *observeSampler, q string) {
+	s.ObserveWords(textnorm.WordSet(q))
+}
+
+// TestMatchSamplesWordSets: every query Match answers, of any type, is
+// recorded once under its canonical word set — a reordered repeat is the
+// same set, the sample keeps its own copy of the words, a query with no
+// word is not a sample — a monitored set allocates nothing, and a new set
+// at the cap allocates at most its key.
+func TestMatchSamplesWordSets(t *testing.T) {
+	ix := Build(sampleAds(), Options{})
 	long := "alpha beta gamma delta epsilon " + strings.Repeat("zeta", 40) // a set key beyond the stack buffer
-	for _, q := range []string{"used cheap books", "Talk Talk", long} {
-		words := textnorm.WordSet(q)
-		s.Observe(q)
-		s.ObserveWords(words)
-		clear(words) // the sample must not alias the caller's buffer
+	for _, q := range []Query{
+		{Text: "used cheap books"}, {Text: "cheap used books", Type: Exact},
+		{Text: "Talk Talk", Type: Phrase}, {Text: "talk talk"},
+		{Text: long}, {Text: long, Budget: QueryBudget{MaxCost: 1}},
+		{Text: "?!"}, {Text: ""},
+	} {
+		ix.Match(nil, q)
 	}
-	s.ObserveWords(nil) // an empty query is not a sample
+	s := ix.observed
 	got := s.Workload().Queries
 	if len(got) != 3 || s.Occurrences() != 6 {
-		t.Fatalf("sample holds %d sets of %d occurrences, want 3 of 6", len(got), s.Occurrences())
+		t.Fatalf("sample holds %d sets of %d occurrences, want 3 of 6: %v", len(got), s.Occurrences(), got)
 	}
 	for _, q := range got {
 		if q.Freq != 2 || len(q.Words) == 0 || q.Words[0] == "" {
@@ -384,11 +392,11 @@ func TestObserveSamplerBounded(t *testing.T) {
 	ix := New(Options{})
 	ix.observed = newObserveSampler(maxObserved)
 	for i := 0; i < 10_000; i++ {
-		ix.Observe(fmt.Sprintf("distinct query %d", i))
+		ix.BroadMatch(fmt.Sprintf("distinct query %d", i))
 	}
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 200; i++ {
-			ix.Observe(fmt.Sprintf("repeated query %d", i))
+			ix.BroadMatch(fmt.Sprintf("repeated query %d", i))
 		}
 	}
 	if got := ix.ObservedQueries(); got > maxObserved {
@@ -411,8 +419,8 @@ func TestObserveConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				s.Observe(fmt.Sprintf("hot %d", i%8))
-				s.Observe(fmt.Sprintf("cold %d %d", w, i))
+				observeText(s, fmt.Sprintf("hot %d", i%8))
+				observeText(s, fmt.Sprintf("cold %d %d", w, i))
 			}
 		}(w)
 	}

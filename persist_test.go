@@ -80,7 +80,7 @@ func TestOptimizeMappingSurvivesRestart(t *testing.T) {
 		ix.Insert(ad)
 	}
 	for i := 0; i < len(ads); i += 3 {
-		ix.Observe(ads[i].Phrase)
+		ix.BroadMatch(ads[i].Phrase)
 	}
 	report, err := ix.Optimize()
 	if err != nil {

@@ -65,7 +65,7 @@ func TestResultWordsDoNotAliasIndex(t *testing.T) {
 // observeSome seeds a workload so Optimize has something to chew on.
 func observeSome(ix *Index, c *corpus.Corpus) {
 	for i := 0; i < 50 && i < len(c.Ads); i++ {
-		ix.Observe(c.Ads[i].Phrase + " extra words")
+		ix.BroadMatch(c.Ads[i].Phrase + " extra words")
 	}
 }
 
@@ -255,7 +255,7 @@ func TestWordlessAdMatchesNothing(t *testing.T) {
 	}
 	check("folded", ix, 4)
 	check("built", Build([]Ad{shoes, wordless}, Options{}), 2)
-	ix.Observe("cheap shoes")
+	ix.BroadMatch("cheap shoes")
 	if _, err := ix.Optimize(); err != nil {
 		t.Errorf("Optimize over a wordless ad: %v", err)
 	}

@@ -52,7 +52,7 @@ func TestRemapInstallers(t *testing.T) {
 			}
 			defer ix.Close()
 			for i := range wl.Queries {
-				ix.ObserveWords(wl.Queries[i].Words)
+				ix.BroadMatch(strings.Join(wl.Queries[i].Words, " "))
 			}
 
 			ads := append([]Ad(nil), c.Ads...)
@@ -122,7 +122,7 @@ func TestOptimizeReportPricesLiveMapping(t *testing.T) {
 	ix := Build(c.Ads, Options{})
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 2500, Seed: 4})
 	for i := range wl.Queries {
-		ix.ObserveWords(wl.Queries[i].Words)
+		ix.BroadMatch(strings.Join(wl.Queries[i].Words, " "))
 	}
 	first, err := ix.Optimize()
 	if err != nil {
