@@ -31,8 +31,9 @@
 #                      bar across a live split/migrate/merge
 #   overloadsmoke      budget/quarantine/shedding and the 4x flood bar
 #   adaptsmoke         periodic re-optimization: the tick's skip rules, the
-#                      loop (and Close joining it), the one installer, the
-#                      solver's properties and the drift bar
+#                      loop (and Close joining it), the one installer (one
+#                      locked build, whatever the churn), the solver's
+#                      properties and the drift bar
 #   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
 #                      snapshot file and WAL decoders among them) and on
 #                      the reply encoders held to encoding/json
@@ -137,14 +138,15 @@ overloadsmoke:
 # topic shift a frozen control degrades under), the tick's tests (no
 # traffic: nothing runs; no modeled gain: no rebuild, epoch, snapshot or
 # file; a gain: one install), the loop's (start/stop, beside queries and
-# churn, and Close joining it before the store closes), the table test
-# over the one installer (TestRemapInstallers: Optimize and ApplyMapping,
-# each racing a fold), and the one solver's tests (incremental step ≡
-# batch greedy, never raising cost, and TestOptimizeQualityPin: Optimize
-# within 1.005x of the modeled cost the deleted monolithic greedy
-# reached).
+# churn, and Close joining it before the store closes), the one
+# installer's tests over Optimize, ApplyMapping and a tick (each install is
+# one build of the live corpus under the writer lock: it folds no overlay
+# first, and inserts landing between plan and install cannot fail it), and
+# the one solver's tests (incremental step ≡ batch greedy, never raising
+# cost, and TestOptimizeQualityPin: Optimize within 1.005x of the modeled
+# cost the deleted monolithic greedy reached).
 adaptsmoke:
-	$(GO) test -race -run 'TestAdapt|TestStartStopAdapt|TestCloseStopsAdapt|TestRemapInstallers|TestIncremental|TestGaps|TestPlacement|TestOptimizeQualityPin' \
+	$(GO) test -race -run 'TestAdapt|TestStartStopAdapt|TestStopAdaptJoinsTick|TestCloseStopsAdapt|TestRemapInstallers|TestInstallIsOneBuild|TestInstallUnderChurn|TestIncremental|TestGaps|TestPlacement|TestOptimizeQualityPin' \
 		-v . ./internal/setcover ./internal/optimize
 
 # Longer randomized soak: more ops per schedule and a block of seeds

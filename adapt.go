@@ -9,7 +9,7 @@ const minTickGain = 1e-4
 
 // StartAdapt starts periodic re-optimization: every interval, a tick runs
 // the planner of Optimize over the workload sample and installs its mapping
-// through the same rebuild-and-swap. A tick does nothing when no query was
+// through the same installer. A tick does nothing when no query was
 // observed since the previous tick, and installs nothing unless the solved
 // mapping lowers modeled cost by at least minTickGain of the live mapping's.
 // A tick that installs nothing leaves the published snapshot, the epoch and
@@ -54,20 +54,19 @@ func (ix *Index) StopAdapt() {
 }
 
 // adaptTick is one tick of the loop, reporting whether it installed a
-// mapping. It plans against the published base as it stands, folding
-// nothing; an install goes through remap, which folds the overlay and gives
-// the word sets that live only there their default placement, as an
-// Optimize retry does.
+// mapping. It plans against one published snapshot's live corpus, overlay
+// included, and folds nothing unless it installs.
 func (ix *Index) adaptTick() (installed bool, err error) {
 	seen := ix.observed.Occurrences()
 	if ix.adaptSeen.Swap(seen) == seen {
 		return false, nil
 	}
-	base := ix.snap.Load().base
-	res, before := ix.plan(base, base.Ads(), ix.observed.Workload())
+	res, before, _ := ix.plan(ix.snap.Load(), ix.observed.Workload())
 	if before-res.ModeledCost < minTickGain*before {
 		return false, nil
 	}
-	rebuilt, _, _, err := ix.remap(maxOptimizeAttempts, fixedPlan(res.Mapping))
-	return rebuilt != nil, err
+	if _, err := ix.install(res.Mapping); err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -1,7 +1,6 @@
 package adindex
 
 import (
-	"errors"
 	"io"
 	"runtime"
 	"sync"
@@ -134,12 +133,10 @@ type Index struct {
 	adaptStop, adaptDone chan struct{}
 	adaptSeen            atomic.Uint64
 
-	// optimizeRebuildHook, when set, is invoked (without ix.mu held)
-	// immediately before each Optimize rebuild attempt — after the fold
-	// and cost computation, before the out-of-lock rebuild. Tests use it
-	// to inject churn into the rebuild window. Set it before the index is
-	// shared across goroutines.
-	optimizeRebuildHook func(attempt int)
+	// installHook, when set, runs between a re-mapping's plan and its
+	// install, without ix.mu held: tests land churn there. Set it before
+	// the index is shared across goroutines.
+	installHook func()
 
 	// store, when non-nil, is the durable persistence backend: mutations
 	// are WAL-logged before they apply (write-ahead, under ix.mu) and
@@ -228,14 +225,37 @@ func (ix *Index) noteChanged(base *core.Index, words []string, epoch uint64) {
 	ix.changed[wordSlot(rarest)].Store(epoch)
 }
 
-// fold folds s's overlay, and then extra, into a fresh base
-// (snapshot.fold), counted and timed for FoldStats. Callers hold ix.mu.
-func (ix *Index) fold(s *snapshot, extra ...corpus.Ad) *core.Index {
+// rebuildLocked is every whole-base build after the start: it builds the
+// published snapshot's live corpus, and then extra, under mapping and
+// publishes the result with an empty overlay at epoch. An overlay fold
+// passes the base's own mapping and the epoch it publishes; a re-mapping
+// install passes its new mapping and the next epoch. A bulk load is the
+// index the same ads build one Insert at a time, so building an insert in
+// is inserting it after the build. Callers hold ix.mu.
+func (ix *Index) rebuildLocked(mapping map[string][]string, epoch uint64, extra ...corpus.Ad) (*snapshot, error) {
+	base, err := core.NewFrozen(ix.snap.Load().live(extra...), mapping, ix.opts.coreOptions())
+	if err != nil {
+		return nil, err
+	}
+	s := &snapshot{base: base, epoch: epoch}
+	ix.publish(s)
+	return s, nil
+}
+
+// foldLocked folds the overlay, and then extra, into a fresh base under
+// the base's own placement, published at epoch and counted and timed for
+// FoldStats; word sets new to the base get default placement. The base's
+// mapping is valid by construction, so a fold cannot fail. Callers hold
+// ix.mu.
+func (ix *Index) foldLocked(epoch uint64, extra ...corpus.Ad) *core.Index {
 	start := time.Now()
-	base := s.fold(ix.opts.coreOptions(), extra...)
+	s, err := ix.rebuildLocked(ix.snap.Load().base.Mapping(), epoch, extra...)
+	if err != nil {
+		panic("adindex: fold under the base's own mapping: " + err.Error())
+	}
 	ix.folds.Add(1)
 	ix.foldNanos.Add(int64(ix.noteBuild(start)))
-	return base
+	return s.base
 }
 
 // noteBuild records a base build that began at start as the last one.
@@ -371,7 +391,7 @@ func (ix *Index) insertLocked(ad Ad) {
 	ix.noteChanged(s.base, ad.Words, s.epoch+1)
 	if s.overlaySize() >= ix.opts.maxDeltaAds() {
 		// A base is frozen: the ad joins the fold instead of the new base.
-		ix.publish(&snapshot{base: ix.fold(s, ad), epoch: s.epoch + 1})
+		ix.foldLocked(s.epoch+1, ad)
 		return
 	}
 	// Appending in place is safe: published snapshots hold delta slice
@@ -442,8 +462,7 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 		})
 		if len(nt) >= ix.opts.maxDeltaAds() {
 			// Fold eagerly so tombstone filtering stays cheap.
-			cur := ix.snap.Load()
-			ix.publish(&snapshot{base: ix.fold(cur), epoch: cur.epoch})
+			ix.foldLocked(s.epoch + 1)
 		}
 		return true
 	}
@@ -472,7 +491,9 @@ func (ix *Index) ObservedBytes() int {
 
 // OptimizeReport describes the outcome of a re-optimization.
 type OptimizeReport struct {
-	// NodesBefore/NodesAfter are data-node counts before and after.
+	// NodesBefore/NodesAfter are data-node counts before and after:
+	// NodesBefore is the live mapping's over the corpus the plan saw,
+	// NodesAfter the installed base's.
 	NodesBefore, NodesAfter int
 	// ModeledCostBefore/After are the expected workload node-access costs
 	// under the cost model (hash lookups excluded; they are layout-
@@ -480,152 +501,87 @@ type OptimizeReport struct {
 	ModeledCostBefore, ModeledCostAfter float64
 	// DistinctQueries is the size of the workload sample used.
 	DistinctQueries int
-	// Applied reports whether the optimized layout was installed. It is
-	// false only when concurrent churn outpaced every rebuild attempt and
-	// the index kept its previous placement.
-	Applied bool
-	// Stale reports that the corpus changed while optimizing, so the
-	// modeled costs and node counts above describe the pre-churn corpus
-	// rather than the exact layout installed.
+	// Stale reports that the index mutated between the plan and its
+	// install, so the modeled costs and NodesBefore describe the corpus the
+	// plan saw rather than the one installed.
 	Stale bool
-	// Attempts is the number of rebuild attempts performed (> 1 means
-	// concurrent mutations forced at least one retry).
-	Attempts int
 }
-
-// maxOptimizeAttempts bounds how often Optimize and ApplyMapping retry the
-// out-of-lock rebuild when concurrent mutations fold the base out from
-// under it.
-const maxOptimizeAttempts = 3
 
 // Optimize recomputes the ad-to-node mapping against the observed workload
 // (greedy weighted set cover under the cost model) and rebuilds the index
 // under it. Query results are unaffected; only the physical layout
 // changes. With no observed workload the default placement is kept.
 //
-// All heavy work (set cover, rebuild) runs outside the writer lock, and
-// queries never wait on that lock, so matching proceeds at full speed for
-// the entire optimization (see remap). After maxOptimizeAttempts lost
-// races with an overlay fold Optimize gives up, keeps the current
-// placement, and reports Applied=false.
+// The plan runs outside every lock; the install is one build under the
+// writer lock (see install). Queries never wait on either.
 func (ix *Index) Optimize() (OptimizeReport, error) {
+	s := ix.snap.Load()
 	wl := ix.observed.Workload()
-	report := OptimizeReport{DistinctQueries: len(wl.Queries)}
-	var res *optimize.Result
-	installed, attempts, churned, err := ix.remap(maxOptimizeAttempts,
-		func(attempt int, base *core.Index, ads []corpus.Ad) map[string][]string {
-			// On retries the mapping computed on attempt 1 is reused
-			// against the live corpus: word sets inserted since then are
-			// unknown to it and fall back to default placement until the
-			// next Optimize.
-			if attempt == 1 {
-				res, report.ModeledCostBefore = ix.plan(base, ads, wl)
-				report.NodesBefore = base.NumNodes()
-				report.ModeledCostAfter = res.ModeledCost
-			}
-			return res.Mapping
-		})
+	res, before, nodesBefore := ix.plan(s, wl)
+	installed, err := ix.install(res.Mapping)
 	if err != nil {
 		return OptimizeReport{}, err
 	}
-	report.Applied = installed != nil
-	report.Attempts = attempts
-	report.Stale = churned
-	if installed == nil {
-		// Churn folded the base on every attempt: the index keeps its
-		// current (stale) placement rather than stall mutators.
-		installed = ix.snap.Load().base
-	}
-	report.NodesAfter = installed.NumNodes()
-	return report, nil
+	return OptimizeReport{
+		NodesBefore:       nodesBefore,
+		NodesAfter:        installed.base.NumNodes(),
+		ModeledCostBefore: before,
+		ModeledCostAfter:  res.ModeledCost,
+		DistinctQueries:   len(wl.Queries),
+		Stale:             installed.epoch != s.epoch+1,
+	}, nil
 }
 
 // plan is the one planner, run by Optimize and by the adaptation tick: it
-// solves the placement of ads, base's corpus, for the workload sample wl
-// and prices base's own mapping against the same sample (before).
-func (ix *Index) plan(base *core.Index, ads []corpus.Ad, wl *workload.Workload) (res *optimize.Result, before float64) {
-	gs := optimize.BuildGroups(ads, wl)
+// solves the placement of s's live corpus for the workload sample wl, and
+// prices s's own mapping over the same corpus and sample (before, and the
+// nodes it makes). Word sets of the overlay are priced at the placement a
+// fold would give them.
+func (ix *Index) plan(s *snapshot, wl *workload.Workload) (res *optimize.Result, before float64, nodesBefore int) {
+	gs := optimize.BuildGroups(s.live(), wl)
 	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.model}
-	return optimize.Optimize(gs, opts), optimize.EvaluateLocator(gs, base.Locator, opts)
+	before, nodesBefore = optimize.EvaluateLocator(gs, s.base.Locator, opts)
+	return optimize.Optimize(gs, opts), before, nodesBefore
 }
 
-// remap is the one rebuild-and-swap behind Optimize, ApplyMapping and the
-// adaptation tick. Each attempt folds the pending overlay under the writer
-// lock (an equivalent-results layout change, republished under the epoch
-// it found), asks plan for the mapping of the folded base, and rebuilds
-// under it outside the lock. The rebuilt base is swapped in if the base it
-// was built from is still current: concurrent Insert/Delete churn sits in
-// the overlay and applies verbatim on top of the new layout (tombstones
-// and delta are layout-independent), so only a concurrent fold (≥
-// MaxDeltaAds mutations during the rebuild) costs another attempt.
+// install is the one installer behind Optimize, ApplyMapping and the
+// adaptation tick: one build of the live corpus under mapping, run under
+// the writer lock, which is the overlay's fold and the re-placement at
+// once (see rebuildLocked). It publishes at the next epoch with an empty
+// overlay and bumps the remap count. Word sets the mapping does not name
+// (inserted since the plan) get default placement.
 //
-// An install bumps the remap count and, on a durable index, persists the
-// placement as a full snapshot inside the swap's critical section — layout
-// changes are not WAL-logged (the WAL holds logical mutations only).
-// Mutators stall for that write; queries never wait on it.
-//
-// installed is nil when churn folded the base on every attempt. churned
-// reports a retry, or a mutation between the first fold and the swap: what
-// plan saw was not exactly what was installed.
-func (ix *Index) remap(maxAttempts int,
-	plan func(attempt int, base *core.Index, ads []corpus.Ad) map[string][]string,
-) (installed *core.Index, attempts int, churned bool, err error) {
-	var startEpoch uint64
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		ix.mu.Lock()
-		s := ix.foldLocked()
-		ix.mu.Unlock()
-		if attempt == 1 {
-			startEpoch = s.epoch
-		}
-
-		ads := s.base.Ads()
-		mapping := plan(attempt, s.base, ads)
-		if hook := ix.optimizeRebuildHook; hook != nil {
-			hook(attempt)
-		}
-		rebuilt, err := core.NewFrozen(ads, mapping, ix.opts.coreOptions())
-		if err != nil {
-			return nil, attempt, false, err
-		}
-
-		ix.mu.Lock()
-		if cur := ix.snap.Load(); cur.base == s.base {
-			ix.publish(&snapshot{
-				base: rebuilt, delta: cur.delta, deltaSigs: cur.deltaSigs,
-				tombs: cur.tombs, deleted: cur.deleted, epoch: cur.epoch + 1,
-			})
-			ix.remaps.Add(1)
-			ix.snapshotIfDurableLocked()
-			ix.mu.Unlock()
-			return rebuilt, attempt, attempt > 1 || cur.epoch != startEpoch, nil
-		}
-		ix.mu.Unlock()
+// On a durable index the install persists the placement as a full
+// snapshot in the same critical section — layout changes are not
+// WAL-logged (the WAL holds logical mutations only). Mutators wait for the
+// build and the write, as they wait for a fold; queries never wait on
+// either. An invalid mapping installs nothing.
+func (ix *Index) install(mapping map[string][]string) (*snapshot, error) {
+	if ix.installHook != nil {
+		ix.installHook()
 	}
-	return nil, maxAttempts, true, nil
-}
-
-// fixedPlan is the plan of a caller that arrives with its mapping.
-func fixedPlan(mapping map[string][]string) func(int, *core.Index, []corpus.Ad) map[string][]string {
-	return func(int, *core.Index, []corpus.Ad) map[string][]string { return mapping }
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	s, err := ix.rebuildLocked(mapping, ix.snap.Load().epoch+1)
+	if err != nil {
+		return nil, err
+	}
+	ix.remaps.Add(1)
+	ix.snapshotIfDurableLocked()
+	return s, nil
 }
 
 // ApplyMapping rebuilds the index under a mapping computed offline (see
 // cmd/adopt). Query results are unaffected. The mapping
 // must satisfy the validity conditions (each locator a subset of its word
 // set, at most MaxWords long); entries for unknown word sets are ignored.
-// Queries never wait on the rebuild, and mutators block only for the swap
-// (see remap); it is an error if mutation churn outpaced
-// maxOptimizeAttempts rebuilds.
+// Queries never wait on the rebuild; mutators wait for it (see install).
 func (ix *Index) ApplyMapping(r io.Reader) error {
 	mapping, err := optimize.ReadMapping(r)
 	if err != nil {
 		return err
 	}
-	installed, _, _, err := ix.remap(maxOptimizeAttempts, fixedPlan(mapping))
-	if err == nil && installed == nil {
-		err = errors.New("adindex: ApplyMapping: concurrent mutations folded the base under every rebuild")
-	}
+	_, err = ix.install(mapping)
 	return err
 }
 
@@ -732,23 +688,16 @@ func (ix *Index) CheckInvariants() error {
 // foldedBase folds any pending overlay and returns the resulting pure
 // base. Queries never wait on it.
 func (ix *Index) foldedBase() *core.Index {
-	s := ix.snap.Load()
-	if s.overlaySize() == 0 {
+	if s := ix.snap.Load(); s.overlaySize() == 0 {
 		return s.base
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.foldLocked().base
-}
-
-// foldLocked folds any pending overlay into the base and returns the
-// published snapshot. The fold is an equivalent-results layout change, so
-// it is republished under the same epoch. Callers hold ix.mu.
-func (ix *Index) foldLocked() *snapshot {
 	s := ix.snap.Load()
-	if s.overlaySize() > 0 {
-		s = &snapshot{base: ix.fold(s), epoch: s.epoch}
-		ix.publish(s)
+	if s.overlaySize() == 0 {
+		return s.base
 	}
-	return s
+	// The fold is an equivalent-results layout change, so it is republished
+	// under the same epoch.
+	return ix.foldLocked(s.epoch)
 }

@@ -118,7 +118,8 @@ func TestObserveAndOptimize(t *testing.T) {
 	gs := optimize.BuildGroups(c.Ads, ix.observed.Workload())
 	base := ix.foldedBase()
 	priced := func(m costmodel.Model) float64 {
-		return optimize.EvaluateLocator(gs, base.Locator, optimize.Options{Model: m})
+		cost, _ := optimize.EvaluateLocator(gs, base.Locator, optimize.Options{Model: m})
+		return cost
 	}
 	want, other := priced(costmodel.Default()), priced(costmodel.Model{Random: 64, ScanByte: 1})
 	before := ix.Stats()

@@ -54,7 +54,7 @@ func runMaintenance(cfg config) {
 	wl2 := workload.Generate(combined, workload.GenOptions{NumQueries: cfg.queries, Seed: cfg.seed + 11})
 	gs2 := optimize.BuildGroups(combined.Ads, wl2)
 
-	drifted := optimize.EvaluateLocator(gs2, ix.Locator, optimize.Options{MaxWords: 10})
+	drifted, _ := optimize.EvaluateLocator(gs2, ix.Locator, optimize.Options{MaxWords: 10})
 	start = time.Now()
 	fresh := optimize.Optimize(gs2, optimize.Options{MaxWords: 10})
 	reoptTime := time.Since(start)

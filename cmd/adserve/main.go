@@ -75,7 +75,6 @@ import (
 // flags is every adserve command-line option.
 type flags struct {
 	corpus, mapping, addr string
-	maxWords              int
 	cacheEntries          int
 	maxInflight           int
 	requestTimeout        time.Duration
@@ -107,7 +106,6 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.corpus, "corpus", "", "corpus TSV file (required unless -shards or -data-dir is set)")
 	fs.StringVar(&f.mapping, "mapping", "", "optional mapping file from cmd/adopt to apply at startup")
 	fs.StringVar(&f.addr, "addr", "127.0.0.1:8077", "HTTP listen address")
-	fs.IntVar(&f.maxWords, "max-words", 0, "max_words locator bound (0 = default 10)")
 	fs.IntVar(&f.cacheEntries, "cache-entries", server.DefaultCacheEntries,
 		"result cache capacity in entries (negative disables caching)")
 	fs.IntVar(&f.maxInflight, "max-inflight", server.DefaultMaxInflight,
@@ -227,7 +225,6 @@ var readers = map[string]mode{
 	"corpus":        modeLocal | modeElastic,
 	"mapping":       modeLocal,
 	"addr":          modeAny,
-	"max-words":     modeLocal | modeElastic,
 	"cache-entries": modeLocal, // a remote front end bypasses the reply cache
 
 	"max-inflight":      modeAny,
@@ -398,7 +395,7 @@ func loadIndex(f *flags, opts adindex.Options) *adindex.Index {
 // indexOptions maps the flags onto the local index's options, loading
 // the synonym table when one is named.
 func indexOptions(f *flags) adindex.Options {
-	opts := adindex.Options{MaxWords: f.maxWords}
+	var opts adindex.Options
 	if f.rewrite || f.synonyms != "" {
 		opts.Rewrite = &adindex.RewriteOptions{}
 		if f.synonyms != "" {

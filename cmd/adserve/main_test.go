@@ -239,8 +239,8 @@ func TestLocalModes(t *testing.T) {
 // TestMappingStart: an in-memory start under -mapping builds its index
 // once, under the mapping: the node count is the mapped build's, the
 // mapping counts as the one installed re-mapping, and no remap published
-// a second base (the epoch is still 0). A locator the corpus refuses
-// stops the start with the loader's reason.
+// a second base (the epoch is still 0). A mapping with a locator outside
+// its word set stops the start with the mapping reader's reason.
 func TestMappingStart(t *testing.T) {
 	c := testCorpus()
 	dir := t.TempDir()
@@ -291,17 +291,12 @@ func TestMappingStart(t *testing.T) {
 		searchMatches(t, base, ad.Phrase, ad.ID)
 	}
 
-	var long corpus.Ad
-	for _, ad := range c.Ads {
-		if len(ad.Words) > len(long.Words) {
-			long = ad
-		}
-	}
-	bad := writeMapping("bad.tsv", map[string][]string{long.SetKey(): long.Words})
-	refused := start(t, "-corpus", path, "-mapping", bad, "-max-words", "1", "-addr", "127.0.0.1:0")
+	// A locator must be a subset of the word set it places.
+	bad := writeMapping("bad.tsv", map[string][]string{c.Ads[0].SetKey(): {"zqxwnotaword"}})
+	refused := start(t, "-corpus", path, "-mapping", bad, "-addr", "127.0.0.1:0")
 	<-refused.done
-	if refused.cmd.ProcessState.Success() || !strings.Contains(refused.logText(), "exceeds MaxWords=1") {
-		t.Fatalf("a start under a locator longer than -max-words: exit %v, log:\n%s", refused.cmd.ProcessState, refused.logText())
+	if refused.cmd.ProcessState.Success() || !strings.Contains(refused.logText(), "not a subset of") {
+		t.Fatalf("a start under a locator outside its word set: exit %v, log:\n%s", refused.cmd.ProcessState, refused.logText())
 	}
 }
 
@@ -480,7 +475,7 @@ func TestRefusals(t *testing.T) {
 		modeShards:  {"shards": "127.0.0.1:1"},
 	}
 	sample := map[string]string{
-		"corpus": "x", "mapping": "x", "max-words": "4", "cache-entries": "5",
+		"corpus": "x", "mapping": "x", "cache-entries": "5",
 		"adapt-interval": "1s", "query-budget": "8", "rewrite": "true", "synonyms": "x",
 		"data-dir": "x", "wal-sync": "none", "snapshot-every": "10", "allow-partial-recovery": "true",
 		"tcp-index": "127.0.0.1:0", "elastic": "2",
@@ -581,8 +576,8 @@ func TestSettableValues(t *testing.T) {
 		}
 	}
 	t.Logf("settable values: %d adserve flags + %d option fields = %d", flags, len(fields), flags+len(fields))
-	if flags != 22 || len(fields) != 30 {
-		t.Errorf("%d flags and %d option fields, want 22 and 30", flags, len(fields))
+	if flags != 21 || len(fields) != 30 {
+		t.Errorf("%d flags and %d option fields, want 21 and 30", flags, len(fields))
 	}
 }
 

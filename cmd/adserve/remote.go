@@ -50,7 +50,7 @@ func runElastic(f *flags, cfg server.Config) {
 	// adindex.Load).
 	runtime.GC()
 	buildStart := time.Now()
-	ec, err := shard.LoadElastic(in, f.elastic, shard.ElasticOptions{MaxWords: f.maxWords})
+	ec, err := shard.LoadElastic(in, f.elastic, shard.ElasticOptions{})
 	if err != nil {
 		log.Fatalf("elastic cluster: %v", err)
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"strings"
 
 	"adindex"
 )
@@ -85,7 +84,6 @@ func main() {
 	for _, ad := range ix.BroadMatch(q) {
 		fmt.Printf("  #%d %q\n", ad.ID, ad.Phrase)
 	}
-	_ = strings.TrimSpace
 }
 
 func measure(ix *adindex.Index, queries []string) float64 {

