@@ -34,6 +34,7 @@
 #                      spent deadlines on both transports, and the 4x
 #                      flood bar
 #   adaptsmoke         periodic re-optimization: the tick's skip rules, the
+#                      gain gate it shares with Optimize, the
 #                      loop (and Close joining it), the one installer (one
 #                      locked build, whatever the churn), the solver's
 #                      properties and the drift bar
@@ -149,7 +150,12 @@ overloadsmoke:
 # acceptance test (a ticking index holds its modeled-cost p99 through a
 # topic shift a frozen control degrades under), the tick's tests (no
 # traffic: nothing runs; no modeled gain: no rebuild, epoch, snapshot or
-# file; a gain: one install), the loop's (start/stop, beside queries and
+# file; a gain: one install), the gate Optimize shares with the tick
+# (TestOptimizeGate and TestEpochAdvancesOnMutation: an Optimize that gains
+# installs, a no-gain tick leaves a pending overlay where Optimize folds
+# it, an Optimize with nothing to gain or fold leaves the index, its epoch
+# and its directory as they were, and ApplyMapping always installs), the
+# loop's (start/stop, beside queries and
 # churn, and Close joining it before the store closes), the one
 # installer's tests over Optimize, ApplyMapping and a tick (each install is
 # one build of the live corpus under the writer lock: it folds no overlay
@@ -158,7 +164,7 @@ overloadsmoke:
 # cost, and TestOptimizeQualityPin: Optimize within 1.005x of the modeled
 # cost the deleted monolithic greedy reached).
 adaptsmoke:
-	$(GO) test -race -run 'TestAdapt|TestStartStopAdapt|TestStopAdaptJoinsTick|TestCloseStopsAdapt|TestRemapInstallers|TestInstallIsOneBuild|TestInstallUnderChurn|TestIncremental|TestGaps|TestPlacement|TestOptimizeQualityPin' \
+	$(GO) test -race -run 'TestAdapt|TestOptimizeGate|TestEpochAdvancesOnMutation|TestStartStopAdapt|TestStopAdaptJoinsTick|TestCloseStopsAdapt|TestRemapInstallers|TestInstallIsOneBuild|TestInstallUnderChurn|TestIncremental|TestGaps|TestPlacement|TestOptimizeQualityPin' \
 		-v . ./internal/setcover ./internal/optimize
 
 # Longer randomized soak: more ops per schedule and a block of seeds

@@ -2,19 +2,14 @@ package adindex
 
 import "time"
 
-// minTickGain is the smallest modeled-cost reduction, as a fraction of the
-// live mapping's cost, for which an adaptation tick installs a mapping: a
-// smaller gain is noise and not worth a rebuild.
-const minTickGain = 1e-4
-
 // StartAdapt starts periodic re-optimization: every interval, a tick runs
-// the planner of Optimize over the workload sample and installs its mapping
-// through the same installer. A tick does nothing when no query was
-// observed since the previous tick, and installs nothing unless the solved
-// mapping lowers modeled cost by at least minTickGain of the live mapping's.
-// A tick that installs nothing leaves the published snapshot, the epoch and
-// the durable directory as they were. StartAdapt on a running loop does
-// nothing; StopAdapt or Close stops it.
+// Optimize's planned re-mapping, unless no query was observed since the
+// previous tick. A tick installs nothing unless the solved mapping lowers
+// modeled cost by at least minRemapGain of the live mapping's (a pending
+// overlay, which Optimize folds whatever the gain, is left to its own
+// fold), and then leaves the published snapshot, the epoch and the
+// durable directory as they were. StartAdapt on a running loop does nothing; StopAdapt or Close
+// stops it.
 func (ix *Index) StartAdapt(interval time.Duration) {
 	ix.adaptMu.Lock()
 	defer ix.adaptMu.Unlock()
@@ -54,19 +49,13 @@ func (ix *Index) StopAdapt() {
 }
 
 // adaptTick is one tick of the loop, reporting whether it installed a
-// mapping. It plans against one published snapshot's live corpus, overlay
-// included, and folds nothing unless it installs.
+// mapping: nothing when no query was observed since the previous tick,
+// else the planned re-mapping on gain alone.
 func (ix *Index) adaptTick() (installed bool, err error) {
 	seen := ix.observed.Occurrences()
 	if ix.adaptSeen.Swap(seen) == seen {
 		return false, nil
 	}
-	res, before, _ := ix.plan(ix.snap.Load(), ix.observed.Workload())
-	if before-res.ModeledCost < minTickGain*before {
-		return false, nil
-	}
-	if _, err := ix.install(res.Mapping); err != nil {
-		return false, err
-	}
-	return true, nil
+	rep, err := ix.remap(false)
+	return rep.Installed, err
 }

@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"adindex/internal/corpus"
+	"adindex/internal/optimize"
 	"adindex/internal/workload"
 )
 
@@ -111,6 +113,75 @@ func TestAdaptTickSkipsWithoutGain(t *testing.T) {
 	}
 	if after := tickStateOf(t, ix); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a tick with nothing to gain changed the index: %+v -> %+v", before, after)
+	}
+}
+
+// TestOptimizeGate: Optimize runs the tick's gain rule, and folds a
+// pending overlay whatever the gain. On a durable index an Optimize that
+// gains installs: one remap, one epoch, one snapshot generation. After an
+// insert, a tick over the same workload gains nothing and installs
+// nothing, while an Optimize folds the overlay. A further Optimize with no
+// traffic between installs nothing: its report says so, and the snapshot,
+// the epoch, the remap count and the data directory are as they were.
+// ApplyMapping of the live mapping, which gains nothing either, still
+// installs.
+func TestOptimizeGate(t *testing.T) {
+	ix, wl := adaptTestIndex(t, 71, 72)
+	before := tickStateOf(t, ix)
+	first, err := ix.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := tickStateOf(t, ix)
+	if !first.Installed || after.remaps != before.remaps+1 || after.epoch != before.epoch+1 || after.snapshots != before.snapshots+1 {
+		t.Fatalf("an Optimize that gains: %+v; remaps %d -> %d, epoch %d -> %d, snapshots %d -> %d",
+			first, before.remaps, after.remaps, before.epoch, after.epoch, before.snapshots, after.snapshots)
+	}
+
+	ix.Insert(NewAd(940000, "an overlay the idle tick leaves", Meta{}))
+	observeQuery(ix, &wl.Queries[0])
+	before = tickStateOf(t, ix)
+	if tick(t, ix) {
+		t.Fatal("a tick with nothing to gain installed a mapping")
+	}
+	if after := tickStateOf(t, ix); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a tick with nothing to gain changed the index: %+v -> %+v", before, after)
+	}
+	folding, err := ix.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after = tickStateOf(t, ix)
+	if !folding.Installed || after.remaps != before.remaps+1 || after.epoch != before.epoch+1 ||
+		after.snapshots != before.snapshots+1 || after.snap.overlaySize() != 0 {
+		t.Fatalf("an Optimize over a pending overlay: %+v; remaps %d -> %d, epoch %d -> %d, snapshots %d -> %d, overlay %d; want a fold",
+			folding, before.remaps, after.remaps, before.epoch, after.epoch, before.snapshots, after.snapshots, after.snap.overlaySize())
+	}
+
+	before = after
+	idle, err := ix.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Installed || idle.NodesAfter != idle.NodesBefore || idle.ModeledCostAfter != idle.ModeledCostBefore {
+		t.Errorf("an Optimize with nothing to gain reports %+v", idle)
+	}
+	if after := tickStateOf(t, ix); !reflect.DeepEqual(after, before) {
+		t.Fatalf("an Optimize with nothing to gain changed the index: %+v -> %+v", before, after)
+	}
+
+	var live bytes.Buffer
+	if err := optimize.WriteMapping(&live, ix.snap.Load().base.Mapping()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.ApplyMapping(&live); err != nil {
+		t.Fatal(err)
+	}
+	after = tickStateOf(t, ix)
+	if after.remaps != before.remaps+1 || after.epoch != before.epoch+1 || after.snapshots != before.snapshots+1 ||
+		after.snap.overlaySize() != 0 {
+		t.Errorf("ApplyMapping of the live mapping: remaps %d -> %d, epoch %d -> %d, snapshots %d -> %d, overlay %d; want an install",
+			before.remaps, after.remaps, before.epoch, after.epoch, before.snapshots, after.snapshots, after.snap.overlaySize())
 	}
 }
 

@@ -1,8 +1,10 @@
 package adindex
 
 import (
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +16,6 @@ import (
 	"adindex/internal/optimize"
 	"adindex/internal/rewrite"
 	"adindex/internal/textnorm"
-	"adindex/internal/workload"
 )
 
 // Ad is one advertisement: a bid phrase plus advertiser metadata.
@@ -124,8 +125,8 @@ type Index struct {
 	foldNanos  atomic.Int64
 	buildNanos atomic.Int64
 
-	// remaps counts installed re-mappings (Optimize, ApplyMapping and
-	// adaptation ticks).
+	// remaps counts installed re-mappings (ApplyMapping, and the Optimize
+	// calls and adaptation ticks that installed).
 	remaps atomic.Uint64
 	// adaptStop and adaptDone run the StartAdapt loop, guarded by adaptMu;
 	// adaptSeen is the sampler's occurrence count at the last tick.
@@ -171,7 +172,7 @@ func (ix *Index) PersistErr() error {
 }
 
 // Epoch returns the index mutation epoch: a counter bumped by every
-// Insert, Delete (found or not), Optimize, ApplyMapping and installing
+// Insert, Delete (found or not), ApplyMapping and installing Optimize or
 // adaptation tick; a fold republishes under the epoch it found. It names a
 // published state — WAL recovery reproduces it record by record — and says
 // nothing about which answers changed: most epochs leave most answers as
@@ -247,15 +248,13 @@ func (ix *Index) rebuildLocked(mapping map[string][]string, epoch uint64, extra 
 // FoldStats; word sets new to the base get default placement. The base's
 // mapping is valid by construction, so a fold cannot fail. Callers hold
 // ix.mu.
-func (ix *Index) foldLocked(epoch uint64, extra ...corpus.Ad) *core.Index {
+func (ix *Index) foldLocked(epoch uint64, extra ...corpus.Ad) {
 	start := time.Now()
-	s, err := ix.rebuildLocked(ix.snap.Load().base.Mapping(), epoch, extra...)
-	if err != nil {
+	if _, err := ix.rebuildLocked(ix.snap.Load().base.Mapping(), epoch, extra...); err != nil {
 		panic("adindex: fold under the base's own mapping: " + err.Error())
 	}
 	ix.folds.Add(1)
 	ix.foldNanos.Add(int64(ix.noteBuild(start)))
-	return s.base
 }
 
 // noteBuild records a base build that began at start as the last one.
@@ -280,7 +279,7 @@ func (ix *Index) FoldStats() (folds uint64, seconds float64) {
 }
 
 // Remaps returns how many re-mappings the index has installed: by
-// Optimize, ApplyMapping, or an adaptation tick that found a gain.
+// ApplyMapping, or by an Optimize or adaptation tick that installed.
 func (ix *Index) Remaps() uint64 { return ix.remaps.Load() }
 
 // New returns an empty index.
@@ -501,55 +500,76 @@ type OptimizeReport struct {
 	ModeledCostBefore, ModeledCostAfter float64
 	// DistinctQueries is the size of the workload sample used.
 	DistinctQueries int
+	// Installed reports that the plan gained enough to install, or that
+	// Optimize folded a pending overlay; when false nothing was built and
+	// the After numbers are the Before ones.
+	Installed bool
 	// Stale reports that the index mutated between the plan and its
 	// install, so the modeled costs and NodesBefore describe the corpus the
 	// plan saw rather than the one installed.
 	Stale bool
 }
 
+// minRemapGain is the smallest modeled-cost reduction, as a fraction of the
+// live mapping's cost, worth a rebuild.
+const minRemapGain = 1e-4
+
 // Optimize recomputes the ad-to-node mapping against the observed workload
 // (greedy weighted set cover under the cost model) and rebuilds the index
-// under it. Query results are unaffected; only the physical layout
-// changes. With no observed workload the default placement is kept.
+// under it if that lowers the modeled cost by at least minRemapGain of the
+// live mapping's, or if an overlay is pending. Query results are
+// unaffected; only the physical layout changes. With no overlay pending, a
+// smaller gain, or a live cost of 0 (no observed workload), installs
+// nothing, and the report says so (Installed).
 //
-// The plan runs outside every lock; the install is one build under the
-// writer lock (see install). Queries never wait on either.
-func (ix *Index) Optimize() (OptimizeReport, error) {
+// A pending overlay is folded whatever the gain, so every Optimize leaves
+// the base holding the whole live corpus: indexes fed the same writes and
+// the same Optimize calls hold the same base corpus, whatever workload
+// each sampled, and the long-query cutoff, which ranks words by the base's
+// document frequencies, answers alike on them.
+//
+// The plan, outside every lock, prices one published snapshot's live
+// corpus, overlay included; an install is one build under the writer lock
+// (see install). Queries never wait on either.
+func (ix *Index) Optimize() (OptimizeReport, error) { return ix.remap(true) }
+
+// remap is the one planned re-mapping, behind Optimize and the adaptation
+// tick: plan, then the gain rule, then install. foldPending makes a
+// pending overlay reason enough to install (Optimize); the tick installs
+// on gain alone, leaving the overlay to its own fold.
+func (ix *Index) remap(foldPending bool) (OptimizeReport, error) {
 	s := ix.snap.Load()
 	wl := ix.observed.Workload()
-	res, before, nodesBefore := ix.plan(s, wl)
+	gs := optimize.BuildGroups(s.live(), wl)
+	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.model}
+	before, nodesBefore := optimize.EvaluateLocator(gs, s.base.Locator, opts)
+	res := optimize.Optimize(gs, opts)
+	rep := OptimizeReport{
+		NodesBefore: nodesBefore, NodesAfter: nodesBefore,
+		ModeledCostBefore: before, ModeledCostAfter: before,
+		DistinctQueries: len(wl.Queries),
+	}
+	gains := before > 0 && before-res.ModeledCost >= minRemapGain*before
+	if !gains && !(foldPending && s.overlaySize() > 0) {
+		return rep, nil
+	}
 	installed, err := ix.install(res.Mapping)
 	if err != nil {
 		return OptimizeReport{}, err
 	}
-	return OptimizeReport{
-		NodesBefore:       nodesBefore,
-		NodesAfter:        installed.base.NumNodes(),
-		ModeledCostBefore: before,
-		ModeledCostAfter:  res.ModeledCost,
-		DistinctQueries:   len(wl.Queries),
-		Stale:             installed.epoch != s.epoch+1,
-	}, nil
+	rep.NodesAfter = installed.base.NumNodes()
+	rep.ModeledCostAfter = res.ModeledCost
+	rep.Installed = true
+	rep.Stale = installed.epoch != s.epoch+1
+	return rep, nil
 }
 
-// plan is the one planner, run by Optimize and by the adaptation tick: it
-// solves the placement of s's live corpus for the workload sample wl, and
-// prices s's own mapping over the same corpus and sample (before, and the
-// nodes it makes). Word sets of the overlay are priced at the placement a
-// fold would give them.
-func (ix *Index) plan(s *snapshot, wl *workload.Workload) (res *optimize.Result, before float64, nodesBefore int) {
-	gs := optimize.BuildGroups(s.live(), wl)
-	opts := optimize.Options{MaxWords: ix.opts.coreOptions().MaxWords, Model: ix.model}
-	before, nodesBefore = optimize.EvaluateLocator(gs, s.base.Locator, opts)
-	return optimize.Optimize(gs, opts), before, nodesBefore
-}
-
-// install is the one installer behind Optimize, ApplyMapping and the
-// adaptation tick: one build of the live corpus under mapping, run under
-// the writer lock, which is the overlay's fold and the re-placement at
-// once (see rebuildLocked). It publishes at the next epoch with an empty
-// overlay and bumps the remap count. Word sets the mapping does not name
-// (inserted since the plan) get default placement.
+// install is the one installer, behind ApplyMapping and remap: one build
+// of the live corpus under mapping, run under the writer lock, which is
+// the overlay's fold and the re-placement at once (see rebuildLocked). It
+// publishes at the next epoch with an empty overlay and bumps the remap
+// count. Word sets the mapping does not name (inserted since the plan) get
+// default placement.
 //
 // On a durable index the install persists the placement as a full
 // snapshot in the same critical section — layout changes are not
@@ -620,7 +640,8 @@ func (ix *Index) maybeAutoSnapshotLocked() {
 	}
 }
 
-// Stats describes the physical structure of the index.
+// Stats describes the index: its live ad count, its base's structure and
+// the size of the overlay beside that base.
 type Stats struct {
 	NumAds       int
 	NumNodes     int
@@ -628,20 +649,23 @@ type Stats struct {
 	NodeBytes    int
 	MaxNodeAds   int
 	AvgNodeAds   float64
+	Overlay      int // delta ads plus tombstones, until the next fold or install
 }
 
-// Stats returns structure statistics. A pending mutation overlay is folded
-// into the base first (the fold changes layout, never results), so the
-// numbers always describe the full live corpus.
+// Stats describes the published snapshot as it stands: it folds nothing
+// and takes no lock. NumAds is the live count (NumAds); the rest but
+// Overlay describe the base.
 func (ix *Index) Stats() Stats {
-	s := ix.foldedBase().Stats()
+	s := ix.snap.Load()
+	b := s.base.Stats()
 	return Stats{
-		NumAds:       s.NumAds,
-		NumNodes:     s.NumNodes,
-		DistinctSets: s.DistinctSets,
-		NodeBytes:    s.NodeBytes,
-		MaxNodeAds:   s.MaxNodeAds,
-		AvgNodeAds:   s.AvgNodeAds,
+		NumAds:       s.numAds(),
+		NumNodes:     b.NumNodes,
+		DistinctSets: b.DistinctSets,
+		NodeBytes:    b.NodeBytes,
+		MaxNodeAds:   b.MaxNodeAds,
+		AvgNodeAds:   b.AvgNodeAds,
+		Overlay:      s.overlaySize(),
 	}
 }
 
@@ -649,8 +673,8 @@ func (ix *Index) Stats() Stats {
 type IndexBytes = core.ByteStats
 
 // IndexBytes returns the memory the current base index holds, by column.
-// It reads the published base as it stands: unlike Stats it folds nothing,
-// and the overlay (at most MaxDeltaAds ads) is not counted.
+// Like Stats it reads the published base as it stands, and the overlay (at
+// most MaxDeltaAds ads) is not counted.
 func (ix *Index) IndexBytes() IndexBytes {
 	return ix.snap.Load().base.Stats().Bytes
 }
@@ -665,8 +689,7 @@ func OffHeapBytes() int64 { return core.OffHeapBytes() }
 
 // NumAds returns the number of indexed advertisements, overlay included.
 func (ix *Index) NumAds() int {
-	s := ix.snap.Load()
-	return s.base.NumAds() - s.deleted + len(s.delta)
+	return ix.snap.Load().numAds()
 }
 
 // Ads returns a copy of all indexed advertisements ordered by ID. The
@@ -677,27 +700,42 @@ func (ix *Index) Ads() []Ad {
 	return ads
 }
 
-// CheckInvariants folds any pending overlay and verifies the structural
-// invariants of the resulting base index (node/locator consistency,
-// max_words bounds, placement reachability). Expensive; meant for tests
-// and the simulation harness, not production serving.
+// CheckInvariants verifies the published snapshot as it stands, folding
+// nothing and taking no lock: the structural invariants of its base
+// (node/locator consistency, max_words bounds, placement reachability),
+// then its overlay against that base. Expensive; meant for tests and the
+// simulation harness, not production serving.
 func (ix *Index) CheckInvariants() error {
-	return ix.foldedBase().CheckInvariants()
+	s := ix.snap.Load()
+	if err := s.base.CheckInvariants(); err != nil {
+		return err
+	}
+	return s.checkOverlay()
 }
 
-// foldedBase folds any pending overlay and returns the resulting pure
-// base. Queries never wait on it.
-func (ix *Index) foldedBase() *core.Index {
-	if s := ix.snap.Load(); s.overlaySize() == 0 {
-		return s.base
+// checkOverlay verifies that every delta signature is its ad's word set's,
+// that every tombstone suppresses at least one and at most as many records
+// as the base holds under its ID and word set, and that deleted is their
+// total.
+func (s *snapshot) checkOverlay() error {
+	if len(s.deltaSigs) != len(s.delta) {
+		return fmt.Errorf("adindex: %d delta signatures for %d delta ads", len(s.deltaSigs), len(s.delta))
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s := ix.snap.Load()
-	if s.overlaySize() == 0 {
-		return s.base
+	for i := range s.delta {
+		if s.deltaSigs[i] != core.SetSignature(s.delta[i].Words) {
+			return fmt.Errorf("adindex: delta ad %d has a stale signature", s.delta[i].ID)
+		}
 	}
-	// The fold is an equivalent-results layout change, so it is republished
-	// under the same epoch.
-	return ix.foldLocked(s.epoch)
+	total := 0
+	for k, n := range s.tombs {
+		phrase := strings.ReplaceAll(k.key, "\x1f", " ")
+		if held := s.base.Lookup(k.id, phrase); n < 1 || n > held {
+			return fmt.Errorf("adindex: tombstone of ad %d %q suppresses %d of %d records", k.id, phrase, n, held)
+		}
+		total += n
+	}
+	if s.deleted != total {
+		return fmt.Errorf("adindex: %d deletions counted, tombstones suppress %d", s.deleted, total)
+	}
+	return nil
 }

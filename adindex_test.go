@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"adindex/internal/core"
 	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
 	"adindex/internal/optimize"
@@ -21,6 +22,18 @@ func sampleAds() []Ad {
 		NewAd(3, "cheap used books", Meta{BidMicros: 150000, ClickRate: 400}),
 		NewAd(4, "used books", Meta{BidMicros: 90000, Exclusions: []string{"free"}}),
 	}
+}
+
+// foldedBase folds ix's pending overlay, as an overflowing write would,
+// and returns the resulting base: what a test that reads a base's structure
+// over the whole live corpus walks.
+func foldedBase(ix *Index) *core.Index {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if s := ix.snap.Load(); s.overlaySize() > 0 {
+		ix.foldLocked(s.epoch)
+	}
+	return ix.snap.Load().base
 }
 
 func idsOf(ads []Ad) []uint64 {
@@ -116,7 +129,7 @@ func TestObserveAndOptimize(t *testing.T) {
 	}
 	// Optimize prices plans under the paper's model, costmodel.Default().
 	gs := optimize.BuildGroups(c.Ads, ix.observed.Workload())
-	base := ix.foldedBase()
+	base := foldedBase(ix)
 	priced := func(m costmodel.Model) float64 {
 		cost, _ := optimize.EvaluateLocator(gs, base.Locator, optimize.Options{Model: m})
 		return cost
@@ -330,6 +343,9 @@ func TestOptimizeConcurrentWithChurn(t *testing.T) {
 	}
 }
 
+// TestEpochAdvancesOnMutation: every write advances the epoch, and so does
+// an Optimize that installs; an Optimize with nothing to gain installs
+// nothing and leaves the epoch, the remap count and the base as they were.
 func TestEpochAdvancesOnMutation(t *testing.T) {
 	ix := Build(sampleAds(), Options{})
 	e0 := ix.Epoch()
@@ -342,13 +358,32 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	if ix.Epoch() <= e1 {
 		t.Fatal("Delete did not advance the epoch")
 	}
+
+	// "cheap used books" reads two nodes under the default placement, and
+	// one once {books, cheap, used} moves in with {books, used}.
 	e2 := ix.Epoch()
-	ix.BroadMatch("used books")
-	if _, err := ix.Optimize(); err != nil {
+	ix.BroadMatch("cheap used books")
+	gained, err := ix.Optimize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Epoch() <= e2 {
-		t.Fatal("Optimize did not advance the epoch")
+	if !gained.Installed || ix.Epoch() != e2+1 || ix.Remaps() != 1 {
+		t.Fatalf("an Optimize that gains: report %+v, epoch %d -> %d, %d remaps; want installed at %d, 1 remap",
+			gained, e2, ix.Epoch(), ix.Remaps(), e2+1)
+	}
+
+	// The same workload again: the live mapping is the plan.
+	e3, base := ix.Epoch(), ix.snap.Load().base
+	idle, err := ix.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Installed || ix.Epoch() != e3 || ix.Remaps() != 1 || ix.snap.Load().base != base {
+		t.Fatalf("an Optimize with nothing to gain: report %+v, epoch %d -> %d, %d remaps, base replaced %v",
+			idle, e3, ix.Epoch(), ix.Remaps(), ix.snap.Load().base != base)
+	}
+	if idle.NodesAfter != idle.NodesBefore || idle.ModeledCostAfter != idle.ModeledCostBefore {
+		t.Errorf("a report that installed nothing moves its numbers: %+v", idle)
 	}
 }
 

@@ -3,6 +3,7 @@ package adindex
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"adindex/internal/optimize"
@@ -89,9 +90,11 @@ func TestChangedAt(t *testing.T) {
 	ix.Insert(NewAd(12, "?!", Meta{}))
 	quiet("an insert with no words")
 	ix.BroadMatch("used books")
+	remaps := ix.Remaps()
 	if _, err := ix.Optimize(); err != nil {
 		t.Fatal(err)
 	}
+	installs := ix.Remaps() - remaps
 	quiet("Optimize")
 	var buf bytes.Buffer
 	if err := optimize.WriteMapping(&buf, map[string][]string{"books\x1fused": {"books"}}); err != nil {
@@ -101,14 +104,31 @@ func TestChangedAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiet("ApplyMapping")
-	ix.Insert(NewAd(13, "quiet filler", Meta{}))
-	n0, newest0 = stamps(ix)
-	if err := ix.CheckInvariants(); err != nil { // folds the overlay
-		t.Fatal(err)
+	// The failed delete, the wordless insert and ApplyMapping advance the
+	// epoch once each, and Optimize once if it installed.
+	if want := e0 + 3 + installs; ix.Epoch() != want {
+		t.Errorf("epoch %d -> %d, want %d (Optimize installed %d times)", e0, ix.Epoch(), want, installs)
 	}
-	quiet("a fold")
-	if ix.Epoch() < e0+5 {
-		t.Errorf("epoch %d -> %d: each of those but the fold advances it", e0, ix.Epoch())
+
+	// A fold stamps nothing of its own: the install emptied the overlay,
+	// four inserts fill it, and the fifth, which finds it full and folds,
+	// stamps its own rarest word and no other.
+	for id := uint64(13); id < 17; id++ {
+		ix.Insert(NewAd(id, fmt.Sprintf("quiet filler %d", id), Meta{}))
+	}
+	folds, _ := ix.FoldStats()
+	n0, _ = stamps(ix)
+	e1 := ix.Epoch()
+	ix.Insert(NewAd(17, "overflowing zither", Meta{}))
+	if got, _ := ix.FoldStats(); got != folds+1 {
+		t.Fatalf("the overflowing insert ran %d folds, want 1", got-folds)
+	}
+	if n, newest := stamps(ix); n != n0+1 || newest != e1+1 || ix.Epoch() != e1+1 {
+		t.Errorf("an insert that folds: %d slots stamped (were %d), newest %d, epoch %d -> %d; want one more slot at epoch %d",
+			n, n0, newest, e1, ix.Epoch(), e1+1)
+	}
+	if got := at("overflowing zither"); got != e1+1 {
+		t.Errorf("ChangedAt(overflowing zither) = %d, want %d", got, e1+1)
 	}
 
 	// A query the MaxQueryWords cutoff can reach answers from document
@@ -126,7 +146,9 @@ func TestChangedAt(t *testing.T) {
 	}
 }
 
-// TestFoldStats: every path that folds the overlay is counted and timed.
+// TestFoldStats: every path that folds the overlay is counted and timed: an
+// insert into a full overlay and a delete whose tombstone fills it. A read
+// is no such path.
 func TestFoldStats(t *testing.T) {
 	ix := Build(sampleAds(), Options{MaxDeltaAds: 2})
 	if n, sec := ix.FoldStats(); n != 0 || sec != 0 {
@@ -138,13 +160,31 @@ func TestFoldStats(t *testing.T) {
 	if n, _ := ix.FoldStats(); n != 1 {
 		t.Errorf("after overflowing the overlay: %d folds, want 1", n)
 	}
+	// Reads fold nothing: Stats describes the overlay beside the base.
 	ix.Insert(NewAd(30, "pending", Meta{}))
-	ix.Stats() // folds what is pending
+	if st := ix.Stats(); st.Overlay != 1 || st.NumAds != 8 {
+		t.Errorf("Stats with one pending insert: %+v, want Overlay 1 and 8 ads", st)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := ix.FoldStats(); n != 1 {
+		t.Errorf("after Stats and CheckInvariants: %d folds, want still 1", n)
+	}
+	// The second tombstone fills the two-entry overlay and folds it.
+	for _, id := range []uint64{1, 2} {
+		if !ix.Delete(id, sampleAds()[id-1].Phrase) {
+			t.Fatalf("delete of base ad %d found nothing", id)
+		}
+	}
 	n, sec := ix.FoldStats()
 	if n != 2 || sec <= 0 {
-		t.Errorf("after Stats: %d folds in %v s, want 2 in more than none", n, sec)
+		t.Errorf("after the tombstones filled the overlay: %d folds in %v s, want 2 in more than none", n, sec)
 	}
 	if got := idsOf(ix.BroadMatch("filler 0 1 2 pending")); len(got) != 4 {
 		t.Errorf("inserted ads after the folds: %v", got)
+	}
+	if got := idsOf(ix.BroadMatch("comic used books")); !slices.Equal(got, []uint64{4}) {
+		t.Errorf("after deleting ads 1 and 2: %v, want [4]", got)
 	}
 }

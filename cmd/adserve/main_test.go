@@ -236,6 +236,42 @@ func TestLocalModes(t *testing.T) {
 	}
 }
 
+// TestRestartFoldsNothing: a -data-dir restart over a WAL tail recovers
+// the tail as the overlay and reports ready without folding it: its
+// "index ready" line reads Stats, which folds nothing, so /metrics
+// index.folds is 0 at ready and /stats counts the tail beside the base.
+func TestRestartFoldsNothing(t *testing.T) {
+	c := testCorpus()
+	dir := t.TempDir()
+	args := []string{"-corpus", writeCorpus(t, c, filepath.Join(dir, "corpus.tsv")),
+		"-data-dir", filepath.Join(dir, "state"), "-addr", "127.0.0.1:0"}
+	first := start(t, args...)
+	base := first.base(t)
+	awaitReady(t, first, base)
+	const tail = 5
+	for i := 0; i < tail; i++ {
+		post(t, base+"/insert", fmt.Sprintf(`{"id":%d,"phrase":"wal tail %d"}`, 990000+i, i))
+	}
+	first.cmd.Process.Kill() // no drain: the inserts stay a WAL tail
+	<-first.done
+
+	second := start(t, args...)
+	base = second.base(t)
+	awaitReady(t, second, base)
+	var m struct {
+		Index struct {
+			Folds uint64 `json:"folds"`
+		} `json:"index"`
+	}
+	if _, body := get(t, base+"/metrics"); json.Unmarshal([]byte(body), &m) != nil || m.Index.Folds != 0 {
+		t.Errorf("/metrics at ready after recovering a %d-record tail: index.folds %d, want 0", tail, m.Index.Folds)
+	}
+	var st adindex.Stats
+	if _, body := get(t, base+"/stats"); json.Unmarshal([]byte(body), &st) != nil || st.NumAds != len(c.Ads)+tail || st.Overlay != tail {
+		t.Errorf("/stats after recovery = %+v, want %d ads with an overlay of %d", st, len(c.Ads)+tail, tail)
+	}
+}
+
 // TestMappingStart: an in-memory start under -mapping builds its index
 // once, under the mapping: the node count is the mapped build's, the
 // mapping counts as the one installed re-mapping, and no remap published

@@ -14,7 +14,7 @@ import (
 // the index's folded base; suffixBits 0 picks the signature width.
 func compressedSnapshot(t testing.TB, ix *Index, suffixBits int) *hashindex.Index {
 	t.Helper()
-	snap, err := hashindex.Build(ix.foldedBase(), hashindex.Options{SuffixBits: suffixBits})
+	snap, err := hashindex.Build(foldedBase(ix), hashindex.Options{SuffixBits: suffixBits})
 	if err != nil {
 		t.Fatal(err)
 	}

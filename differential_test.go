@@ -178,7 +178,7 @@ func TestDifferentialCompressedVsHash(t *testing.T) {
 				}
 			}
 		}
-		base := ix.foldedBase()
+		base := foldedBase(ix)
 		if base.NumNodes() < base.NumDistinctSets() {
 			remapped++
 		}

@@ -120,7 +120,7 @@ func TestAllIndexVariantsAgree(t *testing.T) {
 	unmod := invindex.NewUnmodified(c.Ads)
 	mod := invindex.NewModified(c.Ads)
 	snap := compressedSnapshot(t, pub, 0)
-	tree := treeindex.New(pub.foldedBase())
+	tree := treeindex.New(foldedBase(pub))
 
 	for qi := range wl.Queries {
 		words := wl.Queries[qi].Words

@@ -549,3 +549,86 @@ func TestHitsAreNotSampled(t *testing.T) {
 			ix.ObservedQueries(), r.ModeledCostBefore, planned.ModeledCostAfter)
 	}
 }
+
+// indexCounters is what /metrics says of the index's builds: folds,
+// installed re-mappings and the epoch.
+type indexCounters struct{ folds, remaps, epoch uint64 }
+
+func indexCountersOf(t *testing.T, s *Server) indexCounters {
+	t.Helper()
+	var m MetricsSnapshot
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &m); err != nil {
+		t.Fatal(err)
+	}
+	return indexCounters{m.Index.Folds, m.Index.Remaps, m.Epoch}
+}
+
+// TestReadEndpointsFoldNothing: with a mutation overlay pending, no read
+// endpoint builds anything. /search, /search/batch, /stats, /metrics,
+// /healthz and /readyz each leave the index's folds, remaps and epoch as
+// they were, and /stats counts the live ads and the overlay beside the
+// base.
+func TestReadEndpointsFoldNothing(t *testing.T) {
+	s := New(adindex.Build(testCatalog(), adindex.Options{}), Config{})
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { drain(s) })
+	serve(t, s, "POST", "/insert", `{"id":9,"phrase":"cheap running shoes"}`)
+	before := indexCountersOf(t, s)
+	for _, r := range []struct{ method, target, body string }{
+		{"GET", searchTarget("cheap running shoes", "broad"), ""},
+		{"POST", "/search/batch", `{"queries":["cheap books","running shoes"]}`},
+		{"GET", "/stats", ""},
+		{"GET", "/metrics", ""},
+		{"GET", "/healthz", ""},
+		{"GET", "/readyz", ""},
+	} {
+		serve(t, s, r.method, r.target, r.body)
+		if got := indexCountersOf(t, s); got != before {
+			t.Errorf("%s %s moved the index: %+v -> %+v", r.method, r.target, before, got)
+		}
+	}
+	var st adindex.Stats
+	if err := json.Unmarshal(serve(t, s, "GET", "/stats", ""), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.NumAds != len(testCatalog())+1 || st.Overlay != 1 {
+		t.Errorf("/stats = %+v, want %d ads with an overlay of 1", st, len(testCatalog())+1)
+	}
+}
+
+// TestSecondOptimizeInstallsNothing: on a durable index, a second POST
+// /optimize with no traffic since the first has nothing to gain. Its
+// report says it installed nothing, and the remap count, the epoch and the
+// durable snapshot generation stay where the first left them.
+func TestSecondOptimizeInstallsNothing(t *testing.T) {
+	ix, _, err := adindex.OpenDurable(t.TempDir(), adindex.Options{}, adindex.DurableConfig{Bootstrap: testCatalog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	s := New(ix, Config{})
+	optimize := func() (adindex.OptimizeReport, indexCounters, uint64) {
+		t.Helper()
+		var rep adindex.OptimizeReport
+		if err := json.Unmarshal(serve(t, s, "POST", "/optimize", ""), &rep); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := ix.DurableStats()
+		return rep, indexCountersOf(t, s), st.Gen
+	}
+	// Four nodes answer this query under the default placement.
+	serve(t, s, "GET", searchTarget("cheap used books", "broad"), "")
+	first, counters, gen := optimize()
+	if !first.Installed || counters.remaps != 1 {
+		t.Fatalf("the first /optimize: %+v, %+v; want an install", first, counters)
+	}
+	second, after, genAfter := optimize()
+	if second.Installed || second.NodesAfter != second.NodesBefore || second.ModeledCostAfter != second.ModeledCostBefore {
+		t.Errorf("the second /optimize reports %+v, want nothing installed", second)
+	}
+	if after != counters || genAfter != gen {
+		t.Errorf("the second /optimize moved the index: %+v gen %d -> %+v gen %d", counters, gen, after, genAfter)
+	}
+}

@@ -251,15 +251,6 @@ func uniqueElems(elems []int) []int {
 	return out
 }
 
-// GreedyRefined runs Greedy followed by Withdraw.
-func GreedyRefined(in *Instance) ([]int, error) {
-	chosen, err := Greedy(in)
-	if err != nil {
-		return nil, err
-	}
-	return Withdraw(in, chosen), nil
-}
-
 // ExactDP computes the optimal cover by dynamic programming over element
 // bitmasks. It requires NumElements <= 24 and is intended for tests that
 // validate the greedy approximation bound.

@@ -252,35 +252,3 @@ func TestGreedyBoundQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: GreedyRefined equals Greedy + Withdraw.
-func TestGreedyRefinedQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		var sets []Set
-		for e := 0; e < n; e++ {
-			sets = append(sets, Set{ID: e, Elements: []int{e}, Weight: 1 + rng.Float64()})
-		}
-		sets = append(sets, Set{ID: n, Elements: allOf(n), Weight: 0.5 + rng.Float64()*float64(n)})
-		in := &Instance{NumElements: n, Sets: sets}
-		a, err1 := GreedyRefined(in)
-		b, err2 := Greedy(in)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		b = Withdraw(in, b)
-		return reflect.DeepEqual(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func allOf(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

@@ -5,6 +5,7 @@
 package shard
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -158,6 +159,70 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	if replica.Requests() < 3 {
 		t.Errorf("surviving replica served %d requests, want >= 3", replica.Requests())
+	}
+}
+
+// TestFailoverPastServerError: an error frame comes from a live replica,
+// but the error may be that replica's own (a panic on a corrupt index
+// path), so a query fails over past it to a peer, with and without
+// hedging. When every replica sends one, the query fails with it and the
+// shard stays live.
+func TestFailoverPastServerError(t *testing.T) {
+	d := deploy(t, 600, 2)
+	q := d.pickQuery(t)
+	panicky := func() *multiserver.Server {
+		srv, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{},
+			multiserver.BackendFunc(func([]byte, multiserver.Request) ([]byte, error) { panic("corrupt index path") }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	bad, bad2 := panicky(), panicky()
+	ref, err := DialReplicaShards([][]string{{d.shards[0].Addr()}, {d.shards[1].Addr()}}, Options{Conn: fastConn()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hedge := range []time.Duration{0, 20 * time.Millisecond} {
+		nc, err := DialReplicaShards(
+			[][]string{{bad.Addr(), d.shards[0].Addr()}, {d.shards[1].Addr()}},
+			Options{Conn: fastConn(), HedgeAfter: hedge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		asked := bad.Requests()
+		got, err := nc.Query(q)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("hedge %v: query past a panicking replica: %v, %v; want %v", hedge, got, err, want)
+		}
+		if bad.Requests() == asked {
+			t.Errorf("hedge %v: the panicking replica was never asked", hedge)
+		}
+		if h := nc.Health(); h.LiveShards != 2 {
+			t.Errorf("hedge %v: LiveShards = %d, want 2", hedge, h.LiveShards)
+		}
+		nc.Close()
+
+		both, err := DialReplicaShards(
+			[][]string{{bad.Addr(), bad2.Addr()}, {d.shards[1].Addr()}},
+			Options{Conn: fastConn(), HedgeAfter: hedge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var se *multiserver.ServerError
+		if _, err := both.Query(q); !errors.As(err, &se) {
+			t.Fatalf("hedge %v: every replica panicking: %v, want a *ServerError", hedge, err)
+		}
+		if h := both.Health(); h.LiveShards != 2 {
+			t.Errorf("hedge %v: LiveShards = %d after error frames from every replica, want 2", hedge, h.LiveShards)
+		}
+		both.Close()
 	}
 }
 

@@ -193,10 +193,15 @@ func TestLocalErrorPathsAsWire(t *testing.T) {
 					t.Fatalf("query %d over a panicking position: %v, want a *ServerError naming the panic", i, err)
 				}
 			}
-			for _, sh := range nc.Health().Shards {
-				if sh.Replicas[0].Breaker != multiserver.BreakerClosed.String() {
-					t.Fatalf("shard %d after contained panics: %+v, want a closed breaker", sh.Shard, sh)
+			// A replica that answered with an error frame is alive.
+			h := nc.Health()
+			for _, sh := range h.Shards {
+				if sh.Replicas[0].Breaker != multiserver.BreakerClosed.String() || !sh.Live {
+					t.Fatalf("shard %d after contained panics: %+v, want live with a closed breaker", sh.Shard, sh)
 				}
+			}
+			if h.LiveShards != len(h.Shards) {
+				t.Fatalf("%d of %d shards live after contained panics", h.LiveShards, len(h.Shards))
 			}
 			d.ec.mu.Lock()
 			d.ec.shards[1] = saved

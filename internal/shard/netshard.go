@@ -144,26 +144,56 @@ func (rs *replicaSet) probeThrough(req shardReq) (got answer, err error, probed 
 		// Another goroutine owns this round; let it probe.
 		return answer{}, nil, false
 	}
-	var lastErr error
+	var f failures
 	first := int(rs.preferred.Load())
 	for k := range rs.conns {
 		ci := rs.at(first, k)
 		resp, perr := rs.conns[ci].ProbeDeadline(req.body, req.deadline)
 		if perr == nil {
 			ids, meta, flags, derr := multiserver.DecodeRecords(resp)
-			if derr != nil {
-				lastErr = derr
-				continue
+			if derr == nil {
+				rs.preferred.Store(int32(ci))
+				return answer{ids, meta, flags}, nil, true
 			}
-			rs.preferred.Store(int32(ci))
-			return answer{ids, meta, flags}, nil, true
+			perr = derr
 		}
-		if errors.Is(perr, multiserver.ErrStaleEpoch) || errors.Is(perr, multiserver.ErrDeadlineExpired) {
+		if f.settles(perr) {
 			return answer{}, perr, true
 		}
-		lastErr = perr
 	}
-	return answer{}, lastErr, true
+	return answer{}, f.err, true
+}
+
+// failures gathers a shard query's failed attempts: the error it reports
+// and whether any attempt fast-failed on an open breaker.
+type failures struct {
+	err      error
+	fastFail bool
+}
+
+// settles records a failed attempt's error and reports whether it ends the
+// shard query at once, from a live replica: a stale epoch (the replicas
+// move epochs in lockstep; the caller refreshes its route instead) or an
+// expired deadline (no time is left to ask another). An error frame
+// (*multiserver.ServerError, a contained panic say) is kept over any later
+// error: it too came from a live replica (see failShard), but the query
+// fails over past it, since it may be that replica's own (a corrupt index
+// path).
+func (f *failures) settles(err error) bool {
+	if errors.Is(err, multiserver.ErrStaleEpoch) || errors.Is(err, multiserver.ErrDeadlineExpired) {
+		return true
+	}
+	f.fastFail = f.fastFail || errors.Is(err, multiserver.ErrBreakerOpen)
+	if !f.answered() {
+		f.err = err
+	}
+	return false
+}
+
+// answered reports whether a replica sent an error frame.
+func (f *failures) answered() bool {
+	var se *multiserver.ServerError
+	return errors.As(f.err, &se)
 }
 
 // NetClient fans broad-match queries out to several remote index shards
@@ -440,17 +470,16 @@ func (nc *NetClient) askShard(slot *shardReply, rs *replicaSet, req shardReq) {
 // queryShard tries the shard's replicas in preference order, failing
 // over on error; with hedging enabled, a duplicate request goes to the
 // next replica after Options.HedgeAfter and the first success wins.
-// A stale-epoch rejection short-circuits: the shard is alive, its
-// replicas move epochs in lockstep, so failing over would only repeat
-// the rejection — the caller must refresh its routing table instead.
+// A stale epoch or an expired deadline short-circuits (failures.settles):
+// the shard is alive, and after a stale epoch the caller must refresh its
+// routing table instead.
 // The answer is decoded into the buffers of into when one attempt at a
 // time runs; hedged attempts overlap and outlive the query, so they get
 // buffers (and a copy of the request body) of their own.
 func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answer, error) {
 	first, n := int(rs.preferred.Load()), len(rs.conns)
 	if nc.opts.HedgeAfter <= 0 || n == 1 {
-		var lastErr error
-		sawFastFail := false
+		var f failures
 		for k := 0; k < n; k++ {
 			ci := rs.at(first, k)
 			got, err := req.ask(rs.conns[ci], into)
@@ -459,16 +488,12 @@ func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answ
 				rs.markLive()
 				return got, nil
 			}
-			if errors.Is(err, multiserver.ErrStaleEpoch) || errors.Is(err, multiserver.ErrDeadlineExpired) {
+			if f.settles(err) {
 				rs.markLive()
 				return answer{}, err
 			}
-			if errors.Is(err, multiserver.ErrBreakerOpen) {
-				sawFastFail = true
-			}
-			lastErr = err
 		}
-		return nc.failShard(rs, req, lastErr, sawFastFail)
+		return nc.failShard(rs, req, f)
 	}
 
 	type attempt struct {
@@ -488,8 +513,7 @@ func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answ
 	launched, outstanding := 1, 1
 	timer := time.NewTimer(nc.opts.HedgeAfter)
 	defer timer.Stop()
-	var lastErr error
-	sawFastFail := false
+	var f failures
 	for outstanding > 0 {
 		select {
 		case a := <-ch:
@@ -499,14 +523,10 @@ func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answ
 				rs.markLive()
 				return a.got, nil
 			}
-			if errors.Is(a.err, multiserver.ErrStaleEpoch) || errors.Is(a.err, multiserver.ErrDeadlineExpired) {
+			if f.settles(a.err) {
 				rs.markLive()
 				return answer{}, a.err
 			}
-			if errors.Is(a.err, multiserver.ErrBreakerOpen) {
-				sawFastFail = true
-			}
-			lastErr = a.err
 			if launched < n {
 				launch(rs.at(first, launched))
 				launched++
@@ -521,7 +541,7 @@ func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answ
 			}
 		}
 	}
-	return nc.failShard(rs, req, lastErr, sawFastFail)
+	return nc.failShard(rs, req, f)
 }
 
 // failShard finishes a shard query whose every replica attempt failed.
@@ -529,24 +549,28 @@ func (nc *NetClient) queryShard(rs *replicaSet, req shardReq, into answer) (answ
 // was never actually contacted — the verdict rests on cached breaker
 // state, not the shard's current health — so one rate-limited forced
 // probe round runs before the failure is allowed to stand (see
-// replicaSet.probeThrough).
-func (nc *NetClient) failShard(rs *replicaSet, req shardReq, lastErr error, sawFastFail bool) (answer, error) {
-	if sawFastFail {
+// replicaSet.probeThrough). A shard that sent an error frame is live; one
+// that sent none is dead.
+func (nc *NetClient) failShard(rs *replicaSet, req shardReq, f failures) (answer, error) {
+	if f.fastFail {
 		if got, err, probed := rs.probeThrough(req); probed {
 			nc.probes.Add(1)
 			if err == nil {
 				rs.markLive()
 				return got, nil
 			}
-			if errors.Is(err, multiserver.ErrStaleEpoch) || errors.Is(err, multiserver.ErrDeadlineExpired) {
+			if f.settles(err) {
 				rs.markLive()
 				return answer{}, err
 			}
-			lastErr = err
 		}
 	}
-	rs.markDead()
-	return answer{}, lastErr
+	if f.answered() {
+		rs.markLive()
+	} else {
+		rs.markDead()
+	}
+	return answer{}, f.err
 }
 
 // ReplicaHealth is one replica's breaker view.

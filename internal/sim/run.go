@@ -120,6 +120,10 @@ type runner struct {
 	cached    *cachedTarget
 	checks    int
 	truncated int
+	// plainInstalls and durInstalls count each twin's installing Optimize
+	// calls: each installs where its own sample gains (a crash-restart
+	// empties the durable one's).
+	plainInstalls, durInstalls uint64
 }
 
 func (r *runner) apply(i int, op *Op) *Failure {
@@ -189,13 +193,17 @@ func (r *runner) apply(i int, op *Op) *Failure {
 			r.cached.ix.Match(nil, q)
 		}
 	case OpOptimize:
+		n := r.plain.Remaps()
 		if _, err := r.plain.Optimize(); err != nil {
 			return fail("plain", "Optimize: %v", err)
 		}
+		r.plainInstalls += r.plain.Remaps() - n
 		if r.dur != nil {
+			n := r.dur.ix.Remaps()
 			if _, err := r.dur.ix.Optimize(); err != nil {
 				return fail("durable", "Optimize: %v", err)
 			}
+			r.durInstalls += r.dur.ix.Remaps() - n
 		}
 		if d := r.cached.relayout(op.Kind, &r.oracle); d != "" {
 			return fail("cached", "%s", d)
@@ -512,8 +520,9 @@ func (r *runner) checkState(i int) *Failure {
 }
 
 // checkDurableState deep-compares the durable index against the oracle
-// and the plain twin: full ad multiset, epoch lockstep, clean persist
-// status. Run after every crash-restart and on the periodic cadence.
+// and the plain twin: full ad multiset, epoch lockstep net of each twin's
+// Optimize installs, clean persist status. Run after every crash-restart
+// and on the periodic cadence.
 func (r *runner) checkDurableState(i int, when string) *Failure {
 	fail := func(format string, args ...interface{}) *Failure {
 		return &Failure{OpIndex: i, Target: "durable", Detail: when + ": " + fmt.Sprintf(format, args...)}
@@ -524,8 +533,8 @@ func (r *runner) checkDurableState(i int, when string) *Failure {
 	if d := diffAds(r.dur.ix.Ads(), r.oracle.sortedAds()); d != "" {
 		return fail("ads diverged: %s", d)
 	}
-	if got, want := r.dur.ix.Epoch(), r.plain.Epoch(); got != want {
-		return fail("epoch = %d, plain twin at %d", got, want)
+	if got, want := r.dur.ix.Epoch(), r.plain.Epoch()-r.plainInstalls+r.durInstalls; got != want {
+		return fail("epoch = %d, want %d: plain twin at %d after %d installs, %d here", got, want, r.plain.Epoch(), r.plainInstalls, r.durInstalls)
 	}
 	if err := r.dur.ix.PersistErr(); err != nil {
 		return fail("sticky persist error: %v", err)

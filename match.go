@@ -61,6 +61,12 @@ func (s *snapshot) overlaySize() int {
 	return len(s.delta) + len(s.tombs)
 }
 
+// numAds is the live ad count: the base's records, minus those tombstoned,
+// plus the delta.
+func (s *snapshot) numAds() int {
+	return s.base.NumAds() - s.deleted + len(s.delta)
+}
+
 // live returns the full live corpus — base ads minus tombstoned records
 // plus delta ads — in no particular order, which is all a rebuild needs:
 // the loader orders its input itself; extra ads follow it. The ad structs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestOverlayFoldThreshold drives many mutations through a tiny overlay
@@ -134,5 +135,101 @@ func TestDeltaOnlyWordsMatch(t *testing.T) {
 	ix.Insert(NewAd(300, "zyzzyva auction", Meta{}))
 	if got := idsOf(ix.BroadMatch("zyzzyva auction lots")); !reflect.DeepEqual(got, []uint64{300}) {
 		t.Fatalf("delta-only vocabulary lost: %v", got)
+	}
+}
+
+// TestRecoveredOverlayIsNotFolded: a durable index recovered over a WAL
+// tail serves that tail as its overlay, and reading its stats (as adserve
+// does before it reports ready) folds nothing.
+func TestRecoveredOverlayIsNotFolded(t *testing.T) {
+	dir := t.TempDir()
+	dc := DurableConfig{SnapshotEvery: -1, Bootstrap: sampleAds()}
+	ix, _, err := OpenDurable(dir, Options{}, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		ix.Insert(NewAd(uint64(60+i), fmt.Sprintf("wal tail %d", i), Meta{}))
+	}
+	ix.Delete(1, "used books")
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _, err = OpenDurable(dir, Options{}, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	st := ix.Stats()
+	if folds, _ := ix.FoldStats(); folds != 0 {
+		t.Errorf("recovery and Stats ran %d folds, want 0", folds)
+	}
+	if st.NumAds != len(sampleAds())+4 || st.Overlay != 6 || st.NumNodes != 3 {
+		t.Errorf("Stats after recovering a 6-record tail: %+v, want %d ads, an overlay of 6 beside the base's 3 nodes",
+			st, len(sampleAds())+4)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReadsTakeNoWriterLock: with an overlay pending and the writer lock
+// held, Stats and CheckInvariants still return: they read the published
+// snapshot as it stands.
+func TestReadsTakeNoWriterLock(t *testing.T) {
+	ix := Build(sampleAds(), Options{})
+	ix.Insert(NewAd(40, "pending overlay ad", Meta{}))
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		ix.Stats()
+		done <- ix.CheckInvariants()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stats or CheckInvariants waited for the writer lock")
+	}
+}
+
+// TestCheckInvariantsOverlay: CheckInvariants holds the overlay to its
+// base. A clean overlay passes, and each corruption fails: a delta
+// signature that is not its ad's word set's, a tombstone of a record the
+// base does not hold, and a deleted count off by one.
+func TestCheckInvariantsOverlay(t *testing.T) {
+	ix := Build(sampleAds(), Options{})
+	ix.Insert(NewAd(40, "pending overlay ad", Meta{}))
+	if !ix.Delete(1, "used books") {
+		t.Fatal("delete of base ad 1 found nothing")
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	clean := ix.snap.Load()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *snapshot)
+	}{
+		{"stale delta signature", func(s *snapshot) { s.deltaSigs = []uint64{s.deltaSigs[0] ^ 1} }},
+		{"signature without a delta ad", func(s *snapshot) { s.delta = nil }},
+		{"tombstone of an absent record", func(s *snapshot) {
+			s.tombs = map[tombKey]int{{id: 1, key: "books\x1fused"}: 1, {id: 2, key: "books\x1fused"}: 1}
+			s.deleted = 2
+		}},
+		{"deleted off by one", func(s *snapshot) { s.deleted++ }},
+	} {
+		s := &snapshot{base: clean.base, delta: clean.delta, deltaSigs: clean.deltaSigs,
+			tombs: clean.tombs, deleted: clean.deleted, epoch: clean.epoch}
+		tc.corrupt(s)
+		ix.snap.Store(s)
+		if err := ix.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", tc.name)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
+		}
 	}
 }
