@@ -51,14 +51,15 @@
 #                      where an index region is heap memory, not a mapping
 #
 # Performance is measured by bench/ alone (BENCHMARK.json names its
-# workloads and metrics; `bash bench/run.sh` runs it). `make soak`,
-# `make cover` and `make size` (the two numbers a simplicity PR reports)
-# are not part of the gate.
+# workloads and metrics; `bash bench/run.sh` runs it); `make benchpairs`
+# runs it in alternating pairs against a base revision. `make soak`,
+# `make cover`, `make size` (the two numbers a simplicity PR reports) and
+# `make benchpairs` are not part of the gate.
 
 GO ?= go
 
 .PHONY: check vet build test race recovery-smoke simsmoke migratesmoke \
-	overloadsmoke adaptsmoke soak cover size fuzzsmoke benchsmoke benchmod crossbuild clean
+	overloadsmoke adaptsmoke soak cover size benchpairs fuzzsmoke benchsmoke benchmod crossbuild clean
 
 check: vet build test race recovery-smoke simsmoke migratesmoke overloadsmoke adaptsmoke fuzzsmoke benchsmoke benchmod crossbuild
 
@@ -194,6 +195,20 @@ size:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@$(GO) test -count=1 -run '^TestSettableValues$$' -v ./cmd/adserve | sed -n 's/^ *main_test\.go:[0-9]*: //p'
 	@$(GO) test -count=1 -run '^TestExportedIdentifiers$$' -v . | sed -n 's/^ *api_test\.go:[0-9]*: //p'
+
+# Alternating pairs of one bench/ workload, the base revision against this
+# working tree: `make benchpairs BASE=<rev> WORKLOAD=http-hot` (PAIRS=10,
+# SEED=1 and METRIC=p50_rel by default). BASE is checked out into a
+# temporary git worktree; pair i runs the base first when i is odd; both
+# sides' records go to bench/out/pairs-<workload>-s<seed>-{base,change}.json;
+# each pair's METRIC is printed side by side, and `bench/run.sh -compare`
+# over the two files ends it. About 70 s per pair.
+PAIRS ?= 10
+SEED ?= 1
+METRIC ?= p50_rel
+benchpairs:
+	BASE='$(BASE)' WORKLOAD='$(WORKLOAD)' PAIRS='$(PAIRS)' SEED='$(SEED)' METRIC='$(METRIC)' \
+		bash scripts/benchpairs.sh
 
 # Ten seconds of coverage-guided fuzzing each over the corpus text
 # format round-trip property (Read ∘ Write = id on accepted inputs), the

@@ -402,6 +402,7 @@ func (ix *Index) insertLocked(ad Ad) {
 		delta:     append(s.delta, ad),
 		deltaSigs: append(s.deltaSigs, core.SetSignature(ad.Words)),
 		tombs:     s.tombs,
+		tombIDs:   s.tombIDs,
 		deleted:   s.deleted,
 		epoch:     s.epoch + 1,
 	})
@@ -441,7 +442,7 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 			ns = append(ns, s.deltaSigs[:i]...)
 			ns = append(ns, s.deltaSigs[i+1:]...)
 			ix.publish(&snapshot{
-				base: s.base, delta: nd, deltaSigs: ns, tombs: s.tombs,
+				base: s.base, delta: nd, deltaSigs: ns, tombs: s.tombs, tombIDs: s.tombIDs,
 				deleted: s.deleted, epoch: s.epoch + 1,
 			})
 			return true
@@ -455,8 +456,13 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 			nt[tk] = n
 		}
 		nt[k]++
+		ids := make(map[uint64]struct{}, len(s.tombIDs)+1)
+		for tid := range s.tombIDs {
+			ids[tid] = struct{}{}
+		}
+		ids[id] = struct{}{}
 		ix.publish(&snapshot{
-			base: s.base, delta: s.delta, deltaSigs: s.deltaSigs, tombs: nt,
+			base: s.base, delta: s.delta, deltaSigs: s.deltaSigs, tombs: nt, tombIDs: ids,
 			deleted: s.deleted + 1, epoch: s.epoch + 1,
 		})
 		if len(nt) >= ix.opts.maxDeltaAds() {
@@ -469,7 +475,7 @@ func (ix *Index) deleteLocked(id uint64, phrase string) bool {
 	// advances, because the WAL logged the attempt and recovery reproduces
 	// the epoch sequence record by record.
 	ix.publish(&snapshot{
-		base: s.base, delta: s.delta, deltaSigs: s.deltaSigs, tombs: s.tombs,
+		base: s.base, delta: s.delta, deltaSigs: s.deltaSigs, tombs: s.tombs, tombIDs: s.tombIDs,
 		deleted: s.deleted, epoch: s.epoch + 1,
 	})
 	return false
@@ -715,8 +721,8 @@ func (ix *Index) CheckInvariants() error {
 
 // checkOverlay verifies that every delta signature is its ad's word set's,
 // that every tombstone suppresses at least one and at most as many records
-// as the base holds under its ID and word set, and that deleted is their
-// total.
+// as the base holds under its ID and word set, that tombIDs holds exactly
+// their IDs, and that deleted is their total.
 func (s *snapshot) checkOverlay() error {
 	if len(s.deltaSigs) != len(s.delta) {
 		return fmt.Errorf("adindex: %d delta signatures for %d delta ads", len(s.deltaSigs), len(s.delta))
@@ -727,12 +733,20 @@ func (s *snapshot) checkOverlay() error {
 		}
 	}
 	total := 0
+	ids := make(map[uint64]struct{}, len(s.tombIDs))
 	for k, n := range s.tombs {
 		phrase := strings.ReplaceAll(k.key, "\x1f", " ")
 		if held := s.base.Lookup(k.id, phrase); n < 1 || n > held {
 			return fmt.Errorf("adindex: tombstone of ad %d %q suppresses %d of %d records", k.id, phrase, n, held)
 		}
+		if _, ok := s.tombIDs[k.id]; !ok {
+			return fmt.Errorf("adindex: tombstone of ad %d is missing from the tombstoned IDs", k.id)
+		}
+		ids[k.id] = struct{}{}
 		total += n
+	}
+	if len(ids) != len(s.tombIDs) {
+		return fmt.Errorf("adindex: %d tombstoned IDs for tombstones on %d", len(s.tombIDs), len(ids))
 	}
 	if s.deleted != total {
 		return fmt.Errorf("adindex: %d deletions counted, tombstones suppress %d", s.deleted, total)

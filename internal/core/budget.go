@@ -95,3 +95,8 @@ func (b *Budget) Exhausted() bool { return b.exhausted }
 // dropped query words during preparation — the silent heuristic loss
 // this flag finally surfaces to callers.
 func (b *Budget) CutoffApplied() bool { return b.cutoff }
+
+// NoteCutoff records that the caller applied the MaxQueryWords cutoff
+// itself before the walk (with frequencies the index does not hold), so
+// CutoffApplied reports it.
+func (b *Budget) NoteCutoff() { b.cutoff = true }

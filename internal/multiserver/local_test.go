@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adindex"
 	"adindex/internal/corpus"
 )
 
@@ -213,10 +214,10 @@ func TestLocalExchangesDoNotQueue(t *testing.T) {
 }
 
 // TestLocalExchangeAllocs: once its pooled buffers are warm, a local records
-// exchange into reused decode buffers allocates nothing but the server's
-// string of the query, the one allocation of the server path itself
-// (NewIndexServer hands its backend the query as a string); over a handler
-// that takes the body as bytes it allocates nothing at all.
+// exchange into reused decode buffers allocates nothing, through the index
+// server (which hands its backend the query text in place; see
+// TestIndexServerKeepsNoQueryText) as over a handler that takes the body as
+// bytes.
 func TestLocalExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -243,7 +244,7 @@ func TestLocalExchangeAllocs(t *testing.T) {
 		srv  *Server
 		max  float64
 	}{
-		{"index server", ixSrv, 1},
+		{"index server", ixSrv, 0},
 		{"bytes handler", raw, 0},
 	} {
 		local := tc.srv.Local(ConnOpts{})
@@ -261,6 +262,47 @@ func TestLocalExchangeAllocs(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per local exchange, want <= %.0f", tc.name, got, tc.max)
 		} else {
 			t.Logf("%s: %.1f allocs per local exchange", tc.name, got)
+		}
+	}
+}
+
+// TestIndexServerKeepsNoQueryText: the index server hands its backend the
+// query text in the request frame's own bytes. Overwriting the frame after
+// the exchange changes nothing a backend kept: an adindex.Index's workload
+// sample still counts the query's word set as the one it saw (aliased, the
+// set would read as the overwriting bytes, and the query would count as
+// new), and the core and adindex backends answer the query as before.
+func TestIndexServerKeepsNoQueryText(t *testing.T) {
+	c, cix, _ := testSetup(t, 500)
+	ix := adindex.Build(c.Ads, adindex.Options{})
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+	}{
+		{"adindex", BackendFunc(func(dst []byte, req Request) ([]byte, error) {
+			return AppendAdRecords(dst, ix.Match(nil, adindex.Query{Text: req.Query}).Ads, 0), nil
+		})},
+		{"core", CoreBackend{Index: cix}},
+	} {
+		srv, err := NewIndexServer("127.0.0.1:0", ServeOpts{}, tc.backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		q := c.Ads[3].Phrase + " " + c.Ads[4].Phrase + " zzextra"
+		before := ix.ObservedQueries()
+		frame := AppendQueryText(AppendRecordsRequest(nil, 0, nil), q)
+		want := bytes.Clone(srv.answer(nil, frame))
+		for i := range frame {
+			frame[i] = 'x'
+		}
+		if got := srv.answer(nil, AppendQueryText(AppendRecordsRequest(nil, 0, nil), q)); !bytes.Equal(got, want) {
+			t.Errorf("%s: the query answers %x after its first frame was overwritten, %x before", tc.name, got, want)
+		}
+		if tc.name == "adindex" {
+			if n := ix.ObservedQueries() - before; n != 1 {
+				t.Errorf("%s: the sample holds %d new word sets after asking one twice, want 1", tc.name, n)
+			}
 		}
 	}
 }

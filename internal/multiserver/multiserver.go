@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"adindex/internal/core"
 	"adindex/internal/corpus"
@@ -48,7 +49,9 @@ import (
 // Request is one decoded index-server request: the query and every tag the
 // payload carried. DecodeRequest is the only reader of the tags.
 type Request struct {
-	// Query is the raw query text.
+	// Query is the raw query text. On an index server it is the request
+	// frame's own bytes, valid only until AppendMatch returns: a backend
+	// that keeps any of it past the call copies it.
 	Query string
 	// Epoch is the client's routing epoch; meaningful when Tagged.
 	Epoch uint64
@@ -430,10 +433,13 @@ func (s *Server) Expired() int64 { return atomic.LoadInt64(&s.expired) }
 // NewIndexServer starts an index server: a request is query text behind
 // its tags, and the response is whatever frame body backend appends for it
 // — matching ad IDs, or ad records for a records request. It is the only
-// index-server constructor: the whole request reaches every backend.
+// index-server constructor: the whole request reaches every backend. The
+// query text is handed over in place (Request.Query): no backend here
+// keeps it — MatchScratch's word set is cleared on Release, and an
+// adindex.Index copies what its workload sample keeps.
 func NewIndexServer(addr string, opts ServeOpts, backend Backend) (*Server, error) {
 	return serve(addr, opts, func(dst []byte, req Request, body []byte) ([]byte, error) {
-		req.Query = string(body)
+		req.Query = unsafe.String(unsafe.SliceData(body), len(body))
 		return backend.AppendMatch(dst, req)
 	})
 }

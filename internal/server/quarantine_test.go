@@ -275,7 +275,9 @@ func TestSearchPanicContainment(t *testing.T) {
 		t.Fatal("server degraded after contained panic")
 	}
 	// A panic inside a batch is the same: 500, and the strike lands on the
-	// query that panicked, not on its neighbours.
+	// query that panicked, not on its neighbours. The handler that read
+	// panicOn last must be done with it before the test writes it.
+	settled(t, s)
 	s.panicOn = "second poison"
 	if resp, _ := postBatch(t, base, batchRequest{Queries: []string{"used books", "second poison"}}); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking batch answered %d, want 500", resp.StatusCode)
@@ -290,8 +292,22 @@ func TestSearchPanicContainment(t *testing.T) {
 		t.Fatal("the poison query's batch neighbour was quarantined with it")
 	}
 	// The limiter slot was released despite the panic: saturate-free.
-	if s.limiter.Waiting() != 0 || s.metrics.InFlight.Load() != 0 {
-		t.Fatalf("leaked admission state: waiting=%d inflight=%d",
-			s.limiter.Waiting(), s.metrics.InFlight.Load())
+	settled(t, s)
+	if s.limiter.Waiting() != 0 {
+		t.Fatalf("leaked admission state: waiting=%d", s.limiter.Waiting())
+	}
+}
+
+// settled waits until no request is in flight, and fails if one stays in
+// flight for seconds (a leaked count). A reply reaches the client before
+// its handler's deferred bookkeeping runs (writeBody sends it in the
+// handler), so just after a reply the count may still read 1. Observing 0
+// also orders everything the handlers did before the test's next step.
+func settled(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.InFlight.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("leaked admission state: %d requests still in flight after 5 s", s.metrics.InFlight.Load())
+		}
 	}
 }

@@ -1,25 +1,33 @@
 // The read path's per-request state and reply assembly: one scan of the raw
-// query string, one tokenization into pooled scratch, and append-form
-// envelopes around the encoded "ads" body that the cache stores.
+// query string, one tokenization into pooled scratch, append-form
+// envelopes around the encoded "ads" body that the cache stores, and the
+// reply writer that puts each reply on its connection in one write.
 //
 // Buffer ownership. A searchScratch belongs to one request from
 // getSearchScratch to putSearchScratch, which runs after the response has
-// been written: net/http copies what Write is given, so nothing reads the
-// scratch afterwards. Everything in it is the request's own — tokens and
-// words alias the request's query string, key and buf are bytes built for
-// this request, ads are the match's copies — and the cache never keeps any
-// of it: cachePut copies key and body. The other direction is copy-only as
-// well: a hit appends the cached body into buf while the cache holds the
-// entry, and buf never refers into the cache.
+// been written. writeBody's one write reads the body in place: the
+// connection holds what net/http wrote of the reply, the tail of a long
+// body as a reference into buf, until the writev returns, and writeBody
+// returns only then, so nothing reads the scratch afterwards. (Through
+// Handler alone, net/http copies what Write is given.) Everything in the
+// scratch is the request's own — tokens and words alias the request's
+// query string, key and buf are bytes built for this request, ads are the
+// match's copies — and the cache never keeps any of it: cachePut copies
+// key and body. The other direction is copy-only as well: a hit appends
+// the cached body into buf while the cache holds the entry, and buf never
+// refers into the cache.
 package server
 
 import (
+	"context"
+	"net"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"adindex"
 	"adindex/internal/corpus"
@@ -166,12 +174,152 @@ func appendFlags(dst []byte, truncated, cutoff bool, costSpent int64) []byte {
 // value slice is only ever read.
 var jsonContentType = []string{"application/json"}
 
-// writeBody sends an assembled JSON body with its length, in one Write.
-func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
+// writeBody sends an assembled JSON body with its length. On a connection
+// Start accepted, the whole reply — status line, headers and body — leaves
+// in one write before writeBody returns: the connection holds what net/http
+// writes of it and sends it on release. body must not change until then.
+// Through Handler alone (no such connection) it is one Write into net/http.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
 	h["Content-Length"] = []string{strconv.Itoa(len(body))}
-	if _, err := w.Write(body); err != nil {
+	rc, _ := r.Context().Value(replyConnKey{}).(*replyConn)
+	rc.hold(body)
+	defer rc.release() // after a panic, what net/http thinks it wrote is written
+	_, err := w.Write(body)
+	if err == nil && rc != nil {
+		if err = http.NewResponseController(w).Flush(); err == nil {
+			err = rc.release()
+		}
+	}
+	if err != nil {
 		s.cfg.Logger.Printf("write response: %v", err)
 	}
+}
+
+// replyListener accepts the connections Start serves: each can hold a
+// reply.
+type replyListener struct {
+	*net.TCPListener
+	// onAccept, when set, sees each connection as it is accepted (tests).
+	onAccept func(*replyConn)
+}
+
+// Accept implements net.Listener.
+func (l replyListener) Accept() (net.Conn, error) {
+	c, err := l.AcceptTCP()
+	if err != nil {
+		return nil, err
+	}
+	rc := &replyConn{TCPConn: c}
+	if l.onAccept != nil {
+		l.onAccept(rc)
+	}
+	return rc, nil
+}
+
+// replyConnKey is the context key under which http.Server.ConnContext puts
+// a request's *replyConn.
+type replyConnKey struct{}
+
+// connContext is the http.Server's ConnContext: it lets writeBody find the
+// connection a request came in on.
+func connContext(ctx context.Context, c net.Conn) context.Context {
+	if rc, ok := c.(*replyConn); ok {
+		return context.WithValue(ctx, replyConnKey{}, rc)
+	}
+	return ctx
+}
+
+// heldCopyBytes bounds what a connection copies of a held reply: the
+// contents of net/http's 4 KiB connection buffer, flushed at most twice
+// for one reply (once when the body first overflows it, once at the end).
+const heldCopyBytes = 8 << 10
+
+// replyConn is a server connection that can hold one reply while net/http
+// writes it. Unheld, every Write goes straight to the socket: /healthz,
+// error replies and net/http's own writes. Held (writeBody, from hold to
+// release), a Write of the body's tail — net/http writes a long body past
+// its buffer directly — is referenced in place, and anything else, which
+// comes out of net/http's buffer and is reused once Write returns, is
+// copied into copied; release sends them all in one writev. Only the
+// connection's serving goroutine holds, writes and releases.
+type replyConn struct {
+	*net.TCPConn
+	held bool
+	body []byte
+	// copied has capacity heldCopyBytes from the first hold on and never
+	// grows, so the held slices of it stay valid.
+	copied []byte
+	// bufs is the held reply in order; segs backs it.
+	bufs net.Buffers
+	segs [4][]byte
+	// writes counts the socket writes made, for tests.
+	writes atomic.Int64
+}
+
+// hold starts holding the reply whose body is body. A nil rc (a request
+// not accepted by Start) holds nothing.
+func (rc *replyConn) hold(body []byte) {
+	if rc == nil {
+		return
+	}
+	if rc.copied == nil {
+		rc.copied = make([]byte, 0, heldCopyBytes)
+	}
+	rc.held, rc.body, rc.bufs = true, body, rc.segs[:0]
+}
+
+// Write implements net.Conn.
+func (rc *replyConn) Write(p []byte) (int, error) {
+	if !rc.held {
+		rc.writes.Add(1)
+		return rc.TCPConn.Write(p)
+	}
+	if n := len(p); n > 0 && n <= len(rc.body) && &p[n-1] == &rc.body[len(rc.body)-1] {
+		rc.bufs = append(rc.bufs, p)
+		return n, nil
+	}
+	if len(rc.copied)+len(p) > cap(rc.copied) {
+		// More than a reply's worth of buffered writes: send what is held
+		// rather than grow.
+		if err := rc.send(); err != nil {
+			return 0, err
+		}
+		if len(p) > cap(rc.copied) {
+			rc.writes.Add(1)
+			return rc.TCPConn.Write(p)
+		}
+	}
+	at := len(rc.copied)
+	rc.copied = append(rc.copied, p...)
+	rc.bufs = append(rc.bufs, rc.copied[at:])
+	return len(p), nil
+}
+
+// release stops holding and sends the held reply in one writev. It is
+// idempotent, and nil-safe like hold.
+func (rc *replyConn) release() error {
+	if rc == nil || !rc.held {
+		return nil
+	}
+	rc.held, rc.body = false, nil
+	return rc.send()
+}
+
+// send writes the held slices in one writev and empties them. A failed
+// write closes the connection, as net/http does after its own write fails:
+// the client has a partial reply, and the stream cannot be reused.
+func (rc *replyConn) send() error {
+	if len(rc.bufs) == 0 {
+		return nil
+	}
+	rc.writes.Add(1)
+	_, err := rc.bufs.WriteTo(rc.TCPConn)
+	clear(rc.segs[:])
+	rc.bufs, rc.copied = rc.segs[:0], rc.copied[:0]
+	if err != nil {
+		rc.TCPConn.Close()
+	}
+	return err
 }

@@ -171,6 +171,9 @@ type Server struct {
 	// panicOn makes /search panic on this exact query string; used by
 	// panic-containment tests.
 	panicOn string
+	// onAccept sees each connection Start accepts; used by the tests that
+	// count a connection's writes.
+	onAccept func(*replyConn)
 }
 
 // New builds a local-mode serving layer over ix. The server owns no
@@ -255,6 +258,7 @@ func newServer(ix *adindex.Index, nc *shard.NetClient, cfg Config) *Server {
 		WriteTimeout: writeTimeout,
 		IdleTimeout:  idleTimeout,
 		ErrorLog:     cfg.Logger,
+		ConnContext:  connContext,
 	}
 	return s
 }
@@ -263,17 +267,20 @@ func newServer(ix *adindex.Index, nc *shard.NetClient, cfg Config) *Server {
 func (s *Server) Metrics() *Registry { return s.metrics }
 
 // Handler returns the server's root handler (useful for tests and for
-// mounting under an outer mux).
+// mounting under an outer mux). Served that way, a reply is written as
+// net/http writes it; only Start's connections send each in one write.
 func (s *Server) Handler() http.Handler { return s.httpSrv.Handler }
 
 // Start binds addr and begins serving in a background goroutine. It
 // returns a bind error immediately; serve-loop errors surface via Run or
-// are logged.
+// are logged. Every connection it accepts can hold a reply, so writeBody
+// puts each one on the socket in one write.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("server: bind %s: %w", addr, err)
 	}
+	ln = replyListener{ln.(*net.TCPListener), s.onAccept}
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
@@ -415,7 +422,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.reject(w, http.StatusNotImplemented, "rewrite is not supported in remote (distributed) mode")
 			return
 		}
-		s.searchRemote(w, sc, deadline, fp, q, matchType, start)
+		s.searchRemote(w, r, sc, deadline, fp, q, matchType, start)
 		return
 	}
 	rd, ok := s.open(w, matchType, rewrite, deadline)
@@ -433,8 +440,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sc.buf = append(sc.buf, `,"took_us":`...)
 	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)
 	sc.buf = append(s.closeResult(sc.buf, &out), '\n')
-	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
+	s.writeBody(w, r, sc.buf)
 }
 
 // begin starts a query of a read request: its one tokenization into sc —
@@ -809,8 +816,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	sc.buf = append(sc.buf, `],"took_us":`...)
 	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)
 	sc.buf = append(sc.buf, "}\n"...)
-	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
+	s.writeBody(w, r, sc.buf)
 }
 
 // searchRemote answers a /search through the distributed shard client.
@@ -819,7 +826,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // failing, and total backend failure maps to 502. The request deadline
 // rides the wire to every backend attempt; a query whose budget runs
 // out mid-fan-out answers 504.
-func (s *Server) searchRemote(w http.ResponseWriter, sc *searchScratch, deadline time.Time, fp uint64, q, matchType string, start time.Time) {
+func (s *Server) searchRemote(w http.ResponseWriter, r *http.Request, sc *searchScratch, deadline time.Time, fp uint64, q, matchType string, start time.Time) {
 	if matchType != "broad" {
 		s.reject(w, http.StatusNotImplemented, "remote serving supports type=broad only")
 		return
@@ -840,8 +847,8 @@ func (s *Server) searchRemote(w http.ResponseWriter, sc *searchScratch, deadline
 	}
 	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
 	sc.buf = appendRemoteReply(sc.buf[:0], q, matchType, res, time.Since(start).Microseconds())
-	s.writeBody(w, sc.buf)
 	s.metrics.Latency.Observe(float64(time.Since(start)))
+	s.writeBody(w, r, sc.buf)
 }
 
 // appendRemoteReply appends the /search reply of a distributed deployment:

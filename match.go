@@ -33,6 +33,9 @@ type snapshot struct {
 	// (ID, canonical word-set key) with the number of deletions per key
 	// (duplicate records are deleted one at a time, like core.Delete).
 	tombs map[tombKey]int
+	// tombIDs holds the IDs of tombs' keys, so a match whose ID has no
+	// tombstone is kept without building its word-set key.
+	tombIDs map[uint64]struct{}
 	// deleted is the total count of base records suppressed by tombs.
 	deleted int
 	epoch   uint64
@@ -46,6 +49,11 @@ type snapshot struct {
 	// vocabOnce. Only the rewrite path touches it.
 	vocabOnce sync.Once
 	vocab     *rewrite.Vocabulary
+	// dfMoves is how the overlay moves the base's document frequencies,
+	// computed once (dfOnce) by the first query that needs it: a long query
+	// under the cutoff, or the rewrite vocabulary.
+	dfOnce  sync.Once
+	dfMoves map[string]int
 }
 
 // tombKey identifies a deleted base record: core deletion semantics match
@@ -150,6 +158,9 @@ func (s *snapshot) id(r core.Ref) uint64 {
 // before returning.
 func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []core.Ref {
 	mark := len(dst)
+	if typ != Exact {
+		queryWords = s.cutLive(queryWords, b)
+	}
 	switch typ {
 	case Exact:
 		dst = s.base.AppendExactRefs(dst, tokens, queryWords, counters, sc)
@@ -167,11 +178,12 @@ func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords
 			b.Charge(int64(len(s.delta)))
 		}
 		n := len(dst)
-		// The delta is scanned with the raw canonical query words: the
-		// base prepares queries against its own vocabulary, which may lack
-		// delta-only words. The signature column computed at insert time
-		// rejects most overlay ads on one 64-bit compare, mirroring the
-		// columnar base scan (and its accounting).
+		// The delta is scanned with the canonical query words (cut as the
+		// base's walk was, cutLive), not the base's prepared ones: the
+		// base's vocabulary may lack delta-only words. The signature
+		// column computed at insert time rejects most overlay ads on one
+		// 64-bit compare, mirroring the columnar base scan (and its
+		// accounting).
 		qsig := core.SetSignature(queryWords)
 		for i := range s.delta {
 			if s.deltaSigs[i]&^qsig != 0 {
@@ -205,6 +217,55 @@ func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords
 	return dst
 }
 
+// cutLive applies the MaxQueryWords cutoff to a long query while an
+// overlay is pending, ranking its words by their live document frequencies
+// — the base's, plus the delta ads', minus the tombstoned records' — which
+// are the frequencies of the base a fold of the overlay would build. It
+// returns the words the base walk and the delta scan both test against, so
+// a long query answers the same before and after that fold; the walk, given
+// at most MaxQueryWords words, cuts nothing itself. A query of at most
+// MaxQueryWords words, or one with no overlay pending, is returned as it
+// is, and the base cuts it by its own frequencies, which are then the live
+// ones.
+func (s *snapshot) cutLive(queryWords []string, b *core.Budget) []string {
+	maxWords := s.base.Options().MaxQueryWords
+	if len(queryWords) <= maxWords || s.overlaySize() == 0 {
+		return queryWords
+	}
+	moves := s.overlayDF()
+	df := make(map[string]int, len(queryWords))
+	for _, w := range queryWords {
+		df[w] = s.base.WordDF(w) + moves[w]
+	}
+	cut, dropped := core.PrepareQuery(nil, queryWords, df, maxWords)
+	if dropped && b != nil {
+		b.NoteCutoff()
+	}
+	return cut
+}
+
+// overlayDF returns how the overlay moves each word's document frequency:
+// one up per delta ad holding it, n down per tombstone of n records holding
+// it. Computed once per snapshot (the overlay is immutable after
+// publication).
+func (s *snapshot) overlayDF() map[string]int {
+	s.dfOnce.Do(func() {
+		moves := make(map[string]int)
+		for i := range s.delta {
+			for _, w := range s.delta[i].Words {
+				moves[w]++
+			}
+		}
+		for k, n := range s.tombs {
+			for _, w := range textnorm.SplitKey(k.key) {
+				moves[w] -= n
+			}
+		}
+		s.dfMoves = moves
+	})
+	return s.dfMoves
+}
+
 // orderedMatch is the order-sensitive part of the match test, applied to a
 // record whose word set is already known to be a subset of the query's:
 // Exact wants the bid phrase to equal the query as a folded token
@@ -227,12 +288,13 @@ func (s *snapshot) filterTombs(dst []core.Ref, mark int, counters *costmodel.Cou
 	var used map[tombKey]int
 	w := mark
 	for _, m := range dst[mark:] {
-		k := tombKey{id: s.base.ID(m), key: s.base.SetKey(m)}
-		if t := s.tombs[k]; t > 0 {
-			if used == nil {
-				used = make(map[tombKey]int, len(s.tombs))
-			}
-			if used[k] < t {
+		id := s.base.ID(m)
+		if _, ok := s.tombIDs[id]; ok {
+			k := tombKey{id: id, key: s.base.SetKey(m)}
+			if t := s.tombs[k]; t > 0 && used[k] < t {
+				if used == nil {
+					used = make(map[tombKey]int, len(s.tombs))
+				}
 				used[k]++
 				if counters != nil {
 					counters.Matches--

@@ -3,6 +3,8 @@ package adindex
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -199,7 +201,8 @@ func TestReadsTakeNoWriterLock(t *testing.T) {
 // TestCheckInvariantsOverlay: CheckInvariants holds the overlay to its
 // base. A clean overlay passes, and each corruption fails: a delta
 // signature that is not its ad's word set's, a tombstone of a record the
-// base does not hold, and a deleted count off by one.
+// base does not hold, a deleted count off by one, and a tombstone whose ID
+// the match filter would not look up.
 func TestCheckInvariantsOverlay(t *testing.T) {
 	ix := Build(sampleAds(), Options{})
 	ix.Insert(NewAd(40, "pending overlay ad", Meta{}))
@@ -221,15 +224,115 @@ func TestCheckInvariantsOverlay(t *testing.T) {
 			s.deleted = 2
 		}},
 		{"deleted off by one", func(s *snapshot) { s.deleted++ }},
+		{"tombstone without its ID", func(s *snapshot) { s.tombIDs = nil }},
 	} {
 		s := &snapshot{base: clean.base, delta: clean.delta, deltaSigs: clean.deltaSigs,
-			tombs: clean.tombs, deleted: clean.deleted, epoch: clean.epoch}
+			tombs: clean.tombs, tombIDs: clean.tombIDs, deleted: clean.deleted, epoch: clean.epoch}
 		tc.corrupt(s)
 		ix.snap.Store(s)
 		if err := ix.CheckInvariants(); err == nil {
 			t.Errorf("%s: CheckInvariants passed", tc.name)
 		} else {
 			t.Logf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestTombstonesCostOtherMatchesNothing: with deletes pending, View.Match
+// builds a match's word-set key only when a tombstone has the match's ID,
+// so a query none of whose matches is tombstoned allocates as much as it
+// does with no delete pending. The filter used to build one key string per
+// match while any tombstone was pending.
+func TestTombstonesCostOtherMatchesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	var ads []Ad
+	for i := 1; i <= 200; i++ {
+		ads = append(ads, NewAd(uint64(i), "used books", Meta{}))
+	}
+	ads = append(ads, NewAd(1000, "running shoes", Meta{}), NewAd(1001, "running shoes", Meta{}))
+	plain, tombed := Build(ads, Options{}), Build(ads, Options{})
+	if !tombed.Delete(1000, "running shoes") {
+		t.Fatal("delete of base ad 1000 found nothing")
+	}
+	allocs := func(ix *Index) float64 {
+		v := ix.View()
+		q := Query{Text: "cheap used books"}
+		dst := v.Match(nil, q).Ads
+		if len(dst) != 200 {
+			t.Fatalf("%d matches, want 200", len(dst))
+		}
+		return testing.AllocsPerRun(200, func() { dst = v.Match(dst[:0], q).Ads })
+	}
+	if a, b := allocs(plain), allocs(tombed); b != a {
+		t.Errorf("View.Match: %.1f allocations with a tombstone on another ID pending, %.1f with none", b, a)
+	}
+	if got := idsOf(tombed.BroadMatch("running shoes")); !slices.Equal(got, []uint64{1001}) {
+		t.Errorf("the tombstoned ID still filters: %v, want [1001]", got)
+	}
+}
+
+// TestLongQueryAnswerSurvivesFold: a query of more than MaxQueryWords
+// words is cut to its rarest words by the live corpus's frequencies, the
+// overlay's included, and the delta is tested against the same cut, so its
+// answer is the one the folded index gives. Twin indexes take the same
+// writes; one folds them (Optimize), the other keeps them pending. Before
+// the cut read the overlay, the pending twin kept alpha and bravo (rare in
+// its base) and dropped mike and november, and matched 17 ads where the
+// folded one matched 12: the 22-against-23 split two cached servers showed.
+func TestLongQueryAnswerSurvivesFold(t *testing.T) {
+	words := strings.Fields("alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima mike november")
+	var ads []Ad
+	for i, w := range words[:12] { // df 1 each
+		ads = append(ads, NewAd(uint64(i+1), w, Meta{}))
+	}
+	ads = append(ads, NewAd(13, "mike", Meta{}), NewAd(14, "mike zulu", Meta{}), // df 2
+		NewAd(15, "november", Meta{}), NewAd(16, "november zulu", Meta{}), NewAd(17, "november yankee", Meta{})) // df 3
+	q := Query{Text: strings.Join(words, " ")}
+	short := Query{Text: strings.Join(words[:12], " ")}
+	for _, tc := range []struct {
+		name   string
+		writes func(ix *Index)
+		want   []uint64
+	}{
+		{"delta", func(ix *Index) {
+			for id := uint64(100); id < 105; id++ { // alpha and bravo become the commonest words
+				ix.Insert(NewAd(id, "alpha bravo", Meta{}))
+			}
+		}, []uint64{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15}},
+		{"delta and tombstone", func(ix *Index) {
+			for id := uint64(100); id < 105; id++ {
+				ix.Insert(NewAd(id, "alpha bravo", Meta{}))
+			}
+			if !ix.Delete(3, "charlie") { // charlie leaves the live corpus: alpha is kept
+				t.Fatal("delete of base ad 3 found nothing")
+			}
+		}, []uint64{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15}},
+	} {
+		pending, folded := Build(ads, Options{}), Build(ads, Options{})
+		tc.writes(pending)
+		tc.writes(folded)
+		if _, err := folded.Optimize(); err != nil {
+			t.Fatal(err)
+		}
+		if st := folded.Stats(); st.Overlay != 0 {
+			t.Fatalf("%s: Optimize left %d overlay entries", tc.name, st.Overlay)
+		}
+		if st := pending.Stats(); st.Overlay == 0 {
+			t.Fatalf("%s: the pending twin has no overlay", tc.name)
+		}
+		for _, ix := range []*Index{pending, folded} {
+			res := ix.Match(nil, q)
+			if got := idsOf(res.Ads); !slices.Equal(got, tc.want) || !res.CutoffApplied {
+				t.Errorf("%s, overlay %d: the 14-word query matched %v (cutoff %v), want %v (cutoff true)",
+					tc.name, ix.Stats().Overlay, got, res.CutoffApplied, tc.want)
+			}
+		}
+		a, b := pending.Match(nil, short), folded.Match(nil, short)
+		if !slices.Equal(idsOf(a.Ads), idsOf(b.Ads)) || a.CutoffApplied || b.CutoffApplied {
+			t.Errorf("%s: the 12-word query matched %v pending and %v folded (cutoffs %v, %v)",
+				tc.name, idsOf(a.Ads), idsOf(b.Ads), a.CutoffApplied, b.CutoffApplied)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"adindex/internal/core"
 	"adindex/internal/rewrite"
-	"adindex/internal/textnorm"
 )
 
 // MatchType classifies how a rewritten broad-match result reached the
@@ -91,26 +90,9 @@ func (b *baseVocab) trie() *rewrite.Trie {
 // rewritten query runs.
 func (s *snapshot) vocabulary() *rewrite.Vocabulary {
 	s.vocabOnce.Do(func() {
-		var adj map[string]int
-		bump := func(w string, by int) {
-			if adj == nil {
-				adj = make(map[string]int)
-			}
-			adj[w] += by
-		}
-		for i := range s.delta {
-			for _, w := range s.delta[i].Words {
-				bump(w, 1)
-			}
-		}
-		for k, n := range s.tombs {
-			for _, w := range textnorm.SplitKey(k.key) {
-				bump(w, -n)
-			}
-		}
 		var banned map[string]bool
 		var extra []string
-		for w, n := range adj {
+		for w, n := range s.overlayDF() {
 			df := s.base.WordDF(w)
 			switch {
 			case df > 0 && df+n <= 0:
