@@ -16,8 +16,9 @@
 #                      second-sight admission tests
 #                      (TestCacheAdmissionReplay: two misses per distinct
 #                      query of the hot stream's shape, never a third;
-#                      TestCacheFirstSightingsHoldNoBodies: ghosts own
-#                      their keys only); ./internal/corpus brings the
+#                      TestCacheFirstSightingsHoldNoBodies: a ghost is a
+#                      fingerprint in a fixed ring, allocated with the
+#                      cache); ./internal/corpus brings the
 #                      corpus reader's blocks, parsed side by side
 #                      (TestCorpusReadChunked over block sizes and worker
 #                      counts)
@@ -39,10 +40,12 @@
 #                      locked build, whatever the churn), the solver's
 #                      properties and the drift bar
 #   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
-#                      snapshot file and WAL decoders among them) and on
-#                      the reply encoders held to encoding/json
+#                      snapshot file and WAL decoders among them), on
+#                      the reply encoders held to encoding/json, and on
+#                      the index's record encoder held to theirs
 #   benchsmoke         one iteration of every root `go test` benchmark, of
-#                      internal/server's and of internal/shard's
+#                      internal/core's, internal/server's and
+#                      internal/shard's
 #   benchmod           vet + test of bench/, the end-to-end benchmark
 #                      (its own module: `go test ./...` never compiles it)
 #   crossbuild         vet under GOARCH=386 and the short tests of the
@@ -240,6 +243,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzAppendRecordJSON -fuzztime=10s ./internal/core
 	$(GO) test -run='TestRecordCountOverflowRejected' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
 	$(GO) test -run='^$$' -fuzz=FuzzReadMapping -fuzztime=10s ./internal/optimize
@@ -247,13 +251,15 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeNode -fuzztime=10s -fuzzminimizetime=100x ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s -fuzzminimizetime=100x .
 
-# One iteration of every root benchmark, of internal/server's
-# (BenchmarkSearchHit, the cached /search) and of internal/shard's
+# One iteration of every root benchmark, of internal/core's
+# (BenchmarkOrderHotStream: ordering the hot stream's matches by ID), of
+# internal/server's (BenchmarkSearchHit and BenchmarkSearchMiss, /search
+# with the cache warm and off) and of internal/shard's
 # (BenchmarkElasticQuery: the cold stream through an elastic front end,
 # in-process and over the wire): keeps them compiling and running without
 # timing anything.
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/server ./internal/shard
+	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/core ./internal/server ./internal/shard
 
 # The end-to-end benchmark harness is a separate module linking this
 # one's packages: vet it and run its own tests (~20 s) against the

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"adindex/internal/corpus"
 	"adindex/internal/textnorm"
@@ -90,6 +91,10 @@ type Index struct {
 	// Delete, and region, when it has records, holds its columns.
 	frozen bool
 	region *region
+
+	// quoted is the vocabulary's words as JSON strings, built by the first
+	// AppendRecordJSON.
+	quoted atomic.Pointer[quotedWords]
 }
 
 // New builds an index over ads with the default mapping: every ad is

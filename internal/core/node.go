@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"unsafe"
 
@@ -310,6 +311,87 @@ func (ix *Index) AppendAd(dst []corpus.Ad, strs []string, r Ref) ([]corpus.Ad, [
 	}
 	runtime.KeepAlive(ix)
 	return dst, strs
+}
+
+// AppendRecordJSON appends record r as JSON: exactly the bytes
+// corpus.(*Ad).AppendJSON writes for the ad AppendAd builds for it, with no
+// ad built. Its words are copied from their JSON strings, which are
+// computed once per index.
+func (ix *Index) AppendRecordJSON(dst []byte, r Ref) []byte {
+	dst = append(dst, `{"ID":`...)
+	dst = strconv.AppendUint(dst, ix.ids[r], 10)
+	dst = append(dst, `,"Phrase":`...)
+	phrase, rest := arenaString(ix.text(uint32(r)))
+	dst = corpus.AppendJSONString(dst, phrase)
+	dst = append(dst, `,"Words":`...)
+	if ws := ix.recWords(uint32(r)); len(ws) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		q := ix.quotedWords()
+		dst = append(dst, '[')
+		for i, id := range ws {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = q.append(dst, ix.voc.words, id)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"Meta":{"CampaignID":`...)
+	dst = strconv.AppendUint(dst, uint64(ix.campaign[r]), 10)
+	dst = append(dst, `,"BidMicros":`...)
+	dst = strconv.AppendInt(dst, ix.bids[r], 10)
+	dst = append(dst, `,"ClickRate":`...)
+	dst = strconv.AppendUint(dst, uint64(ix.ctr[r]), 10)
+	dst = append(dst, `,"Exclusions":`...)
+	if count, k := binary.Uvarint(rest); count == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		rest = rest[k:]
+		dst = append(dst, '[')
+		for i := uint64(0); i < count; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var e string
+			e, rest = arenaString(rest)
+			dst = corpus.AppendJSONString(dst, e)
+		}
+		dst = append(dst, ']')
+	}
+	runtime.KeepAlive(ix)
+	return append(dst, '}', '}')
+}
+
+// quotedWords holds the words of a vocabulary as JSON strings, back to
+// back: word id's is text[at[id]:at[id+1]].
+type quotedWords struct {
+	text []byte
+	at   []uint32
+}
+
+// quotedWords returns the vocabulary's JSON strings, building them on the
+// first call. Readers that race to build them each build the same table.
+// Words an Insert numbers afterwards are quoted as they are written.
+func (ix *Index) quotedWords() *quotedWords {
+	if q := ix.quoted.Load(); q != nil {
+		return q
+	}
+	q := &quotedWords{at: make([]uint32, 1, len(ix.voc.words)+1)}
+	for _, w := range ix.voc.words {
+		q.text = corpus.AppendJSONString(q.text, w)
+		q.at = append(q.at, uint32(len(q.text)))
+	}
+	ix.quoted.Store(q)
+	return q
+}
+
+// append appends word id, one of words, as a JSON string.
+func (q *quotedWords) append(dst []byte, words []string, id uint32) []byte {
+	if int(id)+1 >= len(q.at) {
+		return corpus.AppendJSONString(dst, words[id])
+	}
+	return append(dst, q.text[q.at[id]:q.at[id+1]]...)
 }
 
 // CompareRecords is the order a data node keeps its records in: by word

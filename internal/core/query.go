@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"runtime"
 	"slices"
 	"sort"
@@ -11,32 +10,62 @@ import (
 	"adindex/internal/textnorm"
 )
 
-// sortRefsByID orders a match segment by ad ID. Match sets are small
-// and nearly sorted (each node contributes runs in ID order), so direct
-// insertion sort beats the generic comparator sort up to a few dozen
-// elements.
-func (ix *Index) sortRefsByID(m []Ref) {
-	// Most queries draw all their matches from one node run, which is
-	// already ID-ordered: detect that with one linear scan before paying
-	// for a sort.
-	ids := ix.ids
-	sorted := true
-	for i := 1; i < len(m); i++ {
-		if ids[m[i]] < ids[m[i-1]] {
-			sorted = false
+// orderByID orders a match segment by ad ID, stably: records of one ID
+// keep the order the scan appended them in. A node keeps its records by
+// word count, then set key, then ID (CompareRecords), so the matches
+// scanNode appends are runs already in ID order, one per matched word set
+// (a hot-stream miss has 75 matches in 3 runs). The runs are merged pairwise
+// in passes, O(n log runs), through buf, which is returned for reuse; one
+// run costs one scan and no copy.
+func orderByID(ids []uint64, m, buf []Ref) []Ref {
+	if runEnd(ids, m, 0) == len(m) {
+		return buf
+	}
+	buf = slices.Grow(buf[:0], len(m))[:len(m)]
+	src, dst := m, buf
+	for {
+		merged := 0
+		for lo := 0; lo < len(src); merged++ {
+			mid := runEnd(ids, src, lo)
+			hi := runEnd(ids, src, mid)
+			mergeRuns(ids, dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+		src, dst = dst, src
+		if merged == 1 {
 			break
 		}
 	}
-	if sorted {
-		return
+	if &src[0] != &m[0] {
+		copy(m, src)
 	}
-	if len(m) > 32 {
-		slices.SortFunc(m, func(a, b Ref) int { return cmp.Compare(ids[a], ids[b]) })
-		return
+	return buf[:0]
+}
+
+// runEnd returns the end of the ID-ordered run of m that starts at lo.
+func runEnd(ids []uint64, m []Ref, lo int) int {
+	if lo == len(m) {
+		return lo
 	}
-	for i := 1; i < len(m); i++ {
-		for j := i; j > 0 && ids[m[j]] < ids[m[j-1]]; j-- {
-			m[j], m[j-1] = m[j-1], m[j]
+	for i := lo + 1; i < len(m); i++ {
+		if ids[m[i]] < ids[m[i-1]] {
+			return i
+		}
+	}
+	return len(m)
+}
+
+// mergeRuns merges the ID-ordered runs a and b into out, len(a)+len(b)
+// long; on equal IDs a's records come first.
+func mergeRuns(ids []uint64, out, a, b []Ref) {
+	i, j := 0, 0
+	for k := range out {
+		if j == len(b) || i < len(a) && ids[a[i]] <= ids[b[j]] {
+			out[k] = a[i]
+			i++
+		} else {
+			out[k] = b[j]
+			j++
 		}
 	}
 }
@@ -53,11 +82,12 @@ const sigColumnBytes = 8
 // Scratch holds the reusable per-query buffers of the allocation-free
 // query path: the prepared query with its word IDs and signature, the
 // visited-node list with its dedup set, the per-node survivor buffer, a
-// token buffer for the order-sensitive match types, and the records and
-// ads AppendBroadMatch copies out. A Scratch is not safe for concurrent
-// use; callers that care about allocations keep one per worker (the
-// adindex package pools them) and pass the same instance to successive
-// queries. The zero value is ready to use.
+// token buffer for the order-sensitive match types, the merge buffer that
+// orders a match by ID, and the records and ads AppendBroadMatch copies
+// out. A Scratch is not safe for concurrent use; callers that care about
+// allocations keep one per worker (the adindex package pools them) and
+// pass the same instance to successive queries. The zero value is ready
+// to use.
 type Scratch struct {
 	q       []string
 	qids    []uint32
@@ -69,6 +99,8 @@ type Scratch struct {
 	refs    []Ref
 	ads     []corpus.Ad
 	strs    []string
+	// order is orderByID's merge buffer.
+	order []Ref
 }
 
 // Reset drops the scratch's references into index and query storage while
@@ -85,6 +117,7 @@ func (sc *Scratch) Reset() {
 	clear(sc.toks[:cap(sc.toks)])
 	sc.toks = sc.toks[:0]
 	sc.refs = sc.refs[:0]
+	sc.order = sc.order[:0]
 	clear(sc.ads[:cap(sc.ads)])
 	sc.ads = sc.ads[:0]
 	clear(sc.strs[:cap(sc.strs)])
@@ -179,7 +212,7 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 			}
 		}
 	}
-	ix.sortRefsByID(dst[mark:])
+	sc.order = orderByID(ix.ids, dst[mark:], sc.order)
 	if counters != nil {
 		counters.Queries++
 		counters.Matches += int64(len(dst) - mark)
@@ -289,7 +322,7 @@ func (ix *Index) AppendExactRefs(dst []Ref, tokens, queryWords []string, counter
 			dst = append(dst, Ref(r))
 		}
 	}
-	ix.sortRefsByID(dst[mark:])
+	sc.order = orderByID(ix.ids, dst[mark:], sc.order)
 	if counters != nil {
 		counters.Matches += int64(len(dst) - mark)
 	}

@@ -26,22 +26,34 @@
 // prototype with []*fragment the collector traced 1.5 M pointers per cycle
 // on http-hot, and its CPU time went from 0.2 to 1.3 s.
 //
-// Second-sight admission. A key's first put stores no reply but a ghost
-// in probation: the key and its epoch. A Get that finds a ghost is a plain
-// miss (no invalidation; the ghost stays put), and the put after it
-// interns the reply's ads (split at adSep) and promotes the entry, as the
-// refresh of an outdated entry does. A query asked once costs its key and
-// no table work; every distinct query misses once more, and no more:
-// replaying the first 400k requests of the http-hot stream of seeds 1 and
-// 2 through a default-sized cache, misses went 20 000 → 40 000 (0.050 →
-// 0.100), and none missed a third time (TestCacheAdmissionReplay). End to
-// end (seed 1, ten pairs, 2 vCPUs) rss_mb on http-hot went 210 → 95 MiB,
-// the start's own peak: keeping each first reply as a copy until its
-// repeat had held about 13 k bodies of 8 KB at the height of warm-up.
-// p50_rel, p90_rel and qps_rel moved 1.375 → 1.377, 2.56 → 2.64 and
-// 0.733 → 0.722, inside their bounds. Interning every reply at its first
-// put gave the same rss_mb, but a table lookup per ad on every miss:
-// http-cold's p90_rel rose 22–24 %.
+// Second-sight admission. A key's first put stores nothing but a ghost:
+// the key's 64-bit fingerprint (the one the handler already computed for
+// the quarantine) in its shard's ghost ring, a FIFO of fixed arrays
+// allocated with the cache, with an open-addressing set over it. A first
+// sighting therefore allocates nothing and holds no key, no entry and no
+// list element. A Get never looks at ghosts: a key with no entry is a
+// plain miss. The put after it finds the fingerprint, takes it out of the
+// set, interns the reply's ads (split at adSep) and stores the entry at the
+// protected front. A query asked once costs a ring slot and no table work;
+// every distinct query misses once more, and no more: replaying the first
+// 400k requests of the http-hot stream of seeds 1 and 2 through a
+// default-sized cache, misses went 20 000 → 40 000 (0.050 → 0.100), and
+// none missed a third time (TestCacheAdmissionReplay). The ring holds
+// twice as many fingerprints as probation holds entries, because a
+// promoted ghost's slot stays in the ring until the ring comes round to
+// it; at one probation's worth that replay read 1 706 (seed 1) and 1 606
+// (seed 2) third misses of 20 000. Two keys that share a fingerprint share a ghost: the second is
+// stored a sighting early, under its own key and with its own epoch, so a
+// collision never serves one key's reply for another
+// (TestCacheFingerprintCollision). End to end (seed 1, ten pairs, 2 vCPUs)
+// rss_mb on http-hot went 210 → 95 MiB when admission came in, the
+// start's own peak: keeping each first reply as a copy until its repeat
+// had held about 13 k bodies of 8 KB at the height of warm-up. Interning
+// every reply at its first put gave the same rss_mb, but a table lookup
+// per ad on every miss: http-cold's p90_rel rose 22–24 %. When ghosts were
+// entries (a key string, a cacheEntry, a list element and a map slot
+// each), their puts and evictions were 3.9 % of the server's CPU on
+// http-cold, where every query is asked once.
 //
 // A hit appends the entry's body to the caller's buffer while it holds the
 // entry's shard lock: "[", the fragments separated by commas and "]", or
@@ -81,18 +93,21 @@
 // refreshes it in place. An entry newer than the caller's view is served if
 // new enough and never replaced by an older computation.
 //
-// Segments. Each shard is a segmented LRU: probation holds at most a fifth
-// of it, protected the rest. A new key enters probation; a repeat (its
-// second sighting, a hit on a demoted entry, a refresh) moves it to
-// protected, whose overflow demotes its least-recently-used entry,
-// fragments and all, to probation's head; probation's overflow evicts its
-// least-recently-used entry, ghost or demoted. So one-off queries cycle
-// through probation as ghosts and never displace the working set (at the
-// default 65 536 entries, http-cold's 300k distinct queries filled a
-// plain LRU with 127 MB of replies never hit). A fifth holds every ghost
-// of the replay above until its second sighting (when probation held
-// replies, 1/10 missed 0.055 of it and 1/20 0.116). It is a constant, not
-// an option: the working set and the tail are properties of the traffic.
+// Segments. Each shard is a segmented LRU over stored replies: probation
+// holds at most a fifth of it, protected the rest. A second sighting
+// enters protected; a repeat (a hit on a demoted entry, a refresh) moves
+// an entry to protected's front; protected's overflow demotes its
+// least-recently-used entry, fragments and all, to probation's head; and
+// probation's overflow evicts its least-recently-used entry. So one-off
+// queries cycle through the ghost ring as fingerprints and never displace
+// the working set (at the default 65 536 entries, http-cold's 300k
+// distinct queries filled a plain LRU with 127 MB of replies never hit),
+// and a demoted entry keeps a fifth of the shard to be asked again in. A
+// ring of two fifths of the shard holds every ghost of the replay above
+// until its second sighting (when probation held ghosts and replies
+// together, 1/10 missed 0.055 of it and 1/20 0.116). It is a constant,
+// not an option: the working set and the tail are properties of the
+// traffic.
 package server
 
 import (
@@ -260,15 +275,13 @@ func holdsAds(body []byte) bool { return len(body) > 2 && body[0] == '[' }
 // probation segment holds (see "Segments" above).
 const probationShare = 5
 
-// cacheEntry is one cached key under its epoch. A ghost is a key seen
-// once: it holds no reply, and the put after its next miss stores one. A
-// reply that holds ads is held as their fragments, in order (refs), and its
-// length (bodyLen); one without ("null", "[]") as a copy (body).
+// cacheEntry is one stored reply under its key and epoch. A reply that
+// holds ads is held as their fragments, in order (refs), and its length
+// (bodyLen); one without ("null", "[]") as a copy (body).
 type cacheEntry struct {
 	key       string
 	epoch     uint64
 	protected bool // in the protected segment, else in probation
-	ghost     bool // a first sighting: no reply, always in probation
 	matched   int
 	cutoff    bool
 	body      []byte
@@ -320,28 +333,46 @@ type cacheShard struct {
 	cap          int                      // entries across both segments
 	probationCap int                      // ⌈cap/probationShare⌉
 	items        map[string]*list.Element // value: *cacheEntry
-	probation    list.List                // ghosts and demoted entries; front = most recent
+	probation    list.List                // demoted replies; front = most recent
 	protected    list.List                // stored replies; front = most recent
-	bytes        int64                    // what the live entries own (cacheEntry.size)
+	bytes        int64                    // what the entries own (cacheEntry.size)
 	ads          *fragTable               // the cache's
+	ghosts       ghostRing
 }
 
-// evict drops the least-recently-used probation entry, a ghost or a
-// demoted reply, and releases its fragments, if it holds any; the caller
-// holds the lock.
-func (s *cacheShard) evict() {
-	ent := s.probation.Remove(s.probation.Back()).(*cacheEntry)
-	delete(s.items, ent.key)
-	s.bytes -= ent.size()
-	s.ads.release(ent.refs)
+// store adds a new entry at the protected front: a key's second sighting.
+// If that overflows the protected segment its least-recently-used entry is
+// demoted to probation's front, and if that overflows probation its
+// least-recently-used entry is evicted. The caller holds the lock.
+func (s *cacheShard) store(ent *cacheEntry) {
+	ent.protected = true
+	s.items[ent.key] = s.protected.PushFront(ent)
+	s.bytes += ent.size()
+	s.overflow()
 }
 
-// repeat records a repeat of the entry at el, which holds a reply: a
-// protected entry moves to its segment's front; a probation entry is
-// promoted to the protected front, and if that overflows the protected
-// segment its least-recently-used entry is demoted to probation's front
-// (probation lost one entry and gains one, so it cannot overflow). The
-// caller holds the lock.
+// overflow demotes the protected segment's least-recently-used entry if
+// it holds more than its share, and evicts probation's if that then holds
+// more than its own, releasing its fragments. The caller holds the lock.
+func (s *cacheShard) overflow() {
+	if s.protected.Len() <= s.cap-s.probationCap {
+		return
+	}
+	old := s.protected.Remove(s.protected.Back()).(*cacheEntry)
+	old.protected = false
+	s.items[old.key] = s.probation.PushFront(old)
+	if s.probation.Len() > s.probationCap {
+		ent := s.probation.Remove(s.probation.Back()).(*cacheEntry)
+		delete(s.items, ent.key)
+		s.bytes -= ent.size()
+		s.ads.release(ent.refs)
+	}
+}
+
+// repeat records a repeat of the entry at el: a protected entry moves to
+// its segment's front; a probation entry is promoted to the protected
+// front, which can demote another (probation lost one entry and gains one,
+// so it cannot overflow). The caller holds the lock.
 func (s *cacheShard) repeat(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	if ent.protected {
@@ -351,11 +382,89 @@ func (s *cacheShard) repeat(el *list.Element) {
 	s.probation.Remove(el)
 	ent.protected = true
 	s.items[ent.key] = s.protected.PushFront(ent)
-	if s.protected.Len() > s.cap-s.probationCap {
-		old := s.protected.Remove(s.protected.Back()).(*cacheEntry)
-		old.protected = false
-		s.items[old.key] = s.probation.PushFront(old)
+	s.overflow()
+}
+
+// ghostRing remembers the keys a shard has seen once, as their
+// fingerprints, in fixed arrays allocated with the shard: fps is a FIFO
+// ring, next its oldest slot, and table an open-addressing set over it
+// (ring position + 1 per entry, 0 when empty; a power of two at least
+// twice the ring, so a probe stays short). A fingerprint taken out of the
+// set by a key's second sighting leaves its slot in the ring until the ring
+// comes round to it: the ring holds twice as many slots as probation
+// entries, so that the slots of promoted ghosts do not cut the wait of the
+// others.
+type ghostRing struct {
+	fps   []uint64
+	next  int
+	table []int32
+	live  int // fingerprints in the set
+}
+
+func newGhostRing(slots int) ghostRing {
+	size := 16
+	for size < 2*slots {
+		size *= 2
 	}
+	return ghostRing{fps: make([]uint64, slots), table: make([]int32, size)}
+}
+
+// home is the table position where the probe for fingerprint fp starts:
+// the fingerprint's low bits picked the shard, so its high bits pick the
+// position.
+func (g *ghostRing) home(fp uint64) int {
+	return int(fp*0x9E3779B97F4A7C15>>32) & (len(g.table) - 1)
+}
+
+// take reports whether fp is in the set, and takes it out.
+func (g *ghostRing) take(fp uint64) bool {
+	mask := len(g.table) - 1
+	for i := g.home(fp); g.table[i] != 0; i = (i + 1) & mask {
+		if g.fps[g.table[i]-1] == fp {
+			g.remove(i)
+			return true
+		}
+	}
+	return false
+}
+
+// add puts fp into the ring's oldest slot, taking the fingerprint there
+// out of the set if a second sighting has not, and into the set.
+func (g *ghostRing) add(fp uint64) {
+	s := int32(g.next) + 1 // as the table holds it
+	mask := len(g.table) - 1
+	for i := g.home(g.fps[s-1]); g.table[i] != 0; i = (i + 1) & mask {
+		if g.table[i] == s {
+			g.remove(i)
+			break
+		}
+	}
+	g.fps[s-1] = fp
+	g.next = (g.next + 1) % len(g.fps)
+	i := g.home(fp)
+	for g.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	g.table[i] = s
+	g.live++
+}
+
+// remove empties table position i, shifting the entries behind it back so
+// that no probe sequence crosses an empty position (as the workload
+// sampler's table does).
+func (g *ghostRing) remove(i int) {
+	mask := len(g.table) - 1
+	for j := (i + 1) & mask; g.table[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill i unless its home lies after i, in
+		// (i, j]: it must stay reachable from its home.
+		k := g.home(g.fps[g.table[j]-1])
+		if (j-k)&mask >= (j-i)&mask {
+			g.table[i] = g.table[j]
+			i = j
+		}
+	}
+	g.table[i] = 0
+	g.live--
 }
 
 // Cache is a sharded SLRU result cache, safe for concurrent use. Sharding
@@ -390,14 +499,16 @@ func NewCache(entries, shards int) *Cache {
 	if perShard < 1 {
 		perShard = 1
 	}
+	probationCap := (perShard + probationShare - 1) / probationShare
 	c := &Cache{shards: make([]*cacheShard, n), mask: uint32(n - 1)}
 	c.ads.byID = make(map[uint64]uint32)
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
 			cap:          perShard,
-			probationCap: (perShard + probationShare - 1) / probationShare,
+			probationCap: probationCap,
 			items:        make(map[string]*list.Element),
 			ads:          &c.ads,
+			ghosts:       newGhostRing(2 * probationCap),
 		}
 	}
 	return c
@@ -407,35 +518,33 @@ func NewCache(entries, shards int) *Cache {
 // keys in a pooled []byte, stored entries and outside callers hold strings.
 type cacheKeyBytes interface{ string | []byte }
 
-// shardOf picks the key's shard by its fingerprint.
-func shardOf[K cacheKeyBytes](c *Cache, key K) *cacheShard {
-	return c.shards[uint32(fingerprint(key))&c.mask]
+// shardOf picks the shard of the key whose fingerprint is fp.
+func (c *Cache) shardOf(fp uint64) *cacheShard {
+	return c.shards[uint32(fp)&c.mask]
 }
 
 // Get returns the cached reply for key if present and computed at
 // changedAt or later (adindex.View.ChangedAt of the query's words). A
-// present reply that is older counts as an invalidation and a miss; a ghost
-// is a plain miss. The reply's Body is a new slice.
+// present reply that is older counts as an invalidation and a miss. The
+// reply's Body is a new slice.
 func (c *Cache) Get(key string, changedAt uint64) (Cached, bool) {
-	_, reply, ok := cacheGet(c, nil, key, changedAt, nil)
+	_, reply, ok := cacheGet(c, nil, key, fingerprint(key), changedAt, nil)
 	return reply, ok
 }
 
 // cacheGet is Get for either key form (a []byte key is looked up without
-// being converted to a string) into the caller's buffer: on a hit it
-// appends to dst what head appends for the entry's match count (nil:
-// nothing), then the entry's body, both under the entry's shard lock, and
-// the reply's Body is that body within dst.
-func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, changedAt uint64, head func(dst []byte, matched int) []byte) ([]byte, Cached, bool) {
+// being converted to a string), given the key's fingerprint, into the
+// caller's buffer: on a hit it appends to dst what head appends for the
+// entry's match count (nil: nothing), then the entry's body, both under the
+// entry's shard lock, and the reply's Body is that body within dst.
+func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, fp, changedAt uint64, head func(dst []byte, matched int) []byte) ([]byte, Cached, bool) {
 	if c == nil {
 		return dst, Cached{}, false
 	}
-	s := shardOf(c, key)
+	s := c.shardOf(fp)
 	s.mu.Lock()
 	el, ok := s.items[string(key)]
-	if !ok || el.Value.(*cacheEntry).ghost {
-		// A ghost is left in place, not touched: the caller's put stores
-		// the reply.
+	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return dst, Cached{}, false
@@ -466,24 +575,28 @@ func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, changedAt uint64, he
 // given epoch (stored on the key's second sighting, as cachePut says): the
 // form for callers that hold ads rather than a reply body.
 func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
-	cachePut(c, key, epoch, Cached{Matched: len(ads), Body: corpus.AppendAdsJSON(nil, ads)})
+	cachePut(c, key, fingerprint(key), epoch, Cached{Matched: len(ads), Body: corpus.AppendAdsJSON(nil, ads)})
 }
 
 // cachePut stores a reply computed at the given epoch (the Epoch of the
-// View that computed it) on its key's second sighting. A new key enters
-// probation's front as a ghost, evicting probation's least-recently-used
-// entry if it is full. A present entry takes the reply in place, its ads
+// View that computed it) on its key's second sighting; fp is the key's
+// fingerprint. A key not present is stored only if its shard's ghosts hold
+// fp: the fingerprint is taken out and the reply, its ads interned, enters
+// the protected segment's front. Otherwise fp becomes a ghost, and nothing
+// else is kept. A present entry takes the reply in place, its ads
 // interned, and counts as a repeat, unless it is from a newer epoch, which
 // a reader still on an old view must not replace. The cache keeps neither
 // the body nor the key the caller passed, so both may live in the caller's
 // reused buffers. A put racing a mutation is harmless: the entry says which
 // epoch its reply was computed at, and a Get that knows of a later change
-// to the query's words passes it over.
-func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
+// to the query's words passes it over. So is a fingerprint that two keys
+// share: the second key's reply is stored a sighting early, under its own
+// key.
+func cachePut[K cacheKeyBytes](c *Cache, key K, fp, epoch uint64, reply Cached) {
 	if c == nil {
 		return
 	}
-	s := shardOf(c, key)
+	s := c.shardOf(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[string(key)]; ok {
@@ -492,18 +605,19 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, epoch uint64, reply Cached) {
 			return
 		}
 		s.bytes -= ent.size()
-		ent.epoch, ent.matched, ent.cutoff, ent.ghost = epoch, reply.Matched, reply.Cutoff, false
+		ent.epoch, ent.matched, ent.cutoff = epoch, reply.Matched, reply.Cutoff
 		ent.setBody(reply.Body, s.ads)
 		s.bytes += ent.size()
 		s.repeat(el)
 		return
 	}
-	if s.probation.Len() >= s.probationCap {
-		s.evict()
+	if !s.ghosts.take(fp) {
+		s.ghosts.add(fp)
+		return
 	}
-	ent := &cacheEntry{key: string(key), epoch: epoch, ghost: true}
-	s.items[ent.key] = s.probation.PushFront(ent)
-	s.bytes += ent.size()
+	ent := &cacheEntry{key: string(key), epoch: epoch, matched: reply.Matched, cutoff: reply.Cutoff}
+	ent.setBody(reply.Body, s.ads)
+	s.store(ent)
 }
 
 // Len returns the number of entries held in both segments (entries a write
@@ -513,22 +627,16 @@ func (c *Cache) Len() int {
 	return c.count(func(s *cacheShard) int { return s.probation.Len() + s.protected.Len() })
 }
 
-// probationLen returns the number of entries in probation: ghosts, and
-// replies demoted since they were last asked.
+// probationLen returns the number of entries in probation: replies
+// demoted since they were last asked.
 func (c *Cache) probationLen() int {
 	return c.count(func(s *cacheShard) int { return s.probation.Len() })
 }
 
-// ghostLen returns the number of ghosts: keys seen once, holding no reply.
+// ghostLen returns the number of ghosts: the fingerprints of keys seen
+// once, which hold no entry.
 func (c *Cache) ghostLen() int {
-	return c.count(func(s *cacheShard) (n int) {
-		for el := s.probation.Front(); el != nil; el = el.Next() {
-			if el.Value.(*cacheEntry).ghost {
-				n++
-			}
-		}
-		return n
-	})
+	return c.count(func(s *cacheShard) int { return s.ghosts.live })
 }
 
 // count sums n over the shards, each read under its lock.

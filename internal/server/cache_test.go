@@ -147,13 +147,13 @@ func TestCacheLRUEviction(t *testing.T) {
 
 // TestCacheBytes: the entries' own bytes and the shared ads' bytes, each
 // ad counted once, follow the entries through every way a key can arrive
-// or leave. A ghost owns its key; a stored reply owns its key and 4 bytes
-// per reference to its interned ads, or its key and its body if it holds
-// no ad. Replacement, eviction of a ghost or of a demoted reply, and the
-// refresh of an outdated entry (which keeps its bytes until then) each
-// move both totals.
+// or leave. A ghost owns nothing: it is a fingerprint in the shard's fixed
+// ring. A stored reply owns its key and 4 bytes per reference to its
+// interned ads, or its key and its body if it holds no ad. Replacement,
+// the eviction of a demoted reply, and the refresh of an outdated entry
+// (which keeps its bytes until then) each move both totals.
 func TestCacheBytes(t *testing.T) {
-	c := NewCache(2, 1) // one probation slot, one protected
+	c := NewCache(2, 1) // one probation slot, one protected, two ghosts
 	owned := func(key string, ads []adindex.Ad) int64 {
 		switch {
 		case ads == nil:
@@ -163,7 +163,6 @@ func TestCacheBytes(t *testing.T) {
 		}
 		return int64(len(key) + 4*len(ads))
 	}
-	ghost := func(key string) int64 { return int64(len(key)) }
 	check := func(step string, want int64, shared ...adindex.Ad) {
 		t.Helper()
 		if got := c.Bytes(); got != want {
@@ -181,26 +180,27 @@ func TestCacheBytes(t *testing.T) {
 	a1, a3, a7, big := ad(1)[0], ad(3)[0], ad(7)[0], ad(1000000)[0]
 	check("empty", 0)
 	c.Put("a", 0, ad(1))
-	check("a first sighting", ghost("a"))
+	check("a first sighting", 0)
 	c.Put("a", 0, ad(1)) // the second: stored, its ad interned
 	check("its second sighting", owned("a", ad(1)), a1)
 	c.Put("bb", 0, nil)
-	check("a ghost beside it", owned("a", ad(1))+ghost("bb"), a1)
+	check("a ghost beside it", owned("a", ad(1)), a1)
 	c.Put("a", 0, ad(1000000)) // replaced by a longer ad, interned at once
-	check("replace", owned("a", ad(1000000))+ghost("bb"), big)
+	check("replace", owned("a", ad(1000000)), big)
 	ccc := []adindex.Ad{a3, big}
-	c.Put("ccc", 0, ccc) // evicts bb, the least recently used probation entry
-	check("evict a ghost", owned("a", ad(1000000))+ghost("ccc"), big)
-	c.Put("ccc", 0, ccc) // promoted, demoting a; big is held once
+	c.Put("ccc", 0, ccc) // a ghost in a's spent ring slot: bb's stays
+	check("a second ghost", owned("a", ad(1000000)), big)
+	c.Put("ccc", 0, ccc) // stored, demoting a; big is held once
 	check("sharing", owned("a", ad(1000000))+owned("ccc", ccc), a3, big)
 	c.Get("a", 1) // outdated: stays until refreshed
 	check("invalidate", owned("a", ad(1000000))+owned("ccc", ccc), a3, big)
-	c.Put("a", 1, []adindex.Ad{})
+	c.Put("a", 1, []adindex.Ad{}) // promoted, demoting ccc
 	check("refresh", owned("a", []adindex.Ad{})+owned("ccc", ccc), a3, big)
-	c.Put("bb", 0, nil) // evicts ccc, demoted by a's refresh
-	check("evict a demoted reply", owned("a", []adindex.Ad{})+ghost("bb"))
-	c.Put("bb", 0, nil) // promoted, demoting a
-	check("a reply without ads", owned("a", []adindex.Ad{})+owned("bb", nil))
+	c.Put("bb", 0, nil) // stored, demoting a, which evicts ccc from probation
+	check("evict a demoted reply", owned("a", []adindex.Ad{})+owned("bb", nil))
+	if c.ghostLen() != 0 {
+		t.Errorf("%d ghosts after every ghost's second sighting, want 0", c.ghostLen())
+	}
 	c.Get("a", 0) // promoted, demoting bb
 	check("promotion", owned("a", []adindex.Ad{})+owned("bb", nil))
 	c.Put("a", 2, []adindex.Ad{a7, a3})
@@ -258,14 +258,42 @@ func checkSegments(t *testing.T, c *Cache) {
 		if sum != s.bytes {
 			t.Errorf("shard %d: Bytes counts %d, the segments hold %d", i, s.bytes, sum)
 		}
+		checkGhosts(t, i, &s.ghosts)
 		s.mu.Unlock()
 	}
 	checkFragments(t, c)
 }
 
-// checkFragments holds the fragment table to the entries: a ghost holds
-// no reply and sits in probation, every other entry holds its body in one
-// form (one with ads always as references), every
+// checkGhosts holds a shard's ghost set to its ring: each entry names a
+// distinct ring slot and is reachable from its fingerprint's home without
+// crossing an empty position, and the live count is the number of entries.
+func checkGhosts(t *testing.T, shard int, g *ghostRing) {
+	t.Helper()
+	mask := len(g.table) - 1
+	seen := map[int32]bool{}
+	for i, e := range g.table {
+		if e == 0 {
+			continue
+		}
+		if e < 1 || int(e) > len(g.fps) || seen[e] {
+			t.Errorf("shard %d: table position %d holds ring slot %d (duplicate %v)", shard, i, e-1, seen[e])
+			continue
+		}
+		seen[e] = true
+		for j := g.home(g.fps[e-1]); j != i; j = (j + 1) & mask {
+			if g.table[j] == 0 {
+				t.Errorf("shard %d: ring slot %d at position %d is cut off from its home by an empty position %d", shard, e-1, i, j)
+				break
+			}
+		}
+	}
+	if len(seen) != g.live || g.live > len(g.fps) {
+		t.Errorf("shard %d: %d ghosts in the table, %d counted, %d ring slots", shard, len(seen), g.live, len(g.fps))
+	}
+}
+
+// checkFragments holds the fragment table to the entries: every entry
+// holds its body in one form (one with ads always as references), every
 // slot's count is the number of references the entries hold to it, a slot is
 // free exactly when that is 0, a slot in use holds an ad's JSON, the ID
 // index points at slots in use of that ID, and the table's totals are the
@@ -280,11 +308,9 @@ func checkFragments(t *testing.T, c *Cache) {
 			for _, i := range ent.refs {
 				want[i]++
 			}
-			// Nothing on a ghost; else bytes or references, and a reply
-			// with ads, references.
-			if ent.ghost && (ent.protected || ent.body != nil || ent.refs != nil) ||
-				!ent.ghost && ((ent.refs == nil) == (ent.body == nil) || holdsAds(ent.body)) {
-				t.Errorf("entry %q (ghost %v, protected %v): body %q, %d references", ent.key, ent.ghost, ent.protected, ent.body, len(ent.refs))
+			// Bytes or references, and a reply with ads, references.
+			if (ent.refs == nil) == (ent.body == nil) || holdsAds(ent.body) {
+				t.Errorf("entry %q (protected %v): body %q, %d references", ent.key, ent.protected, ent.body, len(ent.refs))
 			}
 		}
 		s.mu.Unlock()
@@ -326,8 +352,8 @@ func checkFragments(t *testing.T, c *Cache) {
 
 // TestCacheScanResistance: a working set asked three times survives a
 // stream of queries that are never asked again — the one-off stream cycles
-// through probation as ghosts, and probation never outgrows a fifth of the
-// shard.
+// through the ghost ring as fingerprints and never becomes an entry, so it
+// neither displaces nor demotes the working set.
 func TestCacheScanResistance(t *testing.T) {
 	c := NewCache(1024, 1)
 	ask := func(key string) bool {
@@ -359,46 +385,56 @@ func TestCacheScanResistance(t *testing.T) {
 			t.Fatalf("working-set key w%d was displaced by one-off keys", i)
 		}
 	}
-	if got := c.probationLen(); got != 205 || c.Len() != working+205 || c.ghostLen() != 205 {
-		t.Errorf("len %d with %d in probation, %d ghosts, want %d with 205 ghosts in probation", c.Len(), got, c.ghostLen(), working+205)
+	if got := c.probationLen(); got != 0 || c.Len() != working || c.ghostLen() != 2*205 {
+		t.Errorf("len %d with %d in probation, %d ghosts, want %d, none in probation and a full ring of %d ghosts", c.Len(), got, c.ghostLen(), working, 2*205)
 	}
 }
 
-// TestCacheProbationHitPromotes: a first sighting is a ghost in probation,
-// which a Get misses without moving; the second sighting stores the reply
-// in protected, out of the way of the next new keys, where it hits.
+// TestCacheProbationHitPromotes: a first sighting is a ghost, no entry,
+// which a Get misses; the second sighting stores the reply in protected,
+// out of the way of the next new keys, where it hits. Once demoted to
+// probation, a hit brings it back to protected.
 func TestCacheProbationHitPromotes(t *testing.T) {
 	c := NewCache(10, 1) // probation 2, protected 8
 	c.Put("a", 0, ad(1))
-	if prob, prot := segments(c); len(prob) != 1 || len(prot) != 0 {
-		t.Fatalf("a new key went to %v / %v, want probation", prob, prot)
+	if prob, prot := segments(c); len(prob) != 0 || len(prot) != 0 || c.ghostLen() != 1 {
+		t.Fatalf("a new key went to %v / %v with %d ghosts, want a ghost alone", prob, prot, c.ghostLen())
 	}
 	if _, ok := c.Get("a", 0); ok {
 		t.Fatal("a ghost hit")
-	}
-	if prob, prot := segments(c); len(prob) != 1 || len(prot) != 0 {
-		t.Fatalf("a miss on a ghost moved it to %v / %v", prob, prot)
 	}
 	c.Put("a", 0, ad(1))
 	if reply, ok := c.Get("a", 0); !ok || cachedAds(t, reply)[0].ID != 1 {
 		t.Fatal("a repeat after the second sighting missed")
 	}
-	if prob, prot := segments(c); len(prob) != 0 || len(prot) != 1 || prot[0] != "a" {
-		t.Fatalf("after its repeat: probation %v, protected %v, want a protected", prob, prot)
+	if prob, prot := segments(c); len(prob) != 0 || len(prot) != 1 || prot[0] != "a" || c.ghostLen() != 0 {
+		t.Fatalf("after its repeat: probation %v, protected %v, %d ghosts, want a protected", prob, prot, c.ghostLen())
 	}
-	for _, key := range []string{"b", "c", "d"} { // three new replies through a two-entry probation
+	for _, key := range []string{"b", "c", "d"} { // three first sightings: ghosts
 		c.Put(key, 0, ad(2))
 	}
-	prob, prot := segments(c)
-	if fmt.Sprint(prob) != "[d c]" || fmt.Sprint(prot) != "[a]" {
-		t.Errorf("probation %v, protected %v, want [d c] and [a]", prob, prot)
+	if prob, prot := segments(c); len(prob) != 0 || fmt.Sprint(prot) != "[a]" || c.ghostLen() != 3 {
+		t.Errorf("probation %v, protected %v, %d ghosts, want [] and [a] and 3", prob, prot, c.ghostLen())
+	}
+	for i := 1; i <= 8; i++ { // the eighth overflows protected: a is demoted
+		store(c, fmt.Sprintf("k%d", i), 0, ad(uint64(i)))
+	}
+	if prob, _ := segments(c); fmt.Sprint(prob) != "[a]" {
+		t.Fatalf("probation %v, want a demoted", prob)
+	}
+	if reply, ok := c.Get("a", 0); !ok || cachedAds(t, reply)[0].ID != 1 {
+		t.Fatal("a demoted entry missed")
+	}
+	if prob, prot := segments(c); fmt.Sprint(prob) != "[k1]" || prot[0] != "a" {
+		t.Errorf("after a's hit: probation %v, protected %v, want a promoted and k1 demoted", prob, prot)
 	}
 	checkSegments(t, c)
 }
 
 // TestCacheProtectedOverflowDemotes: promoting into a full protected
 // segment demotes its least-recently-used entry to the head of probation,
-// where it is the last to go and a hit brings it back.
+// where a hit brings it back; a first sighting does not touch probation,
+// and probation's own overflow evicts its least-recently-used entry.
 func TestCacheProtectedOverflowDemotes(t *testing.T) {
 	c := NewCache(10, 1) // probation 2, protected 8
 	for i := 0; i <= 8; i++ {
@@ -409,15 +445,23 @@ func TestCacheProtectedOverflowDemotes(t *testing.T) {
 		t.Fatalf("probation %v, protected %v: want k0 demoted, k8..k1 protected", prob, prot)
 	}
 	c.Put("new", 0, ad(9))
-	if prob, _ := segments(c); fmt.Sprint(prob) != "[new k0]" {
-		t.Fatalf("probation %v, want the new ghost ahead of the demoted k0", prob)
+	if prob, _ := segments(c); fmt.Sprint(prob) != "[k0]" {
+		t.Fatalf("probation %v, want the demoted k0 alone beside a ghost", prob)
 	}
 	if _, ok := c.Get("k0", 0); !ok {
 		t.Fatal("demoted k0 missed")
 	}
 	prob, prot = segments(c)
-	if fmt.Sprint(prob) != "[k1 new]" || prot[0] != "k0" {
+	if fmt.Sprint(prob) != "[k1]" || prot[0] != "k0" {
 		t.Errorf("after k0's hit: probation %v, protected %v: want k0 back and k1 demoted", prob, prot)
+	}
+	store(c, "n1", 0, ad(10)) // demotes k2
+	store(c, "n2", 0, ad(11)) // demotes k3: probation overflows and k1 goes
+	if prob, _ := segments(c); fmt.Sprint(prob) != "[k3 k2]" {
+		t.Errorf("probation %v, want [k3 k2]", prob)
+	}
+	if _, ok := c.Get("k1", 0); ok {
+		t.Error("k1 survived probation's overflow")
 	}
 	checkSegments(t, c)
 }
@@ -581,19 +625,19 @@ func TestCacheSharesAds(t *testing.T) {
 		store(key, 0, pick(6))
 		hit(key, 0)
 	}
-	if prob, _ := segments(c); fmt.Sprint(prob) != "[x p]" {
-		t.Fatalf("probation %v, want x demoted ahead of p", prob)
+	if prob, _ := segments(c); fmt.Sprint(prob) != "[x]" {
+		t.Fatalf("probation %v, want x demoted", prob)
 	}
 	check("demotion", 5)
-	put("n1", 0, nil)     // evicts the ghost p
-	put("n2", 0, pick(7)) // evicts x: 1 goes, 2 and 3 stay with y
-	check("eviction", 4)
+	store("n1", 0, nil)     // demotes y
+	store("n2", 0, pick(7)) // demotes k1, and probation evicts x: 1 goes, 2 and 3 stay with y
+	check("eviction", 5)
 
 	c.Get("y", 1) // outdated
 	put("y", 1, pick(2, 8))
-	check("refresh of an outdated entry", 3) // 3 and 4 go, 8 takes a freed slot
+	check("refresh of an outdated entry", 4) // 3 and 4 go, 8 takes a freed slot
 	c.Put("y", 0, pick(9))                   // an older view's put: refused
-	check("refused put", 3)
+	check("refused put", 4)
 	hit("y", 1)
 
 	// Repeated replies without ads push every other entry out: protected
@@ -743,12 +787,13 @@ func TestCacheAdmissionReplay(t *testing.T) {
 }
 
 // TestCacheFirstSightingsHoldNoBodies: 20 000 first sightings of 8 KB
-// replies leave 20 000 ghosts that own their keys and nothing else, and
-// put no ad in the shared table; the second sighting of each stores its
-// reply as fragments, which a hit returns byte for byte.
+// replies leave 20 000 ghosts, fingerprints in the shard's fixed ring, and
+// no entry, no byte and no ad in the shared table; a first sighting
+// allocates nothing. The second sighting of each stores its reply as
+// fragments, which a hit returns byte for byte.
 func TestCacheFirstSightingsHoldNoBodies(t *testing.T) {
 	const n = 20_000
-	c := NewCache(5*n, 1) // probation holds every ghost
+	c := NewCache(5*n, 1) // the ring holds every ghost
 	ads := make([]adindex.Ad, 64)
 	for i := range ads {
 		ads[i] = adindex.NewAd(uint64(i+1), fmt.Sprintf("shared phrase %d with ten words of bid text here", i), adindex.Meta{BidMicros: int64(i)})
@@ -765,17 +810,22 @@ func TestCacheFirstSightingsHoldNoBodies(t *testing.T) {
 	if b := len(body(0).Body); b < 7_000 || b > 9_000 {
 		t.Fatalf("a reply of %d bytes, want about 8 KB", b)
 	}
-	key := func(i int) string { return fmt.Sprintf("b\x00query %d", i) }
+	keys := make([][]byte, n)
 	var keyBytes int64
-	for i := 0; i < n; i++ {
-		cachePut(c, key(i), 0, body(i))
-		keyBytes += int64(len(key(i)))
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "b\x00query %d", i)
+		keyBytes += int64(len(keys[i]))
 	}
-	if shared, sharedBytes := c.sharedAds(); c.Bytes() != keyBytes || shared != 0 || sharedBytes != 0 || c.ghostLen() != n {
-		t.Fatalf("after %d first sightings: %d bytes (keys %d), %d shared ads of %d bytes, %d ghosts; want the keys alone", n, c.Bytes(), keyBytes, shared, sharedBytes, c.ghostLen())
+	put := func(i int) { cachePut(c, keys[i], fingerprint(keys[i]), 0, body(i)) }
+	next := 0
+	if allocs := testing.AllocsPerRun(n-1, func() { put(next); next++ }); allocs != 0 {
+		t.Errorf("a first sighting costs %.2f allocations, want 0", allocs)
+	}
+	if shared, sharedBytes := c.sharedAds(); c.Bytes() != 0 || c.Len() != 0 || shared != 0 || sharedBytes != 0 || c.ghostLen() != n {
+		t.Fatalf("after %d first sightings: %d bytes in %d entries, %d shared ads of %d bytes, %d ghosts; want ghosts alone", n, c.Bytes(), c.Len(), shared, sharedBytes, c.ghostLen())
 	}
 	for i := 0; i < n; i++ {
-		cachePut(c, key(i), 0, body(i))
+		put(i)
 	}
 	var adBytes int64
 	for i := range ads {
@@ -786,8 +836,40 @@ func TestCacheFirstSightingsHoldNoBodies(t *testing.T) {
 			c.Bytes(), shared, sharedBytes, c.ghostLen(), keyBytes+n*32*4, len(ads), adBytes)
 	}
 	for i := 0; i < n; i++ {
-		if reply, ok := c.Get(key(i), 0); !ok || !bytes.Equal(reply.Body, body(i).Body) {
-			t.Fatalf("%s: hit %v, body %.80s", key(i), ok, reply.Body)
+		if reply, ok := c.Get(string(keys[i]), 0); !ok || !bytes.Equal(reply.Body, body(i).Body) {
+			t.Fatalf("%s: hit %v, body %.80s", keys[i], ok, reply.Body)
+		}
+	}
+	checkSegments(t, c)
+}
+
+// TestCacheFingerprintCollision: two keys that share a fingerprint share a
+// ghost, so the second is stored on its first sighting — one sighting
+// early — but under its own key: neither is ever served the other's reply.
+func TestCacheFingerprintCollision(t *testing.T) {
+	c := NewCache(10, 1)
+	const fp = 0x5eed
+	a, b := Cached{Matched: 1, Body: corpus.AppendAdsJSON(nil, ad(1))}, Cached{Matched: 1, Body: corpus.AppendAdsJSON(nil, ad(2))}
+	get := func(key string) (Cached, bool) {
+		_, reply, ok := cacheGet(c, nil, key, fp, 0, nil)
+		return reply, ok
+	}
+	cachePut(c, "b\x00a", fp, 0, a) // a's ghost
+	cachePut(c, "b\x00b", fp, 0, b) // b finds a's fingerprint: stored early
+	if _, ok := get("b\x00a"); ok {
+		t.Fatal("a hit on a key only ever seen once")
+	}
+	if reply, ok := get("b\x00b"); !ok || !bytes.Equal(reply.Body, b.Body) {
+		t.Fatalf("the colliding key: hit %v, body %s, want its own reply %s", ok, reply.Body, b.Body)
+	}
+	cachePut(c, "b\x00a", fp, 0, a) // a's ghost again (b's took the first)
+	if _, ok := get("b\x00a"); ok || c.ghostLen() != 1 {
+		t.Fatalf("a served on its second sighting after its ghost was spent, or %d ghosts, want 1", c.ghostLen())
+	}
+	cachePut(c, "b\x00a", fp, 0, a)
+	for key, want := range map[string]Cached{"b\x00a": a, "b\x00b": b} {
+		if reply, ok := get(key); !ok || !bytes.Equal(reply.Body, want.Body) {
+			t.Errorf("%q: hit %v, body %s, want %s", key, ok, reply.Body, want.Body)
 		}
 	}
 	checkSegments(t, c)

@@ -229,15 +229,20 @@ type MetricsSnapshot struct {
 		Hits          uint64 `json:"hits"`
 		Misses        uint64 `json:"misses"`
 		Invalidations uint64 `json:"invalidations"`
-		Entries       int    `json:"entries"`
+		// Entries is how many replies are stored, in both segments.
+		Entries int `json:"entries"`
 		// Probation is how many of those entries sit in the probation
-		// segment: ghosts, and replies not hit since they were demoted.
+		// segment: replies not hit since they were demoted.
 		Probation int `json:"probation"`
-		// Ghosts is how many of the probation entries hold no reply:
-		// keys seen once, whose next put stores the reply.
+		// Ghosts is how many keys were seen once and not since: the
+		// fingerprints in the shards' ghost rings, whose key's next put
+		// stores its reply. A ghost is not an entry.
 		Ghosts int `json:"ghosts"`
-		// Bytes is what the live entries own: their keys, the bodies of
+		// Bytes is what the entries own: their keys, the bodies of
 		// replies without ads and 4 bytes per reference to a shared ad.
+		// The ghost rings are fixed arrays allocated with the cache (per
+		// probation slot, two 8-byte ring slots and four to eight 4-byte
+		// table positions) and are not counted.
 		Bytes int64 `json:"bytes"`
 		// SharedAds and SharedBytes are the distinct encoded ads the
 		// entries reference and their bytes, each counted once.

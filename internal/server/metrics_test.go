@@ -138,10 +138,11 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 		t.Errorf("memory section = %+v in %s, want the collector's CPU seconds", m, b)
 	}
 
-	// The cache section is the server's: cache.bytes is what the live
-	// entries own — here the ghost a search just left, its first sighting:
-	// its key — and cache.shared_ads / shared_bytes are the distinct ads
-	// stored replies reference, each counted once: none yet.
+	// The cache section is the server's: cache.bytes is what the stored
+	// entries own — none yet: a search's first sighting leaves a ghost, a
+	// fingerprint in a fixed ring, and no entry — and cache.shared_ads /
+	// shared_bytes are the distinct ads stored replies reference, each
+	// counted once: none yet.
 	s := New(adindex.Build(testCatalog(), adindex.Options{}), Config{})
 	reply := serve(t, s, "GET", searchTarget("used books", "broad"), "")
 	body := reply[bytes.Index(reply, []byte(`"ads":`))+len(`"ads":`) : bytes.Index(reply, []byte(`,"took_us"`))]
@@ -162,16 +163,16 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	cache := back["cache"].(map[string]any)
 	key := len("b\x00books\x1fused")
-	if cache["entries"].(float64) != 1 || cache["bytes"].(float64) != float64(key) {
-		t.Errorf("cache = %v, want 1 entry of %d bytes", cache, key)
+	if cache["entries"].(float64) != 0 || cache["bytes"].(float64) != 0 {
+		t.Errorf("cache = %v, want no entry and no bytes", cache)
 	}
 	if cache["shared_ads"].(float64) != 0 || cache["shared_bytes"].(float64) != 0 {
 		t.Errorf("cache = %v, want no shared ads before a repeat", cache)
 	}
-	// A first sighting waits in probation as a ghost until it is asked
-	// again; the sampler holds the one query's word set.
-	if cache["probation"].(float64) != 1 || cache["ghosts"].(float64) != 1 {
-		t.Errorf("cache.probation = %v, cache.ghosts = %v before the repeat, want 1 and 1", cache["probation"], cache["ghosts"])
+	// A first sighting waits as a ghost, outside the segments, until it is
+	// asked again; the sampler holds the one query's word set.
+	if cache["probation"].(float64) != 0 || cache["ghosts"].(float64) != 1 {
+		t.Errorf("cache.probation = %v, cache.ghosts = %v before the repeat, want 0 and 1", cache["probation"], cache["ghosts"])
 	}
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v, want 1", got)
@@ -221,14 +222,14 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if got := back["index"].(map[string]any)["remaps"]; got != float64(0) {
 		t.Errorf("index.remaps = %v before any re-mapping, want 0", got)
 	}
-	// Ghosts are probation entries, and probation's are entries; a server
-	// never started was never ready, so its start's peak is not read.
+	// Probation's entries are entries; a server never started was never
+	// ready, so its start's peak is not read.
 	var full MetricsSnapshot
 	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &full); err != nil {
 		t.Fatal(err)
 	}
-	if c := full.Cache; c.Ghosts > c.Probation || c.Probation > c.Entries {
-		t.Errorf("cache = %+v, want ghosts <= probation <= entries", c)
+	if c := full.Cache; c.Probation > c.Entries {
+		t.Errorf("cache = %+v, want probation <= entries", c)
 	}
 	if m := full.Memory; m.ReadyPeakRSSBytes != 0 || m.ReadyPeakRSSBytes > m.PeakRSSBytes {
 		t.Errorf("memory = %+v of a server never started, want no ready peak", m)

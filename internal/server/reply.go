@@ -13,7 +13,7 @@
 // scratch is the request's own — tokens and words alias the request's
 // query string, key and buf are bytes built for this request, ads are the
 // match's copies — and the cache never keeps any of it: cachePut copies
-// key and body. The other direction is copy-only as well: a hit appends
+// key and body, and a first sighting keeps the key's fingerprint only. The other direction is copy-only as well: a hit appends
 // the cached body into buf while the cache holds the entry, and buf never
 // refers into the cache.
 package server
@@ -77,8 +77,10 @@ type searchScratch struct {
 	words []string
 	// key is the cache key and the source of the quarantine fingerprint.
 	key []byte
-	// ads receives the match's copy-out on a miss; a batch's misses reuse
-	// it, each clearing the one before.
+	// ads receives the match's copy-out on a miss that needs Ads — a
+	// rewritten query's, or any with Config.Selection; a plain miss is
+	// encoded from the index into buf. A batch's misses reuse it, each
+	// clearing the one before.
 	ads []adindex.Ad
 	// buf is the response body.
 	buf []byte

@@ -609,6 +609,43 @@ func TestSearchHitAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per cached reply", allocs)
 }
 
+// TestSearchMissAllocs pins what a broad query's first sighting costs: the
+// unescaped query text, the sampler's copy of its word-set key, and the
+// Content-Length value and its header slice. Its ghost is a fingerprint in
+// the cache's fixed ring, and its reply is encoded from the index's
+// columns, so nothing grows with the reply (8 allocations when the ghost
+// was an entry and the reply a copy-out of Ads).
+func TestSearchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	c := corpus.Generate(corpus.GenOptions{NumAds: 2000, Seed: 1801})
+	s := New(adindex.Build(c.Ads, adindex.Options{}), Config{})
+	const runs = 500
+	var reqs []*http.Request
+	seen := map[string]bool{}
+	for i := 0; len(reqs) < runs+50; i += 2 {
+		q := c.Ads[i].Phrase + " " + c.Ads[i+1].Phrase
+		if key := textnorm.SetKey(textnorm.WordSet(q)); !seen[key] {
+			seen[key] = true
+			reqs = append(reqs, httptest.NewRequest("GET", searchTarget(q, "broad"), nil))
+		}
+	}
+	w := &reusedWriter{h: http.Header{}}
+	for _, req := range reqs[runs:] { // warms the pools
+		s.handleSearch(w, req)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs-1, func() { s.handleSearch(w, reqs[next]); next++ })
+	if hits, misses, _ := s.cache.Stats(); hits != 0 || misses != runs+50 || w.code != 0 {
+		t.Fatalf("%d hits, %d misses, status %d: the runs did not measure first sightings", hits, misses, w.code)
+	}
+	if allocs > 4 {
+		t.Errorf("a first sighting costs %.1f allocations, want <= 4", allocs)
+	}
+	t.Logf("%.1f allocations per first sighting", allocs)
+}
+
 // TestSearchScratchPoolBounds: a scratch goes back to the pool keeping its
 // buffers only up to their bounds. One broad query matching 20 000 ads
 // used to leave its 2.4 MB copy-out slice pinned by the pool.

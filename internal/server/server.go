@@ -31,6 +31,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -435,7 +436,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sc.buf = sc.buf[:0]
 	out := s.answer(sc, &rd, fp, q)
 	if out.fresh.Body != nil {
-		cachePut(s.cache, sc.key, rd.view.Epoch(), out.fresh)
+		cachePut(s.cache, sc.key, fp, rd.view.Epoch(), out.fresh)
 	}
 	sc.buf = append(sc.buf, `,"took_us":`...)
 	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)
@@ -532,52 +533,82 @@ type outcome struct {
 // phrase and rewritten queries charges them; an exact query is one
 // lookup), put through the selection and encoded. The result object goes
 // onto sc.buf up to and including the "ads" array — a hit has the cache
-// append it while it holds the entry, a miss encodes the array in place —
-// and closeResult completes it.
+// append it while it holds the entry, a plain miss has the view encode the
+// array from the index (View.AppendMatchJSON, on the word set begin built)
+// and puts the head before it — and closeResult completes it. Only a
+// rewritten query or a server with a selection copies its ads out: those
+// need them as Ads.
 func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) outcome {
 	if s.panicOn != "" && q == s.panicOn {
 		panic("injected test panic")
 	}
-	var reply Cached
-	hit := false
 	if !rd.rewrite {
-		sc.buf, reply, hit = cacheGet(s.cache, sc.buf, sc.key, rd.view.ChangedAt(sc.words), func(dst []byte, matched int) []byte {
+		var reply Cached
+		var hit bool
+		sc.buf, reply, hit = cacheGet(s.cache, sc.buf, sc.key, fp, rd.view.ChangedAt(sc.words), func(dst []byte, matched int) []byte {
 			return appendSearchHead(dst, q, rd.typ, matched, true)
 		})
+		if hit {
+			s.delay()
+			return outcome{cutoff: reply.Cutoff}
+		}
 	}
+	query := adindex.Query{
+		Text:    q,
+		Type:    queryTypes[rd.typ],
+		Rewrite: rd.rewrite,
+		Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: rd.deadline},
+	}
+	var out outcome
 	var res adindex.Result
-	if !hit {
+	var body int // where the ads array begins in sc.buf
+	if rd.rewrite || s.cfg.Selection != nil {
 		clear(sc.ads) // the request's previous query, already encoded
-		res = s.match(rd, fp, sc.ads[:0], adindex.Query{
-			Text:    q,
-			Type:    queryTypes[rd.typ],
-			Rewrite: rd.rewrite,
-			Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: rd.deadline},
-		})
+		res = rd.view.Match(sc.ads[:0], query)
 		sc.ads = res.Ads
-		reply = Cached{Matched: len(res.Ads), Cutoff: res.CutoffApplied}
+		out.fresh.Matched = len(res.Ads)
+		sc.buf = appendSearchHead(sc.buf, q, rd.typ, len(res.Ads), false)
+		body = len(sc.buf)
+		if rd.rewrite {
+			sc.buf = append(sc.buf, "null"...)
+			out.matches, out.rewrite = s.selectMatches(q, res), newRewriteStatsJSON(res.Rewrite)
+			s.metrics.noteRewrite(res.Rewrite)
+		} else {
+			sc.buf = corpus.AppendAdsJSON(sc.buf, adindex.SelectAds(q, res.Ads, *s.cfg.Selection))
+		}
+	} else {
+		mark := len(sc.buf)
+		sc.buf, out.fresh.Matched, res = rd.view.AppendMatchJSON(sc.buf, query, sc.words)
+		sc.buf, body = insertHead(sc.buf, mark, q, rd.typ, out.fresh.Matched)
 	}
+	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
+	s.delay()
+	out.truncated, out.cutoff, out.costSpent = res.Truncated, res.CutoffApplied, res.CostSpent
+	if !rd.rewrite && !res.Truncated { // never cache a partial answer
+		out.fresh.Cutoff = res.CutoffApplied
+		out.fresh.Body = sc.buf[body:]
+	}
+	return out
+}
+
+// insertHead puts the head of a miss's result object (appendSearchHead)
+// at buf[mark:], before the ads array the view encoded there, and returns
+// buf and where the array now begins.
+func insertHead(buf []byte, mark int, q, typ string, matched int) ([]byte, int) {
+	var stack [128]byte
+	head := appendSearchHead(stack[:0], q, typ, matched, false)
+	n := len(buf)
+	buf = slices.Grow(buf, len(head))[:n+len(head)]
+	copy(buf[mark+len(head):], buf[mark:n])
+	copy(buf[mark:], head)
+	return buf, mark + len(head)
+}
+
+// delay holds a local query for the test seam handlerDelay.
+func (s *Server) delay() {
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
-	out := outcome{truncated: res.Truncated, cutoff: reply.Cutoff, costSpent: res.CostSpent}
-	if hit {
-		return out
-	}
-	sc.buf = appendSearchHead(sc.buf, q, rd.typ, reply.Matched, false)
-	switch {
-	case rd.rewrite:
-		sc.buf = append(sc.buf, "null"...)
-		out.matches, out.rewrite = s.selectMatches(q, res), newRewriteStatsJSON(res.Rewrite)
-	default:
-		mark := len(sc.buf)
-		sc.buf = s.appendAds(sc.buf, q, res.Ads)
-		if !res.Truncated { // never cache a partial answer
-			out.fresh = reply
-			out.fresh.Body = sc.buf[mark:]
-		}
-	}
-	return out
 }
 
 // closeResult completes the result object answer began: the rewrite-mode
@@ -632,18 +663,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadline time.Tim
 	return false
 }
 
-// match is the one place a query is evaluated against the index: one
-// View.Match into dst, whose outcome feeds the overload metrics and the
-// quarantine (fp is the query's fingerprint).
-func (s *Server) match(rd *reading, fp uint64, dst []adindex.Ad, q adindex.Query) adindex.Result {
-	res := rd.view.Match(dst, q)
-	if q.Rewrite {
-		s.metrics.noteRewrite(res.Rewrite)
-	}
-	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
-	return res
-}
-
 // noteArmor counts what an answer, local or fanned out, left out. A
 // truncated one burned a full budget on its fingerprint, so it is struck:
 // enough blowouts inside the TTL window quarantine it.
@@ -655,20 +674,6 @@ func (s *Server) noteArmor(fp uint64, truncated, cutoff bool) {
 		s.metrics.BudgetTruncated.Add(1)
 		s.quarantine.NoteBudgetBlown(fp)
 	}
-}
-
-// appendAds appends the "ads" array of a reply to dst: the query's raw
-// matches after the configured selection, encoded. Without a selection no
-// match is null (the nil slice the index returns); with one it is [] (the
-// empty list SelectAds returns).
-func (s *Server) appendAds(dst []byte, q string, matches []adindex.Ad) []byte {
-	switch {
-	case s.cfg.Selection != nil:
-		matches = adindex.SelectAds(q, matches, *s.cfg.Selection)
-	case len(matches) == 0:
-		matches = nil
-	}
-	return corpus.AppendAdsJSON(dst, matches)
 }
 
 // selectMatches pairs a rewritten result's ads with their match infos and
@@ -786,6 +791,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	defer putSearchScratch(sc)
 	type stored struct {
 		key string
+		fp  uint64
 		Cached
 	}
 	var fresh []stored
@@ -803,7 +809,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out := s.answer(sc, &rd, fp, q)
 		if out.fresh.Body != nil {
-			fresh = append(fresh, stored{string(sc.key), out.fresh})
+			fresh = append(fresh, stored{string(sc.key), fp, out.fresh})
 		}
 		if !out.truncated {
 			out.costSpent = 0 // a batch result says what it cost only when that cut it short
@@ -811,7 +817,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		sc.buf = s.closeResult(sc.buf, &out)
 	}
 	for _, f := range fresh {
-		cachePut(s.cache, f.key, epoch, f.Cached)
+		cachePut(s.cache, f.key, f.fp, epoch, f.Cached)
 	}
 	sc.buf = append(sc.buf, `],"took_us":`...)
 	sc.buf = strconv.AppendInt(sc.buf, time.Since(start).Microseconds(), 10)

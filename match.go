@@ -154,8 +154,8 @@ func (s *snapshot) id(r core.Ref) uint64 {
 // granularity once it is exhausted; the delta (bounded by MaxDeltaAds) is
 // charged as one unit of its length and always scanned whole, so freshly
 // inserted ads stay visible even in truncated answers. The Refs name
-// snapshot storage; public entry points copy them out (appendAdCopies)
-// before returning.
+// snapshot storage; public entry points copy them out (appendAdCopies) or
+// encode them (appendJSON) before returning.
 func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []core.Ref {
 	mark := len(dst)
 	if typ != Exact {
@@ -211,10 +211,30 @@ func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords
 			if counters != nil {
 				counters.Matches += int64(len(dst) - n)
 			}
-			slices.SortFunc(dst[mark:], func(a, b core.Ref) int { return cmp.Compare(s.id(a), s.id(b)) })
+			s.mergeDelta(dst[mark:], n-mark)
 		}
 	}
 	return dst
+}
+
+// mergeDelta orders m by ID, where m[:n] is the base's answer, already
+// ID-ordered, and m[n:] the delta's matches in insertion order: the delta's
+// are sorted alone, stably, and merged in from the back, base records
+// first on equal IDs. A delta of at most 64 matches sorts on the stack.
+func (s *snapshot) mergeDelta(m []core.Ref, n int) {
+	var buf [64]core.Ref
+	delta := append(buf[:0], m[n:]...)
+	slices.SortStableFunc(delta, func(a, b core.Ref) int { return cmp.Compare(s.id(a), s.id(b)) })
+	i, j := n-1, len(delta)-1
+	for k := len(m) - 1; j >= 0; k-- {
+		if i >= 0 && s.id(m[i]) > s.id(delta[j]) {
+			m[k] = m[i]
+			i--
+		} else {
+			m[k] = delta[j]
+			j--
+		}
+	}
 }
 
 // cutLive applies the MaxQueryWords cutoff to a long query while an
@@ -565,8 +585,37 @@ func (r Result) Matches() []Match {
 // costs the index nothing and is not sampled.
 func (v View) Match(dst []Ad, q Query) Result {
 	sc := getScratch()
-	sc.budget = core.Budget{MaxCost: q.Budget.MaxCost, Deadline: q.Budget.Deadline, Now: q.Budget.Now}
 	sc.words = textnorm.AppendWordSet(sc.words[:0], q.Text)
+	res := v.match(sc, q)
+	res.Ads = appendAdCopies(dst, v.s, sc.refs)
+	putScratch(sc)
+	return res
+}
+
+// AppendMatchJSON answers q as Match does and appends the answer to dst as
+// a JSON array: exactly the bytes corpus.AppendAdsJSON writes for Match's
+// copy-out ("null" when nothing matches). Base records are encoded from
+// the index's columns and no Ad is built. words is the canonical word set
+// of q.Text (textnorm.WordSet; what NewAd puts in Words), which the caller
+// has built already: the text is not split into words again (Exact and
+// Phrase still read their token sequence from it). It returns dst
+// extended, the number of ads it encoded, and Match's Result but for Ads,
+// which is nil.
+func (v View) AppendMatchJSON(dst []byte, q Query, words []string) ([]byte, int, Result) {
+	sc := getScratch()
+	sc.words = append(sc.words[:0], words...)
+	res := v.match(sc, q)
+	dst = v.s.appendJSON(dst, sc.refs)
+	n := len(sc.refs)
+	putScratch(sc)
+	return dst, n, res
+}
+
+// match is what Match and AppendMatchJSON share: it samples sc.words, the
+// query's canonical word set, and answers q on it, leaving the matching
+// records in sc.refs.
+func (v View) match(sc *queryScratch, q Query) Result {
+	sc.budget = core.Budget{MaxCost: q.Budget.MaxCost, Deadline: q.Budget.Deadline, Now: q.Budget.Now}
 	v.observed.ObserveWords(sc.words)
 	var res Result
 	if q.Rewrite && q.Type == Broad {
@@ -582,12 +631,31 @@ func (v View) Match(dst []Ad, q Query) Result {
 		}
 		sc.refs = v.s.appendMatch(sc.refs[:0], q.Type, tokens, sc.words, q.Counters, &sc.core, &sc.budget)
 	}
-	res.Ads = appendAdCopies(dst, v.s, sc.refs)
 	res.Truncated = sc.budget.Exhausted()
 	res.CutoffApplied = sc.budget.CutoffApplied()
 	res.CostSpent = sc.budget.Spent()
-	putScratch(sc)
 	return res
+}
+
+// appendJSON appends the ads of refs, an answer of s, to dst as a JSON
+// array, as corpus.AppendAdsJSON writes their copies: base records from the
+// columns, delta ads as they are.
+func (s *snapshot) appendJSON(dst []byte, refs []core.Ref) []byte {
+	if len(refs) == 0 {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, r := range refs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if r < deltaRef {
+			dst = s.base.AppendRecordJSON(dst, r)
+		} else {
+			dst = s.delta[r-deltaRef].AppendJSON(dst)
+		}
+	}
+	return append(dst, ']')
 }
 
 // BroadMatch returns copies of all ads whose bid phrases broad-match the
