@@ -41,8 +41,10 @@
 #                      properties and the drift bar
 #   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
 #                      snapshot file and WAL decoders among them), on
-#                      the reply encoders held to encoding/json, and on
-#                      the index's record encoder held to theirs
+#                      the reply encoders held to encoding/json, on
+#                      the index's record encoder held to theirs, and on
+#                      the reply cache's fragment table (puts, refreshes
+#                      and evictions over colliding and reused IDs)
 #   benchsmoke         one iteration of every root `go test` benchmark, of
 #                      internal/core's, internal/server's and
 #                      internal/shard's
@@ -244,6 +246,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzAppendRecordJSON -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzFragTable -fuzztime=10s ./internal/server
 	$(GO) test -run='TestRecordCountOverflowRejected' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
 	$(GO) test -run='^$$' -fuzz=FuzzReadMapping -fuzztime=10s ./internal/optimize
@@ -254,7 +257,8 @@ fuzzsmoke:
 # One iteration of every root benchmark, of internal/core's
 # (BenchmarkOrderHotStream: ordering the hot stream's matches by ID), of
 # internal/server's (BenchmarkSearchHit and BenchmarkSearchMiss, /search
-# with the cache warm and off) and of internal/shard's
+# with the cache warm and off, and BenchmarkCacheRefresh, one put back
+# into a stored entry) and of internal/shard's
 # (BenchmarkElasticQuery: the cold stream through an elastic front end,
 # in-process and over the wire): keeps them compiling and running without
 # timing anything.

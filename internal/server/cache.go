@@ -19,12 +19,30 @@
 // stored entry is its body length and the uint32 numbers of its ads'
 // fragments, in order ("null" and "[]" stay copies). A fragment counts
 // the entries that reference it, and its slot is freed for reuse when the
-// count reaches zero. The table is keyed by ad ID, and two replies share a
-// fragment only when its bytes are equal: an ID re-inserted with other
-// content gets a fragment of its own, so sharing never changes a byte of a
-// reply. The references are numbers, not pointers, on purpose: in a
-// prototype with []*fragment the collector traced 1.5 M pointers per cycle
-// on http-hot, and its CPU time went from 0.2 to 1.3 s.
+// count reaches zero. Two replies share a fragment only when its ID and
+// its bytes are equal: an ID re-inserted with other content gets a
+// fragment of its own, which becomes the one new replies of that ID are
+// compared with, so sharing never changes a byte of a reply. The
+// references are numbers, not pointers, on purpose: in a prototype with
+// []*fragment the collector traced 1.5 M pointers per cycle on http-hot,
+// and its CPU time went from 0.2 to 1.3 s.
+//
+// A put is told where each ad lies. The encoder that wrote the reply
+// records, per ad, its ID and where its bytes end (adindex.AdSpan:
+// View.AppendMatchJSON for a miss encoded from the index, appendAdsJSON
+// for replies built from Ads), and Cached carries those spans to the put,
+// which never parses the body. The table finds an ID's newest fragment
+// through fragIndex, an open-addressing table in one flat array that holds
+// each ID beside its slot, at most three quarters full, so a probe
+// compares IDs without loading a fragment and touches one cache line in
+// the common case; then one byte compare decides whether the ad is shared. A put on
+// http-churn is mostly a refresh — every write there outdates about 18
+// stored replies, each of which the next miss puts back — and on the
+// hot stream's working set a refresh went from 28 to 7 µs (medians of
+// five runs, 2 vCPUs; BenchmarkCacheRefresh) when the put stopped
+// splitting the body, reading each ad's ID out of its digits and finding
+// it in a Go map. A put whose reply has no spans keeps its body
+// as a copy; the server's never lacks them.
 //
 // Second-sight admission. A key's first put stores nothing but a ghost:
 // the key's 64-bit fingerprint (the one the handler already computed for
@@ -33,8 +51,8 @@
 // sighting therefore allocates nothing and holds no key, no entry and no
 // list element. A Get never looks at ghosts: a key with no entry is a
 // plain miss. The put after it finds the fingerprint, takes it out of the
-// set, interns the reply's ads (split at adSep) and stores the entry at the
-// protected front. A query asked once costs a ring slot and no table work;
+// set, interns the reply's ads (as its spans locate them) and stores the
+// entry at the protected front. A query asked once costs a ring slot and no table work;
 // every distinct query misses once more, and no more: replaying the first
 // 400k requests of the http-hot stream of seeds 1 and 2 through a
 // default-sized cache, misses went 20 000 → 40 000 (0.050 → 0.100), and
@@ -57,11 +75,13 @@
 //
 // A hit appends the entry's body to the caller's buffer while it holds the
 // entry's shard lock: "[", the fragments separated by commas and "]", or
-// the copy of a body without ads. The entry pins its fragments — none of
-// them reaches a count of zero while it references them — so an eviction
-// in another shard never frees a slot a hit is reading, and a hit takes no
-// table lock. Slots live in fixed-size chunks that never move. Nothing a
-// hit returns refers into the cache: the body is the caller's copy.
+// the copy of a body without ads, into room grown once for the entry's
+// body length. It never touches the fragment index: the entry's numbers
+// name the slots. The entry pins its fragments — none of them reaches a
+// count of zero while it references them — so an eviction in another
+// shard never frees a slot a hit is reading, and a hit takes no table
+// lock. Slots live in fixed-size chunks that never move. Nothing a hit
+// returns refers into the cache: the body is the caller's copy.
 //
 // Key choice. Broad match is insensitive to word order and duplicate
 // multiplicity beyond folding ("cheap used books" and "used cheap books"
@@ -113,12 +133,12 @@ package server
 import (
 	"bytes"
 	"container/list"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"adindex"
-	"adindex/internal/corpus"
 )
 
 // Cached is one cached reply.
@@ -129,24 +149,11 @@ type Cached struct {
 	Cutoff bool
 	// Body is the JSON of the reply's "ads" array.
 	Body []byte
-}
-
-// adSep separates two ads in an encoded array: Ad.AppendJSON begins an ad
-// with {"ID":, and inside a JSON string a quote is always escaped, so the
-// sequence occurs nowhere else.
-var adSep = []byte(`,{"ID":`)
-
-// adID reads the ID an encoded ad begins with: Ad.AppendJSON writes it
-// first, as {"ID":<digits>,.
-func adID(ad []byte) uint64 {
-	var id uint64
-	for _, b := range ad[len(`{"ID":`):] {
-		if b < '0' || b > '9' {
-			break
-		}
-		id = id*10 + uint64(b-'0')
-	}
-	return id
+	// Spans locate the ads of Body, one per ad, in order, for a put: the
+	// encoder that wrote the body records them (View.AppendMatchJSON,
+	// appendAdsJSON). A put without them keeps Body as a copy. A Get
+	// leaves them nil.
+	Spans []adindex.AdSpan
 }
 
 // fragChunkBits sizes the chunks fragment slots are allocated in: 1 024
@@ -171,11 +178,11 @@ type fragTable struct {
 	chunks atomic.Pointer[[]*fragChunk]
 
 	mu    sync.Mutex
-	byID  map[uint64]uint32 // the newest fragment of each ID in use
-	free  []uint32          // freed slots, reused before new ones
-	slots uint32            // slots handed out, free ones included
-	live  int               // fragments in use
-	bytes int64             // their JSON bytes
+	index fragIndex // the newest fragment of each ID in use
+	free  []uint32  // freed slots, reused before new ones
+	slots uint32    // slots handed out, free ones included
+	live  int       // fragments in use
+	bytes int64     // their JSON bytes
 }
 
 // at returns the chunk of slot i and its position there. The caller holds
@@ -184,11 +191,31 @@ func (t *fragTable) at(i uint32) (*fragChunk, uint32) {
 	return (*t.chunks.Load())[i>>fragChunkBits], i & fragChunkMask
 }
 
+// internAds returns the fragments of the ads of body that spans locate,
+// in order, each with one reference more, and then drops one reference to
+// each fragment of drop: a refresh keeps the fragments its old reply
+// shares with the new one.
+func (t *fragTable) internAds(body []byte, spans []adindex.AdSpan, drop []uint32) []uint32 {
+	refs := make([]uint32, len(spans))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	start := 1 // past the '['
+	for k, sp := range spans {
+		refs[k] = t.intern(sp.ID, body[start:sp.End])
+		start = sp.End + 1 // past the ','
+	}
+	t.releaseLocked(drop)
+	return refs
+}
+
 // intern returns the fragment of ad id whose bytes are b with one more
-// reference, a new one if no fragment of id holds exactly b. The caller
-// holds mu.
+// reference, a new one if the ID's newest fragment holds other bytes (or
+// there is none), which then becomes the ID's newest: new replies carry
+// the newest content. The caller holds mu.
 func (t *fragTable) intern(id uint64, b []byte) uint32 {
-	if i, ok := t.byID[id]; ok {
+	at, ok := t.index.find(id)
+	if ok {
+		i := t.index.pos[at].slot - 1
 		if c, j := t.at(i); bytes.Equal(c.json[j], b) {
 			c.refs[j]++
 			return i
@@ -197,7 +224,7 @@ func (t *fragTable) intern(id uint64, b []byte) uint32 {
 	i := t.alloc()
 	c, j := t.at(i)
 	c.id[j], c.refs[j], c.json[j] = id, 1, bytes.Clone(b)
-	t.byID[id] = i // new replies carry the newest content
+	t.index.set(at, ok, id, i)
 	t.live++
 	t.bytes += int64(len(b))
 	return i
@@ -231,13 +258,18 @@ func (t *fragTable) release(refs []uint32) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.releaseLocked(refs)
+}
+
+// releaseLocked is release for a caller that holds mu.
+func (t *fragTable) releaseLocked(refs []uint32) {
 	for _, i := range refs {
 		c, j := t.at(i)
 		if c.refs[j]--; c.refs[j] > 0 {
 			continue
 		}
-		if k, ok := t.byID[c.id[j]]; ok && k == i {
-			delete(t.byID, c.id[j])
+		if at, ok := t.index.find(c.id[j]); ok && t.index.pos[at].slot == i+1 {
+			t.index.remove(at)
 		}
 		t.live--
 		t.bytes -= int64(len(c.json[j]))
@@ -246,30 +278,95 @@ func (t *fragTable) release(refs []uint32) {
 	}
 }
 
-// internBody returns the fragments of the ads of body, an encoded array
-// that holds at least one, in order, each with one reference more, and then
-// drops one reference to each fragment of drop: a refresh keeps the
-// fragments its old reply shares with the new one.
-func (t *fragTable) internBody(body []byte, drop []uint32) []uint32 {
-	ads := body[1 : len(body)-1] // within the brackets
-	refs := make([]uint32, 0, bytes.Count(ads, adSep)+1)
-	t.mu.Lock()
-	for len(ads) > 0 {
-		n := bytes.Index(ads, adSep)
-		if n < 0 {
-			n = len(ads)
-		}
-		refs = append(refs, t.intern(adID(ads[:n]), ads[:n]))
-		ads = ads[min(n+1, len(ads)):] // past the ','
-	}
-	t.mu.Unlock()
-	t.release(drop)
-	return refs
+// fragIndex maps an ad ID to the slot of its newest fragment in use: an
+// open-addressing table in one flat array, probed linearly from the ID's
+// home position. A position holds the ID beside the slot, so a probe
+// compares IDs without loading a fragment, and the table is kept at most
+// three quarters full (it doubles past that), so in the common case a
+// probe touches one cache line. A delete shifts the entries behind it
+// back, as ghostRing's does. Half full would cost memory for no speed:
+// the 34 131 IDs that the hot stream over a 100k-ad corpus stores took
+// 131 072 positions (2 MB) instead of 65 536, and http-hot's rss_mb read
+// 1.7 MiB above the Go map's in each of five pairs.
+type fragIndex struct {
+	pos   []fragPos // a power of two long, or empty before the first ID
+	shift uint      // 64 - log2(len(pos)): home keeps the hash's top bits
+	n     int       // positions in use
 }
 
-// holdsAds reports whether body, an encoded ads array, holds an ad: it is
-// neither null nor [].
-func holdsAds(body []byte) bool { return len(body) > 2 && body[0] == '[' }
+// fragPos is one position of a fragIndex.
+type fragPos struct {
+	id   uint64
+	slot uint32 // the fragment's slot + 1; 0 on an empty position
+}
+
+// minFragIndex is the length of a fragIndex's first array.
+const minFragIndex = 64
+
+// home is the position where the probe for id starts.
+func (x *fragIndex) home(id uint64) int {
+	return int(id * 0x9E3779B97F4A7C15 >> x.shift)
+}
+
+// find returns the position of id and true, or the empty position where
+// id would go and false.
+func (x *fragIndex) find(id uint64) (int, bool) {
+	if len(x.pos) == 0 {
+		return 0, false
+	}
+	mask := len(x.pos) - 1
+	for i := x.home(id); ; i = (i + 1) & mask {
+		if p := x.pos[i]; p.slot == 0 || p.id == id {
+			return i, p.slot != 0
+		}
+	}
+}
+
+// set makes slot the fragment of id at position at, as find returned it
+// (present tells whether id was there): a present ID's slot is replaced,
+// an absent one is added, which can grow the table.
+func (x *fragIndex) set(at int, present bool, id uint64, slot uint32) {
+	if present {
+		x.pos[at].slot = slot + 1
+		return
+	}
+	if 4*(x.n+1) > 3*len(x.pos) {
+		x.grow()
+		at, _ = x.find(id)
+	}
+	x.pos[at] = fragPos{id: id, slot: slot + 1}
+	x.n++
+}
+
+// grow doubles the table and adds its entries again.
+func (x *fragIndex) grow() {
+	old := x.pos
+	size := max(minFragIndex, 2*len(old))
+	x.pos, x.shift = make([]fragPos, size), uint(64-bits.TrailingZeros(uint(size)))
+	for _, p := range old {
+		if p.slot != 0 {
+			i, _ := x.find(p.id)
+			x.pos[i] = p
+		}
+	}
+}
+
+// remove empties position i, shifting the entries behind it back so that
+// no probe sequence crosses an empty position.
+func (x *fragIndex) remove(i int) {
+	mask := len(x.pos) - 1
+	for j := (i + 1) & mask; x.pos[j].slot != 0; j = (j + 1) & mask {
+		// The entry at j may fill i unless its home lies after i, in
+		// (i, j]: it must stay reachable from its home.
+		k := x.home(x.pos[j].id)
+		if (j-k)&mask >= (j-i)&mask {
+			x.pos[i] = x.pos[j]
+			i = j
+		}
+	}
+	x.pos[i] = fragPos{}
+	x.n--
+}
 
 // probationShare is the reciprocal of the share of a shard's capacity the
 // probation segment holds (see "Segments" above).
@@ -293,17 +390,18 @@ type cacheEntry struct {
 // reference (the fragments are the table's).
 func (e *cacheEntry) size() int64 { return int64(len(e.key) + len(e.body) + 4*len(e.refs)) }
 
-// setBody makes the reply encoded in body the entry's, its ads as
-// fragments, and releases the fragments of the reply it replaces. The
-// caller holds the entry's shard lock.
-func (e *cacheEntry) setBody(body []byte, t *fragTable) {
+// setBody makes reply the entry's: its ads, as spans locate them, as
+// fragments, or its body as a copy when it comes without spans ("null",
+// "[]"); and releases the fragments of the reply it replaces. The caller
+// holds the entry's shard lock.
+func (e *cacheEntry) setBody(reply Cached, t *fragTable) {
 	drop := e.refs
-	e.body, e.bodyLen, e.refs = nil, len(body), nil
-	if holdsAds(body) {
-		e.refs = t.internBody(body, drop)
+	e.body, e.bodyLen, e.refs = nil, len(reply.Body), nil
+	if len(reply.Spans) > 0 {
+		e.refs = t.internAds(reply.Body, reply.Spans, drop)
 		return
 	}
-	e.body = bytes.Clone(body)
+	e.body = bytes.Clone(reply.Body)
 	t.release(drop)
 }
 
@@ -478,6 +576,8 @@ type Cache struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	invalidations atomic.Uint64
+	stores        atomic.Uint64 // second sightings stored
+	refreshes     atomic.Uint64 // puts taken into a present entry
 }
 
 // NewCache builds a cache holding up to entries results across `shards`
@@ -501,7 +601,6 @@ func NewCache(entries, shards int) *Cache {
 	}
 	probationCap := (perShard + probationShare - 1) / probationShare
 	c := &Cache{shards: make([]*cacheShard, n), mask: uint32(n - 1)}
-	c.ads.byID = make(map[uint64]uint32)
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
 			cap:          perShard,
@@ -575,7 +674,28 @@ func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, fp, changedAt uint64
 // given epoch (stored on the key's second sighting, as cachePut says): the
 // form for callers that hold ads rather than a reply body.
 func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
-	cachePut(c, key, fingerprint(key), epoch, Cached{Matched: len(ads), Body: corpus.AppendAdsJSON(nil, ads)})
+	body, spans := appendAdsJSON(nil, nil, ads)
+	cachePut(c, key, fingerprint(key), epoch, Cached{Matched: len(ads), Body: body, Spans: spans})
+}
+
+// appendAdsJSON appends ads as corpus.AppendAdsJSON does (a nil slice is
+// null, an empty one []) and, for each ad, its span to spans: the encoding
+// of the replies that are built from Ads, as View.AppendMatchJSON's is of
+// those it encodes from the index.
+func appendAdsJSON(dst []byte, spans []adindex.AdSpan, ads []adindex.Ad) ([]byte, []adindex.AdSpan) {
+	if ads == nil {
+		return append(dst, "null"...), spans
+	}
+	open := len(dst)
+	dst = append(dst, '[')
+	for i := range ads {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = ads[i].AppendJSON(dst)
+		spans = append(spans, adindex.AdSpan{ID: ads[i].ID, End: len(dst) - open})
+	}
+	return append(dst, ']'), spans
 }
 
 // cachePut stores a reply computed at the given epoch (the Epoch of the
@@ -606,9 +726,10 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, fp, epoch uint64, reply Cached) 
 		}
 		s.bytes -= ent.size()
 		ent.epoch, ent.matched, ent.cutoff = epoch, reply.Matched, reply.Cutoff
-		ent.setBody(reply.Body, s.ads)
+		ent.setBody(reply, s.ads)
 		s.bytes += ent.size()
 		s.repeat(el)
+		c.refreshes.Add(1)
 		return
 	}
 	if !s.ghosts.take(fp) {
@@ -616,8 +737,9 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, fp, epoch uint64, reply Cached) 
 		return
 	}
 	ent := &cacheEntry{key: string(key), epoch: epoch, matched: reply.Matched, cutoff: reply.Cutoff}
-	ent.setBody(reply.Body, s.ads)
+	ent.setBody(reply, s.ads)
 	s.store(ent)
+	c.stores.Add(1)
 }
 
 // Len returns the number of entries held in both segments (entries a write
@@ -679,6 +801,16 @@ func (c *Cache) sharedAds() (ads int, bytes int64) {
 	c.ads.mu.Lock()
 	defer c.ads.mu.Unlock()
 	return c.ads.live, c.ads.bytes
+}
+
+// puts returns the cumulative counts of puts that stored a second
+// sighting's reply and of puts taken into a present entry (refreshes of
+// an outdated reply, and puts racing a hit).
+func (c *Cache) puts() (stores, refreshes uint64) {
+	if c == nil {
+		return 0, 0
+	}
+	return c.stores.Load(), c.refreshes.Load()
 }
 
 // Stats returns cumulative hit/miss/invalidation counts.

@@ -293,11 +293,12 @@ func checkGhosts(t *testing.T, shard int, g *ghostRing) {
 }
 
 // checkFragments holds the fragment table to the entries: every entry
-// holds its body in one form (one with ads always as references), every
-// slot's count is the number of references the entries hold to it, a slot is
-// free exactly when that is 0, a slot in use holds an ad's JSON, the ID
-// index points at slots in use of that ID, and the table's totals are the
-// sums over its slots.
+// holds its body in one form, every slot's count is the number of
+// references the entries hold to it, a slot is free exactly when that is
+// 0, a slot in use holds an ad's JSON, the ID index's positions in use
+// point at slots in use of their ID, each reachable from its home without
+// crossing an empty position, and the table's totals are the sums over its
+// slots.
 func checkFragments(t *testing.T, c *Cache) {
 	t.Helper()
 	want := map[uint32]uint32{}
@@ -308,8 +309,7 @@ func checkFragments(t *testing.T, c *Cache) {
 			for _, i := range ent.refs {
 				want[i]++
 			}
-			// Bytes or references, and a reply with ads, references.
-			if (ent.refs == nil) == (ent.body == nil) || holdsAds(ent.body) {
+			if (ent.refs == nil) == (ent.body == nil) {
 				t.Errorf("entry %q (protected %v): body %q, %d references", ent.key, ent.protected, ent.body, len(ent.refs))
 			}
 		}
@@ -340,13 +340,41 @@ func checkFragments(t *testing.T, c *Cache) {
 	if len(free) != len(tb.free) || live+len(tb.free) != int(tb.slots) {
 		t.Errorf("%d slots: %d in use, %d on the free list (%d distinct)", tb.slots, live, len(tb.free), len(free))
 	}
-	for id, i := range tb.byID {
-		if ch, j := tb.at(i); ch.refs[j] == 0 || ch.id[j] != id {
-			t.Errorf("ID %d indexes fragment %d, which holds ad %d with %d references", id, i, ch.id[j], ch.refs[j])
-		}
-	}
+	checkFragIndex(t, tb)
 	if live != tb.live || bytes != tb.bytes {
 		t.Errorf("table counts %d fragments of %d bytes, its slots hold %d of %d", tb.live, tb.bytes, live, bytes)
+	}
+}
+
+// checkFragIndex holds a fragment table's ID index to its invariants:
+// each position in use names a slot in use of its ID, each ID at most
+// once, each reachable from its home without crossing an empty position,
+// n the positions in use, at most three quarters of the table. The caller
+// holds the table's lock.
+func checkFragIndex(t *testing.T, tb *fragTable) {
+	t.Helper()
+	x := &tb.index
+	mask := len(x.pos) - 1
+	seen := map[uint64]bool{}
+	for i, p := range x.pos {
+		if p.slot == 0 {
+			continue
+		}
+		if slot := p.slot - 1; seen[p.id] || slot >= tb.slots {
+			t.Errorf("index position %d: ID %d (seen before %v) names slot %d of %d", i, p.id, seen[p.id], slot, tb.slots)
+		} else if ch, j := tb.at(slot); ch.refs[j] == 0 || ch.id[j] != p.id {
+			t.Errorf("index position %d: ID %d names slot %d, which holds ad %d with %d references", i, p.id, slot, ch.id[j], ch.refs[j])
+		}
+		seen[p.id] = true
+		for j := x.home(p.id); j != i; j = (j + 1) & mask {
+			if x.pos[j].slot == 0 {
+				t.Errorf("index position %d: ID %d is cut off from its home by an empty position %d", i, p.id, j)
+				break
+			}
+		}
+	}
+	if len(seen) != x.n || 4*x.n > 3*len(x.pos) {
+		t.Errorf("index holds %d IDs, counts %d, in %d positions", len(seen), x.n, len(x.pos))
 	}
 }
 
@@ -650,8 +678,8 @@ func TestCacheSharesAds(t *testing.T) {
 	put("last", 0, []adindex.Ad{})
 	put("last2", 0, nil)
 	check("every entry with ads gone", 0)
-	if n, b := c.sharedAds(); n != 0 || b != 0 || len(c.ads.byID) != 0 || len(c.ads.free) != int(c.ads.slots) {
-		t.Errorf("table after its last reference: %d ads of %d bytes, %d IDs, %d of %d slots free", n, b, len(c.ads.byID), len(c.ads.free), c.ads.slots)
+	if n, b := c.sharedAds(); n != 0 || b != 0 || c.ads.index.n != 0 || len(c.ads.free) != int(c.ads.slots) {
+		t.Errorf("table after its last reference: %d ads of %d bytes, %d IDs, %d of %d slots free", n, b, c.ads.index.n, len(c.ads.free), c.ads.slots)
 	}
 
 	// A hot stream: power-law queries over a 20k-ad corpus, each asked
@@ -804,7 +832,8 @@ func TestCacheFirstSightingsHoldNoBodies(t *testing.T) {
 		for j := range list {
 			list[j] = ads[(i+j)%len(ads)]
 		}
-		bodies[i] = Cached{Matched: len(list), Body: corpus.AppendAdsJSON(nil, list)}
+		body, spans := appendAdsJSON(nil, nil, list)
+		bodies[i] = Cached{Matched: len(list), Body: body, Spans: spans}
 	}
 	body := func(i int) Cached { return bodies[i%len(bodies)] }
 	if b := len(body(0).Body); b < 7_000 || b > 9_000 {

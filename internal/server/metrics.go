@@ -229,6 +229,12 @@ type MetricsSnapshot struct {
 		Hits          uint64 `json:"hits"`
 		Misses        uint64 `json:"misses"`
 		Invalidations uint64 `json:"invalidations"`
+		// Stores counts the puts that stored a reply: a key's second
+		// sighting. Refreshes counts the puts into a present entry: the
+		// miss after a write outdated it (or a put that raced a hit).
+		// Each interns the reply's ads into the shared table.
+		Stores    uint64 `json:"stores"`
+		Refreshes uint64 `json:"refreshes"`
 		// Entries is how many replies are stored, in both segments.
 		Entries int `json:"entries"`
 		// Probation is how many of those entries sit in the probation

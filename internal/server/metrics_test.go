@@ -169,6 +169,9 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if cache["shared_ads"].(float64) != 0 || cache["shared_bytes"].(float64) != 0 {
 		t.Errorf("cache = %v, want no shared ads before a repeat", cache)
 	}
+	if cache["stores"] != float64(0) || cache["refreshes"] != float64(0) {
+		t.Errorf("cache = %v, want no store and no refresh after a first sighting", cache)
+	}
 	// A first sighting waits as a ghost, outside the segments, until it is
 	// asked again; the sampler holds the one query's word set.
 	if cache["probation"].(float64) != 0 || cache["ghosts"].(float64) != 1 {
@@ -213,6 +216,9 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 		cache["shared_ads"].(float64) != float64(len(ads)) || cache["shared_bytes"].(float64) != float64(want) {
 		t.Errorf("cache = %v after the repeat, want %d bytes of entry and %d shared ads of %d bytes", cache, key+4*len(ads), len(ads), want)
 	}
+	if cache := back["cache"].(map[string]any); cache["stores"] != float64(1) || cache["refreshes"] != float64(0) {
+		t.Errorf("cache = %v after the repeat, want one store and no refresh", cache)
+	}
 	if got := back["index"].(map[string]any)["observed_queries"]; got != float64(1) {
 		t.Errorf("index.observed_queries = %v after a reordered repeat, want 1", got)
 	}
@@ -248,6 +254,16 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 	if got := back["index"].(map[string]any)["remaps"]; got != float64(1) {
 		t.Errorf("index.remaps = %v after one /optimize, want 1", got)
+	}
+	// A write to the stored query's words outdates its entry: the next
+	// search misses and its put refreshes the entry in place.
+	serve(t, s, "POST", "/insert", `{"id":77,"phrase":"used books"}`)
+	serve(t, s, "GET", searchTarget("used books", "broad"), "")
+	if err := json.Unmarshal(serve(t, s, "GET", "/metrics", ""), &back); err != nil {
+		t.Fatal(err)
+	}
+	if cache := back["cache"].(map[string]any); cache["stores"] != float64(1) || cache["refreshes"] != float64(1) || cache["invalidations"] != float64(1) {
+		t.Errorf("cache = %v after a write to the stored query's words and its repeat, want one store, one invalidation and one refresh", cache)
 	}
 
 	// The index section counts overlay folds where they happen: here the

@@ -12,8 +12,9 @@
 // Handler alone, net/http copies what Write is given.) Everything in the
 // scratch is the request's own — tokens and words alias the request's
 // query string, key and buf are bytes built for this request, ads are the
-// match's copies — and the cache never keeps any of it: cachePut copies
-// key and body, and a first sighting keeps the key's fingerprint only. The other direction is copy-only as well: a hit appends
+// match's copies, spans locate ads in buf — and the cache never keeps any
+// of it: cachePut copies key and ads, and a first sighting keeps the key's
+// fingerprint only. The other direction is copy-only as well: a hit appends
 // the cached body into buf while the cache holds the entry, and buf never
 // refers into the cache.
 package server
@@ -84,12 +85,16 @@ type searchScratch struct {
 	ads []adindex.Ad
 	// buf is the response body.
 	buf []byte
+	// spans locate the ads that misses encoded into buf, for their puts:
+	// a batch's misses append theirs one after another, each put reading
+	// its own.
+	spans []adindex.AdSpan
 }
 
 // maxPooledBuf bounds the response buffer a scratch keeps between
 // requests, and maxPooledAds its copy-out slice (8192 ads of about 120 B:
-// the same mebibyte); a larger one (a reply of thousands of ads) is
-// dropped rather than pinned by the pool.
+// the same mebibyte) and its spans; a larger one (a reply of thousands of
+// ads) is dropped rather than pinned by the pool.
 const (
 	maxPooledBuf = 1 << 20
 	maxPooledAds = 8 << 10
@@ -116,6 +121,9 @@ func putSearchScratch(sc *searchScratch) {
 	}
 	if cap(sc.buf) > maxPooledBuf {
 		sc.buf = nil
+	}
+	if cap(sc.spans) > maxPooledAds {
+		sc.spans = nil
 	}
 	searchScratchPool.Put(sc)
 }

@@ -650,15 +650,15 @@ func TestSearchMissAllocs(t *testing.T) {
 // buffers only up to their bounds. One broad query matching 20 000 ads
 // used to leave its 2.4 MB copy-out slice pinned by the pool.
 func TestSearchScratchPoolBounds(t *testing.T) {
-	big := &searchScratch{ads: make([]adindex.Ad, 20_000), buf: make([]byte, 0, 2*maxPooledBuf)}
+	big := &searchScratch{ads: make([]adindex.Ad, 20_000), buf: make([]byte, 0, 2*maxPooledBuf), spans: make([]adindex.AdSpan, 20_000)}
 	putSearchScratch(big)
-	if big.ads != nil || big.buf != nil {
-		t.Errorf("a scratch past its bounds was pooled with cap(ads) %d, cap(buf) %d; want both dropped", cap(big.ads), cap(big.buf))
+	if big.ads != nil || big.buf != nil || big.spans != nil {
+		t.Errorf("a scratch past its bounds was pooled with cap(ads) %d, cap(buf) %d, cap(spans) %d; want all dropped", cap(big.ads), cap(big.buf), cap(big.spans))
 	}
-	small := &searchScratch{ads: make([]adindex.Ad, 10, maxPooledAds), buf: make([]byte, 0, maxPooledBuf)}
+	small := &searchScratch{ads: make([]adindex.Ad, 10, maxPooledAds), buf: make([]byte, 0, maxPooledBuf), spans: make([]adindex.AdSpan, 0, maxPooledAds)}
 	putSearchScratch(small)
-	if len(small.ads) != 0 || cap(small.ads) != maxPooledAds || cap(small.buf) != maxPooledBuf {
-		t.Errorf("a scratch within its bounds was pooled with len(ads) %d, cap(ads) %d, cap(buf) %d; want its buffers kept, ads emptied",
-			len(small.ads), cap(small.ads), cap(small.buf))
+	if len(small.ads) != 0 || cap(small.ads) != maxPooledAds || cap(small.buf) != maxPooledBuf || cap(small.spans) != maxPooledAds {
+		t.Errorf("a scratch within its bounds was pooled with len(ads) %d, cap(ads) %d, cap(buf) %d, cap(spans) %d; want its buffers kept, ads emptied",
+			len(small.ads), cap(small.ads), cap(small.buf), cap(small.spans))
 	}
 }

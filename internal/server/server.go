@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"adindex"
-	"adindex/internal/corpus"
 	"adindex/internal/durable"
 	"adindex/internal/multiserver"
 	"adindex/internal/shard"
@@ -433,7 +432,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// The reply is one result — the envelope of /search is its type and
 	// took_us fields and the final newline.
-	sc.buf = sc.buf[:0]
+	sc.buf, sc.spans = sc.buf[:0], sc.spans[:0]
 	out := s.answer(sc, &rd, fp, q)
 	if out.fresh.Body != nil {
 		cachePut(s.cache, sc.key, fp, rd.view.Epoch(), out.fresh)
@@ -519,7 +518,8 @@ type outcome struct {
 	truncated, cutoff bool
 	costSpent         int64
 	// fresh is the reply a miss computed, to be stored under sc.key at the
-	// view's epoch. Its Body (the ads array in sc.buf) is nil when there is
+	// view's epoch: its Body is the ads array in sc.buf, its Spans are
+	// that array's in sc.spans. Body is nil when there is
 	// nothing to store: a hit, a rewritten answer — those depend on the
 	// vocabulary as well as the key's word set — or a truncated one.
 	fresh Cached
@@ -534,10 +534,11 @@ type outcome struct {
 // lookup), put through the selection and encoded. The result object goes
 // onto sc.buf up to and including the "ads" array — a hit has the cache
 // append it while it holds the entry, a plain miss has the view encode the
-// array from the index (View.AppendMatchJSON, on the word set begin built)
-// and puts the head before it — and closeResult completes it. Only a
-// rewritten query or a server with a selection copies its ads out: those
-// need them as Ads.
+// array from the index (View.AppendMatchJSON, on the word set and token
+// sequence begin built) and puts the head before it — and closeResult
+// completes it. Only a rewritten query or a server with a selection copies
+// its ads out: those need them as Ads. Whichever encoder writes a miss's
+// array appends its ads' spans to sc.spans, for the put.
 func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) outcome {
 	if s.panicOn != "" && q == s.panicOn {
 		panic("injected test panic")
@@ -561,7 +562,8 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 	}
 	var out outcome
 	var res adindex.Result
-	var body int // where the ads array begins in sc.buf
+	var body int           // where the ads array begins in sc.buf
+	spans := len(sc.spans) // where its spans begin in sc.spans
 	if rd.rewrite || s.cfg.Selection != nil {
 		clear(sc.ads) // the request's previous query, already encoded
 		res = rd.view.Match(sc.ads[:0], query)
@@ -574,11 +576,12 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 			out.matches, out.rewrite = s.selectMatches(q, res), newRewriteStatsJSON(res.Rewrite)
 			s.metrics.noteRewrite(res.Rewrite)
 		} else {
-			sc.buf = corpus.AppendAdsJSON(sc.buf, adindex.SelectAds(q, res.Ads, *s.cfg.Selection))
+			sc.buf, sc.spans = appendAdsJSON(sc.buf, sc.spans, adindex.SelectAds(q, res.Ads, *s.cfg.Selection))
 		}
 	} else {
 		mark := len(sc.buf)
-		sc.buf, out.fresh.Matched, res = rd.view.AppendMatchJSON(sc.buf, query, sc.words)
+		sc.buf, sc.spans, res = rd.view.AppendMatchJSON(sc.buf, sc.spans, query, sc.words, sc.tokens)
+		out.fresh.Matched = len(sc.spans) - spans
 		sc.buf, body = insertHead(sc.buf, mark, q, rd.typ, out.fresh.Matched)
 	}
 	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
@@ -587,6 +590,7 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 	if !rd.rewrite && !res.Truncated { // never cache a partial answer
 		out.fresh.Cutoff = res.CutoffApplied
 		out.fresh.Body = sc.buf[body:]
+		out.fresh.Spans = sc.spans[spans:len(sc.spans):len(sc.spans)]
 	}
 	return out
 }
@@ -795,6 +799,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		Cached
 	}
 	var fresh []stored
+	sc.spans = sc.spans[:0] // each stored reply keeps its own stretch
 	sc.buf = append(sc.buf[:0], `{"epoch":`...)
 	sc.buf = strconv.AppendUint(sc.buf, epoch, 10)
 	sc.buf = append(sc.buf, `,"results":[`...)
@@ -1018,6 +1023,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.metrics.Snapshot()
 	snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Invalidations = s.cache.Stats()
+	snap.Cache.Stores, snap.Cache.Refreshes = s.cache.puts()
 	snap.Cache.Entries = s.cache.Len()
 	snap.Cache.Probation = s.cache.probationLen()
 	snap.Cache.Ghosts = s.cache.ghostLen()

@@ -586,48 +586,59 @@ func (r Result) Matches() []Match {
 func (v View) Match(dst []Ad, q Query) Result {
 	sc := getScratch()
 	sc.words = textnorm.AppendWordSet(sc.words[:0], q.Text)
-	res := v.match(sc, q)
+	res := v.match(sc, q, nil)
 	res.Ads = appendAdCopies(dst, v.s, sc.refs)
 	putScratch(sc)
 	return res
+}
+
+// AdSpan locates one ad of an encoded ads array: the ad's ID and the
+// offset just past its bytes, counted from the array's '['. The ad begins
+// one byte past the previous span's End (past its ','), the first at 1.
+type AdSpan struct {
+	ID  uint64
+	End int
 }
 
 // AppendMatchJSON answers q as Match does and appends the answer to dst as
 // a JSON array: exactly the bytes corpus.AppendAdsJSON writes for Match's
 // copy-out ("null" when nothing matches). Base records are encoded from
 // the index's columns and no Ad is built. words is the canonical word set
-// of q.Text (textnorm.WordSet; what NewAd puts in Words), which the caller
-// has built already: the text is not split into words again (Exact and
-// Phrase still read their token sequence from it). It returns dst
-// extended, the number of ads it encoded, and Match's Result but for Ads,
-// which is nil.
-func (v View) AppendMatchJSON(dst []byte, q Query, words []string) ([]byte, int, Result) {
+// of q.Text (textnorm.WordSet; what NewAd puts in Words) and tokens its
+// token sequence (textnorm.AppendTokens), which the caller has built
+// already: the text is not split again. A nil tokens has Exact and Phrase
+// read it from q.Text; Broad reads none. It returns dst extended, spans
+// extended by one AdSpan per encoded ad, in order, and Match's Result but
+// for Ads, which is nil.
+func (v View) AppendMatchJSON(dst []byte, spans []AdSpan, q Query, words, tokens []string) ([]byte, []AdSpan, Result) {
 	sc := getScratch()
 	sc.words = append(sc.words[:0], words...)
-	res := v.match(sc, q)
-	dst = v.s.appendJSON(dst, sc.refs)
-	n := len(sc.refs)
+	res := v.match(sc, q, tokens)
+	dst, spans = v.s.appendJSON(dst, spans, sc.refs)
 	putScratch(sc)
-	return dst, n, res
+	return dst, spans, res
 }
 
 // match is what Match and AppendMatchJSON share: it samples sc.words, the
 // query's canonical word set, and answers q on it, leaving the matching
-// records in sc.refs.
-func (v View) match(sc *queryScratch, q Query) Result {
+// records in sc.refs. tokens is q.Text's token sequence, or nil to have
+// Exact and Phrase tokenize it here.
+func (v View) match(sc *queryScratch, q Query, tokens []string) Result {
 	sc.budget = core.Budget{MaxCost: q.Budget.MaxCost, Deadline: q.Budget.Deadline, Now: q.Budget.Now}
 	v.observed.ObserveWords(sc.words)
 	var res Result
 	if q.Rewrite && q.Type == Broad {
 		res.Infos, res.Rewrite = v.matchRewrite(sc, q.Counters)
 	} else {
-		var tokens []string
-		if q.Type != Broad {
+		switch {
+		case q.Type == Broad:
+			tokens = nil
+		case tokens == nil:
 			sc.tokens = textnorm.AppendTokens(sc.tokens[:0], q.Text)
 			tokens = sc.tokens
-			if q.Type == Exact {
-				tokens = textnorm.Folded(tokens)
-			}
+		}
+		if q.Type == Exact {
+			tokens = textnorm.Folded(tokens)
 		}
 		sc.refs = v.s.appendMatch(sc.refs[:0], q.Type, tokens, sc.words, q.Counters, &sc.core, &sc.budget)
 	}
@@ -639,23 +650,29 @@ func (v View) match(sc *queryScratch, q Query) Result {
 
 // appendJSON appends the ads of refs, an answer of s, to dst as a JSON
 // array, as corpus.AppendAdsJSON writes their copies: base records from the
-// columns, delta ads as they are.
-func (s *snapshot) appendJSON(dst []byte, refs []core.Ref) []byte {
+// columns, delta ads as they are. Each ad's span goes onto spans.
+func (s *snapshot) appendJSON(dst []byte, spans []AdSpan, refs []core.Ref) ([]byte, []AdSpan) {
 	if len(refs) == 0 {
-		return append(dst, "null"...)
+		return append(dst, "null"...), spans
 	}
+	open := len(dst)
 	dst = append(dst, '[')
 	for i, r := range refs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
+		var id uint64
 		if r < deltaRef {
+			id = s.base.ID(r)
 			dst = s.base.AppendRecordJSON(dst, r)
 		} else {
-			dst = s.delta[r-deltaRef].AppendJSON(dst)
+			ad := &s.delta[r-deltaRef]
+			id = ad.ID
+			dst = ad.AppendJSON(dst)
 		}
+		spans = append(spans, AdSpan{ID: id, End: len(dst) - open})
 	}
-	return append(dst, ']')
+	return append(dst, ']'), spans
 }
 
 // BroadMatch returns copies of all ads whose bid phrases broad-match the
