@@ -42,9 +42,12 @@
 #   fuzzsmoke          ten seconds on each decoder of foreign bytes (the
 #                      snapshot file and WAL decoders among them), on
 #                      the reply encoders held to encoding/json, on
-#                      the index's record encoder held to theirs, and on
-#                      the reply cache's fragment table (puts, refreshes
-#                      and evictions over colliding and reused IDs)
+#                      the index's record encoder held to theirs, on
+#                      the index's probe table held to a map (keys that
+#                      share a home slot or a tag, tombstone reuse,
+#                      growth), and on the reply cache's fragment table
+#                      (puts, refreshes and evictions over colliding and
+#                      reused IDs)
 #   benchsmoke         one iteration of every root `go test` benchmark, of
 #                      internal/core's, internal/server's and
 #                      internal/shard's
@@ -221,7 +224,9 @@ benchpairs:
 # byte for byte, on arbitrary strings), the
 # bounded-Levenshtein trie walk (walk ≡ naive DP over every stored
 # word), the columnar signature prefilter (prefiltered scan ≡ naive
-# per-record subset scan under random insert/remove churn), and the
+# per-record subset scan under random insert/remove churn), the index's
+# probe table (put, del, add, dec, get and lookup ≡ a map, through
+# tombstones and growth, over keys sharing a home slot or a tag), and the
 # multiserver wire decoders (frame and response readers, ID, record and
 # metadata bodies, and the one request decoder over every tag combination,
 # after the pinned record-frame overflow cases) and the durable snapshot-file and
@@ -246,6 +251,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzAppendRecordJSON -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzProbeTable -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFragTable -fuzztime=10s ./internal/server
 	$(GO) test -run='TestRecordCountOverflowRejected' -fuzz=FuzzFrameDecoders -fuzztime=10s ./internal/multiserver
 	$(GO) test -run='^$$' -fuzz=FuzzDurableDecoders -fuzztime=10s ./internal/durable
@@ -255,7 +261,9 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s -fuzzminimizetime=100x .
 
 # One iteration of every root benchmark, of internal/core's
-# (BenchmarkOrderHotStream: ordering the hot stream's matches by ID), of
+# (BenchmarkOrderHotStream: ordering the hot stream's matches by ID;
+# BenchmarkColdMatch: the http-cold stream's subset walks on a frozen
+# 200k-ad base, with the probes of H per query), of
 # internal/server's (BenchmarkSearchHit and BenchmarkSearchMiss, /search
 # with the cache warm and off, and BenchmarkCacheRefresh, one put back
 # into a stored entry) and of internal/shard's

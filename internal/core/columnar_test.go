@@ -248,7 +248,7 @@ func TestCountersSignatureIdentity(t *testing.T) {
 		for _, w := range c.Ads[i].Words {
 			in[w] = true
 		}
-		q := append([]string(nil), ix.chooseLocator(c.Ads[i].Words)...)
+		q := append([]string(nil), ix.Locator(c.Ads[i].Words)...)
 		for _, w := range pool {
 			if len(q) >= 10 {
 				break

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
 )
@@ -105,6 +109,56 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 	}
 }
 
+// TestLongInputCutStaysBounded feeds the rarest-words rule inputs of
+// thousands of indexed words: a query, cut to MaxQueryWords by prepare,
+// and a phrase, re-mapped to MaxWords on bulk load, on Insert and by
+// Locator. Ranking must cost O(n log n), not a search of the words per
+// comparison, and a warmed scratch must prepare the query without
+// allocating. Only the cuts are timed, not the build around them.
+func TestLongInputCutStaysBounded(t *testing.T) {
+	const n = 20000
+	words := make([]string, n)
+	var ads []corpus.Ad
+	for i := range words {
+		words[i] = fmt.Sprintf("w%05d", i)
+		ads = append(ads, corpus.NewAd(uint64(len(ads)+1), words[i], corpus.Meta{}))
+		if i%3 == 0 { // every third word is commoner
+			ads = append(ads, corpus.NewAd(uint64(len(ads)+1), words[i], corpus.Meta{}))
+		}
+	}
+	phrase := strings.Join(words, " ")
+	ix := New(append(ads, corpus.NewAd(uint64(len(ads)+1), phrase, corpus.Meta{})), Options{})
+	sc := new(Scratch)
+	start := time.Now()
+	ix.Insert(corpus.NewAd(uint64(len(ads)+2), phrase[len("w00000 "):], corpus.Meta{}))
+	loc := ix.Locator(words)
+	cut := ix.prepare(sc, words)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("cutting %d-word inputs took %v", n, elapsed)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(loc) != ix.Options().MaxWords || loc[0] != "w00001" {
+		t.Errorf("Locator of the long phrase = %v", loc)
+	}
+	if !cut {
+		t.Fatalf("a query of %d indexed words was not cut", n)
+	}
+	want, _ := PrepareQuery(nil, words, ix.DocFreqs(), ix.Options().MaxQueryWords)
+	if !reflect.DeepEqual(sc.q, want) {
+		t.Errorf("prepare kept %v, PrepareQuery %v", sc.q, want)
+	}
+	for i, w := range sc.q {
+		if id, _ := ix.voc.id(w); sc.qids[i] != id || sc.qh[i] != wordKey(w) {
+			t.Fatalf("prepared word %q misaligned with its ID or key", w)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ix.prepare(sc, words) }); allocs != 0 {
+		t.Errorf("prepare of a %d-word query allocates %.0f times", n, allocs)
+	}
+}
+
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	corrupt := map[string]func(ix *Index){
 		"byte count":   func(ix *Index) { ix.bytes += 7 },
@@ -116,7 +170,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		"set count":    func(ix *Index) { ix.sets++ },
 		"empty node":   func(ix *Index) { ix.nodes[0].n = 0 },
 		"text":         func(ix *Index) { ix.textUsed-- },
-		"vocabulary":   func(ix *Index) { ix.voc.ids["zzz"] = 0 },
+		"vocabulary":   func(ix *Index) { clear(ix.voc.table) },
+		"stray word":   func(ix *Index) { ix.voc.table[slices.Index(ix.voc.table, 0)] = 1 },
+		"successor":    func(ix *Index) { clear(ix.voc.succ) },
 		"dangling set": func(ix *Index) { ix.locOf[setKey([]string{"p", "q"})] = []string{"p"} },
 		"locator": func(ix *Index) {
 			ix.locOf[setKey([]string{"c", "d"})] = []string{"no", "such", "locator"}

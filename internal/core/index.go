@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"adindex/internal/corpus"
@@ -258,14 +259,29 @@ func (ix *Index) appendAds(dst []corpus.Ad, lo, hi uint32) []corpus.Ad {
 }
 
 // addPrefixes registers n records' worth of references to every prefix of
-// loc (in sorted order, hashed incrementally exactly as subset enumeration
-// does).
-func (ix *Index) addPrefixes(loc []string, n uint32) {
+// the locator with word IDs loc (in sorted order, hashed incrementally
+// exactly as subset enumeration does), and each of its words in the
+// successor filter of the word before it.
+func (ix *Index) addPrefixes(loc []uint32, n uint32) {
 	h := uint64(fnvOffset64)
-	for i, w := range loc {
-		h = hashExtend(h, i == 0, w)
+	for i, id := range loc {
+		h = hashExtend(h, i == 0, ix.voc.words[id])
 		ix.table.add(h, n)
+		if i == 0 {
+			ix.voc.succ[id] |= startBit
+		} else {
+			ix.voc.succ[loc[i-1]] |= succBit(id)
+		}
 	}
+}
+
+// locatorIDs appends to dst the IDs of the words of loc, a subset of the
+// set words whose IDs are ids.
+func locatorIDs(dst []uint32, loc, words []string, ids []uint32) []uint32 {
+	for _, w := range loc {
+		dst = append(dst, ids[slices.Index(words, w)])
+	}
+	return dst
 }
 
 // dropPrefixes releases one record's worth of references to every prefix
@@ -281,43 +297,57 @@ func (ix *Index) dropPrefixes(loc []string) {
 // chooseLocator implements the fast local heuristic of Section VI: short
 // word sets locate at themselves; long word sets are re-mapped to their
 // MaxWords rarest words (rare words give the locator maximal selectivity,
-// so the node attracts few unrelated co-accesses). A long set's locator
-// holds the vocabulary's strings, never the caller's.
-func (ix *Index) chooseLocator(words []string) []string {
+// so the node attracts few unrelated co-accesses). ids holds the IDs of
+// words; a long set's locator holds the vocabulary's strings, never the
+// caller's.
+func (ix *Index) chooseLocator(words []string, ids []uint32) []string {
 	if len(words) <= ix.opts.MaxWords {
 		return words
 	}
-	loc := rarest(slices.Clone(words), ix.opts.MaxWords, ix.voc.freq)
-	for i, w := range loc {
-		if id, ok := ix.voc.id(w); ok {
-			loc[i] = ix.voc.words[id]
-		}
+	kept := rarest(nil, words, ix.opts.MaxWords, func(i int32) uint32 { return ix.voc.df[ids[i]] })
+	loc := make([]string, len(kept))
+	for j, i := range kept {
+		loc[j] = ix.voc.words[ids[i]]
 	}
 	return loc
 }
 
-// rarest orders words in place, rarest first by df and ties by the word,
-// and returns the canonical set of the first k: the one rule by which the
-// long-phrase locator and the long-query cutoff both keep k words.
-func rarest(words []string, k int, df func(string) int) []string {
-	sort.SliceStable(words, func(i, j int) bool {
-		di, dj := df(words[i]), df(words[j])
-		if di != dj {
-			return di < dj
+// rarest returns, in ord's storage and in ascending order, the positions
+// in words (a canonical set) of its k rarest words: rarest first by df,
+// which reads the frequency of the word at a position, ties by the word.
+// It is the one rule by which the long-phrase locator and the long-query
+// cutoff both keep k words, and it sorts positions, so a comparison reads
+// no map and searches no slice.
+func rarest(ord []int32, words []string, k int, df func(i int32) uint32) []int32 {
+	ord = ord[:0]
+	for i := range words {
+		ord = append(ord, int32(i))
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		if c := cmp.Compare(df(a), df(b)); c != 0 {
+			return c
 		}
-		return words[i] < words[j]
+		return strings.Compare(words[a], words[b])
 	})
-	return textnorm.CanonicalSet(words[:k])
+	ord = ord[:k]
+	slices.Sort(ord)
+	return ord
 }
 
 // Locator returns the locator of the word set words: the words of the node
 // that holds, or would hold, its records. It is words itself unless the
-// set is long or re-mapped.
+// set is long or re-mapped, or holds a word the vocabulary lacks, which
+// no record has.
 func (ix *Index) Locator(words []string) []string {
 	if loc, ok := ix.mappedLocator(words); ok {
 		return loc
 	}
-	return ix.chooseLocator(words)
+	var buf wordIDBuf
+	ids, ok := ix.voc.appendIDs(buf[:0], words)
+	if !ok {
+		return words
+	}
+	return ix.chooseLocator(words, ids)
 }
 
 // mappedLocator returns the locOf entry of words, if it has one.
@@ -351,7 +381,7 @@ type wordIDBuf [16]uint32
 // (Section VI recommends periodic re-optimization instead).
 func (ix *Index) Insert(ad corpus.Ad) {
 	ix.mutable("Insert")
-	var buf wordIDBuf
+	var buf, locBuf wordIDBuf
 	ids := buf[:0]
 	for _, w := range ad.Words {
 		id := ix.voc.intern(w)
@@ -360,7 +390,7 @@ func (ix *Index) Insert(ad corpus.Ad) {
 	}
 	loc, ok := ix.mappedLocator(ad.Words)
 	if !ok {
-		if loc = ix.chooseLocator(ad.Words); len(ad.Words) > ix.opts.MaxWords {
+		if loc = ix.chooseLocator(ad.Words, ids); len(ad.Words) > ix.opts.MaxWords {
 			ix.locOf[setKey(ad.Words)] = loc
 		}
 	}
@@ -371,7 +401,7 @@ func (ix *Index) Insert(ad corpus.Ad) {
 		ix.table.put(h, v)
 	}
 	ix.insertRecord(v-1, &ad, ids)
-	ix.addPrefixes(loc, 1)
+	ix.addPrefixes(locatorIDs(locBuf[:0], loc, ad.Words, ids), 1)
 	ix.numAds++
 	ix.maybeCompact()
 }
@@ -673,16 +703,8 @@ func (ix *Index) CheckInvariants() error {
 		len(ix.wcs) != n || len(ix.sameKey) != n || len(ix.wordAt) != n || len(ix.textAt) != n {
 		return fmt.Errorf("core: record columns of unequal length")
 	}
-	if len(ix.voc.df) != len(ix.voc.words) || len(ix.voc.sig) != len(ix.voc.words) || len(ix.voc.ids) != len(ix.voc.words) {
-		return fmt.Errorf("core: vocabulary of %d words, %d frequencies, %d IDs", len(ix.voc.words), len(ix.voc.df), len(ix.voc.ids))
-	}
-	for id, w := range ix.voc.words {
-		if got, ok := ix.voc.ids[w]; !ok || got != uint32(id) {
-			return fmt.Errorf("core: vocabulary word %q has ID %d, numbered %d", w, got, id)
-		}
-		if ix.voc.sig[id] != SetSignature([]string{w}) {
-			return fmt.Errorf("core: vocabulary word %q has signature bits %x", w, ix.voc.sig[id])
-		}
+	if err := ix.voc.check(); err != nil {
+		return err
 	}
 	owner := make([]bool, n)
 	df := make([]uint32, len(ix.voc.words))
@@ -822,6 +844,12 @@ func (ix *Index) checkNode(h uint64, k uint32, owner []bool, df []uint32, runs m
 		for i, w := range loc {
 			ph = hashExtend(ph, i == 0, w)
 			want[ph] += run
+		}
+		ids := locatorIDs(nil, loc, words, ws)
+		for i, id := range ids {
+			if i == 0 && ix.voc.succ[id]&startBit == 0 || i > 0 && ix.voc.succ[ids[i-1]]&succBit(id) == 0 {
+				return fmt.Errorf("core: locator %v: successor filter misses word %d", loc, i)
+			}
 		}
 	}
 	return nil

@@ -135,7 +135,7 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 // columns on the heap or in a region.
 func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Options, workers int, frozen bool) (*Index, error) {
 	opts.fillDefaults()
-	ix := &Index{opts: opts, voc: newVocab(), locOf: map[string][]string{}, frozen: frozen}
+	ix := &Index{opts: opts, locOf: map[string][]string{}, frozen: frozen}
 	n := in.Len()
 	if at != nil {
 		n = len(at)
@@ -247,7 +247,7 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 	// hashes of its proper prefixes, which each chunk lists for tableSlots.
 	refusedAt := make([]int32, chunks)
 	prefixes := make([][]uint64, chunks)
-	chunkLocs := make([][][]string, chunks)
+	chunkLocs := make([][][]uint32, chunks)
 	parallel(workers, chunks, func(p int) {
 		refusedAt[p] = int32(in.Len())
 		lo, hi := chunkOf(p, len(sets))
@@ -257,10 +257,12 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 		}
 		prefixes[p] = make([]uint64, 0, room)
 		var words []string
+		var ids []uint32
 		var key []byte
 		for i := lo; i < hi; i++ {
 			s := &sets[i]
 			words = in.AppendWords(words[:0], int(s.ad))
+			ids = appendRemapped(ids[:0], in.Run(int(s.ad)), remap)
 			var loc []string
 			mapped := false
 			if mapping != nil {
@@ -269,15 +271,16 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 					for j := s.lo; j < s.hi; j++ {
 						refusedAt[p] = min(refusedAt[p], order[j].i)
 					}
+					continue
 				}
 			}
 			if !mapped {
-				loc = ix.chooseLocator(words)
+				loc = ix.chooseLocator(words, ids)
 			}
 			s.loc = -1
 			if !slices.Equal(loc, words) {
 				s.loc = int32(len(chunkLocs[p]))
-				chunkLocs[p] = append(chunkLocs[p], loc)
+				chunkLocs[p] = append(chunkLocs[p], locatorIDs(nil, loc, words, ids))
 			}
 			prefixes[p], s.hash = appendLocatorHashes(prefixes[p], loc)
 		}
@@ -286,7 +289,7 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 		words := in.AppendWords(nil, int(first))
 		return nil, checkLocator(mapping[setKey(words)], words, opts.MaxWords)
 	}
-	var locs [][]string
+	var locs [][]uint32 // the locators that are not their sets' words, as word IDs
 	for p := range chunkLocs {
 		lo, hi := chunkOf(p, len(sets))
 		for i := lo; i < hi; i++ {
@@ -380,6 +383,7 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 		ix.wordAt, ix.textAt = carve[uint32](cols, n), carve[uint32](cols, n)
 		ix.wordIDs = carve[uint32](cols, wordsAt[ranges])
 		ix.table.use(carve[uint64](cols, slots), carve[uint32](cols, slots), carve[uint32](cols, slots), carve[uint8](cols, slots))
+		ix.voc.table, ix.voc.succ = carve[uint64](cols, tableSize(len(ix.voc.words))), carve[uint64](cols, len(ix.voc.words))
 	}
 	if frozen {
 		carveAll()
@@ -403,20 +407,24 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 		r = r1
 	}
 
-	// Three writers with nothing in common: the probe table and the
-	// mapping, each filled by one goroutine in node order, and the nodes'
+	// Four writers with nothing in common: the probe table with the
+	// successor filters, the mapping and the vocabulary table, each filled
+	// by one goroutine (the first two in node order), and the nodes'
 	// records, filled a range of nodes at a time.
 	rangeBytes := make([]int, ranges)
-	parallel(workers, 2+ranges, func(p int) {
+	parallel(workers, 3+ranges, func(p int) {
 		switch p {
 		case 0:
-			var words []string
+			var ids []uint32
 			for k := range ix.nodes {
 				ix.table.put(sets[firstSet[k]].hash, uint32(k)+1)
 				for _, s := range sets[firstSet[k]:firstSet[k+1]] {
-					loc := in.AppendWords(words[:0], int(s.ad))
-					if words = loc; s.loc >= 0 {
+					var loc []uint32
+					if s.loc >= 0 {
 						loc = locs[s.loc]
+					} else {
+						ids = appendRemapped(ids[:0], in.Run(int(s.ad)), remap)
+						loc = ids
 					}
 					ix.addPrefixes(loc, uint32(s.hi-s.lo))
 				}
@@ -427,13 +435,15 @@ func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Opt
 					continue
 				}
 				loc := make([]string, len(locs[s.loc]))
-				for j, w := range locs[s.loc] {
-					loc[j] = ix.voc.words[ix.voc.ids[w]]
+				for j, id := range locs[s.loc] {
+					loc[j] = ix.voc.words[id]
 				}
 				ix.locOf[runKey(in.Words, in.Run(int(s.ad)))] = loc
 			}
+		case 2:
+			ix.voc.fill()
 		default:
-			p -= 2
+			p -= 3
 			lo, hi := nodeRange(p)
 			rangeBytes[p] = ix.writeNodes(in, remap, order, sets, firstSet, lo, hi, wordsAt[p], textAt[p])
 		}
@@ -473,6 +483,18 @@ func (ix *Index) writeNodes(in *corpus.Columns, remap []uint32, order []placedAd
 		}
 	}
 	return bytes
+}
+
+// appendRemapped appends the word IDs run, an ad's in the loader's input,
+// to dst as the index numbers them: through remap where it is not nil.
+func appendRemapped(dst, run, remap []uint32) []uint32 {
+	if remap == nil {
+		return append(dst, run...)
+	}
+	for _, w := range run {
+		dst = append(dst, remap[w])
+	}
+	return dst
 }
 
 // appendLocatorHashes appends the hashes of the proper prefixes of loc to

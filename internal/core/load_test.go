@@ -31,7 +31,8 @@ func grown(ads []corpus.Ad, mapping map[string][]string, opts Options) *Index {
 			ix.locOf[key] = loc
 		}
 		for _, w := range ads[i].Words {
-			ix.voc.df[ix.voc.ids[w]]-- // Insert counts them again
+			id, _ := ix.voc.id(w)
+			ix.voc.df[id]-- // Insert counts them again
 		}
 		ix.Insert(ads[i])
 	}
@@ -55,8 +56,8 @@ type nodeShape struct {
 func shape(t *testing.T, ix *Index) (map[uint64]nodeShape, []any) {
 	t.Helper()
 	byKey := make(map[uint64]nodeShape)
-	for i, st := range ix.table.state {
-		if st != slotFull {
+	for i, c := range ix.table.ctrl {
+		if c < ctrlFull {
 			continue
 		}
 		sh := nodeShape{Prefixes: ix.table.cnt[i]}
@@ -185,8 +186,8 @@ func TestBulkLoadEqualsIncremental(t *testing.T) {
 // storage is every byte a built index holds.
 func storage(ix *Index) []any {
 	return []any{ix.ids, ix.bids, ix.ctr, ix.campaign, ix.sigs, ix.wcs, ix.sameKey, ix.wordAt, ix.textAt,
-		ix.wordIDs, ix.arena, ix.voc.words, ix.voc.df, ix.nodes, ix.free,
-		ix.table.keys, ix.table.vals, ix.table.cnt, ix.table.state, ix.locOf}
+		ix.wordIDs, ix.arena, ix.voc.words, ix.voc.df, ix.voc.succ, ix.voc.table, ix.nodes, ix.free,
+		ix.table.keys, ix.table.vals, ix.table.cnt, ix.table.ctrl, ix.locOf}
 }
 
 // TestBuildAtEqualsCopy: a build over ascending positions of a corpus is

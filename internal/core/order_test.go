@@ -63,7 +63,7 @@ func scanOrder(ix *Index, q []string, sc *Scratch, dst []Ref) []Ref {
 	if len(sc.q) == 0 {
 		return dst
 	}
-	visited := ix.appendCandidateNodes(sc.q, nil, sc, nil)
+	visited := ix.appendCandidateNodes(nil, sc, nil)
 	sc.qsig = ix.voc.signature(sc.qids)
 	for _, v := range visited {
 		dst = ix.scanNode(ix.nodes[v-1], nil, sc, dst, nil)

@@ -80,25 +80,34 @@ func mergeRuns(ids []uint64, out, a, b []Ref) {
 const sigColumnBytes = 8
 
 // Scratch holds the reusable per-query buffers of the allocation-free
-// query path: the prepared query with its word IDs and signature, the
-// visited-node list with its dedup set, the per-node survivor buffer, a
-// token buffer for the order-sensitive match types, the merge buffer that
-// orders a match by ID, and the records and ads AppendBroadMatch copies
-// out. A Scratch is not safe for concurrent use; callers that care about
-// allocations keep one per worker (the adindex package pools them) and
-// pass the same instance to successive queries. The zero value is ready
-// to use.
+// query path: the prepared query with its word IDs, its words' keys and
+// its signature, the visited-node list with its dedup set, the per-node
+// survivor buffer, a token buffer for the order-sensitive match types,
+// the merge buffer that orders a match by ID, and the records and ads
+// AppendBroadMatch copies out. A Scratch is not safe for concurrent use;
+// callers that care about allocations keep one per worker (the adindex
+// package pools them) and pass the same instance to successive queries.
+// The zero value is ready to use.
 type Scratch struct {
-	q       []string
-	qids    []uint32
+	q    []string
+	qids []uint32
+	// qh holds the wordKey of each word of q: the vocabulary found it by
+	// that key, and the walk probes H with it for the word alone.
+	qh      []uint64
 	qsig    uint64
 	visited []uint32
 	seen    nodeSet
-	surv    []int32
-	toks    []string
-	refs    []Ref
-	ads     []corpus.Ad
-	strs    []string
+	// probes counts the probes of H the walks through this scratch made:
+	// the subsets the successor filters let through, where
+	// Counters.HashProbes counts every subset considered.
+	probes int
+	// ord holds the positions the long-query cutoff ranks (rarest).
+	ord  []int32
+	surv []int32
+	toks []string
+	refs []Ref
+	ads  []corpus.Ad
+	strs []string
 	// order is orderByID's merge buffer.
 	order []Ref
 }
@@ -110,6 +119,7 @@ func (sc *Scratch) Reset() {
 	clear(sc.q[:cap(sc.q)])
 	sc.q = sc.q[:0]
 	sc.qids = sc.qids[:0]
+	sc.qh = sc.qh[:0]
 	sc.qsig = 0
 	sc.visited = sc.visited[:0]
 	sc.seen.reset()
@@ -197,7 +207,7 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 		}
 		return dst
 	}
-	visited := ix.appendCandidateNodes(sc.q, counters, sc, b)
+	visited := ix.appendCandidateNodes(counters, sc, b)
 	mark := len(dst)
 	if len(visited) > 0 {
 		sc.qsig = ix.voc.signature(sc.qids)
@@ -221,22 +231,28 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 	return dst
 }
 
-// prepare fills sc.q and sc.qids with the prepared query (PrepareQuery,
-// on this index's vocabulary) and reports whether the cutoff dropped
-// words.
+// prepare fills sc.q, sc.qids and sc.qh with the prepared query
+// (PrepareQuery, on this index's vocabulary) and reports whether the
+// cutoff dropped words.
 func (ix *Index) prepare(sc *Scratch, queryWords []string) (cut bool) {
-	sc.q, sc.qids = sc.q[:0], sc.qids[:0]
+	sc.q, sc.qids, sc.qh = sc.q[:0], sc.qids[:0], sc.qh[:0]
 	for _, w := range queryWords {
-		if id, ok := ix.voc.id(w); ok && ix.voc.df[id] > 0 {
+		h := wordKey(w)
+		if id, ok := ix.voc.find(h, w); ok && ix.voc.df[id] > 0 {
 			sc.q = append(sc.q, w)
 			sc.qids = append(sc.qids, id)
+			sc.qh = append(sc.qh, h)
 		}
 	}
 	if len(sc.q) <= ix.opts.MaxQueryWords {
 		return false
 	}
-	sc.q = append(sc.q[:0], rarest(sc.q, ix.opts.MaxQueryWords, ix.voc.freq)...)
-	sc.qids, _ = ix.voc.appendIDs(sc.qids[:0], sc.q)
+	sc.ord = rarest(sc.ord, sc.q, ix.opts.MaxQueryWords, func(i int32) uint32 { return ix.voc.df[sc.qids[i]] })
+	n := len(sc.ord)
+	for j, i := range sc.ord {
+		sc.q[j], sc.qids[j], sc.qh[j] = sc.q[i], sc.qids[i], sc.qh[i]
+	}
+	sc.q, sc.qids, sc.qh = sc.q[:n], sc.qids[:n], sc.qh[:n]
 	return true
 }
 
@@ -348,28 +364,33 @@ func PrepareQuery(buf, queryWords []string, df map[string]int, maxQueryWords int
 	if len(buf) <= maxQueryWords {
 		return buf, false
 	}
-	return append(buf[:0], rarest(buf, maxQueryWords, func(w string) int { return df[w] })...), true
+	kept := rarest(nil, buf, maxQueryWords, func(i int32) uint32 { return uint32(df[buf[i]]) })
+	for j, i := range kept {
+		buf[j] = buf[i]
+	}
+	return buf[:len(kept)], true
 }
 
 // appendCandidateNodes appends to sc.visited each distinct data node
-// reachable from a non-empty subset of q up to MaxWords words (the bound
-// established by long-phrase re-mapping), probing H with an incrementally
-// extended hash so no subset slice is ever materialized. Deduplication —
-// needed because WordHash can collide between enumerated subsets and
-// because re-mapped nodes are reachable via multiple subset locators —
-// goes through sc.seen, an open-addressed set keyed by node, so the
-// per-hit cost stays O(1) however many nodes a long query touches. The
-// recursion carries no closure state, so a warmed scratch enumerates
-// without allocating.
-func (ix *Index) appendCandidateNodes(q []string, counters *costmodel.Counters, sc *Scratch, b *Budget) []uint32 {
-	k := ix.opts.MaxWords
-	if k > len(q) {
-		k = len(q)
-	}
+// reachable from a non-empty subset of the prepared query in sc up to
+// MaxWords words (the bound established by long-phrase re-mapping),
+// probing H with an incrementally extended hash so no subset slice is
+// ever materialized. Deduplication — needed because WordHash can collide
+// between enumerated subsets and because re-mapped nodes are reachable
+// via multiple subset locators — goes through sc.seen, an open-addressed
+// set keyed by node, so the per-hit cost stays O(1) however many nodes a
+// long query touches. The recursion carries no closure state, so a
+// warmed scratch enumerates without allocating.
+func (ix *Index) appendCandidateNodes(counters *costmodel.Counters, sc *Scratch, b *Budget) []uint32 {
+	k := min(ix.opts.MaxWords, len(sc.q))
 	sc.seen.reset()
-	sc.visited = ix.enumSubsets(q, 0, fnvOffset64, 0, k, counters, sc.visited[:0], &sc.seen, b)
+	sc.visited = sc.visited[:0]
+	ix.enumSubsets(sc, 0, fnvOffset64, 0, k, 0, counters, b)
 	return sc.visited
 }
+
+// probeBatch is how many sibling subsets enumSubsets probes back to back.
+const probeBatch = 16
 
 // enumSubsets walks the subset DFS with locator-prefix pruning: each
 // considered subset is charged one hash probe (the two-level check of the
@@ -380,36 +401,64 @@ func (ix *Index) appendCandidateNodes(q []string, counters *costmodel.Counters, 
 // bounded by LookupsForQueryLength but track the locators actually
 // indexed, which is what keeps long queries off the 2^n cliff.
 //
+// Most considered subsets are not probed at all. A subset that extends a
+// prefix by word w can be a live locator prefix only if w directly
+// follows the prefix's last word in some locator, which that word's
+// successor filter records (succ, its filter, passed in for size > 0); a
+// one-word subset only if the word starts a locator. A subset the filter
+// rules out is pruned as a failed probe would prune it, and charged as
+// one: the filter changes which probes are made, never what the walk
+// visits, charges or counts. The siblings that pass are probed back to
+// back, so their cache misses overlap, and then walked in order.
+//
 // A non-nil budget is charged one unit per considered subset; once it
-// is exhausted the walk unwinds immediately, leaving visited holding
+// is exhausted the walk unwinds immediately, leaving sc.visited holding
 // the nodes reached so far.
-func (ix *Index) enumSubsets(q []string, start int, h uint64, size, k int, counters *costmodel.Counters, visited []uint32, seen *nodeSet, b *Budget) []uint32 {
-	for i := start; i < len(q); i++ {
-		if b != nil && !b.Charge(1) {
-			return visited
-		}
-		nh := hashExtend(h, size == 0, q[i])
-		if counters != nil {
-			counters.HashProbes++
-			counters.RandomAccesses++
-			counters.BytesScanned += memHash
-		}
-		v, ok := ix.table.lookup(nh)
-		if !ok {
-			continue
-		}
-		if v != 0 && seen.add(uint64(v)) {
-			if counters != nil {
-				counters.RandomAccesses++
-				counters.NodesVisited++
+func (ix *Index) enumSubsets(sc *Scratch, start int, h uint64, size, k int, succ uint64, counters *costmodel.Counters, b *Budget) {
+	for lo := start; lo < len(sc.q); lo += probeBatch {
+		hi := min(lo+probeBatch, len(sc.q))
+		var keys [probeBatch]uint64
+		var vals [probeBatch]uint32
+		var live uint32 // bit i-lo: subset i is a live prefix
+		for i := lo; i < hi; i++ {
+			id := sc.qids[i]
+			if size == 0 && ix.voc.succ[id]&startBit == 0 || size > 0 && succ&succBit(id) == 0 {
+				continue
 			}
-			visited = append(visited, v)
+			nh := sc.qh[i]
+			if size > 0 {
+				nh = hashExtend(h, false, sc.q[i])
+			}
+			sc.probes++
+			if v, ok := ix.table.lookup(nh); ok {
+				keys[i-lo], vals[i-lo] = nh, v
+				live |= 1 << (i - lo)
+			}
 		}
-		if size+1 < k {
-			visited = ix.enumSubsets(q, i+1, nh, size+1, k, counters, visited, seen, b)
+		for i := lo; i < hi; i++ {
+			if b != nil && !b.Charge(1) {
+				return
+			}
+			if counters != nil {
+				counters.HashProbes++
+				counters.RandomAccesses++
+				counters.BytesScanned += memHash
+			}
+			if live&(1<<(i-lo)) == 0 {
+				continue
+			}
+			if v := vals[i-lo]; v != 0 && sc.seen.add(uint64(v)) {
+				if counters != nil {
+					counters.RandomAccesses++
+					counters.NodesVisited++
+				}
+				sc.visited = append(sc.visited, v)
+			}
+			if size+1 < k {
+				ix.enumSubsets(sc, i+1, keys[i-lo], size+1, k, ix.voc.succ[sc.qids[i]], counters, b)
+			}
 		}
 	}
-	return visited
 }
 
 // scanNode appends all records of nd that broad-match the prepared query

@@ -7,8 +7,9 @@ import (
 )
 
 // A frozen index (NewFrozen) keeps its pointer-free parts — the record
-// columns, the word IDs, the node table and the probe table's four arrays
-// — in one region of memory outside the Go heap, so the collector neither
+// columns, the word IDs, the node table, the probe table's four arrays,
+// and the vocabulary's table and successor filters — in one region of
+// memory outside the Go heap, so the collector neither
 // scans them nor counts them toward its heap goal. The region is laid out
 // as a header of uint64 words — regionMagic, the section count, then each
 // section's offset and length in bytes — followed by the sections, one
@@ -18,8 +19,9 @@ import (
 //
 // The text arena stays on the heap: copied-out phrases and exclusions
 // alias it (AppendAd), so the collector keeps it alive for as long as any
-// reply or caller holds one of them. The vocabulary and the mapping hold
-// strings and stay on the heap too.
+// reply or caller holds one of them. The vocabulary's words and the
+// mapping hold strings and stay on the heap too, as do the words'
+// frequencies and signature bits.
 //
 // A region is released when its index becomes unreachable: a finalizer on
 // the region, which only its index references, unmaps it. Refs are

@@ -57,7 +57,7 @@ func TestFrozenEqualsHeap(t *testing.T) {
 func requireSectionViews(t *testing.T, what string, ix *Index) {
 	t.Helper()
 	cols := []any{ix.nodes, ix.ids, ix.bids, ix.ctr, ix.campaign, ix.sigs, ix.wcs, ix.sameKey, ix.wordAt, ix.textAt,
-		ix.wordIDs, ix.table.keys, ix.table.vals, ix.table.cnt, ix.table.state}
+		ix.wordIDs, ix.table.keys, ix.table.vals, ix.table.cnt, ix.table.ctrl, ix.voc.table, ix.voc.succ}
 	h := ix.region.header(2)
 	if h[0] != regionMagic || h[1] != uint64(len(cols)) {
 		t.Fatalf("%s: region header %x, %d sections; want %x, %d", what, h[0], h[1], uint64(regionMagic), len(cols))

@@ -14,46 +14,67 @@ package core
 // Subset enumeration performs the large majority of all index memory
 // accesses (the lookups(n) term of Equation 2), and its keys are already
 // uniform FNV-1a hashes, so a lookup here is one multiply, a mask, and a
-// short scan over a flat key column — no re-hashing and no bucket
+// short scan over a flat column of control bytes, which reads a key only
+// where a 7-bit tag of it matches — no re-hashing and no bucket
 // indirection. Deletions leave tombstones; rebuilds on growth drop them.
 type probeTable struct {
-	keys  []uint64
-	vals  []uint32
-	cnt   []uint32 // locator-prefix references per slot
-	state []uint8  // slotEmpty, slotFull or slotTomb
-	nodes int      // full slots holding a node
-	live  int      // full slots (node, prefix references, or both)
-	used  int      // full + tombstone slots
+	keys []uint64
+	vals []uint32
+	cnt  []uint32 // locator-prefix references per slot
+	// ctrl is each slot's control byte: ctrlEmpty, ctrlTomb, or, for a
+	// full slot, ctrlFull with a 7-bit tag of its key (tag), so a probe
+	// reads keys only where the tag matches, as a Swiss table's does.
+	ctrl  []uint8
+	nodes int // full slots holding a node
+	live  int // full slots (node, prefix references, or both)
+	used  int // full + tombstone slots
 }
 
 const (
-	slotEmpty uint8 = iota
-	slotFull
-	slotTomb
+	ctrlEmpty uint8 = 0
+	ctrlTomb  uint8 = 1
+	ctrlFull  uint8 = 0x80
 
 	// probeFib scrambles the (already uniform) key so that linear-probe
 	// runs do not align with arithmetic key patterns.
 	probeFib = 0x9E3779B97F4A7C15
 )
 
+// home returns the slot where the probe for h starts, in a table of
+// mask+1 slots, and the control byte of h's full slot: its tag is the
+// top bits of the scrambled key, which the home (its low bits) does not
+// use.
+func home(h, mask uint64) (i uint64, ctrl uint8) {
+	x := h * probeFib
+	return x & mask, ctrlFull | uint8(x>>57)
+}
+
 func (t *probeTable) len() int { return t.nodes }
+
+// find returns the slot holding h, or -1.
+func (t *probeTable) find(h uint64) int {
+	if t.live == 0 {
+		return -1
+	}
+	mask := uint64(len(t.keys) - 1)
+	i, c := home(h, mask)
+	for ; ; i = (i + 1) & mask {
+		if t.ctrl[i] == c && t.keys[i] == h {
+			return int(i)
+		}
+		if t.ctrl[i] == ctrlEmpty {
+			return -1
+		}
+	}
+}
 
 // get returns the node stored under h, or 0 (also when h is live only
 // as a prefix of longer locators).
 func (t *probeTable) get(h uint64) uint32 {
-	if t.live == 0 {
-		return 0
+	if i := t.find(h); i >= 0 {
+		return t.vals[i]
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
-		st := t.state[i]
-		if st == slotFull && t.keys[i] == h {
-			return t.vals[i]
-		}
-		if st == slotEmpty {
-			return 0
-		}
-	}
+	return 0
 }
 
 // lookup is the single-probe enumeration primitive: it returns the node
@@ -61,19 +82,10 @@ func (t *probeTable) get(h uint64) uint32 {
 // key or as a prefix of some live locator. ok == false prunes the whole
 // DFS subtree rooted at h.
 func (t *probeTable) lookup(h uint64) (v uint32, ok bool) {
-	if t.live == 0 {
-		return 0, false
+	if i := t.find(h); i >= 0 {
+		return t.vals[i], true
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
-		st := t.state[i]
-		if st == slotFull && t.keys[i] == h {
-			return t.vals[i], true
-		}
-		if st == slotEmpty {
-			return 0, false
-		}
-	}
+	return 0, false
 }
 
 // slot returns the index of h's slot, upserting an empty one (with zero
@@ -84,22 +96,23 @@ func (t *probeTable) slot(h uint64) int {
 	}
 	mask := uint64(len(t.keys) - 1)
 	ins := -1
-	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
-		switch t.state[i] {
-		case slotFull:
+	i, c := home(h, mask)
+	for ; ; i = (i + 1) & mask {
+		switch t.ctrl[i] {
+		case c:
 			if t.keys[i] == h {
 				return int(i)
 			}
-		case slotTomb:
+		case ctrlTomb:
 			if ins < 0 {
 				ins = int(i)
 			}
-		case slotEmpty:
+		case ctrlEmpty:
 			if ins < 0 {
 				ins = int(i)
 				t.used++
 			}
-			t.keys[ins], t.vals[ins], t.cnt[ins], t.state[ins] = h, 0, 0, slotFull
+			t.keys[ins], t.vals[ins], t.cnt[ins], t.ctrl[ins] = h, 0, 0, c
 			t.live++
 			return ins
 		}
@@ -119,27 +132,15 @@ func (t *probeTable) put(h uint64, v uint32) {
 // del removes the node under h, if present. The slot survives as long as
 // prefix references remain.
 func (t *probeTable) del(h uint64) {
-	if t.live == 0 {
+	i := t.find(h)
+	if i < 0 {
 		return
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
-		st := t.state[i]
-		if st == slotFull && t.keys[i] == h {
-			if t.vals[i] != 0 {
-				t.vals[i] = 0
-				t.nodes--
-			}
-			if t.cnt[i] == 0 {
-				t.state[i] = slotTomb
-				t.live--
-			}
-			return
-		}
-		if st == slotEmpty {
-			return
-		}
+	if t.vals[i] != 0 {
+		t.vals[i] = 0
+		t.nodes--
 	}
+	t.kill(i)
 }
 
 // add adds n prefix references to h, upserting its slot.
@@ -150,22 +151,18 @@ func (t *probeTable) add(h uint64, n uint32) {
 // dec drops one prefix reference from h; a slot with no references and no
 // node becomes a tombstone.
 func (t *probeTable) dec(h uint64) {
-	if t.live == 0 {
-		return
+	if i := t.find(h); i >= 0 {
+		t.cnt[i]--
+		t.kill(i)
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := (h * probeFib) & mask; ; i = (i + 1) & mask {
-		st := t.state[i]
-		if st == slotFull && t.keys[i] == h {
-			if t.cnt[i]--; t.cnt[i] == 0 && t.vals[i] == 0 {
-				t.state[i] = slotTomb
-				t.live--
-			}
-			return
-		}
-		if st == slotEmpty {
-			return
-		}
+}
+
+// kill makes slot i a tombstone if it holds neither a node nor prefix
+// references.
+func (t *probeTable) kill(i int) {
+	if t.cnt[i] == 0 && t.vals[i] == 0 {
+		t.ctrl[i] = ctrlTomb
+		t.live--
 	}
 }
 
@@ -192,8 +189,8 @@ func tableSize(n int) int {
 
 // use makes the table empty over the given zeroed arrays, all of one
 // power-of-two length.
-func (t *probeTable) use(keys []uint64, vals, cnt []uint32, state []uint8) {
-	*t = probeTable{keys: keys, vals: vals, cnt: cnt, state: state}
+func (t *probeTable) use(keys []uint64, vals, cnt []uint32, ctrl []uint8) {
+	*t = probeTable{keys: keys, vals: vals, cnt: cnt, ctrl: ctrl}
 }
 
 // resize moves the full slots into fresh arrays of size slots (a power of
@@ -201,8 +198,8 @@ func (t *probeTable) use(keys []uint64, vals, cnt []uint32, state []uint8) {
 func (t *probeTable) resize(size int) {
 	old := *t
 	t.use(make([]uint64, size), make([]uint32, size), make([]uint32, size), make([]uint8, size))
-	for i, st := range old.state {
-		if st == slotFull {
+	for i, c := range old.ctrl {
+		if c >= ctrlFull {
 			j := t.slot(old.keys[i])
 			t.cnt[j] = old.cnt[i]
 			if old.vals[i] != 0 {
@@ -216,8 +213,8 @@ func (t *probeTable) resize(size int) {
 // each calls fn for every (hash, node) entry in slot order until fn
 // returns false. Prefix-only slots are skipped.
 func (t *probeTable) each(fn func(h uint64, v uint32) bool) {
-	for i, st := range t.state {
-		if st == slotFull && t.vals[i] != 0 && !fn(t.keys[i], t.vals[i]) {
+	for i, c := range t.ctrl {
+		if c >= ctrlFull && t.vals[i] != 0 && !fn(t.keys[i], t.vals[i]) {
 			return
 		}
 	}
@@ -226,8 +223,8 @@ func (t *probeTable) each(fn func(h uint64, v uint32) bool) {
 // eachPrefix calls fn for every slot holding prefix references, in
 // unspecified order, until fn returns false.
 func (t *probeTable) eachPrefix(fn func(h uint64, cnt uint32) bool) {
-	for i, st := range t.state {
-		if st == slotFull && t.cnt[i] > 0 && !fn(t.keys[i], t.cnt[i]) {
+	for i, c := range t.ctrl {
+		if c >= ctrlFull && t.cnt[i] > 0 && !fn(t.keys[i], t.cnt[i]) {
 			return
 		}
 	}

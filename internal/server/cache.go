@@ -21,11 +21,14 @@
 // the entries that reference it, and its slot is freed for reuse when the
 // count reaches zero. Two replies share a fragment only when its ID and
 // its bytes are equal: an ID re-inserted with other content gets a
-// fragment of its own, which becomes the one new replies of that ID are
-// compared with, so sharing never changes a byte of a reply. The
-// references are numbers, not pointers, on purpose: in a prototype with
-// []*fragment the collector traced 1.5 M pointers per cycle on http-hot,
-// and its CPU time went from 0.2 to 1.3 s.
+// fragment of its own, which becomes the ID's newest, so sharing never
+// changes a byte of a reply. The fragments of one ID in use form a list
+// from its newest, and a put compares an ad with each, so a reply that
+// holds two records of one ID (one advertiser bidding on two phrases that
+// both match) shares both. The references are numbers, not pointers, on
+// purpose: in a prototype with []*fragment the collector traced 1.5 M
+// pointers per cycle on http-hot, and its CPU time went from 0.2 to
+// 1.3 s.
 //
 // A put is told where each ad lies. The encoder that wrote the reply
 // records, per ad, its ID and where its bytes end (adindex.AdSpan:
@@ -35,7 +38,8 @@
 // through fragIndex, an open-addressing table in one flat array that holds
 // each ID beside its slot, at most three quarters full, so a probe
 // compares IDs without loading a fragment and touches one cache line in
-// the common case; then one byte compare decides whether the ad is shared. A put on
+// the common case; then a byte compare, one for an ID with one fragment,
+// decides whether the ad is shared. A put on
 // http-churn is mostly a refresh — every write there outdates about 18
 // stored replies, each of which the next miss puts back — and on the
 // hot stream's working set a refresh went from 28 to 7 µs (medians of
@@ -169,6 +173,10 @@ type fragChunk struct {
 	json [1 << fragChunkBits][]byte // the ad as Ad.AppendJSON writes it; nil on a free slot
 	id   [1 << fragChunkBits]uint64
 	refs [1 << fragChunkBits]uint32 // entries referencing it; 0 on a free slot
+	// next is the slot + 1 of the next older fragment in use of the same
+	// ID, 0 at the oldest: the fragments of one ID form a list from the
+	// newest, which the index holds.
+	next [1 << fragChunkBits]uint32
 }
 
 // fragTable is the cache's one table of encoded ads.
@@ -178,7 +186,7 @@ type fragTable struct {
 	chunks atomic.Pointer[[]*fragChunk]
 
 	mu    sync.Mutex
-	index fragIndex // the newest fragment of each ID in use
+	index fragIndex // the newest fragment of each ID in use, which lists the rest
 	free  []uint32  // freed slots, reused before new ones
 	slots uint32    // slots handed out, free ones included
 	live  int       // fragments in use
@@ -209,21 +217,26 @@ func (t *fragTable) internAds(body []byte, spans []adindex.AdSpan, drop []uint32
 }
 
 // intern returns the fragment of ad id whose bytes are b with one more
-// reference, a new one if the ID's newest fragment holds other bytes (or
-// there is none), which then becomes the ID's newest: new replies carry
-// the newest content. The caller holds mu.
+// reference: any fragment of the ID in use that holds them, or else a new
+// one, which becomes the ID's newest: new replies carry the newest
+// content. The caller holds mu.
 func (t *fragTable) intern(id uint64, b []byte) uint32 {
 	at, ok := t.index.find(id)
+	var newest uint32
 	if ok {
-		i := t.index.pos[at].slot - 1
-		if c, j := t.at(i); bytes.Equal(c.json[j], b) {
-			c.refs[j]++
-			return i
+		newest = t.index.pos[at].slot
+		for s := newest; s != 0; {
+			c, j := t.at(s - 1)
+			if bytes.Equal(c.json[j], b) {
+				c.refs[j]++
+				return s - 1
+			}
+			s = c.next[j]
 		}
 	}
 	i := t.alloc()
 	c, j := t.at(i)
-	c.id[j], c.refs[j], c.json[j] = id, 1, bytes.Clone(b)
+	c.id[j], c.refs[j], c.json[j], c.next[j] = id, 1, bytes.Clone(b), newest
 	t.index.set(at, ok, id, i)
 	t.live++
 	t.bytes += int64(len(b))
@@ -268,14 +281,35 @@ func (t *fragTable) releaseLocked(refs []uint32) {
 		if c.refs[j]--; c.refs[j] > 0 {
 			continue
 		}
-		if at, ok := t.index.find(c.id[j]); ok && t.index.pos[at].slot == i+1 {
-			t.index.remove(at)
-		}
+		t.unlink(i)
 		t.live--
 		t.bytes -= int64(len(c.json[j]))
 		c.json[j] = nil
 		t.free = append(t.free, i)
 	}
+}
+
+// unlink takes fragment i out of its ID's list, and the ID out of the
+// index with its last fragment. The caller holds mu.
+func (t *fragTable) unlink(i uint32) {
+	c, j := t.at(i)
+	at, _ := t.index.find(c.id[j])
+	s := t.index.pos[at].slot
+	switch {
+	case s == i+1 && c.next[j] == 0:
+		t.index.remove(at)
+	case s == i+1:
+		t.index.pos[at].slot = c.next[j]
+	default:
+		for {
+			pc, pj := t.at(s - 1)
+			if s = pc.next[pj]; s == i+1 {
+				pc.next[pj] = c.next[j]
+				break
+			}
+		}
+	}
+	c.next[j] = 0
 }
 
 // fragIndex maps an ad ID to the slot of its newest fragment in use: an

@@ -349,13 +349,16 @@ func checkFragments(t *testing.T, c *Cache) {
 // checkFragIndex holds a fragment table's ID index to its invariants:
 // each position in use names a slot in use of its ID, each ID at most
 // once, each reachable from its home without crossing an empty position,
-// n the positions in use, at most three quarters of the table. The caller
-// holds the table's lock.
+// n the positions in use, at most three quarters of the table; and the
+// lists from the IDs' newest fragments hold every fragment in use once,
+// under its own ID, no two of one ID with equal bytes. The caller holds
+// the table's lock.
 func checkFragIndex(t *testing.T, tb *fragTable) {
 	t.Helper()
 	x := &tb.index
 	mask := len(x.pos) - 1
 	seen := map[uint64]bool{}
+	listed := 0
 	for i, p := range x.pos {
 		if p.slot == 0 {
 			continue
@@ -366,6 +369,17 @@ func checkFragIndex(t *testing.T, tb *fragTable) {
 			t.Errorf("index position %d: ID %d names slot %d, which holds ad %d with %d references", i, p.id, slot, ch.id[j], ch.refs[j])
 		}
 		seen[p.id] = true
+		contents := map[string]bool{}
+		for s := p.slot; s != 0; { // the ID's list, from its newest
+			ch, j := tb.at(s - 1)
+			if ch.refs[j] == 0 || ch.id[j] != p.id || contents[string(ch.json[j])] || listed == tb.live {
+				t.Errorf("ID %d lists slot %d, which holds ad %d with %d references (its bytes listed before: %v)", p.id, s-1, ch.id[j], ch.refs[j], contents[string(ch.json[j])])
+				break
+			}
+			contents[string(ch.json[j])] = true
+			listed++
+			s = ch.next[j]
+		}
 		for j := x.home(p.id); j != i; j = (j + 1) & mask {
 			if x.pos[j].slot == 0 {
 				t.Errorf("index position %d: ID %d is cut off from its home by an empty position %d", i, p.id, j)
@@ -375,6 +389,9 @@ func checkFragIndex(t *testing.T, tb *fragTable) {
 	}
 	if len(seen) != x.n || 4*x.n > 3*len(x.pos) {
 		t.Errorf("index holds %d IDs, counts %d, in %d positions", len(seen), x.n, len(x.pos))
+	}
+	if listed != tb.live {
+		t.Errorf("the IDs' lists hold %d fragments of %d in use", listed, tb.live)
 	}
 }
 
@@ -966,5 +983,49 @@ func BenchmarkSearchMiss(b *testing.B) {
 	b.StopTimer()
 	if hits, _, _ := s.cache.Stats(); hits != 0 || w.code != 0 {
 		b.Fatalf("%d cache hits, status %d: the runs did not measure the miss path", hits, w.code)
+	}
+}
+
+// TestCacheSharesEveryFragmentOfAnID: a reply that holds two records of
+// one ad ID (one advertiser, two matching phrases) shares both fragments
+// with every other reply that holds them, whichever of the two was
+// interned last: eight such replies leave two fragments, not sixteen. A
+// third content of the ID, and the release of the fragments in any
+// order, keep the ID's list whole.
+func TestCacheSharesEveryFragmentOfAnID(t *testing.T) {
+	shoes := adindex.NewAd(7, "red shoes", adindex.Meta{BidMicros: 5})
+	boots := adindex.NewAd(7, "red boots", adindex.Meta{BidMicros: 5})
+	hats := adindex.NewAd(7, "red hats", adindex.Meta{BidMicros: 5})
+	reply := []adindex.Ad{shoes, boots}
+	c := NewCache(32, 1)
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprint("k", i)
+		c.Put(key, 0, reply)
+		c.Put(key, 0, reply)
+	}
+	want := int64(len(shoes.AppendJSON(nil)) + len(boots.AppendJSON(nil)))
+	if n, b := c.sharedAds(); n != 2 || b != want {
+		t.Fatalf("eight replies holding ID 7 twice: %d fragments of %d bytes, want 2 of %d", n, b, want)
+	}
+	c.Put("h", 0, []adindex.Ad{hats, shoes})
+	c.Put("h", 0, []adindex.Ad{hats, shoes})
+	if n, _ := c.sharedAds(); n != 3 {
+		t.Fatalf("a third content of ID 7: %d fragments, want 3", n)
+	}
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprint("k", i)
+		if got, ok := c.Get(key, 0); !ok || string(got.Body) != string(corpus.AppendAdsJSON(nil, reply)) {
+			t.Fatalf("%s: hit %v, body %s", key, ok, got.Body)
+		}
+	}
+	// Refresh every entry to a reply without ads: the oldest fragment goes
+	// with the last k entry, the newest (hats) last of all.
+	for _, key := range []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "h"} {
+		c.Get(key, 1)
+		c.Put(key, 1, nil)
+		checkSegments(t, c)
+	}
+	if n, b := c.sharedAds(); n != 0 || b != 0 || c.ads.index.n != 0 || len(c.ads.free) != int(c.ads.slots) {
+		t.Errorf("table after its last reference: %d ads of %d bytes, %d IDs, %d of %d slots free", n, b, c.ads.index.n, len(c.ads.free), c.ads.slots)
 	}
 }
