@@ -107,9 +107,15 @@ recovery-smoke:
 # the same schedules through the HTTP handler and its reply cache on a
 # crash-restarted durable index, every query asked twice and every cached
 # reply re-asked after each write.
+# Last, by name, the long-query seeds: random queries of up to 20 words
+# on the plain, durable and cached targets, every answer exact but for one
+# the walk bound flagged truncated (a verified part of it) — the check that
+# a query past 12 words is walked whole, which no other seed's short
+# queries make.
 simsmoke:
 	$(GO) test -race -short -run 'TestSim' ./internal/sim
 	$(GO) test -race -short -run 'TestSimCachedServer' -v ./internal/sim
+	$(GO) test -race -short -run 'TestSimLongQueries' -v ./internal/sim
 
 # Elastic-resharding regression gate: the pinned migration seeds and the
 # handcrafted split/migrate/merge scenario from internal/sim, which
@@ -263,7 +269,10 @@ fuzzsmoke:
 # One iteration of every root benchmark, of internal/core's
 # (BenchmarkOrderHotStream: ordering the hot stream's matches by ID;
 # BenchmarkColdMatch: the http-cold stream's subset walks on a frozen
-# 200k-ad base, with the probes of H per query), of
+# 200k-ad base, with the probes of H per query; BenchmarkLongQuery: the
+# budgeted walk of queries of 12 to 32 words, the lengths no bench/
+# stream sends, with the subsets considered per query and the share the
+# walk bound truncated), of
 # internal/server's (BenchmarkSearchHit and BenchmarkSearchMiss, /search
 # with the cache warm and off, and BenchmarkCacheRefresh, one put back
 # into a stored entry) and of internal/shard's

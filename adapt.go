@@ -56,6 +56,6 @@ func (ix *Index) adaptTick() (installed bool, err error) {
 	if ix.adaptSeen.Swap(seen) == seen {
 		return false, nil
 	}
-	rep, err := ix.remap(false)
+	rep, err := ix.remap()
 	return rep.Installed, err
 }

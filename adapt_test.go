@@ -116,15 +116,14 @@ func TestAdaptTickSkipsWithoutGain(t *testing.T) {
 	}
 }
 
-// TestOptimizeGate: Optimize runs the tick's gain rule, and folds a
-// pending overlay whatever the gain. On a durable index an Optimize that
-// gains installs: one remap, one epoch, one snapshot generation. After an
-// insert, a tick over the same workload gains nothing and installs
-// nothing, while an Optimize folds the overlay. A further Optimize with no
-// traffic between installs nothing: its report says so, and the snapshot,
-// the epoch, the remap count and the data directory are as they were.
-// ApplyMapping of the live mapping, which gains nothing either, still
-// installs.
+// TestOptimizeGate: Optimize runs the tick's gain rule and nothing else.
+// On a durable index an Optimize that gains installs: one remap, one
+// epoch, one snapshot generation. After an insert, a tick over the same
+// workload gains nothing and installs nothing, and neither does an
+// Optimize: its report says so, and the snapshot (its overlay still
+// pending), the epoch, the remap count and the data directory are as they
+// were. ApplyMapping of the live mapping, which gains nothing either,
+// still installs, and its build takes the overlay in.
 func TestOptimizeGate(t *testing.T) {
 	ix, wl := adaptTestIndex(t, 71, 72)
 	before := tickStateOf(t, ix)
@@ -147,18 +146,6 @@ func TestOptimizeGate(t *testing.T) {
 	if after := tickStateOf(t, ix); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a tick with nothing to gain changed the index: %+v -> %+v", before, after)
 	}
-	folding, err := ix.Optimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	after = tickStateOf(t, ix)
-	if !folding.Installed || after.remaps != before.remaps+1 || after.epoch != before.epoch+1 ||
-		after.snapshots != before.snapshots+1 || after.snap.overlaySize() != 0 {
-		t.Fatalf("an Optimize over a pending overlay: %+v; remaps %d -> %d, epoch %d -> %d, snapshots %d -> %d, overlay %d; want a fold",
-			folding, before.remaps, after.remaps, before.epoch, after.epoch, before.snapshots, after.snapshots, after.snap.overlaySize())
-	}
-
-	before = after
 	idle, err := ix.Optimize()
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +153,8 @@ func TestOptimizeGate(t *testing.T) {
 	if idle.Installed || idle.NodesAfter != idle.NodesBefore || idle.ModeledCostAfter != idle.ModeledCostBefore {
 		t.Errorf("an Optimize with nothing to gain reports %+v", idle)
 	}
-	if after := tickStateOf(t, ix); !reflect.DeepEqual(after, before) {
-		t.Fatalf("an Optimize with nothing to gain changed the index: %+v -> %+v", before, after)
+	if after := tickStateOf(t, ix); !reflect.DeepEqual(after, before) || after.snap.overlaySize() != 1 {
+		t.Fatalf("an Optimize with nothing to gain changed the index: %+v -> %+v, overlay %d", before, after, after.snap.overlaySize())
 	}
 
 	var live bytes.Buffer

@@ -79,8 +79,8 @@ func (o Options) maxDeltaAds() int {
 	return o.MaxDeltaAds
 }
 
-// coreOptions passes MaxWords alone: the long-query cutoff is core's
-// default, 12 words.
+// coreOptions passes MaxWords alone: a served index walks every indexed
+// word of a query (no MaxQueryWords cut).
 func (o Options) coreOptions() core.Options {
 	return core.Options{MaxWords: o.MaxWords}
 }
@@ -506,9 +506,8 @@ type OptimizeReport struct {
 	ModeledCostBefore, ModeledCostAfter float64
 	// DistinctQueries is the size of the workload sample used.
 	DistinctQueries int
-	// Installed reports that the plan gained enough to install, or that
-	// Optimize folded a pending overlay; when false nothing was built and
-	// the After numbers are the Before ones.
+	// Installed reports that the plan gained enough to install; when false
+	// nothing was built and the After numbers are the Before ones.
 	Installed bool
 	// Stale reports that the index mutated between the plan and its
 	// install, so the modeled costs and NodesBefore describe the corpus the
@@ -523,27 +522,19 @@ const minRemapGain = 1e-4
 // Optimize recomputes the ad-to-node mapping against the observed workload
 // (greedy weighted set cover under the cost model) and rebuilds the index
 // under it if that lowers the modeled cost by at least minRemapGain of the
-// live mapping's, or if an overlay is pending. Query results are
-// unaffected; only the physical layout changes. With no overlay pending, a
-// smaller gain, or a live cost of 0 (no observed workload), installs
-// nothing, and the report says so (Installed).
-//
-// A pending overlay is folded whatever the gain, so every Optimize leaves
-// the base holding the whole live corpus: indexes fed the same writes and
-// the same Optimize calls hold the same base corpus, whatever workload
-// each sampled, and the long-query cutoff, which ranks words by the base's
-// document frequencies, answers alike on them.
+// live mapping's. Query results are unaffected; only the physical layout
+// changes. A smaller gain, or a live cost of 0 (no observed workload),
+// installs nothing, and the report says so (Installed); a pending overlay
+// is then left to its own fold. An install takes the overlay in.
 //
 // The plan, outside every lock, prices one published snapshot's live
 // corpus, overlay included; an install is one build under the writer lock
 // (see install). Queries never wait on either.
-func (ix *Index) Optimize() (OptimizeReport, error) { return ix.remap(true) }
+func (ix *Index) Optimize() (OptimizeReport, error) { return ix.remap() }
 
 // remap is the one planned re-mapping, behind Optimize and the adaptation
-// tick: plan, then the gain rule, then install. foldPending makes a
-// pending overlay reason enough to install (Optimize); the tick installs
-// on gain alone, leaving the overlay to its own fold.
-func (ix *Index) remap(foldPending bool) (OptimizeReport, error) {
+// tick: plan, then the gain rule, then install.
+func (ix *Index) remap() (OptimizeReport, error) {
 	s := ix.snap.Load()
 	wl := ix.observed.Workload()
 	gs := optimize.BuildGroups(s.live(), wl)
@@ -555,8 +546,7 @@ func (ix *Index) remap(foldPending bool) (OptimizeReport, error) {
 		ModeledCostBefore: before, ModeledCostAfter: before,
 		DistinctQueries: len(wl.Queries),
 	}
-	gains := before > 0 && before-res.ModeledCost >= minRemapGain*before
-	if !gains && !(foldPending && s.overlaySize() > 0) {
+	if before == 0 || before-res.ModeledCost < minRemapGain*before {
 		return rep, nil
 	}
 	installed, err := ix.install(res.Mapping)

@@ -65,7 +65,7 @@ func TestExportedIdentifiers(t *testing.T) {
 		t.Logf("  %s", n)
 	}
 	t.Logf("exported root identifiers: %d", len(names))
-	if len(names) != 73 {
-		t.Errorf("%d exported identifiers, want 73", len(names))
+	if len(names) != 72 {
+		t.Errorf("%d exported identifiers, want 72", len(names))
 	}
 }

@@ -46,8 +46,7 @@ func TestAppendMatchJSONDifferential(t *testing.T) {
 					}
 					checkSpans(t, got, spans, want.Ads)
 					n := len(spans)
-					if n != len(want.Ads) || res.Ads != nil || res.Truncated != want.Truncated ||
-						res.CutoffApplied != want.CutoffApplied || res.CostSpent != want.CostSpent {
+					if n != len(want.Ads) || res.Ads != nil || res.Truncated != want.Truncated || res.CostSpent != want.CostSpent {
 						t.Fatalf("seed %d, %s, %q type %d: %d ads, %+v; Match: %d ads, %+v", seed, stage, q, typ, n, res, len(want.Ads), want)
 					}
 					compared += n

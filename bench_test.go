@@ -132,15 +132,15 @@ func fig10Setup(b *testing.B) {
 		gs := optimize.BuildGroups(bCorpus.Ads, bWorkload)
 		long := optimize.LongPhraseMapping(gs, optimize.Options{MaxWords: 10})
 		full := optimize.Optimize(gs, optimize.Options{MaxWords: 10})
-		fig10None = core.New(bCorpus.Ads, core.Options{MaxWords: 16, MaxQueryWords: 16})
+		fig10None = core.New(bCorpus.Ads, core.Options{MaxWords: 16})
 		var err error
 		fig10Long, err = core.NewWithMapping(bCorpus.Ads, long.Mapping,
-			core.Options{MaxWords: 10, MaxQueryWords: 16})
+			core.Options{MaxWords: 10})
 		if err != nil {
 			panic(err)
 		}
 		fig10Full, err = core.NewWithMapping(bCorpus.Ads, full.Mapping,
-			core.Options{MaxWords: 10, MaxQueryWords: 16})
+			core.Options{MaxWords: 10})
 		if err != nil {
 			panic(err)
 		}

@@ -2,6 +2,7 @@ package adindex
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,10 +100,10 @@ func TestBroadMatchBudgetOverlay(t *testing.T) {
 	}
 }
 
-// TestBroadMatchBudgetCutoffSurfaced: a query with more indexed words than
-// the long-query cutoff (core's 12) reports CutoffApplied even with no cost
-// bound; a query of 12 indexed words does not.
-func TestBroadMatchBudgetCutoffSurfaced(t *testing.T) {
+// TestBroadMatchLongQueryExact: a query of 13 indexed words answers what
+// brute-force containment answers, every ad, untruncated, as a query of 12
+// does.
+func TestBroadMatchLongQueryExact(t *testing.T) {
 	var ads []Ad
 	var words []string
 	for i := 1; i <= 13; i++ {
@@ -111,13 +112,11 @@ func TestBroadMatchBudgetCutoffSurfaced(t *testing.T) {
 		ads = append(ads, NewAd(uint64(i), w, Meta{}))
 	}
 	ix := Build(ads, Options{})
-	res := ix.Match(nil, Query{Text: strings.Join(words, " "), Budget: QueryBudget{}})
-	if !res.CutoffApplied {
-		t.Fatal("13 indexed words over the cutoff of 12: cutoff not surfaced")
-	}
-	res = ix.Match(nil, Query{Text: strings.Join(words[:12], " "), Budget: QueryBudget{}})
-	if res.CutoffApplied || res.Truncated || len(res.Ads) != 12 {
-		t.Fatalf("12 indexed words: %d ads, cutoff %v, truncated %v; want all 12, neither flag",
-			len(res.Ads), res.CutoffApplied, res.Truncated)
+	for _, n := range []int{13, 12} {
+		q := strings.Join(words[:n], " ")
+		res := ix.Match(nil, Query{Text: q, Budget: QueryBudget{}})
+		if want := bruteForce(ads, Broad, q); !slices.Equal(idsOf(res.Ads), want) || res.Truncated {
+			t.Fatalf("%d indexed words: %v, truncated %v; brute force %v", n, idsOf(res.Ads), res.Truncated, want)
+		}
 	}
 }

@@ -131,18 +131,19 @@ func TestChangedAt(t *testing.T) {
 		t.Errorf("ChangedAt(overflowing zither) = %d, want %d", got, e1+1)
 	}
 
-	// A query the MaxQueryWords cutoff can reach answers from document
-	// frequencies: only the view's own epoch is new enough for it.
+	// A long query is no exception: every indexed word of it is walked,
+	// so its answer depends on its words alone, and ChangedAt is their
+	// newest stamp whatever its length.
 	var long []string
 	for i := 0; i < 13; i++ {
 		long = append(long, fmt.Sprintf("w%02d", i))
 	}
 	v := ix.View()
-	if got := v.ChangedAt(long); got != v.Epoch() {
-		t.Errorf("ChangedAt of a 13-word query = %d, want the view's epoch %d", got, v.Epoch())
+	if got := v.ChangedAt(long); got == v.Epoch() {
+		t.Errorf("ChangedAt of a 13-word query of unwritten words = %d, the view's epoch", got)
 	}
-	if got := v.ChangedAt(long[:12]); got == v.Epoch() {
-		t.Errorf("ChangedAt of a 12-word query of unwritten words = %d", got)
+	if got, want := v.ChangedAt(append(long, "overflowing", "zither")), at("overflowing zither"); got != want {
+		t.Errorf("ChangedAt of a 15-word query holding a written word set = %d, want %d", got, want)
 	}
 }
 

@@ -151,7 +151,7 @@ func runAblation(cfg config) {
 	// Hash table vs trie lookup structure (the Section III-B alternative):
 	// probes for the hash structure are subset enumerations; the trie only
 	// walks existing paths, which matters most for long queries.
-	hash := core.New(c.Ads, core.Options{MaxQueryWords: 24})
+	hash := core.New(c.Ads, core.Options{})
 	tree := treeindex.New(hash)
 	stream := wl.Stream(minInt(cfg.stream, 20000), cfg.seed+3)
 	var ctree, chash costmodel.Counters

@@ -27,12 +27,12 @@ func runFig10(cfg config) {
 	full := optimize.Optimize(gs, optimize.Options{MaxWords: 10})
 
 	// (a) no re-mapping: locators are the full word sets, so the subset
-	// enumeration cannot be bounded by max_words. All variants share the
-	// same extreme-query cutoff so they return identical results.
-	noRemap := core.New(c.Ads, core.Options{MaxWords: 16, MaxQueryWords: 16})
-	longIx, err := core.NewWithMapping(c.Ads, long.Mapping, core.Options{MaxWords: 10, MaxQueryWords: 16})
+	// enumeration cannot be bounded by max_words. Every variant walks
+	// every query word, so they return identical results.
+	noRemap := core.New(c.Ads, core.Options{MaxWords: 16})
+	longIx, err := core.NewWithMapping(c.Ads, long.Mapping, core.Options{MaxWords: 10})
 	must(err)
-	fullIx, err := core.NewWithMapping(c.Ads, full.Mapping, core.Options{MaxWords: 10, MaxQueryWords: 16})
+	fullIx, err := core.NewWithMapping(c.Ads, full.Mapping, core.Options{MaxWords: 10})
 	must(err)
 
 	type variant struct {

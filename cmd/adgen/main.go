@@ -39,7 +39,7 @@ func main() {
 	advQueries := flag.Int("adversarial-queries", 0,
 		"number of adversarial (maximally expensive) queries to generate (0 = none)")
 	advWords := flag.Int("adversarial-words", 0,
-		"words per adversarial query (0 = default 12, near the MaxQueryWords cutoff)")
+		"words per adversarial query (0 = default 12; past 12 a query may reach the index's walk bound)")
 	advOut := flag.String("adversarial-out", "-",
 		"adversarial workload output file (- = stdout)")
 	stats := flag.Bool("stats", false, "print distribution statistics to stderr")

@@ -593,17 +593,14 @@ const maxPooledBackendAds = 8 << 10
 var backendAds = sync.Pool{New: func() any { return new([]adindex.Ad) }}
 
 // AppendMatch implements multiserver.Backend: the wire deadline and the
-// local -query-budget bound the enumeration, and truncation/cutoff ride
-// back to the front-end as frame flags.
+// local -query-budget bound the enumeration, and truncation rides back to
+// the front-end as a frame flag.
 func (b indexBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
 	pooled := backendAds.Get().(*[]adindex.Ad)
 	res := b.ix.Match((*pooled)[:0], adindex.Query{Text: req.Query, Budget: adindex.QueryBudget{MaxCost: b.budget, Deadline: req.Deadline}})
 	var flags byte
 	if res.Truncated {
 		flags |= multiserver.IDFlagTruncated
-	}
-	if res.CutoffApplied {
-		flags |= multiserver.IDFlagCutoff
 	}
 	if req.Records {
 		dst = multiserver.AppendAdRecords(dst, res.Ads, flags)

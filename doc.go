@@ -24,7 +24,10 @@
 // method, Match, which takes a Query — text, match type (Broad, Exact or
 // Phrase), an optional work budget, approximate (rewritten) matching,
 // access accounting — and returns a Result that says what a budget left
-// out. SelectAds applies the secondary auction filters (exclusion
+// out. A broad or phrase query walks every indexed word it holds; the walk
+// stops after every subset a 12-word query has (4 082 at the default
+// MaxWords), which only a longer query can reach, and its Result is then
+// flagged truncated. SelectAds applies the secondary auction filters (exclusion
 // keywords, bid floors, ranking). Load builds the index straight from a
 // corpus file (the format WriteAds writes), parsed a block at a time into
 // the loader's columns, without a []Ad of the corpus.
@@ -37,8 +40,8 @@
 // of their word sets so that co-accessed nodes merge — the
 // minimum-expected-latency layout is a weighted set cover, solved
 // greedily under a random-vs-sequential memory cost model. Re-mapping
-// never changes query results. StartAdapt runs the same planner on a timer
-// and installs its layout only when it lowers modeled cost.
+// never changes query results. Optimize, and StartAdapt on a timer, install
+// a layout only when it lowers modeled cost.
 //
 // # Serving
 //

@@ -114,8 +114,8 @@ func TestAllIndexVariantsAgree(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 3000, Seed: 103})
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 400, Seed: 104})
 
-	// pub cuts a query at 12 indexed words and the inverted baselines do
-	// not; the one query of this workload past the cutoff loses no match.
+	// pub walks every indexed word of a query, as the inverted baselines
+	// do.
 	pub := Build(c.Ads, Options{})
 	unmod := invindex.NewUnmodified(c.Ads)
 	mod := invindex.NewModified(c.Ads)

@@ -9,16 +9,22 @@ import "time"
 // keeping the clock read far off the per-probe fast path.
 const deadlineStride = 256
 
-// Budget bounds the work one broad-match query may perform. The subset
-// enumeration is exponential in query length; MaxQueryWords caps it
-// statically, but nothing else bounds the runtime cost of an admitted
-// query. A Budget is the dynamic bound: the query path charges it one
-// unit per considered subset probe and one unit per record a node scan
-// examines, and stops enumerating — at node granularity, never
-// mid-node — once the budget is exhausted. The partial results
-// accumulated to that point are returned; they are always a correct
-// subset of the full match set (every returned ad is fully verified),
-// so truncated answers remain oracle-checkable.
+// Budget bounds the work one broad-match query may perform. The query
+// path charges it one unit per considered subset probe and one unit per
+// record a node scan examines, and stops enumerating — at node
+// granularity, never mid-node — once the budget is exhausted. The partial
+// results accumulated to that point are returned; they are always a
+// correct subset of the full match set (every returned ad is fully
+// verified), so truncated answers remain oracle-checkable.
+//
+// The subset enumeration is exponential in query length, so a budgeted
+// walk is also bounded in itself, whatever MaxCost says: it stops after
+// Σ_{i=1..min(MaxWords,12)} C(12,i) considered subsets (4 082 at
+// MaxWords 10), every subset a 12-word query has, so no query of at most
+// 12 indexed words can reach it. A longer query that does has its walk
+// end there: the nodes found so far are scanned whole and the budget is
+// exhausted, so the answer is flagged as truncated. Each walk counts its
+// own subsets: a rewritten query's variants are walks of their own.
 //
 // The check is a counter compare plus a periodic clock read — no
 // context.Context, no channel, nothing in the inner loop but
@@ -26,7 +32,7 @@ const deadlineStride = 256
 //
 // A Budget is single-use and not safe for concurrent use: callers
 // construct one per query (or reset a pooled one with Init) and read
-// Spent/Exhausted/CutoffApplied after the query returns.
+// Spent/Exhausted after the query returns.
 type Budget struct {
 	// MaxCost is the unit budget (subset probes + records scanned);
 	// zero or negative means unlimited cost.
@@ -41,7 +47,6 @@ type Budget struct {
 	cost      int64
 	unchecked int64
 	exhausted bool
-	cutoff    bool
 }
 
 // Init resets b for a fresh query with the given limits, keeping the
@@ -52,7 +57,6 @@ func (b *Budget) Init(maxCost int64, deadline time.Time) {
 	b.cost = 0
 	b.unchecked = 0
 	b.exhausted = false
-	b.cutoff = false
 }
 
 // Charge records n units of work and reports whether the query may
@@ -87,16 +91,7 @@ func (b *Budget) Charge(n int64) bool {
 // Spent returns the units charged so far.
 func (b *Budget) Spent() int64 { return b.cost }
 
-// Exhausted reports whether the budget tripped (cost or deadline); a
-// query that ran under an exhausted budget returned partial results.
+// Exhausted reports whether the budget tripped (cost, deadline or the
+// walk bound); a query that ran under an exhausted budget returned
+// partial results.
 func (b *Budget) Exhausted() bool { return b.exhausted }
-
-// CutoffApplied reports whether the static MaxQueryWords cutoff
-// dropped query words during preparation — the silent heuristic loss
-// this flag finally surfaces to callers.
-func (b *Budget) CutoffApplied() bool { return b.cutoff }
-
-// NoteCutoff records that the caller applied the MaxQueryWords cutoff
-// itself before the walk (with frequencies the index does not hold), so
-// CutoffApplied reports it.
-func (b *Budget) NoteCutoff() { b.cutoff = true }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"adindex/internal/corpus"
+	"adindex/internal/costmodel"
 	"adindex/internal/textnorm"
 	"adindex/internal/workload"
 )
@@ -181,19 +183,76 @@ func TestBudgetDeadline(t *testing.T) {
 	}
 }
 
-// TestBudgetCutoffApplied: queries past MaxQueryWords set the cutoff
-// flag; short queries do not.
-func TestBudgetCutoffApplied(t *testing.T) {
-	ix := New(mustAds("a b", "c d", "e f", "g h"), Options{MaxWords: 2, MaxQueryWords: 4})
-	long := strings.Fields("a b c d e f g h")
-	var b Budget
-	ix.AppendBroadRefs(nil, long, nil, nil, &b)
-	if !b.CutoffApplied() {
-		t.Fatal("8 indexed words over MaxQueryWords=4: cutoff not reported")
+// TestBudgetLongQueryExact: a budgeted query past twelve indexed words
+// walks every word and answers what brute-force containment answers,
+// untruncated; so does a short one.
+func TestBudgetLongQueryExact(t *testing.T) {
+	ads := mustAds("a b", "c d", "e f", "g h")
+	ix := New(ads, Options{MaxWords: 2})
+	for _, q := range []string{"a b c d e f g h", "a b"} {
+		words := strings.Fields(q)
+		var b Budget
+		got := budgetedIDs(ix, words, &b)
+		if want := refBroadMatch(ads, words); !slices.Equal(got, want) || b.Exhausted() {
+			t.Fatalf("query %q: %v (truncated %v), brute force %v", q, got, b.Exhausted(), want)
+		}
 	}
-	var b2 Budget
-	ix.AppendBroadRefs(nil, strings.Fields("a b"), nil, nil, &b2)
-	if b2.CutoffApplied() {
-		t.Fatal("short query reported cutoff")
+}
+
+// TestBudgetWalkBound: a budgeted walk considers at most every subset a
+// 12-word query has (Σ_{i=1..min(MaxWords,12)} C(12,i)) and is flagged
+// truncated when it stops there, with the nodes it found scanned whole;
+// unbudgeted, the same walk goes on. No query of at most 12 indexed words
+// reaches the bound.
+func TestBudgetWalkBound(t *testing.T) {
+	c := corpus.Generate(corpus.GenOptions{NumAds: 20_000, Seed: 1})
+	ix := New(c.Ads, Options{})
+	if got := subsets(walkWords, ix.opts.MaxWords); got != 4082 || ix.walkLimit != got {
+		t.Fatalf("walk limit %d, subsets(12, 10) = %d; want 4082", ix.walkLimit, got)
 	}
+	for _, width := range []int{64, 256} {
+		truncated := 0
+		wl := workload.GenerateAdversarial(c, workload.AdvOptions{NumQueries: 4, QueryWords: width, Seed: 3})
+		for _, q := range wl.Queries {
+			var bounded, whole costmodel.Counters
+			var b Budget
+			got := ix.AppendBroadRefs(nil, q.Words, &bounded, nil, &b)
+			full := ix.AppendBroadRefs(nil, q.Words, &whole, nil, nil)
+			if bounded.HashProbes > int64(ix.walkLimit) {
+				t.Fatalf("%d-word query: the budgeted walk considered %d subsets, bound %d", width, bounded.HashProbes, ix.walkLimit)
+			}
+			if whole.HashProbes <= int64(ix.walkLimit) {
+				continue // this query's walk ends by itself
+			}
+			truncated++
+			if !b.Exhausted() {
+				t.Fatalf("%d-word query stopped at the walk bound (%d of %d subsets) without being flagged truncated",
+					width, bounded.HashProbes, whole.HashProbes)
+			}
+			if !isSubsequence(idsOfRefs(ix, got), idsOfRefs(ix, full)) {
+				t.Fatalf("%d-word query: the truncated answer is no ordered subset of the whole one", width)
+			}
+		}
+		if truncated == 0 {
+			t.Fatalf("no %d-word query walked past the bound: the test exercises nothing", width)
+		}
+	}
+	// Every subset of a 12-word query is within the bound.
+	for _, q := range longPopularQueries(c, 5, 12) {
+		var b Budget
+		var counters costmodel.Counters
+		got := ix.AppendBroadRefs(nil, q, &counters, nil, &b)
+		if b.Exhausted() || !slices.Equal(idsOfRefs(ix, got), refBroadMatch(c.Ads, q)) {
+			t.Fatalf("12-word query %v: truncated %v after %d subsets, or not exact", q, b.Exhausted(), counters.HashProbes)
+		}
+	}
+}
+
+// idsOfRefs returns the IDs of ix's records refs, in order.
+func idsOfRefs(ix *Index, refs []Ref) []uint64 {
+	ids := make([]uint64, len(refs))
+	for i, r := range refs {
+		ids[i] = ix.ID(r)
+	}
+	return ids
 }

@@ -272,7 +272,7 @@ func TestCountersSignatureIdentity(t *testing.T) {
 }
 
 // TestEnumSubsetsScratchZeroAlloc pins the satellite fix for the visited
-// dedup: with a warmed Scratch even a MaxQueryWords-long query against a
+// dedup: with a warmed Scratch even a 12-word query against a
 // dense table — the case that was quadratic under the linear visited scan
 // — runs the whole match allocation-free, proving the open-addressed seen
 // set stays pooled.
@@ -293,7 +293,7 @@ func TestEnumSubsetsScratchZeroAlloc(t *testing.T) {
 		}
 	}
 	ix := New(ads, Options{})
-	query := textnorm.CanonicalSet(vocab) // 12 words = MaxQueryWords default
+	query := textnorm.CanonicalSet(vocab) // 12 words: every subset within the walk bound
 
 	var sc Scratch
 	var dst []*corpus.Ad

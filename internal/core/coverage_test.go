@@ -98,7 +98,7 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 		"w6",
 	)
 	ix := New(ads, Options{MaxWords: 3, MaxQueryWords: 3})
-	q, _ := PrepareQuery(nil, []string{"w1", "w2", "w3", "w4", "w5", "w6"}, ix.DocFreqs(), ix.Options().MaxQueryWords)
+	q := PrepareQuery(nil, []string{"w1", "w2", "w3", "w4", "w5", "w6"}, ix.DocFreqs(), ix.Options().MaxQueryWords)
 	if len(q) != 3 {
 		t.Fatalf("q = %v", q)
 	}
@@ -110,7 +110,8 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 }
 
 // TestLongInputCutStaysBounded feeds the rarest-words rule inputs of
-// thousands of indexed words: a query, cut to MaxQueryWords by prepare,
+// thousands of indexed words: a query, cut to MaxQueryWords (the paper's
+// Section IV-B option, set here) by prepare,
 // and a phrase, re-mapped to MaxWords on bulk load, on Insert and by
 // Locator. Ranking must cost O(n log n), not a search of the words per
 // comparison, and a warmed scratch must prepare the query without
@@ -127,12 +128,12 @@ func TestLongInputCutStaysBounded(t *testing.T) {
 		}
 	}
 	phrase := strings.Join(words, " ")
-	ix := New(append(ads, corpus.NewAd(uint64(len(ads)+1), phrase, corpus.Meta{})), Options{})
+	ix := New(append(ads, corpus.NewAd(uint64(len(ads)+1), phrase, corpus.Meta{})), Options{MaxQueryWords: 12})
 	sc := new(Scratch)
 	start := time.Now()
 	ix.Insert(corpus.NewAd(uint64(len(ads)+2), phrase[len("w00000 "):], corpus.Meta{}))
 	loc := ix.Locator(words)
-	cut := ix.prepare(sc, words)
+	ix.prepare(sc, words)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cutting %d-word inputs took %v", n, elapsed)
 	}
@@ -142,10 +143,10 @@ func TestLongInputCutStaysBounded(t *testing.T) {
 	if len(loc) != ix.Options().MaxWords || loc[0] != "w00001" {
 		t.Errorf("Locator of the long phrase = %v", loc)
 	}
-	if !cut {
-		t.Fatalf("a query of %d indexed words was not cut", n)
+	if len(sc.q) != 12 {
+		t.Fatalf("a query of %d indexed words was cut to %d", n, len(sc.q))
 	}
-	want, _ := PrepareQuery(nil, words, ix.DocFreqs(), ix.Options().MaxQueryWords)
+	want := PrepareQuery(nil, words, ix.DocFreqs(), ix.Options().MaxQueryWords)
 	if !reflect.DeepEqual(sc.q, want) {
 		t.Errorf("prepare kept %v, PrepareQuery %v", sc.q, want)
 	}

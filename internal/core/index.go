@@ -21,11 +21,12 @@ type Options struct {
 	// Default 10 (the value used in the paper's Section VII-C experiment).
 	MaxWords int
 
-	// MaxQueryWords is the heuristic cutoff for extremely long queries
-	// (Section IV-B): queries with more indexed words are reduced to
-	// their MaxQueryWords rarest words before subset enumeration. This
-	// can (rarely) lose matches, exactly as the paper's cutoff does.
-	// Default 12.
+	// MaxQueryWords is the paper's heuristic cut for extremely long
+	// queries (Section IV-B), kept for its experiment: when positive,
+	// queries with more indexed words are reduced to their MaxQueryWords
+	// rarest words before subset enumeration, which loses the matches of
+	// the dropped words. Default 0: no cut, every indexed word of the query
+	// is walked (a budgeted walk is bounded instead; see Budget).
 	MaxQueryWords int
 }
 
@@ -37,9 +38,6 @@ func (o *Options) fillDefaults() {
 	if o.MaxWords == 0 {
 		o.MaxWords = 10
 	}
-	if o.MaxQueryWords == 0 {
-		o.MaxQueryWords = 12
-	}
 }
 
 // Index is the broad-match index: hash table H from word-set hashes to
@@ -50,6 +48,9 @@ func (o *Options) fillDefaults() {
 // absence of writers.
 type Index struct {
 	opts Options
+	// walkLimit is how many subsets a budgeted walk may consider: all of a
+	// walkWords-word query's (see Budget).
+	walkLimit int
 
 	// table is H: wordhash(locator) -> data node (its number + 1), fused
 	// with the refcounted locator-prefix frontier filter that lets subset
@@ -315,9 +316,9 @@ func (ix *Index) chooseLocator(words []string, ids []uint32) []string {
 // rarest returns, in ord's storage and in ascending order, the positions
 // in words (a canonical set) of its k rarest words: rarest first by df,
 // which reads the frequency of the word at a position, ties by the word.
-// It is the one rule by which the long-phrase locator and the long-query
-// cutoff both keep k words, and it sorts positions, so a comparison reads
-// no map and searches no slice.
+// It is the one rule by which the long-phrase locator and the
+// MaxQueryWords cut both keep k words, and it sorts positions, so a
+// comparison reads no map and searches no slice.
 func rarest(ord []int32, words []string, k int, df func(i int32) uint32) []int32 {
 	ord = ord[:0]
 	for i := range words {

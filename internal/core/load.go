@@ -135,7 +135,7 @@ func load(ads []corpus.Ad, at []int32, mapping map[string][]string, opts Options
 // columns on the heap or in a region.
 func build(in *corpus.Columns, at []int32, mapping map[string][]string, opts Options, workers int, frozen bool) (*Index, error) {
 	opts.fillDefaults()
-	ix := &Index{opts: opts, locOf: map[string][]string{}, frozen: frozen}
+	ix := &Index{opts: opts, walkLimit: subsets(walkWords, opts.MaxWords), locOf: map[string][]string{}, frozen: frozen}
 	n := in.Len()
 	if at != nil {
 		n = len(at)

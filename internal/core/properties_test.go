@@ -15,7 +15,7 @@ import (
 // every node a subset query reaches), so it must survive every layout.
 func TestBroadMatchMonotoneQuick(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 800, Seed: 111})
-	ix := New(c.Ads, Options{MaxQueryWords: 64})
+	ix := New(c.Ads, Options{})
 	vocab := c.Vocabulary()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -49,7 +49,7 @@ func TestBroadMatchMonotoneQuick(t *testing.T) {
 // (soundness), regardless of re-mapping.
 func TestBroadMatchSoundCompleteQuick(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 600, Seed: 112})
-	ix := New(c.Ads, Options{MaxQueryWords: 64})
+	ix := New(c.Ads, Options{})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ad := &c.Ads[rng.Intn(len(c.Ads))]

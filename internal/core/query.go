@@ -101,7 +101,10 @@ type Scratch struct {
 	// the subsets the successor filters let through, where
 	// Counters.HashProbes counts every subset considered.
 	probes int
-	// ord holds the positions the long-query cutoff ranks (rarest).
+	// walked counts the subsets the current walk considered; one past the
+	// index's walkLimit once a budgeted walk stopped there.
+	walked int
+	// ord holds the positions the MaxQueryWords cut ranks (rarest).
 	ord  []int32
 	surv []int32
 	toks []string
@@ -174,7 +177,7 @@ func (ix *Index) AppendBroadMatch(dst []*corpus.Ad, queryWords []string, counter
 // enumeration and node scanning charge it as they go and stop at node
 // granularity once it is exhausted; the appended segment is then a (still
 // ID-ordered, fully verified) subset of the complete match set, and the
-// budget's Exhausted/Spent/CutoffApplied report what happened. With a
+// budget's Exhausted/Spent report what happened. With a
 // warmed Scratch and a reused dst it performs no allocations.
 func (ix *Index) AppendBroadRefs(dst []Ref, queryWords []string, counters *costmodel.Counters, sc *Scratch, b *Budget) []Ref {
 	return ix.appendSubsetRefs(dst, nil, queryWords, counters, sc, b)
@@ -198,9 +201,7 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	if ix.prepare(sc, queryWords) && b != nil {
-		b.cutoff = true
-	}
+	ix.prepare(sc, queryWords)
 	if len(sc.q) == 0 {
 		if counters != nil {
 			counters.Queries++
@@ -222,6 +223,9 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 			}
 		}
 	}
+	if sc.walked > ix.walkLimit {
+		b.exhausted = true
+	}
 	sc.order = orderByID(ix.ids, dst[mark:], sc.order)
 	if counters != nil {
 		counters.Queries++
@@ -232,9 +236,8 @@ func (ix *Index) appendSubsetRefs(dst []Ref, phraseTokens, queryWords []string, 
 }
 
 // prepare fills sc.q, sc.qids and sc.qh with the prepared query
-// (PrepareQuery, on this index's vocabulary) and reports whether the
-// cutoff dropped words.
-func (ix *Index) prepare(sc *Scratch, queryWords []string) (cut bool) {
+// (PrepareQuery, on this index's vocabulary).
+func (ix *Index) prepare(sc *Scratch, queryWords []string) {
 	sc.q, sc.qids, sc.qh = sc.q[:0], sc.qids[:0], sc.qh[:0]
 	for _, w := range queryWords {
 		h := wordKey(w)
@@ -244,8 +247,8 @@ func (ix *Index) prepare(sc *Scratch, queryWords []string) (cut bool) {
 			sc.qh = append(sc.qh, h)
 		}
 	}
-	if len(sc.q) <= ix.opts.MaxQueryWords {
-		return false
+	if ix.opts.MaxQueryWords <= 0 || len(sc.q) <= ix.opts.MaxQueryWords {
+		return
 	}
 	sc.ord = rarest(sc.ord, sc.q, ix.opts.MaxQueryWords, func(i int32) uint32 { return ix.voc.df[sc.qids[i]] })
 	n := len(sc.ord)
@@ -253,7 +256,6 @@ func (ix *Index) prepare(sc *Scratch, queryWords []string) (cut bool) {
 		sc.q[j], sc.qids[j], sc.qh[j] = sc.q[i], sc.qids[i], sc.qh[i]
 	}
 	sc.q, sc.qids, sc.qh = sc.q[:n], sc.qids[:n], sc.qh[:n]
-	return true
 }
 
 // keepContiguous drops from dst[at:] the records whose phrase does not
@@ -278,7 +280,7 @@ func (ix *Index) BroadMatchText(query string, counters *costmodel.Counters) []*c
 // AppendExactRefs appends the records whose bid phrase equals tokens —
 // the query's normalized, duplicate-folded token sequence, whose canonical
 // word set is queryWords. It is a single hash lookup, the node of the
-// query's own word set, so there is no enumeration to cut off or to
+// query's own word set, so there is no enumeration to bound or to
 // budget. The appended segment is ordered by ad ID. sc may be nil.
 func (ix *Index) AppendExactRefs(dst []Ref, tokens, queryWords []string, counters *costmodel.Counters, sc *Scratch) []Ref {
 	defer runtime.KeepAlive(ix)
@@ -347,28 +349,27 @@ func (ix *Index) AppendExactRefs(dst []Ref, tokens, queryWords []string, counter
 
 // PrepareQuery appends the prepared form of queryWords to buf: words with
 // no document frequency in df are dropped (this cannot change the result,
-// since every match's words are indexed), and over-long queries are cut
-// to their maxQueryWords rarest indexed words (the Section IV-B heuristic
-// cutoff, which may lose matches on extreme queries). The second return
-// reports whether the cutoff dropped words, so budgeted callers can
-// surface the loss instead of hiding it. Every structure that answers
-// queries over an index's nodes prepares them this way, with that index's
-// df (DocFreqs) and MaxQueryWords; with a warmed buf and no cutoff it
-// allocates nothing.
-func PrepareQuery(buf, queryWords []string, df map[string]int, maxQueryWords int) ([]string, bool) {
+// since every match's words are indexed), and, when maxQueryWords is
+// positive, over-long queries are cut to their maxQueryWords rarest
+// indexed words (the Section IV-B heuristic, Options.MaxQueryWords, which
+// loses matches on long queries). Every structure that answers queries
+// over an index's nodes prepares them this way, with that index's df
+// (DocFreqs) and MaxQueryWords; with a warmed buf and no cut it allocates
+// nothing.
+func PrepareQuery(buf, queryWords []string, df map[string]int, maxQueryWords int) []string {
 	for _, w := range queryWords {
 		if df[w] > 0 {
 			buf = append(buf, w)
 		}
 	}
-	if len(buf) <= maxQueryWords {
-		return buf, false
+	if maxQueryWords <= 0 || len(buf) <= maxQueryWords {
+		return buf
 	}
 	kept := rarest(nil, buf, maxQueryWords, func(i int32) uint32 { return uint32(df[buf[i]]) })
 	for j, i := range kept {
 		buf[j] = buf[i]
 	}
-	return buf[:len(kept)], true
+	return buf[:len(kept)]
 }
 
 // appendCandidateNodes appends to sc.visited each distinct data node
@@ -380,11 +381,13 @@ func PrepareQuery(buf, queryWords []string, df map[string]int, maxQueryWords int
 // via multiple subset locators — goes through sc.seen, an open-addressed
 // set keyed by node, so the per-hit cost stays O(1) however many nodes a
 // long query touches. The recursion carries no closure state, so a
-// warmed scratch enumerates without allocating.
+// warmed scratch enumerates without allocating. A budgeted walk stops
+// after the index's walkLimit considered subsets (see Budget), leaving
+// sc.walked past it.
 func (ix *Index) appendCandidateNodes(counters *costmodel.Counters, sc *Scratch, b *Budget) []uint32 {
 	k := min(ix.opts.MaxWords, len(sc.q))
 	sc.seen.reset()
-	sc.visited = sc.visited[:0]
+	sc.visited, sc.walked = sc.visited[:0], 0
 	ix.enumSubsets(sc, 0, fnvOffset64, 0, k, 0, counters, b)
 	return sc.visited
 }
@@ -412,8 +415,9 @@ const probeBatch = 16
 // back, so their cache misses overlap, and then walked in order.
 //
 // A non-nil budget is charged one unit per considered subset; once it
-// is exhausted the walk unwinds immediately, leaving sc.visited holding
-// the nodes reached so far.
+// is exhausted, or the walk has considered walkLimit subsets, the walk
+// unwinds immediately, leaving sc.visited holding the nodes reached so
+// far.
 func (ix *Index) enumSubsets(sc *Scratch, start int, h uint64, size, k int, succ uint64, counters *costmodel.Counters, b *Budget) {
 	for lo := start; lo < len(sc.q); lo += probeBatch {
 		hi := min(lo+probeBatch, len(sc.q))
@@ -436,8 +440,15 @@ func (ix *Index) enumSubsets(sc *Scratch, start int, h uint64, size, k int, succ
 			}
 		}
 		for i := lo; i < hi; i++ {
-			if b != nil && !b.Charge(1) {
-				return
+			if b != nil {
+				if sc.walked >= ix.walkLimit {
+					sc.walked = ix.walkLimit + 1
+					return
+				}
+				sc.walked++
+				if !b.Charge(1) {
+					return
+				}
 			}
 			if counters != nil {
 				counters.HashProbes++
@@ -558,18 +569,23 @@ func subsetIDs(sub, super []uint32) bool {
 
 // LookupsForQueryLength returns the number of hash probes a query with n
 // indexed words incurs: min(2^n - 1, sum_{i=1..max_words} C(n, i)), the
-// bound from Section IV-B.
+// bound from Section IV-B, with n cut to MaxQueryWords when that is set.
 func (ix *Index) LookupsForQueryLength(n int) int {
-	if n > ix.opts.MaxQueryWords {
-		n = ix.opts.MaxQueryWords
+	if q := ix.opts.MaxQueryWords; q > 0 && n > q {
+		n = q
 	}
-	k := ix.opts.MaxWords
-	if k > n {
-		k = n
-	}
-	total := 0
-	c := 1
-	for i := 1; i <= k; i++ {
+	return subsets(n, ix.opts.MaxWords)
+}
+
+// walkWords is the query length whose every subset a budgeted walk may
+// consider: the length the paper's cut kept (Section IV-B).
+const walkWords = 12
+
+// subsets returns the number of non-empty subsets of at most k of n
+// words: sum_{i=1..min(k,n)} C(n, i).
+func subsets(n, k int) int {
+	total, c := 0, 1
+	for i := 1; i <= min(k, n); i++ {
 		c = c * (n - i + 1) / i
 		total += c
 	}

@@ -16,7 +16,7 @@ import (
 // oracle the columnar scan is validated against, which is why it lives in
 // a test file: the library does not link it.
 func (ix *Index) ReferenceBroadMatch(queryWords []string, counters *costmodel.Counters) []*corpus.Ad {
-	q, _ := PrepareQuery(nil, queryWords, ix.DocFreqs(), ix.opts.MaxQueryWords)
+	q := PrepareQuery(nil, queryWords, ix.DocFreqs(), ix.opts.MaxQueryWords)
 	if len(q) == 0 {
 		if counters != nil {
 			counters.Queries++

@@ -199,7 +199,7 @@ func TestSuccessorFilterSound(t *testing.T) {
 
 // BenchmarkColdMatch is http-cold's query stream without the server:
 // distinct cold-mix queries (one in ten embeds an ad's word set, half are
-// long, each cut to the 12-word cutoff) matched by AppendBroadRefs on a
+// long, each capped at 12 words as bench/'s streams are) matched by AppendBroadRefs on a
 // frozen 200k-ad base, as a local adserve serves them. Besides ns/op it
 // reports, per query, the probes of H the walk made (probes/query), the
 // subsets it considered — Counters.HashProbes, the lookups(n) term of

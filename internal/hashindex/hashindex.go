@@ -139,7 +139,7 @@ func (ix *Index) nodeAt(sw uint64) []byte {
 // immutable). counters accounts arena bytes actually decoded, per the
 // cost model.
 func (ix *Index) BroadMatch(queryWords []string, counters *costmodel.Counters) ([]corpus.Ad, error) {
-	q, _ := core.PrepareQuery(nil, queryWords, ix.vocab, ix.maxQueryWords)
+	q := core.PrepareQuery(nil, queryWords, ix.vocab, ix.maxQueryWords)
 	if counters != nil {
 		counters.Queries++
 	}

@@ -17,7 +17,7 @@ import (
 // self-contained:
 //
 //	magic "ADIXSNAP" | version u8
-//	suffixBits uvarint | maxWords uvarint | maxQueryWords uvarint
+//	suffixBits uvarint | maxWords uvarint | maxQueryWords uvarint (0: no cut)
 //	vocab count uvarint, then per word: len uvarint + bytes + df uvarint
 //	sig positions: count uvarint, then gap-encoded uvarints
 //	node starts: count uvarint, then gap-encoded uvarints
@@ -158,7 +158,7 @@ func read(br *bufio.Reader) (*Index, error) {
 	if header[0] < 1 || header[0] > 30 {
 		return nil, fmt.Errorf("suffix bits %d out of range", header[0])
 	}
-	if header[1] < 1 || header[1] > 1<<16 || header[2] < 1 || header[2] > 1<<16 {
+	if header[1] < 1 || header[1] > 1<<16 || header[2] > 1<<16 {
 		return nil, fmt.Errorf("word limits %d/%d out of range", header[1], header[2])
 	}
 	ix := &Index{
@@ -175,7 +175,7 @@ func read(br *bufio.Reader) (*Index, error) {
 	// WriteTo writes the words in strictly increasing order, each with a
 	// df no larger than the record count: a repeat would overwrite an
 	// entry, and a df past what an int holds would turn negative and
-	// change the rarest-word choice of the query cutoff.
+	// change the rarest-word choice of the MaxQueryWords cut.
 	var prevWord []byte
 	for i := uint64(0); i < nVocab; i++ {
 		l, err := getU()

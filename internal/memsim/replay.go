@@ -84,7 +84,7 @@ func (l *IndexLayout) NumNodes() int { return len(l.nodes) }
 // broad-match query: every subset probe touches its hash slot; hits scan
 // the node up to the early-termination point.
 func (l *IndexLayout) ReplayQuery(sim *Simulator, queryWords []string) {
-	q, _ := core.PrepareQuery(nil, queryWords, l.df, l.maxQueryWords)
+	q := core.PrepareQuery(nil, queryWords, l.df, l.maxQueryWords)
 	if len(q) == 0 {
 		return
 	}

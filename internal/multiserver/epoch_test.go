@@ -59,7 +59,7 @@ func (b *epochBackend) bump() {
 
 func TestEpochRequestRoundTrip(t *testing.T) {
 	body := []byte("cheap flights")
-	wire := EncodeEpochRequest(42, body)
+	wire := AppendEpochRequest(nil, 42, body)
 	req, got, err := DecodeRequest(wire, time.Time{})
 	if err != nil || req != (Request{Epoch: 42, Tagged: true}) || string(got) != string(body) {
 		t.Fatalf("DecodeRequest = %+v %q err=%v", req, got, err)
@@ -112,7 +112,7 @@ func TestRecordsOverWire(t *testing.T) {
 		t.Fatalf("records request at a retired epoch: err = %v, want stale epoch", err)
 	}
 	// An ID frame where records were asked for, and the reverse.
-	if _, _, _, err := conn.ExchangeRecords(nil, nil, EncodeEpochRequest(1, []byte("q")), time.Time{}); !errors.Is(err, ErrMalformed) {
+	if _, _, _, err := conn.ExchangeRecords(nil, nil, AppendEpochRequest(nil, 1, []byte("q")), time.Time{}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("ID frame decoded as records: err = %v, want ErrMalformed", err)
 	}
 	if resp, err := conn.Exchange(AppendRecordsRequest(nil, 1, []byte("q"))); err != nil {
@@ -142,7 +142,7 @@ func TestStaleEpochOverWire(t *testing.T) {
 	defer conn.Close()
 
 	// Current epoch: served.
-	resp, err := conn.Exchange(EncodeEpochRequest(1, []byte("q")))
+	resp, err := conn.Exchange(AppendEpochRequest(nil, 1, []byte("q")))
 	if err != nil {
 		t.Fatalf("exchange at current epoch: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestStaleEpochOverWire(t *testing.T) {
 
 	// Epoch bumps server-side: the stale request gets the typed rejection.
 	be.bump()
-	_, err = conn.Exchange(EncodeEpochRequest(1, []byte("q")))
+	_, err = conn.Exchange(AppendEpochRequest(nil, 1, []byte("q")))
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale exchange error = %v, want ErrStaleEpoch", err)
 	}
@@ -169,7 +169,7 @@ func TestStaleEpochOverWire(t *testing.T) {
 
 	// The stream stays in sync: the refreshed request is served on the
 	// same connection with zero reconnects.
-	resp, err = conn.Exchange(EncodeEpochRequest(2, []byte("q")))
+	resp, err = conn.Exchange(AppendEpochRequest(nil, 2, []byte("q")))
 	if err != nil {
 		t.Fatalf("exchange after refresh: %v", err)
 	}

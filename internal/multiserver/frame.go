@@ -263,11 +263,6 @@ func appendEpochTag(dst []byte, magic byte, epoch uint64, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// EncodeEpochRequest is AppendEpochRequest into a fresh slice.
-func EncodeEpochRequest(epoch uint64, body []byte) []byte {
-	return AppendEpochRequest(make([]byte, 0, 9+len(body)), epoch, body)
-}
-
 // A deadline-tagged request is magic byte, 8-byte big-endian remaining
 // budget in microseconds, body. The budget is relative (time remaining),
 // not an absolute timestamp, so it survives clock skew between front end
@@ -283,11 +278,6 @@ func AppendDeadlineRequest(dst []byte, remaining time.Duration, body []byte) []b
 	dst = append(dst, deadlineReqMagic)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(us))
 	return append(dst, body...)
-}
-
-// EncodeDeadlineRequest is AppendDeadlineRequest into a fresh slice.
-func EncodeDeadlineRequest(remaining time.Duration, body []byte) []byte {
-	return AppendDeadlineRequest(make([]byte, 0, 9+len(body)), remaining, body)
 }
 
 // DecodeRequest is the one reader of request tags: it splits a request
@@ -325,12 +315,14 @@ func DecodeRequest(payload []byte, now time.Time) (req Request, body []byte, err
 
 // Result flags carried in the optional trailing byte of an ID frame.
 const (
-	// IDFlagTruncated marks a partial result: the backend's cost budget
-	// or deadline exhausted mid-enumeration, and the IDs are a correct
-	// subset of the full match set.
+	// IDFlagTruncated marks a partial result: the backend's cost budget,
+	// deadline or walk bound exhausted mid-enumeration, and the IDs are a
+	// correct subset of the full match set.
 	IDFlagTruncated = 1 << 0
-	// IDFlagCutoff marks the static MaxQueryWords cutoff: query words
-	// were dropped before enumeration, which may lose matches.
+	// IDFlagCutoff is set by no backend of this version. An older one set
+	// it when it cut a long query to its 12 rarest words; its IDs are then
+	// a correct subset of the full match set, which shard.NetClient reports
+	// as truncated. It stays defined so such frames still decode.
 	IDFlagCutoff = 1 << 1
 )
 
@@ -417,12 +409,6 @@ func appendDecodedIDs(dst []uint64, data []byte, flagsOK bool) ([]uint64, byte, 
 // EncodeIDs is AppendIDs without flags into a fresh slice.
 func EncodeIDs(ids []uint64) []byte { return AppendIDs(make([]byte, 0, 4+8*len(ids)), ids, 0) }
 
-// EncodeIDsFlags is AppendIDs into a fresh slice; zero flags produce the
-// legacy unflagged encoding.
-func EncodeIDsFlags(ids []uint64, flags byte) []byte {
-	return AppendIDs(make([]byte, 0, 4+8*len(ids)+1), ids, flags)
-}
-
 // DecodeIDs parses an unflagged ID frame body into a fresh slice.
 func DecodeIDs(data []byte) ([]uint64, error) {
 	ids, _, err := appendDecodedIDs(make([]uint64, 0, len(data)/8), data, false)
@@ -444,15 +430,8 @@ type AdMeta struct {
 
 const adMetaBytes = 10
 
-// AppendMeta appends a metadata frame body: one 10-byte record per entry.
-func AppendMeta(dst []byte, meta []AdMeta) []byte {
-	dst = slices.Grow(dst, adMetaBytes*len(meta))
-	for _, m := range meta {
-		dst = appendMetaRecord(dst, m)
-	}
-	return dst
-}
-
+// appendMetaRecord appends one 10-byte record of a metadata frame body,
+// which holds one per requested ID.
 func appendMetaRecord(dst []byte, m AdMeta) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(m.BidMicros))
 	return binary.BigEndian.AppendUint16(dst, m.ClickRate)
@@ -472,11 +451,6 @@ func appendDecodedMeta(dst []AdMeta, data []byte) ([]AdMeta, error) {
 
 func decodeMetaRecord(rec []byte) AdMeta {
 	return AdMeta{BidMicros: int64(binary.BigEndian.Uint64(rec)), ClickRate: binary.BigEndian.Uint16(rec[8:])}
-}
-
-// DecodeMeta parses a metadata frame body into a fresh slice.
-func DecodeMeta(data []byte) ([]AdMeta, error) {
-	return appendDecodedMeta([]AdMeta{}, data)
 }
 
 // recordFrameMagic opens a record frame body. The first byte of an ID

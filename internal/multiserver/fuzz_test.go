@@ -100,18 +100,18 @@ func FuzzFrameDecoders(f *testing.F) {
 	f.Add(frame(append([]byte{statusOK}, overflowIDFrame...)))
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))   // largest legal header, nothing behind it
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1)) // one past the cap
-	f.Add(frame(append([]byte{statusOK}, EncodeIDsFlags([]uint64{1, 99, 1 << 40}, IDFlagCutoff)...)))
+	f.Add(frame(append([]byte{statusOK}, AppendIDs(nil, []uint64{1, 99, 1 << 40}, IDFlagCutoff)...)))
 	f.Add(frame(appendErrorResponse(nil, &StaleEpochError{ClientEpoch: 3, ServerEpoch: 4})))
 	f.Add(append(frame(appendErrorResponse(nil, errors.New("boom"))), frame([]byte{statusExpired})...))
 	f.Add(EncodeIDs([]uint64{7}))
-	f.Add(AppendMeta(nil, []AdMeta{{BidMicros: -5, ClickRate: 9}}))
-	f.Add(EncodeEpochRequest(42, []byte("cheap flights")))
-	f.Add(EncodeDeadlineRequest(1500, EncodeEpochRequest(7, []byte("q"))))
+	f.Add(metaFrame([]AdMeta{{BidMicros: -5, ClickRate: 9}}))
+	f.Add(AppendEpochRequest(nil, 42, []byte("cheap flights")))
+	f.Add(AppendDeadlineRequest(nil, 1500, AppendEpochRequest(nil, 7, []byte("q"))))
 	f.Add([]byte{deadlineReqMagic, 1, 2})
 	f.Add(overflowRecordFrame)
 	f.Add(AppendAdRecords(nil, testAds([]uint64{1, 99, 1 << 40}), IDFlagTruncated))
 	f.Add(AppendRecordsRequest(nil, 42, []byte("cheap flights")))
-	f.Add(EncodeDeadlineRequest(1500, AppendRecordsRequest(nil, 7, []byte("q"))))
+	f.Add(AppendDeadlineRequest(nil, 1500, AppendRecordsRequest(nil, 7, []byte("q"))))
 	f.Add([]byte("\xeb\x80\x80 shoes")) // text led by the epoch magic
 	f.Add([]byte{recordsReqMagic, 0, 0, 0})
 
@@ -142,12 +142,12 @@ func FuzzFrameDecoders(f *testing.F) {
 				t.Fatalf("unflagged ID frame is not canonical: %x", data)
 			}
 		}
-		if meta, err := DecodeMeta(data); err == nil {
-			if !bytes.Equal(AppendMeta(nil, meta), data) {
+		if meta, err := appendDecodedMeta(nil, data); err == nil {
+			if !bytes.Equal(metaFrame(meta), data) {
 				t.Fatalf("metadata frame is not canonical: %x", data)
 			}
 		} else if !errors.Is(err, ErrMalformed) {
-			t.Fatalf("DecodeMeta: untyped error %v", err)
+			t.Fatalf("appendDecodedMeta: untyped error %v", err)
 		}
 		if ids, meta, flags, err := DecodeRecords(data); err == nil {
 			if len(ids) != len(meta) || len(ids) > len(data)/adRecordBytes {
@@ -205,4 +205,14 @@ func FuzzFrameDecoders(f *testing.F) {
 			t.Fatalf("%d input bytes cost %d allocated bytes, limit %d", len(data), spent, limit)
 		}
 	})
+}
+
+// metaFrame encodes meta as a metadata frame body, one record per entry,
+// as the ad server answers.
+func metaFrame(meta []AdMeta) []byte {
+	var b []byte
+	for _, m := range meta {
+		b = appendMetaRecord(b, m)
+	}
+	return b
 }

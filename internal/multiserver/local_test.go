@@ -59,8 +59,8 @@ func TestLocalAnswersAsSocket(t *testing.T) {
 		"stale epoch":      AppendEpochRequest(nil, 3, body),
 		"records":          AppendRecordsRequest(nil, 0, body),
 		"records at epoch": AppendRecordsRequest(nil, 7, body),
-		"expired":          EncodeDeadlineRequest(0, AppendRecordsRequest(nil, 7, body)),
-		"live budget":      EncodeDeadlineRequest(time.Minute, AppendRecordsRequest(nil, 7, body)),
+		"expired":          AppendDeadlineRequest(nil, 0, AppendRecordsRequest(nil, 7, body)),
+		"live budget":      AppendDeadlineRequest(nil, time.Minute, AppendRecordsRequest(nil, 7, body)),
 		"malformed tag":    {epochReqMagic, 0, 0},
 		"panic":            []byte("poison"),
 		"handler error":    []byte("bad"),
@@ -129,7 +129,7 @@ func TestLocalDeadline(t *testing.T) {
 	defer srv.Close()
 	local := srv.Local(ConnOpts{MaxRetries: -1})
 
-	if _, err := local.Exchange(EncodeDeadlineRequest(0, []byte("q"))); !errors.Is(err, ErrDeadlineExpired) {
+	if _, err := local.Exchange(AppendDeadlineRequest(nil, 0, []byte("q"))); !errors.Is(err, ErrDeadlineExpired) {
 		t.Fatalf("zero-budget request returned %v, want ErrDeadlineExpired", err)
 	}
 	if handled != 0 || srv.Expired() != 1 {

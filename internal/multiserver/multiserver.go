@@ -79,9 +79,9 @@ type Backend interface {
 	// AppendMatch appends the answer to req to dst, the response frame
 	// under construction, and returns the extended slice: an ID frame body
 	// (AppendIDs, AppendAdIDs), or a record frame body for a records
-	// request, with IDFlagTruncated/IDFlagCutoff saying what the answer
-	// leaves out. On error whatever it appended is discarded and the
-	// client gets the error's typed frame.
+	// request, with IDFlagTruncated saying the answer leaves matches out.
+	// On error whatever it appended is discarded and the client gets the
+	// error's typed frame.
 	AppendMatch(dst []byte, req Request) ([]byte, error)
 }
 
@@ -124,9 +124,9 @@ func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScra
 
 // BroadMatch finds the records of ix broad-matching the raw query text and
 // returns how many there are. The enumeration stops at deadline when that
-// is non-zero; what it then left out, and whether the MaxQueryWords
-// cutoff shortened the query, is what AppendReply flags. The matches are
-// read off ix by AppendReply, so ix must not change in between.
+// is non-zero, or at the walk bound (core.Budget); that it then left
+// matches out is what AppendReply flags. The matches are read off ix by
+// AppendReply, so ix must not change in between.
 func (sc *MatchScratch) BroadMatch(ix *core.Index, query string, deadline time.Time) int {
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
 	sc.budget.Init(0, deadline)
@@ -142,9 +142,6 @@ func (sc *MatchScratch) AppendReply(dst []byte, req Request) []byte {
 	var flags byte
 	if sc.budget.Exhausted() {
 		flags |= IDFlagTruncated
-	}
-	if sc.budget.CutoffApplied() {
-		flags |= IDFlagCutoff
 	}
 	ix, refs := sc.ix, sc.refs
 	if req.Records {
@@ -506,7 +503,7 @@ func (c *Client) IndexConn() *Conn { return c.index }
 
 // QueryIDs runs the index hop only, returning matching ad IDs. This
 // client has nowhere to report the frame's flags (a backend's
-// MaxQueryWords cutoff); shard.NetClient does.
+// truncation); shard.NetClient does.
 func (c *Client) QueryIDs(query string) ([]uint64, error) {
 	resp, err := c.index.Exchange(AppendQueryText(nil, query))
 	if err != nil {

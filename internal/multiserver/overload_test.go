@@ -72,7 +72,7 @@ func TestPanicContainment(t *testing.T) {
 func TestDeadlineRequestRoundTrip(t *testing.T) {
 	body := []byte("used books")
 	now := time.Unix(1700000000, 0)
-	wire := EncodeDeadlineRequest(1500*time.Microsecond, body)
+	wire := AppendDeadlineRequest(nil, 1500*time.Microsecond, body)
 	req, got, err := DecodeRequest(wire, now)
 	if err != nil || req != (Request{Deadline: now.Add(1500 * time.Microsecond)}) || !bytes.Equal(got, body) {
 		t.Fatalf("decode = %+v, %q, err %v", req, got, err)
@@ -82,11 +82,11 @@ func TestDeadlineRequestRoundTrip(t *testing.T) {
 		t.Fatalf("untagged decode: %+v %q err=%v", req, got, err)
 	}
 	// Negative budgets clamp to zero rather than wrapping around.
-	if req, _, _ := DecodeRequest(EncodeDeadlineRequest(-time.Second, body), now); !req.Deadline.Equal(now) {
+	if req, _, _ := DecodeRequest(AppendDeadlineRequest(nil, -time.Second, body), now); !req.Deadline.Equal(now) {
 		t.Fatalf("negative remaining decoded as %v", req.Deadline.Sub(now))
 	}
 	// Deadline wraps outermost around an epoch-tagged body.
-	req, got, err = DecodeRequest(EncodeDeadlineRequest(time.Second, EncodeEpochRequest(42, body)), now)
+	req, got, err = DecodeRequest(AppendDeadlineRequest(nil, time.Second, AppendEpochRequest(nil, 42, body)), now)
 	if err != nil || req != (Request{Epoch: 42, Tagged: true, Deadline: now.Add(time.Second)}) || !bytes.Equal(got, body) {
 		t.Fatalf("composed decode = %+v, %q, err %v", req, got, err)
 	}
@@ -118,7 +118,7 @@ func TestDeadlineExpiredOverWire(t *testing.T) {
 	defer conn.Close()
 
 	// Expired on arrival: raw frame with zero remaining budget.
-	if _, err := conn.Exchange(EncodeDeadlineRequest(0, []byte("q"))); !errors.Is(err, ErrDeadlineExpired) {
+	if _, err := conn.Exchange(AppendDeadlineRequest(nil, 0, []byte("q"))); !errors.Is(err, ErrDeadlineExpired) {
 		t.Fatalf("zero-budget request returned %v, want ErrDeadlineExpired", err)
 	}
 	if handled != 0 {
@@ -157,10 +157,10 @@ func TestDeadlineExpiredOverWire(t *testing.T) {
 func TestIDsFlagsRoundTrip(t *testing.T) {
 	ids := []uint64{3, 1, 4, 1, 5}
 	plain := EncodeIDs(ids)
-	if !bytes.Equal(EncodeIDsFlags(ids, 0), plain) {
+	if !bytes.Equal(AppendIDs(nil, ids, 0), plain) {
 		t.Fatal("zero-flag encoding differs from legacy encoding")
 	}
-	flagged := EncodeIDsFlags(ids, IDFlagTruncated|IDFlagCutoff)
+	flagged := AppendIDs(nil, ids, IDFlagTruncated|IDFlagCutoff)
 	if len(flagged) != len(plain)+1 {
 		t.Fatalf("flagged frame %d bytes, want %d", len(flagged), len(plain)+1)
 	}
@@ -186,7 +186,7 @@ func TestIDsFlagsRoundTrip(t *testing.T) {
 		t.Fatal("legacy DecodeIDs accepted a flagged frame")
 	}
 	// Empty list round-trips with flags.
-	if ids2, flags, err := DecodeIDsFlags(EncodeIDsFlags(nil, IDFlagTruncated)); err != nil || len(ids2) != 0 || flags != IDFlagTruncated {
+	if ids2, flags, err := DecodeIDsFlags(AppendIDs(nil, nil, IDFlagTruncated)); err != nil || len(ids2) != 0 || flags != IDFlagTruncated {
 		t.Fatalf("empty flagged frame: ids=%v flags=%#x err=%v", ids2, flags, err)
 	}
 }

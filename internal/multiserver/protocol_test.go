@@ -81,7 +81,7 @@ func TestErrorFrameRoundTrip(t *testing.T) {
 		t.Error("ServerError tripped the breaker")
 	}
 	// A valid empty request still succeeds and is distinguishable.
-	meta, err := DecodeMeta(mustExchange(t, conn, EncodeIDs(nil)))
+	meta, err := appendDecodedMeta(nil, mustExchange(t, conn, EncodeIDs(nil)))
 	if err != nil || len(meta) != 0 {
 		t.Errorf("empty metadata fetch: meta=%v err=%v", meta, err)
 	}

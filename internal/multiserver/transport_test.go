@@ -201,18 +201,18 @@ func TestGoldenWireBytes(t *testing.T) {
 		want string
 	}{
 		{"req plain", frame(q), "0000000d636865617020666c6967687473"},
-		{"req epoch", frame(EncodeEpochRequest(42, q)), "00000016eb000000000000002a636865617020666c6967687473"},
-		{"req deadline", frame(EncodeDeadlineRequest(1500*time.Microsecond, q)), "00000016db00000000000005dc636865617020666c6967687473"},
+		{"req epoch", frame(AppendEpochRequest(nil, 42, q)), "00000016eb000000000000002a636865617020666c6967687473"},
+		{"req deadline", frame(AppendDeadlineRequest(nil, 1500*time.Microsecond, q)), "00000016db00000000000005dc636865617020666c6967687473"},
 		{"req deadline+epoch", frame(AppendDeadlineRequest(nil, 1500*time.Microsecond, nil), AppendEpochRequest(nil, 1<<40+7, nil), q),
 			"0000001fdb00000000000005dceb0000010000000007636865617020666c6967687473"},
-		{"req deadline spent", frame(EncodeDeadlineRequest(-time.Second, nil)), "00000009db0000000000000000"},
+		{"req deadline spent", frame(AppendDeadlineRequest(nil, -time.Second, nil)), "00000009db0000000000000000"},
 		{"req ids", frame(EncodeIDs(ids)), "0000001c00000003000000000000000100000000000000630000010000000000"},
 		{"resp ids", frame(ok, AppendIDs(nil, ids, 0)), "0000001d0000000003000000000000000100000000000000630000010000000000"},
 		{"resp ids empty", frame(ok, EncodeIDs(nil)), "000000050000000000"},
-		{"resp ids flagged", frame(ok, EncodeIDsFlags(ids, IDFlagTruncated|IDFlagCutoff)),
+		{"resp ids flagged", frame(ok, AppendIDs(nil, ids, IDFlagTruncated|IDFlagCutoff)),
 			"0000001e000000000300000000000000010000000000000063000001000000000003"},
 		{"resp ids empty flagged", frame(ok, AppendIDs(nil, nil, IDFlagTruncated)), "00000006000000000001"},
-		{"resp meta", frame(ok, AppendMeta(nil, meta)), "0000001f00000000000001e240004d00000000000000000000ffffffffffffffffffff"},
+		{"resp meta", frame(ok, metaFrame(meta)), "0000001f00000000000001e240004d00000000000000000000ffffffffffffffffffff"},
 		{"resp empty", frame(ok), "0000000100"},
 		{"resp error", frame(appendErrorResponse(nil, errors.New("boom"))), "0000000501626f6f6d"},
 		{"resp stale", frame(appendErrorResponse(nil, &StaleEpochError{ClientEpoch: 3, ServerEpoch: 1<<33 + 4})),
@@ -247,7 +247,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		}
 		return AppendIDs(dst, ids, IDFlagTruncated|IDFlagCutoff), nil
 	}, &client, &server)
-	if _, err := c.Exchange(EncodeEpochRequest(42, q)); err != nil {
+	if _, err := c.Exchange(AppendEpochRequest(nil, 42, q)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hex.EncodeToString(client.take()); got != "00000016eb000000000000002a636865617020666c6967687473" {

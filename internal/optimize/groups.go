@@ -34,8 +34,7 @@ type Group struct {
 	// Count is the number of ads in the group.
 	Count int
 	// FreqByLen[l] is the total workload frequency of queries of length l
-	// whose word sets contain Words. FreqByLen is exact for query lengths
-	// up to the analysis index's cutoff.
+	// whose word sets contain Words.
 	FreqByLen []int64
 }
 
@@ -104,9 +103,7 @@ func BuildGroups(ads []corpus.Ad, wl *workload.Workload) *Groups {
 	for i := range gs.All {
 		reps[i] = corpus.Ad{ID: uint64(i + 1), Phrase: joinWords(gs.All[i].Words), Words: gs.All[i].Words}
 	}
-	// A generous query cutoff keeps the histograms exact for realistic
-	// query lengths.
-	ix := core.New(reps, core.Options{MaxWords: 10, MaxQueryWords: 24})
+	ix := core.New(reps, core.Options{MaxWords: 10})
 	var sc core.Scratch
 	var matches []core.Ref
 

@@ -3,8 +3,8 @@
 // computed at.
 //
 // What an entry is. A cached reply is the exact JSON of the reply's "ads"
-// array, after Config.Selection, plus the two envelope facts that are not
-// in that array (the pre-selection match count and the word-cutoff flag).
+// array, after Config.Selection, plus the envelope fact that is not in
+// that array (the pre-selection match count).
 // A hit writes the array into the response and never touches an Ad, the
 // auction or encoding/json. Selection is a pure function of the query's
 // words (all the key holds) and the server's immutable Config, so the
@@ -109,10 +109,9 @@
 // epoch is at least that. A write therefore costs the cached queries that
 // contain its rarest word (plus those whose words share that word's slot)
 // and no others, in O(1) with no traversal; a not-found delete, a fold,
-// Optimize, ApplyMapping and an adaptation tick cost nothing. A query long
-// enough for the MaxQueryWords cutoff is the exception (its answer depends
-// on document frequencies): ChangedAt gives it the view's own epoch, so any
-// epoch change drops it. A present entry that is too old is a miss and an
+// Optimize, ApplyMapping and an adaptation tick cost nothing, whatever the
+// query's length: every indexed word of it is walked, so no answer depends
+// on document frequencies. A present entry that is too old is a miss and an
 // invalidation; it stays where it is and the put that follows the miss
 // refreshes it in place. An entry newer than the caller's view is served if
 // new enough and never replaced by an older computation.
@@ -149,8 +148,6 @@ import (
 type Cached struct {
 	// Matched is the number of ads the query matched, before selection.
 	Matched int
-	// Cutoff reports that the query was reduced to MaxQueryWords words.
-	Cutoff bool
 	// Body is the JSON of the reply's "ads" array.
 	Body []byte
 	// Spans locate the ads of Body, one per ad, in order, for a put: the
@@ -414,7 +411,6 @@ type cacheEntry struct {
 	epoch     uint64
 	protected bool // in the protected segment, else in probation
 	matched   int
-	cutoff    bool
 	body      []byte
 	bodyLen   int
 	refs      []uint32
@@ -697,7 +693,7 @@ func cacheGet[K cacheKeyBytes](c *Cache, dst []byte, key K, fp, changedAt uint64
 	}
 	mark := len(dst)
 	dst = ent.appendBody(dst, &c.ads)
-	reply := Cached{Matched: ent.matched, Cutoff: ent.cutoff, Body: dst[mark:]}
+	reply := Cached{Matched: ent.matched, Body: dst[mark:]}
 	s.repeat(el)
 	s.mu.Unlock()
 	c.hits.Add(1)
@@ -759,7 +755,7 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, fp, epoch uint64, reply Cached) 
 			return
 		}
 		s.bytes -= ent.size()
-		ent.epoch, ent.matched, ent.cutoff = epoch, reply.Matched, reply.Cutoff
+		ent.epoch, ent.matched = epoch, reply.Matched
 		ent.setBody(reply, s.ads)
 		s.bytes += ent.size()
 		s.repeat(el)
@@ -770,7 +766,7 @@ func cachePut[K cacheKeyBytes](c *Cache, key K, fp, epoch uint64, reply Cached) 
 		s.ghosts.add(fp)
 		return
 	}
-	ent := &cacheEntry{key: string(key), epoch: epoch, matched: reply.Matched, cutoff: reply.Cutoff}
+	ent := &cacheEntry{key: string(key), epoch: epoch, matched: reply.Matched}
 	ent.setBody(reply, s.ads)
 	s.store(ent)
 	c.stores.Add(1)

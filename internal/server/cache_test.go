@@ -950,9 +950,8 @@ func BenchmarkSearchHit(b *testing.B) {
 }
 
 // hotQueries generates n distinct queries over corp with the hot
-// benchmark streams' frequency law (200/rank), each cut to the index's
-// default 12-word cutoff so that no answer is cut short; queries[i] is
-// wl.Queries[i] as text.
+// benchmark streams' frequency law (200/rank), each capped at 12 words as
+// those streams are; queries[i] is wl.Queries[i] as text.
 func hotQueries(corp *corpus.Corpus, n int, seed int64) (wl *workload.Workload, queries []string) {
 	wl = workload.Generate(corp, workload.GenOptions{NumQueries: n, ZipfS: 1, MaxFreq: 200, Seed: seed})
 	queries = make([]string, len(wl.Queries))

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +19,9 @@ import (
 // /search/batch as through /search. Under a tight Config.QueryBudget an
 // adversarial query of any kind answers truncated:true with a subset of
 // its unbudgeted answer, is never cached, counts in budget_truncated, and
-// three strikes quarantine its fingerprint; the static word cutoff is
-// reported for every kind.
+// three strikes quarantine its fingerprint; and a query of more than 12
+// words, asked of a server without a cost budget, answers whole, as the
+// index does.
 func TestSearchBudgetEveryQueryKind(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2500, Seed: 93})
 	adv := workload.GenerateAdversarial(c, workload.AdvOptions{NumQueries: 8, Seed: 94})
@@ -51,7 +53,7 @@ func TestSearchBudgetEveryQueryKind(t *testing.T) {
 			}
 			r := out.Results[0]
 			return resp.StatusCode, searchResponse{Matched: r.Matched, Cached: r.Cached, Ads: r.Ads, Matches: r.Matches,
-				Truncated: r.Truncated, CutoffApplied: r.CutoffApplied, CostSpent: r.CostSpent}
+				Truncated: r.Truncated, CostSpent: r.CostSpent}
 		}
 	}
 
@@ -129,10 +131,41 @@ func TestSearchBudgetEveryQueryKind(t *testing.T) {
 				t.Fatalf("QuarantineRejects = %d, want 1", got)
 			}
 
-			// Two adversarial queries together exceed MaxQueryWords.
-			long := append(adv.Queries[0].Words, adv.Queries[1].Words...)
-			if code, res := kind.ask(t, base, strings.Join(long, " ")); code != http.StatusOK || !res.CutoffApplied {
-				t.Fatalf("%d-word query: status %d, cutoff_applied=%v", len(long), code, res.CutoffApplied)
+			// Ad phrases one after another, past 20 words, none twice (a
+			// repeated word is a word of its own, which no oracle here
+			// models).
+			whole := New(ix, Config{QuarantineTTL: time.Minute})
+			if err := whole.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { whole.Shutdown(t.Context()) })
+			var phrases []string
+			seen := map[string]bool{}
+			for i := 0; len(seen) <= 20; i += 97 {
+				tokens := textnorm.Tokenize(c.Ads[i].Phrase)
+				if slices.ContainsFunc(tokens, func(w string) bool { return seen[w] }) || len(textnorm.WordSet(c.Ads[i].Phrase)) != len(tokens) {
+					continue
+				}
+				for _, w := range tokens {
+					seen[w] = true
+				}
+				phrases = append(phrases, c.Ads[i].Phrase)
+			}
+			long := strings.Join(phrases, " ")
+			kind.query.Text = long
+			want := ix.Match(nil, kind.query)
+			if typ := map[adindex.QueryType]string{adindex.Broad: "broad", adindex.Phrase: "phrase"}[kind.query.Type]; !kind.query.Rewrite &&
+				!slices.Equal(idsOf(want.Ads), idsOf(bruteForce(c.Ads, typ, long))) {
+				t.Fatalf("the index answers %q with %v, brute force %v", long, idsOf(want.Ads), idsOf(bruteForce(c.Ads, typ, long)))
+			}
+			code, res := kind.ask(t, "http://"+whole.Addr(), long)
+			ads := res.Ads
+			for _, m := range res.Matches {
+				ads = append(ads, m.Ad)
+			}
+			if code != http.StatusOK || res.Truncated || want.Truncated || !slices.Equal(idsOf(ads), idsOf(want.Ads)) {
+				t.Fatalf("%q: status %d, %v (truncated %v); the index answers %v (truncated %v)",
+					long, code, idsOf(ads), res.Truncated, idsOf(want.Ads), want.Truncated)
 			}
 		})
 	}
@@ -141,14 +174,14 @@ func TestSearchBudgetEveryQueryKind(t *testing.T) {
 // TestSearchExactUnderBudget: type=exact is a single lookup, so the tight
 // Config.QueryBudget that truncates an 8-word broad query leaves the exact
 // query of the same words whole, however often it repeats, and a bid
-// phrase longer than MaxQueryWords is still found.
+// phrase of more than 12 words is found too.
 func TestSearchExactUnderBudget(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 2500, Seed: 93})
 	adv := workload.GenerateAdversarial(c, workload.AdvOptions{NumQueries: 1, QueryWords: 8, Seed: 95})
 	eight := strings.Join(adv.Queries[0].Words, " ")
 	fifteen := eight + " xa xb xc xd xe xf xg"
 	if n := len(textnorm.WordSet(fifteen)); n <= 12 {
-		t.Fatalf("long phrase has %d distinct words, want more than MaxQueryWords", n)
+		t.Fatalf("long phrase has %d distinct words, want more than 12", n)
 	}
 	ads := append(c.Ads, adindex.NewAd(700001, eight, adindex.Meta{}), adindex.NewAd(700002, fifteen, adindex.Meta{}))
 	s := New(adindex.Build(ads, adindex.Options{}), Config{QueryBudget: 8, QuarantineTTL: time.Minute})
@@ -170,9 +203,9 @@ func TestSearchExactUnderBudget(t *testing.T) {
 		for attempt := 1; attempt <= 5; attempt++ {
 			var res searchResponse
 			getJSON(t, base+strings.ReplaceAll(tc.query, " ", "+")+"&type=exact", &res)
-			if res.Truncated || res.CutoffApplied || len(res.Ads) != 1 || res.Ads[0].ID != tc.want {
-				t.Fatalf("attempt %d, exact %q: truncated=%v cutoff=%v ads=%v, want ad %d whole",
-					attempt, tc.query, res.Truncated, res.CutoffApplied, res.Ads, tc.want)
+			if res.Truncated || len(res.Ads) != 1 || res.Ads[0].ID != tc.want {
+				t.Fatalf("attempt %d, exact %q: truncated=%v ads=%v, want ad %d whole",
+					attempt, tc.query, res.Truncated, res.Ads, tc.want)
 			}
 		}
 	}

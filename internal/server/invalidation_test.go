@@ -21,13 +21,13 @@ import (
 // outside cached, took_us and cost_spent, once each reply's epoch is netted
 // of its own index's installs: each index samples its own workload (the
 // cached server's only its misses), so an /optimize may install on one
-// twin and not on the other. The queries come from a small
-// fixed set so that they repeat across writes; a few are long enough for
-// the MaxQueryWords cutoff, whose answers depend on document frequencies.
-// Every vocabulary word has an anchor ad that is never deleted, so which
-// queries are cut off does not change during a run (a complete answer
-// cached before a query grew past the cutoff would be served in place of
-// the lossy one a fresh computation gives: better, but not identical).
+// twin and not on the other (an /optimize installs on its gain alone,
+// so a pending overlay may be folded on one twin and not on the other).
+// The queries come from a small fixed set so that they repeat across
+// writes; a few are of 14 to 16 words, every one indexed (each vocabulary
+// word has an anchor ad that is never deleted): their answers, walked
+// word by word, depend on no document frequency, so they are cached and
+// invalidated as short ones are.
 func TestCacheDifferential(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -73,7 +73,7 @@ func cacheDifferential(t *testing.T, seed int64) {
 	queries := make([]string, 40)
 	for i := range queries {
 		queries[i] = phrase(1 + rng.Intn(6))
-		if i < 6 { // more distinct words than MaxQueryWords, all of them indexed
+		if i < 6 { // more than 12 distinct words, all of them indexed
 			perm := rng.Perm(len(vocab))[:14+rng.Intn(3)]
 			var words []string
 			for _, j := range perm {

@@ -169,10 +169,9 @@ type Registry struct {
 	// NotReady counts requests refused with 503 because durable recovery
 	// had not installed the index yet.
 	NotReady atomic.Uint64
-	// BudgetTruncated counts queries whose cost/deadline budget exhausted
-	// mid-match (answered with a flagged verified subset); Cutoffs counts
-	// queries whose words were clipped at MaxQueryWords.
-	BudgetTruncated, Cutoffs atomic.Uint64
+	// BudgetTruncated counts queries whose budget (cost, deadline or walk
+	// bound) exhausted mid-match, answered with a flagged verified subset.
+	BudgetTruncated atomic.Uint64
 	// QuarantineRejects counts requests fast-rejected at admission
 	// because their fingerprint is quarantined; Panics counts match-path
 	// panics contained by the handler.
@@ -259,9 +258,8 @@ type MetricsSnapshot struct {
 	Timeouts uint64 `json:"timeouts"`
 	InFlight int64  `json:"in_flight"`
 	// Overload is the overload-armor section: shedding state and typed
-	// shed counts from the limiter, budget truncations and word-cutoff
-	// counts from the match path, and quarantine/panic containment
-	// activity.
+	// shed counts from the limiter, budget truncations from the match
+	// path, and quarantine/panic containment activity.
 	Overload      OverloadSnapshot  `json:"overload"`
 	Mutations     uint64            `json:"mutations"`
 	Degraded      uint64            `json:"degraded"`
@@ -381,9 +379,8 @@ type OverloadSnapshot struct {
 	// cause: standing-queue delay vs the hard queue bound.
 	ShedOverload  uint64 `json:"shed_overload"`
 	ShedQueueFull uint64 `json:"shed_queue_full"`
-	// BudgetTruncated / Cutoffs count flagged-partial answers.
+	// BudgetTruncated counts flagged-partial answers.
 	BudgetTruncated uint64 `json:"budget_truncated"`
-	Cutoffs         uint64 `json:"cutoffs"`
 	// Panics counts contained match-path panics; the quarantine fields
 	// describe the poison-query table.
 	Panics              uint64 `json:"panics"`
@@ -463,7 +460,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s.BackendErrors = r.BackendErrors.Load()
 	s.NotReady = r.NotReady.Load()
 	s.Overload.BudgetTruncated = r.BudgetTruncated.Load()
-	s.Overload.Cutoffs = r.Cutoffs.Load()
 	s.Overload.Panics = r.Panics.Load()
 	s.Overload.QuarantineRejects = r.QuarantineRejects.Load()
 	s.Latency = latencySnapshot(r.Latency)

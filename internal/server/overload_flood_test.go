@@ -42,9 +42,6 @@ func (b floodBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, 
 	if res.Truncated {
 		flags |= multiserver.IDFlagTruncated
 	}
-	if res.CutoffApplied {
-		flags |= multiserver.IDFlagCutoff
-	}
 	return multiserver.AppendAdRecords(dst, res.Ads, flags), nil
 }
 

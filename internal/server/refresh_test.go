@@ -317,7 +317,7 @@ func BenchmarkCacheRefresh(b *testing.B) {
 		if res.Truncated {
 			continue
 		}
-		puts = append(puts, put{bytes.Clone(sc.key), fingerprint(sc.key), Cached{Matched: len(spans), Cutoff: res.CutoffApplied, Body: body, Spans: spans}})
+		puts = append(puts, put{bytes.Clone(sc.key), fingerprint(sc.key), Cached{Matched: len(spans), Body: body, Spans: spans}})
 	}
 	stores, refreshes := s.cache.puts()
 	epoch := view.Epoch()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -205,16 +206,14 @@ func TestRemoteReplyMatchesEncodingJSON(t *testing.T) {
 		"degraded":        {IDs: ids, Meta: meta, Degraded: true, FailedShards: []int{0, 3}},
 		"degraded, none":  {Degraded: true, FailedShards: []int{2}},
 		"truncated":       {IDs: ids, Meta: meta, Truncated: true},
-		"cutoff":          {IDs: ids, Meta: meta, CutoffApplied: true},
-		"everything": {IDs: ids, Meta: meta, Degraded: true, FailedShards: []int{1},
-			Truncated: true, CutoffApplied: true},
+		"everything":      {IDs: ids, Meta: meta, Degraded: true, FailedShards: []int{1}, Truncated: true},
 	}
 	for name, res := range cases {
 		for _, q := range []string{"cheap used books", "caf\u00e9 <b>\"5\u2028\" \x00\xff"} {
 			want, err := json.Marshal(searchResponse{
 				Query: q, Type: "broad", Matched: len(res.IDs), TookUS: 1234,
 				IDs: res.IDs, Meta: res.Meta, Degraded: res.Degraded, FailedShards: res.FailedShards,
-				Truncated: res.Truncated, CutoffApplied: res.CutoffApplied,
+				Truncated: res.Truncated,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -265,9 +264,12 @@ func TestRemoteSearchOverRecords(t *testing.T) {
 }
 
 // TestElasticFlagsReachTheReply: what an elastic shard left out is in the
-// front end's reply. Forty one-word ads and the query of all forty words:
-// every shard cuts it down to MaxQueryWords, the answer is short, and the
-// reply says cutoff_applied — as the same corpus served locally does.
+// front end's reply, as it is in a local server's. Forty one-word ads and
+// the query of all forty words: every shard walks every word, and the
+// answer is all forty, unflagged. Add an ad on every pair of the words and
+// the same query's walk reaches its bound (every pair is a locator, so the
+// walk descends below each): the answer is a verified part of the full
+// one, flagged truncated, and counted.
 func TestElasticFlagsReachTheReply(t *testing.T) {
 	var ads []adindex.Ad
 	var words []string
@@ -275,7 +277,34 @@ func TestElasticFlagsReachTheReply(t *testing.T) {
 		words = append(words, fmt.Sprintf("w%d", i))
 		ads = append(ads, adindex.NewAd(uint64(i+1), words[i], adindex.Meta{}))
 	}
-	target := searchTarget(strings.Join(words, " "), "broad")
+	q := strings.Join(words, " ")
+	target := searchTarget(q, "broad")
+	want := idsOf(bruteForce(ads, "broad", q))
+	for name, s := range map[string]*Server{
+		"elastic": startElasticFrontEnd(t, ads),
+		"local":   New(adindex.Build(ads, adindex.Options{}), Config{}),
+	} {
+		var res searchResponse
+		if err := json.Unmarshal(serve(t, s, "GET", target, ""), &res); err != nil {
+			t.Fatal(err)
+		}
+		got := res.IDs
+		if name == "local" {
+			got = idsOf(res.Ads)
+		}
+		got = slices.Clone(got)
+		slices.Sort(got)
+		if !slices.Equal(got, want) || res.Truncated {
+			t.Fatalf("%s: the 40-word query matched %v, truncated %v; brute force %v", name, got, res.Truncated, want)
+		}
+	}
+
+	for i := range words {
+		for j := i + 1; j < len(words); j++ {
+			ads = append(ads, adindex.NewAd(uint64(len(ads)+1), words[i]+" "+words[j], adindex.Meta{}))
+		}
+	}
+	want = idsOf(bruteForce(ads, "broad", q))
 	for name, s := range map[string]*Server{
 		"elastic": startElasticFrontEnd(t, ads),
 		"local":   New(adindex.Build(ads, adindex.Options{}), Config{}),
@@ -285,16 +314,33 @@ func TestElasticFlagsReachTheReply(t *testing.T) {
 		if err := json.Unmarshal(body, &res); err != nil {
 			t.Fatal(err)
 		}
-		if res.Matched == 0 || res.Matched >= len(ads) {
-			t.Fatalf("%s: the 40-word query matched %d of 40: the cutoff did not bite", name, res.Matched)
+		got := res.IDs
+		if name == "local" {
+			got = idsOf(res.Ads)
 		}
-		if !res.CutoffApplied || !bytes.Contains(body, []byte(`"cutoff_applied":true`)) {
-			t.Errorf("%s: a short answer (%d of 40) without cutoff_applied: %s", name, res.Matched, body)
+		got = slices.Clone(got)
+		slices.Sort(got)
+		if !res.Truncated || !bytes.Contains(body, []byte(`"truncated":true`)) || len(got) >= len(want) {
+			t.Fatalf("%s: %d of %d ads, truncated %v: the walk bound did not bite", name, len(got), len(want), res.Truncated)
 		}
-		if got := s.Metrics().Cutoffs.Load(); got != 1 {
-			t.Errorf("%s: cutoffs counter = %d, want 1", name, got)
+		for _, id := range got {
+			if _, found := slices.BinarySearch(want, id); !found {
+				t.Fatalf("%s: truncated answer holds ad %d, which does not match", name, id)
+			}
+		}
+		if n := s.Metrics().BudgetTruncated.Load(); n != 1 {
+			t.Errorf("%s: budget_truncated = %d, want 1", name, n)
 		}
 	}
+}
+
+// idsOf returns the IDs of ads, in order.
+func idsOf(ads []adindex.Ad) []uint64 {
+	ids := make([]uint64, len(ads))
+	for i := range ads {
+		ids[i] = ads[i].ID
+	}
+	return ids
 }
 
 // TestRemoteSearchAllocs pins what a fanned-out /search costs the front

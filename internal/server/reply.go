@@ -166,12 +166,9 @@ func appendSearchHead(dst []byte, q, typ string, matched int, cached bool) []byt
 }
 
 // appendFlags appends the overload-armor fields of a result that are set.
-func appendFlags(dst []byte, truncated, cutoff bool, costSpent int64) []byte {
+func appendFlags(dst []byte, truncated bool, costSpent int64) []byte {
 	if truncated {
 		dst = append(dst, `,"truncated":true`...)
-	}
-	if cutoff {
-		dst = append(dst, `,"cutoff_applied":true`...)
 	}
 	if costSpent != 0 {
 		dst = append(dst, `,"cost_spent":`...)

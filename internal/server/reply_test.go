@@ -78,10 +78,9 @@ type searchResponse struct {
 
 	// Overload-armor fields: a budget-truncated answer is a verified
 	// ID-ordered subset of the full answer, flagged rather than silently
-	// short; CutoffApplied surfaces the MaxQueryWords word drop.
-	Truncated     bool  `json:"truncated,omitempty"`
-	CutoffApplied bool  `json:"cutoff_applied,omitempty"`
-	CostSpent     int64 `json:"cost_spent,omitempty"`
+	// short.
+	Truncated bool  `json:"truncated,omitempty"`
+	CostSpent int64 `json:"cost_spent,omitempty"`
 }
 
 // batchResult is one element of a batch reply's results: the /search reply
@@ -94,9 +93,8 @@ type batchResult struct {
 	Matches []adindex.Match   `json:"matches,omitempty"` // rewrite mode only
 	Rewrite *rewriteStatsJSON `json:"rewrite,omitempty"` // rewrite mode only
 
-	Truncated     bool  `json:"truncated,omitempty"`
-	CutoffApplied bool  `json:"cutoff_applied,omitempty"`
-	CostSpent     int64 `json:"cost_spent,omitempty"`
+	Truncated bool  `json:"truncated,omitempty"`
+	CostSpent int64 `json:"cost_spent,omitempty"`
 }
 
 type batchResponse struct {
@@ -131,7 +129,7 @@ func TestSearchEnvelopeGolden(t *testing.T) {
 				want := searchResponse{
 					Query: q, Type: []string{"broad", "exact", "phrase"}[flags%3],
 					Matched: len(ads) + flags, Cached: flags&1 != 0, Ads: ads, TookUS: int64(flags * 1234),
-					Truncated: flags&2 != 0, CutoffApplied: flags&4 != 0,
+					Truncated: flags&2 != 0,
 				}
 				if flags&8 != 0 {
 					want.CostSpent = int64(flags) * 1e9
@@ -139,7 +137,7 @@ func TestSearchEnvelopeGolden(t *testing.T) {
 				got := appendSearchHead(nil, want.Query, want.Type, want.Matched, want.Cached)
 				got = corpus.AppendAdsJSON(got, ads)
 				got = strconv.AppendInt(append(got, `,"took_us":`...), want.TookUS, 10)
-				got = append(appendFlags(got, want.Truncated, want.CutoffApplied, want.CostSpent), "}\n"...)
+				got = append(appendFlags(got, want.Truncated, want.CostSpent), "}\n"...)
 				wantBytes, err := json.Marshal(want)
 				if err != nil {
 					t.Fatal(err)
@@ -261,14 +259,13 @@ func TestBatchEnvelopeGolden(t *testing.T) {
 	}
 }
 
-// TestCutoffAppliedSurvivesCacheHit: a query with more than MaxQueryWords
-// indexed words is answered from its rarest words only — a possibly lossy
-// answer, flagged cutoff_applied. The flag must ride the cache entry that
-// its second sighting stores: the repeat after it is the same lossy answer. Which words are the rarest is a matter
-// of document frequencies, which any write moves, so any write — here one
-// that shares no word with the query — drops the entry, while a short
-// query's entry beside it survives the same write.
-func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
+// TestLongQueryCachedLikeAnyOther: a query of more than 12 indexed words
+// answers every ad brute-force containment answers, unflagged, and is
+// cached as any query is: its second sighting stores the reply, the repeat
+// and a batch are hits, a write that shares no word with it leaves its
+// entry (and a short query's beside it) alone, and a write of an ad the
+// query matches drops it, for a batch as for a search.
+func TestLongQueryCachedLikeAnyOther(t *testing.T) {
 	var ads []adindex.Ad
 	var words []string
 	for i := 0; i < 16; i++ {
@@ -277,7 +274,8 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 		ads = append(ads, adindex.NewAd(uint64(i+1), w, adindex.Meta{}))
 	}
 	s := New(adindex.Build(ads, adindex.Options{}), Config{})
-	target := searchTarget(strings.Join(words, " "), "broad")
+	long := strings.Join(words, " ")
+	target := searchTarget(long, "broad")
 	var first, second, repeat searchResponse
 	for i, out := range []*searchResponse{&first, &second, &repeat} {
 		if err := json.Unmarshal(serve(t, s, "GET", target, ""), out); err != nil {
@@ -287,56 +285,45 @@ func TestCutoffAppliedSurvivesCacheHit(t *testing.T) {
 			t.Fatalf("request %d: cached = %v", i, out.Cached)
 		}
 	}
-	if !first.CutoffApplied {
-		t.Fatal("a 16-word query was not cut off: the test exercises nothing")
+	want := bruteForce(ads, "broad", long)
+	for i, r := range []searchResponse{first, repeat} {
+		if !slices.Equal(idsOf(r.Ads), idsOf(want)) || r.Matched != len(want) || r.Truncated {
+			t.Fatalf("ask %d of the 16-word query: %d matched, %d ads, truncated %v; brute force %d ads",
+				i, r.Matched, len(r.Ads), r.Truncated, len(want))
+		}
 	}
-	if !repeat.CutoffApplied {
-		t.Error("cutoff_applied dropped on the cache hit: a lossy answer served as complete")
-	}
-	if repeat.Matched != first.Matched || len(repeat.Ads) != len(first.Ads) {
-		t.Errorf("hit answers %d matched / %d ads, miss %d / %d", repeat.Matched, len(repeat.Ads), first.Matched, len(first.Ads))
-	}
-	// A batch is served the same entry, flag and all.
-	batchBody, _ := json.Marshal(batchRequest{Queries: []string{strings.Join(words, " ")}})
+	batchBody, _ := json.Marshal(batchRequest{Queries: []string{long}})
 	var batch batchResponse
 	if err := json.Unmarshal(serve(t, s, "POST", "/search/batch", string(batchBody)), &batch); err != nil {
 		t.Fatal(err)
 	}
-	if r := batch.Results[0]; !r.Cached || !r.CutoffApplied || r.Matched != first.Matched {
-		t.Errorf("batch result for the cut-off query: %+v; want the cached lossy answer, flagged", r)
-	}
-	if got := s.Metrics().Cutoffs.Load(); got != 2 {
-		t.Errorf("cutoffs counter = %d, want 2 (the two asks that reached the index)", got)
+	if r := batch.Results[0]; !r.Cached || r.Truncated || !slices.Equal(idsOf(r.Ads), idsOf(want)) {
+		t.Errorf("batch result for the 16-word query: %+v; want the cached whole answer", r)
 	}
 
 	short := searchTarget("a b c", "broad")
 	serve(t, s, "GET", short, "")
 	serve(t, s, "GET", short, "") // the second sighting stores it
 	serve(t, s, "POST", "/insert", `{"id":99,"phrase":"zebra crossing"}`)
-	var after, shortAfter searchResponse
-	if err := json.Unmarshal(serve(t, s, "GET", target, ""), &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Cached || !after.CutoffApplied {
-		t.Errorf("cut-off query after an unrelated write: cached = %v, cutoff_applied = %v; want a fresh cut-off answer", after.Cached, after.CutoffApplied)
-	}
-	if err := json.Unmarshal(serve(t, s, "GET", short, ""), &shortAfter); err != nil {
-		t.Fatal(err)
-	}
-	if !shortAfter.Cached {
-		t.Error("a three-word query's entry was dropped by a write that shares no word with it")
+	for _, q := range []string{target, short} {
+		var after searchResponse
+		if err := json.Unmarshal(serve(t, s, "GET", q, ""), &after); err != nil {
+			t.Fatal(err)
+		}
+		if !after.Cached {
+			t.Errorf("%s: the entry was dropped by a write that shares no word with the query", q)
+		}
 	}
 
-	// And when the batch is the one that computes it: flagged on its miss,
-	// stored with the flag, flagged on its hit.
-	serve(t, s, "POST", "/insert", `{"id":100,"phrase":"zebra crossing"}`)
-	for _, cached := range []bool{false, true} {
-		var fresh batchResponse // a reused one would keep the last reply's flags
+	serve(t, s, "POST", "/insert", `{"id":100,"phrase":"a b"}`)
+	want = bruteForce(append(ads, adindex.NewAd(100, "a b", adindex.Meta{})), "broad", long)
+	for _, cached := range []bool{false, true} { // the miss refreshes the entry in place
+		var fresh batchResponse // a reused one would keep the last reply's fields
 		if err := json.Unmarshal(serve(t, s, "POST", "/search/batch", string(batchBody)), &fresh); err != nil {
 			t.Fatal(err)
 		}
-		if r := fresh.Results[0]; r.Cached != cached || !r.CutoffApplied {
-			t.Errorf("batch after a write, cached=%v wanted: %+v; want cutoff_applied either way", cached, r)
+		if r := fresh.Results[0]; r.Cached != cached || r.Truncated || !slices.Equal(idsOf(r.Ads), idsOf(want)) {
+			t.Errorf("batch after a write of \"a b\", cached=%v wanted: %+v", cached, r)
 		}
 	}
 }

@@ -513,10 +513,9 @@ type outcome struct {
 	matches []adindex.Match
 	rewrite *rewriteStatsJSON
 	// Overload armor: a budget-truncated answer is a verified ID-ordered
-	// subset of the full answer, flagged rather than silently short; cutoff
-	// surfaces the MaxQueryWords word drop, on a hit as on the miss.
-	truncated, cutoff bool
-	costSpent         int64
+	// subset of the full answer, flagged rather than silently short.
+	truncated bool
+	costSpent int64
 	// fresh is the reply a miss computed, to be stored under sc.key at the
 	// view's epoch: its Body is the ads array in sc.buf, its Spans are
 	// that array's in sc.spans. Body is nil when there is
@@ -544,14 +543,13 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 		panic("injected test panic")
 	}
 	if !rd.rewrite {
-		var reply Cached
 		var hit bool
-		sc.buf, reply, hit = cacheGet(s.cache, sc.buf, sc.key, fp, rd.view.ChangedAt(sc.words), func(dst []byte, matched int) []byte {
+		sc.buf, _, hit = cacheGet(s.cache, sc.buf, sc.key, fp, rd.view.ChangedAt(sc.words), func(dst []byte, matched int) []byte {
 			return appendSearchHead(dst, q, rd.typ, matched, true)
 		})
 		if hit {
 			s.delay()
-			return outcome{cutoff: reply.Cutoff}
+			return outcome{}
 		}
 	}
 	query := adindex.Query{
@@ -584,11 +582,10 @@ func (s *Server) answer(sc *searchScratch, rd *reading, fp uint64, q string) out
 		out.fresh.Matched = len(sc.spans) - spans
 		sc.buf, body = insertHead(sc.buf, mark, q, rd.typ, out.fresh.Matched)
 	}
-	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
+	s.noteArmor(fp, res.Truncated)
 	s.delay()
-	out.truncated, out.cutoff, out.costSpent = res.Truncated, res.CutoffApplied, res.CostSpent
+	out.truncated, out.costSpent = res.Truncated, res.CostSpent
 	if !rd.rewrite && !res.Truncated { // never cache a partial answer
-		out.fresh.Cutoff = res.CutoffApplied
 		out.fresh.Body = sc.buf[body:]
 		out.fresh.Spans = sc.spans[spans:len(sc.spans):len(sc.spans)]
 	}
@@ -624,7 +621,7 @@ func (s *Server) closeResult(dst []byte, out *outcome) []byte {
 	if out.rewrite != nil {
 		dst = s.appendJSON(append(dst, `,"rewrite":`...), out.rewrite)
 	}
-	return append(appendFlags(dst, out.truncated, out.cutoff, out.costSpent), '}')
+	return append(appendFlags(dst, out.truncated, out.costSpent), '}')
 }
 
 // appendJSON appends what encoding/json makes of v, for the parts of a
@@ -670,10 +667,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadline time.Tim
 // noteArmor counts what an answer, local or fanned out, left out. A
 // truncated one burned a full budget on its fingerprint, so it is struck:
 // enough blowouts inside the TTL window quarantine it.
-func (s *Server) noteArmor(fp uint64, truncated, cutoff bool) {
-	if cutoff {
-		s.metrics.Cutoffs.Add(1)
-	}
+func (s *Server) noteArmor(fp uint64, truncated bool) {
 	if truncated {
 		s.metrics.BudgetTruncated.Add(1)
 		s.quarantine.NoteBudgetBlown(fp)
@@ -856,7 +850,7 @@ func (s *Server) searchRemote(w http.ResponseWriter, r *http.Request, sc *search
 	if res.Degraded {
 		s.metrics.Degraded.Add(1)
 	}
-	s.noteArmor(fp, res.Truncated, res.CutoffApplied)
+	s.noteArmor(fp, res.Truncated)
 	sc.buf = appendRemoteReply(sc.buf[:0], q, matchType, res, time.Since(start).Microseconds())
 	s.metrics.Latency.Observe(float64(time.Since(start)))
 	s.writeBody(w, r, sc.buf)
@@ -900,7 +894,7 @@ func appendRemoteReply(dst []byte, q, typ string, res *shard.Result, tookUS int6
 		}
 		dst[len(dst)-1] = ']'
 	}
-	return append(appendFlags(dst, res.Truncated, res.CutoffApplied, 0), "}\n"...)
+	return append(appendFlags(dst, res.Truncated, 0), "}\n"...)
 }
 
 // localIndex guards endpoints that need a local index, writing the

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,5 +70,41 @@ func TestNetClientDeadlinePropagation(t *testing.T) {
 	// Expired deadline: typed failure, no partial serving.
 	if _, err := nc.QueryResultDeadline("some query", time.Now().Add(-time.Millisecond)); !errors.Is(err, multiserver.ErrDeadlineExpired) {
 		t.Fatalf("expired deadline returned %v, want ErrDeadlineExpired", err)
+	}
+}
+
+// TestNetClientReadsCutoffAsTruncated: a backend of an older version
+// flags a long query it cut to its 12 rarest words with IDFlagCutoff
+// alone. Its records are a verified subset of the full answer, as a
+// truncated one's are, so the front end decodes the frame and reports
+// the merged result as truncated.
+func TestNetClientReadsCutoffAsTruncated(t *testing.T) {
+	older := multiserver.BackendFunc(func(dst []byte, _ multiserver.Request) ([]byte, error) {
+		return multiserver.AppendAdRecords(dst, []corpus.Ad{{ID: 10, Meta: corpus.Meta{BidMicros: 5}}}, multiserver.IDFlagCutoff), nil
+	})
+	srv0, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv0.Close()
+	srv1, err := multiserver.NewIndexServer("127.0.0.1:0", multiserver.ServeOpts{}, plainBackend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv1.Close()
+	nc, err := DialReplicaShards([][]string{{srv0.Addr()}, {srv1.Addr()}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	res, err := nc.QueryResult("a long query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.IDs, []uint64{10, 30}) || len(res.Meta) != 2 || res.Meta[0].BidMicros != 5 {
+		t.Fatalf("IDs %v, meta %v; want [10 30] with ad 10's bid", res.IDs, res.Meta)
+	}
+	if !res.Truncated || res.Degraded {
+		t.Fatalf("a cutoff-flagged shard answer gave Truncated=%v Degraded=%v; want truncated alone", res.Truncated, res.Degraded)
 	}
 }

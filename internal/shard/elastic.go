@@ -352,9 +352,8 @@ type shardBackend struct {
 // the cluster's routing epoch, the enumeration to the request's deadline,
 // and the shard's matches go from its records into the response frame —
 // their IDs, or for a records request IDs and metadata, read under the
-// lock the match ran under — flagged with what the deadline or the
-// MaxQueryWords cutoff left out. A position with no shard yet answers
-// empty.
+// lock the match ran under — flagged when the deadline or the walk bound
+// left matches out. A position with no shard yet answers empty.
 func (b shardBackend) AppendMatch(dst []byte, req multiserver.Request) ([]byte, error) {
 	b.ec.mu.RLock()
 	defer b.ec.mu.RUnlock()

@@ -488,7 +488,7 @@ func TestElasticServeEpochChecked(t *testing.T) {
 			break
 		}
 	}
-	resp, err := conn.Exchange(multiserver.EncodeEpochRequest(ec.Epoch(), []byte(target.Phrase)))
+	resp, err := conn.Exchange(multiserver.AppendEpochRequest(nil, ec.Epoch(), []byte(target.Phrase)))
 	if err != nil {
 		t.Fatalf("exchange at current epoch: %v", err)
 	}
@@ -502,7 +502,7 @@ func TestElasticServeEpochChecked(t *testing.T) {
 		t.Fatalf("DialConn idle position: %v", err)
 	}
 	defer conn3.Close()
-	resp, err = conn3.Exchange(multiserver.EncodeEpochRequest(ec.Epoch(), []byte(target.Phrase)))
+	resp, err = conn3.Exchange(multiserver.AppendEpochRequest(nil, ec.Epoch(), []byte(target.Phrase)))
 	if err != nil {
 		t.Fatalf("idle position exchange: %v", err)
 	}
@@ -516,11 +516,11 @@ func TestElasticServeEpochChecked(t *testing.T) {
 	if _, err := ec.Split(0); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	_, err = conn.Exchange(multiserver.EncodeEpochRequest(oldEpoch, []byte(target.Phrase)))
+	_, err = conn.Exchange(multiserver.AppendEpochRequest(nil, oldEpoch, []byte(target.Phrase)))
 	if !errors.Is(err, multiserver.ErrStaleEpoch) {
 		t.Fatalf("stale query err = %v, want ErrStaleEpoch", err)
 	}
-	if _, err := conn.Exchange(multiserver.EncodeEpochRequest(ec.Epoch(), []byte(target.Phrase))); err != nil {
+	if _, err := conn.Exchange(multiserver.AppendEpochRequest(nil, ec.Epoch(), []byte(target.Phrase))); err != nil {
 		t.Fatalf("refreshed exchange: %v", err)
 	}
 }

@@ -63,8 +63,8 @@ func (d *localAndWire) dial(t testing.TB, transport string, opts Options) *NetCl
 }
 
 // queries is a sample of the corpus's phrases, each with a word no ad
-// holds, a query of more than MaxQueryWords words and one that matches
-// nothing.
+// holds, a query of 20 words (the union of sampled ads') and one that
+// matches nothing.
 func (d *localAndWire) queries(rng *rand.Rand, n int) []string {
 	qs := []string{"zzzz qqqq"}
 	var long []string
@@ -80,7 +80,7 @@ func (d *localAndWire) queries(rng *rand.Rand, n int) []string {
 func sameResult(t *testing.T, step, q string, local, wire *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(local.IDs, wire.IDs) || !reflect.DeepEqual(local.Meta, wire.Meta) ||
-		local.Truncated != wire.Truncated || local.CutoffApplied != wire.CutoffApplied ||
+		local.Truncated != wire.Truncated ||
 		local.Degraded != wire.Degraded || !reflect.DeepEqual(local.FailedShards, wire.FailedShards) {
 		t.Fatalf("%s: query %q:\nlocal %+v\n wire %+v", step, q, *local, *wire)
 	}
@@ -93,7 +93,7 @@ func TestLocalEqualsWire(t *testing.T) {
 	d := deployLocalAndWire(t, 3000, 2, Options{})
 	rng := rand.New(rand.NewSource(1))
 	qs := d.queries(rng, 60)
-	matched, cutoff := 0, 0
+	matched, long := 0, 0
 	check := func(step string) {
 		t.Helper()
 		for _, q := range qs {
@@ -106,8 +106,8 @@ func TestLocalEqualsWire(t *testing.T) {
 			if len(local.IDs) > 0 {
 				matched++
 			}
-			if local.CutoffApplied {
-				cutoff++
+			if len(local.IDs) > 0 && len(strings.Fields(q)) > 12 {
+				long++
 			}
 		}
 	}
@@ -140,8 +140,8 @@ func TestLocalEqualsWire(t *testing.T) {
 	}
 	check("merge")
 
-	if matched == 0 || cutoff == 0 {
-		t.Fatalf("%d matching answers, %d cut off: the queries exercise too little", matched, cutoff)
+	if matched == 0 || long == 0 {
+		t.Fatalf("%d matching answers, %d to a query of more than 12 words: the queries exercise too little", matched, long)
 	}
 	for _, name := range transports {
 		if st := d.fronts[name].Stats(); st.StaleRetries == 0 {
@@ -250,7 +250,7 @@ func spanningPhrase(t *testing.T, d *localAndWire) string {
 
 // BenchmarkElasticQuery is elastic-fanout's stream without the HTTP layer:
 // distinct cold-mix queries (one in ten embeds an ad's word set, half are
-// long, each cut to the 12-word cutoff) through a front end of a 2-shard,
+// long, each capped at 12 words as bench/'s streams are) through a front end of a 2-shard,
 // 200k-ad cluster, in-process (local) and over the positions' sockets
 // (wire), under a one-second request deadline as the HTTP server sets one.
 func BenchmarkElasticQuery(b *testing.B) {

@@ -55,12 +55,12 @@ type Result struct {
 	Degraded bool
 	// FailedShards lists the shard indexes that did not answer.
 	FailedShards []int
-	// Truncated is set when any answering shard ran out of cost budget
-	// and returned a partial (but verified, ID-ordered) match list.
+	// Truncated is set when any answering shard ran out of budget (cost,
+	// deadline or walk bound) and returned a partial (but verified,
+	// ID-ordered) match list. A shard that set the older cutoff flag
+	// (multiserver.IDFlagCutoff) answered a verified subset too, and
+	// counts here.
 	Truncated bool
-	// CutoffApplied is set when any shard dropped query words past its
-	// MaxQueryWords bound before matching.
-	CutoffApplied bool
 }
 
 // replicaSet is one shard's replica connections with failover state.
@@ -397,11 +397,8 @@ func (nc *NetClient) fanOut(sc *fanScratch, st *routeState, req shardReq, partia
 		}
 		live++
 		matched += len(slot.ids)
-		if slot.flags&multiserver.IDFlagTruncated != 0 {
+		if slot.flags&(multiserver.IDFlagTruncated|multiserver.IDFlagCutoff) != 0 {
 			res.Truncated = true
-		}
-		if slot.flags&multiserver.IDFlagCutoff != 0 {
-			res.CutoffApplied = true
 		}
 	}
 	if firstErr != nil && !partial {

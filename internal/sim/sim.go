@@ -159,9 +159,9 @@ type GenOptions struct {
 	// under shortened locators is exercised.
 	MaxPhraseWords int
 	// MaxQueryWords bounds purely random query length. Default 5. Ad-
-	// derived queries may reach MaxPhraseWords+3 words; both stay far
-	// below the index's MaxQueryWords cutoff (12), keeping the oracle
-	// exact (the cutoff heuristic may legally lose matches past it).
+	// derived queries may reach MaxPhraseWords+3 words. Past 12 words a
+	// query may reach the index's walk bound, and an answer flagged
+	// truncated is held to the oracle as a verified sub-multiset.
 	MaxQueryWords int
 }
 

@@ -309,3 +309,29 @@ func TestSimCachedServer(t *testing.T) {
 	}
 	t.Logf("%d cached replies served after a write that did not touch them", survived)
 }
+
+// TestSimLongQueries runs schedules whose random queries reach 20 words
+// (GenOptions.MaxQueryWords 20) on the plain, durable and cached targets.
+// An index walks every indexed word of a query, so every answer is held to
+// the oracle exactly, except one flagged truncated — the walk bound, which
+// only a query of more than 12 indexed words can reach — which must be an
+// ID-ordered, verified sub-multiset of it. These seeds diverged when a
+// query of more than 12 words was cut to its 12 rarest.
+var longQuerySeeds = []int64{1, 2, 3}
+
+func TestSimLongQueries(t *testing.T) {
+	for _, seed := range longQuerySeeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := Config{
+				Seed:    seed,
+				Gen:     GenOptions{Ops: defaultOps(), MaxQueryWords: 20},
+				Durable: true,
+				Cached:  true,
+				Dir:     t.TempDir(),
+			}
+			if res := runSeed(t, cfg); res != nil {
+				t.Logf("%d answers stopped at the walk bound", res.Bounded)
+			}
+		})
+	}
+}

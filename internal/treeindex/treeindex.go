@@ -114,7 +114,7 @@ func (n *trieNode) child(w string) *trieNode {
 // at each node, the sorted children are merged against the remaining
 // query words.
 func (ix *Index) BroadMatch(queryWords []string, counters *costmodel.Counters) []*corpus.Ad {
-	q, _ := core.PrepareQuery(nil, queryWords, ix.df, ix.maxQueryWords)
+	q := core.PrepareQuery(nil, queryWords, ix.df, ix.maxQueryWords)
 	if counters != nil {
 		counters.Queries++
 	}

@@ -51,7 +51,7 @@ func TestBasicBroadMatch(t *testing.T) {
 
 func TestEquivalenceWithCore(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 3000, Seed: 81})
-	hash := core.New(c.Ads, core.Options{MaxQueryWords: 64})
+	hash := core.New(c.Ads, core.Options{})
 	tree := New(hash)
 	vocab := c.Vocabulary()
 	rng := rand.New(rand.NewSource(82))
@@ -82,9 +82,9 @@ func TestEquivalenceUnderMapping(t *testing.T) {
 	wl := workload.Generate(c, workload.GenOptions{NumQueries: 400, Seed: 84})
 	gs := optimize.BuildGroups(c.Ads, wl)
 	res := optimize.Optimize(gs, optimize.Options{})
-	// The trie needs no long-query cutoff (existing-path pruning bounds
-	// its work naturally), so it is read off an uncut hash index.
-	hash, err := core.NewWithMapping(c.Ads, res.Mapping, core.Options{MaxQueryWords: 64})
+	// The trie walks every query word (existing-path pruning bounds its
+	// work naturally), as the hash index does.
+	hash, err := core.NewWithMapping(c.Ads, res.Mapping, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEquivalenceUnderMapping(t *testing.T) {
 // existing paths, far below the hash structure's probe bound.
 func TestLongQueryPruning(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 5000, Seed: 85})
-	hash := core.New(c.Ads, core.Options{MaxWords: 10, MaxQueryWords: 20})
+	hash := core.New(c.Ads, core.Options{MaxWords: 10})
 	tree := New(hash)
 
 	// A 20-word query built from corpus vocabulary.

@@ -21,9 +21,9 @@ type AdvOptions struct {
 	// NumQueries is the number of distinct adversarial queries. Default 64.
 	NumQueries int
 	// QueryWords is the word count per query. Cost of subset enumeration
-	// grows with query length (the paper caps it at MaxQueryWords for
-	// exactly this reason), so adversarial queries sit at or just under
-	// that cap. Default 12.
+	// grows with query length; at the default 12 a query's walk may
+	// consider every subset the walk bound allows, and past it the bound
+	// truncates. Default 12.
 	QueryWords int
 	// TopWords is the size of the high-document-frequency vocabulary
 	// pool queries draw from. Frequent words are what make a long query
@@ -73,7 +73,7 @@ func topByDocFreq(c *corpus.Corpus, k int) []string {
 }
 
 // GenerateAdversarial produces a deterministic workload of maximally
-// expensive queries: long (near the MaxQueryWords cutoff) and built
+// expensive queries: long (12 words by default) and built
 // exclusively from the corpus's most frequent words, so the
 // subset-enumeration search space is both wide and full of live
 // locator prefixes (random-word queries of the same length cost almost

@@ -122,7 +122,7 @@ type GenOptions struct {
 	// MaxFreq is the frequency assigned to the top query. Default 10000.
 	MaxFreq int
 	// LongQueryProb is the probability of generating an unusually long
-	// query (9–16 words) to exercise the subset-enumeration cutoff.
+	// query (9–16 words), whose subset enumeration is the widest.
 	// Default 0.02.
 	LongQueryProb float64
 	// TypoRate is the probability a generated query carries a one-letter

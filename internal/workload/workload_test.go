@@ -166,7 +166,7 @@ func TestLongQueriesPresent(t *testing.T) {
 		long += h[l]
 	}
 	if long == 0 {
-		t.Error("no long queries (>=9 words) generated; cutoff path untested")
+		t.Error("no long queries (>=9 words) generated; long-query path untested")
 	}
 }
 

@@ -7,20 +7,11 @@ import (
 )
 
 // WriteAds serializes ads in the line-oriented text format used by the
-// CLI tools (one tab-separated ad per line); ReadAds is the inverse.
-// The format is documented in cmd/adgen.
+// CLI tools (one tab-separated ad per line). The format is documented in
+// cmd/adgen.
 func WriteAds(w io.Writer, ads []Ad) error {
 	c := corpus.Corpus{Ads: ads}
 	return c.Write(w)
-}
-
-// ReadAds parses ads from the text format produced by WriteAds.
-func ReadAds(r io.Reader) ([]Ad, error) {
-	c, err := corpus.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return c.Ads, nil
 }
 
 // GenerateAds produces a deterministic synthetic corpus with the

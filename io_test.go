@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"adindex/internal/corpus"
 )
 
 func TestWriteReadAds(t *testing.T) {
@@ -13,17 +15,17 @@ func TestWriteReadAds(t *testing.T) {
 	if err := WriteAds(&buf, ads); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadAds(&buf)
+	back, err := corpus.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ads, back) {
+	if !reflect.DeepEqual(ads, back.Ads) {
 		t.Fatal("ads round trip mismatch")
 	}
 }
 
 func TestReadAdsError(t *testing.T) {
-	if _, err := ReadAds(strings.NewReader("garbage line\n")); err == nil {
+	if _, err := corpus.Read(strings.NewReader("garbage line\n")); err == nil {
 		t.Error("garbage accepted")
 	}
 }

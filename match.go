@@ -49,11 +49,6 @@ type snapshot struct {
 	// vocabOnce. Only the rewrite path touches it.
 	vocabOnce sync.Once
 	vocab     *rewrite.Vocabulary
-	// dfMoves is how the overlay moves the base's document frequencies,
-	// computed once (dfOnce) by the first query that needs it: a long query
-	// under the cutoff, or the rewrite vocabulary.
-	dfOnce  sync.Once
-	dfMoves map[string]int
 }
 
 // tombKey identifies a deleted base record: core deletion semantics match
@@ -147,7 +142,7 @@ func (s *snapshot) id(r core.Ref) uint64 {
 // Phrase) and unused for Broad. Section III-B: the types share the
 // lookups and differ in the node-side test, so Broad and Phrase run the
 // same subset walk and Exact is the single lookup of the query's own
-// word set, which has nothing to cut off or to budget.
+// word set, which has nothing to bound or to budget.
 //
 // counters and b are both optional: a non-nil budget is charged per probe
 // and per scanned record by the base walk, which stops at node
@@ -158,9 +153,6 @@ func (s *snapshot) id(r core.Ref) uint64 {
 // encode them (appendJSON) before returning.
 func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []core.Ref {
 	mark := len(dst)
-	if typ != Exact {
-		queryWords = s.cutLive(queryWords, b)
-	}
 	switch typ {
 	case Exact:
 		dst = s.base.AppendExactRefs(dst, tokens, queryWords, counters, sc)
@@ -178,9 +170,9 @@ func (s *snapshot) appendMatch(dst []core.Ref, typ QueryType, tokens, queryWords
 			b.Charge(int64(len(s.delta)))
 		}
 		n := len(dst)
-		// The delta is scanned with the canonical query words (cut as the
-		// base's walk was, cutLive), not the base's prepared ones: the
-		// base's vocabulary may lack delta-only words. The signature
+		// The delta is scanned with the canonical query words, not the
+		// base's prepared ones: the base's vocabulary may lack delta-only
+		// words. The signature
 		// column computed at insert time rejects most overlay ads on one
 		// 64-bit compare, mirroring the columnar base scan (and its
 		// accounting).
@@ -237,53 +229,22 @@ func (s *snapshot) mergeDelta(m []core.Ref, n int) {
 	}
 }
 
-// cutLive applies the MaxQueryWords cutoff to a long query while an
-// overlay is pending, ranking its words by their live document frequencies
-// — the base's, plus the delta ads', minus the tombstoned records' — which
-// are the frequencies of the base a fold of the overlay would build. It
-// returns the words the base walk and the delta scan both test against, so
-// a long query answers the same before and after that fold; the walk, given
-// at most MaxQueryWords words, cuts nothing itself. A query of at most
-// MaxQueryWords words, or one with no overlay pending, is returned as it
-// is, and the base cuts it by its own frequencies, which are then the live
-// ones.
-func (s *snapshot) cutLive(queryWords []string, b *core.Budget) []string {
-	maxWords := s.base.Options().MaxQueryWords
-	if len(queryWords) <= maxWords || s.overlaySize() == 0 {
-		return queryWords
-	}
-	moves := s.overlayDF()
-	df := make(map[string]int, len(queryWords))
-	for _, w := range queryWords {
-		df[w] = s.base.WordDF(w) + moves[w]
-	}
-	cut, dropped := core.PrepareQuery(nil, queryWords, df, maxWords)
-	if dropped && b != nil {
-		b.NoteCutoff()
-	}
-	return cut
-}
-
 // overlayDF returns how the overlay moves each word's document frequency:
 // one up per delta ad holding it, n down per tombstone of n records holding
-// it. Computed once per snapshot (the overlay is immutable after
-// publication).
+// it.
 func (s *snapshot) overlayDF() map[string]int {
-	s.dfOnce.Do(func() {
-		moves := make(map[string]int)
-		for i := range s.delta {
-			for _, w := range s.delta[i].Words {
-				moves[w]++
-			}
+	moves := make(map[string]int)
+	for i := range s.delta {
+		for _, w := range s.delta[i].Words {
+			moves[w]++
 		}
-		for k, n := range s.tombs {
-			for _, w := range textnorm.SplitKey(k.key) {
-				moves[w] -= n
-			}
+	}
+	for k, n := range s.tombs {
+		for _, w := range textnorm.SplitKey(k.key) {
+			moves[w] -= n
 		}
-		s.dfMoves = moves
-	})
-	return s.dfMoves
+	}
+	return moves
 }
 
 // orderedMatch is the order-sensitive part of the match test, applied to a
@@ -471,18 +432,9 @@ func (v View) Epoch() uint64 { return v.s.epoch }
 // stamp nothing, whatever they do to Epoch. Slots are shared between
 // words, so the value can be newer than necessary, never older.
 //
-// The exception is a query long enough for the long-query cutoff, which
-// keeps only the rarest 12 indexed words of a longer query
-// (Result.CutoffApplied says whether it did): its answer depends on
-// document frequencies, which any mutation moves. For it ChangedAt is the view's own epoch: nothing
-// older than this View will do.
-//
 // The table is the index's, not the snapshot's: a View obtained before a
 // mutation reports that mutation once it has stamped.
 func (v View) ChangedAt(words []string) uint64 {
-	if len(words) > v.s.base.Options().MaxQueryWords {
-		return v.s.epoch
-	}
 	var at uint64
 	for _, w := range words {
 		if e := v.changed[wordSlot(w)].Load(); e > at {
@@ -528,8 +480,9 @@ type Query struct {
 	Text string
 	Type QueryType
 	// Budget bounds the index work; the zero budget is unlimited. It
-	// applies to the subset walk of Broad and Phrase queries; an Exact
-	// query is a single lookup, which is never truncated or cut off.
+	// applies to the subset walk of Broad and Phrase queries, which it
+	// also bounds (core.Budget); an Exact query is a single lookup, which
+	// is never truncated.
 	Budget QueryBudget
 	// Rewrite adds approximate broad match: after the query's own word
 	// set, the planner's rewrite variants (synonym substitutions, then
@@ -554,12 +507,11 @@ type Result struct {
 	// appended ad was reached. An ad reachable through several variants
 	// is reported once, under the first (lowest-penalty) one.
 	Infos []MatchInfo
-	// Truncated reports that the budget (cost or deadline) ran out before
-	// the retrieval completed.
+	// Truncated reports that the budget (cost or deadline) ran out, or a
+	// subset walk reached its bound (every subset of 12 words, which only
+	// a query of more indexed words can reach), before the retrieval
+	// completed.
 	Truncated bool
-	// CutoffApplied reports that the query had more than 12 indexed words
-	// (the long-query cutoff) and was reduced to its rarest 12.
-	CutoffApplied bool
 	// CostSpent is the cost units the query charged.
 	CostSpent int64
 	// Rewrite reports the expansion work of a rewritten query.
@@ -643,7 +595,6 @@ func (v View) match(sc *queryScratch, q Query, tokens []string) Result {
 		sc.refs = v.s.appendMatch(sc.refs[:0], q.Type, tokens, sc.words, q.Counters, &sc.core, &sc.budget)
 	}
 	res.Truncated = sc.budget.Exhausted()
-	res.CutoffApplied = sc.budget.CutoffApplied()
 	res.CostSpent = sc.budget.Spent()
 	return res
 }

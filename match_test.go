@@ -2,6 +2,7 @@ package adindex
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -63,8 +64,8 @@ func subMultisetInOrder(got, want []uint64) bool {
 func TestMatchOptionsCompose(t *testing.T) {
 	c := corpus.Generate(corpus.GenOptions{NumAds: 1500, Seed: 61})
 	opts := Options{MaxDeltaAds: 512, Rewrite: &RewriteOptions{}}
-	// Two bid phrases longer than MaxQueryWords, one per storage tier: the
-	// subset walk cuts such a query down, the exact lookup must not.
+	// Two bid phrases of more than 12 words, one per storage tier: the
+	// subset walk and the exact lookup must both find them.
 	longBase := NewAd(800000, "a1 b2 c3 d4 e5 f6 g7 h8 i9 j10 k11 l12 m13 n14 o15", Meta{})
 	longDelta := NewAd(800001, "z1 y2 x3 w4 v5 u6 t7 s8 r9 q10 p11 o12 n13 m14", Meta{})
 	ads := append(slices.Clone(c.Ads), longBase)
@@ -145,7 +146,7 @@ func TestMatchOptionsCompose(t *testing.T) {
 							case !reflect.DeepEqual(res.Ads, full.Ads) || !reflect.DeepEqual(res.Infos, full.Infos):
 								t.Fatalf("%s: untruncated answer %v differs from the unbudgeted one %v", name, ids, fullIDs)
 							}
-							if typ == Exact && (res.Truncated || res.CutoffApplied || res.CostSpent != 0) {
+							if typ == Exact && (res.Truncated || res.CostSpent != 0) {
 								t.Fatalf("%s: exact match is one lookup, yet %+v", name, res)
 							}
 							if rw && typ == Broad {
@@ -165,10 +166,7 @@ func TestMatchOptionsCompose(t *testing.T) {
 						}
 					}
 
-					// The oracle, for answers the static word cutoff left whole.
-					if full.CutoffApplied {
-						continue
-					}
+					// The oracle.
 					got := fullIDs
 					if rw && typ == Broad {
 						// Rewrites only add ads; the ones reached by the query
@@ -206,10 +204,51 @@ func TestMatchOptionsCompose(t *testing.T) {
 	}
 }
 
+// TestLongQueriesExact: on a 20k-ad corpus, broad and phrase queries of
+// 13 to 24 words — ad phrases one after another, no word twice — answer
+// exactly what brute-force containment answers, untruncated, on the
+// serving path (Match, which budgets every walk): the walk takes every
+// indexed word of the query, and its bound leaves such queries whole.
+func TestLongQueriesExact(t *testing.T) {
+	ads := GenerateAds(20_000, 1)
+	ix := Build(ads, Options{})
+	rng := rand.New(rand.NewSource(2))
+	matched := 0
+	for n := 13; n <= 24; n++ {
+		for range 4 {
+			seen := map[string]bool{}
+			var tokens []string
+			for len(tokens) < n {
+				p := textnorm.Tokenize(ads[rng.Intn(len(ads))].Phrase)
+				if slices.ContainsFunc(p, func(w string) bool { return seen[w] }) || len(textnorm.WordSet(strings.Join(p, " "))) != len(p) {
+					continue
+				}
+				for _, w := range p {
+					seen[w] = true
+				}
+				tokens = append(tokens, p...)
+			}
+			q := strings.Join(tokens[:n], " ")
+			for _, typ := range []QueryType{Broad, Phrase} {
+				res := ix.Match(nil, Query{Text: q, Type: typ})
+				want := bruteForce(ads, typ, q)
+				slices.Sort(want)
+				if got := idsOf(res.Ads); res.Truncated || !slices.Equal(got, want) {
+					t.Fatalf("%d words, type %d, %q: %v (truncated %v), brute force %v", n, typ, q, got, res.Truncated, want)
+				}
+				matched += len(want)
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no long query matched anything: the test exercises nothing")
+	}
+}
+
 // TestExactMatchBeyondQueryCutoff: exact match looks up the query's own
-// word set, so the MaxQueryWords cutoff of the subset walk does not apply
-// to it: a bid phrase longer than the cutoff is found in the base and in
-// the delta, whatever the budget.
+// word set, so no bound of the subset walk applies to it: a bid phrase of
+// more than 12 words is found in the base and in the delta, whatever the
+// budget.
 func TestExactMatchBeyondQueryCutoff(t *testing.T) {
 	long := "one two three four five six seven eight nine ten eleven twelve thirteen fourteen fifteen"
 	ix := Build([]Ad{NewAd(1, long, Meta{}), NewAd(2, "one two", Meta{})}, Options{})
@@ -218,8 +257,8 @@ func TestExactMatchBeyondQueryCutoff(t *testing.T) {
 		t.Fatalf("exact match of 15 words = %v, want [1 3]", got)
 	}
 	res := ix.Match(nil, Query{Text: long, Type: Exact, Budget: QueryBudget{MaxCost: 1, Deadline: time.Unix(1, 0)}})
-	if got := idsOf(res.Ads); !slices.Equal(got, []uint64{1, 3}) || res.Truncated || res.CutoffApplied {
-		t.Fatalf("budgeted exact = %v truncated=%v cutoff=%v, want [1 3] whole", got, res.Truncated, res.CutoffApplied)
+	if got := idsOf(res.Ads); !slices.Equal(got, []uint64{1, 3}) || res.Truncated {
+		t.Fatalf("budgeted exact = %v truncated=%v, want [1 3] whole", got, res.Truncated)
 	}
 }
 

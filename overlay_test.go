@@ -273,14 +273,13 @@ func TestTombstonesCostOtherMatchesNothing(t *testing.T) {
 	}
 }
 
-// TestLongQueryAnswerSurvivesFold: a query of more than MaxQueryWords
-// words is cut to its rarest words by the live corpus's frequencies, the
-// overlay's included, and the delta is tested against the same cut, so its
-// answer is the one the folded index gives. Twin indexes take the same
-// writes; one folds them (Optimize), the other keeps them pending. Before
-// the cut read the overlay, the pending twin kept alpha and bravo (rare in
-// its base) and dropped mike and november, and matched 17 ads where the
-// folded one matched 12: the 22-against-23 split two cached servers showed.
+// TestLongQueryAnswerSurvivesFold: a query of more than 12 words walks
+// every indexed word of it, so its answer is what brute-force containment
+// answers on the live corpus whether the writes are pending or folded.
+// Twin indexes take the same writes; one folds them (an install of its
+// live mapping), the other keeps them pending. When such a query was cut
+// to its rarest words, the writes moved which words those were: the
+// pending twin once matched 17 ads where the folded one matched 12.
 func TestLongQueryAnswerSurvivesFold(t *testing.T) {
 	words := strings.Fields("alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima mike november")
 	var ads []Ad
@@ -300,39 +299,40 @@ func TestLongQueryAnswerSurvivesFold(t *testing.T) {
 			for id := uint64(100); id < 105; id++ { // alpha and bravo become the commonest words
 				ix.Insert(NewAd(id, "alpha bravo", Meta{}))
 			}
-		}, []uint64{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15}},
+		}, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 100, 101, 102, 103, 104}},
 		{"delta and tombstone", func(ix *Index) {
 			for id := uint64(100); id < 105; id++ {
 				ix.Insert(NewAd(id, "alpha bravo", Meta{}))
 			}
-			if !ix.Delete(3, "charlie") { // charlie leaves the live corpus: alpha is kept
+			if !ix.Delete(3, "charlie") {
 				t.Fatal("delete of base ad 3 found nothing")
 			}
-		}, []uint64{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15}},
+		}, []uint64{1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 100, 101, 102, 103, 104}},
 	} {
 		pending, folded := Build(ads, Options{}), Build(ads, Options{})
 		tc.writes(pending)
 		tc.writes(folded)
-		if _, err := folded.Optimize(); err != nil {
+		if _, err := folded.install(folded.snap.Load().base.Mapping()); err != nil {
 			t.Fatal(err)
 		}
 		if st := folded.Stats(); st.Overlay != 0 {
-			t.Fatalf("%s: Optimize left %d overlay entries", tc.name, st.Overlay)
+			t.Fatalf("%s: the install left %d overlay entries", tc.name, st.Overlay)
 		}
 		if st := pending.Stats(); st.Overlay == 0 {
 			t.Fatalf("%s: the pending twin has no overlay", tc.name)
 		}
 		for _, ix := range []*Index{pending, folded} {
-			res := ix.Match(nil, q)
-			if got := idsOf(res.Ads); !slices.Equal(got, tc.want) || !res.CutoffApplied {
-				t.Errorf("%s, overlay %d: the 14-word query matched %v (cutoff %v), want %v (cutoff true)",
-					tc.name, ix.Stats().Overlay, got, res.CutoffApplied, tc.want)
+			for _, query := range []Query{q, short} {
+				res := ix.Match(nil, query)
+				want := bruteForce(ix.Ads(), Broad, query.Text)
+				if got := idsOf(res.Ads); !slices.Equal(got, want) || res.Truncated {
+					t.Errorf("%s, overlay %d: %q matched %v (truncated %v), brute force %v",
+						tc.name, ix.Stats().Overlay, query.Text, got, res.Truncated, want)
+				}
+				if query.Text == q.Text && !slices.Equal(want, tc.want) {
+					t.Errorf("%s: brute force answers the 14-word query %v, want %v", tc.name, want, tc.want)
+				}
 			}
-		}
-		a, b := pending.Match(nil, short), folded.Match(nil, short)
-		if !slices.Equal(idsOf(a.Ads), idsOf(b.Ads)) || a.CutoffApplied || b.CutoffApplied {
-			t.Errorf("%s: the 12-word query matched %v pending and %v folded (cutoffs %v, %v)",
-				tc.name, idsOf(a.Ads), idsOf(b.Ads), a.CutoffApplied, b.CutoffApplied)
 		}
 	}
 }
